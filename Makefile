@@ -1,9 +1,16 @@
 # Developer entry points. CI runs the same commands (see
-# .github/workflows/ci.yml); keep them in sync.
+# .github/workflows/ci.yml); keep them in sync. The benchmark gates are
+# not copied there: CI runs `make gates`.
 
 GO ?= go
 
-.PHONY: build test race lint fmt vet check
+# The gates pipe `go test -bench` into awk: a benchmark that fails or
+# panics partway still prints its other rows, so the pipe must fail
+# when go test does.
+SHELL := /bin/bash
+.SHELLFLAGS := -o pipefail -c
+
+.PHONY: build test race lint fmt vet check gates gate-obsv gate-auto gate-mvcc gate-mmap gate-kernel
 
 build:
 	$(GO) build ./...
@@ -28,3 +35,51 @@ vet:
 	$(GO) vet ./...
 
 check: fmt vet build lint test
+
+# Benchmark gates: each pipes paired benchmark rows into the one gate
+# program (scripts/benchgate.awk: pair by variant, fold, geomean, limit,
+# fail when nothing matched). The BENCH_*.json files pin the seeded ratios.
+GATE = awk -f scripts/benchgate.awk
+
+gates: gate-obsv gate-auto gate-mvcc gate-mmap gate-kernel
+
+# The observability layer must not tax the warm path: warm-traced/warm
+# at 1.05 over the full query matrix (individual sub-µs pairs jitter
+# past it; the geomean cannot — 100 iterations each, single-iteration
+# timings are noise), and warm re-evaluation, traced or not, must stay
+# near allocation-free (BENCH_eval.json pins 0 allocs/op; 5 leaves
+# margin for runtime noise).
+gate-obsv:
+	$(GO) test -run '^$$' -bench 'BenchmarkEvalSteadyState/.*/.*/warm' -benchtime 100x -benchmem . \
+		| $(GATE) -v num=warm-traced -v den=warm -v limit=1.05 -v allocs=5
+
+# The observed-latency Auto selector must pay for itself on the paper's
+# own workload against the §5 static reference arm (both warmed past
+# the probe phase in-bench). BENCH_auto.json pins ~0.87.
+gate-auto:
+	$(GO) test -run '^$$' -bench 'BenchmarkAutoSelector' -benchtime 50x . \
+		| $(GATE) -v num=adaptive -v den=static -v limit=1.00
+
+# A subtree patch (splice + incremental index/BP maintenance + MVCC
+# publish) must beat rebuilding the document from XML. BENCH_mvcc.json
+# pins ~0.15; tripping 0.25 means an accidental O(doc) rebuild in the
+# patch path, not noise.
+gate-mvcc:
+	$(GO) test -run '^$$' -bench 'BenchmarkPatchVsReload' -benchtime 20x -benchmem ./internal/store/ \
+		| $(GATE) -v num=patch-apply -v den=full-reload -v limit=0.25
+
+# Opening an XQO2 mapping must stay a rounding error next to parsing
+# and indexing the same document — the entire value of the resident
+# format. BENCH_mmap.json pins ~0.02; min of three runs filters one-off
+# page-cache or scheduler hiccups.
+gate-mmap:
+	$(GO) test -run '^$$' -bench 'BenchmarkMmapOpenVsParse' -benchtime 20x -count 3 ./internal/store/ \
+		| $(GATE) -v num=mmap-open -v den=parse -v limit=0.05 -v fold=min
+
+# The word-level BP/rank/select kernels must beat the per-bit reference
+# loops they replaced, across both packages. BENCH_mmap.json pins ~0.27.
+# Time-based benchtime (fixed low iteration counts read sub-100ns
+# kernels as timer noise) and min of two runs.
+gate-kernel:
+	$(GO) test -run '^$$' -bench 'BenchmarkKernelsVsPerBit' -benchtime 0.2s -count 2 ./internal/bp/ ./internal/bitvec/ \
+		| $(GATE) -v num=word -v den=perbit -v limit=0.80 -v fold=min

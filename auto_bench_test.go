@@ -4,8 +4,9 @@
 // regimes —
 //
 //	static:   the paper's §5 count heuristic decides every time (the
-//	          pre-PR-7 behavior, -auto-adaptive=false); the selector
-//	          still measures so the bookkeeping cost is identical;
+//	          reference arm, core.AutoConfig{Adaptive: false}; no
+//	          daemon mode runs it); the selector still measures so the
+//	          bookkeeping cost is identical;
 //	adaptive: the per-shape EWMA model decides, with the default
 //	          epsilon-greedy exploration floor.
 //

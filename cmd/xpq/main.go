@@ -4,11 +4,12 @@
 //	xpq -file doc.xml -query '//listitem//keyword' [-strategy auto] [-paths] [-stats]
 //
 // With -xmark SCALE a generated XMark document is used instead of a file.
-// Documents can be persisted in the compact binary tree format so large
-// XMark trees parse once and reload in milliseconds:
+// Documents can be persisted in the XQO2 resident format (the file xpqd
+// -mmap serves zero-copy) so large XMark trees parse once and reopen in
+// microseconds:
 //
-//	xpq -xmark 1.0 -save auction.xqo            # generate once, save
-//	xpq -load auction.xqo -query '//keyword'    # reload instantly
+//	xpq -xmark 1.0 -save auction.xqo2           # generate once, save
+//	xpq -load auction.xqo2 -query '//keyword'   # mmap, no parse
 package main
 
 import (
@@ -23,8 +24,8 @@ import (
 func main() {
 	var (
 		file     = flag.String("file", "", "XML input file")
-		load     = flag.String("load", "", "binary document file to load (written by -save)")
-		save     = flag.String("save", "", "write the loaded document to this binary file")
+		load     = flag.String("load", "", "XQO2 document file to load (written by -save)")
+		save     = flag.String("save", "", "write the loaded document to this XQO2 file")
 		xmarkSc  = flag.Float64("xmark", 0, "generate an XMark document at this scale instead of reading a file")
 		seed     = flag.Int64("seed", 1, "XMark generator seed")
 		query    = flag.String("query", "", "XPath query (required unless only -save)")

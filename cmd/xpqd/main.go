@@ -6,7 +6,7 @@
 //	     [-cache-bytes-total N] [-workers N] [-stream-chunk 512] [-allow-file-loads]
 //	     [-log-level info] [-slow-query-ms N] [-flight-records 256] [-pprof]
 //	     [-cursor-ttl 60s] [-resident-budget N] [-verify-resident]
-//	     [-load id=file.xml ...] [-load-bin id=file.xqo ...]
+//	     [-auto-epsilon 0.05] [-load id=file.xml ...]
 //	     [-mmap id=file.xqo2 | -mmap corpusdir ...] [-xmark id=scale[:seed] ...]
 //
 // The document corpus is partitioned over -shards goroutine-affine
@@ -29,8 +29,7 @@
 //	POST   /batch      {"requests":[{...},{...}]}
 //	GET    /docs       list resident documents with stats
 //	POST   /docs       {"id":"xm","xmark_scale":0.1} | {"id":"d","xml":"<r/>"} |
-//	                   {"id":"d","file":"doc.xml"} | {"id":"d","binary_file":"doc.xqo"}
-//	                   (the file-path forms require -allow-file-loads)
+//	                   {"id":"d","file":"doc.xml"} (requires -allow-file-loads)
 //	PATCH  /docs/{id}  {"op":"insert|delete|replace","node":N,"before":M,
 //	                   "xml":"<frag/>","base_gen":G} — mutate a subtree,
 //	                   publishing a new MVCC generation with incrementally
@@ -48,7 +47,8 @@
 // are logged at Warn with their engine counters. -log-level debug logs
 // every query.
 //
-// SIGINT/SIGTERM drain in-flight requests and exit (graceful shutdown).
+// SIGINT/SIGTERM drain in-flight requests and exit (graceful shutdown),
+// whenever they arrive: the handler is installed before preload starts.
 package main
 
 import (
@@ -56,7 +56,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -98,50 +100,81 @@ func parseLevel(s string) (slog.Level, error) {
 	return 0, fmt.Errorf("unknown log level %q (want debug, info, warn or error)", s)
 }
 
+// errUsage marks command-line mistakes (exit status 2, like the flag
+// package's own ExitOnError).
+var errUsage = errors.New("usage")
+
 func main() {
+	// The handler is installed before anything else runs, so a signal
+	// that arrives during preload or before the listener is up drains
+	// like any other instead of killing the process.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	err := run(ctx, os.Args[1:], os.Stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		os.Exit(1)
+	}
+}
+
+// run is the whole daemon: parse args, preload, serve until ctx is
+// cancelled, drain. It returns nil after a clean drain — including a
+// cancellation that arrives before the listener exists. Failures are
+// logged to stderr before they are returned.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("xpqd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	// TestFlagList pins this list, so a new knob shows up in review.
 	var (
-		addr        = flag.String("addr", "localhost:8714", "listen address")
-		shards      = flag.Int("shards", runtime.GOMAXPROCS(0), "document-store shard count (consistent-hash partitions)")
-		cacheSize   = flag.Int("cache-size", 256, "per-shard compiled-query LRU capacity (entries)")
-		cacheBytes  = flag.Int64("cache-bytes", 0, "per-shard compiled-query LRU byte budget (0 = entries bound only)")
-		cacheTotal  = flag.Int64("cache-bytes-total", 0, "global byte budget across all per-shard LRUs (0 = per-shard bounds only)")
-		workers     = flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-		streamChunk = flag.Int("stream-chunk", service.DefaultStreamChunk, "nodes per /query/stream NDJSON chunk")
-		allowFiles  = flag.Bool("allow-file-loads", false, "let POST /docs read server-side file paths")
-		logLevel    = flag.String("log-level", "info", "log verbosity: debug, info, warn, error (debug logs every query)")
-		slowQueryMS = flag.Int64("slow-query-ms", 100, "flag queries at or above this many milliseconds as slow (0 disables)")
-		flightRecs  = flag.Int("flight-records", 0, "flight recorder ring size for /debug/queries (0 = default)")
-		pprofFlag   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		autoAdapt   = flag.Bool("auto-adaptive", true, "route Auto queries on observed per-shape latency (false = the paper's static count heuristic)")
-		autoEps     = flag.Float64("auto-epsilon", core.DefaultAutoEpsilon, "Auto selector exploration floor (fraction of warm decisions spent re-measuring)")
-		cursorTTL   = flag.Duration("cursor-ttl", service.DefaultCursorTTL, "how long an unconsumed page/stream cursor keeps its MVCC generation alive")
-		residentMax = flag.Int64("resident-budget", 0, "total bytes of mmap'd documents kept hot; colder mappings are released to the OS (0 = unlimited)")
-		verifyRes   = flag.Bool("verify-resident", false, "structurally validate every value in -mmap files at open (for files not written by this server; checksums are always verified)")
+		addr        = fs.String("addr", "localhost:8714", "listen address")
+		shards      = fs.Int("shards", runtime.GOMAXPROCS(0), "document-store shard count (consistent-hash partitions)")
+		cacheSize   = fs.Int("cache-size", 256, "per-shard compiled-query LRU capacity (entries)")
+		cacheBytes  = fs.Int64("cache-bytes", 0, "per-shard compiled-query LRU byte budget (0 = entries bound only)")
+		cacheTotal  = fs.Int64("cache-bytes-total", 0, "global byte budget across all per-shard LRUs (0 = per-shard bounds only)")
+		workers     = fs.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
+		streamChunk = fs.Int("stream-chunk", service.DefaultStreamChunk, "nodes per /query/stream NDJSON chunk")
+		allowFiles  = fs.Bool("allow-file-loads", false, "let POST /docs read server-side file paths")
+		logLevel    = fs.String("log-level", "info", "log verbosity: debug, info, warn, error (debug logs every query)")
+		slowQueryMS = fs.Int64("slow-query-ms", 100, "flag queries at or above this many milliseconds as slow (0 disables)")
+		flightRecs  = fs.Int("flight-records", 0, "flight recorder ring size for /debug/queries (0 = default)")
+		pprofFlag   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+		autoEps     = fs.Float64("auto-epsilon", core.DefaultAutoEpsilon, "Auto selector exploration floor (fraction of warm decisions spent re-measuring)")
+		cursorTTL   = fs.Duration("cursor-ttl", service.DefaultCursorTTL, "how long an unconsumed page/stream cursor keeps its MVCC generation alive")
+		residentMax = fs.Int64("resident-budget", 0, "total bytes of mmap'd documents kept hot; colder mappings are released to the OS (0 = unlimited)")
+		verifyRes   = fs.Bool("verify-resident", false, "structurally validate every value in -mmap files at open (for files not written by this server; checksums are always verified)")
 		loads       multiFlag
-		loadBins    multiFlag
 		mmaps       multiFlag
 		xmarks      multiFlag
 	)
-	flag.Var(&loads, "load", "preload an XML document, id=path (repeatable)")
-	flag.Var(&loadBins, "load-bin", "preload a binary-serialized document, id=path (repeatable)")
-	flag.Var(&mmaps, "mmap", "open an XQO2 resident file zero-copy, id=path, or a directory of .xqo2 files (repeatable)")
-	flag.Var(&xmarks, "xmark", "pregenerate an XMark document, id=scale[:seed] (repeatable)")
-	flag.Parse()
-
+	fs.Var(&loads, "load", "preload an XML document, id=path (repeatable)")
+	fs.Var(&mmaps, "mmap", "open an XQO2 resident file zero-copy, id=path, or a directory of .xqo2 files (repeatable)")
+	fs.Var(&xmarks, "xmark", "pregenerate an XMark document, id=scale[:seed] (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
 	level, err := parseLevel(*logLevel)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "xpqd: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "xpqd: %v\n", err)
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	slog.SetDefault(logger)
+	logger := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level}))
 
 	st := shard.NewStore(*shards)
 	st.SetResidentBudget(*residentMax)
 	st.SetVerifyResident(*verifyRes)
-	if err := preload(st, logger, loads, loadBins, mmaps, xmarks); err != nil {
+	if err := preload(ctx, st, logger, loads, mmaps, xmarks); err != nil {
+		if ctx.Err() != nil {
+			logger.Info("cancelled during preload")
+			return nil
+		}
 		logger.Error("preload failed", slog.Any("err", err))
-		os.Exit(1)
+		return err
 	}
 	svc := service.New(st, service.Options{
 		CacheSize:       *cacheSize,
@@ -151,13 +184,11 @@ func main() {
 		SlowQuery:       time.Duration(*slowQueryMS) * time.Millisecond,
 		FlightRecords:   *flightRecs,
 		Logger:          logger,
-		StaticAuto:      !*autoAdapt,
 		AutoEpsilon:     *autoEps,
 		CursorTTL:       *cursorTTL,
 	})
 
 	srv := &http.Server{
-		Addr: *addr,
 		Handler: service.NewHandler(svc, service.HandlerOptions{
 			AllowFileLoads: *allowFiles,
 			StreamChunk:    *streamChunk,
@@ -165,42 +196,48 @@ func main() {
 		}),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logger.Error("listen failed", slog.Any("err", err))
+		return err
+	}
+	logger.Info("listening",
+		slog.String("addr", ln.Addr().String()),
+		slog.Int("shards", st.NumShards()),
+		slog.Int("documents", st.Len()),
+		slog.Int64("slow_query_ms", *slowQueryMS),
+		slog.Bool("pprof", *pprofFlag))
 	errc := make(chan error, 1)
-	go func() {
-		logger.Info("listening",
-			slog.String("addr", *addr),
-			slog.Int("shards", st.NumShards()),
-			slog.Int("documents", st.Len()),
-			slog.Int64("slow_query_ms", *slowQueryMS),
-			slog.Bool("pprof", *pprofFlag))
-		errc <- srv.ListenAndServe()
-	}()
+	go func() { errc <- srv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		logger.Error("server failed", slog.Any("err", err))
-		os.Exit(1)
-	case sig := <-sigc:
-		logger.Info("draining", slog.String("signal", sig.String()))
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		return err
+	case <-ctx.Done():
+		logger.Info("draining")
+		sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		if err := srv.Shutdown(sctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			logger.Warn("shutdown", slog.Any("err", err))
 		}
+		<-errc // Serve has returned http.ErrServerClosed: no goroutine outlives run
 		logger.Info("bye")
+		return nil
 	}
 }
 
-// preload loads every -load/-load-bin/-mmap/-xmark document before
-// serving, so first queries never pay parse or index latency. Mapped
-// opens are near-free (section-table walk plus checksums) — preloading
-// a whole corpus directory is how the daemon serves more documents than
-// fit in RAM, with the OS paging each document's working set on demand.
-func preload(st *shard.Store, logger *slog.Logger, loads, loadBins, mmaps, xmarks []string) error {
+// preload loads every -load/-mmap/-xmark document before serving, so
+// first queries never pay parse or index latency; it stops between
+// documents once ctx is cancelled. Mapped opens are near-free
+// (section-table walk plus checksums) — preloading a whole corpus
+// directory is how the daemon serves more documents than fit in RAM,
+// with the OS paging each document's working set on demand.
+func preload(ctx context.Context, st *shard.Store, logger *slog.Logger, loads, mmaps, xmarks []string) error {
 	for _, spec := range loads {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		id, path, err := splitSpec(spec, "-load")
 		if err != nil {
 			return err
@@ -211,18 +248,10 @@ func preload(st *shard.Store, logger *slog.Logger, loads, loadBins, mmaps, xmark
 		}
 		logLoaded(logger, h)
 	}
-	for _, spec := range loadBins {
-		id, path, err := splitSpec(spec, "-load-bin")
-		if err != nil {
-			return err
-		}
-		h, err := st.LoadBinaryFile(id, path)
-		if err != nil {
-			return err
-		}
-		logLoaded(logger, h)
-	}
 	for _, spec := range mmaps {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		// Directory form: open every *.xqo2 inside, id = base name.
 		if fi, err := os.Stat(spec); err == nil && fi.IsDir() {
 			entries, err := os.ReadDir(spec)
@@ -230,6 +259,9 @@ func preload(st *shard.Store, logger *slog.Logger, loads, loadBins, mmaps, xmark
 				return fmt.Errorf("-mmap %q: %w", spec, err)
 			}
 			for _, e := range entries {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 				name := e.Name()
 				if e.IsDir() || !strings.HasSuffix(name, ".xqo2") {
 					continue
@@ -253,6 +285,9 @@ func preload(st *shard.Store, logger *slog.Logger, loads, loadBins, mmaps, xmark
 		logLoaded(logger, h)
 	}
 	for _, spec := range xmarks {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		id, arg, err := splitSpec(spec, "-xmark")
 		if err != nil {
 			return err

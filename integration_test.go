@@ -66,10 +66,10 @@ func TestEndToEndPipeline(t *testing.T) {
 func TestBinarySerializationPipeline(t *testing.T) {
 	d1 := xmark.Generate(xmark.Config{Scale: 0.003, Seed: 5})
 	var buf bytes.Buffer
-	if _, err := d1.WriteTo(&buf); err != nil {
+	if _, err := repro.SaveDocument(&buf, d1); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := tree.ReadDocument(&buf)
+	d2, err := repro.LoadDocument(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,9 +110,8 @@ func ParseStrategy(name string) (Strategy, bool) {
 // hybridCountFraction: the §5 condition — use the hybrid run when the
 // cheapest chain label's count is below this fraction of the most
 // frequent one ("one of the labels in the query has a low count").
-// With the adaptive selector this constant is only the cold-start and
-// -auto-adaptive=false behavior; warm shapes route on observed
-// latency (see selector.go).
+// The selector uses it only for cold shapes; warm shapes route on
+// observed latency (see selector.go).
 const hybridCountFraction = 0.05
 
 // hybridEval is the hybrid engine entry point, indirect so tests can

@@ -49,7 +49,9 @@ func TestPoolCheckoutReusesContext(t *testing.T) {
 // both must return exactly one context to the pool.
 func TestPoolCursorHeldContextReturnsOnExhaustionAndClose(t *testing.T) {
 	e, _ := poolTestEngine(t)
-	const q = "//listitem//keyword"
+	// A child-axis chain evaluates without out-of-order region jumps,
+	// so its rope is in document order and streams directly.
+	const q = "/site/regions/*/item"
 
 	cur, err := e.EvalCursor(q, Optimized)
 	if err != nil {
@@ -85,6 +87,56 @@ func TestPoolCursorHeldContextReturnsOnExhaustionAndClose(t *testing.T) {
 	cur.Close() // idempotent
 	if got := e.PoolStats().Resident; got != 1 {
 		t.Errorf("double Close corrupted the gauge (resident=%d)", got)
+	}
+}
+
+// TestUnsortedRopeFlattensAtConstruction: the rope-vs-slice choice is
+// made when the cursor is built, so an out-of-order rope is flattened
+// and its pooled context is back in the pool before the first read —
+// nothing is deferred to Next, Count, SeekPast or Close.
+func TestUnsortedRopeFlattensAtConstruction(t *testing.T) {
+	e, _ := poolTestEngine(t)
+	// Descendant steps under jumped regions union out of order.
+	const q = "//listitem//keyword"
+	warm, err := e.EvalCursor(q, Optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm.Close()
+	baseline := e.PoolStats().Resident
+	if baseline != 1 {
+		t.Fatalf("baseline resident = %d, want the one warm context", baseline)
+	}
+
+	cur, err := e.EvalCursor(q, Optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.rope != nil || cur.release != nil {
+		t.Fatal("answer rope is in document order; pick a query that still exercises the flatten path")
+	}
+	ps := e.PoolStats()
+	if ps.Resident != baseline {
+		t.Errorf("resident = %d before the first Next, want baseline %d (context still checked out)", ps.Resident, baseline)
+	}
+	if ps.GuardTrips != 0 {
+		t.Errorf("guard trips = %d, want 0", ps.GuardTrips)
+	}
+	want, err := e.QueryWith(q, Stepwise)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.Count() != len(want.Nodes) {
+		t.Fatalf("count = %d, oracle %d", cur.Count(), len(want.Nodes))
+	}
+	for i, w := range want.Nodes {
+		if v, ok := cur.Next(); !ok || v != w {
+			t.Fatalf("node %d = %d (ok=%v), oracle %d", i, v, ok, w)
+		}
+	}
+	cur.Close()
+	if got := e.PoolStats().Resident; got != baseline {
+		t.Errorf("resident = %d after Close, want %d (double release)", got, baseline)
 	}
 }
 

@@ -20,10 +20,10 @@ import (
 // evaluation's answer. It is the engine's streaming surface: ASTA
 // answers whose result rope is already in document order (the common
 // case) are streamed leaf by leaf without ever materializing the node
-// slice; everything else falls back to the materialized slice. A Cursor
-// is single-use and not safe for concurrent use; resumption across
-// requests re-evaluates (hitting the compiled-automaton cache) and
-// seeks with SeekPast.
+// slice; everything else is a materialized slice. The representation
+// is fixed at construction. A Cursor is single-use and not safe for
+// concurrent use; resumption across requests re-evaluates (hitting the
+// compiled-automaton cache) and seeks with SeekPast.
 //
 // A rope-backed Cursor holds the pooled evaluation context whose arena
 // the rope lives in. The context returns to the engine's pool when the
@@ -61,27 +61,24 @@ type Cursor struct {
 
 	// Rope-backed stream (sorted ASTA answers): it walks rope; last is
 	// the most recently emitted (or seeked-past) node for dedup/resume.
+	// rope is nil on slice-backed cursors and after Close.
 	rope    *asta.NodeList
 	it      *asta.Iter
 	last    tree.NodeID
 	started bool
-	// ready is set once ensure decided between rope streaming and the
-	// slice fallback; the decision is deferred to the first read so
-	// materialize() never pays the IsSorted probe.
-	ready bool
 
-	// Slice-backed fallback (other strategies, unsorted ropes).
+	// Slice-backed form (other strategies, unsorted ropes).
 	nodes []tree.NodeID
 	pos   int
 
-	// total caches Count; -1 = not yet computed (rope-backed).
+	// total is the full answer cardinality.
 	total int
 }
 
 func newSliceCursor(nodes []tree.NodeID, s Strategy, visited, memo int) *Cursor {
 	nodes = ensureSortedDedup(nodes)
 	return &Cursor{strategy: s, visited: visited, memoEntries: memo,
-		ready: true, nodes: nodes, total: len(nodes)}
+		nodes: nodes, total: len(nodes)}
 }
 
 // ensureSortedDedup enforces the invariant every slice-backed cursor
@@ -118,65 +115,41 @@ func ensureSortedDedup(nodes []tree.NodeID) []tree.NodeID {
 	return nodes[:w]
 }
 
-func newRopeCursor(r *asta.NodeList, s Strategy, visited, memo int) *Cursor {
-	return &Cursor{strategy: s, visited: visited, memoEntries: memo,
-		rope: r, total: -1}
-}
-
-// ensure decides the streaming representation on first read: a rope in
-// document order streams in place (adjacent-duplicate skipping doubles
-// as dedup), anything else flattens once. IsSorted is an O(1) metadata
-// read on the chunked rope, so the decision costs nothing either way.
-func (c *Cursor) ensure() {
-	if c.ready {
-		return
+// newRopeCursor wraps an ASTA result rope living in the arena of a
+// pooled evaluation context, which release returns to its pool. The
+// representation is decided here, once — IsSorted and Distinct are O(1)
+// metadata reads: a rope in document order streams in place
+// (adjacent-duplicate skipping doubles as dedup) and keeps the context
+// until exhaustion or Close; an empty or out-of-order rope (rare —
+// unions from jumped regions) flattens now, so its context goes back to
+// work before the first read.
+func newRopeCursor(r *asta.NodeList, release func(), s Strategy, visited, memo int) *Cursor {
+	c := &Cursor{strategy: s, visited: visited, memoEntries: memo}
+	if r == nil || !r.IsSorted() {
+		// Flatten sorts and deduplicates; the slice is heap-owned.
+		c.nodes = r.Flatten()
+		c.total = len(c.nodes)
+		release()
+		return c
 	}
-	c.ready = true
-	if c.rope.IsSorted() {
-		// Rope streaming: the iterator itself is created lazily by the
-		// first read (or directly positioned by SeekPast), so a resumed
-		// cursor never builds a from-the-start iterator it will discard.
-		return
-	}
-	c.nodes = c.rope.Flatten()
-	c.total = len(c.nodes)
-	c.rope = nil
-	// The flattened slice owns the answer now; the rope's arena — and
-	// with it the evaluation context — is free to be reused.
-	c.doRelease()
+	// The iterator is created by the first read (or positioned directly
+	// by SeekPast), so a resumed cursor never builds a from-the-start
+	// iterator it will discard.
+	c.rope, c.total, c.release = r, r.Distinct(), release
+	return c
 }
 
 // Close returns the cursor's evaluation context to the engine's pool
 // without consuming the rest of the answer, and — for Auto
 // evaluations — reports the observed cost back to the selector. It is
 // idempotent, runs implicitly on exhaustion and materialization, and
-// leaves the cursor in the exhausted state (Count stays valid; Next
-// reports done).
+// leaves a rope-backed cursor in the exhausted state (Count stays
+// valid; Next reports done): once the context is handed back the rope
+// must never be dereferenced again, its arena may be serving another
+// evaluation.
 func (c *Cursor) Close() {
 	c.finishObs()
-	if c.release == nil {
-		return
-	}
-	// Settle the representation first: an unsorted rope flattens (and
-	// releases) inside ensure, leaving the slice-backed form.
-	c.ensure()
-	if c.release == nil {
-		return
-	}
-	if c.total < 0 {
-		// Pin the cardinality before the rope's arena is recycled: an
-		// O(1) metadata read, exact because only sorted ropes survive
-		// ensure.
-		c.total = c.rope.Distinct()
-	}
 	c.rope, c.it = nil, nil
-	c.doRelease()
-}
-
-// doRelease hands the evaluation context back exactly once. After it
-// runs the rope must never be dereferenced again: its arena may be
-// serving another evaluation.
-func (c *Cursor) doRelease() {
 	if r := c.release; r != nil {
 		c.release = nil
 		r()
@@ -230,21 +203,10 @@ func (c *Cursor) AutoShape() string { return c.autoShape }
 func (c *Cursor) AutoReason() string { return c.autoReason }
 
 // Count returns the full answer cardinality, independent of the read
-// position. Rope-backed cursors read it from the rope's cached
-// metadata in O(1) (on a sorted rope the adjacent-distinct count is
-// the duplicate-free cardinality); slice-backed cursors know their
-// length.
-func (c *Cursor) Count() int {
-	if c.total >= 0 {
-		return c.total
-	}
-	c.ensure()
-	if c.total >= 0 {
-		return c.total
-	}
-	c.total = c.rope.Distinct()
-	return c.total
-}
+// position. Rope-backed cursors took it from the rope's cached metadata
+// (on a sorted rope the adjacent-distinct count is the duplicate-free
+// cardinality); slice-backed cursors know their length.
+func (c *Cursor) Count() int { return c.total }
 
 // SeekPast positions the cursor just after node v in preorder, so the
 // next read returns the first answer node > v. It must be called before
@@ -254,7 +216,6 @@ func (c *Cursor) Count() int {
 // page p of an n-node answer costs O(log n), not O(p·pagesize); the
 // slice fallback binary-searches.
 func (c *Cursor) SeekPast(v tree.NodeID) {
-	c.ensure()
 	if c.rope != nil {
 		c.it = c.rope.IterAfter(v)
 		c.last, c.started = v, true
@@ -266,7 +227,6 @@ func (c *Cursor) SeekPast(v tree.NodeID) {
 // Next returns the next answer node in preorder, with ok=false once the
 // answer is exhausted.
 func (c *Cursor) Next() (tree.NodeID, bool) {
-	c.ensure()
 	if c.rope != nil {
 		if c.it == nil {
 			c.it = c.rope.Iter()
@@ -314,18 +274,14 @@ func (c *Cursor) NextBatch(dst []tree.NodeID) int {
 
 // materialize converts a freshly created (unread) cursor into the
 // classic Answer; rope-backed cursors pay the one Flatten the
-// materializing path always paid (and, because ensure has not run,
-// nothing else). The flattened slice is heap-owned, so the evaluation
-// context is released immediately.
+// materializing path always paid. The flattened slice is heap-owned,
+// so the evaluation context is released immediately.
 func (c *Cursor) materialize() *Answer {
 	nodes := c.nodes
-	if nodes == nil && c.rope != nil {
+	if c.rope != nil {
 		nodes = c.rope.Flatten()
-		c.rope, c.it = nil, nil
-		c.ready = true
-		c.doRelease()
 	}
-	c.finishObs()
+	c.Close()
 	return &Answer{
 		Nodes:       nodes,
 		Strategy:    c.strategy,
@@ -437,9 +393,8 @@ func (e *Engine) tdstaCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Curs
 	return c, nil
 }
 
-// astaCursor runs the ASTA evaluator lazily and wraps the result rope:
-// sorted ropes stream directly, unsorted ones (rare — out-of-order
-// unions from jumped regions) flatten once. Evaluation runs in a
+// astaCursor runs the ASTA evaluator lazily and wraps the result rope
+// (see newRopeCursor for the representation choice). Evaluation runs in a
 // pooled context: warm checkouts reuse the memo world and arenas of
 // previous runs of the same automaton, and the context rides with the
 // cursor (its arena holds the rope) until exhaustion or Close.
@@ -459,14 +414,8 @@ func (e *Engine) astaCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Tr
 	res := aut.EvalLazyCtx(pc.ctx, e.doc, e.ix, key.opt)
 	tr.Annotate(sp, runSpanOK[s])
 	tr.End(sp)
-	var c *Cursor
-	if res.List == nil {
-		e.pool.release(key, pc)
-		c = newSliceCursor(nil, s, res.Stats.Visited, res.Stats.MemoEntries)
-	} else {
-		c = newRopeCursor(res.List, s, res.Stats.Visited, res.Stats.MemoEntries)
-		c.release = func() { e.pool.release(key, pc) }
-	}
+	c := newRopeCursor(res.List, func() { e.pool.release(key, pc) },
+		s, res.Stats.Visited, res.Stats.MemoEntries)
 	c.memoHits = res.Stats.MemoHits
 	c.jumps = res.Stats.Jumps
 	c.poolHit = warm

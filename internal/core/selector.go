@@ -52,18 +52,19 @@ const ewmaAlpha = 0.25
 
 // AutoConfig configures the Auto selector.
 type AutoConfig struct {
-	// Adaptive enables the observed-latency model. When false the
-	// selector still tracks shapes and observations (so /stats and the
-	// short-circuit bugfixes work identically) but every decision is
-	// the paper's §5 static heuristic.
+	// Adaptive enables the observed-latency model; every serving engine
+	// runs with it on. False is the reference arm of
+	// BenchmarkAutoSelector and the determinism tests: shapes and
+	// observations are tracked identically, but every decision is the
+	// paper's §5 static heuristic.
 	Adaptive bool
 	// Epsilon is the exploration floor in (0,1); <=0 disables
 	// exploration (pure exploitation after the initial probes).
 	Epsilon float64
 }
 
-// DefaultAutoConfig is the daemon default: adaptive, with the standard
-// exploration floor.
+// DefaultAutoConfig is what every engine starts with: adaptive, with
+// the standard exploration floor.
 func DefaultAutoConfig() AutoConfig {
 	return AutoConfig{Adaptive: true, Epsilon: DefaultAutoEpsilon}
 }
@@ -84,7 +85,8 @@ var slotStrategy = [numSlots]Strategy{Optimized, Hybrid, TopDownDet}
 // flight recorder. Constants so attaching one to a decision never
 // allocates.
 const (
-	// ReasonStatic: adaptive mode off; the §5 count heuristic decided.
+	// ReasonStatic: Adaptive is false (reference arm); the §5 count
+	// heuristic decided.
 	ReasonStatic = "static-heuristic"
 	// ReasonShortCircuit: a chain label is absent from the document, so
 	// the answer is empty by construction — no engine runs at all.
@@ -224,8 +226,8 @@ func (sel *selector) shapeFor(query string, p *xpath.Path, e *Engine) *shapeStat
 
 // staticPick is the paper's §5 heuristic: hybrid when the rarest chain
 // label's count is below hybridCountFraction of the most frequent
-// one's, optimized otherwise. It is both the Adaptive=false behavior
-// and the cold-key fallback.
+// one's, optimized otherwise. It is the cold-shape fallback, and the
+// whole decision on the Adaptive=false reference arm.
 func (st *shapeStats) staticPick() autoDecision {
 	if st.chain && st.maxCount > 0 &&
 		float64(st.minCount) <= hybridCountFraction*float64(st.maxCount) {
@@ -345,10 +347,9 @@ func (st *shapeStats) argminLatency() int {
 
 // observe folds one completed evaluation back into the model. It runs
 // at cursor close (so paged and streamed evaluations report their full
-// cost), in both adaptive and static mode — static mode keeps the
-// table warm so flipping -auto-adaptive on mid-flight starts informed,
-// and both modes pay identical bookkeeping (the benchmark gate
-// compares pure decision quality).
+// cost), on the Adaptive=false reference arm too: both arms pay
+// identical bookkeeping, so the benchmark gate compares pure decision
+// quality.
 func (sel *selector) observe(st *shapeStats, slot int, elapsed time.Duration, visited int) {
 	if st == nil || slot < 0 || slot >= numSlots {
 		return

@@ -6,10 +6,11 @@
 //
 //   - channel operations (send, receive, select, range-over-channel)
 //   - time.Sleep and any call into net or net/http
-//   - acquiring another tracked lock (the codebase has no sanctioned
-//     lock hierarchy: single-flight waits and retire callbacks all run
-//     after unlocking, and the -race churn hammers only probe this
-//     probabilistically — here it is structural)
+//   - acquiring another tracked lock (single-flight waits and retire
+//     callbacks all run after unlocking, and the -race churn hammers
+//     only probe this probabilistically — here it is structural). The
+//     one sanctioned order, a store chain's writer queue before its
+//     generation table in Patch's publish, carries an ignore directive.
 //
 // The walk is a path-sensitive abstract interpretation of each
 // function body: branches fork the held-set, a deferred Unlock keeps

@@ -56,7 +56,7 @@ func run(pass *lint.Pass) (any, error) {
 				case token.ADD, token.SUB, token.MUL, token.QUO, token.REM,
 					token.AND, token.OR, token.XOR, token.SHL, token.SHR, token.AND_NOT:
 					if genOperand(n.X, n.Y) {
-						pass.Reportf(n.OpPos, "arithmetic on store.Gen: derive generations only from Patch/GetAsOf/ParseGen, never by %s", n.Op)
+						pass.Reportf(n.OpPos, "arithmetic on store.Gen: derive generations only from Patch/Acquire/ParseGen, never by %s", n.Op)
 					}
 				}
 			case *ast.CallExpr:
@@ -72,7 +72,7 @@ func run(pass *lint.Pass) (any, error) {
 				}
 				srcIsGen, dstIsGen := isGenType(src), isGenType(dst)
 				if dstIsGen && !srcIsGen && isInteger(src) {
-					pass.Reportf(n.Pos(), "integer-to-store.Gen conversion: obtain generations from Handle.Gen, GetAsOf or ParseGen")
+					pass.Reportf(n.Pos(), "integer-to-store.Gen conversion: obtain generations from Handle.Gen or ParseGen")
 				}
 				if srcIsGen && !dstIsGen && isInteger(dst) {
 					pass.Reportf(n.Pos(), "store.Gen-to-integer conversion: use Gen.String for wire formats; raw values must not leave the type")

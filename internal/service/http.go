@@ -55,8 +55,6 @@ type LoadRequest struct {
 	XML string `json:"xml,omitempty"`
 	// File is a server-side XML file path.
 	File string `json:"file,omitempty"`
-	// BinaryFile is a server-side file in the tree.WriteTo format.
-	BinaryFile string `json:"binary_file,omitempty"`
 	// XMarkScale generates a document instead of loading one.
 	XMarkScale float64 `json:"xmark_scale,omitempty"`
 	Seed       int64   `json:"seed,omitempty"`
@@ -70,7 +68,7 @@ type errorBody struct {
 // HandlerOptions configures the HTTP surface.
 type HandlerOptions struct {
 	// AllowFileLoads permits POST /docs to read server-side paths
-	// (LoadRequest.File / BinaryFile). Off by default: an exposed
+	// (LoadRequest.File). Off by default: an exposed
 	// daemon must not hand out arbitrary readable files as queryable
 	// documents.
 	AllowFileLoads bool
@@ -223,7 +221,7 @@ func NewHandler(s *Service, opts HandlerOptions) http.Handler {
 		if !decodeJSON(w, r, &req) {
 			return
 		}
-		if !opts.AllowFileLoads && (req.File != "" || req.BinaryFile != "") {
+		if !opts.AllowFileLoads && req.File != "" {
 			writeJSON(w, http.StatusForbidden,
 				errorBody{Error: "server-side file loads are disabled (start the daemon with -allow-file-loads)"})
 			return
@@ -294,21 +292,19 @@ func NewHandler(s *Service, opts HandlerOptions) http.Handler {
 
 func loadDoc(s *Service, req LoadRequest) (*store.Handle, error) {
 	sources := 0
-	for _, set := range []bool{req.XML != "", req.File != "", req.BinaryFile != "", req.XMarkScale != 0} {
+	for _, set := range []bool{req.XML != "", req.File != "", req.XMarkScale != 0} {
 		if set {
 			sources++
 		}
 	}
 	if sources != 1 {
-		return nil, fmt.Errorf("exactly one of xml, file, binary_file, xmark_scale required")
+		return nil, fmt.Errorf("exactly one of xml, file, xmark_scale required")
 	}
 	switch {
 	case req.XML != "":
 		return s.Store().LoadXML(req.ID, []byte(req.XML))
 	case req.File != "":
 		return s.Store().LoadXMLFile(req.ID, req.File)
-	case req.BinaryFile != "":
-		return s.Store().LoadBinaryFile(req.ID, req.BinaryFile)
 	default:
 		return s.Store().GenerateXMark(req.ID, req.XMarkScale, req.Seed)
 	}

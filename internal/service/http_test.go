@@ -170,51 +170,47 @@ func TestDocLifecycleOverHTTP(t *testing.T) {
 func TestFileLoadsGated(t *testing.T) {
 	// Default handler: server-side path reads are forbidden.
 	srv := newTestServer(t)
-	for _, req := range []LoadRequest{
-		{ID: "f", File: "/etc/hostname"},
-		{ID: "b", BinaryFile: "/etc/hostname"},
-	} {
-		if code := doJSON(t, "POST", srv.URL+"/docs", req, nil); code != http.StatusForbidden {
-			t.Errorf("file load %+v: status %d, want 403", req, code)
-		}
+	if code := doJSON(t, "POST", srv.URL+"/docs", LoadRequest{ID: "f", File: "/etc/hostname"}, nil); code != http.StatusForbidden {
+		t.Errorf("file load: status %d, want 403", code)
 	}
 
 	// Opt-in handler: loads work.
-	doc := writeSmallBinary(t)
+	path := filepath.Join(t.TempDir(), "doc.xml")
+	if err := os.WriteFile(path, []byte("<r><a/></r>"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	open := httptest.NewServer(NewHandler(New(shard.NewStore(1), Options{}),
 		HandlerOptions{AllowFileLoads: true}))
 	defer open.Close()
 	var stats store.Stats
 	if code := doJSON(t, "POST", open.URL+"/docs",
-		LoadRequest{ID: "b", BinaryFile: doc}, &stats); code != http.StatusCreated {
-		t.Fatalf("allowed binary load: status %d", code)
+		LoadRequest{ID: "f", File: path}, &stats); code != http.StatusCreated {
+		t.Fatalf("allowed file load: status %d", code)
 	}
-	if stats.Source != store.SourceBinary || stats.Nodes == 0 {
+	if stats.Source != store.SourceXML || stats.Nodes == 0 {
 		t.Errorf("loaded stats: %+v", stats)
 	}
 }
 
-// writeSmallBinary writes a small serialized document to a
-// temp file and returns its path.
-func writeSmallBinary(t *testing.T) string {
-	t.Helper()
-	st := store.New()
-	h, err := st.LoadXML("tmp", []byte("<r><a/></r>"))
-	if err != nil {
-		t.Fatal(err)
+// TestBinaryFileLoadRemoved: the XQO1 "binary_file" source is gone from
+// POST /docs, and a client still sending it is told so (400, unknown
+// field) instead of being silently ignored — with or without
+// -allow-file-loads.
+func TestBinaryFileLoadRemoved(t *testing.T) {
+	for _, opts := range []HandlerOptions{{}, {AllowFileLoads: true}} {
+		srv := httptest.NewServer(NewHandler(New(shard.NewStore(1), Options{}), opts))
+		resp, err := http.Post(srv.URL+"/docs", "application/json",
+			bytes.NewReader([]byte(`{"id":"b","binary_file":"/tmp/doc.xqo"}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		srv.Close()
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("binary_file")) {
+			t.Errorf("%+v: status %d body %s, want 400 naming the unknown field", opts, resp.StatusCode, body)
+		}
 	}
-	path := filepath.Join(t.TempDir(), "doc.xqo")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Doc.WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
 }
 
 func TestHealthz(t *testing.T) {

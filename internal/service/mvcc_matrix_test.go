@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -151,14 +152,16 @@ func TestCursorPinningMatrixPaged(t *testing.T) {
 	})
 }
 
-func TestCursorPinningMatrixStreamed(t *testing.T) {
-	countNodes := func(chunks []StreamChunk) int {
-		n := 0
-		for _, c := range chunks {
-			n += len(c.Nodes)
-		}
-		return n
+// countNodes totals the nodes of a stream's chunk lines.
+func countNodes(chunks []StreamChunk) int {
+	n := 0
+	for _, c := range chunks {
+		n += len(c.Nodes)
 	}
+	return n
+}
+
+func TestCursorPinningMatrixStreamed(t *testing.T) {
 	t.Run("patch-same-doc", func(t *testing.T) {
 		svc := matrixService(t, time.Hour)
 		tok, gen := streamToken(t, svc)
@@ -237,5 +240,106 @@ func TestAsOfTimeTravel(t *testing.T) {
 	// Unknown document: 404 regardless of asof.
 	if miss := svc.Eval(Request{Doc: "nope", Query: "//b", AsOf: 3}); statusFor(miss) != 404 {
 		t.Fatalf("asof missing doc: status=%d", statusFor(miss))
+	}
+}
+
+// patchOnWrite is a stream sink that patches a document the first time
+// a chunk line reaches it — after evaluation, before the trailer's
+// cursor is issued.
+type patchOnWrite struct {
+	bytes.Buffer
+	writes int
+	patch  func()
+}
+
+func (w *patchOnWrite) Write(p []byte) (int, error) {
+	if w.writes++; w.writes == 2 { // line 1 is the header, line 2 the first chunk
+		w.patch()
+	}
+	return w.Buffer.Write(p)
+}
+
+// TestTokenIssuedAcrossPatchResumes is the stale-on-issue regression: a
+// PATCH that lands between a request's evaluation and the moment its
+// continuation token is issued used to retire the generation the token
+// names (nothing held it yet, and the failed lease was ignored), so the
+// very next resume answered 410. The request now holds a store pin from
+// handle lookup until the token's lease is placed; every issued token
+// must resume 200 within its TTL, paged and streamed, and the pin must
+// not outlive the request.
+func TestTokenIssuedAcrossPatchResumes(t *testing.T) {
+	t.Run("paged", func(t *testing.T) {
+		svc := matrixService(t, time.Hour)
+		// Eval, opened up at its one interleaving point: prepare has
+		// evaluated against the latest generation and pinned it.
+		req := Request{Doc: "d1", Query: "//b", Limit: 2}
+		st := svc.prepare(req)
+		if st.cur == nil {
+			t.Fatalf("prepare: %s", st.resp.Err)
+		}
+		defer st.cur.Close()
+		grow(t, svc, "d1")
+		for st.sent < req.Limit {
+			v, ok := st.cur.Next()
+			if !ok {
+				t.Fatal("answer shorter than the page")
+			}
+			st.sent, st.last = st.sent+1, v
+		}
+		svc.deliver(&st, &req, "")
+		if st.resp.Next == "" {
+			t.Fatal("cut page issued no token")
+		}
+		rest := svc.Eval(Request{Doc: "d1", Query: "//b", Cursor: st.resp.Next})
+		if statusFor(rest) != 200 || rest.Gen != st.resp.Gen || len(rest.Nodes) != 4 {
+			t.Fatalf("resume of a token issued across a patch: status=%d err=%q gen=%d nodes=%d, want 200 on gen %d with 4 nodes",
+				statusFor(rest), rest.Err, rest.Gen, len(rest.Nodes), st.resp.Gen)
+		}
+		assertNoPinsLeft(t, svc)
+	})
+	t.Run("streamed", func(t *testing.T) {
+		svc := matrixService(t, time.Hour)
+		sink := &patchOnWrite{patch: func() { grow(t, svc, "d1") }}
+		if pre := svc.Stream(sink, Request{Doc: "d1", Query: "//b", Limit: 2}, 2); pre != nil {
+			t.Fatalf("stream refused: %+v", pre)
+		}
+		lines := strings.Split(strings.TrimRight(sink.String(), "\n"), "\n")
+		var trailer StreamTrailer
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &trailer); err != nil || trailer.Cursor == "" {
+			t.Fatalf("trailer %q: err=%v, want a cursor", lines[len(lines)-1], err)
+		}
+		_, chunks, _, pre := runStream(t, svc, Request{Doc: "d1", Query: "//b", Cursor: trailer.Cursor})
+		if pre != nil {
+			t.Fatalf("resume of a trailer cursor issued across a patch refused: %+v (status %d)", pre, statusFor(*pre))
+		}
+		if n := countNodes(chunks); n != 4 {
+			t.Fatalf("resumed stream delivered %d nodes, want the 4 remaining of the pinned generation", n)
+		}
+		assertNoPinsLeft(t, svc)
+	})
+	t.Run("failed-request-drops-its-pin", func(t *testing.T) {
+		svc := matrixService(t, time.Hour)
+		if resp := svc.Eval(Request{Doc: "d1", Query: "//b["}); resp.Err == "" {
+			t.Fatal("malformed query accepted")
+		}
+		var sink failingWriter
+		svc.Stream(&sink, Request{Doc: "d1", Query: "//b"}, 2) // client gone at the header
+		grow(t, svc, "d1")
+		assertNoPinsLeft(t, svc)
+	})
+}
+
+// failingWriter refuses every write (a client that is already gone).
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
+
+// assertNoPinsLeft: with every token consumed (or never issued), only
+// the two latest generations may be live — a leaked pin or lease would
+// keep a patched-away generation in its chain.
+func assertNoPinsLeft(t *testing.T, svc *Service) {
+	t.Helper()
+	if mv := svc.Stats().MVCC; mv.LiveGenerations != 2 || mv.PinnedGenerations != 0 {
+		t.Errorf("live=%d pinned=%d generations, want 2 and 0 (a pin or lease leaked)", mv.LiveGenerations, mv.PinnedGenerations)
 	}
 }

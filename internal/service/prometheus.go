@@ -147,7 +147,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	// MVCC generation chains, per shard.
 	p.Family("xpqd_mvcc_generations_live", "Readable document generations resident per shard.", obsv.TypeGauge)
 	eachShard(p, st, "xpqd_mvcc_generations_live", func(ss *ShardStats) float64 { return float64(ss.MVCC.LiveGenerations) })
-	p.Family("xpqd_mvcc_generations_pinned", "Non-latest generations kept alive by cursors or leases.", obsv.TypeGauge)
+	p.Family("xpqd_mvcc_generations_pinned", "Superseded generations kept alive by cursor leases or by queries still running on them (the latest is never counted).", obsv.TypeGauge)
 	eachShard(p, st, "xpqd_mvcc_generations_pinned", func(ss *ShardStats) float64 { return float64(ss.MVCC.PinnedGenerations) })
 	p.Family("xpqd_mvcc_patches_total", "Subtree patches applied.", obsv.TypeCounter)
 	eachShard(p, st, "xpqd_mvcc_patches_total", func(ss *ShardStats) float64 { return float64(ss.MVCC.Patches) })

@@ -67,10 +67,6 @@ type Options struct {
 	// Logger receives structured query logs (slow queries at Warn,
 	// per-query records at Debug); nil means slog.Default().
 	Logger *slog.Logger
-	// StaticAuto disables the observed-latency Auto selector, reverting
-	// every Auto decision to the paper's §5 static count heuristic. The
-	// zero value (adaptive on) is the daemon default.
-	StaticAuto bool
 	// AutoEpsilon is the selector's exploration floor; <= 0 means
 	// core.DefaultAutoEpsilon.
 	AutoEpsilon float64
@@ -184,9 +180,9 @@ func New(ss *shard.Store, opts Options) *Service {
 		cursorTTL: ttl,
 		allocs0:   heapAllocObjects(),
 	}
-	autoCfg := core.AutoConfig{Adaptive: !opts.StaticAuto, Epsilon: opts.AutoEpsilon}
-	if autoCfg.Epsilon <= 0 {
-		autoCfg.Epsilon = core.DefaultAutoEpsilon
+	autoCfg := core.DefaultAutoConfig()
+	if opts.AutoEpsilon > 0 {
+		autoCfg.Epsilon = opts.AutoEpsilon
 	}
 	for i := 0; i < ss.NumShards(); i++ {
 		sh := &svcShard{
@@ -403,19 +399,24 @@ type Response struct {
 	staleCursor bool
 }
 
-// evalState is the outcome of prepare: everything Eval and Stream need
-// to page or stream an answer.
+// evalState is one request in flight: prepare fills it, Eval or Stream
+// reads the answer through it, deliver settles it.
 type evalState struct {
+	// resp accumulates the outcome; on failure resp.Err is set and cur
+	// is nil.
 	resp Response
 	sh   *svcShard
 	cur  *core.Cursor
 	eng  *core.Engine
-	gen  store.Gen
 	// fromCursor marks a resumed request: on successful consumption the
-	// incoming token's lease on gen is redeemed (after any new token's
-	// lease is issued).
+	// incoming token's lease on resp.Gen is redeemed.
 	fromCursor bool
-	timer      timer
+	// sent and last are the nodes delivered so far and the final one of
+	// them — where a successor token resumes.
+	sent     int
+	last     tree.NodeID
+	streamed bool
+	timer    timer
 	// tr is non-nil for explained requests; root is its open
 	// whole-request span.
 	tr   *obsv.Trace
@@ -428,7 +429,8 @@ type evalState struct {
 // handle lookup, engine lookup, evaluation, and seeking to the resume
 // position. On failure the returned state's resp.Err is set (and
 // metrics recorded on the owning shard); on success resp carries
-// Gen/Strategy/Count/Visited.
+// Gen/Strategy/Count/Visited and the state holds a store pin on
+// resp.Gen, which deliver releases.
 func (s *Service) prepare(req Request) evalState {
 	st := evalState{resp: Response{Doc: req.Doc, Query: req.Query}, timer: startTimer()}
 	if req.Explain {
@@ -441,91 +443,69 @@ func (s *Service) prepare(req Request) evalState {
 	sh := s.shardFor(req.Doc)
 	st.tr.End(sp)
 	st.sh = sh
-	strat, ok := core.ParseStrategy(req.Strategy)
-	if !ok {
-		st.resp.Err = fmt.Sprintf("unknown strategy %q", req.Strategy)
+	// fail is every error exit: spans still open are settled by Profile.
+	fail := func(format string, args ...any) evalState {
+		st.resp.Err = fmt.Sprintf(format, args...)
 		sh.metrics.recordError()
 		return st
+	}
+	strat, ok := core.ParseStrategy(req.Strategy)
+	if !ok {
+		return fail("unknown strategy %q", req.Strategy)
 	}
 	// The target generation: the cursor token's, an explicit asof, or
 	// zero for latest.
 	tgen := req.AsOf
 	var after tree.NodeID
-	haveAfter := false
 	if req.Cursor != "" {
-		// Error exits leave the cursor span open; Profile settles it.
 		sp = st.tr.Begin(obsv.SpanCursor)
 		cshard, cdoc, cgen, clast, err := decodeCursor(req.Cursor)
-		if err != nil {
-			st.resp.Err = err.Error()
-			sh.metrics.recordError()
-			return st
-		}
-		if cdoc != req.Doc {
-			st.resp.Err = fmt.Sprintf("cursor is for document %q, not %q", cdoc, req.Doc)
-			sh.metrics.recordError()
-			return st
-		}
-		if cshard != sh.index {
+		switch {
+		case err != nil:
+			return fail("%v", err)
+		case cdoc != req.Doc:
+			return fail("cursor is for document %q, not %q", cdoc, req.Doc)
+		case cshard != sh.index:
 			// The corpus was resharded since the token was issued (e.g.
 			// the daemon restarted with a different -shards) and the id
 			// relocated; the pinned partition no longer owns it.
-			st.resp.Err = fmt.Sprintf("stale cursor: document %q was relocated to a different shard since the cursor was issued", req.Doc)
 			st.resp.staleCursor = true
-			sh.metrics.recordError()
-			return st
+			return fail("stale cursor: document %q was relocated to a different shard since the cursor was issued", req.Doc)
+		case req.AsOf != 0 && req.AsOf != cgen:
+			return fail("cursor pins generation %d but the request asks asof %d", cgen, req.AsOf)
 		}
-		if req.AsOf != 0 && req.AsOf != cgen {
-			st.resp.Err = fmt.Sprintf("cursor pins generation %d but the request asks asof %d", cgen, req.AsOf)
-			sh.metrics.recordError()
-			return st
-		}
-		tgen = cgen
-		after, haveAfter = clast, true
+		tgen, after = cgen, clast
 		st.fromCursor = true
 		st.tr.End(sp)
 	}
 	sp = st.tr.Begin(obsv.SpanEngine)
-	var h *store.Handle
-	if tgen == 0 {
-		var ok bool
-		if h, ok = sh.part.Get(req.Doc); !ok {
-			st.tr.End(sp)
-			st.resp.Err = fmt.Sprintf("service: %v: %q", ErrNoDocument, req.Doc)
+	// The pin is taken with the lookup and held until deliver has placed
+	// the successor token's lease: a PATCH landing while this request
+	// runs cannot retire the generation the token will name.
+	h, err := sh.part.Acquire(req.Doc, tgen)
+	if err != nil {
+		st.tr.End(sp)
+		switch {
+		case errors.Is(err, store.ErrNotFound):
 			st.resp.notFound = true
-			sh.metrics.recordError()
-			return st
+			return fail("service: %v: %q", ErrNoDocument, req.Doc)
+		case st.fromCursor:
+			st.resp.staleCursor = true
+			return fail("stale cursor: generation %d of document %q is gone (patched away, evicted, or the cursor lease expired)", tgen, req.Doc)
 		}
-	} else {
-		var err error
-		if h, err = sh.part.GetAsOf(req.Doc, tgen); err != nil {
-			st.tr.End(sp)
-			switch {
-			case errors.Is(err, store.ErrNotFound):
-				st.resp.Err = fmt.Sprintf("service: %v: %q", ErrNoDocument, req.Doc)
-				st.resp.notFound = true
-			case st.fromCursor:
-				st.resp.Err = fmt.Sprintf("stale cursor: generation %d of document %q is gone (patched away, evicted, or the cursor lease expired)", tgen, req.Doc)
-				st.resp.staleCursor = true
-			default:
-				st.resp.Err = fmt.Sprintf("generation %d of document %q is gone (no live cursor or lease kept it)", tgen, req.Doc)
-				st.resp.staleCursor = true
-			}
-			sh.metrics.recordError()
-			return st
-		}
+		st.resp.staleCursor = true
+		return fail("generation %d of document %q is gone (no live cursor or lease kept it)", tgen, req.Doc)
 	}
 	eng := sh.engine(h)
 	st.tr.End(sp)
 	st.resp.Gen = h.Gen
 	cur, err := eng.EvalCursorTrace(req.Query, strat, st.tr)
 	if err != nil {
+		sh.part.Release(req.Doc, h.Gen, time.Time{}, false)
 		st.resp.ElapsedUS = st.timer.elapsedMicros()
-		st.resp.Err = err.Error()
-		sh.metrics.recordError()
-		return st
+		return fail("%v", err)
 	}
-	if haveAfter {
+	if st.fromCursor {
 		sp = st.tr.Begin(obsv.SpanSeek)
 		cur.SeekPast(after)
 		st.tr.End(sp)
@@ -533,7 +513,7 @@ func (s *Service) prepare(req Request) evalState {
 	st.resp.Strategy = cur.Strategy().String()
 	st.resp.Count = cur.Count()
 	st.resp.Visited = cur.Visited()
-	st.cur, st.eng, st.gen = cur, eng, h.Gen
+	st.cur, st.eng = cur, eng
 	return st
 }
 
@@ -554,10 +534,11 @@ func outcomeOf(resp *Response) string {
 // trace; nil for non-explained requests. Runs once, after every phase
 // span has ended (the stream path calls it before the trailer write so
 // the profile travels in-band).
-func (s *Service) explain(st *evalState, req *Request, resp *Response) *obsv.Profile {
+func (s *Service) explain(st *evalState, req *Request) *obsv.Profile {
 	if st.tr == nil {
 		return nil
 	}
+	resp := &st.resp
 	c := &st.tr.C
 	c.Strategy = resp.Strategy
 	c.Visited = resp.Visited
@@ -583,7 +564,8 @@ func (s *Service) explain(st *evalState, req *Request, resp *Response) *obsv.Pro
 // structured log line — slow queries at Warn, everything else at Debug.
 // outcome/errText may override the response classification (stream
 // aborts: the evaluation succeeded but the client went away).
-func (s *Service) finish(st *evalState, req *Request, resp *Response, outcome, errText string, sent int, streamed bool) {
+func (s *Service) finish(st *evalState, req *Request, outcome, errText string) {
+	resp := &st.resp
 	if st.tr != nil {
 		// The profile was never delivered (e.g. the stream aborted
 		// before the trailer); don't leak the pooled trace.
@@ -606,10 +588,10 @@ func (s *Service) finish(st *evalState, req *Request, resp *Response, outcome, e
 		Outcome:   outcome,
 		Err:       errText,
 		ElapsedUS: elapsed,
-		Sent:      sent,
+		Sent:      st.sent,
 		Count:     resp.Count,
 		Visited:   resp.Visited,
-		Streamed:  streamed,
+		Streamed:  st.streamed,
 	}
 	if st.sh != nil {
 		rec.Shard = st.sh.index
@@ -639,13 +621,50 @@ func (s *Service) finish(st *evalState, req *Request, resp *Response, outcome, e
 		slog.String("outcome", outcome),
 		slog.String("err", errText),
 		slog.Int64("elapsed_us", elapsed),
-		slog.Int("sent", sent),
+		slog.Int("sent", st.sent),
 		slog.Int("count", resp.Count),
 		slog.Int("visited", resp.Visited),
 		slog.Bool("qcache_hit", rec.QCacheHit),
 		slog.Bool("ctx_pool_hit", rec.CtxPoolHit),
-		slog.Bool("streamed", streamed),
+		slog.Bool("streamed", st.streamed),
 	)
+}
+
+// deliver is the one back half of Eval and Stream, run once the page or
+// stream body is out (or could not be): page cut → successor token and
+// its lease → redeem the incoming token → drop the pin → query metrics →
+// explain profile → flight record and log. Three endings share it:
+//
+//   - prepare failed (st.cur is nil): nothing is pinned or counted as
+//     a query; the outcome is the response's error class.
+//   - the stream lost its client (abortErr set): the evaluation ran, so
+//     it counts as a query, but no token is issued and the incoming one
+//     is not redeemed — the client may retry it until its lease expires.
+//   - delivered: a non-empty remainder means the answer was cut short,
+//     so a resumption token pinned to the owning shard and generation
+//     goes out. Its lease is placed, the consumed token's lease is
+//     redeemed and the pin dropped in one store critical section
+//     (store.Release) — the pin held since prepare's lookup is what
+//     guarantees the generation is still there to lease.
+func (s *Service) deliver(st *evalState, req *Request, abortErr string) {
+	resp := &st.resp
+	outcome := outcomeOf(resp)
+	if st.cur != nil {
+		var lease time.Time
+		if abortErr != "" {
+			outcome = obsv.OutcomeAborted
+		} else if _, more := st.cur.Next(); more && st.sent > 0 {
+			resp.Next = encodeCursor(st.sh.index, req.Doc, resp.Gen, st.last)
+			lease = time.Now().Add(s.cursorTTL)
+		}
+		st.sh.part.Release(req.Doc, resp.Gen, lease, st.fromCursor && abortErr == "")
+		resp.ElapsedUS = st.timer.elapsedMicros()
+		st.sh.metrics.record(st.cur.Strategy(), resp.ElapsedUS, resp.Visited, resp.Count)
+	}
+	if abortErr == "" {
+		resp.Explain = s.explain(st, req)
+	}
+	s.finish(st, req, outcome, abortErr)
 }
 
 // Eval evaluates one request, returning at most Limit nodes (all
@@ -654,15 +673,14 @@ func (s *Service) finish(st *evalState, req *Request, resp *Response, outcome, e
 func (s *Service) Eval(req Request) Response {
 	st := s.prepare(req)
 	if st.cur == nil {
-		st.resp.Explain = s.explain(&st, &req, &st.resp)
-		s.finish(&st, &req, &st.resp, outcomeOf(&st.resp), "", 0, false)
+		s.deliver(&st, &req, "")
 		return st.resp
 	}
 	// Return the evaluation context to its pool even when the page
 	// limit leaves the cursor unexhausted — the next request for this
 	// (document, query) wants the warm context, not the GC.
 	defer st.cur.Close()
-	resp := st.resp
+	resp := &st.resp
 	sp := st.tr.Begin(obsv.SpanPage)
 	limit := req.Limit
 	if limit <= 0 {
@@ -675,20 +693,9 @@ func (s *Service) Eval(req Request) Response {
 			break
 		}
 		nodes = append(nodes, v)
+		st.last = v
 	}
-	// A non-empty remainder means this page was cut short: hand out a
-	// resumption token pinned to the owning shard and store generation,
-	// with a lease keeping that generation alive for the token's TTL.
-	if _, more := st.cur.Next(); more && len(nodes) > 0 {
-		resp.Next = encodeCursor(st.sh.index, req.Doc, st.gen, nodes[len(nodes)-1])
-		_ = st.sh.part.Lease(req.Doc, st.gen, time.Now().Add(s.cursorTTL))
-	}
-	// Only now — with any successor token's lease in place — release the
-	// consumed token's lease. Failed resumes never redeem: the client may
-	// retry the same token until its lease expires.
-	if st.fromCursor {
-		st.sh.part.Redeem(req.Doc, st.gen)
-	}
+	st.sent = len(nodes)
 	resp.Nodes = nodes
 	if req.Paths {
 		resp.Paths = make([]string, len(nodes))
@@ -697,12 +704,8 @@ func (s *Service) Eval(req Request) Response {
 		}
 	}
 	st.tr.End(sp)
-	elapsed := st.timer.elapsedMicros()
-	resp.ElapsedUS = elapsed
-	st.sh.metrics.record(st.cur.Strategy(), elapsed, resp.Visited, resp.Count)
-	resp.Explain = s.explain(&st, &req, &resp)
-	s.finish(&st, &req, &resp, obsv.OutcomeOK, "", len(nodes), false)
-	return resp
+	s.deliver(&st, &req, "")
+	return st.resp
 }
 
 // EvalBatch fans the requests across the worker pool and returns the
@@ -834,7 +837,7 @@ func (s *Service) Stats() Stats {
 		engines := len(sh.engines)
 		var pool core.PoolStats
 		// Seed the config fields so a shard with no engines yet still
-		// reports the configured mode.
+		// reports them.
 		auto := core.SelectorStats{Adaptive: sh.autoCfg.Adaptive, Epsilon: sh.autoCfg.Epsilon}
 		for _, ent := range sh.engines {
 			ent.engine.PoolStats().AddTo(&pool)

@@ -340,23 +340,3 @@ func TestStatsSelectorTable(t *testing.T) {
 		t.Error("short-circuit query missing from flight recorder")
 	}
 }
-
-func TestStatsSelectorStaticMode(t *testing.T) {
-	s := newTestService(t, Options{StaticAuto: true})
-	for i := 0; i < 3; i++ {
-		if resp := s.Eval(Request{Doc: "d1", Query: "//a/b"}); resp.Err != "" {
-			t.Fatal(resp.Err)
-		}
-	}
-	st := s.Stats()
-	if st.Auto.Adaptive {
-		t.Error("StaticAuto service reports adaptive")
-	}
-	if len(st.Auto.TopShapes) == 0 || st.Auto.TopShapes[0].LastReason != "static-heuristic" {
-		t.Errorf("static mode top_shapes = %+v, want static-heuristic reason", st.Auto.TopShapes)
-	}
-	// Static mode still measures (warm handoff on a mode flip).
-	if st.Auto.Observations != 3 {
-		t.Errorf("static-mode observations = %d, want 3", st.Auto.Observations)
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"time"
 
 	"repro/internal/obsv"
 	"repro/internal/store"
@@ -76,9 +75,9 @@ func (s *Service) Stream(w io.Writer, req Request, chunkSize int) *Response {
 		chunkSize = DefaultStreamChunk
 	}
 	st := s.prepare(req)
+	st.streamed = true
 	if st.cur == nil {
-		st.resp.Explain = s.explain(&st, &req, &st.resp)
-		s.finish(&st, &req, &st.resp, outcomeOf(&st.resp), "", 0, true)
+		s.deliver(&st, &req, "")
 		return &st.resp
 	}
 	// Recycle the evaluation context on every exit path, including
@@ -109,12 +108,11 @@ func (s *Service) Stream(w io.Writer, req Request, chunkSize int) *Response {
 	}
 	if !writeLine(header) {
 		// Client gone before the header. The evaluation still ran, so
-		// the query counters must see it, and the stream is counted —
-		// with its abort cause — but kept out of the latency
+		// the query counters must see it (deliver), and the stream is
+		// counted — with its abort cause — but kept out of the latency
 		// aggregates, whose means are per-completed-stream.
-		st.sh.metrics.record(st.cur.Strategy(), st.timer.elapsedMicros(), st.resp.Visited, st.resp.Count)
 		st.sh.metrics.recordStream(abortHeaderWrite, 0, 0, 0, 0, 0)
-		s.finish(&st, &req, &st.resp, obsv.OutcomeAborted, "client gone: header write failed", 0, true)
+		s.deliver(&st, &req, "client gone: header write failed")
 		return nil
 	}
 	// First byte is measured after the header's encode+write+flush: it
@@ -127,15 +125,14 @@ func (s *Service) Stream(w io.Writer, req Request, chunkSize int) *Response {
 		limit = st.resp.Count
 	}
 	var (
-		buf          = make([]tree.NodeID, chunkSize)
-		sent, chunks int
-		chunkSumUS   int64
-		chunkMaxUS   int64
-		last         tree.NodeID
+		buf        = make([]tree.NodeID, chunkSize)
+		chunks     int
+		chunkSumUS int64
+		chunkMaxUS int64
 	)
-	for sent < limit {
+	for st.sent < limit {
 		want := len(buf)
-		if rem := limit - sent; rem < want {
+		if rem := limit - st.sent; rem < want {
 			want = rem
 		}
 		n := st.cur.NextBatch(buf[:want])
@@ -157,41 +154,28 @@ func (s *Service) Stream(w io.Writer, req Request, chunkSize int) *Response {
 			chunkMaxUS = us
 		}
 		if !ok {
-			// Client went away mid-stream. The evaluation itself ran to
-			// completion, so it counts as a query; then account for the
-			// chunks that did go out.
-			st.sh.metrics.record(st.cur.Strategy(), st.timer.elapsedMicros(), st.resp.Visited, st.resp.Count)
-			st.sh.metrics.recordStream(abortChunkWrite, chunks, sent, firstByteUS, chunkSumUS, chunkMaxUS)
-			s.finish(&st, &req, &st.resp, obsv.OutcomeAborted, "client gone: chunk write failed", sent, true)
+			// Client went away mid-stream: account for the chunks that
+			// did go out.
+			st.sh.metrics.recordStream(abortChunkWrite, chunks, st.sent, firstByteUS, chunkSumUS, chunkMaxUS)
+			s.deliver(&st, &req, "client gone: chunk write failed")
 			return nil
 		}
-		sent += n
+		st.sent += n
 		chunks++
-		last = buf[n-1]
+		st.last = buf[n-1]
 	}
 	st.tr.End(spStream)
-	trailer := StreamTrailer{
+	st.sh.metrics.recordStream(abortNone, chunks, st.sent, firstByteUS, chunkSumUS, chunkMaxUS)
+	// deliver settles the request before the trailer goes out: the
+	// trailer carries the token it issued and the profile it closed.
+	s.deliver(&st, &req, "")
+	writeLine(StreamTrailer{
 		Done:      true,
 		Chunks:    chunks,
-		Nodes:     sent,
-		ElapsedUS: st.timer.elapsedMicros(),
-	}
-	if _, more := st.cur.Next(); more && sent > 0 {
-		trailer.Cursor = encodeCursor(st.sh.index, req.Doc, st.gen, last)
-		_ = st.sh.part.Lease(req.Doc, st.gen, time.Now().Add(s.cursorTTL))
-	}
-	// The incoming token was consumed only if the stream completed:
-	// redeem its lease after the successor's is in place. Aborted
-	// streams never redeem — the client may retry the same token until
-	// its lease expires.
-	if st.fromCursor {
-		st.sh.part.Redeem(req.Doc, st.gen)
-	}
-	trailer.Explain = s.explain(&st, &req, &st.resp)
-	writeLine(trailer)
-	st.sh.metrics.record(st.cur.Strategy(), trailer.ElapsedUS, st.resp.Visited, st.resp.Count)
-	st.sh.metrics.recordStream(abortNone, chunks, sent, firstByteUS, chunkSumUS, chunkMaxUS)
-	st.resp.ElapsedUS = trailer.ElapsedUS
-	s.finish(&st, &req, &st.resp, obsv.OutcomeOK, "", sent, true)
+		Nodes:     st.sent,
+		Cursor:    st.resp.Next,
+		ElapsedUS: st.resp.ElapsedUS,
+		Explain:   st.resp.Explain,
+	})
 	return nil
 }

@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"io"
 	"sort"
-	"time"
 
 	"repro/internal/store"
 	"repro/internal/tree"
@@ -58,16 +56,6 @@ func (s *Store) LoadXML(id string, src []byte) (*store.Handle, error) {
 // LoadXMLFile reads and parses an XML file and registers the document.
 func (s *Store) LoadXMLFile(id, path string) (*store.Handle, error) {
 	return s.part(id).LoadXMLFile(id, path)
-}
-
-// LoadBinary reads a document in the tree.WriteTo format and registers it.
-func (s *Store) LoadBinary(id string, r io.Reader) (*store.Handle, error) {
-	return s.part(id).LoadBinary(id, r)
-}
-
-// LoadBinaryFile reads a serialized document file and registers it.
-func (s *Store) LoadBinaryFile(id, path string) (*store.Handle, error) {
-	return s.part(id).LoadBinaryFile(id, path)
 }
 
 // GenerateXMark generates a deterministic XMark document and registers it.
@@ -132,21 +120,6 @@ func (s *Store) Evict(id string) bool {
 // generation of id (see store.Store.Patch).
 func (s *Store) Patch(id string, base store.Gen, pt tree.Patch) (*store.Handle, error) {
 	return s.part(id).Patch(id, base, pt)
-}
-
-// GetAsOf returns a specific generation of id from its owning shard.
-func (s *Store) GetAsOf(id string, gen store.Gen) (*store.Handle, error) {
-	return s.part(id).GetAsOf(id, gen)
-}
-
-// Lease keeps (id, gen) readable until the deadline on the owning shard.
-func (s *Store) Lease(id string, gen store.Gen, until time.Time) error {
-	return s.part(id).Lease(id, gen, until)
-}
-
-// Redeem releases one outstanding lease on (id, gen).
-func (s *Store) Redeem(id string, gen store.Gen) {
-	s.part(id).Redeem(id, gen)
 }
 
 // MVCC aggregates generation-chain statistics across all shards.

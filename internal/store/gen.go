@@ -8,9 +8,8 @@ import (
 // Gen is one MVCC generation id within a document's chain. Outside this
 // package a Gen is an opaque token: it is obtained from a Handle (or a
 // decoded continuation token), compared only for identity, and handed
-// back to the chain operations that understand it — Patch, GetAsOf,
-// Pin/Unpin, Lease/Redeem. Ordering and arithmetic are meaningless
-// across loads (counters are entropy-seeded per incarnation), so the
+// back to the chain operations that understand it — Patch,
+// Acquire/Release. Ordering and arithmetic are meaningless across loads (counters are entropy-seeded per incarnation), so the
 // xpqlint nakedgen analyzer rejects both, along with conversions to and
 // from raw integers, anywhere but here. NoGen (the zero value) means
 // "latest, whatever it is".

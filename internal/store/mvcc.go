@@ -11,7 +11,7 @@ import (
 	"repro/internal/tree"
 )
 
-// ErrGone is wrapped by GetAsOf/Lease when the requested generation of
+// ErrGone is wrapped by Acquire when the requested generation of
 // a resident document has been retired (garbage-collected); the HTTP
 // layer maps it to 410 for cursor resumes.
 var ErrGone = errors.New("generation retired")
@@ -22,19 +22,27 @@ var ErrGone = errors.New("generation retired")
 var ErrConflict = errors.New("base generation is not latest")
 
 // chain is the MVCC history of one document: an append-only sequence of
-// immutable generations. latest is read lock-free on the query fast
-// path; gens holds every generation still readable (latest, plus older
-// ones kept alive by cursor pins or leases).
+// immutable generations. gens holds every generation still readable
+// (latest, plus older ones kept alive by pins or leases).
+//
+// Two locks, so readers never wait for a patch to be applied: wmu
+// serializes writers and is held across the whole apply (tree splice,
+// index and BP maintenance); mu guards the generation table and is only
+// ever held for map-sized critical sections — a query's Acquire and
+// Release, and a patch's publish. Lock order is wmu before mu. latest
+// is stored only under mu; writers and the stats paths read it without.
 type chain struct {
+	wmu     sync.Mutex
+	nextGen Gen // guarded by wmu
+
 	mu      sync.Mutex
 	latest  atomic.Pointer[Handle]
 	gens    map[Gen]*genEntry
-	nextGen Gen
 	evicted bool
 }
 
 // genEntry tracks what keeps one generation alive: explicit pins
-// (open streaming reads) and time-bounded leases (issued cursor
+// (queries in flight) and time-bounded leases (issued cursor
 // tokens, redeemed when the cursor is consumed). Leases are fungible —
 // any redeem releases the soonest-expiring one — because the store
 // cannot tell which outstanding token came back.
@@ -80,24 +88,36 @@ func (s *Store) Patch(id string, base Gen, pt tree.Patch) (*Handle, error) {
 	if ch == nil {
 		return nil, fmt.Errorf("store: document %q: %w", id, ErrNotFound)
 	}
-	ch.mu.Lock()
+	h, retiredGens, err := ch.patch(id, base, pt)
+	if err != nil {
+		return nil, err
+	}
+	s.patches.Add(1)
+	s.notifyRetired(id, retiredGens)
+	return h, nil
+}
+
+// patch builds the next generation under the writer lock and publishes
+// it under mu, returning the generations the publish retired. Only
+// writers replace latest, and wmu admits one at a time, so the base
+// validated up front is still the latest at publish — unless the chain
+// is evicted meanwhile, which publish re-checks under mu.
+func (ch *chain) patch(id string, base Gen, pt tree.Patch) (*Handle, []Gen, error) {
+	ch.wmu.Lock()
+	defer ch.wmu.Unlock()
 	cur := ch.latest.Load()
-	if cur == nil || ch.evicted {
-		ch.mu.Unlock()
-		return nil, fmt.Errorf("store: document %q: %w", id, ErrNotFound)
+	if cur == nil {
+		return nil, nil, fmt.Errorf("store: document %q: %w", id, ErrNotFound)
 	}
 	if base != NoGen && cur.Gen != base {
-		ch.mu.Unlock()
-		return nil, fmt.Errorf("store: document %q: patch base gen %d, latest is %d: %w",
+		return nil, nil, fmt.Errorf("store: document %q: patch base gen %d, latest is %d: %w",
 			id, base, cur.Gen, ErrConflict)
 	}
 	newDoc, dl, err := cur.Doc.Apply(pt)
 	if err != nil {
-		ch.mu.Unlock()
-		return nil, err
+		return nil, nil, err
 	}
 	gen := ch.nextGen
-	ch.nextGen++
 	h := &Handle{
 		ID:    id,
 		Gen:   gen,
@@ -121,105 +141,96 @@ func (s *Store) Patch(id string, base Gen, pt tree.Patch) (*Handle, error) {
 		Source:   SourcePatch,
 		LoadedAt: time.Now(),
 	}
+	// xpqlint:ignore lockhold wmu→mu is the chain's one lock order: wmu is the writer queue, never taken by readers nor under mu
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	if ch.evicted {
+		return nil, nil, fmt.Errorf("store: document %q: %w", id, ErrNotFound)
+	}
+	ch.nextGen++
 	ch.gens[gen] = &genEntry{h: h}
 	ch.latest.Store(h)
-	retiredGens := ch.sweepLocked(time.Now().UnixNano())
-	ch.mu.Unlock()
-	s.patches.Add(1)
-	s.notifyRetired(id, retiredGens)
-	return h, nil
+	return h, ch.sweepLocked(time.Now().UnixNano()), nil
 }
 
-// GetAsOf returns the handle for a specific generation of id. A missing
-// document is ErrNotFound; a resident document whose requested
-// generation has been retired is ErrGone (the time-travel window
-// closed).
-func (s *Store) GetAsOf(id string, gen Gen) (*Handle, error) {
+// Acquire returns generation gen of id — NoGen means the latest — with
+// a pin taken in the same critical section as the lookup: whatever
+// patches land afterwards, the generation stays in its chain (readable,
+// and leasable) until the matching Release. This is what every query
+// holds from handle lookup until its continuation token's lease is
+// placed, so a token can never be issued for a generation that was
+// retired while the query ran. A missing document is ErrNotFound; a
+// resident document whose requested generation has been retired is
+// ErrGone (the time-travel window closed).
+func (s *Store) Acquire(id string, gen Gen) (*Handle, error) {
 	ch := s.chainFor(id)
 	if ch == nil {
 		return nil, fmt.Errorf("store: document %q: %w", id, ErrNotFound)
 	}
 	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	e, ok := ch.gens[gen]
-	if !ok {
-		return nil, fmt.Errorf("store: document %q generation %d: %w", id, gen, ErrGone)
-	}
-	s.touchMapped(id)
-	return e.h, nil
-}
-
-// Pin takes a reference on (id, gen), keeping the generation readable
-// across later patches until Unpin. Used by streaming reads for the
-// duration of the response.
-func (s *Store) Pin(id string, gen Gen) error {
-	ch := s.chainFor(id)
-	if ch == nil {
-		return fmt.Errorf("store: document %q: %w", id, ErrNotFound)
-	}
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	e, ok := ch.gens[gen]
-	if !ok {
-		return fmt.Errorf("store: document %q generation %d: %w", id, gen, ErrGone)
-	}
-	e.pins++
-	return nil
-}
-
-// Unpin drops a Pin reference. When the last pin and lease of a
-// non-latest generation drain, the generation is retired.
-func (s *Store) Unpin(id string, gen Gen) {
-	ch := s.chainFor(id)
-	if ch == nil {
-		return
-	}
-	ch.mu.Lock()
-	if e, ok := ch.gens[gen]; ok && e.pins > 0 {
-		e.pins--
-	}
-	retiredGens := ch.sweepLocked(time.Now().UnixNano())
-	ch.mu.Unlock()
-	s.notifyRetired(id, retiredGens)
-}
-
-// Lease keeps (id, gen) readable until the deadline — the lifetime of
-// an issued cursor token. Redeem releases it early when the token is
-// consumed; an abandoned token simply expires.
-func (s *Store) Lease(id string, gen Gen, until time.Time) error {
-	ch := s.chainFor(id)
-	if ch == nil {
-		return fmt.Errorf("store: document %q: %w", id, ErrNotFound)
-	}
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	e, ok := ch.gens[gen]
-	if !ok {
-		return fmt.Errorf("store: document %q generation %d: %w", id, gen, ErrGone)
-	}
-	e.leases = append(e.leases, until.UnixNano())
-	return nil
-}
-
-// Redeem releases one outstanding lease on (id, gen) — the
-// soonest-expiring one, since leases are fungible — and sweeps.
-func (s *Store) Redeem(id string, gen Gen) {
-	ch := s.chainFor(id)
-	if ch == nil {
-		return
-	}
-	ch.mu.Lock()
-	if e, ok := ch.gens[gen]; ok && len(e.leases) > 0 {
-		min := 0
-		for i, exp := range e.leases {
-			if exp < e.leases[min] {
-				min = i
-			}
+	if gen == NoGen {
+		if h := ch.latest.Load(); h != nil {
+			gen = h.Gen
 		}
-		e.leases[min] = e.leases[len(e.leases)-1]
-		e.leases = e.leases[:len(e.leases)-1]
 	}
-	retiredGens := ch.sweepLocked(time.Now().UnixNano())
+	e := ch.gens[gen]
+	if e != nil {
+		e.pins++
+	}
+	ch.mu.Unlock()
+	switch {
+	case e != nil:
+		s.touchMapped(id)
+		return e.h, nil
+	case gen == NoGen:
+		// Evicted between chainFor and the lock.
+		return nil, fmt.Errorf("store: document %q: %w", id, ErrNotFound)
+	}
+	return nil, fmt.Errorf("store: document %q generation %d: %w", id, gen, ErrGone)
+}
+
+// Release drops an Acquire pin on (id, gen) and settles the cursor
+// leases of the request that held it, all in one critical section while
+// the pin still guarantees the generation is live: redeem releases one
+// outstanding lease (the consumed token's; leases are fungible, so the
+// soonest-expiring one goes), and a non-zero lease deadline places a
+// new one (the lifetime of the token being issued; an abandoned token
+// simply expires). When the last pin and lease of a non-latest
+// generation drain, the generation is retired. A chain evicted since
+// the Acquire has nothing left to settle: its tokens answer 410, as
+// eviction promises.
+func (s *Store) Release(id string, gen Gen, lease time.Time, redeem bool) {
+	ch := s.chainFor(id)
+	if ch == nil {
+		return
+	}
+	var retiredGens []Gen
+	ch.mu.Lock()
+	if e, ok := ch.gens[gen]; ok {
+		if e.pins > 0 {
+			e.pins--
+		}
+		if redeem && len(e.leases) > 0 {
+			min := 0
+			for i, exp := range e.leases {
+				if exp < e.leases[min] {
+					min = i
+				}
+			}
+			e.leases[min] = e.leases[len(e.leases)-1]
+			e.leases = e.leases[:len(e.leases)-1]
+		}
+		if !lease.IsZero() {
+			e.leases = append(e.leases, lease.UnixNano())
+		}
+		// Only this generation's holds changed, and the latest is never
+		// retired: the common release — a query of the latest generation
+		// — has nothing to sweep. (Expired leases elsewhere wait for the
+		// next Patch or stats scrape, as they always have.)
+		if e.h != ch.latest.Load() {
+			retiredGens = ch.sweepLocked(time.Now().UnixNano())
+		}
+	}
 	ch.mu.Unlock()
 	s.notifyRetired(id, retiredGens)
 }
@@ -274,7 +285,10 @@ type MVCCStats struct {
 	// (at least one per resident document).
 	LiveGenerations int `json:"live_generations"`
 	// PinnedGenerations counts non-latest generations kept alive by
-	// pins or leases — the time-travel working set.
+	// leases (issued cursor tokens) or pins (queries that were already
+	// running when a patch superseded their generation) — the
+	// time-travel working set. Queries of the latest generation pin it
+	// too, but the latest is never counted here.
 	PinnedGenerations int `json:"pinned_generations"`
 	// Patches counts successfully applied patches since process start.
 	Patches uint64 `json:"patches"`

@@ -317,6 +317,16 @@ func TestMVCCOracleDifferential(t *testing.T) {
 // survive patches, unpinned non-latest generations retire, leases keep
 // generations alive until expiry, base-gen conflicts are rejected, and
 // evict retires everything (pins included).
+// peek looks a generation up without holding it: Acquire, then drop the
+// pin at once.
+func peek(s *store.Store, id string, gen store.Gen) (*store.Handle, error) {
+	h, err := s.Acquire(id, gen)
+	if err == nil {
+		s.Release(id, gen, time.Time{}, false)
+	}
+	return h, err
+}
+
 func TestMVCCGenerationChain(t *testing.T) {
 	s := store.New()
 	var retired []store.Gen
@@ -336,7 +346,7 @@ func TestMVCCGenerationChain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := s.Pin("d", h1.Gen); err != nil {
+	if _, err := s.Acquire("d", h1.Gen); err != nil {
 		t.Fatal(err)
 	}
 	h2, err := s.Patch("d", h1.Gen, randPatch(rng, h1.Doc))
@@ -361,10 +371,10 @@ func TestMVCCGenerationChain(t *testing.T) {
 
 	// h2 had no pins or leases, so publishing h3 retired it; h1 is
 	// pinned and must still serve its original tree.
-	if _, err := s.GetAsOf("d", h2.Gen); !errors.Is(err, store.ErrGone) {
+	if _, err := peek(s, "d", h2.Gen); !errors.Is(err, store.ErrGone) {
 		t.Fatalf("unpinned middle generation: err = %v, want ErrGone", err)
 	}
-	hp, err := s.GetAsOf("d", h1.Gen)
+	hp, err := peek(s, "d", h1.Gen)
 	if err != nil {
 		t.Fatalf("pinned generation: %v", err)
 	}
@@ -376,53 +386,59 @@ func TestMVCCGenerationChain(t *testing.T) {
 		t.Fatalf("pinned generation answered %v, want %v", got1, want1)
 	}
 
-	// Unpinning the last reference retires h1.
-	s.Unpin("d", h1.Gen)
-	if _, err := s.GetAsOf("d", h1.Gen); !errors.Is(err, store.ErrGone) {
+	// Releasing the last reference retires h1.
+	s.Release("d", h1.Gen, time.Time{}, false)
+	if _, err := peek(s, "d", h1.Gen); !errors.Is(err, store.ErrGone) {
 		t.Fatalf("after unpin: err = %v, want ErrGone", err)
 	}
 
-	// A lease keeps a superseded generation alive until it expires.
-	if err := s.Lease("d", h3.Gen, time.Now().Add(25*time.Millisecond)); err != nil {
+	// A lease (placed as its pin is released, the way a query issues a
+	// cursor token) keeps a superseded generation alive until it expires.
+	if _, err := s.Acquire("d", store.NoGen); err != nil {
 		t.Fatal(err)
 	}
+	s.Release("d", h3.Gen, time.Now().Add(25*time.Millisecond), false)
 	h4, err := s.Patch("d", 0, randPatch(rng, h3.Doc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.GetAsOf("d", h3.Gen); err != nil {
+	if _, err := peek(s, "d", h3.Gen); err != nil {
 		t.Fatalf("leased generation: %v", err)
 	}
 	time.Sleep(40 * time.Millisecond)
 	s.MVCC() // stats snapshot doubles as the lease janitor
-	if _, err := s.GetAsOf("d", h3.Gen); !errors.Is(err, store.ErrGone) {
+	if _, err := peek(s, "d", h3.Gen); !errors.Is(err, store.ErrGone) {
 		t.Fatalf("after lease expiry: err = %v, want ErrGone", err)
 	}
 
 	// Redeem releases a lease without waiting for the clock.
-	if err := s.Lease("d", h4.Gen, time.Now().Add(time.Hour)); err != nil {
+	if _, err := s.Acquire("d", h4.Gen); err != nil {
 		t.Fatal(err)
 	}
+	s.Release("d", h4.Gen, time.Now().Add(time.Hour), false)
 	h5, err := s.Patch("d", 0, randPatch(rng, h4.Doc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.GetAsOf("d", h4.Gen); err != nil {
+	if _, err := peek(s, "d", h4.Gen); err != nil {
 		t.Fatalf("hour-leased generation: %v", err)
 	}
-	s.Redeem("d", h4.Gen)
-	if _, err := s.GetAsOf("d", h4.Gen); !errors.Is(err, store.ErrGone) {
+	if _, err := s.Acquire("d", h4.Gen); err != nil {
+		t.Fatal(err)
+	}
+	s.Release("d", h4.Gen, time.Time{}, true)
+	if _, err := peek(s, "d", h4.Gen); !errors.Is(err, store.ErrGone) {
 		t.Fatalf("after redeem: err = %v, want ErrGone", err)
 	}
 
 	// Evict retires everything, pins notwithstanding.
-	if err := s.Pin("d", h5.Gen); err != nil {
+	if _, err := s.Acquire("d", h5.Gen); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Evict("d") {
 		t.Fatal("evict reported not-present")
 	}
-	if _, err := s.GetAsOf("d", h5.Gen); !errors.Is(err, store.ErrNotFound) {
+	if _, err := peek(s, "d", h5.Gen); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("after evict: err = %v, want ErrNotFound", err)
 	}
 

@@ -1,19 +1,18 @@
 // Package store is the document registry of the multi-document query
 // service: a concurrency-safe map from document id to a *generation
 // chain* — the MVCC history of one logical document. Documents arrive
-// from three sources — XML parsing, the binary tree serialization
-// (tree.WriteTo/tree.ReadDocument), or XMark generation — and the store
-// builds the index.Index exactly once per generation: at load time for
-// generation one, and incrementally (array splice + index splice, see
-// Patch in mvcc.go) for every patched generation after it. Each
-// generation is immutable; readers pin the one they started on and are
-// never invalidated by later patches.
+// from three sources — XML parsing, XMark generation, or an mmap'd XQO2
+// file (xqo2.go, which carries its index) — and the store builds the
+// index.Index exactly once per generation: at load time for generation
+// one, and incrementally (array splice + index splice, see Patch in
+// mvcc.go) for every patched generation after it. Each generation is
+// immutable; readers pin the one they started on and are never
+// invalidated by later patches.
 package store
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strings"
@@ -33,7 +32,7 @@ import (
 var ErrExists = errors.New("already loaded")
 
 // ErrNotFound is wrapped by generation-chain operations (Patch,
-// GetAsOf, Lease) against ids not resident in the store; the HTTP
+// Acquire) against ids not resident in the store; the HTTP
 // layer maps it to 404.
 var ErrNotFound = errors.New("no such document")
 
@@ -48,7 +47,6 @@ type Source string
 // Document sources.
 const (
 	SourceXML    Source = "xml"
-	SourceBinary Source = "binary"
 	SourceXMark  Source = "xmark"
 	SourceDirect Source = "direct"
 	// SourcePatch marks generations derived by an incremental subtree
@@ -337,28 +335,6 @@ func (s *Store) LoadXMLFile(id, path string) (*Handle, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	return s.LoadXML(id, data)
-}
-
-// LoadBinary reads a document in the tree.WriteTo format and registers
-// it; for large XMark trees this skips XML parsing entirely.
-func (s *Store) LoadBinary(id string, r io.Reader) (*Handle, error) {
-	return s.load(id, SourceBinary, func() (*tree.Document, error) {
-		d, err := tree.ReadDocument(r)
-		if err != nil {
-			return nil, fmt.Errorf("store: reading %q: %w", id, err)
-		}
-		return d, nil
-	})
-}
-
-// LoadBinaryFile reads a serialized document file and registers it.
-func (s *Store) LoadBinaryFile(id, path string) (*Handle, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	return s.LoadBinary(id, f)
 }
 
 // GenerateXMark generates a deterministic XMark document at the given

@@ -12,12 +12,12 @@ import (
 	"repro/internal/bp"
 )
 
-// XQO2 resident layout. Unlike the XQO1 event stream — which must be
-// decoded through a Builder — XQO2 stores every array of the in-memory
-// representation (document link arrays, text offsets + blob, bitvector
-// words, rank superblocks, BP segment tree, label table) verbatim in
-// 64-byte-aligned, CRC-checksummed sections, so an mmap'd file can be
-// aliased into live structures without copying or rebuilding anything.
+// XQO2 resident layout — the only binary document format. It stores
+// every array of the in-memory representation (document link arrays,
+// text offsets + blob, bitvector words, rank superblocks, BP segment
+// tree, label table) verbatim in 64-byte-aligned, CRC-checksummed
+// sections, so an mmap'd file can be aliased into live structures
+// without copying or rebuilding anything.
 // Opening a corpus is page-table setup; the OS pages cold documents.
 //
 //	offset 0   magic "XQO2"
@@ -178,6 +178,12 @@ type Layout struct {
 // section's bounds and CRC are checked here, so corruption surfaces as a
 // wrapped error at open rather than a fault mid-query.
 func OpenLayout(data []byte, owner any) (*Layout, error) {
+	if len(data) >= 4 && string(data[:4]) == "XQO1" {
+		// Checked before the length and magic tests so a file in the
+		// removed event-stream format gets an actionable message instead
+		// of "short file" or "bad magic".
+		return nil, fmt.Errorf("tree: this is an XQO1 event-stream file; that format was removed and XQO2 is the only binary format — regenerate the file from its XML source (xpq -file doc.xml -save doc.xqo2)")
+	}
 	if len(data) < xqo2HeaderLen {
 		return nil, fmt.Errorf("tree: xqo2: short file (%d bytes)", len(data))
 	}

@@ -75,10 +75,12 @@ func pinGeneration(t *testing.T, svc *service.Service) mutGenSnap {
 	if first.Err != "" || first.Next == "" {
 		t.Fatalf("pinning generation: err=%q next=%q", first.Err, first.Next)
 	}
-	h, err := svc.Store().GetAsOf("xm", first.Gen)
+	part := svc.Store().Part(svc.Store().ShardFor("xm"))
+	h, err := part.Acquire("xm", first.Gen)
 	if err != nil {
 		t.Fatalf("fetching pinned gen %d: %v", first.Gen, err)
 	}
+	part.Release("xm", first.Gen, time.Time{}, false)
 	doc, err := xmlparse.ParseString(h.Doc.XMLString())
 	if err != nil {
 		t.Fatalf("re-parsing gen %d: %v", first.Gen, err)

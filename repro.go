@@ -21,7 +21,6 @@ package repro
 import (
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/store"
@@ -95,50 +94,40 @@ func ParseStrategy(name string) (Strategy, bool) {
 	return core.ParseStrategy(name)
 }
 
-// SaveDocument writes d in the compact binary format; loading it back
-// with LoadDocument skips XML parsing entirely.
+// SaveDocument writes d in the XQO2 resident container, the only binary
+// document format: every in-memory array verbatim, checksummed per
+// section, with its succinct view and jumping index alongside.
 func SaveDocument(w io.Writer, d *Document) (int64, error) {
-	return d.WriteTo(w)
+	return store.WriteXQO2(w, d)
 }
 
-// LoadDocument reads a document saved by SaveDocument.
+// LoadDocument reads a document saved by SaveDocument. The bytes are
+// read to the heap and aliased in place — the same zero-copy open
+// LoadDocumentFile runs over a mapping.
 func LoadDocument(r io.Reader) (*Document, error) {
-	return tree.ReadDocument(r)
-}
-
-// SaveDocumentFile writes d to a file in a binary format chosen by
-// extension: ".xqo2" gets the mmap-resident XQO2 container (opened
-// zero-copy by LoadDocumentFile or xpqd -mmap), anything else the
-// compact XQO1 event stream.
-func SaveDocumentFile(path string, d *Document) error {
-	if strings.HasSuffix(path, ".xqo2") {
-		return store.SaveXQO2File(path, d)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := d.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadDocumentFile reads a binary document file. ".xqo2" files are
-// mmap'd and aliased zero-copy (the document pins the mapping for its
-// lifetime); other files are decoded as the XQO1 event stream.
-func LoadDocumentFile(path string) (*Document, error) {
-	if strings.HasSuffix(path, ".xqo2") {
-		d, _, _, _, err := store.OpenXQO2(path)
-		return d, err
-	}
-	f, err := os.Open(path)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return tree.ReadDocument(f)
+	l, err := tree.OpenLayout(data, nil)
+	if err != nil {
+		return nil, err
+	}
+	d, _, err := tree.DocumentFromLayout(l)
+	return d, err
+}
+
+// SaveDocumentFile writes d to a file in the XQO2 format (opened
+// zero-copy by LoadDocumentFile or xpqd -mmap).
+func SaveDocumentFile(path string, d *Document) error {
+	return store.SaveXQO2File(path, d)
+}
+
+// LoadDocumentFile mmaps an XQO2 file and aliases it zero-copy; the
+// document pins the mapping for its lifetime.
+func LoadDocumentFile(path string) (*Document, error) {
+	d, _, _, _, err := store.OpenXQO2(path)
+	return d, err
 }
 
 // NewEngine builds an engine (and its jumping index) for a document.
