@@ -66,6 +66,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -227,89 +229,164 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	}
 }
 
-// preload loads every -load/-mmap/-xmark document before serving, so
-// first queries never pay parse or index latency; it stops between
-// documents once ctx is cancelled. Mapped opens are near-free
-// (section-table walk plus checksums) — preloading a whole corpus
-// directory is how the daemon serves more documents than fit in RAM,
-// with the OS paging each document's working set on demand.
-func preload(ctx context.Context, st *shard.Store, logger *slog.Logger, loads, mmaps, xmarks []string) error {
+// preloadJob is one document named on the command line.
+type preloadJob struct {
+	flag, spec string // as given, for error messages
+	id         string
+	load       func(*shard.Store) (*store.Handle, error)
+	// Set by the worker that ran the job, read after done is closed.
+	h    *store.Handle
+	err  error
+	done chan struct{}
+}
+
+// planPreload turns the flag values into jobs, in the order they are
+// reported: -load, -mmap (a directory expands to its *.xqo2 files, id =
+// base name), -xmark. Malformed specs and duplicate ids are rejected
+// here, before any document is touched.
+func planPreload(loads, mmaps, xmarks []string) (parsed, mapped, generated []*preloadJob, err error) {
 	for _, spec := range loads {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		id, path, err := splitSpec(spec, "-load")
 		if err != nil {
-			return err
+			return nil, nil, nil, err
 		}
-		h, err := st.LoadXMLFile(id, path)
-		if err != nil {
-			return err
-		}
-		logLoaded(logger, h)
+		parsed = append(parsed, &preloadJob{flag: "-load", spec: spec, id: id,
+			load: func(st *shard.Store) (*store.Handle, error) { return st.LoadXMLFile(id, path) }})
 	}
 	for _, spec := range mmaps {
-		if err := ctx.Err(); err != nil {
-			return err
+		addMapped := func(id, path string) {
+			mapped = append(mapped, &preloadJob{flag: "-mmap", spec: spec, id: id,
+				load: func(st *shard.Store) (*store.Handle, error) { return st.LoadMapped(id, path) }})
 		}
-		// Directory form: open every *.xqo2 inside, id = base name.
 		if fi, err := os.Stat(spec); err == nil && fi.IsDir() {
 			entries, err := os.ReadDir(spec)
 			if err != nil {
-				return fmt.Errorf("-mmap %q: %w", spec, err)
+				return nil, nil, nil, fmt.Errorf("-mmap %q: %w", spec, err)
 			}
 			for _, e := range entries {
-				if err := ctx.Err(); err != nil {
-					return err
+				if name := e.Name(); !e.IsDir() && strings.HasSuffix(name, ".xqo2") {
+					addMapped(strings.TrimSuffix(name, ".xqo2"), filepath.Join(spec, name))
 				}
-				name := e.Name()
-				if e.IsDir() || !strings.HasSuffix(name, ".xqo2") {
-					continue
-				}
-				h, err := st.LoadMapped(strings.TrimSuffix(name, ".xqo2"), filepath.Join(spec, name))
-				if err != nil {
-					return err
-				}
-				logLoaded(logger, h)
 			}
 			continue
 		}
 		id, path, err := splitSpec(spec, "-mmap")
 		if err != nil {
-			return err
+			return nil, nil, nil, err
 		}
-		h, err := st.LoadMapped(id, path)
-		if err != nil {
-			return err
-		}
-		logLoaded(logger, h)
+		addMapped(id, path)
 	}
 	for _, spec := range xmarks {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		id, arg, err := splitSpec(spec, "-xmark")
 		if err != nil {
-			return err
+			return nil, nil, nil, err
 		}
 		scaleStr, seedStr, hasSeed := strings.Cut(arg, ":")
 		scale, err := strconv.ParseFloat(scaleStr, 64)
 		if err != nil {
-			return fmt.Errorf("-xmark %q: bad scale: %w", spec, err)
+			return nil, nil, nil, fmt.Errorf("-xmark %q: bad scale: %w", spec, err)
 		}
 		seed := int64(1)
 		if hasSeed {
 			if seed, err = strconv.ParseInt(seedStr, 10, 64); err != nil {
-				return fmt.Errorf("-xmark %q: bad seed: %w", spec, err)
+				return nil, nil, nil, fmt.Errorf("-xmark %q: bad seed: %w", spec, err)
 			}
 		}
-		h, err := st.GenerateXMark(id, scale, seed)
+		generated = append(generated, &preloadJob{flag: "-xmark", spec: spec, id: id,
+			load: func(st *shard.Store) (*store.Handle, error) { return st.GenerateXMark(id, scale, seed) }})
+	}
+	first := map[string]*preloadJob{}
+	for _, jobs := range [][]*preloadJob{parsed, mapped, generated} {
+		for _, j := range jobs {
+			if f, dup := first[j.id]; dup {
+				return nil, nil, nil, fmt.Errorf("duplicate document id %q: %s %q and %s %q", j.id, f.flag, f.spec, j.flag, j.spec)
+			}
+			first[j.id] = j
+		}
+	}
+	return parsed, mapped, generated, nil
+}
+
+// preload loads every -load/-mmap/-xmark document before serving, so
+// first queries never pay parse or index latency. Parsing and generating
+// are the expensive loads: they run on up to GOMAXPROCS workers, handed
+// out in flag order, and are reported — logged, or failed — in flag
+// order whatever order they finish in. Mapped opens are near-free
+// (section-table walk plus checksums) and stay on this goroutine, in
+// order: their order is the resident budget's first LRU order.
+// Preloading a whole corpus directory is how the daemon serves more
+// documents than fit in RAM, with the OS paging each document's working
+// set on demand. Once ctx is cancelled no further document is started;
+// preload returns when the ones under way are done, so no worker
+// outlives it.
+func preload(ctx context.Context, st *shard.Store, logger *slog.Logger, loads, mmaps, xmarks []string) error {
+	parsed, mapped, generated, err := planPreload(loads, mmaps, xmarks)
+	if err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	built := append(append([]*preloadJob{}, parsed...), generated...)
+	for _, j := range built {
+		j.done = make(chan struct{})
+	}
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+		// stop is set once preload is going to fail: jobs not yet handed
+		// out are left alone. Every job before a failed one has been
+		// handed out already, so the first failure in flag order is
+		// always one that ran.
+		stop atomic.Bool
+	)
+	for w := min(runtime.GOMAXPROCS(0), len(built)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(built) || stop.Load() || ctx.Err() != nil {
+					return
+				}
+				j := built[i]
+				if j.h, j.err = j.load(st); j.err != nil {
+					stop.Store(true)
+				}
+				close(j.done)
+			}
+		}()
+	}
+	defer wg.Wait()
+	defer stop.Store(true)
+	await := func(jobs []*preloadJob) error {
+		for _, j := range jobs {
+			select {
+			case <-j.done:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			if j.err != nil {
+				return j.err
+			}
+			logLoaded(logger, j.h)
+		}
+		return nil
+	}
+	if err := await(parsed); err != nil {
+		return err
+	}
+	for _, j := range mapped {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		h, err := j.load(st)
 		if err != nil {
 			return err
 		}
 		logLoaded(logger, h)
 	}
-	return nil
+	return await(generated)
 }
 
 func splitSpec(spec, flagName string) (id, rest string, err error) {

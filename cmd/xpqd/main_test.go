@@ -5,15 +5,22 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/shard"
+	"repro/internal/store"
+	"repro/internal/xmark"
 )
 
 // TestFlagList pins the daemon's exact flag set as `xpqd -h` prints it,
@@ -139,4 +146,168 @@ func TestMmapRejectsXQO1(t *testing.T) {
 	if strings.Contains(log.String(), "listening") {
 		t.Error("daemon listened despite a failed preload")
 	}
+}
+
+// preloadFiles writes n small XML documents and returns their -load
+// specs, ids d0..d(n-1).
+func preloadFiles(t *testing.T, n int) []string {
+	t.Helper()
+	dir := t.TempDir()
+	specs := make([]string, n)
+	for i := range specs {
+		path := filepath.Join(dir, fmt.Sprintf("d%d.xml", i))
+		doc := "<r>" + strings.Repeat("<e>t</e>", 200+i) + "</r>"
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		specs[i] = fmt.Sprintf("d%d=%s", i, path)
+	}
+	return specs
+}
+
+var loadedRE = regexp.MustCompile(`msg="loaded document" doc=(\S+)`)
+
+func loadedDocs(log string) []string {
+	var ids []string
+	for _, m := range loadedRE.FindAllStringSubmatch(log, -1) {
+		ids = append(ids, m[1])
+	}
+	return ids
+}
+
+func testLogger(w io.Writer) *slog.Logger {
+	return slog.New(slog.NewTextHandler(w, nil))
+}
+
+// TestPreloadDuplicateIDs: an id named twice, by whatever flags, is
+// refused before any document is loaded, and the error names both specs.
+func TestPreloadDuplicateIDs(t *testing.T) {
+	files := preloadFiles(t, 2)
+	xqo2 := filepath.Join(t.TempDir(), "m.xqo2")
+	if err := store.SaveXQO2File(xqo2, xmark.Generate(xmark.Config{Scale: 0.001, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name                 string
+		loads, mmaps, xmarks []string
+		want                 []string
+	}{
+		{"load twice", []string{files[0], "d0=" + strings.SplitN(files[1], "=", 2)[1]}, nil, nil, []string{`"d0"`, "-load", files[0]}},
+		{"load and xmark", files[:1], nil, []string{"d0=0.001"}, []string{`"d0"`, "-load", `-xmark "d0=0.001"`}},
+		{"mmap and xmark", nil, []string{"x=" + xqo2}, []string{"x=0.001:3"}, []string{`"x"`, "-mmap", `-xmark "x=0.001:3"`}},
+		{"mmap directory and load", []string{"m=" + strings.SplitN(files[0], "=", 2)[1]}, []string{filepath.Dir(xqo2)}, nil, []string{`"m"`, "-load", "-mmap"}},
+	} {
+		var log logBuf
+		st := shard.NewStore(2)
+		err := preload(context.Background(), st, testLogger(&log), tc.loads, tc.mmaps, tc.xmarks)
+		if err == nil || !strings.Contains(err.Error(), "duplicate document id") {
+			t.Errorf("%s: err = %v, want a duplicate-id error", tc.name, err)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not mention %s", tc.name, err, w)
+			}
+		}
+		if st.Len() != 0 || len(loadedDocs(log.String())) != 0 {
+			t.Errorf("%s: %d documents loaded before the duplicate was refused", tc.name, st.Len())
+		}
+	}
+}
+
+// TestPreloadOrder: documents built concurrently are still logged, and
+// listed by /docs, in flag order — -load, then -mmap, then -xmark.
+func TestPreloadOrder(t *testing.T) {
+	files := preloadFiles(t, 8)
+	mdir := t.TempDir()
+	for _, id := range []string{"m0", "m1", "m2"} {
+		if err := store.SaveXQO2File(filepath.Join(mdir, id+".xqo2"), xmark.Generate(xmark.Config{Scale: 0.001, Seed: 1})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	xmarks := []string{"x0=0.004", "x1=0.001", "x2=0.002:5"}
+	var log logBuf
+	st := shard.NewStore(4)
+	if err := preload(context.Background(), st, testLogger(&log), files, []string{mdir}, xmarks); err != nil {
+		t.Fatal(err)
+	}
+	want := "d0 d1 d2 d3 d4 d5 d6 d7 m0 m1 m2 x0 x1 x2"
+	if got := strings.Join(loadedDocs(log.String()), " "); got != want {
+		t.Errorf("logged order:\n got %s\nwant %s", got, want)
+	}
+	var listed []string
+	for _, s := range st.List() {
+		listed = append(listed, s.ID)
+	}
+	if got := strings.Join(listed, " "); got != want {
+		t.Errorf("/docs order:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestPreloadFirstFailureInFlagOrder: with two bad files among eight,
+// the error is the earlier one's however the workers interleave, and
+// nothing after it is reported as loaded.
+func TestPreloadFirstFailureInFlagOrder(t *testing.T) {
+	files := preloadFiles(t, 8)
+	for _, bad := range []int{2, 6} {
+		path := strings.SplitN(files[bad], "=", 2)[1]
+		if err := os.WriteFile(path, []byte(fmt.Sprintf("<r><bad%d></r>", bad)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 20; round++ {
+		var log logBuf
+		err := preload(context.Background(), shard.NewStore(4), testLogger(&log), files, nil, []string{"x=0.001"})
+		if err == nil || !strings.Contains(err.Error(), `"d2"`) || !strings.Contains(err.Error(), "bad2") {
+			t.Fatalf("err = %v, want the parse error of d2", err)
+		}
+		if got := strings.Join(loadedDocs(log.String()), " "); got != "d0 d1" {
+			t.Fatalf("logged %q before failing, want d0 d1", got)
+		}
+	}
+}
+
+// TestPreloadCancel: cancelling mid-preload returns without starting the
+// remaining documents, and no worker outlives the call.
+func TestPreloadCancel(t *testing.T) {
+	var xmarks []string
+	for i := 0; i < 200; i++ {
+		xmarks = append(xmarks, fmt.Sprintf("x%03d=0.01", i))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Cancel from inside the first "loaded document" log line.
+	log := &cancelOnWrite{cancel: cancel}
+	st := shard.NewStore(4)
+	before := runtime.NumGoroutine()
+	start := time.Now()
+	err := preload(ctx, st, testLogger(log), nil, nil, xmarks)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("cancelled preload took %v", took)
+	}
+	loaded := st.Len()
+	if loaded == 0 || loaded > 1+2*runtime.GOMAXPROCS(0) {
+		t.Errorf("%d of %d documents loaded around a cancellation at the first", loaded, len(xmarks))
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before preload, %d after", before, after)
+	}
+	if st.Len() != loaded {
+		t.Errorf("a document was published after preload returned")
+	}
+}
+
+type cancelOnWrite struct {
+	mu     sync.Mutex
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnWrite) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.cancel()
+	return len(p), nil
 }

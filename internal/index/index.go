@@ -40,7 +40,9 @@ type Index struct {
 	built      []bool
 }
 
-// New builds the index in O(n + Σ) time and space.
+// New builds the index in O(n + Σ) time and space. The per-label counts
+// come with the document (tree.Document.LabelCounts), so the occurrence
+// lists are cut from one array of n entries and filled in one pass.
 func New(d *tree.Document) *Index {
 	n := d.NumNodes()
 	sigma := d.Names().Size()
@@ -51,16 +53,19 @@ func New(d *tree.Document) *Index {
 		bottomMost: make([][]tree.NodeID, sigma),
 		built:      make([]bool, sigma),
 	}
-	counts := make([]int, sigma)
-	for v := 0; v < n; v++ {
-		counts[d.Label(tree.NodeID(v))]++
-	}
-	for l, c := range counts {
-		ix.occ[l] = make([]tree.NodeID, 0, c)
+	all := make([]tree.NodeID, n)
+	next := make([]int, sigma) // where label l's next occurrence goes in all
+	off := 0
+	for l, c := range d.LabelCounts() {
+		ix.occ[l] = all[off : off+int(c) : off+int(c)]
+		next[l] = off
+		off += int(c)
 	}
 	for v := 0; v < n; v++ {
 		node := tree.NodeID(v)
-		ix.occ[d.Label(node)] = append(ix.occ[d.Label(node)], node)
+		l := d.Label(node)
+		all[next[l]] = node
+		next[l]++
 		if p := d.Parent(node); p != tree.Nil {
 			ix.binEnd[v] = d.LastDesc(p)
 		} else {

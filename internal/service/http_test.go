@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/shard"
@@ -226,5 +227,31 @@ func TestHealthz(t *testing.T) {
 	b, _ := io.ReadAll(resp.Body)
 	if want := "ok\n"; string(b) != want {
 		t.Errorf("healthz body = %q, want %q", b, want)
+	}
+}
+
+// TestDeeplyNestedBodyIsABadRequest: six million unclosed start tags —
+// 18 MB, which POST /docs and PATCH accept — used to recurse the parser
+// past the goroutine stack limit and kill the process ("fatal error:
+// stack overflow" is not a panic; no recover contains it). Now it is a
+// syntax error like any other, and the daemon keeps answering.
+func TestDeeplyNestedBodyIsABadRequest(t *testing.T) {
+	srv := newTestServer(t)
+	deep := strings.Repeat("<a>", 6_000_000)
+	var e errorBody
+	if code := doJSON(t, "POST", srv.URL+"/docs", LoadRequest{ID: "deep", XML: deep}, &e); code != http.StatusBadRequest {
+		t.Fatalf("POST /docs with 6M unclosed levels: status %d (%s), want 400", code, e.Error)
+	}
+	if !strings.Contains(e.Error, "missing end tag") {
+		t.Errorf("error = %q, want the parser's missing-end-tag error", e.Error)
+	}
+	if code := doJSON(t, "POST", srv.URL+"/docs", LoadRequest{ID: "d", XML: "<r><a/></r>"}, nil); code != http.StatusCreated {
+		t.Fatalf("loading a small document: status %d", code)
+	}
+	if code := doJSON(t, "PATCH", srv.URL+"/docs/d", PatchDocRequest{Op: "insert", Node: 1, XML: deep}, &e); code != http.StatusBadRequest {
+		t.Errorf("PATCH with 6M unclosed levels: status %d (%s), want 400", code, e.Error)
+	}
+	if code := doJSON(t, "GET", srv.URL+"/healthz", nil, nil); code != http.StatusOK {
+		t.Errorf("/healthz after the deep bodies: status %d", code)
 	}
 }

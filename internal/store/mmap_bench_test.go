@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkMmapOpenVsParse is the startup-cost benchmark behind the
-// BENCH_mmap.json open gate (CI enforces open ≤ 0.05× parse): bringing a
+// BENCH_mmap.json open gate (CI enforces open ≤ 0.13× parse): bringing a
 // document online from its XQO2 resident file — mmap, section-table
 // walk, checksums, alias the arrays in place — against the heap preload
 // path (Store.LoadXML), which parses the XML corpus and builds the

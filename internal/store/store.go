@@ -13,7 +13,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -328,13 +327,17 @@ func (s *Store) LoadXML(id string, src []byte) (*Handle, error) {
 	})
 }
 
-// LoadXMLFile reads and parses an XML file and registers the document.
+// LoadXMLFile parses an XML file and registers the document. The file
+// is parsed out of a read-only mapping — the page cache's own pages, no
+// copy into fresh heap memory — which is unmapped before returning: the
+// document copies its names and text and keeps nothing of the source.
 func (s *Store) LoadXMLFile(id, path string) (*Handle, error) {
-	data, err := os.ReadFile(path)
+	m, err := mmapx.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return s.LoadXML(id, data)
+	defer m.Close()
+	return s.LoadXML(id, m.Data())
 }
 
 // GenerateXMark generates a deterministic XMark document at the given

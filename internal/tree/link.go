@@ -1,0 +1,188 @@
+package tree
+
+import (
+	"fmt"
+	"math"
+)
+
+// EvClose is the event that ends the innermost open element of a Part.
+const EvClose int32 = -1
+
+// Part is one stretch of a document's preorder event stream. A document
+// is built from its parts in order: the Builder records a single part,
+// the XML parser one per concurrently tokenized chunk of the source, so
+// an element may open in one part and close in a later one.
+type Part struct {
+	// Ev holds, per event, the label of the node to open (>= 0) or
+	// EvClose. A LabelText node is a leaf: it takes no EvClose.
+	Ev []int32
+	// TextLen is the content length of each LabelText event, in order;
+	// the contents themselves are concatenated in Blob.
+	TextLen []uint32
+	Blob    []byte
+	// Remap translates Ev's labels into the document's label table
+	// (the identity for a part that interned into that table directly).
+	// It always maps LabelText to itself: a part's text events are
+	// recognisable before translation.
+	Remap []LabelID
+	// Nodes is the number of opening events in Ev.
+	Nodes int
+}
+
+// linkAloneBelow is the node count under which Link runs its two passes
+// one after the other: a document this small is built before a second
+// goroutine would have been scheduled.
+const linkAloneBelow = 1 << 15
+
+// Link derives the document of an event stream. Every array is
+// allocated once at its final length, and the per-label node counts the
+// jumping index starts from are taken on the way. The stream must be
+// balanced apart from the synthetic root, which Link opens before the
+// first event and closes after the last.
+//
+// Two passes over the events share the work, concurrently for all but
+// small documents: one needs only a depth counter (labels, depths, text
+// offsets, the blob), the other the stack of open elements (the four
+// link arrays). On a fresh heap most of the time goes to first touches
+// of the arrays' pages, and those the two passes split evenly.
+func Link(names *LabelTable, parts []Part) (*Document, error) {
+	n, textBytes := 1, 0
+	for i := range parts {
+		n += parts[i].Nodes
+		textBytes += len(parts[i].Blob)
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("tree: %d nodes exceed the 2^31 node-id space", n)
+	}
+	if textBytes > math.MaxUint32 {
+		panic("tree: text content exceeds 4GB blob limit")
+	}
+	d := &Document{
+		labels:      make([]LabelID, n),
+		parent:      make([]NodeID, n),
+		firstChild:  make([]NodeID, n),
+		nextSibling: make([]NodeID, n),
+		lastDesc:    make([]NodeID, n),
+		depth:       make([]int32, n),
+		textOff:     make([]uint32, n),
+		textBlob:    make([]byte, textBytes),
+		names:       names,
+		labelCount:  make([]int32, names.Size()),
+	}
+	var err error
+	if n < linkAloneBelow {
+		d.fillNodes(parts)
+		err = d.linkNodes(parts)
+	} else {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			d.fillNodes(parts)
+		}()
+		err = d.linkNodes(parts)
+		<-done
+	}
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// fillNodes sets what a node has by itself: label, depth and text.
+func (d *Document) fillNodes(parts []Part) {
+	labels, depth, textOff, counts := d.labels, d.depth, d.textOff, d.labelCount
+	counts[LabelDoc] = 1
+	v, level, cur := 1, int32(1), uint32(0)
+	for i := range parts {
+		p := &parts[i]
+		copy(d.textBlob[cur:], p.Blob)
+		partEnd := cur + uint32(len(p.Blob))
+		remap, textLen, ti := p.Remap, p.TextLen, 0
+		for _, e := range p.Ev {
+			if e == EvClose {
+				level--
+				continue
+			}
+			l := remap[e]
+			labels[v] = l
+			counts[l]++
+			depth[v] = level
+			textOff[v] = cur
+			if l == LabelText {
+				cur += textLen[ti]
+				ti++
+			} else {
+				level++
+			}
+			v++
+		}
+		if cur != partEnd || ti != len(textLen) {
+			panic("tree: a part's text lengths disagree with its blob")
+		}
+	}
+	if v != len(labels) {
+		panic("tree: a part's node count disagrees with its events")
+	}
+}
+
+// linkNodes sets the four link arrays and checks the stream's balance.
+func (d *Document) linkNodes(parts []Part) error {
+	parent, firstChild, nextSibling, lastDesc := d.parent, d.firstChild, d.nextSibling, d.lastDesc
+	// open is the stack of unclosed elements, each with the child it
+	// received last (where the next child's sibling link goes).
+	type frame struct{ node, last NodeID }
+	open := make([]frame, 1, 64)
+	open[0] = frame{0, Nil}
+	parent[0], firstChild[0], nextSibling[0] = Nil, Nil, Nil
+	v := NodeID(1)
+	for i := range parts {
+		for _, e := range parts[i].Ev {
+			top := &open[len(open)-1]
+			if e == EvClose {
+				if len(open) == 1 {
+					return fmt.Errorf("tree: close event with no open element")
+				}
+				closed := top.node
+				lastDesc[closed] = v - 1
+				open = open[:len(open)-1]
+				open[len(open)-1].last = closed
+				continue
+			}
+			parent[v] = top.node
+			firstChild[v] = Nil
+			nextSibling[v] = Nil
+			if top.last == Nil {
+				firstChild[top.node] = v
+			} else {
+				nextSibling[top.last] = v
+			}
+			if e == int32(LabelText) {
+				lastDesc[v] = v
+				top.last = v
+			} else {
+				open = append(open, frame{v, Nil})
+			}
+			v++
+		}
+	}
+	if len(open) != 1 {
+		return fmt.Errorf("tree: %d unclosed elements at Finish", len(open)-1)
+	}
+	lastDesc[0] = v - 1
+	return nil
+}
+
+// LabelCounts returns the number of nodes carrying each label, indexed
+// by LabelID. Documents built by Link carry the counts from their
+// construction; for the others (mapped, patched) they are taken here.
+// The slice is shared; callers must not modify it.
+func (d *Document) LabelCounts() []int32 {
+	if d.labelCount != nil {
+		return d.labelCount
+	}
+	counts := make([]int32, d.names.Size())
+	for _, l := range d.labels {
+		counts[l]++
+	}
+	return counts
+}

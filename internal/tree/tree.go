@@ -15,7 +15,6 @@
 package tree
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"unsafe"
@@ -77,6 +76,15 @@ func (lt *LabelTable) Intern(name string) LabelID {
 	return id
 }
 
+// InternBytes is Intern for a name still in a byte buffer: it allocates
+// the string only when the name is new to the table.
+func (lt *LabelTable) InternBytes(name []byte) LabelID {
+	if id, ok := lt.ids[string(name)]; ok {
+		return id
+	}
+	return lt.Intern(string(name))
+}
+
 // Lookup returns the id for name without interning; ok is false if the
 // label does not occur in the table.
 func (lt *LabelTable) Lookup(name string) (LabelID, bool) {
@@ -115,61 +123,46 @@ type Document struct {
 	textOff     []uint32 // per preorder rank: start of v's text in textBlob
 	textBlob    []byte
 	names       *LabelTable
+	// labelCount holds the per-label node counts when the document was
+	// built by Link; nil otherwise (see LabelCounts).
+	labelCount []int32
 	// mapping pins the mmap owner for documents aliasing a mapped file,
 	// so the mapping outlives every slice derived from it (the owner's
 	// finalizer unmaps). nil for heap-backed documents.
 	mapping any
 }
 
-// Builder constructs a Document from open/text/close events.
+// Builder constructs a Document from open/text/close events. It only
+// records the events; Finish hands them to Link, which derives every
+// array at its final length.
 type Builder struct {
-	doc   *Document
-	stack []NodeID
-	prev  []NodeID // last closed child per stack level, for sibling links
+	names *LabelTable
+	part  Part
+	depth int // open elements, the synthetic root included
 }
 
 // NewBuilder returns a builder whose document already contains the
 // synthetic "#doc" root (open); Finish closes it.
 func NewBuilder() *Builder {
-	b := &Builder{
-		doc: &Document{
-			names: NewLabelTable(),
-		},
-	}
-	b.open(LabelDoc)
-	return b
+	return &Builder{names: NewLabelTable(), depth: 1}
 }
 
 // Names exposes the label table so callers can intern labels up front.
-func (b *Builder) Names() *LabelTable { return b.doc.names }
+func (b *Builder) Names() *LabelTable { return b.names }
 
 func (b *Builder) open(l LabelID) NodeID {
-	d := b.doc
-	v := NodeID(len(d.labels))
-	d.labels = append(d.labels, l)
-	d.parent = append(d.parent, Nil)
-	d.firstChild = append(d.firstChild, Nil)
-	d.nextSibling = append(d.nextSibling, Nil)
-	d.lastDesc = append(d.lastDesc, v)
-	d.depth = append(d.depth, int32(len(b.stack)))
-	d.textOff = append(d.textOff, uint32(len(d.textBlob)))
-	if len(b.stack) > 0 {
-		p := b.stack[len(b.stack)-1]
-		d.parent[v] = p
-		if d.firstChild[p] == Nil {
-			d.firstChild[p] = v
-		} else {
-			d.nextSibling[b.prev[len(b.stack)-1]] = v
-		}
+	if l == LabelText {
+		panic("tree: text nodes are added with Text, not opened")
 	}
-	b.stack = append(b.stack, v)
-	b.prev = append(b.prev, Nil)
-	return v
+	b.part.Ev = append(b.part.Ev, int32(l))
+	b.part.Nodes++
+	b.depth++
+	return NodeID(b.part.Nodes)
 }
 
 // Open starts a new element with the given name.
 func (b *Builder) Open(name string) NodeID {
-	return b.open(b.doc.names.Intern(name))
+	return b.open(b.names.Intern(name))
 }
 
 // OpenID starts a new element with a pre-interned label.
@@ -177,42 +170,36 @@ func (b *Builder) OpenID(l LabelID) NodeID { return b.open(l) }
 
 // Text appends a text-node child with the given content.
 func (b *Builder) Text(content string) NodeID {
-	v := b.open(LabelText)
-	if len(b.doc.textBlob)+len(content) > math.MaxUint32 {
+	if len(b.part.Blob)+len(content) > math.MaxUint32 {
 		panic("tree: text content exceeds 4GB blob limit")
 	}
-	b.doc.textBlob = append(b.doc.textBlob, content...)
-	b.close()
-	return v
+	b.part.Ev = append(b.part.Ev, int32(LabelText))
+	b.part.TextLen = append(b.part.TextLen, uint32(len(content)))
+	b.part.Blob = append(b.part.Blob, content...)
+	b.part.Nodes++
+	return NodeID(b.part.Nodes)
 }
 
 // Close ends the current element.
-func (b *Builder) Close() { b.close() }
-
-func (b *Builder) close() {
-	v := b.stack[len(b.stack)-1]
-	b.stack = b.stack[:len(b.stack)-1]
-	b.prev = b.prev[:len(b.prev)-1]
-	b.doc.lastDesc[v] = NodeID(len(b.doc.labels) - 1)
-	if len(b.prev) > 0 {
-		b.prev[len(b.prev)-1] = v
-	}
+func (b *Builder) Close() {
+	b.part.Ev = append(b.part.Ev, EvClose)
+	b.depth--
 }
 
 // Depth reports the current element nesting depth (the synthetic root
 // counts as 1).
-func (b *Builder) Depth() int { return len(b.stack) }
+func (b *Builder) Depth() int { return b.depth }
 
 // Finish closes the synthetic root and returns the completed document.
 // The builder must not be used afterwards.
 func (b *Builder) Finish() (*Document, error) {
-	if len(b.stack) != 1 {
-		return nil, fmt.Errorf("tree: %d unclosed elements at Finish", len(b.stack)-1)
+	b.part.Remap = make([]LabelID, b.names.Size())
+	for i := range b.part.Remap {
+		b.part.Remap[i] = LabelID(i)
 	}
-	b.close()
-	d := b.doc
-	b.doc = nil
-	return d, nil
+	d, err := Link(b.names, []Part{b.part})
+	b.part = Part{}
+	return d, err
 }
 
 // MustFinish is Finish that panics on error; for tests and generators that

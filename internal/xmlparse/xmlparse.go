@@ -8,11 +8,21 @@
 // child is a text node with the attribute value — the encoding of
 // reference [1] of the paper, which makes the attribute axis a plain
 // child-axis step for the automata.
+//
+// The parser is one iterative byte-level kernel (tokenize.go): it turns
+// a stretch of the source into the open/close event stream of tree.Part
+// without building a string per token, and tree.Link derives the
+// document from the events. A large source is cut at '<' bytes into one
+// chunk per processor and the chunks are tokenized concurrently; Parse
+// below joins them. DESIGN.md, "Loading", has the invariants.
 package xmlparse
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
-	"strings"
+	"runtime"
+	"sync"
 
 	"repro/internal/tree"
 )
@@ -27,26 +37,17 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("xmlparse: offset %d: %s", e.Offset, e.Msg)
 }
 
-type parser struct {
-	src []byte
-	pos int
-	b   *tree.Builder
-}
+// chunkBytes is the least source worth a chunk of its own: below it the
+// goroutine and the merge cost more than the second processor saves.
+const chunkBytes = 1 << 20
 
 // Parse parses a complete XML document from src.
 func Parse(src []byte) (*tree.Document, error) {
-	p := &parser{src: src, b: tree.NewBuilder()}
-	if err := p.parseProlog(); err != nil {
-		return nil, err
+	k := len(src) / chunkBytes
+	if p := runtime.GOMAXPROCS(0); k > p {
+		k = p
 	}
-	if err := p.parseElement(); err != nil {
-		return nil, err
-	}
-	p.skipMisc()
-	if p.pos != len(p.src) {
-		return nil, p.errf("trailing content after document element")
-	}
-	return p.b.Finish()
+	return parse(src, k)
 }
 
 // ParseString parses a complete XML document from a string.
@@ -54,304 +55,121 @@ func ParseString(src string) (*tree.Document, error) {
 	return Parse([]byte(src))
 }
 
-func (p *parser) errf(format string, args ...interface{}) error {
-	return &SyntaxError{Offset: p.pos, Msg: fmt.Sprintf(format, args...)}
+// parse tokenizes src as up to k chunks and links the result. Only a
+// single chunk sees the source in document order, so only its error is
+// the one to report: any failure among several chunks re-runs as one.
+func parse(src []byte, k int) (*tree.Document, error) {
+	chunks := tokenizeChunks(src, k)
+	d, err := assemble(src, chunks)
+	if err != nil && len(chunks) > 1 {
+		return parse(src, 1)
+	}
+	return d, err
 }
 
-func (p *parser) skipWS() {
-	for p.pos < len(p.src) {
-		switch p.src[p.pos] {
-		case ' ', '\t', '\n', '\r':
-			p.pos++
-		default:
-			return
-		}
-	}
-}
-
-func (p *parser) parseProlog() error {
-	p.skipWS()
-	// Optional XML declaration.
-	if p.hasPrefix("<?xml") {
-		end := p.indexFrom("?>")
-		if end < 0 {
-			return p.errf("unterminated XML declaration")
-		}
-		p.pos = end + 2
-	}
-	p.skipMisc()
-	// Optional DOCTYPE (skipped, including internal subset).
-	if p.hasPrefix("<!DOCTYPE") {
-		depth := 0
-		for p.pos < len(p.src) {
-			switch p.src[p.pos] {
-			case '<':
-				depth++
-			case '>':
-				depth--
-				if depth == 0 {
-					p.pos++
-					p.skipMisc()
-					return nil
-				}
-			case '[':
-				// Internal subset: skip to matching ].
-				for p.pos < len(p.src) && p.src[p.pos] != ']' {
-					p.pos++
-				}
-			}
-			p.pos++
-		}
-		return p.errf("unterminated DOCTYPE")
-	}
-	return nil
-}
-
-// skipMisc consumes whitespace, comments and processing instructions.
-func (p *parser) skipMisc() {
-	for {
-		p.skipWS()
-		switch {
-		case p.hasPrefix("<!--"):
-			end := p.indexFrom("-->")
-			if end < 0 {
-				p.pos = len(p.src)
-				return
-			}
-			p.pos = end + 3
-		case p.hasPrefix("<?"):
-			end := p.indexFrom("?>")
-			if end < 0 {
-				p.pos = len(p.src)
-				return
-			}
-			p.pos = end + 2
-		default:
-			return
-		}
-	}
-}
-
-func (p *parser) hasPrefix(s string) bool {
-	return p.pos+len(s) <= len(p.src) && string(p.src[p.pos:p.pos+len(s)]) == s
-}
-
-func (p *parser) indexFrom(s string) int {
-	i := strings.Index(string(p.src[p.pos:]), s)
-	if i < 0 {
-		return -1
-	}
-	return p.pos + i
-}
-
-func isNameStart(c byte) bool {
-	return c == '_' || c == ':' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c >= 0x80
-}
-
-func isNameChar(c byte) bool {
-	return isNameStart(c) || c == '-' || c == '.' || (c >= '0' && c <= '9')
-}
-
-func (p *parser) parseName() (string, error) {
-	start := p.pos
-	if p.pos >= len(p.src) || !isNameStart(p.src[p.pos]) {
-		return "", p.errf("expected name")
-	}
-	p.pos++
-	for p.pos < len(p.src) && isNameChar(p.src[p.pos]) {
-		p.pos++
-	}
-	return string(p.src[start:p.pos]), nil
-}
-
-func (p *parser) parseElement() error {
-	if p.pos >= len(p.src) || p.src[p.pos] != '<' {
-		return p.errf("expected '<'")
-	}
-	p.pos++
-	name, err := p.parseName()
-	if err != nil {
-		return err
-	}
-	p.b.Open(name)
-	// Attributes.
-	for {
-		p.skipWS()
-		if p.pos >= len(p.src) {
-			return p.errf("unterminated start tag <%s", name)
-		}
-		c := p.src[p.pos]
-		if c == '>' {
-			p.pos++
+// tokenizeChunks cuts src at the first '<' at or after each 1/k point
+// and tokenizes the pieces concurrently, the first on this goroutine.
+// A later chunk assumes its '<' starts markup in element content; it is
+// kept only if its predecessor, which knows, stopped exactly there. A
+// cut inside a comment, CDATA section, processing instruction or
+// attribute value fails that test, and what follows the last good chunk
+// is tokenized again from where that chunk really ended.
+func tokenizeChunks(src []byte, k int) []*chunk {
+	starts := []int{0}
+	for i := 1; i < k; i++ {
+		at := len(src) / k * i
+		j := bytes.IndexByte(src[at:], '<')
+		if j < 0 {
 			break
 		}
-		if c == '/' {
-			if !p.hasPrefix("/>") {
-				return p.errf("malformed empty-element tag")
-			}
-			p.pos += 2
-			p.b.Close()
-			return nil
-		}
-		attr, err := p.parseName()
-		if err != nil {
-			return err
-		}
-		p.skipWS()
-		if p.pos >= len(p.src) || p.src[p.pos] != '=' {
-			return p.errf("expected '=' after attribute %s", attr)
-		}
-		p.pos++
-		p.skipWS()
-		val, err := p.parseAttValue()
-		if err != nil {
-			return err
-		}
-		p.b.Open("@" + attr)
-		p.b.Text(val)
-		p.b.Close()
-	}
-	// Content.
-	if err := p.parseContent(name); err != nil {
-		return err
-	}
-	p.b.Close()
-	return nil
-}
-
-func (p *parser) parseAttValue() (string, error) {
-	if p.pos >= len(p.src) || (p.src[p.pos] != '"' && p.src[p.pos] != '\'') {
-		return "", p.errf("expected quoted attribute value")
-	}
-	quote := p.src[p.pos]
-	p.pos++
-	start := p.pos
-	for p.pos < len(p.src) && p.src[p.pos] != quote {
-		p.pos++
-	}
-	if p.pos >= len(p.src) {
-		return "", p.errf("unterminated attribute value")
-	}
-	val := decodeEntities(string(p.src[start:p.pos]))
-	p.pos++
-	return val, nil
-}
-
-// parseContent consumes element content up to and including the matching
-// end tag </name>.
-func (p *parser) parseContent(name string) error {
-	textStart := p.pos
-	flushText := func(end int) {
-		if end > textStart {
-			raw := string(p.src[textStart:end])
-			if strings.TrimSpace(raw) != "" {
-				p.b.Text(decodeEntities(raw))
-			}
+		if at+j > starts[len(starts)-1] {
+			starts = append(starts, at+j)
 		}
 	}
-	for p.pos < len(p.src) {
-		if p.src[p.pos] != '<' {
-			p.pos++
+	chunks := make([]*chunk, len(starts))
+	limits := append(starts[1:], len(src))
+	var wg sync.WaitGroup
+	for i := range chunks {
+		chunks[i] = &chunk{start: starts[i], first: i == 0}
+		if i > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				chunks[i].tokenize(src, limits[i])
+			}()
+		}
+	}
+	chunks[0].tokenize(src, limits[0])
+	wg.Wait()
+	for i := 1; i < len(chunks); i++ {
+		prev := chunks[i-1]
+		if prev.err != nil || prev.end == chunks[i].start {
 			continue
 		}
-		flushText(p.pos)
-		switch {
-		case p.hasPrefix("</"):
-			p.pos += 2
-			end, err := p.parseName()
-			if err != nil {
-				return err
-			}
-			if end != name {
-				return p.errf("mismatched end tag </%s>, open element is <%s>", end, name)
-			}
-			p.skipWS()
-			if p.pos >= len(p.src) || p.src[p.pos] != '>' {
-				return p.errf("malformed end tag </%s", end)
-			}
-			p.pos++
-			return nil
-		case p.hasPrefix("<!--"):
-			end := p.indexFrom("-->")
-			if end < 0 {
-				return p.errf("unterminated comment")
-			}
-			p.pos = end + 3
-		case p.hasPrefix("<![CDATA["):
-			p.pos += len("<![CDATA[")
-			end := p.indexFrom("]]>")
-			if end < 0 {
-				return p.errf("unterminated CDATA section")
-			}
-			if end > p.pos {
-				p.b.Text(string(p.src[p.pos:end]))
-			}
-			p.pos = end + 3
-		case p.hasPrefix("<?"):
-			end := p.indexFrom("?>")
-			if end < 0 {
-				return p.errf("unterminated processing instruction")
-			}
-			p.pos = end + 2
-		default:
-			if err := p.parseElement(); err != nil {
-				return err
-			}
+		chunks = chunks[:i]
+		if prev.end < len(src) {
+			tail := &chunk{start: prev.end}
+			tail.tokenize(src, len(src))
+			chunks = append(chunks, tail)
 		}
-		textStart = p.pos
+		break
 	}
-	return p.errf("missing end tag </%s>", name)
+	return chunks
 }
 
-var entityReplacer = strings.NewReplacer(
-	"&lt;", "<",
-	"&gt;", ">",
-	"&amp;", "&",
-	"&apos;", "'",
-	"&quot;", `"`,
-)
+// errFit reports chunks that do not fit together: an end tag that does
+// not match the element an earlier chunk left open, elements left open
+// at the end, or anything but comments, processing instructions and
+// white space after the document element. A lone chunk checks all of
+// that itself and fails with a SyntaxError instead.
+var errFit = errors.New("xmlparse: chunks do not fit together")
 
-// decodeEntities expands the five predefined entities and decimal/hex
-// character references; unknown entities are kept verbatim.
-func decodeEntities(s string) string {
-	if !strings.ContainsRune(s, '&') {
-		return s
-	}
-	if !strings.Contains(s, "&#") {
-		return entityReplacer.Replace(s)
-	}
-	var sb strings.Builder
-	for i := 0; i < len(s); {
-		if s[i] != '&' {
-			sb.WriteByte(s[i])
-			i++
-			continue
+// assemble joins tokenized chunks into the document.
+func assemble(src []byte, chunks []*chunk) (*tree.Document, error) {
+	for _, c := range chunks {
+		if c.err != nil {
+			return nil, c.err
 		}
-		semi := strings.IndexByte(s[i:], ';')
-		if semi < 0 {
-			sb.WriteString(s[i:])
-			break
+	}
+	// The first chunk's label table becomes the document's. Interning
+	// the later chunks' labels in chunk order, each in its own
+	// first-occurrence order, assigns the ids a sequential run would.
+	names := chunks[0].names
+	parts := make([]tree.Part, len(chunks))
+	var open []tree.LabelID // elements left open by the chunks so far
+	// Once the document element has closed, at afterRoot, no chunk may
+	// hold another event. The first chunk checks what follows by itself.
+	rootClosed, afterRoot := false, len(src)
+	for i, c := range chunks {
+		if rootClosed && len(c.ev) > 0 {
+			return nil, errFit
 		}
-		ent := s[i : i+semi+1]
-		switch {
-		case strings.HasPrefix(ent, "&#x"), strings.HasPrefix(ent, "&#X"):
-			var r rune
-			if _, err := fmt.Sscanf(ent[3:len(ent)-1], "%x", &r); err == nil {
-				sb.WriteRune(r)
-			} else {
-				sb.WriteString(ent)
+		remap := make([]tree.LabelID, c.names.Size())
+		for l := range remap {
+			remap[l] = names.Intern(c.names.Name(tree.LabelID(l)))
+		}
+		for _, u := range c.under {
+			if len(open) == 0 || string(src[u.name:u.nameEnd]) != names.Name(open[len(open)-1]) {
+				return nil, errFit
 			}
-		case strings.HasPrefix(ent, "&#"):
-			var r rune
-			if _, err := fmt.Sscanf(ent[2:len(ent)-1], "%d", &r); err == nil {
-				sb.WriteRune(r)
-			} else {
-				sb.WriteString(ent)
+			open = open[:len(open)-1]
+			if len(open) == 0 {
+				if u.ev != len(c.ev)-1 {
+					return nil, errFit
+				}
+				rootClosed, afterRoot = true, u.after
 			}
-		default:
-			sb.WriteString(entityReplacer.Replace(ent))
 		}
-		i += semi + 1
+		for _, l := range c.open {
+			open = append(open, remap[l])
+		}
+		if i == 0 {
+			rootClosed = len(open) == 0
+		}
+		parts[i] = tree.Part{Ev: c.ev, TextLen: c.textLen, Blob: c.blob, Remap: remap, Nodes: c.nodes}
 	}
-	return sb.String()
+	if !rootClosed || len(open) > 0 || skipMisc(src, afterRoot) != len(src) {
+		return nil, errFit
+	}
+	return tree.Link(names, parts)
 }

@@ -1,12 +1,14 @@
 package xmlparse_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/tgen"
 	"repro/internal/tree"
+	"repro/internal/xmark"
 	"repro/internal/xmlparse"
 )
 
@@ -192,19 +194,62 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDeepNesting: nesting depth is bounded by memory, not by the
+// goroutine stack. The recursive parser this kernel replaced died with
+// "fatal error: stack overflow" — which no recover() contains — a little
+// past five million levels.
 func TestDeepNesting(t *testing.T) {
-	const depth = 5000
+	const depth = 2_000_000
 	src := strings.Repeat("<a>", depth) + strings.Repeat("</a>", depth)
 	d := mustParse(t, src)
 	if d.NumNodes() != depth+1 {
 		t.Errorf("NumNodes = %d, want %d", d.NumNodes(), depth+1)
 	}
+	if last := tree.NodeID(depth); d.Depth(last) != depth || d.LastDesc(d.DocumentElement()) != last {
+		t.Errorf("innermost element: depth %d, want %d", d.Depth(last), depth)
+	}
+
+	const unclosed = 6_000_000
+	_, err := xmlparse.ParseString(strings.Repeat("<a>", unclosed))
+	var se *xmlparse.SyntaxError
+	if !errors.As(err, &se) || se.Offset != 3*unclosed || se.Msg != "missing end tag </a>" {
+		t.Errorf("%d unclosed levels: err = %v, want a SyntaxError at the end of the source", unclosed, err)
+	}
 }
 
+// xmarkXML is the XML text of an XMark document.
+func xmarkXML(scale float64) []byte {
+	return []byte(xmark.Generate(xmark.Config{Scale: scale, Seed: 1}).XMLString())
+}
+
+// TestParseAllocations pins the parse by counts, not clocks: a handful
+// of allocations per document (the chunk's scratch, the document's
+// arrays) plus the label table's strings and map growth — none per
+// element, attribute or text node.
+func TestParseAllocations(t *testing.T) {
+	src := xmarkXML(0.01)
+	d, err := xmlparse.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := float64(64 + 2*d.Names().Size())
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := xmlparse.Parse(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d nodes, %d labels: %.0f allocations per Parse (limit %.0f)", d.NumNodes(), d.Names().Size(), allocs, limit)
+	if allocs > limit {
+		t.Errorf("%.0f allocations per Parse of %d nodes, want at most %.0f", allocs, d.NumNodes(), limit)
+	}
+}
+
+// BenchmarkParse parses the XML of an XMark 0.05 document, the size the
+// benchmark's patch-mix workload preloads eight of.
 func BenchmarkParse(b *testing.B) {
-	d := tgen.Random(1, tgen.Config{MaxNodes: 20000, TextProb: 0.2, MaxDepth: 20})
-	src := []byte(d.XMLString())
+	src := xmarkXML(0.05)
 	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := xmlparse.Parse(src); err != nil {
