@@ -65,9 +65,10 @@ gate-auto:
 # the patch's absolute cost, with the reload as the yardstick: it was
 # 0.25 when a reload took 23.9 ms; the byte-level XML kernel brought the
 # reload to 9.0 ms with the patch path untouched (2.4 -> 2.7 ms, noise),
-# so the same bound is 0.25 x 23.9 / 9.0 = 0.67. BENCH_mvcc.json pins
-# ~0.30; tripping the limit means an accidental O(doc) rebuild in the
-# patch path, not noise.
+# so the same bound is 0.25 x 23.9 / 9.0 = 0.67. The two-array document
+# made both sides cheaper, the patch by more (1.4 ms against 7-8 ms), and
+# left the limit where it was. BENCH_mvcc.json pins ~0.20; tripping the
+# limit means an accidental O(doc) rebuild in the patch path, not noise.
 gate-mvcc:
 	$(GO) test -run '^$$' -bench 'BenchmarkPatchVsReload' -benchtime 20x -benchmem ./internal/store/ \
 		| $(GATE) -v num=patch-apply -v den=full-reload -v limit=0.67
@@ -78,7 +79,8 @@ gate-mvcc:
 # the yardstick: it was 0.05 when parse + index took 17.3 ms; the
 # byte-level XML kernel brought that to 6.9 ms with the open untouched
 # (0.33 -> 0.39 ms, noise), so the same bound is 0.05 x 17.3 / 6.9 =
-# 0.13. BENCH_mmap.json pins ~0.057; min of three runs filters one-off
+# 0.13. BENCH_mmap.json pins ~0.049 (0.32 ms: XQO2 version 3 has four
+# sections fewer to checksum); min of three runs filters one-off
 # page-cache or scheduler hiccups.
 gate-mmap:
 	$(GO) test -run '^$$' -bench 'BenchmarkMmapOpenVsParse' -benchtime 20x -count 3 ./internal/store/ \

@@ -92,7 +92,7 @@ func (c *Cursors) TopMostEach(v tree.NodeID, L labels.Set, fn func(tree.NodeID))
 	if !finite {
 		return false
 	}
-	end := c.ix.binEnd[v]
+	end := c.ix.doc.BinEnd(v)
 	after := v
 	for {
 		best := Nil
@@ -105,7 +105,7 @@ func (c *Cursors) TopMostEach(v tree.NodeID, L labels.Set, fn func(tree.NodeID))
 			return true
 		}
 		fn(best)
-		after = c.ix.binEnd[best]
+		after = c.ix.doc.BinEnd(best)
 	}
 }
 
@@ -120,12 +120,7 @@ func (c *Cursors) Rt(v tree.NodeID, L labels.Set) tree.NodeID {
 	}
 	ids, finite := L.Finite()
 	if !finite {
-		for u := d.NextSibling(v); u != tree.Nil; u = d.NextSibling(u) {
-			if L.Contains(d.Label(u)) {
-				return u
-			}
-		}
-		return Nil
+		return c.ix.Rt(v, L) // a sibling walk: no occurrence list to sweep
 	}
 	end := d.LastDesc(p)
 	after := d.LastDesc(v)

@@ -6,8 +6,7 @@
 //	Lt(π, L)      — first labeled node on the leftmost binary path below π,
 //	Rt(π, L)      — first labeled node on the rightmost binary path below π,
 //
-// plus O(1) global label counts and the bottom-most occurrences needed by
-// the bottom-up algorithms (§3.2).
+// plus O(1) global label counts.
 //
 // All functions are over the first-child/next-sibling *binary* view of the
 // document, because that is the tree the automata run on: the binary
@@ -20,6 +19,7 @@ package index
 
 import (
 	"sort"
+	"unsafe"
 
 	"repro/internal/labels"
 	"repro/internal/tree"
@@ -28,16 +28,13 @@ import (
 // Nil mirrors the error node Ω of Definition 3.2.
 const Nil = tree.Nil
 
-// Index is an immutable jumping index over one document.
+// Index is an immutable jumping index over one document. It holds no
+// per-node array of its own: the ends of binary subtrees come from the
+// document (tree.Document.BinEnd).
 type Index struct {
 	doc *tree.Document
 	// occ[l] lists the nodes labeled l in preorder.
 	occ [][]tree.NodeID
-	// binEnd[v] is the last preorder node of v's *binary* subtree.
-	binEnd []tree.NodeID
-	// bottomMost[l] caches BottomMost answers, built lazily.
-	bottomMost [][]tree.NodeID
-	built      []bool
 }
 
 // New builds the index in O(n + Σ) time and space. The per-label counts
@@ -46,13 +43,7 @@ type Index struct {
 func New(d *tree.Document) *Index {
 	n := d.NumNodes()
 	sigma := d.Names().Size()
-	ix := &Index{
-		doc:        d,
-		occ:        make([][]tree.NodeID, sigma),
-		binEnd:     make([]tree.NodeID, n),
-		bottomMost: make([][]tree.NodeID, sigma),
-		built:      make([]bool, sigma),
-	}
+	ix := &Index{doc: d, occ: make([][]tree.NodeID, sigma)}
 	all := make([]tree.NodeID, n)
 	next := make([]int, sigma) // where label l's next occurrence goes in all
 	off := 0
@@ -66,13 +57,18 @@ func New(d *tree.Document) *Index {
 		l := d.Label(node)
 		all[next[l]] = node
 		next[l]++
-		if p := d.Parent(node); p != tree.Nil {
-			ix.binEnd[v] = d.LastDesc(p)
-		} else {
-			ix.binEnd[v] = tree.NodeID(n - 1)
-		}
 	}
 	return ix
+}
+
+// MemBytes reports the bytes the index holds: the occurrence lists,
+// which partition the nodes, and their per-label slice headers.
+func (ix *Index) MemBytes() int64 {
+	b := int64(len(ix.occ)) * int64(unsafe.Sizeof([]tree.NodeID(nil)))
+	for _, occ := range ix.occ {
+		b += 4 * int64(len(occ))
+	}
+	return b
 }
 
 // Doc returns the indexed document.
@@ -112,7 +108,7 @@ func (ix *Index) Occurrences(l tree.LabelID) []tree.NodeID {
 }
 
 // BinEnd returns the last preorder node of v's binary subtree.
-func (ix *Index) BinEnd(v tree.NodeID) tree.NodeID { return ix.binEnd[v] }
+func (ix *Index) BinEnd(v tree.NodeID) tree.NodeID { return ix.doc.BinEnd(v) }
 
 // firstOccIn returns the first occurrence of label l in the preorder
 // interval (after, end], or Nil.
@@ -148,13 +144,13 @@ func (ix *Index) firstIn(L labels.Set, after, end tree.NodeID) (tree.NodeID, boo
 // order) whose label is in L, or Nil (Ω). L must be finite; ok is false
 // otherwise (no jump possible for co-finite guards).
 func (ix *Index) Dt(v tree.NodeID, L labels.Set) (tree.NodeID, bool) {
-	return ix.firstIn(L, v, ix.binEnd[v])
+	return ix.firstIn(L, v, ix.doc.BinEnd(v))
 }
 
 // Ft is f_t(π, L, π0): the first following node of π (in the binary tree)
 // whose label is in L and which is a binary descendant of π0, or Nil.
 func (ix *Index) Ft(v tree.NodeID, L labels.Set, scope tree.NodeID) (tree.NodeID, bool) {
-	return ix.firstIn(L, ix.binEnd[v], ix.binEnd[scope])
+	return ix.firstIn(L, ix.doc.BinEnd(v), ix.doc.BinEnd(scope))
 }
 
 // Lt is l_t(π, L): the first node on the leftmost binary path strictly
@@ -185,7 +181,7 @@ func (ix *Index) Rt(v tree.NodeID, L labels.Set) tree.NodeID {
 	ids, ok := L.Finite()
 	if !ok {
 		// Co-finite guard: fall back to walking the sibling chain.
-		for u := ix.doc.NextSibling(v); u != tree.Nil; u = ix.doc.NextSibling(u) {
+		for u, end := ix.doc.LastDesc(v)+1, ix.doc.LastDesc(p); u <= end; u = ix.doc.LastDesc(u) + 1 {
 			if L.Contains(ix.doc.Label(u)) {
 				return u
 			}
@@ -242,7 +238,7 @@ func (ix *Index) TopMostEach(v tree.NodeID, L labels.Set, fn func(tree.NodeID)) 
 	if !finite {
 		return false
 	}
-	end := ix.binEnd[v]
+	end := ix.doc.BinEnd(v)
 	// Fixed-size cursor array: compiled queries rarely have more than a
 	// handful of essential labels; fall back to the allocating path
 	// otherwise.
@@ -283,7 +279,7 @@ func (ix *Index) TopMostEach(v tree.NodeID, L labels.Set, fn func(tree.NodeID)) 
 			return true
 		}
 		fn(best)
-		skip := ix.binEnd[best]
+		skip := ix.doc.BinEnd(best)
 		for c := 0; c < n; c++ {
 			lin := 0
 			for idx[c] < len(occs[c]) && occs[c][idx[c]] <= skip {
@@ -303,7 +299,7 @@ func (ix *Index) TopMostEach(v tree.NodeID, L labels.Set, fn func(tree.NodeID)) 
 // cursor each, advancing all cursors past each accepted node's binary
 // subtree.
 func (ix *Index) topMostMulti(v tree.NodeID, ids []tree.LabelID) []tree.NodeID {
-	end := ix.binEnd[v]
+	end := ix.doc.BinEnd(v)
 	type cursor struct {
 		occ []tree.NodeID
 		i   int
@@ -331,7 +327,7 @@ func (ix *Index) topMostMulti(v tree.NodeID, ids []tree.LabelID) []tree.NodeID {
 			return out
 		}
 		out = append(out, best)
-		skip := ix.binEnd[best]
+		skip := ix.doc.BinEnd(best)
 		for ci := range cursors {
 			c := &cursors[ci]
 			lin := 0
@@ -353,7 +349,7 @@ func (ix *Index) topMostSingle(v tree.NodeID, l tree.LabelID) []tree.NodeID {
 		return nil
 	}
 	occ := ix.occ[l]
-	end := ix.binEnd[v]
+	end := ix.doc.BinEnd(v)
 	i := sort.Search(len(occ), func(k int) bool { return occ[k] > v })
 	var out []tree.NodeID
 	for i < len(occ) && occ[i] <= end {
@@ -361,7 +357,7 @@ func (ix *Index) topMostSingle(v tree.NodeID, l tree.LabelID) []tree.NodeID {
 		out = append(out, u)
 		// Skip occurrences inside u's binary subtree: linear advance
 		// first (nested occurrences are rare), then gallop.
-		skip := ix.binEnd[u]
+		skip := ix.doc.BinEnd(u)
 		i++
 		lin := 0
 		for i < len(occ) && occ[i] <= skip {
@@ -374,32 +370,6 @@ func (ix *Index) topMostSingle(v tree.NodeID, l tree.LabelID) []tree.NodeID {
 			}
 		}
 	}
-	return out
-}
-
-// BottomMost returns the nodes labeled l that have no XML descendant also
-// labeled l, in document order. This is the starting frontier of the
-// bottom-up algorithms (§3.2). Built lazily per label in O(count) time.
-func (ix *Index) BottomMost(l tree.LabelID) []tree.NodeID {
-	if int(l) >= len(ix.occ) {
-		return nil
-	}
-	if ix.built[l] {
-		return ix.bottomMost[l]
-	}
-	occ := ix.occ[l]
-	var out []tree.NodeID
-	for i, v := range occ {
-		// v is bottom-most iff the next occurrence lies outside v's
-		// subtree (occurrences are in preorder, so any descendant
-		// occurrence would be the immediate successor range).
-		if i+1 < len(occ) && occ[i+1] <= ix.doc.LastDesc(v) {
-			continue
-		}
-		out = append(out, v)
-	}
-	ix.bottomMost[l] = out
-	ix.built[l] = true
 	return out
 }
 

@@ -265,53 +265,6 @@ func TestTopMostProperty(t *testing.T) {
 	}
 }
 
-func TestBottomMost(t *testing.T) {
-	f := func(seed int64) bool {
-		d := tgen.Random(seed, tgen.Config{MaxNodes: 150, Labels: []string{"a", "b"}})
-		ix := index.New(d)
-		aID, ok := d.Names().Lookup("a")
-		if !ok {
-			return true
-		}
-		got := ix.BottomMost(aID)
-		// Oracle: an a-node with no a-descendant.
-		var want []tree.NodeID
-		for _, v := range ix.Occurrences(aID) {
-			hasBelow := false
-			for u := v + 1; u <= d.LastDesc(v); u++ {
-				if d.Label(u) == aID {
-					hasBelow = true
-					break
-				}
-			}
-			if !hasBelow {
-				want = append(want, v)
-			}
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-	// Cached second call returns the same slice.
-	d := tgen.Star("r", "a", 3)
-	ix := index.New(d)
-	aID, _ := d.Names().Lookup("a")
-	first := ix.BottomMost(aID)
-	second := ix.BottomMost(aID)
-	if len(first) != 3 || len(second) != 3 {
-		t.Errorf("BottomMost on star wrong: %v", first)
-	}
-}
-
 func TestAncestorWithLabel(t *testing.T) {
 	b := tree.NewBuilder()
 	b.Open("r")

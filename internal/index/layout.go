@@ -9,18 +9,17 @@ import (
 // XQO2 sections for the jumping index. The per-label occurrence lists are
 // stored as one concatenated preorder array plus a cumulative offset
 // directory, so opening a mapped file rebuilds only the sigma slice
-// headers — the occurrence data itself is aliased in place. The lazy
-// BottomMost cache is not serialized; it rebuilds on demand as usual.
+// headers — the occurrence data itself is aliased in place.
 //
 // Section kinds 32+ belong to this package (tree owns kinds below 32).
+// Kind 34 (version 2's binEnd) is retired and stays reserved.
 const (
 	SecOccOff uint32 = 32 // []uint64, len sigma+1: cumulative occurrence offsets
 	SecOccAll uint32 = 33 // []NodeID: all occurrence lists, concatenated by label
-	SecBinEnd uint32 = 34 // []NodeID, len numNodes: binary-subtree ends
 )
 
-// AddSections serializes ix into w. The binEnd and occurrence arrays are
-// aliased, not copied; only the offset directory is materialized.
+// AddSections serializes ix into w: the occurrence lists concatenated,
+// and the offset directory that cuts them apart again.
 func AddSections(w *tree.LayoutWriter, ix *Index) {
 	occOff := make([]uint64, 0, len(ix.occ)+1)
 	total := 0
@@ -35,13 +34,12 @@ func AddSections(w *tree.LayoutWriter, ix *Index) {
 	}
 	w.Add(SecOccOff, tree.SliceBytes(occOff))
 	w.Add(SecOccAll, tree.SliceBytes(occAll))
-	w.Add(SecBinEnd, tree.SliceBytes(ix.binEnd))
 }
 
 // FromLayout reassembles the index for d from an opened container. Every
 // occ[l] is a subslice of the mapped occurrence section; d must be the
-// document opened from the same container (the occurrence node ids and
-// binEnd values are validated against it).
+// document opened from the same container (the occurrence node ids are
+// validated against it).
 func FromLayout(l *tree.Layout, d *tree.Document) (*Index, error) {
 	n := d.NumNodes()
 	sigma := d.Names().Size()
@@ -61,20 +59,7 @@ func FromLayout(l *tree.Layout, d *tree.Document) (*Index, error) {
 	if occOff[sigma] != uint64(len(occAll)) || len(occAll) != n {
 		return nil, fmt.Errorf("index: xqo2: %d occurrences for %d nodes", len(occAll), n)
 	}
-	binEnd, err := tree.AliasSlice[tree.NodeID](l.Section(SecBinEnd))
-	if err != nil {
-		return nil, fmt.Errorf("index: xqo2 binEnd: %w", err)
-	}
-	if len(binEnd) != n {
-		return nil, fmt.Errorf("index: xqo2: %d binEnd entries for %d nodes", len(binEnd), n)
-	}
-	ix := &Index{
-		doc:        d,
-		occ:        make([][]tree.NodeID, sigma),
-		binEnd:     binEnd,
-		bottomMost: make([][]tree.NodeID, sigma),
-		built:      make([]bool, sigma),
-	}
+	ix := &Index{doc: d, occ: make([][]tree.NodeID, sigma)}
 	// Per-label shape checks here are O(sigma): the offset directory must
 	// be monotone within bounds, and each non-empty list's head must
 	// actually carry the label — a cheap spot check that catches a
@@ -97,43 +82,12 @@ func FromLayout(l *tree.Layout, d *tree.Document) (*Index, error) {
 }
 
 // VerifyStructure runs the element-wise validation the zero-copy open
-// skips by default: binEnd forming valid [v, n) intervals and every
-// occurrence list strictly increasing within [0, n). See
-// tree.Document.VerifyStructure for the trust model — this is the
-// defense for files from outside this process, where a crafted value
-// that passes the checksums would otherwise panic a later query.
+// skips by default: every occurrence list strictly increasing within
+// [0, n). See tree.Document.VerifyStructure for the trust model — this
+// is the defense for files from outside this process, where a crafted
+// value that passes the checksums would otherwise panic a later query.
 func (ix *Index) VerifyStructure() error {
 	n := ix.doc.NumNodes()
-	binEnd := ix.binEnd
-	// binEnd[v] must lie in [v, n): branchless OR/AND folds (sign of
-	// binEnd[v]-v, sign of the raw value, AND of binEnd[v]-n), unrolled
-	// four ways with independent accumulators so the 1-cycle fold chains
-	// don't cap the scan; re-scan for the offending node on failure.
-	var u0, u1, u2, u3 uint32
-	a0, a1, a2, a3 := ^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0)
-	v := 0
-	for ; v+4 <= len(binEnd); v += 4 {
-		e0, e1, e2, e3 := binEnd[v], binEnd[v+1], binEnd[v+2], binEnd[v+3]
-		u0 |= uint32(int32(e0)-int32(v)) | uint32(e0)
-		a0 &= uint32(e0) - uint32(n)
-		u1 |= uint32(int32(e1)-int32(v)-1) | uint32(e1)
-		a1 &= uint32(e1) - uint32(n)
-		u2 |= uint32(int32(e2)-int32(v)-2) | uint32(e2)
-		a2 &= uint32(e2) - uint32(n)
-		u3 |= uint32(int32(e3)-int32(v)-3) | uint32(e3)
-		a3 &= uint32(e3) - uint32(n)
-	}
-	for ; v < len(binEnd); v++ {
-		u0 |= uint32(int32(binEnd[v])-int32(v)) | uint32(binEnd[v])
-		a0 &= uint32(binEnd[v]) - uint32(n)
-	}
-	if (u0|u1|u2|u3)>>31 != 0 || (len(binEnd) > 0 && (a0&a1&a2&a3)>>31 == 0) {
-		for v, e := range binEnd {
-			if int(e) < v || int(e) >= n {
-				return fmt.Errorf("index: xqo2: node %d binEnd %d out of range", v, e)
-			}
-		}
-	}
 	for lab, occ := range ix.occ {
 		// Strictly increasing within [0, n): OR-fold the sign of each
 		// step u[i]-u[i-1]-1 (catches non-increase; the first element

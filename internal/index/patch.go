@@ -10,21 +10,11 @@ import (
 // generation's index and the splice Delta, without re-scanning the
 // whole document. Occurrence lists are per-label sorted preorder
 // arrays, and a subtree patch is one contiguous preorder splice, so
-// each list updates with two binary searches plus a shifted copy; only
-// binEnd — whose entries depend on parent lastDesc values that the
-// splice moves — is rebuilt, in one linear pass over the already-built
-// arrays of the new document (no label counting, no per-label append
-// loop). BottomMost caches are dropped and rebuilt lazily as before.
+// each list updates with two binary searches plus a shifted copy, and
+// nothing else is kept per node.
 func Apply(old *Index, newDoc *tree.Document, dl *tree.Delta) *Index {
-	n := newDoc.NumNodes()
 	sigma := newDoc.Names().Size()
-	ix := &Index{
-		doc:        newDoc,
-		occ:        make([][]tree.NodeID, sigma),
-		binEnd:     make([]tree.NodeID, n),
-		bottomMost: make([][]tree.NodeID, sigma),
-		built:      make([]bool, sigma),
-	}
+	ix := &Index{doc: newDoc, occ: make([][]tree.NodeID, sigma)}
 	var (
 		q     = dl.At
 		cut   = dl.At + tree.NodeID(dl.Removed)
@@ -58,18 +48,6 @@ func Apply(old *Index, newDoc *tree.Document, dl *tree.Delta) *Index {
 			out = append(out, v+delta)
 		}
 		ix.occ[l] = out
-	}
-	// binEnd[v] = LastDesc(Parent(v)) is a pure function of the new
-	// document's parent/lastDesc arrays; deriving it beats patching the
-	// old values because suffix entries can reference prefix parents
-	// whose lastDesc moved.
-	for v := 0; v < n; v++ {
-		node := tree.NodeID(v)
-		if p := newDoc.Parent(node); p != tree.Nil {
-			ix.binEnd[v] = newDoc.LastDesc(p)
-		} else {
-			ix.binEnd[v] = tree.NodeID(n - 1)
-		}
 	}
 	return ix
 }

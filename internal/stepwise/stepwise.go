@@ -87,7 +87,7 @@ func (e *evaluator) step(ctx []tree.NodeID, st xpath.Step) []tree.NodeID {
 	switch st.Axis {
 	case xpath.Child, xpath.Attribute:
 		for _, v := range ctx {
-			for c := e.d.FirstChild(v); c != tree.Nil; c = e.d.NextSibling(c) {
+			for c, end := v+1, e.d.LastDesc(v); c <= end; c = e.d.LastDesc(c) + 1 {
 				e.stats.Visited++
 				if e.match(c, st.Test) {
 					out = append(out, c)
@@ -116,7 +116,7 @@ func (e *evaluator) step(ctx []tree.NodeID, st xpath.Step) []tree.NodeID {
 		}
 	case xpath.FollowingSibling:
 		for _, v := range ctx {
-			for c := e.d.NextSibling(v); c != tree.Nil; c = e.d.NextSibling(c) {
+			for c, end := e.d.LastDesc(v)+1, e.d.BinEnd(v); c <= end; c = e.d.LastDesc(c) + 1 {
 				e.stats.Visited++
 				if e.match(c, st.Test) {
 					out = append(out, c)

@@ -1,0 +1,96 @@
+package store
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/tree"
+	"repro/internal/xmark"
+)
+
+// heldBytes sums what v holds in slices and strings, following pointers
+// and struct fields: len × element size per slice, plus whatever the
+// elements hold themselves (the occurrence lists behind their headers,
+// the label names behind theirs). Maps and interfaces are passed over —
+// the label table's lookup map is a few dozen entries, and a mapped
+// document's owner is the file the slices already alias.
+func heldBytes(v reflect.Value) int64 {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return 0
+		}
+		return heldBytes(v.Elem())
+	case reflect.Struct:
+		var b int64
+		for i := 0; i < v.NumField(); i++ {
+			b += heldBytes(v.Field(i))
+		}
+		return b
+	case reflect.Slice:
+		b := int64(v.Len()) * int64(v.Type().Elem().Size())
+		switch v.Type().Elem().Kind() {
+		case reflect.Slice, reflect.String, reflect.Struct, reflect.Pointer:
+			for i := 0; i < v.Len(); i++ {
+				b += heldBytes(v.Index(i))
+			}
+		}
+		return b
+	case reflect.String:
+		return int64(v.Len())
+	}
+	return 0
+}
+
+// TestMemBytesIsTheSumOfTheSlices: MemBytes of a document and of an
+// index are exactly what their slice fields hold, found by reflection —
+// so an array added to either type moves the store's mem_bytes, and
+// with it the benchmark's resident_bytes_per_node, without anyone
+// remembering to. The index reaches its document through a pointer,
+// hence the sum on its side.
+func TestMemBytesIsTheSumOfTheSlices(t *testing.T) {
+	s := New()
+	built, err := s.Add("built", xmark.Generate(xmark.Config{Scale: 0.01, Seed: 2}), SourceDirect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := s.LoadMapped("mapped", saveXQO2(t, built.Doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frag := tree.NewBuilder()
+	frag.Open("graft")
+	frag.Text("new text under a new label")
+	frag.Close()
+	patched, err := s.Patch("built", NoGen, tree.Patch{Op: tree.OpInsert, Node: built.Doc.DocumentElement(), Before: tree.Nil, Frag: frag.MustFinish()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, h := range map[string]*Handle{"built": built, "mapped": mapped, "patched": patched} {
+		if got, want := h.Doc.MemBytes(), heldBytes(reflect.ValueOf(h.Doc)); got != want {
+			t.Errorf("%s: Document.MemBytes() = %d, its slices hold %d", name, got, want)
+		}
+		if got, want := h.Doc.MemBytes()+h.Index.MemBytes(), heldBytes(reflect.ValueOf(h.Index)); got != want {
+			t.Errorf("%s: Document.MemBytes() + Index.MemBytes() = %d, the index and its document hold %d", name, got, want)
+		}
+		if got, want := h.Stats.MemBytes, h.Doc.MemBytes()+h.Index.MemBytes(); got != want {
+			t.Errorf("%s: Stats.MemBytes = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestResidentBytesPerNode pins the figure the benchmark reports as
+// resident_bytes_per_node on a document of its shape: five int32 per
+// node (labels, parent, lastDesc, text offsets, one occurrence entry)
+// and XMark's ~3 bytes of text.
+func TestResidentBytesPerNode(t *testing.T) {
+	h, err := New().Add("d", xmark.Generate(xmark.Config{Scale: 0.05, Seed: 1}), SourceDirect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perNode := float64(h.Stats.MemBytes) / float64(h.Stats.Nodes); perNode > 24 {
+		t.Errorf("%.2f resident bytes per node (%d bytes, %d nodes), want <= 24", perNode, h.Stats.MemBytes, h.Stats.Nodes)
+	} else {
+		t.Logf("%.2f resident bytes per node", perNode)
+	}
+}

@@ -52,6 +52,22 @@ func BenchmarkMmapOpenVsParse(b *testing.B) {
 		}
 	})
 
+	// The opt-in verified open (-verify-resident): the same open plus
+	// the element-wise passes. Not an arm of the gate; the row shows what
+	// the proof that the file holds a tree costs on top.
+	b.Run("verified-open", func(b *testing.B) {
+		b.SetBytes(fi.Size())
+		for i := 0; i < b.N; i++ {
+			_, _, _, m, err := OpenXQO2Verified(xqo2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			m.Close()
+			b.StartTimer()
+		}
+	})
+
 	b.Run("parse", func(b *testing.B) {
 		b.SetBytes(int64(len(xmlSrc)))
 		for i := 0; i < b.N; i++ {

@@ -137,7 +137,7 @@ func (ch *chain) patch(id string, base Gen, pt tree.Patch) (*Handle, []Gen, erro
 		Gen:      gen,
 		Nodes:    newDoc.NumNodes(),
 		Labels:   newDoc.Names().Size(),
-		MemBytes: estimateBytes(newDoc),
+		MemBytes: h.memBytes(),
 		Source:   SourcePatch,
 		LoadedAt: time.Now(),
 	}

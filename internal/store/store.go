@@ -300,7 +300,7 @@ func buildHandle(id string, d *tree.Document, src Source) *Handle {
 		ID:       id,
 		Nodes:    d.NumNodes(),
 		Labels:   d.Names().Size(),
-		MemBytes: estimateBytes(d),
+		MemBytes: h.memBytes(),
 		Source:   src,
 		LoadedAt: time.Now(),
 	}
@@ -443,16 +443,7 @@ func (s *Store) Len() int {
 	return len(s.docs)
 }
 
-// estimateBytes approximates the resident size of a document and its
-// index: six per-node int32 arrays in the document (labels, parent,
-// firstChild, nextSibling, lastDesc, depth) plus the text-offset array,
-// two more per-node arrays in the index (occurrence lists partition the
-// nodes; binEnd), the text blob, and the label table.
-func estimateBytes(d *tree.Document) int64 {
-	n := int64(d.NumNodes())
-	b := n*(7+2)*4 + int64(d.TextBytes())
-	for _, name := range d.Names().Names() {
-		b += int64(len(name)) + 16
-	}
-	return b
-}
+// memBytes is the resident size of a generation: what its document and
+// its index hold, summed from their live slices (for a mapped document,
+// the sections they alias).
+func (h *Handle) memBytes() int64 { return h.Doc.MemBytes() + h.Index.MemBytes() }

@@ -77,10 +77,11 @@ func OpenXQO2(path string) (*tree.Document, *tree.Succinct, *index.Index, *mmapx
 }
 
 // OpenXQO2Verified is OpenXQO2 plus the element-wise structural
-// validation pass (every link, occurrence and offset range-checked).
-// Use it for files that did not originate from this process: the
-// default open only verifies checksums, which catch corruption but not
-// a crafted file whose out-of-range values would panic a later query.
+// validation pass (parent and lastDesc proven to describe one tree;
+// every label, occurrence and offset range-checked). Use it for files
+// that did not originate from this process: the default open only
+// verifies checksums, which catch corruption but not a crafted file
+// whose values would panic a later query or send it round a cycle.
 func OpenXQO2Verified(path string) (*tree.Document, *tree.Succinct, *index.Index, *mmapx.Mapping, error) {
 	d, succ, ix, m, err := OpenXQO2(path)
 	if err != nil {
@@ -121,7 +122,7 @@ func (s *Store) LoadMapped(id, path string) (*Handle, error) {
 			ID:          id,
 			Nodes:       d.NumNodes(),
 			Labels:      d.Names().Size(),
-			MemBytes:    estimateBytes(d),
+			MemBytes:    h.memBytes(),
 			MappedBytes: int64(m.Len()),
 			Source:      SourceMapped,
 			LoadedAt:    time.Now(),

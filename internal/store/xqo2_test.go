@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/index"
@@ -101,9 +102,11 @@ func TestXQO2Corruption(t *testing.T) {
 	}
 }
 
-// TestXQO2Malformed covers the explicit rejection matrix: bad magic, bad
-// version, a corrupt section payload (checksum mismatch), and a section
-// table pointing past the end of the file.
+// TestXQO2Malformed covers the explicit rejection matrix: bad magic, a
+// version other than the current one — the previous one included: there
+// is one at-rest format and no compatibility branch, and the refusal
+// says how to regenerate the file — a corrupt section payload (checksum
+// mismatch), and a section table pointing past the end of the file.
 func TestXQO2Malformed(t *testing.T) {
 	d := xmark.Generate(xmark.Config{Scale: 0.001, Seed: 5})
 	path := saveXQO2(t, d)
@@ -111,9 +114,12 @@ func TestXQO2Malformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const resave = "xpq -file doc.xml -save doc.xqo2"
+	wantErr := map[string]string{"bad version": resave, "previous version": resave}
 	mutants := map[string]func([]byte){
-		"bad magic":   func(b []byte) { copy(b[0:4], "YYYY") },
-		"bad version": func(b []byte) { b[4] = 99 },
+		"bad magic":        func(b []byte) { copy(b[0:4], "YYYY") },
+		"bad version":      func(b []byte) { b[4] = 99 },
+		"previous version": func(b []byte) { b[4] = 2 },
 		"corrupt payload": func(b []byte) {
 			// First payload starts at the 64-byte-aligned end of the
 			// section table (header 24 bytes + count entries of 24).
@@ -134,6 +140,8 @@ func TestXQO2Malformed(t *testing.T) {
 		}
 		if _, _, _, _, err := OpenXQO2(mut); err == nil {
 			t.Errorf("%s: expected error", name)
+		} else if !strings.Contains(err.Error(), wantErr[name]) {
+			t.Errorf("%s: error %q does not say %q", name, err, wantErr[name])
 		}
 	}
 }
@@ -166,10 +174,11 @@ func rewriteSection(t *testing.T, data []byte, kind uint32, mutate func(payload 
 }
 
 // TestXQO2VerifyStructure pins the trust split between the default open
-// and the verified open: a CRC-valid file with out-of-range content is
-// accepted by OpenXQO2 (checksums only catch corruption; resident files
-// are a cache artifact this process wrote) but rejected by
-// OpenXQO2Verified and by a store in -verify-resident mode.
+// and the verified open: a CRC-valid file whose content is out of range,
+// or in range but not a tree, is accepted by OpenXQO2 (checksums only
+// catch corruption; resident files are a cache artifact this process
+// wrote) but rejected by OpenXQO2Verified and by a store in
+// -verify-resident mode.
 func TestXQO2VerifyStructure(t *testing.T) {
 	d := xmark.Generate(xmark.Config{Scale: 0.001, Seed: 11})
 	path := saveXQO2(t, d)
@@ -192,6 +201,27 @@ func TestXQO2VerifyStructure(t *testing.T) {
 		"lastDesc before node": func(b []byte) {
 			rewriteSection(t, b, tree.SecLastDesc, func(p []byte) {
 				binary.LittleEndian.PutUint32(p[len(p)-4:], 0)
+			})
+		},
+		// In range, so no bounds check trips — but every parent walk
+		// from node 5 or 7 (AncestorWithLabel, hybrid's upward match,
+		// Path) would never end.
+		"parent cycle": func(b []byte) {
+			rewriteSection(t, b, tree.SecParent, func(p []byte) {
+				binary.LittleEndian.PutUint32(p[4*5:], 7)
+				binary.LittleEndian.PutUint32(p[4*7:], 5)
+			})
+		},
+		// Node 3 (the first region) claims one node more than node 2
+		// (regions), its parent: overlapping subtree intervals.
+		"child interval past its parent's end": func(b []byte) {
+			rewriteSection(t, b, tree.SecLastDesc, func(p []byte) {
+				binary.LittleEndian.PutUint32(p[4*3:], binary.LittleEndian.Uint32(p[4*2:])+1)
+			})
+		},
+		"lastDesc[0] short": func(b []byte) {
+			rewriteSection(t, b, tree.SecLastDesc, func(p []byte) {
+				binary.LittleEndian.PutUint32(p[0:], uint32(len(p)/4-2))
 			})
 		},
 		"occurrences unsorted": func(b []byte) {

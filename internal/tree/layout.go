@@ -13,7 +13,7 @@ import (
 )
 
 // XQO2 resident layout — the only binary document format. It stores
-// every array of the in-memory representation (document link arrays,
+// every array of the in-memory representation (labels, parent, lastDesc,
 // text offsets + blob, bitvector words, rank superblocks, BP segment
 // tree, label table) verbatim in 64-byte-aligned, CRC-checksummed
 // sections, so an mmap'd file can be aliased into live structures
@@ -40,7 +40,7 @@ import (
 
 const (
 	xqo2Magic      = "XQO2"
-	xqo2Version    = 2
+	xqo2Version    = 3 // 2 also stored firstChild, nextSibling, depth and the index's binEnd
 	xqo2Align      = 64
 	xqo2EndianMark = 0x0102030405060708
 	xqo2HeaderLen  = 24
@@ -48,23 +48,22 @@ const (
 )
 
 // Section kinds. The tree package owns kinds below 32; other packages
-// layer their sections on top (internal/index uses 32+).
+// layer their sections on top (internal/index uses 32+). Kinds 4, 5 and
+// 7 (version 2's firstChild, nextSibling and depth) are retired: they
+// stay reserved so a number never means two things.
 const (
-	SecDocMeta     uint32 = 1  // scalars: numNodes, numNames, parenLen, parenOnes
-	SecLabels      uint32 = 2  // []LabelID, len numNodes
-	SecParent      uint32 = 3  // []NodeID, len numNodes
-	SecFirstChild  uint32 = 4  // []NodeID, len numNodes
-	SecNextSibling uint32 = 5  // []NodeID, len numNodes
-	SecLastDesc    uint32 = 6  // []NodeID, len numNodes
-	SecDepth       uint32 = 7  // []int32, len numNodes
-	SecTextOff     uint32 = 8  // []uint32, len numNodes
-	SecTextBlob    uint32 = 9  // raw bytes
-	SecNameOff     uint32 = 10 // []uint32, len numNames+1
-	SecNameBlob    uint32 = 11 // raw bytes
-	SecBPWords     uint32 = 12 // []uint64: parenthesis bitvector words
-	SecBPSuper     uint32 = 13 // []uint64: rank superblock directory
-	SecBPBlockMin  uint32 = 14 // []int32: min-excess segment tree
-	SecBPBlockSum  uint32 = 15 // []int32: excess-sum segment tree
+	SecDocMeta    uint32 = 1  // scalars: numNodes, numNames, parenLen, parenOnes
+	SecLabels     uint32 = 2  // []LabelID, len numNodes
+	SecParent     uint32 = 3  // []NodeID, len numNodes
+	SecLastDesc   uint32 = 6  // []NodeID, len numNodes
+	SecTextOff    uint32 = 8  // []uint32, len numNodes
+	SecTextBlob   uint32 = 9  // raw bytes
+	SecNameOff    uint32 = 10 // []uint32, len numNames+1
+	SecNameBlob   uint32 = 11 // raw bytes
+	SecBPWords    uint32 = 12 // []uint64: parenthesis bitvector words
+	SecBPSuper    uint32 = 13 // []uint64: rank superblock directory
+	SecBPBlockMin uint32 = 14 // []int32: min-excess segment tree
+	SecBPBlockSum uint32 = 15 // []int32: excess-sum segment tree
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -191,7 +190,7 @@ func OpenLayout(data []byte, owner any) (*Layout, error) {
 		return nil, fmt.Errorf("tree: xqo2: bad magic %q", data[:4])
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != xqo2Version {
-		return nil, fmt.Errorf("tree: xqo2: unsupported version %d (want %d)", v, xqo2Version)
+		return nil, fmt.Errorf("tree: xqo2: unsupported version %d (want %d) — a resident file is a cache artifact of the build that wrote it; regenerate it from its XML source (xpq -file doc.xml -save doc.xqo2)", v, xqo2Version)
 	}
 	if mark := *(*uint64)(unsafe.Pointer(&data[8])); mark != xqo2EndianMark {
 		return nil, fmt.Errorf("tree: xqo2: endianness mismatch (file written on a foreign-endian machine)")
@@ -314,10 +313,7 @@ func AddDocumentSections(w *LayoutWriter, d *Document, s *Succinct) {
 	w.Add(SecDocMeta, meta)
 	w.Add(SecLabels, SliceBytes(d.labels))
 	w.Add(SecParent, SliceBytes(d.parent))
-	w.Add(SecFirstChild, SliceBytes(d.firstChild))
-	w.Add(SecNextSibling, SliceBytes(d.nextSibling))
 	w.Add(SecLastDesc, SliceBytes(d.lastDesc))
-	w.Add(SecDepth, SliceBytes(d.depth))
 	w.Add(SecTextOff, SliceBytes(d.textOff))
 	w.Add(SecTextBlob, d.textBlob)
 	nameOff := make([]uint32, 0, d.names.Size()+1)
@@ -366,16 +362,7 @@ func DocumentFromLayout(l *Layout) (*Document, *Succinct, error) {
 	if d.parent, err = layoutSlice[NodeID](l, SecParent, n); err != nil {
 		return nil, nil, err
 	}
-	if d.firstChild, err = layoutSlice[NodeID](l, SecFirstChild, n); err != nil {
-		return nil, nil, err
-	}
-	if d.nextSibling, err = layoutSlice[NodeID](l, SecNextSibling, n); err != nil {
-		return nil, nil, err
-	}
 	if d.lastDesc, err = layoutSlice[NodeID](l, SecLastDesc, n); err != nil {
-		return nil, nil, err
-	}
-	if d.depth, err = layoutSlice[int32](l, SecDepth, n); err != nil {
 		return nil, nil, err
 	}
 	if d.textOff, err = layoutSlice[uint32](l, SecTextOff, n); err != nil {
@@ -385,8 +372,9 @@ func DocumentFromLayout(l *Layout) (*Document, *Succinct, error) {
 
 	// Shape checks here are O(1): section lengths against the node count
 	// (layoutSlice above) and the text directory's final offset against
-	// the blob. Element-wise structural validation — every link in
-	// range, text offsets monotone — is the opt-in VerifyStructure pass:
+	// the blob. Element-wise structural validation — parent and lastDesc
+	// describing a tree, text offsets monotone — is the opt-in
+	// VerifyStructure pass:
 	// the default open trusts checksummed content (the CRCs catch
 	// corruption; the format is a cache artifact written by this
 	// process), because re-scanning every array on every open would cost
@@ -439,29 +427,18 @@ func DocumentFromLayout(l *Layout) (*Document, *Succinct, error) {
 }
 
 // VerifyStructure runs the element-wise structural validation that the
-// zero-copy open skips by default: every link in range, lastDesc forming
-// valid subtree intervals, labels within the name table, and text
-// offsets monotone within the blob. It is the defense for files from
-// outside this process — a crafted value that passes the checksums
-// (which only catch corruption) would otherwise surface as a bounds
-// panic on whatever query first touches it. Each array gets one
-// branchless streaming pass (allU32Below and friends accumulate the
-// range predicate with OR/AND folds), the passes run in parallel over
-// their disjoint arrays, and the offending node is found by a re-scan
-// only on failure.
+// zero-copy open skips by default: parent and lastDesc describing one
+// tree in preorder, labels within the name table, and text offsets
+// monotone within the blob. It is the defense for files from outside
+// this process — a crafted value that passes the checksums (which only
+// catch corruption) would otherwise surface as a bounds panic, or a
+// parent walk that never ends, on whatever query first touches it. The
+// three checks run in parallel over their disjoint arrays; the label and
+// offset checks are branchless streaming folds (allU32Below) that find
+// the offending node by a re-scan only on failure.
 func (d *Document) VerifyStructure() error {
 	n := d.NumNodes()
 	numNames := d.names.Size()
-	linkCheck := func(name string, s []NodeID) func() error {
-		return func() error {
-			// Links live in [-1, n-1], i.e. link+1 in [0, n] unsigned.
-			if !allSuccBelow(s, uint32(n)+1) {
-				v := firstSuccAbove(s, uint32(n))
-				return fmt.Errorf("tree: xqo2: node %d %s %d out of range", v, name, s[v])
-			}
-			return nil
-		}
-	}
 	checks := []func() error{
 		func() error {
 			if !allU32Below(d.labels, uint32(numNames)) {
@@ -470,45 +447,7 @@ func (d *Document) VerifyStructure() error {
 			}
 			return nil
 		},
-		linkCheck("parent", d.parent),
-		linkCheck("firstChild", d.firstChild),
-		linkCheck("nextSibling", d.nextSibling),
-		func() error {
-			// lastDesc[v] must lie in [v, n): OR-fold the sign bit of
-			// lastDesc[v]-v (catches ld < v), the sign bit of the raw
-			// value (catches negatives) and AND-fold ld-n (clear top
-			// bit means some ld >= n). Unrolled four ways to split the
-			// fold dependency chains, as in allU32Below.
-			ld := d.lastDesc
-			var u0, u1, u2, u3 uint32
-			a0, a1, a2, a3 := ^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0)
-			v := 0
-			for ; v+4 <= len(ld); v += 4 {
-				l0, l1, l2, l3 := ld[v], ld[v+1], ld[v+2], ld[v+3]
-				u0 |= uint32(int32(l0)-int32(v)) | uint32(l0)
-				a0 &= uint32(l0) - uint32(n)
-				u1 |= uint32(int32(l1)-int32(v)-1) | uint32(l1)
-				a1 &= uint32(l1) - uint32(n)
-				u2 |= uint32(int32(l2)-int32(v)-2) | uint32(l2)
-				a2 &= uint32(l2) - uint32(n)
-				u3 |= uint32(int32(l3)-int32(v)-3) | uint32(l3)
-				a3 &= uint32(l3) - uint32(n)
-			}
-			for ; v < len(ld); v++ {
-				u0 |= uint32(int32(ld[v])-int32(v)) | uint32(ld[v])
-				a0 &= uint32(ld[v]) - uint32(n)
-			}
-			bad := u0 | u1 | u2 | u3
-			and := a0 & a1 & a2 & a3
-			if bad>>31 != 0 || and>>31 == 0 {
-				for v, l := range ld {
-					if l < NodeID(v) || int(l) >= n {
-						return fmt.Errorf("tree: xqo2: node %d lastDesc %d out of range", v, l)
-					}
-				}
-			}
-			return nil
-		},
+		d.verifyTree,
 		func() error {
 			// Text offsets: non-decreasing (OR-fold the sign of each
 			// step, four independent lanes), and then by monotonicity
@@ -538,6 +477,41 @@ func (d *Document) VerifyStructure() error {
 		},
 	}
 	return inParallel(len(checks), func(i int) error { return checks[i]() })
+}
+
+// verifyTree proves that parent and lastDesc are the two arrays of one
+// preorder tree: the root's interval is the whole document, and every
+// other node's parent is the innermost interval still open at its rank,
+// with its own interval inside that one. One pass with the stack of open
+// intervals; values are only compared, never used as an index, so no
+// content can make the check itself fault. What passes is navigable:
+// every parent is a lower rank (parent walks reach the root) and the
+// intervals nest (FirstChild/NextSibling visit each node once).
+func (d *Document) verifyTree() error {
+	parent, lastDesc := d.parent, d.lastDesc
+	n := NodeID(len(parent))
+	if parent[0] != Nil || lastDesc[0] != n-1 {
+		return fmt.Errorf("tree: xqo2: root has parent %d and lastDesc %d (want %d, %d)", parent[0], lastDesc[0], Nil, n-1)
+	}
+	type interval struct{ node, end NodeID }
+	open := make([]interval, 1, 64)
+	open[0] = interval{0, n - 1}
+	for v := NodeID(1); v < n; v++ {
+		for open[len(open)-1].end < v {
+			open = open[:len(open)-1] // the root's interval never closes before n
+		}
+		top, end := open[len(open)-1], lastDesc[v]
+		if parent[v] != top.node {
+			return fmt.Errorf("tree: xqo2: node %d has parent %d, but lies in the subtree of %d", v, parent[v], top.node)
+		}
+		if end < v || end > top.end {
+			return fmt.Errorf("tree: xqo2: node %d lastDesc %d outside [%d, %d], its parent's reach", v, end, v, top.end)
+		}
+		if end > v {
+			open = append(open, interval{v, end})
+		}
+	}
+	return nil
 }
 
 // allU32Below reports whether every element of s lies in [0, bound),
@@ -579,60 +553,6 @@ func allU32Below[T ~int32](s []T, bound uint32) bool {
 func firstAtLeast[T ~int32](s []T, bound uint32) int {
 	for i, v := range s {
 		if uint32(v) >= bound {
-			return i
-		}
-	}
-	return -1
-}
-
-// allSuccBelow is allU32Below over v+1: tree links live in [-1, n-1],
-// so the shifted range [0, n] is one fold against bound = n+1 (≤ 2^31).
-func allSuccBelow(s []NodeID, bound uint32) bool {
-	// Same chain split as allU32Below, but over uint64 loads: each load
-	// brings in two links, halving load-port pressure on what is a
-	// memory-bound scan over mapped pages.
-	var n0, n1, n2, n3 uint32
-	a0, a1, a2, a3 := ^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0)
-	i := 0
-	if len(s) >= 2 {
-		words := unsafe.Slice((*uint64)(unsafe.Pointer(&s[0])), len(s)/2)
-		j := 0
-		for ; j+2 <= len(words); j += 2 {
-			w0, w1 := words[j], words[j+1]
-			v0, v1 := uint32(w0)+1, uint32(w0>>32)+1
-			v2, v3 := uint32(w1)+1, uint32(w1>>32)+1
-			n0 |= v0
-			a0 &= v0 - bound
-			n1 |= v1
-			a1 &= v1 - bound
-			n2 |= v2
-			a2 &= v2 - bound
-			n3 |= v3
-			a3 &= v3 - bound
-		}
-		for ; j < len(words); j++ {
-			v0, v1 := uint32(words[j])+1, uint32(words[j]>>32)+1
-			n0 |= v0
-			a0 &= v0 - bound
-			n1 |= v1
-			a1 &= v1 - bound
-		}
-		i = len(words) * 2
-	}
-	for ; i < len(s); i++ {
-		v := uint32(s[i] + 1)
-		n0 |= v
-		a0 &= v - bound
-	}
-	neg := n0 | n1 | n2 | n3
-	and := a0 & a1 & a2 & a3
-	return neg>>31 == 0 && and>>31 != 0
-}
-
-// firstSuccAbove returns the first index with uint32(v+1) > bound.
-func firstSuccAbove(s []NodeID, bound uint32) int {
-	for i, v := range s {
-		if uint32(v+1) > bound {
 			return i
 		}
 	}

@@ -41,10 +41,10 @@ const linkAloneBelow = 1 << 15
 // first event and closes after the last.
 //
 // Two passes over the events share the work, concurrently for all but
-// small documents: one needs only a depth counter (labels, depths, text
-// offsets, the blob), the other the stack of open elements (the four
-// link arrays). On a fresh heap most of the time goes to first touches
-// of the arrays' pages, and those the two passes split evenly.
+// small documents: one needs no state between events (labels, text
+// offsets, the blob), the other the stack of open elements (parent and
+// lastDesc). On a fresh heap most of the time goes to first touches of
+// the arrays' pages, and those the two passes split evenly.
 func Link(names *LabelTable, parts []Part) (*Document, error) {
 	n, textBytes := 1, 0
 	for i := range parts {
@@ -58,16 +58,13 @@ func Link(names *LabelTable, parts []Part) (*Document, error) {
 		panic("tree: text content exceeds 4GB blob limit")
 	}
 	d := &Document{
-		labels:      make([]LabelID, n),
-		parent:      make([]NodeID, n),
-		firstChild:  make([]NodeID, n),
-		nextSibling: make([]NodeID, n),
-		lastDesc:    make([]NodeID, n),
-		depth:       make([]int32, n),
-		textOff:     make([]uint32, n),
-		textBlob:    make([]byte, textBytes),
-		names:       names,
-		labelCount:  make([]int32, names.Size()),
+		labels:     make([]LabelID, n),
+		parent:     make([]NodeID, n),
+		lastDesc:   make([]NodeID, n),
+		textOff:    make([]uint32, n),
+		textBlob:   make([]byte, textBytes),
+		names:      names,
+		labelCount: make([]int32, names.Size()),
 	}
 	var err error
 	if n < linkAloneBelow {
@@ -88,11 +85,11 @@ func Link(names *LabelTable, parts []Part) (*Document, error) {
 	return d, nil
 }
 
-// fillNodes sets what a node has by itself: label, depth and text.
+// fillNodes sets what a node has by itself: label and text.
 func (d *Document) fillNodes(parts []Part) {
-	labels, depth, textOff, counts := d.labels, d.depth, d.textOff, d.labelCount
+	labels, textOff, counts := d.labels, d.textOff, d.labelCount
 	counts[LabelDoc] = 1
-	v, level, cur := 1, int32(1), uint32(0)
+	v, cur := 1, uint32(0)
 	for i := range parts {
 		p := &parts[i]
 		copy(d.textBlob[cur:], p.Blob)
@@ -100,19 +97,15 @@ func (d *Document) fillNodes(parts []Part) {
 		remap, textLen, ti := p.Remap, p.TextLen, 0
 		for _, e := range p.Ev {
 			if e == EvClose {
-				level--
 				continue
 			}
 			l := remap[e]
 			labels[v] = l
 			counts[l]++
-			depth[v] = level
 			textOff[v] = cur
 			if l == LabelText {
 				cur += textLen[ti]
 				ti++
-			} else {
-				level++
 			}
 			v++
 		}
@@ -125,42 +118,27 @@ func (d *Document) fillNodes(parts []Part) {
 	}
 }
 
-// linkNodes sets the four link arrays and checks the stream's balance.
+// linkNodes sets parent and lastDesc and checks the stream's balance.
 func (d *Document) linkNodes(parts []Part) error {
-	parent, firstChild, nextSibling, lastDesc := d.parent, d.firstChild, d.nextSibling, d.lastDesc
-	// open is the stack of unclosed elements, each with the child it
-	// received last (where the next child's sibling link goes).
-	type frame struct{ node, last NodeID }
-	open := make([]frame, 1, 64)
-	open[0] = frame{0, Nil}
-	parent[0], firstChild[0], nextSibling[0] = Nil, Nil, Nil
+	parent, lastDesc := d.parent, d.lastDesc
+	open := make([]NodeID, 1, 64) // the unclosed elements, the root first
+	parent[0] = Nil
 	v := NodeID(1)
 	for i := range parts {
 		for _, e := range parts[i].Ev {
-			top := &open[len(open)-1]
 			if e == EvClose {
 				if len(open) == 1 {
 					return fmt.Errorf("tree: close event with no open element")
 				}
-				closed := top.node
-				lastDesc[closed] = v - 1
+				lastDesc[open[len(open)-1]] = v - 1
 				open = open[:len(open)-1]
-				open[len(open)-1].last = closed
 				continue
 			}
-			parent[v] = top.node
-			firstChild[v] = Nil
-			nextSibling[v] = Nil
-			if top.last == Nil {
-				firstChild[top.node] = v
-			} else {
-				nextSibling[top.last] = v
-			}
+			parent[v] = open[len(open)-1]
 			if e == int32(LabelText) {
 				lastDesc[v] = v
-				top.last = v
 			} else {
-				open = append(open, frame{v, Nil})
+				open = append(open, v)
 			}
 			v++
 		}

@@ -13,11 +13,23 @@ import (
 
 // TestExactArrays: a built document holds no capacity beyond its
 // lengths, whether it was parsed (entities decoded or not, one chunk or
-// several) or generated — so the store's size estimate, n×9×4 bytes plus
-// text, describes memory the process really holds.
+// several), generated or patched — so Document.MemBytes, which sums the
+// lengths, describes memory the process really holds.
 func TestExactArrays(t *testing.T) {
 	big := xmark.Generate(xmark.Config{Scale: 0.1, Seed: 1})
 	docs := map[string]*tree.Document{"generated": big}
+	frag := tgen.Chain("graft", 3)
+	for name, pt := range map[string]tree.Patch{
+		"patched insert":  {Op: tree.OpInsert, Node: big.DocumentElement(), Before: tree.Nil, Frag: frag},
+		"patched replace": {Op: tree.OpReplace, Node: big.FirstChild(big.DocumentElement()), Before: tree.Nil, Frag: frag},
+		"patched delete":  {Op: tree.OpDelete, Node: big.FirstChild(big.DocumentElement()), Before: tree.Nil},
+	} {
+		d, _, err := big.Apply(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[name] = d
+	}
 	for name, src := range map[string]string{
 		"parsed":          big.XMLString(), // 3 MB: more than one chunk
 		"parsed entities": `<r a="&lt;1&gt;">&amp;<e>&#65;</e><![CDATA[x]]></r>`,
@@ -33,6 +45,21 @@ func TestExactArrays(t *testing.T) {
 			t.Errorf("%s document: %d bytes of capacity beyond the arrays' lengths", name, spare)
 		}
 	}
+}
+
+// TestNavigationMatchesReferenceOnXMark: on a document of the shape the
+// benchmark serves, and on a patched generation of it, the moves derived
+// from parent and lastDesc are those the pointer-chasing reference
+// builder writes down.
+func TestNavigationMatchesReferenceOnXMark(t *testing.T) {
+	d := xmark.Generate(xmark.Config{Scale: 0.01, Seed: 3})
+	tree.RequireMatchesReference(t, "xmark", d)
+	regions := d.FirstChild(d.DocumentElement())
+	patched, _, err := d.Apply(tree.Patch{Op: tree.OpInsert, Node: regions, Before: d.FirstChild(regions), Frag: tgen.Random(7, tgen.Config{MaxNodes: 40, TextProb: 0.3})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree.RequireMatchesReference(t, "xmark patched", patched)
 }
 
 // layout is d at rest: every array, the text blob and the label table.

@@ -7,10 +7,12 @@ import "fmt"
 // mutable with its parent — by splicing one contiguous preorder
 // interval. Because a subtree is exactly the interval [v, LastDesc(v)],
 // every patch (insert, delete, replace) is a single array splice with
-// offset arithmetic on the link values, O(n) memcpy-speed work instead
-// of an O(n) re-parse plus index rebuild. The Delta describing the
-// splice is what lets internal/index and the BP view update
-// incrementally too.
+// offset arithmetic on the parent and lastDesc values — ranks after the
+// splice shift, intervals around it grow or shrink, and nothing is
+// re-linked, because sibling order is implied by the intervals — O(n)
+// memcpy-speed work instead of an O(n) re-parse plus index rebuild. The
+// Delta describing the splice is what lets internal/index and the BP
+// view update incrementally too.
 
 // PatchOp selects the mutation kind.
 type PatchOp uint8
@@ -116,29 +118,14 @@ func fragRoot(frag *Document) (NodeID, error) {
 	if frag == nil || frag.NumNodes() < 2 {
 		return Nil, fmt.Errorf("tree: patch fragment is empty")
 	}
-	r := frag.firstChild[0]
-	if r == Nil || frag.nextSibling[r] != Nil {
+	const r = NodeID(1)
+	if frag.lastDesc[r] != frag.lastDesc[0] {
 		return Nil, fmt.Errorf("tree: patch fragment must have exactly one root element")
 	}
 	if frag.labels[r] == LabelText {
 		return Nil, fmt.Errorf("tree: patch fragment root must be an element, not text")
 	}
 	return r, nil
-}
-
-// prevSibling returns the previous sibling of v, or Nil when v is a
-// first child. O(depth): the node at preorder v-1 is either v's parent
-// (v is a first child) or lies inside the previous sibling's subtree.
-func (d *Document) prevSibling(v NodeID) NodeID {
-	p := d.parent[v]
-	u := v - 1
-	if u == p {
-		return Nil
-	}
-	for d.parent[u] != p {
-		u = d.parent[u]
-	}
-	return u
 }
 
 // Apply performs one subtree patch, returning the next generation of
@@ -220,14 +207,11 @@ func (d *Document) splice(dl *Delta) *Document {
 		nn     = int(n) + m - k
 	)
 	nd := &Document{
-		labels:      make([]LabelID, nn),
-		parent:      make([]NodeID, nn),
-		firstChild:  make([]NodeID, nn),
-		nextSibling: make([]NodeID, nn),
-		lastDesc:    make([]NodeID, nn),
-		depth:       make([]int32, nn),
-		textOff:     make([]uint32, nn),
-		names:       d.names.clone(),
+		labels:   make([]LabelID, nn),
+		parent:   make([]NodeID, nn),
+		lastDesc: make([]NodeID, nn),
+		textOff:  make([]uint32, nn),
+		names:    d.names.clone(),
 	}
 	// Text blob: prefix bytes keep their offsets; fragment and suffix
 	// bytes are rebased. Everything is copied into fresh heap memory —
@@ -248,45 +232,16 @@ func (d *Document) splice(dl *Delta) *Document {
 	}
 	blob = append(blob, d.textBlob[suffixBase:]...)
 	nd.textBlob = blob
-	// remap shifts an old link value into the new id space. Values
-	// inside the removed interval are unreachable after the sibling
-	// re-links below, except the splice position itself, which maps to
-	// wherever the splice pushed it (relevant only for inserts, where
-	// the displaced `before` node survives at q+m).
-	remap := func(v NodeID) NodeID {
-		if v == Nil || v < q {
-			return v
-		}
-		if v >= cut {
-			return v + delta
-		}
-		return q + NodeID(m) // v == q, displaced by an insert
-	}
 
-	// Prefix [0, q): ids are stable; links into the shifted suffix move.
+	// Prefix [0, q): ids are stable, so parents are too, and the only
+	// subtree intervals that change length are those around the splice:
+	// the splice parent's and its ancestors'.
 	copy(nd.labels[:q], d.labels[:q])
-	copy(nd.depth[:q], d.depth[:q])
 	copy(nd.textOff[:q], d.textOff[:q])
-	lastDescP := d.lastDesc[parent]
-	for v := NodeID(0); v < q; v++ {
-		nd.parent[v] = d.parent[v] // always < v < q
-		nd.firstChild[v] = remap(d.firstChild[v])
-		nd.nextSibling[v] = remap(d.nextSibling[v])
-		L := d.lastDesc[v]
-		if k > 0 {
-			// A prefix node's subtree interval either ends before the
-			// removed range (L < q) or spans it entirely (v is an
-			// ancestor of the removed root, L >= removed end - 1 >= q).
-			if L >= q {
-				L += delta
-			}
-		} else if v <= parent && L >= lastDescP {
-			// Pure insert: only ancestors-or-self of the insert parent
-			// grow. The interval test alone would miss appends (where
-			// q == lastDesc(parent)+1 lies just outside every interval).
-			L += delta
-		}
-		nd.lastDesc[v] = L
+	copy(nd.parent[:q], d.parent[:q])
+	copy(nd.lastDesc[:q], d.lastDesc[:q])
+	for a := parent; a != Nil; a = d.parent[a] {
+		nd.lastDesc[a] += delta
 	}
 
 	// Grafted fragment occupies [q, q+m): fragment node f gets id
@@ -297,85 +252,33 @@ func (d *Document) splice(dl *Delta) *Document {
 		for i, name := range fr.names.names {
 			labelMap[i] = nd.names.Intern(name)
 		}
-		fremap := func(f NodeID) NodeID {
-			if f == Nil {
-				return Nil
-			}
-			return q + f - 1
-		}
-		baseDepth := d.depth[parent]
 		for f := NodeID(1); int(f) <= m; f++ {
 			v := q + f - 1
 			nd.labels[v] = labelMap[fr.labels[f]]
-			nd.depth[v] = baseDepth + fr.depth[f]
 			if fp := fr.parent[f]; fp == 0 {
 				nd.parent[v] = parent
 			} else {
-				nd.parent[v] = fremap(fp)
+				nd.parent[v] = q + fp - 1
 			}
-			nd.firstChild[v] = fremap(fr.firstChild[f])
-			nd.nextSibling[v] = fremap(fr.nextSibling[f])
-			nd.lastDesc[v] = fremap(fr.lastDesc[f])
+			nd.lastDesc[v] = q + fr.lastDesc[f] - 1
 			nd.textOff[v] = uint32(prefixLen + int(fr.textOff[f]) - fragBase)
 		}
 	}
 
-	// Suffix [cut, n): ids and every link value >= cut shift by delta;
-	// links to stable prefix nodes keep their values.
+	// Suffix [cut, n): ids shift by delta, and with them every subtree
+	// end and every parent that itself lies in the suffix; a parent in
+	// the prefix keeps its id (none lies in the removed interval).
+	copy(nd.labels[cut+delta:], d.labels[cut:])
+	textShift := uint32(prefixLen + fragLen - suffixBase) // mod 2^32: a shrinking blob shifts down
 	for v := cut; v < n; v++ {
 		w := v + delta
-		nd.labels[w] = d.labels[v]
-		nd.depth[w] = d.depth[v]
-		nd.parent[w] = remap(d.parent[v])
-		nd.firstChild[w] = remap(d.firstChild[v])
-		nd.nextSibling[w] = remap(d.nextSibling[v])
+		p := d.parent[v]
+		if p >= cut {
+			p += delta
+		}
+		nd.parent[w] = p
 		nd.lastDesc[w] = d.lastDesc[v] + delta
-		nd.textOff[w] = uint32(prefixLen + fragLen + int(d.textOff[v]) - suffixBase)
-	}
-
-	// Re-link the sibling chain around the splice. anchor is the old
-	// node whose chain position the splice takes; target is what the
-	// link into that position now points at.
-	anchor := q // delete/replace: the removed root; insert-before: before
-	if dl.Before == Nil && k == 0 {
-		anchor = Nil // append: nothing displaced
-	}
-	var target NodeID
-	switch {
-	case m > 0:
-		target = q // the grafted root
-	default:
-		target = remap(d.nextSibling[q]) // delete: close the gap
-	}
-	if anchor != Nil {
-		if d.firstChild[parent] == anchor {
-			nd.firstChild[parent] = target
-		} else {
-			nd.nextSibling[d.prevSibling(anchor)] = target
-		}
-	} else if d.firstChild[parent] == Nil {
-		nd.firstChild[parent] = q
-	} else {
-		// Append: the old last child is the ancestor of node q-1
-		// (== lastDesc(parent)) that hangs directly under parent.
-		lc := q - 1
-		for d.parent[lc] != parent {
-			lc = d.parent[lc]
-		}
-		nd.nextSibling[lc] = q
-	}
-	// The grafted root's own next sibling: the displaced node for
-	// insert-before, the replaced node's old successor for replace, Nil
-	// for append.
-	if m > 0 {
-		switch {
-		case dl.Before != Nil:
-			nd.nextSibling[q] = q + NodeID(m)
-		case k > 0:
-			nd.nextSibling[q] = remap(d.nextSibling[q])
-		default:
-			nd.nextSibling[q] = Nil
-		}
+		nd.textOff[w] = d.textOff[v] + textShift
 	}
 	return nd
 }

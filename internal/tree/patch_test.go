@@ -177,7 +177,8 @@ func randomPatch(rng *rand.Rand, d *Document) (Patch, *mnode) {
 	}
 }
 
-// requireEqualDocs compares every array of the two documents.
+// requireEqualDocs compares every array of the two documents, and the
+// navigation each derives from them.
 func requireEqualDocs(t *testing.T, step int, got, want *Document) {
 	t.Helper()
 	if got.NumNodes() != want.NumNodes() {
@@ -187,13 +188,13 @@ func requireEqualDocs(t *testing.T, step int, got, want *Document) {
 		if got.LabelName(v) != want.LabelName(v) {
 			t.Fatalf("step %d node %d: label %q, want %q", step, v, got.LabelName(v), want.LabelName(v))
 		}
-		if got.parent[v] != want.parent[v] || got.firstChild[v] != want.firstChild[v] ||
-			got.nextSibling[v] != want.nextSibling[v] || got.lastDesc[v] != want.lastDesc[v] ||
-			got.depth[v] != want.depth[v] {
-			t.Fatalf("step %d node %d: links (p=%d fc=%d ns=%d ld=%d d=%d), want (p=%d fc=%d ns=%d ld=%d d=%d)",
+		if got.parent[v] != want.parent[v] || got.lastDesc[v] != want.lastDesc[v] ||
+			got.FirstChild(v) != want.FirstChild(v) || got.NextSibling(v) != want.NextSibling(v) ||
+			got.Depth(v) != want.Depth(v) || got.BinEnd(v) != want.BinEnd(v) {
+			t.Fatalf("step %d node %d: links (p=%d ld=%d fc=%d ns=%d d=%d be=%d), want (p=%d ld=%d fc=%d ns=%d d=%d be=%d)",
 				step, v,
-				got.parent[v], got.firstChild[v], got.nextSibling[v], got.lastDesc[v], got.depth[v],
-				want.parent[v], want.firstChild[v], want.nextSibling[v], want.lastDesc[v], want.depth[v])
+				got.parent[v], got.lastDesc[v], got.FirstChild(v), got.NextSibling(v), got.Depth(v), got.BinEnd(v),
+				want.parent[v], want.lastDesc[v], want.FirstChild(v), want.NextSibling(v), want.Depth(v), want.BinEnd(v))
 		}
 		if got.Text(v) != want.Text(v) {
 			t.Fatalf("step %d node %d: text %q, want %q", step, v, got.Text(v), want.Text(v))

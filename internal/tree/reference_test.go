@@ -1,23 +1,40 @@
 package tree
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
+// refDoc holds the arrays a Document stored before its navigation was
+// derived from parent and lastDesc: first child, next sibling and depth
+// written down per node as the events arrive.
+type refDoc struct {
+	labels      []LabelID
+	parent      []NodeID
+	firstChild  []NodeID
+	nextSibling []NodeID
+	lastDesc    []NodeID
+	depth       []int32
+	textOff     []uint32
+	textBlob    []byte
+	names       *LabelTable
+}
+
 // refBuilder is the Builder this package had before Link: it grows the
-// seven arrays by append and maintains the links as the events arrive.
-// Kept, for tests only, as the independent definition of what an event
-// stream means; TestLinkMatchesReferenceBuilder holds Link to it.
+// arrays by append and maintains the links by pointer chasing as the
+// events arrive. Kept, for tests only, as the independent definition of
+// what an event stream means; requireMatchesReference holds Link, the
+// splice and the derived navigation to it.
 type refBuilder struct {
-	doc   *Document
+	doc   *refDoc
 	stack []NodeID
 	prev  []NodeID // last closed child per stack level, for sibling links
 }
 
 func newRefBuilder() *refBuilder {
-	b := &refBuilder{doc: &Document{names: NewLabelTable()}}
+	b := &refBuilder{doc: &refDoc{names: NewLabelTable()}}
 	b.open(LabelDoc)
 	return b
 }
@@ -63,14 +80,82 @@ func (b *refBuilder) close() {
 	}
 }
 
-func (b *refBuilder) finish() *Document {
-	b.close()
+// finish closes what is still open, the synthetic root last.
+func (b *refBuilder) finish() *refDoc {
+	for len(b.stack) > 0 {
+		b.close()
+	}
 	return b.doc
+}
+
+// replay feeds d's event stream to the reference builder. The stream is
+// read off labels, parent and the text alone — a node's open elements
+// close until its parent is the innermost — so nothing the reference is
+// compared against (lastDesc, the derived moves) takes part in making it.
+func replay(d *Document) *refDoc {
+	b := newRefBuilder()
+	for _, name := range d.names.names {
+		b.doc.names.Intern(name)
+	}
+	for v := NodeID(1); int(v) < d.NumNodes(); v++ {
+		for b.stack[len(b.stack)-1] != d.parent[v] {
+			b.close()
+		}
+		if d.labels[v] == LabelText {
+			b.text(d.Text(v))
+		} else {
+			b.open(d.labels[v])
+		}
+	}
+	return b.finish()
+}
+
+// requireMatchesReference compares d with what the reference builder
+// makes of d's own event stream: the stored arrays whole, and the moves
+// a Document derives — FirstChild, NextSibling, Depth, BinEnd — against
+// the reference's pointer-chased arrays node by node.
+func requireMatchesReference(t *testing.T, what string, d *Document) {
+	t.Helper()
+	requireEqualsReference(t, what, d, replay(d))
+}
+
+func requireEqualsReference(t *testing.T, what string, got *Document, want *refDoc) {
+	t.Helper()
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"labels", got.labels, want.labels}, {"parent", got.parent, want.parent},
+		{"lastDesc", got.lastDesc, want.lastDesc}, {"textOff", got.textOff, want.textOff},
+		{"textBlob", string(got.textBlob), string(want.textBlob)},
+		{"names", got.names.names, want.names.names},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			t.Fatalf("%s: %s\n got %v\nwant %v", what, f.name, f.got, f.want)
+		}
+	}
+	if got, want := got.DocumentElement(), want.firstChild[0]; got != want {
+		t.Fatalf("%s: DocumentElement() = %d, want %d", what, got, want)
+	}
+	for v := NodeID(0); int(v) < len(want.labels); v++ {
+		binEnd := want.lastDesc[0]
+		if p := want.parent[v]; p != Nil {
+			binEnd = want.lastDesc[p]
+		}
+		if got.FirstChild(v) != want.firstChild[v] || got.BinaryLeft(v) != want.firstChild[v] ||
+			got.NextSibling(v) != want.nextSibling[v] || got.BinaryRight(v) != want.nextSibling[v] ||
+			got.Depth(v) != int(want.depth[v]) || got.BinEnd(v) != binEnd {
+			t.Fatalf("%s node %d: derived (fc=%d ns=%d depth=%d binEnd=%d), reference (fc=%d ns=%d depth=%d binEnd=%d)",
+				what, v, got.FirstChild(v), got.NextSibling(v), got.Depth(v), got.BinEnd(v),
+				want.firstChild[v], want.nextSibling[v], want.depth[v], binEnd)
+		}
+	}
 }
 
 // TestLinkMatchesReferenceBuilder drives random open/text/close
 // sequences into the Builder (events, then Link) and into the reference
-// builder, and compares every array, the blob and the label table.
+// builder, and compares every array, the blob, the label table and the
+// derived navigation.
 func TestLinkMatchesReferenceBuilder(t *testing.T) {
 	labels := []string{"a", "b", "c", "@x", "long-name.with:chars"}
 	for seed := int64(0); seed < 200; seed++ {
@@ -101,29 +186,17 @@ func TestLinkMatchesReferenceBuilder(t *testing.T) {
 		}
 		for ; depth > 0; depth-- {
 			b.Close()
-			ref.close()
 		}
 		got, want := b.MustFinish(), ref.finish()
-		for _, f := range []struct {
-			name      string
-			got, want any
-		}{
-			{"labels", got.labels, want.labels}, {"parent", got.parent, want.parent},
-			{"firstChild", got.firstChild, want.firstChild}, {"nextSibling", got.nextSibling, want.nextSibling},
-			{"lastDesc", got.lastDesc, want.lastDesc}, {"depth", got.depth, want.depth},
-			{"textOff", got.textOff, want.textOff}, {"textBlob", string(got.textBlob), string(want.textBlob)},
-			{"names", got.names.names, want.names.names},
-		} {
-			if !reflect.DeepEqual(f.got, f.want) {
-				t.Fatalf("seed %d: %s\n got %v\nwant %v", seed, f.name, f.got, f.want)
-			}
-		}
+		requireEqualsReference(t, fmt.Sprint("seed ", seed), got, want)
+		requireMatchesReference(t, fmt.Sprint("seed ", seed, " replayed"), got)
 		counts := make([]int32, want.names.Size())
 		for _, l := range want.labels {
 			counts[l]++
 		}
-		if !reflect.DeepEqual(got.LabelCounts(), counts) || !reflect.DeepEqual(want.LabelCounts(), counts) {
-			t.Fatalf("seed %d: LabelCounts = %v (built) / %v (counted), want %v", seed, got.LabelCounts(), want.LabelCounts(), counts)
+		recount := &Document{labels: got.labels, names: got.names} // as opened or patched: no counts kept
+		if !reflect.DeepEqual(got.LabelCounts(), counts) || !reflect.DeepEqual(recount.LabelCounts(), counts) {
+			t.Fatalf("seed %d: LabelCounts = %v (built) / %v (counted), want %v", seed, got.LabelCounts(), recount.LabelCounts(), counts)
 		}
 	}
 }

@@ -13,18 +13,17 @@ type Succinct struct {
 	doc *Document
 }
 
-// NewSuccinct builds the parenthesis representation of d's topology.
+// NewSuccinct builds the parenthesis representation of d's topology:
+// each rank opens in turn, followed by a close for every subtree that
+// ends there, innermost first.
 func NewSuccinct(d *Document) *Succinct {
 	b := bp.NewBuilder(d.NumNodes())
-	var walk func(v NodeID)
-	walk = func(v NodeID) {
+	for v, n := NodeID(0), NodeID(d.NumNodes()); v < n; v++ {
 		b.Open()
-		for c := d.FirstChild(v); c != Nil; c = d.NextSibling(c) {
-			walk(c)
+		for u := v; u != Nil && d.lastDesc[u] == v; u = d.parent[u] {
+			b.Close()
 		}
-		b.Close()
 	}
-	walk(d.Root())
 	return &Succinct{bt: b.Build(), doc: d}
 }
 
@@ -52,16 +51,15 @@ func SpliceSuccinct(old *Succinct, newDoc *Document, dl *Delta) *Succinct {
 	var ins []bool
 	if dl.Inserted > 0 {
 		ins = make([]bool, 0, 2*dl.Inserted)
-		f := dl.Frag
-		var walk func(v NodeID)
-		walk = func(v NodeID) {
+		// The fragment element's sequence, in NewSuccinct's order; the
+		// closes stop at r, above which is only the fragment's #doc.
+		f, r := dl.Frag, dl.Frag.DocumentElement()
+		for v := r; v <= f.lastDesc[r]; v++ {
 			ins = append(ins, true)
-			for c := f.FirstChild(v); c != Nil; c = f.NextSibling(c) {
-				walk(c)
+			for u := v; u >= r && f.lastDesc[u] == v; u = f.parent[u] {
+				ins = append(ins, false)
 			}
-			ins = append(ins, false)
 		}
-		walk(f.DocumentElement())
 	}
 	return &Succinct{bt: bt.Splice(at, del, ins), doc: newDoc}
 }

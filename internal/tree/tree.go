@@ -5,7 +5,11 @@
 //
 // Nodes are identified by their preorder rank (NodeID); the subtree of v is
 // the contiguous preorder interval [v, LastDesc(v)], which is what makes the
-// jumping functions of internal/index cheap.
+// jumping functions of internal/index cheap — and what makes two arrays,
+// parent and lastDesc, the whole topology: a node's first child is the
+// next rank if its interval is longer than itself, its next sibling is
+// the rank after its interval if that still lies in the parent's, and
+// its binary subtree ends where its parent's interval does.
 //
 // Node 0 is always a synthetic document root labeled "#doc" whose single
 // element child is the document element; this mirrors the XPath data model
@@ -114,15 +118,12 @@ func (lt *LabelTable) Names() []string {
 // document's text directly out of an mmap'd file, and keeps Text zero-copy
 // either way.
 type Document struct {
-	labels      []LabelID
-	parent      []NodeID
-	firstChild  []NodeID
-	nextSibling []NodeID
-	lastDesc    []NodeID // last preorder node of the subtree
-	depth       []int32
-	textOff     []uint32 // per preorder rank: start of v's text in textBlob
-	textBlob    []byte
-	names       *LabelTable
+	labels   []LabelID
+	parent   []NodeID
+	lastDesc []NodeID // last preorder node of the subtree
+	textOff  []uint32 // per preorder rank: start of v's text in textBlob
+	textBlob []byte
+	names    *LabelTable
 	// labelCount holds the per-label node counts when the document was
 	// built by Link; nil otherwise (see LabelCounts).
 	labelCount []int32
@@ -222,7 +223,7 @@ func (d *Document) Root() NodeID { return 0 }
 
 // DocumentElement returns the root element of the document (first child of
 // the synthetic root), or Nil for an empty document.
-func (d *Document) DocumentElement() NodeID { return d.firstChild[0] }
+func (d *Document) DocumentElement() NodeID { return d.FirstChild(0) }
 
 // Label returns the label of v.
 func (d *Document) Label(v NodeID) LabelID { return d.labels[v] }
@@ -236,18 +237,49 @@ func (d *Document) Names() *LabelTable { return d.names }
 // Parent returns v's parent, or Nil for the root.
 func (d *Document) Parent(v NodeID) NodeID { return d.parent[v] }
 
-// FirstChild returns v's first child, or Nil.
-func (d *Document) FirstChild(v NodeID) NodeID { return d.firstChild[v] }
+// FirstChild returns v's first child, or Nil: in preorder a node with
+// descendants is followed by its first child.
+func (d *Document) FirstChild(v NodeID) NodeID {
+	if d.lastDesc[v] > v {
+		return v + 1
+	}
+	return Nil
+}
 
-// NextSibling returns v's next sibling, or Nil.
-func (d *Document) NextSibling(v NodeID) NodeID { return d.nextSibling[v] }
+// NextSibling returns v's next sibling, or Nil: the node after v's
+// subtree, if the parent's subtree reaches that far. Both navigation
+// moves return a rank above v (lastDesc[v] is never below v), so no
+// chain of them can cycle.
+func (d *Document) NextSibling(v NodeID) NodeID {
+	if s := d.lastDesc[v] + 1; s <= d.BinEnd(v) {
+		return s
+	}
+	return Nil
+}
 
 // LastDesc returns the last node of v's subtree in preorder (v itself for
 // leaves). The subtree of v is exactly the interval [v, LastDesc(v)].
 func (d *Document) LastDesc(v NodeID) NodeID { return d.lastDesc[v] }
 
-// Depth returns the depth of v; the synthetic root has depth 0.
-func (d *Document) Depth(v NodeID) int { return int(d.depth[v]) }
+// BinEnd returns the last preorder node of v's binary subtree — v's own
+// subtree plus everything under its following siblings, which ends where
+// the parent's subtree does (for the root, with the document).
+func (d *Document) BinEnd(v NodeID) NodeID {
+	if p := d.parent[v]; p != Nil {
+		return d.lastDesc[p]
+	}
+	return NodeID(len(d.lastDesc) - 1)
+}
+
+// Depth returns the depth of v, counted along the parent chain; the
+// synthetic root has depth 0. O(depth): no evaluator asks for it.
+func (d *Document) Depth(v NodeID) int {
+	depth := 0
+	for p := d.parent[v]; p != Nil; p = d.parent[p] {
+		depth++
+	}
+	return depth
+}
 
 // textOffAt returns the blob offset where v's text starts, treating any
 // rank past the last node as end-of-blob; splice arithmetic uses it for
@@ -284,9 +316,19 @@ func (d *Document) Text(v NodeID) string {
 	return unsafe.String(&d.textBlob[start], end-start)
 }
 
-// TextBytes reports the total size of the document's text content; the
-// store's resident-memory estimate uses it instead of walking every node.
-func (d *Document) TextBytes() int { return len(d.textBlob) }
+// MemBytes reports the bytes the document holds: its per-node arrays,
+// the text blob, the per-label counts and the label names, by their
+// live lengths. A reflect-based test in internal/store holds it to the
+// struct's slice fields, so an added array cannot go uncounted in the
+// store's bytes-per-node figure.
+func (d *Document) MemBytes() int64 {
+	b := 4*int64(len(d.labels)+len(d.parent)+len(d.lastDesc)+len(d.textOff)+len(d.labelCount)) +
+		int64(len(d.textBlob))
+	for _, name := range d.names.names {
+		b += int64(unsafe.Sizeof(name)) + int64(len(name))
+	}
+	return b
+}
 
 // IsAncestorOrSelf reports whether a is v or an ancestor of v.
 func (d *Document) IsAncestorOrSelf(a, v NodeID) bool {
@@ -304,10 +346,10 @@ func (d *Document) SubtreeSize(v NodeID) int {
 // has exactly the document's nodes as internal binary nodes.
 
 // BinaryLeft returns the left child of v in the fcns encoding.
-func (d *Document) BinaryLeft(v NodeID) NodeID { return d.firstChild[v] }
+func (d *Document) BinaryLeft(v NodeID) NodeID { return d.FirstChild(v) }
 
 // BinaryRight returns the right child of v in the fcns encoding.
-func (d *Document) BinaryRight(v NodeID) NodeID { return d.nextSibling[v] }
+func (d *Document) BinaryRight(v NodeID) NodeID { return d.NextSibling(v) }
 
 // WriteXML serializes the subtree rooted at v (or the whole document if v
 // is the synthetic root) back to XML-ish text; used for round-trip tests
@@ -323,7 +365,7 @@ func (d *Document) WriteXML(sb *strings.Builder, v NodeID) {
 		sb.WriteString(d.LabelName(v))
 		sb.WriteByte('>')
 	}
-	for c := d.firstChild[v]; c != Nil; c = d.nextSibling[c] {
+	for c, end := v+1, d.lastDesc[v]; c <= end; c = d.lastDesc[c] + 1 {
 		d.WriteXML(sb, c)
 	}
 	if !synthetic {

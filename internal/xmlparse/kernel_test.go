@@ -17,7 +17,7 @@ import (
 // and sevenths of the source.
 var forcedChunks = []int{1, 2, 3, 7}
 
-// docBytes is d at rest: all seven arrays, the text blob and the label
+// docBytes is d at rest: every array, the text blob and the label
 // table, so equal bytes are equal documents.
 func docBytes(t testing.TB, d *tree.Document) []byte {
 	t.Helper()
