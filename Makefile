@@ -10,7 +10,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test race lint fmt vet check gates gate-obsv gate-auto gate-mvcc gate-mmap gate-kernel
+.PHONY: build test race lint fmt vet check loc gates gate-obsv gate-auto gate-mvcc gate-mmap gate-kernel
 
 build:
 	$(GO) build ./...
@@ -22,9 +22,9 @@ race:
 	$(GO) test -race ./...
 
 # lint runs the repo's custom analyzer suite (see DESIGN.md "Enforced
-# invariants"): ctxrelease, arenaescape, lockhold, metricnames,
-# nakedgen. Exit 1 on any finding. Suppress a single accepted finding
-# with `// xpqlint:ignore <analyzer> <reason>` on the flagged line.
+# invariants"): ctxrelease, arenaescape, lockhold, nakedgen. Exit 1 on
+# any finding. Suppress a single accepted finding with
+# `// xpqlint:ignore <analyzer> <reason>` on the flagged line.
 lint:
 	$(GO) run ./cmd/xpqlint ./...
 
@@ -35,6 +35,17 @@ vet:
 	$(GO) vet ./...
 
 check: fmt vet build lint test
+
+# loc prints the module's size the way ROADMAP counts it: lines of Go
+# per package that are not tests, not fixtures (testdata) and not the
+# frozen benchmark (cmd/xpqbench), then the total. A simplification PR
+# reports this table before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './cmd/xpqbench/*' ! -path '*/testdata/*' -print0 \
+		| xargs -0 wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' \
+		| sort -k2
 
 # Benchmark gates: each pipes paired benchmark rows into the one gate
 # program (scripts/benchgate.awk: pair by variant, fold, geomean, limit,

@@ -114,7 +114,7 @@ func (p PoolStats) HitRate() float64 {
 	return float64(p.Hits) / float64(p.Hits+p.Misses)
 }
 
-// addTo accumulates p into dst (for per-shard aggregation).
+// AddTo accumulates p into dst (for per-shard aggregation).
 func (p PoolStats) AddTo(dst *PoolStats) {
 	dst.Hits += p.Hits
 	dst.Misses += p.Misses
@@ -122,6 +122,15 @@ func (p PoolStats) AddTo(dst *PoolStats) {
 	dst.Drops += p.Drops
 	dst.Resident += p.Resident
 	dst.ArenaBytes += p.ArenaBytes
+}
+
+// Counters returns p with its gauges (Resident, ArenaBytes) zeroed:
+// the part of a pool's stats that outlives the pool. The service adds
+// it to a shard's retired totals when an engine is dropped, so the
+// counters it exports never decrease.
+func (p PoolStats) Counters() PoolStats {
+	p.Resident, p.ArenaBytes = 0, 0
+	return p
 }
 
 // ctxPool is the per-engine pool. All methods are safe for concurrent

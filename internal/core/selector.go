@@ -549,6 +549,15 @@ func (s SelectorStats) AddTo(dst *SelectorStats) {
 	dst.TopShapes = append(dst.TopShapes, s.TopShapes...)
 }
 
+// Counters returns s with its gauges (Shapes, TopShapes) dropped: the
+// part of a selector's stats that outlives the selector (see
+// PoolStats.Counters). WinsByStrategy is shared with s, which AddTo
+// only reads.
+func (s SelectorStats) Counters() SelectorStats {
+	s.Shapes, s.TopShapes = 0, nil
+	return s
+}
+
 // Finalize computes the derived ratios and sorts/caps the shape table.
 func (s *SelectorStats) Finalize() {
 	if s.Decisions > 0 {

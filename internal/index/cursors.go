@@ -84,31 +84,6 @@ func (c *Cursors) NextAfter(l tree.LabelID, x tree.NodeID) tree.NodeID {
 	return Nil
 }
 
-// TopMostEach enumerates the top-most L-labeled nodes of v's binary
-// subtree in document order, like Index.TopMostEach but driven by the
-// monotone cursors. ok is false for co-finite L.
-func (c *Cursors) TopMostEach(v tree.NodeID, L labels.Set, fn func(tree.NodeID)) bool {
-	ids, finite := L.Finite()
-	if !finite {
-		return false
-	}
-	end := c.ix.doc.BinEnd(v)
-	after := v
-	for {
-		best := Nil
-		for _, l := range ids {
-			if u := c.NextAfter(l, after); u != Nil && u <= end && (best == Nil || u < best) {
-				best = u
-			}
-		}
-		if best == Nil {
-			return true
-		}
-		fn(best)
-		after = c.ix.doc.BinEnd(best)
-	}
-}
-
 // Rt is the cursor-driven r_t(π, L): the first node on the rightmost
 // binary path (following-sibling chain) of π whose label is in L, or
 // Nil.

@@ -46,49 +46,6 @@ func TestCursorsNextAfterMonotone(t *testing.T) {
 	}
 }
 
-// TestCursorsTopMostEachMatchesIndex: the cursor-driven enumeration
-// yields exactly Index.TopMost when traversed in document order.
-func TestCursorsTopMostEachMatchesIndex(t *testing.T) {
-	f := func(seed int64) bool {
-		d := tgen.Random(seed, tgen.Config{MaxNodes: 250, Labels: []string{"a", "b", "c"}})
-		ix := index.New(d)
-		aID, okA := d.Names().Lookup("a")
-		bID, okB := d.Names().Lookup("b")
-		if !okA || !okB {
-			return true
-		}
-		L := labels.Of(aID, bID)
-		// Enumerate from a sequence of nodes in increasing preorder
-		// (monotone use, as the evaluator guarantees).
-		cur := ix.NewCursors()
-		prevEnd := tree.NodeID(-1)
-		for v := tree.NodeID(0); int(v) < d.NumNodes(); v += tree.NodeID(1 + int(v)%7) {
-			if v <= prevEnd {
-				continue // stay monotone: skip nodes inside the last scanned region
-			}
-			want, _ := ix.TopMost(v, L)
-			var got []tree.NodeID
-			if !cur.TopMostEach(v, L, func(u tree.NodeID) { got = append(got, u) }) {
-				return false
-			}
-			if len(got) != len(want) {
-				t.Logf("seed=%d v=%d: got %v want %v", seed, v, got, want)
-				return false
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					return false
-				}
-			}
-			prevEnd = ix.BinEnd(v)
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestCursorsRtMatchesIndex: cursor Rt equals Index.Rt under monotone use.
 func TestCursorsRtMatchesIndex(t *testing.T) {
 	f := func(seed int64) bool {

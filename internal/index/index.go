@@ -230,71 +230,6 @@ func (ix *Index) TopMost(v tree.NodeID, L labels.Set) ([]tree.NodeID, bool) {
 	return ix.topMostMulti(v, ids), true
 }
 
-// TopMostEach enumerates the top-most L-labeled nodes of v's binary
-// subtree in document order without allocating a result slice; the
-// evaluator's hot jump path uses this. ok is false for co-finite L.
-func (ix *Index) TopMostEach(v tree.NodeID, L labels.Set, fn func(tree.NodeID)) bool {
-	ids, finite := L.Finite()
-	if !finite {
-		return false
-	}
-	end := ix.doc.BinEnd(v)
-	// Fixed-size cursor array: compiled queries rarely have more than a
-	// handful of essential labels; fall back to the allocating path
-	// otherwise.
-	const maxCursors = 8
-	if len(ids) > maxCursors {
-		for _, u := range ix.topMostMulti(v, ids) {
-			fn(u)
-		}
-		return true
-	}
-	var occs [maxCursors][]tree.NodeID
-	var idx [maxCursors]int
-	n := 0
-	for _, l := range ids {
-		if int(l) >= len(ix.occ) {
-			continue
-		}
-		occ := ix.occ[l]
-		i := sort.Search(len(occ), func(k int) bool { return occ[k] > v })
-		if i < len(occ) && occ[i] <= end {
-			occs[n] = occ
-			idx[n] = i
-			n++
-		}
-	}
-	if n == 0 {
-		return true
-	}
-	for {
-		best := Nil
-		for c := 0; c < n; c++ {
-			if idx[c] < len(occs[c]) && occs[c][idx[c]] <= end &&
-				(best == Nil || occs[c][idx[c]] < best) {
-				best = occs[c][idx[c]]
-			}
-		}
-		if best == Nil {
-			return true
-		}
-		fn(best)
-		skip := ix.doc.BinEnd(best)
-		for c := 0; c < n; c++ {
-			lin := 0
-			for idx[c] < len(occs[c]) && occs[c][idx[c]] <= skip {
-				idx[c]++
-				lin++
-				if lin == 8 {
-					rest := occs[c][idx[c]:]
-					idx[c] += sort.Search(len(rest), func(k int) bool { return rest[k] > skip })
-					break
-				}
-			}
-		}
-	}
-}
-
 // topMostMulti merges the occurrence arrays of several labels with one
 // cursor each, advancing all cursors past each accepted node's binary
 // subtree.

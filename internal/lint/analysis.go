@@ -35,7 +35,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	Dir       string // package directory on disk (for sibling-file reads)
 
 	diags *[]Diagnostic
 }
@@ -140,7 +139,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				Dir:       pkg.Dir,
 				diags:     &diags,
 			}
 			if _, err := a.Run(pass); err != nil {

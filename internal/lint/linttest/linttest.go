@@ -12,8 +12,6 @@
 package linttest
 
 import (
-	"go/ast"
-	"go/parser"
 	"go/token"
 	"path/filepath"
 	"regexp"
@@ -62,40 +60,26 @@ func Run(t *testing.T, dir string, analyzer *lint.Analyzer, pkgs ...string) {
 		t.Fatalf("running %s: %v", analyzer.Name, err)
 	}
 
-	// Collect expectations keyed by file:line. Fixture _test.go files
-	// are not loaded into packages (mirroring the real loader), but
-	// analyzers may read and report into them — the metricnames golden
-	// list does — so scan them for want comments too.
+	// Collect expectations keyed by file:line.
 	expects := map[string][]*expectation{}
-	addWants := func(fset *token.FileSet, f *ast.File) {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := wantRx.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				key := posKey(fset.Position(c.Pos()))
-				for _, raw := range splitWants(m[1]) {
-					rx, err := regexp.Compile(raw)
-					if err != nil {
-						t.Fatalf("%s: bad want pattern %q: %v", key, raw, err)
-					}
-					expects[key] = append(expects[key], &expectation{rx: rx, raw: raw})
-				}
-			}
-		}
-	}
 	for _, p := range selected {
 		for _, f := range p.Files {
-			addWants(p.Fset, f)
-		}
-		tests, _ := filepath.Glob(filepath.Join(p.Dir, "*_test.go"))
-		for _, path := range tests {
-			f, err := parser.ParseFile(p.Fset, path, nil, parser.ParseComments)
-			if err != nil {
-				t.Fatalf("parsing fixture %s: %v", path, err)
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					m := wantRx.FindStringSubmatch(c.Text)
+					if m == nil {
+						continue
+					}
+					key := posKey(p.Fset.Position(c.Pos()))
+					for _, raw := range splitWants(m[1]) {
+						rx, err := regexp.Compile(raw)
+						if err != nil {
+							t.Fatalf("%s: bad want pattern %q: %v", key, raw, err)
+						}
+						expects[key] = append(expects[key], &expectation{rx: rx, raw: raw})
+					}
+				}
 			}
-			addWants(p.Fset, f)
 		}
 	}
 

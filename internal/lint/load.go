@@ -18,12 +18,9 @@ import (
 )
 
 // A Package is one typechecked package of the tree under analysis.
-// Files holds only non-test sources: analyzers see the shipped code;
-// sibling _test.go files (the metricnames golden list lives in one)
-// are read from Dir by the analyzers that want them.
+// Files holds only non-test sources: analyzers see the shipped code.
 type Package struct {
 	Path  string
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -113,9 +110,9 @@ func LoadDirs(srcRoot string) ([]*Package, error) {
 func loadTree(dirs map[string]string, modPath string) ([]*Package, error) {
 	fset := token.NewFileSet()
 	type parsed struct {
-		path, dir string
-		files     []*ast.File
-		imports   []string
+		path    string
+		files   []*ast.File
+		imports []string
 	}
 	byPath := map[string]*parsed{}
 	for imp, dir := range dirs {
@@ -123,7 +120,7 @@ func loadTree(dirs map[string]string, modPath string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := &parsed{path: imp, dir: dir}
+		p := &parsed{path: imp}
 		for _, e := range entries {
 			name := e.Name()
 			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -191,7 +188,7 @@ func loadTree(dirs map[string]string, modPath string) ([]*Package, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lint: typecheck %s: %w", p.path, err)
 		}
-		pkg := &Package{Path: p.path, Dir: p.dir, Fset: fset, Files: p.files, Types: tpkg, Info: info}
+		pkg := &Package{Path: p.path, Fset: fset, Files: p.files, Types: tpkg, Info: info}
 		loaded[p.path] = pkg
 		out = append(out, pkg)
 	}

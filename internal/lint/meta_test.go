@@ -16,7 +16,6 @@ var pinnedAnalyzers = []string{
 	"arenaescape",
 	"ctxrelease",
 	"lockhold",
-	"metricnames",
 	"nakedgen",
 }
 

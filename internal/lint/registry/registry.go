@@ -9,7 +9,6 @@ import (
 	"repro/internal/lint/arenaescape"
 	"repro/internal/lint/ctxrelease"
 	"repro/internal/lint/lockhold"
-	"repro/internal/lint/metricnames"
 	"repro/internal/lint/nakedgen"
 )
 
@@ -19,7 +18,6 @@ func Analyzers() []*lint.Analyzer {
 		arenaescape.Analyzer,
 		ctxrelease.Analyzer,
 		lockhold.Analyzer,
-		metricnames.Analyzer,
 		nakedgen.Analyzer,
 	}
 }

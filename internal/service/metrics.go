@@ -1,6 +1,8 @@
 package service
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -11,41 +13,14 @@ import (
 // (100µs … 1s, then +Inf).
 var latencyBuckets = []int64{100, 500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000}
 
-// metrics accumulates per-query counters; one instance per Service.
-// A plain mutex keeps the histogram and counters mutually consistent;
+// metrics accumulates one shard's query counters straight into the
+// struct /stats serves, so a QueryStats or StreamStats field is the one
+// declaration of a query-side metric (prometheus.go holds the rule). A
+// plain mutex keeps the histogram and counters mutually consistent;
 // query latencies dwarf the critical section.
 type metrics struct {
-	mu            sync.Mutex
-	total         uint64
-	errors        uint64
-	visitedNodes  uint64
-	selectedNodes uint64
-	byStrategy    map[string]uint64
-	bucketCounts  []uint64 // len(latencyBuckets)+1, last is overflow
-	latencySumUS  int64
-	latencyMaxUS  int64
-
-	// Streaming counters: one recordStream per stream whose header
-	// went out, split by how it ended. Completed and aborted streams
-	// are counted separately — and only completed streams feed the
-	// first-byte/chunk-write latency aggregates, so a broken pipe's
-	// stalled final write cannot pollute the latency means the
-	// capacity planning reads. Chunk latencies cover
-	// encode+write+flush.
-	streamsCompleted uint64
-	streamsAborted   uint64
-	abortHeaderWrite uint64
-	abortChunkWrite  uint64
-	streamChunks     uint64
-	streamNodes      uint64
-	// Latency aggregates, completed streams only. latencyChunks is
-	// the chunk count underlying chunkWriteSumUS (aborted streams'
-	// chunks are excluded from the mean's denominator too).
-	latencyChunks   uint64
-	firstByteSumUS  int64
-	firstByteMaxUS  int64
-	chunkWriteSumUS int64
-	chunkWriteMaxUS int64
+	mu sync.Mutex
+	qs QueryStats
 }
 
 // abortCause says which write the client abandoned; recorded so the
@@ -72,104 +47,59 @@ func (c abortCause) String() string {
 func (m *metrics) record(strat core.Strategy, elapsedUS int64, visited, selected int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.byStrategy == nil {
-		m.byStrategy = make(map[string]uint64)
-		m.bucketCounts = make([]uint64, len(latencyBuckets)+1)
+	q := &m.qs
+	if q.ByStrategy == nil {
+		q.ByStrategy = make(map[string]uint64)
+		q.Latency = newLatencyHistogram()
 	}
-	m.total++
-	m.visitedNodes += uint64(visited)
-	m.selectedNodes += uint64(selected)
-	m.byStrategy[strat.String()]++
+	q.Total++
+	q.VisitedNodes += uint64(visited)
+	q.SelectedNodes += uint64(selected)
+	q.ByStrategy[strat.String()]++
 	i := 0
 	for i < len(latencyBuckets) && elapsedUS > latencyBuckets[i] {
 		i++
 	}
-	m.bucketCounts[i]++
-	m.latencySumUS += elapsedUS
-	if elapsedUS > m.latencyMaxUS {
-		m.latencyMaxUS = elapsedUS
-	}
+	q.Latency[i].Count++
+	q.LatencySumUS += elapsedUS
+	q.LatencyMaxUS = max(q.LatencyMaxUS, elapsedUS)
 }
 
+// recordStream counts one stream whose header went out, by how it
+// ended. Completed and aborted streams both count their chunks and
+// nodes, but only completed streams feed the first-byte/chunk-write
+// latency aggregates: a broken pipe's stalled final write measures the
+// client's death, not the server's latency. Chunk latencies cover
+// encode+write+flush.
 func (m *metrics) recordStream(cause abortCause, chunks, nodes int, firstByteUS, chunkSumUS, chunkMaxUS int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.streamChunks += uint64(chunks)
-	m.streamNodes += uint64(nodes)
-	if cause != abortNone {
-		// Aborted: count the stream and what it delivered, but keep
-		// its write latencies out of the aggregates — a broken pipe
-		// measures the client's death, not the server's latency.
-		m.streamsAborted++
-		switch cause {
-		case abortHeaderWrite:
-			m.abortHeaderWrite++
-		case abortChunkWrite:
-			m.abortChunkWrite++
-		}
-		return
-	}
-	m.streamsCompleted++
-	m.latencyChunks += uint64(chunks)
-	m.firstByteSumUS += firstByteUS
-	if firstByteUS > m.firstByteMaxUS {
-		m.firstByteMaxUS = firstByteUS
-	}
-	m.chunkWriteSumUS += chunkSumUS
-	if chunkMaxUS > m.chunkWriteMaxUS {
-		m.chunkWriteMaxUS = chunkMaxUS
+	st := &m.qs.Streaming
+	st.Streams++
+	st.Chunks += uint64(chunks)
+	st.Nodes += uint64(nodes)
+	switch cause {
+	case abortHeaderWrite:
+		st.Aborted++
+		st.AbortedHeaderWrite++
+	case abortChunkWrite:
+		st.Aborted++
+		st.AbortedChunkWrite++
+	default:
+		st.Completed++
+		st.completedChunks += uint64(chunks)
+		st.FirstByteSumUS += firstByteUS
+		st.FirstByteMaxUS = max(st.FirstByteMaxUS, firstByteUS)
+		st.ChunkWriteSumUS += chunkSumUS
+		st.ChunkWriteMaxUS = max(st.ChunkWriteMaxUS, chunkMaxUS)
 	}
 }
 
 func (m *metrics) recordError() {
 	m.mu.Lock()
-	m.errors++
-	m.total++
+	m.qs.Errors++
+	m.qs.Total++
 	m.mu.Unlock()
-}
-
-// addTo accumulates m's raw counters into dst — the per-shard metrics
-// are merged this way (sums of sums, maxes of maxes) so the aggregate
-// snapshot computes means from true totals rather than averaging
-// per-shard means. dst is private to the caller and needs no lock.
-func (m *metrics) addTo(dst *metrics) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	dst.total += m.total
-	dst.errors += m.errors
-	dst.visitedNodes += m.visitedNodes
-	dst.selectedNodes += m.selectedNodes
-	if m.byStrategy != nil {
-		if dst.byStrategy == nil {
-			dst.byStrategy = make(map[string]uint64)
-			dst.bucketCounts = make([]uint64, len(latencyBuckets)+1)
-		}
-		for k, v := range m.byStrategy {
-			dst.byStrategy[k] += v
-		}
-		for i, c := range m.bucketCounts {
-			dst.bucketCounts[i] += c
-		}
-	}
-	dst.latencySumUS += m.latencySumUS
-	if m.latencyMaxUS > dst.latencyMaxUS {
-		dst.latencyMaxUS = m.latencyMaxUS
-	}
-	dst.streamsCompleted += m.streamsCompleted
-	dst.streamsAborted += m.streamsAborted
-	dst.abortHeaderWrite += m.abortHeaderWrite
-	dst.abortChunkWrite += m.abortChunkWrite
-	dst.streamChunks += m.streamChunks
-	dst.streamNodes += m.streamNodes
-	dst.latencyChunks += m.latencyChunks
-	dst.firstByteSumUS += m.firstByteSumUS
-	if m.firstByteMaxUS > dst.firstByteMaxUS {
-		dst.firstByteMaxUS = m.firstByteMaxUS
-	}
-	dst.chunkWriteSumUS += m.chunkWriteSumUS
-	if m.chunkWriteMaxUS > dst.chunkWriteMaxUS {
-		dst.chunkWriteMaxUS = m.chunkWriteMaxUS
-	}
 }
 
 // LatencyBucket is one histogram bin: count of queries with latency
@@ -207,10 +137,8 @@ type StreamStats struct {
 	// aborted = client gone mid-stream), with the aborted side broken
 	// down by which write failed. Latency aggregates cover completed
 	// streams only, so broken pipes don't pollute them.
-	// xpqlint:ignore metricnames derivable: streams = completed + aborted (both exported)
-	Streams   uint64 `json:"streams"`
-	Completed uint64 `json:"completed"`
-	// xpqlint:ignore metricnames derivable: sum of xpqd_streams_aborted_total over the cause label
+	Streams            uint64 `json:"streams"`
+	Completed          uint64 `json:"completed"`
 	Aborted            uint64 `json:"aborted"`
 	AbortedHeaderWrite uint64 `json:"aborted_header_write,omitempty"`
 	AbortedChunkWrite  uint64 `json:"aborted_chunk_write,omitempty"`
@@ -222,56 +150,81 @@ type StreamStats struct {
 	ChunkWriteSumUS    int64  `json:"chunk_write_sum_us"`
 	ChunkWriteMean     int64  `json:"chunk_write_mean_us"`
 	ChunkWriteMaxUS    int64  `json:"chunk_write_max_us"`
+	// completedChunks counts the chunks of completed streams: the
+	// denominator of ChunkWriteMean (Chunks includes aborted streams').
+	completedChunks uint64
 }
 
+// snapshot copies the shard's counters and derives the means.
 func (m *metrics) snapshot() QueryStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	qs := QueryStats{
-		Total:         m.total,
-		Errors:        m.errors,
-		VisitedNodes:  m.visitedNodes,
-		SelectedNodes: m.selectedNodes,
-		LatencyMaxUS:  m.latencyMaxUS,
-	}
-	qs.LatencySumUS = m.latencySumUS
-	if n := m.total - m.errors; n > 0 {
-		qs.LatencyMeanUS = m.latencySumUS / int64(n)
-	}
-	qs.Streaming = StreamStats{
-		Streams:            m.streamsCompleted + m.streamsAborted,
-		Completed:          m.streamsCompleted,
-		Aborted:            m.streamsAborted,
-		AbortedHeaderWrite: m.abortHeaderWrite,
-		AbortedChunkWrite:  m.abortChunkWrite,
-		Chunks:             m.streamChunks,
-		Nodes:              m.streamNodes,
-		FirstByteSumUS:     m.firstByteSumUS,
-		FirstByteMaxUS:     m.firstByteMaxUS,
-		ChunkWriteSumUS:    m.chunkWriteSumUS,
-		ChunkWriteMaxUS:    m.chunkWriteMaxUS,
-	}
-	if m.streamsCompleted > 0 {
-		qs.Streaming.FirstByteMeanUS = m.firstByteSumUS / int64(m.streamsCompleted)
-	}
-	if m.latencyChunks > 0 {
-		qs.Streaming.ChunkWriteMean = m.chunkWriteSumUS / int64(m.latencyChunks)
-	}
-	if m.byStrategy != nil {
-		qs.ByStrategy = make(map[string]uint64, len(m.byStrategy))
-		for k, v := range m.byStrategy {
-			qs.ByStrategy[k] = v
-		}
-		qs.Latency = make([]LatencyBucket, len(m.bucketCounts))
-		for i, c := range m.bucketCounts {
-			b := LatencyBucket{Count: c}
-			if i < len(latencyBuckets) {
-				b.LEMicros = latencyBuckets[i]
-			}
-			qs.Latency[i] = b
-		}
-	}
+	qs := m.qs
+	qs.ByStrategy = maps.Clone(qs.ByStrategy)
+	qs.Latency = slices.Clone(qs.Latency)
+	qs.setMeans()
 	return qs
+}
+
+// newLatencyHistogram returns the empty histogram: one bin per
+// latencyBuckets bound plus the overflow bin.
+func newLatencyHistogram() []LatencyBucket {
+	h := make([]LatencyBucket, len(latencyBuckets)+1)
+	for i, le := range latencyBuckets {
+		h[i].LEMicros = le
+	}
+	return h
+}
+
+// add accumulates src's totals into q: sums of sums and maxes of maxes,
+// so that setMeans on the aggregate divides true totals instead of
+// averaging per-shard means.
+func (q *QueryStats) add(src *QueryStats) {
+	q.Total += src.Total
+	q.Errors += src.Errors
+	q.VisitedNodes += src.VisitedNodes
+	q.SelectedNodes += src.SelectedNodes
+	if src.ByStrategy != nil {
+		if q.ByStrategy == nil {
+			q.ByStrategy = make(map[string]uint64)
+			q.Latency = newLatencyHistogram()
+		}
+		for k, v := range src.ByStrategy {
+			q.ByStrategy[k] += v
+		}
+		for i, b := range src.Latency {
+			q.Latency[i].Count += b.Count
+		}
+	}
+	q.LatencySumUS += src.LatencySumUS
+	q.LatencyMaxUS = max(q.LatencyMaxUS, src.LatencyMaxUS)
+	st, ss := &q.Streaming, &src.Streaming
+	st.Streams += ss.Streams
+	st.Completed += ss.Completed
+	st.Aborted += ss.Aborted
+	st.AbortedHeaderWrite += ss.AbortedHeaderWrite
+	st.AbortedChunkWrite += ss.AbortedChunkWrite
+	st.Chunks += ss.Chunks
+	st.Nodes += ss.Nodes
+	st.completedChunks += ss.completedChunks
+	st.FirstByteSumUS += ss.FirstByteSumUS
+	st.FirstByteMaxUS = max(st.FirstByteMaxUS, ss.FirstByteMaxUS)
+	st.ChunkWriteSumUS += ss.ChunkWriteSumUS
+	st.ChunkWriteMaxUS = max(st.ChunkWriteMaxUS, ss.ChunkWriteMaxUS)
+}
+
+// setMeans derives the three means from the exact sums and counts.
+func (q *QueryStats) setMeans() {
+	if n := q.Total - q.Errors; n > 0 {
+		q.LatencyMeanUS = q.LatencySumUS / int64(n)
+	}
+	st := &q.Streaming
+	if st.Completed > 0 {
+		st.FirstByteMeanUS = st.FirstByteSumUS / int64(st.Completed)
+	}
+	if st.completedChunks > 0 {
+		st.ChunkWriteMean = st.ChunkWriteSumUS / int64(st.completedChunks)
+	}
 }
 
 // timer wraps the monotonic clock; a named type keeps time usage in one

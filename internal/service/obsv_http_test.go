@@ -232,13 +232,10 @@ var promFamilies = map[string]string{
 var promSampleRE = regexp.MustCompile(
 	`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (NaN|[+-]?Inf|[+-]?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?)$`)
 
-func TestPrometheusExposition(t *testing.T) {
-	// The byte budget is set so the conditional xpqd_qcache_budget_*
-	// families appear — the golden list covers them, and xpqlint's
-	// metricnames analyzer insists every registered family is tested.
-	s := newTestService(t, Options{CacheBytesTotal: 1 << 20})
-	// Traffic covering the series: several strategies, an error, a
-	// completed stream, a header-abort and a chunk-abort stream.
+// promTraffic covers the series: several strategies, an error, a
+// completed stream, a header-abort and a chunk-abort stream.
+func promTraffic(t *testing.T, s *Service) {
+	t.Helper()
 	for _, strat := range []string{"", "optimized", "stepwise", "hybrid"} {
 		if resp := s.Eval(Request{Doc: "d1", Query: "//a/b", Strategy: strat}); resp.Err != "" {
 			t.Fatal(resp.Err)
@@ -253,6 +250,13 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	s.Stream(&failAfter{n: 0}, Request{Doc: "d1", Query: "//a/b"}, 2) // header abort
 	s.Stream(&failAfter{n: 1}, Request{Doc: "d1", Query: "//a/b"}, 2) // chunk abort
+}
+
+func TestPrometheusExposition(t *testing.T) {
+	// The byte budget is set so the conditional xpqd_qcache_budget_*
+	// families appear — the golden list covers them.
+	s := newTestService(t, Options{CacheBytesTotal: 1 << 20})
+	promTraffic(t, s)
 
 	var sb strings.Builder
 	if err := s.WriteMetrics(&sb); err != nil {

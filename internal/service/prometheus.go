@@ -4,232 +4,231 @@ import (
 	"io"
 	"runtime"
 	runtimemetrics "runtime/metrics"
+	"slices"
 	"strconv"
 	"time"
 
 	"repro/internal/obsv"
 )
 
-// The /metrics endpoint: the same numbers /stats serves as JSON,
-// re-expressed in the Prometheus text exposition format (written by
-// hand — see internal/obsv/prom.go — so the daemon stays free of
-// client-library dependencies). Per-shard series carry a shard label;
-// PromQL sums them, so no aggregate duplicates are exported. Exact
-// sums (latency, first-byte, chunk-write, lock-wait) back every mean
-// /stats reports, and durations are seconds per Prometheus convention
-// (the JSON API keeps its microseconds).
+// The /metrics endpoint: the numbers /stats serves as JSON, in the
+// Prometheus text exposition format (written by hand — see
+// internal/obsv/prom.go — so the daemon stays free of client-library
+// dependencies). A metric is declared once: the exported stats structs
+// are where a number is collected and what /stats prints, and the
+// families table is the whole of /metrics — a row is the family's name,
+// type, help text and the getter that reads it out of a stats struct.
+// The contract tests beside the promFamilies golden hold the two
+// together (DESIGN.md "Observability").
+//
+// Per-shard series carry a shard label; PromQL sums them, so no
+// aggregate duplicates are exported. Exact sums (latency, first-byte,
+// chunk-write, lock-wait) back every mean /stats reports, and durations
+// are seconds per Prometheus convention (the JSON API keeps its
+// microseconds).
+
+// family is one row of the exposition. Exactly one getter is set.
+type family struct {
+	name, typ, help string
+	// shard yields one sample per shard.
+	shard func(*ShardStats) float64
+	// byLabel yields one sample per shard and map key, under the label
+	// named label; keys are emitted sorted so a page is deterministic.
+	label   string
+	byLabel func(*ShardStats) map[string]uint64
+	// hist yields one histogram per shard: the bins over latencyBuckets
+	// and their exact sum in microseconds.
+	hist func(*ShardStats) ([]LatencyBucket, int64)
+	// global yields one unlabelled sample; false omits the family.
+	global func(*Service, *Stats) (float64, bool)
+}
+
+const (
+	counter = obsv.TypeCounter
+	gauge   = obsv.TypeGauge
+)
+
+var families = []family{
+	{name: "xpqd_queries_total", typ: counter, help: "Queries handled, including errors.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.Total) }},
+	{name: "xpqd_query_errors_total", typ: counter, help: "Queries that failed (parse errors, unknown documents, stale cursors).", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.Errors) }},
+	{name: "xpqd_visited_nodes_total", typ: counter, help: "Nodes touched by successful evaluations.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.VisitedNodes) }},
+	{name: "xpqd_selected_nodes_total", typ: counter, help: "Nodes selected by successful evaluations.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.SelectedNodes) }},
+	{name: "xpqd_queries_by_strategy_total", typ: counter, help: "Successful queries by execution strategy.", label: "strategy", byLabel: func(ss *ShardStats) map[string]uint64 { return ss.Queries.ByStrategy }},
+	{name: "xpqd_query_duration_seconds", typ: obsv.TypeHistogram, help: "End-to-end query latency (successful queries).", hist: func(ss *ShardStats) ([]LatencyBucket, int64) { return ss.Queries.Latency, ss.Queries.LatencySumUS }},
+	{name: "xpqd_query_duration_max_seconds", typ: gauge, help: "Worst query latency observed.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.LatencyMaxUS) / 1e6 }},
+
+	// Streaming: completed and aborted streams are separate counters
+	// (aborts carry their cause), and the latency sums cover completed
+	// streams only — mirroring StreamStats.
+	{name: "xpqd_streams_completed_total", typ: counter, help: "NDJSON streams that delivered their trailer.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.Completed) }},
+	{name: "xpqd_streams_aborted_total", typ: counter, help: "NDJSON streams cut short by the client, by failed write.", label: "cause", byLabel: func(ss *ShardStats) map[string]uint64 {
+		return map[string]uint64{
+			abortHeaderWrite.String(): ss.Queries.Streaming.AbortedHeaderWrite,
+			abortChunkWrite.String():  ss.Queries.Streaming.AbortedChunkWrite,
+		}
+	}},
+	{name: "xpqd_stream_chunks_total", typ: counter, help: "NDJSON chunk lines written (completed and aborted streams).", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.Chunks) }},
+	{name: "xpqd_stream_nodes_total", typ: counter, help: "Answer nodes delivered over streams.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.Nodes) }},
+	{name: "xpqd_stream_first_byte_seconds_total", typ: counter, help: "Summed time to first byte, completed streams only.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.FirstByteSumUS) / 1e6 }},
+	{name: "xpqd_stream_first_byte_max_seconds", typ: gauge, help: "Worst time to first byte.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.FirstByteMaxUS) / 1e6 }},
+	{name: "xpqd_stream_chunk_write_seconds_total", typ: counter, help: "Summed chunk encode+write+flush time, completed streams only.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.ChunkWriteSumUS) / 1e6 }},
+	{name: "xpqd_stream_chunk_write_max_seconds", typ: gauge, help: "Worst single chunk write.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.ChunkWriteMaxUS) / 1e6 }},
+
+	// Compiled-query cache, per shard.
+	{name: "xpqd_qcache_entries", typ: gauge, help: "Compiled automata resident in the query cache.", shard: func(ss *ShardStats) float64 { return float64(ss.Cache.Size) }},
+	{name: "xpqd_qcache_capacity", typ: gauge, help: "Query cache entry capacity.", shard: func(ss *ShardStats) float64 { return float64(ss.Cache.Capacity) }},
+	{name: "xpqd_qcache_bytes", typ: gauge, help: "Estimated bytes of cached compiled automata.", shard: func(ss *ShardStats) float64 { return float64(ss.Cache.SizeBytes) }},
+	{name: "xpqd_qcache_hits_total", typ: counter, help: "Query cache hits.", shard: func(ss *ShardStats) float64 { return float64(ss.Cache.Hits) }},
+	{name: "xpqd_qcache_misses_total", typ: counter, help: "Query cache misses (compilations).", shard: func(ss *ShardStats) float64 { return float64(ss.Cache.Misses) }},
+	{name: "xpqd_qcache_evictions_total", typ: counter, help: "Query cache evictions.", shard: func(ss *ShardStats) float64 { return float64(ss.Cache.Evictions) }},
+
+	// Evaluation-context pool, per shard.
+	{name: "xpqd_ctx_pool_hits_total", typ: counter, help: "Evaluations served by a warm pooled context.", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.Hits) }},
+	{name: "xpqd_ctx_pool_misses_total", typ: counter, help: "Cold context checkouts (fresh or guard-reset).", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.Misses) }},
+	{name: "xpqd_ctx_pool_guard_trips_total", typ: counter, help: "Generation-guard resets on checkout.", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.GuardTrips) }},
+	{name: "xpqd_ctx_pool_drops_total", typ: counter, help: "Contexts discarded instead of pooled.", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.Drops) }},
+	{name: "xpqd_ctx_pool_resident", typ: gauge, help: "Contexts currently parked in pools.", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.Resident) }},
+	{name: "xpqd_ctx_pool_arena_bytes", typ: gauge, help: "Scratch bytes kept warm by pooled contexts.", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.ArenaBytes) }},
+
+	// Observed-latency Auto selector, per shard. Wins carry a strategy
+	// label; the gauges summarize model quality (estimate error) and
+	// behavior (exploration is derivable as explorations/decisions).
+	{name: "xpqd_auto_shapes", typ: gauge, help: "Query shapes tracked by the Auto selector.", shard: func(ss *ShardStats) float64 { return float64(ss.Auto.Shapes) }},
+	{name: "xpqd_auto_decisions_total", typ: counter, help: "Auto routing decisions.", shard: func(ss *ShardStats) float64 { return float64(ss.Auto.Decisions) }},
+	{name: "xpqd_auto_explorations_total", typ: counter, help: "Auto decisions spent re-measuring a non-best candidate.", shard: func(ss *ShardStats) float64 { return float64(ss.Auto.Explorations) }},
+	{name: "xpqd_auto_short_circuits_total", typ: counter, help: "Chain queries answered empty from the index (absent label), no engine run.", shard: func(ss *ShardStats) float64 { return float64(ss.Auto.ShortCircuits) }},
+	{name: "xpqd_auto_observations_total", typ: counter, help: "Completed evaluations fed back into the selector.", shard: func(ss *ShardStats) float64 { return float64(ss.Auto.Observations) }},
+	{name: "xpqd_auto_wins_total", typ: counter, help: "Auto decisions by winning strategy.", label: "strategy", byLabel: func(ss *ShardStats) map[string]uint64 { return ss.Auto.WinsByStrategy }},
+	{name: "xpqd_auto_estimate_error_pct", typ: gauge, help: "Mean |observed-estimated|/observed latency error of the selector's EWMA model, percent.", shard: func(ss *ShardStats) float64 { return ss.Auto.EstimateErrorPct }},
+
+	// MVCC generation chains, per shard.
+	{name: "xpqd_mvcc_generations_live", typ: gauge, help: "Readable document generations resident per shard.", shard: func(ss *ShardStats) float64 { return float64(ss.MVCC.LiveGenerations) }},
+	{name: "xpqd_mvcc_generations_pinned", typ: gauge, help: "Superseded generations kept alive by cursor leases or by queries still running on them (the latest is never counted).", shard: func(ss *ShardStats) float64 { return float64(ss.MVCC.PinnedGenerations) }},
+	{name: "xpqd_mvcc_patches_total", typ: counter, help: "Subtree patches applied.", shard: func(ss *ShardStats) float64 { return float64(ss.MVCC.Patches) }},
+	{name: "xpqd_mvcc_generations_retired_total", typ: counter, help: "Generations garbage-collected after their readers drained.", shard: func(ss *ShardStats) float64 { return float64(ss.MVCC.Retired) }},
+
+	// Mapped (mmap-backed) documents, per shard.
+	{name: "xpqd_store_mapped_bytes", typ: gauge, help: "Bytes of mmap-backed document files per shard.", shard: func(ss *ShardStats) float64 { return float64(ss.Mapped.MappedBytes) }},
+	{name: "xpqd_store_mapped_charged_bytes", typ: gauge, help: "Mapped bytes counted hot against the resident budget.", shard: func(ss *ShardStats) float64 { return float64(ss.Mapped.ChargedBytes) }},
+	{name: "xpqd_store_map_faults_total", typ: counter, help: "Accesses that re-heated a budget-released mapping.", shard: func(ss *ShardStats) float64 { return float64(ss.Mapped.MapFaults) }},
+
+	// Residency and contention, per shard.
+	{name: "xpqd_shard_documents", typ: gauge, help: "Documents resident per shard.", shard: func(ss *ShardStats) float64 { return float64(ss.Documents) }},
+	{name: "xpqd_shard_engines", typ: gauge, help: "Engines attached per shard.", shard: func(ss *ShardStats) float64 { return float64(ss.Engines) }},
+	{name: "xpqd_doc_bytes", typ: gauge, help: "Resident bytes of documents plus jumping indexes.", shard: func(ss *ShardStats) float64 { return float64(ss.DocBytes) }},
+	{name: "xpqd_resident_bytes", typ: gauge, help: "Documents, indexes and cached automata resident per shard.", shard: func(ss *ShardStats) float64 { return float64(ss.ResidentBytes) }},
+	{name: "xpqd_lock_wait_seconds_total", typ: counter, help: "Summed wait for the shard engine-table lock.", shard: func(ss *ShardStats) float64 { return float64(ss.LockWaitTotalNS) / 1e9 }},
+	{name: "xpqd_lock_wait_max_seconds", typ: gauge, help: "Worst single wait for the shard engine-table lock.", shard: func(ss *ShardStats) float64 { return float64(ss.LockWaitMaxNS) / 1e9 }},
+	{name: "xpqd_lock_acquires_total", typ: counter, help: "Shard engine-table lock acquisitions.", shard: func(ss *ShardStats) float64 { return float64(ss.LockAcquires) }},
+
+	// Service-wide (no shard label). The budget pair exists only when a
+	// shared compile budget is configured.
+	{name: "xpqd_qcache_budget_used_bytes", typ: gauge, help: "Bytes charged against the shared compile budget.", global: func(_ *Service, st *Stats) (float64, bool) {
+		if st.CacheBudget == nil {
+			return 0, false
+		}
+		return float64(st.CacheBudget.UsedBytes), true
+	}},
+	{name: "xpqd_qcache_budget_max_bytes", typ: gauge, help: "Shared compile budget ceiling.", global: func(_ *Service, st *Stats) (float64, bool) {
+		if st.CacheBudget == nil {
+			return 0, false
+		}
+		return float64(st.CacheBudget.MaxBytes), true
+	}},
+	{name: "xpqd_documents", typ: gauge, help: "Documents resident across all shards.", global: func(_ *Service, st *Stats) (float64, bool) { return float64(len(st.Documents)), true }},
+	{name: "xpqd_shards", typ: gauge, help: "Serving partitions.", global: func(_ *Service, st *Stats) (float64, bool) { return float64(len(st.Shards)), true }},
+	{name: "xpqd_heap_alloc_objects_total", typ: counter, help: "Heap objects allocated process-wide since the service started.", global: func(_ *Service, st *Stats) (float64, bool) { return float64(st.HeapAllocObjects), true }},
+
+	// Flight recorder lifetime counters (ring residency is bounded, so
+	// only the monotonic admissions are exported).
+	{name: "xpqd_flight_queries_total", typ: counter, help: "Queries admitted to the flight recorder.", global: func(s *Service, _ *Stats) (float64, bool) {
+		total, _, _ := s.flight.Counts()
+		return float64(total), true
+	}},
+	{name: "xpqd_slow_queries_total", typ: counter, help: "Queries at or above the slow-query threshold.", global: func(s *Service, _ *Stats) (float64, bool) {
+		_, slow, _ := s.flight.Counts()
+		return float64(slow), true
+	}},
+	{name: "xpqd_aborted_queries_total", typ: counter, help: "Queries whose client went away mid-response.", global: func(s *Service, _ *Stats) (float64, bool) {
+		_, _, aborted := s.flight.Counts()
+		return float64(aborted), true
+	}},
+	{name: "xpqd_uptime_seconds", typ: gauge, help: "Seconds since the service was constructed.", global: func(s *Service, _ *Stats) (float64, bool) { return time.Since(s.started).Seconds(), true }},
+
+	// Go runtime, via runtime/metrics (no stop-the-world read).
+	{name: "go_goroutines", typ: gauge, help: "Live goroutines.", global: func(*Service, *Stats) (float64, bool) { return float64(runtime.NumGoroutine()), true }},
+	{name: "go_heap_objects_bytes", typ: gauge, help: "Bytes of live heap objects.", global: func(*Service, *Stats) (float64, bool) {
+		v, ok := runtimeUint64("/memory/classes/heap/objects:bytes")
+		return float64(v), ok
+	}},
+	{name: "go_gc_cycles_total", typ: counter, help: "Completed GC cycles.", global: func(*Service, *Stats) (float64, bool) {
+		v, ok := runtimeUint64("/gc/cycles/total:gc-cycles")
+		return float64(v), ok
+	}},
+}
+
+// runtimeUint64 reads one uint64 runtime/metrics sample — cheap, no
+// stop-the-world; false when this Go version does not export it.
+func runtimeUint64(name string) (uint64, bool) {
+	s := []runtimemetrics.Sample{{Name: name}}
+	runtimemetrics.Read(s)
+	if s[0].Value.Kind() != runtimemetrics.KindUint64 {
+		return 0, false
+	}
+	return s[0].Value.Uint64(), true
+}
 
 // WriteMetrics writes one Prometheus exposition of the service's
-// metrics to w: per-shard query counters and latency histograms,
-// streaming counters split by completion/abort cause, compiled-query
-// cache and context-pool counters, resident-byte gauges, flight
-// recorder totals, and Go runtime gauges.
+// metrics to w: the families table over one Stats snapshot.
 func (s *Service) WriteMetrics(w io.Writer) error {
 	st := s.Stats()
-	p := obsv.NewPromWriter(w)
+	return s.writeFamilies(w, &st)
+}
 
+// writeFamilies walks the table: each family's header, then the
+// samples its getter yields for st.
+func (s *Service) writeFamilies(w io.Writer, st *Stats) error {
+	p := obsv.NewPromWriter(w)
 	// Histogram bounds in seconds, converted once from the service's
 	// microsecond bucket bounds (the overflow bin becomes +Inf).
 	bounds := make([]float64, len(latencyBuckets))
 	for i, us := range latencyBuckets {
 		bounds[i] = float64(us) / 1e6
 	}
-
-	p.Family("xpqd_queries_total", "Queries handled, including errors.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_queries_total", func(ss *ShardStats) float64 { return float64(ss.Queries.Total) })
-	p.Family("xpqd_query_errors_total", "Queries that failed (parse errors, unknown documents, stale cursors).", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_query_errors_total", func(ss *ShardStats) float64 { return float64(ss.Queries.Errors) })
-	p.Family("xpqd_visited_nodes_total", "Nodes touched by successful evaluations.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_visited_nodes_total", func(ss *ShardStats) float64 { return float64(ss.Queries.VisitedNodes) })
-	p.Family("xpqd_selected_nodes_total", "Nodes selected by successful evaluations.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_selected_nodes_total", func(ss *ShardStats) float64 { return float64(ss.Queries.SelectedNodes) })
-
-	p.Family("xpqd_queries_by_strategy_total", "Successful queries by execution strategy.", obsv.TypeCounter)
-	for i := range st.Shards {
-		ss := &st.Shards[i]
-		for strat, n := range ss.Queries.ByStrategy {
-			p.Sample("xpqd_queries_by_strategy_total", float64(n),
-				"shard", shardLabel(ss.Shard), "strategy", strat)
+	for _, f := range families {
+		if f.global != nil {
+			if v, ok := f.global(s, st); ok {
+				p.Family(f.name, f.help, f.typ)
+				p.Sample(f.name, v)
+			}
+			continue
+		}
+		p.Family(f.name, f.help, f.typ)
+		for i := range st.Shards {
+			ss := &st.Shards[i]
+			shard := strconv.Itoa(ss.Shard)
+			switch {
+			case f.shard != nil:
+				p.Sample(f.name, f.shard(ss), "shard", shard)
+			case f.byLabel != nil:
+				m := f.byLabel(ss)
+				keys := make([]string, 0, len(m))
+				for k := range m {
+					keys = append(keys, k)
+				}
+				slices.Sort(keys)
+				for _, k := range keys {
+					p.Sample(f.name, float64(m[k]), "shard", shard, f.label, k)
+				}
+			case f.hist != nil:
+				bins, sumUS := f.hist(ss)
+				counts := make([]uint64, len(bins))
+				for j, b := range bins {
+					counts[j] = b.Count
+				}
+				p.Histogram(f.name, bounds, counts, float64(sumUS)/1e6, "shard", shard)
+			}
 		}
 	}
-
-	p.Family("xpqd_query_duration_seconds", "End-to-end query latency (successful queries).", obsv.TypeHistogram)
-	for i := range st.Shards {
-		ss := &st.Shards[i]
-		counts := make([]uint64, len(ss.Queries.Latency))
-		for j, b := range ss.Queries.Latency {
-			counts[j] = b.Count
-		}
-		p.Histogram("xpqd_query_duration_seconds", bounds, counts,
-			float64(ss.Queries.LatencySumUS)/1e6, "shard", shardLabel(ss.Shard))
-	}
-	p.Family("xpqd_query_duration_max_seconds", "Worst query latency observed.", obsv.TypeGauge)
-	eachShard(p, st, "xpqd_query_duration_max_seconds", func(ss *ShardStats) float64 { return float64(ss.Queries.LatencyMaxUS) / 1e6 })
-
-	// Streaming: completed and aborted streams are separate counters
-	// (aborts carry their cause), and the latency sums cover completed
-	// streams only — mirroring StreamStats.
-	p.Family("xpqd_streams_completed_total", "NDJSON streams that delivered their trailer.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_streams_completed_total", func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.Completed) })
-	p.Family("xpqd_streams_aborted_total", "NDJSON streams cut short by the client, by failed write.", obsv.TypeCounter)
-	for i := range st.Shards {
-		ss := &st.Shards[i]
-		p.Sample("xpqd_streams_aborted_total", float64(ss.Queries.Streaming.AbortedHeaderWrite),
-			"shard", shardLabel(ss.Shard), "cause", abortHeaderWrite.String())
-		p.Sample("xpqd_streams_aborted_total", float64(ss.Queries.Streaming.AbortedChunkWrite),
-			"shard", shardLabel(ss.Shard), "cause", abortChunkWrite.String())
-	}
-	p.Family("xpqd_stream_chunks_total", "NDJSON chunk lines written (completed and aborted streams).", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_stream_chunks_total", func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.Chunks) })
-	p.Family("xpqd_stream_nodes_total", "Answer nodes delivered over streams.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_stream_nodes_total", func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.Nodes) })
-	p.Family("xpqd_stream_first_byte_seconds_total", "Summed time to first byte, completed streams only.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_stream_first_byte_seconds_total", func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.FirstByteSumUS) / 1e6 })
-	p.Family("xpqd_stream_first_byte_max_seconds", "Worst time to first byte.", obsv.TypeGauge)
-	eachShard(p, st, "xpqd_stream_first_byte_max_seconds", func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.FirstByteMaxUS) / 1e6 })
-	p.Family("xpqd_stream_chunk_write_seconds_total", "Summed chunk encode+write+flush time, completed streams only.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_stream_chunk_write_seconds_total", func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.ChunkWriteSumUS) / 1e6 })
-	p.Family("xpqd_stream_chunk_write_max_seconds", "Worst single chunk write.", obsv.TypeGauge)
-	eachShard(p, st, "xpqd_stream_chunk_write_max_seconds", func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.ChunkWriteMaxUS) / 1e6 })
-
-	// Compiled-query cache, per shard.
-	p.Family("xpqd_qcache_entries", "Compiled automata resident in the query cache.", obsv.TypeGauge)
-	eachShard(p, st, "xpqd_qcache_entries", func(ss *ShardStats) float64 { return float64(ss.Cache.Size) })
-	p.Family("xpqd_qcache_capacity", "Query cache entry capacity.", obsv.TypeGauge)
-	eachShard(p, st, "xpqd_qcache_capacity", func(ss *ShardStats) float64 { return float64(ss.Cache.Capacity) })
-	p.Family("xpqd_qcache_bytes", "Estimated bytes of cached compiled automata.", obsv.TypeGauge)
-	eachShard(p, st, "xpqd_qcache_bytes", func(ss *ShardStats) float64 { return float64(ss.Cache.SizeBytes) })
-	p.Family("xpqd_qcache_hits_total", "Query cache hits.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_qcache_hits_total", func(ss *ShardStats) float64 { return float64(ss.Cache.Hits) })
-	p.Family("xpqd_qcache_misses_total", "Query cache misses (compilations).", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_qcache_misses_total", func(ss *ShardStats) float64 { return float64(ss.Cache.Misses) })
-	p.Family("xpqd_qcache_evictions_total", "Query cache evictions.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_qcache_evictions_total", func(ss *ShardStats) float64 { return float64(ss.Cache.Evictions) })
-
-	// Evaluation-context pool, per shard.
-	p.Family("xpqd_ctx_pool_hits_total", "Evaluations served by a warm pooled context.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_ctx_pool_hits_total", func(ss *ShardStats) float64 { return float64(ss.Pool.Hits) })
-	p.Family("xpqd_ctx_pool_misses_total", "Cold context checkouts (fresh or guard-reset).", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_ctx_pool_misses_total", func(ss *ShardStats) float64 { return float64(ss.Pool.Misses) })
-	p.Family("xpqd_ctx_pool_guard_trips_total", "Generation-guard resets on checkout.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_ctx_pool_guard_trips_total", func(ss *ShardStats) float64 { return float64(ss.Pool.GuardTrips) })
-	p.Family("xpqd_ctx_pool_drops_total", "Contexts discarded instead of pooled.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_ctx_pool_drops_total", func(ss *ShardStats) float64 { return float64(ss.Pool.Drops) })
-	p.Family("xpqd_ctx_pool_resident", "Contexts currently parked in pools.", obsv.TypeGauge)
-	eachShard(p, st, "xpqd_ctx_pool_resident", func(ss *ShardStats) float64 { return float64(ss.Pool.Resident) })
-	p.Family("xpqd_ctx_pool_arena_bytes", "Scratch bytes kept warm by pooled contexts.", obsv.TypeGauge)
-	eachShard(p, st, "xpqd_ctx_pool_arena_bytes", func(ss *ShardStats) float64 { return float64(ss.Pool.ArenaBytes) })
-
-	// Observed-latency Auto selector, per shard. Wins carry a strategy
-	// label; the gauges summarize model quality (estimate error) and
-	// behavior (exploration is derivable as explorations/decisions).
-	p.Family("xpqd_auto_shapes", "Query shapes tracked by the Auto selector.", obsv.TypeGauge)
-	eachShard(p, st, "xpqd_auto_shapes", func(ss *ShardStats) float64 { return float64(ss.Auto.Shapes) })
-	p.Family("xpqd_auto_decisions_total", "Auto routing decisions.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_auto_decisions_total", func(ss *ShardStats) float64 { return float64(ss.Auto.Decisions) })
-	p.Family("xpqd_auto_explorations_total", "Auto decisions spent re-measuring a non-best candidate.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_auto_explorations_total", func(ss *ShardStats) float64 { return float64(ss.Auto.Explorations) })
-	p.Family("xpqd_auto_short_circuits_total", "Chain queries answered empty from the index (absent label), no engine run.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_auto_short_circuits_total", func(ss *ShardStats) float64 { return float64(ss.Auto.ShortCircuits) })
-	p.Family("xpqd_auto_observations_total", "Completed evaluations fed back into the selector.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_auto_observations_total", func(ss *ShardStats) float64 { return float64(ss.Auto.Observations) })
-	p.Family("xpqd_auto_wins_total", "Auto decisions by winning strategy.", obsv.TypeCounter)
-	for i := range st.Shards {
-		ss := &st.Shards[i]
-		for strat, n := range ss.Auto.WinsByStrategy {
-			p.Sample("xpqd_auto_wins_total", float64(n),
-				"shard", shardLabel(ss.Shard), "strategy", strat)
-		}
-	}
-	p.Family("xpqd_auto_estimate_error_pct", "Mean |observed-estimated|/observed latency error of the selector's EWMA model, percent.", obsv.TypeGauge)
-	eachShard(p, st, "xpqd_auto_estimate_error_pct", func(ss *ShardStats) float64 { return ss.Auto.EstimateErrorPct })
-
-	// MVCC generation chains, per shard.
-	p.Family("xpqd_mvcc_generations_live", "Readable document generations resident per shard.", obsv.TypeGauge)
-	eachShard(p, st, "xpqd_mvcc_generations_live", func(ss *ShardStats) float64 { return float64(ss.MVCC.LiveGenerations) })
-	p.Family("xpqd_mvcc_generations_pinned", "Superseded generations kept alive by cursor leases or by queries still running on them (the latest is never counted).", obsv.TypeGauge)
-	eachShard(p, st, "xpqd_mvcc_generations_pinned", func(ss *ShardStats) float64 { return float64(ss.MVCC.PinnedGenerations) })
-	p.Family("xpqd_mvcc_patches_total", "Subtree patches applied.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_mvcc_patches_total", func(ss *ShardStats) float64 { return float64(ss.MVCC.Patches) })
-	p.Family("xpqd_mvcc_generations_retired_total", "Generations garbage-collected after their readers drained.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_mvcc_generations_retired_total", func(ss *ShardStats) float64 { return float64(ss.MVCC.Retired) })
-
-	// Mapped (mmap-backed) documents, per shard.
-	p.Family("xpqd_store_mapped_bytes", "Bytes of mmap-backed document files per shard.", obsv.TypeGauge)
-	eachShard(p, st, "xpqd_store_mapped_bytes", func(ss *ShardStats) float64 { return float64(ss.Mapped.MappedBytes) })
-	p.Family("xpqd_store_mapped_charged_bytes", "Mapped bytes counted hot against the resident budget.", obsv.TypeGauge)
-	eachShard(p, st, "xpqd_store_mapped_charged_bytes", func(ss *ShardStats) float64 { return float64(ss.Mapped.ChargedBytes) })
-	p.Family("xpqd_store_map_faults_total", "Accesses that re-heated a budget-released mapping.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_store_map_faults_total", func(ss *ShardStats) float64 { return float64(ss.Mapped.MapFaults) })
-
-	// Residency and contention, per shard.
-	p.Family("xpqd_shard_documents", "Documents resident per shard.", obsv.TypeGauge)
-	eachShard(p, st, "xpqd_shard_documents", func(ss *ShardStats) float64 { return float64(ss.Documents) })
-	p.Family("xpqd_shard_engines", "Engines attached per shard.", obsv.TypeGauge)
-	eachShard(p, st, "xpqd_shard_engines", func(ss *ShardStats) float64 { return float64(ss.Engines) })
-	p.Family("xpqd_doc_bytes", "Resident bytes of documents plus jumping indexes.", obsv.TypeGauge)
-	eachShard(p, st, "xpqd_doc_bytes", func(ss *ShardStats) float64 { return float64(ss.DocBytes) })
-	p.Family("xpqd_resident_bytes", "Documents, indexes and cached automata resident per shard.", obsv.TypeGauge)
-	eachShard(p, st, "xpqd_resident_bytes", func(ss *ShardStats) float64 { return float64(ss.ResidentBytes) })
-	p.Family("xpqd_lock_wait_seconds_total", "Summed wait for the shard engine-table lock.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_lock_wait_seconds_total", func(ss *ShardStats) float64 { return float64(ss.LockWaitTotalNS) / 1e9 })
-	p.Family("xpqd_lock_wait_max_seconds", "Worst single wait for the shard engine-table lock.", obsv.TypeGauge)
-	eachShard(p, st, "xpqd_lock_wait_max_seconds", func(ss *ShardStats) float64 { return float64(ss.LockWaitMaxNS) / 1e9 })
-	p.Family("xpqd_lock_acquires_total", "Shard engine-table lock acquisitions.", obsv.TypeCounter)
-	eachShard(p, st, "xpqd_lock_acquires_total", func(ss *ShardStats) float64 { return float64(ss.LockAcquires) })
-
-	// Service-wide gauges (no shard label).
-	if st.CacheBudget != nil {
-		p.Family("xpqd_qcache_budget_used_bytes", "Bytes charged against the shared compile budget.", obsv.TypeGauge)
-		p.Sample("xpqd_qcache_budget_used_bytes", float64(st.CacheBudget.UsedBytes))
-		p.Family("xpqd_qcache_budget_max_bytes", "Shared compile budget ceiling.", obsv.TypeGauge)
-		p.Sample("xpqd_qcache_budget_max_bytes", float64(st.CacheBudget.MaxBytes))
-	}
-	p.Family("xpqd_documents", "Documents resident across all shards.", obsv.TypeGauge)
-	p.Sample("xpqd_documents", float64(len(st.Documents)))
-	p.Family("xpqd_shards", "Serving partitions.", obsv.TypeGauge)
-	p.Sample("xpqd_shards", float64(len(st.Shards)))
-	p.Family("xpqd_heap_alloc_objects_total", "Heap objects allocated process-wide since the service started.", obsv.TypeCounter)
-	p.Sample("xpqd_heap_alloc_objects_total", float64(st.HeapAllocObjects))
-
-	// Flight recorder lifetime counters (ring residency is bounded, so
-	// only the monotonic admissions are exported).
-	total, slow, aborted := s.flight.Counts()
-	p.Family("xpqd_flight_queries_total", "Queries admitted to the flight recorder.", obsv.TypeCounter)
-	p.Sample("xpqd_flight_queries_total", float64(total))
-	p.Family("xpqd_slow_queries_total", "Queries at or above the slow-query threshold.", obsv.TypeCounter)
-	p.Sample("xpqd_slow_queries_total", float64(slow))
-	p.Family("xpqd_aborted_queries_total", "Queries whose client went away mid-response.", obsv.TypeCounter)
-	p.Sample("xpqd_aborted_queries_total", float64(aborted))
-
-	p.Family("xpqd_uptime_seconds", "Seconds since the service was constructed.", obsv.TypeGauge)
-	p.Sample("xpqd_uptime_seconds", time.Since(s.started).Seconds())
-
-	// Go runtime gauges, via runtime/metrics (no stop-the-world read).
-	samples := []runtimemetrics.Sample{
-		{Name: "/memory/classes/heap/objects:bytes"},
-		{Name: "/gc/cycles/total:gc-cycles"},
-	}
-	runtimemetrics.Read(samples)
-	p.Family("go_goroutines", "Live goroutines.", obsv.TypeGauge)
-	p.Sample("go_goroutines", float64(runtime.NumGoroutine()))
-	if samples[0].Value.Kind() == runtimemetrics.KindUint64 {
-		p.Family("go_heap_objects_bytes", "Bytes of live heap objects.", obsv.TypeGauge)
-		p.Sample("go_heap_objects_bytes", float64(samples[0].Value.Uint64()))
-	}
-	if samples[1].Value.Kind() == runtimemetrics.KindUint64 {
-		p.Family("go_gc_cycles_total", "Completed GC cycles.", obsv.TypeCounter)
-		p.Sample("go_gc_cycles_total", float64(samples[1].Value.Uint64()))
-	}
-
 	return p.Flush()
 }
-
-// eachShard emits one sample per shard with a shard label.
-func eachShard(p *obsv.PromWriter, st Stats, name string, value func(*ShardStats) float64) {
-	for i := range st.Shards {
-		p.Sample(name, value(&st.Shards[i]), "shard", shardLabel(st.Shards[i].Shard))
-	}
-}
-
-func shardLabel(i int) string { return strconv.Itoa(i) }

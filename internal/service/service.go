@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
-	runtimemetrics "runtime/metrics"
 	"sort"
 	"strings"
 	"sync"
@@ -100,15 +99,10 @@ type Service struct {
 }
 
 // heapAllocObjects reads the runtime's cumulative heap allocation
-// counter (objects, not bytes) — cheap (no stop-the-world), process
-// wide.
+// counter (objects, not bytes), process wide.
 func heapAllocObjects() uint64 {
-	s := []runtimemetrics.Sample{{Name: "/gc/heap/allocs:objects"}}
-	runtimemetrics.Read(s)
-	if s[0].Value.Kind() == runtimemetrics.KindUint64 {
-		return s[0].Value.Uint64()
-	}
-	return 0
+	n, _ := runtimeUint64("/gc/heap/allocs:objects")
+	return n
 }
 
 // svcShard is one serving partition: the store partition it fronts,
@@ -128,6 +122,13 @@ type svcShard struct {
 	// callback purges both maps when a generation's readers drain.
 	mu      sync.Mutex
 	engines map[string]engineEntry
+	// retiredPool and retiredAuto hold the counters of engines dropped
+	// from the table (dropEngine), so no counter derived from the engines
+	// ever decreases; a request still closing its cursor when its
+	// generation retires may go uncounted. retiredAuto starts with the
+	// selector's config, which a shard without engines reports from it.
+	retiredPool core.PoolStats
+	retiredAuto core.SelectorStats
 
 	// Lock-wait accounting for mu: how long engine lookups queued behind
 	// other requests for this shard — the contention signal sharding
@@ -191,6 +192,8 @@ func New(ss *shard.Store, opts Options) *Service {
 			cache:   qcache.NewShared(opts.CacheSize, opts.CacheBytes, s.budget),
 			engines: make(map[string]engineEntry),
 			autoCfg: autoCfg,
+
+			retiredAuto: core.SelectorStats{Adaptive: autoCfg.Adaptive, Epsilon: autoCfg.Epsilon},
 		}
 		// When a generation's last reader drains, drop its engine and its
 		// slice of the compiled-query cache — the serving-layer half of
@@ -198,7 +201,7 @@ func New(ss *shard.Store, opts Options) *Service {
 		sh.part.OnRetire(func(id string, gen store.Gen) {
 			key := engineKey(id, gen)
 			sh.lock()
-			delete(sh.engines, key)
+			sh.dropEngine(key)
 			sh.mu.Unlock()
 			sh.cache.RemovePrefix(key + "\x00")
 		})
@@ -264,6 +267,18 @@ func (sh *svcShard) engine(h *store.Handle) *core.Engine {
 	return e
 }
 
+// dropEngine removes one engine from the table, first folding its
+// counters into the shard's retired totals. The caller holds sh.mu.
+func (sh *svcShard) dropEngine(key string) {
+	ent, ok := sh.engines[key]
+	if !ok {
+		return
+	}
+	ent.engine.PoolStats().Counters().AddTo(&sh.retiredPool)
+	ent.engine.SelectorStats().Counters().AddTo(&sh.retiredAuto)
+	delete(sh.engines, key)
+}
+
 // EvictDoc removes a document from its shard, drops the shard's engines
 // for every generation of it, and purges its compiled automata from the
 // shard's LRU. The store's retire callbacks do most of this per
@@ -277,7 +292,7 @@ func (s *Service) EvictDoc(docID string) bool {
 	sh.lock()
 	for key := range sh.engines {
 		if strings.HasPrefix(key, prefix) {
-			delete(sh.engines, key)
+			sh.dropEngine(key)
 		}
 	}
 	sh.mu.Unlock()
@@ -815,74 +830,57 @@ type Stats struct {
 	// query total — the observed (process-wide, so conservative)
 	// steady-state allocs/op. Warm context pooling should hold this
 	// near the floor set by response assembly rather than evaluation.
-	HeapAllocObjects uint64 `json:"heap_alloc_objects"`
-	// xpqlint:ignore metricnames derivable: xpqd_heap_alloc_objects_total / xpqd_queries_total in PromQL
-	AllocsPerQuery float64 `json:"allocs_per_query_estimate"`
+	HeapAllocObjects uint64  `json:"heap_alloc_objects"`
+	AllocsPerQuery   float64 `json:"allocs_per_query_estimate"`
 }
 
 // Stats snapshots the store, caches and query counters, globally and
-// per shard.
+// per shard. Every service-wide struct is the AddTo sum of the per-shard
+// ones, so a field added to a stats struct is summed where it is
+// declared and nowhere else.
 func (s *Service) Stats() Stats {
 	out := Stats{Documents: make([]store.Stats, 0, s.store.Len())}
-	var agg metrics
 	for _, sh := range s.shards {
-		cs := sh.cache.Stats()
-		var docBytes int64
+		ss := ShardStats{
+			Shard:           sh.index,
+			Cache:           sh.cache.Stats(),
+			LockWaitTotalNS: sh.lockWaitNS.Load(),
+			LockWaitMaxNS:   sh.lockWaitMaxNS.Load(),
+			LockAcquires:    sh.lockAcquires.Load(),
+			Queries:         sh.metrics.snapshot(),
+			MVCC:            sh.part.MVCC(),
+			Mapped:          sh.part.Mapped(),
+		}
 		docs := sh.part.List()
 		out.Documents = append(out.Documents, docs...)
+		ss.Documents = len(docs)
 		for _, d := range docs {
-			docBytes += d.MemBytes
+			ss.DocBytes += d.MemBytes
 		}
-		sh.mu.Lock()
-		engines := len(sh.engines)
-		var pool core.PoolStats
-		// Seed the config fields so a shard with no engines yet still
-		// reports them.
-		auto := core.SelectorStats{Adaptive: sh.autoCfg.Adaptive, Epsilon: sh.autoCfg.Epsilon}
-		for _, ent := range sh.engines {
-			ent.engine.PoolStats().AddTo(&pool)
-			ent.engine.SelectorStats().AddTo(&auto)
-		}
-		sh.mu.Unlock()
-		auto.Finalize()
-		mvcc := sh.part.MVCC()
-		mapped := sh.part.Mapped()
-		ss := ShardStats{
-			Shard:         sh.index,
-			Documents:     len(docs),
-			DocBytes:      docBytes,
-			ResidentBytes: docBytes + cs.SizeBytes,
-			Engines:       engines,
-			Cache:         cs,
-			CacheHitRate:  cs.HitRate(),
-			LockWaitMaxNS: sh.lockWaitMaxNS.Load(),
-			LockAcquires:  sh.lockAcquires.Load(),
-			Queries:       sh.metrics.snapshot(),
-			Pool:          pool,
-			PoolHitRate:   pool.HitRate(),
-			Auto:          auto,
-			MVCC:          mvcc,
-			Mapped:        mapped,
-		}
-		pool.AddTo(&out.Pool)
-		auto.AddTo(&out.Auto)
-		mvcc.AddTo(&out.MVCC)
-		out.Mapped.MappedBytes += mapped.MappedBytes
-		out.Mapped.ChargedBytes += mapped.ChargedBytes
-		out.Mapped.MapFaults += mapped.MapFaults
-		ss.LockWaitTotalNS = sh.lockWaitNS.Load()
+		ss.ResidentBytes = ss.DocBytes + ss.Cache.SizeBytes
+		ss.CacheHitRate = ss.Cache.HitRate()
 		if ss.LockAcquires > 0 {
 			ss.LockWaitMeanNS = ss.LockWaitTotalNS / int64(ss.LockAcquires)
 		}
+		sh.mu.Lock()
+		ss.Engines = len(sh.engines)
+		sh.retiredPool.AddTo(&ss.Pool)
+		sh.retiredAuto.AddTo(&ss.Auto)
+		for _, ent := range sh.engines {
+			ent.engine.PoolStats().AddTo(&ss.Pool)
+			ent.engine.SelectorStats().AddTo(&ss.Auto)
+		}
+		sh.mu.Unlock()
+		ss.PoolHitRate = ss.Pool.HitRate()
+		ss.Auto.Finalize()
+
+		ss.Cache.AddTo(&out.Cache)
+		out.Queries.add(&ss.Queries)
+		ss.Pool.AddTo(&out.Pool)
+		ss.Auto.AddTo(&out.Auto)
+		ss.MVCC.AddTo(&out.MVCC)
+		ss.Mapped.AddTo(&out.Mapped)
 		out.Shards = append(out.Shards, ss)
-		out.Cache.Size += cs.Size
-		out.Cache.Capacity += cs.Capacity
-		out.Cache.SizeBytes += cs.SizeBytes
-		out.Cache.MaxBytes += cs.MaxBytes
-		out.Cache.Hits += cs.Hits
-		out.Cache.Misses += cs.Misses
-		out.Cache.Evictions += cs.Evictions
-		sh.metrics.addTo(&agg)
 	}
 	sort.Slice(out.Documents, func(i, j int) bool {
 		return out.Documents[i].ID < out.Documents[j].ID
@@ -892,7 +890,7 @@ func (s *Service) Stats() Stats {
 		bs := s.budget.Stats()
 		out.CacheBudget = &bs
 	}
-	out.Queries = agg.snapshot()
+	out.Queries.setMeans()
 	out.PoolHitRate = out.Pool.HitRate()
 	out.Auto.Finalize()
 	if now := heapAllocObjects(); now > s.allocs0 {

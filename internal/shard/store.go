@@ -94,18 +94,6 @@ func (s *Store) SetVerifyResident(v bool) {
 	}
 }
 
-// Mapped aggregates mapped-document accounting across all shards.
-func (s *Store) Mapped() store.MappedStats {
-	var out store.MappedStats
-	for _, p := range s.parts {
-		st := p.Mapped()
-		out.MappedBytes += st.MappedBytes
-		out.ChargedBytes += st.ChargedBytes
-		out.MapFaults += st.MapFaults
-	}
-	return out
-}
-
 // Get returns the handle for id from its owning shard.
 func (s *Store) Get(id string) (*store.Handle, bool) {
 	return s.part(id).Get(id)
@@ -120,15 +108,6 @@ func (s *Store) Evict(id string) bool {
 // generation of id (see store.Store.Patch).
 func (s *Store) Patch(id string, base store.Gen, pt tree.Patch) (*store.Handle, error) {
 	return s.part(id).Patch(id, base, pt)
-}
-
-// MVCC aggregates generation-chain statistics across all shards.
-func (s *Store) MVCC() store.MVCCStats {
-	var out store.MVCCStats
-	for _, p := range s.parts {
-		p.MVCC().AddTo(&out)
-	}
-	return out
 }
 
 // Len reports the number of resident documents across all shards.

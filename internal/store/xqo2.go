@@ -247,6 +247,13 @@ type MappedStats struct {
 	MapFaults    uint64 `json:"map_faults"`
 }
 
+// AddTo accumulates m into dst (for cross-shard aggregation).
+func (m MappedStats) AddTo(dst *MappedStats) {
+	dst.MappedBytes += m.MappedBytes
+	dst.ChargedBytes += m.ChargedBytes
+	dst.MapFaults += m.MapFaults
+}
+
 // Mapped returns the store's mapped-document accounting snapshot.
 func (s *Store) Mapped() MappedStats {
 	var st MappedStats
