@@ -35,7 +35,7 @@
 //	                   publishing a new MVCC generation with incrementally
 //	                   maintained indexes; open cursors and asof readers keep
 //	                   their generation; base_gen makes it compare-and-swap (409)
-//	DELETE /docs/{id}  evict a document (purges its compiled queries)
+//	DELETE /docs/{id}  evict a document
 //	GET    /stats      store + cache + latency metrics
 //	GET    /metrics    the same numbers in Prometheus text exposition
 //	GET    /debug/queries  flight recorder: last queries, ?slow=1 filters

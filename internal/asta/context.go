@@ -5,52 +5,25 @@ package asta
 // transition rows and their recipes, jump analyses, pure label sets,
 // the result arena, index cursors, append buffers — owned by one value
 // that repeated evaluations recycle. The serving layers run the same
-// compiled automaton against the same hot document thousands of times;
-// with a warm Context those runs are allocation-free and map-free, and
-// the memo world (a pure function of the automaton/document binding)
-// is derived once instead of per call.
+// compiled automaton thousands of times; with a warm Context those runs
+// are allocation-free and map-free, and the memo world is derived once
+// instead of per call.
 //
-// A Context is bound lazily by EvalLazyCtx: a call with the same
-// (automaton, document, index, options) as the previous one is warm
-// and reuses everything; any mismatch rebinds from scratch in place.
-// A Context must not be used concurrently, and a rope returned by
-// EvalLazyCtx is valid only until the Context's next evaluation or
-// Reset — release the Context (or copy the answer) first.
+// The memo world is a pure function of (automaton, options) — the
+// tables of §4 are derived from the automaton alone; the tree is only
+// navigated — so EvalLazyCtx rebuilds it only when one of the two
+// changes, and runs the same automaton warm over any document that
+// shares its label table. The document and index belong to one run: a
+// Context references neither between evaluations, so a pooled Context
+// pins no document. A Context must not be used concurrently, and a
+// rope returned by EvalLazyCtx is valid only until the Context's next
+// evaluation — release the Context (or copy the answer) first.
 type Context struct {
 	e evaluator
 }
 
 // NewContext returns an empty, unbound Context.
 func NewContext() *Context { return &Context{} }
-
-// Reset unbinds the Context and clears all retained evaluation state
-// in place, keeping the backing storage for reuse. After Reset the
-// Context behaves like a fresh one: the next EvalLazyCtx call rebinds
-// and rebuilds the memo world. Use it when handing a pooled Context
-// across trust boundaries (e.g. a document generation change) where
-// stale memo state must be provably gone.
-func (c *Context) Reset() {
-	e := &c.e
-	e.bound = false
-	e.a, e.d, e.ix = nil, nil, nil
-	e.opt = Options{}
-	e.sets = e.sets[:0]
-	e.rows = e.rows[:0]
-	e.jumps = e.jumps[:0]
-	e.jumpsDone = e.jumpsDone[:0]
-	e.setTab.clear()
-	e.recTab.clear()
-	e.r2Tab.clear()
-	e.tis.reset()
-	e.i32s.reset()
-	e.opsA.reset()
-	e.recipes = e.recipes[:0]
-	e.jumpCache = nil
-	e.pure = pureSets{}
-	e.cur = nil
-	e.arena.reset()
-	e.stats = Stats{}
-}
 
 // MemBytes estimates the Context's resident scratch bytes: the arenas
 // and tables it would keep alive if pooled. Pools use it to decide

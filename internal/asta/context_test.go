@@ -64,10 +64,9 @@ func TestContextWarmReuseMatchesFresh(t *testing.T) {
 }
 
 // TestContextRebindAcrossBindings drives one Context through
-// interleaved automata, documents and option sets: every switch must
-// rebind (discarding the previous memo world) and still produce the
-// fresh-evaluation answer — the in-place version of "a pooled context
-// never leaks state across documents".
+// interleaved automata, documents and option sets: every switch of
+// automaton or options must rebind (discarding the previous memo
+// world) and still produce the fresh-evaluation answer.
 func TestContextRebindAcrossBindings(t *testing.T) {
 	docA := tgen.Random(11, tgen.Config{MaxNodes: 400, Labels: []string{"a", "b", "c"}})
 	docB := tgen.Random(13, tgen.Config{MaxNodes: 500, Labels: []string{"a", "b", "c"}})
@@ -99,9 +98,12 @@ func TestContextRebindAcrossBindings(t *testing.T) {
 	}
 }
 
-// TestContextResetForgetsBinding: after Reset the next evaluation
-// rebinds from scratch (fresh memo derivation) and is still correct.
-func TestContextResetForgetsBinding(t *testing.T) {
+// TestContextWarmAcrossGenerations: the memo world is bound to
+// (automaton, options), not to the tree. A patched generation that
+// shares its parent's label table — and so its compiled automaton —
+// runs warm in the context the parent warmed, and answers what a fresh
+// evaluation of that generation answers.
+func TestContextWarmAcrossGenerations(t *testing.T) {
 	d := tgen.Random(5, tgen.Config{MaxNodes: 300, Labels: []string{"a", "b"}})
 	ix := index.New(d)
 	aut, err := compile.Compile("//a[b]", d.Names())
@@ -109,22 +111,29 @@ func TestContextResetForgetsBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := asta.NewContext()
-	first := aut.EvalLazyCtx(ctx, d, ix, asta.Opt())
-	entries := first.Stats.MemoEntries
-	if entries == 0 {
+	if first := aut.EvalLazyCtx(ctx, d, ix, asta.Opt()); first.Stats.MemoEntries == 0 {
 		t.Fatal("expected memo entries on a cold run")
 	}
-	warm := aut.EvalLazyCtx(ctx, d, ix, asta.Opt())
+	// Graft a copy of the document under its own root: existing
+	// vocabulary in shapes the parent already evaluated.
+	next, dl, err := d.Apply(tree.Patch{Op: tree.OpInsert, Node: d.DocumentElement(), Before: tree.Nil, Frag: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Names() != d.Names() {
+		t.Fatal("a vocabulary-only patch cloned the label table")
+	}
+	nix := index.Apply(ix, next, dl)
+	want := aut.Eval(next, nix, asta.Opt())
+	warm := aut.EvalLazyCtx(ctx, next, nix, asta.Opt())
+	if got := warm.List.Flatten(); !equalNodes(got, want.Selected) {
+		t.Fatalf("warm run on the patched generation diverged: got %d nodes, want %d", len(got), len(want.Selected))
+	}
 	if warm.Stats.MemoEntries != 0 {
-		t.Errorf("warm run derived %d memo entries, want 0", warm.Stats.MemoEntries)
+		t.Errorf("run on the patched generation derived %d memo entries, want 0 (memo world is per automaton)", warm.Stats.MemoEntries)
 	}
-	ctx.Reset()
-	if ctx.MemoEntries() != 0 {
-		t.Errorf("Reset left %d memo rows", ctx.MemoEntries())
-	}
-	cold := aut.EvalLazyCtx(ctx, d, ix, asta.Opt())
-	if cold.Stats.MemoEntries != entries {
-		t.Errorf("post-Reset run derived %d memo entries, want %d (fresh)", cold.Stats.MemoEntries, entries)
+	if ctx.MemoEntries() == 0 {
+		t.Error("memo world was discarded")
 	}
 }
 

@@ -116,22 +116,23 @@ func (a *ASTA) EvalLazy(d *tree.Document, ix *index.Index, opt Options) Result {
 }
 
 // EvalLazyCtx is EvalLazy against a reusable Context. The first call
-// binds the Context to (automaton, document, options) and builds the
-// memo world; later calls with the same binding reuse it — the
-// interned-set table, transition rows, recipes and jump analyses
-// persist (they are pure functions of the binding), while the result
-// arena and index cursors reset in place. A warm call is therefore
-// allocation-free in steady state and skips all memo derivation.
+// binds the Context to (automaton, options) and builds the memo world;
+// later calls with the same pair reuse it, over any document with the
+// automaton's label table — the interned-set table, transition rows,
+// recipes and jump analyses persist (pure functions of the pair), while
+// the result arena rewinds in place and the index cursors are pointed
+// at this run's index. A warm call is therefore allocation-free in
+// steady state and skips all memo derivation.
 //
 // The returned rope (Result.List) lives in the Context's arena: it is
-// valid only until the next EvalLazyCtx/Reset on the same Context.
+// valid only until the next EvalLazyCtx on the same Context.
 func (a *ASTA) EvalLazyCtx(c *Context, d *tree.Document, ix *index.Index, opt Options) Result {
 	e := &c.e
-	if !e.bound || e.a != a || e.d != d || e.ix != ix || e.opt != opt {
-		e.rebind(a, d, ix, opt)
-	} else {
-		e.resetEval()
+	if e.a != a || e.opt != opt {
+		e.rebind(a, opt, d.Names().Size())
 	}
+	e.attach(d, ix)
+	defer e.detach()
 	var g RSet
 	e.evalChild(d.Root(), a.Top, e.internSet(a.Top), &g)
 	res := Result{Stats: e.stats}
@@ -201,18 +202,16 @@ type recipe struct {
 // evaluator is the complete evaluation state. It lives inside a Context
 // and splits into two lifetimes: memo state (interned sets, transition
 // rows, recipes, jump analyses, pure sets — pure functions of the
-// bound automaton/document) survives across warm evaluations, while
-// per-evaluation scratch (result arena, index cursors, stats) resets
-// in place at the start of every run.
+// bound automaton and options) survives across warm evaluations, while
+// per-evaluation state (document, index, cursor positions, result
+// arena, stats) is set at the start of every run.
 type evaluator struct {
+	// a and opt are the memo world's binding; a is nil until the first
+	// run. d and ix are the tree being navigated, nil between runs.
 	a   *ASTA
+	opt Options
 	d   *tree.Document
 	ix  *index.Index
-	opt Options
-	// bound is set once the evaluator has been initialized for the
-	// (a, d, ix, opt) above; a mismatch on the next run triggers a full
-	// rebind instead of a warm reset.
-	bound bool
 
 	// Memo structures: state sets are interned to dense ids via an
 	// open-addressed table; per-set rows are label-indexed slices of
@@ -254,12 +253,12 @@ type evaluator struct {
 	scratchRec recipe
 }
 
-// rebind points the evaluator at a new (automaton, document, options)
-// binding: all memo state is cleared in place (backing storage is
-// kept) and the per-binding analyses are rebuilt.
-func (e *evaluator) rebind(a *ASTA, d *tree.Document, ix *index.Index, opt Options) {
-	e.a, e.d, e.ix, e.opt = a, d, ix, opt
-	e.bound = true
+// rebind points the evaluator at a new (automaton, options) binding:
+// all memo state is cleared in place (backing storage is kept) and the
+// per-binding analyses are rebuilt. numLabels sizes the label rows: the
+// alphabet of the table the automaton was compiled against.
+func (e *evaluator) rebind(a *ASTA, opt Options, numLabels int) {
+	e.a, e.opt = a, opt
 	e.sets = e.sets[:0]
 	e.rows = e.rows[:0]
 	e.jumps = e.jumps[:0]
@@ -278,34 +277,41 @@ func (e *evaluator) rebind(a *ASTA, d *tree.Document, ix *index.Index, opt Optio
 		if opt.InfoProp {
 			e.r2Tab.clear()
 		}
-		e.numLabels = d.Names().Size()
+		e.numLabels = numLabels
 	}
 	if opt.Jump {
 		e.initPureSets()
-		// Rebinding to a different automaton over the same document
-		// (pool churn on a hot document) keeps the cursors: they
-		// depend only on the index.
-		if e.cur == nil || e.cur.Index() != ix {
-			e.cur = ix.NewCursors()
-		} else {
-			e.cur.Reset()
-		}
 	} else {
 		e.cur = nil
 	}
-	e.arena.reset()
-	e.stats = Stats{}
 }
 
-// resetEval prepares a warm re-evaluation: memo state is kept, the
-// result arena and cursors rewind in place, stats restart. O(touched)
-// for the cursors, O(arena chunks) for the arena — no allocation.
-func (e *evaluator) resetEval() {
+// attach starts a run over (d, ix): the result arena rewinds, stats
+// restart, and the cursors are pointed at ix, reallocated only when the
+// alphabet size differs — O(touched) for the cursors, O(arena chunks)
+// for the arena, no allocation.
+func (e *evaluator) attach(d *tree.Document, ix *index.Index) {
+	e.d, e.ix = d, ix
 	e.arena.reset()
-	if e.cur != nil {
-		e.cur.Reset()
-	}
 	e.stats = Stats{}
+	if !e.opt.Jump {
+		return
+	}
+	if e.cur == nil {
+		e.cur = ix.NewCursors()
+	} else {
+		e.cur.Retarget(ix)
+	}
+}
+
+// detach ends the run: the evaluator lets go of the document and index
+// (the answer rope holds node ids only), so a Context kept warm between
+// evaluations keeps no generation of any document alive.
+func (e *evaluator) detach() {
+	e.d, e.ix = nil, nil
+	if e.cur != nil {
+		e.cur.Retarget(nil)
+	}
 }
 
 // internSet returns the dense id of a state set, registering it on first

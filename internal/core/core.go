@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/asta"
 	"repro/internal/hybrid"
@@ -122,26 +123,29 @@ var hybridEval = hybrid.Eval
 // Engine evaluates queries over one document. It is safe for concurrent
 // use: the document and index are immutable and the compiled-query cache
 // is a concurrency-safe LRU (each evaluation carries its own run state).
+//
+// It is a thin binding of one tree to warm state that outlives it, each
+// piece kept under what it is a function of, so that engines over
+// successive generations of a document share it and none of it is ever
+// purged by hand.
 type Engine struct {
 	doc *tree.Document
 	ix  *index.Index
 
-	// cache holds compiled automata (*asta.ASTA under kind "asta",
-	// minimized *sta.STA under kind "tdsta"), keyed keyPrefix+kind+query.
-	// It may be shared across engines (the multi-document service shares
-	// one LRU and namespaces each engine by document id).
+	// cache holds compiled automata (*compiled under kind "asta",
+	// minimized *sta.STA under kind "tdsta"), keyed
+	// keyPrefix+tableID+kind+query. It may be shared across engines;
+	// engines over one label table then share its entries.
 	cache     *qcache.Cache
 	keyPrefix string
 
-	// pool keeps warm evaluation contexts keyed by compiled automaton,
-	// stamped with this engine's process-unique generation (see
-	// ctxpool.go for the leak-containment invariant).
-	pool *ctxPool
+	// pool accounts the warm evaluation contexts parked on the cached
+	// automata (ctxpool.go).
+	pool *Pool
 
-	// auto is the observed-latency Auto selector (selector.go). Per
-	// engine — and the service builds one engine per (document,
-	// generation) — so estimates are implicitly generation-scoped.
-	auto *selector
+	// auto is the observed-latency Auto selector (selector.go): its
+	// estimates are measurements of the document, whichever generation.
+	auto *Selector
 }
 
 // New builds the engine, its index, and a private bounded query cache.
@@ -156,46 +160,51 @@ func NewWithCache(d *tree.Document, c *qcache.Cache, keyPrefix string) *Engine {
 }
 
 // NewWithIndex is NewWithCache for a document whose index is already
-// built (the document store builds the index once at load time).
+// built (the document store builds the index once at load time). The
+// engine gets a context pool and an Auto selector of its own.
 func NewWithIndex(d *tree.Document, ix *index.Index, c *qcache.Cache, keyPrefix string) *Engine {
-	return &Engine{doc: d, ix: ix, cache: c, keyPrefix: keyPrefix,
-		pool: newCtxPool(), auto: newSelector(DefaultAutoConfig())}
+	e := NewShared(d, ix, c, new(Pool), NewSelector(DefaultAutoConfig()))
+	e.keyPrefix = keyPrefix
+	return e
+}
+
+// NewShared builds an engine over one generation of a document around
+// warm state its caller owns: a shard's cache and pool, the document's
+// selector. It allocates nothing else; the service makes one per request.
+func NewShared(d *tree.Document, ix *index.Index, c *qcache.Cache, pool *Pool, auto *Selector) *Engine {
+	return &Engine{doc: d, ix: ix, cache: c, pool: pool, auto: auto}
 }
 
 // ConfigureAuto replaces the Auto selector configuration, resetting
 // its learned state. Call before serving traffic (the selector swap is
 // not synchronized against in-flight Auto evaluations).
 func (e *Engine) ConfigureAuto(cfg AutoConfig) {
-	e.auto = newSelector(cfg)
+	e.auto = NewSelector(cfg)
 }
 
 // SelectorStats snapshots the Auto selector: shapes tracked, wins per
 // strategy, exploration rate, estimate error, and the per-shape
 // candidate tables.
-func (e *Engine) SelectorStats() SelectorStats { return e.auto.stats() }
+func (e *Engine) SelectorStats() SelectorStats { return e.auto.Stats() }
 
 // PoolStats reports the engine's evaluation-context pool counters: the
 // steady-state signal for whether repeated queries are hitting warm
 // contexts (near-zero allocation) or rebuilding their scratch.
-func (e *Engine) PoolStats() PoolStats { return e.pool.stats() }
-
-// Generation returns the engine's process-unique generation stamp,
-// the value pooled contexts are guarded with.
-func (e *Engine) Generation() uint64 { return e.pool.gen }
+func (e *Engine) PoolStats() PoolStats { return e.pool.Stats() }
 
 // CacheStats reports the compiled-query cache counters. For engines
 // built by NewWithCache the numbers cover every engine sharing the LRU.
 func (e *Engine) CacheStats() qcache.Stats { return e.cache.Stats() }
 
+// cacheKey names a compiled automaton by what it is a function of: the
+// label table (by id), the automaton kind and the query text. A
+// generation with a new label, or a reloaded document, has another
+// table and can neither hit nor overwrite the entry.
 func (e *Engine) cacheKey(kind, query string) string {
-	return e.keyPrefix + kind + "\x00" + query
+	var buf [20]byte
+	table := strconv.AppendUint(buf[:0], e.doc.Names().ID(), 10)
+	return e.keyPrefix + string(table) + "\x00" + kind + "\x00" + query
 }
-
-// Doc returns the engine's document.
-func (e *Engine) Doc() *tree.Document { return e.doc }
-
-// Index returns the engine's jumping index.
-func (e *Engine) Index() *index.Index { return e.ix }
 
 // Answer is a query outcome.
 type Answer struct {
@@ -247,7 +256,10 @@ func astaOptions(s Strategy) asta.Options {
 }
 
 // chainCounts returns the min and max global label counts of a chain
-// query, and ok=false when the query is outside the chain fragment.
+// query in the engine's generation of the document (the §5 probe: k
+// Lookup + Count calls, made at every decision because a patch can
+// change them), and ok=false when the query is outside the chain
+// fragment.
 func (e *Engine) chainCounts(p *xpath.Path) (min, max int, ok bool) {
 	if !p.Absolute || len(p.Steps) == 0 {
 		return 0, 0, false

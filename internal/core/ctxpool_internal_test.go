@@ -5,8 +5,12 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/asta"
+	"repro/internal/compile"
+	"repro/internal/qcache"
 	"repro/internal/tree"
 	"repro/internal/xmark"
+	"repro/internal/xmlparse"
 )
 
 func poolTestEngine(t *testing.T) (*Engine, *tree.Document) {
@@ -198,14 +202,23 @@ func TestPoolKeysByOptions(t *testing.T) {
 	}
 }
 
-// TestPoolEvictsStaleKeysUnderPressure: once more than maxPoolKeys
-// distinct bindings have pooled, admitting a new key evicts an old one
-// — new automata keep pooling (warm on re-query) instead of being
-// permanently cold, and the resident gauge stays bounded.
+// outstanding is the number of contexts checked out and not yet handed
+// back: every context is made by a miss and ends dropped or parked.
+func outstanding(ps PoolStats) int64 {
+	return int64(ps.Misses) - int64(ps.Drops) - int64(ps.Resident)
+}
+
+// TestPoolEvictsStaleKeysUnderPressure: warm contexts hang on their
+// automaton's cache entry, so the query cache's LRU is the pool's only
+// recency policy — an automaton pushed out of the cache takes its
+// contexts with it (no stale key squats), the newest automata stay
+// warm, and the resident gauge is bounded by the cache's capacity.
 func TestPoolEvictsStaleKeysUnderPressure(t *testing.T) {
-	e, _ := poolTestEngine(t)
-	queries := make([]string, 0, maxPoolKeys+4)
-	for i := 0; i < maxPoolKeys+4; i++ {
+	const capacity = 4
+	d := xmark.Generate(xmark.Config{Scale: 0.002, Seed: 1})
+	e := NewWithCache(d, qcache.New(capacity), "")
+	queries := make([]string, 0, 3*capacity)
+	for i := 0; i < 3*capacity; i++ {
 		queries = append(queries, fmt.Sprintf("//listitem//label%03d", i))
 	}
 	for _, q := range queries {
@@ -220,13 +233,40 @@ func TestPoolEvictsStaleKeysUnderPressure(t *testing.T) {
 	}
 	ps := e.PoolStats()
 	if ps.Hits != hits0+1 {
-		t.Errorf("newest key did not stay pooled under key pressure (hits %d -> %d)", hits0, ps.Hits)
+		t.Errorf("newest automaton did not stay pooled under cache pressure (hits %d -> %d)", hits0, ps.Hits)
 	}
-	if ps.Resident > maxPoolKeys {
-		t.Errorf("resident %d exceeds key budget %d", ps.Resident, maxPoolKeys)
+	if ps.Resident != capacity {
+		t.Errorf("resident = %d, want %d: one context per automaton still cached", ps.Resident, capacity)
 	}
-	if ps.Drops == 0 {
-		t.Error("no key eviction recorded despite exceeding the key budget")
+	if want := uint64(len(queries) - capacity); ps.Drops != want {
+		t.Errorf("drops = %d, want %d: one context per evicted automaton", ps.Drops, want)
+	}
+	if n := outstanding(ps); n != 0 {
+		t.Errorf("%d contexts unaccounted for: %+v", n, ps)
+	}
+
+	// A cursor still reading when its automaton is evicted hands its
+	// context to an entry nothing will look up again: dropped, not parked.
+	cur, err := e.EvalCursor("/site/regions/*/item", Optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.release == nil {
+		t.Fatal("answer did not stream from the rope; pick a query that holds its context")
+	}
+	for _, q := range queries[:capacity] {
+		if _, err := e.QueryWith(q, Optimized); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := e.PoolStats()
+	cur.Close()
+	after := e.PoolStats()
+	if after.Drops != before.Drops+1 || after.Resident != before.Resident {
+		t.Errorf("context of an evicted automaton was parked: %+v -> %+v", before, after)
+	}
+	if n := outstanding(after); n != 0 {
+		t.Errorf("%d contexts unaccounted for: %+v", n, after)
 	}
 }
 
@@ -239,80 +279,88 @@ func TestPoolResidentByteBudget(t *testing.T) {
 	if _, err := e.QueryWith(q, Optimized); err != nil {
 		t.Fatal(err)
 	}
-	k, pc := stealPooled(t, e)
+	cv, ctx := stealPooled(t, e, q)
 	old := maxPoolResidentBytes
 	maxPoolResidentBytes = 1
 	defer func() { maxPoolResidentBytes = old }()
 	drops0 := e.PoolStats().Drops
-	e.pool.release(k, pc)
+	cv.release(asta.Opt(), ctx)
 	ps := e.PoolStats()
 	if ps.Drops != drops0+1 || ps.Resident != 0 {
 		t.Errorf("budget-exceeding release not dropped: %+v", ps)
 	}
 }
 
-// TestPoolGenerationGuard: a context stamped by another engine must
-// not be trusted — checkout has to reset it (guard trip) and the
-// evaluation must still be correct. This simulates the one failure
-// mode the stamp exists for: pool plumbing leaking contexts across
-// engines (i.e. across document generations).
-func TestPoolGenerationGuard(t *testing.T) {
-	e1, _ := poolTestEngine(t)
-	d2 := xmark.Generate(xmark.Config{Scale: 0.003, Seed: 9})
-	e2 := New(d2)
+// wrongTableDoc has the vocabulary of the test engine's queries interned
+// in another order, so an automaton compiled for it guards other label
+// ids than the XMark document's.
+const wrongTableDoc = "<keyword><listitem><site/></listitem></keyword>"
+
+// TestGuardCountsWrongTableAutomaton: a cached automaton depends on the
+// label table it was compiled against and on nothing else, so that is
+// what a lookup checks. An automaton of another table planted under the
+// right key must be counted (GuardTrips) and not used: the answer still
+// equals the step-wise oracle's. This simulates the one failure the
+// guard exists for — a key that does not carry what its value depends
+// on.
+func TestGuardCountsWrongTableAutomaton(t *testing.T) {
+	e, _ := poolTestEngine(t)
+	other, err := xmlparse.ParseString(wrongTableDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const q = "//listitem//keyword"
-
-	// Warm a context in e1's pool, then transplant it into e2's pool
-	// under e2's automaton key but with e1's (foreign) stamp.
-	if _, err := e1.QueryWith(q, Optimized); err != nil {
-		t.Fatal(err)
-	}
-	want, err := e2.QueryWith(q, Optimized)
+	want, err := e.QueryWith(q, Stepwise)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pc1 := stealPooled(t, e1)
-	key2, _ := stealPooled(t, e2)
-	// Put e1's context (with e1's stamp) where e2's should be.
-	e2.pool.mu.Lock()
-	e2.pool.pools[key2] = append(e2.pool.pools[key2], pooledCtx{ctx: pc1.ctx, gen: pc1.gen})
-	e2.pool.mu.Unlock()
-	e2.pool.resident.Add(1)
-
-	got, err := e2.QueryWith(q, Optimized)
+	if len(want.Nodes) == 0 {
+		t.Fatal("oracle answer is empty; the wrong automaton could not be told from the right one")
+	}
+	p := mustPath(t, q)
+	wrong, err := compile.ToASTA(p, other.Names())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Nodes) != len(want.Nodes) {
-		t.Fatalf("guarded evaluation diverged: %d vs %d nodes", len(got.Nodes), len(want.Nodes))
-	}
-	for i := range want.Nodes {
-		if got.Nodes[i] != want.Nodes[i] {
-			t.Fatalf("guarded evaluation diverged at %d", i)
+	e.cache.Put(e.cacheKey("asta", q), &compiled{aut: wrong, names: other.Names(), pool: e.pool})
+
+	for i, s := range []Strategy{Optimized, Memoized} {
+		got, err := e.QueryWith(q, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Nodes) != len(want.Nodes) {
+			t.Fatalf("%v: guarded evaluation diverged: %d vs %d nodes", s, len(got.Nodes), len(want.Nodes))
+		}
+		for j := range want.Nodes {
+			if got.Nodes[j] != want.Nodes[j] {
+				t.Fatalf("%v: guarded evaluation diverged at %d", s, j)
+			}
+		}
+		if trips := e.PoolStats().GuardTrips; trips != uint64(i+1) {
+			t.Errorf("after %v: guard trips = %d, want %d", s, trips, i+1)
 		}
 	}
-	if trips := e2.PoolStats().GuardTrips; trips != 1 {
-		t.Errorf("guard trips = %d, want 1", trips)
+	// The planted entry was neither used nor replaced, and the automata
+	// compiled in its stead parked nothing.
+	if ps := e.PoolStats(); ps.Resident != 0 || outstanding(ps) != 0 {
+		t.Errorf("guarded runs left contexts behind: %+v", ps)
 	}
 }
 
-// stealPooled pops the single pooled context of an engine.
-func stealPooled(t *testing.T, e *Engine) (poolKey, pooledCtx) {
+// stealPooled checks out the parked Optimized context of query q.
+func stealPooled(t *testing.T, e *Engine, q string) (*compiled, *asta.Context) {
 	t.Helper()
-	e.pool.mu.Lock()
-	defer e.pool.mu.Unlock()
-	for k, list := range e.pool.pools {
-		if len(list) == 0 {
-			continue
-		}
-		pc := list[len(list)-1]
-		e.pool.pools[k] = list[:len(list)-1]
-		e.pool.resident.Add(-1)
-		e.pool.arenaBytes.Add(-pc.bytes)
-		return k, pc
+	v, ok := e.cache.Get(e.cacheKey("asta", q))
+	if !ok {
+		t.Fatalf("%s is not cached", q)
 	}
-	t.Fatal("no pooled context to steal")
-	return poolKey{}, pooledCtx{}
+	cv := v.(*compiled)
+	ctx, warm := cv.checkout(asta.Opt())
+	if !warm {
+		t.Fatal("no pooled context to steal")
+	}
+	return cv, ctx
 }
 
 // TestPoolConcurrentCheckouts: concurrent evaluations of the same
@@ -362,12 +410,12 @@ func TestPoolOversizedContextDropped(t *testing.T) {
 	if _, err := e.QueryWith(q, Optimized); err != nil {
 		t.Fatal(err)
 	}
-	k, pc := stealPooled(t, e)
+	cv, ctx := stealPooled(t, e, q)
 	old := maxPooledCtxBytes
 	maxPooledCtxBytes = 1 // every real context exceeds this
 	defer func() { maxPooledCtxBytes = old }()
 	drops0 := e.PoolStats().Drops
-	e.pool.release(k, pc)
+	cv.release(asta.Opt(), ctx)
 	ps := e.PoolStats()
 	if ps.Drops != drops0+1 {
 		t.Errorf("drops = %d, want %d", ps.Drops, drops0+1)

@@ -48,7 +48,7 @@ type Cursor struct {
 	// report end-to-end cost, not just the eval call. sel doubles as
 	// the once-guard (nilled after observing). autoShape/autoReason
 	// attribute the decision for explain profiles and flight records.
-	sel        *selector
+	sel        *Selector
 	shapeRef   *shapeStats
 	obsSlot    int8
 	obsStart   time.Time
@@ -396,25 +396,44 @@ func (e *Engine) tdstaCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Curs
 // astaCursor runs the ASTA evaluator lazily and wraps the result rope
 // (see newRopeCursor for the representation choice). Evaluation runs in a
 // pooled context: warm checkouts reuse the memo world and arenas of
-// previous runs of the same automaton, and the context rides with the
-// cursor (its arena holds the rope) until exhaustion or Close.
+// previous runs of the same automaton — over this generation of the
+// document or an earlier one — and the context rides with the cursor
+// (its arena holds the rope) until exhaustion or Close.
+//
+// The cached automaton is checked against the one thing it depends on,
+// the label table, in one pointer comparison. The key carries the
+// table's id, so a mismatch means the keying broke somewhere: it is
+// counted (PoolStats.GuardTrips) and answered with an automaton
+// compiled for this table and left out of the cache.
 func (e *Engine) astaCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Trace) (*Cursor, error) {
 	sp := tr.Begin(obsv.SpanCompile)
-	v, hit, err := e.cache.GetOrCompile(e.cacheKey("asta", query), func() (any, error) {
-		return compile.ToASTA(p, e.doc.Names())
-	})
+	names := e.doc.Names()
+	build := func() (any, error) {
+		aut, err := compile.ToASTA(p, names)
+		if err != nil {
+			return nil, err
+		}
+		return &compiled{aut: aut, names: names, pool: e.pool}, nil
+	}
+	v, hit, err := e.cache.GetOrCompile(e.cacheKey("asta", query), build)
+	if err == nil && v.(*compiled).names != names {
+		e.pool.guardTrips.Add(1)
+		hit = false
+		if v, err = build(); err == nil {
+			v.(*compiled).Evicted()
+		}
+	}
 	tr.End(sp)
 	if err != nil {
 		return nil, err
 	}
-	aut := v.(*asta.ASTA)
-	key := poolKey{aut: aut, opt: astaOptions(s)}
-	pc, warm := e.pool.checkout(key)
+	cv, opt := v.(*compiled), astaOptions(s)
+	ctx, warm := cv.checkout(opt)
 	sp = tr.Begin(obsv.SpanRun)
-	res := aut.EvalLazyCtx(pc.ctx, e.doc, e.ix, key.opt)
+	res := cv.aut.EvalLazyCtx(ctx, e.doc, e.ix, opt)
 	tr.Annotate(sp, runSpanOK[s])
 	tr.End(sp)
-	c := newRopeCursor(res.List, func() { e.pool.release(key, pc) },
+	c := newRopeCursor(res.List, func() { cv.release(opt, ctx) },
 		s, res.Stats.Visited, res.Stats.MemoEntries)
 	c.memoHits = res.Stats.MemoHits
 	c.jumps = res.Stats.Jumps
@@ -439,10 +458,11 @@ func (e *Engine) astaCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Tr
 func (e *Engine) autoCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
 	sel := e.auto
 	sp := tr.Begin(obsv.SpanSelect)
-	st := sel.shapeFor(query, p, e)
-	d := sel.decide(st)
+	min, max, chain := e.chainCounts(p)
+	st := sel.shapeFor(query, p, chain)
+	d := sel.decide(st, min, max)
 	if tr.Detail() {
-		tr.Annotate(sp, sel.explain(st, d))
+		tr.Annotate(sp, sel.explain(st, d, min, max))
 	}
 	tr.End(sp)
 

@@ -26,13 +26,15 @@ import (
 // path: one lock-free map hit, one mutex'd argmin over at most three
 // candidates, and one EWMA store at cursor close.
 //
-// A selector belongs to one Engine. The service builds a fresh engine
-// per (document, generation), so shape keys are implicitly scoped to
-// the document generation — a reloaded document starts cold, exactly
-// as the stale-estimate story requires. The design follows
-// janus-datalog's statistics-free planner argument: a tiny,
-// explainable online model per shape ("which strategy won and why" is
-// always reportable) beats both a static constant and an opaque
+// A selector's estimates are measurements of one document, so the
+// service keeps one per resident document, whichever generation a
+// request reads: shapes, EWMAs, wins and the exploration counter carry
+// across patches, and a reloaded document starts cold. The only facts a
+// patch can change under a shape, its chain labels' counts, are not
+// stored: every decision probes them in the generation it runs on. The
+// design follows janus-datalog's statistics-free planner argument: a
+// tiny, explainable online model per shape ("which strategy won and
+// why" is always reportable) beats both a static constant and an opaque
 // global regression.
 
 // DefaultAutoEpsilon is the default exploration floor: roughly one in
@@ -125,28 +127,26 @@ func (w *ewma) add(latencyNS float64, visited int) {
 	w.n++
 }
 
-// shapeStats is the selector's per-shape state. The immutable facts
-// (shape string, chain-fragment membership, label counts, eligibility
-// mask) are computed once at first sight; the mutable model lives
-// behind mu.
+// shapeStats is the selector's per-shape state. The immutable facts —
+// functions of the query alone: shape string, chain-fragment membership,
+// eligibility mask — are computed once at first sight; the mutable
+// model lives behind mu.
 type shapeStats struct {
 	shape string
-	// chain: inside the hybrid chain fragment. absent: chain whose
-	// rarest label does not occur in the document (the answer is empty
-	// by construction). minCount/maxCount: the §5 probe, cached because
-	// the document is immutable for the engine's lifetime.
+	// chain: inside the hybrid chain fragment, so decisions are given the
+	// chain labels' counts for the §5 heuristic and the absent-label
+	// short circuit.
 	chain    bool
-	absent   bool
-	minCount int
-	maxCount int
 	eligible [numSlots]bool
 
 	mu sync.Mutex
 	// n counts decisions (drives the deterministic exploration
-	// cadence); est/wins are per-candidate model state.
+	// cadence); est/wins are per-candidate model state, empty the
+	// decisions short-circuited to EmptyChain.
 	n          uint64
 	est        [numSlots]ewma
 	wins       [numSlots]uint64
+	empty      uint64
 	lastPick   Strategy
 	lastReason string
 	// Estimate-quality accounting: |observed-estimated|/observed summed
@@ -163,8 +163,8 @@ type autoDecision struct {
 	reason   string
 }
 
-// selector is the per-engine Auto decision state.
-type selector struct {
+// Selector is the Auto decision state of one document.
+type Selector struct {
 	cfg AutoConfig
 	// period is the exploration cadence derived from Epsilon
 	// (~round(1/epsilon) decisions per exploration); 0 disables it.
@@ -183,8 +183,9 @@ type selector struct {
 	observations  atomic.Uint64
 }
 
-func newSelector(cfg AutoConfig) *selector {
-	sel := &selector{cfg: cfg, byShape: make(map[string]*shapeStats)}
+// NewSelector returns a cold selector.
+func NewSelector(cfg AutoConfig) *Selector {
+	sel := &Selector{cfg: cfg, byShape: make(map[string]*shapeStats)}
 	if cfg.Epsilon > 0 {
 		p := uint64(1/cfg.Epsilon + 0.5)
 		if p < 2 {
@@ -196,9 +197,9 @@ func newSelector(cfg AutoConfig) *selector {
 }
 
 // shapeFor resolves a query to its shape state, creating it on first
-// sight. The fast path is one lock-free sync.Map hit keyed by the raw
-// query text.
-func (sel *selector) shapeFor(query string, p *xpath.Path, e *Engine) *shapeStats {
+// sight (chain: the query is inside the hybrid chain fragment). The
+// fast path is one lock-free sync.Map hit keyed by the raw query text.
+func (sel *Selector) shapeFor(query string, p *xpath.Path, chain bool) *shapeStats {
 	if v, ok := sel.byQuery.Load(query); ok {
 		return v.(*shapeStats)
 	}
@@ -206,16 +207,9 @@ func (sel *selector) shapeFor(query string, p *xpath.Path, e *Engine) *shapeStat
 	sel.mu.Lock()
 	st, ok := sel.byShape[shape]
 	if !ok {
-		min, max, chain := e.chainCounts(p)
-		st = &shapeStats{
-			shape:    shape,
-			chain:    chain,
-			absent:   chain && min == 0,
-			minCount: min,
-			maxCount: max,
-		}
+		st = &shapeStats{shape: shape, chain: chain}
 		st.eligible[slotOptimized] = true
-		st.eligible[slotHybrid] = chain && !st.absent
+		st.eligible[slotHybrid] = chain
 		st.eligible[slotTDSTA] = tdstaEligible(p)
 		sel.byShape[shape] = st
 	}
@@ -228,24 +222,26 @@ func (sel *selector) shapeFor(query string, p *xpath.Path, e *Engine) *shapeStat
 // label's count is below hybridCountFraction of the most frequent
 // one's, optimized otherwise. It is the cold-shape fallback, and the
 // whole decision on the Adaptive=false reference arm.
-func (st *shapeStats) staticPick() autoDecision {
-	if st.chain && st.maxCount > 0 &&
-		float64(st.minCount) <= hybridCountFraction*float64(st.maxCount) {
+func (st *shapeStats) staticPick(min, max int) autoDecision {
+	if st.chain && max > 0 &&
+		float64(min) <= hybridCountFraction*float64(max) {
 		return autoDecision{strategy: Hybrid, slot: slotHybrid}
 	}
 	return autoDecision{strategy: Optimized, slot: slotOptimized}
 }
 
-// decide picks the strategy for one Auto evaluation of shape st.
-func (sel *selector) decide(st *shapeStats) autoDecision {
+// decide picks the strategy for one Auto evaluation of shape st; min
+// and max are a chain's label counts in the generation being queried.
+func (sel *Selector) decide(st *shapeStats, min, max int) autoDecision {
 	sel.decisions.Add(1)
-	if st.absent {
+	if st.chain && min == 0 {
 		// A chain with an absent label selects nothing: answer empty
 		// without running any engine, and report it as a distinct
 		// zero-cost outcome so it cannot pollute the Hybrid estimates.
 		sel.shortCircuits.Add(1)
 		st.mu.Lock()
 		st.n++
+		st.empty++
 		st.lastPick, st.lastReason = EmptyChain, ReasonShortCircuit
 		st.mu.Unlock()
 		return autoDecision{strategy: EmptyChain, slot: -1, reason: ReasonShortCircuit}
@@ -258,10 +254,10 @@ func (sel *selector) decide(st *shapeStats) autoDecision {
 	var d autoDecision
 	switch {
 	case !sel.cfg.Adaptive:
-		d = st.staticPick()
+		d = st.staticPick(min, max)
 		d.reason = ReasonStatic
 	default:
-		d = st.adaptivePick(sel)
+		d = st.adaptivePick(sel, min, max)
 	}
 	if d.reason == ReasonExplore {
 		sel.explorations.Add(1)
@@ -272,7 +268,7 @@ func (sel *selector) decide(st *shapeStats) autoDecision {
 }
 
 // adaptivePick is the observed-latency model. Caller holds st.mu.
-func (st *shapeStats) adaptivePick(sel *selector) autoDecision {
+func (st *shapeStats) adaptivePick(sel *Selector, min, max int) autoDecision {
 	// Candidate census: how many strategies could serve this shape, and
 	// which of them have never been measured.
 	nElig, nMeasured := 0, 0
@@ -295,7 +291,7 @@ func (st *shapeStats) adaptivePick(sel *selector) autoDecision {
 	if nMeasured == 0 {
 		// Nothing observed yet: the paper's heuristic decides, and its
 		// run becomes the first observation.
-		d := st.staticPick()
+		d := st.staticPick(min, max)
 		d.reason = ReasonCold
 		return d
 	}
@@ -311,8 +307,7 @@ func (st *shapeStats) adaptivePick(sel *selector) autoDecision {
 		// measured hopelessly slower than the incumbent are not worth
 		// the tax (re-running a 200x-slower engine every Nth query
 		// would dominate the shape's cost); they get their retry when
-		// the document generation — and with it the selector — turns
-		// over.
+		// the document is reloaded and its selector starts over.
 		bound := exploreLatencyBound * st.est[best].latencyNS
 		probe := -1
 		for s := 0; s < numSlots; s++ {
@@ -350,7 +345,7 @@ func (st *shapeStats) argminLatency() int {
 // cost), on the Adaptive=false reference arm too: both arms pay
 // identical bookkeeping, so the benchmark gate compares pure decision
 // quality.
-func (sel *selector) observe(st *shapeStats, slot int, elapsed time.Duration, visited int) {
+func (sel *Selector) observe(st *shapeStats, slot int, elapsed time.Duration, visited int) {
 	if st == nil || slot < 0 || slot >= numSlots {
 		return
 	}
@@ -372,11 +367,11 @@ func (sel *selector) observe(st *shapeStats, slot int, elapsed time.Duration, vi
 
 // explain renders one decision with its candidate estimates for the
 // ?explain=1 select span. Detail path only — it allocates.
-func (sel *selector) explain(st *shapeStats, d autoDecision) string {
+func (sel *Selector) explain(st *shapeStats, d autoDecision, min, max int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "auto shape=%s pick=%s reason=%s", st.shape, d.strategy, d.reason)
 	if d.strategy == EmptyChain {
-		fmt.Fprintf(&b, " min_count=0 max_count=%d", st.maxCount)
+		fmt.Fprintf(&b, " min_count=0 max_count=%d", max)
 		return b.String()
 	}
 	st.mu.Lock()
@@ -393,7 +388,7 @@ func (sel *selector) explain(st *shapeStats, d autoDecision) string {
 	}
 	st.mu.Unlock()
 	if st.chain {
-		fmt.Fprintf(&b, " min_count=%d max_count=%d", st.minCount, st.maxCount)
+		fmt.Fprintf(&b, " min_count=%d max_count=%d", min, max)
 	}
 	return b.String()
 }
@@ -474,8 +469,8 @@ type SelectorStats struct {
 // bounded on adversarial query streams.
 const maxTopShapes = 16
 
-// stats snapshots the selector.
-func (sel *selector) stats() SelectorStats {
+// Stats snapshots the selector.
+func (sel *Selector) Stats() SelectorStats {
 	s := SelectorStats{
 		Adaptive:       sel.cfg.Adaptive,
 		Epsilon:        sel.cfg.Epsilon,
@@ -516,8 +511,8 @@ func (sel *selector) stats() SelectorStats {
 				s.WinsByStrategy[slotStrategy[slot].String()] += st.wins[slot]
 			}
 		}
-		if st.absent && st.n > 0 {
-			s.WinsByStrategy[EmptyChain.String()] += st.n
+		if st.empty > 0 {
+			s.WinsByStrategy[EmptyChain.String()] += st.empty
 		}
 		s.ErrRelSum += st.errRelSum
 		s.ErrCount += st.errCount
@@ -550,9 +545,9 @@ func (s SelectorStats) AddTo(dst *SelectorStats) {
 }
 
 // Counters returns s with its gauges (Shapes, TopShapes) dropped: the
-// part of a selector's stats that outlives the selector (see
-// PoolStats.Counters). WinsByStrategy is shared with s, which AddTo
-// only reads.
+// part of a selector's stats that outlives the selector, which the
+// service keeps when a document is evicted so that no exported counter
+// decreases. WinsByStrategy is shared with s, which AddTo only reads.
 func (s SelectorStats) Counters() SelectorStats {
 	s.Shapes, s.TopShapes = 0, nil
 	return s

@@ -48,6 +48,22 @@ func mustPath(t *testing.T, q string) *xpath.Path {
 	return p
 }
 
+// shapeOn resolves query q to its shape on eng's selector, and decideOn
+// decides a shape, the way autoCursor does: with the chain counts
+// probed in eng's document.
+func shapeOn(t *testing.T, eng *Engine, q string) *shapeStats {
+	t.Helper()
+	p := mustPath(t, q)
+	_, _, chain := eng.chainCounts(p)
+	return eng.auto.shapeFor(q, p, chain)
+}
+
+func decideOn(t *testing.T, eng *Engine, st *shapeStats) autoDecision {
+	t.Helper()
+	min, max, _ := eng.chainCounts(mustPath(t, st.shape))
+	return eng.auto.decide(st, min, max)
+}
+
 // swapHybrid replaces the hybrid engine entry point for one test.
 func swapHybrid(t *testing.T, fn func(*tree.Document, *index.Index, *xpath.Path) (hybrid.Result, error)) {
 	t.Helper()
@@ -64,41 +80,41 @@ func TestAutoDecisionTable(t *testing.T) {
 	sel := eng.auto
 
 	// Cold chain key, rare label: the §5 heuristic decides — Hybrid.
-	stChain := sel.shapeFor("/r/a/b", mustPath(t, "/r/a/b"), eng)
+	stChain := shapeOn(t, eng, "/r/a/b")
 	if !stChain.eligible[slotHybrid] || !stChain.eligible[slotTDSTA] || !stChain.eligible[slotOptimized] {
 		t.Fatalf("eligibility for /r/a/b = %v, want all three", stChain.eligible)
 	}
-	d := sel.decide(stChain)
+	d := decideOn(t, eng, stChain)
 	if d.strategy != Hybrid || d.reason != ReasonCold {
 		t.Fatalf("cold rare chain: got (%v, %s), want (Hybrid, %s)", d.strategy, d.reason, ReasonCold)
 	}
 
 	// Cold chain key, no rare label: heuristic says Optimized. /r/a has
 	// min=1 (root) and max=2, 1 > 0.05·2.
-	stPlain := sel.shapeFor("/r/a", mustPath(t, "/r/a"), eng)
-	if d := sel.decide(stPlain); d.strategy != Optimized || d.reason != ReasonCold {
+	stPlain := shapeOn(t, eng, "/r/a")
+	if d := decideOn(t, eng, stPlain); d.strategy != Optimized || d.reason != ReasonCold {
 		t.Fatalf("cold non-rare chain: got (%v, %s), want (Optimized, %s)", d.strategy, d.reason, ReasonCold)
 	}
 
 	// Out-of-fragment query: neither chain nor TDSTA eligible — the
 	// single-candidate path, no probing ever.
-	stBack := sel.shapeFor("//b/parent::*", mustPath(t, "//b/parent::*"), eng)
+	stBack := shapeOn(t, eng, "//b/parent::*")
 	if stBack.eligible[slotHybrid] || stBack.eligible[slotTDSTA] {
 		t.Fatalf("eligibility for //b/parent::* = %v, want optimized only", stBack.eligible)
 	}
-	if d := sel.decide(stBack); d.strategy != Optimized || d.reason != ReasonOnly {
+	if d := decideOn(t, eng, stBack); d.strategy != Optimized || d.reason != ReasonOnly {
 		t.Fatalf("out-of-fragment: got (%v, %s), want (Optimized, %s)", d.strategy, d.reason, ReasonOnly)
 	}
 
 	// One observation in: the unmeasured candidates are probed in slot
 	// order before any argmin is trusted.
 	sel.observe(stChain, slotHybrid, 50_000, 10)
-	d = sel.decide(stChain)
+	d = decideOn(t, eng, stChain)
 	if d.strategy != Optimized || d.reason != ReasonProbe {
 		t.Fatalf("probe 1: got (%v, %s), want (Optimized, %s)", d.strategy, d.reason, ReasonProbe)
 	}
 	sel.observe(stChain, slotOptimized, 80_000, 25)
-	d = sel.decide(stChain)
+	d = decideOn(t, eng, stChain)
 	if d.strategy != TopDownDet || d.reason != ReasonProbe {
 		t.Fatalf("probe 2: got (%v, %s), want (TopDownDet, %s)", d.strategy, d.reason, ReasonProbe)
 	}
@@ -106,7 +122,7 @@ func TestAutoDecisionTable(t *testing.T) {
 	// Fully measured with TDSTA cheapest: exploit must pick it — the
 	// restricted-fragment engine the static heuristic never considered.
 	sel.observe(stChain, slotTDSTA, 10_000, 5)
-	d = sel.decide(stChain)
+	d = decideOn(t, eng, stChain)
 	if d.strategy != TopDownDet || d.reason != ReasonExploit {
 		t.Fatalf("warm: got (%v, %s), want (TopDownDet, %s)", d.strategy, d.reason, ReasonExploit)
 	}
@@ -115,7 +131,7 @@ func TestAutoDecisionTable(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		sel.observe(stChain, slotHybrid, 1_000, 2)
 	}
-	if d := sel.decide(stChain); d.strategy != Hybrid {
+	if d := decideOn(t, eng, stChain); d.strategy != Hybrid {
 		t.Fatalf("after hybrid speedup: got %v, want Hybrid", d.strategy)
 	}
 }
@@ -127,14 +143,14 @@ func TestAutoExplorationCadence(t *testing.T) {
 	eng := New(selDoc(t))
 	eng.ConfigureAuto(AutoConfig{Adaptive: true, Epsilon: 0.5})
 	sel := eng.auto
-	st := sel.shapeFor("/r/a/b", mustPath(t, "/r/a/b"), eng)
+	st := shapeOn(t, eng, "/r/a/b")
 	sel.observe(st, slotOptimized, 10_000, 5)
 	sel.observe(st, slotHybrid, 50_000, 10)
 	sel.observe(st, slotTDSTA, 60_000, 10)
 
 	explored := 0
 	for i := 0; i < 10; i++ {
-		d := sel.decide(st)
+		d := decideOn(t, eng, st)
 		switch d.reason {
 		case ReasonExplore:
 			explored++
@@ -435,14 +451,14 @@ func TestExplorationSkipsHopelessCandidates(t *testing.T) {
 	eng := New(selDoc(t))
 	eng.ConfigureAuto(AutoConfig{Adaptive: true, Epsilon: 0.5})
 	sel := eng.auto
-	st := sel.shapeFor("/r/a/b", mustPath(t, "/r/a/b"), eng)
+	st := shapeOn(t, eng, "/r/a/b")
 	// Hybrid measured 200x worse than the incumbent: far past the 8x
 	// exploration bound. TDSTA within it.
 	sel.observe(st, slotOptimized, 10_000, 5)
 	sel.observe(st, slotHybrid, 2_000_000, 10)
 	sel.observe(st, slotTDSTA, 50_000, 10)
 	for i := 0; i < 20; i++ {
-		d := sel.decide(st)
+		d := decideOn(t, eng, st)
 		if d.strategy == Hybrid {
 			t.Fatalf("decision %d explored a candidate measured %dx past the bound", i, 200)
 		}
@@ -459,11 +475,11 @@ func TestExplorationSkipsHopelessCandidates(t *testing.T) {
 	// through to exploit rather than burning a run on a known-bad pick.
 	// "//a/b" has exactly two candidates (Optimized, Hybrid — the
 	// descendant step is outside the TDSTA fragment).
-	st2 := sel.shapeFor("//a/b", mustPath(t, "//a/b"), eng)
+	st2 := shapeOn(t, eng, "//a/b")
 	sel.observe(st2, slotOptimized, 10_000, 5)
 	sel.observe(st2, slotHybrid, 2_000_000, 10)
 	for i := 0; i < 10; i++ {
-		d := sel.decide(st2)
+		d := decideOn(t, eng, st2)
 		if d.reason == ReasonExplore {
 			t.Fatalf("decision %d explored with every alternative out of bound", i)
 		}

@@ -33,8 +33,16 @@ func (ix *Index) NewCursors() *Cursors {
 	return &Cursors{ix: ix, pos: make([]int32, len(ix.occ))}
 }
 
-// Index returns the index the cursors sweep.
-func (c *Cursors) Index() *Index { return c.ix }
+// Retarget rewinds the cursors and points them at another index — the
+// one the next evaluation runs over, or nil to hold none in between —
+// keeping the position array unless the alphabet size differs.
+func (c *Cursors) Retarget(ix *Index) {
+	c.Reset()
+	c.ix = ix
+	if ix != nil && len(ix.occ) != len(c.pos) {
+		c.pos = make([]int32, len(ix.occ))
+	}
+}
 
 // Reset rewinds the cursors for reuse in O(touched): only positions a
 // previous evaluation moved off zero are cleared. A reset cursor set

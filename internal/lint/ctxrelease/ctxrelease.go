@@ -1,9 +1,10 @@
 // Package ctxrelease proves that every checkout from a pooled
-// resource — evaluation-context worlds (ctxPool.checkout), evaluation
-// cursors (EvalCursor/EvalCursorTrace) and span recorders
-// (obsv.NewTrace) — is released on every path. The runtime guard
-// (GuardTrips) only notices a leaked context after the damage, on the
-// next checkout; this analyzer catches the leak at compile time.
+// resource — evaluation-context worlds (core's compiled.checkout),
+// evaluation cursors (EvalCursor/EvalCursorTrace) and span recorders
+// (obsv.NewTrace) — is released on every path. At run time a leaked
+// context is silently garbage-collected, and the pool's books (Misses -
+// Drops - Resident, zero at quiescence) show it only after the fact;
+// this analyzer catches the leak at compile time.
 //
 // The check is flow-insensitive to find acquisitions, then
 // path-refined: each function body is walked as an abstract

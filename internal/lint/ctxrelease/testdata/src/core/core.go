@@ -1,5 +1,6 @@
-// Stub of repro/internal/core for ctxrelease fixtures: the pool
-// checkout/release pair is package-private, so its cases live here.
+// Stub of repro/internal/core for ctxrelease fixtures: the
+// checkout/release pair of a cached automaton's warm contexts is
+// package-private, so its cases live here.
 package core
 
 type Cursor struct{}
@@ -7,36 +8,37 @@ type Cursor struct{}
 func (c *Cursor) Close()     {}
 func (c *Cursor) Next() bool { return false }
 
-type pooledCtx struct{}
+type ctx struct{}
 
-type pool struct{}
+// compiled stands in for a cached automaton with its free lists.
+type compiled struct{}
 
-func (p *pool) checkout(k string) (*pooledCtx, bool) { return nil, false }
-func (p *pool) release(k string, pc *pooledCtx)      {}
+func (cv *compiled) checkout(opt string) (*ctx, bool) { return nil, false }
+func (cv *compiled) release(opt string, c *ctx)       {}
 
-type Engine struct{ pool pool }
+type Engine struct{ cv compiled }
 
 func (e *Engine) EvalCursor(q string) (*Cursor, error)      { return nil, nil }
 func (e *Engine) EvalCursorTrace(q string) (*Cursor, error) { return nil, nil }
 
 func (e *Engine) leakyCheckout(leak bool) {
-	pc, warm := e.pool.checkout("k")
+	c, warm := e.cv.checkout("opt")
 	_ = warm
 	if leak {
-		return // want "pooled context .pc. .from core.checkout at .* is not released on this return"
+		return // want "pooled context .c. .from core.checkout at .* is not released on this return"
 	}
-	e.pool.release("k", pc)
+	e.cv.release("opt", c)
 }
 
 func (e *Engine) cleanCheckout() {
-	pc, _ := e.pool.checkout("k")
-	defer e.pool.release("k", pc)
+	c, _ := e.cv.checkout("opt")
+	defer e.cv.release("opt", c)
 }
 
 // closureRelease is the cursor-construction pattern: the checkout is
 // captured by a release closure that outlives the call, transferring
 // ownership to whoever holds the closure.
 func (e *Engine) closureRelease() func() {
-	pc, _ := e.pool.checkout("k")
-	return func() { e.pool.release("k", pc) }
+	c, _ := e.cv.checkout("opt")
+	return func() { e.cv.release("opt", c) }
 }

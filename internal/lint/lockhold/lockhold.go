@@ -1,16 +1,18 @@
 // Package lockhold encodes the lock discipline of the serving path:
-// the mutexes guarding store chains, shard engine tables, the compiled
+// the mutexes guarding store chains, shard selector tables, the compiled
 // query cache and service metrics are all short-hold spinners on the
 // hot path, so nothing slow or re-entrant may happen under one. While
 // such a mutex is held the analyzer forbids
 //
 //   - channel operations (send, receive, select, range-over-channel)
 //   - time.Sleep and any call into net or net/http
-//   - acquiring another tracked lock (single-flight waits and retire
-//     callbacks all run after unlocking, and the -race churn hammers
-//     only probe this probabilistically — here it is structural). The
-//     one sanctioned order, a store chain's writer queue before its
-//     generation table in Patch's publish, carries an ignore directive.
+//   - acquiring another tracked lock (single-flight waits run after
+//     unlocking, and the -race churn hammers only probe this
+//     probabilistically — here it is structural). The one sanctioned
+//     order, a store chain's writer queue before its generation table
+//     in Patch's publish, carries an ignore directive. (The walk is
+//     per function: it does not see the query cache calling
+//     qcache.Evictee under its lock, whose contract covers it.)
 //
 // The walk is a path-sensitive abstract interpretation of each
 // function body: branches fork the held-set, a deferred Unlock keeps

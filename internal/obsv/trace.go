@@ -33,7 +33,7 @@ import (
 const (
 	SpanQuery   = "query"   // whole request, root span
 	SpanRoute   = "route"   // shard routing decision
-	SpanEngine  = "engine"  // engine table lookup / (re)build
+	SpanEngine  = "engine"  // generation pin, document-selector lookup, engine binding
 	SpanCursor  = "cursor"  // continuation-token decode + validation
 	SpanParse   = "parse"   // XPath text -> AST
 	SpanSelect  = "select"  // Auto strategy selection (chain-count probe)

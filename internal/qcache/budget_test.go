@@ -39,8 +39,8 @@ func TestBudgetSharedAcrossCaches(t *testing.T) {
 	}
 }
 
-// TestBudgetReleasedOnRemove: Remove and RemovePrefix return their
-// bytes to the shared budget.
+// TestBudgetReleasedOnRemove: Remove returns the entry's bytes to the
+// shared budget.
 func TestBudgetReleasedOnRemove(t *testing.T) {
 	b := NewBudget(10_000)
 	c := NewShared(100, 0, b)
@@ -56,11 +56,11 @@ func TestBudgetReleasedOnRemove(t *testing.T) {
 	if got := b.Used(); got != 250 {
 		t.Errorf("used after Remove = %d, want 250", got)
 	}
-	if n := c.RemovePrefix("doc\x00"); n != 1 {
-		t.Fatalf("RemovePrefix removed %d, want 1", n)
+	if !c.Remove("doc\x00q2") {
+		t.Fatal("remove failed")
 	}
 	if got := b.Used(); got != 50 {
-		t.Errorf("used after RemovePrefix = %d, want 50", got)
+		t.Errorf("used after the second Remove = %d, want 50", got)
 	}
 }
 

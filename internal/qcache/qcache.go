@@ -6,16 +6,18 @@
 // evaluation — the regime where the paper's whole-query optimization
 // pays for itself.
 //
-// Values are opaque (any): the same cache holds *asta.ASTA and minimized
-// *sta.STA artifacts side by side; callers namespace their keys (the
-// service uses docID\x00generation\x00kind\x00query, purging a
-// document's entries as RemovePrefix(docID+"\x00")).
+// Values are opaque (any): the same cache holds ASTA and minimized
+// TDSTA artifacts side by side. A key names what its value is a
+// function of — core uses labelTableID\x00kind\x00query — so no entry
+// ever has to be invalidated: a document whose alphabet changed, or
+// that was reloaded, looks its queries up under another table id, and
+// the entries of tables no document uses any more go cold and leave by
+// the LRU like anything else.
 package qcache
 
 import (
 	"container/list"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -117,6 +119,15 @@ type Sizer interface {
 // DefaultEntryBytes is the weight charged to values that do not
 // implement Sizer — roughly a small compiled automaton.
 const DefaultEntryBytes = 2048
+
+// Evictee is implemented by values that keep state outside the cache's
+// accounting (core parks an automaton's warm contexts on its entry).
+// Evicted is called once when the value leaves the cache — evicted,
+// removed, replaced, or refused admission — under the cache's lock: it
+// must be brief and must not call back into the cache.
+type Evictee interface {
+	Evicted()
+}
 
 func entrySize(val any) int64 {
 	if s, ok := val.(Sizer); ok {
@@ -249,42 +260,43 @@ func (c *Cache) Put(key string, val any) {
 // (entry count, byte budget) is exceeded.
 func (c *Cache) add(key string, val any) {
 	size := entrySize(val)
+	if el, ok := c.items[key]; ok {
+		c.drop(el)
+	}
 	// An entry larger than the entire shared budget must not be cached:
 	// admitting it would leave the budget permanently over, and every
 	// other participating cache would evict its whole working set on
 	// each insertion trying to fit a total that can never fit. The
 	// caller still gets the compiled value — it just isn't resident.
 	if c.budget != nil && size > c.budget.max {
-		if el, ok := c.items[key]; ok {
-			e := el.Value.(*entry)
-			c.curBytes -= e.size
-			c.budget.add(-e.size)
-			c.ll.Remove(el)
-			delete(c.items, key)
-		}
+		evicted(val)
 		return
 	}
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*entry)
-		c.curBytes += size - e.size
-		c.budget.add(size - e.size)
-		e.val, e.size = val, size
-		c.ll.MoveToFront(el)
-	} else {
-		c.items[key] = c.ll.PushFront(&entry{key: key, val: val, size: size})
-		c.curBytes += size
-		c.budget.add(size)
-	}
+	c.items[key] = c.ll.PushFront(&entry{key: key, val: val, size: size})
+	c.curBytes += size
+	c.budget.add(size)
 	for c.ll.Len() > c.capacity ||
 		(c.ll.Len() > 1 &&
 			((c.maxBytes > 0 && c.curBytes > c.maxBytes) || c.budget.Over())) {
-		tail := c.ll.Back()
-		e := tail.Value.(*entry)
-		c.ll.Remove(tail)
-		delete(c.items, e.key)
-		c.curBytes -= e.size
-		c.budget.add(-e.size)
+		c.drop(c.ll.Back())
 		c.evictions++
+	}
+}
+
+// drop unlinks one entry under c.mu, gives its bytes back and tells an
+// Evictee value it is gone.
+func (c *Cache) drop(el *list.Element) {
+	e := el.Value.(*entry)
+	c.ll.Remove(el)
+	delete(c.items, e.key)
+	c.curBytes -= e.size
+	c.budget.add(-e.size)
+	evicted(e.val)
+}
+
+func evicted(val any) {
+	if ev, ok := val.(Evictee); ok {
+		ev.Evicted()
 	}
 }
 
@@ -294,34 +306,9 @@ func (c *Cache) Remove(key string) bool {
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if ok {
-		size := el.Value.(*entry).size
-		c.curBytes -= size
-		c.budget.add(-size)
-		c.ll.Remove(el)
-		delete(c.items, key)
+		c.drop(el)
 	}
 	return ok
-}
-
-// RemovePrefix drops every key with the given prefix (the service purges
-// a document's automata as `docID+"\x00"` on eviction) and returns the
-// number removed.
-func (c *Cache) RemovePrefix(prefix string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*entry); strings.HasPrefix(e.key, prefix) {
-			c.curBytes -= e.size
-			c.budget.add(-e.size)
-			c.ll.Remove(el)
-			delete(c.items, e.key)
-			n++
-		}
-		el = next
-	}
-	return n
 }
 
 // Len reports the number of cached entries.

@@ -158,20 +158,41 @@ func TestWaiterGetsErrorWhenCompilePanics(t *testing.T) {
 	}
 }
 
-func TestRemovePrefix(t *testing.T) {
-	c := New(16)
-	for i := 0; i < 4; i++ {
-		c.Put(fmt.Sprintf("doc1\x00q%d", i), i)
-		c.Put(fmt.Sprintf("doc2\x00q%d", i), i)
+// parked is a test value that counts its Evicted calls.
+type parked struct {
+	size    int64
+	evicted int
+}
+
+func (p *parked) SizeBytes() int64 { return p.size }
+func (p *parked) Evicted()         { p.evicted++ }
+
+// TestEvicteeToldOnEveryDeparture: a value that implements Evictee
+// hears exactly once that it left the cache, whichever way it left —
+// pushed off the LRU tail, removed, replaced under its key, or refused
+// admission as larger than the whole shared budget — and never while
+// it is still resident.
+func TestEvicteeToldOnEveryDeparture(t *testing.T) {
+	c := NewShared(2, 0, NewBudget(1000))
+	tail, removed, replaced, kept, huge := &parked{size: 10}, &parked{size: 10}, &parked{size: 10}, &parked{size: 10}, &parked{size: 5000}
+	c.Put("tail", tail)
+	c.Put("removed", removed)
+	c.Put("replaced", replaced) // capacity 2: "tail" falls off
+	c.Remove("removed")
+	c.Put("replaced", kept)
+	if _, _, err := c.GetOrCompile("huge", func() (any, error) { return huge, nil }); err != nil {
+		t.Fatal(err)
 	}
-	if n := c.RemovePrefix("doc1\x00"); n != 4 {
-		t.Errorf("removed %d, want 4", n)
+	for name, p := range map[string]*parked{"tail": tail, "removed": removed, "replaced": replaced, "huge": huge} {
+		if p.evicted != 1 {
+			t.Errorf("%s: Evicted called %d times, want 1", name, p.evicted)
+		}
 	}
-	if c.Len() != 4 {
-		t.Errorf("len = %d, want 4", c.Len())
+	if kept.evicted != 0 {
+		t.Errorf("resident value was told it is gone (%d calls)", kept.evicted)
 	}
-	if _, ok := c.Get("doc2\x00q0"); !ok {
-		t.Error("doc2 entries must survive")
+	if got := c.Stats().SizeBytes; got != 10 {
+		t.Errorf("SizeBytes = %d, want 10 (the one resident value)", got)
 	}
 }
 
@@ -243,19 +264,13 @@ func TestOversizeEntryAdmitted(t *testing.T) {
 }
 
 // TestByteAccountingOnReplaceAndRemove: replacement adjusts the resident
-// weight; Remove and RemovePrefix give bytes back.
+// weight; Remove gives bytes back.
 func TestByteAccountingOnReplaceAndRemove(t *testing.T) {
 	c := NewSized(100, 1000)
 	c.Put("k", sized(100))
 	c.Put("k", sized(40)) // replace shrinks
 	if got := c.Stats().SizeBytes; got != 40 {
 		t.Fatalf("after replace SizeBytes = %d, want 40", got)
-	}
-	c.Put("p\x00x", sized(60))
-	c.Put("p\x00y", sized(70))
-	c.RemovePrefix("p\x00")
-	if got := c.Stats().SizeBytes; got != 40 {
-		t.Fatalf("after RemovePrefix SizeBytes = %d, want 40", got)
 	}
 	c.Remove("k")
 	if got := c.Stats().SizeBytes; got != 0 {

@@ -23,8 +23,8 @@ import (
 // with an internally consistent (gen, count) pair, or one of the
 // expected errors (409-class patch conflicts, 410-class stale
 // cursors). Run under -race (CI does); the pooled evaluation contexts
-// must never cross engines (GuardTrips == 0) even while generations
-// churn underneath them.
+// outlive the generations churning underneath them, and every one
+// checked out must come back (assertPoolSettled).
 func TestMVCCChurnHammer(t *testing.T) {
 	const shards = 4
 	const docsN = 8
@@ -226,10 +226,8 @@ func TestMVCCChurnHammer(t *testing.T) {
 	for _, f := range failures {
 		t.Error(f)
 	}
+	assertPoolSettled(t, svc)
 	st := svc.Stats()
-	if st.Pool.GuardTrips != 0 {
-		t.Errorf("generation guard tripped %d times: pooled contexts crossed engines", st.Pool.GuardTrips)
-	}
 	if st.MVCC.Patches == 0 || st.MVCC.Retired == 0 {
 		t.Errorf("hammer did not churn: %+v", st.MVCC)
 	}

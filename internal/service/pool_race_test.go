@@ -13,7 +13,7 @@ import (
 )
 
 // TestPoolSafetyHammer is the pooled-context leak hunt: one document
-// id on one engine, hammered by concurrent optimized evaluations
+// id on one shard, hammered by concurrent optimized evaluations
 // (one-shot, paged — which abandon cursors mid-answer and Close them
 // back into the pool — and streamed) while churners evict and reload
 // the id with two different document variants. Pooled evaluation
@@ -154,13 +154,11 @@ func TestPoolSafetyHammer(t *testing.T) {
 	close(stop)
 	churnWG.Wait()
 
-	// The structural keying (pool per engine per automaton) must have
-	// held on its own: the generation guard is the backstop, and a trip
-	// here means contexts crossed engines.
+	// Readers abandoned cursors mid-answer while their document was
+	// evicted under them: every context still has to be accounted for,
+	// and no reload may have been served an earlier load's automaton.
+	assertPoolSettled(t, svc)
 	st := svc.Stats()
-	if st.Pool.GuardTrips != 0 {
-		t.Errorf("generation guard tripped %d times: contexts crossed engines", st.Pool.GuardTrips)
-	}
 	if st.Queries.Total == 0 {
 		t.Error("hammer served no queries")
 	}

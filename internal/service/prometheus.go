@@ -84,8 +84,8 @@ var families = []family{
 
 	// Evaluation-context pool, per shard.
 	{name: "xpqd_ctx_pool_hits_total", typ: counter, help: "Evaluations served by a warm pooled context.", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.Hits) }},
-	{name: "xpqd_ctx_pool_misses_total", typ: counter, help: "Cold context checkouts (fresh or guard-reset).", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.Misses) }},
-	{name: "xpqd_ctx_pool_guard_trips_total", typ: counter, help: "Generation-guard resets on checkout.", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.GuardTrips) }},
+	{name: "xpqd_ctx_pool_misses_total", typ: counter, help: "Cold context checkouts (a context was constructed).", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.Misses) }},
+	{name: "xpqd_ctx_pool_guard_trips_total", typ: counter, help: "Cached automata found compiled for another label table than the evaluated document's.", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.GuardTrips) }},
 	{name: "xpqd_ctx_pool_drops_total", typ: counter, help: "Contexts discarded instead of pooled.", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.Drops) }},
 	{name: "xpqd_ctx_pool_resident", typ: gauge, help: "Contexts currently parked in pools.", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.Resident) }},
 	{name: "xpqd_ctx_pool_arena_bytes", typ: gauge, help: "Scratch bytes kept warm by pooled contexts.", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.ArenaBytes) }},

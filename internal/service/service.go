@@ -3,13 +3,14 @@
 // goroutine-affine shards by consistent hashing on the document id
 // (shard.Router), and each shard owns its slice of everything the hot
 // path touches — a store partition, a byte-weighted compiled-query LRU
-// (optionally governed by one global byte budget), an engine table, a
-// generation counter, and its own metrics. A query therefore contends
-// only with queries for documents on the same shard; there is no
-// cross-shard lock anywhere on the request path. It is the amortization
-// layer the paper's whole-query optimization assumes — compile once,
-// evaluate many times — extended across many resident documents,
-// concurrent clients, and now many contention-free partitions.
+// (optionally governed by one global byte budget), a context pool, a
+// table of per-document Auto selectors, and its own metrics. A query
+// therefore contends only with queries for documents on the same shard;
+// there is no cross-shard lock anywhere on the request path. It is the
+// amortization layer the paper's whole-query optimization assumes —
+// compile once, evaluate many times — extended across many resident
+// documents, concurrent clients, and now many contention-free
+// partitions.
 package service
 
 import (
@@ -19,7 +20,6 @@ import (
 	"log/slog"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,29 +105,31 @@ func heapAllocObjects() uint64 {
 	return n
 }
 
-// svcShard is one serving partition: the store partition it fronts,
-// its compiled-query LRU, its engine table, and its metrics. Requests
-// for documents on different shards never touch the same svcShard.
+// svcShard is one serving partition: the store partition it fronts and
+// the warm state of its documents, each piece kept under what it is a
+// function of, so that no patch, retirement or eviction has to purge
+// any of it. Requests for documents on different shards never touch the
+// same svcShard.
 type svcShard struct {
 	index int
 	part  *store.Store
+	// cache holds compiled automata under their label table's id, pool
+	// accounts the warm contexts parked on them (see core.Engine).
 	cache *qcache.Cache
+	pool  *core.Pool
 
-	// engines is keyed docID\x00generation — one engine per resident
-	// (document, generation). Cache keys extend the same prefix
-	// (docID\x00gen\x00...), so a compilation that was in flight when a
-	// generation retired can only re-insert under the dead generation's
-	// namespace — a patched or reloaded document gets a fresh store
-	// generation and can never hit the stale entry. The store's retire
-	// callback purges both maps when a generation's readers drain.
+	// engines holds what is kept per resident document, the Auto
+	// selector, by document id and for one load incarnation
+	// (store.Handle.Epoch): it survives every patch and starts over when
+	// the id is evicted and loaded again. An entry references no
+	// document, so one left behind by an eviction that bypassed EvictDoc
+	// pins nothing.
 	mu      sync.Mutex
-	engines map[string]engineEntry
-	// retiredPool and retiredAuto hold the counters of engines dropped
-	// from the table (dropEngine), so no counter derived from the engines
-	// ever decreases; a request still closing its cursor when its
-	// generation retires may go uncounted. retiredAuto starts with the
-	// selector's config, which a shard without engines reports from it.
-	retiredPool core.PoolStats
+	engines map[string]docEngine
+	// retiredAuto holds the counters of selectors dropped from the table
+	// (dropEngine), so no counter derived from them ever decreases. It
+	// starts with the selector's config, which a shard without documents
+	// reports from it.
 	retiredAuto core.SelectorStats
 
 	// Lock-wait accounting for mu: how long engine lookups queued behind
@@ -137,20 +139,18 @@ type svcShard struct {
 	lockWaitMaxNS atomic.Int64
 	lockAcquires  atomic.Uint64
 
-	// autoCfg configures the Auto selector of every engine this shard
-	// builds (selector state itself is per engine, hence per document
-	// generation).
+	// autoCfg configures the Auto selector of every document this shard
+	// serves.
 	autoCfg core.AutoConfig
 
 	metrics metrics
 }
 
-// engineEntry pins the store handle an engine was built from. Handles
-// are immutable per generation, so an entry never goes stale — it is
-// simply purged when its generation retires.
-type engineEntry struct {
-	handle *store.Handle
-	engine *core.Engine
+// docEngine is the per-document part of an engine; the rest belongs to
+// the shard or to the generation queried.
+type docEngine struct {
+	epoch uint64
+	auto  *core.Selector
 }
 
 // New builds a service around a (possibly pre-populated) sharded store;
@@ -186,26 +186,16 @@ func New(ss *shard.Store, opts Options) *Service {
 		autoCfg.Epsilon = opts.AutoEpsilon
 	}
 	for i := 0; i < ss.NumShards(); i++ {
-		sh := &svcShard{
+		s.shards = append(s.shards, &svcShard{
 			index:   i,
 			part:    ss.Part(i),
 			cache:   qcache.NewShared(opts.CacheSize, opts.CacheBytes, s.budget),
-			engines: make(map[string]engineEntry),
+			pool:    new(core.Pool),
+			engines: make(map[string]docEngine),
 			autoCfg: autoCfg,
 
 			retiredAuto: core.SelectorStats{Adaptive: autoCfg.Adaptive, Epsilon: autoCfg.Epsilon},
-		}
-		// When a generation's last reader drains, drop its engine and its
-		// slice of the compiled-query cache — the serving-layer half of
-		// the store's generation GC.
-		sh.part.OnRetire(func(id string, gen store.Gen) {
-			key := engineKey(id, gen)
-			sh.lock()
-			sh.dropEngine(key)
-			sh.mu.Unlock()
-			sh.cache.RemovePrefix(key + "\x00")
 		})
-		s.shards = append(s.shards, sh)
 	}
 	return s
 }
@@ -243,60 +233,44 @@ func (sh *svcShard) lock() {
 	}
 }
 
-// engineKey names one (document, generation) engine — also the prefix
-// (plus a trailing NUL) of its compiled-query cache namespace.
-func engineKey(docID string, gen store.Gen) string {
-	return docID + "\x00" + gen.String()
-}
-
-// engine returns the shard's engine for one resident (document,
-// generation) handle, creating it on first use. Engines share the
-// shard's LRU, namespaced by document id and store generation, so a
-// patched document's old and new generations compile and cache
-// independently.
+// engine returns an engine over one generation of a resident document:
+// the handle's tree and index bound to the shard's cache and pool and
+// to the document's selector, which is created at the first query of a
+// load incarnation. (A reader that outlived its document's eviction and
+// reload uses the reload's selector; its one observation is noise.)
 func (sh *svcShard) engine(h *store.Handle) *core.Engine {
-	key := engineKey(h.ID, h.Gen)
 	sh.lock()
-	defer sh.mu.Unlock()
-	if ent, ok := sh.engines[key]; ok && ent.handle == h {
-		return ent.engine
+	ent, ok := sh.engines[h.ID]
+	if !ok || ent.epoch < h.Epoch {
+		sh.dropEngine(h.ID)
+		ent = docEngine{epoch: h.Epoch, auto: core.NewSelector(sh.autoCfg)}
+		sh.engines[h.ID] = ent
 	}
-	e := core.NewWithIndex(h.Doc, h.Index, sh.cache, key+"\x00")
-	e.ConfigureAuto(sh.autoCfg)
-	sh.engines[key] = engineEntry{handle: h, engine: e}
-	return e
+	sh.mu.Unlock()
+	return core.NewShared(h.Doc, h.Index, sh.cache, sh.pool, ent.auto)
 }
 
-// dropEngine removes one engine from the table, first folding its
-// counters into the shard's retired totals. The caller holds sh.mu.
-func (sh *svcShard) dropEngine(key string) {
-	ent, ok := sh.engines[key]
-	if !ok {
-		return
+// dropEngine removes a document's selector from the table, first
+// folding its counters into the shard's retired totals. The caller
+// holds sh.mu.
+func (sh *svcShard) dropEngine(docID string) {
+	if ent, ok := sh.engines[docID]; ok {
+		ent.auto.Stats().Counters().AddTo(&sh.retiredAuto)
+		delete(sh.engines, docID)
 	}
-	ent.engine.PoolStats().Counters().AddTo(&sh.retiredPool)
-	ent.engine.SelectorStats().Counters().AddTo(&sh.retiredAuto)
-	delete(sh.engines, key)
 }
 
-// EvictDoc removes a document from its shard, drops the shard's engines
-// for every generation of it, and purges its compiled automata from the
-// shard's LRU. The store's retire callbacks do most of this per
-// generation already; the prefix sweeps are the belt-and-braces for
-// engines raced into existence against a retiring generation. It
-// reports whether the document was resident.
+// EvictDoc removes a document from its shard, and its selector with it.
+// Nothing else is swept: its automata and their warm contexts are keyed
+// by its label table, which no later document can share, so they go
+// cold and leave by the LRU. It reports whether the document was
+// resident.
 func (s *Service) EvictDoc(docID string) bool {
 	sh := s.shardFor(docID)
 	ok := sh.part.Evict(docID)
-	prefix := docID + "\x00"
 	sh.lock()
-	for key := range sh.engines {
-		if strings.HasPrefix(key, prefix) {
-			sh.dropEngine(key)
-		}
-	}
+	sh.dropEngine(docID)
 	sh.mu.Unlock()
-	sh.cache.RemovePrefix(prefix)
 	return ok
 }
 
@@ -422,7 +396,8 @@ type evalState struct {
 	resp Response
 	sh   *svcShard
 	cur  *core.Cursor
-	eng  *core.Engine
+	// h is the pinned generation the answer is read from.
+	h *store.Handle
 	// fromCursor marks a resumed request: on successful consumption the
 	// incoming token's lease on resp.Gen is redeemed.
 	fromCursor bool
@@ -528,7 +503,7 @@ func (s *Service) prepare(req Request) evalState {
 	st.resp.Strategy = cur.Strategy().String()
 	st.resp.Count = cur.Count()
 	st.resp.Visited = cur.Visited()
-	st.cur, st.eng = cur, eng
+	st.cur, st.h = cur, h
 	return st
 }
 
@@ -693,7 +668,7 @@ func (s *Service) Eval(req Request) Response {
 	}
 	// Return the evaluation context to its pool even when the page
 	// limit leaves the cursor unexhausted — the next request for this
-	// (document, query) wants the warm context, not the GC.
+	// query wants the warm context, not the GC.
 	defer st.cur.Close()
 	resp := &st.resp
 	sp := st.tr.Begin(obsv.SpanPage)
@@ -715,7 +690,7 @@ func (s *Service) Eval(req Request) Response {
 	if req.Paths {
 		resp.Paths = make([]string, len(nodes))
 		for i, v := range nodes {
-			resp.Paths[i] = st.eng.Doc().Path(v)
+			resp.Paths[i] = st.h.Doc.Path(v)
 		}
 	}
 	st.tr.End(sp)
@@ -769,7 +744,8 @@ type ShardStats struct {
 	// of the compiled-query cache.
 	DocBytes      int64 `json:"doc_bytes"`
 	ResidentBytes int64 `json:"resident_bytes"`
-	Engines       int   `json:"engines"`
+	// Engines counts the documents with a live Auto selector.
+	Engines int `json:"engines"`
 	// Cache covers this shard's compiled-query LRU only.
 	Cache        qcache.Stats `json:"cache"`
 	CacheHitRate float64      `json:"cache_hit_rate"`
@@ -781,14 +757,13 @@ type ShardStats struct {
 	LockWaitMaxNS   int64      `json:"lock_wait_max_ns"`
 	LockAcquires    uint64     `json:"lock_acquires"`
 	Queries         QueryStats `json:"queries"`
-	// Pool aggregates the evaluation-context pools of this shard's
-	// engines: hit rate is the fraction of queries served by a warm,
-	// allocation-free context, ArenaBytes the scratch memory those
-	// pooled contexts keep resident.
+	// Pool is this shard's evaluation-context pool: hit rate is the
+	// fraction of queries served by a warm, allocation-free context,
+	// ArenaBytes the scratch memory the parked contexts keep resident.
 	Pool        core.PoolStats `json:"ctx_pool"`
 	PoolHitRate float64        `json:"ctx_pool_hit_rate"`
 	// Auto aggregates the observed-latency Auto selectors of this
-	// shard's engines: shapes tracked, wins per strategy, exploration
+	// shard's documents: shapes tracked, wins per strategy, exploration
 	// rate, estimate error, and the most-decided shapes with their
 	// per-candidate estimates and winner reasons.
 	Auto core.SelectorStats `json:"auto"`
@@ -834,6 +809,10 @@ type Stats struct {
 	AllocsPerQuery   float64 `json:"allocs_per_query_estimate"`
 }
 
+// selectorStats is indirect so a test can park a snapshot inside a
+// selector and show that requests do not wait for it.
+var selectorStats = (*core.Selector).Stats
+
 // Stats snapshots the store, caches and query counters, globally and
 // per shard. Every service-wide struct is the AddTo sum of the per-shard
 // ones, so a field added to a stats struct is summed where it is
@@ -862,17 +841,22 @@ func (s *Service) Stats() Stats {
 		if ss.LockAcquires > 0 {
 			ss.LockWaitMeanNS = ss.LockWaitTotalNS / int64(ss.LockAcquires)
 		}
-		sh.mu.Lock()
-		ss.Engines = len(sh.engines)
-		sh.retiredPool.AddTo(&ss.Pool)
+		// Every request takes sh.mu, so it is held only to copy pointers;
+		// the snapshots (a lock and an allocation per shape) come after.
+		sh.lock()
 		sh.retiredAuto.AddTo(&ss.Auto)
+		autos := make([]*core.Selector, 0, len(sh.engines))
 		for _, ent := range sh.engines {
-			ent.engine.PoolStats().AddTo(&ss.Pool)
-			ent.engine.SelectorStats().AddTo(&ss.Auto)
+			autos = append(autos, ent.auto)
 		}
 		sh.mu.Unlock()
-		ss.PoolHitRate = ss.Pool.HitRate()
+		ss.Engines = len(autos)
+		for _, auto := range autos {
+			selectorStats(auto).AddTo(&ss.Auto)
+		}
 		ss.Auto.Finalize()
+		ss.Pool = sh.pool.Stats()
+		ss.PoolHitRate = ss.Pool.HitRate()
 
 		ss.Cache.AddTo(&out.Cache)
 		out.Queries.add(&ss.Queries)

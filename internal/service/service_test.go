@@ -92,18 +92,20 @@ func TestCacheKeyedPerDocument(t *testing.T) {
 	}
 }
 
-func TestEvictPurgesCompiledQueries(t *testing.T) {
-	s := newTestService(t, Options{})
+// TestEvictedDocAutomataLeaveByLRU: evicting a document sweeps nothing
+// out of the compiled-query cache. Its automata are keyed by its label
+// table, which no later document can share, so they can never be hit
+// again; they go cold and the LRU pushes them out — warm contexts
+// included — as soon as live queries need the room.
+func TestEvictedDocAutomataLeaveByLRU(t *testing.T) {
+	s := newTestService(t, Options{CacheSize: 2})
 	s.Eval(Request{Doc: "d1", Query: "//a/b", Strategy: "optimized"})
 	s.Eval(Request{Doc: "d1", Query: "//c", Strategy: "optimized"})
-	if got := s.Stats().Cache.Size; got != 2 {
-		t.Fatalf("cache size = %d, want 2", got)
+	if st := s.Stats(); st.Cache.Size != 2 || st.Pool.Resident != 2 {
+		t.Fatalf("cache size = %d, pooled contexts = %d, want 2 and 2", st.Cache.Size, st.Pool.Resident)
 	}
 	if !s.EvictDoc("d1") {
 		t.Fatal("evict failed")
-	}
-	if got := s.Stats().Cache.Size; got != 0 {
-		t.Errorf("cache size after evict = %d, want 0", got)
 	}
 	if resp := s.Eval(Request{Doc: "d1", Query: "//a"}); resp.Err == "" {
 		t.Error("evicted doc must not answer")
@@ -111,13 +113,32 @@ func TestEvictPurgesCompiledQueries(t *testing.T) {
 	if s.EvictDoc("d1") {
 		t.Error("double evict = true")
 	}
+	if got := s.Stats().Shards[0].Engines; got != 0 {
+		t.Errorf("engines after evict = %d, want 0 (the document's selector goes with it)", got)
+	}
+
+	// The same id, reloaded, compiles its queries afresh and pushes the
+	// dead table's entries out.
+	if _, err := s.Store().LoadXML("d1", []byte("<r><a><b/></a><c/></r>")); err != nil {
+		t.Fatal(err)
+	}
+	s.Eval(Request{Doc: "d1", Query: "//a/b", Strategy: "optimized"})
+	s.Eval(Request{Doc: "d1", Query: "//c", Strategy: "optimized"})
+	st := s.Stats()
+	if st.Cache.Misses != 4 || st.Cache.Evictions != 2 || st.Cache.Size != 2 {
+		t.Errorf("after reload: %+v, want 4 misses, 2 evictions, size 2", st.Cache)
+	}
+	if st.Pool.Resident != 2 || st.Pool.Drops != 2 {
+		t.Errorf("after reload: %+v, want the 2 dead contexts dropped and 2 live ones parked", st.Pool)
+	}
 }
 
 func TestReloadedDocGetsFreshCacheNamespace(t *testing.T) {
 	// An id evicted and reloaded with different content must never be
-	// answered from automata compiled against the old document — the
-	// engine generation in the cache key guarantees it even if a stale
-	// entry were re-inserted by an in-flight compile after the purge.
+	// answered from automata compiled against the old document: the
+	// reload has a label table of its own, and the table's id is in the
+	// cache key, so the old entries cannot be hit — nor overwritten by a
+	// compile that was in flight across the eviction.
 	s := New(shard.NewStore(1), Options{})
 	if _, err := s.Store().LoadXML("d", []byte("<r><a><b/></a></r>")); err != nil {
 		t.Fatal(err)
@@ -140,14 +161,15 @@ func TestReloadedDocGetsFreshCacheNamespace(t *testing.T) {
 	}
 	// The reload compiled fresh: the second eval is a miss, not a hit.
 	if cs := s.Stats().Cache; cs.Misses != 2 {
-		t.Errorf("misses = %d, want 2 (one per generation)", cs.Misses)
+		t.Errorf("misses = %d, want 2 (one per label table)", cs.Misses)
 	}
 }
 
 func TestStoreBypassReloadRebuildsEngine(t *testing.T) {
 	// Evict/reload done directly on the exposed Store() (bypassing
-	// Service.EvictDoc) must not leave a stale engine serving the old
-	// tree: engine() revalidates the store handle on every call.
+	// Service.EvictDoc) must not leave anything serving the old tree: an
+	// engine is built from the handle of every request, and the selector
+	// kept per document is revalidated against the handle's load epoch.
 	s := New(shard.NewStore(1), Options{})
 	if _, err := s.Store().LoadXML("d", []byte("<r><a><b/></a></r>")); err != nil {
 		t.Fatal(err)
@@ -172,7 +194,7 @@ func TestStoreBypassReloadRebuildsEngine(t *testing.T) {
 func TestNulDocIDRejected(t *testing.T) {
 	s := New(shard.NewStore(1), Options{})
 	if _, err := s.Store().LoadXML("a\x00b", []byte("<r/>")); err == nil {
-		t.Error("NUL in doc id must be rejected (it aliases cache-key namespaces)")
+		t.Error("NUL in doc id must be rejected (it is the cursor-token field delimiter)")
 	}
 }
 

@@ -20,13 +20,16 @@ import (
 // lived documents — served by 1, 2, 4 and 8 shards over a corpus whose
 // compiled-query cache holds ~2k resident automata. Per-query costs are
 // identical across shard counts (same documents, same automata, all
-// warm); what sharding changes is the blast radius of the registry-
-// level operations: evicting a document purges its automata with a
-// prefix scan of the owning LRU under that LRU's lock, so a single
-// registry scans (and locks) the entire resident cache on every evict,
-// while an 8-shard registry scans one eighth — and only queries routed
-// to that shard can queue behind it. The aggregate-QPS spread between
-// shards-1 and shards-8 measures exactly that single-registry cost.
+// warm); what sharding changes is how many requests share a lock: the
+// registry, the LRU and the selector table have one mutex each per
+// shard, and the churn holds them — a load publishing, an evict, and
+// every compile of a reloaded document inserting into a full LRU and
+// pushing a dead label table's entries (and their warm contexts) out
+// under that LRU's lock — so only queries routed to the same shard can
+// queue behind it. The aggregate-QPS spread between shards-1 and
+// shards-8 measures that single-registry cost. (Until PR 19 an evict
+// also prefix-scanned the whole owning LRU; BENCH_shard.json's ratio
+// was pinned then.)
 // GOMAXPROCS is raised to 8 for the duration so CI machines exercise
 // real cross-thread handoffs.
 

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/shard"
 )
 
@@ -216,5 +218,41 @@ func TestGlobalCacheByteBudget(t *testing.T) {
 	}
 	if st.Cache.Evictions == 0 {
 		t.Error("expected budget-driven evictions (raise the query count if automata shrank)")
+	}
+}
+
+// TestStatsDoesNotStallRequests: every request takes its shard's mutex
+// to find its document's selector, so a /stats or /metrics scrape may
+// hold it only to copy pointers. With a snapshot parked inside a
+// selector — where a scrape spends its time: a lock and an allocation
+// per shape — a request on the same shard still completes.
+func TestStatsDoesNotStallRequests(t *testing.T) {
+	s := newTestService(t, Options{})
+	if resp := s.Eval(Request{Doc: "d1", Query: "//a/b"}); resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	snapshot := selectorStats
+	defer func() { selectorStats = snapshot }()
+	parked := 0
+	selectorStats = func(sel *core.Selector) core.SelectorStats {
+		parked++
+		done := make(chan Response, 1)
+		go func() { done <- s.Eval(Request{Doc: "d1", Query: "//a/b"}) }()
+		select {
+		case resp := <-done:
+			if resp.Err != "" {
+				t.Error(resp.Err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Error("a request waited for a stats snapshot parked inside a selector")
+		}
+		return snapshot(sel)
+	}
+	st := s.Stats()
+	if parked != 1 {
+		t.Fatalf("snapshot visited %d selectors, want d1's", parked)
+	}
+	if st.Auto.Decisions != 2 || st.Shards[0].Engines != 1 {
+		t.Errorf("snapshot lost the selector: decisions = %d (want 2), engines = %d (want 1)", st.Auto.Decisions, st.Shards[0].Engines)
 	}
 }

@@ -143,7 +143,7 @@ func (s *Service) Stream(w io.Writer, req Request, chunkSize int) *Response {
 		if req.Paths {
 			chunk.Paths = make([]string, n)
 			for i, v := range buf[:n] {
-				chunk.Paths[i] = st.eng.Doc().Path(v)
+				chunk.Paths[i] = st.h.Doc.Path(v)
 			}
 		}
 		t := startTimer()

@@ -1,0 +1,212 @@
+package service
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/shard"
+	"repro/internal/store"
+	"repro/internal/tree"
+)
+
+// warmAdaptive and warmExact are the traffic of
+// TestWarmStateSurvivesPatch. The first group is routed by the adaptive
+// selector between several candidates, so which automaton kinds it
+// compiles depends on the clock — but only while a shape is being
+// probed; the second group compiles the same (kind, query) pairs on
+// every run: forced strategies, an Auto shape with one candidate, and a
+// chain over a label no XMark document has.
+var (
+	warmAdaptive = []Request{
+		{Query: "//listitem//keyword"},
+		{Query: "/site/regions/*/item"},
+		{Query: "/site/people/person"},
+	}
+	warmExact = []Request{
+		{Query: "/site//keyword", Strategy: "optimized"},
+		{Query: "/site//keyword", Strategy: "memoized"},
+		{Query: "/site//keyword", Strategy: "topdown-det"},
+		{Query: "//listitem[.//keyword]//emph"},
+		{Query: "//keyword", Strategy: "optimized", Limit: 5},
+		{Query: "//zzz"},
+	}
+)
+
+// Distinct (kind, query) pairs warmExact compiles, and distinct
+// (automaton, options) pairs it evaluates in a pooled context, on a
+// document that has the label zzz: /site//keyword as ASTA (run under
+// two option sets) and as TDSTA, and three more ASTAs. Where zzz is
+// absent the last request runs no engine: one pair fewer of each.
+const (
+	warmExactCompiles = 5
+	warmExactContexts = 5
+)
+
+// vocabularyFragments graft XMark vocabulary only, like xpqbench's
+// 24-patch cycle: no patch of them changes the label table.
+var vocabularyFragments = []string{
+	"<item><location>x</location><mailbox><mail><text><keyword>k</keyword></text></mail></mailbox></item>",
+	"<listitem><text><keyword>k</keyword><emph>e</emph></text></listitem>",
+	"<person><name>n</name></person>",
+}
+
+// TestWarmStateSurvivesPatch holds the three keying rules to exact
+// counts, on a single-threaded driver. Compiled automata are keyed by
+// label table and memo worlds by automaton, so a patch that interns no
+// label costs neither a compile nor a context; the selector is kept per
+// resident document, so its shapes carry over; a patch that does intern
+// a label moves the document to a new table and recompiles exactly what
+// is run again; and an evicted id, reloaded, starts cold.
+func TestWarmStateSurvivesPatch(t *testing.T) {
+	svc := New(shard.NewStore(1), Options{})
+	if _, err := svc.Store().GenerateXMark("xm", 0.002, 1); err != nil {
+		t.Fatal(err)
+	}
+	run := func(reqs []Request) {
+		t.Helper()
+		for _, r := range reqs {
+			r.Doc = "xm"
+			if resp := svc.Eval(r); resp.Err != "" {
+				t.Fatalf("%s under %q: %s", r.Query, r.Strategy, resp.Err)
+			}
+		}
+	}
+	all := append(append([]Request{}, warmAdaptive...), warmExact...)
+	// Four rounds: a shape is probed once per candidate (at most three)
+	// before the clock decides anything.
+	for i := 0; i < 4; i++ {
+		run(all)
+	}
+	first := svc.Stats()
+	if first.Cache.Misses == 0 || first.Pool.Misses == 0 || first.Auto.Shapes == 0 {
+		t.Fatalf("first round left nothing warm: %+v %+v shapes=%d", first.Cache, first.Pool, first.Auto.Shapes)
+	}
+
+	const patches = 24
+	for i := 0; i < patches; i++ {
+		// Node 1 is <site>: append below it, and now and then delete what
+		// an earlier patch appended, so documents do not only grow.
+		req := PatchDocRequest{Op: "insert", Node: tree.NodeID(1), XML: vocabularyFragments[i%len(vocabularyFragments)]}
+		if i%5 == 4 {
+			h, _ := svc.Store().Get("xm")
+			last := h.Doc.LastDesc(1)
+			for h.Doc.Parent(last) != 1 {
+				last = h.Doc.Parent(last)
+			}
+			req = PatchDocRequest{Op: "delete", Node: last}
+		}
+		if _, err := svc.PatchDoc("xm", req); err != nil {
+			t.Fatalf("patch %d: %v", i, err)
+		}
+		run(all)
+		st := svc.Stats()
+		if st.Cache.Misses != first.Cache.Misses || st.Pool.Misses != first.Pool.Misses {
+			t.Fatalf("after vocabulary-only patch %d: cache misses %d -> %d, pool misses %d -> %d, want no change",
+				i+1, first.Cache.Misses, st.Cache.Misses, first.Pool.Misses, st.Pool.Misses)
+		}
+		if st.Auto.Shapes != first.Auto.Shapes || st.Shards[0].Engines != 1 {
+			t.Fatalf("after vocabulary-only patch %d: shapes %d -> %d, engines %d, want the one selector kept",
+				i+1, first.Auto.Shapes, st.Auto.Shapes, st.Shards[0].Engines)
+		}
+	}
+	if st := svc.Stats(); st.MVCC.Patches != patches || st.Pool.GuardTrips != 0 {
+		t.Fatalf("patches = %d, guard trips = %d, want %d and 0", st.MVCC.Patches, st.Pool.GuardTrips, patches)
+	}
+
+	// A fragment with a new element: the document moves to a new label
+	// table, and what is run again is compiled again — once.
+	if _, err := svc.PatchDoc("xm", PatchDocRequest{Op: "insert", Node: tree.NodeID(1), XML: `<zzz q="1"><keyword/></zzz>`}); err != nil {
+		t.Fatal(err)
+	}
+	before := svc.Stats()
+	run(warmExact)
+	run(warmExact)
+	after := svc.Stats()
+	if got := after.Cache.Misses - before.Cache.Misses; got != warmExactCompiles {
+		t.Errorf("cache misses after the fresh-label patch grew by %d, want %d (the distinct (kind, query) pairs re-run)", got, warmExactCompiles)
+	}
+	if got := after.Pool.Misses - before.Pool.Misses; got != warmExactContexts {
+		t.Errorf("pool misses after the fresh-label patch grew by %d, want %d (the distinct (automaton, options) pairs re-run)", got, warmExactContexts)
+	}
+	if after.Auto.Shapes != first.Auto.Shapes {
+		t.Errorf("shapes %d -> %d across the fresh-label patch, want the selector kept", first.Auto.Shapes, after.Auto.Shapes)
+	}
+
+	// Evict and reload under the same id: another load, another label
+	// table, another selector. zzz is gone again, so //zzz runs no engine.
+	if !svc.EvictDoc("xm") {
+		t.Fatal("xm was not resident")
+	}
+	if st := svc.Stats(); st.Shards[0].Engines != 0 || st.Auto.Shapes != 0 {
+		t.Errorf("after evict: engines = %d, shapes = %d, want none", st.Shards[0].Engines, st.Auto.Shapes)
+	}
+	if _, err := svc.Store().GenerateXMark("xm", 0.002, 1); err != nil {
+		t.Fatal(err)
+	}
+	before = svc.Stats()
+	run(warmExact)
+	after = svc.Stats()
+	if got := after.Cache.Misses - before.Cache.Misses; got != warmExactCompiles-1 {
+		t.Errorf("cache misses after reload grew by %d, want %d: every pair compiles again", got, warmExactCompiles-1)
+	}
+	if got := after.Pool.Misses - before.Pool.Misses; got != warmExactContexts-1 {
+		t.Errorf("pool misses after reload grew by %d, want %d", got, warmExactContexts-1)
+	}
+	if after.Auto.Shapes != 2 || after.Auto.Decisions < before.Auto.Decisions {
+		t.Errorf("after reload: shapes = %d (want the 2 Auto shapes just run), decisions %d -> %d (must not decrease)",
+			after.Auto.Shapes, before.Auto.Decisions, after.Auto.Decisions)
+	}
+	assertPoolSettled(t, svc)
+}
+
+// TestRetiredGenerationCollectedWhileContextsPooled: a pooled context
+// outlives the generation it last ran on, so it must not reference it.
+// The finalizer of a retired generation's Document runs while the
+// contexts that evaluated it are still parked.
+func TestRetiredGenerationCollectedWhileContextsPooled(t *testing.T) {
+	svc := New(shard.NewStore(1), Options{})
+	if _, err := svc.Store().GenerateXMark("xm", 0.002, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"//listitem//keyword", "/site/regions/*/item", "//keyword"} {
+		for i := 0; i < 2; i++ {
+			if resp := svc.Eval(Request{Doc: "xm", Query: q, Strategy: "optimized"}); resp.Err != "" {
+				t.Fatal(resp.Err)
+			}
+		}
+	}
+	collected := make(chan struct{})
+	func() {
+		part := svc.Store().Part(0)
+		h, err := part.Acquire("xm", store.NoGen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(h.Doc, func(*tree.Document) { close(collected) })
+		part.Release("xm", h.Gen, time.Time{}, false)
+	}()
+	// Nothing holds the first generation: the patch retires it. No query
+	// runs on the new one, so the pooled contexts last ran on the old.
+	if _, err := svc.PatchDoc("xm", PatchDocRequest{Op: "insert", Node: tree.NodeID(1), XML: vocabularyFragments[0]}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(10 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		case <-deadline:
+			t.Fatalf("the retired generation's document was never collected (mvcc %+v)", svc.Stats().MVCC)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	st := svc.Stats()
+	if st.MVCC.Retired == 0 {
+		t.Errorf("document collected but no generation retired: %+v", st.MVCC)
+	}
+	if st.Pool.Resident < 3 {
+		t.Errorf("pool holds %d contexts, want the 3 that last ran on the collected generation", st.Pool.Resident)
+	}
+}

@@ -88,39 +88,40 @@ func (s *Store) Patch(id string, base Gen, pt tree.Patch) (*Handle, error) {
 	if ch == nil {
 		return nil, fmt.Errorf("store: document %q: %w", id, ErrNotFound)
 	}
-	h, retiredGens, err := ch.patch(id, base, pt)
+	h, retired, err := ch.patch(id, base, pt)
 	if err != nil {
 		return nil, err
 	}
 	s.patches.Add(1)
-	s.notifyRetired(id, retiredGens)
+	s.retired.Add(retired)
 	return h, nil
 }
 
 // patch builds the next generation under the writer lock and publishes
-// it under mu, returning the generations the publish retired. Only
+// it under mu, returning how many generations the publish retired. Only
 // writers replace latest, and wmu admits one at a time, so the base
 // validated up front is still the latest at publish — unless the chain
 // is evicted meanwhile, which publish re-checks under mu.
-func (ch *chain) patch(id string, base Gen, pt tree.Patch) (*Handle, []Gen, error) {
+func (ch *chain) patch(id string, base Gen, pt tree.Patch) (*Handle, uint64, error) {
 	ch.wmu.Lock()
 	defer ch.wmu.Unlock()
 	cur := ch.latest.Load()
 	if cur == nil {
-		return nil, nil, fmt.Errorf("store: document %q: %w", id, ErrNotFound)
+		return nil, 0, fmt.Errorf("store: document %q: %w", id, ErrNotFound)
 	}
 	if base != NoGen && cur.Gen != base {
-		return nil, nil, fmt.Errorf("store: document %q: patch base gen %d, latest is %d: %w",
+		return nil, 0, fmt.Errorf("store: document %q: patch base gen %d, latest is %d: %w",
 			id, base, cur.Gen, ErrConflict)
 	}
 	newDoc, dl, err := cur.Doc.Apply(pt)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	gen := ch.nextGen
 	h := &Handle{
 		ID:    id,
 		Gen:   gen,
+		Epoch: cur.Epoch,
 		Doc:   newDoc,
 		Index: index.Apply(cur.Index, newDoc, dl),
 		succ:  &succCell{},
@@ -145,7 +146,7 @@ func (ch *chain) patch(id string, base Gen, pt tree.Patch) (*Handle, []Gen, erro
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	if ch.evicted {
-		return nil, nil, fmt.Errorf("store: document %q: %w", id, ErrNotFound)
+		return nil, 0, fmt.Errorf("store: document %q: %w", id, ErrNotFound)
 	}
 	ch.nextGen++
 	ch.gens[gen] = &genEntry{h: h}
@@ -204,7 +205,6 @@ func (s *Store) Release(id string, gen Gen, lease time.Time, redeem bool) {
 	if ch == nil {
 		return
 	}
-	var retiredGens []Gen
 	ch.mu.Lock()
 	if e, ok := ch.gens[gen]; ok {
 		if e.pins > 0 {
@@ -228,19 +228,19 @@ func (s *Store) Release(id string, gen Gen, lease time.Time, redeem bool) {
 		// — has nothing to sweep. (Expired leases elsewhere wait for the
 		// next Patch or stats scrape, as they always have.)
 		if e.h != ch.latest.Load() {
-			retiredGens = ch.sweepLocked(time.Now().UnixNano())
+			s.retired.Add(ch.sweepLocked(time.Now().UnixNano()))
 		}
 	}
 	ch.mu.Unlock()
-	s.notifyRetired(id, retiredGens)
 }
 
 // sweepLocked retires every generation that is not the latest and has
-// no pins and no unexpired leases. Caller holds ch.mu; the retired
-// generation ids are returned so the callback can run outside locks.
-func (ch *chain) sweepLocked(nowNS int64) []Gen {
+// no pins and no unexpired leases, and returns how many that was.
+// Nothing outside the chain has to hear of it: no warm state is keyed
+// by generation. Caller holds ch.mu.
+func (ch *chain) sweepLocked(nowNS int64) uint64 {
 	latest := ch.latest.Load()
-	var retired []Gen
+	var retired uint64
 	for gen, e := range ch.gens {
 		// Compact expired leases first so they can't keep a gen alive.
 		kept := e.leases[:0]
@@ -255,28 +255,10 @@ func (ch *chain) sweepLocked(nowNS int64) []Gen {
 		}
 		if e.pins == 0 && len(e.leases) == 0 {
 			delete(ch.gens, gen)
-			retired = append(retired, gen)
+			retired++
 		}
 	}
 	return retired
-}
-
-// notifyRetired fires the retire callback for each generation, outside
-// all store and chain locks.
-func (s *Store) notifyRetired(id string, gens []Gen) {
-	if len(gens) == 0 {
-		return
-	}
-	s.retired.Add(uint64(len(gens)))
-	s.mu.RLock()
-	fn := s.retireFn
-	s.mu.RUnlock()
-	if fn == nil {
-		return
-	}
-	for _, g := range gens {
-		fn(id, g)
-	}
 }
 
 // MVCCStats aggregates the store's generation-chain accounting.
@@ -309,33 +291,25 @@ func (m MVCCStats) AddTo(dst *MVCCStats) {
 // janitor — no dedicated background goroutine needed.
 func (s *Store) MVCC() MVCCStats {
 	s.mu.RLock()
-	type idChain struct {
-		id string
-		ch *chain
-	}
-	chains := make([]idChain, 0, len(s.docs))
-	for id, ch := range s.docs {
-		chains = append(chains, idChain{id, ch})
+	chains := make([]*chain, 0, len(s.docs))
+	for _, ch := range s.docs {
+		chains = append(chains, ch)
 	}
 	s.mu.RUnlock()
-	st := MVCCStats{
-		Patches: s.patches.Load(),
-		Retired: s.retired.Load(),
-	}
+	st := MVCCStats{Patches: s.patches.Load()}
 	now := time.Now().UnixNano()
-	for _, ic := range chains {
-		ic.ch.mu.Lock()
-		retiredGens := ic.ch.sweepLocked(now)
-		latest := ic.ch.latest.Load()
-		st.LiveGenerations += len(ic.ch.gens)
-		for _, e := range ic.ch.gens {
+	for _, ch := range chains {
+		ch.mu.Lock()
+		s.retired.Add(ch.sweepLocked(now))
+		latest := ch.latest.Load()
+		st.LiveGenerations += len(ch.gens)
+		for _, e := range ch.gens {
 			if e.h != latest {
 				st.PinnedGenerations++
 			}
 		}
-		ic.ch.mu.Unlock()
-		s.notifyRetired(ic.id, retiredGens)
-		st.Retired = s.retired.Load()
+		ch.mu.Unlock()
 	}
+	st.Retired = s.retired.Load()
 	return st
 }

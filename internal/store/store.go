@@ -98,7 +98,11 @@ type succCell struct {
 type Handle struct {
 	ID string
 	// Gen is this generation's id within the document's chain.
-	Gen   Gen
+	Gen Gen
+	// Epoch is the load incarnation this generation belongs to: patches
+	// keep it, evicting the id and loading it again changes it. State kept
+	// per resident document (the service's selectors) is validated by it.
+	Epoch uint64
 	Doc   *tree.Document
 	Index *index.Index
 	Stats Stats
@@ -137,12 +141,8 @@ type Store struct {
 	// hand a waiting loser a stale build.
 	epochs  map[string]uint64
 	loading map[loadKey]*loadCall
-	// retireFn is invoked (outside all store locks) for every retired
-	// (id, generation); the serving layer uses it to drop the matching
-	// engine and compiled-query cache entries.
-	retireFn func(id string, gen Gen)
-	patches  atomic.Uint64
-	retired  atomic.Uint64
+	patches atomic.Uint64
+	retired atomic.Uint64
 	// Mapped-document paging state (see xqo2.go): mapped tracks each
 	// resident mapping (guarded by mu); the counters keep the Get fast
 	// path free of locks when no mappings exist.
@@ -182,17 +182,6 @@ func New() *Store {
 	}
 }
 
-// OnRetire registers the callback invoked for every retired
-// (document, generation) — after the last pin and lease of a non-latest
-// generation drain, or for all generations on evict. The callback runs
-// outside store locks. Register before serving traffic; later retires
-// use the latest registration.
-func (s *Store) OnRetire(fn func(id string, gen Gen)) {
-	s.mu.Lock()
-	s.retireFn = fn
-	s.mu.Unlock()
-}
-
 // load is the single-flight core of every registration path. build runs
 // outside the lock (concurrent loads of distinct ids overlap), but at
 // most one build per (id, epoch) is ever in flight: a concurrent load
@@ -217,8 +206,8 @@ func (s *Store) loadHandle(id string, build func() (*Handle, error)) (*Handle, e
 	if id == "" {
 		return nil, fmt.Errorf("store: empty document id")
 	}
-	// NUL is the delimiter of the service's compiled-query cache keys;
-	// an id containing it would alias another document's namespace.
+	// NUL is the field delimiter of the service's continuation tokens,
+	// which carry the id; an id containing it could not be resumed.
 	if strings.ContainsRune(id, 0) {
 		return nil, fmt.Errorf("store: document id must not contain NUL")
 	}
@@ -400,13 +389,9 @@ func (s *Store) Evict(id string) bool {
 	ch.mu.Lock()
 	ch.evicted = true
 	ch.latest.Store(nil)
-	gens := make([]Gen, 0, len(ch.gens))
-	for g := range ch.gens {
-		gens = append(gens, g)
-		delete(ch.gens, g)
-	}
+	s.retired.Add(uint64(len(ch.gens)))
+	clear(ch.gens)
 	ch.mu.Unlock()
-	s.notifyRetired(id, gens)
 	return true
 }
 

@@ -392,7 +392,7 @@ func DocumentFromLayout(l *Layout) (*Document, *Succinct, error) {
 		return nil, nil, err
 	}
 	nameBlob := l.Section(SecNameBlob)
-	lt := &LabelTable{ids: make(map[string]LabelID, numNames)}
+	lt := newLabelTable(numNames)
 	for i := 0; i < numNames; i++ {
 		if nameOff[i] > nameOff[i+1] || int(nameOff[i+1]) > len(nameBlob) {
 			return nil, nil, fmt.Errorf("tree: xqo2: label name %d offsets invalid", i)

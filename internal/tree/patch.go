@@ -98,14 +98,13 @@ type Delta struct {
 // count.
 func (dl *Delta) NewIDs(oldN int) int { return oldN + dl.Inserted - dl.Removed }
 
-// clone copies the label table so the patched generation can intern
-// fragment labels without mutating the parent generation's table (which
-// concurrent readers of the old document still use).
+// clone copies the label table, under a fresh id, so a patched
+// generation can intern a fragment's new labels without mutating the
+// parent generation's table (which concurrent readers of the old
+// document, and automata compiled against it, still use).
 func (lt *LabelTable) clone() *LabelTable {
-	c := &LabelTable{
-		names: append([]string(nil), lt.names...),
-		ids:   make(map[string]LabelID, len(lt.ids)),
-	}
+	c := newLabelTable(len(lt.ids) + 1)
+	c.names = append([]string(nil), lt.names...)
 	for k, v := range lt.ids {
 		c.ids[k] = v
 	}
@@ -211,7 +210,7 @@ func (d *Document) splice(dl *Delta) *Document {
 		parent:   make([]NodeID, nn),
 		lastDesc: make([]NodeID, nn),
 		textOff:  make([]uint32, nn),
-		names:    d.names.clone(),
+		names:    d.names,
 	}
 	// Text blob: prefix bytes keep their offsets; fragment and suffix
 	// bytes are rebased. Everything is copied into fresh heap memory —
@@ -245,11 +244,16 @@ func (d *Document) splice(dl *Delta) *Document {
 	}
 
 	// Grafted fragment occupies [q, q+m): fragment node f gets id
-	// q+f-1 (f skips the fragment's #doc root).
+	// q+f-1 (f skips the fragment's #doc root). The generation shares its
+	// parent's label table unless the fragment brings a name the table
+	// lacks; only then is the table cloned, under a new id.
 	if m > 0 {
 		fr := dl.Frag
 		labelMap := make([]LabelID, len(fr.names.names))
 		for i, name := range fr.names.names {
+			if _, ok := nd.names.Lookup(name); !ok && nd.names == d.names {
+				nd.names = d.names.clone()
+			}
 			labelMap[i] = nd.names.Intern(name)
 		}
 		for f := NodeID(1); int(f) <= m; f++ {

@@ -21,6 +21,7 @@ package tree
 import (
 	"math"
 	"strings"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -55,19 +56,35 @@ const (
 // ReservedLabels is the number of pre-interned labels.
 const ReservedLabels = 2
 
-// LabelTable interns element names to dense integer ids.
+// LabelTable interns element names to dense integer ids. Once its
+// document is built a table is immutable, and generations of a document
+// that add no label share one table (see Document.splice).
 type LabelTable struct {
+	id    uint64
 	names []string
 	ids   map[string]LabelID
 }
 
+// labelTables hands out process-unique table ids.
+var labelTables atomic.Uint64
+
+// newLabelTable returns an empty table with a fresh id and room for n names.
+func newLabelTable(n int) *LabelTable {
+	return &LabelTable{id: labelTables.Add(1), ids: make(map[string]LabelID, n)}
+}
+
 // NewLabelTable returns a table seeded with the reserved labels.
 func NewLabelTable() *LabelTable {
-	lt := &LabelTable{ids: make(map[string]LabelID)}
+	lt := newLabelTable(0)
 	lt.Intern("#doc")
 	lt.Intern("#text")
 	return lt
 }
+
+// ID is the table's process-unique identity. A compiled automaton is a
+// function of the query and the table, never of the tree, so it is
+// cached under this.
+func (lt *LabelTable) ID() uint64 { return lt.id }
 
 // Intern returns the id for name, creating it if needed.
 func (lt *LabelTable) Intern(name string) LabelID {
@@ -353,19 +370,30 @@ func (d *Document) BinaryRight(v NodeID) NodeID { return d.NextSibling(v) }
 
 // WriteXML serializes the subtree rooted at v (or the whole document if v
 // is the synthetic root) back to XML-ish text; used for round-trip tests
-// and debugging. Text is emitted raw with minimal escaping.
+// and debugging. Text is emitted raw with minimal escaping; the leading
+// "@name" children of an element go back into its start tag.
 func (d *Document) WriteXML(sb *strings.Builder, v NodeID) {
 	if d.labels[v] == LabelText {
 		sb.WriteString(escapeText(d.Text(v)))
 		return
 	}
 	synthetic := d.labels[v] == LabelDoc
+	c, end := v+1, d.lastDesc[v]
 	if !synthetic {
 		sb.WriteByte('<')
 		sb.WriteString(d.LabelName(v))
+		for ; c <= end && strings.HasPrefix(d.LabelName(c), "@"); c = d.lastDesc[c] + 1 {
+			sb.WriteByte(' ')
+			sb.WriteString(d.LabelName(c)[1:])
+			sb.WriteString(`="`)
+			if d.lastDesc[c] > c {
+				sb.WriteString(strings.ReplaceAll(escapeText(d.Text(c+1)), `"`, "&quot;"))
+			}
+			sb.WriteByte('"')
+		}
 		sb.WriteByte('>')
 	}
-	for c, end := v+1, d.lastDesc[v]; c <= end; c = d.lastDesc[c] + 1 {
+	for ; c <= end; c = d.lastDesc[c] + 1 {
 		d.WriteXML(sb, c)
 	}
 	if !synthetic {

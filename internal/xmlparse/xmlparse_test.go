@@ -174,8 +174,18 @@ func TestNameCharacters(t *testing.T) {
 	}
 }
 
-// Property: serialize∘parse is the identity on generated documents
-// (attribute-free, since WriteXML emits attributes as child elements).
+// TestRoundTripAttributes: WriteXML puts an element's "@name" children
+// back into its start tag, so a document with attributes re-parses to
+// the same tree.
+func TestRoundTripAttributes(t *testing.T) {
+	const src = `<r a="1" b="x &amp; &quot;y&quot; &lt;"><c empty=""><d></d></c>t</r>`
+	d := mustParse(t, src)
+	if got := d.XMLString(); got != src {
+		t.Errorf("serialized %s, want %s", got, src)
+	}
+}
+
+// Property: serialize∘parse is the identity on generated documents.
 func TestRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		d := tgen.Random(seed, tgen.Config{MaxNodes: 120, TextProb: 0.25})
