@@ -55,14 +55,17 @@ GATE = awk -f scripts/benchgate.awk
 gates: gate-obsv gate-auto gate-mvcc gate-mmap gate-kernel
 
 # The observability layer must not tax the warm path: warm-traced/warm
-# at 1.05 over the full query matrix (individual sub-µs pairs jitter
-# past it; the geomean cannot — 100 iterations each, single-iteration
-# timings are noise), and warm re-evaluation, traced or not, must stay
-# near allocation-free (BENCH_eval.json pins 0 allocs/op; 5 leaves
-# margin for runtime noise).
+# at 1.05 over the full query matrix, 100 iterations a row, and warm
+# re-evaluation, traced or not, must stay near allocation-free
+# (BENCH_eval.json pins 0 allocs/op; 5 leaves margin for runtime noise,
+# checked on every row of every run). Many rows are sub-µs queries, and
+# one 100-iteration reading of each put the geomean of two runs of the
+# same binary anywhere in 0.97-1.09: like gate-mmap and gate-kernel,
+# take the min of three runs per row, which a scheduler hiccup cannot
+# lower.
 gate-obsv:
-	$(GO) test -run '^$$' -bench 'BenchmarkEvalSteadyState/.*/.*/warm' -benchtime 100x -benchmem . \
-		| $(GATE) -v num=warm-traced -v den=warm -v limit=1.05 -v allocs=5
+	$(GO) test -run '^$$' -bench 'BenchmarkEvalSteadyState/.*/.*/warm' -benchtime 100x -count 3 -benchmem . \
+		| $(GATE) -v num=warm-traced -v den=warm -v limit=1.05 -v allocs=5 -v fold=min
 
 # The observed-latency Auto selector must pay for itself on the paper's
 # own workload against the §5 static reference arm (both warmed past

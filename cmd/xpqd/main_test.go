@@ -268,7 +268,11 @@ func TestPreloadFirstFailureInFlagOrder(t *testing.T) {
 }
 
 // TestPreloadCancel: cancelling mid-preload returns without starting the
-// remaining documents, and no worker outlives the call.
+// remaining documents, and no worker outlives the call. What
+// cancellation guarantees is counted from the instant of the cancel: no
+// worker takes a job after it, so each can only finish the one it holds.
+// (How far the workers had run ahead of the in-order logger by then is
+// timing, and is not asserted.)
 func TestPreloadCancel(t *testing.T) {
 	var xmarks []string
 	for i := 0; i < 200; i++ {
@@ -277,8 +281,8 @@ func TestPreloadCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// Cancel from inside the first "loaded document" log line.
-	log := &cancelOnWrite{cancel: cancel}
 	st := shard.NewStore(4)
+	log := &cancelOnWrite{cancel: cancel, published: st.Len}
 	before := runtime.NumGoroutine()
 	start := time.Now()
 	err := preload(ctx, st, testLogger(log), nil, nil, xmarks)
@@ -289,10 +293,17 @@ func TestPreloadCancel(t *testing.T) {
 		t.Errorf("cancelled preload took %v", took)
 	}
 	loaded := st.Len()
-	if loaded == 0 || loaded > 1+2*runtime.GOMAXPROCS(0) {
-		t.Errorf("%d of %d documents loaded around a cancellation at the first", loaded, len(xmarks))
+	if loaded == 0 || loaded >= len(xmarks) || loaded > log.atCancel+runtime.GOMAXPROCS(0) {
+		t.Errorf("%d of %d documents loaded, %d of them by the cancellation: each of %d workers may finish one more",
+			loaded, len(xmarks), log.atCancel, runtime.GOMAXPROCS(0))
 	}
-	if after := runtime.NumGoroutine(); after > before {
+	// A worker's wg.Done runs before the goroutine is gone: give the
+	// scheduler a moment to retire what preload already waited for.
+	after := runtime.NumGoroutine()
+	for wait := time.Now().Add(time.Second); after > before && time.Now().Before(wait); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
 		t.Errorf("%d goroutines before preload, %d after", before, after)
 	}
 	if st.Len() != loaded {
@@ -300,14 +311,21 @@ func TestPreloadCancel(t *testing.T) {
 	}
 }
 
+// cancelOnWrite cancels at its first write and records how many
+// documents were published by then — counted after the cancel, so a
+// worker that published between the two is counted here, not against
+// the one-more-each bound.
 type cancelOnWrite struct {
-	mu     sync.Mutex
-	cancel context.CancelFunc
+	once      sync.Once
+	cancel    context.CancelFunc
+	published func() int
+	atCancel  int
 }
 
 func (c *cancelOnWrite) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cancel()
+	c.once.Do(func() {
+		c.cancel()
+		c.atCancel = c.published()
+	})
 	return len(p), nil
 }

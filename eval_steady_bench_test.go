@@ -69,23 +69,23 @@ func BenchmarkEvalSteadyState(b *testing.B) {
 			b.Run(name+"/cold", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					_ = aut.EvalLazy(w.Doc, w.Index, asta.Opt())
+					_ = aut.Eval(w.Doc, w.Index, asta.Opt())
 				}
 			})
 			b.Run(name+"/warm", func(b *testing.B) {
 				ctx := asta.NewContext()
 				// Bind and size the arenas outside the measurement so
 				// even -benchtime 1x sees the steady state.
-				_ = aut.EvalLazyCtx(ctx, w.Doc, w.Index, asta.Opt())
+				_ = aut.EvalCtx(ctx, w.Doc, w.Index, asta.Opt())
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_ = aut.EvalLazyCtx(ctx, w.Doc, w.Index, asta.Opt())
+					_ = aut.EvalCtx(ctx, w.Doc, w.Index, asta.Opt())
 				}
 			})
 			b.Run(name+"/warm-traced", func(b *testing.B) {
 				ctx := asta.NewContext()
-				_ = aut.EvalLazyCtx(ctx, w.Doc, w.Index, asta.Opt())
+				_ = aut.EvalCtx(ctx, w.Doc, w.Index, asta.Opt())
 				// The always-on observability of the serving path: a nil
 				// trace (non-explain requests never allocate one — Begin
 				// and End are nil-checked no-ops), counters lifted off
@@ -110,7 +110,7 @@ func BenchmarkEvalSteadyState(b *testing.B) {
 					sp = tr.Begin(obsv.SpanCompile)
 					tr.End(sp)
 					sp = tr.Begin(obsv.SpanRun)
-					res := aut.EvalLazyCtx(ctx, w.Doc, w.Index, asta.Opt())
+					res := aut.EvalCtx(ctx, w.Doc, w.Index, asta.Opt())
 					tr.End(sp)
 					rec.Visited = res.Stats.Visited
 					rec.MemoHits = res.Stats.MemoHits

@@ -1,7 +1,7 @@
 package asta
 
 // Context is the reusable memory behind an evaluation: every piece of
-// scratch EvalLazy used to rebuild per call — interned-set tables,
+// scratch Eval would rebuild per call — interned-set tables,
 // transition rows and their recipes, jump analyses, pure label sets,
 // the result arena, index cursors, append buffers — owned by one value
 // that repeated evaluations recycle. The serving layers run the same
@@ -11,13 +11,14 @@ package asta
 //
 // The memo world is a pure function of (automaton, options) — the
 // tables of §4 are derived from the automaton alone; the tree is only
-// navigated — so EvalLazyCtx rebuilds it only when one of the two
+// navigated — so EvalCtx rebuilds it only when one of the two
 // changes, and runs the same automaton warm over any document that
 // shares its label table. The document and index belong to one run: a
 // Context references neither between evaluations, so a pooled Context
-// pins no document. A Context must not be used concurrently, and a
-// rope returned by EvalLazyCtx is valid only until the Context's next
-// evaluation — release the Context (or copy the answer) first.
+// pins no document. A Context must not be used concurrently, and the
+// answer block EvalCtx returns is valid only until the Context's next
+// evaluation — copy the answer, or keep the Context out of use, for as
+// long as it is read.
 type Context struct {
 	e evaluator
 }

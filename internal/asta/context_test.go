@@ -42,8 +42,8 @@ func TestContextWarmReuseMatchesFresh(t *testing.T) {
 				want := aut.Eval(d, ix, mode.opt)
 				ctx := asta.NewContext()
 				for round := 0; round < 4; round++ {
-					res := aut.EvalLazyCtx(ctx, d, ix, mode.opt)
-					got := res.List.Flatten()
+					res := aut.EvalCtx(ctx, d, ix, mode.opt)
+					got := res.Selected
 					if !equalNodes(got, want.Selected) {
 						t.Fatalf("%s round %d: warm answer diverged: got %d nodes, want %d",
 							q, round, len(got), len(want.Selected))
@@ -88,7 +88,7 @@ func TestContextRebindAcrossBindings(t *testing.T) {
 					opt = asta.Options{Memo: true} // alternate options too
 				}
 				want := aut.Eval(dix.d, dix.ix, opt)
-				got := aut.EvalLazyCtx(ctx, dix.d, dix.ix, opt).List.Flatten()
+				got := aut.EvalCtx(ctx, dix.d, dix.ix, opt).Selected
 				if !equalNodes(got, want.Selected) {
 					t.Fatalf("round %d q=%s doc=%d: rebind diverged (got %d, want %d nodes)",
 						round, q, di, len(got), len(want.Selected))
@@ -111,7 +111,7 @@ func TestContextWarmAcrossGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := asta.NewContext()
-	if first := aut.EvalLazyCtx(ctx, d, ix, asta.Opt()); first.Stats.MemoEntries == 0 {
+	if first := aut.EvalCtx(ctx, d, ix, asta.Opt()); first.Stats.MemoEntries == 0 {
 		t.Fatal("expected memo entries on a cold run")
 	}
 	// Graft a copy of the document under its own root: existing
@@ -125,8 +125,8 @@ func TestContextWarmAcrossGenerations(t *testing.T) {
 	}
 	nix := index.Apply(ix, next, dl)
 	want := aut.Eval(next, nix, asta.Opt())
-	warm := aut.EvalLazyCtx(ctx, next, nix, asta.Opt())
-	if got := warm.List.Flatten(); !equalNodes(got, want.Selected) {
+	warm := aut.EvalCtx(ctx, next, nix, asta.Opt())
+	if got := warm.Selected; !equalNodes(got, want.Selected) {
 		t.Fatalf("warm run on the patched generation diverged: got %d nodes, want %d", len(got), len(want.Selected))
 	}
 	if warm.Stats.MemoEntries != 0 {
@@ -138,7 +138,7 @@ func TestContextWarmAcrossGenerations(t *testing.T) {
 }
 
 // TestWarmEvalAllocs pins the steady-state allocation count of a warm
-// re-evaluation: after the first (binding) run, EvalLazyCtx must not
+// re-evaluation: after the first (binding) run, EvalCtx must not
 // allocate on the heap beyond the pinned ceiling — the whole point of
 // the pooled memory model. A future accidental map rebuild or slice
 // escape fails here instead of silently regressing latency.
@@ -164,13 +164,13 @@ func TestWarmEvalAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 				ctx := asta.NewContext()
-				aut.EvalLazyCtx(ctx, d, ix, tc.opt) // bind + warm the arenas
-				aut.EvalLazyCtx(ctx, d, ix, tc.opt)
+				aut.EvalCtx(ctx, d, ix, tc.opt) // bind + warm the arenas
+				aut.EvalCtx(ctx, d, ix, tc.opt)
 				got := testing.AllocsPerRun(50, func() {
-					aut.EvalLazyCtx(ctx, d, ix, tc.opt)
+					aut.EvalCtx(ctx, d, ix, tc.opt)
 				})
 				if got > tc.ceiling {
-					t.Errorf("%s %s: warm EvalLazyCtx allocates %.1f/op, ceiling %.0f",
+					t.Errorf("%s %s: warm EvalCtx allocates %.1f/op, ceiling %.0f",
 						tc.mode, q, got, tc.ceiling)
 				}
 			}
@@ -189,8 +189,8 @@ func TestWarmEvalFasterPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := asta.NewContext()
-	cold := aut.EvalLazyCtx(ctx, d, ix, asta.Opt())
-	warm := aut.EvalLazyCtx(ctx, d, ix, asta.Opt())
+	cold := aut.EvalCtx(ctx, d, ix, asta.Opt())
+	warm := aut.EvalCtx(ctx, d, ix, asta.Opt())
 	if warm.Stats.MemoEntries != 0 {
 		t.Errorf("warm run created %d memo entries", warm.Stats.MemoEntries)
 	}
@@ -216,21 +216,21 @@ func TestContextTableGrowthCorrect(t *testing.T) {
 	want := aut.Eval(d, ix, asta.Opt())
 	ctx := asta.NewContext()
 	for i := 0; i < 3; i++ {
-		got := aut.EvalLazyCtx(ctx, d, ix, asta.Opt()).List.Flatten()
+		got := aut.EvalCtx(ctx, d, ix, asta.Opt()).Selected
 		if !equalNodes(got, want.Selected) {
 			t.Fatalf("round %d: answer diverged (%d vs %d nodes)", i, len(got), len(want.Selected))
 		}
 	}
 }
 
-func ExampleASTA_EvalLazyCtx() {
+func ExampleASTA_EvalCtx() {
 	d := tgen.Star("root", "leaf", 3)
 	aut, _ := compile.Compile("//leaf", d.Names())
 	ctx := asta.NewContext()
 	ix := index.New(d)
 	for i := 0; i < 2; i++ {
-		res := aut.EvalLazyCtx(ctx, d, ix, asta.Opt())
-		fmt.Println(res.List.Distinct())
+		res := aut.EvalCtx(ctx, d, ix, asta.Opt())
+		fmt.Println(len(res.Selected))
 	}
 	// Output:
 	// 3

@@ -39,94 +39,37 @@ type Stats struct {
 type Result struct {
 	// Accepted reports whether some run reaches a top state at the root.
 	Accepted bool
-	// Selected is A(t) in document order, duplicate-free. EvalLazy
-	// leaves it nil; use List (or Walk) to consume the answer without
-	// materializing it.
+	// Selected is A(t): strictly increasing node ids — document order,
+	// no duplicates — nil when nothing was selected. It is one block in
+	// the Context's arena, which the Context's next evaluation rewinds
+	// and refills: a Result of EvalCtx is valid until then (copy what
+	// must outlive it), a Result of Eval indefinitely, because Eval's
+	// Context is its own.
 	Selected []tree.NodeID
-	// List is the raw result rope in concatenation order, possibly
-	// with duplicates. EvalLazy sets it for non-empty answers (nil
-	// means empty); Eval clears it after flattening so materialized
-	// results do not pin the evaluation arena. The rope shares that
-	// arena: for EvalLazy it stays valid as long as the Result, for
-	// EvalLazyCtx only until the Context's next evaluation or Reset.
-	List *NodeList
 	// Stats reports effort counters.
 	Stats Stats
 }
 
-// Walk calls f for each selected node in document order without
-// duplicates, stopping early when f returns false. When the rope is
-// already in document order (the common case — evaluation emits nodes
-// in preorder) nothing is materialized; otherwise it falls back to one
-// Flatten.
-func (r *Result) Walk(f func(tree.NodeID) bool) {
-	if r.List == nil {
-		for _, v := range r.Selected {
-			if !f(v) {
-				return
-			}
-		}
-		return
-	}
-	if r.List.IsSorted() {
-		last, started := tree.Nil, false
-		r.List.Walk(func(v tree.NodeID) bool {
-			if started && v == last {
-				return true
-			}
-			last, started = v, true
-			return f(v)
-		})
-		return
-	}
-	for _, v := range r.List.Flatten() {
-		if !f(v) {
-			return
-		}
-	}
-}
-
-// Eval runs the automaton over the document with the given options and
-// materializes the answer. The index may be nil when Options.Jump is
-// false.
+// Eval runs the automaton over the document with the given options in a
+// fresh Context. The index may be nil when Options.Jump is false.
+// Repeated evaluations of the same automaton should use EvalCtx with a
+// reused Context instead.
 func (a *ASTA) Eval(d *tree.Document, ix *index.Index, opt Options) Result {
 	return a.EvalCtx(NewContext(), d, ix, opt)
 }
 
-// EvalCtx is Eval against a reusable Context: the materialized answer
-// does not reference the Context, so the Context may be reused (or
-// pooled) immediately after the call returns.
-func (a *ASTA) EvalCtx(c *Context, d *tree.Document, ix *index.Index, opt Options) Result {
-	res := a.EvalLazyCtx(c, d, ix, opt)
-	res.Selected = res.List.flattenInto(&c.e.walkStack)
-	// Drop the rope: materialized callers read Selected, and keeping
-	// the rope alive would pin every arena chunk it reaches.
-	res.List = nil
-	return res
-}
-
-// EvalLazy is Eval without the final Flatten: the answer is returned as
-// the rope Result.List, to be consumed by Walk or a cursor. This is the
-// entry point of the streaming path — a ≥100k-node answer never exists
-// as one slice. Each call evaluates in a fresh Context, so the rope
-// stays valid indefinitely; repeated evaluations of the same automaton
-// should use EvalLazyCtx with a reused Context instead.
-func (a *ASTA) EvalLazy(d *tree.Document, ix *index.Index, opt Options) Result {
-	return a.EvalLazyCtx(NewContext(), d, ix, opt)
-}
-
-// EvalLazyCtx is EvalLazy against a reusable Context. The first call
-// binds the Context to (automaton, options) and builds the memo world;
-// later calls with the same pair reuse it, over any document with the
+// EvalCtx is Eval against a reusable Context. The first call binds the
+// Context to (automaton, options) and builds the memo world; later
+// calls with the same pair reuse it, over any document with the
 // automaton's label table — the interned-set table, transition rows,
 // recipes and jump analyses persist (pure functions of the pair), while
 // the result arena rewinds in place and the index cursors are pointed
 // at this run's index. A warm call is therefore allocation-free in
 // steady state and skips all memo derivation.
 //
-// The returned rope (Result.List) lives in the Context's arena: it is
-// valid only until the next EvalLazyCtx on the same Context.
-func (a *ASTA) EvalLazyCtx(c *Context, d *tree.Document, ix *index.Index, opt Options) Result {
+// Result.Selected lives in the Context's arena: it is valid only until
+// the next EvalCtx on the same Context.
+func (a *ASTA) EvalCtx(c *Context, d *tree.Document, ix *index.Index, opt Options) Result {
 	e := &c.e
 	if e.a != a || e.opt != opt {
 		e.rebind(a, opt, d.Names().Size())
@@ -149,10 +92,7 @@ func (a *ASTA) EvalLazyCtx(c *Context, d *tree.Document, ix *index.Index, opt Op
 		}
 		q++
 	}
-	// Accumulation concatenated in O(1) without balancing; rebuild once
-	// into the balanced chunked form so every rope that leaves the
-	// evaluator iterates and seeks in O(log n).
-	res.List = rebalance(all, &e.arena, &e.walkStack)
+	res.Selected = collect(all, &e.arena, &e.walkStack)
 	return res
 }
 
@@ -305,7 +245,7 @@ func (e *evaluator) attach(d *tree.Document, ix *index.Index) {
 }
 
 // detach ends the run: the evaluator lets go of the document and index
-// (the answer rope holds node ids only), so a Context kept warm between
+// (the answer holds node ids only), so a Context kept warm between
 // evaluations keeps no generation of any document alive.
 func (e *evaluator) detach() {
 	e.d, e.ix = nil, nil

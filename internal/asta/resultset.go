@@ -1,43 +1,38 @@
 package asta
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/tree"
 )
 
-// NodeList is an immutable rope of nodes — the "simple lists with
-// constant time concatenation" of §4.4, upgraded from pointer-per-node
-// cells to array-chunked leaves combined into a height-balanced tree.
-// Leaves hold up to leafMax node ids in a contiguous block; interior
-// nodes are concatenations and always have both children. Concat
-// rebalances when sibling heights diverge (the classic AVL join), so
-// the tree height — and with it an Iter's stack — stays O(log n) no
-// matter how left-leaning the construction order was. Every node caches
-// its subtree metadata (element count, adjacent-duplicate count,
-// first/last element, sortedness), which makes IsSorted and the
-// duplicate-free cardinality O(1), lets Flatten preallocate exactly,
-// and turns a paged cursor's seek into a logarithmic descent that skips
-// whole subtrees. Sharing is safe because ropes are never mutated.
+// NodeList is the evaluator's private accumulation chain — the "simple
+// lists with constant time concatenation" of §4.4. Leaves hold up to
+// leafMax node ids in a contiguous arena block; an interior cell is one
+// O(1) concatenation (rawConcat) and always has both children.
+// Evaluation left-accumulates, so chains are as tall as they are long;
+// nothing ever descends one except collect, with an explicit stack.
+// Every cell caches its subtree metadata (element count,
+// adjacent-duplicate count, first/last element, sortedness), combined in
+// O(1) per concatenation, so that collect knows the size of the answer
+// block before it copies and whether the block needs sorting at all.
+// Cells are shared freely between the lists of different states and are
+// not mutated while evaluation runs. No NodeList leaves the package: an
+// answer is the one sorted block collect makes of the final chain.
 type NodeList struct {
 	// l, r are the interior children; both nil on leaves, both non-nil
-	// on interior nodes.
+	// on interior cells.
 	l, r *NodeList
-	// elems is the leaf payload (len >= 1); nil on interior nodes.
+	// elems is the leaf payload (len >= 1); nil on interior cells.
 	elems []tree.NodeID
 	// count is the subtree element count, duplicates included.
 	count int32
-	// dups counts adjacent-equal pairs in concatenation order; for a
-	// sorted subtree count-dups is the duplicate-free cardinality.
+	// dups counts adjacent-equal pairs in concatenation order; zero on a
+	// sorted chain means strictly increasing.
 	dups int32
 	// first, last are the subtree's first and last elements in
-	// concatenation order. On a sorted subtree they are the minimum and
-	// maximum node id — the bounds the seek descent prunes with.
+	// concatenation order.
 	first, last tree.NodeID
-	// height is 1 for leaves. Exposed ropes are balanced (O(log count));
-	// during evaluation raw accumulation chains can be arbitrarily tall,
-	// which is why this is not a uint8.
-	height int32
 	// sorted reports the subtree is non-decreasing in concatenation
 	// order, maintained incrementally at construction.
 	sorted bool
@@ -47,47 +42,15 @@ type NodeList struct {
 // holds. 128 ids = 512 bytes, a few cache lines per leaf.
 const leafMax = 128
 
-// Single returns a one-element list.
-func Single(v tree.NodeID) *NodeList { return newLeaf([]tree.NodeID{v}, nil) }
-
-// Concat returns the height-balanced concatenation of a and b. Small
-// adjacent leaves are merged into one chunk; diverging sibling heights
-// are rebalanced on the way, so repeated one-sided concatenation — the
-// evaluator's left-accumulating order — still yields an O(log n) tall
-// tree. Cost is O(|height(a)-height(b)|).
-func Concat(a, b *NodeList) *NodeList { return join(a, b, nil) }
-
-// single and concat are the arena-free internal spellings.
-func single(v tree.NodeID) *NodeList  { return Single(v) }
-func concat(a, b *NodeList) *NodeList { return Concat(a, b) }
-
-// allocNode takes a rope cell from the arena, or the heap when ar is
-// nil (the exported constructors; evaluation always passes its arena).
-func allocNode(ar *cellArena) *NodeList {
-	if ar != nil {
-		return ar.alloc()
-	}
-	return new(NodeList)
-}
-
-// allocIDs returns an empty slice with capacity n for leaf storage.
-func allocIDs(ar *cellArena, n int) []tree.NodeID {
-	if ar != nil {
-		return ar.allocIDs(n)
-	}
-	return make([]tree.NodeID, 0, n)
-}
-
 // newLeaf wraps elems (len >= 1, ownership transferred) in a leaf,
 // computing the chunk metadata in one scan.
 func newLeaf(elems []tree.NodeID, ar *cellArena) *NodeList {
-	n := allocNode(ar)
+	n := ar.alloc()
 	*n = NodeList{
 		elems:  elems,
 		count:  int32(len(elems)),
 		first:  elems[0],
 		last:   elems[len(elems)-1],
-		height: 1,
 		sorted: true,
 	}
 	for i := 1; i < len(elems); i++ {
@@ -101,11 +64,16 @@ func newLeaf(elems []tree.NodeID, ar *cellArena) *NodeList {
 	return n
 }
 
-// interior builds the concatenation node over a and b (both non-nil),
-// combining the cached metadata in O(1). Callers keep the balance
-// invariant; interior itself only records heights.
-func interior(a, b *NodeList, ar *cellArena) *NodeList {
-	n := allocNode(ar)
+// rawConcat is the evaluator's O(1) concatenation, with nil the empty
+// list: one interior cell over a and b, the cached metadata combined.
+func rawConcat(a, b *NodeList, ar *cellArena) *NodeList {
+	if a == nil {
+		return b
+	}
+	if b == nil {
+		return a
+	}
+	n := ar.alloc()
 	*n = NodeList{
 		l:      a,
 		r:      b,
@@ -118,210 +86,62 @@ func interior(a, b *NodeList, ar *cellArena) *NodeList {
 	if a.last == b.first {
 		n.dups++
 	}
-	h := a.height
-	if b.height > h {
-		h = b.height
-	}
-	n.height = h + 1
 	return n
 }
 
-// mergeable decides whether two adjacent leaves fuse into one chunk:
-// they must fit, and they must be of similar size. The similarity rule
-// is what amortizes the copying — fusing a single onto an ever-growing
-// chunk would copy the whole prefix on every append (quadratic in the
-// chunk size); requiring the smaller side to be at least half the
-// larger means each element is copied O(log leafMax) times before its
-// chunk is full, like binary-counter merging.
-func mergeable(la, lb int) bool {
-	if la+lb > leafMax {
-		return false
+// collect turns the final chain into the answer: its elements copied in
+// concatenation order into one arena block sized by the root's count,
+// which is then — only when the root's metadata says it is not already
+// strictly increasing — sorted and compacted where it lies. Evaluation
+// emits in preorder, so the common case is the copy alone; out-of-order
+// chains come from unions over jumped regions. A single leaf is already
+// one block and is used as it is (evaluation is over: nothing reads the
+// chain again). The stack is caller-owned scratch and the sort takes no
+// closure, so a warm run allocates nothing on the heap.
+func collect(nl *NodeList, ar *cellArena, stackp *[]*NodeList) []tree.NodeID {
+	if nl == nil {
+		return nil
 	}
-	if la > lb {
-		la, lb = lb, la
-	}
-	return 2*la >= lb
-}
-
-// mergeLeaves fuses two adjacent leaves into one chunk (combined length
-// <= leafMax). Metadata combines like interior's, so no rescan.
-func mergeLeaves(a, b *NodeList, ar *cellArena) *NodeList {
-	elems := allocIDs(ar, len(a.elems)+len(b.elems))
-	elems = append(elems, a.elems...)
-	elems = append(elems, b.elems...)
-	n := allocNode(ar)
-	*n = NodeList{
-		elems:  elems,
-		count:  a.count + b.count,
-		dups:   a.dups + b.dups,
-		first:  a.first,
-		last:   b.last,
-		height: 1,
-		sorted: a.sorted && b.sorted && a.last <= b.first,
-	}
-	if a.last == b.first {
-		n.dups++
-	}
-	return n
-}
-
-// join is the balanced concatenation: the join algorithm of
-// height-balanced (AVL) trees, without a middle key. The shorter side
-// is inserted along the taller side's spine and rotations repair any
-// height divergence on the way back up, so the result is
-// height-balanced whenever the inputs are; the work (and the handful of
-// fresh nodes — inputs are never mutated, they may be shared) is
-// proportional to the height difference.
-func join(a, b *NodeList, ar *cellArena) *NodeList {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	if a.l == nil && b.l == nil && mergeable(len(a.elems), len(b.elems)) {
-		return mergeLeaves(a, b, ar)
-	}
-	switch {
-	case a.height > b.height+1:
-		return joinRight(a, b, ar)
-	case b.height > a.height+1:
-		return joinLeft(a, b, ar)
-	default:
-		return interior(a, b, ar)
-	}
-}
-
-// joinRight attaches the shorter b along a's right spine
-// (a.height > b.height+1, so a is interior).
-func joinRight(a, b *NodeList, ar *cellArena) *NodeList {
-	l, c := a.l, a.r
-	var t *NodeList
-	if c.height <= b.height+1 {
-		t = join(c, b, ar)
-	} else {
-		t = joinRight(c, b, ar)
-	}
-	return balanceRight(l, t, ar)
-}
-
-// balanceRight builds interior(l, t) where t may have ended up two
-// taller than l; the standard single/double rotation restores the
-// invariant.
-func balanceRight(l, t *NodeList, ar *cellArena) *NodeList {
-	if t.height <= l.height+1 {
-		return interior(l, t, ar)
-	}
-	// t.height == l.height+2, so t is interior with AVL children.
-	if t.l.height <= t.r.height {
-		return interior(interior(l, t.l, ar), t.r, ar)
-	}
-	tl := t.l
-	return interior(interior(l, tl.l, ar), interior(tl.r, t.r, ar), ar)
-}
-
-// rawConcat is the evaluator's O(1) concatenation: one interior cell,
-// metadata combined, no rebalancing. Evaluation left-accumulates, so
-// raw chains are degenerate (height ~ number of concats); they stay
-// private to the evaluator and are rebuilt into the balanced chunked
-// form by rebalance before a rope is exposed. Splitting construction
-// from balancing keeps the hot loop at old cost (one cell write per
-// concat) while every rope a consumer can see is O(log n) tall.
-func rawConcat(a, b *NodeList, ar *cellArena) *NodeList {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return interior(a, b, ar)
-}
-
-// rebalance rebuilds a raw accumulation chain into the exposed form:
-// elements are collected once into a contiguous block, chopped into
-// near-equal chunks of up to leafMax, and covered by a perfectly
-// balanced interior tree built by bisection. Linear time, one element
-// copy, exact allocation. Leaves pass through untouched; every interior
-// rope is rebuilt, so exposure guarantees the full balance invariant no
-// matter what shape accumulation produced.
-// The stack parameter is caller-owned scratch (reused across warm
-// evaluations so the rebuild itself allocates nothing on the heap).
-func rebalance(nl *NodeList, ar *cellArena, stackp *[]*NodeList) *NodeList {
-	if nl == nil || nl.l == nil {
-		return nl
-	}
-	elems := allocIDs(ar, int(nl.count))
-	stack := (*stackp)[:0]
-	stack = append(stack, nl)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for n.l != nil {
-			stack = append(stack, n.r)
-			n = n.l
+	block := nl.elems
+	if nl.l != nil {
+		block = ar.allocIDs(int(nl.count))
+		stack := append((*stackp)[:0], nl)
+		for len(stack) > 0 {
+			n := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for n.l != nil {
+				stack = append(stack, n.r)
+				n = n.l
+			}
+			block = append(block, n.elems...)
 		}
-		elems = append(elems, n.elems...)
+		*stackp = stack
 	}
-	*stackp = stack
-	leaves := (len(elems) + leafMax - 1) / leafMax
-	return buildBalanced(elems, leaves, ar)
+	if !nl.sorted {
+		slices.Sort(block)
+	}
+	if !nl.sorted || nl.dups > 0 {
+		block = slices.Compact(block)
+	}
+	return block
 }
 
-// buildBalanced covers elems with k leaves of near-equal size and a
-// bisection tree above them; heights across any split differ by at
-// most one, so the result satisfies the AVL invariant.
-func buildBalanced(elems []tree.NodeID, k int, ar *cellArena) *NodeList {
-	if k <= 1 {
-		return newLeaf(elems, ar)
-	}
-	half := k / 2
-	mid := len(elems) * half / k
-	return interior(
-		buildBalanced(elems[:mid], half, ar),
-		buildBalanced(elems[mid:], k-half, ar),
-		ar,
-	)
-}
-
-// joinLeft mirrors joinRight for b.height > a.height+1.
-func joinLeft(a, b *NodeList, ar *cellArena) *NodeList {
-	c, r := b.l, b.r
-	var t *NodeList
-	if c.height <= a.height+1 {
-		t = join(a, c, ar)
-	} else {
-		t = joinLeft(a, c, ar)
-	}
-	return balanceLeft(t, r, ar)
-}
-
-// balanceLeft mirrors balanceRight: t may be two taller than r.
-func balanceLeft(t, r *NodeList, ar *cellArena) *NodeList {
-	if t.height <= r.height+1 {
-		return interior(t, r, ar)
-	}
-	if t.r.height <= t.l.height {
-		return interior(t.l, interior(t.r, r, ar), ar)
-	}
-	tr := t.r
-	return interior(interior(t.l, tr.l, ar), interior(tr.r, r, ar), ar)
-}
-
-// cellArena chunk-allocates rope cells and leaf storage: result lists
-// live only for the duration of one evaluation, so batching their
-// allocation removes the dominant per-node GC cost. Addresses are
-// stable because a chunk is never grown, only appended to the chunk
-// list. The arena is reusable: reset rewinds every chunk in place, so a
-// warm evaluation re-fills the same memory instead of allocating — the
-// caller (the evaluation Context) guarantees the previous result rope
-// is no longer referenced before resetting.
+// cellArena chunk-allocates chain cells and id storage (leaf blocks,
+// tail buffers, the answer block): result lists live only for the
+// duration of one evaluation, so batching their allocation removes the
+// dominant per-node GC cost. Addresses are stable because a chunk is
+// never grown, only appended to the chunk list. The arena is reusable:
+// reset rewinds every chunk in place, so a warm evaluation re-fills the
+// same memory instead of allocating — the caller (the evaluation
+// Context) guarantees the previous answer is no longer referenced
+// before resetting.
 type cellArena struct {
 	cells sliceArena[NodeList]
 	ids   sliceArena[tree.NodeID]
 }
 
 const (
-	arenaChunk = 512  // rope cells per chunk (cells now cover up to leafMax elems each)
+	arenaChunk = 512  // chain cells per chunk (a cell covers up to leafMax elems)
 	idChunk    = 4096 // leaf ids per storage chunk
 )
 
@@ -355,167 +175,6 @@ func (a *cellArena) memBytes() int64 {
 	return a.cells.memBytes(cellSize) + a.ids.memBytes(8)
 }
 
-// Len returns the total element count, duplicates included, in O(1).
-func (nl *NodeList) Len() int {
-	if nl == nil {
-		return 0
-	}
-	return int(nl.count)
-}
-
-// Distinct returns the element count after adjacent-duplicate removal,
-// in O(1). On a sorted rope (where equal elements are necessarily
-// adjacent) this is the exact duplicate-free cardinality — what a
-// streaming cursor reports without walking anything.
-func (nl *NodeList) Distinct() int {
-	if nl == nil {
-		return 0
-	}
-	return int(nl.count - nl.dups)
-}
-
-// Walk calls f on every leaf element in concatenation order (duplicates
-// included), stopping early when f returns false; it reports whether
-// the walk ran to completion. Unlike Flatten it allocates no output
-// slice, which is what lets large answers be consumed incrementally.
-func (nl *NodeList) Walk(f func(tree.NodeID) bool) bool {
-	it := nl.Iter()
-	for {
-		v, ok := it.Next()
-		if !ok {
-			return true
-		}
-		if !f(v) {
-			return false
-		}
-	}
-}
-
-// IsSorted reports whether the concatenation order is non-decreasing —
-// i.e. already document order up to duplicates. The bit is maintained
-// at construction, so the check is O(1); it is what lets a cursor
-// stream the rope directly.
-func (nl *NodeList) IsSorted() bool {
-	return nl == nil || nl.sorted
-}
-
-// Iter returns a resumable leaf iterator in concatenation order. The
-// rope is immutable, so an Iter stays valid for as long as the rope.
-func (nl *NodeList) Iter() *Iter {
-	it := &Iter{}
-	if nl != nil {
-		it.stack = append(it.stack, nl)
-	}
-	return it
-}
-
-// IterAfter returns an iterator positioned at the first element > v,
-// by a metadata descent instead of a walk: a subtree whose last element
-// is <= v is skipped whole, so on a sorted rope (where "first element
-// > v" starts a suffix) the seek is O(height) = O(log n) and touches at
-// most one leaf. This is what makes resuming a paged cursor cheap: the
-// old linear re-walk of every already-delivered page is gone. On an
-// unsorted rope the elements > v are not a suffix, so it degrades to a
-// plain Iter from the start (callers filter by value as before).
-func (nl *NodeList) IterAfter(v tree.NodeID) *Iter {
-	if nl == nil || !nl.sorted {
-		return nl.Iter()
-	}
-	it := &Iter{}
-	n := nl
-	if n.last <= v {
-		return it // everything consumed
-	}
-	for n.l != nil {
-		if n.l.last > v {
-			it.stack = append(it.stack, n.r)
-			n = n.l
-		} else {
-			n = n.r
-		}
-	}
-	i := sort.Search(len(n.elems), func(i int) bool { return n.elems[i] > v })
-	it.leaf = n.elems[i:]
-	return it
-}
-
-// Iter streams a rope's leaves without materializing them. The stack
-// holds the unvisited right subtrees and leaf the rest of the current
-// chunk; balancing bounds the stack by the tree height, so iteration
-// state is O(log n) even for answers built by the evaluator's
-// left-accumulating concatenation order.
-type Iter struct {
-	stack []*NodeList
-	leaf  []tree.NodeID
-}
-
-// Next returns the next leaf value, with ok=false once exhausted.
-func (it *Iter) Next() (tree.NodeID, bool) {
-	if len(it.leaf) > 0 {
-		v := it.leaf[0]
-		it.leaf = it.leaf[1:]
-		return v, true
-	}
-	if len(it.stack) == 0 {
-		return tree.Nil, false
-	}
-	n := it.stack[len(it.stack)-1]
-	it.stack = it.stack[:len(it.stack)-1]
-	for n.l != nil {
-		// Interior node: descend left, deferring the right child.
-		it.stack = append(it.stack, n.r)
-		n = n.l
-	}
-	it.leaf = n.elems[1:]
-	return n.elems[0], true
-}
-
-// Flatten returns the nodes of the rope in concatenation order, sorted
-// into document order and deduplicated (unions of overlapping result
-// lists can repeat a node). The cached count preallocates the output
-// exactly; a sorted duplicate-free rope (the common case) is one copy
-// with no sort and no dedup scan.
-func (nl *NodeList) Flatten() []tree.NodeID {
-	var stack []*NodeList
-	return nl.flattenInto(&stack)
-}
-
-// flattenInto is Flatten with a caller-owned traversal stack, so warm
-// materializing evaluations reuse the same scratch; the output slice
-// is always fresh (it outlives the evaluation arena by design).
-func (nl *NodeList) flattenInto(stackp *[]*NodeList) []tree.NodeID {
-	if nl == nil {
-		return nil
-	}
-	out := make([]tree.NodeID, 0, nl.count)
-	stack := (*stackp)[:0]
-	stack = append(stack, nl)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for n.l != nil {
-			stack = append(stack, n.r)
-			n = n.l
-		}
-		out = append(out, n.elems...)
-	}
-	*stackp = stack
-	if nl.sorted && nl.dups == 0 {
-		return out
-	}
-	if !nl.sorted {
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	}
-	w := 0
-	for i, v := range out {
-		if i == 0 || v != out[w-1] {
-			out[w] = v
-			w++
-		}
-	}
-	return out[:w]
-}
-
 // RSet is a result set Γ (Definition C.2): the mapping from states to the
 // nodes selected under them, plus its domain — the set of states
 // satisfied at the current node (↓i q tests membership of q in Dom(Γi)).
@@ -535,10 +194,10 @@ type RSet struct {
 
 // rentry is one Γ(q). Marked nodes are buffered in tail — an
 // arena-backed block this entry exclusively owns — and flushed into the
-// rope as one chunk leaf when the block fills or the list is read, so
-// the dominant operation (append one node) costs no rope node at all.
-// Ownership is what makes the in-place append safe: a rope handed out
-// by List (and thus possibly shared) is never touched again.
+// chain as one leaf when the block fills or the list is read, so the
+// dominant operation (append one node) costs no chain cell at all.
+// Ownership is what makes the in-place append safe: a chain handed out
+// by list (and thus possibly shared) is never touched again.
 type rentry struct {
 	q    State
 	nl   *NodeList
@@ -587,7 +246,7 @@ func (r *RSet) entry(q State) *rentry {
 	}
 }
 
-// flush moves the tail buffer into the rope as one leaf. The leaf takes
+// flush moves the tail buffer into the chain as one leaf. The leaf takes
 // the block as-is (capacity clamped, no copy); the entry starts a fresh
 // block on the next append.
 func (e *rentry) flush(ar *cellArena) {
@@ -598,9 +257,7 @@ func (e *rentry) flush(ar *cellArena) {
 	e.tail = nil
 }
 
-// List returns Γ(q), which is nil for states without collected nodes.
-func (r *RSet) List(q State) *NodeList { return r.list(q, nil) }
-
+// list returns Γ(q), which is nil for states without collected nodes.
 func (r *RSet) list(q State, ar *cellArena) *NodeList {
 	e := r.lookup(q)
 	if e == nil {
@@ -610,20 +267,20 @@ func (r *RSet) list(q State, ar *cellArena) *NodeList {
 	return e.nl
 }
 
-// push appends one node to the entry's private tail block: no rope
+// push appends one node to the entry's private tail block: no chain
 // cell, no concat, just one slot. Blocks start at tailInit and double;
 // a full leafMax block is flushed as one ready-made chunk leaf.
 func (e *rentry) push(v tree.NodeID, ar *cellArena) {
 	if len(e.tail) == cap(e.tail) {
 		if cap(e.tail) >= leafMax {
 			e.flush(ar)
-			e.tail = allocIDs(ar, leafMax)
+			e.tail = ar.allocIDs(leafMax)
 		} else {
 			next := tailInit
 			if c := 2 * cap(e.tail); c > next {
 				next = c
 			}
-			grown := allocIDs(ar, next)
+			grown := ar.allocIDs(next)
 			grown = append(grown, e.tail...)
 			e.tail = grown
 		}
@@ -637,14 +294,14 @@ func (r *RSet) addNode(q State, v tree.NodeID, ar *cellArena) {
 }
 
 // tailAbsorb bounds the leaves add copies into the tail instead of
-// concatenating: below it, a rope cell costs more than re-copying the
+// concatenating: below it, a chain cell costs more than re-copying the
 // elements, and absorbing is what packs the few-node lists flowing up
 // the tree into full chunks (each element is re-copied only while its
 // group is still below the bound, so the total copying stays linear).
 const tailAbsorb = 16
 
 // add concatenates nl onto Γ(q), assuming q will be in Sat. Small
-// leaves are absorbed element-wise into the tail block; real ropes
+// leaves are absorbed element-wise into the tail block; real chains
 // flush the tail first (keeping concatenation order) and cost one
 // O(1) raw concat cell.
 func (r *RSet) add(q State, nl *NodeList, ar *cellArena) {
@@ -678,7 +335,7 @@ func (r *RSet) union(o *RSet, ar *cellArena) {
 	}
 }
 
-// merge unions one source entry into r: the rope part concatenates
+// merge unions one source entry into r: the chain part concatenates
 // (small leaves absorbed, like add), and the source's still-buffered
 // tail appends element-wise — flushing it into an intermediate leaf
 // just to absorb it back out again would waste an arena block and a

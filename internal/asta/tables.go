@@ -183,7 +183,7 @@ func (s *tiStore) memBytes() int64 {
 }
 
 // sliceArena chunk-allocates windows out of []T blocks: transition
-// lists, per-set label rows, recipe op-lists, rope cells and rope leaf
+// lists, per-set label rows, recipe op-lists, chain cells and id
 // storage are carved here instead of per-row make calls. Carved
 // windows are never grown — chunks too full for a request are skipped,
 // not reallocated — so addresses stay stable; reset rewinds every

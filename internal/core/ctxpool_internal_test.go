@@ -48,132 +48,97 @@ func TestPoolCheckoutReusesContext(t *testing.T) {
 	}
 }
 
-// TestPoolCursorHeldContextReturnsOnExhaustionAndClose: a rope cursor
-// holds its context until fully read (auto-release) or Closed early;
-// both must return exactly one context to the pool.
+// TestPoolCursorHeldContextReturnsOnExhaustionAndClose: an ASTA cursor
+// reads its answer out of its context's arena and so holds the context
+// until fully read (auto-release) or Closed early; both must return
+// exactly one context to the pool. That goes for a chain that arrives
+// in document order (the child-axis query) and for one that does not
+// (descendant steps under jumped regions union out of order, and are
+// sorted where they lie): either drains to the step-wise answer.
 func TestPoolCursorHeldContextReturnsOnExhaustionAndClose(t *testing.T) {
-	e, _ := poolTestEngine(t)
-	// A child-axis chain evaluates without out-of-order region jumps,
-	// so its rope is in document order and streams directly.
-	const q = "/site/regions/*/item"
+	for _, q := range []string{"/site/regions/*/item", "//listitem//keyword"} {
+		t.Run(q, func(t *testing.T) {
+			e, _ := poolTestEngine(t)
+			want, err := e.QueryWith(q, Stepwise)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	cur, err := e.EvalCursor(q, Optimized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.PoolStats().Resident; got != 0 {
-		t.Fatalf("context returned before the cursor finished (resident=%d)", got)
-	}
-	for {
-		if _, ok := cur.Next(); !ok {
-			break
-		}
-	}
-	if got := e.PoolStats().Resident; got != 1 {
-		t.Errorf("exhaustion did not return the context (resident=%d)", got)
-	}
+			cur, err := e.EvalCursor(q, Optimized)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := e.PoolStats().Resident; got != 0 {
+				t.Fatalf("context returned before the cursor finished (resident=%d)", got)
+			}
+			if cur.Count() != len(want.Nodes) || cur.Count() == 0 {
+				t.Fatalf("count = %d, oracle %d", cur.Count(), len(want.Nodes))
+			}
+			for i, w := range want.Nodes {
+				if v, ok := cur.Next(); !ok || v != w {
+					t.Fatalf("node %d = %d (ok=%v), oracle %d", i, v, ok, w)
+				}
+			}
+			if _, ok := cur.Next(); ok {
+				t.Fatal("cursor yields nodes past the oracle's end")
+			}
+			if got := e.PoolStats().Resident; got != 1 {
+				t.Errorf("exhaustion did not return the context (resident=%d)", got)
+			}
 
-	cur, err = e.EvalCursor(q, Optimized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := cur.Count()
-	if _, ok := cur.Next(); !ok {
-		t.Fatal("expected a non-empty answer")
-	}
-	cur.Close() // abandon mid-answer, like a paged request
-	if got := e.PoolStats().Resident; got != 1 {
-		t.Errorf("Close did not return the context (resident=%d)", got)
-	}
-	if cur.Count() != total {
-		t.Errorf("Count changed across Close: %d vs %d", cur.Count(), total)
-	}
-	cur.Close() // idempotent
-	if got := e.PoolStats().Resident; got != 1 {
-		t.Errorf("double Close corrupted the gauge (resident=%d)", got)
+			cur, err = e.EvalCursor(q, Optimized)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := cur.Count()
+			if _, ok := cur.Next(); !ok {
+				t.Fatal("expected a non-empty answer")
+			}
+			cur.Close() // abandon mid-answer, like a paged request
+			if got := e.PoolStats().Resident; got != 1 {
+				t.Errorf("Close did not return the context (resident=%d)", got)
+			}
+			if cur.Count() != total {
+				t.Errorf("Count changed across Close: %d vs %d", cur.Count(), total)
+			}
+			cur.Close() // idempotent
+			if ps := e.PoolStats(); ps.Resident != 1 || ps.GuardTrips != 0 || outstanding(ps) != 0 {
+				t.Errorf("double Close corrupted the pool: %+v", ps)
+			}
+		})
 	}
 }
 
-// TestUnsortedRopeFlattensAtConstruction: the rope-vs-slice choice is
-// made when the cursor is built, so an out-of-order rope is flattened
-// and its pooled context is back in the pool before the first read —
-// nothing is deferred to Next, Count, SeekPast or Close.
-func TestUnsortedRopeFlattensAtConstruction(t *testing.T) {
-	e, _ := poolTestEngine(t)
-	// Descendant steps under jumped regions union out of order.
-	const q = "//listitem//keyword"
-	warm, err := e.EvalCursor(q, Optimized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm.Close()
-	baseline := e.PoolStats().Resident
-	if baseline != 1 {
-		t.Fatalf("baseline resident = %d, want the one warm context", baseline)
-	}
-
-	cur, err := e.EvalCursor(q, Optimized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cur.rope != nil || cur.release != nil {
-		t.Fatal("answer rope is in document order; pick a query that still exercises the flatten path")
-	}
-	ps := e.PoolStats()
-	if ps.Resident != baseline {
-		t.Errorf("resident = %d before the first Next, want baseline %d (context still checked out)", ps.Resident, baseline)
-	}
-	if ps.GuardTrips != 0 {
-		t.Errorf("guard trips = %d, want 0", ps.GuardTrips)
-	}
-	want, err := e.QueryWith(q, Stepwise)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cur.Count() != len(want.Nodes) {
-		t.Fatalf("count = %d, oracle %d", cur.Count(), len(want.Nodes))
-	}
-	for i, w := range want.Nodes {
-		if v, ok := cur.Next(); !ok || v != w {
-			t.Fatalf("node %d = %d (ok=%v), oracle %d", i, v, ok, w)
-		}
-	}
-	cur.Close()
-	if got := e.PoolStats().Resident; got != baseline {
-		t.Errorf("resident = %d after Close, want %d (double release)", got, baseline)
-	}
-}
-
-// TestPoolCloseStopsRopeCursor: on a cursor still holding its rope
-// (sorted answer, context checked out), Close must both return the
-// context and leave the cursor exhausted — the rope lives in the
-// recycled arena and must never be read again. Only rope-backed
-// cursors have this property; cursors that flattened (unsorted ropes)
-// own their slice and stay readable.
+// TestPoolCloseStopsRopeCursor: Close on an ASTA cursor must both
+// return the context and leave the cursor exhausted — the answer lives
+// in the recycled arena and must never be read again. Only arena-owned
+// answers have this property; the other engines' cursors own their
+// slice and stay readable.
 func TestPoolCloseStopsRopeCursor(t *testing.T) {
 	e, _ := poolTestEngine(t)
-	// A child-axis chain evaluates without out-of-order region jumps,
-	// so its rope is in document order and streams directly.
 	const q = "/site/regions/*/item"
 	cur, err := e.EvalCursor(q, Optimized)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cur.Count() == 0 {
-		t.Fatal("expected a non-empty answer")
+	if cur.Count() < 2 {
+		t.Fatal("expected an answer of several nodes")
 	}
 	if _, ok := cur.Next(); !ok {
 		t.Fatal("first read failed")
 	}
 	if got := e.PoolStats().Resident; got != 0 {
-		t.Skipf("answer did not stream from the rope (resident=%d); query fell back to a slice", got)
+		t.Fatalf("cursor does not hold its context mid-answer (resident=%d)", got)
 	}
 	cur.Close()
 	if got := e.PoolStats().Resident; got != 1 {
 		t.Errorf("Close did not return the context (resident=%d)", got)
 	}
 	if _, ok := cur.Next(); ok {
-		t.Error("closed rope cursor still yields nodes (would read a recycled arena)")
+		t.Error("closed cursor still yields nodes (would read a recycled arena)")
+	}
+	if n := cur.NextBatch(make([]tree.NodeID, 4)); n != 0 {
+		t.Errorf("closed cursor still fills batches (%d nodes)", n)
 	}
 }
 
@@ -252,7 +217,7 @@ func TestPoolEvictsStaleKeysUnderPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cur.release == nil {
-		t.Fatal("answer did not stream from the rope; pick a query that holds its context")
+		t.Fatal("a non-empty ASTA answer must hold its context")
 	}
 	for _, q := range queries[:capacity] {
 		if _, err := e.QueryWith(q, Optimized); err != nil {

@@ -3,10 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
-	"repro/internal/asta"
 	"repro/internal/compile"
 	"repro/internal/hybrid"
 	"repro/internal/obsv"
@@ -16,20 +16,20 @@ import (
 	"repro/internal/xpath"
 )
 
-// Cursor is a resumable, preorder-sorted, duplicate-free view of one
-// evaluation's answer. It is the engine's streaming surface: ASTA
-// answers whose result rope is already in document order (the common
-// case) are streamed leaf by leaf without ever materializing the node
-// slice; everything else is a materialized slice. The representation
-// is fixed at construction. A Cursor is single-use and not safe for
-// concurrent use; resumption across requests re-evaluates (hitting the
-// compiled-automaton cache) and seeks with SeekPast.
+// Cursor is a resumable view of one evaluation's answer: a strictly
+// increasing slice of node ids (preorder, duplicate-free) and a read
+// position. Every engine hands over that one form — the ASTA evaluator
+// as a block in its context's arena, the others as a heap slice — so
+// counting is a length, seeking a binary search and reading a copy. A
+// Cursor is single-use and not safe for concurrent use; resumption
+// across requests re-evaluates (hitting the compiled-automaton cache)
+// and seeks with SeekPast.
 //
-// A rope-backed Cursor holds the pooled evaluation context whose arena
-// the rope lives in. The context returns to the engine's pool when the
-// cursor is exhausted, materialized, or Closed — callers that may
-// abandon a cursor mid-answer (paging) should Close it so the warm
-// context is recycled instead of garbage-collected.
+// A Cursor over an arena-owned answer holds the pooled evaluation
+// context whose arena it reads. The context returns to the engine's
+// pool when the cursor is exhausted, materialized, or Closed — callers
+// that may abandon a cursor mid-answer (paging) should Close it so the
+// warm context is recycled instead of garbage-collected.
 type Cursor struct {
 	strategy    Strategy
 	visited     int
@@ -55,39 +55,44 @@ type Cursor struct {
 	autoShape  string
 	autoReason string
 
-	// release returns the evaluation context backing rope to its pool;
-	// nil for slice-backed cursors and after the first release.
+	// release returns the evaluation context whose arena holds nodes to
+	// its pool; nil when nodes are heap-owned and after the first
+	// release.
 	release func()
 
-	// Rope-backed stream (sorted ASTA answers): it walks rope; last is
-	// the most recently emitted (or seeked-past) node for dedup/resume.
-	// rope is nil on slice-backed cursors and after Close.
-	rope    *asta.NodeList
-	it      *asta.Iter
-	last    tree.NodeID
-	started bool
-
-	// Slice-backed form (other strategies, unsorted ropes).
+	// nodes is the answer, pos the read position in it and total its
+	// length — which outlives nodes: Close drops an arena-owned answer.
 	nodes []tree.NodeID
 	pos   int
-
-	// total is the full answer cardinality.
 	total int
 }
 
-func newSliceCursor(nodes []tree.NodeID, s Strategy, visited, memo int) *Cursor {
-	nodes = ensureSortedDedup(nodes)
-	return &Cursor{strategy: s, visited: visited, memoEntries: memo,
-		nodes: nodes, total: len(nodes)}
+// newCursor wraps an answer that is strictly increasing by
+// construction. A non-nil release marks it arena-owned; an empty answer
+// has nothing to keep the context for and hands it back at once.
+func newCursor(nodes []tree.NodeID, release func(), s Strategy, visited, memo int) *Cursor {
+	c := &Cursor{strategy: s, visited: visited, memoEntries: memo,
+		nodes: nodes, total: len(nodes), release: release}
+	if len(nodes) == 0 {
+		c.Close()
+	}
+	return c
 }
 
-// ensureSortedDedup enforces the invariant every slice-backed cursor
-// depends on — strictly increasing preorder — rather than trusting the
-// producing engine: SeekPast binary-searches and resumed pages silently
-// skip or repeat nodes if a slice ever arrives unsorted or with
-// duplicates. The engines do emit sorted duplicate-free answers, so the
-// common case is one O(n) verification scan; only a violation pays the
-// sort/compact.
+// newSliceCursor wraps the heap-owned answer of the step-wise, hybrid
+// or TDSTA engine, checked rather than trusted.
+func newSliceCursor(nodes []tree.NodeID, s Strategy, visited, memo int) *Cursor {
+	return newCursor(ensureSortedDedup(nodes), nil, s, visited, memo)
+}
+
+// ensureSortedDedup enforces the invariant every cursor depends on —
+// strictly increasing preorder — rather than trusting the producing
+// engine: SeekPast binary-searches and resumed pages silently skip or
+// repeat nodes if a slice ever arrives unsorted or with duplicates. The
+// engines do emit sorted duplicate-free answers, so the common case is
+// one O(n) verification scan; only a violation pays the sort/compact.
+// (The ASTA evaluator needs no such scan: its chain metadata already
+// says whether the block is in order, and collect acts on it.)
 func ensureSortedDedup(nodes []tree.NodeID) []tree.NodeID {
 	sorted, unique := true, true
 	for i := 1; i < len(nodes); i++ {
@@ -103,55 +108,23 @@ func ensureSortedDedup(nodes []tree.NodeID) []tree.NodeID {
 		return nodes
 	}
 	if !sorted {
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+		slices.Sort(nodes)
 	}
-	w := 0
-	for i, v := range nodes {
-		if i == 0 || v != nodes[w-1] {
-			nodes[w] = v
-			w++
-		}
-	}
-	return nodes[:w]
-}
-
-// newRopeCursor wraps an ASTA result rope living in the arena of a
-// pooled evaluation context, which release returns to its pool. The
-// representation is decided here, once — IsSorted and Distinct are O(1)
-// metadata reads: a rope in document order streams in place
-// (adjacent-duplicate skipping doubles as dedup) and keeps the context
-// until exhaustion or Close; an empty or out-of-order rope (rare —
-// unions from jumped regions) flattens now, so its context goes back to
-// work before the first read.
-func newRopeCursor(r *asta.NodeList, release func(), s Strategy, visited, memo int) *Cursor {
-	c := &Cursor{strategy: s, visited: visited, memoEntries: memo}
-	if r == nil || !r.IsSorted() {
-		// Flatten sorts and deduplicates; the slice is heap-owned.
-		c.nodes = r.Flatten()
-		c.total = len(c.nodes)
-		release()
-		return c
-	}
-	// The iterator is created by the first read (or positioned directly
-	// by SeekPast), so a resumed cursor never builds a from-the-start
-	// iterator it will discard.
-	c.rope, c.total, c.release = r, r.Distinct(), release
-	return c
+	return slices.Compact(nodes)
 }
 
 // Close returns the cursor's evaluation context to the engine's pool
 // without consuming the rest of the answer, and — for Auto
 // evaluations — reports the observed cost back to the selector. It is
 // idempotent, runs implicitly on exhaustion and materialization, and
-// leaves a rope-backed cursor in the exhausted state (Count stays
-// valid; Next reports done): once the context is handed back the rope
-// must never be dereferenced again, its arena may be serving another
-// evaluation.
+// leaves a cursor over an arena-owned answer in the exhausted state
+// (Count stays valid; Next reports done): once the context is handed
+// back the block must never be read again, its arena may be serving
+// another evaluation. A heap-owned answer stays readable.
 func (c *Cursor) Close() {
 	c.finishObs()
-	c.rope, c.it = nil, nil
 	if r := c.release; r != nil {
-		c.release = nil
+		c.release, c.nodes, c.pos = nil, nil, 0
 		r()
 	}
 }
@@ -203,53 +176,25 @@ func (c *Cursor) AutoShape() string { return c.autoShape }
 func (c *Cursor) AutoReason() string { return c.autoReason }
 
 // Count returns the full answer cardinality, independent of the read
-// position. Rope-backed cursors took it from the rope's cached metadata
-// (on a sorted rope the adjacent-distinct count is the duplicate-free
-// cardinality); slice-backed cursors know their length.
+// position and of Close.
 func (c *Cursor) Count() int { return c.total }
 
 // SeekPast positions the cursor just after node v in preorder, so the
-// next read returns the first answer node > v. It must be called before
-// the first Next/NextBatch; it is how a continuation token resumes a
-// paged answer. On a rope-backed cursor the seek is a logarithmic
-// metadata descent that never visits the skipped leaves, so resuming
-// page p of an n-node answer costs O(log n), not O(p·pagesize); the
-// slice fallback binary-searches.
+// next read returns the first answer node > v; it is how a continuation
+// token resumes a paged answer. A binary search: resuming page p of an
+// n-node answer costs O(log n), not O(p·pagesize). (The predicate is
+// "> v", never ">= v+1": a token may carry the largest NodeID.)
 func (c *Cursor) SeekPast(v tree.NodeID) {
-	if c.rope != nil {
-		c.it = c.rope.IterAfter(v)
-		c.last, c.started = v, true
-		return
-	}
 	c.pos = sort.Search(len(c.nodes), func(i int) bool { return c.nodes[i] > v })
 }
 
 // Next returns the next answer node in preorder, with ok=false once the
-// answer is exhausted.
+// answer is exhausted. The read that finds the end closes the cursor:
+// the answer will never be read again, so its evaluation context can go
+// back to work for the next query.
 func (c *Cursor) Next() (tree.NodeID, bool) {
-	if c.rope != nil {
-		if c.it == nil {
-			c.it = c.rope.Iter()
-		}
-		for {
-			v, ok := c.it.Next()
-			if !ok {
-				// Exhausted: the rope will never be read again, so the
-				// evaluation context can go back to work for the next
-				// query.
-				c.Close()
-				return tree.Nil, false
-			}
-			// Sorted rope: skipping v <= last both deduplicates and
-			// implements SeekPast.
-			if c.started && v <= c.last {
-				continue
-			}
-			c.last, c.started = v, true
-			return v, true
-		}
-	}
 	if c.pos >= len(c.nodes) {
+		c.Close()
 		return tree.Nil, false
 	}
 	v := c.nodes[c.pos]
@@ -258,28 +203,24 @@ func (c *Cursor) Next() (tree.NodeID, bool) {
 }
 
 // NextBatch fills dst with the next nodes in preorder and returns how
-// many were written; 0 means the answer is exhausted.
+// many were written; 0 means the answer is exhausted. dst receives a
+// copy, never a window of the answer, so it outlives the cursor.
 func (c *Cursor) NextBatch(dst []tree.NodeID) int {
-	n := 0
-	for n < len(dst) {
-		v, ok := c.Next()
-		if !ok {
-			break
-		}
-		dst[n] = v
-		n++
+	n := copy(dst, c.nodes[c.pos:])
+	c.pos += n
+	if n < len(dst) {
+		c.Close()
 	}
 	return n
 }
 
 // materialize converts a freshly created (unread) cursor into the
-// classic Answer; rope-backed cursors pay the one Flatten the
-// materializing path always paid. The flattened slice is heap-owned,
-// so the evaluation context is released immediately.
+// classic Answer. An arena-owned answer is cloned — the Answer outlives
+// the evaluation context, which goes back to its pool here.
 func (c *Cursor) materialize() *Answer {
 	nodes := c.nodes
-	if c.rope != nil {
-		nodes = c.rope.Flatten()
+	if c.release != nil {
+		nodes = slices.Clone(nodes)
 	}
 	c.Close()
 	return &Answer{
@@ -291,9 +232,9 @@ func (c *Cursor) materialize() *Answer {
 }
 
 // EvalCursor evaluates a query and returns a cursor over the
-// preorder-sorted answer, without materializing it when the strategy's
-// result representation allows (ASTA ropes in document order). The
-// strategy semantics match QueryWith.
+// preorder-sorted answer, without copying it out of the evaluator's
+// arena when that is where the strategy leaves it (the ASTA engines).
+// The strategy semantics match QueryWith.
 func (e *Engine) EvalCursor(query string, s Strategy) (*Cursor, error) {
 	return e.EvalCursorTrace(query, s, nil)
 }
@@ -393,12 +334,11 @@ func (e *Engine) tdstaCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Curs
 	return c, nil
 }
 
-// astaCursor runs the ASTA evaluator lazily and wraps the result rope
-// (see newRopeCursor for the representation choice). Evaluation runs in a
-// pooled context: warm checkouts reuse the memo world and arenas of
-// previous runs of the same automaton — over this generation of the
-// document or an earlier one — and the context rides with the cursor
-// (its arena holds the rope) until exhaustion or Close.
+// astaCursor runs the ASTA evaluator in a pooled context: warm checkouts
+// reuse the memo world and arenas of previous runs of the same
+// automaton — over this generation of the document or an earlier one —
+// and the context rides with the cursor (its arena holds the answer)
+// until exhaustion or Close.
 //
 // The cached automaton is checked against the one thing it depends on,
 // the label table, in one pointer comparison. The key carries the
@@ -430,10 +370,10 @@ func (e *Engine) astaCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Tr
 	cv, opt := v.(*compiled), astaOptions(s)
 	ctx, warm := cv.checkout(opt)
 	sp = tr.Begin(obsv.SpanRun)
-	res := cv.aut.EvalLazyCtx(ctx, e.doc, e.ix, opt)
+	res := cv.aut.EvalCtx(ctx, e.doc, e.ix, opt)
 	tr.Annotate(sp, runSpanOK[s])
 	tr.End(sp)
-	c := newRopeCursor(res.List, func() { cv.release(opt, ctx) },
+	c := newCursor(res.Selected, func() { cv.release(opt, ctx) },
 		s, res.Stats.Visited, res.Stats.MemoEntries)
 	c.memoHits = res.Stats.MemoHits
 	c.jumps = res.Stats.Jumps

@@ -2,6 +2,10 @@ package core
 
 import (
 	"errors"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/compile"
@@ -59,6 +63,87 @@ func TestSliceCursorEnforcesInvariant(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSeekPastProperty: on random strictly increasing answers, heap-
+// and arena-owned alike, SeekPast(v) leaves the cursor at the oracle's
+// first element > v — for v below the first element, equal to one,
+// between two, equal to the last, above it, 0 and the largest NodeID a
+// token can carry (where searching for v+1 would wrap around and replay
+// the whole answer) — and leaves Count alone. The answer then drains to
+// the oracle's suffix, by Next and by NextBatch, and an arena-owned
+// cursor hands its context back exactly once.
+func TestSeekPastProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for round := 0; round < 200; round++ {
+		n := 1 + rng.Intn(300)
+		if round%10 == 0 {
+			n = 1
+		}
+		oracle := make([]tree.NodeID, n)
+		v := tree.NodeID(rng.Intn(3)) // sometimes starts at 0
+		for i := range oracle {
+			oracle[i] = v
+			v += tree.NodeID(1 + rng.Intn(5))
+		}
+		if round%7 == 0 {
+			oracle[n-1] = math.MaxInt32 // the id no successor exists for
+		}
+		first, last := oracle[0], oracle[n-1]
+		mid := oracle[n/2]
+		probes := []tree.NodeID{tree.Nil, first - 1, first, mid, mid + 1, last - 1, last, 0, math.MaxInt32}
+		if last < math.MaxInt32 {
+			probes = append(probes, last+1)
+		}
+		for i := 0; i < 8; i++ {
+			probes = append(probes, oracle[rng.Intn(n)]+tree.NodeID(rng.Intn(3)-1))
+		}
+		for pi, p := range probes {
+			arena := (round+pi)%2 == 0
+			releases := 0
+			var release func()
+			if arena {
+				release = func() { releases++ }
+			}
+			c := newCursor(append([]tree.NodeID(nil), oracle...), release, Optimized, 0, 0)
+			c.SeekPast(p)
+			if c.Count() != n {
+				t.Fatalf("SeekPast(%d) changed Count to %d, want %d", p, c.Count(), n)
+			}
+			want := oracle[sort.Search(n, func(i int) bool { return oracle[i] > p }):]
+			var got []tree.NodeID
+			if pi%2 == 0 {
+				got = collect(t, c)
+			} else {
+				buf := make([]tree.NodeID, 1+rng.Intn(64))
+				for {
+					k := c.NextBatch(buf)
+					if k == 0 {
+						break
+					}
+					got = append(got, buf[:k]...)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d: after SeekPast(%d) drained %d nodes %v, oracle %d %v (answer %d..%d)",
+					round, p, len(got), got, len(want), want, first, last)
+			}
+			c.Close()
+			if arena && releases != 1 {
+				t.Fatalf("round %d: context released %d times, want 1", round, releases)
+			}
+			if c.Count() != n {
+				t.Fatalf("Count = %d after exhaustion and Close, want %d", c.Count(), n)
+			}
+		}
+	}
+	// The empty answer: nothing to hold a context for.
+	releases := 0
+	c := newCursor(nil, func() { releases++ }, Optimized, 0, 0)
+	c.SeekPast(5)
+	if _, ok := c.Next(); ok || c.Count() != 0 || releases != 1 {
+		t.Fatalf("empty arena-owned answer: ok=%v count=%d releases=%d, want exhausted, 0, 1", ok, c.Count(), releases)
 	}
 }
 
@@ -173,7 +258,7 @@ func TestAutoSurfacesNonFragmentErrors(t *testing.T) {
 }
 
 // TestSliceStrategiesResumeMidAnswer is the regression test for the
-// slice-cursor paging bug: every slice-backed strategy, resumed
+// slice-cursor paging bug: every heap-slice strategy, resumed
 // mid-answer via fresh cursors and SeekPast (the stateless continuation
 // model), must deliver exactly the full answer across pages.
 func TestSliceStrategiesResumeMidAnswer(t *testing.T) {
@@ -186,7 +271,7 @@ func TestSliceStrategiesResumeMidAnswer(t *testing.T) {
 		{Stepwise, "/site/regions//item"},
 		{Hybrid, "/site/regions//item/location"},
 		{TopDownDet, "/site/regions//item"},
-		{Optimized, "/site//item//keyword"}, // rope-backed, for contrast
+		{Optimized, "/site//item//keyword"}, // arena-owned, for contrast
 	}
 	for _, tc := range cases {
 		full, err := eng.QueryWith(tc.query, tc.strategy)

@@ -41,11 +41,6 @@ type Result struct {
 	Stats    Stats
 }
 
-// Walk calls f for each selected node in document order, stopping early
-// when f returns false — the uniform consumption surface shared with
-// the automata engines' result types.
-func (r *Result) Walk(f func(tree.NodeID) bool) { tree.WalkNodes(r.Selected, f) }
-
 // chainStep is a normalized step of the supported fragment.
 type chainStep struct {
 	desc  bool // descendant axis (child otherwise)

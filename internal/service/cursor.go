@@ -22,9 +22,9 @@ import (
 // paged answers from silently mixing two trees (or two partitions). No
 // server-side state is kept per cursor: resuming re-evaluates (hitting
 // the shard's compiled-automaton LRU) and seeks past the last delivered
-// node — an O(log n) descent of the chunked result rope, so a resumed
-// page costs O(page + log n) on top of the cached evaluation rather
-// than a re-walk of every page already served.
+// node — a binary search of the answer, which is one sorted slice — so
+// a resumed page costs O(page + log n) on top of the cached evaluation
+// rather than a re-walk of every page already served.
 
 const cursorVersion = "c2"
 

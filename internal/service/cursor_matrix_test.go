@@ -131,3 +131,32 @@ func TestNodeIDRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeCursor: a continuation token is client-controlled text.
+// Whatever it holds, decoding returns an error or a value — never a
+// panic — and a value that decodes is one encodeCursor can carry: its
+// re-encoding decodes to the same (shard, doc, gen, last), with last
+// inside a NodeID's domain.
+func FuzzDecodeCursor(f *testing.F) {
+	f.Add(encodeCursor(3, "xm", 7, 41))
+	f.Add(rawToken(cursorVersion, "0", "xm", "1", "2147483647"))
+	f.Add(rawToken(cursorVersion, "0", "xm", "1", "-1"))
+	f.Add(rawToken(cursorVersion, "0", "xm", "1", "2147483648"))
+	f.Add(rawToken(cursorVersion, "0", "x\x00m", "1", "5"))
+	f.Add("%%%")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, tok string) {
+		sh, doc, gen, last, err := decodeCursor(tok)
+		if err != nil {
+			return
+		}
+		if sh < 0 || last < 0 || strings.ContainsRune(doc, 0) {
+			t.Fatalf("decoded (%d, %q, %d, %d) from %q: outside what a token can name", sh, doc, gen, last, tok)
+		}
+		sh2, doc2, gen2, last2, err := decodeCursor(encodeCursor(sh, doc, gen, last))
+		if err != nil || sh2 != sh || doc2 != doc || gen2 != gen || last2 != last {
+			t.Fatalf("(%d, %q, %d, %d) re-encoded decodes to (%d, %q, %d, %d), err %v",
+				sh, doc, gen, last, sh2, doc2, gen2, last2, err)
+		}
+	})
+}

@@ -676,14 +676,12 @@ func (s *Service) Eval(req Request) Response {
 	if limit <= 0 {
 		limit = resp.Count
 	}
-	nodes := make([]tree.NodeID, 0, min(limit, resp.Count))
-	for len(nodes) < limit {
-		v, ok := st.cur.Next()
-		if !ok {
-			break
-		}
-		nodes = append(nodes, v)
-		st.last = v
+	// The page is a copy: the cursor's answer lives in an evaluation
+	// arena that serves another run as soon as the cursor is closed.
+	nodes := make([]tree.NodeID, min(limit, resp.Count))
+	nodes = nodes[:st.cur.NextBatch(nodes)]
+	if len(nodes) > 0 {
+		st.last = nodes[len(nodes)-1]
 	}
 	st.sent = len(nodes)
 	resp.Nodes = nodes

@@ -30,8 +30,8 @@ type StreamHeader struct {
 	// Gen is the MVCC generation the stream reads; pass it back as AsOf
 	// to keep reading this exact tree across patches.
 	Gen store.Gen `json:"gen,omitempty"`
-	// Count is the full answer cardinality (an O(1) metadata read on
-	// rope-backed answers).
+	// Count is the full answer cardinality (the length of the answer:
+	// every engine delivers one sorted slice).
 	Count   int `json:"count"`
 	Visited int `json:"visited"`
 }

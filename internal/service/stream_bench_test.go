@@ -14,8 +14,8 @@ import (
 // The stream-vs-materialize benchmark: one XMark document whose
 // /site//* answer exceeds 100k nodes, delivered (a) the classic way —
 // Eval materializes the node slice and the whole Response is JSON
-// encoded in one piece — and (b) over the streaming path — the rope is
-// walked cursor-wise into fixed NDJSON chunks. The two numbers that
+// encoded in one piece — and (b) over the streaming path — the answer
+// is read cursor-wise into fixed NDJSON chunks. The two numbers that
 // matter: allocated bytes per answer (the streaming path must be far
 // below: no 100k-element slice, no multi-MB JSON blob) and first-byte
 // latency (streaming emits its header+first chunk before the answer is

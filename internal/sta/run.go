@@ -22,11 +22,6 @@ type Result struct {
 	Visited int
 }
 
-// Walk calls f for each selected node in document order, stopping early
-// when f returns false — the uniform consumption surface shared with
-// the other engines' result types.
-func (r *Result) Walk(f func(tree.NodeID) bool) { tree.WalkNodes(r.Selected, f) }
-
 // EvalTopDownDet runs a top-down deterministic, top-down complete STA over
 // the full binary tree of the document: the "extreme |Q|-optimization"
 // evaluator of §1, visiting every node exactly once in document order.

@@ -42,11 +42,6 @@ type Result struct {
 	Stats    Stats
 }
 
-// Walk calls f for each selected node in document order, stopping early
-// when f returns false — the uniform consumption surface shared with
-// the automata engines' result types.
-func (r *Result) Walk(f func(tree.NodeID) bool) { tree.WalkNodes(r.Selected, f) }
-
 // Eval evaluates a parsed query over the document.
 func Eval(d *tree.Document, p *xpath.Path, opt Options) Result {
 	e := &evaluator{d: d, opt: opt}

@@ -32,18 +32,6 @@ type NodeID int32
 // "#" in the paper.
 const Nil NodeID = -1
 
-// WalkNodes calls f on each node of a materialized answer slice in
-// order, stopping early when f returns false — the shared body of the
-// engines' Result.Walk methods (the uniform consumption surface the
-// streaming layer is built on).
-func WalkNodes(nodes []NodeID, f func(NodeID) bool) {
-	for _, v := range nodes {
-		if !f(v) {
-			return
-		}
-	}
-}
-
 // LabelID is an interned label.
 type LabelID int32
 

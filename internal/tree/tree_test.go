@@ -271,18 +271,3 @@ func TestXMLStringContainsNoDocTag(t *testing.T) {
 		t.Error("synthetic root leaked into serialization")
 	}
 }
-
-func TestWalkNodes(t *testing.T) {
-	nodes := []tree.NodeID{1, 4, 9}
-	var got []tree.NodeID
-	tree.WalkNodes(nodes, func(v tree.NodeID) bool { got = append(got, v); return true })
-	if len(got) != 3 || got[0] != 1 || got[2] != 9 {
-		t.Fatalf("WalkNodes visited %v", got)
-	}
-	n := 0
-	tree.WalkNodes(nodes, func(tree.NodeID) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early stop visited %d, want 1", n)
-	}
-	tree.WalkNodes(nil, func(tree.NodeID) bool { t.Fatal("visited node of empty slice"); return true })
-}

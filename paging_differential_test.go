@@ -14,8 +14,8 @@ import (
 // service resume does), must concatenate to the materialized answer,
 // for page sizes 1, 7 and 64 at all three XMark sizes. This is the
 // harness that catches both cursor-resume bug classes this repo has
-// seen designs for: a slice cursor binary-searching an unsorted slice,
-// and a rope seek skipping or repeating nodes at chunk boundaries.
+// seen designs for: a cursor binary-searching an unsorted slice, and a
+// seek skipping or repeating nodes at the page boundary.
 //
 // Queries are chosen for answer-shape coverage (tiny, chain,
 // predicate-filtered, and the //*-style full-scan whose answers reach
@@ -108,11 +108,10 @@ func TestPagingResumeDifferential(t *testing.T) {
 // resume fix: resuming deep into a large sorted answer must not walk
 // the skipped prefix. Timing is too noisy for CI, so the guard counts
 // work instead — the visited-node counter of a resumed evaluation must
-// match an unresumed one (the seek itself adds no document work), and
-// the rope-level structural guarantees (seek stack within tree height,
-// no consumed subtree left on the stack) are pinned by the asta package
-// property tests. What this adds end-to-end: page cost measured in
-// cursor reads is exactly the page size, at every resume depth.
+// match an unresumed one (the seek itself adds no document work; it is
+// a binary search, pinned against an oracle by core's
+// TestSeekPastProperty). What this adds end-to-end: page cost measured
+// in cursor reads is exactly the page size, at every resume depth.
 func TestPagingResumeSeekCost(t *testing.T) {
 	doc := xmark.Generate(xmark.Config{Scale: 0.02, Seed: 42})
 	eng := core.New(doc)
