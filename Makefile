@@ -81,8 +81,10 @@ gate-auto:
 # reload to 9.0 ms with the patch path untouched (2.4 -> 2.7 ms, noise),
 # so the same bound is 0.25 x 23.9 / 9.0 = 0.67. The two-array document
 # made both sides cheaper, the patch by more (1.4 ms against 7-8 ms), and
-# left the limit where it was. BENCH_mvcc.json pins ~0.20; tripping the
-# limit means an accidental O(doc) rebuild in the patch path, not noise.
+# the 16-bit labels and per-text-node offsets the patch again (1.3 ms,
+# 0.48 MB less to copy); the limit stayed where it was. BENCH_mvcc.json
+# pins ~0.15; tripping the limit means an accidental O(doc) rebuild in
+# the patch path, not noise.
 gate-mvcc:
 	$(GO) test -run '^$$' -bench 'BenchmarkPatchVsReload' -benchtime 20x -benchmem ./internal/store/ \
 		| $(GATE) -v num=patch-apply -v den=full-reload -v limit=0.67
@@ -93,9 +95,11 @@ gate-mvcc:
 # the yardstick: it was 0.05 when parse + index took 17.3 ms; the
 # byte-level XML kernel brought that to 6.9 ms with the open untouched
 # (0.33 -> 0.39 ms, noise), so the same bound is 0.05 x 17.3 / 6.9 =
-# 0.13. BENCH_mmap.json pins ~0.049 (0.32 ms: XQO2 version 3 has four
-# sections fewer to checksum); min of three runs filters one-off
-# page-cache or scheduler hiccups.
+# 0.13. BENCH_mmap.json pins ~0.049 (0.32 ms, taken on XQO2 version 3;
+# version 4 checksums one section more and 4.5 bytes per node fewer, and
+# alternating runs against version 3 could not tell the two opens
+# apart); min of three runs filters one-off page-cache or scheduler
+# hiccups.
 gate-mmap:
 	$(GO) test -run '^$$' -bench 'BenchmarkMmapOpenVsParse' -benchtime 20x -count 3 ./internal/store/ \
 		| $(GATE) -v num=mmap-open -v den=parse -v limit=0.13 -v fold=min

@@ -33,40 +33,52 @@ const Nil = tree.Nil
 // document (tree.Document.BinEnd).
 type Index struct {
 	doc *tree.Document
-	// occ[l] lists the nodes labeled l in preorder.
+	// occ[l] lists the nodes labeled l in preorder. The list of
+	// tree.LabelText is the document's own (tree.Document.TextNodes),
+	// borrowed; the others are the index's.
 	occ [][]tree.NodeID
 }
 
 // New builds the index in O(n + Σ) time and space. The per-label counts
 // come with the document (tree.Document.LabelCounts), so the occurrence
-// lists are cut from one array of n entries and filled in one pass.
+// lists of all but the text nodes, which the document lists itself, are
+// cut from one array and filled in one pass.
 func New(d *tree.Document) *Index {
 	n := d.NumNodes()
 	sigma := d.Names().Size()
+	texts := d.TextNodes()
 	ix := &Index{doc: d, occ: make([][]tree.NodeID, sigma)}
-	all := make([]tree.NodeID, n)
+	all := make([]tree.NodeID, n-len(texts))
 	next := make([]int, sigma) // where label l's next occurrence goes in all
 	off := 0
 	for l, c := range d.LabelCounts() {
+		if tree.LabelID(l) == tree.LabelText {
+			continue
+		}
 		ix.occ[l] = all[off : off+int(c) : off+int(c)]
 		next[l] = off
 		off += int(c)
 	}
+	ix.occ[tree.LabelText] = texts
 	for v := 0; v < n; v++ {
 		node := tree.NodeID(v)
-		l := d.Label(node)
-		all[next[l]] = node
-		next[l]++
+		if l := d.Label(node); l != tree.LabelText {
+			all[next[l]] = node
+			next[l]++
+		}
 	}
 	return ix
 }
 
-// MemBytes reports the bytes the index holds: the occurrence lists,
-// which partition the nodes, and their per-label slice headers.
+// MemBytes reports the bytes the index holds: the per-label slice
+// headers and the occurrence lists that are its own — the text nodes'
+// list is the document's, and counted there.
 func (ix *Index) MemBytes() int64 {
 	b := int64(len(ix.occ)) * int64(unsafe.Sizeof([]tree.NodeID(nil)))
-	for _, occ := range ix.occ {
-		b += 4 * int64(len(occ))
+	for l, occ := range ix.occ {
+		if tree.LabelID(l) != tree.LabelText {
+			b += 4 * int64(len(occ))
+		}
 	}
 	return b
 }

@@ -9,29 +9,30 @@ import (
 // XQO2 sections for the jumping index. The per-label occurrence lists are
 // stored as one concatenated preorder array plus a cumulative offset
 // directory, so opening a mapped file rebuilds only the sigma slice
-// headers — the occurrence data itself is aliased in place.
+// headers — the occurrence data itself is aliased in place. The text
+// nodes' list is not among them: it is the document's SecTextNodes,
+// stored once and borrowed at open as it is in memory, and its range in
+// the directory is empty.
 //
 // Section kinds 32+ belong to this package (tree owns kinds below 32).
 // Kind 34 (version 2's binEnd) is retired and stays reserved.
 const (
 	SecOccOff uint32 = 32 // []uint64, len sigma+1: cumulative occurrence offsets
-	SecOccAll uint32 = 33 // []NodeID: all occurrence lists, concatenated by label
+	SecOccAll uint32 = 33 // []NodeID: the occurrence lists of all labels but #text, concatenated by label
 )
 
-// AddSections serializes ix into w: the occurrence lists concatenated,
-// and the offset directory that cuts them apart again.
+// AddSections serializes ix into w: its own occurrence lists
+// concatenated, and the offset directory that cuts them apart again.
 func AddSections(w *tree.LayoutWriter, ix *Index) {
 	occOff := make([]uint64, 0, len(ix.occ)+1)
-	total := 0
-	for _, occ := range ix.occ {
-		occOff = append(occOff, uint64(total))
-		total += len(occ)
+	occAll := make([]tree.NodeID, 0, ix.doc.NumNodes()-len(ix.doc.TextNodes()))
+	for l, occ := range ix.occ {
+		occOff = append(occOff, uint64(len(occAll)))
+		if tree.LabelID(l) != tree.LabelText {
+			occAll = append(occAll, occ...)
+		}
 	}
-	occOff = append(occOff, uint64(total))
-	occAll := make([]tree.NodeID, 0, total)
-	for _, occ := range ix.occ {
-		occAll = append(occAll, occ...)
-	}
+	occOff = append(occOff, uint64(len(occAll)))
 	w.Add(SecOccOff, tree.SliceBytes(occOff))
 	w.Add(SecOccAll, tree.SliceBytes(occAll))
 }
@@ -55,9 +56,11 @@ func FromLayout(l *tree.Layout, d *tree.Document) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("index: xqo2 occurrences: %w", err)
 	}
-	// Every node occurs exactly once across all lists.
-	if occOff[sigma] != uint64(len(occAll)) || len(occAll) != n {
-		return nil, fmt.Errorf("index: xqo2: %d occurrences for %d nodes", len(occAll), n)
+	// Every node occurs exactly once: in the document's list of text
+	// nodes, or in one of the lists here.
+	texts := d.TextNodes()
+	if occOff[sigma] != uint64(len(occAll)) || len(occAll) != n-len(texts) {
+		return nil, fmt.Errorf("index: xqo2: %d occurrences for %d nodes, %d of them text", len(occAll), n, len(texts))
 	}
 	ix := &Index{doc: d, occ: make([][]tree.NodeID, sigma)}
 	// Per-label shape checks here are O(sigma): the offset directory must
@@ -72,12 +75,16 @@ func FromLayout(l *tree.Layout, d *tree.Document) (*Index, error) {
 			return nil, fmt.Errorf("index: xqo2: label %d occ range [%d,%d) invalid", lab, lo, hi)
 		}
 		if hi > lo {
-			if u := occAll[lo]; int(u) < n && d.Label(u) != tree.LabelID(lab) {
+			if tree.LabelID(lab) == tree.LabelText {
+				return nil, fmt.Errorf("index: xqo2: %d text occurrences stored beside the document's list", hi-lo)
+			}
+			if u := occAll[lo]; u >= 0 && int(u) < n && d.Label(u) != tree.LabelID(lab) {
 				return nil, fmt.Errorf("index: xqo2: label %d occurrence list starts at node %d carrying label %d", lab, u, d.Label(u))
 			}
 		}
 		ix.occ[lab] = occAll[lo:hi:hi]
 	}
+	ix.occ[tree.LabelText] = texts
 	return ix, nil
 }
 

@@ -11,7 +11,8 @@ import (
 // whole document. Occurrence lists are per-label sorted preorder
 // arrays, and a subtree patch is one contiguous preorder splice, so
 // each list updates with two binary searches plus a shifted copy, and
-// nothing else is kept per node.
+// nothing else is kept per node. The text nodes' list is not derived
+// here: the document's splice already made it, and the index borrows it.
 func Apply(old *Index, newDoc *tree.Document, dl *tree.Delta) *Index {
 	sigma := newDoc.Names().Size()
 	ix := &Index{doc: newDoc, occ: make([][]tree.NodeID, sigma)}
@@ -27,11 +28,16 @@ func Apply(old *Index, newDoc *tree.Document, dl *tree.Delta) *Index {
 	if dl.Inserted > 0 {
 		inserted = make(map[tree.LabelID][]tree.NodeID)
 		for v := q; v < q+tree.NodeID(dl.Inserted); v++ {
-			l := newDoc.Label(v)
-			inserted[l] = append(inserted[l], v)
+			if l := newDoc.Label(v); l != tree.LabelText {
+				inserted[l] = append(inserted[l], v)
+			}
 		}
 	}
 	for l := 0; l < sigma; l++ {
+		if tree.LabelID(l) == tree.LabelText {
+			ix.occ[l] = newDoc.TextNodes()
+			continue
+		}
 		var occ []tree.NodeID
 		if l < len(old.occ) {
 			occ = old.occ[l]

@@ -8,11 +8,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/shard"
 	"repro/internal/store"
+	"repro/internal/tree"
 	"repro/internal/xmark"
 )
 
@@ -253,5 +255,41 @@ func TestDeeplyNestedBodyIsABadRequest(t *testing.T) {
 	}
 	if code := doJSON(t, "GET", srv.URL+"/healthz", nil, nil); code != http.StatusOK {
 		t.Errorf("/healthz after the deep bodies: status %d", code)
+	}
+}
+
+// TestLabelLimitIsAClientError: a node's label is stored in 16 bits, so
+// the document whose names fill the table loads, one name more is a 400
+// that names the limit — at POST /docs, and at a PATCH whose fragment
+// brings the name, which leaves the current generation where it was.
+func TestLabelLimitIsAClientError(t *testing.T) {
+	srv := newTestServer(t)
+	wide := func(labels int) string {
+		var sb strings.Builder
+		sb.WriteString("<r>")
+		for i := tree.ReservedLabels + 1; i < labels; i++ {
+			sb.WriteString("<n" + strconv.Itoa(i) + "/>")
+		}
+		sb.WriteString("</r>")
+		return sb.String()
+	}
+	var loaded store.Stats
+	if code := doJSON(t, "POST", srv.URL+"/docs", LoadRequest{ID: "full", XML: wide(tree.MaxLabels)}, &loaded); code != http.StatusCreated || loaded.Labels != tree.MaxLabels {
+		t.Fatalf("loading %d labels: status %d, %d labels", tree.MaxLabels, code, loaded.Labels)
+	}
+	var e errorBody
+	if code := doJSON(t, "POST", srv.URL+"/docs", LoadRequest{ID: "over", XML: wide(tree.MaxLabels + 1)}, &e); code != http.StatusBadRequest || !strings.Contains(e.Error, "limit of 65536") {
+		t.Errorf("loading %d labels: status %d (%s), want 400 naming the limit", tree.MaxLabels+1, code, e.Error)
+	}
+	if code := doJSON(t, "PATCH", srv.URL+"/docs/full", PatchDocRequest{Op: "insert", Node: 1, XML: "<one-too-many/>"}, &e); code != http.StatusBadRequest || !strings.Contains(e.Error, "limit of 65536") {
+		t.Errorf("PATCH bringing label %d: status %d (%s), want 400 naming the limit", tree.MaxLabels+1, code, e.Error)
+	}
+	var patched store.Stats
+	if code := doJSON(t, "PATCH", srv.URL+"/docs/full", PatchDocRequest{Op: "insert", Node: 1, XML: "<n65535/>", BaseGen: loaded.Gen}, &patched); code != http.StatusOK {
+		t.Fatalf("PATCH within the table, on the generation the refused one left: status %d", code)
+	}
+	if patched.Gen != loaded.Gen+1 || patched.Labels != tree.MaxLabels || patched.Nodes != loaded.Nodes+1 {
+		t.Errorf("after the refused PATCH and one applied: gen %d (loaded %d), %d labels, %d nodes (loaded %d)",
+			patched.Gen, loaded.Gen, patched.Labels, patched.Nodes, loaded.Nodes)
 	}
 }

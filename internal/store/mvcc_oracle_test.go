@@ -21,7 +21,9 @@ import (
 // through Store.Patch — the incremental path (array splice, index
 // splice, BP bit splice) — and after every step the patched
 // generation's index, succinct view and query answers are compared
-// against a parse-from-scratch rebuild of the same document. A failing
+// against a parse-from-scratch rebuild of the same document, and its
+// labels and text against the patch done by definition (rebuildPatched)
+// on a document that never went through a splice or a file. A failing
 // sequence is shrunk by greedy step removal (delta debugging) before
 // being reported, so the log shows a minimal reproducer, not a
 // 25-step haystack.
@@ -122,6 +124,79 @@ func evalAll(eng *core.Engine, q string, s core.Strategy) ([]tree.NodeID, error)
 	}
 }
 
+// rebuildPatched is the patch by definition: d's events replayed into a
+// Builder with the subtree at pt.Node left out or the fragment's in its
+// place, or the fragment's put before pt.Before or after pt.Node's last
+// child. Nothing of the splice takes part, and every text is read from
+// a document the Builder made.
+func rebuildPatched(d *tree.Document, pt tree.Patch) *tree.Document {
+	b := tree.NewBuilder()
+	var emit func(src *tree.Document, v tree.NodeID)
+	graft := func() { emit(pt.Frag, pt.Frag.DocumentElement()) }
+	emit = func(src *tree.Document, v tree.NodeID) {
+		if src == d {
+			switch {
+			case pt.Op == tree.OpInsert && v == pt.Before:
+				graft()
+			case pt.Op == tree.OpDelete && v == pt.Node:
+				return
+			case pt.Op == tree.OpReplace && v == pt.Node:
+				graft()
+				return
+			}
+		}
+		if src.Label(v) == tree.LabelText {
+			b.Text(src.Text(v))
+			return
+		}
+		b.Open(src.LabelName(v))
+		for c := src.FirstChild(v); c != tree.Nil; c = src.NextSibling(c) {
+			emit(src, c)
+		}
+		if src == d && pt.Op == tree.OpInsert && v == pt.Node && pt.Before == tree.Nil {
+			graft()
+		}
+		b.Close()
+	}
+	emit(d, d.DocumentElement())
+	return b.MustFinish()
+}
+
+// checkText compares a generation — built, opened from a mapped file or
+// patched — with the reference document node for node: label, text, and
+// the serialized whole; and Text of what is no text node stays empty.
+func checkText(d, ref *tree.Document) error {
+	if d.NumNodes() != ref.NumNodes() {
+		return fmt.Errorf("%d nodes, reference has %d", d.NumNodes(), ref.NumNodes())
+	}
+	n, texts := tree.NodeID(d.NumNodes()), d.TextNodes()
+	for v := tree.NodeID(0); v < n; v++ {
+		if d.LabelName(v) != ref.LabelName(v) || d.Text(v) != ref.Text(v) {
+			return fmt.Errorf("node %d is %s %q, reference %s %q", v, d.LabelName(v), d.Text(v), ref.LabelName(v), ref.Text(v))
+		}
+		switch {
+		case d.Label(v) != tree.LabelText:
+			if d.Text(v) != "" {
+				return fmt.Errorf("node %d, a %s, has text %q", v, d.LabelName(v), d.Text(v))
+			}
+		case len(texts) == 0 || texts[0] != v:
+			return fmt.Errorf("text node %d is not the next one listed (%d left)", v, len(texts))
+		default:
+			texts = texts[1:]
+		}
+	}
+	if len(texts) != 0 {
+		return fmt.Errorf("%d nodes listed as text are not", len(texts))
+	}
+	if d.Text(tree.Nil) != "" || d.Text(n) != "" {
+		return fmt.Errorf("Text(Nil) = %q, Text(%d) = %q on %d nodes", d.Text(tree.Nil), n, d.Text(n), n)
+	}
+	if got, want := d.XMLString(), ref.XMLString(); got != want {
+		return fmt.Errorf("serialized %s, reference %s", got, want)
+	}
+	return nil
+}
+
 // checkHandle compares one patched generation against a from-scratch
 // rebuild: index contents, succinct view, and every (query, strategy)
 // answer.
@@ -206,6 +281,7 @@ var errInapplicable = errors.New("sequence inapplicable")
 // aliasing a file mapping.
 func runSequence(base *tree.Document, patches []tree.Patch, mapped bool) error {
 	s := store.New()
+	ref := base
 	if mapped {
 		dir, err := os.MkdirTemp("", "xqo2oracle")
 		if err != nil {
@@ -216,8 +292,12 @@ func runSequence(base *tree.Document, patches []tree.Patch, mapped bool) error {
 		if err := store.SaveXQO2File(path, base); err != nil {
 			return fmt.Errorf("seed: %w", err)
 		}
-		if _, err := s.LoadMapped("d", path); err != nil {
+		h, err := s.LoadMapped("d", path)
+		if err != nil {
 			return fmt.Errorf("seed: %w", err)
+		}
+		if err := checkText(h.Doc, ref); err != nil {
+			return fmt.Errorf("as mapped: %w", err)
 		}
 	} else if _, err := s.Add("d", base, store.SourceDirect); err != nil {
 		return fmt.Errorf("seed: %w", err)
@@ -228,6 +308,10 @@ func runSequence(base *tree.Document, patches []tree.Patch, mapped bool) error {
 			return fmt.Errorf("step %d: %w", i, errInapplicable)
 		}
 		if err := checkHandle(h); err != nil {
+			return fmt.Errorf("step %d (%s node %d): %w", i, pt.Op, pt.Node, err)
+		}
+		ref = rebuildPatched(ref, pt)
+		if err := checkText(h.Doc, ref); err != nil {
 			return fmt.Errorf("step %d (%s node %d): %w", i, pt.Op, pt.Node, err)
 		}
 	}
@@ -309,6 +393,54 @@ func TestMVCCOracleDifferential(t *testing.T) {
 						seed, err, len(min), describe(min), base.XMLString())
 				}
 			})
+		}
+	}
+}
+
+// TestMVCCOracleEveryPosition: on a document small enough to try them
+// all, every single patch — each subtree deleted, each replaced, a graft
+// before each child and after the last; so a splice at the first node,
+// at the last, inside a run of text nodes, between runs — with a
+// fragment of known labels and one that brings a new label, through the
+// store from a heap base and from a mapped one.
+func TestMVCCOracleEveryPosition(t *testing.T) {
+	doc := func(events ...string) *tree.Document {
+		b := tree.NewBuilder()
+		for _, e := range events {
+			switch {
+			case e == "/":
+				b.Close()
+			case e[0] == '#':
+				b.Text(e[1:])
+			default:
+				b.Open(e)
+			}
+		}
+		return b.MustFinish()
+	}
+	base := doc("a", "#head", "b", "#b1", "#", "#b3", "/", "c", "/", "#mid", "item", "name", "#deep", "/", "/", "#tail", "/")
+	frags := []*tree.Document{doc("b", "#f1", "c", "#f2", "/", "#f3", "/"), doc("fresh", "#f4", "/")}
+	var patches []tree.Patch
+	for v := tree.NodeID(1); int(v) < base.NumNodes(); v++ {
+		if v != base.DocumentElement() {
+			patches = append(patches, tree.Patch{Op: tree.OpDelete, Node: v, Before: tree.Nil})
+		}
+		for _, frag := range frags {
+			patches = append(patches, tree.Patch{Op: tree.OpReplace, Node: v, Before: tree.Nil, Frag: frag})
+			if base.Label(v) == tree.LabelText {
+				continue
+			}
+			for c := base.FirstChild(v); c != tree.Nil; c = base.NextSibling(c) {
+				patches = append(patches, tree.Patch{Op: tree.OpInsert, Node: v, Before: c, Frag: frag})
+			}
+			patches = append(patches, tree.Patch{Op: tree.OpInsert, Node: v, Before: tree.Nil, Frag: frag})
+		}
+	}
+	for _, mapped := range []bool{false, true} {
+		for _, pt := range patches {
+			if err := runSequence(base, []tree.Patch{pt}, mapped); err != nil {
+				t.Errorf("mapped base %v: %v\npatch: %s\nbase: %s", mapped, err, describe([]tree.Patch{pt}), base.XMLString())
+			}
 		}
 	}
 }

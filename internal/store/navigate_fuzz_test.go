@@ -20,14 +20,26 @@ var fuzzContainer = sync.OnceValue(func() []byte {
 	return buf.Bytes()
 })
 
+// fuzzSections are the sections FuzzNavigateVerified edits, by the
+// first byte of an edit, with the width of their words.
+var fuzzSections = []struct {
+	kind uint32
+	word int
+}{
+	{tree.SecParent, 4}, {tree.SecLastDesc, 4}, {tree.SecLabels, 2}, {tree.SecTextNodes, 4}, {tree.SecTextOff, 4},
+}
+
 // FuzzNavigateVerified: what Document.VerifyStructure accepts can be
-// navigated. The input is a list of 9-byte edits — which of the two
-// topology sections, which word, the new value — applied to a valid
-// container with the checksums fixed up, so the default open takes it.
-// Then either verification refuses the document, or a preorder walk by
+// navigated and read. The input is a list of 9-byte edits — which of
+// the five per-node and per-text-node sections, which word, the new
+// value — applied to a valid container with the checksums fixed up, so
+// that the open fails only on its own O(1) shape checks. Then either
+// verification refuses the document, or a preorder walk by
 // FirstChild/NextSibling from the root visits each of the n nodes once,
-// in rank order, and every parent walk ends at the root; and nothing
-// panics either way.
+// in rank order, every parent walk ends at the root, the listed text
+// nodes are exactly the nodes labelled #text, in order, and Text is
+// empty on every other node and on those reads the blob from end to
+// end; and nothing panics either way.
 func FuzzNavigateVerified(f *testing.F) {
 	edit := func(sec byte, word, value uint32) []byte {
 		e := []byte{sec}
@@ -41,16 +53,19 @@ func FuzzNavigateVerified(f *testing.F) {
 	f.Add(edit(1, 0, 10))                          // root interval short
 	f.Add(edit(1, 4, 3))                           // interval ending before its node
 	f.Add(edit(0, 0, 0))                           // root its own parent
+	f.Add(edit(2, 3, 1))                           // an element relabelled #text, and not listed
+	f.Add(edit(2, 3, 60000))                       // a label past the name table
+	f.Add(edit(3, 2, 3))                           // the text node list stepping back
+	f.Add(edit(3, 1, 9))                           // a listed text node that is an element
+	f.Add(edit(4, 2, 1<<30))                       // a text offset past the blob
+	f.Add(edit(4, 3, 0))                           // text offsets stepping back
 	f.Fuzz(func(t *testing.T, edits []byte) {
 		data := bytes.Clone(fuzzContainer())
 		for ; len(edits) >= 9; edits = edits[9:] {
-			kind := tree.SecParent
-			if edits[0]&1 == 1 {
-				kind = tree.SecLastDesc
-			}
-			rewriteSection(t, data, kind, func(p []byte) {
-				word := int(binary.LittleEndian.Uint32(edits[1:]) % uint32(len(p)/4))
-				copy(p[4*word:], edits[5:9])
+			sec := fuzzSections[int(edits[0])%len(fuzzSections)]
+			rewriteSection(t, data, sec.kind, func(p []byte) {
+				word := int(binary.LittleEndian.Uint32(edits[1:]) % uint32(len(p)/sec.word))
+				copy(p[sec.word*word:], edits[5:5+sec.word])
 			})
 		}
 		l, err := tree.OpenLayout(data, nil)
@@ -59,7 +74,7 @@ func FuzzNavigateVerified(f *testing.F) {
 		}
 		d, _, err := tree.DocumentFromLayout(l)
 		if err != nil {
-			return // the succinct view's own shape checks may object
+			return // the open's O(1) shape checks: an end of the text directory, its first node, the succinct view
 		}
 		if d.VerifyStructure() != nil {
 			return
@@ -91,6 +106,28 @@ func FuzzNavigateVerified(f *testing.F) {
 		}
 		if visited != n {
 			t.Fatalf("verified, yet the preorder walk visits %d of %d nodes", visited, n)
+		}
+		// Text, from the labels alone: the i-th node labelled #text is the
+		// i-th listed, and the texts in that order are the blob.
+		var blob []byte
+		texts := d.TextNodes()
+		for v := tree.NodeID(0); v < n; v++ {
+			text := d.Text(v)
+			if d.Label(v) != tree.LabelText {
+				if text != "" {
+					t.Fatalf("verified, yet node %d, not a text node, has text %q", v, text)
+				}
+				continue
+			}
+			if len(texts) == 0 || texts[0] != v {
+				t.Fatalf("verified, yet text node %d is not the next one listed (%d left)", v, len(texts))
+			}
+			texts = texts[1:]
+			blob = append(blob, text...)
+		}
+		if len(texts) != 0 || !bytes.Equal(blob, l.Section(tree.SecTextBlob)) {
+			t.Fatalf("verified, yet %d listed text nodes are not labelled so, or the texts (%d bytes) are not the blob (%d bytes)",
+				len(texts), len(blob), len(l.Section(tree.SecTextBlob)))
 		}
 	})
 }

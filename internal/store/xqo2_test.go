@@ -119,7 +119,7 @@ func TestXQO2Malformed(t *testing.T) {
 	mutants := map[string]func([]byte){
 		"bad magic":        func(b []byte) { copy(b[0:4], "YYYY") },
 		"bad version":      func(b []byte) { b[4] = 99 },
-		"previous version": func(b []byte) { b[4] = 2 },
+		"previous version": func(b []byte) { b[4] = 3 },
 		"corrupt payload": func(b []byte) {
 			// First payload starts at the 64-byte-aligned end of the
 			// section table (header 24 bytes + count entries of 24).
@@ -224,6 +224,29 @@ func TestXQO2VerifyStructure(t *testing.T) {
 				binary.LittleEndian.PutUint32(p[0:], uint32(len(p)/4-2))
 			})
 		},
+		"label past the name table": func(b []byte) {
+			rewriteSection(t, b, tree.SecLabels, func(p []byte) {
+				binary.LittleEndian.PutUint16(p[2*repeatedElement(p):], 60000)
+			})
+		},
+		// An element relabelled #text: Text would find no place for it in
+		// the list of text nodes.
+		"text node not listed": func(b []byte) {
+			rewriteSection(t, b, tree.SecLabels, func(p []byte) {
+				binary.LittleEndian.PutUint16(p[2*repeatedElement(p):], uint16(tree.LabelText))
+			})
+		},
+		"text node listed twice": func(b []byte) {
+			rewriteSection(t, b, tree.SecTextNodes, func(p []byte) {
+				copy(p[4:8], p[0:4])
+			})
+		},
+		// The second text would end before it starts.
+		"text offsets stepping back": func(b []byte) {
+			rewriteSection(t, b, tree.SecTextOff, func(p []byte) {
+				binary.LittleEndian.PutUint32(p[4*2:], 0)
+			})
+		},
 		"occurrences unsorted": func(b []byte) {
 			// Swap the first two occurrences of some label with a list of
 			// ≥2 entries: both carry that label, so the default open's head
@@ -268,6 +291,21 @@ func TestXQO2VerifyStructure(t *testing.T) {
 			t.Errorf("%s: verifying store accepted structurally invalid content", name)
 		}
 	}
+}
+
+// repeatedElement returns, from a labels section, the first element that
+// is not the first of its label — a node the default open's spot check
+// of each occurrence list's head does not look at.
+func repeatedElement(labels []byte) int {
+	seen := map[uint16]bool{}
+	for v := 0; 2*v < len(labels); v++ {
+		l := binary.LittleEndian.Uint16(labels[2*v:])
+		if seen[l] && l != uint16(tree.LabelText) {
+			return v
+		}
+		seen[l] = true
+	}
+	panic("no label occurs twice")
 }
 
 // TestXQO2Truncation requires clean errors for every truncation length.

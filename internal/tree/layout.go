@@ -14,8 +14,8 @@ import (
 
 // XQO2 resident layout — the only binary document format. It stores
 // every array of the in-memory representation (labels, parent, lastDesc,
-// text offsets + blob, bitvector words, rank superblocks, BP segment
-// tree, label table) verbatim in 64-byte-aligned, CRC-checksummed
+// text nodes + their offsets + blob, bitvector words, rank superblocks,
+// BP segment tree, label table) verbatim in 64-byte-aligned, CRC-checksummed
 // sections, so an mmap'd file can be aliased into live structures
 // without copying or rebuilding anything.
 // Opening a corpus is page-table setup; the OS pages cold documents.
@@ -33,6 +33,13 @@ import (
 // misread). Section CRCs are CRC32-Castagnoli over the raw payload and
 // are verified at open — still orders of magnitude cheaper than a parse.
 //
+// Version 4 is version 3 with the same section kinds meaning other
+// things — labels in 16 bits (kind 2), text offsets per text node, not
+// per node (kind 8), the text nodes listed once, by the document (the
+// new kind 16), and no longer among the index's occurrences (kind 33) —
+// which no reader could tell from the kinds, hence the bump. A file of
+// another version is refused with the command that re-saves it.
+//
 // This file owns the container plus the Document/Succinct sections;
 // internal/index adds its sections in its own layout file (the index
 // package imports tree, not vice versa) and internal/store composes the
@@ -40,7 +47,7 @@ import (
 
 const (
 	xqo2Magic      = "XQO2"
-	xqo2Version    = 3 // 2 also stored firstChild, nextSibling, depth and the index's binEnd
+	xqo2Version    = 4
 	xqo2Align      = 64
 	xqo2EndianMark = 0x0102030405060708
 	xqo2HeaderLen  = 24
@@ -49,14 +56,15 @@ const (
 
 // Section kinds. The tree package owns kinds below 32; other packages
 // layer their sections on top (internal/index uses 32+). Kinds 4, 5 and
-// 7 (version 2's firstChild, nextSibling and depth) are retired: they
-// stay reserved so a number never means two things.
+// 7 (version 2's firstChild, nextSibling and depth) are retired and stay
+// reserved; kinds 2 and 8 kept their meaning and changed their shape in
+// version 4, which is what the version is for.
 const (
 	SecDocMeta    uint32 = 1  // scalars: numNodes, numNames, parenLen, parenOnes
-	SecLabels     uint32 = 2  // []LabelID, len numNodes
+	SecLabels     uint32 = 2  // []uint16, len numNodes
 	SecParent     uint32 = 3  // []NodeID, len numNodes
 	SecLastDesc   uint32 = 6  // []NodeID, len numNodes
-	SecTextOff    uint32 = 8  // []uint32, len numNodes
+	SecTextOff    uint32 = 8  // []uint32, len(SecTextNodes)+1: each text node's start in the blob, then its end
 	SecTextBlob   uint32 = 9  // raw bytes
 	SecNameOff    uint32 = 10 // []uint32, len numNames+1
 	SecNameBlob   uint32 = 11 // raw bytes
@@ -64,6 +72,7 @@ const (
 	SecBPSuper    uint32 = 13 // []uint64: rank superblock directory
 	SecBPBlockMin uint32 = 14 // []int32: min-excess segment tree
 	SecBPBlockSum uint32 = 15 // []int32: excess-sum segment tree
+	SecTextNodes  uint32 = 16 // []NodeID: the #text nodes, ascending — also the index's occurrence list of LabelText
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -314,6 +323,7 @@ func AddDocumentSections(w *LayoutWriter, d *Document, s *Succinct) {
 	w.Add(SecLabels, SliceBytes(d.labels))
 	w.Add(SecParent, SliceBytes(d.parent))
 	w.Add(SecLastDesc, SliceBytes(d.lastDesc))
+	w.Add(SecTextNodes, SliceBytes(d.textNodes))
 	w.Add(SecTextOff, SliceBytes(d.textOff))
 	w.Add(SecTextBlob, d.textBlob)
 	nameOff := make([]uint32, 0, d.names.Size()+1)
@@ -350,13 +360,13 @@ func DocumentFromLayout(l *Layout) (*Document, *Succinct, error) {
 	if n < 1 || n > 1<<31-1 {
 		return nil, nil, fmt.Errorf("tree: xqo2: unreasonable node count %d", n)
 	}
-	if numNames < ReservedLabels || numNames > 1<<24 {
+	if numNames < ReservedLabels || numNames > MaxLabels {
 		return nil, nil, fmt.Errorf("tree: xqo2: unreasonable label count %d", numNames)
 	}
 
 	d := &Document{mapping: l.owner}
 	var err error
-	if d.labels, err = layoutSlice[LabelID](l, SecLabels, n); err != nil {
+	if d.labels, err = layoutSlice[uint16](l, SecLabels, n); err != nil {
 		return nil, nil, err
 	}
 	if d.parent, err = layoutSlice[NodeID](l, SecParent, n); err != nil {
@@ -365,24 +375,34 @@ func DocumentFromLayout(l *Layout) (*Document, *Succinct, error) {
 	if d.lastDesc, err = layoutSlice[NodeID](l, SecLastDesc, n); err != nil {
 		return nil, nil, err
 	}
-	if d.textOff, err = layoutSlice[uint32](l, SecTextOff, n); err != nil {
+	if d.textNodes, err = layoutSlice[NodeID](l, SecTextNodes, -1); err != nil {
+		return nil, nil, err
+	}
+	texts := len(d.textNodes)
+	if d.textOff, err = layoutSlice[uint32](l, SecTextOff, texts+1); err != nil {
 		return nil, nil, err
 	}
 	d.textBlob = l.Section(SecTextBlob)
 
-	// Shape checks here are O(1): section lengths against the node count
-	// (layoutSlice above) and the text directory's final offset against
-	// the blob. Element-wise structural validation — parent and lastDesc
-	// describing a tree, text offsets monotone — is the opt-in
-	// VerifyStructure pass:
+	// Shape checks here are O(1): section lengths against the node and
+	// text-node counts (layoutSlice above), the text directory's two ends
+	// against the blob, and the first listed text node carrying the text
+	// label. Element-wise structural validation — parent and lastDesc
+	// describing a tree, the text nodes listed being the nodes labelled
+	// so, their offsets monotone — is the opt-in VerifyStructure pass:
 	// the default open trusts checksummed content (the CRCs catch
 	// corruption; the format is a cache artifact written by this
 	// process), because re-scanning every array on every open would cost
 	// more than the rest of the zero-copy open combined. Untrusted files
 	// go through VerifyStructure, which errors instead of letting a
 	// crafted value panic a later query.
-	if int(d.textOff[n-1]) > len(d.textBlob) {
-		return nil, nil, fmt.Errorf("tree: xqo2: text offsets exceed blob (%d > %d)", d.textOff[n-1], len(d.textBlob))
+	if d.textOff[0] != 0 || int(d.textOff[texts]) != len(d.textBlob) {
+		return nil, nil, fmt.Errorf("tree: xqo2: text offsets span [%d, %d) of a %d-byte blob", d.textOff[0], d.textOff[texts], len(d.textBlob))
+	}
+	if texts > 0 {
+		if u := d.textNodes[0]; u < 0 || int(u) >= n || d.Label(u) != LabelText {
+			return nil, nil, fmt.Errorf("tree: xqo2: text node list starts at node %d, which is not a text node", u)
+		}
 	}
 
 	// Label table: names are materialized as heap strings (the table is
@@ -428,55 +448,63 @@ func DocumentFromLayout(l *Layout) (*Document, *Succinct, error) {
 
 // VerifyStructure runs the element-wise structural validation that the
 // zero-copy open skips by default: parent and lastDesc describing one
-// tree in preorder, labels within the name table, and text offsets
-// monotone within the blob. It is the defense for files from outside
-// this process — a crafted value that passes the checksums (which only
-// catch corruption) would otherwise surface as a bounds panic, or a
-// parent walk that never ends, on whatever query first touches it. The
-// three checks run in parallel over their disjoint arrays; the label and
-// offset checks are branchless streaming folds (allU32Below) that find
-// the offending node by a re-scan only on failure.
+// tree in preorder, labels within the name table, the listed text nodes
+// being exactly the nodes labelled #text, and their offsets monotone
+// across the blob. It is the defense for files from outside this
+// process — a crafted value that passes the checksums (which only catch
+// corruption) would otherwise surface as a bounds panic, or a parent
+// walk that never ends, on whatever query first touches it. The three
+// checks run in parallel; they only read.
 func (d *Document) VerifyStructure() error {
-	n := d.NumNodes()
-	numNames := d.names.Size()
-	checks := []func() error{
-		func() error {
-			if !allU32Below(d.labels, uint32(numNames)) {
-				v := firstAtLeast(d.labels, uint32(numNames))
-				return fmt.Errorf("tree: xqo2: node %d label %d out of range", v, d.labels[v])
-			}
-			return nil
-		},
-		d.verifyTree,
-		func() error {
-			// Text offsets: non-decreasing (OR-fold the sign of each
-			// step, four independent lanes), and then by monotonicity
-			// bounded by the blob via the final element alone.
-			off := d.textOff
-			var s0, s1, s2, s3 uint32
-			v := 1
-			for ; v+4 <= len(off); v += 4 {
-				s0 |= off[v] - off[v-1] // top bit set iff off[v] < off[v-1] (or a ≥2^31 jump; re-scan sorts it out)
-				s1 |= off[v+1] - off[v]
-				s2 |= off[v+2] - off[v+1]
-				s3 |= off[v+3] - off[v+2]
-			}
-			for ; v < len(off); v++ {
-				s0 |= off[v] - off[v-1]
-			}
-			if (s0|s1|s2|s3)>>31 != 0 || int(off[n-1]) > len(d.textBlob) {
-				prev := uint32(0)
-				for v, o := range off {
-					if int(o) > len(d.textBlob) || o < prev {
-						return fmt.Errorf("tree: xqo2: node %d text offset %d invalid", v, o)
-					}
-					prev = o
-				}
-			}
-			return nil
-		},
-	}
+	checks := []func() error{d.verifyLabels, d.verifyTree, d.verifyText}
 	return inParallel(len(checks), func(i int) error { return checks[i]() })
+}
+
+// verifyLabels proves every label within the name table.
+func (d *Document) verifyLabels() error {
+	for v, l := range d.labels {
+		if int(l) >= d.names.Size() {
+			return fmt.Errorf("tree: xqo2: node %d label %d out of range", v, l)
+		}
+	}
+	return nil
+}
+
+// verifyText proves the text directory: textNodes strictly increasing
+// within [0, n) and exactly the nodes labelled #text (each listed node
+// is one, and there are as many as listed), textOff non-decreasing from
+// 0 to the blob's length. What passes makes Text safe on every node, and
+// the texts in list order concatenate to the blob.
+func (d *Document) verifyText() error {
+	n, prev := NodeID(len(d.labels)), Nil
+	for i, v := range d.textNodes {
+		if v <= prev || v >= n {
+			return fmt.Errorf("tree: xqo2: text node list entry %d is node %d, after node %d of %d", i, v, prev, n)
+		}
+		if d.Label(v) != LabelText {
+			return fmt.Errorf("tree: xqo2: node %d is listed as text but carries label %d", v, d.labels[v])
+		}
+		prev = v
+	}
+	labelled := 0
+	for _, l := range d.labels {
+		if LabelID(l) == LabelText {
+			labelled++
+		}
+	}
+	if labelled != len(d.textNodes) {
+		return fmt.Errorf("tree: xqo2: %d nodes are labelled #text, %d are listed", labelled, len(d.textNodes))
+	}
+	off := d.textOff
+	if off[0] != 0 || int(off[len(off)-1]) != len(d.textBlob) {
+		return fmt.Errorf("tree: xqo2: text offsets span [%d, %d) of a %d-byte blob", off[0], off[len(off)-1], len(d.textBlob))
+	}
+	for i := 1; i < len(off); i++ {
+		if off[i] < off[i-1] {
+			return fmt.Errorf("tree: xqo2: text offset %d (%d) is below the one before it (%d)", i, off[i], off[i-1])
+		}
+	}
+	return nil
 }
 
 // verifyTree proves that parent and lastDesc are the two arrays of one
@@ -512,49 +540,4 @@ func (d *Document) verifyTree() error {
 		}
 	}
 	return nil
-}
-
-// allU32Below reports whether every element of s lies in [0, bound),
-// for bound < 2^31. Branchless: the OR fold's top bit catches negative
-// values; the AND fold of v-bound keeps its top bit only if every
-// (non-negative) v is below bound. One pass, two ALU ops per element —
-// these scans dominate the zero-copy open, so no per-element branches.
-func allU32Below[T ~int32](s []T, bound uint32) bool {
-	// Four independent accumulator pairs: the OR/AND folds are 1-cycle
-	// dependency chains, so a single pair caps the scan at one element
-	// per cycle regardless of load width. Splitting the chain four ways
-	// lets the superscalar core retire several elements per cycle.
-	var n0, n1, n2, n3 uint32
-	a0, a1, a2, a3 := ^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0)
-	i := 0
-	for ; i+4 <= len(s); i += 4 {
-		v0, v1, v2, v3 := uint32(s[i]), uint32(s[i+1]), uint32(s[i+2]), uint32(s[i+3])
-		n0 |= v0
-		a0 &= v0 - bound
-		n1 |= v1
-		a1 &= v1 - bound
-		n2 |= v2
-		a2 &= v2 - bound
-		n3 |= v3
-		a3 &= v3 - bound
-	}
-	for ; i < len(s); i++ {
-		v := uint32(s[i])
-		n0 |= v
-		a0 &= v - bound
-	}
-	neg := n0 | n1 | n2 | n3
-	and := a0 & a1 & a2 & a3
-	return neg>>31 == 0 && and>>31 != 0
-}
-
-// firstAtLeast returns the first index of s whose uint32 value reaches
-// bound — the failure re-scan paired with allU32Below.
-func firstAtLeast[T ~int32](s []T, bound uint32) int {
-	for i, v := range s {
-		if uint32(v) >= bound {
-			return i
-		}
-	}
-	return -1
 }

@@ -41,27 +41,32 @@ const linkAloneBelow = 1 << 15
 // first event and closes after the last.
 //
 // Two passes over the events share the work, concurrently for all but
-// small documents: one needs no state between events (labels, text
-// offsets, the blob), the other the stack of open elements (parent and
+// small documents: one needs no state between events (labels, the text
+// directory, the blob), the other the stack of open elements (parent and
 // lastDesc). On a fresh heap most of the time goes to first touches of
 // the arrays' pages, and those the two passes split evenly.
 func Link(names *LabelTable, parts []Part) (*Document, error) {
-	n, textBytes := 1, 0
+	n, texts, textBytes := 1, 0, 0
 	for i := range parts {
 		n += parts[i].Nodes
+		texts += len(parts[i].TextLen)
 		textBytes += len(parts[i].Blob)
 	}
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("tree: %d nodes exceed the 2^31 node-id space", n)
 	}
+	if err := checkLabelCount(names.Size()); err != nil {
+		return nil, err
+	}
 	if textBytes > math.MaxUint32 {
 		panic("tree: text content exceeds 4GB blob limit")
 	}
 	d := &Document{
-		labels:     make([]LabelID, n),
+		labels:     make([]uint16, n),
 		parent:     make([]NodeID, n),
 		lastDesc:   make([]NodeID, n),
-		textOff:    make([]uint32, n),
+		textNodes:  make([]NodeID, texts),
+		textOff:    make([]uint32, texts+1),
 		textBlob:   make([]byte, textBytes),
 		names:      names,
 		labelCount: make([]int32, names.Size()),
@@ -87,9 +92,9 @@ func Link(names *LabelTable, parts []Part) (*Document, error) {
 
 // fillNodes sets what a node has by itself: label and text.
 func (d *Document) fillNodes(parts []Part) {
-	labels, textOff, counts := d.labels, d.textOff, d.labelCount
+	labels, textNodes, textOff, counts := d.labels, d.textNodes, d.textOff, d.labelCount
 	counts[LabelDoc] = 1
-	v, cur := 1, uint32(0)
+	v, t, cur := 1, 0, uint32(0)
 	for i := range parts {
 		p := &parts[i]
 		copy(d.textBlob[cur:], p.Blob)
@@ -100,12 +105,14 @@ func (d *Document) fillNodes(parts []Part) {
 				continue
 			}
 			l := remap[e]
-			labels[v] = l
+			labels[v] = uint16(l)
 			counts[l]++
-			textOff[v] = cur
 			if l == LabelText {
+				textNodes[t] = NodeID(v)
+				textOff[t] = cur
 				cur += textLen[ti]
 				ti++
+				t++
 			}
 			v++
 		}
@@ -113,6 +120,7 @@ func (d *Document) fillNodes(parts []Part) {
 			panic("tree: a part's text lengths disagree with its blob")
 		}
 	}
+	textOff[t] = cur
 	if v != len(labels) {
 		panic("tree: a part's node count disagrees with its events")
 	}

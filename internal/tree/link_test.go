@@ -3,6 +3,8 @@ package tree_test
 import (
 	"bytes"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/tgen"
@@ -166,5 +168,59 @@ func TestLinkRejectsUnbalanced(t *testing.T) {
 		if _, err := tree.Link(names, []tree.Part{{Ev: ev, Remap: remap, Nodes: nodes}}); err == nil {
 			t.Errorf("Link(%v) succeeded", ev)
 		}
+	}
+}
+
+// wideDoc is <r> over one empty child per further name, up to a label
+// table of the given size, the two reserved labels included.
+func wideDoc(labels int) (*tree.Document, error) {
+	b := tree.NewBuilder()
+	b.Open("r")
+	for i := tree.ReservedLabels + 1; i < labels; i++ {
+		b.Open("n" + strconv.Itoa(i))
+		b.Close()
+	}
+	b.Close()
+	return b.Finish()
+}
+
+// TestLinkRefusesLabelsPastTheLimit: a node's label is stored in 16
+// bits, so a table of MaxLabels names links and the next name is an
+// error that says what the limit is, not a label that wraps around.
+func TestLinkRefusesLabelsPastTheLimit(t *testing.T) {
+	d, err := wideDoc(tree.MaxLabels)
+	if err != nil {
+		t.Fatalf("%d labels: %v", tree.MaxLabels, err)
+	}
+	last := d.LastDesc(d.Root())
+	if d.Names().Size() != tree.MaxLabels || d.Label(last) != tree.MaxLabels-1 || d.LabelName(last) != "n65535" {
+		t.Fatalf("%d labels, the last node carrying %d (%s)", d.Names().Size(), d.Label(last), d.LabelName(last))
+	}
+	if _, err := wideDoc(tree.MaxLabels + 1); err == nil || !strings.Contains(err.Error(), "limit of 65536") {
+		t.Fatalf("%d labels: err = %v, want the limit of 65536 named", tree.MaxLabels+1, err)
+	}
+}
+
+// TestApplyRefusesLabelsPastTheLimit: a patch whose fragment brings the
+// name that does not fit is refused the same way, and one that stays
+// within the table applies.
+func TestApplyRefusesLabelsPastTheLimit(t *testing.T) {
+	d, err := wideDoc(tree.MaxLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func(name string) (*tree.Document, error) {
+		nd, _, err := d.Apply(tree.Patch{Op: tree.OpInsert, Node: d.DocumentElement(), Before: tree.Nil, Frag: tgen.Chain(name, 1)})
+		return nd, err
+	}
+	if _, err := insert("one-too-many"); err == nil || !strings.Contains(err.Error(), "limit of 65536") {
+		t.Fatalf("a fragment with a new name: err = %v, want the limit of 65536 named", err)
+	}
+	nd, err := insert("n65535")
+	if err != nil {
+		t.Fatalf("a fragment of known names: %v", err)
+	}
+	if nd.Names() != d.Names() || nd.LabelName(nd.LastDesc(nd.Root())) != "n65535" {
+		t.Fatalf("patched within the table: table shared = %v, last node %s", nd.Names() == d.Names(), nd.LabelName(nd.LastDesc(nd.Root())))
 	}
 }

@@ -1,6 +1,9 @@
 package tree
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Subtree-level document mutation. A Document is immutable; Apply
 // produces the *next generation* — a new Document sharing nothing
@@ -121,7 +124,7 @@ func fragRoot(frag *Document) (NodeID, error) {
 	if frag.lastDesc[r] != frag.lastDesc[0] {
 		return Nil, fmt.Errorf("tree: patch fragment must have exactly one root element")
 	}
-	if frag.labels[r] == LabelText {
+	if frag.Label(r) == LabelText {
 		return Nil, fmt.Errorf("tree: patch fragment root must be an element, not text")
 	}
 	return r, nil
@@ -167,7 +170,7 @@ func (d *Document) Apply(pt Patch) (*Document, *Delta, error) {
 		if parent == 0 {
 			return nil, nil, fmt.Errorf("tree: cannot insert a second document element under the root")
 		}
-		if d.labels[parent] == LabelText {
+		if d.Label(parent) == LabelText {
 			return nil, nil, fmt.Errorf("tree: cannot insert under a text node")
 		}
 		r, err := fragRoot(pt.Frag)
@@ -189,12 +192,17 @@ func (d *Document) Apply(pt Patch) (*Document, *Delta, error) {
 	}
 
 	dl := &Delta{At: q, Removed: k, Inserted: m, Parent: parent, Before: before, Frag: frag}
-	nd := d.splice(dl)
+	nd, err := d.splice(dl)
+	if err != nil {
+		return nil, nil, err
+	}
 	return nd, dl, nil
 }
 
-// splice materializes the patched document from a validated Delta.
-func (d *Document) splice(dl *Delta) *Document {
+// splice materializes the patched document from a validated Delta. The
+// one thing it can still refuse is a fragment whose new names take the
+// label table past MaxLabels.
+func (d *Document) splice(dl *Delta) (*Document, error) {
 	var (
 		n      = NodeID(d.NumNodes())
 		q      = dl.At
@@ -205,38 +213,71 @@ func (d *Document) splice(dl *Delta) *Document {
 		cut    = q + NodeID(k) // first old preorder rank after the removed interval
 		nn     = int(n) + m - k
 	)
+	frag := dl.Frag
+	if frag == nil {
+		frag = &Document{names: &LabelTable{}} // a delete grafts nothing
+	}
+	// The generation shares its parent's label table unless the fragment
+	// brings a name the table lacks; only then is the table cloned, under
+	// a new id.
+	names := d.names
+	labelMap := make([]uint16, len(frag.names.names)) // fragment label -> label in names
+	for i, name := range frag.names.names {
+		if _, ok := names.Lookup(name); !ok && names == d.names {
+			names = d.names.clone()
+		}
+		labelMap[i] = uint16(names.Intern(name))
+	}
+	if err := checkLabelCount(names.Size()); err != nil {
+		return nil, err
+	}
+
+	// Text: the removed interval's text nodes are one run [lo, hi) of the
+	// sorted list, and the fragment's (all of them lie under its element)
+	// take that run's place, in the directory and in the blob. Entries
+	// before the run keep their values; fragment and later entries are
+	// rebased. Everything is copied into fresh heap memory — a patched
+	// generation shares nothing with its parent, so a parent aliasing a
+	// read-only mapping can be released independently.
+	lo, _ := slices.BinarySearch(d.textNodes, q)
+	hi, _ := slices.BinarySearch(d.textNodes, cut)
+	var (
+		prefixLen  = d.textOff[lo]
+		suffixBase = d.textOff[hi]
+		fragLen    = uint32(len(frag.textBlob))
+		at         = lo + len(frag.textNodes) // where the entries after the run go
+		texts      = at + len(d.textNodes) - hi
+	)
 	nd := &Document{
-		labels:   make([]LabelID, nn),
-		parent:   make([]NodeID, nn),
-		lastDesc: make([]NodeID, nn),
-		textOff:  make([]uint32, nn),
-		names:    d.names,
+		labels:    make([]uint16, nn),
+		parent:    make([]NodeID, nn),
+		lastDesc:  make([]NodeID, nn),
+		textNodes: make([]NodeID, texts),
+		textOff:   make([]uint32, texts+1),
+		textBlob:  make([]byte, 0, int(prefixLen)+len(frag.textBlob)+len(d.textBlob)-int(suffixBase)),
+		names:     names,
 	}
-	// Text blob: prefix bytes keep their offsets; fragment and suffix
-	// bytes are rebased. Everything is copied into fresh heap memory —
-	// a patched generation shares nothing with its parent, so a parent
-	// aliasing a read-only mapping can be released independently.
-	prefixLen := d.textOffAt(q)
-	fragBase, fragLen := 0, 0
-	if m > 0 {
-		fr := dl.Frag
-		fragBase = int(fr.textOff[1])
-		fragLen = fr.textOffAt(NodeID(m)+1) - fragBase
+	nd.textBlob = append(nd.textBlob, d.textBlob[:prefixLen]...)
+	nd.textBlob = append(nd.textBlob, frag.textBlob...)
+	nd.textBlob = append(nd.textBlob, d.textBlob[suffixBase:]...)
+	copy(nd.textNodes, d.textNodes[:lo])
+	copy(nd.textOff, d.textOff[:lo])
+	for i, f := range frag.textNodes {
+		nd.textNodes[lo+i] = q + f - 1
+		nd.textOff[lo+i] = prefixLen + frag.textOff[i]
 	}
-	suffixBase := d.textOffAt(cut)
-	blob := make([]byte, 0, prefixLen+fragLen+len(d.textBlob)-suffixBase)
-	blob = append(blob, d.textBlob[:prefixLen]...)
-	if m > 0 {
-		blob = append(blob, dl.Frag.textBlob[fragBase:fragBase+fragLen]...)
+	for i, v := range d.textNodes[hi:] {
+		nd.textNodes[at+i] = v + delta
 	}
-	blob = append(blob, d.textBlob[suffixBase:]...)
-	nd.textBlob = blob
+	textShift := prefixLen + fragLen - suffixBase // mod 2^32: a shrinking blob shifts down
+	for i, o := range d.textOff[hi:] {            // one more than the nodes: the blob's end
+		nd.textOff[at+i] = o + textShift
+	}
 
 	// Prefix [0, q): ids are stable, so parents are too, and the only
 	// subtree intervals that change length are those around the splice:
 	// the splice parent's and its ancestors'.
 	copy(nd.labels[:q], d.labels[:q])
-	copy(nd.textOff[:q], d.textOff[:q])
 	copy(nd.parent[:q], d.parent[:q])
 	copy(nd.lastDesc[:q], d.lastDesc[:q])
 	for a := parent; a != Nil; a = d.parent[a] {
@@ -244,36 +285,22 @@ func (d *Document) splice(dl *Delta) *Document {
 	}
 
 	// Grafted fragment occupies [q, q+m): fragment node f gets id
-	// q+f-1 (f skips the fragment's #doc root). The generation shares its
-	// parent's label table unless the fragment brings a name the table
-	// lacks; only then is the table cloned, under a new id.
-	if m > 0 {
-		fr := dl.Frag
-		labelMap := make([]LabelID, len(fr.names.names))
-		for i, name := range fr.names.names {
-			if _, ok := nd.names.Lookup(name); !ok && nd.names == d.names {
-				nd.names = d.names.clone()
-			}
-			labelMap[i] = nd.names.Intern(name)
+	// q+f-1 (f skips the fragment's #doc root).
+	for f := NodeID(1); int(f) <= m; f++ {
+		v := q + f - 1
+		nd.labels[v] = labelMap[frag.labels[f]]
+		if fp := frag.parent[f]; fp == 0 {
+			nd.parent[v] = parent
+		} else {
+			nd.parent[v] = q + fp - 1
 		}
-		for f := NodeID(1); int(f) <= m; f++ {
-			v := q + f - 1
-			nd.labels[v] = labelMap[fr.labels[f]]
-			if fp := fr.parent[f]; fp == 0 {
-				nd.parent[v] = parent
-			} else {
-				nd.parent[v] = q + fp - 1
-			}
-			nd.lastDesc[v] = q + fr.lastDesc[f] - 1
-			nd.textOff[v] = uint32(prefixLen + int(fr.textOff[f]) - fragBase)
-		}
+		nd.lastDesc[v] = q + frag.lastDesc[f] - 1
 	}
 
 	// Suffix [cut, n): ids shift by delta, and with them every subtree
 	// end and every parent that itself lies in the suffix; a parent in
 	// the prefix keeps its id (none lies in the removed interval).
 	copy(nd.labels[cut+delta:], d.labels[cut:])
-	textShift := uint32(prefixLen + fragLen - suffixBase) // mod 2^32: a shrinking blob shifts down
 	for v := cut; v < n; v++ {
 		w := v + delta
 		p := d.parent[v]
@@ -282,7 +309,6 @@ func (d *Document) splice(dl *Delta) *Document {
 		}
 		nd.parent[w] = p
 		nd.lastDesc[w] = d.lastDesc[v] + delta
-		nd.textOff[w] = d.textOff[v] + textShift
 	}
-	return nd
+	return nd, nil
 }

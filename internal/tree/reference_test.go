@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -8,8 +9,9 @@ import (
 )
 
 // refDoc holds the arrays a Document stored before its navigation was
-// derived from parent and lastDesc: first child, next sibling and depth
-// written down per node as the events arrive.
+// derived from parent and lastDesc and its text directory cut down to
+// the text nodes: first child, next sibling, depth and a text offset
+// written down per node, labels at full width, as the events arrive.
 type refDoc struct {
 	labels      []LabelID
 	parent      []NodeID
@@ -101,19 +103,19 @@ func replay(d *Document) *refDoc {
 		for b.stack[len(b.stack)-1] != d.parent[v] {
 			b.close()
 		}
-		if d.labels[v] == LabelText {
+		if d.Label(v) == LabelText {
 			b.text(d.Text(v))
 		} else {
-			b.open(d.labels[v])
+			b.open(d.Label(v))
 		}
 	}
 	return b.finish()
 }
 
 // requireMatchesReference compares d with what the reference builder
-// makes of d's own event stream: the stored arrays whole, and the moves
-// a Document derives — FirstChild, NextSibling, Depth, BinEnd — against
-// the reference's pointer-chased arrays node by node.
+// makes of d's own event stream: the stored arrays whole, and what a
+// Document derives — FirstChild, NextSibling, Depth, BinEnd, Text —
+// against the reference's per-node arrays node by node.
 func requireMatchesReference(t *testing.T, what string, d *Document) {
 	t.Helper()
 	requireEqualsReference(t, what, d, replay(d))
@@ -121,12 +123,34 @@ func requireMatchesReference(t *testing.T, what string, d *Document) {
 
 func requireEqualsReference(t *testing.T, what string, got *Document, want *refDoc) {
 	t.Helper()
+	// The reference's text of v, from its per-node offsets; what a
+	// Document keeps of them is the entries of the text nodes.
+	n := len(want.labels)
+	wantText := func(v NodeID) string {
+		end := len(want.textBlob)
+		if int(v)+1 < n {
+			end = int(want.textOff[v+1])
+		}
+		return string(want.textBlob[want.textOff[v]:end])
+	}
+	labels := make([]LabelID, len(got.labels))
+	for v, l := range got.labels {
+		labels[v] = LabelID(l)
+	}
+	textNodes, textOff := []NodeID{}, []uint32{}
+	for v, l := range want.labels {
+		if l == LabelText {
+			textNodes, textOff = append(textNodes, NodeID(v)), append(textOff, want.textOff[v])
+		}
+	}
+	textOff = append(textOff, uint32(len(want.textBlob)))
 	for _, f := range []struct {
 		name      string
 		got, want any
 	}{
-		{"labels", got.labels, want.labels}, {"parent", got.parent, want.parent},
-		{"lastDesc", got.lastDesc, want.lastDesc}, {"textOff", got.textOff, want.textOff},
+		{"labels", labels, want.labels}, {"parent", got.parent, want.parent},
+		{"lastDesc", got.lastDesc, want.lastDesc},
+		{"textNodes", append([]NodeID{}, got.textNodes...), textNodes}, {"textOff", got.textOff, textOff},
 		{"textBlob", string(got.textBlob), string(want.textBlob)},
 		{"names", got.names.names, want.names.names},
 	} {
@@ -137,7 +161,7 @@ func requireEqualsReference(t *testing.T, what string, got *Document, want *refD
 	if got, want := got.DocumentElement(), want.firstChild[0]; got != want {
 		t.Fatalf("%s: DocumentElement() = %d, want %d", what, got, want)
 	}
-	for v := NodeID(0); int(v) < len(want.labels); v++ {
+	for v := NodeID(0); int(v) < n; v++ {
 		binEnd := want.lastDesc[0]
 		if p := want.parent[v]; p != Nil {
 			binEnd = want.lastDesc[p]
@@ -148,6 +172,14 @@ func requireEqualsReference(t *testing.T, what string, got *Document, want *refD
 			t.Fatalf("%s node %d: derived (fc=%d ns=%d depth=%d binEnd=%d), reference (fc=%d ns=%d depth=%d binEnd=%d)",
 				what, v, got.FirstChild(v), got.NextSibling(v), got.Depth(v), got.BinEnd(v),
 				want.firstChild[v], want.nextSibling[v], want.depth[v], binEnd)
+		}
+		if got.Text(v) != wantText(v) {
+			t.Fatalf("%s node %d (%s): Text = %q, reference %q", what, v, got.LabelName(v), got.Text(v), wantText(v))
+		}
+	}
+	for _, v := range []NodeID{Nil, NodeID(n), NodeID(n) + 7, -9} {
+		if got.Text(v) != "" {
+			t.Fatalf("%s: Text(%d) = %q for an id that is no node of %d", what, v, got.Text(v), n)
 		}
 	}
 }
@@ -197,6 +229,118 @@ func TestLinkMatchesReferenceBuilder(t *testing.T) {
 		recount := &Document{labels: got.labels, names: got.names} // as opened or patched: no counts kept
 		if !reflect.DeepEqual(got.LabelCounts(), counts) || !reflect.DeepEqual(recount.LabelCounts(), counts) {
 			t.Fatalf("seed %d: LabelCounts = %v (built) / %v (counted), want %v", seed, got.LabelCounts(), recount.LabelCounts(), counts)
+		}
+	}
+}
+
+// atRest takes d through its XQO2 sections and back: the document a
+// mapped file opens as, its arrays aliasing the container's bytes.
+func atRest(t *testing.T, d *Document) *Document {
+	t.Helper()
+	w := NewLayoutWriter()
+	AddDocumentSections(w, d, NewSuccinct(d))
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLayout(buf.Bytes(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, _, err := DocumentFromLayout(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := opened.VerifyStructure(); err != nil {
+		t.Fatal(err)
+	}
+	return opened
+}
+
+// TestTextAcrossOriginsAndPatches: a built document, the same document
+// opened from its sections, and every generation one patch away from
+// either — each subtree deleted, each replaced, a graft before each
+// child and after the last, which on this document is a splice at the
+// first node, at the last, inside a run of text nodes, between two runs
+// and into an element without text, with fragments that have text or
+// none and labels the document knows or does not — hold the text the
+// rebuilt-from-scratch oracle holds, node for node and serialized, in
+// the arrays the reference builder makes of the same events.
+func TestTextAcrossOriginsAndPatches(t *testing.T) {
+	b := NewBuilder()
+	b.Open("r") // 1
+	b.Text("head")
+	b.Open("a") // 3, over the run 4-6
+	b.Text("a1")
+	b.Text("")
+	b.Text("a3")
+	b.Close()
+	b.Open("b") // 7
+	b.Close()
+	b.Text("mid")
+	b.Open("c") // 9
+	b.Open("d")
+	b.Text("deep")
+	b.Close()
+	b.Close()
+	b.Text("tail") // 12, the last node
+	b.Close()
+	built := b.MustFinish()
+	mapped := atRest(t, built)
+	requireMatchesReference(t, "built", built)
+	requireMatchesReference(t, "mapped", mapped)
+	requireEqualDocs(t, 0, mapped, built)
+
+	var frags []*Document
+	for _, events := range [][]string{
+		{"a", "#f1", "b", "#f2", "/", "#f3", "/"}, // text at both ends, known labels
+		{"fresh", "#f4", "/"},                     // a label the document lacks
+		{"b", "/"},                                // no text at all
+	} {
+		fb := NewBuilder()
+		for _, e := range events {
+			switch {
+			case e == "/":
+				fb.Close()
+			case e[0] == '#':
+				fb.Text(e[1:])
+			default:
+				fb.Open(e)
+			}
+		}
+		frags = append(frags, fb.MustFinish())
+	}
+	var patches []Patch
+	for v := NodeID(1); int(v) < built.NumNodes(); v++ {
+		if v != built.DocumentElement() {
+			patches = append(patches, Patch{Op: OpDelete, Node: v, Before: Nil})
+		}
+		for _, frag := range frags {
+			patches = append(patches, Patch{Op: OpReplace, Node: v, Before: Nil, Frag: frag})
+			if built.Label(v) == LabelText {
+				continue
+			}
+			for c := built.FirstChild(v); c != Nil; c = built.NextSibling(c) {
+				patches = append(patches, Patch{Op: OpInsert, Node: v, Before: c, Frag: frag})
+			}
+			patches = append(patches, Patch{Op: OpInsert, Node: v, Before: Nil, Frag: frag})
+		}
+	}
+	for i, pt := range patches {
+		var fragOracle *mnode
+		if pt.Frag != nil {
+			fragOracle = toMutable(pt.Frag, pt.Frag.DocumentElement())
+		}
+		want := buildMutable(applyOracle([]*mnode{toMutable(built, built.DocumentElement())}, pt, fragOracle))
+		for origin, base := range map[string]*Document{"built": built, "mapped": mapped} {
+			what := fmt.Sprintf("%s, %s node %d before %d (patch %d)", origin, pt.Op, pt.Node, pt.Before, i)
+			got, _, err := base.Apply(pt)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			requireMatchesReference(t, what, got)
+			requireEqualDocs(t, i, got, want)
+			requireEqualDocs(t, i, atRest(t, got), want)
 		}
 	}
 }

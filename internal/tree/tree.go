@@ -19,7 +19,9 @@
 package tree
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"unsafe"
@@ -43,6 +45,19 @@ const (
 
 // ReservedLabels is the number of pre-interned labels.
 const ReservedLabels = 2
+
+// MaxLabels is the largest label table a document can have: a node
+// stores its label in 16 bits. Link and Document.Apply refuse a table
+// that has outgrown it.
+const MaxLabels = 1 << 16
+
+// checkLabelCount is that refusal.
+func checkLabelCount(n int) error {
+	if n > MaxLabels {
+		return fmt.Errorf("tree: %d distinct labels exceed the limit of %d a document can hold", n, MaxLabels)
+	}
+	return nil
+}
 
 // LabelTable interns element names to dense integer ids. Once its
 // document is built a table is immutable, and generations of a document
@@ -116,19 +131,22 @@ func (lt *LabelTable) Names() []string {
 
 // Document is an immutable XML document tree.
 //
-// Text content lives in one contiguous blob indexed by cumulative offsets:
-// node v's text is textBlob[textOff[v]:textOff[v+1]] (end-of-blob for the
-// last node). Non-text nodes contribute zero-length ranges. This shape —
-// rather than a []string — is what lets the XQO2 resident format alias a
-// document's text directly out of an mmap'd file, and keeps Text zero-copy
-// either way.
+// A node's label is its LabelID in 16 bits (see MaxLabels). Text content
+// lives in one contiguous blob with a directory over the #text nodes,
+// the only ones that have any: textNodes lists their ranks in preorder,
+// and the text of textNodes[i] is textBlob[textOff[i]:textOff[i+1]]. This
+// shape — rather than a []string — is what lets the XQO2 resident format
+// alias a document's text directly out of an mmap'd file, and keeps Text
+// zero-copy either way. textNodes is also the jumping index's occurrence
+// list of LabelText, which borrows it (TextNodes).
 type Document struct {
-	labels   []LabelID
-	parent   []NodeID
-	lastDesc []NodeID // last preorder node of the subtree
-	textOff  []uint32 // per preorder rank: start of v's text in textBlob
-	textBlob []byte
-	names    *LabelTable
+	labels    []uint16 // per preorder rank: the node's LabelID
+	parent    []NodeID
+	lastDesc  []NodeID // last preorder node of the subtree
+	textNodes []NodeID // the #text nodes, ascending
+	textOff   []uint32 // len(textNodes)+1: where each one's text starts in textBlob, then the blob's end
+	textBlob  []byte
+	names     *LabelTable
 	// labelCount holds the per-label node counts when the document was
 	// built by Link; nil otherwise (see LabelCounts).
 	labelCount []int32
@@ -231,10 +249,10 @@ func (d *Document) Root() NodeID { return 0 }
 func (d *Document) DocumentElement() NodeID { return d.FirstChild(0) }
 
 // Label returns the label of v.
-func (d *Document) Label(v NodeID) LabelID { return d.labels[v] }
+func (d *Document) Label(v NodeID) LabelID { return LabelID(d.labels[v]) }
 
 // LabelName returns the label of v as a string.
-func (d *Document) LabelName(v NodeID) string { return d.names.Name(d.labels[v]) }
+func (d *Document) LabelName(v NodeID) string { return d.names.Name(d.Label(v)) }
 
 // Names returns the document's label table.
 func (d *Document) Names() *LabelTable { return d.names }
@@ -286,39 +304,27 @@ func (d *Document) Depth(v NodeID) int {
 	return depth
 }
 
-// textOffAt returns the blob offset where v's text starts, treating any
-// rank past the last node as end-of-blob; splice arithmetic uses it for
-// cut points that may sit one past the end.
-func (d *Document) textOffAt(v NodeID) int {
-	if int(v) < len(d.textOff) {
-		return int(d.textOff[v])
-	}
-	return len(d.textBlob)
-}
-
-// textRange returns the [start, end) byte range of v's text in textBlob.
-func (d *Document) textRange(v NodeID) (int, int) {
-	start := int(d.textOff[v])
-	end := len(d.textBlob)
-	if int(v)+1 < len(d.textOff) {
-		end = int(d.textOff[v+1])
-	}
-	return start, end
-}
+// TextNodes returns the #text nodes in preorder. The slice is shared —
+// the jumping index holds it as its occurrence list of LabelText —
+// and callers must not modify it.
+func (d *Document) TextNodes() []NodeID { return d.textNodes }
 
 // Text returns the text content of a #text node (empty for others,
-// including Nil and out-of-range ids). The string aliases the document's
-// text blob — zero-copy, valid for the document's lifetime, and never
-// written to (the blob is immutable, possibly a read-only mapping).
+// including Nil and out-of-range ids): a label test, then a binary
+// search of the text nodes for v's place in the offset directory. The
+// string aliases the document's text blob — zero-copy, valid for the
+// document's lifetime, and never written to (the blob is immutable,
+// possibly a read-only mapping).
 func (d *Document) Text(v NodeID) string {
-	if v < 0 || int(v) >= len(d.textOff) {
+	if v < 0 || int(v) >= len(d.labels) || d.Label(v) != LabelText {
 		return ""
 	}
-	start, end := d.textRange(v)
-	if start == end {
-		return ""
+	i, ok := slices.BinarySearch(d.textNodes, v)
+	if !ok {
+		return "" // only in a file that was not verified
 	}
-	return unsafe.String(&d.textBlob[start], end-start)
+	text := d.textBlob[d.textOff[i]:d.textOff[i+1]]
+	return unsafe.String(unsafe.SliceData(text), len(text))
 }
 
 // MemBytes reports the bytes the document holds: its per-node arrays,
@@ -327,7 +333,8 @@ func (d *Document) Text(v NodeID) string {
 // struct's slice fields, so an added array cannot go uncounted in the
 // store's bytes-per-node figure.
 func (d *Document) MemBytes() int64 {
-	b := 4*int64(len(d.labels)+len(d.parent)+len(d.lastDesc)+len(d.textOff)+len(d.labelCount)) +
+	b := 2*int64(len(d.labels)) +
+		4*int64(len(d.parent)+len(d.lastDesc)+len(d.textNodes)+len(d.textOff)+len(d.labelCount)) +
 		int64(len(d.textBlob))
 	for _, name := range d.names.names {
 		b += int64(unsafe.Sizeof(name)) + int64(len(name))
@@ -361,11 +368,11 @@ func (d *Document) BinaryRight(v NodeID) NodeID { return d.NextSibling(v) }
 // and debugging. Text is emitted raw with minimal escaping; the leading
 // "@name" children of an element go back into its start tag.
 func (d *Document) WriteXML(sb *strings.Builder, v NodeID) {
-	if d.labels[v] == LabelText {
+	if d.Label(v) == LabelText {
 		sb.WriteString(escapeText(d.Text(v)))
 		return
 	}
-	synthetic := d.labels[v] == LabelDoc
+	synthetic := d.Label(v) == LabelDoc
 	c, end := v+1, d.lastDesc[v]
 	if !synthetic {
 		sb.WriteByte('<')
@@ -407,7 +414,7 @@ func escapeText(s string) string {
 // for error messages and debugging.
 func (d *Document) Path(v NodeID) string {
 	var parts []string
-	for v != Nil && d.labels[v] != LabelDoc {
+	for v != Nil && d.Label(v) != LabelDoc {
 		parts = append(parts, d.LabelName(v))
 		v = d.parent[v]
 	}
@@ -422,7 +429,7 @@ func (d *Document) Path(v NodeID) string {
 func (d *Document) CountLabel(l LabelID) int {
 	n := 0
 	for _, x := range d.labels {
-		if x == l {
+		if LabelID(x) == l {
 			n++
 		}
 	}
