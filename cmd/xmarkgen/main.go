@@ -3,7 +3,9 @@
 //
 //	xmarkgen -scale 0.05 -seed 1 -out doc.xml
 //
-// Scale 1.0 approximates the paper's 116MB document (≈5.7M nodes).
+// Scale 1.0 has the element counts of the paper's 116MB document, which
+// is ≈5.7M nodes; this generator yields 2 179 229 nodes at 1.0 (1 089 007
+// at 0.5).
 package main
 
 import (

@@ -77,7 +77,7 @@ func (a *ASTA) EvalCtx(c *Context, d *tree.Document, ix *index.Index, opt Option
 	e.attach(d, ix)
 	defer e.detach()
 	var g RSet
-	e.evalChild(d.Root(), a.Top, e.internSet(a.Top), &g)
+	e.evalChild(d.Root(), tree.NodeID(d.NumNodes()-1), a.Top, e.internSet(a.Top), &g)
 	res := Result{Stats: e.stats}
 	acc := g.Sat & a.Top
 	if acc == 0 {
@@ -275,8 +275,11 @@ func (e *evaluator) internSet(r StateSet) int32 {
 // eval is Algorithm 4.1 proper: evaluate node v under the incoming state
 // set r (with interned id rID in memo mode, else -1), filling out —
 // passed down instead of returned so the (large) result sets are not
-// copied through every stack frame.
-func (e *evaluator) eval(v tree.NodeID, r StateSet, rID int32, out *RSet) {
+// copied through every stack frame. end is the end of v's binary subtree
+// (tree.Document.BinEnd), which the recursion carries instead of asking
+// the document per node: the left child's is where v's own subtree ends,
+// the right sibling exists if that is short of end, and shares it.
+func (e *evaluator) eval(v, end tree.NodeID, r StateSet, rID int32, out *RSet) {
 	e.stats.Visited++
 	l := e.d.Label(v)
 	ti := e.lookupTrans(r, rID, l)
@@ -284,50 +287,56 @@ func (e *evaluator) eval(v tree.NodeID, r StateSet, rID int32, out *RSet) {
 		return
 	}
 	var g1, g2 RSet
-	e.evalChild(e.d.BinaryLeft(v), ti.r1, ti.r1ID, &g1)
+	last := e.d.LastDesc(v)
+	if last > v {
+		e.evalChild(v+1, last, ti.r1, ti.r1ID, &g1)
+	}
 	r2, r2ID := ti.r2, ti.r2ID
 	if e.opt.InfoProp {
 		r2, r2ID = e.lookupR2(ti, g1.Sat)
 	}
-	e.evalChild(e.d.BinaryRight(v), r2, r2ID, &g2)
+	if last < end {
+		e.evalChild(last+1, end, r2, r2ID, &g2)
+	}
 	e.applyTrans(ti, v, &g1, &g2, out)
 }
 
-// evalChild evaluates the subtree at c (which may be the # leaf Nil)
-// under r, applying the relevant-node jumps of §4.3 when enabled. out
-// must be empty on entry.
-func (e *evaluator) evalChild(c tree.NodeID, r StateSet, rID int32, out *RSet) {
-	if c == tree.Nil || r == 0 {
+// evalChild evaluates the binary subtree at c, which ends at end, under
+// r, applying the relevant-node jumps of §4.3 when enabled. out must be
+// empty on entry. A jump lands on a sibling of c, whose binary subtree
+// ends where c's does, or below, where the document is asked.
+func (e *evaluator) evalChild(c, end tree.NodeID, r StateSet, rID int32, out *RSet) {
+	if r == 0 {
 		return
 	}
 	if !e.opt.Jump {
-		e.eval(c, r, rID, out)
+		e.eval(c, end, r, rID, out)
 		return
 	}
 	ji := e.lookupJump(r, rID)
 	if ji.kind != jumpNone && ji.essential.Contains(e.d.Label(c)) {
-		e.eval(c, r, rID, out)
+		e.eval(c, end, r, rID, out)
 		return
 	}
 	switch ji.kind {
 	case jumpTopMost:
-		e.jumpTopMostRegion(c, r, rID, ji, out)
+		e.jumpTopMostRegion(c, end, r, rID, ji, out)
 	case jumpRightPath:
 		e.stats.Jumps++
 		u := e.cur.Rt(c, ji.essential)
 		if u == index.Nil {
 			return
 		}
-		e.eval(u, r, rID, out)
+		e.eval(u, end, r, rID, out)
 	case jumpLeftPath:
 		e.stats.Jumps++
 		u := e.ix.Lt(c, ji.essential)
 		if u == index.Nil {
 			return
 		}
-		e.eval(u, r, rID, out)
+		e.eval(u, e.d.BinEnd(u), r, rID, out)
 	default:
-		e.eval(c, r, rID, out)
+		e.eval(c, end, r, rID, out)
 	}
 }
 
@@ -338,14 +347,13 @@ func (e *evaluator) evalChild(c tree.NodeID, r StateSet, rID int32, out *RSet) {
 // satisfied by an earlier part of the region and cannot mark nodes are
 // dropped for the remaining enumeration — the "only one witness" effect
 // that makes the Q13-Q15 predicates of Figure 3 nearly free.
-func (e *evaluator) jumpTopMostRegion(c tree.NodeID, r StateSet, rID int32, ji jumpInfo, out *RSet) {
+func (e *evaluator) jumpTopMostRegion(c, end tree.NodeID, r StateSet, rID int32, ji jumpInfo, out *RSet) {
 	ids, ok := ji.essential.Finite()
 	if !ok {
-		e.eval(c, r, rID, out)
+		e.eval(c, end, r, rID, out)
 		return
 	}
 	e.stats.Jumps++
-	end := e.ix.BinEnd(c)
 	after := c
 	for {
 		best := tree.Nil
@@ -359,9 +367,9 @@ func (e *evaluator) jumpTopMostRegion(c tree.NodeID, r StateSet, rID int32, ji j
 			return
 		}
 		var g RSet
-		e.eval(best, r, rID, &g)
+		after = e.d.BinEnd(best)
+		e.eval(best, after, r, rID, &g)
 		out.union(&g, &e.arena)
-		after = e.ix.BinEnd(best)
 		if !e.opt.InfoProp {
 			continue
 		}

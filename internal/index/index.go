@@ -6,7 +6,9 @@
 //	Lt(π, L)      — first labeled node on the leftmost binary path below π,
 //	Rt(π, L)      — first labeled node on the rightmost binary path below π,
 //
-// plus O(1) global label counts.
+// plus O(1) global label counts. Ft has no function of its own: its one
+// use, stepping from one top-most labeled node to the next, is the loop
+// of TopMost (and of the ASTA evaluator over its Cursors).
 //
 // All functions are over the first-child/next-sibling *binary* view of the
 // document, because that is the tree the automata run on: the binary
@@ -157,12 +159,6 @@ func (ix *Index) firstIn(L labels.Set, after, end tree.NodeID) (tree.NodeID, boo
 // otherwise (no jump possible for co-finite guards).
 func (ix *Index) Dt(v tree.NodeID, L labels.Set) (tree.NodeID, bool) {
 	return ix.firstIn(L, v, ix.doc.BinEnd(v))
-}
-
-// Ft is f_t(π, L, π0): the first following node of π (in the binary tree)
-// whose label is in L and which is a binary descendant of π0, or Nil.
-func (ix *Index) Ft(v tree.NodeID, L labels.Set, scope tree.NodeID) (tree.NodeID, bool) {
-	return ix.firstIn(L, ix.doc.BinEnd(v), ix.doc.BinEnd(scope))
 }
 
 // Lt is l_t(π, L): the first node on the leftmost binary path strictly
@@ -318,17 +314,4 @@ func (ix *Index) topMostSingle(v tree.NodeID, l tree.LabelID) []tree.NodeID {
 		}
 	}
 	return out
-}
-
-// AncestorWithLabel walks the parent chain from v (exclusive) and returns
-// the nearest ancestor whose label is in L, or Nil. The paper's index has
-// no upward jumps either ("it performs its upward part using only parent
-// moves", §5), so this is a faithful parent-walk.
-func (ix *Index) AncestorWithLabel(v tree.NodeID, L labels.Set) tree.NodeID {
-	for u := ix.doc.Parent(v); u != tree.Nil; u = ix.doc.Parent(u) {
-		if L.Contains(ix.doc.Label(u)) {
-			return u
-		}
-	}
-	return Nil
 }

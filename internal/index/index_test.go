@@ -40,31 +40,6 @@ func naiveDt(d *tree.Document, v tree.NodeID, L labels.Set) tree.NodeID {
 	return tree.Nil
 }
 
-func naiveFt(d *tree.Document, v tree.NodeID, L labels.Set, scope tree.NodeID) tree.NodeID {
-	// Following nodes of v within scope's binary subtree: binary
-	// descendants of scope, in document order, after v's binary subtree.
-	ds := binDescendants(d, scope)
-	// v's binary subtree = v plus binDescendants(v).
-	sub := map[tree.NodeID]bool{v: true}
-	for _, u := range binDescendants(d, v) {
-		sub[u] = true
-	}
-	started := false
-	for _, u := range ds {
-		if u == v {
-			started = true
-			continue
-		}
-		if !started || sub[u] {
-			continue
-		}
-		if L.Contains(d.Label(u)) {
-			return u
-		}
-	}
-	return tree.Nil
-}
-
 func naiveLt(d *tree.Document, v tree.NodeID, L labels.Set) tree.NodeID {
 	for u := d.BinaryLeft(v); u != tree.Nil; u = d.BinaryLeft(u) {
 		if L.Contains(d.Label(u)) {
@@ -108,14 +83,6 @@ func TestJumpFunctionsAgainstOracle(t *testing.T) {
 				return false
 			}
 			if got := ix.Rt(v, L); got != naiveRt(d, v, L) {
-				return false
-			}
-			// Ft with a random scope that binarily contains v.
-			scope := v
-			if p := d.Parent(v); p != tree.Nil && rng.Intn(2) == 0 {
-				scope = p
-			}
-			if got, ok := ix.Ft(v, L, scope); !ok || got != naiveFt(d, v, L, scope) {
 				return false
 			}
 		}
@@ -262,32 +229,6 @@ func TestTopMostProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAncestorWithLabel(t *testing.T) {
-	b := tree.NewBuilder()
-	b.Open("r")
-	b.Open("a")
-	b.Open("b")
-	x := b.Open("x")
-	b.Close()
-	b.Close()
-	b.Close()
-	b.Close()
-	d := b.MustFinish()
-	ix := index.New(d)
-	a, _ := d.Names().Lookup("a")
-	r, _ := d.Names().Lookup("r")
-	if got := ix.AncestorWithLabel(x, labels.Of(a)); d.Label(got) != a {
-		t.Errorf("nearest a-ancestor wrong")
-	}
-	if got := ix.AncestorWithLabel(x, labels.Of(r)); d.Label(got) != r {
-		t.Errorf("nearest r-ancestor wrong")
-	}
-	z := d.Names().Intern("z")
-	if got := ix.AncestorWithLabel(x, labels.Of(z)); got != tree.Nil {
-		t.Errorf("missing ancestor should be Nil, got %d", got)
 	}
 }
 

@@ -258,6 +258,39 @@ func TestDeeplyNestedBodyIsABadRequest(t *testing.T) {
 	}
 }
 
+// TestPatchBreakingTheAttributeEncodingIsABadRequest: on <a q="v"><c/></a>
+// (1=a 2=@q 3=its text 4=c), an element under @q, one in place of @q's
+// text and one ahead of @q are each a 400 that names the rule, and leave
+// the generation where it was; deleting the attribute's text, then the
+// attribute, stays legal.
+func TestPatchBreakingTheAttributeEncodingIsABadRequest(t *testing.T) {
+	srv := newTestServer(t)
+	var loaded store.Stats
+	if code := doJSON(t, "POST", srv.URL+"/docs", LoadRequest{ID: "d", XML: `<a q="v"><c/></a>`}, &loaded); code != http.StatusCreated || loaded.Nodes != 5 {
+		t.Fatalf("load: status %d, %d nodes", code, loaded.Nodes)
+	}
+	attr := tree.NodeID(2)
+	for name, req := range map[string]PatchDocRequest{
+		"insert under the attribute":    {Op: "insert", Node: 2, XML: "<x/>"},
+		"replace the attribute's text":  {Op: "replace", Node: 3, XML: "<x/>"},
+		"insert ahead of the attribute": {Op: "insert", Node: 1, Before: &attr, XML: "<x/>"},
+	} {
+		var e errorBody
+		if code := doJSON(t, "PATCH", srv.URL+"/docs/d", req, &e); code != http.StatusBadRequest || !strings.Contains(e.Error, "attributes are the leading @name children") {
+			t.Errorf("%s: status %d (%s), want 400 naming the rule", name, code, e.Error)
+		}
+	}
+	var patched store.Stats
+	for i, node := range []tree.NodeID{3, 2} {
+		if code := doJSON(t, "PATCH", srv.URL+"/docs/d", PatchDocRequest{Op: "delete", Node: node, BaseGen: loaded.Gen + store.Gen(i)}, &patched); code != http.StatusOK {
+			t.Fatalf("delete node %d on the generation the refused patches left: status %d", node, code)
+		}
+	}
+	if patched.Gen != loaded.Gen+2 || patched.Nodes != 3 {
+		t.Errorf("after three refused patches and two applied: gen %d (loaded %d), %d nodes", patched.Gen, loaded.Gen, patched.Nodes)
+	}
+}
+
 // TestLabelLimitIsAClientError: a node's label is stored in 16 bits, so
 // the document whose names fill the table loads, one name more is a 400
 // that names the limit — at POST /docs, and at a PATCH whose fragment

@@ -144,51 +144,58 @@ func (a *STA) EvalTopDownJump(d *tree.Document, ix *index.Index) Result {
 		info[q] = a.AnalyzeState(State(q))
 	}
 
+	// A frame carries the end of its node's binary subtree
+	// (tree.Document.BinEnd), so that the loop asks the document for one
+	// number per visited node, where its subtree ends: the left child's
+	// binary subtree ends there too, and the right sibling exists if that
+	// is short of the node's own end, which it shares. Only a jump that
+	// lands below the node it started from asks for a BinEnd.
 	type frame struct {
-		v tree.NodeID
-		q State
+		v, end tree.NodeID
+		q      State
 	}
 	var stack []frame
 	fail := false
 
-	// push schedules the relevant nodes of the subtree rooted at v
-	// entered in state q (relevant_nodes of Algorithm B.1).
-	push := func(v tree.NodeID, q State) {
+	// push schedules the relevant nodes of the binary subtree rooted at
+	// v, which ends at end, entered in state q (relevant_nodes of
+	// Algorithm B.1).
+	push := func(v, end tree.NodeID, q State) {
 		ji := info[q]
 		switch ji.Kind {
 		case JumpFail:
 			fail = true
 		case JumpNone:
-			stack = append(stack, frame{v, q})
+			stack = append(stack, frame{v, end, q})
 		case JumpTopMost:
 			if ji.Essential.Contains(d.Label(v)) {
-				stack = append(stack, frame{v, q})
+				stack = append(stack, frame{v, end, q})
 				return
 			}
 			tops, _ := ix.TopMost(v, ji.Essential)
 			for i := len(tops) - 1; i >= 0; i-- {
-				stack = append(stack, frame{tops[i], q})
+				stack = append(stack, frame{tops[i], d.BinEnd(tops[i]), q})
 			}
 		case JumpLeftPath:
 			if ji.Essential.Contains(d.Label(v)) {
-				stack = append(stack, frame{v, q})
+				stack = append(stack, frame{v, end, q})
 				return
 			}
 			if u := ix.Lt(v, ji.Essential); u != index.Nil {
-				stack = append(stack, frame{u, q})
+				stack = append(stack, frame{u, d.BinEnd(u), q})
 			}
 		case JumpRightPath:
 			if ji.Essential.Contains(d.Label(v)) {
-				stack = append(stack, frame{v, q})
+				stack = append(stack, frame{v, end, q})
 				return
 			}
 			if u := ix.Rt(v, ji.Essential); u != index.Nil {
-				stack = append(stack, frame{u, q})
+				stack = append(stack, frame{u, end, q}) // a sibling of v
 			}
 		}
 	}
 
-	push(0, a.Top[0])
+	push(0, tree.NodeID(n-1), a.Top[0])
 	// Collect selected nodes; the stack is LIFO over right-pushed
 	// reversed sibling lists, so pops come in document order already for
 	// TopMost fan-out, but interleaved subtree recursion can reorder —
@@ -208,8 +215,8 @@ func (a *STA) EvalTopDownJump(d *tree.Document, ix *index.Index) Result {
 		if a.IsSelecting(q, l) {
 			res.Selected = append(res.Selected, v)
 		}
-		right := d.BinaryRight(v)
-		if right == tree.Nil {
+		last := d.LastDesc(v)
+		if last == f.end { // no right sibling
 			if !a.inBot[dest.Right] {
 				fail = true
 				break
@@ -218,10 +225,9 @@ func (a *STA) EvalTopDownJump(d *tree.Document, ix *index.Index) Result {
 			fail = true
 			break
 		} else {
-			push(right, dest.Right)
+			push(last+1, f.end, dest.Right)
 		}
-		left := d.BinaryLeft(v)
-		if left == tree.Nil {
+		if last == v { // no child
 			if !a.inBot[dest.Left] {
 				fail = true
 				break
@@ -230,7 +236,7 @@ func (a *STA) EvalTopDownJump(d *tree.Document, ix *index.Index) Result {
 			fail = true
 			break
 		} else {
-			push(left, dest.Left)
+			push(v+1, last, dest.Left)
 		}
 	}
 	if fail {

@@ -38,6 +38,9 @@ func (a *STA) EvalTopDownDet(d *tree.Document) Result {
 	}
 	run[0] = a.Top[0]
 	accepted := true
+	// ends holds where the subtrees open at v end, innermost last: the
+	// top is the end of v's binary subtree, past which v has no sibling.
+	ends := append(make([]tree.NodeID, 0, 64), tree.NodeID(n-1))
 	for v := tree.NodeID(0); int(v) < n; v++ {
 		q := run[v]
 		res.Visited++
@@ -48,15 +51,22 @@ func (a *STA) EvalTopDownDet(d *tree.Document) Result {
 		if a.IsSelecting(q, d.Label(v)) {
 			res.Selected = append(res.Selected, v)
 		}
-		if c := d.BinaryLeft(v); c != tree.Nil {
-			run[c] = dest.Left
-		} else if !a.inBot[dest.Left] {
-			accepted = false
-		}
-		if c := d.BinaryRight(v); c != tree.Nil {
-			run[c] = dest.Right
+		last := d.LastDesc(v)
+		if last < ends[len(ends)-1] {
+			run[last+1] = dest.Right
 		} else if !a.inBot[dest.Right] {
 			accepted = false
+		}
+		if last > v {
+			run[v+1] = dest.Left
+			ends = append(ends, last)
+		} else {
+			if !a.inBot[dest.Left] {
+				accepted = false
+			}
+			for len(ends) > 1 && ends[len(ends)-1] == v {
+				ends = ends[:len(ends)-1] // the subtrees v is the last node of
+			}
 		}
 	}
 	if !accepted {

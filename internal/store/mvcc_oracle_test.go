@@ -14,6 +14,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/qcache"
 	"repro/internal/store"
+	"repro/internal/tgen"
 	"repro/internal/tree"
 )
 
@@ -202,6 +203,14 @@ func checkText(d, ref *tree.Document) error {
 // answer.
 func checkHandle(h *store.Handle) error {
 	d := h.Doc
+	// The stored topology is the canonical encoding of a tree — every
+	// distance under 65 535 stored as itself, every other as an escape,
+	// wide listing exactly the escaped subtrees — so it is, element for
+	// element, what Link builds for that tree: no stale escape, no orphan
+	// entry left by a splice.
+	if err := d.VerifyStructure(); err != nil {
+		return fmt.Errorf("not canonical: %w", err)
+	}
 	// Jumping index: occurrence lists and binEnd, entry for entry.
 	fresh := index.New(d)
 	sigma := d.Names().Size()
@@ -394,6 +403,80 @@ func TestMVCCOracleDifferential(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMVCCOracleAcrossTheWideLine: patch sequences that take one node's
+// subtree from 65 534 ranks to 65 536 and back, and one child's distance
+// to its parent across the same line, by insert, delete and replace — a
+// fragment wider than 65 535 nodes included once — through the store from
+// a heap base and from a mapped one, every generation checked like any
+// other: index, succinct view and all-strategy answers against a rebuild,
+// labels and text against the patch done by definition, and the stored
+// topology canonical.
+func TestMVCCOracleAcrossTheWideLine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("eleven generations of 65 000 to 130 000 nodes, each rebuilt and queried 96 times")
+	}
+	// 0=#doc 1=a 2=b, k leaves c under b, then item: b spans k = 65 532
+	// ranks, item is 65 534 from a, and #doc spans 65 535.
+	const far, k, b = 0xFFFF, 0xFFFF - 3, tree.NodeID(2)
+	bd := tree.NewBuilder()
+	bd.Open("a")
+	bd.Open("b")
+	for i := 0; i < k; i++ {
+		bd.Open("c")
+		bd.Close()
+	}
+	bd.Close()
+	bd.Open("item")
+	bd.Close()
+	bd.Close()
+	base := bd.MustFinish()
+	one, two, wide := tgen.Chain("c", 1), tgen.Chain("c", 2), tgen.Star("b", "name", far+100)
+	draw := []func(d *tree.Document) tree.Patch{
+		func(d *tree.Document) tree.Patch { // b 65 534, item 65 536 from a
+			return tree.Patch{Op: tree.OpInsert, Node: b, Before: d.FirstChild(b), Frag: two}
+		},
+		func(d *tree.Document) tree.Patch { // b 65 535: wide, its new last child far from it
+			return tree.Patch{Op: tree.OpInsert, Node: b, Before: tree.Nil, Frag: one}
+		},
+		func(d *tree.Document) tree.Patch { // b 65 536
+			return tree.Patch{Op: tree.OpReplace, Node: d.LastDesc(b), Before: tree.Nil, Frag: two}
+		},
+		func(d *tree.Document) tree.Patch { // b 65 534 again
+			return tree.Patch{Op: tree.OpDelete, Node: d.FirstChild(b), Before: tree.Nil}
+		},
+		func(d *tree.Document) tree.Patch { // b 65 533, item 65 535 from a: still far
+			return tree.Patch{Op: tree.OpDelete, Node: d.FirstChild(b), Before: tree.Nil}
+		},
+		func(d *tree.Document) tree.Patch { // item 65 534 from a, which is wide no more
+			return tree.Patch{Op: tree.OpDelete, Node: d.FirstChild(b), Before: tree.Nil}
+		},
+		func(d *tree.Document) tree.Patch { // a wide fragment in b's place
+			return tree.Patch{Op: tree.OpReplace, Node: b, Before: tree.Nil, Frag: wide}
+		},
+		func(d *tree.Document) tree.Patch { // and gone: nothing wide is left
+			return tree.Patch{Op: tree.OpReplace, Node: b, Before: tree.Nil, Frag: one}
+		},
+	}
+	doc := base
+	var patches []tree.Patch
+	for i, f := range draw {
+		pt := f(doc)
+		next, _, err := doc.Apply(pt)
+		if err != nil {
+			t.Fatalf("generating step %d: %v", i, err)
+		}
+		patches, doc = append(patches, pt), next
+	}
+	if err := runSequence(base, patches, false); err != nil {
+		t.Errorf("heap base: %v", err)
+	}
+	// Only the first patch reads a mapped base's arrays (and takes item
+	// across the line); one more makes b wide.
+	if err := runSequence(base, patches[:2], true); err != nil {
+		t.Errorf("mapped base: %v", err)
 	}
 }
 

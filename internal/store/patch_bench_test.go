@@ -16,7 +16,7 @@ import (
 // path replaces, a full reload (parse from XML + index build + BP
 // build) of the same document. CI gates the ratio: patch-apply must
 // stay at or below 0.67× full-reload ns/op on the XMark scale-0.05
-// document (BENCH_mvcc.json pins the seeded numbers, ~0.20×).
+// document (BENCH_mvcc.json pins the seeded numbers, ~0.11×).
 func BenchmarkPatchVsReload(b *testing.B) {
 	src := []byte(xmark.Generate(xmark.Config{Scale: 0.05, Seed: 42}).XMLString())
 	frag, err := xmlparse.Parse([]byte("<item><mailbox><mail><date/></mail></mailbox></item>"))

@@ -119,7 +119,7 @@ func TestXQO2Malformed(t *testing.T) {
 	mutants := map[string]func([]byte){
 		"bad magic":        func(b []byte) { copy(b[0:4], "YYYY") },
 		"bad version":      func(b []byte) { b[4] = 99 },
-		"previous version": func(b []byte) { b[4] = 3 },
+		"previous version": func(b []byte) { b[4] = 4 },
 		"corrupt payload": func(b []byte) {
 			// First payload starts at the 64-byte-aligned end of the
 			// section table (header 24 bytes + count entries of 24).
@@ -193,35 +193,40 @@ func TestXQO2VerifyStructure(t *testing.T) {
 	}
 
 	mutants := map[string]func([]byte){
-		"parent out of range": func(b []byte) {
-			rewriteSection(t, b, tree.SecParent, func(p []byte) {
-				binary.LittleEndian.PutUint32(p[4:], 1<<30)
+		"parent before the root": func(b []byte) {
+			rewriteSection(t, b, tree.SecUp, func(p []byte) {
+				binary.LittleEndian.PutUint16(p[2*1:], 9)
 			})
 		},
-		"lastDesc before node": func(b []byte) {
-			rewriteSection(t, b, tree.SecLastDesc, func(p []byte) {
-				binary.LittleEndian.PutUint32(p[len(p)-4:], 0)
+		"subtree past the document's end": func(b []byte) {
+			rewriteSection(t, b, tree.SecSize, func(p []byte) {
+				binary.LittleEndian.PutUint16(p[len(p)-2:], 5)
 			})
 		},
 		// In range, so no bounds check trips — but every parent walk
-		// from node 5 or 7 (AncestorWithLabel, hybrid's upward match,
-		// Path) would never end.
-		"parent cycle": func(b []byte) {
-			rewriteSection(t, b, tree.SecParent, func(p []byte) {
-				binary.LittleEndian.PutUint32(p[4*5:], 7)
-				binary.LittleEndian.PutUint32(p[4*7:], 5)
+		// through node 5 (hybrid's upward match, Path) would never end.
+		"node its own parent": func(b []byte) {
+			rewriteSection(t, b, tree.SecUp, func(p []byte) {
+				binary.LittleEndian.PutUint16(p[2*5:], 0)
 			})
 		},
 		// Node 3 (the first region) claims one node more than node 2
 		// (regions), its parent: overlapping subtree intervals.
 		"child interval past its parent's end": func(b []byte) {
-			rewriteSection(t, b, tree.SecLastDesc, func(p []byte) {
-				binary.LittleEndian.PutUint32(p[4*3:], binary.LittleEndian.Uint32(p[4*2:])+1)
+			rewriteSection(t, b, tree.SecSize, func(p []byte) {
+				binary.LittleEndian.PutUint16(p[2*3:], binary.LittleEndian.Uint16(p[2*2:]))
 			})
 		},
-		"lastDesc[0] short": func(b []byte) {
-			rewriteSection(t, b, tree.SecLastDesc, func(p []byte) {
-				binary.LittleEndian.PutUint32(p[0:], uint32(len(p)/4-2))
+		"root interval short": func(b []byte) {
+			rewriteSection(t, b, tree.SecSize, func(p []byte) {
+				binary.LittleEndian.PutUint16(p[0:], uint16(len(p)/2-2))
+			})
+		},
+		// A subtree said to be wide, in a document that lists no wide node:
+		// LastDesc misses and calls the node a leaf.
+		"escape without an entry": func(b []byte) {
+			rewriteSection(t, b, tree.SecSize, func(p []byte) {
+				binary.LittleEndian.PutUint16(p[2*3:], 0xFFFF)
 			})
 		},
 		"label past the name table": func(b []byte) {
@@ -289,6 +294,87 @@ func TestXQO2VerifyStructure(t *testing.T) {
 		s.SetVerifyResident(true)
 		if _, err := s.LoadMapped("bad", mut); err == nil {
 			t.Errorf("%s: verifying store accepted structurally invalid content", name)
+		}
+	}
+}
+
+// TestXQO2WideTable splits the wide table's checks between the two
+// opens, on the fuzzer's fan of 70 000 leaves (wide: nodes 0 and 1, both
+// ending at the last node). What is wrong with the table by itself —
+// order, range, a span shorter than 65 535 or across another's end — the
+// default open refuses, because a lookup must be able to trust what it
+// returns. What is wrong between the table and the arrays — an escape
+// without an entry, an entry without an escape, a distance stored the
+// long way — it accepts, answers without leaving the document, and the
+// verified open refuses.
+func TestXQO2WideTable(t *testing.T) {
+	orig := fuzzContainer()
+	n := uint32(fuzzFanout + 2 + fuzzFanout/5000)
+	open := func(mutate func(b []byte)) (*tree.Document, error) {
+		data := bytes.Clone(orig)
+		mutate(data)
+		l, err := tree.OpenLayout(data, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, _, err := tree.DocumentFromLayout(l)
+		return d, err
+	}
+	word := func(kind uint32, width, i int, v uint32) func([]byte) {
+		return func(b []byte) {
+			rewriteSection(t, b, kind, func(p []byte) {
+				if width == 2 {
+					binary.LittleEndian.PutUint16(p[2*i:], uint16(v))
+				} else {
+					binary.LittleEndian.PutUint32(p[4*i:], v)
+				}
+			})
+		}
+	}
+	if d, err := open(func([]byte) {}); err != nil || d.VerifyStructure() != nil {
+		t.Fatalf("the pristine container: %v, %v", err, d.VerifyStructure())
+	}
+	for name, mutate := range map[string]func([]byte){
+		"entries out of order":       func(b []byte) { word(tree.SecWide, 4, 0, 1)(b); word(tree.SecWide, 4, 2, 0)(b) },
+		"an entry listed twice":      word(tree.SecWide, 4, 2, 0),
+		"a span shorter than 65 535": word(tree.SecWide, 4, 3, 100),
+		"a span past the document":   word(tree.SecWide, 4, 3, n+6),
+		"a span ending below zero":   word(tree.SecWide, 4, 3, 1<<31),
+		"a span past the one around": word(tree.SecWide, 4, 1, n-2),
+		"a node before the document": word(tree.SecWide, 4, 0, 1<<31+5),
+	} {
+		if _, err := open(mutate); err == nil || !strings.Contains(err.Error(), "wide entry") {
+			t.Errorf("%s: the default open says %v, want a refusal naming the wide entry", name, err)
+		}
+	}
+	last := tree.NodeID(n - 1)
+	for name, tc := range map[string]struct {
+		mutate func([]byte)
+		check  func(d *tree.Document) bool // what the unverified document answers
+	}{
+		"an escape with no entry": {word(tree.SecSize, 2, 5, 0xFFFF),
+			func(d *tree.Document) bool { return d.LastDesc(5) == 5 && d.FirstChild(5) == 6 }},
+		"an entry with no escape": {word(tree.SecSize, 2, 1, 7),
+			func(d *tree.Document) bool { return d.LastDesc(1) == 8 && d.Parent(last) == 1 }},
+		"a near parent stored as an escape": {word(tree.SecUp, 2, 9, 0xFFFF),
+			func(d *tree.Document) bool { return d.Parent(9) == 1 }},
+		"a far parent stored as a distance": {word(tree.SecUp, 2, int(last), 1),
+			func(d *tree.Document) bool { return d.Parent(last) == last-1 }},
+		"an escape under no wide node": {func(b []byte) {
+			word(tree.SecUp, 2, 0, 0xFFFF)(b)
+		}, func(d *tree.Document) bool { return d.Parent(0) == tree.Nil }},
+	} {
+		d, err := open(tc.mutate)
+		if err != nil {
+			t.Errorf("%s: the default open refused a table that is sound by itself: %v", name, err)
+			continue
+		}
+		if !tc.check(d) {
+			t.Errorf("%s: unverified, the lookups answer LastDesc(1)=%d LastDesc(5)=%d Parent(9)=%d Parent(%d)=%d Parent(0)=%d",
+				name, d.LastDesc(1), d.LastDesc(5), d.Parent(9), last, d.Parent(last), d.Parent(0))
+		}
+		if d.VerifyStructure() == nil {
+			t.Errorf("%s: verified", name)
 		}
 	}
 }

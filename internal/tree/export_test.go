@@ -1,15 +1,72 @@
 package tree
 
-// SpareCapacity reports how many bytes d's five arrays and text blob
-// hold beyond their lengths.
+import (
+	"slices"
+	"testing"
+)
+
+// SpareCapacity reports how many bytes d's arrays and text blob hold
+// beyond their lengths.
 func (d *Document) SpareCapacity() int {
-	return 2*(cap(d.labels)-len(d.labels)) +
-		4*(cap(d.parent)-len(d.parent)+cap(d.lastDesc)-len(d.lastDesc)+
-			cap(d.textNodes)-len(d.textNodes)+cap(d.textOff)-len(d.textOff)) +
+	return 2*(cap(d.labels)-len(d.labels)+cap(d.up)-len(d.up)+cap(d.size)-len(d.size)) +
+		8*(cap(d.wide)-len(d.wide)) +
+		4*(cap(d.textNodes)-len(d.textNodes)+cap(d.textOff)-len(d.textOff)) +
 		cap(d.textBlob) - len(d.textBlob)
 }
 
-// RequireMatchesReference is the reference builder's check (see
-// reference_test.go) for the tests outside the package, which can
-// import the generators.
-var RequireMatchesReference = requireMatchesReference
+// Far is the distance from which up and size hold an escape.
+const Far = far
+
+// WideNodes returns the nodes listed in d's wide table.
+func (d *Document) WideNodes() []NodeID {
+	nodes := make([]NodeID, len(d.wide))
+	for i, s := range d.wide {
+		nodes[i] = s.node
+	}
+	return nodes
+}
+
+// FarParents counts the nodes whose up is an escape.
+func (d *Document) FarParents() int {
+	far := 0
+	for _, u := range d.up {
+		if u == Far {
+			far++
+		}
+	}
+	return far
+}
+
+// RequireSameTopology compares the stored topology of two documents —
+// up, size and wide, element for element. Held against a document Link
+// built from the same tree, it proves a spliced or opened one canonical:
+// no stale escape, no orphan wide entry, no distance stored the long way.
+func RequireSameTopology(t *testing.T, what string, got, want *Document) {
+	t.Helper()
+	if !slices.Equal(got.up, want.up) {
+		t.Fatalf("%s: up differs from the built document's (first at node %d)", what, firstDiff(got.up, want.up))
+	}
+	if !slices.Equal(got.size, want.size) {
+		t.Fatalf("%s: size differs from the built document's (first at node %d)", what, firstDiff(got.size, want.size))
+	}
+	if !slices.Equal(got.wide, want.wide) {
+		t.Fatalf("%s: wide = %v, the built document's %v", what, got.wide, want.wide)
+	}
+}
+
+func firstDiff(a, b []uint16) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
+}
+
+// RequireMatchesReference is the reference builder's check and AtRest
+// the trip through the XQO2 sections (see reference_test.go) for the
+// tests outside the package, which can import the generators.
+var (
+	RequireMatchesReference = requireMatchesReference
+	AtRest                  = atRest
+)

@@ -13,7 +13,7 @@ import (
 )
 
 // XQO2 resident layout — the only binary document format. It stores
-// every array of the in-memory representation (labels, parent, lastDesc,
+// every array of the in-memory representation (labels, up, size, wide,
 // text nodes + their offsets + blob, bitvector words, rank superblocks,
 // BP segment tree, label table) verbatim in 64-byte-aligned, CRC-checksummed
 // sections, so an mmap'd file can be aliased into live structures
@@ -37,8 +37,14 @@ import (
 // things — labels in 16 bits (kind 2), text offsets per text node, not
 // per node (kind 8), the text nodes listed once, by the document (the
 // new kind 16), and no longer among the index's occurrences (kind 33) —
-// which no reader could tell from the kinds, hence the bump. A file of
-// another version is refused with the command that re-saves it.
+// which no reader could tell from the kinds, hence the bump. Version 5
+// stores the topology relative and narrow: parent (kind 3) and lastDesc
+// (kind 6), four bytes a node each, gave way to up (17) and size (18),
+// two bytes each, and the wide table (19) their escapes are answered
+// from. The kinds are new, but a version-4 reader would report a missing
+// section and a version-5 reader of a version-4 file likewise, where the
+// version check names the cause and the remedy. A file of another
+// version is refused with the command that re-saves it.
 //
 // This file owns the container plus the Document/Succinct sections;
 // internal/index adds its sections in its own layout file (the index
@@ -47,7 +53,7 @@ import (
 
 const (
 	xqo2Magic      = "XQO2"
-	xqo2Version    = 4
+	xqo2Version    = 5
 	xqo2Align      = 64
 	xqo2EndianMark = 0x0102030405060708
 	xqo2HeaderLen  = 24
@@ -56,14 +62,12 @@ const (
 
 // Section kinds. The tree package owns kinds below 32; other packages
 // layer their sections on top (internal/index uses 32+). Kinds 4, 5 and
-// 7 (version 2's firstChild, nextSibling and depth) are retired and stay
-// reserved; kinds 2 and 8 kept their meaning and changed their shape in
-// version 4, which is what the version is for.
+// 7 (version 2's firstChild, nextSibling and depth) and 3 and 6 (parent
+// and lastDesc, up to version 4) are retired and stay reserved; kinds 2
+// and 8 kept their meaning and changed their shape in version 4.
 const (
 	SecDocMeta    uint32 = 1  // scalars: numNodes, numNames, parenLen, parenOnes
 	SecLabels     uint32 = 2  // []uint16, len numNodes
-	SecParent     uint32 = 3  // []NodeID, len numNodes
-	SecLastDesc   uint32 = 6  // []NodeID, len numNodes
 	SecTextOff    uint32 = 8  // []uint32, len(SecTextNodes)+1: each text node's start in the blob, then its end
 	SecTextBlob   uint32 = 9  // raw bytes
 	SecNameOff    uint32 = 10 // []uint32, len numNames+1
@@ -73,6 +77,9 @@ const (
 	SecBPBlockMin uint32 = 14 // []int32: min-excess segment tree
 	SecBPBlockSum uint32 = 15 // []int32: excess-sum segment tree
 	SecTextNodes  uint32 = 16 // []NodeID: the #text nodes, ascending — also the index's occurrence list of LabelText
+	SecUp         uint32 = 17 // []uint16, len numNodes: v - parent, or 0xFFFF
+	SecSize       uint32 = 18 // []uint16, len numNodes: lastDesc - v, or 0xFFFF
+	SecWide       uint32 = 19 // []{node, last NodeID}: the nodes whose size is 0xFFFF, ascending
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -321,8 +328,9 @@ func AddDocumentSections(w *LayoutWriter, d *Document, s *Succinct) {
 	binary.LittleEndian.PutUint64(meta[24:], uint64(raw.Ones))
 	w.Add(SecDocMeta, meta)
 	w.Add(SecLabels, SliceBytes(d.labels))
-	w.Add(SecParent, SliceBytes(d.parent))
-	w.Add(SecLastDesc, SliceBytes(d.lastDesc))
+	w.Add(SecUp, SliceBytes(d.up))
+	w.Add(SecSize, SliceBytes(d.size))
+	w.Add(SecWide, SliceBytes(d.wide))
 	w.Add(SecTextNodes, SliceBytes(d.textNodes))
 	w.Add(SecTextOff, SliceBytes(d.textOff))
 	w.Add(SecTextBlob, d.textBlob)
@@ -369,10 +377,13 @@ func DocumentFromLayout(l *Layout) (*Document, *Succinct, error) {
 	if d.labels, err = layoutSlice[uint16](l, SecLabels, n); err != nil {
 		return nil, nil, err
 	}
-	if d.parent, err = layoutSlice[NodeID](l, SecParent, n); err != nil {
+	if d.up, err = layoutSlice[uint16](l, SecUp, n); err != nil {
 		return nil, nil, err
 	}
-	if d.lastDesc, err = layoutSlice[NodeID](l, SecLastDesc, n); err != nil {
+	if d.size, err = layoutSlice[uint16](l, SecSize, n); err != nil {
+		return nil, nil, err
+	}
+	if d.wide, err = layoutSlice[span](l, SecWide, -1); err != nil {
 		return nil, nil, err
 	}
 	if d.textNodes, err = layoutSlice[NodeID](l, SecTextNodes, -1); err != nil {
@@ -384,12 +395,14 @@ func DocumentFromLayout(l *Layout) (*Document, *Succinct, error) {
 	}
 	d.textBlob = l.Section(SecTextBlob)
 
-	// Shape checks here are O(1): section lengths against the node and
-	// text-node counts (layoutSlice above), the text directory's two ends
-	// against the blob, and the first listed text node carrying the text
-	// label. Element-wise structural validation — parent and lastDesc
-	// describing a tree, the text nodes listed being the nodes labelled
-	// so, their offsets monotone — is the opt-in VerifyStructure pass:
+	// Shape checks here cost nothing per node: section lengths against the
+	// node and text-node counts (layoutSlice above), the text directory's
+	// two ends against the blob, the first listed text node carrying the
+	// text label, and the wide table — a dozen entries on a million nodes —
+	// being one a lookup can trust. Element-wise structural validation — up
+	// and size describing a tree, their escapes matching the table, the
+	// text nodes listed being the nodes labelled so, their offsets
+	// monotone — is the opt-in VerifyStructure pass:
 	// the default open trusts checksummed content (the CRCs catch
 	// corruption; the format is a cache artifact written by this
 	// process), because re-scanning every array on every open would cost
@@ -403,6 +416,9 @@ func DocumentFromLayout(l *Layout) (*Document, *Succinct, error) {
 		if u := d.textNodes[0]; u < 0 || int(u) >= n || d.Label(u) != LabelText {
 			return nil, nil, fmt.Errorf("tree: xqo2: text node list starts at node %d, which is not a text node", u)
 		}
+	}
+	if err := d.checkWide(); err != nil {
+		return nil, nil, err
 	}
 
 	// Label table: names are materialized as heap strings (the table is
@@ -446,8 +462,30 @@ func DocumentFromLayout(l *Layout) (*Document, *Succinct, error) {
 	return d, &Succinct{bt: bt, doc: d}, nil
 }
 
+// checkWide proves the wide table alone, in O(|wide|): ranks strictly
+// increasing, every span within the document and far ranks long or more,
+// and any two nested or disjoint. Whatever up and size hold, a lookup in
+// such a table returns a node of the document or Nil.
+func (d *Document) checkWide() error {
+	n, prev := NodeID(len(d.labels)), Nil
+	var open []NodeID // the ends of the spans around the current entry
+	for i, s := range d.wide {
+		if s.node <= prev || s.last >= n || s.last < s.node || s.last-s.node < far {
+			return fmt.Errorf("tree: xqo2: wide entry %d spans [%d, %d] after node %d of %d (want at least %d ranks, in order)", i, s.node, s.last, prev, n, far)
+		}
+		for len(open) > 0 && open[len(open)-1] < s.node {
+			open = open[:len(open)-1]
+		}
+		if len(open) > 0 && s.last > open[len(open)-1] {
+			return fmt.Errorf("tree: xqo2: wide entry %d spans [%d, %d], across the end of the span around it (%d)", i, s.node, s.last, open[len(open)-1])
+		}
+		open, prev = append(open, s.last), s.node
+	}
+	return nil
+}
+
 // VerifyStructure runs the element-wise structural validation that the
-// zero-copy open skips by default: parent and lastDesc describing one
+// zero-copy open skips by default: up, size and wide describing one
 // tree in preorder, labels within the name table, the listed text nodes
 // being exactly the nodes labelled #text, and their offsets monotone
 // across the blob. It is the defense for files from outside this
@@ -507,37 +545,52 @@ func (d *Document) verifyText() error {
 	return nil
 }
 
-// verifyTree proves that parent and lastDesc are the two arrays of one
-// preorder tree: the root's interval is the whole document, and every
+// verifyTree proves that up, size and wide are the canonical encoding of
+// one preorder tree: the root's interval is the whole document, every
 // other node's parent is the innermost interval still open at its rank,
-// with its own interval inside that one. One pass with the stack of open
-// intervals; values are only compared, never used as an index, so no
-// content can make the check itself fault. What passes is navigable:
-// every parent is a lower rank (parent walks reach the root) and the
-// intervals nest (FirstChild/NextSibling visit each node once).
+// with its own interval inside that one, every distance under far is
+// stored as itself and every other as far, and wide lists exactly the
+// nodes whose size is far, in order, with their ends. One pass with the
+// stack of open intervals and one cursor into wide; values are only
+// compared, never used as an index, so no content can make the check
+// itself fault. What passes is navigable: every parent is a lower rank
+// (parent walks reach the root), the intervals nest
+// (FirstChild/NextSibling visit each node once), and an up escape finds
+// its parent — the innermost open interval, which is that far away and
+// therefore listed.
 func (d *Document) verifyTree() error {
-	parent, lastDesc := d.parent, d.lastDesc
-	n := NodeID(len(parent))
-	if parent[0] != Nil || lastDesc[0] != n-1 {
-		return fmt.Errorf("tree: xqo2: root has parent %d and lastDesc %d (want %d, %d)", parent[0], lastDesc[0], Nil, n-1)
+	if err := d.checkWide(); err != nil {
+		return err
 	}
+	up, size, wide := d.up, d.size, d.wide
+	n := NodeID(len(up))
 	type interval struct{ node, end NodeID }
 	open := make([]interval, 1, 64)
-	open[0] = interval{0, n - 1}
-	for v := NodeID(1); v < n; v++ {
+	open[0] = interval{Nil, n - 1} // stands above the root: 0 - Nil is the root's up
+	for v := NodeID(0); v < n; v++ {
 		for open[len(open)-1].end < v {
-			open = open[:len(open)-1] // the root's interval never closes before n
+			open = open[:len(open)-1] // the one above the root never closes before n
 		}
-		top, end := open[len(open)-1], lastDesc[v]
-		if parent[v] != top.node {
-			return fmt.Errorf("tree: xqo2: node %d has parent %d, but lies in the subtree of %d", v, parent[v], top.node)
+		top := open[len(open)-1]
+		if up[v] != narrow(v-top.node) {
+			return fmt.Errorf("tree: xqo2: node %d has up %d, but lies in the subtree of %d", v, up[v], top.node)
 		}
-		if end < v || end > top.end {
-			return fmt.Errorf("tree: xqo2: node %d lastDesc %d outside [%d, %d], its parent's reach", v, end, v, top.end)
+		span, reach := NodeID(size[v]), top.end-v
+		if size[v] == far {
+			if len(wide) == 0 || wide[0].node != v {
+				return fmt.Errorf("tree: xqo2: node %d has a wide subtree and no entry saying where it ends", v)
+			}
+			span, wide = wide[0].last-v, wide[1:]
 		}
-		if end > v {
-			open = append(open, interval{v, end})
+		if span > reach || v == 0 && span != reach {
+			return fmt.Errorf("tree: xqo2: node %d spans %d ranks of the %d left to its parent", v, span, reach)
 		}
+		if span > 0 {
+			open = append(open, interval{v, v + span})
+		}
+	}
+	if len(wide) > 0 {
+		return fmt.Errorf("tree: xqo2: wide entry for node %d, whose subtree is not wide", wide[0].node)
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 package tree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // EvClose is the event that ends the innermost open element of a Part.
@@ -42,9 +44,9 @@ const linkAloneBelow = 1 << 15
 //
 // Two passes over the events share the work, concurrently for all but
 // small documents: one needs no state between events (labels, the text
-// directory, the blob), the other the stack of open elements (parent and
-// lastDesc). On a fresh heap most of the time goes to first touches of
-// the arrays' pages, and those the two passes split evenly.
+// directory, the blob), the other the stack of open elements (up, size
+// and wide). On a fresh heap most of the time goes to first touches of
+// the arrays' pages, which the two passes share.
 func Link(names *LabelTable, parts []Part) (*Document, error) {
 	n, texts, textBytes := 1, 0, 0
 	for i := range parts {
@@ -63,8 +65,8 @@ func Link(names *LabelTable, parts []Part) (*Document, error) {
 	}
 	d := &Document{
 		labels:     make([]uint16, n),
-		parent:     make([]NodeID, n),
-		lastDesc:   make([]NodeID, n),
+		up:         make([]uint16, n),
+		size:       make([]uint16, n),
 		textNodes:  make([]NodeID, texts),
 		textOff:    make([]uint32, texts+1),
 		textBlob:   make([]byte, textBytes),
@@ -126,11 +128,11 @@ func (d *Document) fillNodes(parts []Part) {
 	}
 }
 
-// linkNodes sets parent and lastDesc and checks the stream's balance.
+// linkNodes sets up, size and wide and checks the stream's balance.
 func (d *Document) linkNodes(parts []Part) error {
-	parent, lastDesc := d.parent, d.lastDesc
+	up := d.up
 	open := make([]NodeID, 1, 64) // the unclosed elements, the root first
-	parent[0] = Nil
+	up[0] = 1
 	v := NodeID(1)
 	for i := range parts {
 		for _, e := range parts[i].Ev {
@@ -138,14 +140,12 @@ func (d *Document) linkNodes(parts []Part) error {
 				if len(open) == 1 {
 					return fmt.Errorf("tree: close event with no open element")
 				}
-				lastDesc[open[len(open)-1]] = v - 1
+				d.closeAt(open[len(open)-1], v-1)
 				open = open[:len(open)-1]
 				continue
 			}
-			parent[v] = open[len(open)-1]
-			if e == int32(LabelText) {
-				lastDesc[v] = v
-			} else {
+			up[v] = narrow(v - open[len(open)-1])
+			if e != int32(LabelText) {
 				open = append(open, v)
 			}
 			v++
@@ -154,8 +154,20 @@ func (d *Document) linkNodes(parts []Part) error {
 	if len(open) != 1 {
 		return fmt.Errorf("tree: %d unclosed elements at Finish", len(open)-1)
 	}
-	lastDesc[0] = v - 1
+	d.closeAt(0, v-1)
+	// Subtrees close innermost first; the table is kept by rank, and at
+	// its exact length like every other array (MemBytes counts lengths).
+	d.wide = append(make([]span, 0, len(d.wide)), d.wide...)
+	slices.SortFunc(d.wide, func(a, b span) int { return cmp.Compare(a.node, b.node) })
 	return nil
+}
+
+// closeAt ends u's subtree at last. Link never calls it for a text node,
+// whose size stays 0.
+func (d *Document) closeAt(u, last NodeID) {
+	if d.size[u] = narrow(last - u); d.size[u] == far {
+		d.wide = append(d.wide, span{u, last})
+	}
 }
 
 // LabelCounts returns the number of nodes carrying each label, indexed

@@ -3,18 +3,24 @@ package tree
 import (
 	"fmt"
 	"slices"
+	"strings"
 )
 
 // Subtree-level document mutation. A Document is immutable; Apply
 // produces the *next generation* — a new Document sharing nothing
 // mutable with its parent — by splicing one contiguous preorder
 // interval. Because a subtree is exactly the interval [v, LastDesc(v)],
-// every patch (insert, delete, replace) is a single array splice with
-// offset arithmetic on the parent and lastDesc values — ranks after the
-// splice shift, intervals around it grow or shrink, and nothing is
-// re-linked, because sibling order is implied by the intervals — O(n)
-// memcpy-speed work instead of an O(n) re-parse plus index rebuild. The
-// Delta describing the splice is what lets internal/index and the BP
+// every patch (insert, delete, replace) is a single array splice, and
+// because up and size are relative, a node's values do not change when
+// its rank does: prefix, fragment and suffix are copied as they are.
+// What changes is around the splice — its ancestors' intervals grow or
+// shrink, and the following siblings of the splice point and of each
+// ancestor, the only later nodes whose parent lies before it, end up
+// that much further from their parent — and in wide, whose entries after
+// the splice shift and whose ancestors may cross the line either way.
+// Nothing is re-linked, because sibling order is implied by the
+// intervals: O(n) memcpy instead of an O(n) re-parse plus index rebuild.
+// The Delta describing the splice is what lets internal/index and the BP
 // view update incrementally too.
 
 // PatchOp selects the mutation kind.
@@ -121,13 +127,29 @@ func fragRoot(frag *Document) (NodeID, error) {
 		return Nil, fmt.Errorf("tree: patch fragment is empty")
 	}
 	const r = NodeID(1)
-	if frag.lastDesc[r] != frag.lastDesc[0] {
+	if frag.LastDesc(r) != frag.LastDesc(0) {
 		return Nil, fmt.Errorf("tree: patch fragment must have exactly one root element")
 	}
-	if frag.Label(r) == LabelText {
-		return Nil, fmt.Errorf("tree: patch fragment root must be an element, not text")
+	if frag.Label(r) == LabelText || frag.isAttribute(r) {
+		return Nil, fmt.Errorf("tree: patch fragment root must be an element, not text or an attribute")
 	}
 	return r, nil
+}
+
+// isAttribute reports whether v is an "@name" node.
+func (d *Document) isAttribute(v NodeID) bool {
+	return strings.HasPrefix(d.LabelName(v), "@")
+}
+
+// checkAttributes refuses to graft an element where it would break the
+// attribute encoding WriteXML and the queries rely on: under an
+// attribute, or ahead of one (next is the node the graft lands in front
+// of, Nil at the end of parent's children). Deletes cannot break it.
+func (d *Document) checkAttributes(op PatchOp, parent, next NodeID) error {
+	if d.isAttribute(parent) || next != Nil && d.isAttribute(next) {
+		return fmt.Errorf("tree: %s under %s would break the attribute encoding: attributes are the leading @name children of an element, each holding at most one text child", op, d.Path(parent))
+	}
+	return nil
 }
 
 // Apply performs one subtree patch, returning the next generation of
@@ -152,15 +174,18 @@ func (d *Document) Apply(pt Patch) (*Document, *Delta, error) {
 		if pt.Op == OpDelete && pt.Node == d.DocumentElement() {
 			return nil, nil, fmt.Errorf("tree: cannot delete the document element (replace it instead)")
 		}
-		q, parent = pt.Node, d.parent[pt.Node]
+		q, parent = pt.Node, d.Parent(pt.Node)
 		k = d.SubtreeSize(pt.Node)
 		if pt.Op == OpReplace {
 			r, err := fragRoot(pt.Frag)
 			if err != nil {
 				return nil, nil, err
 			}
+			if err := d.checkAttributes(pt.Op, parent, d.NextSibling(pt.Node)); err != nil {
+				return nil, nil, err
+			}
 			frag = pt.Frag
-			m = int(frag.lastDesc[r]-r) + 1
+			m = frag.SubtreeSize(r)
 		}
 	case OpInsert:
 		parent = pt.Node
@@ -178,14 +203,17 @@ func (d *Document) Apply(pt Patch) (*Document, *Delta, error) {
 			return nil, nil, err
 		}
 		frag = pt.Frag
-		m = int(frag.lastDesc[r]-r) + 1
+		m = frag.SubtreeSize(r)
 		if pt.Before != Nil {
-			if !validTarget(pt.Before) || d.parent[pt.Before] != parent {
+			if !validTarget(pt.Before) || d.Parent(pt.Before) != parent {
 				return nil, nil, fmt.Errorf("tree: insert position %d is not a child of %d", pt.Before, parent)
 			}
 			before, q = pt.Before, pt.Before
 		} else {
-			q = d.lastDesc[parent] + 1
+			q = d.LastDesc(parent) + 1
+		}
+		if err := d.checkAttributes(pt.Op, parent, before); err != nil {
+			return nil, nil, err
 		}
 	default:
 		return nil, nil, fmt.Errorf("tree: unknown patch op %v", pt.Op)
@@ -204,14 +232,12 @@ func (d *Document) Apply(pt Patch) (*Document, *Delta, error) {
 // label table past MaxLabels.
 func (d *Document) splice(dl *Delta) (*Document, error) {
 	var (
-		n      = NodeID(d.NumNodes())
-		q      = dl.At
-		k      = dl.Removed
-		m      = dl.Inserted
-		parent = dl.Parent
-		delta  = NodeID(m - k)
-		cut    = q + NodeID(k) // first old preorder rank after the removed interval
-		nn     = int(n) + m - k
+		q     = dl.At
+		k     = dl.Removed
+		m     = dl.Inserted
+		delta = NodeID(m - k)
+		cut   = q + NodeID(k) // first old preorder rank after the removed interval
+		nn    = d.NumNodes() + m - k
 	)
 	frag := dl.Frag
 	if frag == nil {
@@ -250,8 +276,8 @@ func (d *Document) splice(dl *Delta) (*Document, error) {
 	)
 	nd := &Document{
 		labels:    make([]uint16, nn),
-		parent:    make([]NodeID, nn),
-		lastDesc:  make([]NodeID, nn),
+		up:        make([]uint16, nn),
+		size:      make([]uint16, nn),
 		textNodes: make([]NodeID, texts),
 		textOff:   make([]uint32, texts+1),
 		textBlob:  make([]byte, 0, int(prefixLen)+len(frag.textBlob)+len(d.textBlob)-int(suffixBase)),
@@ -274,41 +300,86 @@ func (d *Document) splice(dl *Delta) (*Document, error) {
 		nd.textOff[at+i] = o + textShift
 	}
 
-	// Prefix [0, q): ids are stable, so parents are too, and the only
-	// subtree intervals that change length are those around the splice:
-	// the splice parent's and its ancestors'.
+	// Labels: prefix and suffix as they are, the fragment's translated
+	// into the generation's table. Fragment node f (f >= 1, skipping the
+	// fragment's #doc root) gets id q+f-1.
 	copy(nd.labels[:q], d.labels[:q])
-	copy(nd.parent[:q], d.parent[:q])
-	copy(nd.lastDesc[:q], d.lastDesc[:q])
-	for a := parent; a != Nil; a = d.parent[a] {
-		nd.lastDesc[a] += delta
+	for f := 1; f <= m; f++ {
+		nd.labels[int(q)+f-1] = labelMap[frag.labels[f]]
 	}
-
-	// Grafted fragment occupies [q, q+m): fragment node f gets id
-	// q+f-1 (f skips the fragment's #doc root).
-	for f := NodeID(1); int(f) <= m; f++ {
-		v := q + f - 1
-		nd.labels[v] = labelMap[frag.labels[f]]
-		if fp := frag.parent[f]; fp == 0 {
-			nd.parent[v] = parent
-		} else {
-			nd.parent[v] = q + fp - 1
-		}
-		nd.lastDesc[v] = q + frag.lastDesc[f] - 1
-	}
-
-	// Suffix [cut, n): ids shift by delta, and with them every subtree
-	// end and every parent that itself lies in the suffix; a parent in
-	// the prefix keeps its id (none lies in the removed interval).
 	copy(nd.labels[cut+delta:], d.labels[cut:])
-	for v := cut; v < n; v++ {
-		w := v + delta
-		p := d.parent[v]
-		if p >= cut {
-			p += delta
-		}
-		nd.parent[w] = p
-		nd.lastDesc[w] = d.lastDesc[v] + delta
-	}
+	d.spliceTopology(nd, dl)
 	return nd, nil
+}
+
+// spliceTopology fills nd's up, size and wide. Relative values do not
+// change when ranks shift, so the three stretches are copied; then the
+// values the splice does change are set from the old document.
+func (d *Document) spliceTopology(nd *Document, dl *Delta) {
+	var (
+		q     = dl.At
+		m     = dl.Inserted
+		delta = NodeID(m - dl.Removed)
+		cut   = q + NodeID(dl.Removed)
+		frag  = dl.Frag
+	)
+	copy(nd.up[:q], d.up[:q])
+	copy(nd.size[:q], d.size[:q])
+	copy(nd.up[cut+delta:], d.up[cut:])
+	copy(nd.size[cut+delta:], d.size[cut:])
+	if m > 0 {
+		copy(nd.up[q:], frag.up[1:1+m])
+		copy(nd.size[q:], frag.size[1:1+m])
+		nd.up[q] = narrow(q - dl.Parent) // the fragment's element hung under its #doc
+	}
+
+	// Around the splice, innermost ancestor first: a's interval changes
+	// by delta, and its children from next on (next is where the old
+	// suffix resumes under a) are delta further from it. grown collects
+	// the ancestors that are wide afterwards, in descending rank; stale
+	// counts those that were.
+	var grown []span
+	stale := 0
+	for a, next := dl.Parent, cut; a != Nil; a = d.Parent(a) {
+		if d.size[a] == far {
+			stale++
+		}
+		end := d.LastDesc(a)
+		for s := next; s <= end; s = d.LastDesc(s) + 1 {
+			nd.up[s+delta] = narrow(s + delta - a)
+		}
+		next = end + 1
+		end += delta
+		if nd.size[a] = narrow(end - a); nd.size[a] == far {
+			grown = append(grown, span{a, end})
+		}
+	}
+
+	// wide, by rank: what the old table holds before the splice with the
+	// ancestors among it replaced by grown, the fragment's entries but for
+	// its #doc, and the old entries past the removed interval, shifted.
+	lo, hi := d.wideAt(q), d.wideAt(cut)
+	var grafted []span
+	if m > 0 && len(frag.wide) > 0 {
+		grafted = frag.wide[1:]
+	}
+	nd.wide = make([]span, 0, lo-stale+len(grown)+len(grafted)+len(d.wide)-hi)
+	for _, s := range d.wide[:lo] {
+		if s.node <= dl.Parent && dl.Parent <= s.last {
+			continue // an ancestor: in grown if it is still wide
+		}
+		for len(grown) > 0 && grown[len(grown)-1].node < s.node {
+			nd.wide, grown = append(nd.wide, grown[len(grown)-1]), grown[:len(grown)-1]
+		}
+		nd.wide = append(nd.wide, s)
+	}
+	for i := len(grown) - 1; i >= 0; i-- {
+		nd.wide = append(nd.wide, grown[i])
+	}
+	for _, s := range grafted {
+		nd.wide = append(nd.wide, span{s.node + q - 1, s.last + q - 1})
+	}
+	for _, s := range d.wide[hi:] {
+		nd.wide = append(nd.wide, span{s.node + delta, s.last + delta})
+	}
 }

@@ -3,6 +3,8 @@ package tree
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -184,17 +186,18 @@ func requireEqualDocs(t *testing.T, step int, got, want *Document) {
 	if got.NumNodes() != want.NumNodes() {
 		t.Fatalf("step %d: nodes = %d, want %d", step, got.NumNodes(), want.NumNodes())
 	}
+	RequireSameTopology(t, fmt.Sprint("step ", step), got, want)
 	for v := NodeID(0); int(v) < want.NumNodes(); v++ {
 		if got.LabelName(v) != want.LabelName(v) {
 			t.Fatalf("step %d node %d: label %q, want %q", step, v, got.LabelName(v), want.LabelName(v))
 		}
-		if got.parent[v] != want.parent[v] || got.lastDesc[v] != want.lastDesc[v] ||
+		if got.Parent(v) != want.Parent(v) || got.LastDesc(v) != want.LastDesc(v) ||
 			got.FirstChild(v) != want.FirstChild(v) || got.NextSibling(v) != want.NextSibling(v) ||
 			got.Depth(v) != want.Depth(v) || got.BinEnd(v) != want.BinEnd(v) {
 			t.Fatalf("step %d node %d: links (p=%d ld=%d fc=%d ns=%d d=%d be=%d), want (p=%d ld=%d fc=%d ns=%d d=%d be=%d)",
 				step, v,
-				got.parent[v], got.lastDesc[v], got.FirstChild(v), got.NextSibling(v), got.Depth(v), got.BinEnd(v),
-				want.parent[v], want.lastDesc[v], want.FirstChild(v), want.NextSibling(v), want.Depth(v), want.BinEnd(v))
+				got.Parent(v), got.LastDesc(v), got.FirstChild(v), got.NextSibling(v), got.Depth(v), got.BinEnd(v),
+				want.Parent(v), want.LastDesc(v), want.FirstChild(v), want.NextSibling(v), want.Depth(v), want.BinEnd(v))
 		}
 		if got.Text(v) != want.Text(v) {
 			t.Fatalf("step %d node %d: text %q, want %q", step, v, got.Text(v), want.Text(v))
@@ -309,5 +312,222 @@ func TestPatchValidation(t *testing.T) {
 	}
 	if nd.XMLString() != "<new></new>" {
 		t.Fatalf("replace document element: got %q", nd.XMLString())
+	}
+}
+
+// attributeDoc is <a q="v"><c/></a>: 0=#doc 1=a 2=@q 3=#text 4=c.
+func attributeDoc() (d, frag *Document) {
+	b := NewBuilder()
+	b.Open("a")
+	b.Open("@q")
+	b.Text("v")
+	b.Close()
+	b.Open("c")
+	b.Close()
+	b.Close()
+	fb := NewBuilder()
+	fb.Open("x")
+	fb.Close()
+	return b.MustFinish(), fb.MustFinish()
+}
+
+// requireAttributeRefusal: the patch is refused with the rule in the
+// error, and the document still serializes as it did.
+func requireAttributeRefusal(t *testing.T, d *Document, pt Patch) {
+	t.Helper()
+	const rule = "attributes are the leading @name children of an element, each holding at most one text child"
+	if nd, _, err := d.Apply(pt); err == nil {
+		t.Fatalf("%s node %d before %d: accepted, and serializes as %s", pt.Op, pt.Node, pt.Before, nd.XMLString())
+	} else if !strings.Contains(err.Error(), rule) {
+		t.Fatalf("%s node %d before %d: error %q does not name the rule", pt.Op, pt.Node, pt.Before, err)
+	}
+	if got, want := d.XMLString(), `<a q="v"><c></c></a>`; got != want {
+		t.Fatalf("the refused patch left %s, want %s", got, want)
+	}
+}
+
+// TestApplyRefusesInsertUnderAttribute: an element under @q would be in
+// the tree and absent from the serialization.
+func TestApplyRefusesInsertUnderAttribute(t *testing.T) {
+	d, frag := attributeDoc()
+	requireAttributeRefusal(t, d, Patch{Op: OpInsert, Node: 2, Before: Nil, Frag: frag})
+	requireAttributeRefusal(t, d, Patch{Op: OpInsert, Node: 2, Before: 3, Frag: frag})
+}
+
+// TestApplyRefusesReplacingAttributeText: an element in place of @q's
+// text would serialize as q="".
+func TestApplyRefusesReplacingAttributeText(t *testing.T) {
+	d, frag := attributeDoc()
+	requireAttributeRefusal(t, d, Patch{Op: OpReplace, Node: 3, Before: Nil, Frag: frag})
+}
+
+// TestApplyRefusesElementAheadOfAttribute: an element before @q, by
+// insert or by replacing an attribute that another follows, would make
+// @q a child that is no longer leading, serialized as <@q>.
+func TestApplyRefusesElementAheadOfAttribute(t *testing.T) {
+	d, frag := attributeDoc()
+	requireAttributeRefusal(t, d, Patch{Op: OpInsert, Node: 1, Before: 2, Frag: frag})
+	two, _, err := d.Apply(Patch{Op: OpDelete, Node: 4, Before: Nil}) // <a q="v"/>, then a second attribute by hand
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := two.XMLString(); got != `<a q="v"></a>` {
+		t.Fatalf("after deleting c: %s", got)
+	}
+	b := NewBuilder()
+	b.Open("a")
+	for _, name := range []string{"@p", "@q"} {
+		b.Open(name)
+		b.Text("v")
+		b.Close()
+	}
+	b.Close()
+	pq := b.MustFinish() // 1=a 2=@p 3=#text 4=@q 5=#text
+	if _, _, err := pq.Apply(Patch{Op: OpReplace, Node: 2, Before: Nil, Frag: frag}); err == nil {
+		t.Fatal("replacing @p, which @q follows, by an element: accepted")
+	}
+	// The last attribute may become an element, and attributes and their
+	// text may go: each leaves attributes leading.
+	for _, tc := range []struct {
+		pt   Patch
+		want string
+	}{
+		{Patch{Op: OpReplace, Node: 4, Before: Nil, Frag: frag}, `<a p="v"><x></x></a>`},
+		{Patch{Op: OpDelete, Node: 2, Before: Nil}, `<a q="v"></a>`},
+		{Patch{Op: OpDelete, Node: 5, Before: Nil}, `<a p="v" q=""></a>`},
+		{Patch{Op: OpInsert, Node: 1, Before: Nil, Frag: frag}, `<a p="v" q="v"><x></x></a>`},
+	} {
+		nd, _, err := pq.Apply(tc.pt)
+		if err != nil {
+			t.Fatalf("%s node %d: %v", tc.pt.Op, tc.pt.Node, err)
+		}
+		if got := nd.XMLString(); got != tc.want {
+			t.Errorf("%s node %d: %s, want %s", tc.pt.Op, tc.pt.Node, got, tc.want)
+		}
+	}
+	// A fragment that is itself an attribute has no XML form to arrive in.
+	ab := NewBuilder()
+	ab.Open("@r")
+	ab.Close()
+	if _, _, err := pq.Apply(Patch{Op: OpInsert, Node: 1, Before: Nil, Frag: ab.MustFinish()}); err == nil {
+		t.Fatal("a fragment rooted at an attribute: accepted")
+	}
+}
+
+// TestPatchAcrossTheWideLine walks one subtree's size and one child's
+// distance to its parent over 65 535 and back, by insert, delete and
+// replace, once with a fragment that is itself wide; after every step the
+// spliced document, and what it opens as from its sections, hold the
+// arrays Link builds for the same tree — up, size and wide element for
+// element, so no stale escape and no orphan entry survives — and the
+// spliced BP view the bits of a rebuild.
+func TestPatchAcrossTheWideLine(t *testing.T) {
+	// 0=#doc 1=a 2=b, k leaves under b at 3..k+2, then item at k+3: b spans
+	// k ranks, item is k+2 from a, which spans k+2, and #doc k+3.
+	const k = far - 3
+	b := NewBuilder()
+	b.Open("a")
+	b.Open("b")
+	for i := 0; i < k; i++ {
+		b.Open("c")
+		b.Close()
+	}
+	b.Close()
+	b.Open("item")
+	b.Close()
+	b.Close()
+	doc := b.MustFinish()
+	frag := func(events ...string) *Document {
+		fb := NewBuilder()
+		for _, e := range events {
+			if e == "/" {
+				fb.Close()
+			} else {
+				fb.Open(e)
+			}
+		}
+		return fb.MustFinish()
+	}
+	big := NewBuilder()
+	big.Open("b")
+	for i := 0; i < far+100; i++ {
+		big.Open("name")
+		big.Close()
+	}
+	big.Close()
+	one, two, wideFrag := frag("c", "/"), frag("c", "name", "/", "/"), big.MustFinish()
+	const bNode = NodeID(2)
+	steps := []struct {
+		what string
+		pt   func(d *Document) Patch
+		wide []NodeID // the wide nodes afterwards
+		far  int      // the nodes far from their parent afterwards
+	}{
+		// b spans k = 65 532, item is 65 534 from a, #doc spans 65 535.
+		{"two nodes ahead of b's children", func(d *Document) Patch {
+			return Patch{Op: OpInsert, Node: bNode, Before: d.FirstChild(bNode), Frag: two}
+		}, []NodeID{0, 1}, 1}, // b 65 534, item 65 536 away
+		{"one more at the end of b", func(d *Document) Patch {
+			return Patch{Op: OpInsert, Node: bNode, Before: Nil, Frag: one}
+		}, []NodeID{0, 1, 2}, 2}, // b 65 535: wide, its last child far
+		{"a leaf of b replaced by two nodes", func(d *Document) Patch {
+			return Patch{Op: OpReplace, Node: d.LastDesc(bNode), Before: Nil, Frag: two}
+		}, []NodeID{0, 1, 2}, 2}, // b 65 536
+		{"the two nodes ahead deleted", func(d *Document) Patch {
+			return Patch{Op: OpDelete, Node: d.FirstChild(bNode), Before: Nil}
+		}, []NodeID{0, 1}, 1}, // b 65 534 again
+		{"b's first leaf replaced by one node", func(d *Document) Patch {
+			return Patch{Op: OpReplace, Node: d.FirstChild(bNode), Before: Nil, Frag: one}
+		}, []NodeID{0, 1}, 1},
+		{"two leaves of b deleted, one by one", func(d *Document) Patch {
+			return Patch{Op: OpDelete, Node: d.FirstChild(bNode), Before: Nil}
+		}, []NodeID{0, 1}, 1}, // item 65 535 away: still far
+		{"", func(d *Document) Patch {
+			return Patch{Op: OpDelete, Node: d.FirstChild(bNode), Before: Nil}
+		}, []NodeID{0}, 0}, // item 65 534 away, a spans 65 534, #doc 65 535
+		{"b replaced by a wide fragment", func(d *Document) Patch {
+			return Patch{Op: OpReplace, Node: bNode, Before: Nil, Frag: wideFrag}
+		}, []NodeID{0, 1, 2}, 100 + 1 + 1}, // the fragment's last 101 leaves, and item
+		{"a wide fragment inserted ahead of it", func(d *Document) Patch {
+			return Patch{Op: OpInsert, Node: 1, Before: bNode, Frag: wideFrag}
+		}, []NodeID{0, 1, 2, 2 + far + 101}, 2*101 + 1 + 1}, // the second b is far from a too
+		{"a wide fragment under item", func(d *Document) Patch {
+			return Patch{Op: OpInsert, Node: d.LastDesc(1), Before: Nil, Frag: wideFrag}
+		}, []NodeID{0, 1, 2, 2 + far + 101, 2 + 2*(far+101), 3 + 2*(far+101)}, 3*101 + 1 + 1}, // item enters wide after two entries that are no ancestors
+		{"and deleted", func(d *Document) Patch {
+			return Patch{Op: OpDelete, Node: 3 + 2*(far+101), Before: Nil}
+		}, []NodeID{0, 1, 2, 2 + far + 101}, 2*101 + 1 + 1},
+		{"the first deleted", func(d *Document) Patch {
+			return Patch{Op: OpDelete, Node: bNode, Before: Nil}
+		}, []NodeID{0, 1, 2}, 100 + 1 + 1},
+		{"the second replaced by a leaf", func(d *Document) Patch {
+			return Patch{Op: OpReplace, Node: bNode, Before: Nil, Frag: one}
+		}, nil, 0},
+	}
+	roots := []*mnode{toMutable(doc, doc.DocumentElement())}
+	succ := NewSuccinct(doc)
+	for i, step := range steps {
+		pt := step.pt(doc)
+		next, dl, err := doc.Apply(pt)
+		if err != nil {
+			t.Fatalf("step %d (%s): %v", i, step.what, err)
+		}
+		var fragOracle *mnode
+		if pt.Frag != nil {
+			fragOracle = toMutable(pt.Frag, pt.Frag.DocumentElement())
+		}
+		roots = applyOracle(roots, pt, fragOracle)
+		want := buildMutable(roots)
+		requireEqualDocs(t, i, next, want)
+		requireEqualDocs(t, i, atRest(t, next), want)
+		succ = SpliceSuccinct(succ, next, dl)
+		requireEqualSuccinct(t, i, succ, NewSuccinct(want))
+		if got := next.WideNodes(); !slices.Equal(got, step.wide) {
+			t.Errorf("step %d (%s): wide nodes %v, want %v", i, step.what, got, step.wide)
+		}
+		if got := next.FarParents(); got != step.far {
+			t.Errorf("step %d (%s): %d nodes far from their parent, want %d", i, step.what, got, step.far)
+		}
+		doc = next
 	}
 }

@@ -91,16 +91,17 @@ func (b *refBuilder) finish() *refDoc {
 }
 
 // replay feeds d's event stream to the reference builder. The stream is
-// read off labels, parent and the text alone — a node's open elements
-// close until its parent is the innermost — so nothing the reference is
-// compared against (lastDesc, the derived moves) takes part in making it.
+// read off labels, Parent and the text alone — a node's open elements
+// close until its parent is the innermost — so nothing else the reference
+// is compared against (LastDesc, the derived moves) takes part in making
+// it.
 func replay(d *Document) *refDoc {
 	b := newRefBuilder()
 	for _, name := range d.names.names {
 		b.doc.names.Intern(name)
 	}
 	for v := NodeID(1); int(v) < d.NumNodes(); v++ {
-		for b.stack[len(b.stack)-1] != d.parent[v] {
+		for b.stack[len(b.stack)-1] != d.Parent(v) {
 			b.close()
 		}
 		if d.Label(v) == LabelText {
@@ -113,7 +114,8 @@ func replay(d *Document) *refDoc {
 }
 
 // requireMatchesReference compares d with what the reference builder
-// makes of d's own event stream: the stored arrays whole, and what a
+// makes of d's own event stream: the stored arrays whole — the topology
+// as the absolute ranks up, size and wide stand for — and what a
 // Document derives — FirstChild, NextSibling, Depth, BinEnd, Text —
 // against the reference's per-node arrays node by node.
 func requireMatchesReference(t *testing.T, what string, d *Document) {
@@ -134,8 +136,10 @@ func requireEqualsReference(t *testing.T, what string, got *Document, want *refD
 		return string(want.textBlob[want.textOff[v]:end])
 	}
 	labels := make([]LabelID, len(got.labels))
+	parent, lastDesc := make([]NodeID, len(got.labels)), make([]NodeID, len(got.labels))
 	for v, l := range got.labels {
 		labels[v] = LabelID(l)
+		parent[v], lastDesc[v] = got.Parent(NodeID(v)), got.LastDesc(NodeID(v))
 	}
 	textNodes, textOff := []NodeID{}, []uint32{}
 	for v, l := range want.labels {
@@ -148,8 +152,8 @@ func requireEqualsReference(t *testing.T, what string, got *Document, want *refD
 		name      string
 		got, want any
 	}{
-		{"labels", labels, want.labels}, {"parent", got.parent, want.parent},
-		{"lastDesc", got.lastDesc, want.lastDesc},
+		{"labels", labels, want.labels}, {"parent", parent, want.parent},
+		{"lastDesc", lastDesc, want.lastDesc},
 		{"textNodes", append([]NodeID{}, got.textNodes...), textNodes}, {"textOff", got.textOff, textOff},
 		{"textBlob", string(got.textBlob), string(want.textBlob)},
 		{"names", got.names.names, want.names.names},
@@ -166,11 +170,18 @@ func requireEqualsReference(t *testing.T, what string, got *Document, want *refD
 		if p := want.parent[v]; p != Nil {
 			binEnd = want.lastDesc[p]
 		}
+		// Depth walks to the root: from depth 1024 on it is asked of one
+		// node in 64, or a chain of 70 000 would cost 2.4e9 steps. Every
+		// node's parent was compared above, which is what the walk reads.
+		depth := int(want.depth[v])
+		if depth < 1024 || v%64 == 0 {
+			depth = got.Depth(v)
+		}
 		if got.FirstChild(v) != want.firstChild[v] || got.BinaryLeft(v) != want.firstChild[v] ||
 			got.NextSibling(v) != want.nextSibling[v] || got.BinaryRight(v) != want.nextSibling[v] ||
-			got.Depth(v) != int(want.depth[v]) || got.BinEnd(v) != binEnd {
+			depth != int(want.depth[v]) || got.BinEnd(v) != binEnd {
 			t.Fatalf("%s node %d: derived (fc=%d ns=%d depth=%d binEnd=%d), reference (fc=%d ns=%d depth=%d binEnd=%d)",
-				what, v, got.FirstChild(v), got.NextSibling(v), got.Depth(v), got.BinEnd(v),
+				what, v, got.FirstChild(v), got.NextSibling(v), depth, got.BinEnd(v),
 				want.firstChild[v], want.nextSibling[v], want.depth[v], binEnd)
 		}
 		if got.Text(v) != wantText(v) {

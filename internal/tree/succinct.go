@@ -15,12 +15,20 @@ type Succinct struct {
 
 // NewSuccinct builds the parenthesis representation of d's topology:
 // each rank opens in turn, followed by a close for every subtree that
-// ends there, innermost first.
+// ends there, innermost first. The stack holds where the open subtrees
+// end, so a node costs one LastDesc.
 func NewSuccinct(d *Document) *Succinct {
 	b := bp.NewBuilder(d.NumNodes())
+	var ends []NodeID
 	for v, n := NodeID(0), NodeID(d.NumNodes()); v < n; v++ {
 		b.Open()
-		for u := v; u != Nil && d.lastDesc[u] == v; u = d.parent[u] {
+		if last := d.LastDesc(v); last > v {
+			ends = append(ends, last)
+			continue
+		}
+		b.Close()
+		for len(ends) > 0 && ends[len(ends)-1] == v {
+			ends = ends[:len(ends)-1]
 			b.Close()
 		}
 	}
@@ -54,9 +62,9 @@ func SpliceSuccinct(old *Succinct, newDoc *Document, dl *Delta) *Succinct {
 		// The fragment element's sequence, in NewSuccinct's order; the
 		// closes stop at r, above which is only the fragment's #doc.
 		f, r := dl.Frag, dl.Frag.DocumentElement()
-		for v := r; v <= f.lastDesc[r]; v++ {
+		for v, end := r, f.LastDesc(r); v <= end; v++ {
 			ins = append(ins, true)
-			for u := v; u >= r && f.lastDesc[u] == v; u = f.parent[u] {
+			for u := v; u >= r && f.LastDesc(u) == v; u = f.Parent(u) {
 				ins = append(ins, false)
 			}
 		}

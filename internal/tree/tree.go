@@ -5,11 +5,13 @@
 //
 // Nodes are identified by their preorder rank (NodeID); the subtree of v is
 // the contiguous preorder interval [v, LastDesc(v)], which is what makes the
-// jumping functions of internal/index cheap — and what makes two arrays,
-// parent and lastDesc, the whole topology: a node's first child is the
-// next rank if its interval is longer than itself, its next sibling is
-// the rank after its interval if that still lies in the parent's, and
-// its binary subtree ends where its parent's interval does.
+// jumping functions of internal/index cheap — and what makes two numbers
+// per node, the distance up to its parent and the length of its interval,
+// the whole topology: a node's first child is the next rank if its
+// interval is longer than itself, its next sibling is the rank after its
+// interval if that still lies in the parent's, and its binary subtree
+// ends where its parent's interval does. Both numbers are small for
+// almost every node and are stored in 16 bits (see Document).
 //
 // Node 0 is always a synthetic document root labeled "#doc" whose single
 // element child is the document element; this mirrors the XPath data model
@@ -22,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"unsafe"
@@ -131,6 +134,18 @@ func (lt *LabelTable) Names() []string {
 
 // Document is an immutable XML document tree.
 //
+// Topology is stored relative and narrow: Parent(v) = v - up[v] and
+// LastDesc(v) = v + size[v]. A distance of far (65 535) or more does not
+// fit, and the array holds far instead, which means "look in wide": the
+// table, sorted by rank, of exactly the nodes whose subtree spans far
+// ranks or more, each with its true last descendant. One table serves
+// both arrays. A size escape finds its own entry by binary search. An up
+// escape is answered by the innermost wide span strictly containing v —
+// a parent that far away necessarily has a subtree that large — so no
+// per-node exception is stored, and the table has at most n/65 535 ×
+// depth entries (a dozen on a million-node XMark document). The root has
+// up = 1, so the subtraction itself yields Nil.
+//
 // A node's label is its LabelID in 16 bits (see MaxLabels). Text content
 // lives in one contiguous blob with a directory over the #text nodes,
 // the only ones that have any: textNodes lists their ranks in preorder,
@@ -141,8 +156,9 @@ func (lt *LabelTable) Names() []string {
 // list of LabelText, which borrows it (TextNodes).
 type Document struct {
 	labels    []uint16 // per preorder rank: the node's LabelID
-	parent    []NodeID
-	lastDesc  []NodeID // last preorder node of the subtree
+	up        []uint16 // v - Parent(v), or far
+	size      []uint16 // LastDesc(v) - v, or far
+	wide      []span   // the nodes whose size is far, ascending
 	textNodes []NodeID // the #text nodes, ascending
 	textOff   []uint32 // len(textNodes)+1: where each one's text starts in textBlob, then the blob's end
 	textBlob  []byte
@@ -155,6 +171,22 @@ type Document struct {
 	// finalizer unmaps). nil for heap-backed documents.
 	mapping any
 }
+
+// far is the value of up and size that stands for every distance it and
+// anything larger would take: the answer is in wide.
+const far = 0xFFFF
+
+// narrow is a distance as up and size store it.
+func narrow(dist NodeID) uint16 {
+	if dist >= far {
+		return far
+	}
+	return uint16(dist)
+}
+
+// span is one entry of wide: a node and the last node of its subtree, at
+// least far ranks later.
+type span struct{ node, last NodeID }
 
 // Builder constructs a Document from open/text/close events. It only
 // records the events; Finish hands them to Link, which derives every
@@ -257,13 +289,43 @@ func (d *Document) LabelName(v NodeID) string { return d.names.Name(d.Label(v)) 
 // Names returns the document's label table.
 func (d *Document) Names() *LabelTable { return d.names }
 
-// Parent returns v's parent, or Nil for the root.
-func (d *Document) Parent(v NodeID) NodeID { return d.parent[v] }
+// Parent returns v's parent, or Nil for the root. The fast path and
+// LastDesc's are kept within the compiler's inlining budget, the escapes
+// out of line (CI checks that both still inline).
+func (d *Document) Parent(v NodeID) NodeID {
+	if u := d.up[v]; u != far {
+		return v - NodeID(u)
+	}
+	return d.wideParent(v)
+}
+
+// wideParent answers an up escape: the innermost wide span strictly
+// containing v. The entries before v's place in the table either contain
+// v — its ancestors, the innermost last — or end before it, so the first
+// hit walking back is the parent. What is walked over are the wide nodes
+// under v's preceding siblings: none or a handful on a document of
+// ordinary depth. Nil when nothing contains v, which only a file that was
+// not verified can hold.
+//
+//go:noinline
+func (d *Document) wideParent(v NodeID) NodeID {
+	for i := d.wideAt(v) - 1; i >= 0; i-- {
+		if d.wide[i].last >= v {
+			return d.wide[i].node
+		}
+	}
+	return Nil
+}
+
+// wideAt returns v's place in wide: the first entry at rank v or later.
+func (d *Document) wideAt(v NodeID) int {
+	return sort.Search(len(d.wide), func(i int) bool { return d.wide[i].node >= v })
+}
 
 // FirstChild returns v's first child, or Nil: in preorder a node with
 // descendants is followed by its first child.
 func (d *Document) FirstChild(v NodeID) NodeID {
-	if d.lastDesc[v] > v {
+	if d.size[v] != 0 {
 		return v + 1
 	}
 	return Nil
@@ -271,10 +333,13 @@ func (d *Document) FirstChild(v NodeID) NodeID {
 
 // NextSibling returns v's next sibling, or Nil: the node after v's
 // subtree, if the parent's subtree reaches that far. Both navigation
-// moves return a rank above v (lastDesc[v] is never below v), so no
-// chain of them can cycle.
+// moves return a rank above v (a subtree never ends before its node), so
+// no chain of them can cycle. A loop that descends from a node it knows
+// the BinEnd of should carry that end instead of asking again per node:
+// the left child of v is v+1 with end LastDesc(v), the right sibling
+// LastDesc(v)+1 if that is within v's own end (the automata do).
 func (d *Document) NextSibling(v NodeID) NodeID {
-	if s := d.lastDesc[v] + 1; s <= d.BinEnd(v) {
+	if s := d.LastDesc(v) + 1; s <= d.BinEnd(v) {
 		return s
 	}
 	return Nil
@@ -282,23 +347,39 @@ func (d *Document) NextSibling(v NodeID) NodeID {
 
 // LastDesc returns the last node of v's subtree in preorder (v itself for
 // leaves). The subtree of v is exactly the interval [v, LastDesc(v)].
-func (d *Document) LastDesc(v NodeID) NodeID { return d.lastDesc[v] }
+func (d *Document) LastDesc(v NodeID) NodeID {
+	if s := d.size[v]; s != far {
+		return v + NodeID(s)
+	}
+	return d.wideLast(v)
+}
+
+// wideLast answers a size escape: v's own entry. A miss, which only a
+// file that was not verified can hold, makes v a leaf.
+//
+//go:noinline
+func (d *Document) wideLast(v NodeID) NodeID {
+	if i := d.wideAt(v); i < len(d.wide) && d.wide[i].node == v {
+		return d.wide[i].last
+	}
+	return v
+}
 
 // BinEnd returns the last preorder node of v's binary subtree — v's own
 // subtree plus everything under its following siblings, which ends where
 // the parent's subtree does (for the root, with the document).
 func (d *Document) BinEnd(v NodeID) NodeID {
-	if p := d.parent[v]; p != Nil {
-		return d.lastDesc[p]
+	if p := d.Parent(v); p != Nil {
+		return d.LastDesc(p)
 	}
-	return NodeID(len(d.lastDesc) - 1)
+	return NodeID(len(d.labels) - 1)
 }
 
 // Depth returns the depth of v, counted along the parent chain; the
 // synthetic root has depth 0. O(depth): no evaluator asks for it.
 func (d *Document) Depth(v NodeID) int {
 	depth := 0
-	for p := d.parent[v]; p != Nil; p = d.parent[p] {
+	for p := d.Parent(v); p != Nil; p = d.Parent(p) {
 		depth++
 	}
 	return depth
@@ -333,8 +414,9 @@ func (d *Document) Text(v NodeID) string {
 // struct's slice fields, so an added array cannot go uncounted in the
 // store's bytes-per-node figure.
 func (d *Document) MemBytes() int64 {
-	b := 2*int64(len(d.labels)) +
-		4*int64(len(d.parent)+len(d.lastDesc)+len(d.textNodes)+len(d.textOff)+len(d.labelCount)) +
+	b := 2*int64(len(d.labels)+len(d.up)+len(d.size)) +
+		int64(len(d.wide))*int64(unsafe.Sizeof(span{})) +
+		4*int64(len(d.textNodes)+len(d.textOff)+len(d.labelCount)) +
 		int64(len(d.textBlob))
 	for _, name := range d.names.names {
 		b += int64(unsafe.Sizeof(name)) + int64(len(name))
@@ -342,14 +424,24 @@ func (d *Document) MemBytes() int64 {
 	return b
 }
 
-// IsAncestorOrSelf reports whether a is v or an ancestor of v.
+// IsAncestorOrSelf reports whether a is v or an ancestor of v. Written
+// to the last unit of the inlining budget: size[a] is named twice (and
+// loaded once) because a variable for it costs two units more.
 func (d *Document) IsAncestorOrSelf(a, v NodeID) bool {
-	return a <= v && v <= d.lastDesc[a]
+	if d.size[a] == far {
+		return d.wideHolds(a, v)
+	}
+	return uint32(v-a) <= uint32(d.size[a]) // v < a wraps past any size
 }
+
+// wideHolds is IsAncestorOrSelf of a wide a.
+//
+//go:noinline
+func (d *Document) wideHolds(a, v NodeID) bool { return a <= v && v <= d.wideLast(a) }
 
 // SubtreeSize returns the number of nodes in v's subtree.
 func (d *Document) SubtreeSize(v NodeID) int {
-	return int(d.lastDesc[v]-v) + 1
+	return int(d.LastDesc(v)-v) + 1
 }
 
 // --- Binary-tree (first-child/next-sibling) view, §2 of the paper. ---
@@ -373,22 +465,22 @@ func (d *Document) WriteXML(sb *strings.Builder, v NodeID) {
 		return
 	}
 	synthetic := d.Label(v) == LabelDoc
-	c, end := v+1, d.lastDesc[v]
+	c, end := v+1, d.LastDesc(v)
 	if !synthetic {
 		sb.WriteByte('<')
 		sb.WriteString(d.LabelName(v))
-		for ; c <= end && strings.HasPrefix(d.LabelName(c), "@"); c = d.lastDesc[c] + 1 {
+		for ; c <= end && d.isAttribute(c); c = d.LastDesc(c) + 1 {
 			sb.WriteByte(' ')
 			sb.WriteString(d.LabelName(c)[1:])
 			sb.WriteString(`="`)
-			if d.lastDesc[c] > c {
+			if d.FirstChild(c) != Nil {
 				sb.WriteString(strings.ReplaceAll(escapeText(d.Text(c+1)), `"`, "&quot;"))
 			}
 			sb.WriteByte('"')
 		}
 		sb.WriteByte('>')
 	}
-	for ; c <= end; c = d.lastDesc[c] + 1 {
+	for ; c <= end; c = d.LastDesc(c) + 1 {
 		d.WriteXML(sb, c)
 	}
 	if !synthetic {
@@ -416,7 +508,7 @@ func (d *Document) Path(v NodeID) string {
 	var parts []string
 	for v != Nil && d.Label(v) != LabelDoc {
 		parts = append(parts, d.LabelName(v))
-		v = d.parent[v]
+		v = d.Parent(v)
 	}
 	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
 		parts[i], parts[j] = parts[j], parts[i]

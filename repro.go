@@ -135,8 +135,10 @@ func NewEngine(d *Document) *Engine {
 	return core.New(d)
 }
 
-// GenerateXMark generates a deterministic XMark-like auction document;
-// scale 1.0 approximates the paper's 116MB document (≈5.7M nodes).
+// GenerateXMark generates a deterministic XMark-like auction document.
+// Scale 1.0 has the element counts of the paper's 116MB document, which
+// is ≈5.7M nodes; this generator's texts and optional parts are shorter
+// and it yields 2 179 229 nodes at 1.0 (1 089 007 at 0.5).
 func GenerateXMark(scale float64, seed int64) *Document {
 	return xmark.Generate(xmark.Config{Scale: scale, Seed: seed})
 }
