@@ -83,10 +83,12 @@ gate-auto:
 # made both sides cheaper, the patch by more (1.4 ms against 7-8 ms), and
 # the 16-bit labels and per-text-node offsets the patch again (1.3 ms,
 # 0.48 MB less to copy), and the 16-bit relative up and size arrays once
-# more (0.9 ms: 0.43 MB less, and the suffix is copied, not rewritten);
-# the limit stayed where it was. BENCH_mvcc.json pins ~0.11; tripping
-# the limit means an accidental O(doc) rebuild in the patch path, not
-# noise.
+# more (0.9 ms: 0.43 MB less, and the suffix is copied, not rewritten),
+# and the 16-bit halves of occurrences, text ranks and text offsets once
+# more (0.64 ms against 0.81 in pairs: 0.3 MB less, one array per index
+# instead of one per label, suffixes shifted chunk by chunk); the limit
+# stayed where it was. BENCH_mvcc.json pins ~0.10; tripping the limit
+# means an accidental O(doc) rebuild in the patch path, not noise.
 gate-mvcc:
 	$(GO) test -run '^$$' -bench 'BenchmarkPatchVsReload' -benchtime 20x -benchmem ./internal/store/ \
 		| $(GATE) -v num=patch-apply -v den=full-reload -v limit=0.67
@@ -97,13 +99,12 @@ gate-mvcc:
 # the yardstick: it was 0.05 when parse + index took 17.3 ms; the
 # byte-level XML kernel brought that to 6.9 ms with the open untouched
 # (0.33 -> 0.39 ms, noise), so the same bound is 0.05 x 17.3 / 6.9 =
-# 0.13. BENCH_mmap.json pins ~0.049 (0.32 ms, taken on XQO2 version 3;
-# version 4 checksums one section more and 4.5 bytes per node fewer,
-# version 5 one more again and 4 bytes per node fewer, plus a walk over
-# the dozen entries of the wide table, and alternating runs could tell
-# neither open from the one before: 0.27 -> 0.25 ms medians for version
-# 5, minima 0.219 and 0.215); min of three runs filters one-off
-# page-cache or scheduler hiccups.
+# 0.13. BENCH_mmap.json pins ~0.036 (0.19 ms on XQO2 version 6, which
+# checksums two sections more and 2.75 bytes per node fewer than version
+# 5, walks three chunk-start directories and builds no slice header per
+# label: 0.22 -> 0.19 ms medians over six alternating runs, minima 0.191
+# and 0.150; versions 4 and 5 could not be told from the one before);
+# min of three runs filters one-off page-cache or scheduler hiccups.
 gate-mmap:
 	$(GO) test -run '^$$' -bench 'BenchmarkMmapOpenVsParse' -benchtime 20x -count 3 ./internal/store/ \
 		| $(GATE) -v num=mmap-open -v den=parse -v limit=0.13 -v fold=min

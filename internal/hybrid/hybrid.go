@@ -16,7 +16,7 @@ package hybrid
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/index"
 	"repro/internal/tree"
@@ -97,39 +97,37 @@ func Eval(d *tree.Document, ix *index.Index, p *xpath.Path) (Result, error) {
 	e.stats.Pivot = pivot
 
 	last := len(steps) - 1
-	var out []tree.NodeID
-	for _, v := range ix.Occurrences(steps[pivot].label) {
+	occ := ix.Occurrences(steps[last].label)
+	for o := range ix.Occurrences(steps[pivot].label).From(0) {
+		v := tree.NodeID(o)
 		e.stats.Visited++
 		if !e.matchUpTo(v, pivot) {
 			continue
 		}
 		if pivot == last {
-			out = append(out, v)
+			e.add(v)
 			continue
 		}
 		// Downward part: candidates are the indexed occurrences of the
 		// final label inside v's subtree; each verifies the
 		// intermediate chain by walking ancestors back toward v.
-		occ := e.ix.Occurrences(steps[last].label)
-		lo := sort.Search(len(occ), func(k int) bool { return occ[k] > v })
-		end := e.d.LastDesc(v)
-		for ; lo < len(occ) && occ[lo] <= end; lo++ {
-			u := occ[lo]
+		from, _ := occ.Search(uint32(v + 1))
+		end := uint32(e.d.LastDesc(v))
+		for c := range occ.From(from) {
+			if c > end {
+				break
+			}
 			e.stats.Visited++
-			if e.matchBetween(u, last, v, pivot) {
-				out = append(out, u)
+			if u := tree.NodeID(c); e.matchBetween(u, last, v, pivot) {
+				e.add(u)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	w := 0
-	for i, v := range out {
-		if i == 0 || v != out[w-1] {
-			out[w] = v
-			w++
-		}
+	if e.unsorted {
+		slices.Sort(e.out)
+		e.out = slices.Compact(e.out)
 	}
-	return Result{Selected: out[:w], Stats: e.stats}, nil
+	return Result{Selected: e.out, Stats: e.stats}, nil
 }
 
 // EvalString parses and evaluates.
@@ -146,6 +144,18 @@ type evaluator struct {
 	ix    *index.Index
 	steps []chainStep
 	stats Stats
+	// out is the answer in the order it is found, which is document order
+	// unless pivot occurrences nest: then the candidates under an inner
+	// pivot were already found under the outer one. unsorted says a node
+	// was added that is not above the one before it; only such an answer
+	// pays for the sort and the removal of duplicates.
+	out      []tree.NodeID
+	unsorted bool
+}
+
+func (e *evaluator) add(u tree.NodeID) {
+	e.unsorted = e.unsorted || len(e.out) > 0 && e.out[len(e.out)-1] >= u
+	e.out = append(e.out, u)
 }
 
 // matchUpTo reports whether u can serve as the step-i node of the chain,

@@ -160,6 +160,51 @@ func TestHybridOnXMark(t *testing.T) {
 	}
 }
 
+// TestHybridNestedPivots pins the one case whose answer is not found in
+// document order: pivot occurrences that nest. The keywords under the
+// inner listitem are found twice, under the outer one first, and the one
+// after the inner listitem before them again; the answer is still each
+// node once, ascending. With the pivot on the last step nothing nests in
+// the answer, and it is the occurrence order as it lies.
+func TestHybridNestedPivots(t *testing.T) {
+	b := tree.NewBuilder()
+	b.Open("r")
+	b.Open("listitem") // 2
+	b.Open("keyword")  // 3
+	b.Close()
+	b.Open("listitem") // 4
+	b.Open("keyword")  // 5
+	b.Close()
+	b.Open("keyword") // 6
+	b.Close()
+	b.Close()
+	b.Open("keyword") // 7
+	b.Close()
+	b.Close()
+	b.Open("keyword") // 8: under no listitem
+	b.Close()
+	b.Close()
+	d := b.MustFinish()
+	ix := index.New(d)
+	for _, tc := range []struct {
+		query string
+		pivot int
+		want  []tree.NodeID
+	}{
+		{"//listitem//keyword", 0, []tree.NodeID{3, 5, 6, 7}},
+		{"//r//listitem", 0, []tree.NodeID{2, 4}},
+		{"//keyword", 0, []tree.NodeID{3, 5, 6, 7, 8}},
+	} {
+		res, err := hybrid.EvalString(d, ix, tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Pivot != tc.pivot || !sameNodes(res.Selected, tc.want) {
+			t.Errorf("%s: pivot %d selects %v, want pivot %d selecting %v", tc.query, res.Stats.Pivot, res.Selected, tc.pivot, tc.want)
+		}
+	}
+}
+
 func BenchmarkHybridConfigA(b *testing.B) {
 	d := xmark.Fig5Configs()[0].Build(0.05)
 	ix := index.New(d)

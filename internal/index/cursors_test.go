@@ -2,6 +2,7 @@ package index_test
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -24,15 +25,15 @@ func TestCursorsNextAfterMonotone(t *testing.T) {
 		if !ok {
 			return true
 		}
-		occ := ix.Occurrences(aID)
+		occ := slices.Collect(ix.Occurrences(aID).From(0))
 		x := tree.NodeID(-1)
 		for i := 0; i < 50; i++ {
 			x += tree.NodeID(rng.Intn(12)) // non-decreasing bounds
 			got := cur.NextAfter(aID, x)
-			j := sort.Search(len(occ), func(k int) bool { return occ[k] > x })
+			j := sort.Search(len(occ), func(k int) bool { return tree.NodeID(occ[k]) > x })
 			want := index.Nil
 			if j < len(occ) {
-				want = occ[j]
+				want = tree.NodeID(occ[j])
 			}
 			if got != want {
 				t.Logf("seed=%d NextAfter(a, %d) = %d, want %d", seed, x, got, want)

@@ -15,13 +15,15 @@
 // subtree of a node v is the contiguous preorder interval
 // [v, LastDesc(Parent(v))] — v's own XML subtree plus everything under its
 // following siblings. This interval property is what lets per-label sorted
-// occurrence arrays answer Dt/Ft with one binary search per label in L,
-// the Go stand-in for the paper's compressed-index jumps (see DESIGN.md).
+// occurrence rows answer Dt/Ft with one search per label in L. The rows
+// are the inverse of the document's label array in two bytes a node: one
+// tree.Seq table, its directory indexed directly by (label, rank>>16), so
+// a jump is one directory read and a search of 16-bit halves inside one
+// chunk (see DESIGN.md).
 package index
 
 import (
-	"sort"
-	"unsafe"
+	"slices"
 
 	"repro/internal/labels"
 	"repro/internal/tree"
@@ -31,71 +33,71 @@ import (
 const Nil = tree.Nil
 
 // Index is an immutable jumping index over one document. It holds no
-// per-node array of its own: the ends of binary subtrees come from the
-// document (tree.Document.BinEnd).
+// per-node array of its own but the halves of occ: the ends of binary
+// subtrees come from the document (tree.Document.BinEnd).
 type Index struct {
 	doc *tree.Document
-	// occ[l] lists the nodes labeled l in preorder. The list of
-	// tree.LabelText is the document's own (tree.Document.TextNodes),
-	// borrowed; the others are the index's.
-	occ [][]tree.NodeID
+	// occ is every label's occurrences in preorder, as one table: the
+	// halves of all rows in one array, label after label, and one
+	// directory, label-major — entry l*chunks+c is where the occurrences
+	// of l at ranks c<<16 and up start — so the empty chunks of a rare
+	// label are adjacent words and no row has a header. The row of
+	// tree.LabelText is empty here: it is the document's own
+	// (tree.Document.TextNodes), borrowed as text.
+	occ    tree.Seq
+	text   tree.Seq
+	sigma  int // rows: the labels of doc
+	chunks int // chunks a row: tree.Chunks(doc.NumNodes())
 }
 
-// New builds the index in O(n + Σ) time and space. The per-label counts
-// come with the document (tree.Document.LabelCounts), so the occurrence
-// lists of all but the text nodes, which the document lists itself, are
-// cut from one array and filled in one pass.
+// New builds the index in O(n + Σ × chunks) time and space: one pass over
+// the labels counts the occurrences per label and chunk, prefix sums turn
+// the counts into the directory, and a second pass scatters the halves.
 func New(d *tree.Document) *Index {
-	n := d.NumNodes()
-	sigma := d.Names().Size()
-	texts := d.TextNodes()
-	ix := &Index{doc: d, occ: make([][]tree.NodeID, sigma)}
-	all := make([]tree.NodeID, n-len(texts))
-	next := make([]int, sigma) // where label l's next occurrence goes in all
-	off := 0
-	for l, c := range d.LabelCounts() {
-		if tree.LabelID(l) == tree.LabelText {
-			continue
+	n, sigma, text := d.NumNodes(), d.Names().Size(), d.TextNodes()
+	chunks := tree.Chunks(n)
+	start := make([]uint32, sigma*chunks+1)
+	labels := d.Labels()
+	for c := 0; c < chunks; c++ {
+		counts := start[c+1:] // of chunk c, every chunks-th entry
+		for _, l := range labels[c<<16 : min(n, (c+1)<<16)] {
+			counts[int(l)*chunks]++ // text nodes too: a test per node costs more than clearing their count
 		}
-		ix.occ[l] = all[off : off+int(c) : off+int(c)]
-		next[l] = off
-		off += int(c)
+		counts[int(tree.LabelText)*chunks] = 0
 	}
-	ix.occ[tree.LabelText] = texts
-	for v := 0; v < n; v++ {
-		node := tree.NodeID(v)
-		if l := d.Label(node); l != tree.LabelText {
-			all[next[l]] = node
-			next[l]++
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	lo, next := make([]uint16, n-text.Len()), slices.Clone(start)
+	for c := 0; c < chunks; c++ {
+		for v, l := range labels[c<<16 : min(n, (c+1)<<16)] {
+			if tree.LabelID(l) != tree.LabelText {
+				k := int(l)*chunks + c
+				lo[next[k]] = uint16(v)
+				next[k]++
+			}
 		}
 	}
-	return ix
+	return &Index{doc: d, occ: tree.Seq{Lo: lo, Start: start}, text: text, sigma: sigma, chunks: chunks}
 }
 
-// MemBytes reports the bytes the index holds: the per-label slice
-// headers and the occurrence lists that are its own — the text nodes'
-// list is the document's, and counted there.
-func (ix *Index) MemBytes() int64 {
-	b := int64(len(ix.occ)) * int64(unsafe.Sizeof([]tree.NodeID(nil)))
-	for l, occ := range ix.occ {
-		if tree.LabelID(l) != tree.LabelText {
-			b += 4 * int64(len(occ))
-		}
-	}
-	return b
-}
+// MemBytes reports the bytes the index holds: the halves and the
+// directory of occ — the text nodes' row is the document's, and counted
+// there.
+func (ix *Index) MemBytes() int64 { return ix.occ.MemBytes() }
 
 // Doc returns the indexed document.
 func (ix *Index) Doc() *tree.Document { return ix.doc }
 
 // Count returns the number of nodes labeled l; O(1) as in the paper's
 // index ("our index provides the global count of a label in constant
-// time", §5).
+// time", §5): the two ends of its row in the directory.
 func (ix *Index) Count(l tree.LabelID) int {
-	if int(l) >= len(ix.occ) {
+	if l < 0 || int(l) >= ix.sigma {
 		return 0
 	}
-	return len(ix.occ[l])
+	s, base := ix.table(l)
+	return int(s.Start[base+ix.chunks] - s.Start[base])
 }
 
 // CountSet returns the total occurrence count of a finite label set, and
@@ -112,13 +114,26 @@ func (ix *Index) CountSet(L labels.Set) (int, bool) {
 	return n, true
 }
 
-// Occurrences returns the preorder-sorted nodes labeled l. The slice is
-// shared; callers must not modify it.
-func (ix *Index) Occurrences(l tree.LabelID) []tree.NodeID {
-	if int(l) >= len(ix.occ) {
-		return nil
+// Occurrences returns the preorder-sorted ranks of the nodes labeled l
+// (none for a label the document lacks): the row of l, cut out of its
+// table. The sequence is shared; callers must not modify it.
+func (ix *Index) Occurrences(l tree.LabelID) tree.Seq {
+	if l < 0 || int(l) >= ix.sigma {
+		return tree.Seq{}
 	}
-	return ix.occ[l]
+	s, base := ix.table(l)
+	return tree.Seq{Lo: s.Lo, Start: s.Start[base : base+ix.chunks+1]}
+}
+
+// table returns where the row of l, a label of the document, lies: the
+// table and the row's first directory entry; every row has ix.chunks
+// chunks. The jumps search the row in place (tree.Seq.SearchRow, Next)
+// rather than cut it out.
+func (ix *Index) table(l tree.LabelID) (*tree.Seq, int) {
+	if l == tree.LabelText {
+		return &ix.text, 0
+	}
+	return &ix.occ, int(l) * ix.chunks
 }
 
 // BinEnd returns the last preorder node of v's binary subtree.
@@ -127,13 +142,12 @@ func (ix *Index) BinEnd(v tree.NodeID) tree.NodeID { return ix.doc.BinEnd(v) }
 // firstOccIn returns the first occurrence of label l in the preorder
 // interval (after, end], or Nil.
 func (ix *Index) firstOccIn(l tree.LabelID, after, end tree.NodeID) tree.NodeID {
-	if int(l) >= len(ix.occ) {
+	if int(l) >= ix.sigma {
 		return Nil
 	}
-	occ := ix.occ[l]
-	i := sort.Search(len(occ), func(i int) bool { return occ[i] > after })
-	if i < len(occ) && occ[i] <= end {
-		return occ[i]
+	s, base := ix.table(l)
+	if _, u := s.SearchRow(base, ix.chunks, uint32(after+1)); u <= uint32(end) { // tree.None is above every rank
+		return tree.NodeID(u)
 	}
 	return Nil
 }
@@ -178,7 +192,7 @@ func (ix *Index) Lt(v tree.NodeID, L labels.Set) tree.NodeID {
 // below π (π·2, π·2·2, ...; in XML terms the chain of following siblings)
 // whose label is in L, or Nil. Sibling chains can be very long (that is
 // precisely when jumping pays off), so instead of walking the chain this
-// binary-searches the occurrence arrays and skips over intervening
+// searches the occurrence rows and skips over intervening
 // sibling subtrees: each iteration either answers or jumps past a sibling
 // subtree containing a non-sibling occurrence.
 func (ix *Index) Rt(v tree.NodeID, L labels.Set) tree.NodeID {
@@ -224,94 +238,48 @@ func (ix *Index) Rt(v tree.NodeID, L labels.Set) tree.NodeID {
 // TopMost returns, in document order, the top-most nodes with label in L
 // within the binary subtree rooted at π: the nodes computed by
 // π0 = Dt(π,L), π(n+1) = Ft(πn, L, π) in §3.1.2. ok is false for
-// co-finite L. Single-label sets (the common case after compilation)
-// walk the occurrence array with galloping advance — one binary search
-// total instead of one per enumerated node.
+// co-finite L. The rows of the labels are merged with one cursor each,
+// every cursor moved past each accepted node's binary subtree — one step
+// at a time first (nested occurrences are rare), then by search.
 func (ix *Index) TopMost(v tree.NodeID, L labels.Set) ([]tree.NodeID, bool) {
 	ids, ok := L.Finite()
 	if !ok {
 		return nil, false
 	}
-	if len(ids) == 1 {
-		return ix.topMostSingle(v, ids[0]), true
-	}
-	return ix.topMostMulti(v, ids), true
-}
-
-// topMostMulti merges the occurrence arrays of several labels with one
-// cursor each, advancing all cursors past each accepted node's binary
-// subtree.
-func (ix *Index) topMostMulti(v tree.NodeID, ids []tree.LabelID) []tree.NodeID {
-	end := ix.doc.BinEnd(v)
+	end := uint32(ix.doc.BinEnd(v))
 	type cursor struct {
-		occ []tree.NodeID
-		i   int
+		s    *tree.Seq
+		base int
+		at   tree.Cursor
+		u    uint32 // the occurrence under the cursor, or tree.None: above every rank
 	}
-	cursors := make([]cursor, 0, len(ids))
+	var few [4]cursor // L is one label, or a few: no allocation but the answer's
+	cursors := few[:0]
 	for _, l := range ids {
-		if int(l) >= len(ix.occ) {
+		if int(l) >= ix.sigma {
 			continue
 		}
-		occ := ix.occ[l]
-		i := sort.Search(len(occ), func(k int) bool { return occ[k] > v })
-		if i < len(occ) && occ[i] <= end {
-			cursors = append(cursors, cursor{occ, i})
+		c := cursor{u: tree.None}
+		c.s, c.base = ix.table(l)
+		if c.u = c.s.Next(&c.at, c.base, ix.chunks, c.u, uint32(v+1)); c.u <= end {
+			cursors = append(cursors, c)
 		}
 	}
 	var out []tree.NodeID
 	for {
-		best := Nil
+		best := tree.None
 		for _, c := range cursors {
-			if c.i < len(c.occ) && c.occ[c.i] <= end && (best == Nil || c.occ[c.i] < best) {
-				best = c.occ[c.i]
-			}
+			best = min(best, c.u)
 		}
-		if best == Nil {
-			return out
+		if best > end {
+			return out, true
 		}
-		out = append(out, best)
-		skip := ix.doc.BinEnd(best)
-		for ci := range cursors {
-			c := &cursors[ci]
-			lin := 0
-			for c.i < len(c.occ) && c.occ[c.i] <= skip {
-				c.i++
-				lin++
-				if lin == 8 {
-					rest := c.occ[c.i:]
-					c.i += sort.Search(len(rest), func(k int) bool { return rest[k] > skip })
-					break
-				}
+		out = append(out, tree.NodeID(best))
+		skip := uint32(ix.doc.BinEnd(tree.NodeID(best)))
+		for i := range cursors {
+			if c := &cursors[i]; c.u <= skip {
+				c.u = c.s.Next(&c.at, c.base, ix.chunks, c.u, skip+1)
 			}
 		}
 	}
-}
-
-func (ix *Index) topMostSingle(v tree.NodeID, l tree.LabelID) []tree.NodeID {
-	if int(l) >= len(ix.occ) {
-		return nil
-	}
-	occ := ix.occ[l]
-	end := ix.doc.BinEnd(v)
-	i := sort.Search(len(occ), func(k int) bool { return occ[k] > v })
-	var out []tree.NodeID
-	for i < len(occ) && occ[i] <= end {
-		u := occ[i]
-		out = append(out, u)
-		// Skip occurrences inside u's binary subtree: linear advance
-		// first (nested occurrences are rare), then gallop.
-		skip := ix.doc.BinEnd(u)
-		i++
-		lin := 0
-		for i < len(occ) && occ[i] <= skip {
-			i++
-			lin++
-			if lin == 8 {
-				rest := occ[i:]
-				i += sort.Search(len(rest), func(k int) bool { return rest[k] > skip })
-				break
-			}
-		}
-	}
-	return out
 }

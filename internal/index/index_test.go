@@ -2,6 +2,7 @@ package index_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -130,7 +131,7 @@ func TestOccurrencesSorted(t *testing.T) {
 	d := tgen.Random(11, tgen.Config{MaxNodes: 300})
 	ix := index.New(d)
 	for l := tree.LabelID(0); int(l) < d.Names().Size(); l++ {
-		occ := ix.Occurrences(l)
+		occ := slices.Collect(ix.Occurrences(l).From(0))
 		for i := 1; i < len(occ); i++ {
 			if occ[i-1] >= occ[i] {
 				t.Fatalf("occurrences of label %d not strictly sorted", l)

@@ -1,59 +1,43 @@
 package index
 
-import (
-	"sort"
-
-	"repro/internal/tree"
-)
+import "repro/internal/tree"
 
 // Apply derives the jumping index of a patched document from its parent
 // generation's index and the splice Delta, without re-scanning the
-// whole document. Occurrence lists are per-label sorted preorder
-// arrays, and a subtree patch is one contiguous preorder splice, so
-// each list updates with two binary searches plus a shifted copy, and
-// nothing else is kept per node. The text nodes' list is not derived
-// here: the document's splice already made it, and the index borrows it.
+// whole document. A subtree patch is one contiguous preorder splice, so
+// every row is three stretches: the occurrences before the splice point,
+// copied as they lie; the grafted interval's, gathered from the new
+// document's labels; and those past the removed interval, shifted chunk
+// by chunk (tree.SeqWriter.Append) — a shift moves values across chunk
+// lines, and the rows may have a chunk more or fewer than they had. The
+// text nodes' row is not derived here: the document's splice already made
+// it, and the index borrows it.
 func Apply(old *Index, newDoc *tree.Document, dl *tree.Delta) *Index {
-	sigma := newDoc.Names().Size()
-	ix := &Index{doc: newDoc, occ: make([][]tree.NodeID, sigma)}
-	var (
-		q     = dl.At
-		cut   = dl.At + tree.NodeID(dl.Removed)
-		delta = tree.NodeID(dl.Inserted - dl.Removed)
-	)
-	// Occurrences of the grafted interval [q, q+Inserted), gathered from
-	// the new document's label array (already remapped into the patched
-	// label table by the splice).
-	var inserted map[tree.LabelID][]tree.NodeID
-	if dl.Inserted > 0 {
-		inserted = make(map[tree.LabelID][]tree.NodeID)
-		for v := q; v < q+tree.NodeID(dl.Inserted); v++ {
-			if l := newDoc.Label(v); l != tree.LabelText {
-				inserted[l] = append(inserted[l], v)
-			}
-		}
+	n, text := newDoc.NumNodes(), newDoc.TextNodes()
+	ix := &Index{doc: newDoc, text: text, sigma: newDoc.Names().Size(), chunks: tree.Chunks(n)}
+	q, cut, delta := uint32(dl.At), uint32(dl.At)+uint32(dl.Removed), dl.Inserted-dl.Removed
+	// Occurrences of the grafted interval [q, q+Inserted), by label (the
+	// splice already remapped them into the patched label table).
+	inserted := make(map[uint16][]uint32)
+	for v, l := range newDoc.Labels()[q : q+uint32(dl.Inserted)] {
+		inserted[l] = append(inserted[l], q+uint32(v))
 	}
-	for l := 0; l < sigma; l++ {
+	w := tree.NewSeqWriter(n-text.Len(), ix.sigma*ix.chunks)
+	for l := 0; l < ix.sigma; l++ {
 		if tree.LabelID(l) == tree.LabelText {
-			ix.occ[l] = newDoc.TextNodes()
 			continue
 		}
-		var occ []tree.NodeID
-		if l < len(old.occ) {
-			occ = old.occ[l]
-		}
 		// The removed interval [q, cut) occupies one contiguous run of
-		// each sorted occurrence list.
-		lo := sort.Search(len(occ), func(i int) bool { return occ[i] >= q })
-		hi := lo + sort.Search(len(occ[lo:]), func(i int) bool { return occ[lo:][i] >= cut })
-		ins := inserted[tree.LabelID(l)]
-		out := make([]tree.NodeID, 0, lo+len(ins)+len(occ)-hi)
-		out = append(out, occ[:lo]...)
-		out = append(out, ins...)
-		for _, v := range occ[hi:] {
-			out = append(out, v+delta)
+		// the row (which is empty for a label the fragment brought).
+		base, row := l*ix.chunks, old.Occurrences(tree.LabelID(l))
+		lo, _ := row.Search(q)
+		hi, _ := row.Search(cut)
+		w.Append(base, row, 0, lo, 0)
+		for _, v := range inserted[uint16(l)] {
+			w.Put(base, v)
 		}
-		ix.occ[l] = out
+		w.Append(base, row, hi, row.Len(), delta)
 	}
+	ix.occ = w.Done()
 	return ix
 }

@@ -11,10 +11,10 @@ import (
 
 // heldBytes sums what v holds in slices and strings, following pointers
 // and struct fields: len × element size per slice, plus whatever the
-// elements hold themselves (the occurrence lists behind their headers,
-// the label names behind theirs). A backing array reached twice — the
-// text nodes, listed by the document and borrowed by the index — is
-// held once. Maps and interfaces are passed over — the label table's
+// elements hold themselves (the label names behind their headers). A
+// backing array reached twice — the halves and the directory of the text
+// nodes' ranks, kept by the document and borrowed by the index — is held
+// once. Maps and interfaces are passed over — the label table's
 // lookup map is a few dozen entries, and a mapped document's owner is
 // the file the slices already alias.
 func heldBytes(v reflect.Value) int64 {
@@ -58,8 +58,9 @@ func heldOnce(v reflect.Value, seen map[unsafe.Pointer]bool) int64 {
 // so an array added to either type moves the store's mem_bytes, and
 // with it the benchmark's resident_bytes_per_node, without anyone
 // remembering to. The index reaches its document through a pointer,
-// hence the sum on its side; and it must borrow the document's list of
-// text nodes, not copy it, in all three. The document is large enough
+// hence the sum on its side; and its #text row must be the document's
+// sequence of text nodes — the same halves, the same directory — not a
+// copy, in all three. The document is large enough
 // (109 000 nodes) to have wide nodes, so that table is counted too.
 func TestMemBytesIsTheSumOfTheSlices(t *testing.T) {
 	s := New()
@@ -90,25 +91,26 @@ func TestMemBytesIsTheSumOfTheSlices(t *testing.T) {
 			t.Errorf("%s: Stats.MemBytes = %d, want %d", name, got, want)
 		}
 		texts, occ := h.Doc.TextNodes(), h.Index.Occurrences(tree.LabelText)
-		if len(texts) == 0 || len(occ) != len(texts) || &occ[0] != &texts[0] {
-			t.Errorf("%s: the index's %d text occurrences are not the document's list of %d text nodes", name, len(occ), len(texts))
+		if texts.Len() == 0 || occ.Len() != texts.Len() || &occ.Lo[0] != &texts.Lo[0] || &occ.Start[0] != &texts.Start[0] {
+			t.Errorf("%s: the index's %d text occurrences are not the document's row of %d text nodes", name, occ.Len(), texts.Len())
 		}
 	}
 }
 
 // TestResidentBytesPerNode pins the figure the benchmark reports as
-// resident_bytes_per_node on a document of its shape: 10 structural
-// bytes per node (a 16-bit label, up and size in 16 bits each, one
-// 4-byte occurrence entry — for a text node, its place in the document's
-// list; the wide table is a few dozen bytes in all), 4 more per text
-// node (its offset; 3 nodes in 8 are text) and XMark's ~3 bytes of text.
+// resident_bytes_per_node on a document of its shape: 8 structural
+// bytes per node (a 16-bit label, up and size in 16 bits each, the
+// 16-bit half of one occurrence entry — for a text node, its place in
+// the document's row; the directories and the wide table are a few
+// kilobytes in all), 2 more per text node (the half of its offset; 3
+// nodes in 8 are text) and XMark's ~3 bytes of text.
 func TestResidentBytesPerNode(t *testing.T) {
 	h, err := New().Add("d", xmark.Generate(xmark.Config{Scale: 0.05, Seed: 1}), SourceDirect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if perNode := float64(h.Stats.MemBytes) / float64(h.Stats.Nodes); perNode > 15 {
-		t.Errorf("%.2f resident bytes per node (%d bytes, %d nodes), want <= 15", perNode, h.Stats.MemBytes, h.Stats.Nodes)
+	if perNode := float64(h.Stats.MemBytes) / float64(h.Stats.Nodes); perNode > 12 {
+		t.Errorf("%.2f resident bytes per node (%d bytes, %d nodes), want <= 12", perNode, h.Stats.MemBytes, h.Stats.Nodes)
 	} else {
 		t.Logf("%.2f resident bytes per node", perNode)
 	}

@@ -1,11 +1,13 @@
 package store_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -170,7 +172,7 @@ func checkText(d, ref *tree.Document) error {
 	if d.NumNodes() != ref.NumNodes() {
 		return fmt.Errorf("%d nodes, reference has %d", d.NumNodes(), ref.NumNodes())
 	}
-	n, texts := tree.NodeID(d.NumNodes()), d.TextNodes()
+	n, texts := tree.NodeID(d.NumNodes()), slices.Collect(d.TextNodes().From(0))
 	for v := tree.NodeID(0); v < n; v++ {
 		if d.LabelName(v) != ref.LabelName(v) || d.Text(v) != ref.Text(v) {
 			return fmt.Errorf("node %d is %s %q, reference %s %q", v, d.LabelName(v), d.Text(v), ref.LabelName(v), ref.Text(v))
@@ -180,7 +182,7 @@ func checkText(d, ref *tree.Document) error {
 			if d.Text(v) != "" {
 				return fmt.Errorf("node %d, a %s, has text %q", v, d.LabelName(v), d.Text(v))
 			}
-		case len(texts) == 0 || texts[0] != v:
+		case len(texts) == 0 || tree.NodeID(texts[0]) != v:
 			return fmt.Errorf("text node %d is not the next one listed (%d left)", v, len(texts))
 		default:
 			texts = texts[1:]
@@ -195,7 +197,34 @@ func checkText(d, ref *tree.Document) error {
 	if got, want := d.XMLString(), ref.XMLString(); got != want {
 		return fmt.Errorf("serialized %s, reference %s", got, want)
 	}
+	// The two text sequences are the reference's byte for byte, at rest as
+	// in memory: halves and chunk starts, so no chunk boundary of an
+	// earlier generation survived a splice.
+	got, err := sections(d)
+	if err != nil {
+		return err
+	}
+	want, err := sections(ref)
+	if err != nil {
+		return err
+	}
+	for _, kind := range []uint32{tree.SecTextNodes, tree.SecTextDir, tree.SecTextOff, tree.SecTextOffDir} {
+		if !bytes.Equal(got.Section(kind), want.Section(kind)) {
+			return fmt.Errorf("section %d differs from the reference's", kind)
+		}
+	}
 	return nil
+}
+
+// sections returns d as it lies in an XQO2 container.
+func sections(d *tree.Document) (*tree.Layout, error) {
+	w := tree.NewLayoutWriter()
+	tree.AddDocumentSections(w, d, tree.NewSuccinct(d))
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		return nil, err
+	}
+	return tree.OpenLayout(buf.Bytes(), nil)
 }
 
 // checkHandle compares one patched generation against a from-scratch
@@ -211,19 +240,19 @@ func checkHandle(h *store.Handle) error {
 	if err := d.VerifyStructure(); err != nil {
 		return fmt.Errorf("not canonical: %w", err)
 	}
-	// Jumping index: occurrence lists and binEnd, entry for entry.
+	// Jumping index: the table a build from scratch makes, halves and
+	// directory element for element — so no chunk boundary of the parent
+	// generation survived the splice — and binEnd, entry for entry.
 	fresh := index.New(d)
 	sigma := d.Names().Size()
 	for l := 0; l < sigma; l++ {
 		got := h.Index.Occurrences(tree.LabelID(l))
 		want := fresh.Occurrences(tree.LabelID(l))
-		if len(got) != len(want) {
-			return fmt.Errorf("index occ[%d]: %d entries, want %d", l, len(got), len(want))
+		if !slices.Equal(got.Start, want.Start) {
+			return fmt.Errorf("index row %d: directory %v, want %v", l, got.Start, want.Start)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				return fmt.Errorf("index occ[%d][%d] = %d, want %d", l, i, got[i], want[i])
-			}
+		if !slices.Equal(got.Lo, want.Lo) {
+			return fmt.Errorf("index row %d: the halves differ from a rebuild's", l)
 		}
 	}
 	for v := 0; v < d.NumNodes(); v++ {
@@ -475,6 +504,93 @@ func TestMVCCOracleAcrossTheWideLine(t *testing.T) {
 	}
 	// Only the first patch reads a mapped base's arrays (and takes item
 	// across the line); one more makes b wide.
+	if err := runSequence(base, patches[:2], true); err != nil {
+		t.Errorf("mapped base: %v", err)
+	}
+}
+
+// TestMVCCOracleAcrossTheChunkLine: patch sequences that take an
+// occurrence (the element item), a text node's rank and its text's offset
+// from 65 535 to 65 536 and back, one node or one byte at a time, by
+// insert, delete and replace — a fragment longer than a chunk included
+// once — through the store from a heap base and from a mapped one, every
+// generation checked like any other, which is canonically: the patched
+// index's halves and chunk starts are those of an index built from
+// scratch, the document's two text sequences those of the patch done by
+// definition, so no chunk line of an earlier generation survives a
+// splice, and the node count crossing 65 536 gives every row a chunk more
+// or fewer.
+func TestMVCCOracleAcrossTheChunkLine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a dozen generations of 65 000 to 200 000 nodes, each rebuilt and queried 96 times")
+	}
+	// 0=#doc 1=a 2=b 3=a text of 65 534 bytes, k leaves c, then item at
+	// 65 533 with its text at 65 534, offset 65 534: 65 535 nodes.
+	const line, k, b = 1 << 16, 1<<16 - 7, tree.NodeID(2)
+	bd := tree.NewBuilder()
+	bd.Open("a")
+	bd.Open("b")
+	bd.Close()
+	bd.Text(strings.Repeat("x", line-2))
+	for i := 0; i < k; i++ {
+		bd.Open("c")
+		bd.Close()
+	}
+	bd.Open("item")
+	bd.Text("tail")
+	bd.Close()
+	bd.Close()
+	base := bd.MustFinish()
+	fb := tree.NewBuilder()
+	fb.Open("c")
+	fb.Text("y")
+	fb.Close()
+	leaf, text, chunk := tgen.Chain("c", 1), fb.MustFinish(), tgen.Star("b", "name", line+100)
+	first := func(d *tree.Document) tree.NodeID { return d.FirstChild(b) }
+	draw := []func(d *tree.Document) tree.Patch{
+		func(d *tree.Document) tree.Patch { // item 65 534, its text 65 535
+			return tree.Patch{Op: tree.OpInsert, Node: b, Before: tree.Nil, Frag: leaf}
+		},
+		func(d *tree.Document) tree.Patch { // item 65 535, its text 65 536: two chunks of ranks
+			return tree.Patch{Op: tree.OpInsert, Node: b, Before: first(d), Frag: leaf}
+		},
+		func(d *tree.Document) tree.Patch { // item 65 536
+			return tree.Patch{Op: tree.OpInsert, Node: b, Before: tree.Nil, Frag: leaf}
+		},
+		func(d *tree.Document) tree.Patch { // a byte ahead: the tail text at offset 65 535
+			return tree.Patch{Op: tree.OpReplace, Node: first(d), Before: tree.Nil, Frag: text}
+		},
+		func(d *tree.Document) tree.Patch { // another: 65 536
+			return tree.Patch{Op: tree.OpReplace, Node: d.LastDesc(b), Before: tree.Nil, Frag: text}
+		},
+		func(d *tree.Document) tree.Patch { // 65 535 again, two nodes fewer
+			return tree.Patch{Op: tree.OpDelete, Node: first(d), Before: tree.Nil}
+		},
+		func(d *tree.Document) tree.Patch { // item 65 535 again
+			return tree.Patch{Op: tree.OpDelete, Node: first(d), Before: tree.Nil}
+		},
+		func(d *tree.Document) tree.Patch { // more than a chunk in b's place: everything after it moves two chunks up
+			return tree.Patch{Op: tree.OpReplace, Node: b, Before: tree.Nil, Frag: chunk}
+		},
+		func(d *tree.Document) tree.Patch { // and down again, below the line: one chunk
+			return tree.Patch{Op: tree.OpReplace, Node: b, Before: tree.Nil, Frag: leaf}
+		},
+	}
+	doc := base
+	var patches []tree.Patch
+	for i, f := range draw {
+		pt := f(doc)
+		next, _, err := doc.Apply(pt)
+		if err != nil {
+			t.Fatalf("generating step %d: %v", i, err)
+		}
+		patches, doc = append(patches, pt), next
+	}
+	if err := runSequence(base, patches, false); err != nil {
+		t.Errorf("heap base: %v", err)
+	}
+	// Only the first patch reads a mapped base's arrays; the second takes
+	// the ranks into a second chunk.
 	if err := runSequence(base, patches[:2], true); err != nil {
 		t.Errorf("mapped base: %v", err)
 	}

@@ -3,10 +3,12 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/tree"
 )
 
@@ -39,25 +41,32 @@ var fuzzContainer = sync.OnceValue(func() []byte {
 
 // fuzzSections are the sections FuzzNavigateVerified edits, by the
 // first byte of an edit, with the width of their words (SecWide's are
-// the halves of an entry: node, last).
+// the halves of an entry: node, last; the halves of a sequence are its
+// 16-bit words, its directory's the 32-bit chunk starts).
 var fuzzSections = []struct {
 	kind uint32
 	word int
 }{
-	{tree.SecUp, 2}, {tree.SecSize, 2}, {tree.SecLabels, 2}, {tree.SecTextNodes, 4}, {tree.SecTextOff, 4}, {tree.SecWide, 4},
+	{tree.SecUp, 2}, {tree.SecSize, 2}, {tree.SecLabels, 2}, {tree.SecTextNodes, 2}, {tree.SecTextOff, 2}, {tree.SecWide, 4},
+	{tree.SecTextDir, 4}, {tree.SecTextOffDir, 4}, {index.SecOccAll, 2}, {index.SecOccOff, 4},
 }
 
-// FuzzNavigateVerified: what Document.VerifyStructure accepts can be
-// navigated and read. The input is a list of 9-byte edits — which of
-// the six per-node, per-text-node and per-wide-node sections, which
-// word, the new value — applied to a valid container with the checksums
-// fixed up, so that the open fails only on its own shape checks. Then
-// either verification refuses the document, or a preorder walk by
-// FirstChild/NextSibling from the root visits each of the n nodes once,
-// in rank order, every parent walk ends at the root, the listed text
-// nodes are exactly the nodes labelled #text, in order, and Text is
-// empty on every other node and on those reads the blob from end to
-// end; and nothing panics either way.
+// FuzzNavigateVerified: what VerifyStructure accepts, of the document
+// and of its index, can be navigated, read and jumped over, and what the
+// default open accepts can be asked anything without a fault. The input
+// is a list of 9-byte edits — which of the per-node, per-text-node,
+// per-wide-node and per-chunk sections, which word, the new value —
+// applied to a valid container with the checksums fixed up, so that the
+// open fails only on its own shape checks. Then, whatever the open let
+// through, Text of every node and a search and a sweep of every
+// occurrence row return; and either verification refuses the document or
+// its index, or a preorder walk by FirstChild/NextSibling from the root
+// visits each of the n nodes once, in rank order, every parent walk ends
+// at the root, the listed text nodes are exactly the nodes labelled
+// #text, in order, Text is empty on every other node and on those reads
+// the blob from end to end, and the index is the inverse of the labels:
+// the row of each label lists the nodes carrying it, all of them, in
+// order. Nothing panics either way.
 func FuzzNavigateVerified(f *testing.F) {
 	edit := func(sec byte, word, value uint32) []byte {
 		e := []byte{sec}
@@ -65,6 +74,7 @@ func FuzzNavigateVerified(f *testing.F) {
 		return binary.LittleEndian.AppendUint32(e, value)
 	}
 	const n, far = fuzzFanout + 2 + fuzzFanout/5000, 0xFFFF // nodes; the escape
+	const texts = fuzzFanout / 5000                         // all of them below rank 65 536
 	f.Add([]byte{})
 	f.Add(edit(0, 9, 0))                           // up = 0 off the root: a node its own parent
 	f.Add(edit(0, 9, 2))                           // a parent that is not the enclosing node
@@ -83,10 +93,23 @@ func FuzzNavigateVerified(f *testing.F) {
 	f.Add(edit(5, 3, 1<<31))                       // a span ending below zero, its length wrapping
 	f.Add(edit(2, 3, 1))                           // an element relabelled #text, and not listed
 	f.Add(edit(2, 3, 60000))                       // a label past the name table
-	f.Add(edit(3, 2, 3))                           // the text node list stepping back
+	f.Add(edit(3, 2, 3))                           // the text nodes' halves stepping back inside a chunk
 	f.Add(edit(3, 1, 9))                           // a listed text node that is an element
-	f.Add(edit(4, 2, 1<<30))                       // a text offset past the blob
+	f.Add(edit(4, 2, 60000))                       // a text offset past the blob
 	f.Add(edit(4, 3, 0))                           // text offsets stepping back
+	f.Add(edit(4, texts, 60000))                   // offsets ending past the blob
+	f.Add(edit(3, texts-1, 65017))                 // the last text rank moved onto an element: a text node missing from the #text row
+	f.Add(edit(6, 1, texts+6))                     // a directory that decreases
+	f.Add(edit(6, 2, texts-1))                     // a directory whose last entry is not the element count
+	f.Add(edit(6, 1, 3))                           // a chunk line moved: eleven text ranks decoded 65 536 too high, mostly past n
+	f.Add(edit(7, 1, texts))                       // the offsets' directory one short of their count
+	f.Add(edit(9, 5, 1))                           // a row boundary off by one: the fan element filed in its row's second chunk
+	f.Add(edit(9, 2, 0))                           // the directory stepping back at a row's start
+	f.Add(edit(9, 3, 2))                           // an entry in the #text row, which is the document's to keep
+	f.Add(edit(9, 8, n))                           // the closing entry past the halves
+	f.Add(edit(8, 5, 3))                           // halves out of order inside a chunk
+	f.Add(edit(8, n-texts-1, far))                 // a rank past n in the last chunk
+	f.Add(edit(8, 1, 2))                           // an occurrence filed under the wrong label
 	f.Fuzz(func(t *testing.T, edits []byte) {
 		data := bytes.Clone(fuzzContainer())
 		for ; len(edits) >= 9; edits = edits[9:] {
@@ -102,12 +125,29 @@ func FuzzNavigateVerified(f *testing.F) {
 		}
 		d, _, err := tree.DocumentFromLayout(l)
 		if err != nil {
-			return // the open's shape checks: an end of the text directory, its first node, the wide table, the succinct view
+			return // the open's shape checks: the text sequences' directories and ends, the wide table, the succinct view
 		}
-		if d.VerifyStructure() != nil {
+		ix, err := index.FromLayout(l, d)
+		if err != nil {
+			return // the occurrence table's directory
+		}
+		// Unverified, every answer may be wrong; none may fault.
+		n := tree.NodeID(d.NumNodes())
+		for v := tree.Nil; v <= n; v++ {
+			_ = d.Text(v)
+		}
+		for lab := tree.LabelID(0); int(lab) < d.Names().Size(); lab++ {
+			row, swept := ix.Occurrences(lab), 0
+			for range row.From(0) {
+				swept++
+			}
+			if pos, _ := row.Search(uint32(n) / 2); swept != row.Len() || pos > swept {
+				t.Fatalf("label %d: a sweep of its row yields %d of %d occurrences, a search position %d", lab, swept, row.Len(), pos)
+			}
+		}
+		if d.VerifyStructure() != nil || ix.VerifyStructure() != nil {
 			return
 		}
-		n := tree.NodeID(d.NumNodes())
 		for v := tree.NodeID(0); v < n; v++ {
 			steps := tree.NodeID(0)
 			for u := v; u != d.Root(); u = d.Parent(u) {
@@ -138,7 +178,7 @@ func FuzzNavigateVerified(f *testing.F) {
 		// Text, from the labels alone: the i-th node labelled #text is the
 		// i-th listed, and the texts in that order are the blob.
 		var blob []byte
-		texts := d.TextNodes()
+		texts := slices.Collect(d.TextNodes().From(0))
 		for v := tree.NodeID(0); v < n; v++ {
 			text := d.Text(v)
 			if d.Label(v) != tree.LabelText {
@@ -147,7 +187,7 @@ func FuzzNavigateVerified(f *testing.F) {
 				}
 				continue
 			}
-			if len(texts) == 0 || texts[0] != v {
+			if len(texts) == 0 || tree.NodeID(texts[0]) != v {
 				t.Fatalf("verified, yet text node %d is not the next one listed (%d left)", v, len(texts))
 			}
 			texts = texts[1:]
@@ -156,6 +196,21 @@ func FuzzNavigateVerified(f *testing.F) {
 		if len(texts) != 0 || !bytes.Equal(blob, l.Section(tree.SecTextBlob)) {
 			t.Fatalf("verified, yet %d listed text nodes are not labelled so, or the texts (%d bytes) are not the blob (%d bytes)",
 				len(texts), len(blob), len(l.Section(tree.SecTextBlob)))
+		}
+		// The index, from the labels alone: each node is the next
+		// occurrence of its label, and no row holds more.
+		cur, found := ix.NewCursors(), 0
+		for v := tree.NodeID(0); v < n; v++ {
+			if got := cur.NextAfter(d.Label(v), v-1); got != v {
+				t.Fatalf("verified, yet the first %s after node %d is %d", d.LabelName(v), v-1, got)
+			}
+			found++
+		}
+		for lab := tree.LabelID(0); int(lab) < d.Names().Size(); lab++ {
+			found -= ix.Count(lab)
+		}
+		if found != 0 {
+			t.Fatalf("verified, yet the rows hold %d occurrences more than there are nodes", -found)
 		}
 	})
 }

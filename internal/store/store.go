@@ -70,7 +70,7 @@ type Stats struct {
 	// two reserved labels).
 	Labels int `json:"labels"`
 	// MemBytes estimates the resident size of the document plus its
-	// index (flat arrays, occurrence lists, text and label tables). For
+	// index (flat arrays, occurrence rows, text and label tables). For
 	// mapped documents this working set is file-backed, not heap.
 	MemBytes int64 `json:"mem_bytes"`
 	// MappedBytes is the size of the XQO2 mapping backing this document

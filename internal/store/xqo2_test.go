@@ -119,7 +119,7 @@ func TestXQO2Malformed(t *testing.T) {
 	mutants := map[string]func([]byte){
 		"bad magic":        func(b []byte) { copy(b[0:4], "YYYY") },
 		"bad version":      func(b []byte) { b[4] = 99 },
-		"previous version": func(b []byte) { b[4] = 4 },
+		"previous version": func(b []byte) { b[4] = 5 },
 		"corrupt payload": func(b []byte) {
 			// First payload starts at the 64-byte-aligned end of the
 			// section table (header 24 bytes + count entries of 24).
@@ -243,37 +243,45 @@ func TestXQO2VerifyStructure(t *testing.T) {
 		},
 		"text node listed twice": func(b []byte) {
 			rewriteSection(t, b, tree.SecTextNodes, func(p []byte) {
-				copy(p[4:8], p[0:4])
+				copy(p[2:4], p[0:2])
 			})
 		},
 		// The second text would end before it starts.
 		"text offsets stepping back": func(b []byte) {
 			rewriteSection(t, b, tree.SecTextOff, func(p []byte) {
-				binary.LittleEndian.PutUint32(p[4*2:], 0)
+				binary.LittleEndian.PutUint16(p[2*2:], 0)
 			})
 		},
 		"occurrences unsorted": func(b []byte) {
-			// Swap the first two occurrences of some label with a list of
-			// ≥2 entries: both carry that label, so the default open's head
-			// spot check still passes, but the list stops being sorted.
-			_, off := findSection(t, b, index.SecOccOff)
-			lo := uint64(0)
-			found := false
-			for i := 0; i+16 <= len(off); i += 8 {
-				a := binary.LittleEndian.Uint64(off[i:])
-				if binary.LittleEndian.Uint64(off[i+8:]) >= a+2 {
-					lo, found = a, true
+			// Swap the first two halves of some chunk of some label that
+			// holds two or more: both nodes carry that label, and the
+			// directory, all the default open looks at, is untouched, but
+			// the row stops being sorted.
+			_, dir := findSection(t, b, index.SecOccOff)
+			at := -1
+			for i := 0; i+8 <= len(dir); i += 4 {
+				if a := binary.LittleEndian.Uint32(dir[i:]); binary.LittleEndian.Uint32(dir[i+4:]) >= a+2 {
+					at = 2 * int(a)
 					break
 				}
 			}
-			if !found {
-				t.Fatal("no label with >=2 occurrences")
+			if at < 0 {
+				t.Fatal("no label with two occurrences in one chunk")
 			}
 			rewriteSection(t, b, index.SecOccAll, func(p []byte) {
-				x := binary.LittleEndian.Uint32(p[lo*4:])
-				y := binary.LittleEndian.Uint32(p[lo*4+4:])
-				binary.LittleEndian.PutUint32(p[lo*4:], y)
-				binary.LittleEndian.PutUint32(p[lo*4+4:], x)
+				x, y := binary.LittleEndian.Uint16(p[at:]), binary.LittleEndian.Uint16(p[at+2:])
+				binary.LittleEndian.PutUint16(p[at:], y)
+				binary.LittleEndian.PutUint16(p[at+2:], x)
+			})
+		},
+		// The first element filed under the root's label: every rank still
+		// occurs once and every row ascends, but one row holds a node that
+		// does not carry its label, and that node's own row lacks it.
+		"occurrence under the wrong label": func(b []byte) {
+			rewriteSection(t, b, index.SecOccOff, func(p []byte) {
+				for i := 4; i+4 <= len(p) && binary.LittleEndian.Uint32(p[i:]) == 1; i += 4 {
+					binary.LittleEndian.PutUint32(p[i:], 2)
+				}
 			})
 		},
 	}
@@ -380,8 +388,7 @@ func TestXQO2WideTable(t *testing.T) {
 }
 
 // repeatedElement returns, from a labels section, the first element that
-// is not the first of its label — a node the default open's spot check
-// of each occurrence list's head does not look at.
+// is not the first of its label.
 func repeatedElement(labels []byte) int {
 	seen := map[uint16]bool{}
 	for v := 0; 2*v < len(labels); v++ {

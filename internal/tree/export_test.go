@@ -10,8 +10,12 @@ import (
 func (d *Document) SpareCapacity() int {
 	return 2*(cap(d.labels)-len(d.labels)+cap(d.up)-len(d.up)+cap(d.size)-len(d.size)) +
 		8*(cap(d.wide)-len(d.wide)) +
-		4*(cap(d.textNodes)-len(d.textNodes)+cap(d.textOff)-len(d.textOff)) +
+		d.textNodes.spare() + d.textOff.spare() +
 		cap(d.textBlob) - len(d.textBlob)
+}
+
+func (s Seq) spare() int {
+	return 2*(cap(s.Lo)-len(s.Lo)) + 4*(cap(s.Start)-len(s.Start))
 }
 
 // Far is the distance from which up and size hold an escape.
@@ -54,7 +58,7 @@ func RequireSameTopology(t *testing.T, what string, got, want *Document) {
 	}
 }
 
-func firstDiff(a, b []uint16) int {
+func firstDiff[T comparable](a, b []T) int {
 	for i := range a {
 		if i >= len(b) || a[i] != b[i] {
 			return i

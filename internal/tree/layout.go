@@ -14,10 +14,11 @@ import (
 
 // XQO2 resident layout — the only binary document format. It stores
 // every array of the in-memory representation (labels, up, size, wide,
-// text nodes + their offsets + blob, bitvector words, rank superblocks,
-// BP segment tree, label table) verbatim in 64-byte-aligned, CRC-checksummed
-// sections, so an mmap'd file can be aliased into live structures
-// without copying or rebuilding anything.
+// the text nodes' ranks and offsets as halves + directory each, the blob,
+// bitvector words, rank superblocks, BP segment tree, label table)
+// verbatim in 64-byte-aligned, CRC-checksummed sections, so an mmap'd
+// file can be aliased into live structures without copying or rebuilding
+// anything.
 // Opening a corpus is page-table setup; the OS pages cold documents.
 //
 //	offset 0   magic "XQO2"
@@ -43,7 +44,13 @@ import (
 // two bytes each, and the wide table (19) their escapes are answered
 // from. The kinds are new, but a version-4 reader would report a missing
 // section and a version-5 reader of a version-4 file likewise, where the
-// version check names the cause and the remedy. A file of another
+// version check names the cause and the remedy. Version 6 stores every
+// sorted sequence as a Seq: the text nodes' ranks (kind 16), their
+// offsets (8) and the index's occurrences (33) hold 16-bit halves where
+// they held 32-bit values, the index's directory (32) chunk starts per
+// label where it held one 64-bit offset per label, and the two text
+// sequences gained a directory each (20, 21) — again kinds kept with
+// another shape, which only the version can tell. A file of another
 // version is refused with the command that re-saves it.
 //
 // This file owns the container plus the Document/Succinct sections;
@@ -53,7 +60,7 @@ import (
 
 const (
 	xqo2Magic      = "XQO2"
-	xqo2Version    = 5
+	xqo2Version    = 6
 	xqo2Align      = 64
 	xqo2EndianMark = 0x0102030405060708
 	xqo2HeaderLen  = 24
@@ -64,11 +71,12 @@ const (
 // layer their sections on top (internal/index uses 32+). Kinds 4, 5 and
 // 7 (version 2's firstChild, nextSibling and depth) and 3 and 6 (parent
 // and lastDesc, up to version 4) are retired and stay reserved; kinds 2
-// and 8 kept their meaning and changed their shape in version 4.
+// and 8 kept their meaning and changed their shape in version 4, kinds 8
+// and 16 again in version 6.
 const (
 	SecDocMeta    uint32 = 1  // scalars: numNodes, numNames, parenLen, parenOnes
 	SecLabels     uint32 = 2  // []uint16, len numNodes
-	SecTextOff    uint32 = 8  // []uint32, len(SecTextNodes)+1: each text node's start in the blob, then its end
+	SecTextOff    uint32 = 8  // []uint16, len(SecTextNodes)+1: the halves of each text node's start in the blob, then of its end
 	SecTextBlob   uint32 = 9  // raw bytes
 	SecNameOff    uint32 = 10 // []uint32, len numNames+1
 	SecNameBlob   uint32 = 11 // raw bytes
@@ -76,10 +84,12 @@ const (
 	SecBPSuper    uint32 = 13 // []uint64: rank superblock directory
 	SecBPBlockMin uint32 = 14 // []int32: min-excess segment tree
 	SecBPBlockSum uint32 = 15 // []int32: excess-sum segment tree
-	SecTextNodes  uint32 = 16 // []NodeID: the #text nodes, ascending — also the index's occurrence list of LabelText
+	SecTextNodes  uint32 = 16 // []uint16: the halves of the #text nodes' ranks, ascending — also the index's occurrence row of LabelText
 	SecUp         uint32 = 17 // []uint16, len numNodes: v - parent, or 0xFFFF
 	SecSize       uint32 = 18 // []uint16, len numNodes: lastDesc - v, or 0xFFFF
 	SecWide       uint32 = 19 // []{node, last NodeID}: the nodes whose size is 0xFFFF, ascending
+	SecTextDir    uint32 = 20 // []uint32, one per 65 536 ranks and one more: where each chunk of SecTextNodes starts
+	SecTextOffDir uint32 = 21 // []uint32, one per 65 536 blob bytes and one more: where each chunk of SecTextOff starts
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -331,8 +341,10 @@ func AddDocumentSections(w *LayoutWriter, d *Document, s *Succinct) {
 	w.Add(SecUp, SliceBytes(d.up))
 	w.Add(SecSize, SliceBytes(d.size))
 	w.Add(SecWide, SliceBytes(d.wide))
-	w.Add(SecTextNodes, SliceBytes(d.textNodes))
-	w.Add(SecTextOff, SliceBytes(d.textOff))
+	w.Add(SecTextNodes, SliceBytes(d.textNodes.Lo))
+	w.Add(SecTextDir, SliceBytes(d.textNodes.Start))
+	w.Add(SecTextOff, SliceBytes(d.textOff.Lo))
+	w.Add(SecTextOffDir, SliceBytes(d.textOff.Start))
 	w.Add(SecTextBlob, d.textBlob)
 	nameOff := make([]uint32, 0, d.names.Size()+1)
 	var nameBlob []byte
@@ -386,36 +398,33 @@ func DocumentFromLayout(l *Layout) (*Document, *Succinct, error) {
 	if d.wide, err = layoutSlice[span](l, SecWide, -1); err != nil {
 		return nil, nil, err
 	}
-	if d.textNodes, err = layoutSlice[NodeID](l, SecTextNodes, -1); err != nil {
-		return nil, nil, err
-	}
-	texts := len(d.textNodes)
-	if d.textOff, err = layoutSlice[uint32](l, SecTextOff, texts+1); err != nil {
-		return nil, nil, err
-	}
 	d.textBlob = l.Section(SecTextBlob)
+	if d.textNodes, err = SeqFromLayout(l, SecTextNodes, SecTextDir, -1, Chunks(n)); err != nil {
+		return nil, nil, err
+	}
+	texts := d.textNodes.Len()
+	if texts > n {
+		return nil, nil, fmt.Errorf("tree: xqo2: %d text nodes listed among %d nodes", texts, n)
+	}
+	if d.textOff, err = SeqFromLayout(l, SecTextOff, SecTextOffDir, texts+1, Chunks(len(d.textBlob)+1)); err != nil {
+		return nil, nil, err
+	}
 
 	// Shape checks here cost nothing per node: section lengths against the
-	// node and text-node counts (layoutSlice above), the text directory's
-	// two ends against the blob, the first listed text node carrying the
-	// text label, and the wide table — a dozen entries on a million nodes —
-	// being one a lookup can trust. Element-wise structural validation — up
-	// and size describing a tree, their escapes matching the table, the
-	// text nodes listed being the nodes labelled so, their offsets
-	// monotone — is the opt-in VerifyStructure pass:
-	// the default open trusts checksummed content (the CRCs catch
-	// corruption; the format is a cache artifact written by this
+	// node and text-node counts, the two directories (SeqFromLayout), the
+	// text offsets' two ends against the blob, and the wide table — a dozen
+	// entries on a million nodes — being one a lookup can trust.
+	// Element-wise structural validation — up and size describing a tree,
+	// their escapes matching the table, the text nodes listed being the
+	// nodes labelled so, their offsets monotone — is the opt-in
+	// VerifyStructure pass: the default open trusts checksummed content (the
+	// CRCs catch corruption; the format is a cache artifact written by this
 	// process), because re-scanning every array on every open would cost
 	// more than the rest of the zero-copy open combined. Untrusted files
 	// go through VerifyStructure, which errors instead of letting a
 	// crafted value panic a later query.
-	if d.textOff[0] != 0 || int(d.textOff[texts]) != len(d.textBlob) {
-		return nil, nil, fmt.Errorf("tree: xqo2: text offsets span [%d, %d) of a %d-byte blob", d.textOff[0], d.textOff[texts], len(d.textBlob))
-	}
-	if texts > 0 {
-		if u := d.textNodes[0]; u < 0 || int(u) >= n || d.Label(u) != LabelText {
-			return nil, nil, fmt.Errorf("tree: xqo2: text node list starts at node %d, which is not a text node", u)
-		}
+	if first, last := d.textOff.At(0), d.textOff.At(texts); first != 0 || int(last) != len(d.textBlob) {
+		return nil, nil, fmt.Errorf("tree: xqo2: text offsets span [%d, %d) of a %d-byte blob", first, last, len(d.textBlob))
 	}
 	if err := d.checkWide(); err != nil {
 		return nil, nil, err
@@ -511,18 +520,22 @@ func (d *Document) verifyLabels() error {
 // verifyText proves the text directory: textNodes strictly increasing
 // within [0, n) and exactly the nodes labelled #text (each listed node
 // is one, and there are as many as listed), textOff non-decreasing from
-// 0 to the blob's length. What passes makes Text safe on every node, and
-// the texts in list order concatenate to the blob.
+// 0 to the blob's length. What passes makes Text right on every node,
+// and the texts in list order concatenate to the blob. The directories
+// were proven when the sequences were made; decoded values ascending is
+// the halves ascending inside every chunk.
 func (d *Document) verifyText() error {
-	n, prev := NodeID(len(d.labels)), Nil
-	for i, v := range d.textNodes {
+	n, prev, listed := len(d.labels), -1, 0
+	for u := range d.textNodes.From(0) {
+		v := int(u)
 		if v <= prev || v >= n {
-			return fmt.Errorf("tree: xqo2: text node list entry %d is node %d, after node %d of %d", i, v, prev, n)
+			return fmt.Errorf("tree: xqo2: text node list entry %d is node %d, after node %d of %d", listed, v, prev, n)
 		}
-		if d.Label(v) != LabelText {
+		if d.labels[v] != uint16(LabelText) {
 			return fmt.Errorf("tree: xqo2: node %d is listed as text but carries label %d", v, d.labels[v])
 		}
 		prev = v
+		listed++
 	}
 	labelled := 0
 	for _, l := range d.labels {
@@ -530,17 +543,22 @@ func (d *Document) verifyText() error {
 			labelled++
 		}
 	}
-	if labelled != len(d.textNodes) {
-		return fmt.Errorf("tree: xqo2: %d nodes are labelled #text, %d are listed", labelled, len(d.textNodes))
+	if labelled != listed {
+		return fmt.Errorf("tree: xqo2: %d nodes are labelled #text, %d are listed", labelled, listed)
 	}
-	off := d.textOff
-	if off[0] != 0 || int(off[len(off)-1]) != len(d.textBlob) {
-		return fmt.Errorf("tree: xqo2: text offsets span [%d, %d) of a %d-byte blob", off[0], off[len(off)-1], len(d.textBlob))
+	if d.textOff.Len() != listed+1 {
+		return fmt.Errorf("tree: xqo2: %d text offsets for %d text nodes", d.textOff.Len(), listed)
 	}
-	for i := 1; i < len(off); i++ {
-		if off[i] < off[i-1] {
-			return fmt.Errorf("tree: xqo2: text offset %d (%d) is below the one before it (%d)", i, off[i], off[i-1])
+	if first, last := d.textOff.At(0), d.textOff.At(listed); first != 0 || int(last) != len(d.textBlob) {
+		return fmt.Errorf("tree: xqo2: text offsets span [%d, %d) of a %d-byte blob", first, last, len(d.textBlob))
+	}
+	before, i := uint32(0), 0
+	for o := range d.textOff.From(0) {
+		if o < before {
+			return fmt.Errorf("tree: xqo2: text offset %d (%d) is below the one before it (%d)", i, o, before)
 		}
+		before = o
+		i++
 	}
 	return nil
 }

@@ -37,10 +37,9 @@ type Part struct {
 const linkAloneBelow = 1 << 15
 
 // Link derives the document of an event stream. Every array is
-// allocated once at its final length, and the per-label node counts the
-// jumping index starts from are taken on the way. The stream must be
-// balanced apart from the synthetic root, which Link opens before the
-// first event and closes after the last.
+// allocated once at its final length. The stream must be balanced apart
+// from the synthetic root, which Link opens before the first event and
+// closes after the last.
 //
 // Two passes over the events share the work, concurrently for all but
 // small documents: one needs no state between events (labels, the text
@@ -64,24 +63,21 @@ func Link(names *LabelTable, parts []Part) (*Document, error) {
 		panic("tree: text content exceeds 4GB blob limit")
 	}
 	d := &Document{
-		labels:     make([]uint16, n),
-		up:         make([]uint16, n),
-		size:       make([]uint16, n),
-		textNodes:  make([]NodeID, texts),
-		textOff:    make([]uint32, texts+1),
-		textBlob:   make([]byte, textBytes),
-		names:      names,
-		labelCount: make([]int32, names.Size()),
+		labels:   make([]uint16, n),
+		up:       make([]uint16, n),
+		size:     make([]uint16, n),
+		textBlob: make([]byte, textBytes),
+		names:    names,
 	}
 	var err error
 	if n < linkAloneBelow {
-		d.fillNodes(parts)
+		d.fillNodes(parts, texts)
 		err = d.linkNodes(parts)
 	} else {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			d.fillNodes(parts)
+			d.fillNodes(parts, texts)
 		}()
 		err = d.linkNodes(parts)
 		<-done
@@ -93,10 +89,11 @@ func Link(names *LabelTable, parts []Part) (*Document, error) {
 }
 
 // fillNodes sets what a node has by itself: label and text.
-func (d *Document) fillNodes(parts []Part) {
-	labels, textNodes, textOff, counts := d.labels, d.textNodes, d.textOff, d.labelCount
-	counts[LabelDoc] = 1
-	v, t, cur := 1, 0, uint32(0)
+func (d *Document) fillNodes(parts []Part, texts int) {
+	labels := d.labels
+	textNodes := NewSeqWriter(texts, Chunks(len(labels)))
+	textOff := NewSeqWriter(texts+1, Chunks(len(d.textBlob)+1))
+	v, cur := 1, uint32(0)
 	for i := range parts {
 		p := &parts[i]
 		copy(d.textBlob[cur:], p.Blob)
@@ -108,13 +105,11 @@ func (d *Document) fillNodes(parts []Part) {
 			}
 			l := remap[e]
 			labels[v] = uint16(l)
-			counts[l]++
 			if l == LabelText {
-				textNodes[t] = NodeID(v)
-				textOff[t] = cur
+				textNodes.Put(0, uint32(v))
+				textOff.Put(0, cur)
 				cur += textLen[ti]
 				ti++
-				t++
 			}
 			v++
 		}
@@ -122,7 +117,8 @@ func (d *Document) fillNodes(parts []Part) {
 			panic("tree: a part's text lengths disagree with its blob")
 		}
 	}
-	textOff[t] = cur
+	textOff.Put(0, cur)
+	d.textNodes, d.textOff = textNodes.Done(), textOff.Done()
 	if v != len(labels) {
 		panic("tree: a part's node count disagrees with its events")
 	}
@@ -168,19 +164,4 @@ func (d *Document) closeAt(u, last NodeID) {
 	if d.size[u] = narrow(last - u); d.size[u] == far {
 		d.wide = append(d.wide, span{u, last})
 	}
-}
-
-// LabelCounts returns the number of nodes carrying each label, indexed
-// by LabelID. Documents built by Link carry the counts from their
-// construction; for the others (mapped, patched) they are taken here.
-// The slice is shared; callers must not modify it.
-func (d *Document) LabelCounts() []int32 {
-	if d.labelCount != nil {
-		return d.labelCount
-	}
-	counts := make([]int32, d.names.Size())
-	for _, l := range d.labels {
-		counts[l]++
-	}
-	return counts
 }

@@ -2,7 +2,6 @@ package tree
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 )
 
@@ -259,46 +258,45 @@ func (d *Document) splice(dl *Delta) (*Document, error) {
 	}
 
 	// Text: the removed interval's text nodes are one run [lo, hi) of the
-	// sorted list, and the fragment's (all of them lie under its element)
-	// take that run's place, in the directory and in the blob. Entries
-	// before the run keep their values; fragment and later entries are
-	// rebased. Everything is copied into fresh heap memory — a patched
-	// generation shares nothing with its parent, so a parent aliasing a
-	// read-only mapping can be released independently.
-	lo, _ := slices.BinarySearch(d.textNodes, q)
-	hi, _ := slices.BinarySearch(d.textNodes, cut)
+	// sorted ranks, and the fragment's (all of them lie under its element)
+	// take that run's place, among the ranks, the offsets and in the blob.
+	// Entries before the run keep their values and are copied as they are;
+	// the fragment's are rebased one by one, the later ones chunk by chunk
+	// (SeqWriter.Append), since a shift moves values across chunk lines.
+	// Everything is copied into fresh heap memory — a patched generation
+	// shares nothing with its parent, so a parent aliasing a read-only
+	// mapping can be released independently.
+	lo, _ := d.textNodes.Search(uint32(q))
+	hi, _ := d.textNodes.Search(uint32(cut))
 	var (
-		prefixLen  = d.textOff[lo]
-		suffixBase = d.textOff[hi]
-		fragLen    = uint32(len(frag.textBlob))
-		at         = lo + len(frag.textNodes) // where the entries after the run go
-		texts      = at + len(d.textNodes) - hi
+		prefixLen  = d.textOff.At(lo)
+		suffixBase = d.textOff.At(hi)
+		blobLen    = int(prefixLen) + len(frag.textBlob) + len(d.textBlob) - int(suffixBase)
+		fragTexts  = frag.textNodes.Len()
+		texts      = lo + fragTexts + d.textNodes.Len() - hi
+		textNodes  = NewSeqWriter(texts, Chunks(nn))
+		textOff    = NewSeqWriter(texts+1, Chunks(blobLen+1))
 	)
 	nd := &Document{
-		labels:    make([]uint16, nn),
-		up:        make([]uint16, nn),
-		size:      make([]uint16, nn),
-		textNodes: make([]NodeID, texts),
-		textOff:   make([]uint32, texts+1),
-		textBlob:  make([]byte, 0, int(prefixLen)+len(frag.textBlob)+len(d.textBlob)-int(suffixBase)),
-		names:     names,
+		labels:   make([]uint16, nn),
+		up:       make([]uint16, nn),
+		size:     make([]uint16, nn),
+		textBlob: make([]byte, 0, blobLen),
+		names:    names,
 	}
 	nd.textBlob = append(nd.textBlob, d.textBlob[:prefixLen]...)
 	nd.textBlob = append(nd.textBlob, frag.textBlob...)
 	nd.textBlob = append(nd.textBlob, d.textBlob[suffixBase:]...)
-	copy(nd.textNodes, d.textNodes[:lo])
-	copy(nd.textOff, d.textOff[:lo])
-	for i, f := range frag.textNodes {
-		nd.textNodes[lo+i] = q + f - 1
-		nd.textOff[lo+i] = prefixLen + frag.textOff[i]
+	textNodes.Append(0, d.textNodes, 0, lo, 0)
+	textOff.Append(0, d.textOff, 0, lo, 0)
+	for i := 0; i < fragTexts; i++ {
+		textNodes.Put(0, uint32(q)+frag.textNodes.At(i)-1)
+		textOff.Put(0, prefixLen+frag.textOff.At(i))
 	}
-	for i, v := range d.textNodes[hi:] {
-		nd.textNodes[at+i] = v + delta
-	}
-	textShift := prefixLen + fragLen - suffixBase // mod 2^32: a shrinking blob shifts down
-	for i, o := range d.textOff[hi:] {            // one more than the nodes: the blob's end
-		nd.textOff[at+i] = o + textShift
-	}
+	textNodes.Append(0, d.textNodes, hi, d.textNodes.Len(), int(delta))
+	// One more of the offsets than of the nodes: the blob's end.
+	textOff.Append(0, d.textOff, hi, d.textOff.Len(), int(prefixLen)+len(frag.textBlob)-int(suffixBase))
+	nd.textNodes, nd.textOff = textNodes.Done(), textOff.Done()
 
 	// Labels: prefix and suffix as they are, the fragment's translated
 	// into the generation's table. Fragment node f (f >= 1, skipping the

@@ -180,13 +180,24 @@ func randomPatch(rng *rand.Rand, d *Document) (Patch, *mnode) {
 }
 
 // requireEqualDocs compares every array of the two documents, and the
-// navigation each derives from them.
+// navigation each derives from them. The two text sequences are compared
+// as they are stored, halves and chunk starts: against a document Link
+// built, that proves a spliced or opened one canonical — no chunk line of
+// an earlier generation survives.
 func requireEqualDocs(t *testing.T, step int, got, want *Document) {
 	t.Helper()
 	if got.NumNodes() != want.NumNodes() {
 		t.Fatalf("step %d: nodes = %d, want %d", step, got.NumNodes(), want.NumNodes())
 	}
 	RequireSameTopology(t, fmt.Sprint("step ", step), got, want)
+	for name, seq := range map[string][2]Seq{"nodes": {got.textNodes, want.textNodes}, "offsets": {got.textOff, want.textOff}} {
+		if !slices.Equal(seq[0].Start, seq[1].Start) {
+			t.Fatalf("step %d: the text %s' chunks start at %v, want %v", step, name, seq[0].Start, seq[1].Start)
+		}
+		if !slices.Equal(seq[0].Lo, seq[1].Lo) {
+			t.Fatalf("step %d: the text %s' halves differ from the built document's", step, name)
+		}
+	}
 	for v := NodeID(0); int(v) < want.NumNodes(); v++ {
 		if got.LabelName(v) != want.LabelName(v) {
 			t.Fatalf("step %d node %d: label %q, want %q", step, v, got.LabelName(v), want.LabelName(v))
@@ -527,6 +538,125 @@ func TestPatchAcrossTheWideLine(t *testing.T) {
 		}
 		if got := next.FarParents(); got != step.far {
 			t.Errorf("step %d (%s): %d nodes far from their parent, want %d", i, step.what, got, step.far)
+		}
+		doc = next
+	}
+}
+
+// TestPatchAcrossTheChunkLine walks a text node's rank and its offset
+// over 65 535 and back, one at a time, by inserts, deletes and replaces
+// of one or two nodes and one or two bytes ahead of it, and once by a
+// fragment longer than a chunk; after every step the spliced document,
+// and what it opens as from its sections, hold the two text sequences
+// Link builds for the same tree, halves and chunk starts — the number of
+// chunks included, which the node count takes across the line as well.
+func TestPatchAcrossTheChunkLine(t *testing.T) {
+	// 0=#doc 1=a 2=b 3=a text of 65 533 bytes, k leaves c at 4..k+3, item
+	// at k+4 with its text at k+5 = 65 534, offset 65 533; the document has
+	// 65 535 nodes, one chunk.
+	const line, k = 1 << 16, 1<<16 - 7
+	b := NewBuilder()
+	b.Open("a")
+	b.Open("b")
+	b.Close()
+	b.Text(strings.Repeat("x", line-3))
+	for i := 0; i < k; i++ {
+		b.Open("c")
+		b.Close()
+	}
+	b.Open("item")
+	b.Text("tail")
+	b.Close()
+	b.Close()
+	doc := b.MustFinish()
+	frag := func(events ...string) *Document {
+		fb := NewBuilder()
+		for _, e := range events {
+			switch {
+			case e == "/":
+				fb.Close()
+			case e[0] == '#':
+				fb.Text(e[1:])
+			default:
+				fb.Open(e)
+			}
+		}
+		return fb.MustFinish()
+	}
+	big := NewBuilder()
+	big.Open("b")
+	for i := 0; i < line+100; i++ {
+		big.Open("name")
+		big.Text("n")
+		big.Close()
+	}
+	big.Close()
+	leaf, text1, text2, chunk := frag("c", "/"), frag("c", "#y", "/"), frag("c", "#yz", "/"), big.MustFinish()
+	const bNode = NodeID(2)
+	steps := []struct {
+		what   string
+		pt     func(d *Document) Patch
+		rank   NodeID // of the tail text afterwards
+		offset int    // of its text in the blob
+	}{
+		{"a leaf ahead", func(d *Document) Patch {
+			return Patch{Op: OpInsert, Node: bNode, Before: Nil, Frag: leaf}
+		}, line - 1, line - 3}, // the last rank of the first chunk; 65 536 nodes
+		{"another", func(d *Document) Patch {
+			return Patch{Op: OpInsert, Node: bNode, Before: d.FirstChild(bNode), Frag: leaf}
+		}, line, line - 3}, // the first of the second; a second chunk of ranks
+		{"the first replaced by one with a byte of text", func(d *Document) Patch {
+			return Patch{Op: OpReplace, Node: d.FirstChild(bNode), Before: Nil, Frag: text1}
+		}, line + 1, line - 2},
+		{"the second replaced by one with two", func(d *Document) Patch {
+			return Patch{Op: OpReplace, Node: d.LastDesc(bNode), Before: Nil, Frag: text2}
+		}, line + 2, line}, // offsets 65 535 and 65 536 skipped over: the blob's end takes a second chunk
+		{"two bytes replaced by one", func(d *Document) Patch {
+			return Patch{Op: OpReplace, Node: d.LastDesc(bNode) - 1, Before: Nil, Frag: text1}
+		}, line + 2, line - 1}, // the last offset of the first chunk
+		{"one byte more", func(d *Document) Patch {
+			return Patch{Op: OpInsert, Node: bNode, Before: Nil, Frag: text1}
+		}, line + 4, line}, // the first of the second
+		{"and deleted", func(d *Document) Patch {
+			return Patch{Op: OpDelete, Node: d.LastDesc(bNode) - 1, Before: Nil}
+		}, line + 2, line - 1},
+		{"a fragment longer than a chunk ahead", func(d *Document) Patch {
+			return Patch{Op: OpInsert, Node: bNode, Before: d.FirstChild(bNode), Frag: chunk}
+		}, 3*line + 203, 2*line + 99},
+		{"and replaced by a leaf", func(d *Document) Patch {
+			return Patch{Op: OpReplace, Node: d.FirstChild(bNode), Before: Nil, Frag: leaf}
+		}, line + 3, line - 1},
+		{"b's children deleted, one by one", func(d *Document) Patch {
+			return Patch{Op: OpDelete, Node: d.FirstChild(bNode), Before: Nil}
+		}, line + 2, line - 1},
+		{"", func(d *Document) Patch {
+			return Patch{Op: OpDelete, Node: d.FirstChild(bNode), Before: Nil}
+		}, line, line - 2},
+		{"", func(d *Document) Patch {
+			return Patch{Op: OpDelete, Node: d.FirstChild(bNode), Before: Nil}
+		}, line - 2, line - 3}, // one chunk of ranks again, and of offsets
+	}
+	roots := []*mnode{toMutable(doc, doc.DocumentElement())}
+	for i, step := range steps {
+		pt := step.pt(doc)
+		next, _, err := doc.Apply(pt)
+		if err != nil {
+			t.Fatalf("step %d (%s): %v", i, step.what, err)
+		}
+		var fragOracle *mnode
+		if pt.Frag != nil {
+			fragOracle = toMutable(pt.Frag, pt.Frag.DocumentElement())
+		}
+		roots = applyOracle(roots, pt, fragOracle)
+		want := buildMutable(roots)
+		requireEqualDocs(t, i, next, want)
+		requireEqualDocs(t, i, atRest(t, next), want)
+		tail := NodeID(next.NumNodes() - 1)
+		if tail != step.rank || next.Text(tail) != "tail" {
+			t.Fatalf("step %d (%s): the last node is %d reading %q, want the tail text at %d", i, step.what, tail, next.Text(tail), step.rank)
+		}
+		if got := int(next.textOff.At(next.textNodes.Len() - 1)); got != step.offset {
+			t.Fatalf("step %d (%s): the tail text starts at byte %d, want %d", i, step.what, got, step.offset)
 		}
 		doc = next
 	}

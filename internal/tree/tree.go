@@ -23,7 +23,6 @@ package tree
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -148,24 +147,22 @@ func (lt *LabelTable) Names() []string {
 //
 // A node's label is its LabelID in 16 bits (see MaxLabels). Text content
 // lives in one contiguous blob with a directory over the #text nodes,
-// the only ones that have any: textNodes lists their ranks in preorder,
-// and the text of textNodes[i] is textBlob[textOff[i]:textOff[i+1]]. This
-// shape — rather than a []string — is what lets the XQO2 resident format
-// alias a document's text directly out of an mmap'd file, and keeps Text
-// zero-copy either way. textNodes is also the jumping index's occurrence
-// list of LabelText, which borrows it (TextNodes).
+// the only ones that have any: textNodes holds their ranks in preorder,
+// and the text of its i-th is textBlob[textOff[i]:textOff[i+1]]. Both are
+// kept as a Seq, two bytes an entry. This shape — rather than a []string —
+// is what lets the XQO2 resident format alias a document's text directly
+// out of an mmap'd file, and keeps Text zero-copy either way. textNodes is
+// also the jumping index's occurrence row of LabelText, which borrows it
+// (TextNodes).
 type Document struct {
 	labels    []uint16 // per preorder rank: the node's LabelID
 	up        []uint16 // v - Parent(v), or far
 	size      []uint16 // LastDesc(v) - v, or far
 	wide      []span   // the nodes whose size is far, ascending
-	textNodes []NodeID // the #text nodes, ascending
-	textOff   []uint32 // len(textNodes)+1: where each one's text starts in textBlob, then the blob's end
+	textNodes Seq      // the #text nodes, ascending
+	textOff   Seq      // one entry more: where each one's text starts in textBlob, then the blob's end
 	textBlob  []byte
 	names     *LabelTable
-	// labelCount holds the per-label node counts when the document was
-	// built by Link; nil otherwise (see LabelCounts).
-	labelCount []int32
 	// mapping pins the mmap owner for documents aliasing a mapped file,
 	// so the mapping outlives every slice derived from it (the owner's
 	// finalizer unmaps). nil for heap-backed documents.
@@ -283,6 +280,11 @@ func (d *Document) DocumentElement() NodeID { return d.FirstChild(0) }
 // Label returns the label of v.
 func (d *Document) Label(v NodeID) LabelID { return LabelID(d.labels[v]) }
 
+// Labels returns the label of every node by preorder rank, each a
+// LabelID in 16 bits: the array the jumping index inverts. The slice is
+// shared; callers must not modify it.
+func (d *Document) Labels() []uint16 { return d.labels }
+
 // LabelName returns the label of v as a string.
 func (d *Document) LabelName(v NodeID) string { return d.names.Name(d.Label(v)) }
 
@@ -385,59 +387,49 @@ func (d *Document) Depth(v NodeID) int {
 	return depth
 }
 
-// TextNodes returns the #text nodes in preorder. The slice is shared —
-// the jumping index holds it as its occurrence list of LabelText —
-// and callers must not modify it.
-func (d *Document) TextNodes() []NodeID { return d.textNodes }
+// TextNodes returns the ranks of the #text nodes in preorder. The
+// sequence is shared — the jumping index holds it as its occurrence row
+// of LabelText — and callers must not modify it.
+func (d *Document) TextNodes() Seq { return d.textNodes }
 
 // Text returns the text content of a #text node (empty for others,
-// including Nil and out-of-range ids): a label test, then a binary
-// search of the text nodes for v's place in the offset directory. The
-// string aliases the document's text blob — zero-copy, valid for the
-// document's lifetime, and never written to (the blob is immutable,
-// possibly a read-only mapping).
+// including Nil and out-of-range ids): a label test, a search of one
+// chunk of the text nodes for v's place in the offset directory, and
+// there two reads by position, each a search of that directory's chunk
+// starts. The string aliases the document's text blob — zero-copy, valid
+// for the document's lifetime, and never written to (the blob is
+// immutable, possibly a read-only mapping).
 func (d *Document) Text(v NodeID) string {
 	if v < 0 || int(v) >= len(d.labels) || d.Label(v) != LabelText {
 		return ""
 	}
-	i, ok := slices.BinarySearch(d.textNodes, v)
-	if !ok {
+	i, u := d.textNodes.Search(uint32(v))
+	if NodeID(u) != v {
 		return "" // only in a file that was not verified
 	}
-	text := d.textBlob[d.textOff[i]:d.textOff[i+1]]
+	from, to := d.textOff.At(i), d.textOff.At(i+1)
+	if from > to || int(to) > len(d.textBlob) {
+		return "" // likewise
+	}
+	text := d.textBlob[from:to]
 	return unsafe.String(unsafe.SliceData(text), len(text))
 }
 
 // MemBytes reports the bytes the document holds: its per-node arrays,
-// the text blob, the per-label counts and the label names, by their
+// the two text sequences, the text blob and the label names, by their
 // live lengths. A reflect-based test in internal/store holds it to the
 // struct's slice fields, so an added array cannot go uncounted in the
 // store's bytes-per-node figure.
 func (d *Document) MemBytes() int64 {
 	b := 2*int64(len(d.labels)+len(d.up)+len(d.size)) +
 		int64(len(d.wide))*int64(unsafe.Sizeof(span{})) +
-		4*int64(len(d.textNodes)+len(d.textOff)+len(d.labelCount)) +
+		d.textNodes.MemBytes() + d.textOff.MemBytes() +
 		int64(len(d.textBlob))
 	for _, name := range d.names.names {
 		b += int64(unsafe.Sizeof(name)) + int64(len(name))
 	}
 	return b
 }
-
-// IsAncestorOrSelf reports whether a is v or an ancestor of v. Written
-// to the last unit of the inlining budget: size[a] is named twice (and
-// loaded once) because a variable for it costs two units more.
-func (d *Document) IsAncestorOrSelf(a, v NodeID) bool {
-	if d.size[a] == far {
-		return d.wideHolds(a, v)
-	}
-	return uint32(v-a) <= uint32(d.size[a]) // v < a wraps past any size
-}
-
-// wideHolds is IsAncestorOrSelf of a wide a.
-//
-//go:noinline
-func (d *Document) wideHolds(a, v NodeID) bool { return a <= v && v <= d.wideLast(a) }
 
 // SubtreeSize returns the number of nodes in v's subtree.
 func (d *Document) SubtreeSize(v NodeID) int {
