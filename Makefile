@@ -86,9 +86,10 @@ gate-auto:
 # more (0.9 ms: 0.43 MB less, and the suffix is copied, not rewritten),
 # and the 16-bit halves of occurrences, text ranks and text offsets once
 # more (0.64 ms against 0.81 in pairs: 0.3 MB less, one array per index
-# instead of one per label, suffixes shifted chunk by chunk); the limit
-# stayed where it was. BENCH_mvcc.json pins ~0.10; tripping the limit
-# means an accidental O(doc) rebuild in the patch path, not noise.
+# instead of one per label, suffixes shifted chunk by chunk), and labels
+# and size in a byte each once more (0.45 ms against 0.63: 0.2 MB less);
+# the limit stayed where it was. BENCH_mvcc.json pins ~0.07; tripping the
+# limit means an accidental O(doc) rebuild in the patch path, not noise.
 gate-mvcc:
 	$(GO) test -run '^$$' -bench 'BenchmarkPatchVsReload' -benchtime 20x -benchmem ./internal/store/ \
 		| $(GATE) -v num=patch-apply -v den=full-reload -v limit=0.67
@@ -99,11 +100,11 @@ gate-mvcc:
 # the yardstick: it was 0.05 when parse + index took 17.3 ms; the
 # byte-level XML kernel brought that to 6.9 ms with the open untouched
 # (0.33 -> 0.39 ms, noise), so the same bound is 0.05 x 17.3 / 6.9 =
-# 0.13. BENCH_mmap.json pins ~0.036 (0.19 ms on XQO2 version 6, which
-# checksums two sections more and 2.75 bytes per node fewer than version
-# 5, walks three chunk-start directories and builds no slice header per
-# label: 0.22 -> 0.19 ms medians over six alternating runs, minima 0.191
-# and 0.150; versions 4 and 5 could not be told from the one before);
+# 0.13. BENCH_mmap.json pins ~0.029 (0.16 ms on XQO2 version 7, which
+# checksums three sections more and 2 bytes per node fewer than version
+# 6 and walks the wide table's nesting: 0.17 -> 0.16 ms medians over six
+# alternating runs, minima 0.147 and 0.144 — not told apart, like
+# versions 4 and 5 before it; version 6 took 0.22 to 0.19);
 # min of three runs filters one-off page-cache or scheduler hiccups.
 gate-mmap:
 	$(GO) test -run '^$$' -bench 'BenchmarkMmapOpenVsParse' -benchtime 20x -count 3 ./internal/store/ \

@@ -158,38 +158,38 @@ func (e *evaluator) add(u tree.NodeID) {
 	e.out = append(e.out, u)
 }
 
-// matchUpTo reports whether u can serve as the step-i node of the chain,
-// with steps[0..i-1] realized by ancestors (a backtracking match; chains
-// and document depths are small).
+// matchUpTo reports whether u, a node that carries the label of step i —
+// an occurrence from that label's row, or an ancestor found to — can
+// serve as the step-i node of the chain, with steps[0..i-1] realized by
+// ancestors (a backtracking match; chains and document depths are small).
+// The label of a candidate ancestor is tested where it is found, so a
+// climb past nodes of other labels is one loop, not a call a node.
 func (e *evaluator) matchUpTo(u tree.NodeID, i int) bool {
-	if u == tree.Nil || e.d.Label(u) != e.steps[i].label {
-		return false
-	}
 	if i == 0 {
 		if e.steps[0].desc {
 			return true
 		}
 		return e.d.Parent(u) == e.d.Root()
 	}
+	want := e.steps[i-1].label
 	if !e.steps[i].desc {
 		e.stats.Visited++
-		return e.matchUpTo(e.d.Parent(u), i-1)
+		a := e.d.Parent(u)
+		return a != tree.Nil && e.d.Label(a) == want && e.matchUpTo(a, i-1)
 	}
 	for a := e.d.Parent(u); a != tree.Nil; a = e.d.Parent(a) {
 		e.stats.Visited++
-		if e.matchUpTo(a, i-1) {
+		if e.d.Label(a) == want && e.matchUpTo(a, i-1) {
 			return true
 		}
 	}
 	return false
 }
 
-// matchBetween reports whether u can serve as the step-k node with
-// steps[pivot+1..k-1] realized strictly between the pivot node v and u.
+// matchBetween reports whether u, a node below the pivot node v that
+// carries the label of step k, can serve as the step-k node with
+// steps[pivot+1..k-1] realized strictly between v and u.
 func (e *evaluator) matchBetween(u tree.NodeID, k int, v tree.NodeID, pivot int) bool {
-	if u == tree.Nil || u == v || e.d.Label(u) != e.steps[k].label {
-		return false
-	}
 	if k == pivot+1 {
 		if e.steps[k].desc {
 			// u is inside v's subtree by construction.
@@ -197,13 +197,15 @@ func (e *evaluator) matchBetween(u tree.NodeID, k int, v tree.NodeID, pivot int)
 		}
 		return e.d.Parent(u) == v
 	}
+	want := e.steps[k-1].label
 	if !e.steps[k].desc {
 		e.stats.Visited++
-		return e.matchBetween(e.d.Parent(u), k-1, v, pivot)
+		a := e.d.Parent(u)
+		return a != tree.Nil && a != v && e.d.Label(a) == want && e.matchBetween(a, k-1, v, pivot)
 	}
 	for a := e.d.Parent(u); a != tree.Nil && a != v; a = e.d.Parent(a) {
 		e.stats.Visited++
-		if e.matchBetween(a, k-1, v, pivot) {
+		if e.d.Label(a) == want && e.matchBetween(a, k-1, v, pivot) {
 			return true
 		}
 	}

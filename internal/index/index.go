@@ -53,17 +53,29 @@ type Index struct {
 // New builds the index in O(n + Σ × chunks) time and space: one pass over
 // the labels counts the occurrences per label and chunk, prefix sums turn
 // the counts into the directory, and a second pass scatters the halves.
+// Each pass is followed by a sweep of the rare labels, which the byte
+// array holds one escape value for: none in a document of 255 names or
+// fewer.
 func New(d *tree.Document) *Index {
 	n, sigma, text := d.NumNodes(), d.Names().Size(), d.TextNodes()
 	chunks := tree.Chunks(n)
 	start := make([]uint32, sigma*chunks+1)
 	labels := d.Labels()
+	rare, rareIDs := d.Rare()
 	for c := 0; c < chunks; c++ {
 		counts := start[c+1:] // of chunk c, every chunks-th entry
 		for _, l := range labels[c<<16 : min(n, (c+1)<<16)] {
-			counts[int(l)*chunks]++ // text nodes too: a test per node costs more than clearing their count
+			counts[int(l)*chunks]++ // text nodes and escapes too: a test per node costs more than clearing their count
 		}
 		counts[int(tree.LabelText)*chunks] = 0
+		if sigma > tree.RareLabel {
+			counts[tree.RareLabel*chunks] = 0
+		}
+	}
+	i := 0
+	for v := range rare.From(0) {
+		start[int(rareIDs[i])*chunks+int(v>>16)+1]++
+		i++
 	}
 	for k := 1; k < len(start); k++ {
 		start[k] += start[k-1]
@@ -71,12 +83,19 @@ func New(d *tree.Document) *Index {
 	lo, next := make([]uint16, n-text.Len()), slices.Clone(start)
 	for c := 0; c < chunks; c++ {
 		for v, l := range labels[c<<16 : min(n, (c+1)<<16)] {
-			if tree.LabelID(l) != tree.LabelText {
+			if tree.LabelID(l) != tree.LabelText && l != tree.RareLabel {
 				k := int(l)*chunks + c
 				lo[next[k]] = uint16(v)
 				next[k]++
 			}
 		}
+	}
+	i = 0
+	for v := range rare.From(0) {
+		k := int(rareIDs[i])*chunks + int(v>>16)
+		lo[next[k]] = uint16(v)
+		next[k]++
+		i++
 	}
 	return &Index{doc: d, occ: tree.Seq{Lo: lo, Start: start}, text: text, sigma: sigma, chunks: chunks}
 }

@@ -18,9 +18,10 @@ func Apply(old *Index, newDoc *tree.Document, dl *tree.Delta) *Index {
 	q, cut, delta := uint32(dl.At), uint32(dl.At)+uint32(dl.Removed), dl.Inserted-dl.Removed
 	// Occurrences of the grafted interval [q, q+Inserted), by label (the
 	// splice already remapped them into the patched label table).
-	inserted := make(map[uint16][]uint32)
-	for v, l := range newDoc.Labels()[q : q+uint32(dl.Inserted)] {
-		inserted[l] = append(inserted[l], q+uint32(v))
+	inserted := make(map[tree.LabelID][]uint32)
+	for v := q; v < q+uint32(dl.Inserted); v++ {
+		l := newDoc.Label(tree.NodeID(v))
+		inserted[l] = append(inserted[l], v)
 	}
 	w := tree.NewSeqWriter(n-text.Len(), ix.sigma*ix.chunks)
 	for l := 0; l < ix.sigma; l++ {
@@ -33,7 +34,7 @@ func Apply(old *Index, newDoc *tree.Document, dl *tree.Delta) *Index {
 		lo, _ := row.Search(q)
 		hi, _ := row.Search(cut)
 		w.Append(base, row, 0, lo, 0)
-		for _, v := range inserted[uint16(l)] {
+		for _, v := range inserted[tree.LabelID(l)] {
 			w.Put(base, v)
 		}
 		w.Append(base, row, hi, row.Len(), delta)

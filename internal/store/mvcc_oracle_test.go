@@ -197,23 +197,57 @@ func checkText(d, ref *tree.Document) error {
 	if got, want := d.XMLString(), ref.XMLString(); got != want {
 		return fmt.Errorf("serialized %s, reference %s", got, want)
 	}
-	// The two text sequences are the reference's byte for byte, at rest as
-	// in memory: halves and chunk starts, so no chunk boundary of an
-	// earlier generation survived a splice.
+	// Every array is the reference's byte for byte, at rest as in memory —
+	// the label bytes, the rare labels and their ids, up, size, the wide
+	// table with the entry around each entry, the two text sequences,
+	// halves and chunk starts — once the reference's tree is linked under
+	// d's label table, which may number the names otherwise: so no escape,
+	// table entry or chunk boundary of an earlier generation survived a
+	// splice.
 	got, err := sections(d)
 	if err != nil {
 		return err
 	}
-	want, err := sections(ref)
+	want, err := sections(relink(ref, d.Names()))
 	if err != nil {
 		return err
 	}
-	for _, kind := range []uint32{tree.SecTextNodes, tree.SecTextDir, tree.SecTextOff, tree.SecTextOffDir} {
+	for _, kind := range []uint32{
+		tree.SecLabels, tree.SecRare, tree.SecRareDir, tree.SecRareIDs, tree.SecUp, tree.SecSize, tree.SecWide,
+		tree.SecTextNodes, tree.SecTextDir, tree.SecTextOff, tree.SecTextOffDir,
+	} {
 		if !bytes.Equal(got.Section(kind), want.Section(kind)) {
 			return fmt.Errorf("section %d differs from the reference's", kind)
 		}
 	}
 	return nil
+}
+
+// relink builds d's tree again through a Builder whose label table holds
+// names' names in names' order: what Link makes of that tree when its
+// labels have the ids names gives them.
+func relink(d *tree.Document, names *tree.LabelTable) *tree.Document {
+	b := tree.NewBuilder()
+	for _, name := range names.Names() {
+		b.Names().Intern(name)
+	}
+	var ends []tree.NodeID // of the open elements
+	for v := tree.NodeID(1); int(v) < d.NumNodes(); v++ {
+		for len(ends) > 0 && ends[len(ends)-1] < v {
+			b.Close()
+			ends = ends[:len(ends)-1]
+		}
+		if d.Label(v) == tree.LabelText {
+			b.Text(d.Text(v))
+			continue
+		}
+		b.Open(d.LabelName(v))
+		ends = append(ends, d.LastDesc(v))
+	}
+	for range ends {
+		b.Close()
+	}
+	return b.MustFinish()
 }
 
 // sections returns d as it lies in an XQO2 container.
@@ -233,10 +267,11 @@ func sections(d *tree.Document) (*tree.Layout, error) {
 func checkHandle(h *store.Handle) error {
 	d := h.Doc
 	// The stored topology is the canonical encoding of a tree — every
-	// distance under 65 535 stored as itself, every other as an escape,
-	// wide listing exactly the escaped subtrees — so it is, element for
-	// element, what Link builds for that tree: no stale escape, no orphan
-	// entry left by a splice.
+	// distance under 65 535 and every length under 255 stored as itself,
+	// every other as an escape, wide listing exactly the escaped subtrees
+	// — so it is, element for element, what Link builds for that tree: no
+	// stale escape, no orphan entry left by a splice (checkText compares it
+	// with one).
 	if err := d.VerifyStructure(); err != nil {
 		return fmt.Errorf("not canonical: %w", err)
 	}
@@ -435,11 +470,10 @@ func TestMVCCOracleDifferential(t *testing.T) {
 	}
 }
 
-// TestMVCCOracleAcrossTheWideLine: patch sequences that take one node's
-// subtree from 65 534 ranks to 65 536 and back, and one child's distance
-// to its parent across the same line, by insert, delete and replace — a
-// fragment wider than 65 535 nodes included once — through the store from
-// a heap base and from a mapped one, every generation checked like any
+// TestMVCCOracleAcrossTheWideLine: patch sequences that take one child's
+// distance to its parent from 65 534 ranks to 65 536 and back, by insert,
+// delete and replace — a fragment of more than 65 535 children included
+// once — through the store from a heap base and from a mapped one, every generation checked like any
 // other: index, succinct view and all-strategy answers against a rebuild,
 // labels and text against the patch done by definition, and the stored
 // topology canonical.
@@ -467,7 +501,7 @@ func TestMVCCOracleAcrossTheWideLine(t *testing.T) {
 		func(d *tree.Document) tree.Patch { // b 65 534, item 65 536 from a
 			return tree.Patch{Op: tree.OpInsert, Node: b, Before: d.FirstChild(b), Frag: two}
 		},
-		func(d *tree.Document) tree.Patch { // b 65 535: wide, its new last child far from it
+		func(d *tree.Document) tree.Patch { // b 65 535: its new last child far from it
 			return tree.Patch{Op: tree.OpInsert, Node: b, Before: tree.Nil, Frag: one}
 		},
 		func(d *tree.Document) tree.Patch { // b 65 536
@@ -479,13 +513,13 @@ func TestMVCCOracleAcrossTheWideLine(t *testing.T) {
 		func(d *tree.Document) tree.Patch { // b 65 533, item 65 535 from a: still far
 			return tree.Patch{Op: tree.OpDelete, Node: d.FirstChild(b), Before: tree.Nil}
 		},
-		func(d *tree.Document) tree.Patch { // item 65 534 from a, which is wide no more
+		func(d *tree.Document) tree.Patch { // item 65 534 from a
 			return tree.Patch{Op: tree.OpDelete, Node: d.FirstChild(b), Before: tree.Nil}
 		},
-		func(d *tree.Document) tree.Patch { // a wide fragment in b's place
+		func(d *tree.Document) tree.Patch { // a fragment with far children in b's place
 			return tree.Patch{Op: tree.OpReplace, Node: b, Before: tree.Nil, Frag: wide}
 		},
-		func(d *tree.Document) tree.Patch { // and gone: nothing wide is left
+		func(d *tree.Document) tree.Patch { // and gone: nothing far, nothing wide is left
 			return tree.Patch{Op: tree.OpReplace, Node: b, Before: tree.Nil, Frag: one}
 		},
 	}
@@ -503,9 +537,105 @@ func TestMVCCOracleAcrossTheWideLine(t *testing.T) {
 		t.Errorf("heap base: %v", err)
 	}
 	// Only the first patch reads a mapped base's arrays (and takes item
-	// across the line); one more makes b wide.
+	// across the line); one more takes b's last child across.
 	if err := runSequence(base, patches[:2], true); err != nil {
 		t.Errorf("mapped base: %v", err)
+	}
+}
+
+// TestMVCCOracleAcrossTheSizeLine: patch sequences that take a subtree's
+// length from 253 ranks over 255 and back, one node at a time and by a
+// fragment of 300 nodes, once for the splice parent itself and once for
+// an ancestor three levels above it, through the store — the whole
+// sequence from a heap base, and every single step from a mapped base as
+// well — every generation checked like any other, which is canonically:
+// size and the wide table, the entry around each entry included, are
+// those of the patch done by definition.
+func TestMVCCOracleAcrossTheSizeLine(t *testing.T) {
+	// 0=#doc 1=a 2=a 3=b 4=c 5=item over 10 leaves, then 240 leaves under
+	// node 2, which spans 253 ranks; its sibling b spans 253 too.
+	const p, top = tree.NodeID(5), tree.NodeID(2)
+	bd := tree.NewBuilder()
+	leaves := func(name string, n int) {
+		for i := 0; i < n; i++ {
+			bd.Open(name)
+			bd.Close()
+		}
+	}
+	bd.Open("a")
+	bd.Open("a")
+	bd.Open("b")
+	bd.Open("c")
+	bd.Open("item")
+	leaves("name", 10)
+	bd.Close()
+	bd.Close()
+	bd.Close()
+	leaves("c", 240)
+	bd.Close()
+	bd.Open("b")
+	leaves("name", 253)
+	bd.Close()
+	bd.Open("item")
+	bd.Close()
+	bd.Close()
+	base := bd.MustFinish()
+	one, two, large := tgen.Chain("name", 1), tgen.Chain("c", 2), tgen.Star("b", "name", 299)
+	q := func(d *tree.Document) tree.NodeID { return d.NextSibling(top) }
+	var draw []func(d *tree.Document) tree.Patch
+	for _, parent := range []func(d *tree.Document) tree.NodeID{func(*tree.Document) tree.NodeID { return p }, q} {
+		draw = append(draw,
+			func(d *tree.Document) tree.Patch { // 254
+				return tree.Patch{Op: tree.OpInsert, Node: parent(d), Before: tree.Nil, Frag: one}
+			},
+			func(d *tree.Document) tree.Patch { // 255: wide
+				return tree.Patch{Op: tree.OpInsert, Node: parent(d), Before: d.FirstChild(parent(d)), Frag: one}
+			},
+			func(d *tree.Document) tree.Patch { // 256
+				return tree.Patch{Op: tree.OpReplace, Node: d.LastDesc(parent(d)), Before: tree.Nil, Frag: two}
+			},
+			func(d *tree.Document) tree.Patch { // 255
+				return tree.Patch{Op: tree.OpDelete, Node: d.LastDesc(parent(d)), Before: tree.Nil}
+			},
+			func(d *tree.Document) tree.Patch { // 254: wide no more
+				return tree.Patch{Op: tree.OpDelete, Node: d.FirstChild(parent(d)), Before: tree.Nil}
+			},
+			func(d *tree.Document) tree.Patch { // 554: with the ancestors between, and the fragment's own element
+				return tree.Patch{Op: tree.OpInsert, Node: parent(d), Before: d.FirstChild(parent(d)), Frag: large}
+			},
+			func(d *tree.Document) tree.Patch { // 255, a leaf in the fragment's place
+				return tree.Patch{Op: tree.OpReplace, Node: d.FirstChild(parent(d)), Before: tree.Nil, Frag: one}
+			},
+			func(d *tree.Document) tree.Patch { // 254
+				return tree.Patch{Op: tree.OpDelete, Node: d.FirstChild(parent(d)), Before: tree.Nil}
+			},
+		)
+	}
+	docs := []*tree.Document{base}
+	var patches []tree.Patch
+	for i, f := range draw {
+		pt := f(docs[i])
+		next, _, err := docs[i].Apply(pt)
+		if err != nil {
+			t.Fatalf("generating step %d: %v", i, err)
+		}
+		patches, docs = append(patches, pt), append(docs, next)
+	}
+	for i, want := range []int{254, 255, 256, 255, 254, 554, 255, 254} {
+		if got := docs[i+1].SubtreeSize(top) - 1; got != want {
+			t.Fatalf("step %d: node %d spans %d ranks, want %d", i, top, got, want)
+		}
+		if got := docs[8+i+1].SubtreeSize(q(docs[8+i+1])) - 1; got != want {
+			t.Fatalf("step %d: the second b spans %d ranks, want %d", 8+i, got, want)
+		}
+	}
+	if err := runSequence(base, patches, false); err != nil {
+		t.Errorf("heap base: %v", err)
+	}
+	for i, pt := range patches {
+		if err := runSequence(docs[i], []tree.Patch{pt}, true); err != nil {
+			t.Errorf("mapped base, step %d alone: %v", i, err)
+		}
 	}
 }
 
@@ -596,6 +726,23 @@ func TestMVCCOracleAcrossTheChunkLine(t *testing.T) {
 	}
 }
 
+// docOf builds a document from events: a name opens an element, "#text"
+// adds a text node, "/" closes.
+func docOf(events ...string) *tree.Document {
+	b := tree.NewBuilder()
+	for _, e := range events {
+		switch {
+		case e == "/":
+			b.Close()
+		case e[0] == '#':
+			b.Text(e[1:])
+		default:
+			b.Open(e)
+		}
+	}
+	return b.MustFinish()
+}
+
 // TestMVCCOracleEveryPosition: on a document small enough to try them
 // all, every single patch — each subtree deleted, each replaced, a graft
 // before each child and after the last; so a splice at the first node,
@@ -603,22 +750,8 @@ func TestMVCCOracleAcrossTheChunkLine(t *testing.T) {
 // fragment of known labels and one that brings a new label, through the
 // store from a heap base and from a mapped one.
 func TestMVCCOracleEveryPosition(t *testing.T) {
-	doc := func(events ...string) *tree.Document {
-		b := tree.NewBuilder()
-		for _, e := range events {
-			switch {
-			case e == "/":
-				b.Close()
-			case e[0] == '#':
-				b.Text(e[1:])
-			default:
-				b.Open(e)
-			}
-		}
-		return b.MustFinish()
-	}
-	base := doc("a", "#head", "b", "#b1", "#", "#b3", "/", "c", "/", "#mid", "item", "name", "#deep", "/", "/", "#tail", "/")
-	frags := []*tree.Document{doc("b", "#f1", "c", "#f2", "/", "#f3", "/"), doc("fresh", "#f4", "/")}
+	base := docOf("a", "#head", "b", "#b1", "#", "#b3", "/", "c", "/", "#mid", "item", "name", "#deep", "/", "/", "#tail", "/")
+	frags := []*tree.Document{docOf("b", "#f1", "c", "#f2", "/", "#f3", "/"), docOf("fresh", "#f4", "/")}
 	var patches []tree.Patch
 	for v := tree.NodeID(1); int(v) < base.NumNodes(); v++ {
 		if v != base.DocumentElement() {

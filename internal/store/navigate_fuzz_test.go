@@ -17,15 +17,25 @@ import (
 // children are far from it.
 const fuzzFanout = 70000
 
+// fuzzRareNames is how many of the fuzzed document's leaves have a name
+// of their own, every 200th from the 100th on: with #doc, #text, fan and
+// leaf, 354 names, of which the last 99 do not fit a label byte.
+const fuzzRareNames = fuzzFanout / 200
+
 // fuzzContainer is the valid XQO2 container FuzzNavigateVerified mutates,
-// written once: a fan of leaves, every 5000th holding a text, so that
-// wide has entries (nodes 0 and 1) and every edited section words. Under
-// 1 MB.
+// written once: a fan of leaves, every 5000th holding a text and every
+// 200th named like no other, so that wide has entries (nodes 0 and 1),
+// rare has (the last 99 of the named leaves) and every edited section
+// words. Under 1 MB.
 var fuzzContainer = sync.OnceValue(func() []byte {
 	b := tree.NewBuilder()
 	b.Open("fan")
 	for i := 0; i < fuzzFanout; i++ {
-		b.Open("leaf")
+		if i%200 == 100 {
+			b.Open("leaf" + strconv.Itoa(i))
+		} else {
+			b.Open("leaf")
+		}
 		if i%5000 == 0 {
 			b.Text(strconv.Itoa(i))
 		}
@@ -41,26 +51,28 @@ var fuzzContainer = sync.OnceValue(func() []byte {
 
 // fuzzSections are the sections FuzzNavigateVerified edits, by the
 // first byte of an edit, with the width of their words (SecWide's are
-// the halves of an entry: node, last; the halves of a sequence are its
-// 16-bit words, its directory's the 32-bit chunk starts).
+// the thirds of an entry: node, last, outer; the halves of a sequence are
+// its 16-bit words, its directory's the 32-bit chunk starts).
 var fuzzSections = []struct {
 	kind uint32
 	word int
 }{
-	{tree.SecUp, 2}, {tree.SecSize, 2}, {tree.SecLabels, 2}, {tree.SecTextNodes, 2}, {tree.SecTextOff, 2}, {tree.SecWide, 4},
+	{tree.SecUp, 2}, {tree.SecSize, 1}, {tree.SecLabels, 1}, {tree.SecTextNodes, 2}, {tree.SecTextOff, 2}, {tree.SecWide, 4},
 	{tree.SecTextDir, 4}, {tree.SecTextOffDir, 4}, {index.SecOccAll, 2}, {index.SecOccOff, 4},
+	{tree.SecRare, 2}, {tree.SecRareDir, 4}, {tree.SecRareIDs, 2},
 }
 
 // FuzzNavigateVerified: what VerifyStructure accepts, of the document
 // and of its index, can be navigated, read and jumped over, and what the
 // default open accepts can be asked anything without a fault. The input
 // is a list of 9-byte edits — which of the per-node, per-text-node,
-// per-wide-node and per-chunk sections, which word, the new value —
+// per-wide-node, per-rare-node and per-chunk sections, which word, the
+// new value —
 // applied to a valid container with the checksums fixed up, so that the
 // open fails only on its own shape checks. Then, whatever the open let
-// through, Text of every node and a search and a sweep of every
-// occurrence row return; and either verification refuses the document or
-// its index, or a preorder walk by FirstChild/NextSibling from the root
+// through, Text, Label, Parent and LastDesc of every node and a search
+// and a sweep of every occurrence row return; and either verification
+// refuses the document or its index, or a preorder walk by FirstChild/NextSibling from the root
 // visits each of the n nodes once, in rank order, every parent walk ends
 // at the root, the listed text nodes are exactly the nodes labelled
 // #text, in order, Text is empty on every other node and on those reads
@@ -73,8 +85,10 @@ func FuzzNavigateVerified(f *testing.F) {
 		e = binary.LittleEndian.AppendUint32(e, word)
 		return binary.LittleEndian.AppendUint32(e, value)
 	}
-	const n, far = fuzzFanout + 2 + fuzzFanout/5000, 0xFFFF // nodes; the escape
-	const texts = fuzzFanout / 5000                         // all of them below rank 65 536
+	const n, far, big = fuzzFanout + 2 + fuzzFanout/5000, 0xFFFF, 0xFF // nodes; the escapes of up and of size and labels
+	const texts = fuzzFanout / 5000                                    // all of them below rank 65 536
+	const names = 4 + fuzzRareNames                                    // #doc, #text, fan, leaf and the named leaves
+	const rares = names - big                                          // the first of them node 50 313, a leaf's rank being 2 + i + ⌈i/5000⌉
 	f.Add([]byte{})
 	f.Add(edit(0, 9, 0))                           // up = 0 off the root: a node its own parent
 	f.Add(edit(0, 9, 2))                           // a parent that is not the enclosing node
@@ -82,17 +96,27 @@ func FuzzNavigateVerified(f *testing.F) {
 	f.Add(edit(0, 0, 0))                           // root its own parent
 	f.Add(edit(0, 9, far))                         // a near parent stored as an escape
 	f.Add(edit(0, n-1, 1))                         // a far parent stored as a distance
-	f.Add(edit(1, 3, 2000))                        // interval past the parent's end
+	f.Add(edit(1, 3, 200))                         // interval past the parent's end
 	f.Add(edit(1, 0, 10))                          // root interval short, its entry orphaned
-	f.Add(edit(1, 5, far))                         // an escape with no entry
+	f.Add(edit(1, 5, big))                         // a size byte of 255 with no entry
 	f.Add(edit(1, 1, 7))                           // an entry with no escape
-	f.Add(append(edit(5, 0, 1), edit(5, 2, 0)...)) // entries out of order
-	f.Add(edit(5, 3, 100))                         // a span shorter than 65 535
+	f.Add(append(edit(5, 0, 1), edit(5, 3, 0)...)) // entries out of order
+	f.Add(edit(5, 4, 100))                         // an entry shorter than 255
 	f.Add(edit(5, 1, n-2))                         // a span past its parent's
-	f.Add(edit(5, 3, n+6))                         // a span past the document's end
-	f.Add(edit(5, 3, 1<<31))                       // a span ending below zero, its length wrapping
-	f.Add(edit(2, 3, 1))                           // an element relabelled #text, and not listed
-	f.Add(edit(2, 3, 60000))                       // a label past the name table
+	f.Add(edit(5, 4, n+6))                         // a span past the document's end
+	f.Add(edit(5, 4, 1<<31))                       // a span ending below zero, its length wrapping
+	f.Add(edit(5, 2, 1))                           // outer pointing forward
+	f.Add(edit(5, 5, 1<<32-1))                     // an entry inside another that names none around it
+	f.Add(edit(2, 4, 1))                           // an element relabelled #text, and not listed
+	f.Add(edit(2, 4, big))                         // an element given the label escape, and not listed
+	f.Add(edit(2, 50313, 3))                       // a listed node whose label byte is not the escape
+	f.Add(edit(10, 0, 9))                          // a rare rank whose byte is not 255
+	f.Add(edit(10, 1, 0))                          // the rare ranks stepping back inside a chunk
+	f.Add(edit(11, 1, rares+1))                    // the rare directory decreasing
+	f.Add(edit(11, 2, rares-1))                    // the rare directory ending short of the list
+	f.Add(edit(12, 0, 3))                          // a rare id that fits a byte
+	f.Add(edit(12, rares-1, names))                // a rare id past the name table
+	f.Add(edit(12, 0, names-1))                    // a rare id that is another name's: the node in the wrong row of the index
 	f.Add(edit(3, 2, 3))                           // the text nodes' halves stepping back inside a chunk
 	f.Add(edit(3, 1, 9))                           // a listed text node that is an element
 	f.Add(edit(4, 2, 60000))                       // a text offset past the blob
@@ -106,7 +130,7 @@ func FuzzNavigateVerified(f *testing.F) {
 	f.Add(edit(9, 5, 1))                           // a row boundary off by one: the fan element filed in its row's second chunk
 	f.Add(edit(9, 2, 0))                           // the directory stepping back at a row's start
 	f.Add(edit(9, 3, 2))                           // an entry in the #text row, which is the document's to keep
-	f.Add(edit(9, 8, n))                           // the closing entry past the halves
+	f.Add(edit(9, 2*names, n))                     // the closing entry past the halves
 	f.Add(edit(8, 5, 3))                           // halves out of order inside a chunk
 	f.Add(edit(8, n-texts-1, far))                 // a rank past n in the last chunk
 	f.Add(edit(8, 1, 2))                           // an occurrence filed under the wrong label
@@ -125,7 +149,7 @@ func FuzzNavigateVerified(f *testing.F) {
 		}
 		d, _, err := tree.DocumentFromLayout(l)
 		if err != nil {
-			return // the open's shape checks: the text sequences' directories and ends, the wide table, the succinct view
+			return // the open's shape checks: the sequences' directories and ends, the wide table, the rare ids, the succinct view
 		}
 		ix, err := index.FromLayout(l, d)
 		if err != nil {
@@ -135,6 +159,9 @@ func FuzzNavigateVerified(f *testing.F) {
 		n := tree.NodeID(d.NumNodes())
 		for v := tree.Nil; v <= n; v++ {
 			_ = d.Text(v)
+		}
+		for v := tree.NodeID(0); v < n; v++ {
+			_, _, _ = d.Label(v), d.Parent(v), d.LastDesc(v)
 		}
 		for lab := tree.LabelID(0); int(lab) < d.Names().Size(); lab++ {
 			row, swept := ix.Occurrences(lab), 0

@@ -119,7 +119,7 @@ func TestXQO2Malformed(t *testing.T) {
 	mutants := map[string]func([]byte){
 		"bad magic":        func(b []byte) { copy(b[0:4], "YYYY") },
 		"bad version":      func(b []byte) { b[4] = 99 },
-		"previous version": func(b []byte) { b[4] = 5 },
+		"previous version": func(b []byte) { b[4] = 6 },
 		"corrupt payload": func(b []byte) {
 			// First payload starts at the 64-byte-aligned end of the
 			// section table (header 24 bytes + count entries of 24).
@@ -200,7 +200,7 @@ func TestXQO2VerifyStructure(t *testing.T) {
 		},
 		"subtree past the document's end": func(b []byte) {
 			rewriteSection(t, b, tree.SecSize, func(p []byte) {
-				binary.LittleEndian.PutUint16(p[len(p)-2:], 5)
+				p[len(p)-1] = 5
 			})
 		},
 		// In range, so no bounds check trips — but every parent walk
@@ -210,35 +210,44 @@ func TestXQO2VerifyStructure(t *testing.T) {
 				binary.LittleEndian.PutUint16(p[2*5:], 0)
 			})
 		},
-		// Node 3 (the first region) claims one node more than node 2
-		// (regions), its parent: overlapping subtree intervals.
+		// The first child of the first node with a short subtree claims as
+		// many nodes as its parent: overlapping subtree intervals.
 		"child interval past its parent's end": func(b []byte) {
 			rewriteSection(t, b, tree.SecSize, func(p []byte) {
-				binary.LittleEndian.PutUint16(p[2*3:], binary.LittleEndian.Uint16(p[2*2:]))
+				v := bytes.IndexFunc(p, func(r rune) bool { return r > 0 && r < 0xFF })
+				p[v+1] = p[v]
 			})
 		},
+		// The root's entry in the wide table is orphaned with it.
 		"root interval short": func(b []byte) {
 			rewriteSection(t, b, tree.SecSize, func(p []byte) {
-				binary.LittleEndian.PutUint16(p[0:], uint16(len(p)/2-2))
+				p[0] = 200
 			})
 		},
-		// A subtree said to be wide, in a document that lists no wide node:
-		// LastDesc misses and calls the node a leaf.
+		// A leaf said to be wide, which the table does not list: LastDesc
+		// misses and calls the node a leaf.
 		"escape without an entry": func(b []byte) {
 			rewriteSection(t, b, tree.SecSize, func(p []byte) {
-				binary.LittleEndian.PutUint16(p[2*3:], 0xFFFF)
+				p[bytes.IndexByte(p, 0)] = 0xFF
 			})
 		},
 		"label past the name table": func(b []byte) {
 			rewriteSection(t, b, tree.SecLabels, func(p []byte) {
-				binary.LittleEndian.PutUint16(p[2*repeatedElement(p):], 60000)
+				p[repeatedElement(p)] = 200
+			})
+		},
+		// An element given the label escape, in a document that lists no
+		// rare label: Label misses and calls the node a #doc.
+		"label escape not listed": func(b []byte) {
+			rewriteSection(t, b, tree.SecLabels, func(p []byte) {
+				p[repeatedElement(p)] = 0xFF
 			})
 		},
 		// An element relabelled #text: Text would find no place for it in
 		// the list of text nodes.
 		"text node not listed": func(b []byte) {
 			rewriteSection(t, b, tree.SecLabels, func(p []byte) {
-				binary.LittleEndian.PutUint16(p[2*repeatedElement(p):], uint16(tree.LabelText))
+				p[repeatedElement(p)] = byte(tree.LabelText)
 			})
 		},
 		"text node listed twice": func(b []byte) {
@@ -306,18 +315,23 @@ func TestXQO2VerifyStructure(t *testing.T) {
 	}
 }
 
-// TestXQO2WideTable splits the wide table's checks between the two
-// opens, on the fuzzer's fan of 70 000 leaves (wide: nodes 0 and 1, both
-// ending at the last node). What is wrong with the table by itself —
-// order, range, a span shorter than 65 535 or across another's end — the
-// default open refuses, because a lookup must be able to trust what it
-// returns. What is wrong between the table and the arrays — an escape
-// without an entry, an entry without an escape, a distance stored the
-// long way — it accepts, answers without leaving the document, and the
-// verified open refuses.
+// TestXQO2WideTable splits the checks of the two tables an escape is
+// answered from between the two opens, on the fuzzer's fan of 70 000
+// leaves (wide: nodes 0 and 1, both ending at the last node, the second
+// inside the first; rare: the last 99 of the leaves with a name of their
+// own). What is wrong with a table by itself — the wide one's order,
+// range, a span shorter than 255 or across another's end, an entry naming
+// another than the innermost around it; a rare id that fits a byte or is
+// past the name table, a directory that is none — the default open
+// refuses, because a lookup must be able to trust what it returns. What
+// is wrong between a table and the arrays — an escape without an entry,
+// an entry without an escape, a distance stored the long way — it
+// accepts, answers without leaving the document, and the verified open
+// refuses.
 func TestXQO2WideTable(t *testing.T) {
 	orig := fuzzContainer()
 	n := uint32(fuzzFanout + 2 + fuzzFanout/5000)
+	const names, firstRare = 4 + fuzzRareNames, 50313
 	open := func(mutate func(b []byte)) (*tree.Document, error) {
 		data := bytes.Clone(orig)
 		mutate(data)
@@ -331,9 +345,12 @@ func TestXQO2WideTable(t *testing.T) {
 	word := func(kind uint32, width, i int, v uint32) func([]byte) {
 		return func(b []byte) {
 			rewriteSection(t, b, kind, func(p []byte) {
-				if width == 2 {
+				switch width {
+				case 1:
+					p[i] = byte(v)
+				case 2:
 					binary.LittleEndian.PutUint16(p[2*i:], uint16(v))
-				} else {
+				default:
 					binary.LittleEndian.PutUint32(p[4*i:], v)
 				}
 			})
@@ -342,17 +359,28 @@ func TestXQO2WideTable(t *testing.T) {
 	if d, err := open(func([]byte) {}); err != nil || d.VerifyStructure() != nil {
 		t.Fatalf("the pristine container: %v, %v", err, d.VerifyStructure())
 	}
-	for name, mutate := range map[string]func([]byte){
-		"entries out of order":       func(b []byte) { word(tree.SecWide, 4, 0, 1)(b); word(tree.SecWide, 4, 2, 0)(b) },
-		"an entry listed twice":      word(tree.SecWide, 4, 2, 0),
-		"a span shorter than 65 535": word(tree.SecWide, 4, 3, 100),
-		"a span past the document":   word(tree.SecWide, 4, 3, n+6),
-		"a span ending below zero":   word(tree.SecWide, 4, 3, 1<<31),
-		"a span past the one around": word(tree.SecWide, 4, 1, n-2),
-		"a node before the document": word(tree.SecWide, 4, 0, 1<<31+5),
+	// An entry of the wide table is three words: node, last, outer.
+	for name, tc := range map[string]struct {
+		mutate func([]byte)
+		says   string
+	}{
+		"entries out of order":         {func(b []byte) { word(tree.SecWide, 4, 0, 1)(b); word(tree.SecWide, 4, 3, 0)(b) }, "wide entry"},
+		"an entry listed twice":        {word(tree.SecWide, 4, 3, 0), "wide entry"},
+		"a span shorter than 255":      {word(tree.SecWide, 4, 4, 100), "wide entry"},
+		"a span past the document":     {word(tree.SecWide, 4, 4, n+6), "wide entry"},
+		"a span ending below zero":     {word(tree.SecWide, 4, 4, 1<<31), "wide entry"},
+		"a span past the one around":   {word(tree.SecWide, 4, 1, n-2), "wide entry"},
+		"a node before the document":   {word(tree.SecWide, 4, 0, 1<<31+5), "wide entry"},
+		"outer pointing forward":       {word(tree.SecWide, 4, 2, 1), "wide entry"},
+		"outer pointing at itself":     {word(tree.SecWide, 4, 5, 1), "wide entry"},
+		"outer passing the innermost":  {word(tree.SecWide, 4, 5, 1<<32-1), "wide entry"},
+		"a rare id that fits a byte":   {word(tree.SecRareIDs, 2, 0, 254), "rare label"},
+		"a rare id past the names":     {word(tree.SecRareIDs, 2, 5, names), "rare label"},
+		"a rare directory stepping":    {word(tree.SecRareDir, 4, 1, names), "section 23"},
+		"a rare directory ending high": {word(tree.SecRareDir, 4, 2, names), "section 23"},
 	} {
-		if _, err := open(mutate); err == nil || !strings.Contains(err.Error(), "wide entry") {
-			t.Errorf("%s: the default open says %v, want a refusal naming the wide entry", name, err)
+		if _, err := open(tc.mutate); err == nil || !strings.Contains(err.Error(), tc.says) {
+			t.Errorf("%s: the default open says %v, want a refusal naming the %s", name, err, tc.says)
 		}
 	}
 	last := tree.NodeID(n - 1)
@@ -360,9 +388,9 @@ func TestXQO2WideTable(t *testing.T) {
 		mutate func([]byte)
 		check  func(d *tree.Document) bool // what the unverified document answers
 	}{
-		"an escape with no entry": {word(tree.SecSize, 2, 5, 0xFFFF),
+		"an escape with no entry": {word(tree.SecSize, 1, 5, 0xFF),
 			func(d *tree.Document) bool { return d.LastDesc(5) == 5 && d.FirstChild(5) == 6 }},
-		"an entry with no escape": {word(tree.SecSize, 2, 1, 7),
+		"an entry with no escape": {word(tree.SecSize, 1, 1, 7),
 			func(d *tree.Document) bool { return d.LastDesc(1) == 8 && d.Parent(last) == 1 }},
 		"a near parent stored as an escape": {word(tree.SecUp, 2, 9, 0xFFFF),
 			func(d *tree.Document) bool { return d.Parent(9) == 1 }},
@@ -371,15 +399,25 @@ func TestXQO2WideTable(t *testing.T) {
 		"an escape under no wide node": {func(b []byte) {
 			word(tree.SecUp, 2, 0, 0xFFFF)(b)
 		}, func(d *tree.Document) bool { return d.Parent(0) == tree.Nil }},
+		"a label escape with no entry": {word(tree.SecLabels, 1, 9, 0xFF),
+			func(d *tree.Document) bool { return d.Label(9) == tree.LabelDoc && d.Text(9) == "" }},
+		"a rare entry with no escape": {word(tree.SecLabels, 1, firstRare, 3),
+			func(d *tree.Document) bool { return d.LabelName(firstRare) == "leaf" }},
+		"a rare entry for another node": {word(tree.SecRare, 2, 0, 9),
+			func(d *tree.Document) bool { return d.LabelName(9) == "leaf" && d.Label(firstRare) == tree.LabelDoc }},
+		"the rare ranks out of order": {word(tree.SecRare, 2, 1, 0),
+			func(d *tree.Document) bool {
+				return int(d.Label(firstRare)) < names && int(d.Label(firstRare+200)) < names
+			}},
 	} {
 		d, err := open(tc.mutate)
 		if err != nil {
-			t.Errorf("%s: the default open refused a table that is sound by itself: %v", name, err)
+			t.Errorf("%s: the default open refused tables that are sound by themselves: %v", name, err)
 			continue
 		}
 		if !tc.check(d) {
-			t.Errorf("%s: unverified, the lookups answer LastDesc(1)=%d LastDesc(5)=%d Parent(9)=%d Parent(%d)=%d Parent(0)=%d",
-				name, d.LastDesc(1), d.LastDesc(5), d.Parent(9), last, d.Parent(last), d.Parent(0))
+			t.Errorf("%s: unverified, the lookups answer LastDesc(1)=%d LastDesc(5)=%d Parent(9)=%d Parent(%d)=%d Parent(0)=%d Label(9)=%d Label(%d)=%d",
+				name, d.LastDesc(1), d.LastDesc(5), d.Parent(9), last, d.Parent(last), d.Parent(0), d.Label(9), firstRare, d.Label(firstRare))
 		}
 		if d.VerifyStructure() == nil {
 			t.Errorf("%s: verified", name)
@@ -390,10 +428,9 @@ func TestXQO2WideTable(t *testing.T) {
 // repeatedElement returns, from a labels section, the first element that
 // is not the first of its label.
 func repeatedElement(labels []byte) int {
-	seen := map[uint16]bool{}
-	for v := 0; 2*v < len(labels); v++ {
-		l := binary.LittleEndian.Uint16(labels[2*v:])
-		if seen[l] && l != uint16(tree.LabelText) {
+	seen := map[byte]bool{}
+	for v, l := range labels {
+		if seen[l] && l != byte(tree.LabelText) {
 			return v
 		}
 		seen[l] = true

@@ -8,9 +8,10 @@ import (
 // SpareCapacity reports how many bytes d's arrays and text blob hold
 // beyond their lengths.
 func (d *Document) SpareCapacity() int {
-	return 2*(cap(d.labels)-len(d.labels)+cap(d.up)-len(d.up)+cap(d.size)-len(d.size)) +
-		8*(cap(d.wide)-len(d.wide)) +
-		d.textNodes.spare() + d.textOff.spare() +
+	return cap(d.labels) - len(d.labels) + cap(d.size) - len(d.size) +
+		2*(cap(d.up)-len(d.up)+cap(d.rareIDs)-len(d.rareIDs)) +
+		12*(cap(d.wide)-len(d.wide)) +
+		d.rare.spare() + d.textNodes.spare() + d.textOff.spare() +
 		cap(d.textBlob) - len(d.textBlob)
 }
 
@@ -18,8 +19,23 @@ func (s Seq) spare() int {
 	return 2*(cap(s.Lo)-len(s.Lo)) + 4*(cap(s.Start)-len(s.Start))
 }
 
-// Far is the distance from which up and size hold an escape.
-const Far = far
+// Far is the distance from which up holds an escape, Big the length from
+// which size does.
+const (
+	Far = far
+	Big = big
+)
+
+// WideParentHops answers Parent(v) from the wide table, whatever up
+// holds, and reports how many entries the lookup climbed over after its
+// binary search.
+func (d *Document) WideParentHops(v NodeID) (NodeID, int) {
+	i, hops := d.wideAround(v)
+	if i < 0 {
+		return Nil, hops
+	}
+	return d.wide[i].node, hops
+}
 
 // WideNodes returns the nodes listed in d's wide table.
 func (d *Document) WideNodes() []NodeID {
@@ -42,7 +58,8 @@ func (d *Document) FarParents() int {
 }
 
 // RequireSameTopology compares the stored topology of two documents —
-// up, size and wide, element for element. Held against a document Link
+// up, size and wide, the entry around each entry included, element for
+// element. Held against a document Link
 // built from the same tree, it proves a spliced or opened one canonical:
 // no stale escape, no orphan wide entry, no distance stored the long way.
 func RequireSameTopology(t *testing.T, what string, got, want *Document) {

@@ -14,7 +14,8 @@ import (
 
 // XQO2 resident layout — the only binary document format. It stores
 // every array of the in-memory representation (labels, up, size, wide,
-// the text nodes' ranks and offsets as halves + directory each, the blob,
+// the rare labels, the text nodes' ranks and offsets as halves +
+// directory each, the blob,
 // bitvector words, rank superblocks, BP segment tree, label table)
 // verbatim in 64-byte-aligned, CRC-checksummed sections, so an mmap'd
 // file can be aliased into live structures without copying or rebuilding
@@ -50,8 +51,12 @@ import (
 // they held 32-bit values, the index's directory (32) chunk starts per
 // label where it held one 64-bit offset per label, and the two text
 // sequences gained a directory each (20, 21) — again kinds kept with
-// another shape, which only the version can tell. A file of another
-// version is refused with the command that re-saves it.
+// another shape, which only the version can tell. Version 7 stores labels
+// (kind 2) and size (18) in one byte a node where they took two, lists
+// the nodes whose label does not fit (22, 23) with their ids (24), and
+// widens an entry of the wide table (19) from two words to three, for
+// the entry around it. A file of another version is refused with the
+// command that re-saves it.
 //
 // This file owns the container plus the Document/Succinct sections;
 // internal/index adds its sections in its own layout file (the index
@@ -60,7 +65,7 @@ import (
 
 const (
 	xqo2Magic      = "XQO2"
-	xqo2Version    = 6
+	xqo2Version    = 7
 	xqo2Align      = 64
 	xqo2EndianMark = 0x0102030405060708
 	xqo2HeaderLen  = 24
@@ -72,10 +77,10 @@ const (
 // 7 (version 2's firstChild, nextSibling and depth) and 3 and 6 (parent
 // and lastDesc, up to version 4) are retired and stay reserved; kinds 2
 // and 8 kept their meaning and changed their shape in version 4, kinds 8
-// and 16 again in version 6.
+// and 16 again in version 6, kinds 2, 18 and 19 in version 7.
 const (
 	SecDocMeta    uint32 = 1  // scalars: numNodes, numNames, parenLen, parenOnes
-	SecLabels     uint32 = 2  // []uint16, len numNodes
+	SecLabels     uint32 = 2  // []uint8, len numNodes: the LabelID, or 0xFF
 	SecTextOff    uint32 = 8  // []uint16, len(SecTextNodes)+1: the halves of each text node's start in the blob, then of its end
 	SecTextBlob   uint32 = 9  // raw bytes
 	SecNameOff    uint32 = 10 // []uint32, len numNames+1
@@ -86,10 +91,13 @@ const (
 	SecBPBlockSum uint32 = 15 // []int32: excess-sum segment tree
 	SecTextNodes  uint32 = 16 // []uint16: the halves of the #text nodes' ranks, ascending — also the index's occurrence row of LabelText
 	SecUp         uint32 = 17 // []uint16, len numNodes: v - parent, or 0xFFFF
-	SecSize       uint32 = 18 // []uint16, len numNodes: lastDesc - v, or 0xFFFF
-	SecWide       uint32 = 19 // []{node, last NodeID}: the nodes whose size is 0xFFFF, ascending
+	SecSize       uint32 = 18 // []uint8, len numNodes: lastDesc - v, or 0xFF
+	SecWide       uint32 = 19 // []{node, last NodeID; outer int32}: the nodes whose size is 0xFF, ascending, each with the index of the entry around it
 	SecTextDir    uint32 = 20 // []uint32, one per 65 536 ranks and one more: where each chunk of SecTextNodes starts
 	SecTextOffDir uint32 = 21 // []uint32, one per 65 536 blob bytes and one more: where each chunk of SecTextOff starts
+	SecRare       uint32 = 22 // []uint16: the halves of the ranks of the nodes whose label is 0xFF, ascending
+	SecRareDir    uint32 = 23 // []uint32, one per 65 536 ranks and one more: where each chunk of SecRare starts
+	SecRareIDs    uint32 = 24 // []uint16, len(SecRare): the LabelID of each, 255 or more
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -107,8 +115,8 @@ func SliceBytes[T any](s []T) []byte {
 // AliasSlice reinterprets raw bytes — typically a section of a mapped
 // XQO2 file — as a slice of fixed-size pointer-free scalars, without
 // copying. It fails if the byte length is not a multiple of the element
-// size or the data is misaligned for it (section payloads are 64-byte
-// aligned, so this only trips on corrupt section tables).
+// size or the data is misaligned for the element (section payloads are
+// 64-byte aligned, so this only trips on corrupt section tables).
 func AliasSlice[T any](b []byte) ([]T, error) {
 	var zero T
 	size := int(unsafe.Sizeof(zero))
@@ -118,8 +126,8 @@ func AliasSlice[T any](b []byte) ([]T, error) {
 	if len(b)%size != 0 {
 		return nil, fmt.Errorf("tree: section length %d not a multiple of element size %d", len(b), size)
 	}
-	if uintptr(unsafe.Pointer(&b[0]))%uintptr(size) != 0 {
-		return nil, fmt.Errorf("tree: section misaligned for element size %d", size)
+	if align := unsafe.Alignof(zero); uintptr(unsafe.Pointer(&b[0]))%align != 0 {
+		return nil, fmt.Errorf("tree: section misaligned for elements aligned to %d", align)
 	}
 	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/size), nil
 }
@@ -341,6 +349,9 @@ func AddDocumentSections(w *LayoutWriter, d *Document, s *Succinct) {
 	w.Add(SecUp, SliceBytes(d.up))
 	w.Add(SecSize, SliceBytes(d.size))
 	w.Add(SecWide, SliceBytes(d.wide))
+	w.Add(SecRare, SliceBytes(d.rare.Lo))
+	w.Add(SecRareDir, SliceBytes(d.rare.Start))
+	w.Add(SecRareIDs, SliceBytes(d.rareIDs))
 	w.Add(SecTextNodes, SliceBytes(d.textNodes.Lo))
 	w.Add(SecTextDir, SliceBytes(d.textNodes.Start))
 	w.Add(SecTextOff, SliceBytes(d.textOff.Lo))
@@ -386,16 +397,22 @@ func DocumentFromLayout(l *Layout) (*Document, *Succinct, error) {
 
 	d := &Document{mapping: l.owner}
 	var err error
-	if d.labels, err = layoutSlice[uint16](l, SecLabels, n); err != nil {
+	if d.labels, err = layoutSlice[uint8](l, SecLabels, n); err != nil {
 		return nil, nil, err
 	}
 	if d.up, err = layoutSlice[uint16](l, SecUp, n); err != nil {
 		return nil, nil, err
 	}
-	if d.size, err = layoutSlice[uint16](l, SecSize, n); err != nil {
+	if d.size, err = layoutSlice[uint8](l, SecSize, n); err != nil {
 		return nil, nil, err
 	}
 	if d.wide, err = layoutSlice[span](l, SecWide, -1); err != nil {
+		return nil, nil, err
+	}
+	if d.rare, err = SeqFromLayout(l, SecRare, SecRareDir, -1, Chunks(n)); err != nil {
+		return nil, nil, err
+	}
+	if d.rareIDs, err = layoutSlice[uint16](l, SecRareIDs, d.rare.Len()); err != nil {
 		return nil, nil, err
 	}
 	d.textBlob = l.Section(SecTextBlob)
@@ -411,12 +428,14 @@ func DocumentFromLayout(l *Layout) (*Document, *Succinct, error) {
 	}
 
 	// Shape checks here cost nothing per node: section lengths against the
-	// node and text-node counts, the two directories (SeqFromLayout), the
-	// text offsets' two ends against the blob, and the wide table — a dozen
-	// entries on a million nodes — being one a lookup can trust.
+	// node, text-node and rare-label counts, the three directories
+	// (SeqFromLayout), the text offsets' two ends against the blob, and the
+	// two tables an escape is answered from — the wide one, a dozen entries
+	// on a million nodes, and the rare labels' ids, none for a document of
+	// 255 names or fewer — being ones a lookup can trust.
 	// Element-wise structural validation — up and size describing a tree,
-	// their escapes matching the table, the text nodes listed being the
-	// nodes labelled so, their offsets monotone — is the opt-in
+	// their escapes matching the table, the nodes listed as rare or as text
+	// being the nodes labelled so, the offsets monotone — is the opt-in
 	// VerifyStructure pass: the default open trusts checksummed content (the
 	// CRCs catch corruption; the format is a cache artifact written by this
 	// process), because re-scanning every array on every open would cost
@@ -427,6 +446,9 @@ func DocumentFromLayout(l *Layout) (*Document, *Succinct, error) {
 		return nil, nil, fmt.Errorf("tree: xqo2: text offsets span [%d, %d) of a %d-byte blob", first, last, len(d.textBlob))
 	}
 	if err := d.checkWide(); err != nil {
+		return nil, nil, err
+	}
+	if err := d.checkRareIDs(numNames); err != nil {
 		return nil, nil, err
 	}
 
@@ -472,31 +494,46 @@ func DocumentFromLayout(l *Layout) (*Document, *Succinct, error) {
 }
 
 // checkWide proves the wide table alone, in O(|wide|): ranks strictly
-// increasing, every span within the document and far ranks long or more,
-// and any two nested or disjoint. Whatever up and size hold, a lookup in
-// such a table returns a node of the document or Nil.
+// increasing, every span within the document and big ranks long or more,
+// any two nested or disjoint, and outer the innermost entry around each —
+// found as nest finds it, over entries already proven. Whatever up
+// and size hold, a lookup in such a table ends, and returns a node of the
+// document or Nil.
 func (d *Document) checkWide() error {
 	n, prev := NodeID(len(d.labels)), Nil
-	var open []NodeID // the ends of the spans around the current entry
 	for i, s := range d.wide {
-		if s.node <= prev || s.last >= n || s.last < s.node || s.last-s.node < far {
-			return fmt.Errorf("tree: xqo2: wide entry %d spans [%d, %d] after node %d of %d (want at least %d ranks, in order)", i, s.node, s.last, prev, n, far)
+		if s.node <= prev || s.last >= n || s.last < s.node || s.last-s.node < big {
+			return fmt.Errorf("tree: xqo2: wide entry %d spans [%d, %d] after node %d of %d (want at least %d ranks, in order)", i, s.node, s.last, prev, n, big)
 		}
-		for len(open) > 0 && open[len(open)-1] < s.node {
-			open = open[:len(open)-1]
+		o := around(d.wide, i)
+		if o >= 0 && s.last > d.wide[o].last {
+			return fmt.Errorf("tree: xqo2: wide entry %d spans [%d, %d], across the end of the span around it (%d)", i, s.node, s.last, d.wide[o].last)
 		}
-		if len(open) > 0 && s.last > open[len(open)-1] {
-			return fmt.Errorf("tree: xqo2: wide entry %d spans [%d, %d], across the end of the span around it (%d)", i, s.node, s.last, open[len(open)-1])
+		if s.outer != o {
+			return fmt.Errorf("tree: xqo2: wide entry %d names entry %d as the one around it, which is entry %d", i, s.outer, o)
 		}
-		open, prev = append(open, s.last), s.node
+		prev = s.node
+	}
+	return nil
+}
+
+// checkRareIDs proves the rare labels' ids alone, in O(|rare|): each one
+// that takes the escape, within a table of sigma names. Whatever labels
+// and rare hold, a lookup among such ids returns a label of the table.
+func (d *Document) checkRareIDs(sigma int) error {
+	for i, id := range d.rareIDs {
+		if id < RareLabel || int(id) >= sigma {
+			return fmt.Errorf("tree: xqo2: rare label %d is id %d (want %d to %d)", i, id, RareLabel, sigma-1)
+		}
 	}
 	return nil
 }
 
 // VerifyStructure runs the element-wise structural validation that the
 // zero-copy open skips by default: up, size and wide describing one
-// tree in preorder, labels within the name table, the listed text nodes
-// being exactly the nodes labelled #text, and their offsets monotone
+// tree in preorder, labels within the name table, the nodes listed as
+// rare being exactly the nodes holding the label escape, the listed text
+// nodes exactly the nodes labelled #text, and their offsets monotone
 // across the blob. It is the defense for files from outside this
 // process — a crafted value that passes the checksums (which only catch
 // corruption) would otherwise surface as a bounds panic, or a parent
@@ -507,12 +544,38 @@ func (d *Document) VerifyStructure() error {
 	return inParallel(len(checks), func(i int) error { return checks[i]() })
 }
 
-// verifyLabels proves every label within the name table.
+// verifyLabels proves every label within the name table, and rare the
+// list of exactly the nodes whose label byte is the escape: strictly
+// increasing within [0, n), each listed node holding the escape and an id
+// that takes one, and as many nodes holding it as are listed.
 func (d *Document) verifyLabels() error {
+	n, sigma, prev, listed := len(d.labels), d.names.Size(), -1, 0
+	if len(d.rareIDs) != d.rare.Len() {
+		return fmt.Errorf("tree: xqo2: %d ids for %d rare labels", len(d.rareIDs), d.rare.Len())
+	}
+	if err := d.checkRareIDs(sigma); err != nil {
+		return err
+	}
+	for u := range d.rare.From(0) {
+		v := int(u)
+		if v <= prev || v >= n {
+			return fmt.Errorf("tree: xqo2: rare label list entry %d is node %d, after node %d of %d", listed, v, prev, n)
+		}
+		if d.labels[v] != RareLabel {
+			return fmt.Errorf("tree: xqo2: node %d is listed as rare but carries label %d", v, d.labels[v])
+		}
+		prev = v
+		listed++
+	}
 	for v, l := range d.labels {
-		if int(l) >= d.names.Size() {
+		if l == RareLabel {
+			listed--
+		} else if int(l) >= sigma {
 			return fmt.Errorf("tree: xqo2: node %d label %d out of range", v, l)
 		}
+	}
+	if listed != 0 {
+		return fmt.Errorf("tree: xqo2: %d nodes carry the rare label and are not listed", -listed)
 	}
 	return nil
 }
@@ -531,7 +594,7 @@ func (d *Document) verifyText() error {
 		if v <= prev || v >= n {
 			return fmt.Errorf("tree: xqo2: text node list entry %d is node %d, after node %d of %d", listed, v, prev, n)
 		}
-		if d.labels[v] != uint16(LabelText) {
+		if d.labels[v] != uint8(LabelText) {
 			return fmt.Errorf("tree: xqo2: node %d is listed as text but carries label %d", v, d.labels[v])
 		}
 		prev = v
@@ -566,9 +629,10 @@ func (d *Document) verifyText() error {
 // verifyTree proves that up, size and wide are the canonical encoding of
 // one preorder tree: the root's interval is the whole document, every
 // other node's parent is the innermost interval still open at its rank,
-// with its own interval inside that one, every distance under far is
-// stored as itself and every other as far, and wide lists exactly the
-// nodes whose size is far, in order, with their ends. One pass with the
+// with its own interval inside that one, every distance under far and
+// every length under big is stored as itself and every other as far or
+// big, and wide lists exactly the nodes whose size is big, in order, with
+// their ends and the entries around them (checkWide). One pass with the
 // stack of open intervals and one cursor into wide; values are only
 // compared, never used as an index, so no content can make the check
 // itself fault. What passes is navigable: every parent is a lower rank
@@ -594,7 +658,7 @@ func (d *Document) verifyTree() error {
 			return fmt.Errorf("tree: xqo2: node %d has up %d, but lies in the subtree of %d", v, up[v], top.node)
 		}
 		span, reach := NodeID(size[v]), top.end-v
-		if size[v] == far {
+		if size[v] == big {
 			if len(wide) == 0 || wide[0].node != v {
 				return fmt.Errorf("tree: xqo2: node %d has a wide subtree and no entry saying where it ends", v)
 			}

@@ -42,10 +42,10 @@ const linkAloneBelow = 1 << 15
 // closes after the last.
 //
 // Two passes over the events share the work, concurrently for all but
-// small documents: one needs no state between events (labels, the text
-// directory, the blob), the other the stack of open elements (up, size
-// and wide). On a fresh heap most of the time goes to first touches of
-// the arrays' pages, which the two passes share.
+// small documents: one needs no state between events (labels, rare, the
+// text directory, the blob), the other the stack of open elements (up,
+// size and wide). On a fresh heap most of the time goes to first touches
+// of the arrays' pages, which the two passes share.
 func Link(names *LabelTable, parts []Part) (*Document, error) {
 	n, texts, textBytes := 1, 0, 0
 	for i := range parts {
@@ -63,9 +63,9 @@ func Link(names *LabelTable, parts []Part) (*Document, error) {
 		panic("tree: text content exceeds 4GB blob limit")
 	}
 	d := &Document{
-		labels:   make([]uint16, n),
+		labels:   make([]uint8, n),
 		up:       make([]uint16, n),
-		size:     make([]uint16, n),
+		size:     make([]uint8, n),
 		textBlob: make([]byte, textBytes),
 		names:    names,
 	}
@@ -91,6 +91,19 @@ func Link(names *LabelTable, parts []Part) (*Document, error) {
 // fillNodes sets what a node has by itself: label and text.
 func (d *Document) fillNodes(parts []Part, texts int) {
 	labels := d.labels
+	// A table of 255 names or fewer has no rare label; a longer one costs
+	// a pass over the events to size the list.
+	rares := 0
+	if d.names.Size() > RareLabel {
+		for i := range parts {
+			for _, e := range parts[i].Ev {
+				if e != EvClose && parts[i].Remap[e] >= RareLabel {
+					rares++
+				}
+			}
+		}
+	}
+	rare, rareIDs := NewSeqWriter(rares, Chunks(len(labels))), make([]uint16, 0, rares)
 	textNodes := NewSeqWriter(texts, Chunks(len(labels)))
 	textOff := NewSeqWriter(texts+1, Chunks(len(d.textBlob)+1))
 	v, cur := 1, uint32(0)
@@ -104,12 +117,15 @@ func (d *Document) fillNodes(parts []Part, texts int) {
 				continue
 			}
 			l := remap[e]
-			labels[v] = uint16(l)
+			labels[v] = uint8(min(l, RareLabel))
 			if l == LabelText {
 				textNodes.Put(0, uint32(v))
 				textOff.Put(0, cur)
 				cur += textLen[ti]
 				ti++
+			} else if l >= RareLabel {
+				rare.Put(0, uint32(v))
+				rareIDs = append(rareIDs, uint16(l))
 			}
 			v++
 		}
@@ -118,6 +134,7 @@ func (d *Document) fillNodes(parts []Part, texts int) {
 		}
 	}
 	textOff.Put(0, cur)
+	d.rare, d.rareIDs = rare.Done(), rareIDs
 	d.textNodes, d.textOff = textNodes.Done(), textOff.Done()
 	if v != len(labels) {
 		panic("tree: a part's node count disagrees with its events")
@@ -155,13 +172,39 @@ func (d *Document) linkNodes(parts []Part) error {
 	// its exact length like every other array (MemBytes counts lengths).
 	d.wide = append(make([]span, 0, len(d.wide)), d.wide...)
 	slices.SortFunc(d.wide, func(a, b span) int { return cmp.Compare(a.node, b.node) })
+	nest(d.wide)
 	return nil
 }
 
 // closeAt ends u's subtree at last. Link never calls it for a text node,
 // whose size stays 0.
 func (d *Document) closeAt(u, last NodeID) {
-	if d.size[u] = narrow(last - u); d.size[u] == far {
-		d.wide = append(d.wide, span{u, last})
+	if last-u < big {
+		d.size[u] = uint8(last - u)
+		return
 	}
+	d.size[u] = big
+	d.wide = append(d.wide, span{node: u, last: last})
+}
+
+// nest sets outer in every entry of wide, which must be sorted by rank
+// and hold spans that nest or lie apart.
+func nest(wide []span) {
+	for i := range wide {
+		wide[i].outer = around(wide, i)
+	}
+}
+
+// around returns the index of the innermost of wide[:i] whose span holds
+// the node of entry i, or -1, given outer in the entries before i. The
+// entries around entry i are entry i-1 or around it, so the chain of outer
+// from i-1 is the stack of open spans: the ones that end before i starts
+// are passed once and never met again, and a pass over the table that
+// asks this of every entry is linear in it.
+func around(wide []span, i int) int32 {
+	o := int32(i) - 1
+	for o >= 0 && wide[o].last < wide[i].node {
+		o = wide[o].outer
+	}
+	return o
 }

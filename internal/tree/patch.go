@@ -16,7 +16,8 @@ import (
 // shrink, and the following siblings of the splice point and of each
 // ancestor, the only later nodes whose parent lies before it, end up
 // that much further from their parent — and in wide, whose entries after
-// the splice shift and whose ancestors may cross the line either way.
+// the splice shift and whose ancestors may cross the line either way, and
+// in rare, whose entries after the splice shift likewise.
 // Nothing is re-linked, because sibling order is implied by the
 // intervals: O(n) memcpy instead of an O(n) re-parse plus index rebuild.
 // The Delta describing the splice is what lets internal/index and the BP
@@ -246,12 +247,12 @@ func (d *Document) splice(dl *Delta) (*Document, error) {
 	// brings a name the table lacks; only then is the table cloned, under
 	// a new id.
 	names := d.names
-	labelMap := make([]uint16, len(frag.names.names)) // fragment label -> label in names
+	labelMap := make([]LabelID, len(frag.names.names)) // fragment label -> label in names
 	for i, name := range frag.names.names {
 		if _, ok := names.Lookup(name); !ok && names == d.names {
 			names = d.names.clone()
 		}
-		labelMap[i] = uint16(names.Intern(name))
+		labelMap[i] = names.Intern(name)
 	}
 	if err := checkLabelCount(names.Size()); err != nil {
 		return nil, err
@@ -278,9 +279,9 @@ func (d *Document) splice(dl *Delta) (*Document, error) {
 		textOff    = NewSeqWriter(texts+1, Chunks(blobLen+1))
 	)
 	nd := &Document{
-		labels:   make([]uint16, nn),
+		labels:   make([]uint8, nn),
 		up:       make([]uint16, nn),
-		size:     make([]uint16, nn),
+		size:     make([]uint8, nn),
 		textBlob: make([]byte, 0, blobLen),
 		names:    names,
 	}
@@ -298,16 +299,45 @@ func (d *Document) splice(dl *Delta) (*Document, error) {
 	textOff.Append(0, d.textOff, hi, d.textOff.Len(), int(prefixLen)+len(frag.textBlob)-int(suffixBase))
 	nd.textNodes, nd.textOff = textNodes.Done(), textOff.Done()
 
-	// Labels: prefix and suffix as they are, the fragment's translated
-	// into the generation's table. Fragment node f (f >= 1, skipping the
-	// fragment's #doc root) gets id q+f-1.
-	copy(nd.labels[:q], d.labels[:q])
-	for f := 1; f <= m; f++ {
-		nd.labels[int(q)+f-1] = labelMap[frag.labels[f]]
-	}
-	copy(nd.labels[cut+delta:], d.labels[cut:])
+	d.spliceLabels(nd, dl, labelMap)
 	d.spliceTopology(nd, dl)
 	return nd, nil
+}
+
+// spliceLabels fills nd's labels, rare and rareIDs: prefix and suffix as
+// they are, the fragment's labels translated into the generation's table
+// by labelMap. Fragment node f (f >= 1, skipping the fragment's #doc
+// root) gets id q+f-1. The rare ones among them take the place of the
+// removed interval's run in rare, as the fragment's text nodes do in
+// textNodes.
+func (d *Document) spliceLabels(nd *Document, dl *Delta, labelMap []LabelID) {
+	var (
+		q     = dl.At
+		delta = NodeID(dl.Inserted - dl.Removed)
+		cut   = q + NodeID(dl.Removed)
+	)
+	copy(nd.labels[:q], d.labels[:q])
+	copy(nd.labels[cut+delta:], d.labels[cut:])
+	var grafted []uint32 // the fragment's nodes whose label is rare in nd
+	var graftedIDs []uint16
+	for f := NodeID(1); int(f) <= dl.Inserted; f++ {
+		l := labelMap[dl.Frag.Label(f)]
+		nd.labels[q+f-1] = uint8(min(l, RareLabel))
+		if l >= RareLabel {
+			grafted, graftedIDs = append(grafted, uint32(q+f-1)), append(graftedIDs, uint16(l))
+		}
+	}
+	lo, _ := d.rare.Search(uint32(q))
+	hi, _ := d.rare.Search(uint32(cut))
+	n := lo + len(grafted) + d.rare.Len() - hi
+	rare := NewSeqWriter(n, Chunks(len(nd.labels)))
+	rare.Append(0, d.rare, 0, lo, 0)
+	for _, v := range grafted {
+		rare.Put(0, v)
+	}
+	rare.Append(0, d.rare, hi, d.rare.Len(), int(delta))
+	nd.rare = rare.Done()
+	nd.rareIDs = append(append(append(make([]uint16, 0, n), d.rareIDs[:lo]...), graftedIDs...), d.rareIDs[hi:]...)
 }
 
 // spliceTopology fills nd's up, size and wide. Relative values do not
@@ -339,7 +369,7 @@ func (d *Document) spliceTopology(nd *Document, dl *Delta) {
 	var grown []span
 	stale := 0
 	for a, next := dl.Parent, cut; a != Nil; a = d.Parent(a) {
-		if d.size[a] == far {
+		if d.size[a] == big {
 			stale++
 		}
 		end := d.LastDesc(a)
@@ -348,14 +378,18 @@ func (d *Document) spliceTopology(nd *Document, dl *Delta) {
 		}
 		next = end + 1
 		end += delta
-		if nd.size[a] = narrow(end - a); nd.size[a] == far {
-			grown = append(grown, span{a, end})
+		if end-a < big {
+			nd.size[a] = uint8(end - a)
+		} else {
+			nd.size[a] = big
+			grown = append(grown, span{node: a, last: end})
 		}
 	}
 
 	// wide, by rank: what the old table holds before the splice with the
 	// ancestors among it replaced by grown, the fragment's entries but for
-	// its #doc, and the old entries past the removed interval, shifted.
+	// its #doc, and the old entries past the removed interval, shifted;
+	// then outer, which indexes the table, over the whole of it.
 	lo, hi := d.wideAt(q), d.wideAt(cut)
 	var grafted []span
 	if m > 0 && len(frag.wide) > 0 {
@@ -375,9 +409,10 @@ func (d *Document) spliceTopology(nd *Document, dl *Delta) {
 		nd.wide = append(nd.wide, grown[i])
 	}
 	for _, s := range grafted {
-		nd.wide = append(nd.wide, span{s.node + q - 1, s.last + q - 1})
+		nd.wide = append(nd.wide, span{node: s.node + q - 1, last: s.last + q - 1})
 	}
 	for _, s := range d.wide[hi:] {
-		nd.wide = append(nd.wide, span{s.node + delta, s.last + delta})
+		nd.wide = append(nd.wide, span{node: s.node + delta, last: s.last + delta})
 	}
+	nest(nd.wide)
 }

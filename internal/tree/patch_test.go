@@ -179,23 +179,60 @@ func randomPatch(rng *rand.Rand, d *Document) (Patch, *mnode) {
 	}
 }
 
+// relink builds d's tree again under a label table that holds table's
+// names in table's order: the document Link makes of that tree when its
+// labels have the ids table gives them.
+func relink(table *LabelTable, d *Document) *Document {
+	b := NewBuilder()
+	for _, name := range table.names {
+		b.names.Intern(name)
+	}
+	var ends []NodeID // of the open elements
+	for v := NodeID(1); int(v) < d.NumNodes(); v++ {
+		for len(ends) > 0 && ends[len(ends)-1] < v {
+			b.Close()
+			ends = ends[:len(ends)-1]
+		}
+		if d.Label(v) == LabelText {
+			b.Text(d.Text(v))
+			continue
+		}
+		b.Open(d.LabelName(v))
+		ends = append(ends, d.LastDesc(v))
+	}
+	for range ends {
+		b.Close()
+	}
+	return b.MustFinish()
+}
+
 // requireEqualDocs compares every array of the two documents, and the
-// navigation each derives from them. The two text sequences are compared
-// as they are stored, halves and chunk starts: against a document Link
-// built, that proves a spliced or opened one canonical — no chunk line of
-// an earlier generation survives.
+// navigation each derives from them. The topology — wide with the entry
+// around each entry — and the three sequences are compared as they are
+// stored, halves and chunk starts, and so are the label bytes and the
+// rare labels, against want's tree linked again under got's label table
+// (want's own may number the names otherwise): against a document Link
+// built, that proves a spliced or opened one canonical — no chunk line,
+// escape or table entry of an earlier generation survives.
 func requireEqualDocs(t *testing.T, step int, got, want *Document) {
 	t.Helper()
 	if got.NumNodes() != want.NumNodes() {
 		t.Fatalf("step %d: nodes = %d, want %d", step, got.NumNodes(), want.NumNodes())
 	}
 	RequireSameTopology(t, fmt.Sprint("step ", step), got, want)
-	for name, seq := range map[string][2]Seq{"nodes": {got.textNodes, want.textNodes}, "offsets": {got.textOff, want.textOff}} {
+	fresh := relink(got.names, want)
+	if !slices.Equal(got.labels, fresh.labels) {
+		t.Fatalf("step %d: the label bytes differ from the built document's (first at node %d)", step, firstDiff(got.labels, fresh.labels))
+	}
+	if !slices.Equal(got.rareIDs, fresh.rareIDs) {
+		t.Fatalf("step %d: the rare labels' ids are %v, the built document's %v", step, got.rareIDs, fresh.rareIDs)
+	}
+	for name, seq := range map[string][2]Seq{"text nodes": {got.textNodes, want.textNodes}, "text offsets": {got.textOff, want.textOff}, "rare labels": {got.rare, fresh.rare}} {
 		if !slices.Equal(seq[0].Start, seq[1].Start) {
-			t.Fatalf("step %d: the text %s' chunks start at %v, want %v", step, name, seq[0].Start, seq[1].Start)
+			t.Fatalf("step %d: the %s' chunks start at %v, want %v", step, name, seq[0].Start, seq[1].Start)
 		}
 		if !slices.Equal(seq[0].Lo, seq[1].Lo) {
-			t.Fatalf("step %d: the text %s' halves differ from the built document's", step, name)
+			t.Fatalf("step %d: the %s' halves differ from the built document's", step, name)
 		}
 	}
 	for v := NodeID(0); int(v) < want.NumNodes(); v++ {
@@ -247,7 +284,8 @@ func requireEqualSuccinct(t *testing.T, step int, got, want *Succinct) {
 // TestPatchPropertyVsRebuild drives random patch sequences against the
 // parse-from-scratch oracle: the incrementally spliced document arrays
 // and the incrementally spliced BP view must match a full rebuild after
-// every step.
+// every step. Every other seed runs under a label table long enough that
+// most of the labels are rare.
 func TestPatchPropertyVsRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
@@ -255,6 +293,16 @@ func TestPatchPropertyVsRebuild(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			frag, oracle := randomFragment(rng)
 			doc := frag
+			if seed%2 == 0 {
+				// 251 names ahead of the document's own: of the five labels the
+				// patches draw from, the first two met fit a byte and the
+				// others are rare.
+				pad := NewLabelTable()
+				for i := 0; i < RareLabel-4; i++ {
+					pad.Intern(fmt.Sprint("pad", i))
+				}
+				doc = relink(pad, doc)
+			}
 			roots := []*mnode{oracle}
 			succ := NewSuccinct(doc)
 			for step := 0; step < 60; step++ {
@@ -425,13 +473,14 @@ func TestApplyRefusesElementAheadOfAttribute(t *testing.T) {
 	}
 }
 
-// TestPatchAcrossTheWideLine walks one subtree's size and one child's
-// distance to its parent over 65 535 and back, by insert, delete and
-// replace, once with a fragment that is itself wide; after every step the
-// spliced document, and what it opens as from its sections, hold the
-// arrays Link builds for the same tree — up, size and wide element for
-// element, so no stale escape and no orphan entry survives — and the
-// spliced BP view the bits of a rebuild.
+// TestPatchAcrossTheWideLine walks one child's distance to its parent
+// over 65 535 and back, by insert, delete and replace ahead of it, once
+// with a fragment whose own children are that far from it; after every
+// step the spliced document, and what it opens as from its sections, hold
+// the arrays Link builds for the same tree — up, size and wide element
+// for element, so no stale escape and no orphan entry survives — and the
+// spliced BP view the bits of a rebuild. (The line size crosses is 255:
+// TestPatchAcrossTheSizeLine.)
 func TestPatchAcrossTheWideLine(t *testing.T) {
 	// 0=#doc 1=a 2=b, k leaves under b at 3..k+2, then item at k+3: b spans
 	// k ranks, item is k+2 from a, which spans k+2, and #doc k+3.
@@ -448,17 +497,6 @@ func TestPatchAcrossTheWideLine(t *testing.T) {
 	b.Close()
 	b.Close()
 	doc := b.MustFinish()
-	frag := func(events ...string) *Document {
-		fb := NewBuilder()
-		for _, e := range events {
-			if e == "/" {
-				fb.Close()
-			} else {
-				fb.Open(e)
-			}
-		}
-		return fb.MustFinish()
-	}
 	big := NewBuilder()
 	big.Open("b")
 	for i := 0; i < far+100; i++ {
@@ -466,7 +504,7 @@ func TestPatchAcrossTheWideLine(t *testing.T) {
 		big.Close()
 	}
 	big.Close()
-	one, two, wideFrag := frag("c", "/"), frag("c", "name", "/", "/"), big.MustFinish()
+	one, two, wideFrag := docOf("c", "/"), docOf("c", "name", "/", "/"), big.MustFinish()
 	const bNode = NodeID(2)
 	steps := []struct {
 		what string
@@ -474,28 +512,29 @@ func TestPatchAcrossTheWideLine(t *testing.T) {
 		wide []NodeID // the wide nodes afterwards
 		far  int      // the nodes far from their parent afterwards
 	}{
-		// b spans k = 65 532, item is 65 534 from a, #doc spans 65 535.
+		// b spans k = 65 532, item is 65 534 from a; #doc, a and b are wide
+		// throughout.
 		{"two nodes ahead of b's children", func(d *Document) Patch {
 			return Patch{Op: OpInsert, Node: bNode, Before: d.FirstChild(bNode), Frag: two}
-		}, []NodeID{0, 1}, 1}, // b 65 534, item 65 536 away
+		}, []NodeID{0, 1, 2}, 1}, // b 65 534, item 65 536 away
 		{"one more at the end of b", func(d *Document) Patch {
 			return Patch{Op: OpInsert, Node: bNode, Before: Nil, Frag: one}
-		}, []NodeID{0, 1, 2}, 2}, // b 65 535: wide, its last child far
+		}, []NodeID{0, 1, 2}, 2}, // b 65 535: its last child far
 		{"a leaf of b replaced by two nodes", func(d *Document) Patch {
 			return Patch{Op: OpReplace, Node: d.LastDesc(bNode), Before: Nil, Frag: two}
 		}, []NodeID{0, 1, 2}, 2}, // b 65 536
 		{"the two nodes ahead deleted", func(d *Document) Patch {
 			return Patch{Op: OpDelete, Node: d.FirstChild(bNode), Before: Nil}
-		}, []NodeID{0, 1}, 1}, // b 65 534 again
+		}, []NodeID{0, 1, 2}, 1}, // b 65 534 again
 		{"b's first leaf replaced by one node", func(d *Document) Patch {
 			return Patch{Op: OpReplace, Node: d.FirstChild(bNode), Before: Nil, Frag: one}
-		}, []NodeID{0, 1}, 1},
+		}, []NodeID{0, 1, 2}, 1},
 		{"two leaves of b deleted, one by one", func(d *Document) Patch {
 			return Patch{Op: OpDelete, Node: d.FirstChild(bNode), Before: Nil}
-		}, []NodeID{0, 1}, 1}, // item 65 535 away: still far
+		}, []NodeID{0, 1, 2}, 1}, // item 65 535 away: still far
 		{"", func(d *Document) Patch {
 			return Patch{Op: OpDelete, Node: d.FirstChild(bNode), Before: Nil}
-		}, []NodeID{0}, 0}, // item 65 534 away, a spans 65 534, #doc 65 535
+		}, []NodeID{0, 1, 2}, 0}, // item 65 534 away
 		{"b replaced by a wide fragment", func(d *Document) Patch {
 			return Patch{Op: OpReplace, Node: bNode, Before: Nil, Frag: wideFrag}
 		}, []NodeID{0, 1, 2}, 100 + 1 + 1}, // the fragment's last 101 leaves, and item
@@ -569,20 +608,6 @@ func TestPatchAcrossTheChunkLine(t *testing.T) {
 	b.Close()
 	b.Close()
 	doc := b.MustFinish()
-	frag := func(events ...string) *Document {
-		fb := NewBuilder()
-		for _, e := range events {
-			switch {
-			case e == "/":
-				fb.Close()
-			case e[0] == '#':
-				fb.Text(e[1:])
-			default:
-				fb.Open(e)
-			}
-		}
-		return fb.MustFinish()
-	}
 	big := NewBuilder()
 	big.Open("b")
 	for i := 0; i < line+100; i++ {
@@ -591,7 +616,7 @@ func TestPatchAcrossTheChunkLine(t *testing.T) {
 		big.Close()
 	}
 	big.Close()
-	leaf, text1, text2, chunk := frag("c", "/"), frag("c", "#y", "/"), frag("c", "#yz", "/"), big.MustFinish()
+	leaf, text1, text2, chunk := docOf("c", "/"), docOf("c", "#y", "/"), docOf("c", "#yz", "/"), big.MustFinish()
 	const bNode = NodeID(2)
 	steps := []struct {
 		what   string
@@ -657,6 +682,134 @@ func TestPatchAcrossTheChunkLine(t *testing.T) {
 		}
 		if got := int(next.textOff.At(next.textNodes.Len() - 1)); got != step.offset {
 			t.Fatalf("step %d (%s): the tail text starts at byte %d, want %d", i, step.what, got, step.offset)
+		}
+		doc = next
+	}
+}
+
+// docOf builds a document from events: a name opens an element, "#text"
+// adds a text node, "/" closes.
+func docOf(events ...string) *Document {
+	b := NewBuilder()
+	for _, e := range events {
+		switch {
+		case e == "/":
+			b.Close()
+		case e[0] == '#':
+			b.Text(e[1:])
+		default:
+			b.Open(e)
+		}
+	}
+	return b.MustFinish()
+}
+
+// leaves is n empty elements of one name, as events.
+func leaves(name string, n int) []string {
+	var events []string
+	for i := 0; i < n; i++ {
+		events = append(events, name, "/")
+	}
+	return events
+}
+
+// TestPatchAcrossTheSizeLine walks a subtree's length over 255 and back —
+// 254, 255, 256, 255, 254 by inserts, deletes and replaces of one node
+// more or fewer, then to 554 by a fragment of 300 nodes, back onto the
+// line when a leaf takes its place, and under it —
+// once for the splice parent itself (q) and once for an ancestor three
+// levels above it (a, over b, c and p, which stay short until the
+// fragment takes all four across at once), each step from the heap
+// generation and from what it opens as from its sections. After every
+// step the spliced document, and what that opens as, hold the arrays Link
+// builds for the same tree: size, and wide with the entry around each
+// entry, element for element.
+func TestPatchAcrossTheSizeLine(t *testing.T) {
+	// a spans 3 + 10 + 240 = 253 ranks, q 253; r and #doc are wide throughout.
+	events := []string{"r", "a", "b", "c", "p"}
+	events = append(events, leaves("x", 10)...)
+	events = append(events, "/", "/", "/")
+	events = append(events, leaves("y", Big-15)...)
+	events = append(events, "/", "q")
+	events = append(events, leaves("z", Big-2)...)
+	events = append(events, "/", "tail", "/", "/")
+	doc := docOf(events...)
+	one, two := docOf("x", "/"), docOf("x", "x", "/", "/")
+	large := docOf(append(append([]string{"large"}, leaves("x", Big+44)...), "/")...)
+	node := func(d *Document, name string) NodeID {
+		l, _ := d.names.Lookup(name)
+		for v := NodeID(0); ; v++ {
+			if d.Label(v) == l {
+				return v
+			}
+		}
+	}
+	under := func(parent string) []struct {
+		what string
+		pt   func(d *Document) Patch
+	} {
+		return []struct {
+			what string
+			pt   func(d *Document) Patch
+		}{
+			{"a leaf more", func(d *Document) Patch { return Patch{Op: OpInsert, Node: node(d, parent), Before: Nil, Frag: one} }},
+			{"another", func(d *Document) Patch {
+				return Patch{Op: OpInsert, Node: node(d, parent), Before: d.FirstChild(node(d, parent)), Frag: one}
+			}},
+			{"a leaf replaced by two nodes", func(d *Document) Patch {
+				return Patch{Op: OpReplace, Node: d.LastDesc(node(d, parent)), Before: Nil, Frag: two}
+			}},
+			{"and the two by a leaf", func(d *Document) Patch {
+				return Patch{Op: OpReplace, Node: d.LastDesc(node(d, parent)) - 1, Before: Nil, Frag: one}
+			}},
+			{"a leaf deleted", func(d *Document) Patch { return Patch{Op: OpDelete, Node: d.LastDesc(node(d, parent)), Before: Nil} }},
+			{"300 nodes ahead", func(d *Document) Patch {
+				return Patch{Op: OpInsert, Node: node(d, parent), Before: d.FirstChild(node(d, parent)), Frag: large}
+			}},
+			{"and replaced by a leaf", func(d *Document) Patch {
+				return Patch{Op: OpReplace, Node: node(d, "large"), Before: Nil, Frag: one}
+			}},
+			{"which is deleted", func(d *Document) Patch {
+				return Patch{Op: OpDelete, Node: d.FirstChild(node(d, parent)), Before: Nil}
+			}},
+		}
+	}
+	wides := [][]string{
+		{"#doc", "r"}, {"#doc", "r", "a"}, {"#doc", "r", "a"}, {"#doc", "r", "a"}, {"#doc", "r"},
+		{"#doc", "r", "a", "b", "c", "p", "large"}, {"#doc", "r", "a"}, {"#doc", "r"},
+		{"#doc", "r"}, {"#doc", "r", "q"}, {"#doc", "r", "q"}, {"#doc", "r", "q"}, {"#doc", "r"},
+		{"#doc", "r", "q", "large"}, {"#doc", "r", "q"}, {"#doc", "r"},
+	}
+	roots := []*mnode{toMutable(doc, doc.DocumentElement())}
+	succ := NewSuccinct(doc)
+	for i, step := range append(under("p"), under("q")...) {
+		pt := step.pt(doc)
+		var fragOracle *mnode
+		if pt.Frag != nil {
+			fragOracle = toMutable(pt.Frag, pt.Frag.DocumentElement())
+		}
+		roots = applyOracle(roots, pt, fragOracle)
+		want := buildMutable(roots)
+		var next *Document
+		for origin, base := range map[string]*Document{"heap": doc, "mapped": atRest(t, doc)} {
+			got, dl, err := base.Apply(pt)
+			if err != nil {
+				t.Fatalf("step %d (%s), %s base: %v", i, step.what, origin, err)
+			}
+			requireEqualDocs(t, i, got, want)
+			requireEqualDocs(t, i, atRest(t, got), want)
+			var names []string
+			for _, v := range got.WideNodes() {
+				names = append(names, got.LabelName(v))
+			}
+			if !slices.Equal(names, wides[i]) {
+				t.Errorf("step %d (%s), %s base: wide nodes %v, want %v", i, step.what, origin, names, wides[i])
+			}
+			if origin == "heap" {
+				next = got
+				succ = SpliceSuccinct(succ, got, dl)
+				requireEqualSuccinct(t, i, succ, NewSuccinct(want))
+			}
 		}
 		doc = next
 	}

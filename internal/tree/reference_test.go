@@ -138,8 +138,8 @@ func requireEqualsReference(t *testing.T, what string, got *Document, want *refD
 	}
 	labels := make([]LabelID, len(got.labels))
 	parent, lastDesc := make([]NodeID, len(got.labels)), make([]NodeID, len(got.labels))
-	for v, l := range got.labels {
-		labels[v] = LabelID(l)
+	for v := range got.labels {
+		labels[v] = got.Label(NodeID(v))
 		parent[v], lastDesc[v] = got.Parent(NodeID(v)), got.LastDesc(NodeID(v))
 	}
 	var textNodes, textOff []uint32

@@ -11,7 +11,8 @@
 // interval is longer than itself, its next sibling is the rank after its
 // interval if that still lies in the parent's, and its binary subtree
 // ends where its parent's interval does. Both numbers are small for
-// almost every node and are stored in 16 bits (see Document).
+// almost every node: the length is stored in 8 bits, the distance in 16
+// (see Document).
 //
 // Node 0 is always a synthetic document root labeled "#doc" whose single
 // element child is the document element; this mirrors the XPath data model
@@ -48,9 +49,9 @@ const (
 // ReservedLabels is the number of pre-interned labels.
 const ReservedLabels = 2
 
-// MaxLabels is the largest label table a document can have: a node
-// stores its label in 16 bits. Link and Document.Apply refuse a table
-// that has outgrown it.
+// MaxLabels is the largest label table a document can have: the label of
+// a node whose id does not fit its byte is kept in 16 bits (see
+// Document). Link and Document.Apply refuse a table that has outgrown it.
 const MaxLabels = 1 << 16
 
 // checkLabelCount is that refusal.
@@ -133,32 +134,44 @@ func (lt *LabelTable) Names() []string {
 
 // Document is an immutable XML document tree.
 //
-// Topology is stored relative and narrow: Parent(v) = v - up[v] and
-// LastDesc(v) = v + size[v]. A distance of far (65 535) or more does not
-// fit, and the array holds far instead, which means "look in wide": the
-// table, sorted by rank, of exactly the nodes whose subtree spans far
-// ranks or more, each with its true last descendant. One table serves
-// both arrays. A size escape finds its own entry by binary search. An up
-// escape is answered by the innermost wide span strictly containing v —
-// a parent that far away necessarily has a subtree that large — so no
-// per-node exception is stored, and the table has at most n/65 535 ×
-// depth entries (a dozen on a million-node XMark document). The root has
-// up = 1, so the subtraction itself yields Nil.
+// Topology is stored relative and narrow: Parent(v) = v - up[v] in 16
+// bits and LastDesc(v) = v + size[v] in 8. A value that does not fit is
+// stored as the array's largest — far (65 535) in up, big (255) in size —
+// which means "look in wide": the table, sorted by rank, of exactly the
+// nodes whose subtree spans big ranks or more, each with its true last
+// descendant and the index of the entry around it. One table serves both
+// arrays. A size escape finds its own entry by binary search. An up
+// escape is answered by the innermost wide span strictly containing v — a
+// parent that far away necessarily has a subtree that large — found from
+// the entry before v's place in the table by climbing outer, so no
+// per-node exception is stored. A depth level holds at most n/255
+// disjoint subtrees that large, so the table has at most n/255 × depth
+// entries (fourteen on a million-node XMark document; a chain n deep
+// makes every node but its last 255 wide). The two widths differ because
+// the two distributions do: a subtree of 255 nodes is rare, a 255th child
+// is not (see DESIGN.md). The root has up = 1, so the subtraction itself
+// yields Nil.
 //
-// A node's label is its LabelID in 16 bits (see MaxLabels). Text content
-// lives in one contiguous blob with a directory over the #text nodes,
-// the only ones that have any: textNodes holds their ranks in preorder,
-// and the text of its i-th is textBlob[textOff[i]:textOff[i+1]]. Both are
-// kept as a Seq, two bytes an entry. This shape — rather than a []string —
-// is what lets the XQO2 resident format alias a document's text directly
-// out of an mmap'd file, and keeps Text zero-copy either way. textNodes is
-// also the jumping index's occurrence row of LabelText, which borrows it
+// A node's label is its LabelID in 8 bits, and RareLabel (255) for every
+// id that large or larger, which means "look in rare": the ranks of those
+// nodes in preorder, with their ids beside them in rareIDs. Both are
+// empty for a document of 255 names or fewer (see MaxLabels). Text
+// content lives in one contiguous blob with a directory over the #text
+// nodes, the only ones that have any: textNodes holds their ranks in
+// preorder, and the text of its i-th is
+// textBlob[textOff[i]:textOff[i+1]]. All three lists are kept as a Seq,
+// two bytes an entry. This shape — rather than a []string — is what lets
+// the XQO2 resident format alias a document's text directly out of an
+// mmap'd file, and keeps Text zero-copy either way. textNodes is also the
+// jumping index's occurrence row of LabelText, which borrows it
 // (TextNodes).
 type Document struct {
-	labels    []uint16 // per preorder rank: the node's LabelID
+	labels    []uint8  // per preorder rank: the node's LabelID, or RareLabel
 	up        []uint16 // v - Parent(v), or far
-	size      []uint16 // LastDesc(v) - v, or far
-	wide      []span   // the nodes whose size is far, ascending
+	size      []uint8  // LastDesc(v) - v, or big
+	wide      []span   // the nodes whose size is big, ascending
+	rare      Seq      // the nodes whose label is RareLabel, ascending
+	rareIDs   []uint16 // their LabelIDs, in that order
 	textNodes Seq      // the #text nodes, ascending
 	textOff   Seq      // one entry more: where each one's text starts in textBlob, then the blob's end
 	textBlob  []byte
@@ -169,11 +182,17 @@ type Document struct {
 	mapping any
 }
 
-// far is the value of up and size that stands for every distance it and
-// anything larger would take: the answer is in wide.
-const far = 0xFFFF
+// far, big and RareLabel are the values of up, size and labels that stand
+// for themselves and for everything larger: the answer is in wide, or in
+// rare. RareLabel is exported for the jumping index, which reads the
+// label bytes as they lie (Labels, Rare).
+const (
+	far       = 0xFFFF
+	big       = 0xFF
+	RareLabel = 0xFF
+)
 
-// narrow is a distance as up and size store it.
+// narrow is a distance as up stores it.
 func narrow(dist NodeID) uint16 {
 	if dist >= far {
 		return far
@@ -181,9 +200,14 @@ func narrow(dist NodeID) uint16 {
 	return uint16(dist)
 }
 
-// span is one entry of wide: a node and the last node of its subtree, at
-// least far ranks later.
-type span struct{ node, last NodeID }
+// span is one entry of wide: a node, the last node of its subtree, at
+// least big ranks later, and the index in wide of the innermost entry
+// whose subtree holds this one — a lower index, or -1 for an entry that
+// lies in no other.
+type span struct {
+	node, last NodeID
+	outer      int32
+}
 
 // Builder constructs a Document from open/text/close events. It only
 // records the events; Finish hands them to Link, which derives every
@@ -277,13 +301,37 @@ func (d *Document) Root() NodeID { return 0 }
 // the synthetic root), or Nil for an empty document.
 func (d *Document) DocumentElement() NodeID { return d.FirstChild(0) }
 
-// Label returns the label of v.
-func (d *Document) Label(v NodeID) LabelID { return LabelID(d.labels[v]) }
+// Label returns the label of v. Like Parent and LastDesc, the fast path
+// is kept within the compiler's inlining budget and the escape out of
+// line (CI checks).
+func (d *Document) Label(v NodeID) LabelID {
+	if l := d.labels[v]; l != RareLabel {
+		return LabelID(l)
+	}
+	return d.rareLabelOf(v)
+}
+
+// rareLabelOf answers a label escape: the id listed for v in rare. A
+// miss, which only a file that was not verified can hold, makes v a #doc.
+//
+//go:noinline
+func (d *Document) rareLabelOf(v NodeID) LabelID {
+	if i, u := d.rare.Search(uint32(v)); NodeID(u) == v {
+		return LabelID(d.rareIDs[i])
+	}
+	return LabelDoc
+}
 
 // Labels returns the label of every node by preorder rank, each a
-// LabelID in 16 bits: the array the jumping index inverts. The slice is
-// shared; callers must not modify it.
-func (d *Document) Labels() []uint16 { return d.labels }
+// LabelID in 8 bits, or RareLabel for a node listed in Rare: the array
+// the jumping index inverts. The slice is shared; callers must not modify
+// it.
+func (d *Document) Labels() []uint8 { return d.labels }
+
+// Rare returns, in preorder, the ranks of the nodes whose LabelID is
+// RareLabel or more — the ones Labels holds RareLabel for — and their
+// ids, in 16 bits. Both are shared; callers must not modify them.
+func (d *Document) Rare() (Seq, []uint16) { return d.rare, d.rareIDs }
 
 // LabelName returns the label of v as a string.
 func (d *Document) LabelName(v NodeID) string { return d.names.Name(d.Label(v)) }
@@ -302,21 +350,28 @@ func (d *Document) Parent(v NodeID) NodeID {
 }
 
 // wideParent answers an up escape: the innermost wide span strictly
-// containing v. The entries before v's place in the table either contain
-// v — its ancestors, the innermost last — or end before it, so the first
-// hit walking back is the parent. What is walked over are the wide nodes
-// under v's preceding siblings: none or a handful on a document of
-// ordinary depth. Nil when nothing contains v, which only a file that was
-// not verified can hold.
+// containing v. The entry before v's place in the table either contains
+// v, and is then the innermost that does, or lies with v under the one
+// that does: outer climbs to it, one nesting level a hop, whatever number
+// of wide nodes v's preceding siblings have under them. Nil when nothing
+// contains v, which only a file that was not verified can hold.
 //
 //go:noinline
 func (d *Document) wideParent(v NodeID) NodeID {
-	for i := d.wideAt(v) - 1; i >= 0; i-- {
-		if d.wide[i].last >= v {
-			return d.wide[i].node
-		}
+	if i, _ := d.wideAround(v); i >= 0 {
+		return d.wide[i].node
 	}
 	return Nil
+}
+
+// wideAround returns the index in wide of the innermost span strictly
+// containing v, or -1, and the hops it climbed. Every hop goes to a lower
+// index (checkWide proves it of a file's table), so the climb ends.
+func (d *Document) wideAround(v NodeID) (i, hops int) {
+	for i = d.wideAt(v) - 1; i >= 0 && d.wide[i].last < v; i = int(d.wide[i].outer) {
+		hops++
+	}
+	return i, hops
 }
 
 // wideAt returns v's place in wide: the first entry at rank v or later.
@@ -350,7 +405,7 @@ func (d *Document) NextSibling(v NodeID) NodeID {
 // LastDesc returns the last node of v's subtree in preorder (v itself for
 // leaves). The subtree of v is exactly the interval [v, LastDesc(v)].
 func (d *Document) LastDesc(v NodeID) NodeID {
-	if s := d.size[v]; s != far {
+	if s := d.size[v]; s != big {
 		return v + NodeID(s)
 	}
 	return d.wideLast(v)
@@ -416,14 +471,14 @@ func (d *Document) Text(v NodeID) string {
 }
 
 // MemBytes reports the bytes the document holds: its per-node arrays,
-// the two text sequences, the text blob and the label names, by their
-// live lengths. A reflect-based test in internal/store holds it to the
-// struct's slice fields, so an added array cannot go uncounted in the
-// store's bytes-per-node figure.
+// the wide table, the rare labels, the two text sequences, the text blob
+// and the label names, by their live lengths. A reflect-based test in
+// internal/store holds it to the struct's slice fields, so an added
+// array cannot go uncounted in the store's bytes-per-node figure.
 func (d *Document) MemBytes() int64 {
-	b := 2*int64(len(d.labels)+len(d.up)+len(d.size)) +
+	b := int64(len(d.labels)+len(d.size)) + 2*int64(len(d.up)+len(d.rareIDs)) +
 		int64(len(d.wide))*int64(unsafe.Sizeof(span{})) +
-		d.textNodes.MemBytes() + d.textOff.MemBytes() +
+		d.rare.MemBytes() + d.textNodes.MemBytes() + d.textOff.MemBytes() +
 		int64(len(d.textBlob))
 	for _, name := range d.names.names {
 		b += int64(unsafe.Sizeof(name)) + int64(len(name))
@@ -489,10 +544,9 @@ func (d *Document) XMLString() string {
 	return sb.String()
 }
 
-func escapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+
+func escapeText(s string) string { return textEscaper.Replace(s) }
 
 // Path returns the slash-separated label path from the root element to v;
 // for error messages and debugging.
@@ -512,8 +566,8 @@ func (d *Document) Path(v NodeID) string {
 // for tests (internal/index answers this in O(1)).
 func (d *Document) CountLabel(l LabelID) int {
 	n := 0
-	for _, x := range d.labels {
-		if LabelID(x) == l {
+	for v := range d.labels {
+		if d.Label(NodeID(v)) == l {
 			n++
 		}
 	}

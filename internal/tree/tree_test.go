@@ -75,17 +75,29 @@ func TestFinishErrorsOnUnclosed(t *testing.T) {
 	}
 }
 
+// TestXMLStringRoundTripShape pins the serialized form byte for byte:
+// the three characters escaped in text, the quote as well in an attribute
+// value, nothing else touched (the apostrophe, an ampersand that already
+// reads like an entity), and an attribute without a text child.
 func TestXMLStringRoundTripShape(t *testing.T) {
 	b := tree.NewBuilder()
 	b.Open("r")
-	b.Open("x")
-	b.Text("1<2")
+	b.Open("@a")
+	b.Text(`<"x" & 'y'>`)
 	b.Close()
+	b.Open("@empty")
+	b.Close()
+	b.Open("x")
+	b.Text("1<2 && 3>2")
+	b.Close()
+	b.Text(`&amp; "quoted" 'single' >>`)
 	b.Close()
 	d := b.MustFinish()
-	want := "<r><x>1&lt;2</x></r>"
-	if got := d.XMLString(); got != want {
-		t.Errorf("XMLString = %q, want %q", got, want)
+	want := `<r a="&lt;&quot;x&quot; &amp; 'y'&gt;" empty=""><x>1&lt;2 &amp;&amp; 3&gt;2</x>&amp;amp; "quoted" 'single' &gt;&gt;</r>`
+	for i := 0; i < 2; i++ { // the escaper is shared between calls
+		if got := d.XMLString(); got != want {
+			t.Errorf("XMLString = %q, want %q", got, want)
+		}
 	}
 }
 

@@ -1,17 +1,20 @@
 package tree_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/tgen"
 	"repro/internal/tree"
 )
 
-// TestBothSidesOfTheLine: the two shapes that put nodes past what 16
-// bits hold, built and opened from their sections. A fan of 70 000
-// leaves has two wide nodes (the root and the element) and its last
-// 4 466 leaves far from their parent; a chain 70 000 deep has every node
-// above the last 65 535 wide and no parent further than the rank before.
+// TestBothSidesOfTheLine: the two shapes that put nodes past what up's
+// 16 bits and size's 8 hold, built and opened from their sections. A fan
+// of 70 000 leaves has two wide nodes (the root and the element) and its
+// last 4 466 leaves far from their parent; a chain 70 000 deep has every
+// node above the last 255 wide, each entry inside the one before it, and
+// no parent further than the rank before.
 // Each is the document the reference builder makes of the same events,
 // array for array and move for move (BinEnd and every node's parent
 // included), is walked in preorder by FirstChild and NextSibling alone,
@@ -23,7 +26,7 @@ func TestBothSidesOfTheLine(t *testing.T) {
 		wide, far int
 	}{
 		"fan":   {tgen.Star("r", "e", fanout), 2, fanout + 2 - (tree.Far + 1)},
-		"chain": {tgen.Chain("a", fanout), fanout + 1 - tree.Far, 0},
+		"chain": {tgen.Chain("a", fanout), fanout + 1 - tree.Big, 0},
 	} {
 		for origin, d := range map[string]*tree.Document{"built": tc.doc, "at rest": tree.AtRest(t, tc.doc)} {
 			what := name + ", " + origin
@@ -71,5 +74,123 @@ func requirePreorderWalk(t *testing.T, what string, d *tree.Document) {
 	}
 	if int(visited) != d.NumNodes() {
 		t.Fatalf("%s: the preorder walk visits %d of %d nodes", what, visited, d.NumNodes())
+	}
+}
+
+// TestParentUnderManyWideSiblings: 5 000 sibling subtrees of 303 nodes
+// under one parent, each three wide nodes deep (s over t over u over 300
+// leaves), so that the table holds 15 002 entries and every s from the
+// 217th on is far from the parent. Its up escape is answered by one
+// binary search and a climb out of the sibling before it — u, t, s, then
+// the parent: three hops, the depth of the nesting — not by a walk back
+// over the entries of all the siblings before; counted, not timed.
+func TestParentUnderManyWideSiblings(t *testing.T) {
+	const siblings, leaves = 5000, 300
+	b := tree.NewBuilder()
+	b.Open("r")
+	for i := 0; i < siblings; i++ {
+		b.Open("s")
+		b.Open("t")
+		b.Open("u")
+		for j := 0; j < leaves; j++ {
+			b.Open("e")
+			b.Close()
+		}
+		b.Close()
+		b.Close()
+		b.Close()
+	}
+	b.Close()
+	built := b.MustFinish()
+	for origin, d := range map[string]*tree.Document{"built": built, "at rest": tree.AtRest(t, built)} {
+		if got := len(d.WideNodes()); got != 2+3*siblings {
+			t.Fatalf("%s: %d wide nodes, want %d", origin, got, 2+3*siblings)
+		}
+		r, far := d.DocumentElement(), 0
+		for s := d.FirstChild(r); s != tree.Nil; s = d.NextSibling(s) {
+			if s-r >= tree.Far {
+				far++
+			}
+			p, hops := d.WideParentHops(s)
+			if p != r || d.Parent(s) != r || hops > 3 {
+				t.Fatalf("%s: the table puts node %d under %d after %d hops, Parent under %d; want %d within 3", origin, s, p, hops, d.Parent(s), r)
+			}
+			// One level down the entry before is s itself, which holds t.
+			if p, hops := d.WideParentHops(s + 1); p != s || hops != 0 {
+				t.Fatalf("%s: the table puts node %d under %d after %d hops, want %d after none", origin, s+1, p, hops, s)
+			}
+		}
+		if got := d.FarParents(); got != far || far == 0 {
+			t.Fatalf("%s: %d nodes hold an up escape, %d children are that far from node %d", origin, got, far, r)
+		}
+	}
+}
+
+// TestLabelsOnBothSidesOfTheByte: a document of 300 names, three nodes of
+// each and a text under every other, built and opened from its sections.
+// The nodes whose id is 255 or more — from the 253rd name on, after #doc,
+// #text and the document element — and no others are listed as rare, in
+// order, with their ids; Label, CountLabel and the serialized form read
+// through the list; the arrays hold no spare capacity; and everything is
+// what the reference builder makes of the same events. A document of 255
+// names lists none.
+func TestLabelsOnBothSidesOfTheByte(t *testing.T) {
+	build := func(names int) *tree.Document {
+		b := tree.NewBuilder()
+		b.Open("r")
+		for round := 0; round < 3; round++ {
+			for i := 0; i < names-3; i++ {
+				b.Open(fmt.Sprint("n", i))
+				if i%2 == round%2 {
+					b.Text(fmt.Sprint(round, ".", i))
+				}
+				b.Close()
+			}
+		}
+		b.Close()
+		return b.MustFinish()
+	}
+	for names, rares := range map[int]int{tree.RareLabel: 0, 300: 3 * (300 - tree.RareLabel)} {
+		built := build(names)
+		if built.Names().Size() != names {
+			t.Fatalf("%d names, want %d", built.Names().Size(), names)
+		}
+		for origin, d := range map[string]*tree.Document{"built": built, "at rest": tree.AtRest(t, built)} {
+			what := fmt.Sprint(names, " names, ", origin)
+			var want []tree.NodeID
+			var wantIDs []uint16
+			for v := tree.NodeID(0); int(v) < d.NumNodes(); v++ {
+				id, ok := d.Names().Lookup(built.LabelName(v))
+				if !ok || d.Label(v) != id {
+					t.Fatalf("%s: node %d is labelled %d, want %s = %d", what, v, d.Label(v), built.LabelName(v), id)
+				}
+				if id >= tree.RareLabel {
+					want, wantIDs = append(want, v), append(wantIDs, uint16(id))
+				}
+			}
+			rare, gotIDs := d.Rare()
+			var got []tree.NodeID
+			for u := range rare.From(0) {
+				got = append(got, tree.NodeID(u))
+			}
+			if len(got) != rares || !slices.Equal(got, want) || !slices.Equal(gotIDs, wantIDs) {
+				t.Fatalf("%s: %d nodes listed as rare, want %d:\n%v %v\n%v %v", what, len(got), rares, got, gotIDs, want, wantIDs)
+			}
+			for _, l := range []tree.LabelID{tree.LabelText, 2, tree.RareLabel - 1, tree.RareLabel, tree.LabelID(names - 1)} {
+				if int(l) >= names {
+					continue
+				}
+				if d.CountLabel(l) != built.CountLabel(l) || built.CountLabel(l) == 0 {
+					t.Fatalf("%s: %d nodes labelled %d, built %d", what, d.CountLabel(l), l, built.CountLabel(l))
+				}
+			}
+			if d.XMLString() != built.XMLString() {
+				t.Fatalf("%s: serialized otherwise than the built document", what)
+			}
+			tree.RequireMatchesReference(t, what, d)
+			if origin == "built" && d.SpareCapacity() != 0 {
+				t.Errorf("%s: %d bytes of capacity beyond the arrays' lengths", what, d.SpareCapacity())
+			}
+		}
 	}
 }

@@ -152,6 +152,29 @@ func blank(text []byte) bool {
 	return true
 }
 
+// internCache is a small direct-mapped cache in front of a chunk's label
+// table: a document has a few dozen names and repeats them a node apart,
+// so most lookups are settled by one string compare where the table's map
+// hashes the whole name. An entry is keyed by the name's length and its
+// first and last bytes; a name that finds another in its slot goes to the
+// table and takes the slot: one lookup in twenty on an XMark document.
+// Ids come from the table either way, in order of first occurrence.
+type internCache [128]struct {
+	name string // as the table holds it; never empty once set
+	id   tree.LabelID
+}
+
+// intern is names.InternBytes(name) for a name of at least one byte.
+func (ic *internCache) intern(names *tree.LabelTable, name []byte) tree.LabelID {
+	e := &ic[(len(name)*9+int(name[0])*5+int(name[len(name)-1])*3)%len(ic)]
+	if e.name == string(name) {
+		return e.id
+	}
+	e.id = names.InternBytes(name)
+	e.name = names.Name(e.id)
+	return e.id
+}
+
 // tokenize turns src from c.start on into events, stopping at the first
 // '<' in element content at or past limit.
 func (c *chunk) tokenize(src []byte, limit int) {
@@ -165,6 +188,7 @@ func (c *chunk) tokenize(src []byte, limit int) {
 		blob    = make([]byte, 0, (limit-c.start)/2)
 		open    = make([]tree.LabelID, 0, 32)
 		names   = tree.NewLabelTable()
+		cache   internCache
 		attr    = []byte{'@'} // scratch for "@"+attribute name
 		nodes   = 0
 		pos     = c.start
@@ -267,7 +291,7 @@ scan:
 				break scan
 			}
 			q := nameEnd(src, p)
-			id := names.InternBytes(src[p:q])
+			id := cache.intern(names, src[p:q])
 			ev = append(ev, int32(id))
 			nodes++
 			selfClosed := false
@@ -313,7 +337,7 @@ scan:
 				}
 				before := len(blob)
 				blob = appendText(blob, src[q+1:q+1+i])
-				ev = append(ev, int32(names.InternBytes(attr)), int32(tree.LabelText), tree.EvClose)
+				ev = append(ev, int32(cache.intern(names, attr)), int32(tree.LabelText), tree.EvClose)
 				textLen = append(textLen, uint32(len(blob)-before))
 				nodes += 2
 				q += i + 2
