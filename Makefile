@@ -22,9 +22,11 @@ race:
 	$(GO) test -race ./...
 
 # lint runs the repo's custom analyzer suite (see DESIGN.md "Enforced
-# invariants"): ctxrelease, arenaescape, lockhold, nakedgen. Exit 1 on
-# any finding. Suppress a single accepted finding with
-# `// xpqlint:ignore <analyzer> <reason>` on the flagged line.
+# invariants"): lockhold and nakedgen, the two invariants no run-time
+# test can see. Released contexts and arena lifetimes are held by types
+# and tier-1 tests instead. Exit 1 on any finding. Suppress a single
+# accepted finding with `// xpqlint:ignore <analyzer> <reason>` on the
+# flagged line.
 lint:
 	$(GO) run ./cmd/xpqlint ./...
 

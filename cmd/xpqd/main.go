@@ -6,11 +6,11 @@
 //	     [-cache-bytes-total N] [-workers N] [-stream-chunk 512] [-allow-file-loads]
 //	     [-log-level info] [-slow-query-ms N] [-flight-records 256] [-pprof]
 //	     [-cursor-ttl 60s] [-resident-budget N] [-verify-resident]
-//	     [-auto-epsilon 0.05] [-load id=file.xml ...]
+//	     [-load id=file.xml ...]
 //	     [-mmap id=file.xqo2 | -mmap corpusdir ...] [-xmark id=scale[:seed] ...]
 //
 // The document corpus is partitioned over -shards goroutine-affine
-// shards by consistent hashing on the document id; each shard owns its
+// shards by a hash of the document id; each shard owns its
 // own compiled-query LRU (-cache-size / -cache-bytes are per shard),
 // and -cache-bytes-total adds one global byte budget across all of
 // them. GET /docs reports each document's owning shard; GET /stats
@@ -71,7 +71,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/shard"
 	"repro/internal/store"
@@ -132,7 +131,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	// TestFlagList pins this list, so a new knob shows up in review.
 	var (
 		addr        = fs.String("addr", "localhost:8714", "listen address")
-		shards      = fs.Int("shards", runtime.GOMAXPROCS(0), "document-store shard count (consistent-hash partitions)")
+		shards      = fs.Int("shards", runtime.GOMAXPROCS(0), "document-store shard count (partitions by a hash of the document id)")
 		cacheSize   = fs.Int("cache-size", 256, "per-shard compiled-query LRU capacity (entries)")
 		cacheBytes  = fs.Int64("cache-bytes", 0, "per-shard compiled-query LRU byte budget (0 = entries bound only)")
 		cacheTotal  = fs.Int64("cache-bytes-total", 0, "global byte budget across all per-shard LRUs (0 = per-shard bounds only)")
@@ -143,7 +142,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		slowQueryMS = fs.Int64("slow-query-ms", 100, "flag queries at or above this many milliseconds as slow (0 disables)")
 		flightRecs  = fs.Int("flight-records", 0, "flight recorder ring size for /debug/queries (0 = default)")
 		pprofFlag   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		autoEps     = fs.Float64("auto-epsilon", core.DefaultAutoEpsilon, "Auto selector exploration floor (fraction of warm decisions spent re-measuring)")
 		cursorTTL   = fs.Duration("cursor-ttl", service.DefaultCursorTTL, "how long an unconsumed page/stream cursor keeps its MVCC generation alive")
 		residentMax = fs.Int64("resident-budget", 0, "total bytes of mmap'd documents kept hot; colder mappings are released to the OS (0 = unlimited)")
 		verifyRes   = fs.Bool("verify-resident", false, "structurally validate every value in -mmap files at open (for files not written by this server; checksums are always verified)")
@@ -186,7 +184,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		SlowQuery:       time.Duration(*slowQueryMS) * time.Millisecond,
 		FlightRecords:   *flightRecs,
 		Logger:          logger,
-		AutoEpsilon:     *autoEps,
 		CursorTTL:       *cursorTTL,
 	})
 

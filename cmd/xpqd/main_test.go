@@ -35,7 +35,7 @@ func TestFlagList(t *testing.T) {
 		got = append(got, m[1])
 	}
 	want := []string{
-		"addr", "allow-file-loads", "auto-epsilon", "cache-bytes", "cache-bytes-total",
+		"addr", "allow-file-loads", "cache-bytes", "cache-bytes-total",
 		"cache-size", "cursor-ttl", "flight-records", "load", "log-level", "mmap",
 		"pprof", "resident-budget", "shards", "slow-query-ms", "stream-chunk",
 		"verify-resident", "workers", "xmark",

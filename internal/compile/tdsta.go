@@ -25,28 +25,8 @@ import (
 // with the final step's match transition selecting (continuing in q⊤ on
 // the left for a child step, or recursively for a descendant step).
 func ToTDSTA(p *xpath.Path, names *tree.LabelTable) (*sta.STA, error) {
-	if !p.Absolute || len(p.Steps) == 0 {
-		return nil, fmt.Errorf("compile: TDSTA fragment requires an absolute non-empty path")
-	}
-	seenDesc := false
-	for _, st := range p.Steps {
-		if st.Axis != xpath.Child && st.Axis != xpath.Descendant {
-			return nil, fmt.Errorf("compile: TDSTA fragment supports child and descendant only, got %v", st.Axis)
-		}
-		if st.Test.Kind != xpath.TestName && st.Test.Kind != xpath.TestStar {
-			return nil, fmt.Errorf("compile: TDSTA fragment supports name and * tests, got %s", st.Test)
-		}
-		if len(st.Preds) > 0 {
-			return nil, fmt.Errorf("compile: TDSTA fragment does not support predicates")
-		}
-		if st.Axis == xpath.Descendant {
-			seenDesc = true
-		} else if seenDesc {
-			// A child step after a descendant step needs a subset
-			// construction (matches at several depths are live at
-			// once); that is what the ASTA pipeline is for.
-			return nil, fmt.Errorf("compile: TDSTA fragment requires child steps to precede descendant steps")
-		}
+	if err := CheckTDSTA(p); err != nil {
+		return nil, err
 	}
 	n := len(p.Steps)
 	// States: 0 = initial (at #doc), 1..n = step states, n+1 = q⊤,
@@ -95,6 +75,36 @@ func ToTDSTA(p *xpath.Path, names *tree.LabelTable) (*sta.STA, error) {
 		)
 	}
 	return aut.Finalize(), nil
+}
+
+// CheckTDSTA reports why p is outside the fragment ToTDSTA compiles, or
+// nil when it is inside. The Auto selector asks it before any
+// compilation, so the candidate set and the compiler cannot disagree.
+func CheckTDSTA(p *xpath.Path) error {
+	if !p.Absolute || len(p.Steps) == 0 {
+		return fmt.Errorf("compile: TDSTA fragment requires an absolute non-empty path")
+	}
+	seenDesc := false
+	for _, st := range p.Steps {
+		if st.Axis != xpath.Child && st.Axis != xpath.Descendant {
+			return fmt.Errorf("compile: TDSTA fragment supports child and descendant only, got %v", st.Axis)
+		}
+		if st.Test.Kind != xpath.TestName && st.Test.Kind != xpath.TestStar {
+			return fmt.Errorf("compile: TDSTA fragment supports name and * tests, got %s", st.Test)
+		}
+		if len(st.Preds) > 0 {
+			return fmt.Errorf("compile: TDSTA fragment does not support predicates")
+		}
+		if st.Axis == xpath.Descendant {
+			seenDesc = true
+		} else if seenDesc {
+			// A child step after a descendant step needs a subset
+			// construction (matches at several depths are live at
+			// once); that is what the ASTA pipeline is for.
+			return fmt.Errorf("compile: TDSTA fragment requires child steps to precede descendant steps")
+		}
+	}
+	return nil
 }
 
 // MustToTDSTA panics on error.

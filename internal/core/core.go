@@ -20,7 +20,6 @@ import (
 	"strconv"
 
 	"repro/internal/asta"
-	"repro/internal/hybrid"
 	"repro/internal/index"
 	"repro/internal/qcache"
 	"repro/internal/tree"
@@ -114,11 +113,6 @@ func ParseStrategy(name string) (Strategy, bool) {
 // The selector uses it only for cold shapes; warm shapes route on
 // observed latency (see selector.go).
 const hybridCountFraction = 0.05
-
-// hybridEval is the hybrid engine entry point, indirect so tests can
-// inject failures into Auto's speculative hybrid attempt (the
-// error-surfacing contract of autoCursor).
-var hybridEval = hybrid.Eval
 
 // Engine evaluates queries over one document. It is safe for concurrent
 // use: the document and index are immutable and the compiled-query cache
@@ -256,20 +250,13 @@ func astaOptions(s Strategy) asta.Options {
 }
 
 // chainCounts returns the min and max global label counts of a chain
-// query in the engine's generation of the document (the §5 probe: k
+// query in the engine's generation of the document: the §5 probe, k
 // Lookup + Count calls, made at every decision because a patch can
-// change them), and ok=false when the query is outside the chain
-// fragment.
-func (e *Engine) chainCounts(p *xpath.Path) (min, max int, ok bool) {
-	if !p.Absolute || len(p.Steps) == 0 {
-		return 0, 0, false
-	}
+// change them. Whether p is a chain at all is a function of the query
+// alone, settled once per shape by hybrid.CheckChain (shapeFor).
+func (e *Engine) chainCounts(p *xpath.Path) (min, max int) {
 	min = int(^uint(0) >> 1)
 	for _, st := range p.Steps {
-		if (st.Axis != xpath.Child && st.Axis != xpath.Descendant) ||
-			st.Test.Kind != xpath.TestName || len(st.Preds) > 0 {
-			return 0, 0, false
-		}
 		n := 0
 		if id, found := e.doc.Names().Lookup(st.Test.Name); found {
 			n = e.ix.Count(id)
@@ -281,5 +268,5 @@ func (e *Engine) chainCounts(p *xpath.Path) (min, max int, ok bool) {
 			max = n
 		}
 	}
-	return min, max, true
+	return min, max
 }

@@ -254,42 +254,24 @@ func (e *Engine) EvalCursorTrace(query string, s Strategy, tr *obsv.Trace) (*Cur
 	return e.evalCursor(query, p, s, tr)
 }
 
-// Run-span annotations: which engine a `run` span timed and how it
-// ended. Precomputed constants indexed by strategy so annotating on
-// the hot path allocates nothing; the explain satellite's contract is
-// that a profile with several run spans (a failed speculative attempt
-// next to the engine that answered) is unambiguous.
-var (
-	runSpanOK = [...]string{
-		Naive:      "strategy=naive outcome=ok",
-		Jumping:    "strategy=jumping outcome=ok",
-		Memoized:   "strategy=memoized outcome=ok",
-		Optimized:  "strategy=optimized outcome=ok",
-		Hybrid:     "strategy=hybrid outcome=ok",
-		TopDownDet: "strategy=topdown-det outcome=ok",
-		Stepwise:   "strategy=stepwise outcome=ok",
-	}
-	runSpanFailed = [...]string{
-		Hybrid:     "strategy=hybrid outcome=failed",
-		TopDownDet: "strategy=topdown-det outcome=failed",
-	}
-)
+// runSpanOK annotates a `run` span with the engine it timed: constants
+// indexed by strategy, so annotating on the hot path allocates nothing.
+var runSpanOK = [...]string{
+	Naive:      "strategy=naive outcome=ok",
+	Jumping:    "strategy=jumping outcome=ok",
+	Memoized:   "strategy=memoized outcome=ok",
+	Optimized:  "strategy=optimized outcome=ok",
+	Hybrid:     "strategy=hybrid outcome=ok",
+	TopDownDet: "strategy=topdown-det outcome=ok",
+	Stepwise:   "strategy=stepwise outcome=ok",
+}
 
 func (e *Engine) evalCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Trace) (*Cursor, error) {
 	switch s {
 	case Stepwise:
 		return e.stepwiseCursor(p, tr), nil
 	case Hybrid:
-		sp := tr.Begin(obsv.SpanRun)
-		res, err := hybridEval(e.doc, e.ix, p)
-		if err != nil {
-			tr.Annotate(sp, runSpanFailed[Hybrid])
-			tr.End(sp)
-			return nil, err
-		}
-		tr.Annotate(sp, runSpanOK[Hybrid])
-		tr.End(sp)
-		return newSliceCursor(res.Selected, Hybrid, res.Stats.Visited, 0), nil
+		return e.hybridCursor(p, tr)
 	case TopDownDet:
 		return e.tdstaCursor(query, p, tr)
 	case Naive, Jumping, Memoized, Optimized:
@@ -298,6 +280,21 @@ func (e *Engine) evalCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Tr
 		return e.autoCursor(query, p, tr)
 	}
 	return nil, fmt.Errorf("core: unknown strategy %v", s)
+}
+
+// hybridCursor runs the start-anywhere engine; a query outside its chain
+// fragment is refused (hybrid.ErrUnsupported), which only a forced
+// Hybrid can ask for.
+func (e *Engine) hybridCursor(p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
+	sp := tr.Begin(obsv.SpanRun)
+	res, err := hybrid.Eval(e.doc, e.ix, p)
+	tr.End(sp)
+	if err != nil {
+		tr.Annotate(sp, "strategy=hybrid outcome=failed")
+		return nil, err
+	}
+	tr.Annotate(sp, runSpanOK[Hybrid])
+	return newSliceCursor(res.Selected, Hybrid, res.Stats.Visited, 0), nil
 }
 
 // stepwiseCursor runs the step-wise baseline (it cannot fail: the
@@ -390,16 +387,19 @@ func (e *Engine) astaCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Tr
 // express (compile.ErrUnsupported — backward axes, text functions,
 // §6's black-box handling). A chain whose rarest label is absent from
 // the document short-circuits to an empty answer without running any
-// engine. Genuine evaluation failures surface instead of silently
-// degrading to a different engine; only fragment mismatches on a
-// speculative Hybrid/TDSTA attempt degrade to Optimized, with the
-// failed attempt's run span annotated as such. The cursor reports the
-// decision's observed cost back to the selector when it closes.
+// engine. The selector offers Hybrid and TopDownDet only to shapes
+// their engines' own fragment tests accept, so an error from the engine
+// it picked is a genuine failure and surfaces as it is. The cursor
+// reports the decision's observed cost back to the selector when it
+// closes.
 func (e *Engine) autoCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
 	sel := e.auto
 	sp := tr.Begin(obsv.SpanSelect)
-	min, max, chain := e.chainCounts(p)
-	st := sel.shapeFor(query, p, chain)
+	st := sel.shapeFor(query, p)
+	var min, max int
+	if st.chain {
+		min, max = e.chainCounts(p)
+	}
 	d := sel.decide(st, min, max)
 	if tr.Detail() {
 		tr.Annotate(sp, sel.explain(st, d, min, max))
@@ -417,49 +417,17 @@ func (e *Engine) autoCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Curso
 
 	start := time.Now()
 	var c *Cursor
+	var err error
 	switch d.strategy {
 	case Hybrid:
-		sp = tr.Begin(obsv.SpanRun)
-		res, err := hybridEval(e.doc, e.ix, p)
-		if err != nil {
-			tr.Annotate(sp, runSpanFailed[Hybrid])
-			tr.End(sp)
-			if !errors.Is(err, hybrid.ErrUnsupported) {
-				// A genuine evaluation failure — not a fragment
-				// mismatch — surfaces. (This was the silent-swallow
-				// bug: every hybrid error used to degrade to
-				// Optimized.)
-				return nil, err
-			}
-			// Fragment mismatch on the speculative attempt: evaluate
-			// like a non-chain query.
-			var aerr error
-			if c, aerr = e.astaOrStepwise(query, p, tr); aerr != nil {
-				return nil, aerr
-			}
-		} else {
-			tr.Annotate(sp, runSpanOK[Hybrid])
-			tr.End(sp)
-			c = newSliceCursor(res.Selected, Hybrid, res.Stats.Visited, 0)
-		}
+		c, err = e.hybridCursor(p, tr)
 	case TopDownDet:
-		tc, err := e.tdstaCursor(query, p, tr)
-		if err != nil {
-			// The selector pre-checked the fragment, so this is a
-			// compile-level mismatch (eligibility probe out of sync
-			// with the compiler); degrade to Optimized rather than
-			// failing a query Auto promised to answer.
-			if c, err = e.astaOrStepwise(query, p, tr); err != nil {
-				return nil, err
-			}
-		} else {
-			c = tc
-		}
+		c, err = e.tdstaCursor(query, p, tr)
 	default:
-		var err error
-		if c, err = e.astaOrStepwise(query, p, tr); err != nil {
-			return nil, err
-		}
+		c, err = e.astaOrStepwise(query, p, tr)
+	}
+	if err != nil {
+		return nil, err
 	}
 	c.sel, c.shapeRef, c.obsSlot, c.obsStart = sel, st, int8(d.slot), start
 	c.autoShape, c.autoReason = st.shape, d.reason

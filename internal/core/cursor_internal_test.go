@@ -228,8 +228,8 @@ func TestAutoParityWithQueryWith(t *testing.T) {
 
 // TestAutoSurfacesNonFragmentErrors pins the error classification the
 // Auto fallback relies on: every ToASTA failure mode that step-wise can
-// evaluate matches compile.ErrUnsupported, and autoCursor only degrades
-// on that match.
+// evaluate matches compile.ErrUnsupported, and Auto's astaOrStepwise
+// hands a query to step-wise only on that match.
 func TestAutoSurfacesNonFragmentErrors(t *testing.T) {
 	doc := xmark.Generate(xmark.Config{Scale: 0.002, Seed: 7})
 	eng := New(doc)

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/compile"
+	"repro/internal/hybrid"
 	"repro/internal/xpath"
 )
 
@@ -197,9 +199,11 @@ func NewSelector(cfg AutoConfig) *Selector {
 }
 
 // shapeFor resolves a query to its shape state, creating it on first
-// sight (chain: the query is inside the hybrid chain fragment). The
-// fast path is one lock-free sync.Map hit keyed by the raw query text.
-func (sel *Selector) shapeFor(query string, p *xpath.Path, chain bool) *shapeStats {
+// sight. The candidate set is asked of the engines' own fragment tests,
+// so the selector never routes a query to an engine that refuses it.
+// The fast path is one lock-free sync.Map hit keyed by the raw query
+// text.
+func (sel *Selector) shapeFor(query string, p *xpath.Path) *shapeStats {
 	if v, ok := sel.byQuery.Load(query); ok {
 		return v.(*shapeStats)
 	}
@@ -207,10 +211,11 @@ func (sel *Selector) shapeFor(query string, p *xpath.Path, chain bool) *shapeSta
 	sel.mu.Lock()
 	st, ok := sel.byShape[shape]
 	if !ok {
+		chain := hybrid.CheckChain(p) == nil
 		st = &shapeStats{shape: shape, chain: chain}
 		st.eligible[slotOptimized] = true
 		st.eligible[slotHybrid] = chain
-		st.eligible[slotTDSTA] = tdstaEligible(p)
+		st.eligible[slotTDSTA] = compile.CheckTDSTA(p) == nil
 		sel.byShape[shape] = st
 	}
 	sel.mu.Unlock()
@@ -391,34 +396,6 @@ func (sel *Selector) explain(st *shapeStats, d autoDecision, min, max int) strin
 		fmt.Fprintf(&b, " min_count=%d max_count=%d", min, max)
 	}
 	return b.String()
-}
-
-// tdstaEligible mirrors compile.ToTDSTA's fragment check (absolute
-// path, child/descendant axes with name or * tests, no predicates, no
-// child step after a descendant step) without building the automaton,
-// so the selector knows the candidate set before any compilation.
-func tdstaEligible(p *xpath.Path) bool {
-	if !p.Absolute || len(p.Steps) == 0 {
-		return false
-	}
-	seenDesc := false
-	for _, st := range p.Steps {
-		if st.Axis != xpath.Child && st.Axis != xpath.Descendant {
-			return false
-		}
-		if st.Test.Kind != xpath.TestName && st.Test.Kind != xpath.TestStar {
-			return false
-		}
-		if len(st.Preds) > 0 {
-			return false
-		}
-		if st.Axis == xpath.Descendant {
-			seenDesc = true
-		} else if seenDesc {
-			return false
-		}
-	}
-	return true
 }
 
 // AutoCandidate is one strategy's model state for a shape, as reported

@@ -1,20 +1,16 @@
 package core
 
-// The Auto selector's decision table and the three routing bugfixes it
-// rode in with: hybrid errors must surface (not silently degrade),
-// chains with an absent label must short-circuit to an empty answer
-// without running (or polluting the estimates of) any engine, and the
-// explain trace must say which engine each run span timed and whether
-// it succeeded.
+// The Auto selector's decision table and the routing fixes it rode in
+// with: chains with an absent label must short-circuit to an empty
+// answer without running (or polluting the estimates of) any engine,
+// and the explain trace must say which engine each run span timed.
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/hybrid"
-	"repro/internal/index"
 	"repro/internal/obsv"
 	"repro/internal/tree"
 	"repro/internal/xmlparse"
@@ -53,23 +49,16 @@ func mustPath(t *testing.T, q string) *xpath.Path {
 // probed in eng's document.
 func shapeOn(t *testing.T, eng *Engine, q string) *shapeStats {
 	t.Helper()
-	p := mustPath(t, q)
-	_, _, chain := eng.chainCounts(p)
-	return eng.auto.shapeFor(q, p, chain)
+	return eng.auto.shapeFor(q, mustPath(t, q))
 }
 
 func decideOn(t *testing.T, eng *Engine, st *shapeStats) autoDecision {
 	t.Helper()
-	min, max, _ := eng.chainCounts(mustPath(t, st.shape))
+	var min, max int
+	if st.chain {
+		min, max = eng.chainCounts(mustPath(t, st.shape))
+	}
 	return eng.auto.decide(st, min, max)
-}
-
-// swapHybrid replaces the hybrid engine entry point for one test.
-func swapHybrid(t *testing.T, fn func(*tree.Document, *index.Index, *xpath.Path) (hybrid.Result, error)) {
-	t.Helper()
-	orig := hybridEval
-	hybridEval = fn
-	t.Cleanup(func() { hybridEval = orig })
 }
 
 // TestAutoDecisionTable walks the selector through its whole decision
@@ -202,60 +191,13 @@ func TestAutoStaticMode(t *testing.T) {
 	}
 }
 
-// TestAutoSurfacesHybridError is the silent-swallow regression test:
-// a genuine hybrid evaluation failure during Auto's speculative
-// attempt must surface to the caller, not silently degrade to
-// Optimized (the old behavior this PR removes).
-func TestAutoSurfacesHybridError(t *testing.T) {
-	boom := errors.New("hybrid exploded mid-run")
-	swapHybrid(t, func(*tree.Document, *index.Index, *xpath.Path) (hybrid.Result, error) {
-		return hybrid.Result{}, boom
-	})
-	eng := New(selDoc(t))
-	// /r/a/b routes to Hybrid cold (rare-label chain).
-	_, err := eng.QueryWith("/r/a/b", Auto)
-	if !errors.Is(err, boom) {
-		t.Fatalf("Auto returned %v, want the injected hybrid error to surface", err)
-	}
-	// Forced Hybrid surfaces it too.
-	if _, err := eng.QueryWith("/r/a/b", Hybrid); !errors.Is(err, boom) {
-		t.Fatalf("forced Hybrid returned %v, want the injected error", err)
-	}
-}
-
-// TestAutoDegradesOnHybridFragmentMismatch: only ErrUnsupported — the
-// probe and the engine disagreeing about the fragment — may degrade,
-// and the answer must still be correct.
-func TestAutoDegradesOnHybridFragmentMismatch(t *testing.T) {
-	swapHybrid(t, func(*tree.Document, *index.Index, *xpath.Path) (hybrid.Result, error) {
-		return hybrid.Result{}, fmt.Errorf("%w: injected", hybrid.ErrUnsupported)
-	})
-	eng := New(selDoc(t))
-	ans, err := eng.QueryWith("/r/a/b", Auto)
-	if err != nil {
-		t.Fatalf("fragment mismatch must degrade, got error %v", err)
-	}
-	if ans.Strategy != Optimized {
-		t.Fatalf("degraded to %v, want Optimized", ans.Strategy)
-	}
-	want, err := eng.QueryWith("/r/a/b", Stepwise)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ans.Nodes) != len(want.Nodes) {
-		t.Fatalf("degraded answer %d nodes, oracle %d", len(ans.Nodes), len(want.Nodes))
-	}
-}
-
 // TestAbsentChainLabelShortCircuit is the min=0 misroute regression:
 // a chain with a label absent from the document used to satisfy
 // 0 <= 0.05·max and always run Hybrid; now it answers empty without
 // running any engine and cannot pollute the Hybrid estimates.
 func TestAbsentChainLabelShortCircuit(t *testing.T) {
-	// Any engine run would be visible: hybrid panics if invoked.
-	swapHybrid(t, func(*tree.Document, *index.Index, *xpath.Path) (hybrid.Result, error) {
-		panic("hybrid ran on an absent-label chain")
-	})
+	// Any engine run would be visible: it visits nodes and feeds the
+	// selector an observation.
 	eng := New(selDoc(t))
 	for _, q := range []string{"/r/a/zzz", "//zzz", "/r/zzz/b"} {
 		ans, err := eng.QueryWith(q, Auto)
@@ -313,13 +255,10 @@ func collectSpans(spans []obsv.Span, into *[]obsv.Span) {
 }
 
 // TestExplainRunSpanAnnotations is the anonymous-run-span golden test:
-// when Auto's speculative Hybrid attempt fails and the optimized
-// engine answers, the profile must carry BOTH run spans, each naming
-// its engine and outcome, plus a select span explaining the decision.
+// the profile of an Auto evaluation carries exactly one run span, naming
+// the engine the selector picked and its outcome, plus a select span
+// explaining the decision.
 func TestExplainRunSpanAnnotations(t *testing.T) {
-	swapHybrid(t, func(*tree.Document, *index.Index, *xpath.Path) (hybrid.Result, error) {
-		return hybrid.Result{}, fmt.Errorf("%w: injected", hybrid.ErrUnsupported)
-	})
 	eng := New(selDoc(t))
 	tr := obsv.NewTrace(true)
 	defer obsv.ReleaseTrace(tr)
@@ -344,9 +283,8 @@ func TestExplainRunSpanAnnotations(t *testing.T) {
 			selectDetail = s.Detail
 		}
 	}
-	// Golden: the failed speculative attempt and the engine that
-	// answered, in execution order, unambiguously labeled.
-	want := []string{"strategy=hybrid outcome=failed", "strategy=optimized outcome=ok"}
+	// Golden: the engine the cold heuristic picked, and nothing else.
+	want := []string{"strategy=hybrid outcome=ok"}
 	if len(details) != len(want) {
 		t.Fatalf("run spans %q, want %q", details, want)
 	}
@@ -363,7 +301,21 @@ func TestExplainRunSpanAnnotations(t *testing.T) {
 		}
 	}
 
-	// Forced strategies annotate their run spans too.
+	// Forced strategies annotate their run spans too, a refused one
+	// included.
+	tr1 := obsv.NewTrace(true)
+	defer obsv.ReleaseTrace(tr1)
+	root = tr1.Begin(obsv.SpanQuery)
+	if _, err := eng.EvalCursorTrace("/r/a[b]", Hybrid, tr1); !errors.Is(err, hybrid.ErrUnsupported) {
+		t.Fatalf("forced Hybrid on a predicate: %v, want hybrid.ErrUnsupported", err)
+	}
+	tr1.End(root)
+	flat = flat[:0]
+	collectSpans(tr1.Profile("rid1").Spans, &flat)
+	if len(flat) != 3 || flat[2].Name != obsv.SpanRun || flat[2].Detail != "strategy=hybrid outcome=failed" {
+		t.Fatalf("refused Hybrid run span not annotated: %+v", flat)
+	}
+
 	tr2 := obsv.NewTrace(true)
 	defer obsv.ReleaseTrace(tr2)
 	root = tr2.Begin(obsv.SpanQuery)
@@ -423,26 +375,27 @@ func TestSelectorFeedbackAtClose(t *testing.T) {
 	}
 }
 
-// TestTDSTAEligibleMirrorsCompiler: the selector's fragment probe must
-// agree with compile.ToTDSTA on representative queries, else Auto
-// would probe candidates that cannot compile.
+// TestTDSTAEligibleMirrorsCompiler: the selector offers TopDownDet and
+// Hybrid exactly to the queries those engines answer, which is why Auto
+// needs no path for an engine refusing the query it was routed.
 func TestTDSTAEligibleMirrorsCompiler(t *testing.T) {
-	cases := []struct {
-		q    string
-		want bool
-	}{
-		{"/r/a/b", true},
-		{"/r/a//b", true},
-		{"//b", true},
-		{"/r/*/b", true},
-		{"//a/b", false},   // child after descendant
-		{"/r/a[b]", false}, // predicate
-		{"b/c", false},     // relative
-		{"//b/parent::*", false},
-	}
-	for _, c := range cases {
-		if got := tdstaEligible(mustPath(t, c.q)); got != c.want {
-			t.Errorf("tdstaEligible(%s) = %v, want %v", c.q, got, c.want)
+	eng := New(selDoc(t))
+	for _, q := range []string{
+		"/r/a/b", "/r/a//b", "//b", "/r/*/b", "//zzz",
+		"//a/b",   // child after descendant: a chain, not TDSTA
+		"/r/a[b]", // predicate
+		"b/c",     // relative
+		"//b/parent::*",
+	} {
+		st := shapeOn(t, eng, q)
+		for _, c := range []struct {
+			slot int
+			s    Strategy
+		}{{slotTDSTA, TopDownDet}, {slotHybrid, Hybrid}} {
+			_, err := eng.QueryWith(q, c.s)
+			if st.eligible[c.slot] != (err == nil) {
+				t.Errorf("%s: selector offers %v = %v, but the engine answers with error %v", q, c.s, st.eligible[c.slot], err)
+			}
 		}
 	}
 }

@@ -9,8 +9,9 @@
 //
 // The strategy applies to the fragment the paper demonstrates it on:
 // absolute chains of child/descendant steps with name tests and no
-// predicates. Eval reports ErrUnsupported otherwise so callers can fall
-// back to the regular top-down+bottom-up engine.
+// predicates. Eval reports ErrUnsupported otherwise; CheckChain asks the
+// same question without evaluating, which is how Auto decides whether
+// to offer this engine at all.
 package hybrid
 
 import (
@@ -47,25 +48,34 @@ type chainStep struct {
 	label tree.LabelID
 }
 
-// normalize validates the fragment and resolves labels; ok is false when
-// a label is absent from the document (empty result).
-func normalize(p *xpath.Path, names *tree.LabelTable) ([]chainStep, bool, error) {
+// CheckChain reports why p is outside the chain fragment (wrapping
+// ErrUnsupported), or nil when Eval accepts it. Auto's chain probe asks
+// it, so a query the selector routes here is one Eval runs.
+func CheckChain(p *xpath.Path) error {
 	if !p.Absolute || len(p.Steps) == 0 {
-		return nil, false, fmt.Errorf("%w: path must be absolute", ErrUnsupported)
+		return fmt.Errorf("%w: path must be absolute", ErrUnsupported)
 	}
-	// Validate the whole fragment before resolving labels, so queries
-	// outside the fragment report ErrUnsupported even when some label
-	// is absent from this document.
 	for _, st := range p.Steps {
 		if st.Axis != xpath.Child && st.Axis != xpath.Descendant {
-			return nil, false, fmt.Errorf("%w: axis %v", ErrUnsupported, st.Axis)
+			return fmt.Errorf("%w: axis %v", ErrUnsupported, st.Axis)
 		}
 		if st.Test.Kind != xpath.TestName {
-			return nil, false, fmt.Errorf("%w: node test %s", ErrUnsupported, st.Test)
+			return fmt.Errorf("%w: node test %s", ErrUnsupported, st.Test)
 		}
 		if len(st.Preds) > 0 {
-			return nil, false, fmt.Errorf("%w: predicates", ErrUnsupported)
+			return fmt.Errorf("%w: predicates", ErrUnsupported)
 		}
+	}
+	return nil
+}
+
+// normalize validates the fragment and resolves labels; ok is false when
+// a label is absent from the document (empty result). The whole fragment
+// is validated before labels are resolved, so queries outside it report
+// ErrUnsupported even when some label is absent from this document.
+func normalize(p *xpath.Path, names *tree.LabelTable) ([]chainStep, bool, error) {
+	if err := CheckChain(p); err != nil {
+		return nil, false, err
 	}
 	out := make([]chainStep, len(p.Steps))
 	for i, st := range p.Steps {

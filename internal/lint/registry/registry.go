@@ -6,8 +6,6 @@ package registry
 
 import (
 	"repro/internal/lint"
-	"repro/internal/lint/arenaescape"
-	"repro/internal/lint/ctxrelease"
 	"repro/internal/lint/lockhold"
 	"repro/internal/lint/nakedgen"
 )
@@ -15,8 +13,6 @@ import (
 // Analyzers returns the full registered suite, in stable order.
 func Analyzers() []*lint.Analyzer {
 	return []*lint.Analyzer{
-		arenaescape.Analyzer,
-		ctxrelease.Analyzer,
 		lockhold.Analyzer,
 		nakedgen.Analyzer,
 	}

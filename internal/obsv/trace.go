@@ -52,9 +52,7 @@ const maxSpans = 16
 // span is one recorded phase. start is relative to the trace origin.
 // detail is an optional annotation (Annotate): run spans carry the
 // strategy that ran and whether it succeeded, the select span carries
-// the Auto decision — so a profile with several run spans (a failed
-// speculative attempt next to the engine that answered) stays
-// unambiguous.
+// the Auto decision.
 type span struct {
 	name   string
 	detail string

@@ -12,9 +12,9 @@ import (
 
 // rawToken assembles a continuation token from raw fields, bypassing
 // encodeCursor's types so the test can produce values a well-behaved
-// client never would (negative nodes, alien versions).
-func rawToken(version, shard, doc, gen, last string) string {
-	raw := strings.Join([]string{version, shard, doc, gen, last}, "\x00")
+// client never would (negative nodes, alien versions, old layouts).
+func rawToken(fields ...string) string {
+	raw := strings.Join(fields, "\x00")
 	return base64.RawURLEncoding.EncodeToString([]byte(raw))
 }
 
@@ -22,9 +22,9 @@ func rawToken(version, shard, doc, gen, last string) string {
 // contract of the paged API: every way a token can be syntactically
 // broken — not base64, truncated, wrong version, wrong field count,
 // negative or overflowing node id — is a client error (400, "bad
-// cursor"), while the two legitimate expiry conditions — the document
-// relocated to another shard, or reloaded under a new generation — are
-// 410 Gone. The split matters to clients: a 400 token was never valid
+// cursor"), while the legitimate expiry conditions — a generation this
+// process does not have, or a token of the previous format, which only
+// an earlier process can have issued — are 410 Gone. The split matters to clients: a 400 token was never valid
 // (do not retry), a 410 token was valid once (restart the page loop).
 func TestCursorTokenMatrix(t *testing.T) {
 	svc := New(shard.NewStore(1), Options{})
@@ -37,11 +37,10 @@ func TestCursorTokenMatrix(t *testing.T) {
 	if first.Err != "" || first.Next == "" {
 		t.Fatalf("seed page: err=%q next=%q", first.Err, first.Next)
 	}
-	cshard, cdoc, cgen, clast, err := decodeCursor(first.Next)
+	cdoc, cgen, clast, err := decodeCursor(first.Next)
 	if err != nil {
 		t.Fatalf("decoding our own token: %v", err)
 	}
-	shardS := strconv.Itoa(cshard)
 	genS := cgen.String()
 	lastS := strconv.FormatInt(int64(clast), 10)
 
@@ -57,14 +56,15 @@ func TestCursorTokenMatrix(t *testing.T) {
 	}{
 		{"not-base64", "%%%", 400},
 		{"truncated", first.Next[:len(first.Next)-4], 400},
-		{"missing-fields", base64.RawURLEncoding.EncodeToString([]byte("c2\x000\x00xm")), 400},
-		{"wrong-version", rawToken("c1", shardS, cdoc, genS, lastS), 400},
-		{"negative-node", rawToken("c2", shardS, cdoc, genS, "-5"), 400},
-		{"node-overflow", rawToken("c2", shardS, cdoc, genS, "2147483648"), 400},
-		{"node-not-numeric", rawToken("c2", shardS, cdoc, genS, "abc"), 400},
-		{"negative-shard", rawToken("c2", "-1", cdoc, genS, lastS), 400},
-		{"relocated-shard", rawToken("c2", strconv.Itoa(cshard+1), cdoc, genS, lastS), 410},
-		{"stale-generation", rawToken("c2", shardS, cdoc, (cgen + 1).String(), lastS), 410},
+		{"missing-fields", base64.RawURLEncoding.EncodeToString([]byte("c3\x00xm")), 400},
+		{"wrong-version", rawToken("c1", cdoc, genS, lastS), 400},
+		{"negative-node", rawToken("c3", cdoc, genS, "-5"), 400},
+		{"node-overflow", rawToken("c3", cdoc, genS, "2147483648"), 400},
+		{"node-not-numeric", rawToken("c3", cdoc, genS, "abc"), 400},
+		// The previous format carried a shard index; even naming the live
+		// generation, it is stale.
+		{"earlier-process", rawToken("c2", "0", cdoc, genS, lastS), 410},
+		{"stale-generation", rawToken("c3", cdoc, (cgen + 1).String(), lastS), 410},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -106,11 +106,11 @@ func TestCursorTokenMatrix(t *testing.T) {
 	// yields an empty page (the answer has nothing past it) — that is a
 	// data condition, not a protocol error.
 	p2 := svc.Eval(Request{Doc: "xm", Query: "/site//item", Limit: 3})
-	sh, dc, gn, _, err := decodeCursor(p2.Next)
+	dc, gn, _, err := decodeCursor(p2.Next)
 	if err != nil {
 		t.Fatal(err)
 	}
-	beyond := rawToken("c2", strconv.Itoa(sh), dc, gn.String(), "2147483647")
+	beyond := rawToken("c3", dc, gn.String(), "2147483647")
 	maxed := svc.Eval(Request{Doc: "xm", Query: "/site//item", Limit: 3, Cursor: beyond})
 	if maxed.Err != "" || len(maxed.Nodes) != 0 {
 		t.Fatalf("in-range beyond-answer token: err=%q nodes=%d, want empty page", maxed.Err, len(maxed.Nodes))
@@ -121,13 +121,13 @@ func TestCursorTokenMatrix(t *testing.T) {
 // round trip unchanged, including the extremes of the NodeID domain.
 func TestNodeIDRoundTrip(t *testing.T) {
 	for _, last := range []tree.NodeID{0, 1, 1 << 20, 2147483647} {
-		tok := encodeCursor(3, "doc-α", 42, last)
-		sh, doc, gen, got, err := decodeCursor(tok)
+		tok := encodeCursor("doc-α", 42, last)
+		doc, gen, got, err := decodeCursor(tok)
 		if err != nil {
 			t.Fatalf("last=%d: %v", last, err)
 		}
-		if sh != 3 || doc != "doc-α" || gen != 42 || got != last {
-			t.Fatalf("round trip (3,doc-α,42,%d) -> (%d,%s,%d,%d)", last, sh, doc, gen, got)
+		if doc != "doc-α" || gen != 42 || got != last {
+			t.Fatalf("round trip (doc-α,42,%d) -> (%s,%d,%d)", last, doc, gen, got)
 		}
 	}
 }
@@ -135,28 +135,29 @@ func TestNodeIDRoundTrip(t *testing.T) {
 // FuzzDecodeCursor: a continuation token is client-controlled text.
 // Whatever it holds, decoding returns an error or a value — never a
 // panic — and a value that decodes is one encodeCursor can carry: its
-// re-encoding decodes to the same (shard, doc, gen, last), with last
-// inside a NodeID's domain.
+// re-encoding decodes to the same (doc, gen, last), with last inside a
+// NodeID's domain.
 func FuzzDecodeCursor(f *testing.F) {
-	f.Add(encodeCursor(3, "xm", 7, 41))
-	f.Add(rawToken(cursorVersion, "0", "xm", "1", "2147483647"))
-	f.Add(rawToken(cursorVersion, "0", "xm", "1", "-1"))
-	f.Add(rawToken(cursorVersion, "0", "xm", "1", "2147483648"))
-	f.Add(rawToken(cursorVersion, "0", "x\x00m", "1", "5"))
+	f.Add(encodeCursor("xm", 7, 41))
+	f.Add(rawToken(cursorVersion, "xm", "1", "2147483647"))
+	f.Add(rawToken(cursorVersion, "xm", "1", "-1"))
+	f.Add(rawToken(cursorVersion, "xm", "1", "2147483648"))
+	f.Add(rawToken(cursorVersion, "x\x00m", "1", "5"))
 	f.Add("%%%")
 	f.Add("")
+	f.Add(rawToken("c2", "0", "xm", "1", "5"))
 	f.Fuzz(func(t *testing.T, tok string) {
-		sh, doc, gen, last, err := decodeCursor(tok)
+		doc, gen, last, err := decodeCursor(tok)
 		if err != nil {
 			return
 		}
-		if sh < 0 || last < 0 || strings.ContainsRune(doc, 0) {
-			t.Fatalf("decoded (%d, %q, %d, %d) from %q: outside what a token can name", sh, doc, gen, last, tok)
+		if last < 0 || strings.ContainsRune(doc, 0) {
+			t.Fatalf("decoded (%q, %d, %d) from %q: outside what a token can name", doc, gen, last, tok)
 		}
-		sh2, doc2, gen2, last2, err := decodeCursor(encodeCursor(sh, doc, gen, last))
-		if err != nil || sh2 != sh || doc2 != doc || gen2 != gen || last2 != last {
-			t.Fatalf("(%d, %q, %d, %d) re-encoded decodes to (%d, %q, %d, %d), err %v",
-				sh, doc, gen, last, sh2, doc2, gen2, last2, err)
+		doc2, gen2, last2, err := decodeCursor(encodeCursor(doc, gen, last))
+		if err != nil || doc2 != doc || gen2 != gen || last2 != last {
+			t.Fatalf("(%q, %d, %d) re-encoded decodes to (%q, %d, %d), err %v",
+				doc, gen, last, doc2, gen2, last2, err)
 		}
 	})
 }

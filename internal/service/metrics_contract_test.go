@@ -136,7 +136,7 @@ var noTwin = map[string]string{
 	"Shards.Queries.Streaming.Aborted": "sum of xpqd_streams_aborted_total over the cause label",
 	"Shards.Queries.Latency.LEMicros":  "the bin's bound: the le label renders the same latencyBuckets",
 	"Shards.Cache.MaxBytes":            "configuration (-cache-bytes), not a measurement",
-	"Shards.Auto.Epsilon":              "configuration (-auto-epsilon), not a measurement",
+	"Shards.Auto.Epsilon":              "a constant (core.DefaultAutoEpsilon), not a measurement",
 	"Shards.Auto.TopShapes":            "per-shape detail: a shape label would be unbounded",
 	"Documents":                        "per-document detail: xpqd_documents, xpqd_shard_documents and xpqd_doc_bytes carry the totals",
 	"Cache":                            "sum of Shards.Cache: PromQL sums the shard label",

@@ -113,6 +113,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	assertPoolSettled(t, s)
 
 	st := s.Stats()
 	if st.Queries.Errors != 0 {

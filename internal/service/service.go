@@ -1,8 +1,8 @@
 // Package service is the long-lived query-serving layer over the
 // engine, sharded end to end: the document corpus is partitioned over N
-// goroutine-affine shards by consistent hashing on the document id
-// (shard.Router), and each shard owns its slice of everything the hot
-// path touches — a store partition, a byte-weighted compiled-query LRU
+// goroutine-affine shards by a hash of the document id (shard.Router),
+// and each shard owns its slice of everything the hot path touches — a
+// store partition, a byte-weighted compiled-query LRU
 // (optionally governed by one global byte budget), a context pool, a
 // table of per-document Auto selectors, and its own metrics. A query
 // therefore contends only with queries for documents on the same shard;
@@ -66,9 +66,6 @@ type Options struct {
 	// Logger receives structured query logs (slow queries at Warn,
 	// per-query records at Debug); nil means slog.Default().
 	Logger *slog.Logger
-	// AutoEpsilon is the selector's exploration floor; <= 0 means
-	// core.DefaultAutoEpsilon.
-	AutoEpsilon float64
 	// CursorTTL bounds how long an unredeemed continuation token keeps
 	// its document generation alive (the MVCC lease horizon); <= 0 means
 	// DefaultCursorTTL.
@@ -139,10 +136,6 @@ type svcShard struct {
 	lockWaitMaxNS atomic.Int64
 	lockAcquires  atomic.Uint64
 
-	// autoCfg configures the Auto selector of every document this shard
-	// serves.
-	autoCfg core.AutoConfig
-
 	metrics metrics
 }
 
@@ -182,9 +175,6 @@ func New(ss *shard.Store, opts Options) *Service {
 		allocs0:   heapAllocObjects(),
 	}
 	autoCfg := core.DefaultAutoConfig()
-	if opts.AutoEpsilon > 0 {
-		autoCfg.Epsilon = opts.AutoEpsilon
-	}
 	for i := 0; i < ss.NumShards(); i++ {
 		s.shards = append(s.shards, &svcShard{
 			index:   i,
@@ -192,7 +182,6 @@ func New(ss *shard.Store, opts Options) *Service {
 			cache:   qcache.NewShared(opts.CacheSize, opts.CacheBytes, s.budget),
 			pool:    new(core.Pool),
 			engines: make(map[string]docEngine),
-			autoCfg: autoCfg,
 
 			retiredAuto: core.SelectorStats{Adaptive: autoCfg.Adaptive, Epsilon: autoCfg.Epsilon},
 		})
@@ -243,7 +232,7 @@ func (sh *svcShard) engine(h *store.Handle) *core.Engine {
 	ent, ok := sh.engines[h.ID]
 	if !ok || ent.epoch < h.Epoch {
 		sh.dropEngine(h.ID)
-		ent = docEngine{epoch: h.Epoch, auto: core.NewSelector(sh.autoCfg)}
+		ent = docEngine{epoch: h.Epoch, auto: core.NewSelector(core.DefaultAutoConfig())}
 		sh.engines[h.ID] = ent
 	}
 	sh.mu.Unlock()
@@ -335,13 +324,12 @@ type Request struct {
 	// answer short the Response carries a continuation token in Next.
 	Limit int `json:"limit,omitempty"`
 	// Cursor resumes a paged answer: the opaque Next token of the
-	// previous page. The token pins the owning shard and the document
-	// generation, and holds a store lease on that generation, so the
-	// page loop keeps reading the tree it started on even while the
-	// document is patched underneath it. The resume fails with a
-	// stale-cursor error (HTTP 410) only once the pinned generation is
-	// actually gone — garbage-collected after the lease expired, evicted,
-	// reloaded, or relocated by a reshard.
+	// previous page. The token pins the document generation, and holds a
+	// store lease on that generation, so the page loop keeps reading the
+	// tree it started on even while the document is patched underneath
+	// it. The resume fails with a stale-cursor error (HTTP 410) only once
+	// the pinned generation is actually gone — garbage-collected after
+	// the lease expired, evicted, reloaded, or the daemon restarted.
 	Cursor string `json:"cursor,omitempty"`
 	// AsOf pins the query to one MVCC generation of the document (a Gen
 	// from an earlier response) instead of the latest — time travel
@@ -414,8 +402,8 @@ type evalState struct {
 }
 
 // prepare runs the shared front half of Eval and Stream: shard routing,
-// strategy parsing, cursor-token validation (shard and document must
-// match; the token's generation becomes the target), generation-pinned
+// strategy parsing, cursor-token validation (the document must match;
+// the token's generation becomes the target), generation-pinned
 // handle lookup, engine lookup, evaluation, and seeking to the resume
 // position. On failure the returned state's resp.Err is set (and
 // metrics recorded on the owning shard); on success resp carries
@@ -449,18 +437,13 @@ func (s *Service) prepare(req Request) evalState {
 	var after tree.NodeID
 	if req.Cursor != "" {
 		sp = st.tr.Begin(obsv.SpanCursor)
-		cshard, cdoc, cgen, clast, err := decodeCursor(req.Cursor)
+		cdoc, cgen, clast, err := decodeCursor(req.Cursor)
 		switch {
 		case err != nil:
+			st.resp.staleCursor = errors.Is(err, errEarlierCursor)
 			return fail("%v", err)
 		case cdoc != req.Doc:
 			return fail("cursor is for document %q, not %q", cdoc, req.Doc)
-		case cshard != sh.index:
-			// The corpus was resharded since the token was issued (e.g.
-			// the daemon restarted with a different -shards) and the id
-			// relocated; the pinned partition no longer owns it.
-			st.resp.staleCursor = true
-			return fail("stale cursor: document %q was relocated to a different shard since the cursor was issued", req.Doc)
 		case req.AsOf != 0 && req.AsOf != cgen:
 			return fail("cursor pins generation %d but the request asks asof %d", cgen, req.AsOf)
 		}
@@ -631,11 +614,11 @@ func (s *Service) finish(st *evalState, req *Request, outcome, errText string) {
 //     it counts as a query, but no token is issued and the incoming one
 //     is not redeemed — the client may retry it until its lease expires.
 //   - delivered: a non-empty remainder means the answer was cut short,
-//     so a resumption token pinned to the owning shard and generation
-//     goes out. Its lease is placed, the consumed token's lease is
-//     redeemed and the pin dropped in one store critical section
-//     (store.Release) — the pin held since prepare's lookup is what
-//     guarantees the generation is still there to lease.
+//     so a resumption token pinned to the generation goes out. Its
+//     lease is placed, the consumed token's lease is redeemed and the
+//     pin dropped in one store critical section (store.Release) — the
+//     pin held since prepare's lookup is what guarantees the generation
+//     is still there to lease.
 func (s *Service) deliver(st *evalState, req *Request, abortErr string) {
 	resp := &st.resp
 	outcome := outcomeOf(resp)
@@ -644,7 +627,7 @@ func (s *Service) deliver(st *evalState, req *Request, abortErr string) {
 		if abortErr != "" {
 			outcome = obsv.OutcomeAborted
 		} else if _, more := st.cur.Next(); more && st.sent > 0 {
-			resp.Next = encodeCursor(st.sh.index, req.Doc, resp.Gen, st.last)
+			resp.Next = encodeCursor(req.Doc, resp.Gen, st.last)
 			lease = time.Now().Add(s.cursorTTL)
 		}
 		st.sh.part.Release(req.Doc, resp.Gen, lease, st.fromCursor && abortErr == "")

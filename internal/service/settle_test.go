@@ -1,0 +1,222 @@
+package service
+
+import (
+	"fmt"
+	"io"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/tree"
+)
+
+// poolUnsettled lists the books that do not balance once nothing is
+// evaluating — each one a release that some path lost:
+//
+//   - Every context is made by a miss and ends dropped, parked or
+//     checked out, so Misses - Drops - Resident is the number checked
+//     out. The context itself is merely garbage-collected, so nothing
+//     else would show a lost one.
+//   - The guard counts cached automata found to be compiled for another
+//     label table than their key says.
+//   - Every Auto decision that does not short-circuit produces a cursor,
+//     whose Close is the selector's observation: the selector offers an
+//     engine only the shapes that engine's own fragment test accepts, so
+//     the engine it picks answers (none of these tests' Auto queries is
+//     one whose automaton cannot be built). Decisions - ShortCircuits -
+//     Observations is the number of Auto cursors still open, which the
+//     pool cannot see: hybrid and TDSTA cursors hold no pooled context.
+//     Only the live selectors are exact: one dropped by an eviction
+//     while its cursor was open is observed after its counters were
+//     folded into the shard's totals.
+func poolUnsettled(s *Service) []string {
+	var out []string
+	ps := s.Stats().Pool
+	if open := int64(ps.Misses) - int64(ps.Drops) - int64(ps.Resident); open != 0 {
+		out = append(out, fmt.Sprintf("%d evaluation contexts checked out and never released: %+v", open, ps))
+	}
+	if ps.GuardTrips != 0 {
+		out = append(out, fmt.Sprintf("%d cached automata did not belong to the label table in their key: %+v", ps.GuardTrips, ps))
+	}
+	for _, sh := range s.shards {
+		sh.lock()
+		autos := make(map[string]*core.Selector, len(sh.engines))
+		for id, ent := range sh.engines {
+			autos[id] = ent.auto
+		}
+		sh.mu.Unlock()
+		for id, sel := range autos {
+			a := sel.Stats()
+			if open := int64(a.Decisions) - int64(a.ShortCircuits) - int64(a.Observations); open != 0 {
+				out = append(out, fmt.Sprintf("document %q: %d Auto cursors never closed (%d decisions, %d short-circuited, %d observed)",
+					id, open, a.Decisions, a.ShortCircuits, a.Observations))
+			}
+		}
+	}
+	return out
+}
+
+// assertPoolSettled fails t for every book poolUnsettled finds open.
+func assertPoolSettled(t *testing.T, s *Service) {
+	t.Helper()
+	for _, p := range poolUnsettled(s) {
+		t.Error(p)
+	}
+}
+
+// TestPoolSettledBites proves the checks on deliberate leaks before
+// their silence is trusted: a pooled cursor and an Auto cursor left open
+// both show, and closing them settles the books.
+func TestPoolSettledBites(t *testing.T) {
+	s := newTestService(t, Options{})
+	sh := s.shardFor("d1")
+	h, err := sh.part.Acquire("d1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.part.Release("d1", h.Gen, time.Time{}, false)
+	eng := sh.engine(h)
+	pooled, err := eng.EvalCursor("//a/b", core.Optimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auto, err := eng.EvalCursor("//a/b", core.Auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := strings.Join(poolUnsettled(s), "\n")
+	for _, want := range []string{"checked out and never released", "1 Auto cursors never closed"} {
+		if !strings.Contains(open, want) {
+			t.Errorf("open cursors not reported as %q: %q", want, open)
+		}
+	}
+	pooled.Close()
+	auto.Close()
+	assertPoolSettled(t, s)
+}
+
+// TestGuardTripsZeroOnErrorPaths drives every forced error path between
+// the start of a request and its cursor's Close — parse errors, unknown
+// documents and strategies, malformed, foreign, mismatched and
+// earlier-process cursors, rejected patches, failing /batch members,
+// header- and chunk-abort streams — for the pooled engine and for Auto,
+// plain and explained, and asserts every book balances afterwards
+// (assertPoolSettled). An explained refusal must carry its profile: the
+// request's trace was settled, not dropped.
+func TestGuardTripsZeroOnErrorPaths(t *testing.T) {
+	s := newTestService(t, Options{})
+	// Only the ASTA engines evaluate in pooled contexts; Auto may route
+	// this tiny document to the hybrid run and check none out. Both are
+	// driven: the pooled engine for the pool's books, Auto for the
+	// selector's.
+	const pooled = "optimized"
+	strategies := []string{pooled, "auto"}
+
+	// Warm the pool so later checkouts actually reuse contexts.
+	for i := 0; i < 3; i++ {
+		for _, strat := range strategies {
+			if resp := s.Eval(Request{Doc: "d1", Query: "//a/b", Strategy: strat}); resp.Err != "" {
+				t.Fatal(resp.Err)
+			}
+		}
+	}
+
+	refuse := func(what string, req Request) {
+		t.Helper()
+		for _, explain := range []bool{false, true} {
+			req.Explain = explain
+			resp := s.Eval(req)
+			if resp.Err == "" {
+				t.Fatalf("%s accepted", what)
+			}
+			if explain && resp.Explain == nil {
+				t.Errorf("%s: the explained refusal carries no profile", what)
+			}
+		}
+	}
+
+	// Error before checkout: parse failure, unknown strategy, unknown
+	// document.
+	refuse("parse error", Request{Doc: "d1", Query: "///"})
+	refuse("unknown strategy", Request{Doc: "d1", Query: "//a", Strategy: "bogus"})
+	refuse("missing document", Request{Doc: "ghost", Query: "//a"})
+
+	// Cursor-token error paths: malformed token, wrong document,
+	// generation/asof mismatch, a token of the previous format.
+	page := s.Eval(Request{Doc: "d1", Query: "//a/b", Strategy: pooled, Limit: 1})
+	if page.Err != "" || page.Next == "" {
+		t.Fatalf("paged eval: %+v", page)
+	}
+	for _, strat := range strategies {
+		refuse("malformed cursor", Request{Doc: "d1", Query: "//a/b", Strategy: strat, Cursor: "not-a-token"})
+		refuse("earlier-process cursor", Request{Doc: "d1", Query: "//a/b", Strategy: strat,
+			Cursor: rawToken("c2", "0", "d1", page.Gen.String(), "0")})
+		refuse("asof/cursor generation mismatch", Request{Doc: "d1", Query: "//a/b", Strategy: strat, Cursor: page.Next, AsOf: page.Gen + 1})
+	}
+	if _, err := s.Store().LoadXML("d2", []byte("<r><a><b/></a></r>")); err != nil {
+		t.Fatal(err)
+	}
+	refuse("cross-document cursor", Request{Doc: "d2", Query: "//a/b", Strategy: pooled, Cursor: page.Next})
+
+	// Patch twice so the paged cursor's pinned generation retires once
+	// its lease lapses; a rejected patch exercises that error path too.
+	if _, err := s.PatchDoc("d1", PatchDocRequest{Op: "replace", Node: tree.NodeID(1), XML: "<a><b>y</b></a>", BaseGen: page.Gen + 1}); err == nil {
+		t.Fatal("patch against a wrong base generation accepted")
+	}
+	if _, err := s.PatchDoc("d1", PatchDocRequest{Op: "replace", Node: tree.NodeID(1), XML: "<a><b>y</b></a>"}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A /batch whose failing members sit between answered ones.
+	batch := []Request{
+		{Doc: "d1", Query: "//a/b", Strategy: pooled},
+		{Doc: "d1", Query: "///", Explain: true},
+		{Doc: "ghost", Query: "//a"},
+		{Doc: "d1", Query: "//a/b", Cursor: "not-a-token", Explain: true},
+		{Doc: "d1", Query: "//a/b", Limit: 1},
+		{Doc: "d1", Query: "//a/b", Strategy: "bogus"},
+		{Doc: "d1", Query: "//a/b", Strategy: pooled, Limit: 1, Explain: true},
+	}
+	for i, resp := range s.EvalBatch(batch) {
+		if fails := i%2 == 1 || i == 2; (resp.Err != "") != fails {
+			t.Errorf("batch member %d (%+v): error %q", i, batch[i], resp.Err)
+		}
+		if batch[i].Explain && resp.Explain == nil {
+			t.Errorf("batch member %d: explained, but no profile", i)
+		}
+	}
+
+	// Stream abort paths: header write fails, then a chunk write fails.
+	for _, strat := range strategies {
+		for _, explain := range []bool{false, true} {
+			req := Request{Doc: "d1", Query: "//a/b", Strategy: strat, Explain: explain}
+			s.Stream(&failAfter{n: 0}, req, 1)
+			s.Stream(&failAfter{n: 1}, req, 1)
+			if pre := s.Stream(io.Discard, req, 2); pre != nil {
+				t.Fatalf("clean stream refused: %+v", pre)
+			}
+		}
+	}
+
+	// More warm traffic, on the patched generation too.
+	for i := 0; i < 3; i++ {
+		for _, strat := range strategies {
+			if resp := s.Eval(Request{Doc: "d1", Query: "//a/b", Strategy: strat}); resp.Err != "" {
+				t.Fatal(resp.Err)
+			}
+		}
+	}
+
+	assertPoolSettled(t, s)
+	st := s.Stats()
+	if st.Pool.Hits == 0 {
+		t.Fatal("no checkout was warm: the books balance trivially")
+	}
+	if st.Auto.Observations == 0 {
+		t.Fatal("no Auto cursor closed: the selector's books balance trivially")
+	}
+	if st.Queries.Errors == 0 {
+		t.Fatal("test exercised no error paths")
+	}
+}

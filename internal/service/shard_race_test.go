@@ -174,6 +174,7 @@ func TestShardedChurnHammer(t *testing.T) {
 	readersWG.Wait()
 	close(stop)
 	churnWG.Wait()
+	assertPoolSettled(t, svc)
 
 	// The hammer must have exercised every shard, not just warmed one.
 	for i, sh := range svc.Stats().Shards {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -91,44 +92,40 @@ func TestShardedServiceServesAllShards(t *testing.T) {
 	}
 }
 
-// TestCursorPinnedToShard: a continuation token names the partition
-// that issued it. A token presented for a document the router now
-// places elsewhere (the resharding case) must answer 410-stale, never a
-// page from the wrong partition.
+// TestCursorPinnedToShard: a continuation token names no shard — the
+// document id routes the resume to the partition that owns it, on every
+// shard of a 4-shard service. A token of the previous format, which
+// named one, can only come from an earlier process and answers
+// 410-stale, never a page.
 func TestCursorPinnedToShard(t *testing.T) {
 	ss := shard.NewStore(4)
 	svc := New(ss, Options{})
-	if _, err := svc.Store().GenerateXMark("xm", 0.002, 1); err != nil {
-		t.Fatal(err)
+	ids := idsCoveringAllShards(t, ss)
+	for _, id := range ids {
+		if _, err := svc.Store().GenerateXMark(id, 0.001, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	first := svc.Eval(Request{Doc: "xm", Query: "//keyword", Limit: 3})
-	if first.Err != "" || first.Next == "" {
-		t.Fatalf("first page: err=%q next=%q", first.Err, first.Next)
+	for _, id := range ids {
+		first := svc.Eval(Request{Doc: id, Query: "//keyword", Limit: 3})
+		if first.Err != "" || first.Next == "" {
+			t.Fatalf("%s first page: err=%q next=%q", id, first.Err, first.Next)
+		}
+		resumed := svc.Eval(Request{Doc: id, Query: "//keyword", Limit: 3, Cursor: first.Next})
+		if resumed.Err != "" || len(resumed.Nodes) == 0 || resumed.Nodes[0] <= first.Nodes[2] {
+			t.Fatalf("%s genuine resume: %+v", id, resumed)
+		}
 	}
-	home := ss.ShardFor("xm")
 
-	// The genuine token resumes.
-	resumed := svc.Eval(Request{Doc: "xm", Query: "//keyword", Limit: 3, Cursor: first.Next})
-	if resumed.Err != "" || len(resumed.Nodes) == 0 {
-		t.Fatalf("genuine resume: %+v", resumed)
-	}
-
-	// Re-mint the same token under a different shard index — what a
-	// pre-reshard daemon would have handed out — and present it.
-	cshard, cdoc, cgen, clast, err := decodeCursor(first.Next)
+	first := svc.Eval(Request{Doc: ids[1], Query: "//keyword", Limit: 3})
+	cdoc, cgen, clast, err := decodeCursor(first.Next)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cshard != home {
-		t.Fatalf("token pins shard %d, router owns %d", cshard, home)
-	}
-	forged := encodeCursor((home+1)%4, cdoc, cgen, clast)
-	resp := svc.Eval(Request{Doc: "xm", Query: "//keyword", Limit: 3, Cursor: forged})
-	if !resp.staleCursor {
-		t.Fatalf("relocated cursor must be stale (410), got %+v", resp)
-	}
-	if !strings.Contains(resp.Err, "relocated") {
-		t.Errorf("relocated cursor error should say so: %q", resp.Err)
+	old := rawToken("c2", "1", cdoc, cgen.String(), strconv.FormatInt(int64(clast), 10))
+	resp := svc.Eval(Request{Doc: ids[1], Query: "//keyword", Limit: 3, Cursor: old})
+	if !resp.staleCursor || !strings.Contains(resp.Err, "earlier process") {
+		t.Fatalf("previous-format cursor must be stale (410), got %+v", resp)
 	}
 	if len(resp.Nodes) != 0 {
 		t.Error("stale cursor must not deliver nodes")
@@ -136,7 +133,7 @@ func TestCursorPinnedToShard(t *testing.T) {
 
 	// A v1-era (or otherwise malformed) token is a 400-class error, not
 	// a crash and not a page.
-	bad := svc.Eval(Request{Doc: "xm", Query: "//keyword", Cursor: "bm90LWEtY3Vyc29y"})
+	bad := svc.Eval(Request{Doc: ids[1], Query: "//keyword", Cursor: "bm90LWEtY3Vyc29y"})
 	if bad.Err == "" || bad.staleCursor {
 		t.Errorf("malformed cursor: %+v", bad)
 	}

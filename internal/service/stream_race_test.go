@@ -131,6 +131,7 @@ func TestStreamEvictReloadRace(t *testing.T) {
 	readersWG.Wait()
 	close(stop)
 	churnWG.Wait()
+	assertPoolSettled(t, svc)
 }
 
 // key canonicalizes a node list for set comparison.

@@ -1,82 +1,44 @@
-// Package shard partitions the multi-document serving layer: a
-// consistent-hash Router assigns every document id to one of N
-// partitions, and Store fans the single-registry store API out over N
-// goroutine-affine partitions so huge corpora stop contending on one
-// registry lock. Consistent hashing (a ring of virtual nodes per
-// shard, hashed with FNV-1a) keeps the assignment deterministic across
-// process restarts, and makes growing N -> N+1 shards relocate only
-// ~1/(N+1) of the ids — every relocated id lands on the new shard —
-// instead of reshuffling the whole corpus the way `hash(id) % N` would.
+// Package shard partitions the multi-document serving layer: a Router
+// assigns every document id to one of N partitions, and Store fans the
+// single-registry store API out over N goroutine-affine partitions so
+// huge corpora stop contending on one registry lock. The assignment is
+// hash(id) mod N: N is fixed for the life of a process, and nothing a
+// client holds names a shard (a continuation token names a document and
+// one of its generations, and generations do not survive the process),
+// so there is nothing for a ring's minimal relocation to preserve.
 package shard
 
-import (
-	"fmt"
-	"hash/fnv"
-	"sort"
-)
+import "hash/fnv"
 
-// vnodesPerShard is the number of ring points per shard. 256 keeps each
-// shard's share of the key space within a few percent of uniform (the
-// relative deviation of consistent hashing shrinks like 1/sqrt(vnodes))
-// while the ring stays small enough to rebuild in microseconds.
-const vnodesPerShard = 256
-
-type ringPoint struct {
-	hash  uint64
-	shard int
-}
-
-// Router maps document ids onto shard indexes with consistent hashing.
-// It is immutable after construction and safe for concurrent use.
+// Router maps document ids onto shard indexes. It is immutable after
+// construction and safe for concurrent use.
 type Router struct {
-	n    int
-	ring []ringPoint
+	n int
 }
 
 // NewRouter builds a router over n shards; n < 1 is clamped to 1.
 func NewRouter(n int) *Router {
-	if n < 1 {
-		n = 1
-	}
-	r := &Router{n: n, ring: make([]ringPoint, 0, n*vnodesPerShard)}
-	for s := 0; s < n; s++ {
-		for v := 0; v < vnodesPerShard; v++ {
-			r.ring = append(r.ring, ringPoint{
-				hash:  hash64(fmt.Sprintf("shard-%d-vnode-%d", s, v)),
-				shard: s,
-			})
-		}
-	}
-	sort.Slice(r.ring, func(i, j int) bool { return r.ring[i].hash < r.ring[j].hash })
-	return r
+	return &Router{n: max(n, 1)}
 }
 
 // NumShards reports the shard count.
 func (r *Router) NumShards() int { return r.n }
 
-// Shard returns the shard index owning id: the shard of the first ring
-// point at or after hash(id), wrapping past the highest point.
+// Shard returns the shard index owning id.
 func (r *Router) Shard(id string) int {
 	if r.n == 1 {
 		return 0
 	}
-	h := hash64(id)
-	i := sort.Search(len(r.ring), func(i int) bool { return r.ring[i].hash >= h })
-	if i == len(r.ring) {
-		i = 0
-	}
-	return r.ring[i].shard
+	return int(hash64(id) % uint64(r.n))
 }
 
 // hash64 is FNV-1a over the id bytes followed by a murmur3-style
-// 64-bit finalizer. FNV alone leaves similar ids (sequential "doc-N",
-// the ring's own "shard-i-vnode-j" labels) correlated in the high bits
-// the ring is ordered by, which skews shard shares far past the
-// 1/sqrt(vnodes) ideal; the finalizer's avalanche restores uniformity.
-// Everything here is stable across processes, platforms, and Go
-// releases (unlike hash/maphash), which is what lets a routing decision
-// survive a daemon restart and keeps shard-qualified cursor tokens
-// resolvable.
+// 64-bit finalizer. FNV alone leaves similar ids (sequential "doc-N")
+// correlated in its low bits, which the modulus reads; the finalizer's
+// avalanche restores uniformity. It is stable across processes,
+// platforms and Go releases (unlike hash/maphash), so placement is
+// reproducible: a test or a benchmark that picks ids per shard picks
+// the same ones every run.
 func hash64(s string) uint64 {
 	f := fnv.New64a()
 	f.Write([]byte(s))

@@ -8,7 +8,7 @@ import (
 )
 
 // Store is the sharded document registry: N independent store.Store
-// partitions behind a consistent-hash Router. Every id-addressed call
+// partitions behind a Router. Every id-addressed call
 // touches exactly one partition, so loads, lookups and evictions of
 // documents on different shards never contend on a shared lock. The
 // method set mirrors store.Store, which lets the serving layer (and
@@ -29,7 +29,7 @@ func NewStore(n int) *Store {
 }
 
 // Router exposes the routing function (shared with the serving layer so
-// cursor tokens and cache placement agree with document placement).
+// engines and caches agree with document placement).
 func (s *Store) Router() *Router { return s.router }
 
 // NumShards reports the partition count.
