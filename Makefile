@@ -10,7 +10,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test race lint fmt vet check loc gates gate-obsv gate-auto gate-mvcc gate-mmap gate-kernel
+.PHONY: build test race lint fmt vet check loc gates gate-obsv gate-auto gate-mvcc gate-mmap
 
 build:
 	$(GO) build ./...
@@ -54,7 +54,11 @@ loc:
 # fail when nothing matched). The BENCH_*.json files pin the seeded ratios.
 GATE = awk -f scripts/benchgate.awk
 
-gates: gate-obsv gate-auto gate-mvcc gate-mmap gate-kernel
+# Each gate times something the daemon runs. The word-level BP/rank/select
+# kernels left the list with XQO2 version 8: no load, save, open, patch
+# or query reaches them, and a microbench win on a structure no query
+# executes is not a win (their fuzzers and tests still run).
+gates: gate-obsv gate-auto gate-mvcc gate-mmap
 
 # The observability layer must not tax the warm path: warm-traced/warm
 # at 1.05 over the full query matrix, 100 iterations a row, and warm
@@ -62,9 +66,8 @@ gates: gate-obsv gate-auto gate-mvcc gate-mmap gate-kernel
 # (BENCH_eval.json pins 0 allocs/op; 5 leaves margin for runtime noise,
 # checked on every row of every run). Many rows are sub-µs queries, and
 # one 100-iteration reading of each put the geomean of two runs of the
-# same binary anywhere in 0.97-1.09: like gate-mmap and gate-kernel,
-# take the min of three runs per row, which a scheduler hiccup cannot
-# lower.
+# same binary anywhere in 0.97-1.09: like gate-mmap, take the min of
+# three runs per row, which a scheduler hiccup cannot lower.
 gate-obsv:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvalSteadyState/.*/.*/warm' -benchtime 100x -count 3 -benchmem . \
 		| $(GATE) -v num=warm-traced -v den=warm -v limit=1.05 -v allocs=5 -v fold=min
@@ -76,7 +79,7 @@ gate-auto:
 	$(GO) test -run '^$$' -bench 'BenchmarkAutoSelector' -benchtime 50x . \
 		| $(GATE) -v num=adaptive -v den=static -v limit=1.00
 
-# A subtree patch (splice + incremental index/BP maintenance + MVCC
+# A subtree patch (splice + incremental index maintenance + MVCC
 # publish) must beat rebuilding the document from XML. The limit bounds
 # the patch's absolute cost, with the reload as the yardstick: it was
 # 0.25 when a reload took 23.9 ms; the byte-level XML kernel brought the
@@ -89,8 +92,10 @@ gate-auto:
 # and the 16-bit halves of occurrences, text ranks and text offsets once
 # more (0.64 ms against 0.81 in pairs: 0.3 MB less, one array per index
 # instead of one per label, suffixes shifted chunk by chunk), and labels
-# and size in a byte each once more (0.45 ms against 0.63: 0.2 MB less);
-# the limit stayed where it was. BENCH_mvcc.json pins ~0.07; tripping the
+# and size in a byte each once more (0.45 ms against 0.63: 0.2 MB less),
+# and dropping the balanced-parentheses splice once more (0.36 ms
+# against 0.48, both arms no longer building the view);
+# the limit stayed where it was. BENCH_mvcc.json pins ~0.06; tripping the
 # limit means an accidental O(doc) rebuild in the patch path, not noise.
 gate-mvcc:
 	$(GO) test -run '^$$' -bench 'BenchmarkPatchVsReload' -benchtime 20x -benchmem ./internal/store/ \
@@ -102,20 +107,12 @@ gate-mvcc:
 # the yardstick: it was 0.05 when parse + index took 17.3 ms; the
 # byte-level XML kernel brought that to 6.9 ms with the open untouched
 # (0.33 -> 0.39 ms, noise), so the same bound is 0.05 x 17.3 / 6.9 =
-# 0.13. BENCH_mmap.json pins ~0.029 (0.16 ms on XQO2 version 7, which
-# checksums three sections more and 2 bytes per node fewer than version
-# 6 and walks the wide table's nesting: 0.17 -> 0.16 ms medians over six
-# alternating runs, minima 0.147 and 0.144 — not told apart, like
-# versions 4 and 5 before it; version 6 took 0.22 to 0.19);
+# 0.13. BENCH_mmap.json pins ~0.020 (0.12 ms on XQO2 version 8, which
+# checksums four sections fewer than version 7 and reassembles no
+# balanced-parentheses view: 0.14 -> 0.12 ms medians over six
+# alternating runs, minima 0.133 and 0.118; version 7 took 0.17 to 0.16,
+# version 6 0.22 to 0.19);
 # min of three runs filters one-off page-cache or scheduler hiccups.
 gate-mmap:
 	$(GO) test -run '^$$' -bench 'BenchmarkMmapOpenVsParse' -benchtime 20x -count 3 ./internal/store/ \
 		| $(GATE) -v num=mmap-open -v den=parse -v limit=0.13 -v fold=min
-
-# The word-level BP/rank/select kernels must beat the per-bit reference
-# loops they replaced, across both packages. BENCH_mmap.json pins ~0.27.
-# Time-based benchtime (fixed low iteration counts read sub-100ns
-# kernels as timer noise) and min of two runs.
-gate-kernel:
-	$(GO) test -run '^$$' -bench 'BenchmarkKernelsVsPerBit' -benchtime 0.2s -count 2 ./internal/bp/ ./internal/bitvec/ \
-		| $(GATE) -v num=word -v den=perbit -v limit=0.80 -v fold=min

@@ -315,42 +315,6 @@ func selectInWord(w uint64, k int) int {
 	return 8*byteIdx + int(selByte[b][k-prev-1])
 }
 
-// RawParts exposes the vector's backing arrays for serialization in
-// their in-memory shape (the XQO2 resident format stores them verbatim
-// so a mapped file can be aliased back without rebuilding). The slices
-// are the live backing store; callers must not modify them.
-func (v *Vector) RawParts() (words, super []uint64, n, ones int) {
-	return v.words, v.super, v.n, v.ones
-}
-
-// FromRawParts reassembles a Vector around existing backing arrays —
-// typically slices aliasing an mmap'd XQO2 section — without copying or
-// rebuilding the rank directory. It validates the shape invariants
-// (array lengths, superblock monotonicity, total count) so a corrupt or
-// truncated file fails here instead of panicking later; per-word bit
-// counts are vouched for by the layout's checksums.
-func FromRawParts(words, super []uint64, n, ones int) (*Vector, error) {
-	if n < 0 || ones < 0 || ones > n {
-		return nil, fmt.Errorf("bitvec: invalid bit counts n=%d ones=%d", n, ones)
-	}
-	if want := (n + wordBits - 1) / wordBits; len(words) != want {
-		return nil, fmt.Errorf("bitvec: %d words for %d bits (want %d)", len(words), n, want)
-	}
-	nSuper := (len(words) + wordsPer - 1) / wordsPer
-	if len(super) != nSuper+1 {
-		return nil, fmt.Errorf("bitvec: %d superblock entries (want %d)", len(super), nSuper+1)
-	}
-	for i := 1; i < len(super); i++ {
-		if super[i] < super[i-1] {
-			return nil, fmt.Errorf("bitvec: superblock ranks not monotone at %d", i)
-		}
-	}
-	if super[nSuper] != uint64(ones) {
-		return nil, fmt.Errorf("bitvec: superblock total %d != ones %d", super[nSuper], ones)
-	}
-	return &Vector{words: words, n: n, super: super, ones: ones}, nil
-}
-
 // String renders short vectors as 0/1 strings for debugging.
 func (v *Vector) String() string {
 	if v.n > 256 {

@@ -8,9 +8,8 @@ import (
 // Paired rank/select benchmarks: the word-level kernels
 // (bits.OnesCount64 ranks, the broadword selectInWord) against the
 // pre-rewrite per-bit scans, sharing the superblock directory so the
-// pair isolates exactly the in-superblock scanning this PR rewrote.
-// CI gates the paired geomean together with the BP kernel rows
-// (BENCH_mmap.json pins the seeded values).
+// pair isolates exactly the in-superblock scanning that rewrite
+// changed. Not a gate: no daemon path reaches these kernels.
 
 // perbitRank1 is the old shape: superblock counter + bit-at-a-time scan
 // of the superblock's prefix.

@@ -7,11 +7,7 @@
 // preorder-indexed label arrays of internal/tree and internal/index.
 package bp
 
-import (
-	"fmt"
-
-	"repro/internal/bitvec"
-)
+import "repro/internal/bitvec"
 
 // blockBits is the span of one min-excess block. Queries scan at most one
 // block at each end plus O(log(n/blockBits)) summary nodes.
@@ -486,69 +482,6 @@ func (t *Tree) Splice(at, del int, ins []bool) *Tree {
 	nt := &Tree{paren: b.Build(), n: t.n - del/2 + len(ins)/2}
 	nt.buildBlocks()
 	return nt
-}
-
-// Raw is the flat decomposition of a Tree: the parenthesis vector's parts
-// plus the min-excess segment tree arrays, exactly as held in memory. The
-// XQO2 resident format stores these sections verbatim so a mapped file can
-// be reassembled with FromRaw without rebuilding anything.
-type Raw struct {
-	Words    []uint64
-	Super    []uint64
-	ParenLen int
-	Ones     int
-	BlockMin []int32
-	BlockSum []int32
-	NumNodes int
-}
-
-// Raw exposes the tree's backing arrays. The slices are the live backing
-// store; callers must not modify them.
-func (t *Tree) Raw() Raw {
-	words, super, n, ones := t.paren.RawParts()
-	return Raw{
-		Words:    words,
-		Super:    super,
-		ParenLen: n,
-		Ones:     ones,
-		BlockMin: t.blockMin,
-		BlockSum: t.blockSum,
-		NumNodes: t.n,
-	}
-}
-
-// FromRaw reassembles a Tree around existing backing arrays — typically
-// slices aliasing an mmap'd XQO2 section — without copying or rebuilding
-// the block summaries. Shape invariants are validated so a corrupt file
-// fails here with an error instead of panicking later.
-func FromRaw(r Raw) (*Tree, error) {
-	v, err := bitvec.FromRawParts(r.Words, r.Super, r.ParenLen, r.Ones)
-	if err != nil {
-		return nil, fmt.Errorf("bp: paren vector: %w", err)
-	}
-	if r.ParenLen != 2*r.NumNodes || r.Ones != r.NumNodes {
-		return nil, fmt.Errorf("bp: %d paren bits / %d ones for %d nodes", r.ParenLen, r.Ones, r.NumNodes)
-	}
-	numBlocks := (r.ParenLen + blockBits - 1) / blockBits
-	if numBlocks == 0 {
-		numBlocks = 1
-	}
-	leafBase := 1
-	for leafBase < numBlocks {
-		leafBase *= 2
-	}
-	if len(r.BlockMin) != 2*leafBase || len(r.BlockSum) != 2*leafBase {
-		return nil, fmt.Errorf("bp: segment tree arrays %d/%d entries (want %d)",
-			len(r.BlockMin), len(r.BlockSum), 2*leafBase)
-	}
-	return &Tree{
-		paren:     v,
-		blockMin:  r.BlockMin,
-		blockSum:  r.BlockSum,
-		numBlocks: numBlocks,
-		leafBase:  leafBase,
-		n:         r.NumNodes,
-	}, nil
 }
 
 // --- Node-level navigation. Nodes are 0-based preorder ranks. ---

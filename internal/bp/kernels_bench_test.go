@@ -7,12 +7,11 @@ import (
 
 // Paired kernel benchmarks: the byte-parallel excess kernels against the
 // pre-rewrite per-bit block scans, on the same trees and the same query
-// positions, so CI can gate the paired geomean (BENCH_mmap.json pins it;
-// the ci.yml kernel gate enforces ≤0.80). The per-bit variants below are
-// faithful copies of fwdSearch/bwdSearch with the byte-stepping block
-// scans replaced by bit-at-a-time loops — the segment-tree climb, which
-// both generations share, is identical, so the pair isolates exactly the
-// block-tail scanning that this PR rewrote.
+// positions. Not a gate: no daemon path reaches these kernels. The
+// per-bit variants below are faithful copies of fwdSearch/bwdSearch with
+// the byte-stepping block scans replaced by bit-at-a-time loops — the
+// segment-tree climb, which both generations share, is identical, so the
+// pair isolates exactly the block-tail scanning that rewrite changed.
 
 func perbitScanFwd(t *Tree, from, to, ex, target int) (int, int) {
 	for j := from; j < to; j++ {

@@ -49,35 +49,28 @@ func refBwdSearch(t *Tree, i, target int) int {
 }
 
 // checkKernels runs every kernel invocation the tree navigation emits
-// against the per-bit oracles, on both the built tree and its
-// Raw→FromRaw reconstruction (the mapped-open path).
+// against the per-bit oracles.
 func checkKernels(t *testing.T, seq []bool) {
 	t.Helper()
-	built := FromBools(seq)
-	remapped, err := FromRaw(built.Raw())
-	if err != nil {
-		t.Fatalf("FromRaw: %v", err)
-	}
-	for _, bt := range []*Tree{built, remapped} {
-		m := bt.paren.Len()
-		for p := 0; p < m; p++ {
-			ex := bt.Excess(p)
-			if bt.paren.Get(p) {
-				// FindClose pattern.
-				if got, want := bt.fwdSearch(p, ex-1), refFwdSearch(bt, p, ex-1); got != want {
-					t.Fatalf("fwdSearch(%d, %d) = %d, want %d (len %d)", p, ex-1, got, want, m)
+	bt := FromBools(seq)
+	m := bt.paren.Len()
+	for p := 0; p < m; p++ {
+		ex := bt.Excess(p)
+		if bt.paren.Get(p) {
+			// FindClose pattern.
+			if got, want := bt.fwdSearch(p, ex-1), refFwdSearch(bt, p, ex-1); got != want {
+				t.Fatalf("fwdSearch(%d, %d) = %d, want %d (len %d)", p, ex-1, got, want, m)
+			}
+			// Enclose pattern.
+			if p > 0 {
+				if got, want := bt.bwdSearch(p, ex-2), refBwdSearch(bt, p, ex-2); got != want {
+					t.Fatalf("bwdSearch(%d, %d) = %d, want %d (len %d)", p, ex-2, got, want, m)
 				}
-				// Enclose pattern.
-				if p > 0 {
-					if got, want := bt.bwdSearch(p, ex-2), refBwdSearch(bt, p, ex-2); got != want {
-						t.Fatalf("bwdSearch(%d, %d) = %d, want %d (len %d)", p, ex-2, got, want, m)
-					}
-				}
-			} else {
-				// FindOpen pattern.
-				if got, want := bt.bwdSearch(p, ex), refBwdSearch(bt, p, ex); got != want {
-					t.Fatalf("bwdSearch(%d, %d) = %d, want %d (len %d)", p, ex, got, want, m)
-				}
+			}
+		} else {
+			// FindOpen pattern.
+			if got, want := bt.bwdSearch(p, ex), refBwdSearch(bt, p, ex); got != want {
+				t.Fatalf("bwdSearch(%d, %d) = %d, want %d (len %d)", p, ex, got, want, m)
 			}
 		}
 	}

@@ -19,8 +19,8 @@ import (
 // must produce byte-identical answers for every paper query, under
 // every strategy, through every delivery mode (materialized Eval,
 // paged Eval, NDJSON stream). This is the end-to-end proof that the
-// aliased arrays, the word-level BP kernels and the reconstructed
-// index are observationally equivalent to their heap-built twins.
+// aliased arrays and the reconstructed index are observationally
+// equivalent to their heap-built twins.
 
 // answerKey renders a node sequence (plus the full-answer count) into
 // the canonical byte string the differential comparison uses.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
@@ -102,6 +103,28 @@ func TestMemBytesIsTheSumOfTheSlices(t *testing.T) {
 		texts, occ := h.Doc.TextNodes(), h.Index.Occurrences(tree.LabelText)
 		if texts.Len() == 0 || occ.Len() != texts.Len() || &occ.Lo[0] != &texts.Lo[0] || &occ.Start[0] != &texts.Start[0] {
 			t.Errorf("%s: the index's %d text occurrences are not the document's row of %d text nodes", name, occ.Len(), texts.Len())
+		}
+	}
+}
+
+// TestFileHoldsOnlyWhatIsResident: a mapped XQO2 file is the resident
+// document and index (MemBytes) plus the header, the section table, the
+// label table's offsets and the padding of each section to 64 bytes — at
+// most 64 bytes a section and 64 more, whatever the document's size. A
+// section no query reads, written beside the rest, would be over that at
+// every scale.
+func TestFileHoldsOnlyWhatIsResident(t *testing.T) {
+	for _, scale := range []float64{0.002, 0.05} {
+		h, err := New().LoadMapped("d", saveXQO2(t, xmark.Generate(xmark.Config{Scale: scale, Seed: 1})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sections := int64(binary.LittleEndian.Uint32(h.mapping.Data()[16:]))
+		over := h.Stats.MappedBytes - h.Stats.MemBytes // Doc.MemBytes() + Index.MemBytes()
+		if over > 64*(sections+1) {
+			t.Errorf("scale %g: the %d-byte file holds %d bytes more than the %d resident, where %d sections allow %d", scale, h.Stats.MappedBytes, over, h.Stats.MemBytes, sections, 64*(sections+1))
+		} else {
+			t.Logf("scale %g: %d file bytes, %d resident, %d over across %d sections", scale, h.Stats.MappedBytes, h.Stats.MemBytes, over, sections)
 		}
 	}
 }

@@ -16,9 +16,7 @@ import (
 // document online from its XQO2 resident file — mmap, section-table
 // walk, checksums, alias the arrays in place — against the heap preload
 // path (Store.LoadXML), which parses the XML corpus and builds the
-// jumping index. The parse arm builds exactly what a heap load builds:
-// the succinct view is lazy there (no query reads it), so charging
-// NewSuccinct to the denominator would flatter the ratio.
+// jumping index: exactly what a heap load builds.
 func BenchmarkMmapOpenVsParse(b *testing.B) {
 	d := xmark.Generate(xmark.Config{Scale: 0.05, Seed: 42})
 	dir := b.TempDir()
@@ -36,11 +34,11 @@ func BenchmarkMmapOpenVsParse(b *testing.B) {
 	b.Run("mmap-open", func(b *testing.B) {
 		b.SetBytes(fi.Size())
 		for i := 0; i < b.N; i++ {
-			od, succ, ix, m, err := OpenXQO2(xqo2)
+			od, _, ix, m, err := OpenXQO2(xqo2)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if od.NumNodes() != d.NumNodes() || succ == nil || ix == nil || m == nil {
+			if od.NumNodes() != d.NumNodes() || ix == nil || m == nil {
 				b.Fatal("open returned a different document")
 			}
 			// Unmap eagerly, outside the timed region: teardown is not

@@ -26,9 +26,9 @@ var ErrConflict = errors.New("base generation is not latest")
 // (latest, plus older ones kept alive by pins or leases).
 //
 // Two locks, so readers never wait for a patch to be applied: wmu
-// serializes writers and is held across the whole apply (tree splice,
-// index and BP maintenance); mu guards the generation table and is only
-// ever held for map-sized critical sections — a query's Acquire and
+// serializes writers and is held across the whole apply (tree and index
+// splice); mu guards the generation table and is only ever held for
+// map-sized critical sections — a query's Acquire and
 // Release, and a patch's publish. Lock order is wmu before mu. latest
 // is stored only under mu; writers and the stats paths read it without.
 type chain struct {
@@ -77,11 +77,11 @@ func newChain(h *Handle) *chain {
 }
 
 // Patch applies a subtree patch to the latest generation of id and
-// publishes the result as a new generation, maintaining the index (and
-// the balanced-parentheses view, if built) incrementally from the
-// parent generation instead of rebuilding. If base is non-zero the
-// patch only applies when base is still the latest generation
-// (optimistic concurrency); base zero means "latest, whatever it is".
+// publishes the result as a new generation, maintaining the index
+// incrementally from the parent generation instead of rebuilding. If
+// base is non-zero the patch only applies when base is still the latest
+// generation (optimistic concurrency); base zero means "latest, whatever
+// it is".
 // Existing readers are untouched: they keep the generation they pinned.
 func (s *Store) Patch(id string, base Gen, pt tree.Patch) (*Handle, error) {
 	ch := s.chainFor(id)
@@ -124,14 +124,6 @@ func (ch *chain) patch(id string, base Gen, pt tree.Patch) (*Handle, uint64, err
 		Epoch: cur.Epoch,
 		Doc:   newDoc,
 		Index: index.Apply(cur.Index, newDoc, dl),
-		succ:  &succCell{},
-	}
-	// Splice the BP view forward only if the parent generation already
-	// built one; otherwise stay lazy — Succinct() rebuilds on demand.
-	if cur.succ != nil {
-		if ps := cur.succ.p.Load(); ps != nil {
-			h.succ.p.Store(tree.SpliceSuccinct(ps, newDoc, dl))
-		}
 	}
 	h.Stats = Stats{
 		ID:       id,

@@ -22,8 +22,8 @@ import (
 
 // The MVCC mutation oracle: random seeded patch sequences are applied
 // through Store.Patch — the incremental path (array splice, index
-// splice, BP bit splice) — and after every step the patched
-// generation's index, succinct view and query answers are compared
+// splice) — and after every step the patched generation's index and
+// query answers are compared
 // against a parse-from-scratch rebuild of the same document, and its
 // labels and text against the patch done by definition (rebuildPatched)
 // on a document that never went through a splice or a file. A failing
@@ -253,7 +253,7 @@ func relink(d *tree.Document, names *tree.LabelTable) *tree.Document {
 // sections returns d as it lies in an XQO2 container.
 func sections(d *tree.Document) (*tree.Layout, error) {
 	w := tree.NewLayoutWriter()
-	tree.AddDocumentSections(w, d, tree.NewSuccinct(d))
+	tree.AddDocumentSections(w, d, nil)
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		return nil, err
@@ -262,8 +262,7 @@ func sections(d *tree.Document) (*tree.Layout, error) {
 }
 
 // checkHandle compares one patched generation against a from-scratch
-// rebuild: index contents, succinct view, and every (query, strategy)
-// answer.
+// rebuild: index contents and every (query, strategy) answer.
 func checkHandle(h *store.Handle) error {
 	d := h.Doc
 	// The stored topology is the canonical encoding of a tree — every
@@ -293,23 +292,6 @@ func checkHandle(h *store.Handle) error {
 	for v := 0; v < d.NumNodes(); v++ {
 		if got, want := h.Index.BinEnd(tree.NodeID(v)), fresh.BinEnd(tree.NodeID(v)); got != want {
 			return fmt.Errorf("index binEnd[%d] = %d, want %d", v, got, want)
-		}
-	}
-	// Succinct view: excess sequence (hence every bit) plus navigation.
-	gs, ws := h.Succinct(), tree.NewSuccinct(d)
-	if gs.NumNodes() != ws.NumNodes() {
-		return fmt.Errorf("succinct nodes = %d, want %d", gs.NumNodes(), ws.NumNodes())
-	}
-	for i := 0; i < 2*ws.NumNodes(); i++ {
-		if gs.Excess(i) != ws.Excess(i) {
-			return fmt.Errorf("succinct excess(%d) = %d, want %d", i, gs.Excess(i), ws.Excess(i))
-		}
-	}
-	for v := tree.NodeID(0); int(v) < ws.NumNodes(); v++ {
-		if gs.OpenPos(v) != ws.OpenPos(v) || gs.Parent(v) != ws.Parent(v) ||
-			gs.FirstChild(v) != ws.FirstChild(v) || gs.NextSibling(v) != ws.NextSibling(v) ||
-			gs.LastDesc(v) != ws.LastDesc(v) || gs.Depth(v) != ws.Depth(v) {
-			return fmt.Errorf("succinct navigation differs at node %d", v)
 		}
 	}
 	// Query answers: the engine over the incrementally maintained index
@@ -426,8 +408,8 @@ func describe(patches []tree.Patch) string {
 // TestMVCCOracleDifferential is the headline property test: for several
 // seeds, a random patch sequence is applied through the store's
 // incremental path and every intermediate generation is verified —
-// index, succinct view, all-strategy query answers — against a
-// from-scratch rebuild.
+// index and all-strategy query answers — against a from-scratch
+// rebuild.
 func TestMVCCOracleDifferential(t *testing.T) {
 	steps := 25
 	if testing.Short() {
@@ -474,7 +456,7 @@ func TestMVCCOracleDifferential(t *testing.T) {
 // distance to its parent from 65 534 ranks to 65 536 and back, by insert,
 // delete and replace — a fragment of more than 65 535 children included
 // once — through the store from a heap base and from a mapped one, every generation checked like any
-// other: index, succinct view and all-strategy answers against a rebuild,
+// other: index and all-strategy answers against a rebuild,
 // labels and text against the patch done by definition, and the stored
 // topology canonical.
 func TestMVCCOracleAcrossTheWideLine(t *testing.T) {

@@ -69,16 +69,9 @@ var fuzzSections = []struct {
 // per-wide-node, per-rare-node and per-chunk sections, which word, the
 // new value —
 // applied to a valid container with the checksums fixed up, so that the
-// open fails only on its own shape checks. Then, whatever the open let
-// through, Text, Label, Parent and LastDesc of every node and a search
-// and a sweep of every occurrence row return; and either verification
-// refuses the document or its index, or a preorder walk by FirstChild/NextSibling from the root
-// visits each of the n nodes once, in rank order, every parent walk ends
-// at the root, the listed text nodes are exactly the nodes labelled
-// #text, in order, Text is empty on every other node and on those reads
-// the blob from end to end, and the index is the inverse of the labels:
-// the row of each label lists the nodes carrying it, all of them, in
-// order. Nothing panics either way.
+// open fails only on its own shape checks; requireRefusedOrNavigable
+// says what must hold of whatever it lets through. Nothing panics either
+// way.
 func FuzzNavigateVerified(f *testing.F) {
 	edit := func(sec byte, word, value uint32) []byte {
 		e := []byte{sec}
@@ -147,97 +140,113 @@ func FuzzNavigateVerified(f *testing.F) {
 		if err != nil {
 			t.Fatalf("checksums were fixed up, yet: %v", err)
 		}
-		d, _, err := tree.DocumentFromLayout(l)
-		if err != nil {
-			return // the open's shape checks: the sequences' directories and ends, the wide table, the rare ids, the succinct view
-		}
-		ix, err := index.FromLayout(l, d)
-		if err != nil {
-			return // the occurrence table's directory
-		}
-		// Unverified, every answer may be wrong; none may fault.
-		n := tree.NodeID(d.NumNodes())
-		for v := tree.Nil; v <= n; v++ {
-			_ = d.Text(v)
-		}
-		for v := tree.NodeID(0); v < n; v++ {
-			_, _, _ = d.Label(v), d.Parent(v), d.LastDesc(v)
-		}
-		for lab := tree.LabelID(0); int(lab) < d.Names().Size(); lab++ {
-			row, swept := ix.Occurrences(lab), 0
-			for range row.From(0) {
-				swept++
-			}
-			if pos, _ := row.Search(uint32(n) / 2); swept != row.Len() || pos > swept {
-				t.Fatalf("label %d: a sweep of its row yields %d of %d occurrences, a search position %d", lab, swept, row.Len(), pos)
-			}
-		}
-		if d.VerifyStructure() != nil || ix.VerifyStructure() != nil {
-			return
-		}
-		for v := tree.NodeID(0); v < n; v++ {
-			steps := tree.NodeID(0)
-			for u := v; u != d.Root(); u = d.Parent(u) {
-				if steps++; u < 0 || u >= n || steps > n {
-					t.Fatalf("verified, yet the parent walk from %d does not reach the root", v)
-				}
-			}
-		}
-		// Preorder by the two moves alone: down if possible, else to the
-		// next sibling of the nearest ancestor-or-self that has one.
-		visited, v := tree.NodeID(0), d.Root()
-		for v != tree.Nil {
-			if v != visited {
-				t.Fatalf("verified, yet the preorder walk reaches node %d as its %dth", v, visited)
-			}
-			visited++
-			next := d.FirstChild(v)
-			for next == tree.Nil && v != tree.Nil {
-				if next = d.NextSibling(v); next == tree.Nil {
-					v = d.Parent(v)
-				}
-			}
-			v = next
-		}
-		if visited != n {
-			t.Fatalf("verified, yet the preorder walk visits %d of %d nodes", visited, n)
-		}
-		// Text, from the labels alone: the i-th node labelled #text is the
-		// i-th listed, and the texts in that order are the blob.
-		var blob []byte
-		texts := slices.Collect(d.TextNodes().From(0))
-		for v := tree.NodeID(0); v < n; v++ {
-			text := d.Text(v)
-			if d.Label(v) != tree.LabelText {
-				if text != "" {
-					t.Fatalf("verified, yet node %d, not a text node, has text %q", v, text)
-				}
-				continue
-			}
-			if len(texts) == 0 || tree.NodeID(texts[0]) != v {
-				t.Fatalf("verified, yet text node %d is not the next one listed (%d left)", v, len(texts))
-			}
-			texts = texts[1:]
-			blob = append(blob, text...)
-		}
-		if len(texts) != 0 || !bytes.Equal(blob, l.Section(tree.SecTextBlob)) {
-			t.Fatalf("verified, yet %d listed text nodes are not labelled so, or the texts (%d bytes) are not the blob (%d bytes)",
-				len(texts), len(blob), len(l.Section(tree.SecTextBlob)))
-		}
-		// The index, from the labels alone: each node is the next
-		// occurrence of its label, and no row holds more.
-		cur, found := ix.NewCursors(), 0
-		for v := tree.NodeID(0); v < n; v++ {
-			if got := cur.NextAfter(d.Label(v), v-1); got != v {
-				t.Fatalf("verified, yet the first %s after node %d is %d", d.LabelName(v), v-1, got)
-			}
-			found++
-		}
-		for lab := tree.LabelID(0); int(lab) < d.Names().Size(); lab++ {
-			found -= ix.Count(lab)
-		}
-		if found != 0 {
-			t.Fatalf("verified, yet the rows hold %d occurrences more than there are nodes", -found)
-		}
+		requireRefusedOrNavigable(t, l)
 	})
+}
+
+// requireRefusedOrNavigable reassembles the document and index of l as
+// the default open does and holds whatever it lets through to what both
+// XQO2 fuzzers require: Text, Label, Parent and LastDesc of every node
+// and a search and a sweep of every occurrence row return; and either
+// verification refuses the document or its index, or a preorder walk by
+// FirstChild/NextSibling from the root visits each of the n nodes once,
+// in rank order, every parent walk ends at the root, the listed text
+// nodes are exactly the nodes labelled #text, in order, Text is empty on
+// every other node and on those reads the blob from end to end, and the
+// index is the inverse of the labels: the row of each label lists the
+// nodes carrying it, all of them, in order.
+func requireRefusedOrNavigable(t *testing.T, l *tree.Layout) {
+	t.Helper()
+	d, err := tree.DocumentFromLayout(l)
+	if err != nil {
+		return // the open's shape checks: the sequences' directories and ends, the wide table, the rare ids
+	}
+	ix, err := index.FromLayout(l, d)
+	if err != nil {
+		return // the occurrence table's directory
+	}
+	// Unverified, every answer may be wrong; none may fault.
+	n := tree.NodeID(d.NumNodes())
+	for v := tree.Nil; v <= n; v++ {
+		_ = d.Text(v)
+	}
+	for v := tree.NodeID(0); v < n; v++ {
+		_, _, _ = d.Label(v), d.Parent(v), d.LastDesc(v)
+	}
+	for lab := tree.LabelID(0); int(lab) < d.Names().Size(); lab++ {
+		row, swept := ix.Occurrences(lab), 0
+		for range row.From(0) {
+			swept++
+		}
+		if pos, _ := row.Search(uint32(n) / 2); swept != row.Len() || pos > swept {
+			t.Fatalf("label %d: a sweep of its row yields %d of %d occurrences, a search position %d", lab, swept, row.Len(), pos)
+		}
+	}
+	if d.VerifyStructure() != nil || ix.VerifyStructure() != nil {
+		return
+	}
+	for v := tree.NodeID(0); v < n; v++ {
+		steps := tree.NodeID(0)
+		for u := v; u != d.Root(); u = d.Parent(u) {
+			if steps++; u < 0 || u >= n || steps > n {
+				t.Fatalf("verified, yet the parent walk from %d does not reach the root", v)
+			}
+		}
+	}
+	// Preorder by the two moves alone: down if possible, else to the
+	// next sibling of the nearest ancestor-or-self that has one.
+	visited, v := tree.NodeID(0), d.Root()
+	for v != tree.Nil {
+		if v != visited {
+			t.Fatalf("verified, yet the preorder walk reaches node %d as its %dth", v, visited)
+		}
+		visited++
+		next := d.FirstChild(v)
+		for next == tree.Nil && v != tree.Nil {
+			if next = d.NextSibling(v); next == tree.Nil {
+				v = d.Parent(v)
+			}
+		}
+		v = next
+	}
+	if visited != n {
+		t.Fatalf("verified, yet the preorder walk visits %d of %d nodes", visited, n)
+	}
+	// Text, from the labels alone: the i-th node labelled #text is the
+	// i-th listed, and the texts in that order are the blob.
+	var blob []byte
+	texts := slices.Collect(d.TextNodes().From(0))
+	for v := tree.NodeID(0); v < n; v++ {
+		text := d.Text(v)
+		if d.Label(v) != tree.LabelText {
+			if text != "" {
+				t.Fatalf("verified, yet node %d, not a text node, has text %q", v, text)
+			}
+			continue
+		}
+		if len(texts) == 0 || tree.NodeID(texts[0]) != v {
+			t.Fatalf("verified, yet text node %d is not the next one listed (%d left)", v, len(texts))
+		}
+		texts = texts[1:]
+		blob = append(blob, text...)
+	}
+	if len(texts) != 0 || !bytes.Equal(blob, l.Section(tree.SecTextBlob)) {
+		t.Fatalf("verified, yet %d listed text nodes are not labelled so, or the texts (%d bytes) are not the blob (%d bytes)",
+			len(texts), len(blob), len(l.Section(tree.SecTextBlob)))
+	}
+	// The index, from the labels alone: each node is the next
+	// occurrence of its label, and no row holds more.
+	cur, found := ix.NewCursors(), 0
+	for v := tree.NodeID(0); v < n; v++ {
+		if got := cur.NextAfter(d.Label(v), v-1); got != v {
+			t.Fatalf("verified, yet the first %s after node %d is %d", d.LabelName(v), v-1, got)
+		}
+		found++
+	}
+	for lab := tree.LabelID(0); int(lab) < d.Names().Size(); lab++ {
+		found -= ix.Count(lab)
+	}
+	if found != 0 {
+		t.Fatalf("verified, yet the rows hold %d occurrences more than there are nodes", -found)
+	}
 }

@@ -11,12 +11,11 @@ import (
 
 // BenchmarkPatchVsReload is the cost model behind the PATCH endpoint:
 // applying one subtree patch — splicing the tree, incrementally
-// maintaining the jumping index and the balanced-parentheses structure,
-// publishing a new MVCC generation — against the alternative the patch
-// path replaces, a full reload (parse from XML + index build + BP
-// build) of the same document. CI gates the ratio: patch-apply must
-// stay at or below 0.67× full-reload ns/op on the XMark scale-0.05
-// document (BENCH_mvcc.json pins the seeded numbers, ~0.11×).
+// maintaining the jumping index, publishing a new MVCC generation —
+// against the alternative the patch path replaces, a full reload (parse
+// from XML + index build) of the same document. CI gates the ratio:
+// patch-apply must stay at or below 0.67× full-reload ns/op on the XMark
+// scale-0.05 document (BENCH_mvcc.json pins the seeded numbers, ~0.06×).
 func BenchmarkPatchVsReload(b *testing.B) {
 	src := []byte(xmark.Generate(xmark.Config{Scale: 0.05, Seed: 42}).XMLString())
 	frag, err := xmlparse.Parse([]byte("<item><mailbox><mail><date/></mail></mailbox></item>"))
@@ -30,9 +29,6 @@ func BenchmarkPatchVsReload(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Build the BP structure up front so every patch pays its
-		// incremental maintenance (a handle without one skips the splice).
-		_ = h.Succinct()
 		// A stable target: the first small non-root subtree. Replacing it
 		// with the fragment over and over keeps the document size constant
 		// after the first iteration, so every op does the same work.
@@ -60,13 +56,9 @@ func BenchmarkPatchVsReload(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s := store.New()
-			h, err := s.LoadXML("d", src)
-			if err != nil {
+			if _, err := s.LoadXML("d", src); err != nil {
 				b.Fatal(err)
 			}
-			// The patch path maintains the BP structure; a fair reload
-			// rebuilds it too.
-			_ = h.Succinct()
 		}
 	})
 }

@@ -85,12 +85,6 @@ type Stats struct {
 	LiveGens int `json:"live_gens,omitempty"`
 }
 
-// succCell lazily caches a generation's balanced-parentheses view. It
-// sits behind a pointer so Handle stays trivially copyable.
-type succCell struct {
-	p atomic.Pointer[tree.Succinct]
-}
-
 // Handle is an immutable view of one generation of one resident
 // document. The document and index never change after the generation is
 // built, so a Handle stays valid after the generation is retired or the
@@ -106,29 +100,16 @@ type Handle struct {
 	Doc   *tree.Document
 	Index *index.Index
 	Stats Stats
-	succ  *succCell
 	// mapping is the XQO2 mapping the generation aliases; nil for
 	// heap-backed documents. The store uses it for resident-budget
 	// release; the Document's own reference keeps it alive.
 	mapping *mmapx.Mapping
 }
 
-// Succinct returns the generation's balanced-parentheses view, building
-// it on first use. Patched generations whose parent already built one
-// inherit a bit-spliced copy instead (see Patch), so the build cost is
-// paid at most once per load chain.
-func (h *Handle) Succinct() *tree.Succinct {
-	if h.succ == nil {
-		return tree.NewSuccinct(h.Doc)
-	}
-	if s := h.succ.p.Load(); s != nil {
-		return s
-	}
-	s := tree.NewSuccinct(h.Doc)
-	// A racing builder produces an identical view; either may win.
-	h.succ.p.Store(s)
-	return s
-}
+// Succinct builds the generation's balanced-parentheses view, afresh on
+// every call: no query reads it, so no handle keeps one. Only
+// cmd/xpqbench's probes and the tests call it.
+func (h *Handle) Succinct() *tree.Succinct { return tree.NewSuccinct(h.Doc) }
 
 // Store is a concurrency-safe registry of loaded documents.
 type Store struct {
@@ -200,8 +181,8 @@ func (s *Store) load(id string, src Source, build func() (*tree.Document, error)
 }
 
 // loadHandle is load for builders that produce a complete Handle — the
-// mapped-open path arrives with its index and succinct view already
-// aliased from the file, so the document-only builder shape doesn't fit.
+// mapped-open path arrives with its index already aliased from the file,
+// so the document-only builder shape doesn't fit.
 func (s *Store) loadHandle(id string, build func() (*Handle, error)) (*Handle, error) {
 	if id == "" {
 		return nil, fmt.Errorf("store: empty document id")
@@ -284,7 +265,7 @@ func (s *Store) runBuild(id string, build func() (*Handle, error), c *loadCall, 
 // the expensive step the single-flight protocol exists to deduplicate.
 // The generation is stamped at publish time (newChain).
 func buildHandle(id string, d *tree.Document, src Source) *Handle {
-	h := &Handle{ID: id, Doc: d, Index: index.New(d), succ: &succCell{}}
+	h := &Handle{ID: id, Doc: d, Index: index.New(d)}
 	h.Stats = Stats{
 		ID:       id,
 		Nodes:    d.NumNodes(),

@@ -15,9 +15,11 @@ import (
 )
 
 // XQO2 composition: the tree package owns the container and the
-// document/succinct sections, the index package owns its sections, and
-// this file glues them into whole-file save/open operations plus the
-// store's resident-budget paging.
+// document's sections, the index package owns its sections, and this
+// file glues them into whole-file save/open operations plus the store's
+// resident-budget paging. A file holds what a query reads and nothing
+// more: its bytes are the resident document and index (MemBytes) plus a
+// few hundred bytes of header, section table and padding.
 //
 // A mapped document's arrays alias read-only file pages. Patching it is
 // safe — Document.Apply and index.Apply copy everything into fresh heap
@@ -25,11 +27,11 @@ import (
 // releasing it is advisory: madvise tells the OS the pages are cold, the
 // mapping stays valid, and a straggling reader just refaults.
 
-// WriteXQO2 serializes d — with a freshly built succinct view and
-// jumping index — into the XQO2 resident container.
+// WriteXQO2 serializes d — with a freshly built jumping index — into the
+// XQO2 resident container.
 func WriteXQO2(w io.Writer, d *tree.Document) (int64, error) {
 	lw := tree.NewLayoutWriter()
-	tree.AddDocumentSections(lw, d, tree.NewSuccinct(d))
+	tree.AddDocumentSections(lw, d, nil)
 	index.AddSections(lw, index.New(d))
 	return lw.WriteTo(w)
 }
@@ -52,10 +54,13 @@ func SaveXQO2File(path string, d *tree.Document) error {
 	return f.Close()
 }
 
-// OpenXQO2 maps path and reassembles the document, its succinct view and
-// its jumping index zero-copy from the mapping. The returned mapping is
-// also retained by the document itself; callers only need it for paging
-// control and accounting.
+// OpenXQO2 maps path and reassembles the document and its jumping index
+// zero-copy from the mapping. The returned mapping is also retained by
+// the document itself; callers only need it for paging control and
+// accounting. The second result is always nil: the format stores no
+// balanced-parentheses view since version 8 (Handle.Succinct builds one
+// on demand), and the result stays only for cmd/xpqbench's format probe,
+// which reads five.
 func OpenXQO2(path string) (*tree.Document, *tree.Succinct, *index.Index, *mmapx.Mapping, error) {
 	m, err := mmapx.Open(path)
 	if err != nil {
@@ -65,7 +70,7 @@ func OpenXQO2(path string) (*tree.Document, *tree.Succinct, *index.Index, *mmapx
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	d, succ, err := tree.DocumentFromLayout(l)
+	d, err := tree.DocumentFromLayout(l)
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -73,7 +78,7 @@ func OpenXQO2(path string) (*tree.Document, *tree.Succinct, *index.Index, *mmapx
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return d, succ, ix, m, nil
+	return d, nil, ix, m, nil
 }
 
 // OpenXQO2Verified is OpenXQO2 plus the element-wise structural
@@ -82,9 +87,10 @@ func OpenXQO2(path string) (*tree.Document, *tree.Succinct, *index.Index, *mmapx
 // inverse of the labels). Use it for files
 // that did not originate from this process: the default open only
 // verifies checksums, which catch corruption but not a crafted file
-// whose values would panic a later query or send it round a cycle.
+// whose values would panic a later query or send it round a cycle. Its
+// second result is always nil, as OpenXQO2's is.
 func OpenXQO2Verified(path string) (*tree.Document, *tree.Succinct, *index.Index, *mmapx.Mapping, error) {
-	d, succ, ix, m, err := OpenXQO2(path)
+	d, _, ix, m, err := OpenXQO2(path)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -94,7 +100,7 @@ func OpenXQO2Verified(path string) (*tree.Document, *tree.Succinct, *index.Index
 	if err := ix.VerifyStructure(); err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return d, succ, ix, m, nil
+	return d, nil, ix, m, nil
 }
 
 // SetVerifyResident makes every subsequent LoadMapped run the full
@@ -113,12 +119,11 @@ func (s *Store) LoadMapped(id, path string) (*Handle, error) {
 		if s.verifyResident.Load() {
 			open = OpenXQO2Verified
 		}
-		d, succ, ix, m, err := open(path)
+		d, _, ix, m, err := open(path)
 		if err != nil {
 			return nil, fmt.Errorf("store: opening %q: %w", id, err)
 		}
-		h := &Handle{ID: id, Doc: d, Index: ix, succ: &succCell{}, mapping: m}
-		h.succ.p.Store(succ)
+		h := &Handle{ID: id, Doc: d, Index: ix, mapping: m}
 		h.Stats = Stats{
 			ID:          id,
 			Nodes:       d.NumNodes(),

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/index"
@@ -23,13 +27,24 @@ func saveXQO2(t *testing.T, d *tree.Document) string {
 	return path
 }
 
-// TestXQO2RoundTrip checks that a mapped open reproduces the document,
-// succinct view and index exactly, and that the document survives a
-// release (pages refault from the file).
+// TestXQO2RoundTrip checks that a mapped open reproduces the document
+// and index exactly, that the file holds no balanced-parentheses view
+// (kinds 12–15, retired in version 8) while the view built over the
+// mapped document still agrees with its arrays, and that the document
+// survives a release (pages refault from the file).
 func TestXQO2RoundTrip(t *testing.T) {
 	d := xmark.Generate(xmark.Config{Scale: 0.002, Seed: 7})
 	path := saveXQO2(t, d)
-	d2, succ, ix, m, err := OpenXQO2(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, count := 0, int(binary.LittleEndian.Uint32(data[16:])); i < count; i++ {
+		if kind := binary.LittleEndian.Uint32(data[24+24*i:]); kind >= 12 && kind <= 15 {
+			t.Errorf("section %d is kind %d, retired", i, kind)
+		}
+	}
+	d2, _, ix, m, err := OpenXQO2(path)
 	if err != nil {
 		t.Fatalf("OpenXQO2: %v", err)
 	}
@@ -39,15 +54,14 @@ func TestXQO2RoundTrip(t *testing.T) {
 	if d2.XMLString() != d.XMLString() {
 		t.Fatal("XML round-trip mismatch")
 	}
+	succ := tree.NewSuccinct(d2)
 	for v := tree.NodeID(0); int(v) < d2.NumNodes(); v++ {
 		if got, want := d2.Parent(v), d.Parent(v); got != want {
 			t.Fatalf("parent(%d) = %d, want %d", v, got, want)
 		}
-		if got, want := succ.Parent(v), d.Parent(v); got != want {
-			t.Fatalf("succ parent(%d) = %d, want %d", v, got, want)
-		}
-		if got, want := succ.LastDesc(v), d.LastDesc(v); got != want {
-			t.Fatalf("succ lastDesc(%d) = %d, want %d", v, got, want)
+		if succ.Parent(v) != d2.Parent(v) || succ.LastDesc(v) != d2.LastDesc(v) ||
+			succ.FirstChild(v) != d2.FirstChild(v) || succ.NextSibling(v) != d2.NextSibling(v) {
+			t.Fatalf("node %d: the succinct view over the mapped document disagrees with its arrays", v)
 		}
 		if got, want := d2.Text(v), d.Text(v); got != want {
 			t.Fatalf("text(%d) mismatch", v)
@@ -91,22 +105,48 @@ func TestXQO2Corruption(t *testing.T) {
 		if err := os.WriteFile(mut, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		d2, succ, ix, _, err := OpenXQO2(mut)
+		d2, _, ix, _, err := OpenXQO2(mut)
 		if err != nil {
 			continue // rejected cleanly
 		}
 		// Accepted: must be internally consistent enough to query.
-		if d2.NumNodes() < 1 || succ.NumNodes() != d2.NumNodes() || ix.Doc() != d2 {
+		if d2.NumNodes() < 1 || ix.Doc() != d2 {
 			t.Fatalf("byte %d: accepted an inconsistent document", pos)
 		}
 	}
 }
 
-// TestXQO2Malformed covers the explicit rejection matrix: bad magic, a
-// version other than the current one — the previous one included: there
-// is one at-rest format and no compatibility branch, and the refusal
-// says how to regenerate the file — a corrupt section payload (checksum
-// mismatch), and a section table pointing past the end of the file.
+// resave is what every version refusal tells the user to run.
+const resave = "xpq -file doc.xml -save doc.xqo2"
+
+// malformed is TestXQO2Malformed's rejection matrix, each edit of a valid
+// container with what its refusal must say: bad magic, a version other
+// than the current one — the previous one included: there is one at-rest
+// format and no compatibility branch, and the refusal says how to
+// regenerate the file — a corrupt section payload (checksum mismatch),
+// and a section table pointing past the end of the file. FuzzOpenXQO2
+// starts from them.
+var malformed = map[string]struct {
+	mutate func([]byte)
+	says   string
+}{
+	"bad magic":        {func(b []byte) { copy(b[0:4], "YYYY") }, "bad magic"},
+	"bad version":      {func(b []byte) { b[4] = 99 }, resave},
+	"previous version": {func(b []byte) { b[4] = 7 }, resave},
+	"corrupt payload": {func(b []byte) {
+		// First payload starts at the 64-byte-aligned end of the
+		// section table (header 24 bytes + count entries of 24).
+		count := int(binary.LittleEndian.Uint32(b[16:]))
+		off := (24 + count*24 + 63) &^ 63
+		b[off] ^= 0x5a
+	}, "checksum mismatch"},
+	"corrupt section table": {func(b []byte) {
+		b[40] ^= 0xff // length field of the first table entry
+	}, ""},
+}
+
+// TestXQO2Malformed: each edit in malformed is refused, with what it
+// says.
 func TestXQO2Malformed(t *testing.T) {
 	d := xmark.Generate(xmark.Config{Scale: 0.001, Seed: 5})
 	path := saveXQO2(t, d)
@@ -114,36 +154,151 @@ func TestXQO2Malformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const resave = "xpq -file doc.xml -save doc.xqo2"
-	wantErr := map[string]string{"bad version": resave, "previous version": resave}
-	mutants := map[string]func([]byte){
-		"bad magic":        func(b []byte) { copy(b[0:4], "YYYY") },
-		"bad version":      func(b []byte) { b[4] = 99 },
-		"previous version": func(b []byte) { b[4] = 6 },
-		"corrupt payload": func(b []byte) {
-			// First payload starts at the 64-byte-aligned end of the
-			// section table (header 24 bytes + count entries of 24).
-			count := int(binary.LittleEndian.Uint32(b[16:]))
-			off := (24 + count*24 + 63) &^ 63
-			b[off] ^= 0x5a
-		},
-		"corrupt section table": func(b []byte) {
-			b[40] ^= 0xff // length field of the first table entry
-		},
-	}
-	for name, mutate := range mutants {
+	for name, tc := range malformed {
 		data := bytes.Clone(orig)
-		mutate(data)
+		tc.mutate(data)
 		mut := filepath.Join(t.TempDir(), "mut.xqo2")
 		if err := os.WriteFile(mut, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, _, _, err := OpenXQO2(mut); err == nil {
 			t.Errorf("%s: expected error", name)
-		} else if !strings.Contains(err.Error(), wantErr[name]) {
-			t.Errorf("%s: error %q does not say %q", name, err, wantErr[name])
+		} else if !strings.Contains(err.Error(), tc.says) {
+			t.Errorf("%s: error %q does not say %q", name, err, tc.says)
 		}
 	}
+}
+
+// openContainer is the small valid XQO2 container FuzzOpenXQO2 edits: a
+// few elements with texts, 17 sections in under 2 KB.
+var openContainer = sync.OnceValue(func() []byte {
+	b := tree.NewBuilder()
+	b.Open("site")
+	for i := 0; i < 5; i++ {
+		b.Open("item")
+		b.Text(strconv.Itoa(i))
+		b.Open("name")
+		b.Close()
+		b.Close()
+	}
+	b.Close()
+	var buf bytes.Buffer
+	if _, err := WriteXQO2(&buf, b.MustFinish()); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+})
+
+// applyOpenEdits applies FuzzOpenXQO2's edits to data, a container whose
+// table holds the given number of sections. An edit is 10 bytes: what,
+// which, and a 64-bit value.
+//
+//	what%7 = 0  header word which%6 (magic, version, the two halves of
+//	            the endianness mark, section count, reserved) = value
+//	         1  table entry which%sections: its kind = value
+//	         2  its checksum = value
+//	         3  its offset = value
+//	         4  its length = value
+//	         5  the whole entry = entry value%sections
+//	         6  the byte at value, modulo the file's length, ^= which
+func applyOpenEdits(data []byte, sections int, edits []byte) {
+	for ; len(edits) >= 10; edits = edits[10:] {
+		which, v := int(edits[1]), binary.LittleEndian.Uint64(edits[2:])
+		e := data[24+24*(which%sections):]
+		switch edits[0] % 7 {
+		case 0:
+			binary.LittleEndian.PutUint32(data[4*(which%6):], uint32(v))
+		case 1:
+			binary.LittleEndian.PutUint32(e, uint32(v))
+		case 2:
+			binary.LittleEndian.PutUint32(e[4:], uint32(v))
+		case 3:
+			binary.LittleEndian.PutUint64(e[8:], v)
+		case 4:
+			binary.LittleEndian.PutUint64(e[16:], v)
+		case 5:
+			copy(e[:24], data[24+24*int(v%uint64(sections)):])
+		case 6:
+			data[v%uint64(len(data))] ^= byte(which)
+		}
+	}
+}
+
+// reseal recomputes the checksum of every section whose table entry lies
+// within data and points within it, so that an edited payload reaches
+// the decoders behind the checksums.
+func reseal(data []byte) {
+	count := int(binary.LittleEndian.Uint32(data[16:]))
+	for i := 0; i < count && 24+24*(i+1) <= len(data); i++ {
+		e := data[24+24*i:]
+		off, length := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+		if off <= uint64(len(data)) && length <= uint64(len(data))-off {
+			binary.LittleEndian.PutUint32(e[4:], crc32.Checksum(data[off:off+length], crc32.MakeTable(crc32.Castagnoli)))
+		}
+	}
+}
+
+// FuzzOpenXQO2: whatever an XQO2 file's header and section table say,
+// and whatever its payloads hold, the open refuses it, or what it lets
+// through is safe to ask and, once verified, fully navigable
+// (requireRefusedOrNavigable) — never a panic. The input is a list of
+// edits of a small valid container (applyOpenEdits), seeded with
+// TestXQO2Malformed's mutants and with edits of the section count, a
+// kind, an offset, a length, an offset off the 64-byte grid, an entry
+// listed twice, and an offset and length whose sum overflows. With
+// resealed set, every section's checksum is recomputed after the edits,
+// so an edited payload gets past the checksums to DocumentFromLayout and
+// index.FromLayout.
+func FuzzOpenXQO2(f *testing.F) {
+	orig := openContainer()
+	sections := int(binary.LittleEndian.Uint32(orig[16:]))
+	edit := func(what, which byte, v uint64) []byte {
+		return binary.LittleEndian.AppendUint64([]byte{what, which}, v)
+	}
+	field := func(entry, at int) uint64 { return binary.LittleEndian.Uint64(orig[24+24*entry+at:]) }
+	seeds := [][]byte{
+		nil,                              // the container as written
+		edit(0, 4, uint64(sections+1)),   // one entry more than the table holds
+		edit(0, 4, 0),                    // no sections
+		edit(0, 4, 1<<32-1),              // more entries than the file holds
+		edit(1, 0, 99),                   // the meta section under a kind nothing reads
+		edit(1, 1, 12),                   // the labels under a retired kind
+		edit(5, 1, 0),                    // an entry listed twice
+		edit(3, 1, uint64(len(orig)+64)), // an offset past the end
+		edit(3, 1, field(1, 8)+8),        // an offset off the 64-byte grid
+		edit(3, 1, field(2, 8)),          // the offset of another section
+		edit(4, 1, field(1, 16)+1),       // a length one more
+		edit(4, 1, 0),                    // no length
+		append(edit(3, 1, 64), edit(4, 1, 1<<64-32)...), // an offset and length whose sum overflows
+		edit(6, 1, field(1, 8)),                         // the root relabelled: a payload edit, refused or not
+	}
+	for _, name := range slices.Sorted(maps.Keys(malformed)) {
+		data := bytes.Clone(orig)
+		malformed[name].mutate(data)
+		var e []byte
+		for i := range data {
+			if data[i] != orig[i] {
+				e = append(e, edit(6, data[i]^orig[i], uint64(i))...)
+			}
+		}
+		seeds = append(seeds, e)
+	}
+	for _, e := range seeds {
+		f.Add(e, false)
+		f.Add(e, true)
+	}
+	f.Fuzz(func(t *testing.T, edits []byte, resealed bool) {
+		data := bytes.Clone(orig)
+		applyOpenEdits(data, sections, edits)
+		if resealed {
+			reseal(data)
+		}
+		l, err := tree.OpenLayout(data, nil)
+		if err != nil {
+			return
+		}
+		requireRefusedOrNavigable(t, l)
+	})
 }
 
 // rewriteSection mutates the payload of the section with the given kind
@@ -339,8 +494,7 @@ func TestXQO2WideTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, _, err := tree.DocumentFromLayout(l)
-		return d, err
+		return tree.DocumentFromLayout(l)
 	}
 	word := func(kind uint32, width, i int, v uint32) func([]byte) {
 		return func(b []byte) {

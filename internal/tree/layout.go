@@ -8,18 +8,16 @@ import (
 	"runtime"
 	"sync"
 	"unsafe"
-
-	"repro/internal/bp"
 )
 
 // XQO2 resident layout — the only binary document format. It stores
 // every array of the in-memory representation (labels, up, size, wide,
 // the rare labels, the text nodes' ranks and offsets as halves +
-// directory each, the blob,
-// bitvector words, rank superblocks, BP segment tree, label table)
-// verbatim in 64-byte-aligned, CRC-checksummed sections, so an mmap'd
-// file can be aliased into live structures without copying or rebuilding
-// anything.
+// directory each, the blob, the label table, the index's occurrence
+// table) verbatim in 64-byte-aligned, CRC-checksummed sections, so an
+// mmap'd file can be aliased into live structures without copying or
+// rebuilding anything, and nothing else: a section no query reads would
+// be written, checksummed and paged for nothing.
 // Opening a corpus is page-table setup; the OS pages cold documents.
 //
 //	offset 0   magic "XQO2"
@@ -55,17 +53,20 @@ import (
 // (kind 2) and size (18) in one byte a node where they took two, lists
 // the nodes whose label does not fit (22, 23) with their ids (24), and
 // widens an entry of the wide table (19) from two words to three, for
-// the entry around it. A file of another version is refused with the
-// command that re-saves it.
+// the entry around it. Version 8 drops the balanced-parentheses view
+// (kinds 12–15), which no evaluator, index or service path reads, and
+// its two scalars from the meta section (1), which shrinks from four
+// words to two. A file of another version is refused with the command
+// that re-saves it.
 //
-// This file owns the container plus the Document/Succinct sections;
+// This file owns the container plus the document's sections;
 // internal/index adds its sections in its own layout file (the index
 // package imports tree, not vice versa) and internal/store composes the
 // two into save/open-file operations.
 
 const (
 	xqo2Magic      = "XQO2"
-	xqo2Version    = 7
+	xqo2Version    = 8
 	xqo2Align      = 64
 	xqo2EndianMark = 0x0102030405060708
 	xqo2HeaderLen  = 24
@@ -74,21 +75,19 @@ const (
 
 // Section kinds. The tree package owns kinds below 32; other packages
 // layer their sections on top (internal/index uses 32+). Kinds 4, 5 and
-// 7 (version 2's firstChild, nextSibling and depth) and 3 and 6 (parent
-// and lastDesc, up to version 4) are retired and stay reserved; kinds 2
-// and 8 kept their meaning and changed their shape in version 4, kinds 8
-// and 16 again in version 6, kinds 2, 18 and 19 in version 7.
+// 7 (version 2's firstChild, nextSibling and depth), 3 and 6 (parent
+// and lastDesc, up to version 4) and 12–15 (the balanced-parentheses
+// view, up to version 7) are retired and stay reserved; kinds 2 and 8
+// kept their meaning and changed their shape in version 4, kinds 8 and
+// 16 again in version 6, kinds 2, 18 and 19 in version 7, kind 1 in
+// version 8.
 const (
-	SecDocMeta    uint32 = 1  // scalars: numNodes, numNames, parenLen, parenOnes
+	SecDocMeta    uint32 = 1  // scalars: numNodes, numNames
 	SecLabels     uint32 = 2  // []uint8, len numNodes: the LabelID, or 0xFF
 	SecTextOff    uint32 = 8  // []uint16, len(SecTextNodes)+1: the halves of each text node's start in the blob, then of its end
 	SecTextBlob   uint32 = 9  // raw bytes
 	SecNameOff    uint32 = 10 // []uint32, len numNames+1
 	SecNameBlob   uint32 = 11 // raw bytes
-	SecBPWords    uint32 = 12 // []uint64: parenthesis bitvector words
-	SecBPSuper    uint32 = 13 // []uint64: rank superblock directory
-	SecBPBlockMin uint32 = 14 // []int32: min-excess segment tree
-	SecBPBlockSum uint32 = 15 // []int32: excess-sum segment tree
 	SecTextNodes  uint32 = 16 // []uint16: the halves of the #text nodes' ranks, ascending — also the index's occurrence row of LabelText
 	SecUp         uint32 = 17 // []uint16, len numNodes: v - parent, or 0xFFFF
 	SecSize       uint32 = 18 // []uint8, len numNodes: lastDesc - v, or 0xFF
@@ -335,15 +334,14 @@ func layoutSlice[T any](l *Layout, kind uint32, wantLen int) ([]T, error) {
 	return s, nil
 }
 
-// AddDocumentSections serializes d and its succinct view into w. The
-// sections alias d's live arrays — nothing is copied until WriteTo.
-func AddDocumentSections(w *LayoutWriter, d *Document, s *Succinct) {
-	raw := s.bt.Raw()
-	meta := make([]byte, 32)
+// AddDocumentSections serializes d into w. The sections alias d's live
+// arrays — nothing is copied until WriteTo. The third argument is ignored:
+// the format stores no balanced-parentheses view since version 8, and the
+// parameter stays only for cmd/xpqbench's format probe, which passes one.
+func AddDocumentSections(w *LayoutWriter, d *Document, _ *Succinct) {
+	meta := make([]byte, 16)
 	binary.LittleEndian.PutUint64(meta[0:], uint64(d.NumNodes()))
 	binary.LittleEndian.PutUint64(meta[8:], uint64(d.names.Size()))
-	binary.LittleEndian.PutUint64(meta[16:], uint64(raw.ParenLen))
-	binary.LittleEndian.PutUint64(meta[24:], uint64(raw.Ones))
 	w.Add(SecDocMeta, meta)
 	w.Add(SecLabels, SliceBytes(d.labels))
 	w.Add(SecUp, SliceBytes(d.up))
@@ -366,65 +364,58 @@ func AddDocumentSections(w *LayoutWriter, d *Document, s *Succinct) {
 	nameOff = append(nameOff, uint32(len(nameBlob)))
 	w.Add(SecNameOff, SliceBytes(nameOff))
 	w.Add(SecNameBlob, nameBlob)
-	w.Add(SecBPWords, SliceBytes(raw.Words))
-	w.Add(SecBPSuper, SliceBytes(raw.Super))
-	w.Add(SecBPBlockMin, SliceBytes(raw.BlockMin))
-	w.Add(SecBPBlockSum, SliceBytes(raw.BlockSum))
 }
 
-// DocumentFromLayout reassembles a Document and its Succinct view from an
-// opened container. The big arrays alias the container's buffer; only the
-// label table (a handful of interned names) is materialized on the heap,
-// so a patched generation's cloned table never dangles into an unmapped
-// file. The document retains the layout's owner, keeping the mapping
+// DocumentFromLayout reassembles a Document from an opened container.
+// The big arrays alias the container's buffer; only the label table (a
+// handful of interned names) is materialized on the heap, so a patched
+// generation's cloned table never dangles into an unmapped file. The document retains the layout's owner, keeping the mapping
 // alive as long as the document (or any generation sharing its arrays)
 // is reachable.
-func DocumentFromLayout(l *Layout) (*Document, *Succinct, error) {
+func DocumentFromLayout(l *Layout) (*Document, error) {
 	meta := l.Section(SecDocMeta)
-	if len(meta) != 32 {
-		return nil, nil, fmt.Errorf("tree: xqo2: doc meta section has %d bytes (want 32)", len(meta))
+	if len(meta) != 16 {
+		return nil, fmt.Errorf("tree: xqo2: doc meta section has %d bytes (want 16)", len(meta))
 	}
 	n := int(binary.LittleEndian.Uint64(meta[0:]))
 	numNames := int(binary.LittleEndian.Uint64(meta[8:]))
-	parenLen := int(binary.LittleEndian.Uint64(meta[16:]))
-	parenOnes := int(binary.LittleEndian.Uint64(meta[24:]))
 	if n < 1 || n > 1<<31-1 {
-		return nil, nil, fmt.Errorf("tree: xqo2: unreasonable node count %d", n)
+		return nil, fmt.Errorf("tree: xqo2: unreasonable node count %d", n)
 	}
 	if numNames < ReservedLabels || numNames > MaxLabels {
-		return nil, nil, fmt.Errorf("tree: xqo2: unreasonable label count %d", numNames)
+		return nil, fmt.Errorf("tree: xqo2: unreasonable label count %d", numNames)
 	}
 
 	d := &Document{mapping: l.owner}
 	var err error
 	if d.labels, err = layoutSlice[uint8](l, SecLabels, n); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if d.up, err = layoutSlice[uint16](l, SecUp, n); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if d.size, err = layoutSlice[uint8](l, SecSize, n); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if d.wide, err = layoutSlice[span](l, SecWide, -1); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if d.rare, err = SeqFromLayout(l, SecRare, SecRareDir, -1, Chunks(n)); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if d.rareIDs, err = layoutSlice[uint16](l, SecRareIDs, d.rare.Len()); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	d.textBlob = l.Section(SecTextBlob)
 	if d.textNodes, err = SeqFromLayout(l, SecTextNodes, SecTextDir, -1, Chunks(n)); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	texts := d.textNodes.Len()
 	if texts > n {
-		return nil, nil, fmt.Errorf("tree: xqo2: %d text nodes listed among %d nodes", texts, n)
+		return nil, fmt.Errorf("tree: xqo2: %d text nodes listed among %d nodes", texts, n)
 	}
 	if d.textOff, err = SeqFromLayout(l, SecTextOff, SecTextOffDir, texts+1, Chunks(len(d.textBlob)+1)); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Shape checks here cost nothing per node: section lengths against the
@@ -443,54 +434,36 @@ func DocumentFromLayout(l *Layout) (*Document, *Succinct, error) {
 	// go through VerifyStructure, which errors instead of letting a
 	// crafted value panic a later query.
 	if first, last := d.textOff.At(0), d.textOff.At(texts); first != 0 || int(last) != len(d.textBlob) {
-		return nil, nil, fmt.Errorf("tree: xqo2: text offsets span [%d, %d) of a %d-byte blob", first, last, len(d.textBlob))
+		return nil, fmt.Errorf("tree: xqo2: text offsets span [%d, %d) of a %d-byte blob", first, last, len(d.textBlob))
 	}
 	if err := d.checkWide(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := d.checkRareIDs(numNames); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Label table: names are materialized as heap strings (the table is
 	// tiny and generation clones must not alias the mapping).
 	nameOff, err := layoutSlice[uint32](l, SecNameOff, numNames+1)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	nameBlob := l.Section(SecNameBlob)
 	lt := newLabelTable(numNames)
 	for i := 0; i < numNames; i++ {
 		if nameOff[i] > nameOff[i+1] || int(nameOff[i+1]) > len(nameBlob) {
-			return nil, nil, fmt.Errorf("tree: xqo2: label name %d offsets invalid", i)
+			return nil, fmt.Errorf("tree: xqo2: label name %d offsets invalid", i)
 		}
 		name := string(nameBlob[nameOff[i]:nameOff[i+1]])
 		lt.names = append(lt.names, name)
 		lt.ids[name] = LabelID(i)
 	}
 	if lt.names[LabelDoc] != "#doc" || lt.names[LabelText] != "#text" {
-		return nil, nil, fmt.Errorf("tree: xqo2: reserved labels missing (%q, %q)", lt.names[LabelDoc], lt.names[LabelText])
+		return nil, fmt.Errorf("tree: xqo2: reserved labels missing (%q, %q)", lt.names[LabelDoc], lt.names[LabelText])
 	}
 	d.names = lt
-
-	raw := bp.Raw{ParenLen: parenLen, Ones: parenOnes, NumNodes: n}
-	if raw.Words, err = layoutSlice[uint64](l, SecBPWords, -1); err != nil {
-		return nil, nil, err
-	}
-	if raw.Super, err = layoutSlice[uint64](l, SecBPSuper, -1); err != nil {
-		return nil, nil, err
-	}
-	if raw.BlockMin, err = layoutSlice[int32](l, SecBPBlockMin, -1); err != nil {
-		return nil, nil, err
-	}
-	if raw.BlockSum, err = layoutSlice[int32](l, SecBPBlockSum, -1); err != nil {
-		return nil, nil, err
-	}
-	bt, err := bp.FromRaw(raw)
-	if err != nil {
-		return nil, nil, fmt.Errorf("tree: xqo2: %w", err)
-	}
-	return d, &Succinct{bt: bt, doc: d}, nil
+	return d, nil
 }
 
 // checkWide proves the wide table alone, in O(|wide|): ranks strictly

@@ -68,7 +68,7 @@ func TestNavigationMatchesReferenceOnXMark(t *testing.T) {
 func layout(t *testing.T, d *tree.Document) []byte {
 	t.Helper()
 	lw := tree.NewLayoutWriter()
-	tree.AddDocumentSections(lw, d, tree.NewSuccinct(d))
+	tree.AddDocumentSections(lw, d, nil)
 	var buf bytes.Buffer
 	if _, err := lw.WriteTo(&buf); err != nil {
 		t.Fatal(err)

@@ -20,8 +20,8 @@ import (
 // in rare, whose entries after the splice shift likewise.
 // Nothing is re-linked, because sibling order is implied by the
 // intervals: O(n) memcpy instead of an O(n) re-parse plus index rebuild.
-// The Delta describing the splice is what lets internal/index and the BP
-// view update incrementally too.
+// The Delta describing the splice is what lets internal/index update
+// incrementally too.
 
 // PatchOp selects the mutation kind.
 type PatchOp uint8
@@ -83,7 +83,7 @@ type Patch struct {
 // the old and new documents understand: old nodes < At keep their ids,
 // old nodes >= At+Removed shift by Inserted-Removed, and the interval
 // [At, At+Removed) of the old document is gone. Incremental maintainers
-// (the jumping index, the BP bit sequence) consume this instead of
+// (the jumping index; the tests' BP splice) consume this instead of
 // rediffing the trees.
 type Delta struct {
 	// At is the preorder rank where the splice happens.

@@ -242,7 +242,7 @@ func TestLinkMatchesReferenceBuilder(t *testing.T) {
 func atRest(t *testing.T, d *Document) *Document {
 	t.Helper()
 	w := NewLayoutWriter()
-	AddDocumentSections(w, d, NewSuccinct(d))
+	AddDocumentSections(w, d, nil)
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func atRest(t *testing.T, d *Document) *Document {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opened, _, err := DocumentFromLayout(l)
+	opened, err := DocumentFromLayout(l)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,11 @@ import "repro/internal/bp"
 
 // Succinct is a balanced-parentheses view of a document's topology. It
 // stores no pointers — navigation is answered from the 2n-bit parenthesis
-// sequence of internal/bp — and exists to reproduce the paper's use of
-// succinct trees [18] as the memory-frugal backend. The engine proper uses
-// the flat arrays of Document (the two agree; see the property tests), so
-// Succinct doubles as an independent oracle for the pointer encoding.
+// sequence of internal/bp — and reproduces the paper's use of succinct
+// trees [18] as the memory-frugal backend. The engine uses the flat
+// arrays of Document, and no load, save, open or patch builds this view:
+// it is an independent oracle the tests hold those arrays to, and
+// cmd/xpqbench times its build and splice.
 type Succinct struct {
 	bt  *bp.Tree
 	doc *Document
@@ -97,9 +98,6 @@ func (s *Succinct) LastDesc(v NodeID) NodeID { return NodeID(s.bt.LastDescendant
 
 // Depth returns v's depth (root = 0).
 func (s *Succinct) Depth(v NodeID) int { return s.bt.Depth(int(v)) }
-
-// IsAncestorOrSelf reports whether a is v or an ancestor of v.
-func (s *Succinct) IsAncestorOrSelf(a, v NodeID) bool { return s.bt.IsAncestor(int(a), int(v)) }
 
 // LCA returns the lowest common ancestor of u and v.
 func (s *Succinct) LCA(u, v NodeID) NodeID { return NodeID(s.bt.LCA(int(u), int(v))) }

@@ -22,7 +22,7 @@ var forcedChunks = []int{1, 2, 3, 7}
 func docBytes(t testing.TB, d *tree.Document) []byte {
 	t.Helper()
 	lw := tree.NewLayoutWriter()
-	tree.AddDocumentSections(lw, d, tree.NewSuccinct(d))
+	tree.AddDocumentSections(lw, d, nil)
 	var buf bytes.Buffer
 	if _, err := lw.WriteTo(&buf); err != nil {
 		t.Fatal(err)

@@ -96,7 +96,8 @@ func ParseStrategy(name string) (Strategy, bool) {
 
 // SaveDocument writes d in the XQO2 resident container, the only binary
 // document format: every in-memory array verbatim, checksummed per
-// section, with its succinct view and jumping index alongside.
+// section, with its jumping index alongside, and nothing a query does
+// not read.
 func SaveDocument(w io.Writer, d *Document) (int64, error) {
 	return store.WriteXQO2(w, d)
 }
@@ -113,8 +114,7 @@ func LoadDocument(r io.Reader) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, _, err := tree.DocumentFromLayout(l)
-	return d, err
+	return tree.DocumentFromLayout(l)
 }
 
 // SaveDocumentFile writes d to a file in the XQO2 format (opened
