@@ -107,11 +107,11 @@ gate-mvcc:
 # the yardstick: it was 0.05 when parse + index took 17.3 ms; the
 # byte-level XML kernel brought that to 6.9 ms with the open untouched
 # (0.33 -> 0.39 ms, noise), so the same bound is 0.05 x 17.3 / 6.9 =
-# 0.13. BENCH_mmap.json pins ~0.020 (0.12 ms on XQO2 version 8, which
-# checksums four sections fewer than version 7 and reassembles no
-# balanced-parentheses view: 0.14 -> 0.12 ms medians over six
-# alternating runs, minima 0.133 and 0.118; version 7 took 0.17 to 0.16,
-# version 6 0.22 to 0.19);
+# 0.13. BENCH_mmap.json pins ~0.016 (0.11 ms with the checksums inline
+# and the label names in one heap copy: 0.13 -> 0.11 ms medians over six
+# alternating runs; XQO2 version 8 took 0.14 to 0.12, checksumming four
+# sections fewer than version 7 and reassembling no balanced-parentheses
+# view; version 7 took 0.17 to 0.16, version 6 0.22 to 0.19);
 # min of three runs filters one-off page-cache or scheduler hiccups.
 gate-mmap:
 	$(GO) test -run '^$$' -bench 'BenchmarkMmapOpenVsParse' -benchtime 20x -count 3 ./internal/store/ \

@@ -230,7 +230,11 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 type preloadJob struct {
 	flag, spec string // as given, for error messages
 	id         string
-	load       func(*shard.Store) (*store.Handle, error)
+	// load runs on a worker. A -load or -xmark job builds and publishes
+	// its document there; a -mmap job (mapped) only opens its file, and
+	// preload publishes the handle.
+	load   func(*shard.Store) (*store.Handle, error)
+	mapped bool
 	// Set by the worker that ran the job, read after done is closed.
 	h    *store.Handle
 	err  error
@@ -241,24 +245,26 @@ type preloadJob struct {
 // reported: -load, -mmap (a directory expands to its *.xqo2 files, id =
 // base name), -xmark. Malformed specs and duplicate ids are rejected
 // here, before any document is touched.
-func planPreload(loads, mmaps, xmarks []string) (parsed, mapped, generated []*preloadJob, err error) {
+func planPreload(loads, mmaps, xmarks []string) ([]*preloadJob, error) {
+	var jobs []*preloadJob
+	add := func(flag, spec, id string, mapped bool, load func(*shard.Store) (*store.Handle, error)) {
+		jobs = append(jobs, &preloadJob{flag: flag, spec: spec, id: id, mapped: mapped, load: load})
+	}
 	for _, spec := range loads {
 		id, path, err := splitSpec(spec, "-load")
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		parsed = append(parsed, &preloadJob{flag: "-load", spec: spec, id: id,
-			load: func(st *shard.Store) (*store.Handle, error) { return st.LoadXMLFile(id, path) }})
+		add("-load", spec, id, false, func(st *shard.Store) (*store.Handle, error) { return st.LoadXMLFile(id, path) })
 	}
 	for _, spec := range mmaps {
 		addMapped := func(id, path string) {
-			mapped = append(mapped, &preloadJob{flag: "-mmap", spec: spec, id: id,
-				load: func(st *shard.Store) (*store.Handle, error) { return st.LoadMapped(id, path) }})
+			add("-mmap", spec, id, true, func(st *shard.Store) (*store.Handle, error) { return st.OpenMapped(id, path) })
 		}
 		if fi, err := os.Stat(spec); err == nil && fi.IsDir() {
 			entries, err := os.ReadDir(spec)
 			if err != nil {
-				return nil, nil, nil, fmt.Errorf("-mmap %q: %w", spec, err)
+				return nil, fmt.Errorf("-mmap %q: %w", spec, err)
 			}
 			for _, e := range entries {
 				if name := e.Name(); !e.IsDir() && strings.HasSuffix(name, ".xqo2") {
@@ -269,63 +275,60 @@ func planPreload(loads, mmaps, xmarks []string) (parsed, mapped, generated []*pr
 		}
 		id, path, err := splitSpec(spec, "-mmap")
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		addMapped(id, path)
 	}
 	for _, spec := range xmarks {
 		id, arg, err := splitSpec(spec, "-xmark")
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		scaleStr, seedStr, hasSeed := strings.Cut(arg, ":")
 		scale, err := strconv.ParseFloat(scaleStr, 64)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("-xmark %q: bad scale: %w", spec, err)
+			return nil, fmt.Errorf("-xmark %q: bad scale: %w", spec, err)
 		}
 		seed := int64(1)
 		if hasSeed {
 			if seed, err = strconv.ParseInt(seedStr, 10, 64); err != nil {
-				return nil, nil, nil, fmt.Errorf("-xmark %q: bad seed: %w", spec, err)
+				return nil, fmt.Errorf("-xmark %q: bad seed: %w", spec, err)
 			}
 		}
-		generated = append(generated, &preloadJob{flag: "-xmark", spec: spec, id: id,
-			load: func(st *shard.Store) (*store.Handle, error) { return st.GenerateXMark(id, scale, seed) }})
+		add("-xmark", spec, id, false, func(st *shard.Store) (*store.Handle, error) { return st.GenerateXMark(id, scale, seed) })
 	}
 	first := map[string]*preloadJob{}
-	for _, jobs := range [][]*preloadJob{parsed, mapped, generated} {
-		for _, j := range jobs {
-			if f, dup := first[j.id]; dup {
-				return nil, nil, nil, fmt.Errorf("duplicate document id %q: %s %q and %s %q", j.id, f.flag, f.spec, j.flag, j.spec)
-			}
-			first[j.id] = j
+	for _, j := range jobs {
+		if f, dup := first[j.id]; dup {
+			return nil, fmt.Errorf("duplicate document id %q: %s %q and %s %q", j.id, f.flag, f.spec, j.flag, j.spec)
 		}
+		first[j.id] = j
 	}
-	return parsed, mapped, generated, nil
+	return jobs, nil
 }
 
 // preload loads every -load/-mmap/-xmark document before serving, so
-// first queries never pay parse or index latency. Parsing and generating
-// are the expensive loads: they run on up to GOMAXPROCS workers, handed
-// out in flag order, and are reported — logged, or failed — in flag
-// order whatever order they finish in. Mapped opens are near-free
-// (section-table walk plus checksums) and stay on this goroutine, in
-// order: their order is the resident budget's first LRU order.
-// Preloading a whole corpus directory is how the daemon serves more
-// documents than fit in RAM, with the OS paging each document's working
-// set on demand. Once ctx is cancelled no further document is started;
-// preload returns when the ones under way are done, so no worker
-// outlives it.
+// first queries never pay parse, index or checksum latency. The jobs run
+// on up to GOMAXPROCS workers, handed out in flag order, and are
+// reported — logged, or failed — in flag order whatever order they
+// finish in. A worker parses, generates or opens; a mapped document is
+// published here, in flag order, so that order is still the resident
+// budget's first LRU order and the hot set after preload does not depend
+// on which worker finished first. Preloading a whole corpus directory is
+// how the daemon serves more documents than fit in RAM, with the OS
+// paging each document's working set on demand. Once ctx is cancelled no
+// further document is started or published; preload returns when the
+// ones under way are done, so no worker outlives it, and unmaps every
+// file it opened and did not publish.
 func preload(ctx context.Context, st *shard.Store, logger *slog.Logger, loads, mmaps, xmarks []string) error {
-	parsed, mapped, generated, err := planPreload(loads, mmaps, xmarks)
+	jobs, err := planPreload(loads, mmaps, xmarks)
 	if err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	built := append(append([]*preloadJob{}, parsed...), generated...)
-	for _, j := range built {
+	for _, j := range jobs {
 		j.done = make(chan struct{})
 	}
 	var (
@@ -335,18 +338,19 @@ func preload(ctx context.Context, st *shard.Store, logger *slog.Logger, loads, m
 		// out are left alone. Every job before a failed one has been
 		// handed out already, so the first failure in flag order is
 		// always one that ran.
-		stop atomic.Bool
+		stop      atomic.Bool
+		published int // jobs[:published] are resident and logged
 	)
-	for w := min(runtime.GOMAXPROCS(0), len(built)); w > 0; w-- {
+	for w := min(runtime.GOMAXPROCS(0), len(jobs)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(built) || stop.Load() || ctx.Err() != nil {
+				if i >= len(jobs) || stop.Load() || ctx.Err() != nil {
 					return
 				}
-				j := built[i]
+				j := jobs[i]
 				if j.h, j.err = j.load(st); j.err != nil {
 					stop.Store(true)
 				}
@@ -354,36 +358,33 @@ func preload(ctx context.Context, st *shard.Store, logger *slog.Logger, loads, m
 			}
 		}()
 	}
-	defer wg.Wait()
-	defer stop.Store(true)
-	await := func(jobs []*preloadJob) error {
-		for _, j := range jobs {
-			select {
-			case <-j.done:
-			case <-ctx.Done():
-				return ctx.Err()
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+		for _, j := range jobs[published:] {
+			if j.mapped && j.h != nil {
+				j.h.Discard()
 			}
-			if j.err != nil {
-				return j.err
-			}
-			logLoaded(logger, j.h)
 		}
-		return nil
-	}
-	if err := await(parsed); err != nil {
-		return err
-	}
-	for _, j := range mapped {
+	}()
+	for _, j := range jobs {
+		select {
+		case <-j.done:
+		case <-ctx.Done():
+		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		h, err := j.load(st)
-		if err != nil {
-			return err
+		if j.mapped && j.err == nil {
+			j.h, j.err = st.PublishMapped(j.h)
 		}
-		logLoaded(logger, h)
+		if j.err != nil {
+			return j.err
+		}
+		published++
+		logLoaded(logger, j.h)
 	}
-	return await(generated)
+	return nil
 }
 
 func splitSpec(spec, flagName string) (id, rest string, err error) {

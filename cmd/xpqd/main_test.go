@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -215,54 +216,105 @@ func TestPreloadDuplicateIDs(t *testing.T) {
 	}
 }
 
-// TestPreloadOrder: documents built concurrently are still logged, and
-// listed by /docs, in flag order — -load, then -mmap, then -xmark.
-func TestPreloadOrder(t *testing.T) {
-	files := preloadFiles(t, 8)
-	mdir := t.TempDir()
-	for _, id := range []string{"m0", "m1", "m2"} {
-		if err := store.SaveXQO2File(filepath.Join(mdir, id+".xqo2"), xmark.Generate(xmark.Config{Scale: 0.001, Seed: 1})); err != nil {
-			t.Fatal(err)
+// mappedCorpus writes n copies of one XMark document at the given scale
+// as dir/m000.xqo2, dir/m001.xqo2, ... and returns dir: ids m000, m001,
+// ... in flag order, all files the same size.
+func mappedCorpus(tb testing.TB, n int, scale float64) string {
+	tb.Helper()
+	dir := tb.TempDir()
+	var buf bytes.Buffer
+	if _, err := store.WriteXQO2(&buf, xmark.Generate(xmark.Config{Scale: scale, Seed: 1})); err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("m%03d.xqo2", i)), buf.Bytes(), 0o644); err != nil {
+			tb.Fatal(err)
 		}
 	}
+	return dir
+}
+
+// TestPreloadOrder: documents built and opened concurrently are still
+// logged, and listed by /docs, in flag order — -load, then -mmap (a
+// directory's files by name, and an id=path spec where it stands), then
+// -xmark.
+func TestPreloadOrder(t *testing.T) {
+	files := preloadFiles(t, 8)
+	mdir := mappedCorpus(t, 6, 0.001)
+	mmaps := []string{mdir, "solo=" + filepath.Join(mdir, "m000.xqo2")}
 	xmarks := []string{"x0=0.004", "x1=0.001", "x2=0.002:5"}
-	var log logBuf
-	st := shard.NewStore(4)
-	if err := preload(context.Background(), st, testLogger(&log), files, []string{mdir}, xmarks); err != nil {
+	want := "d0 d1 d2 d3 d4 d5 d6 d7 m000 m001 m002 m003 m004 m005 solo x0 x1 x2"
+	for round := 0; round < 10; round++ {
+		var log logBuf
+		st := shard.NewStore(4)
+		if err := preload(context.Background(), st, testLogger(&log), files, mmaps, xmarks); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(loadedDocs(log.String()), " "); got != want {
+			t.Fatalf("round %d: logged order:\n got %s\nwant %s", round, got, want)
+		}
+		var listed []string
+		for _, s := range st.List() {
+			listed = append(listed, s.ID)
+		}
+		if got := strings.Join(listed, " "); got != want {
+			t.Fatalf("round %d: /docs order:\n got %s\nwant %s", round, got, want)
+		}
+	}
+}
+
+// flipPayloadByte corrupts the first payload byte of an XQO2 file, which
+// its open reports as a checksum mismatch.
+func flipPayloadByte(t *testing.T, path string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := "d0 d1 d2 d3 d4 d5 d6 d7 m0 m1 m2 x0 x1 x2"
-	if got := strings.Join(loadedDocs(log.String()), " "); got != want {
-		t.Errorf("logged order:\n got %s\nwant %s", got, want)
-	}
-	var listed []string
-	for _, s := range st.List() {
-		listed = append(listed, s.ID)
-	}
-	if got := strings.Join(listed, " "); got != want {
-		t.Errorf("/docs order:\n got %s\nwant %s", got, want)
+	count := int(binary.LittleEndian.Uint32(b[16:]))
+	b[(24+24*count+63)&^63] ^= 0x5a
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestPreloadFirstFailureInFlagOrder: with two bad files among eight,
 // the error is the earlier one's however the workers interleave, and
-// nothing after it is reported as loaded.
+// nothing after it is reported as loaded — two bad XML files among the
+// -load documents, or two corrupt XQO2 files among the -mmap ones, with
+// a bad -xmark spec behind them.
 func TestPreloadFirstFailureInFlagOrder(t *testing.T) {
-	files := preloadFiles(t, 8)
+	badXML := preloadFiles(t, 8)
 	for _, bad := range []int{2, 6} {
-		path := strings.SplitN(files[bad], "=", 2)[1]
+		path := strings.SplitN(badXML[bad], "=", 2)[1]
 		if err := os.WriteFile(path, []byte(fmt.Sprintf("<r><bad%d></r>", bad)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for round := 0; round < 20; round++ {
-		var log logBuf
-		err := preload(context.Background(), shard.NewStore(4), testLogger(&log), files, nil, []string{"x=0.001"})
-		if err == nil || !strings.Contains(err.Error(), `"d2"`) || !strings.Contains(err.Error(), "bad2") {
-			t.Fatalf("err = %v, want the parse error of d2", err)
-		}
-		if got := strings.Join(loadedDocs(log.String()), " "); got != "d0 d1" {
-			t.Fatalf("logged %q before failing, want d0 d1", got)
+	badXQO2 := mappedCorpus(t, 8, 0.001)
+	for _, bad := range []string{"m003", "m006"} {
+		flipPayloadByte(t, filepath.Join(badXQO2, bad+".xqo2"))
+	}
+	for _, tc := range []struct {
+		name                 string
+		loads, mmaps, xmarks []string
+		says                 []string
+		logged               string
+	}{
+		{"load", badXML, []string{badXQO2}, []string{"x=0.001"}, []string{`"d2"`, "bad2"}, "d0 d1"},
+		{"mmap", preloadFiles(t, 2), []string{badXQO2}, []string{"x=-1"}, []string{`"m003"`, "checksum mismatch"}, "d0 d1 m000 m001 m002"},
+	} {
+		for round := 0; round < 20; round++ {
+			var log logBuf
+			err := preload(context.Background(), shard.NewStore(4), testLogger(&log), tc.loads, tc.mmaps, tc.xmarks)
+			for _, w := range tc.says {
+				if err == nil || !strings.Contains(err.Error(), w) {
+					t.Fatalf("%s: err = %v, want one saying %s", tc.name, err, strings.Join(tc.says, " and "))
+				}
+			}
+			if got := strings.Join(loadedDocs(log.String()), " "); got != tc.logged {
+				t.Fatalf("%s: logged %q before failing, want %q", tc.name, got, tc.logged)
+			}
 		}
 	}
 }
@@ -272,42 +324,53 @@ func TestPreloadFirstFailureInFlagOrder(t *testing.T) {
 // cancellation guarantees is counted from the instant of the cancel: no
 // worker takes a job after it, so each can only finish the one it holds.
 // (How far the workers had run ahead of the in-order logger by then is
-// timing, and is not asserted.)
+// timing, and is not asserted.) A mapped document is published by
+// preload itself, which checks for cancellation before each one, so for
+// -mmap jobs no document at all is published after the cancel.
 func TestPreloadCancel(t *testing.T) {
 	var xmarks []string
 	for i := 0; i < 200; i++ {
 		xmarks = append(xmarks, fmt.Sprintf("x%03d=0.01", i))
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// Cancel from inside the first "loaded document" log line.
-	st := shard.NewStore(4)
-	log := &cancelOnWrite{cancel: cancel, published: st.Len}
-	before := runtime.NumGoroutine()
-	start := time.Now()
-	err := preload(ctx, st, testLogger(log), nil, nil, xmarks)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if took := time.Since(start); took > 5*time.Second {
-		t.Errorf("cancelled preload took %v", took)
-	}
-	loaded := st.Len()
-	if loaded == 0 || loaded >= len(xmarks) || loaded > log.atCancel+runtime.GOMAXPROCS(0) {
-		t.Errorf("%d of %d documents loaded, %d of them by the cancellation: each of %d workers may finish one more",
-			loaded, len(xmarks), log.atCancel, runtime.GOMAXPROCS(0))
-	}
-	// A worker's wg.Done runs before the goroutine is gone: give the
-	// scheduler a moment to retire what preload already waited for.
-	after := runtime.NumGoroutine()
-	for wait := time.Now().Add(time.Second); after > before && time.Now().Before(wait); after = runtime.NumGoroutine() {
-		time.Sleep(time.Millisecond)
-	}
-	if after > before {
-		t.Errorf("%d goroutines before preload, %d after", before, after)
-	}
-	if st.Len() != loaded {
-		t.Errorf("a document was published after preload returned")
+	for _, tc := range []struct {
+		name          string
+		mmaps, xmarks []string
+		slack         int // documents a worker may still publish after the cancel
+	}{
+		{"xmark", nil, xmarks, runtime.GOMAXPROCS(0)},
+		{"mmap", []string{mappedCorpus(t, 200, 0.001)}, nil, 0},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		// Cancel from inside the first "loaded document" log line.
+		st := shard.NewStore(4)
+		log := &cancelOnWrite{cancel: cancel, published: st.Len}
+		before := runtime.NumGoroutine()
+		start := time.Now()
+		err := preload(ctx, st, testLogger(log), nil, tc.mmaps, tc.xmarks)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", tc.name, err)
+		}
+		if took := time.Since(start); took > 5*time.Second {
+			t.Errorf("%s: cancelled preload took %v", tc.name, took)
+		}
+		loaded := st.Len()
+		if loaded == 0 || loaded >= 200 || loaded > log.atCancel+tc.slack {
+			t.Errorf("%s: %d of 200 documents loaded, %d of them by the cancellation: %d more may be published after it",
+				tc.name, loaded, log.atCancel, tc.slack)
+		}
+		// A worker's wg.Done runs before the goroutine is gone: give the
+		// scheduler a moment to retire what preload already waited for.
+		after := runtime.NumGoroutine()
+		for wait := time.Now().Add(time.Second); after > before && time.Now().Before(wait); after = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if after > before {
+			t.Errorf("%s: %d goroutines before preload, %d after", tc.name, before, after)
+		}
+		if st.Len() != loaded {
+			t.Errorf("%s: a document was published after preload returned", tc.name)
+		}
 	}
 }
 
@@ -320,12 +383,82 @@ type cancelOnWrite struct {
 	cancel    context.CancelFunc
 	published func() int
 	atCancel  int
+	first     func() // if set, runs before the cancel
 }
 
 func (c *cancelOnWrite) Write(p []byte) (int, error) {
 	c.once.Do(func() {
+		if c.first != nil {
+			c.first()
+		}
 		c.cancel()
 		c.atCancel = c.published()
 	})
 	return len(p), nil
+}
+
+// TestPreloadHotSet pins what is hot after preloading a corpus larger
+// than the resident budget: on every shard exactly its last k files in
+// flag order, on every run, whichever worker opened which file first —
+// DESIGN "Preload": the flag order is the budget's first LRU order. A
+// charged mapping is read without a map fault.
+func TestPreloadHotSet(t *testing.T) {
+	const n, k, shards = 24, 2, 4
+	mdir := mappedCorpus(t, n, 0.001)
+	fi, err := os.Stat(filepath.Join(mdir, "m000.xqo2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		st := shard.NewStore(shards)
+		st.SetResidentBudget(k * shards * fi.Size())
+		if err := preload(context.Background(), st, testLogger(io.Discard), nil, []string{mdir}, nil); err != nil {
+			t.Fatal(err)
+		}
+		ids := make([][]string, shards) // each shard's ids, in flag order
+		for i := 0; i < n; i++ {
+			id := fmt.Sprintf("m%03d", i)
+			ids[st.ShardFor(id)] = append(ids[st.ShardFor(id)], id)
+		}
+		for s, own := range ids {
+			hot := own[max(0, len(own)-k):]
+			part := st.Part(s)
+			if got, want := part.Mapped().ChargedBytes, int64(len(hot))*fi.Size(); got != want {
+				t.Fatalf("round %d, shard %d: %d bytes charged, want %d (%v)", round, s, got, want, hot)
+			}
+			for _, id := range hot {
+				faults := part.Mapped().MapFaults
+				if _, ok := st.Get(id); !ok || part.Mapped().MapFaults != faults {
+					t.Fatalf("round %d, shard %d: %s is not hot; the hot set should be %v of %v", round, s, id, hot, own)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPreloadMapped is point-lookup's set-up in process: 256 XMark
+// 0.002 files preloaded from one -mmap directory onto four shards under
+// a resident budget of a quarter of the corpus, logging at warn as the
+// benchmark's daemon does.
+func BenchmarkPreloadMapped(b *testing.B) {
+	const n = 256
+	mdir := mappedCorpus(b, n, 0.002)
+	fi, err := os.Stat(filepath.Join(mdir, "m000.xqo2"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	logger := slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := shard.NewStore(4)
+		st.SetResidentBudget(n * fi.Size() / 4)
+		if err := preload(context.Background(), st, logger, nil, []string{mdir}, nil); err != nil {
+			b.Fatal(err)
+		}
+		// The last round's mappings are unmapped by their finalizers,
+		// outside the timed region.
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+	}
 }

@@ -69,6 +69,16 @@ func (s *Store) LoadMapped(id, path string) (*store.Handle, error) {
 	return s.part(id).LoadMapped(id, path)
 }
 
+// OpenMapped is LoadMapped's open half (see store.Store.OpenMapped).
+func (s *Store) OpenMapped(id, path string) (*store.Handle, error) {
+	return s.part(id).OpenMapped(id, path)
+}
+
+// PublishMapped is LoadMapped's publish half, on the owning shard.
+func (s *Store) PublishMapped(h *store.Handle) (*store.Handle, error) {
+	return s.part(h.ID).PublishMapped(h)
+}
+
 // SetResidentBudget splits a process-wide mapped-bytes budget evenly
 // across shards; 0 or negative means unlimited everywhere. Per-shard
 // budgets keep enforcement lock-local, at the cost of a shard not being

@@ -66,16 +66,17 @@ func OpenXQO2(path string) (*tree.Document, *tree.Succinct, *index.Index, *mmapx
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
+	var d *tree.Document
+	var ix *index.Index
 	l, err := tree.OpenLayout(m.Data(), m)
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("%s: %w", path, err)
+	if err == nil {
+		d, err = tree.DocumentFromLayout(l)
 	}
-	d, err := tree.DocumentFromLayout(l)
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("%s: %w", path, err)
+	if err == nil {
+		ix, err = index.FromLayout(l, d)
 	}
-	ix, err := index.FromLayout(l, d)
 	if err != nil {
+		m.Close() // nothing built over the mapping outlives a failed open
 		return nil, nil, nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return d, nil, ix, m, nil
@@ -94,10 +95,11 @@ func OpenXQO2Verified(path string) (*tree.Document, *tree.Succinct, *index.Index
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	if err := d.VerifyStructure(); err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("%s: %w", path, err)
+	if err = d.VerifyStructure(); err == nil {
+		err = ix.VerifyStructure()
 	}
-	if err := ix.VerifyStructure(); err != nil {
+	if err != nil {
+		m.Close()
 		return nil, nil, nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return d, nil, ix, m, nil
@@ -109,37 +111,60 @@ func OpenXQO2Verified(path string) (*tree.Document, *tree.Succinct, *index.Index
 // artifact this process wrote itself.
 func (s *Store) SetVerifyResident(v bool) { s.verifyResident.Store(v) }
 
-// LoadMapped opens an XQO2 file and registers it under id. The open is
-// zero-copy — no parse, no index build — so registration cost is the
-// section-table walk plus checksum verification, and the document's
-// working set is paged in on demand by the OS.
+// LoadMapped opens an XQO2 file and registers it under id: OpenMapped,
+// then PublishMapped. The open is zero-copy — no parse, no index build —
+// so registration cost is the section-table walk plus checksum
+// verification, and the document's working set is paged in on demand by
+// the OS.
 func (s *Store) LoadMapped(id, path string) (*Handle, error) {
-	h, err := s.loadHandle(id, func() (*Handle, error) {
-		open := OpenXQO2
-		if s.verifyResident.Load() {
-			open = OpenXQO2Verified
-		}
-		d, _, ix, m, err := open(path)
-		if err != nil {
-			return nil, fmt.Errorf("store: opening %q: %w", id, err)
-		}
-		h := &Handle{ID: id, Doc: d, Index: ix, mapping: m}
-		h.Stats = Stats{
-			ID:          id,
-			Nodes:       d.NumNodes(),
-			Labels:      d.Names().Size(),
-			MemBytes:    h.memBytes(),
-			MappedBytes: int64(m.Len()),
-			Source:      SourceMapped,
-			LoadedAt:    time.Now(),
-		}
-		return h, nil
-	})
-	if err == nil {
-		s.enforceBudget(id)
+	h, err := s.OpenMapped(id, path)
+	if err != nil {
+		return nil, err
 	}
-	return h, err
+	return s.PublishMapped(h)
 }
+
+// OpenMapped is LoadMapped's open half. It changes nothing in the store,
+// so any number can run at once; the handle is not resident until
+// PublishMapped registers it, and one never published must be Discarded.
+func (s *Store) OpenMapped(id, path string) (*Handle, error) {
+	open := OpenXQO2
+	if s.verifyResident.Load() {
+		open = OpenXQO2Verified
+	}
+	d, _, ix, m, err := open(path)
+	if err != nil {
+		return nil, fmt.Errorf("store: opening %q: %w", id, err)
+	}
+	h := &Handle{ID: id, Doc: d, Index: ix, mapping: m}
+	h.Stats = Stats{
+		ID:          id,
+		Nodes:       d.NumNodes(),
+		Labels:      d.Names().Size(),
+		MemBytes:    h.memBytes(),
+		MappedBytes: int64(m.Len()),
+		Source:      SourceMapped,
+		LoadedAt:    time.Now(),
+	}
+	return h, nil
+}
+
+// PublishMapped is LoadMapped's publish half: the single-flight slot, the
+// generation chain, the mapping's accounting and the resident budget, with
+// this mapping the most recently used — publishing order is LRU order,
+// whatever order the opens ran in. A handle it cannot publish is discarded.
+func (s *Store) PublishMapped(h *Handle) (*Handle, error) {
+	if _, err := s.loadHandle(h.ID, func() (*Handle, error) { return h, nil }); err != nil {
+		h.Discard()
+		return nil, err
+	}
+	s.enforceBudget(h.ID)
+	return h, nil
+}
+
+// Discard unmaps an unpublished handle from OpenMapped now, not at the
+// mapping's finalizer. Nothing else may hold the handle or its document.
+func (h *Handle) Discard() { h.mapping.Close() }
 
 // --- Resident-budget paging ---
 

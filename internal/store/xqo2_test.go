@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/index"
 	"repro/internal/tree"
@@ -165,6 +166,67 @@ func TestXQO2Malformed(t *testing.T) {
 			t.Errorf("%s: expected error", name)
 		} else if !strings.Contains(err.Error(), tc.says) {
 			t.Errorf("%s: error %q does not say %q", name, err, tc.says)
+		}
+	}
+}
+
+// TestXQO2FirstCorruptSectionNamed: with two corrupt sections, whichever
+// two, the open's error names the one that comes first in the section
+// table — the same file always gets the same message.
+func TestXQO2FirstCorruptSectionNamed(t *testing.T) {
+	orig := openContainer()
+	count := int(binary.LittleEndian.Uint32(orig[16:]))
+	entry := func(i int) (kind uint32, off, length uint64) {
+		e := orig[24+24*i:]
+		return binary.LittleEndian.Uint32(e), binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+	}
+	pairs := 0
+	for i := 0; i < count; i++ {
+		kind, offI, lenI := entry(i)
+		for j := i + 1; j < count; j++ {
+			_, offJ, lenJ := entry(j)
+			if lenI == 0 || lenJ == 0 {
+				continue // an empty section has no byte to flip
+			}
+			data := bytes.Clone(orig)
+			data[offI+lenI-1] ^= 0x5a
+			data[offJ] ^= 0x5a
+			_, err := tree.OpenLayout(data, nil)
+			if want := "section " + strconv.Itoa(int(kind)) + " checksum mismatch"; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("table entries %d and %d corrupt: err = %v, want %q", i, j, err, want)
+			}
+			pairs++
+		}
+	}
+	if pairs < 50 {
+		t.Fatalf("only %d pairs of non-empty sections tried", pairs)
+	}
+}
+
+// TestMappedLabelNamesOutliveTheMapping: a mapped document's label names
+// are heap strings, not views of the file, so they read the same after
+// the mapping is unmapped.
+func TestMappedLabelNamesOutliveTheMapping(t *testing.T) {
+	d := xmark.Generate(xmark.Config{Scale: 0.001, Seed: 4})
+	od, _, _, m, err := OpenXQO2(saveXQO2(t, d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := m.Data()
+	lo, hi := uintptr(unsafe.Pointer(&file[0])), uintptr(unsafe.Pointer(&file[len(file)-1]))
+	names := od.Names().Names()
+	for i, name := range names {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(name))); name != "" && p >= lo && p <= hi {
+			t.Fatalf("label %d (%q) points into the mapping", i, name)
+		}
+	}
+	m.Close()
+	if !slices.Equal(names, d.Names().Names()) {
+		t.Fatalf("label names after unmapping:\n got %q\nwant %q", names, d.Names().Names())
+	}
+	for i, name := range names {
+		if id, ok := od.Names().Lookup(name); !ok || int(id) != i {
+			t.Fatalf("Lookup(%q) after unmapping = %d, %v; want %d", name, id, ok, i)
 		}
 	}
 }

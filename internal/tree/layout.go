@@ -208,7 +208,9 @@ type Layout struct {
 // keeps data's backing memory alive (an mmapx.Mapping); structures built
 // from the layout retain it so slices never outlive their pages. Every
 // section's bounds and CRC are checked here, so corruption surfaces as a
-// wrapped error at open rather than a fault mid-query.
+// wrapped error at open rather than a fault mid-query — in table order,
+// naming the first bad section, on the caller's goroutine: callers that
+// open many files run the opens in parallel instead (DESIGN "Preload").
 func OpenLayout(data []byte, owner any) (*Layout, error) {
 	if len(data) >= 4 && string(data[:4]) == "XQO1" {
 		// Checked before the length and magic tests so a file in the
@@ -237,12 +239,6 @@ func OpenLayout(data []byte, owner any) (*Layout, error) {
 		return nil, fmt.Errorf("tree: xqo2: truncated section table (%d bytes, need %d)", len(data), tableLen)
 	}
 	l := &Layout{secs: make(map[uint32][]byte, count), owner: owner}
-	type pending struct {
-		kind uint32
-		crc  uint32
-		sec  []byte
-	}
-	todo := make([]pending, 0, count)
 	for i := 0; i < count; i++ {
 		e := data[xqo2HeaderLen+i*xqo2EntryLen:]
 		kind := binary.LittleEndian.Uint32(e[0:])
@@ -259,28 +255,18 @@ func OpenLayout(data []byte, owner any) (*Layout, error) {
 			return nil, fmt.Errorf("tree: xqo2: duplicate section %d", kind)
 		}
 		sec := data[off : off+length : off+length]
-		todo = append(todo, pending{kind, crc, sec})
-		l.secs[kind] = sec
-	}
-	// Verify section checksums in parallel: hashing is the serial floor
-	// of the zero-copy open, and the sections are independent read-only
-	// ranges, so the wall cost drops to roughly the largest section.
-	if err := inParallel(len(todo), func(i int) error {
-		p := todo[i]
-		if got := crc32.Checksum(p.sec, castagnoli); got != p.crc {
-			return fmt.Errorf("tree: xqo2: section %d checksum mismatch (%08x != %08x)", p.kind, got, p.crc)
+		if got := crc32.Checksum(sec, castagnoli); got != crc {
+			return nil, fmt.Errorf("tree: xqo2: section %d checksum mismatch (%08x != %08x)", kind, got, crc)
 		}
-		return nil
-	}); err != nil {
-		return nil, err
+		l.secs[kind] = sec
 	}
 	return l, nil
 }
 
 // inParallel runs fn(0..n-1) across goroutines and returns the error of
 // the lowest failing index (deterministic messages for corrupt files).
-// The open path's checksum and structural scans are each memory-bound
-// streaming passes over disjoint ranges, so they scale with cores.
+// VerifyStructure's passes are each memory-bound streaming scans of the
+// whole document, so they scale with cores.
 func inParallel(n int, fn func(i int) error) error {
 	// On a single-P runtime the goroutines would just serialize with
 	// scheduling overhead on top, so run inline; the error reported is
@@ -369,7 +355,8 @@ func AddDocumentSections(w *LayoutWriter, d *Document, _ *Succinct) {
 // DocumentFromLayout reassembles a Document from an opened container.
 // The big arrays alias the container's buffer; only the label table (a
 // handful of interned names) is materialized on the heap, so a patched
-// generation's cloned table never dangles into an unmapped file. The document retains the layout's owner, keeping the mapping
+// generation's cloned table never dangles into an unmapped file. The
+// document retains the layout's owner, keeping the mapping
 // alive as long as the document (or any generation sharing its arrays)
 // is reachable.
 func DocumentFromLayout(l *Layout) (*Document, error) {
@@ -443,21 +430,22 @@ func DocumentFromLayout(l *Layout) (*Document, error) {
 		return nil, err
 	}
 
-	// Label table: names are materialized as heap strings (the table is
-	// tiny and generation clones must not alias the mapping).
+	// Label table: the name bytes are copied to the heap once, and every
+	// name is a substring of that copy (the table is tiny and generation
+	// clones must not alias the mapping).
 	nameOff, err := layoutSlice[uint32](l, SecNameOff, numNames+1)
 	if err != nil {
 		return nil, err
 	}
-	nameBlob := l.Section(SecNameBlob)
+	nameBlob := string(l.Section(SecNameBlob))
 	lt := newLabelTable(numNames)
-	for i := 0; i < numNames; i++ {
+	lt.names = make([]string, numNames)
+	for i := range lt.names {
 		if nameOff[i] > nameOff[i+1] || int(nameOff[i+1]) > len(nameBlob) {
 			return nil, fmt.Errorf("tree: xqo2: label name %d offsets invalid", i)
 		}
-		name := string(nameBlob[nameOff[i]:nameOff[i+1]])
-		lt.names = append(lt.names, name)
-		lt.ids[name] = LabelID(i)
+		lt.names[i] = nameBlob[nameOff[i]:nameOff[i+1]]
+		lt.ids[lt.names[i]] = LabelID(i)
 	}
 	if lt.names[LabelDoc] != "#doc" || lt.names[LabelText] != "#text" {
 		return nil, fmt.Errorf("tree: xqo2: reserved labels missing (%q, %q)", lt.names[LabelDoc], lt.names[LabelText])
