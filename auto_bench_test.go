@@ -42,10 +42,7 @@ func BenchmarkAutoSelector(b *testing.B) {
 			}{{"static", false}, {"adaptive", true}} {
 				b.Run(name+"/"+mode.name, func(b *testing.B) {
 					eng := core.NewWithIndex(w.Doc, w.Index, qcache.New(qcache.DefaultCapacity), "")
-					eng.ConfigureAuto(core.AutoConfig{
-						Adaptive: mode.adaptive,
-						Epsilon:  core.DefaultAutoEpsilon,
-					})
+					eng.ConfigureAuto(core.AutoConfig{Adaptive: mode.adaptive})
 					for i := 0; i < autoWarmup; i++ {
 						cur, err := eng.EvalCursor(q.XPath, core.Auto)
 						if err != nil {

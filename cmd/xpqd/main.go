@@ -2,19 +2,17 @@
 // the multi-document query service (document store + compiled-query LRU
 // + batch evaluation + metrics).
 //
-//	xpqd [-addr localhost:8714] [-shards N] [-cache-size 256] [-cache-bytes N]
-//	     [-cache-bytes-total N] [-workers N] [-stream-chunk 512] [-allow-file-loads]
-//	     [-log-level info] [-slow-query-ms N] [-flight-records 256] [-pprof]
-//	     [-cursor-ttl 60s] [-resident-budget N] [-verify-resident]
-//	     [-load id=file.xml ...]
+//	xpqd [-addr localhost:8714] [-shards N] [-cache-size 256] [-workers N]
+//	     [-stream-chunk 512] [-allow-file-loads] [-log-level info]
+//	     [-slow-query-ms N] [-pprof] [-cursor-ttl 60s] [-resident-budget N]
+//	     [-verify-resident] [-load id=file.xml ...]
 //	     [-mmap id=file.xqo2 | -mmap corpusdir ...] [-xmark id=scale[:seed] ...]
 //
 // The document corpus is partitioned over -shards goroutine-affine
-// shards by a hash of the document id; each shard owns its
-// own compiled-query LRU (-cache-size / -cache-bytes are per shard),
-// and -cache-bytes-total adds one global byte budget across all of
-// them. GET /docs reports each document's owning shard; GET /stats
-// reports per-shard cache, lock-wait and latency metrics.
+// shards by a hash of the document id; each shard owns its own
+// compiled-query LRU of -cache-size entries, and no compiled query
+// exceeds 64 states. GET /docs reports each document's owning shard;
+// GET /stats reports per-shard cache, lock-wait and latency metrics.
 //
 // Endpoints:
 //
@@ -133,14 +131,11 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		addr        = fs.String("addr", "localhost:8714", "listen address")
 		shards      = fs.Int("shards", runtime.GOMAXPROCS(0), "document-store shard count (partitions by a hash of the document id)")
 		cacheSize   = fs.Int("cache-size", 256, "per-shard compiled-query LRU capacity (entries)")
-		cacheBytes  = fs.Int64("cache-bytes", 0, "per-shard compiled-query LRU byte budget (0 = entries bound only)")
-		cacheTotal  = fs.Int64("cache-bytes-total", 0, "global byte budget across all per-shard LRUs (0 = per-shard bounds only)")
 		workers     = fs.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 		streamChunk = fs.Int("stream-chunk", service.DefaultStreamChunk, "nodes per /query/stream NDJSON chunk")
 		allowFiles  = fs.Bool("allow-file-loads", false, "let POST /docs read server-side file paths")
 		logLevel    = fs.String("log-level", "info", "log verbosity: debug, info, warn, error (debug logs every query)")
 		slowQueryMS = fs.Int64("slow-query-ms", 100, "flag queries at or above this many milliseconds as slow (0 disables)")
-		flightRecs  = fs.Int("flight-records", 0, "flight recorder ring size for /debug/queries (0 = default)")
 		pprofFlag   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		cursorTTL   = fs.Duration("cursor-ttl", service.DefaultCursorTTL, "how long an unconsumed page/stream cursor keeps its MVCC generation alive")
 		residentMax = fs.Int64("resident-budget", 0, "total bytes of mmap'd documents kept hot; colder mappings are released to the OS (0 = unlimited)")
@@ -177,14 +172,11 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		return err
 	}
 	svc := service.New(st, service.Options{
-		CacheSize:       *cacheSize,
-		CacheBytes:      *cacheBytes,
-		CacheBytesTotal: *cacheTotal,
-		Workers:         *workers,
-		SlowQuery:       time.Duration(*slowQueryMS) * time.Millisecond,
-		FlightRecords:   *flightRecs,
-		Logger:          logger,
-		CursorTTL:       *cursorTTL,
+		CacheSize: *cacheSize,
+		Workers:   *workers,
+		SlowQuery: time.Duration(*slowQueryMS) * time.Millisecond,
+		Logger:    logger,
+		CursorTTL: *cursorTTL,
 	})
 
 	srv := &http.Server{

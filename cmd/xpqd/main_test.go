@@ -36,10 +36,9 @@ func TestFlagList(t *testing.T) {
 		got = append(got, m[1])
 	}
 	want := []string{
-		"addr", "allow-file-loads", "cache-bytes", "cache-bytes-total",
-		"cache-size", "cursor-ttl", "flight-records", "load", "log-level", "mmap",
-		"pprof", "resident-budget", "shards", "slow-query-ms", "stream-chunk",
-		"verify-resident", "workers", "xmark",
+		"addr", "allow-file-loads", "cache-size", "cursor-ttl", "load",
+		"log-level", "mmap", "pprof", "resident-budget", "shards",
+		"slow-query-ms", "stream-chunk", "verify-resident", "workers", "xmark",
 	}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("xpqd -h lists %d flags:\n  %v\nwant %d:\n  %v", len(got), got, len(want), want)

@@ -284,12 +284,12 @@ func TestCursorPagingMatchesOneShot(t *testing.T) {
 // property: whatever engine the observed-latency model routes to — and
 // it deliberately probes and explores every eligible candidate — the
 // answer must match the step-wise oracle node for node, on all fifteen
-// paper queries at every size. Epsilon is cranked high so exploration
-// (not just the initial probes) is exercised within the repeat budget,
-// and repeats guarantee every eligible candidate of every shape runs
-// at least once.
+// paper queries at every size. Each repeat decides twice (a query and a
+// cursor), so ten repeats reach the 20th decision of every shape, an
+// exploration tick (not just the initial probes), and guarantee every
+// eligible candidate of every shape runs at least once.
 func TestAdaptiveAutoDifferential(t *testing.T) {
-	const repeats = 9
+	const repeats = 10
 	sizes := diffSizes
 	if testing.Short() {
 		sizes = diffSizes[:1]
@@ -301,7 +301,6 @@ func TestAdaptiveAutoDifferential(t *testing.T) {
 			doc := xmark.Generate(xmark.Config{Scale: sz.scale, Seed: sz.seed})
 			oracleEng := core.New(doc)
 			eng := core.New(doc)
-			eng.ConfigureAuto(core.AutoConfig{Adaptive: true, Epsilon: 0.34}) // explore every ~3rd warm decision
 			for _, q := range xmark.Queries() {
 				want, err := oracleEng.QueryWith(q.XPath, core.Stepwise)
 				if err != nil {

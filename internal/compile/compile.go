@@ -60,6 +60,9 @@ func ToASTA(p *xpath.Path, names *tree.LabelTable) (*asta.ASTA, error) {
 	if err != nil {
 		return nil, err
 	}
+	if int(c.next) > asta.MaxStates {
+		return nil, unsupportedf("compile: query needs %d states, more than the %d of one automaton", c.next, asta.MaxStates)
+	}
 	c.trans = append(c.trans, asta.Transition{
 		From:  qI,
 		Guard: labels.Of(tree.LabelDoc),
@@ -89,12 +92,11 @@ type compiler struct {
 	trans []asta.Transition
 }
 
+// newState allocates the next state. ToASTA refuses the query once the
+// whole of it is compiled, if it needed more than asta.MaxStates.
 func (c *compiler) newState() asta.State {
 	q := c.next
 	c.next++
-	if int(c.next) > asta.MaxStates {
-		panic(fmt.Sprintf("compile: query needs more than %d states", asta.MaxStates))
-	}
 	return q
 }
 

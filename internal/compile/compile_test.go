@@ -1,9 +1,12 @@
 package compile_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/asta"
 	"repro/internal/compile"
 	"repro/internal/index"
 	"repro/internal/stepwise"
@@ -152,4 +155,34 @@ func TestMustHelpersPanic(t *testing.T) {
 		}
 	}()
 	compile.MustToTDSTA(xpath.MustParse("//a[b]"), lt)
+}
+
+// TestStateCapIsUnsupported: a query needing more than asta.MaxStates
+// states is refused with an error matching ErrUnsupported (so Auto can
+// answer it step-wise), not a panic. The largest query that fits still
+// compiles, and the TDSTA fragment stops one step short of the cap.
+func TestStateCapIsUnsupported(t *testing.T) {
+	lt := tree.NewLabelTable()
+	lt.Intern("a")
+	lt.Intern("b")
+	// One initial state and two per "//b[.//b]" step.
+	fits := "/a" + strings.Repeat("//b[.//b]", (asta.MaxStates-2)/2)
+	if aut, err := compile.Compile(fits, lt); err != nil || aut.NumStates != asta.MaxStates {
+		t.Fatalf("%d-state query: err = %v, want it to compile to exactly %d states", asta.MaxStates, err, asta.MaxStates)
+	}
+	for _, q := range []string{fits + "/b", "/a" + strings.Repeat("//b[.//b]", 40)} {
+		_, err := compile.Compile(q, lt)
+		if !errors.Is(err, compile.ErrUnsupported) {
+			t.Errorf("%d-byte query: err = %v, want ErrUnsupported", len(q), err)
+		}
+	}
+
+	short := xpath.MustParse("/a" + strings.Repeat("/b", asta.MaxStates-2))
+	if err := compile.CheckTDSTA(short); err != nil {
+		t.Errorf("%d steps: %v, want inside the TDSTA fragment", len(short.Steps), err)
+	}
+	long := xpath.MustParse("/a" + strings.Repeat("/b", asta.MaxStates-1))
+	if err := compile.CheckTDSTA(long); err == nil {
+		t.Errorf("%d steps: inside the TDSTA fragment, want refused", len(long.Steps))
+	}
 }

@@ -3,6 +3,7 @@ package compile
 import (
 	"fmt"
 
+	"repro/internal/asta"
 	"repro/internal/labels"
 	"repro/internal/sta"
 	"repro/internal/tree"
@@ -80,9 +81,15 @@ func ToTDSTA(p *xpath.Path, names *tree.LabelTable) (*sta.STA, error) {
 // CheckTDSTA reports why p is outside the fragment ToTDSTA compiles, or
 // nil when it is inside. The Auto selector asks it before any
 // compilation, so the candidate set and the compiler cannot disagree.
+// A path of n steps compiles to n+3 states, and the fragment stops
+// below asta.MaxStates steps, so a cached TDSTA is bounded like a
+// cached ASTA.
 func CheckTDSTA(p *xpath.Path) error {
 	if !p.Absolute || len(p.Steps) == 0 {
 		return fmt.Errorf("compile: TDSTA fragment requires an absolute non-empty path")
+	}
+	if len(p.Steps) >= asta.MaxStates {
+		return fmt.Errorf("compile: TDSTA fragment allows at most %d steps, got %d", asta.MaxStates-1, len(p.Steps))
 	}
 	seenDesc := false
 	for _, st := range p.Steps {

@@ -39,9 +39,13 @@ import (
 // why" is always reportable) beats both a static constant and an opaque
 // global regression.
 
-// DefaultAutoEpsilon is the default exploration floor: roughly one in
-// 1/epsilon warm decisions per shape re-measures a non-best candidate.
+// DefaultAutoEpsilon is the exploration floor: one in 1/epsilon warm
+// decisions per shape re-measures a non-best candidate.
 const DefaultAutoEpsilon = 0.05
+
+// explorePeriod is that floor as a deterministic cadence: every 20th
+// decision of a shape is an exploration tick.
+const explorePeriod = 1 / DefaultAutoEpsilon
 
 // exploreLatencyBound caps how much slower (by EWMA estimate) than the
 // incumbent best a candidate may be and still earn exploration ticks.
@@ -62,15 +66,11 @@ type AutoConfig struct {
 	// observations are tracked identically, but every decision is the
 	// paper's §5 static heuristic.
 	Adaptive bool
-	// Epsilon is the exploration floor in (0,1); <=0 disables
-	// exploration (pure exploitation after the initial probes).
-	Epsilon float64
 }
 
-// DefaultAutoConfig is what every engine starts with: adaptive, with
-// the standard exploration floor.
+// DefaultAutoConfig is what every engine starts with: adaptive.
 func DefaultAutoConfig() AutoConfig {
-	return AutoConfig{Adaptive: true, Epsilon: DefaultAutoEpsilon}
+	return AutoConfig{Adaptive: true}
 }
 
 // Candidate slots. A dense array indexed by slot keeps the per-shape
@@ -168,9 +168,6 @@ type autoDecision struct {
 // Selector is the Auto decision state of one document.
 type Selector struct {
 	cfg AutoConfig
-	// period is the exploration cadence derived from Epsilon
-	// (~round(1/epsilon) decisions per exploration); 0 disables it.
-	period uint64
 
 	// byQuery short-circuits raw query text to its shape state so the
 	// warm path never re-canonicalizes; byShape is the canonical table
@@ -187,15 +184,7 @@ type Selector struct {
 
 // NewSelector returns a cold selector.
 func NewSelector(cfg AutoConfig) *Selector {
-	sel := &Selector{cfg: cfg, byShape: make(map[string]*shapeStats)}
-	if cfg.Epsilon > 0 {
-		p := uint64(1/cfg.Epsilon + 0.5)
-		if p < 2 {
-			p = 2
-		}
-		sel.period = p
-	}
-	return sel
+	return &Selector{cfg: cfg, byShape: make(map[string]*shapeStats)}
 }
 
 // shapeFor resolves a query to its shape state, creating it on first
@@ -305,7 +294,7 @@ func (st *shapeStats) adaptivePick(sel *Selector, min, max int) autoDecision {
 		return autoDecision{strategy: slotStrategy[firstUnmeasured], slot: firstUnmeasured, reason: ReasonProbe}
 	}
 	best := st.argminLatency()
-	if sel.period > 0 && st.n%sel.period == 0 {
+	if st.n%explorePeriod == 0 {
 		// Exploration tick: re-measure the least-observed non-best
 		// candidate. Deterministic (a counter, not a RNG) so decisions
 		// replay exactly and stay explainable. Candidates already
@@ -420,13 +409,12 @@ type AutoShape struct {
 // SelectorStats is the Auto selector's observable state: the /stats
 // payload and the source of the xpqd_auto_* Prometheus families.
 type SelectorStats struct {
-	Adaptive      bool    `json:"adaptive"`
-	Epsilon       float64 `json:"epsilon"`
-	Shapes        int     `json:"shapes"`
-	Decisions     uint64  `json:"decisions"`
-	Explorations  uint64  `json:"explorations"`
-	ShortCircuits uint64  `json:"short_circuits"`
-	Observations  uint64  `json:"observations"`
+	Adaptive      bool   `json:"adaptive"`
+	Shapes        int    `json:"shapes"`
+	Decisions     uint64 `json:"decisions"`
+	Explorations  uint64 `json:"explorations"`
+	ShortCircuits uint64 `json:"short_circuits"`
+	Observations  uint64 `json:"observations"`
 	// ExplorationRate = Explorations/Decisions; EstimateErrorPct is the
 	// mean |observed-estimated|/observed latency error, in percent —
 	// how honest the model's numbers are.
@@ -450,7 +438,6 @@ const maxTopShapes = 16
 func (sel *Selector) Stats() SelectorStats {
 	s := SelectorStats{
 		Adaptive:       sel.cfg.Adaptive,
-		Epsilon:        sel.cfg.Epsilon,
 		Decisions:      sel.decisions.Load(),
 		Explorations:   sel.explorations.Load(),
 		ShortCircuits:  sel.shortCircuits.Load(),
@@ -504,7 +491,6 @@ func (sel *Selector) Stats() SelectorStats {
 // pattern). Call Finalize on dst once every shard is added.
 func (s SelectorStats) AddTo(dst *SelectorStats) {
 	dst.Adaptive = s.Adaptive
-	dst.Epsilon = s.Epsilon
 	dst.Shapes += s.Shapes
 	dst.Decisions += s.Decisions
 	dst.Explorations += s.Explorations

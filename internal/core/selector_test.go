@@ -65,7 +65,6 @@ func decideOn(t *testing.T, eng *Engine, st *shapeStats) autoDecision {
 // vocabulary on one engine.
 func TestAutoDecisionTable(t *testing.T) {
 	eng := New(selDoc(t))
-	eng.ConfigureAuto(AutoConfig{Adaptive: true, Epsilon: 0.05})
 	sel := eng.auto
 
 	// Cold chain key, rare label: the §5 heuristic decides — Hybrid.
@@ -126,11 +125,10 @@ func TestAutoDecisionTable(t *testing.T) {
 }
 
 // TestAutoExplorationCadence pins the deterministic epsilon-greedy
-// floor: with epsilon 0.5 every second warm decision re-measures a
-// non-best candidate, and the exploration counter tracks it.
+// floor: every explorePeriod-th warm decision re-measures a non-best
+// candidate, and the exploration counter tracks it.
 func TestAutoExplorationCadence(t *testing.T) {
 	eng := New(selDoc(t))
-	eng.ConfigureAuto(AutoConfig{Adaptive: true, Epsilon: 0.5})
 	sel := eng.auto
 	st := shapeOn(t, eng, "/r/a/b")
 	sel.observe(st, slotOptimized, 10_000, 5)
@@ -138,7 +136,7 @@ func TestAutoExplorationCadence(t *testing.T) {
 	sel.observe(st, slotTDSTA, 60_000, 10)
 
 	explored := 0
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 2*explorePeriod; i++ {
 		d := decideOn(t, eng, st)
 		switch d.reason {
 		case ReasonExplore:
@@ -156,11 +154,11 @@ func TestAutoExplorationCadence(t *testing.T) {
 		// Feed the decision back so estimates stay measured.
 		sel.observe(st, d.slot, 10_000, 5)
 	}
-	if explored != 5 {
-		t.Fatalf("explored %d of 10 decisions at epsilon 0.5, want 5", explored)
+	if explored != 2 {
+		t.Fatalf("explored %d of %d decisions, want 2", explored, int(2*explorePeriod))
 	}
-	if got := sel.explorations.Load(); got != 5 {
-		t.Fatalf("exploration counter = %d, want 5", got)
+	if got := sel.explorations.Load(); got != 2 {
+		t.Fatalf("exploration counter = %d, want 2", got)
 	}
 }
 
@@ -402,7 +400,6 @@ func TestTDSTAEligibleMirrorsCompiler(t *testing.T) {
 
 func TestExplorationSkipsHopelessCandidates(t *testing.T) {
 	eng := New(selDoc(t))
-	eng.ConfigureAuto(AutoConfig{Adaptive: true, Epsilon: 0.5})
 	sel := eng.auto
 	st := shapeOn(t, eng, "/r/a/b")
 	// Hybrid measured 200x worse than the incumbent: far past the 8x
@@ -410,7 +407,7 @@ func TestExplorationSkipsHopelessCandidates(t *testing.T) {
 	sel.observe(st, slotOptimized, 10_000, 5)
 	sel.observe(st, slotHybrid, 2_000_000, 10)
 	sel.observe(st, slotTDSTA, 50_000, 10)
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 2*explorePeriod; i++ {
 		d := decideOn(t, eng, st)
 		if d.strategy == Hybrid {
 			t.Fatalf("decision %d explored a candidate measured %dx past the bound", i, 200)
@@ -431,7 +428,7 @@ func TestExplorationSkipsHopelessCandidates(t *testing.T) {
 	st2 := shapeOn(t, eng, "//a/b")
 	sel.observe(st2, slotOptimized, 10_000, 5)
 	sel.observe(st2, slotHybrid, 2_000_000, 10)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 2*explorePeriod; i++ {
 		d := decideOn(t, eng, st2)
 		if d.reason == ReasonExplore {
 			t.Fatalf("decision %d explored with every alternative out of bound", i)

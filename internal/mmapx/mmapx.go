@@ -18,17 +18,12 @@
 // Mapped reports false so callers can account the bytes as heap.
 package mmapx
 
-import "sync/atomic"
-
 // Mapping is a read-only view of a file's contents.
 type Mapping struct {
 	data []byte
 	// mapped is true when data aliases file pages, false when the
 	// fallback loaded it into the heap.
 	mapped bool
-	// released counts Release calls; the store surfaces it as the
-	// map-fault proxy metric (each release means the next touch faults).
-	released atomic.Int64
 }
 
 // Data returns the mapped bytes. The slice aliases the mapping; callers
@@ -42,6 +37,3 @@ func (m *Mapping) Len() int { return len(m.data) }
 // Mapped reports whether the bytes alias file pages (true) or were read
 // into the heap by the fallback path (false).
 func (m *Mapping) Mapped() bool { return m.mapped }
-
-// Releases reports how many times Release dropped the mapping's pages.
-func (m *Mapping) Releases() int64 { return m.released.Load() }

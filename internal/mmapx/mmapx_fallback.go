@@ -17,10 +17,7 @@ func Open(path string) (*Mapping, error) {
 
 // Release is a no-op for heap-backed fallbacks: the garbage collector,
 // not the OS, owns these bytes.
-func (m *Mapping) Release() error {
-	m.released.Add(1)
-	return nil
-}
+func (m *Mapping) Release() error { return nil }
 
 // Close drops the heap-backed bytes; the garbage collector reclaims them.
 func (m *Mapping) Close() {

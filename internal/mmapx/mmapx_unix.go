@@ -65,7 +65,6 @@ func (m *Mapping) Release() error {
 	if len(m.data) == 0 {
 		return nil
 	}
-	m.released.Add(1)
 	if err := syscall.Madvise(m.data, syscall.MADV_DONTNEED); err != nil {
 		return fmt.Errorf("mmapx: madvise: %w", err)
 	}

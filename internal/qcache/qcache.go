@@ -19,79 +19,13 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
-// Budget is a byte budget shared by several caches — the global
-// admission bound over the sharded service's per-shard compiled-query
-// LRUs. Each participating cache reports its resident-byte deltas to
-// the budget; when the global total exceeds the maximum, the cache
-// performing an insertion evicts from its own LRU tail until the total
-// fits again (never the entry just inserted; an entry larger than the
-// whole budget is not cached at all, since no amount of eviction could
-// ever fit it). Enforcement is local to
-// the inserting shard by design: no cross-shard lock is ever taken, so
-// a hot shard pays its own admission pressure while idle shards keep
-// their working sets warm. The atomic total makes over-budget checks
-// racy by a single in-flight entry at worst, which is acceptable slack
-// for a cache bound.
-type Budget struct {
-	max  int64
-	used atomic.Int64
-}
-
-// NewBudget returns a budget of maxBytes shared bytes, or nil (meaning
-// "no global bound", which every method tolerates) when maxBytes <= 0.
-func NewBudget(maxBytes int64) *Budget {
-	if maxBytes <= 0 {
-		return nil
-	}
-	return &Budget{max: maxBytes}
-}
-
-func (b *Budget) add(n int64) {
-	if b != nil {
-		b.used.Add(n)
-	}
-}
-
-// Over reports whether the summed resident bytes exceed the budget.
-func (b *Budget) Over() bool { return b != nil && b.used.Load() > b.max }
-
-// Used returns the summed resident bytes across participating caches.
-func (b *Budget) Used() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.used.Load()
-}
-
-// Max returns the budget bound (0 for a nil budget).
-func (b *Budget) Max() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.max
-}
-
-// BudgetStats is a point-in-time snapshot of a shared budget.
-type BudgetStats struct {
-	UsedBytes int64 `json:"used_bytes"`
-	MaxBytes  int64 `json:"max_bytes"`
-}
-
-// Stats snapshots the budget.
-func (b *Budget) Stats() BudgetStats {
-	return BudgetStats{UsedBytes: b.Used(), MaxBytes: b.Max()}
-}
-
 // Cache is a concurrency-safe LRU keyed by string. The zero value is not
-// usable; call New or NewSized.
+// usable; call New.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
-	maxBytes int64   // 0 = no byte bound
-	budget   *Budget // nil = no shared global bound
 	curBytes int64
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
@@ -108,9 +42,8 @@ type entry struct {
 	size int64
 }
 
-// Sizer lets cached values report their heap footprint, so the LRU can
-// bound bytes instead of entry count: one huge `//a[...]//b[...]` ASTA
-// weighs what it costs, not the same as a three-state chain automaton.
+// Sizer lets cached values report their heap footprint, which Stats sums
+// as SizeBytes (the service reports it as the cache's resident bytes).
 // Values without it are charged DefaultEntryBytes.
 type Sizer interface {
 	SizeBytes() int64
@@ -123,7 +56,7 @@ const DefaultEntryBytes = 2048
 // Evictee is implemented by values that keep state outside the cache's
 // accounting (core parks an automaton's warm contexts on its entry).
 // Evicted is called once when the value leaves the cache — evicted,
-// removed, replaced, or refused admission — under the cache's lock: it
+// removed or replaced — under the cache's lock: it
 // must be brief and must not call back into the cache.
 type Evictee interface {
 	Evicted()
@@ -149,36 +82,16 @@ type call struct {
 const DefaultCapacity = 256
 
 // New returns a cache holding at most capacity entries; capacity <= 0
-// falls back to DefaultCapacity.
+// falls back to DefaultCapacity. The entry count is the only bound, and
+// it bounds bytes too: every automaton has at most asta.MaxStates states
+// (compile refuses longer queries), so no entry outweighs the largest
+// query compiled over its label table (DESIGN.md has the sizes).
 func New(capacity int) *Cache {
-	return NewSized(capacity, 0)
-}
-
-// NewSized returns a cache bounded by both an entry count and a byte
-// budget (0 = entries only). Entry weights come from the values' Sizer
-// implementation; eviction runs from the LRU tail until both bounds
-// hold, but never evicts the entry just inserted (an oversize automaton
-// is admitted alone rather than thrashing).
-func NewSized(capacity int, maxBytes int64) *Cache {
-	return NewShared(capacity, maxBytes, nil)
-}
-
-// NewShared returns a cache bounded like NewSized that additionally
-// participates in a shared byte Budget (nil budget = NewSized): its
-// resident bytes count toward the global total, and an insertion that
-// finds the global total over budget evicts from this cache's own LRU
-// tail until the total fits (or only the new entry remains).
-func NewShared(capacity int, maxBytes int64, budget *Budget) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	if maxBytes < 0 {
-		maxBytes = 0
-	}
 	return &Cache{
 		capacity: capacity,
-		maxBytes: maxBytes,
-		budget:   budget,
 		ll:       list.New(),
 		items:    make(map[string]*list.Element),
 		inflight: make(map[string]*call),
@@ -256,28 +169,16 @@ func (c *Cache) Put(key string, val any) {
 	c.add(key, val)
 }
 
-// add inserts under c.mu, evicting from the LRU tail while either bound
-// (entry count, byte budget) is exceeded.
+// add inserts under c.mu, evicting from the LRU tail while the entry
+// bound is exceeded.
 func (c *Cache) add(key string, val any) {
-	size := entrySize(val)
 	if el, ok := c.items[key]; ok {
 		c.drop(el)
 	}
-	// An entry larger than the entire shared budget must not be cached:
-	// admitting it would leave the budget permanently over, and every
-	// other participating cache would evict its whole working set on
-	// each insertion trying to fit a total that can never fit. The
-	// caller still gets the compiled value — it just isn't resident.
-	if c.budget != nil && size > c.budget.max {
-		evicted(val)
-		return
-	}
+	size := entrySize(val)
 	c.items[key] = c.ll.PushFront(&entry{key: key, val: val, size: size})
 	c.curBytes += size
-	c.budget.add(size)
-	for c.ll.Len() > c.capacity ||
-		(c.ll.Len() > 1 &&
-			((c.maxBytes > 0 && c.curBytes > c.maxBytes) || c.budget.Over())) {
+	for c.ll.Len() > c.capacity {
 		c.drop(c.ll.Back())
 		c.evictions++
 	}
@@ -290,7 +191,6 @@ func (c *Cache) drop(el *list.Element) {
 	c.ll.Remove(el)
 	delete(c.items, e.key)
 	c.curBytes -= e.size
-	c.budget.add(-e.size)
 	evicted(e.val)
 }
 
@@ -322,10 +222,8 @@ func (c *Cache) Len() int {
 type Stats struct {
 	Size     int `json:"size"`
 	Capacity int `json:"capacity"`
-	// SizeBytes is the summed weight of resident entries; MaxBytes is
-	// the byte budget (0 = unbounded, entry count only).
+	// SizeBytes is the summed weight of resident entries.
 	SizeBytes int64  `json:"size_bytes"`
-	MaxBytes  int64  `json:"max_bytes,omitempty"`
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
@@ -345,7 +243,6 @@ func (s Stats) AddTo(dst *Stats) {
 	dst.Size += s.Size
 	dst.Capacity += s.Capacity
 	dst.SizeBytes += s.SizeBytes
-	dst.MaxBytes += s.MaxBytes
 	dst.Hits += s.Hits
 	dst.Misses += s.Misses
 	dst.Evictions += s.Evictions
@@ -359,7 +256,6 @@ func (c *Cache) Stats() Stats {
 		Size:      c.ll.Len(),
 		Capacity:  c.capacity,
 		SizeBytes: c.curBytes,
-		MaxBytes:  c.maxBytes,
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,

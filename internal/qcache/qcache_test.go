@@ -169,21 +169,17 @@ func (p *parked) Evicted()         { p.evicted++ }
 
 // TestEvicteeToldOnEveryDeparture: a value that implements Evictee
 // hears exactly once that it left the cache, whichever way it left —
-// pushed off the LRU tail, removed, replaced under its key, or refused
-// admission as larger than the whole shared budget — and never while
-// it is still resident.
+// pushed off the LRU tail, removed, or replaced under its key — and
+// never while it is still resident.
 func TestEvicteeToldOnEveryDeparture(t *testing.T) {
-	c := NewShared(2, 0, NewBudget(1000))
-	tail, removed, replaced, kept, huge := &parked{size: 10}, &parked{size: 10}, &parked{size: 10}, &parked{size: 10}, &parked{size: 5000}
+	c := New(2)
+	tail, removed, replaced, kept := &parked{size: 10}, &parked{size: 10}, &parked{size: 10}, &parked{size: 10}
 	c.Put("tail", tail)
 	c.Put("removed", removed)
 	c.Put("replaced", replaced) // capacity 2: "tail" falls off
 	c.Remove("removed")
 	c.Put("replaced", kept)
-	if _, _, err := c.GetOrCompile("huge", func() (any, error) { return huge, nil }); err != nil {
-		t.Fatal(err)
-	}
-	for name, p := range map[string]*parked{"tail": tail, "removed": removed, "replaced": replaced, "huge": huge} {
+	for name, p := range map[string]*parked{"tail": tail, "removed": removed, "replaced": replaced} {
 		if p.evicted != 1 {
 			t.Errorf("%s: Evicted called %d times, want 1", name, p.evicted)
 		}
@@ -201,92 +197,64 @@ type sized int64
 
 func (s sized) SizeBytes() int64 { return int64(s) }
 
-// TestByteBudgetEviction: with a byte budget, eviction is by summed
-// entry weight in LRU order, not by entry count.
-func TestByteBudgetEviction(t *testing.T) {
-	c := NewSized(100, 100)
-	c.Put("small-a", sized(20))
-	c.Put("small-b", sized(20))
-	c.Put("big", sized(50)) // 90 bytes resident, all fit
-	if got := c.Stats().SizeBytes; got != 90 {
-		t.Fatalf("SizeBytes = %d, want 90", got)
-	}
-	// 40 more bytes exceed the budget: the two LRU-oldest entries
-	// (small-a, small-b) must go; evicting only one would not suffice.
-	c.Put("mid", sized(40))
-	if _, ok := c.Get("small-a"); ok {
-		t.Error("small-a should have been evicted (LRU under byte pressure)")
-	}
-	if _, ok := c.Get("small-b"); ok {
-		t.Error("small-b should have been evicted (one eviction was not enough)")
-	}
-	if _, ok := c.Get("big"); !ok {
-		t.Error("big must survive: budget holds after evicting the two older entries")
-	}
-	if got := c.Stats().SizeBytes; got != 90 {
-		t.Fatalf("SizeBytes after eviction = %d, want 90", got)
-	}
-}
-
-// TestByteBudgetLRUOrderWithTouch: a Get refreshes recency, changing
-// which mixed-size entries fall to byte pressure.
-func TestByteBudgetLRUOrderWithTouch(t *testing.T) {
-	c := NewSized(100, 100)
-	c.Put("a", sized(40))
-	c.Put("b", sized(40))
-	c.Get("a") // a is now more recent than b
-	c.Put("cc", sized(40))
-	if _, ok := c.Get("b"); ok {
-		t.Error("b was LRU and should have been evicted")
-	}
-	for _, k := range []string{"a", "cc"} {
-		if _, ok := c.Get(k); !ok {
-			t.Errorf("%s should have survived", k)
+// TestNilBudgetIsUnbounded: the cache has no byte budget, so weight
+// never evicts: heavy entries are all admitted up to the capacity, and
+// past it the entry bound alone pushes out the LRU tail.
+func TestNilBudgetIsUnbounded(t *testing.T) {
+	c := New(4)
+	for i := 0; i < 10; i++ {
+		c.Put(fmt.Sprintf("k%d", i), sized(1<<20))
+		if want := min(i+1, 4); c.Len() != want {
+			t.Fatalf("after %d puts: Len = %d, want %d", i+1, c.Len(), want)
 		}
 	}
+	if st := c.Stats(); st.Evictions != 6 || st.SizeBytes != 4<<20 {
+		t.Errorf("stats = %+v, want 6 evictions and 4 MiB resident", st)
+	}
 }
 
-// TestOversizeEntryAdmitted: one entry larger than the whole budget is
-// admitted alone instead of thrashing the cache empty.
+// TestOversizeEntryAdmitted: an entry of any weight is admitted, and
+// the entry bound evicts the LRU tail whatever it weighs.
 func TestOversizeEntryAdmitted(t *testing.T) {
-	c := NewSized(100, 100)
+	c := New(2)
 	c.Put("a", sized(30))
-	c.Put("huge", sized(500))
+	c.Put("b", sized(30))
+	c.Put("huge", sized(1<<30))
 	if _, ok := c.Get("huge"); !ok {
-		t.Error("oversize entry must be admitted (alone)")
+		t.Error("oversize entry must be admitted")
 	}
 	if _, ok := c.Get("a"); ok {
-		t.Error("a should have been evicted to make room")
+		t.Error("a was LRU and should have been evicted by the entry bound")
 	}
-	if got := c.Len(); got != 1 {
-		t.Errorf("Len = %d, want 1", got)
+	if st := c.Stats(); st.Size != 2 || st.SizeBytes != 30+1<<30 {
+		t.Errorf("stats = %+v, want 2 entries and %d bytes", st, 30+1<<30)
 	}
 }
 
 // TestByteAccountingOnReplaceAndRemove: replacement adjusts the resident
-// weight; Remove gives bytes back.
+// weight by the delta; Remove gives the entry's bytes back.
 func TestByteAccountingOnReplaceAndRemove(t *testing.T) {
-	c := NewSized(100, 1000)
+	c := New(100)
 	c.Put("k", sized(100))
 	c.Put("k", sized(40)) // replace shrinks
-	if got := c.Stats().SizeBytes; got != 40 {
-		t.Fatalf("after replace SizeBytes = %d, want 40", got)
+	c.Put("other", sized(50))
+	if got := c.Stats().SizeBytes; got != 90 {
+		t.Fatalf("after replace SizeBytes = %d, want 90", got)
 	}
 	c.Remove("k")
-	if got := c.Stats().SizeBytes; got != 0 {
-		t.Fatalf("after Remove SizeBytes = %d, want 0", got)
+	if got := c.Stats().SizeBytes; got != 50 {
+		t.Fatalf("after Remove SizeBytes = %d, want 50", got)
 	}
 }
 
 // TestDefaultWeightForOpaqueValues: values without Sizer cost
-// DefaultEntryBytes, keeping the byte bound meaningful for mixed
-// caches.
+// DefaultEntryBytes in the resident-byte count.
 func TestDefaultWeightForOpaqueValues(t *testing.T) {
-	c := NewSized(100, 10*DefaultEntryBytes)
+	c := New(100)
 	for i := 0; i < 12; i++ {
 		c.Put(fmt.Sprintf("k%d", i), i)
 	}
-	if got := c.Len(); got != 10 {
-		t.Errorf("Len = %d, want 10 (byte budget of 10 default weights)", got)
+	if st := c.Stats(); st.Size != 12 || st.SizeBytes != 12*DefaultEntryBytes {
+		t.Errorf("size = %d, bytes = %d, want 12 and %d", st.Size, st.SizeBytes, 12*DefaultEntryBytes)
 	}
 }

@@ -35,7 +35,8 @@ import (
 // body) to pin the query to one MVCC generation of the document. Every query request is tagged with a
 // request id — X-Request-Id when the client sent one, generated
 // otherwise — echoed in the response headers, the explain profile, the
-// flight records and the logs.
+// flight records and the logs. The bodies of /query, /query/stream and
+// /batch are capped at maxQueryBody; a longer one is answered 413.
 
 // BatchRequest is the body of POST /batch.
 type BatchRequest struct {
@@ -75,12 +76,6 @@ type HandlerOptions struct {
 	// StreamChunk is the nodes-per-chunk size of /query/stream
 	// responses; <= 0 means DefaultStreamChunk.
 	StreamChunk int
-	// StreamWriteTimeout bounds each chunk write of /query/stream, so
-	// a reader that stops consuming cannot pin the handler goroutine
-	// (and the pinned evaluation state) forever; <= 0 means
-	// DefaultStreamWriteTimeout. This is deliberately per-write, not
-	// per-stream: arbitrarily long streams to live readers are fine.
-	StreamWriteTimeout time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: profiling endpoints leak internals and cost CPU, so an
 	// exposed daemon opts in explicitly (-pprof).
@@ -132,8 +127,10 @@ func asOf(w http.ResponseWriter, r *http.Request, req *Request) bool {
 	return true
 }
 
-// DefaultStreamWriteTimeout is the per-chunk write deadline of
-// /query/stream when HandlerOptions does not choose one.
+// DefaultStreamWriteTimeout bounds each chunk write of /query/stream, so
+// a reader that stops consuming cannot pin the handler goroutine (and
+// the pinned evaluation state) forever. It is deliberately per write,
+// not per stream: arbitrarily long streams to live readers are fine.
 const DefaultStreamWriteTimeout = 30 * time.Second
 
 // deadlineWriter arms a fresh write deadline before every write; a
@@ -142,11 +139,10 @@ const DefaultStreamWriteTimeout = 30 * time.Second
 type deadlineWriter struct {
 	w  http.ResponseWriter
 	rc *http.ResponseController
-	d  time.Duration
 }
 
 func (dw *deadlineWriter) Write(p []byte) (int, error) {
-	_ = dw.rc.SetWriteDeadline(time.Now().Add(dw.d))
+	_ = dw.rc.SetWriteDeadline(time.Now().Add(DefaultStreamWriteTimeout))
 	return dw.w.Write(p)
 }
 
@@ -158,7 +154,7 @@ func NewHandler(s *Service, opts HandlerOptions) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
 		var req Request
-		if !decodeJSON(w, r, &req) {
+		if !decodeQuery(w, r, &req) {
 			return
 		}
 		req.RequestID = ensureRequestID(w, r)
@@ -171,7 +167,7 @@ func NewHandler(s *Service, opts HandlerOptions) http.Handler {
 	})
 	mux.HandleFunc("POST /query/stream", func(w http.ResponseWriter, r *http.Request) {
 		var req Request
-		if !decodeJSON(w, r, &req) {
+		if !decodeQuery(w, r, &req) {
 			return
 		}
 		req.RequestID = ensureRequestID(w, r)
@@ -182,11 +178,7 @@ func NewHandler(s *Service, opts HandlerOptions) http.Handler {
 		// The content type goes out with the first flush; from then on
 		// the response is committed and a failure truncates the stream.
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		timeout := opts.StreamWriteTimeout
-		if timeout <= 0 {
-			timeout = DefaultStreamWriteTimeout
-		}
-		dw := &deadlineWriter{w: w, rc: http.NewResponseController(w), d: timeout}
+		dw := &deadlineWriter{w: w, rc: http.NewResponseController(w)}
 		pre := s.Stream(dw, req, opts.StreamChunk)
 		// Clear the armed deadline so it cannot leak into the next
 		// request on a kept-alive connection.
@@ -198,7 +190,7 @@ func NewHandler(s *Service, opts HandlerOptions) http.Handler {
 	})
 	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
 		var req BatchRequest
-		if !decodeJSON(w, r, &req) {
+		if !decodeQuery(w, r, &req) {
 			return
 		}
 		// Sub-requests share the batch's request id, suffixed with
@@ -326,11 +318,29 @@ func statusFor(resp Response) int {
 	}
 }
 
+// maxQueryBody caps the bodies of /query, /query/stream and /batch. A
+// query is a few hundred bytes; a megabyte holds a batch of thousands.
+// POST /docs and PATCH carry XML and are not capped here.
+const maxQueryBody = 1 << 20
+
+// decodeQuery is decodeJSON over a body capped at maxQueryBody.
+func decodeQuery(w http.ResponseWriter, r *http.Request, dst any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBody)
+	return decodeJSON(w, r, dst)
+}
+
+// decodeJSON decodes the request body into dst, answering 400 for a
+// malformed body and 413 for one past its cap.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorBody{Error: "bad request body: " + err.Error()})
 		return false
 	}
 	return true

@@ -135,8 +135,6 @@ var noTwin = map[string]string{
 	"Shards.Queries.Streaming.Streams": "completed + aborted, both exported",
 	"Shards.Queries.Streaming.Aborted": "sum of xpqd_streams_aborted_total over the cause label",
 	"Shards.Queries.Latency.LEMicros":  "the bin's bound: the le label renders the same latencyBuckets",
-	"Shards.Cache.MaxBytes":            "configuration (-cache-bytes), not a measurement",
-	"Shards.Auto.Epsilon":              "a constant (core.DefaultAutoEpsilon), not a measurement",
 	"Shards.Auto.TopShapes":            "per-shape detail: a shape label would be unbounded",
 	"Documents":                        "per-document detail: xpqd_documents, xpqd_shard_documents and xpqd_doc_bytes carry the totals",
 	"Cache":                            "sum of Shards.Cache: PromQL sums the shard label",
@@ -154,7 +152,7 @@ var noTwin = map[string]string{
 // cannot silently lack its family, and the exemption list cannot go
 // stale.
 func TestStatsFieldsHavePrometheusTwin(t *testing.T) {
-	s := newTestService(t, Options{CacheBytesTotal: 1 << 20})
+	s := newTestService(t, Options{})
 	promTraffic(t, s)
 	st := s.Stats()
 	render := func() string {
@@ -252,7 +250,7 @@ func TestStatsFieldsHavePrometheusTwin(t *testing.T) {
 // there and to be at least what it was. The pool and selector counters
 // live in engines that are dropped at every one of those steps.
 func TestCountersNeverDecrease(t *testing.T) {
-	s := newTestService(t, Options{CacheBytesTotal: 1 << 20})
+	s := newTestService(t, Options{})
 	prev := map[string]float64{}
 	scrape := func(step string) {
 		t.Helper()

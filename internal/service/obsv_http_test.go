@@ -167,8 +167,6 @@ func (f *failAfter) Write(p []byte) (int, error) {
 // retyping a family breaks dashboards, so it must break this test
 // first.
 var promFamilies = map[string]string{
-	"xpqd_qcache_budget_used_bytes":         "gauge",
-	"xpqd_qcache_budget_max_bytes":          "gauge",
 	"xpqd_queries_total":                    "counter",
 	"xpqd_query_errors_total":               "counter",
 	"xpqd_visited_nodes_total":              "counter",
@@ -253,9 +251,7 @@ func promTraffic(t *testing.T, s *Service) {
 }
 
 func TestPrometheusExposition(t *testing.T) {
-	// The byte budget is set so the conditional xpqd_qcache_budget_*
-	// families appear — the golden list covers them.
-	s := newTestService(t, Options{CacheBytesTotal: 1 << 20})
+	s := newTestService(t, Options{})
 	promTraffic(t, s)
 
 	var sb strings.Builder
@@ -368,7 +364,7 @@ func TestPrometheusExposition(t *testing.T) {
 }
 
 func TestFlightRecorderService(t *testing.T) {
-	s := newTestService(t, Options{FlightRecords: 8})
+	s := newTestService(t, Options{})
 	s.Eval(Request{Doc: "d1", Query: "//a/b", RequestID: "ok-1"})
 	s.Eval(Request{Doc: "nope", Query: "//a"})
 	s.Eval(Request{Doc: "d1", Query: "///"})
@@ -435,8 +431,7 @@ func TestDebugQueriesHTTP(t *testing.T) {
 // the scrape-during-churn scenario. Run with -race.
 func TestObsvChurnRace(t *testing.T) {
 	s := New(shard.NewStore(4), Options{
-		SlowQuery:     time.Millisecond,
-		FlightRecords: 32,
+		SlowQuery: time.Millisecond,
 		// Churn makes queries legitimately slow; keep the Warn spam out
 		// of the test log.
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),

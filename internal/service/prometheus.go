@@ -121,20 +121,7 @@ var families = []family{
 	{name: "xpqd_lock_wait_max_seconds", typ: gauge, help: "Worst single wait for the shard engine-table lock.", shard: func(ss *ShardStats) float64 { return float64(ss.LockWaitMaxNS) / 1e9 }},
 	{name: "xpqd_lock_acquires_total", typ: counter, help: "Shard engine-table lock acquisitions.", shard: func(ss *ShardStats) float64 { return float64(ss.LockAcquires) }},
 
-	// Service-wide (no shard label). The budget pair exists only when a
-	// shared compile budget is configured.
-	{name: "xpqd_qcache_budget_used_bytes", typ: gauge, help: "Bytes charged against the shared compile budget.", global: func(_ *Service, st *Stats) (float64, bool) {
-		if st.CacheBudget == nil {
-			return 0, false
-		}
-		return float64(st.CacheBudget.UsedBytes), true
-	}},
-	{name: "xpqd_qcache_budget_max_bytes", typ: gauge, help: "Shared compile budget ceiling.", global: func(_ *Service, st *Stats) (float64, bool) {
-		if st.CacheBudget == nil {
-			return 0, false
-		}
-		return float64(st.CacheBudget.MaxBytes), true
-	}},
+	// Service-wide (no shard label).
 	{name: "xpqd_documents", typ: gauge, help: "Documents resident across all shards.", global: func(_ *Service, st *Stats) (float64, bool) { return float64(len(st.Documents)), true }},
 	{name: "xpqd_shards", typ: gauge, help: "Serving partitions.", global: func(_ *Service, st *Stats) (float64, bool) { return float64(len(st.Shards)), true }},
 	{name: "xpqd_heap_alloc_objects_total", typ: counter, help: "Heap objects allocated process-wide since the service started.", global: func(_ *Service, st *Stats) (float64, bool) { return float64(st.HeapAllocObjects), true }},

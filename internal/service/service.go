@@ -2,9 +2,8 @@
 // engine, sharded end to end: the document corpus is partitioned over N
 // goroutine-affine shards by a hash of the document id (shard.Router),
 // and each shard owns its slice of everything the hot path touches — a
-// store partition, a byte-weighted compiled-query LRU
-// (optionally governed by one global byte budget), a context pool, a
-// table of per-document Auto selectors, and its own metrics. A query
+// store partition, a compiled-query LRU, a context pool, a table of
+// per-document Auto selectors, and its own metrics. A query
 // therefore contends only with queries for documents on the same shard;
 // there is no cross-shard lock anywhere on the request path. It is the
 // amortization layer the paper's whole-query optimization assumes —
@@ -39,30 +38,15 @@ var ErrNoDocument = errors.New("no such document")
 
 // Options configures a Service.
 type Options struct {
-	// Shards is the partition count used when New is given a nil store;
-	// <= 0 means 1. When a store is supplied its shard count wins.
-	Shards int
 	// CacheSize bounds each per-shard compiled-query LRU (entries);
 	// <= 0 means qcache.DefaultCapacity per shard.
 	CacheSize int
-	// CacheBytes adds a per-shard byte budget to each LRU, weighing each
-	// entry by its automaton's SizeBytes estimate; 0 keeps the entry
-	// bound only.
-	CacheBytes int64
-	// CacheBytesTotal adds one global byte budget across every shard's
-	// LRU: a shard admitting an entry while the summed resident bytes
-	// exceed the budget evicts from its own tail until the total fits.
-	// 0 keeps the per-shard bounds only.
-	CacheBytesTotal int64
 	// Workers sizes the batch worker pool; <= 0 means GOMAXPROCS.
 	Workers int
 	// SlowQuery is the flight recorder's slow-query threshold: queries
 	// at or above it are flagged in /debug/queries and logged at Warn.
 	// 0 disables slow flagging.
 	SlowQuery time.Duration
-	// FlightRecords sizes the flight recorder ring (last-N queries at
-	// /debug/queries); <= 0 means obsv.DefaultFlightRecords.
-	FlightRecords int
 	// Logger receives structured query logs (slow queries at Warn,
 	// per-query records at Debug); nil means slog.Default().
 	Logger *slog.Logger
@@ -83,7 +67,6 @@ const DefaultCursorTTL = 60 * time.Second
 type Service struct {
 	store     *shard.Store
 	shards    []*svcShard
-	budget    *qcache.Budget
 	workers   int
 	flight    *obsv.Flight
 	logger    *slog.Logger
@@ -146,12 +129,8 @@ type docEngine struct {
 	auto  *core.Selector
 }
 
-// New builds a service around a (possibly pre-populated) sharded store;
-// nil means a fresh store with opts.Shards partitions.
+// New builds a service around a (possibly pre-populated) sharded store.
 func New(ss *shard.Store, opts Options) *Service {
-	if ss == nil {
-		ss = shard.NewStore(opts.Shards)
-	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -166,24 +145,22 @@ func New(ss *shard.Store, opts Options) *Service {
 	}
 	s := &Service{
 		store:     ss,
-		budget:    qcache.NewBudget(opts.CacheBytesTotal),
 		workers:   workers,
-		flight:    obsv.NewFlight(opts.FlightRecords, opts.SlowQuery),
+		flight:    obsv.NewFlight(obsv.DefaultFlightRecords, opts.SlowQuery),
 		logger:    logger,
 		started:   time.Now(),
 		cursorTTL: ttl,
 		allocs0:   heapAllocObjects(),
 	}
-	autoCfg := core.DefaultAutoConfig()
 	for i := 0; i < ss.NumShards(); i++ {
 		s.shards = append(s.shards, &svcShard{
 			index:   i,
 			part:    ss.Part(i),
-			cache:   qcache.NewShared(opts.CacheSize, opts.CacheBytes, s.budget),
+			cache:   qcache.New(opts.CacheSize),
 			pool:    new(core.Pool),
 			engines: make(map[string]docEngine),
 
-			retiredAuto: core.SelectorStats{Adaptive: autoCfg.Adaptive, Epsilon: autoCfg.Epsilon},
+			retiredAuto: core.SelectorStats{Adaptive: core.DefaultAutoConfig().Adaptive},
 		})
 	}
 	return s
@@ -767,9 +744,7 @@ type Stats struct {
 	// counters summed).
 	Cache        qcache.Stats `json:"cache"`
 	CacheHitRate float64      `json:"cache_hit_rate"`
-	// CacheBudget reports the shared byte budget when one is configured.
-	CacheBudget *qcache.BudgetStats `json:"cache_budget,omitempty"`
-	Queries     QueryStats          `json:"queries"`
+	Queries      QueryStats   `json:"queries"`
 	// Pool aggregates the evaluation-context pools across all shards.
 	Pool        core.PoolStats `json:"ctx_pool"`
 	PoolHitRate float64        `json:"ctx_pool_hit_rate"`
@@ -851,10 +826,6 @@ func (s *Service) Stats() Stats {
 		return out.Documents[i].ID < out.Documents[j].ID
 	})
 	out.CacheHitRate = out.Cache.HitRate()
-	if s.budget != nil {
-		bs := s.budget.Stats()
-		out.CacheBudget = &bs
-	}
 	out.Queries.setMeans()
 	out.PoolHitRate = out.Pool.HitRate()
 	out.Auto.Finalize()

@@ -299,9 +299,6 @@ func TestStatsSelectorTable(t *testing.T) {
 	if !st.Auto.Adaptive {
 		t.Error("default service must run the adaptive selector")
 	}
-	if st.Auto.Epsilon != core.DefaultAutoEpsilon {
-		t.Errorf("epsilon = %g, want default %g", st.Auto.Epsilon, core.DefaultAutoEpsilon)
-	}
 	if st.Auto.Shapes < 2 || st.Auto.Decisions < 7 {
 		t.Errorf("selector table: shapes=%d decisions=%d, want >=2/>=7",
 			st.Auto.Shapes, st.Auto.Decisions)

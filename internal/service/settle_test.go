@@ -23,8 +23,8 @@ import (
 //   - Every Auto decision that does not short-circuit produces a cursor,
 //     whose Close is the selector's observation: the selector offers an
 //     engine only the shapes that engine's own fragment test accepts, so
-//     the engine it picks answers (none of these tests' Auto queries is
-//     one whose automaton cannot be built). Decisions - ShortCircuits -
+//     the engine it picks answers (a query whose automaton cannot be
+//     built is answered step-wise). Decisions - ShortCircuits -
 //     Observations is the number of Auto cursors still open, which the
 //     pool cannot see: hybrid and TDSTA cursors hold no pooled context.
 //     Only the live selectors are exact: one dropped by an eviction

@@ -175,49 +175,6 @@ func TestPerShardCacheIsolation(t *testing.T) {
 	}
 }
 
-// TestGlobalCacheByteBudget: with CacheBytesTotal set, the summed
-// resident bytes across all shard LRUs stay at or under the budget
-// (modulo one oversize entry admitted alone), and /stats surfaces the
-// budget.
-func TestGlobalCacheByteBudget(t *testing.T) {
-	const budget = 8 * 1024
-	ss := shard.NewStore(4)
-	svc := New(ss, Options{CacheBytesTotal: budget})
-	ids := idsCoveringAllShards(t, ss)
-	for _, id := range ids {
-		if _, err := svc.Store().GenerateXMark(id, 0.001, 3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Compile a spread of distinct automata on every shard.
-	for i := 0; i < 40; i++ {
-		for _, id := range ids {
-			// Distinct label names yield distinct compiled automata to
-			// fill the caches with; matching nothing is fine.
-			q := fmt.Sprintf("//n%d//keyword", i)
-			if resp := svc.Eval(Request{Doc: id, Query: q, Strategy: "optimized"}); resp.Err != "" {
-				t.Fatalf("%s %s: %s", id, q, resp.Err)
-			}
-		}
-	}
-	st := svc.Stats()
-	if st.CacheBudget == nil {
-		t.Fatal("stats must surface the configured budget")
-	}
-	if st.CacheBudget.MaxBytes != budget {
-		t.Errorf("budget max = %d, want %d", st.CacheBudget.MaxBytes, budget)
-	}
-	if st.CacheBudget.UsedBytes != st.Cache.SizeBytes {
-		t.Errorf("budget used=%d but shard LRUs sum to %d", st.CacheBudget.UsedBytes, st.Cache.SizeBytes)
-	}
-	if st.Cache.SizeBytes > budget {
-		t.Errorf("resident compiled bytes %d exceed global budget %d", st.Cache.SizeBytes, budget)
-	}
-	if st.Cache.Evictions == 0 {
-		t.Error("expected budget-driven evictions (raise the query count if automata shrank)")
-	}
-}
-
 // TestStatsDoesNotStallRequests: every request takes its shard's mutex
 // to find its document's selector, so a /stats or /metrics scrape may
 // hold it only to copy pointers. With a snapshot parked inside a

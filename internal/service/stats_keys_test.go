@@ -65,7 +65,7 @@ func TestStatsKeySet(t *testing.T) {
 			wantIdle[f[0]] = true
 		}
 	}
-	s := newTestService(t, Options{CacheBytesTotal: 1 << 20})
+	s := newTestService(t, Options{})
 	diffKeys(t, "idle", statsKeys(t, s), wantIdle)
 	promTraffic(t, s)
 	diffKeys(t, "after traffic", statsKeys(t, s), wantBusy)

@@ -141,12 +141,6 @@ func (a *STA) EffectiveAlphabet() []tree.LabelID {
 	return append(out, fresh)
 }
 
-// InTop reports q ∈ T.
-func (a *STA) InTop(q State) bool { return a.inTop[q] }
-
-// InBottom reports q ∈ B.
-func (a *STA) InBottom(q State) bool { return a.inBot[q] }
-
 // SelectingLabels returns the labels l with (q, l) ∈ S.
 func (a *STA) SelectingLabels(q State) labels.Set { return a.selOf[q] }
 

@@ -301,9 +301,6 @@ func inParallel(n int, fn func(i int) error) error {
 // aliases the container's buffer.
 func (l *Layout) Section(kind uint32) []byte { return l.secs[kind] }
 
-// Owner returns the object pinning the container's backing memory.
-func (l *Layout) Owner() any { return l.owner }
-
 // section is Section with a required-presence, exact-element-count check.
 func layoutSlice[T any](l *Layout, kind uint32, wantLen int) ([]T, error) {
 	b, ok := l.secs[kind]

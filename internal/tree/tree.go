@@ -242,9 +242,6 @@ func (b *Builder) Open(name string) NodeID {
 	return b.open(b.names.Intern(name))
 }
 
-// OpenID starts a new element with a pre-interned label.
-func (b *Builder) OpenID(l LabelID) NodeID { return b.open(l) }
-
 // Text appends a text-node child with the given content.
 func (b *Builder) Text(content string) NodeID {
 	if len(b.part.Blob)+len(content) > math.MaxUint32 {
