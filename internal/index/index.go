@@ -23,7 +23,9 @@
 package index
 
 import (
+	"runtime"
 	"slices"
+	"sync"
 
 	"repro/internal/labels"
 	"repro/internal/tree"
@@ -53,25 +55,29 @@ type Index struct {
 // New builds the index in O(n + Σ × chunks) time and space: one pass over
 // the labels counts the occurrences per label and chunk, prefix sums turn
 // the counts into the directory, and a second pass scatters the halves.
-// Each pass is followed by a sweep of the rare labels, which the byte
-// array holds one escape value for: none in a document of 255 names or
-// fewer.
+// Both passes go chunk by chunk of 65 536 ranks, each chunk with a table
+// of its own of the 256 byte values — its counts, then its cursors — and
+// the chunks are dealt to workers in contiguous ranges (inChunks), so a
+// worker writes its own stretch of every row. Each pass is followed by a
+// sweep of the rare labels, which the byte array holds one escape value
+// for: none in a document of 255 names or fewer.
 func New(d *tree.Document) *Index {
 	n, sigma, text := d.NumNodes(), d.Names().Size(), d.TextNodes()
 	chunks := tree.Chunks(n)
 	start := make([]uint32, sigma*chunks+1)
 	labels := d.Labels()
 	rare, rareIDs := d.Rare()
-	for c := 0; c < chunks; c++ {
-		counts := start[c+1:] // of chunk c, every chunks-th entry
+	inByte := min(sigma, tree.RareLabel+1) // the labels a byte holds, the escape included
+	inChunks(chunks, func(c int) {
+		var counts [256]uint32
 		for _, l := range labels[c<<16 : min(n, (c+1)<<16)] {
-			counts[int(l)*chunks]++ // text nodes and escapes too: a test per node costs more than clearing their count
+			counts[l]++ // text nodes and escapes too: a test per node costs more than clearing their count
 		}
-		counts[int(tree.LabelText)*chunks] = 0
-		if sigma > tree.RareLabel {
-			counts[tree.RareLabel*chunks] = 0
+		counts[tree.LabelText], counts[tree.RareLabel] = 0, 0
+		for l := range inByte {
+			start[l*chunks+c+1] = counts[l]
 		}
-	}
+	})
 	i := 0
 	for v := range rare.From(0) {
 		start[int(rareIDs[i])*chunks+int(v>>16)+1]++
@@ -80,24 +86,53 @@ func New(d *tree.Document) *Index {
 	for k := 1; k < len(start); k++ {
 		start[k] += start[k-1]
 	}
-	lo, next := make([]uint16, n-text.Len()), slices.Clone(start)
-	for c := 0; c < chunks; c++ {
+	lo := make([]uint16, n-text.Len())
+	inChunks(chunks, func(c int) {
+		var next [256]uint32
+		for l := range inByte {
+			next[l] = start[l*chunks+c]
+		}
 		for v, l := range labels[c<<16 : min(n, (c+1)<<16)] {
 			if tree.LabelID(l) != tree.LabelText && l != tree.RareLabel {
-				k := int(l)*chunks + c
-				lo[next[k]] = uint16(v)
-				next[k]++
+				lo[next[l]] = uint16(v)
+				next[l]++
 			}
 		}
-	}
-	i = 0
-	for v := range rare.From(0) {
-		k := int(rareIDs[i])*chunks + int(v>>16)
-		lo[next[k]] = uint16(v)
-		next[k]++
-		i++
+	})
+	if rare.Len() > 0 {
+		next := slices.Clone(start)
+		i = 0
+		for v := range rare.From(0) {
+			k := int(rareIDs[i])*chunks + int(v>>16)
+			lo[next[k]] = uint16(v)
+			next[k]++
+			i++
+		}
 	}
 	return &Index{doc: d, occ: tree.Seq{Lo: lo, Start: start}, text: text, sigma: sigma, chunks: chunks}
+}
+
+// inChunks runs fn on every chunk c in [0, chunks): on up to GOMAXPROCS
+// workers, each a contiguous range of chunks, or on the caller's
+// goroutine alone below two chunks. Chunks dealt round-robin would put
+// two workers' writes in the same cache lines of every row.
+func inChunks(chunks int, fn func(c int)) {
+	workers := min(chunks, runtime.GOMAXPROCS(0))
+	each := func(w int) {
+		for c := chunks * w / workers; c < chunks*(w+1)/workers; c++ {
+			fn(c)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			each(w)
+		}()
+	}
+	each(0)
+	wg.Wait()
 }
 
 // MemBytes reports the bytes the index holds: the halves and the

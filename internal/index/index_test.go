@@ -3,6 +3,7 @@ package index_test
 import (
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -139,6 +140,44 @@ func TestOccurrencesSorted(t *testing.T) {
 		}
 		if len(occ) != d.CountLabel(l) {
 			t.Fatalf("occurrence count mismatch for label %d", l)
+		}
+	}
+}
+
+// TestNewMatchesScan: on a document of four chunks of ranks — so New's
+// passes run on more than one worker and every row crosses chunk lines —
+// and 414 names, 159 of them past what a label byte holds, every row and
+// count of the index is what one scan of Label finds.
+func TestNewMatchesScan(t *testing.T) {
+	b := tree.NewBuilder()
+	b.Open("r")
+	for i := range 50_000 {
+		b.Open("g" + strconv.Itoa(i%11))
+		b.Open("n" + strconv.Itoa(i*37%400))
+		b.Close()
+		b.Text("t")
+		b.Open("n" + strconv.Itoa((i*101+7)%400))
+		b.Close()
+		b.Close()
+	}
+	b.Close()
+	d := b.MustFinish()
+	sigma := d.Names().Size()
+	if d.NumNodes() < 3<<16 || sigma <= tree.RareLabel {
+		t.Fatalf("%d nodes and %d names: want at least %d and more than %d", d.NumNodes(), sigma, 3<<16, tree.RareLabel)
+	}
+	want := make([][]uint32, sigma)
+	for v := range d.NumNodes() {
+		l := d.Label(tree.NodeID(v))
+		want[l] = append(want[l], uint32(v))
+	}
+	ix := index.New(d)
+	for l := range tree.LabelID(sigma) {
+		if got := slices.Collect(ix.Occurrences(l).From(0)); !slices.Equal(got, want[l]) {
+			t.Fatalf("label %d (%s): %d occurrences, the scan finds %d", l, d.Names().Name(l), len(got), len(want[l]))
+		}
+		if ix.Count(l) != len(want[l]) {
+			t.Fatalf("label %d (%s): Count = %d, the scan finds %d", l, d.Names().Name(l), ix.Count(l), len(want[l]))
 		}
 	}
 }

@@ -116,6 +116,32 @@ func TestQueryBodyCap(t *testing.T) {
 	}
 }
 
+// deepQuery nests a million parentheses, in a body under the cap.
+var deepQuery = "a[" + strings.Repeat("(", 1_048_000)
+
+// TestDeepQueryRefused: a query nested past the parser's bound is a 400
+// whose body quotes a window of the query, not the megabyte.
+func TestDeepQueryRefused(t *testing.T) {
+	srv := httptest.NewServer(NewHandler(newTestService(t, Options{}), HandlerOptions{}))
+	t.Cleanup(srv.Close)
+	body, err := json.Marshal(Request{Doc: "d1", Query: deepQuery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || len(e.Error) >= 1024 || !strings.Contains(e.Error, "deeper than") {
+		t.Errorf("a %d-byte query nested past the bound: status %d, a %d-byte error %.200q", len(body), resp.StatusCode, len(e.Error), e.Error)
+	}
+}
+
 // FuzzQueryBody posts arbitrary bytes to /query and /batch over a tiny
 // document. Every answer must be one of the statuses the API documents,
 // nothing may panic, and afterwards every book is settled and a PATCH
@@ -131,6 +157,7 @@ func FuzzQueryBody(f *testing.F) {
 		`{"doc":"d1","query":"//b","cursor":"c3.ZDE.1.3"}`,
 		`{"requests":[{"doc":"d1","query":"//b","strategy":"hybrid"},{"doc":"nope","query":"//a"},{"doc":"d1","query":"///"}]}`,
 		string(padded(`{"doc":"d1","query":"//a/b"`, maxQueryBody+1)),
+		`{"doc":"d1","query":"` + deepQuery + `"}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -224,7 +224,7 @@ func checkText(d, ref *tree.Document) error {
 }
 
 // relink builds d's tree again through a Builder whose label table holds
-// names' names in names' order: what Link makes of that tree when its
+// names' names in names' order: what Join makes of that tree when its
 // labels have the ids names gives them.
 func relink(d *tree.Document, names *tree.LabelTable) *tree.Document {
 	b := tree.NewBuilder()
@@ -268,7 +268,7 @@ func checkHandle(h *store.Handle) error {
 	// The stored topology is the canonical encoding of a tree — every
 	// distance under 65 535 and every length under 255 stored as itself,
 	// every other as an escape, wide listing exactly the escaped subtrees
-	// — so it is, element for element, what Link builds for that tree: no
+	// — so it is, element for element, what Join builds for that tree: no
 	// stale escape, no orphan entry left by a splice (checkText compares it
 	// with one).
 	if err := d.VerifyStructure(); err != nil {

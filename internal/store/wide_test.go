@@ -241,7 +241,7 @@ func rareDoc(names int) *tree.Document {
 // inverse of the labels, the rare rows included (counts, searches, cursor
 // sweeps, top-most nodes); every strategy answers queries naming rare
 // labels, common ones and both as stepwise does; and every patched
-// generation is, array for array, what Link builds of the patch done by
+// generation is, array for array, what Join builds of the patch done by
 // definition under the same label table.
 func TestRareLabelsMappedPatchedAndQueried(t *testing.T) {
 	const byteful = 255

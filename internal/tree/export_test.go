@@ -59,7 +59,7 @@ func (d *Document) FarParents() int {
 
 // RequireSameTopology compares the stored topology of two documents —
 // up, size and wide, the entry around each entry included, element for
-// element. Held against a document Link
+// element. Held against a document Join
 // built from the same tree, it proves a spliced or opened one canonical:
 // no stale escape, no orphan wide entry, no distance stored the long way.
 func RequireSameTopology(t *testing.T, what string, got, want *Document) {

@@ -76,71 +76,85 @@ func layout(t *testing.T, d *tree.Document) []byte {
 	return buf.Bytes()
 }
 
-// TestLinkParts: an event stream cut into parts at arbitrary points,
-// each with its own label numbering, links into the same document as
-// the uncut stream — elements may open in one part and close in another.
+// event is one call on a Piece: an element to open by name, a text node
+// ("#text" and its content) or a close ("/").
+type event struct{ name, text string }
+
+// pieces writes the events into one piece per cut: events [cuts[i-1],
+// cuts[i]) into piece i, each labelling its nodes in a table of its own
+// that order interns first, the reserved labels aside.
+func pieces(events []event, cuts []int, order func(i int) []string) []*tree.Piece {
+	var ps []*tree.Piece
+	for i, from := 0, 0; from < len(events); i++ {
+		to := len(events)
+		if i < len(cuts) {
+			to = cuts[i]
+		}
+		names := tree.NewLabelTable()
+		for _, name := range order(i) {
+			names.Intern(name)
+		}
+		p := tree.NewPiece(names, 0, 0, 0)
+		for _, e := range events[from:to] {
+			p.Reserve(1)
+			switch e.name {
+			case "/":
+				p.Close()
+			case "#text":
+				p.Text()
+				p.Blob = append(p.Blob, e.text...)
+			default:
+				p.Open(names.Intern(e.name))
+			}
+		}
+		ps, from = append(ps, p), to
+	}
+	return ps
+}
+
+// TestLinkParts: a document cut into pieces at arbitrary points, each
+// with its own label numbering, joins into the same document as the
+// uncut one — elements may open in one piece and close in another.
 func TestLinkParts(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for seed := int64(0); seed < 40; seed++ {
 		want := tgen.Random(seed, tgen.Config{MaxNodes: 200, TextProb: 0.3})
-		// Replay want as one event stream.
-		var ev []int32
-		var textLen []uint32
-		var blob []byte
+		var events []event
 		var walk func(v tree.NodeID)
 		walk = func(v tree.NodeID) {
 			for c := want.FirstChild(v); c != tree.Nil; c = want.NextSibling(c) {
-				ev = append(ev, int32(want.Label(c)))
 				if want.Label(c) == tree.LabelText {
-					textLen = append(textLen, uint32(len(want.Text(c))))
-					blob = append(blob, want.Text(c)...)
+					events = append(events, event{"#text", want.Text(c)})
 					continue
 				}
+				events = append(events, event{name: want.LabelName(c)})
 				walk(c)
-				ev = append(ev, tree.EvClose)
+				events = append(events, event{name: "/"})
 			}
 		}
 		walk(want.Root())
 
-		// Cut it, renumbering each part's labels by a random permutation.
-		names := tree.NewLabelTable()
-		for _, name := range want.Names().Names() {
-			names.Intern(name)
+		// The first piece numbers the labels as want does, so the joined
+		// table is want's; every later one by a random permutation.
+		var cuts []int
+		for at := 0; at < len(events); {
+			at += 1 + rng.Intn(len(events)-at)
+			cuts = append(cuts, at)
 		}
-		var parts []tree.Part
-		for len(ev) > 0 {
-			n := 1 + rng.Intn(len(ev))
-			perm := rng.Perm(names.Size() - tree.ReservedLabels)
-			p := tree.Part{Remap: make([]tree.LabelID, names.Size())}
-			local := make([]int32, names.Size()) // document label -> part label
-			p.Remap[tree.LabelDoc], p.Remap[tree.LabelText] = tree.LabelDoc, tree.LabelText
-			local[tree.LabelText] = int32(tree.LabelText)
-			for i, j := range perm {
-				p.Remap[tree.ReservedLabels+j] = tree.LabelID(tree.ReservedLabels + i)
-				local[tree.ReservedLabels+i] = int32(tree.ReservedLabels + j)
+		order := func(i int) []string {
+			names := want.Names().Names()[tree.ReservedLabels:]
+			if i > 0 {
+				rng.Shuffle(len(names), func(a, b int) { names[a], names[b] = names[b], names[a] })
 			}
-			for _, e := range ev[:n] {
-				if e == tree.EvClose {
-					p.Ev = append(p.Ev, e)
-					continue
-				}
-				p.Ev = append(p.Ev, local[e])
-				p.Nodes++
-				if e == int32(tree.LabelText) {
-					p.TextLen = append(p.TextLen, textLen[0])
-					p.Blob = append(p.Blob, blob[:textLen[0]]...)
-					blob, textLen = blob[textLen[0]:], textLen[1:]
-				}
-			}
-			ev = ev[n:]
-			parts = append(parts, p)
+			return names
 		}
-		got, err := tree.Link(names, parts)
+		ps := pieces(events, cuts, order)
+		got, err := tree.Join(ps)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if !bytes.Equal(layout(t, got), layout(t, want)) {
-			t.Fatalf("seed %d: %d parts link into\n%s\nwant\n%s", seed, len(parts), got.XMLString(), want.XMLString())
+			t.Fatalf("seed %d: %d pieces join into\n%s\nwant\n%s", seed, len(ps), got.XMLString(), want.XMLString())
 		}
 		if err := got.VerifyStructure(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -148,25 +162,25 @@ func TestLinkParts(t *testing.T) {
 	}
 }
 
-// TestLinkRejectsUnbalanced: Link reports, not panics on, a stream that
-// closes more than it opened or leaves elements open.
+// TestLinkRejectsUnbalanced: Join reports, not panics on, pieces that
+// close more than they opened or leave elements open, within one piece
+// or across a cut.
 func TestLinkRejectsUnbalanced(t *testing.T) {
-	names := tree.NewLabelTable()
-	a := names.Intern("a")
-	remap := []tree.LabelID{0, 1, a}
-	for _, ev := range [][]int32{
-		{tree.EvClose},
-		{int32(a), tree.EvClose, tree.EvClose},
-		{int32(a), int32(a), tree.EvClose},
+	a, end := event{name: "a"}, event{name: "/"}
+	for _, c := range []struct {
+		events []event
+		cuts   []int
+	}{
+		{[]event{end}, nil},
+		{[]event{a, end, end}, nil},
+		{[]event{a, a, end}, nil},
+		{[]event{a, end, end}, []int{1}},
+		{[]event{a, a, end}, []int{1}},
+		{[]event{a, a, end}, []int{2}},
 	} {
-		nodes := 0
-		for _, e := range ev {
-			if e >= 0 {
-				nodes++
-			}
-		}
-		if _, err := tree.Link(names, []tree.Part{{Ev: ev, Remap: remap, Nodes: nodes}}); err == nil {
-			t.Errorf("Link(%v) succeeded", ev)
+		ps := pieces(c.events, c.cuts, func(int) []string { return nil })
+		if _, err := tree.Join(ps); err == nil {
+			t.Errorf("Join(%v cut at %v) succeeded", c.events, c.cuts)
 		}
 	}
 }
@@ -185,7 +199,7 @@ func wideDoc(labels int) (*tree.Document, error) {
 }
 
 // TestLinkRefusesLabelsPastTheLimit: a node's label is stored in 16
-// bits, so a table of MaxLabels names links and the next name is an
+// bits, so a table of MaxLabels names joins and the next name is an
 // error that says what the limit is, not a label that wraps around.
 func TestLinkRefusesLabelsPastTheLimit(t *testing.T) {
 	d, err := wideDoc(tree.MaxLabels)

@@ -180,12 +180,12 @@ func randomPatch(rng *rand.Rand, d *Document) (Patch, *mnode) {
 }
 
 // relink builds d's tree again under a label table that holds table's
-// names in table's order: the document Link makes of that tree when its
+// names in table's order: the document Join makes of that tree when its
 // labels have the ids table gives them.
 func relink(table *LabelTable, d *Document) *Document {
 	b := NewBuilder()
 	for _, name := range table.names {
-		b.names.Intern(name)
+		b.Names().Intern(name)
 	}
 	var ends []NodeID // of the open elements
 	for v := NodeID(1); int(v) < d.NumNodes(); v++ {
@@ -211,7 +211,7 @@ func relink(table *LabelTable, d *Document) *Document {
 // around each entry — and the three sequences are compared as they are
 // stored, halves and chunk starts, and so are the label bytes and the
 // rare labels, against want's tree linked again under got's label table
-// (want's own may number the names otherwise): against a document Link
+// (want's own may number the names otherwise): against a document Join
 // built, that proves a spliced or opened one canonical — no chunk line,
 // escape or table entry of an earlier generation survives.
 func requireEqualDocs(t *testing.T, step int, got, want *Document) {
@@ -477,7 +477,7 @@ func TestApplyRefusesElementAheadOfAttribute(t *testing.T) {
 // over 65 535 and back, by insert, delete and replace ahead of it, once
 // with a fragment whose own children are that far from it; after every
 // step the spliced document, and what it opens as from its sections, hold
-// the arrays Link builds for the same tree — up, size and wide element
+// the arrays Join builds for the same tree — up, size and wide element
 // for element, so no stale escape and no orphan entry survives — and the
 // spliced BP view the bits of a rebuild. (The line size crosses is 255:
 // TestPatchAcrossTheSizeLine.)
@@ -587,7 +587,7 @@ func TestPatchAcrossTheWideLine(t *testing.T) {
 // of one or two nodes and one or two bytes ahead of it, and once by a
 // fragment longer than a chunk; after every step the spliced document,
 // and what it opens as from its sections, hold the two text sequences
-// Link builds for the same tree, halves and chunk starts — the number of
+// Join builds for the same tree, halves and chunk starts — the number of
 // chunks included, which the node count takes across the line as well.
 func TestPatchAcrossTheChunkLine(t *testing.T) {
 	// 0=#doc 1=a 2=b 3=a text of 65 533 bytes, k leaves c at 4..k+3, item
@@ -721,7 +721,7 @@ func leaves(name string, n int) []string {
 // levels above it (a, over b, c and p, which stay short until the
 // fragment takes all four across at once), each step from the heap
 // generation and from what it opens as from its sections. After every
-// step the spliced document, and what that opens as, hold the arrays Link
+// step the spliced document, and what that opens as, hold the arrays Join
 // builds for the same tree: size, and wide with the entry around each
 // entry, element for element.
 func TestPatchAcrossTheSizeLine(t *testing.T) {

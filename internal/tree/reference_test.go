@@ -25,10 +25,11 @@ type refDoc struct {
 	names       *LabelTable
 }
 
-// refBuilder is the Builder this package had before Link: it grows the
-// arrays by append and maintains the links by pointer chasing as the
-// events arrive. Kept, for tests only, as the independent definition of
-// what an event stream means; requireMatchesReference holds Link, the
+// refBuilder is the Builder this package had before its documents were
+// derived from relative arrays: it grows the arrays by append and
+// maintains the links by pointer chasing as the opens, texts and closes
+// arrive. Kept, for tests only, as the independent definition of what
+// such a stream of calls means; requireMatchesReference holds Join, the
 // splice and the derived navigation to it.
 type refBuilder struct {
 	doc   *refDoc
@@ -197,7 +198,7 @@ func requireEqualsReference(t *testing.T, what string, got *Document, want *refD
 }
 
 // TestLinkMatchesReferenceBuilder drives random open/text/close
-// sequences into the Builder (events, then Link) and into the reference
+// sequences into the Builder (a piece, then Join) and into the reference
 // builder, and compares every array, the blob, the label table and the
 // derived navigation.
 func TestLinkMatchesReferenceBuilder(t *testing.T) {

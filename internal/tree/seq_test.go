@@ -190,7 +190,7 @@ func TestSeqTableRows(t *testing.T) {
 // chunk, the first of the second, and the one after — with as many bytes
 // of text before its own, so its offset crosses the line with its rank,
 // and empty texts among the others (equal neighbours among the offsets),
-// built by Link and opened from their sections, hold the text nodes'
+// built by Join and opened from their sections, hold the text nodes'
 // ranks and offsets the events say, and read every text back.
 func TestTextSequencesOnBothSidesOfTheChunkLine(t *testing.T) {
 	const line = 1 << 16

@@ -51,7 +51,7 @@ const ReservedLabels = 2
 
 // MaxLabels is the largest label table a document can have: the label of
 // a node whose id does not fit its byte is kept in 16 bits (see
-// Document). Link and Document.Apply refuse a table that has outgrown it.
+// Document). Join and Document.Apply refuse a table that has outgrown it.
 const MaxLabels = 1 << 16
 
 // checkLabelCount is that refusal.
@@ -193,12 +193,7 @@ const (
 )
 
 // narrow is a distance as up stores it.
-func narrow(dist NodeID) uint16 {
-	if dist >= far {
-		return far
-	}
-	return uint16(dist)
-}
+func narrow(dist NodeID) uint16 { return uint16(min(dist, far)) }
 
 // span is one entry of wide: a node, the last node of its subtree, at
 // least big ranks later, and the index in wide of the innermost entry
@@ -209,70 +204,56 @@ type span struct {
 	outer      int32
 }
 
-// Builder constructs a Document from open/text/close events. It only
-// records the events; Finish hands them to Link, which derives every
-// array at its final length.
+// Builder constructs a Document from open/text/close calls. It writes
+// one Piece, and Finish joins it (Join), as the XML parser joins the
+// pieces of its chunks.
 type Builder struct {
-	names *LabelTable
-	part  Part
-	depth int // open elements, the synthetic root included
+	p *Piece
 }
 
 // NewBuilder returns a builder whose document already contains the
 // synthetic "#doc" root (open); Finish closes it.
 func NewBuilder() *Builder {
-	return &Builder{names: NewLabelTable(), depth: 1}
+	return &Builder{p: NewPiece(NewLabelTable(), 0, 0, 0)}
 }
 
 // Names exposes the label table so callers can intern labels up front.
-func (b *Builder) Names() *LabelTable { return b.names }
-
-func (b *Builder) open(l LabelID) NodeID {
-	if l == LabelText {
-		panic("tree: text nodes are added with Text, not opened")
-	}
-	b.part.Ev = append(b.part.Ev, int32(l))
-	b.part.Nodes++
-	b.depth++
-	return NodeID(b.part.Nodes)
-}
+func (b *Builder) Names() *LabelTable { return b.p.names }
 
 // Open starts a new element with the given name.
 func (b *Builder) Open(name string) NodeID {
-	return b.open(b.names.Intern(name))
+	l := b.p.names.Intern(name)
+	if l == LabelText {
+		panic("tree: text nodes are added with Text, not opened")
+	}
+	b.p.Reserve(1)
+	b.p.Open(l)
+	return b.p.n
 }
 
 // Text appends a text-node child with the given content.
 func (b *Builder) Text(content string) NodeID {
-	if len(b.part.Blob)+len(content) > math.MaxUint32 {
+	if len(b.p.Blob)+len(content) > math.MaxUint32 {
 		panic("tree: text content exceeds 4GB blob limit")
 	}
-	b.part.Ev = append(b.part.Ev, int32(LabelText))
-	b.part.TextLen = append(b.part.TextLen, uint32(len(content)))
-	b.part.Blob = append(b.part.Blob, content...)
-	b.part.Nodes++
-	return NodeID(b.part.Nodes)
+	b.p.Reserve(1)
+	b.p.Text()
+	b.p.Blob = append(b.p.Blob, content...)
+	return b.p.n
 }
 
 // Close ends the current element.
-func (b *Builder) Close() {
-	b.part.Ev = append(b.part.Ev, EvClose)
-	b.depth--
-}
+func (b *Builder) Close() { b.p.Close() }
 
 // Depth reports the current element nesting depth (the synthetic root
 // counts as 1).
-func (b *Builder) Depth() int { return b.depth }
+func (b *Builder) Depth() int { return b.p.Depth() + 1 }
 
 // Finish closes the synthetic root and returns the completed document.
 // The builder must not be used afterwards.
 func (b *Builder) Finish() (*Document, error) {
-	b.part.Remap = make([]LabelID, b.names.Size())
-	for i := range b.part.Remap {
-		b.part.Remap[i] = LabelID(i)
-	}
-	d, err := Link(b.names, []Part{b.part})
-	b.part = Part{}
+	d, err := Join([]*Piece{b.p})
+	b.p = nil
 	return d, err
 }
 

@@ -35,12 +35,18 @@ func docBytes(t testing.TB, d *tree.Document) []byte {
 // SyntaxError, offset and message.
 func matchesReference(t testing.TB, src []byte) {
 	t.Helper()
+	matchesReferenceAt(t, src, forcedChunks)
+}
+
+// matchesReferenceAt is matchesReference at the chunk counts given.
+func matchesReferenceAt(t testing.TB, src []byte, chunkCounts []int) {
+	t.Helper()
 	want, wantErr := referenceParse(src)
 	var wantBytes []byte
 	if wantErr == nil {
 		wantBytes = docBytes(t, want)
 	}
-	for _, k := range forcedChunks {
+	for _, k := range chunkCounts {
 		got, err := parse(src, k)
 		if wantErr != nil {
 			we := wantErr.(*SyntaxError)
@@ -113,6 +119,50 @@ func differentialSeeds() [][]byte {
 func TestParseMatchesReference(t *testing.T) {
 	for _, src := range differentialSeeds() {
 		matchesReference(t, src)
+	}
+}
+
+// crossCuts is a document built so that what crosses a cut is every kind
+// of thing tree.Join links across pieces: one element of 70 000
+// children spans every cut, so the later children of each chunk hang 65
+// 535 ranks or more under it (an up escape); twenty subtrees of 301
+// nodes hold nearly all the bytes, with 1 KB of text a node, so most
+// cuts fall inside one (a wide entry closed in a later piece); a chain
+// 300 deep lies in the middle; and 306 names are more than a label byte
+// holds, in a different first-occurrence order in every chunk.
+func crossCuts() []byte {
+	var b strings.Builder
+	text := strings.Repeat("x", 1000)
+	b.WriteString("<d><w>")
+	for i := range 70_000 {
+		switch {
+		case i%3500 == 0:
+			b.WriteString("<s>")
+			for j := range 150 {
+				fmt.Fprintf(&b, "<n%d>%s</n%d>", (i+7*j)%300, text, (i+7*j)%300)
+			}
+			b.WriteString("</s>")
+		case i == 35_001:
+			b.WriteString(strings.Repeat("<c>", 300) + strings.Repeat("</c>", 300))
+		default:
+			fmt.Fprintf(&b, "<n%d/>", (i*13)%300)
+			if i%4 == 0 {
+				b.WriteString("t")
+			}
+		}
+	}
+	b.WriteString("</w></d>")
+	return []byte(b.String())
+}
+
+// TestLargeInputsMatchReference: the concurrent join, which only a
+// source of several chunks reaches, against the reference parser on
+// documents past 65 536 ranks, so that their text and rare-label
+// directories cross chunk lines too: XMark 0.1 (215 k nodes) and
+// crossCuts, at forced chunk counts of two, three and seven.
+func TestLargeInputsMatchReference(t *testing.T) {
+	for _, src := range [][]byte{[]byte(xmark.Generate(xmark.Config{Scale: 0.1, Seed: 1}).XMLString()), crossCuts()} {
+		matchesReferenceAt(t, src, []int{2, 3, 7})
 	}
 }
 

@@ -8,27 +8,23 @@ import (
 	"repro/internal/tree"
 )
 
-// chunk is one stretch of the source turned into events. The first
-// chunk of a source starts at the prolog and knows when the document
-// element closes; a later one starts at a '<' in element content and
-// knows neither its depth nor the elements open around it, so the end
-// tags that close those, and the elements it leaves open itself, are
-// kept for assemble to match up.
+// chunk is one stretch of the source turned into a piece of the
+// document. The first chunk of a source starts at the prolog and knows
+// when the document element closes; a later one starts at a '<' in
+// element content and knows neither its depth nor the elements open
+// around it, so the end tags that close those, and the elements it
+// leaves open itself (tree.Piece.Unclosed), are kept for assemble to
+// match up.
 type chunk struct {
 	start int
 	first bool
 
-	ev      []int32
-	textLen []uint32
-	blob    []byte
-	nodes   int
-	names   *tree.LabelTable // labels in order of first occurrence in the chunk
+	piece *tree.Piece // labelled in order of first occurrence in the chunk
 
 	// end is where tokenizing stopped: the first '<' in content at or
 	// past the limit, or len(src).
 	end   int
-	under []endTag       // end tags of elements opened before start
-	open  []tree.LabelID // elements still open at end, outermost first
+	under []endTag // end tags of elements opened before start
 	err   *SyntaxError
 }
 
@@ -36,7 +32,7 @@ type chunk struct {
 type endTag struct {
 	name, nameEnd int // the tag's name in the source
 	after         int // offset just past the tag
-	ev            int // index of its close event
+	nodes         int // nodes of the chunk before it
 }
 
 // Byte classes of the tokenizer's scanning loops.
@@ -175,24 +171,20 @@ func (ic *internCache) intern(names *tree.LabelTable, name []byte) tree.LabelID 
 	return e.id
 }
 
-// tokenize turns src from c.start on into events, stopping at the first
-// '<' in element content at or past limit.
+// tokenize turns src from c.start on into the chunk's piece, stopping at
+// the first '<' in element content at or past limit.
 func (c *chunk) tokenize(src []byte, limit int) {
-	// Every '<' is one tag, and a tag is at most an open and a close or
-	// a close and the text after it; attributes and texts between
-	// comments come on top and grow the slices.
+	// Every '<' is one tag, and an element takes two, one text node
+	// follows at most every other, and attributes come on top: a node per
+	// '<' is room for XMark's 0.79, and more grows the piece.
 	tags := bytes.Count(src[c.start:limit], []byte{'<'})
 	var (
-		ev      = make([]int32, 0, tags+tags/2+8)
-		textLen = make([]uint32, 0, tags/2+8)
-		blob    = make([]byte, 0, (limit-c.start)/2)
-		open    = make([]tree.LabelID, 0, 32)
-		names   = tree.NewLabelTable()
-		cache   internCache
-		attr    = []byte{'@'} // scratch for "@"+attribute name
-		nodes   = 0
-		pos     = c.start
-		err     *SyntaxError
+		names = tree.NewLabelTable()
+		pc    = tree.NewPiece(names, tags+8, tags/2+8, (limit-c.start)/2)
+		cache internCache
+		attr  = []byte{'@'} // scratch for "@"+attribute name
+		pos   = c.start
+		err   *SyntaxError
 		// docElem: the document element has not been opened yet, so the
 		// '<' at pos can only be its start tag.
 		docElem = c.first
@@ -209,6 +201,7 @@ scan:
 		if pos >= limit && !docElem {
 			break
 		}
+		pc.Reserve(2) // a node for the '<', one for the text after it
 		var next byte
 		if pos+1 < len(src) {
 			next = src[pos+1]
@@ -216,12 +209,12 @@ scan:
 		switch {
 		case next == '/' && !docElem:
 			p := pos + 2
-			if n := len(open); n > 0 {
+			depth := pc.Depth()
+			if depth > 0 {
 				// The common tag: exactly the open element's name, then '>'.
-				name := names.Name(open[n-1])
+				name := names.Name(pc.Innermost())
 				if e := p + len(name); e < len(src) && src[e] == '>' && string(src[p:e]) == name {
-					open = open[:n-1]
-					ev = append(ev, tree.EvClose)
+					pc.Close()
 					pos = e + 1
 					break
 				}
@@ -231,13 +224,11 @@ scan:
 				break scan
 			}
 			q := nameEnd(src, p)
-			n := len(open)
-			if n > 0 {
-				if name := names.Name(open[n-1]); string(src[p:q]) != name {
+			if depth > 0 {
+				if name := names.Name(pc.Innermost()); string(src[p:q]) != name {
 					err = syntaxErr(q, "mismatched end tag </%s>, open element is <%s>", src[p:q], name)
 					break scan
 				}
-				open = open[:n-1]
 			}
 			e := skipWS(src, q)
 			if e >= len(src) || src[e] != '>' {
@@ -245,12 +236,12 @@ scan:
 				break scan
 			}
 			pos = e + 1
-			if n == 0 {
+			if depth == 0 {
 				// The element was opened before this chunk: assemble,
 				// which knows the chunks before, matches the name.
-				c.under = append(c.under, endTag{name: p, nameEnd: q, after: pos, ev: len(ev)})
+				c.under = append(c.under, endTag{name: p, nameEnd: q, after: pos, nodes: pc.Len()})
 			}
-			ev = append(ev, tree.EvClose)
+			pc.Close()
 
 		case next == '?' && !docElem:
 			i := bytes.Index(src[pos:], []byte("?>"))
@@ -276,10 +267,8 @@ scan:
 				break scan
 			}
 			if i > 0 {
-				ev = append(ev, int32(tree.LabelText))
-				textLen = append(textLen, uint32(i))
-				blob = append(blob, src[p:p+i]...)
-				nodes++
+				pc.Text()
+				pc.Blob = append(pc.Blob, src[p:p+i]...)
 			}
 			pos = p + i + 3
 
@@ -292,8 +281,7 @@ scan:
 			}
 			q := nameEnd(src, p)
 			id := cache.intern(names, src[p:q])
-			ev = append(ev, int32(id))
-			nodes++
+			pc.Open(id)
 			selfClosed := false
 			for q >= len(src) || src[q] != '>' { // attributes, up to '>' or "/>"
 				q = skipWS(src, q)
@@ -335,52 +323,46 @@ scan:
 					err = syntaxErr(len(src), "unterminated attribute value")
 					break scan
 				}
-				before := len(blob)
-				blob = appendText(blob, src[q+1:q+1+i])
-				ev = append(ev, int32(cache.intern(names, attr)), int32(tree.LabelText), tree.EvClose)
-				textLen = append(textLen, uint32(len(blob)-before))
-				nodes += 2
+				pc.Reserve(3) // and two for each attribute
+				pc.Open(cache.intern(names, attr))
+				pc.Text()
+				pc.Blob = appendText(pc.Blob, src[q+1:q+1+i])
+				pc.Close()
 				q += i + 2
 			}
 			if selfClosed {
-				ev = append(ev, tree.EvClose)
-			} else {
-				open = append(open, id)
+				pc.Close()
 			}
 			pos = q + 1
 		}
 
-		if c.first && len(open) == 0 {
+		if c.first && pc.Depth() == 0 {
 			break // the document element has closed
 		}
 		// Character data up to the next '<'.
 		i := 0
 		if pos >= len(src) || src[pos] != '<' {
 			if i = bytes.IndexByte(src[pos:], '<'); i < 0 {
-				if len(open) > 0 {
-					err = syntaxErr(len(src), "missing end tag </%s>", names.Name(open[len(open)-1]))
+				if pc.Depth() > 0 {
+					err = syntaxErr(len(src), "missing end tag </%s>", names.Name(pc.Innermost()))
 				}
 				pos = len(src)
 				break
 			}
 			if text := src[pos : pos+i]; !blank(text) {
-				before := len(blob)
-				blob = appendText(blob, text)
-				ev = append(ev, int32(tree.LabelText))
-				textLen = append(textLen, uint32(len(blob)-before))
-				nodes++
+				pc.Text()
+				pc.Blob = appendText(pc.Blob, text)
 			}
 		}
 		pos += i
 	}
 
-	if err == nil && c.first && len(open) == 0 {
+	if err == nil && c.first && pc.Depth() == 0 {
 		if pos = skipMisc(src, pos); pos != len(src) {
 			err = syntaxErr(pos, "trailing content after document element")
 		}
 	}
-	c.ev, c.textLen, c.blob, c.nodes, c.names = ev, textLen, blob, nodes, names
-	c.end, c.open, c.err = pos, open, err
+	c.piece, c.end, c.err = pc, pos, err
 }
 
 var entities = [...]struct {

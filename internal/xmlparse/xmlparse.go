@@ -9,12 +9,13 @@
 // reference [1] of the paper, which makes the attribute axis a plain
 // child-axis step for the automata.
 //
-// The parser is one iterative byte-level kernel (tokenize.go): it turns
-// a stretch of the source into the open/close event stream of tree.Part
-// without building a string per token, and tree.Link derives the
-// document from the events. A large source is cut at '<' bytes into one
+// The parser is one iterative byte-level kernel (tokenize.go): it writes
+// a stretch of the source straight into the node arrays of a tree.Piece
+// without building a string per token, and tree.Join assembles the
+// document from the pieces. A large source is cut at '<' bytes into one
 // chunk per processor and the chunks are tokenized concurrently; Parse
-// below joins them. DESIGN.md, "Loading", has the invariants.
+// below checks that they fit and joins them. DESIGN.md, "Loading", has
+// the invariants.
 package xmlparse
 
 import (
@@ -55,7 +56,7 @@ func ParseString(src string) (*tree.Document, error) {
 	return Parse([]byte(src))
 }
 
-// parse tokenizes src as up to k chunks and links the result. Only a
+// parse tokenizes src as up to k chunks and joins the result. Only a
 // single chunk sees the source in document order, so only its error is
 // the one to report: any failure among several chunks re-runs as one.
 func parse(src []byte, k int) (*tree.Document, error) {
@@ -124,52 +125,45 @@ func tokenizeChunks(src []byte, k int) []*chunk {
 // that itself and fails with a SyntaxError instead.
 var errFit = errors.New("xmlparse: chunks do not fit together")
 
-// assemble joins tokenized chunks into the document.
+// assemble checks that tokenized chunks fit together and joins their
+// pieces into the document (tree.Join, which also gives the later
+// chunks' labels the ids a sequential run would).
 func assemble(src []byte, chunks []*chunk) (*tree.Document, error) {
 	for _, c := range chunks {
 		if c.err != nil {
 			return nil, c.err
 		}
 	}
-	// The first chunk's label table becomes the document's. Interning
-	// the later chunks' labels in chunk order, each in its own
-	// first-occurrence order, assigns the ids a sequential run would.
-	names := chunks[0].names
-	parts := make([]tree.Part, len(chunks))
-	var open []tree.LabelID // elements left open by the chunks so far
+	pieces := make([]*tree.Piece, len(chunks))
+	var open []string // the names of the elements left open by the chunks so far
 	// Once the document element has closed, at afterRoot, no chunk may
-	// hold another event. The first chunk checks what follows by itself.
+	// hold another node or end tag. The first chunk checks what follows
+	// by itself.
 	rootClosed, afterRoot := false, len(src)
 	for i, c := range chunks {
-		if rootClosed && len(c.ev) > 0 {
+		if rootClosed && (c.piece.Len() > 0 || len(c.under) > 0) {
 			return nil, errFit
 		}
-		remap := make([]tree.LabelID, c.names.Size())
-		for l := range remap {
-			remap[l] = names.Intern(c.names.Name(tree.LabelID(l)))
-		}
 		for _, u := range c.under {
-			if len(open) == 0 || string(src[u.name:u.nameEnd]) != names.Name(open[len(open)-1]) {
+			if len(open) == 0 || string(src[u.name:u.nameEnd]) != open[len(open)-1] {
 				return nil, errFit
 			}
 			open = open[:len(open)-1]
 			if len(open) == 0 {
-				if u.ev != len(c.ev)-1 {
+				if u.nodes != c.piece.Len() {
 					return nil, errFit
 				}
 				rootClosed, afterRoot = true, u.after
 			}
 		}
-		for _, l := range c.open {
-			open = append(open, remap[l])
-		}
+		open = append(open, c.piece.Unclosed()...)
 		if i == 0 {
 			rootClosed = len(open) == 0
 		}
-		parts[i] = tree.Part{Ev: c.ev, TextLen: c.textLen, Blob: c.blob, Remap: remap, Nodes: c.nodes}
+		pieces[i] = c.piece
 	}
 	if !rootClosed || len(open) > 0 || skipMisc(src, afterRoot) != len(src) {
 		return nil, errFit
 	}
-	return tree.Link(names, parts)
+	return tree.Join(pieces)
 }

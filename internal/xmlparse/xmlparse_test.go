@@ -2,10 +2,12 @@ package xmlparse_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/index"
 	"repro/internal/tgen"
 	"repro/internal/tree"
 	"repro/internal/xmark"
@@ -265,5 +267,27 @@ func BenchmarkParse(b *testing.B) {
 		if _, err := xmlparse.Parse(src); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkLoad times what loading an XML document costs before its
+// first query: the parse and the jumping index over the result. XMark
+// 0.05 (1.5 MB) is one chunk, the size patch-mix preloads eight of;
+// XMark 0.5 (15.6 MB) is paper-mix's document, cut into a chunk per
+// processor.
+func BenchmarkLoad(b *testing.B) {
+	for _, scale := range []float64{0.05, 0.5} {
+		b.Run(fmt.Sprintf("xmark=%g", scale), func(b *testing.B) {
+			src := xmarkXML(scale)
+			b.SetBytes(int64(len(src)))
+			b.ReportAllocs()
+			for b.Loop() {
+				d, err := xmlparse.Parse(src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				index.New(d)
+			}
+		})
 	}
 }

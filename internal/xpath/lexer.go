@@ -68,8 +68,22 @@ type ParseError struct {
 	Msg    string
 }
 
+// quoteWindow is how many bytes of the query on either side of the
+// offset an error message quotes: a message is echoed to the client, and
+// a query may be a megabyte long.
+const quoteWindow = 64
+
 func (e *ParseError) Error() string {
-	return fmt.Sprintf("xpath: %q at offset %d: %s", e.Query, e.Offset, e.Msg)
+	at := min(max(e.Offset, 0), len(e.Query))
+	from, to := max(0, at-quoteWindow), min(len(e.Query), at+quoteWindow)
+	before, after := "", ""
+	if from > 0 {
+		before = "..."
+	}
+	if to < len(e.Query) {
+		after = "..."
+	}
+	return fmt.Sprintf("xpath: %s%q%s at offset %d: %s", before, e.Query[from:to], after, e.Offset, e.Msg)
 }
 
 type lexer struct {

@@ -31,9 +31,17 @@ func MustParse(query string) *Path {
 }
 
 type parser struct {
-	lex lexer
-	tok token
+	lex   lexer
+	tok   token
+	depth int // the predicates, parentheses and not( open around tok
 }
+
+// maxNesting bounds how deeply predicates, parentheses and not( may nest.
+// The parser recurses once a level, and each level passes through
+// parseOr (contains( holds a path, whose predicates do too), so the bound
+// there bounds the recursion: a query that fits a request body otherwise
+// nests a million levels deep.
+const maxNesting = 256
 
 func (p *parser) errf(format string, args ...interface{}) error {
 	return &ParseError{p.lex.src, p.tok.pos, fmt.Sprintf(format, args...)}
@@ -247,6 +255,11 @@ func (p *parser) parseNodeTest(step *Step) error {
 
 // parseOr parses Pred ('or' Pred)* — lowest precedence.
 func (p *parser) parseOr() (Pred, error) {
+	if p.depth == maxNesting {
+		return nil, p.errf("predicates nest deeper than %d levels", maxNesting)
+	}
+	p.depth++
+	defer func() { p.depth-- }()
 	left, err := p.parseAnd()
 	if err != nil {
 		return nil, err

@@ -1,8 +1,10 @@
 package xpath
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 func mustParse(t *testing.T, q string) *Path {
@@ -237,6 +239,45 @@ func TestErrors(t *testing.T) {
 	}
 	if !strings.Contains(pe.Error(), "offset") {
 		t.Errorf("error lacks offset: %v", pe)
+	}
+}
+
+// TestNestingBound: predicates, parentheses and not( nest up to
+// maxNesting levels; one more is a ParseError, returned at once whatever
+// follows — here a query that fits a request body with a million more
+// parentheses — and quoting only a window of the query.
+func TestNestingBound(t *testing.T) {
+	deepest := "a[" + strings.Repeat("not(", maxNesting-2) + "(b" + strings.Repeat(")", maxNesting-1) + "]"
+	mustParse(t, deepest)
+	for _, q := range []string{
+		"a[" + strings.Repeat("(", maxNesting) + "b" + strings.Repeat(")", maxNesting) + "]",
+		"a" + strings.Repeat("[b", maxNesting+1),
+		"a[" + strings.Repeat("(", 1_048_000),
+	} {
+		start := time.Now()
+		_, err := Parse(q)
+		took := time.Since(start)
+		var pe *ParseError
+		if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "deeper than 256") {
+			t.Fatalf("%d bytes nesting past the bound: err = %v, want the bound named", len(q), err)
+		}
+		if took > 10*time.Millisecond || len(err.Error()) >= 1024 {
+			t.Errorf("%d bytes nesting past the bound: refused in %v with a %d-byte message", len(q), took, len(err.Error()))
+		}
+	}
+}
+
+// TestParseErrorQuotesAWindow: the message quotes a long query around
+// the offset only, and marks the ends it leaves out.
+func TestParseErrorQuotesAWindow(t *testing.T) {
+	q := "/" + strings.Repeat("a/", 200) + "&" + strings.Repeat("/b", 200)
+	_, err := Parse(q)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, `xpath: ..."a/a/`) || !strings.Contains(msg, `/&/b`) || !strings.Contains(msg, `"... at offset 401`) || len(msg) > 300 {
+		t.Errorf("message for a %d-byte query: %s", len(q), msg)
+	}
+	if _, err := Parse("/a["); !strings.Contains(err.Error(), `"/a["`) {
+		t.Errorf("a short query is quoted whole: %v", err)
 	}
 }
 
