@@ -2,17 +2,16 @@
 // the multi-document query service (document store + compiled-query LRU
 // + batch evaluation + metrics).
 //
-//	xpqd [-addr localhost:8714] [-shards N] [-cache-size 256] [-workers N]
+//	xpqd [-addr localhost:8714] [-cache-size 1024] [-workers N]
 //	     [-stream-chunk 512] [-allow-file-loads] [-log-level info]
 //	     [-slow-query-ms N] [-pprof] [-cursor-ttl 60s] [-resident-budget N]
 //	     [-verify-resident] [-load id=file.xml ...]
 //	     [-mmap id=file.xqo2 | -mmap corpusdir ...] [-xmark id=scale[:seed] ...]
 //
-// The document corpus is partitioned over -shards goroutine-affine
-// shards by a hash of the document id; each shard owns its own
-// compiled-query LRU of -cache-size entries, and no compiled query
-// exceeds 64 states. GET /docs reports each document's owning shard;
-// GET /stats reports per-shard cache, lock-wait and latency metrics.
+// Every document lives in one store and shares one compiled-query LRU
+// of -cache-size entries; no compiled query exceeds 64 states. -shards
+// is still accepted and ignored. GET /stats reports cache, lock-wait
+// and latency metrics.
 //
 // Endpoints:
 //
@@ -41,7 +40,7 @@
 //	GET    /debug/pprof/   profiling (only with -pprof)
 //
 // Logs are structured (log/slog, text format): every query carries its
-// request id, document and shard; queries at or above -slow-query-ms
+// request id and document; queries at or above -slow-query-ms
 // are logged at Warn with their engine counters. -log-level debug logs
 // every query.
 //
@@ -129,8 +128,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	// TestFlagList pins this list, so a new knob shows up in review.
 	var (
 		addr        = fs.String("addr", "localhost:8714", "listen address")
-		shards      = fs.Int("shards", runtime.GOMAXPROCS(0), "document-store shard count (partitions by a hash of the document id)")
-		cacheSize   = fs.Int("cache-size", 256, "per-shard compiled-query LRU capacity (entries)")
+		cacheSize   = fs.Int("cache-size", service.DefaultCacheSize, "compiled-query LRU capacity (entries)")
 		workers     = fs.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 		streamChunk = fs.Int("stream-chunk", service.DefaultStreamChunk, "nodes per /query/stream NDJSON chunk")
 		allowFiles  = fs.Bool("allow-file-loads", false, "let POST /docs read server-side file paths")
@@ -144,6 +142,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		mmaps       multiFlag
 		xmarks      multiFlag
 	)
+	fs.Int("shards", 1, "ignored: the store has one partition")
 	fs.Var(&loads, "load", "preload an XML document, id=path (repeatable)")
 	fs.Var(&mmaps, "mmap", "open an XQO2 resident file zero-copy, id=path, or a directory of .xqo2 files (repeatable)")
 	fs.Var(&xmarks, "xmark", "pregenerate an XMark document, id=scale[:seed] (repeatable)")
@@ -160,10 +159,10 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	}
 	logger := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level}))
 
-	st := shard.NewStore(*shards)
+	st := shard.NewStore(1)
 	st.SetResidentBudget(*residentMax)
 	st.SetVerifyResident(*verifyRes)
-	if err := preload(ctx, st, logger, loads, mmaps, xmarks); err != nil {
+	if err := preload(ctx, st.Store, logger, loads, mmaps, xmarks); err != nil {
 		if ctx.Err() != nil {
 			logger.Info("cancelled during preload")
 			return nil
@@ -194,7 +193,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	}
 	logger.Info("listening",
 		slog.String("addr", ln.Addr().String()),
-		slog.Int("shards", st.NumShards()),
 		slog.Int("documents", st.Len()),
 		slog.Int64("slow_query_ms", *slowQueryMS),
 		slog.Bool("pprof", *pprofFlag))
@@ -225,7 +223,7 @@ type preloadJob struct {
 	// load runs on a worker. A -load or -xmark job builds and publishes
 	// its document there; a -mmap job (mapped) only opens its file, and
 	// preload publishes the handle.
-	load   func(*shard.Store) (*store.Handle, error)
+	load   func(*store.Store) (*store.Handle, error)
 	mapped bool
 	// Set by the worker that ran the job, read after done is closed.
 	h    *store.Handle
@@ -239,7 +237,7 @@ type preloadJob struct {
 // here, before any document is touched.
 func planPreload(loads, mmaps, xmarks []string) ([]*preloadJob, error) {
 	var jobs []*preloadJob
-	add := func(flag, spec, id string, mapped bool, load func(*shard.Store) (*store.Handle, error)) {
+	add := func(flag, spec, id string, mapped bool, load func(*store.Store) (*store.Handle, error)) {
 		jobs = append(jobs, &preloadJob{flag: flag, spec: spec, id: id, mapped: mapped, load: load})
 	}
 	for _, spec := range loads {
@@ -247,11 +245,11 @@ func planPreload(loads, mmaps, xmarks []string) ([]*preloadJob, error) {
 		if err != nil {
 			return nil, err
 		}
-		add("-load", spec, id, false, func(st *shard.Store) (*store.Handle, error) { return st.LoadXMLFile(id, path) })
+		add("-load", spec, id, false, func(st *store.Store) (*store.Handle, error) { return st.LoadXMLFile(id, path) })
 	}
 	for _, spec := range mmaps {
 		addMapped := func(id, path string) {
-			add("-mmap", spec, id, true, func(st *shard.Store) (*store.Handle, error) { return st.OpenMapped(id, path) })
+			add("-mmap", spec, id, true, func(st *store.Store) (*store.Handle, error) { return st.OpenMapped(id, path) })
 		}
 		if fi, err := os.Stat(spec); err == nil && fi.IsDir() {
 			entries, err := os.ReadDir(spec)
@@ -287,7 +285,7 @@ func planPreload(loads, mmaps, xmarks []string) ([]*preloadJob, error) {
 				return nil, fmt.Errorf("-xmark %q: bad seed: %w", spec, err)
 			}
 		}
-		add("-xmark", spec, id, false, func(st *shard.Store) (*store.Handle, error) { return st.GenerateXMark(id, scale, seed) })
+		add("-xmark", spec, id, false, func(st *store.Store) (*store.Handle, error) { return st.GenerateXMark(id, scale, seed) })
 	}
 	first := map[string]*preloadJob{}
 	for _, j := range jobs {
@@ -312,7 +310,7 @@ func planPreload(loads, mmaps, xmarks []string) ([]*preloadJob, error) {
 // further document is started or published; preload returns when the
 // ones under way are done, so no worker outlives it, and unmaps every
 // file it opened and did not publish.
-func preload(ctx context.Context, st *shard.Store, logger *slog.Logger, loads, mmaps, xmarks []string) error {
+func preload(ctx context.Context, st *store.Store, logger *slog.Logger, loads, mmaps, xmarks []string) error {
 	jobs, err := planPreload(loads, mmaps, xmarks)
 	if err != nil {
 		return err

@@ -14,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/shard"
+	"repro/internal/store"
 )
 
 // mappedIn lists the files in dir the process has mapped, by base name,
@@ -66,7 +66,7 @@ func TestPreloadUnmapsUnpublished(t *testing.T) {
 		if err := syscall.Mkfifo(fifo, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		st := shard.NewStore(4)
+		st := store.New()
 		errc := make(chan error, 1)
 		go func() {
 			errc <- preload(context.Background(), st, testLogger(io.Discard), []string{"pipe=" + fifo}, []string{mdir}, nil)
@@ -92,7 +92,7 @@ func TestPreloadUnmapsUnpublished(t *testing.T) {
 		mdir := mappedCorpus(t, n, 0.001)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		st := shard.NewStore(4)
+		st := store.New()
 		// The first "loaded document" line waits until every file is open,
 		// then cancels: the rest are opened and never published.
 		opened := false

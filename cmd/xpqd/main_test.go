@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/xmark"
 )
@@ -198,7 +197,7 @@ func TestPreloadDuplicateIDs(t *testing.T) {
 		{"mmap directory and load", []string{"m=" + strings.SplitN(files[0], "=", 2)[1]}, []string{filepath.Dir(xqo2)}, nil, []string{`"m"`, "-load", "-mmap"}},
 	} {
 		var log logBuf
-		st := shard.NewStore(2)
+		st := store.New()
 		err := preload(context.Background(), st, testLogger(&log), tc.loads, tc.mmaps, tc.xmarks)
 		if err == nil || !strings.Contains(err.Error(), "duplicate document id") {
 			t.Errorf("%s: err = %v, want a duplicate-id error", tc.name, err)
@@ -245,7 +244,7 @@ func TestPreloadOrder(t *testing.T) {
 	want := "d0 d1 d2 d3 d4 d5 d6 d7 m000 m001 m002 m003 m004 m005 solo x0 x1 x2"
 	for round := 0; round < 10; round++ {
 		var log logBuf
-		st := shard.NewStore(4)
+		st := store.New()
 		if err := preload(context.Background(), st, testLogger(&log), files, mmaps, xmarks); err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +304,7 @@ func TestPreloadFirstFailureInFlagOrder(t *testing.T) {
 	} {
 		for round := 0; round < 20; round++ {
 			var log logBuf
-			err := preload(context.Background(), shard.NewStore(4), testLogger(&log), tc.loads, tc.mmaps, tc.xmarks)
+			err := preload(context.Background(), store.New(), testLogger(&log), tc.loads, tc.mmaps, tc.xmarks)
 			for _, w := range tc.says {
 				if err == nil || !strings.Contains(err.Error(), w) {
 					t.Fatalf("%s: err = %v, want one saying %s", tc.name, err, strings.Join(tc.says, " and "))
@@ -342,7 +341,7 @@ func TestPreloadCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		// Cancel from inside the first "loaded document" log line.
-		st := shard.NewStore(4)
+		st := store.New()
 		log := &cancelOnWrite{cancel: cancel, published: st.Len}
 		before := runtime.NumGoroutine()
 		start := time.Now()
@@ -397,48 +396,43 @@ func (c *cancelOnWrite) Write(p []byte) (int, error) {
 }
 
 // TestPreloadHotSet pins what is hot after preloading a corpus larger
-// than the resident budget: on every shard exactly its last k files in
-// flag order, on every run, whichever worker opened which file first —
-// DESIGN "Preload": the flag order is the budget's first LRU order. A
-// charged mapping is read without a map fault.
+// than the resident budget: exactly the last k files in flag order, on
+// every run, whichever worker opened which file first — DESIGN
+// "Preload": the flag order is the budget's first LRU order. A charged
+// mapping is read without a map fault.
 func TestPreloadHotSet(t *testing.T) {
-	const n, k, shards = 24, 2, 4
+	const n, k = 24, 8
 	mdir := mappedCorpus(t, n, 0.001)
 	fi, err := os.Stat(filepath.Join(mdir, "m000.xqo2"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var hot []string
+	for i := n - k; i < n; i++ {
+		hot = append(hot, fmt.Sprintf("m%03d", i))
+	}
 	for round := 0; round < 20; round++ {
-		st := shard.NewStore(shards)
-		st.SetResidentBudget(k * shards * fi.Size())
+		st := store.New()
+		st.SetResidentBudget(k * fi.Size())
 		if err := preload(context.Background(), st, testLogger(io.Discard), nil, []string{mdir}, nil); err != nil {
 			t.Fatal(err)
 		}
-		ids := make([][]string, shards) // each shard's ids, in flag order
-		for i := 0; i < n; i++ {
-			id := fmt.Sprintf("m%03d", i)
-			ids[st.ShardFor(id)] = append(ids[st.ShardFor(id)], id)
+		if got, want := st.Mapped().ChargedBytes, int64(k)*fi.Size(); got != want {
+			t.Fatalf("round %d: %d bytes charged, want %d (%v)", round, got, want, hot)
 		}
-		for s, own := range ids {
-			hot := own[max(0, len(own)-k):]
-			part := st.Part(s)
-			if got, want := part.Mapped().ChargedBytes, int64(len(hot))*fi.Size(); got != want {
-				t.Fatalf("round %d, shard %d: %d bytes charged, want %d (%v)", round, s, got, want, hot)
-			}
-			for _, id := range hot {
-				faults := part.Mapped().MapFaults
-				if _, ok := st.Get(id); !ok || part.Mapped().MapFaults != faults {
-					t.Fatalf("round %d, shard %d: %s is not hot; the hot set should be %v of %v", round, s, id, hot, own)
-				}
+		for _, id := range hot {
+			faults := st.Mapped().MapFaults
+			if _, ok := st.Get(id); !ok || st.Mapped().MapFaults != faults {
+				t.Fatalf("round %d: %s is not hot; the hot set should be %v", round, id, hot)
 			}
 		}
 	}
 }
 
 // BenchmarkPreloadMapped is point-lookup's set-up in process: 256 XMark
-// 0.002 files preloaded from one -mmap directory onto four shards under
-// a resident budget of a quarter of the corpus, logging at warn as the
-// benchmark's daemon does.
+// 0.002 files preloaded from one -mmap directory under a resident budget
+// of a quarter of the corpus, logging at warn as the benchmark's daemon
+// does.
 func BenchmarkPreloadMapped(b *testing.B) {
 	const n = 256
 	mdir := mappedCorpus(b, n, 0.002)
@@ -449,7 +443,7 @@ func BenchmarkPreloadMapped(b *testing.B) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := shard.NewStore(4)
+		st := store.New()
 		st.SetResidentBudget(n * fi.Size() / 4)
 		if err := preload(context.Background(), st, logger, nil, []string{mdir}, nil); err != nil {
 			b.Fatal(err)

@@ -1,7 +1,6 @@
 package repro_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -129,25 +128,24 @@ func TestStrategyAgreementDifferential(t *testing.T) {
 }
 
 // TestShardedServiceDifferential runs the fifteen paper queries at all
-// three XMark sizes through the sharded service path at 1, 4 and 8
-// shards, and checks the answers — materialized and cursor-paged —
-// against the single-shard step-wise engine node for node. The three
-// documents are registered together in each sharded store, so at 4 and
-// 8 shards they spread over distinct partitions with distinct engine
-// tables and compiled-query LRUs; identical answers prove routing,
-// per-shard caching and shard-qualified paging change nothing about
-// query semantics.
+// three XMark sizes through the service, with the three documents
+// registered together in its one store, one compiled-query LRU and one
+// engine table, and checks the answers — materialized and cursor-paged
+// — against the step-wise engine node for node: caching across
+// documents and paging change nothing about query semantics.
 func TestShardedServiceDifferential(t *testing.T) {
 	sizes := diffSizes
 	if testing.Short() {
 		sizes = diffSizes[:1]
 	}
-	// One generation per size, shared by the oracle and every service.
-	docs := make(map[string]*tree.Document, len(sizes))
+	ss := shard.NewStore(1)
+	svc := service.New(ss, service.Options{})
 	oracle := make(map[string]map[string][]tree.NodeID, len(sizes))
 	for _, sz := range sizes {
 		doc := xmark.Generate(xmark.Config{Scale: sz.scale, Seed: sz.seed})
-		docs[sz.name] = doc
+		if _, err := ss.Add(sz.name, doc, store.SourceDirect); err != nil {
+			t.Fatal(err)
+		}
 		eng := core.New(doc)
 		byQuery := make(map[string][]tree.NodeID)
 		for _, q := range xmark.Queries() {
@@ -160,72 +158,50 @@ func TestShardedServiceDifferential(t *testing.T) {
 		oracle[sz.name] = byQuery
 	}
 
-	for _, shards := range []int{1, 4, 8} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			t.Parallel()
-			ss := shard.NewStore(shards)
-			svc := service.New(ss, service.Options{})
-			for _, sz := range sizes {
-				if _, err := ss.Add(sz.name, docs[sz.name], store.SourceDirect); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if shards > 1 {
-				used := map[int]bool{}
-				for _, sz := range sizes {
-					used[ss.ShardFor(sz.name)] = true
-				}
-				if !testing.Short() && len(used) < 2 {
-					t.Logf("note: all %d docs landed on one of %d shards", len(sizes), shards)
-				}
-			}
-			for _, sz := range sizes {
-				for _, q := range xmark.Queries() {
-					want := oracle[sz.name][q.XPath]
+	for _, sz := range sizes {
+		for _, q := range xmark.Queries() {
+			want := oracle[sz.name][q.XPath]
 
-					// Materialized: the whole answer in one response.
-					one := svc.Eval(service.Request{Doc: sz.name, Query: q.XPath})
-					if one.Err != "" {
-						t.Fatalf("%s %s: %s", sz.name, q.ID, one.Err)
-					}
-					if one.Count != len(want) || !equalNodes(one.Nodes, want) {
-						t.Errorf("%s %s: sharded answer (%d nodes) != stepwise (%d nodes)",
-							sz.name, q.ID, len(one.Nodes), len(want))
-						continue
-					}
+			// Materialized: the whole answer in one response.
+			one := svc.Eval(service.Request{Doc: sz.name, Query: q.XPath})
+			if one.Err != "" {
+				t.Fatalf("%s %s: %s", sz.name, q.ID, one.Err)
+			}
+			if one.Count != len(want) || !equalNodes(one.Nodes, want) {
+				t.Errorf("%s %s: service answer (%d nodes) != stepwise (%d nodes)",
+					sz.name, q.ID, len(one.Nodes), len(want))
+				continue
+			}
 
-					// Cursor-paged: ~8 pages via shard-qualified tokens.
-					limit := len(want)/8 + 1
-					var paged []tree.NodeID
-					cursor := ""
-					for page := 0; ; page++ {
-						resp := svc.Eval(service.Request{
-							Doc: sz.name, Query: q.XPath, Limit: limit, Cursor: cursor,
-						})
-						if resp.Err != "" {
-							t.Fatalf("%s %s page %d: %s", sz.name, q.ID, page, resp.Err)
-						}
-						if resp.Count != len(want) {
-							t.Fatalf("%s %s page %d: Count=%d, want %d",
-								sz.name, q.ID, page, resp.Count, len(want))
-						}
-						paged = append(paged, resp.Nodes...)
-						if resp.Next == "" {
-							break
-						}
-						cursor = resp.Next
-						if len(paged) > len(want) {
-							t.Fatalf("%s %s: paging ran past the oracle answer", sz.name, q.ID)
-						}
-					}
-					if !equalNodes(paged, want) {
-						t.Errorf("%s %s: paged answer (%d nodes) != stepwise (%d nodes)",
-							sz.name, q.ID, len(paged), len(want))
-					}
+			// Cursor-paged: ~8 pages via continuation tokens.
+			limit := len(want)/8 + 1
+			var paged []tree.NodeID
+			cursor := ""
+			for page := 0; ; page++ {
+				resp := svc.Eval(service.Request{
+					Doc: sz.name, Query: q.XPath, Limit: limit, Cursor: cursor,
+				})
+				if resp.Err != "" {
+					t.Fatalf("%s %s page %d: %s", sz.name, q.ID, page, resp.Err)
+				}
+				if resp.Count != len(want) {
+					t.Fatalf("%s %s page %d: Count=%d, want %d",
+						sz.name, q.ID, page, resp.Count, len(want))
+				}
+				paged = append(paged, resp.Nodes...)
+				if resp.Next == "" {
+					break
+				}
+				cursor = resp.Next
+				if len(paged) > len(want) {
+					t.Fatalf("%s %s: paging ran past the oracle answer", sz.name, q.ID)
 				}
 			}
-		})
+			if !equalNodes(paged, want) {
+				t.Errorf("%s %s: paged answer (%d nodes) != stepwise (%d nodes)",
+					sz.name, q.ID, len(paged), len(want))
+			}
+		}
 	}
 }
 

@@ -103,9 +103,7 @@ func BenchmarkEvalSteadyState(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sp := tr.Begin(obsv.SpanRoute)
-					tr.End(sp)
-					sp = tr.Begin(obsv.SpanEngine)
+					sp := tr.Begin(obsv.SpanEngine)
 					tr.End(sp)
 					sp = tr.Begin(obsv.SpanCompile)
 					tr.End(sp)

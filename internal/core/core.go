@@ -163,8 +163,9 @@ func NewWithIndex(d *tree.Document, ix *index.Index, c *qcache.Cache, keyPrefix 
 }
 
 // NewShared builds an engine over one generation of a document around
-// warm state its caller owns: a shard's cache and pool, the document's
-// selector. It allocates nothing else; the service makes one per request.
+// warm state its caller owns: the service's cache and pool, the
+// document's selector. It allocates nothing else; the service makes one
+// per request.
 func NewShared(d *tree.Document, ix *index.Index, c *qcache.Cache, pool *Pool, auto *Selector) *Engine {
 	return &Engine{doc: d, ix: ix, cache: c, pool: pool, auto: auto}
 }

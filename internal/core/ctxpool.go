@@ -72,20 +72,10 @@ func (p PoolStats) HitRate() float64 {
 	return float64(p.Hits) / float64(p.Hits+p.Misses)
 }
 
-// AddTo accumulates p into dst (for cross-shard aggregation).
-func (p PoolStats) AddTo(dst *PoolStats) {
-	dst.Hits += p.Hits
-	dst.Misses += p.Misses
-	dst.GuardTrips += p.GuardTrips
-	dst.Drops += p.Drops
-	dst.Resident += p.Resident
-	dst.ArenaBytes += p.ArenaBytes
-}
-
 // Pool accounts the warm contexts parked on the automata its engines
 // compiled: the counters behind PoolStats and the byte budget releases
-// are admitted against. The service has one per shard, an engine built
-// without one its own. The zero Pool is ready to use.
+// are admitted against. The service has one, an engine built without
+// one its own. The zero Pool is ready to use.
 type Pool struct {
 	hits       atomic.Uint64
 	misses     atomic.Uint64

@@ -425,7 +425,7 @@ type SelectorStats struct {
 	// per-candidate estimates.
 	TopShapes []AutoShape `json:"top_shapes,omitempty"`
 
-	// Raw accumulators for cross-shard aggregation (AddTo + Finalize).
+	// Raw accumulators for summing selectors (AddTo + Finalize).
 	ErrRelSum float64 `json:"-"`
 	ErrCount  uint64  `json:"-"`
 }
@@ -487,8 +487,8 @@ func (sel *Selector) Stats() SelectorStats {
 	return s
 }
 
-// AddTo accumulates s into dst (cross-shard aggregation; the PoolStats
-// pattern). Call Finalize on dst once every shard is added.
+// AddTo accumulates s into dst (the service sums its documents'
+// selectors). Call Finalize on dst once every selector is added.
 func (s SelectorStats) AddTo(dst *SelectorStats) {
 	dst.Adaptive = s.Adaptive
 	dst.Shapes += s.Shapes

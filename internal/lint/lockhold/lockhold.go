@@ -1,7 +1,7 @@
 // Package lockhold encodes the lock discipline of the serving path:
-// the mutexes guarding store chains, shard selector tables, the compiled
-// query cache and service metrics are all short-hold spinners on the
-// hot path, so nothing slow or re-entrant may happen under one. While
+// the mutexes guarding store chains, the service's selector table, the
+// compiled query cache and service metrics are all short-hold spinners
+// on the hot path, so nothing slow or re-entrant may happen under one. While
 // such a mutex is held the analyzer forbids
 //
 //   - channel operations (send, receive, select, range-over-channel)
@@ -17,7 +17,7 @@
 // The walk is a path-sensitive abstract interpretation of each
 // function body: branches fork the held-set, a deferred Unlock keeps
 // the lock held to function end (by design — code after it is still
-// under the lock), and lowercase lock()/unlock() wrappers (the shard
+// under the lock), and lowercase lock()/unlock() wrappers (the service's
 // lock-wait accounting) count as acquire/release of their receiver.
 package lockhold
 
@@ -33,15 +33,15 @@ import (
 
 var Analyzer = &lint.Analyzer{
 	Name: "lockhold",
-	Doc:  "no blocking operation or nested tracked-lock acquisition while a store/shard/qcache/service mutex is held",
+	Doc:  "no blocking operation or nested tracked-lock acquisition while a store/qcache/service/core mutex is held",
 	Run:  run,
 }
 
 // trackedPkgs are the packages whose mutexes are hot-path spinners;
 // short names match linttest fixtures.
 var trackedPkgs = []string{
-	"internal/store", "internal/shard", "internal/qcache", "internal/service", "internal/core",
-	"store", "shard", "qcache", "service", "core",
+	"internal/store", "internal/qcache", "internal/service", "internal/core",
+	"store", "qcache", "service", "core",
 }
 
 func trackedPkg(path string) bool {
@@ -298,7 +298,7 @@ func (w *walker) checkCall(call *ast.CallExpr, h held) {
 		return
 	}
 
-	// lock()/unlock() wrappers on tracked types (the shard lock-wait
+	// lock()/unlock() wrappers on tracked types (the service's lock-wait
 	// accounting): the receiver itself is the key, and a later
 	// receiver.mu.Unlock() releases it by prefix.
 	if name == "lock" || name == "unlock" {

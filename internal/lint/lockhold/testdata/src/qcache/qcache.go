@@ -71,7 +71,7 @@ func (s *Shard) Twice() {
 	s.mu.Unlock()
 }
 
-// lock is the wrapper pattern the service shard uses for lock-wait
+// lock is the wrapper pattern the service uses for lock-wait
 // accounting: acquiring it counts as holding the receiver.
 func (s *Shard) lock() { s.mu.Lock() }
 

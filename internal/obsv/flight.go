@@ -30,7 +30,6 @@ type Record struct {
 	RequestID string    `json:"request_id,omitempty"`
 	Doc       string    `json:"doc"`
 	Query     string    `json:"query"`
-	Shard     int       `json:"shard"`
 	Strategy  string    `json:"strategy,omitempty"`
 	Outcome   string    `json:"outcome"`
 	Err       string    `json:"error,omitempty"`

@@ -10,7 +10,7 @@ func TestTraceSpanTree(t *testing.T) {
 	tr := NewTrace(true)
 	defer ReleaseTrace(tr)
 	root := tr.Begin(SpanQuery)
-	a := tr.Begin(SpanRoute)
+	a := tr.Begin(SpanEngine)
 	tr.End(a)
 	b := tr.Begin(SpanRun)
 	p := tr.Begin(SpanParse)
@@ -33,7 +33,7 @@ func TestTraceSpanTree(t *testing.T) {
 		t.Fatalf("want one root span %q, got %+v", SpanQuery, prof.Spans)
 	}
 	kids := prof.Spans[0].Children
-	if len(kids) != 2 || kids[0].Name != SpanRoute || kids[1].Name != SpanRun {
+	if len(kids) != 2 || kids[0].Name != SpanEngine || kids[1].Name != SpanRun {
 		t.Fatalf("root children = %+v", kids)
 	}
 	if len(kids[1].Children) != 2 {

@@ -32,7 +32,6 @@ import (
 // explain output stable for tools.
 const (
 	SpanQuery   = "query"   // whole request, root span
-	SpanRoute   = "route"   // shard routing decision
 	SpanEngine  = "engine"  // generation pin, document-selector lookup, engine binding
 	SpanCursor  = "cursor"  // continuation-token decode + validation
 	SpanParse   = "parse"   // XPath text -> AST

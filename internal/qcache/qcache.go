@@ -238,16 +238,6 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// AddTo accumulates s into dst (for cross-shard aggregation).
-func (s Stats) AddTo(dst *Stats) {
-	dst.Size += s.Size
-	dst.Capacity += s.Capacity
-	dst.SizeBytes += s.SizeBytes
-	dst.Hits += s.Hits
-	dst.Misses += s.Misses
-	dst.Evictions += s.Evictions
-}
-
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()

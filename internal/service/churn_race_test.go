@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -12,25 +13,26 @@ import (
 	"repro/internal/tree"
 )
 
-// TestShardedChurnHammer is the sharded concurrency hammer: on every
-// shard of an 8-shard service at once — loads (XML and XMark, with a
+// TestShardedChurnHammer is the load/evict concurrency hammer: on eight
+// documents of one service at once — loads (XML and XMark, with a
 // racing duplicate loader exercising the store's single-flight),
 // evictions, one-shot and paged Evals, and NDJSON streams, including
 // evict-while-streaming. Every observation must be one of exactly two
 // things: a clean error (document missing, stale cursor, or ErrExists
 // on the racing load) or a complete answer equal to one single load's
-// ground truth. Run under -race (CI does) this is the sharded serving
-// layer's thread-safety proof.
+// ground truth. Run under -race (CI does) this is the serving layer's
+// thread-safety proof under document churn.
 func TestShardedChurnHammer(t *testing.T) {
 	const query = "//keyword"
 	const smallXML = "<r><keyword/><a><keyword/><b><keyword/></b></a></r>"
+	const readerIters = 30
 	xmarkSeeds := []int64{1, 2}
 
-	// Ground truth per load variant, computed on isolated single-shard
-	// services. XMark generation is deterministic in (scale, seed), so
-	// the truth is the same for every document id.
+	// Ground truth per load variant, computed on isolated services.
+	// XMark generation is deterministic in (scale, seed), so the truth is
+	// the same for every document id.
 	exp := make(map[string][]tree.NodeID)
-	addTruth := func(load func(ss *shard.Store) error) {
+	addTruth := func(load func(ss *store.Store) error) {
 		t.Helper()
 		ref := New(shard.NewStore(1), Options{Workers: 1})
 		if err := load(ref.Store()); err != nil {
@@ -44,12 +46,12 @@ func TestShardedChurnHammer(t *testing.T) {
 	}
 	for _, seed := range xmarkSeeds {
 		seed := seed
-		addTruth(func(ss *shard.Store) error {
+		addTruth(func(ss *store.Store) error {
 			_, err := ss.GenerateXMark("truth", 0.002, seed)
 			return err
 		})
 	}
-	addTruth(func(ss *shard.Store) error {
+	addTruth(func(ss *store.Store) error {
 		_, err := ss.LoadXML("truth", []byte(smallXML))
 		return err
 	})
@@ -63,9 +65,12 @@ func TestShardedChurnHammer(t *testing.T) {
 			strings.Contains(resp.Err, "no such document")
 	}
 
-	ss := shard.NewStore(8)
-	svc := New(ss, Options{CacheSize: 16})
-	ids := idsCoveringAllShards(t, ss)
+	svc := New(shard.NewStore(1), Options{CacheSize: 16})
+	ss := svc.Store()
+	ids := make([]string, 8)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("doc-%d", i)
+	}
 	for _, id := range ids {
 		if _, err := ss.GenerateXMark(id, 0.002, xmarkSeeds[0]); err != nil {
 			t.Fatal(err)
@@ -104,7 +109,7 @@ func TestShardedChurnHammer(t *testing.T) {
 		}()
 
 		// Duplicate loader: races the churner for the same id, so the
-		// single-flight load path runs under contention on every shard.
+		// single-flight load path runs under contention on every document.
 		churnWG.Add(1)
 		go func() {
 			defer churnWG.Done()
@@ -127,8 +132,7 @@ func TestShardedChurnHammer(t *testing.T) {
 		readersWG.Add(1)
 		go func() {
 			defer readersWG.Done()
-			const iters = 30
-			for i := 0; i < iters; i++ {
+			for i := 0; i < readerIters; i++ {
 				if i%2 == 0 {
 					var buf bytes.Buffer
 					if pre := svc.Stream(&buf, Request{Doc: id, Query: query}, 4); pre != nil {
@@ -176,10 +180,9 @@ func TestShardedChurnHammer(t *testing.T) {
 	churnWG.Wait()
 	assertPoolSettled(t, svc)
 
-	// The hammer must have exercised every shard, not just warmed one.
-	for i, sh := range svc.Stats().Shards {
-		if sh.Queries.Total == 0 {
-			t.Errorf("shard %d served no queries during the hammer", i)
-		}
+	// The hammer must have exercised every document, not just warmed
+	// one: every reader iteration is at least one query.
+	if got, want := svc.Stats().Queries.Total, uint64(len(ids)*readerIters); got < want {
+		t.Errorf("the hammer served %d queries, want at least %d", got, want)
 	}
 }

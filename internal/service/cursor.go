@@ -18,15 +18,12 @@ import (
 // a resume after a patch retired the generation, an evict/reload, or a
 // daemon restart decodes fine but fails the generation lookup, because
 // generations are clock-seeded per load. That failure maps to HTTP 410,
-// which is what keeps paged answers from silently mixing two trees. The
-// token names no shard: the document id routes the resume, and the
-// shard count cannot change without a restart, which already strands
-// every generation. No server-side state is kept per cursor beyond the
-// lease: resuming re-evaluates (hitting the shard's compiled-automaton
-// LRU) and seeks past the last delivered node — a binary search of the
-// answer, which is one sorted slice — so a resumed page costs
-// O(page + log n) on top of the cached evaluation rather than a re-walk
-// of every page already served.
+// which is what keeps paged answers from silently mixing two trees. No
+// server-side state is kept per cursor beyond the lease: resuming
+// re-evaluates (hitting the compiled-automaton LRU) and seeks past the
+// last delivered node — a binary search of the answer, which is one
+// sorted slice — so a resumed page costs O(page + log n) on top of the
+// cached evaluation rather than a re-walk of every page already served.
 
 const cursorVersion = "c3"
 

@@ -36,12 +36,11 @@ func TestPageOutlivesItsArena(t *testing.T) {
 
 			// A cursor of our own over the same generation, in the context
 			// page 1 parked; read a batch and close it mid-answer.
-			sh := svc.shardFor("xm")
-			h, err := sh.part.Acquire("xm", 0)
+			h, err := svc.store.Acquire("xm", 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cur, err := sh.engine(h).EvalCursor(q, core.Optimized)
+			cur, err := svc.engine(h).EvalCursor(q, core.Optimized)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +53,7 @@ func TestPageOutlivesItsArena(t *testing.T) {
 			cur.Close()
 			site := h.Doc.DocumentElement()
 			front := h.Doc.FirstChild(site)
-			sh.part.Release("xm", h.Gen, time.Time{}, false)
+			svc.store.Release("xm", h.Gen, time.Time{}, false)
 
 			if _, err := svc.PatchDoc("xm", PatchDocRequest{Op: "insert", Node: site, Before: &front, XML: vocabularyFragments[1]}); err != nil {
 				t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 //	POST   /query          Request           -> Response (limit/cursor paged)
 //	POST   /query/stream   Request           -> NDJSON: header, chunks, trailer
 //	POST   /batch   BatchRequest             -> BatchResponse
-//	GET    /docs                             -> documents (with owning shard) + shard count
+//	GET    /docs                             -> documents
 //	POST   /docs    LoadRequest              -> store.Stats
 //	PATCH  /docs/{id}  PatchDocRequest       -> store.Stats (the new generation)
 //	DELETE /docs/{id}                        -> 204
@@ -36,7 +36,8 @@ import (
 // request id — X-Request-Id when the client sent one, generated
 // otherwise — echoed in the response headers, the explain profile, the
 // flight records and the logs. The bodies of /query, /query/stream and
-// /batch are capped at maxQueryBody; a longer one is answered 413.
+// /batch are capped at maxQueryBody, PATCH bodies at maxPatchBody; a
+// longer one is answered 413.
 
 // BatchRequest is the body of POST /batch.
 type BatchRequest struct {
@@ -203,10 +204,7 @@ func NewHandler(s *Service, opts HandlerOptions) http.Handler {
 		writeJSON(w, http.StatusOK, BatchResponse{Responses: s.EvalBatch(req.Requests)})
 	})
 	mux.HandleFunc("GET /docs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"documents": s.Store().ListSharded(),
-			"shards":    s.Store().NumShards(),
-		})
+		writeJSON(w, http.StatusOK, map[string]any{"documents": s.Store().List()})
 	})
 	mux.HandleFunc("POST /docs", func(w http.ResponseWriter, r *http.Request) {
 		var req LoadRequest
@@ -231,6 +229,7 @@ func NewHandler(s *Service, opts HandlerOptions) http.Handler {
 	})
 	mux.HandleFunc("PATCH /docs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		var req PatchDocRequest
+		r.Body = http.MaxBytesReader(w, r.Body, maxPatchBody)
 		if !decodeJSON(w, r, &req) {
 			return
 		}
@@ -320,8 +319,11 @@ func statusFor(resp Response) int {
 
 // maxQueryBody caps the bodies of /query, /query/stream and /batch. A
 // query is a few hundred bytes; a megabyte holds a batch of thousands.
-// POST /docs and PATCH carry XML and are not capped here.
 const maxQueryBody = 1 << 20
+
+// maxPatchBody caps a PATCH body: one fragment of XML, escaped into
+// JSON. POST /docs loads whole documents and is not capped.
+const maxPatchBody = 8 << 20
 
 // decodeQuery is decodeJSON over a body capped at maxQueryBody.
 func decodeQuery(w http.ResponseWriter, r *http.Request, dst any) bool {

@@ -233,10 +233,12 @@ func TestHealthz(t *testing.T) {
 }
 
 // TestDeeplyNestedBodyIsABadRequest: six million unclosed start tags —
-// 18 MB, which POST /docs and PATCH accept — used to recurse the parser
-// past the goroutine stack limit and kill the process ("fatal error:
-// stack overflow" is not a panic; no recover contains it). Now it is a
-// syntax error like any other, and the daemon keeps answering.
+// 18 MB, which POST /docs accepts — used to recurse the parser past the
+// goroutine stack limit and kill the process ("fatal error: stack
+// overflow" is not a panic; no recover contains it). Now it is a syntax
+// error like any other, and the daemon keeps answering. A PATCH body
+// that size is refused before it is parsed (413), and a deep fragment
+// under the cap is a 400 too.
 func TestDeeplyNestedBodyIsABadRequest(t *testing.T) {
 	srv := newTestServer(t)
 	deep := strings.Repeat("<a>", 6_000_000)
@@ -250,8 +252,13 @@ func TestDeeplyNestedBodyIsABadRequest(t *testing.T) {
 	if code := doJSON(t, "POST", srv.URL+"/docs", LoadRequest{ID: "d", XML: "<r><a/></r>"}, nil); code != http.StatusCreated {
 		t.Fatalf("loading a small document: status %d", code)
 	}
-	if code := doJSON(t, "PATCH", srv.URL+"/docs/d", PatchDocRequest{Op: "insert", Node: 1, XML: deep}, &e); code != http.StatusBadRequest {
-		t.Errorf("PATCH with 6M unclosed levels: status %d (%s), want 400", code, e.Error)
+	if code := doJSON(t, "PATCH", srv.URL+"/docs/d", PatchDocRequest{Op: "insert", Node: 1, XML: deep}, &e); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("PATCH with 6M unclosed levels: status %d (%s), want 413", code, e.Error)
+	}
+	// 500 000 levels: 7 MB once JSON escapes each "<" and ">".
+	under := strings.Repeat("<a>", 500_000)
+	if code := doJSON(t, "PATCH", srv.URL+"/docs/d", PatchDocRequest{Op: "insert", Node: 1, XML: under}, &e); code != http.StatusBadRequest || !strings.Contains(e.Error, "missing end tag") {
+		t.Errorf("PATCH with 500k unclosed levels: status %d (%s), want 400 from the parser", code, e.Error)
 	}
 	if code := doJSON(t, "GET", srv.URL+"/healthz", nil, nil); code != http.StatusOK {
 		t.Errorf("/healthz after the deep bodies: status %d", code)

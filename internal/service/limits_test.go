@@ -116,6 +116,41 @@ func TestQueryBodyCap(t *testing.T) {
 	}
 }
 
+// TestPatchBodyCap: PATCH /docs/{id} reads at most maxPatchBody bytes
+// of body. One byte more is a 413 in the JSON error envelope and leaves
+// the document at its generation; a body of exactly the cap is served.
+func TestPatchBodyCap(t *testing.T) {
+	s := newTestService(t, Options{})
+	srv := httptest.NewServer(NewHandler(s, HandlerOptions{}))
+	t.Cleanup(srv.Close)
+	head := `{"op":"insert","node":1,"xml":"<c/>"`
+	for _, n := range []int{maxPatchBody, maxPatchBody + 1} {
+		req, err := http.NewRequest("PATCH", srv.URL+"/docs/d1", bytes.NewReader(padded(head, n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorBody
+		if resp.StatusCode != http.StatusOK {
+			_ = json.NewDecoder(resp.Body).Decode(&e)
+		}
+		resp.Body.Close()
+		want := http.StatusOK
+		if n > maxPatchBody {
+			want = http.StatusRequestEntityTooLarge
+		}
+		if resp.StatusCode != want || (want != http.StatusOK && e.Error == "") {
+			t.Errorf("PATCH with a %d-byte body: status %d (%q), want %d", n, resp.StatusCode, e.Error, want)
+		}
+	}
+	if mv := s.Stats().MVCC; mv.Patches != 1 {
+		t.Errorf("%d patches applied, want the one under the cap", mv.Patches)
+	}
+}
+
 // deepQuery nests a million parentheses, in a body under the cap.
 var deepQuery = "a[" + strings.Repeat("(", 1_048_000)
 
@@ -180,5 +215,45 @@ func FuzzQueryBody(f *testing.F) {
 		if mv := s.Stats().MVCC; mv.PinnedGenerations != 0 {
 			t.Errorf("after a PATCH: %d generations pinned, want 0", mv.PinnedGenerations)
 		}
+	})
+}
+
+// FuzzPatchBody sends arbitrary bytes as the body of PATCH /docs/d1 and
+// PATCH /docs/nope over a tiny document. Every answer must be one of
+// the statuses the API documents for a patch, nothing may panic, and a
+// query afterwards is answered with every book settled.
+func FuzzPatchBody(f *testing.F) {
+	for _, seed := range []string{
+		`{"op":"insert","node":1,"xml":"<b/>"}`,
+		`{"op":"insert","node":1,"before":2,"xml":"<z q=\"1\"><b/></z>"}`,
+		`{"op":"replace","node":2,"xml":"<a><b>y</b></a>"}`,
+		`{"op":"delete","node":2}`,
+		`{"op":"delete","node":0}`,
+		`{"op":"delete","node":1,"base_gen":7}`,
+		`{"op":"insert","node":99,"xml":"<b/>"}`,
+		`{"op":"rename","node":1}`,
+		`{"op":"insert","node":1,"xml":"<a><b>"}`,
+		`{"op":"insert","node":1,"xml":"` + strings.Repeat("<a>", 1000) + `"}`,
+		`{"op":"insert","node":1,"xml":"<b/>","extra":1}`,
+		`[]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := newTestService(t, Options{CursorTTL: time.Nanosecond})
+		h := NewHandler(s, HandlerOptions{})
+		for _, path := range []string{"/docs/d1", "/docs/nope"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("PATCH", path, bytes.NewReader(body)))
+			switch rec.Code {
+			case http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusConflict, http.StatusRequestEntityTooLarge:
+			default:
+				t.Errorf("PATCH %s: status %d: %s", path, rec.Code, rec.Body)
+			}
+		}
+		if resp := s.Eval(Request{Doc: "d1", Query: "//b", Limit: 1}); resp.Err != "" {
+			t.Errorf("query after the PATCH: %s", resp.Err)
+		}
+		assertPoolSettled(t, s)
 	})
 }

@@ -13,7 +13,7 @@ import (
 // (100µs … 1s, then +Inf).
 var latencyBuckets = []int64{100, 500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000}
 
-// metrics accumulates one shard's query counters straight into the
+// metrics accumulates the service's query counters straight into the
 // struct /stats serves, so a QueryStats or StreamStats field is the one
 // declaration of a query-side metric (prometheus.go holds the rule). A
 // plain mutex keeps the histogram and counters mutually consistent;
@@ -155,7 +155,7 @@ type StreamStats struct {
 	completedChunks uint64
 }
 
-// snapshot copies the shard's counters and derives the means.
+// snapshot copies the counters and derives the means.
 func (m *metrics) snapshot() QueryStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -174,43 +174,6 @@ func newLatencyHistogram() []LatencyBucket {
 		h[i].LEMicros = le
 	}
 	return h
-}
-
-// add accumulates src's totals into q: sums of sums and maxes of maxes,
-// so that setMeans on the aggregate divides true totals instead of
-// averaging per-shard means.
-func (q *QueryStats) add(src *QueryStats) {
-	q.Total += src.Total
-	q.Errors += src.Errors
-	q.VisitedNodes += src.VisitedNodes
-	q.SelectedNodes += src.SelectedNodes
-	if src.ByStrategy != nil {
-		if q.ByStrategy == nil {
-			q.ByStrategy = make(map[string]uint64)
-			q.Latency = newLatencyHistogram()
-		}
-		for k, v := range src.ByStrategy {
-			q.ByStrategy[k] += v
-		}
-		for i, b := range src.Latency {
-			q.Latency[i].Count += b.Count
-		}
-	}
-	q.LatencySumUS += src.LatencySumUS
-	q.LatencyMaxUS = max(q.LatencyMaxUS, src.LatencyMaxUS)
-	st, ss := &q.Streaming, &src.Streaming
-	st.Streams += ss.Streams
-	st.Completed += ss.Completed
-	st.Aborted += ss.Aborted
-	st.AbortedHeaderWrite += ss.AbortedHeaderWrite
-	st.AbortedChunkWrite += ss.AbortedChunkWrite
-	st.Chunks += ss.Chunks
-	st.Nodes += ss.Nodes
-	st.completedChunks += ss.completedChunks
-	st.FirstByteSumUS += ss.FirstByteSumUS
-	st.FirstByteMaxUS = max(st.FirstByteMaxUS, ss.FirstByteMaxUS)
-	st.ChunkWriteSumUS += ss.ChunkWriteSumUS
-	st.ChunkWriteMaxUS = max(st.ChunkWriteMaxUS, ss.ChunkWriteMaxUS)
 }
 
 // setMeans derives the three means from the exact sums and counts.

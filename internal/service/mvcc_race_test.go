@@ -14,8 +14,8 @@ import (
 	"repro/internal/xmlparse"
 )
 
-// TestMVCCChurnHammer is the mutation-era concurrency hammer: on every
-// shard of a 4-shard service at once — concurrent patchers bumping
+// TestMVCCChurnHammer is the mutation-era concurrency hammer: on eight
+// documents of one service at once — concurrent patchers bumping
 // generations (with base-gen CAS conflicts), generation GC (short
 // cursor leases + the stats sweep), warm pooled one-shot and paged
 // Evals, asof time-travel reads, and NDJSON streaming readers resuming
@@ -26,9 +26,11 @@ import (
 // outlive the generations churning underneath them, and every one
 // checked out must come back (assertPoolSettled).
 func TestMVCCChurnHammer(t *testing.T) {
-	const shards = 4
 	const docsN = 8
-	svc := New(shard.NewStore(shards), Options{CursorTTL: 50 * time.Millisecond})
+	// readersN stream readers and readersN asof readers run beside one
+	// patcher and one paged reader per document.
+	const readersN = 4
+	svc := New(shard.NewStore(1), Options{CursorTTL: 50 * time.Millisecond})
 	// Half the corpus is heap-backed (parsed XML), half mmap-backed
 	// (XQO2 save + zero-copy open) under a deliberately tight resident
 	// budget, so the paging enforcer's releases and re-charges race the
@@ -158,7 +160,7 @@ func TestMVCCChurnHammer(t *testing.T) {
 
 	// Streaming readers (header-consistency: trailer nodes must match
 	// what the pinned generation promised).
-	for g := 0; g < shards; g++ {
+	for g := 0; g < readersN; g++ {
 		g := g
 		wg.Add(1)
 		go func() {
@@ -177,7 +179,7 @@ func TestMVCCChurnHammer(t *testing.T) {
 	// AsOf readers: grab the current gen, then keep reading it while
 	// patchers move latest; 410 (gen retired) is legitimate, a changed
 	// answer under the same gen is not.
-	for g := 0; g < shards; g++ {
+	for g := 0; g < readersN; g++ {
 		g := g
 		wg.Add(1)
 		go func() {

@@ -63,7 +63,7 @@ func TestExplainAllStrategies(t *testing.T) {
 		}
 		names := map[string]bool{}
 		spanNames(p.Spans, names)
-		for _, want := range []string{obsv.SpanRoute, obsv.SpanEngine, obsv.SpanParse, obsv.SpanRun, obsv.SpanPage} {
+		for _, want := range []string{obsv.SpanEngine, obsv.SpanParse, obsv.SpanRun, obsv.SpanPage} {
 			if !names[want] {
 				t.Errorf("strategy %q: missing span %q in %v", strat, want, names)
 			}
@@ -194,8 +194,7 @@ var promFamilies = map[string]string{
 	"xpqd_ctx_pool_drops_total":             "counter",
 	"xpqd_ctx_pool_resident":                "gauge",
 	"xpqd_ctx_pool_arena_bytes":             "gauge",
-	"xpqd_shard_documents":                  "gauge",
-	"xpqd_shard_engines":                    "gauge",
+	"xpqd_engines":                          "gauge",
 	"xpqd_doc_bytes":                        "gauge",
 	"xpqd_resident_bytes":                   "gauge",
 	"xpqd_lock_wait_seconds_total":          "counter",
@@ -216,7 +215,6 @@ var promFamilies = map[string]string{
 	"xpqd_store_mapped_charged_bytes":       "gauge",
 	"xpqd_store_map_faults_total":           "counter",
 	"xpqd_documents":                        "gauge",
-	"xpqd_shards":                           "gauge",
 	"xpqd_heap_alloc_objects_total":         "counter",
 	"xpqd_flight_queries_total":             "counter",
 	"xpqd_slow_queries_total":               "counter",
@@ -328,9 +326,11 @@ func TestPrometheusExposition(t *testing.T) {
 		}
 	}
 
-	// Label-set spot checks.
-	if !labels["xpqd_queries_total"]["shard"] {
-		t.Error("xpqd_queries_total lacks the shard label")
+	// Label-set spot checks: no family is split by shard any more.
+	for family, keys := range labels {
+		if keys["shard"] {
+			t.Errorf("%s carries a shard label", family)
+		}
 	}
 	if !labels["xpqd_queries_by_strategy_total"]["strategy"] {
 		t.Error("xpqd_queries_by_strategy_total lacks the strategy label")
@@ -430,7 +430,7 @@ func TestDebugQueriesHTTP(t *testing.T) {
 // snapshots while queries run and documents are evicted and reloaded —
 // the scrape-during-churn scenario. Run with -race.
 func TestObsvChurnRace(t *testing.T) {
-	s := New(shard.NewStore(4), Options{
+	s := New(shard.NewStore(1), Options{
 		SlowQuery: time.Millisecond,
 		// Churn makes queries legitimately slow; keep the Warn spam out
 		// of the test log.

@@ -168,9 +168,8 @@ func TestPoolSafetyHammer(t *testing.T) {
 // pool hits, resident contexts with arena bytes, and the allocs/op
 // estimate fields.
 func TestStatsExposesPool(t *testing.T) {
-	ss := shard.NewStore(2)
-	svc := New(ss, Options{})
-	if _, err := ss.GenerateXMark("xm", 0.002, 1); err != nil {
+	svc := New(shard.NewStore(1), Options{})
+	if _, err := svc.Store().GenerateXMark("xm", 0.002, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -193,15 +192,5 @@ func TestStatsExposesPool(t *testing.T) {
 	}
 	if st.AllocsPerQuery <= 0 {
 		t.Error("allocs-per-query estimate not wired")
-	}
-	// Per-shard breakdown: the owning shard carries the pool numbers.
-	var found bool
-	for _, sh := range st.Shards {
-		if sh.Pool.Hits > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no shard reports pool hits")
 	}
 }

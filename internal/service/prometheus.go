@@ -2,10 +2,10 @@ package service
 
 import (
 	"io"
+	"maps"
 	"runtime"
 	runtimemetrics "runtime/metrics"
 	"slices"
-	"strconv"
 	"time"
 
 	"repro/internal/obsv"
@@ -21,26 +21,24 @@ import (
 // The contract tests beside the promFamilies golden hold the two
 // together (DESIGN.md "Observability").
 //
-// Per-shard series carry a shard label; PromQL sums them, so no
-// aggregate duplicates are exported. Exact sums (latency, first-byte,
-// chunk-write, lock-wait) back every mean /stats reports, and durations
-// are seconds per Prometheus convention (the JSON API keeps its
-// microseconds).
+// Exact sums (latency, first-byte, chunk-write, lock-wait) back every
+// mean /stats reports, and durations are seconds per Prometheus
+// convention (the JSON API keeps its microseconds).
 
 // family is one row of the exposition. Exactly one getter is set.
 type family struct {
 	name, typ, help string
-	// shard yields one sample per shard.
-	shard func(*ShardStats) float64
-	// byLabel yields one sample per shard and map key, under the label
-	// named label; keys are emitted sorted so a page is deterministic.
+	// stat reads one sample out of the Stats snapshot.
+	stat func(*Stats) float64
+	// byLabel yields one sample per map key, under the label named
+	// label; keys are emitted sorted so a page is deterministic.
 	label   string
-	byLabel func(*ShardStats) map[string]uint64
-	// hist yields one histogram per shard: the bins over latencyBuckets
-	// and their exact sum in microseconds.
-	hist func(*ShardStats) ([]LatencyBucket, int64)
-	// global yields one unlabelled sample; false omits the family.
-	global func(*Service, *Stats) (float64, bool)
+	byLabel func(*Stats) map[string]uint64
+	// hist yields the histogram: the bins over latencyBuckets and their
+	// exact sum in microseconds.
+	hist func(*Stats) ([]LatencyBucket, int64)
+	// live reads a number /stats does not serve; false omits the family.
+	live func(*Service) (float64, bool)
 }
 
 const (
@@ -49,106 +47,102 @@ const (
 )
 
 var families = []family{
-	{name: "xpqd_queries_total", typ: counter, help: "Queries handled, including errors.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.Total) }},
-	{name: "xpqd_query_errors_total", typ: counter, help: "Queries that failed (parse errors, unknown documents, stale cursors).", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.Errors) }},
-	{name: "xpqd_visited_nodes_total", typ: counter, help: "Nodes touched by successful evaluations.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.VisitedNodes) }},
-	{name: "xpqd_selected_nodes_total", typ: counter, help: "Nodes selected by successful evaluations.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.SelectedNodes) }},
-	{name: "xpqd_queries_by_strategy_total", typ: counter, help: "Successful queries by execution strategy.", label: "strategy", byLabel: func(ss *ShardStats) map[string]uint64 { return ss.Queries.ByStrategy }},
-	{name: "xpqd_query_duration_seconds", typ: obsv.TypeHistogram, help: "End-to-end query latency (successful queries).", hist: func(ss *ShardStats) ([]LatencyBucket, int64) { return ss.Queries.Latency, ss.Queries.LatencySumUS }},
-	{name: "xpqd_query_duration_max_seconds", typ: gauge, help: "Worst query latency observed.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.LatencyMaxUS) / 1e6 }},
+	{name: "xpqd_queries_total", typ: counter, help: "Queries handled, including errors.", stat: func(st *Stats) float64 { return float64(st.Queries.Total) }},
+	{name: "xpqd_query_errors_total", typ: counter, help: "Queries that failed (parse errors, unknown documents, stale cursors).", stat: func(st *Stats) float64 { return float64(st.Queries.Errors) }},
+	{name: "xpqd_visited_nodes_total", typ: counter, help: "Nodes touched by successful evaluations.", stat: func(st *Stats) float64 { return float64(st.Queries.VisitedNodes) }},
+	{name: "xpqd_selected_nodes_total", typ: counter, help: "Nodes selected by successful evaluations.", stat: func(st *Stats) float64 { return float64(st.Queries.SelectedNodes) }},
+	{name: "xpqd_queries_by_strategy_total", typ: counter, help: "Successful queries by execution strategy.", label: "strategy", byLabel: func(st *Stats) map[string]uint64 { return st.Queries.ByStrategy }},
+	{name: "xpqd_query_duration_seconds", typ: obsv.TypeHistogram, help: "End-to-end query latency (successful queries).", hist: func(st *Stats) ([]LatencyBucket, int64) { return st.Queries.Latency, st.Queries.LatencySumUS }},
+	{name: "xpqd_query_duration_max_seconds", typ: gauge, help: "Worst query latency observed.", stat: func(st *Stats) float64 { return float64(st.Queries.LatencyMaxUS) / 1e6 }},
 
 	// Streaming: completed and aborted streams are separate counters
 	// (aborts carry their cause), and the latency sums cover completed
 	// streams only — mirroring StreamStats.
-	{name: "xpqd_streams_completed_total", typ: counter, help: "NDJSON streams that delivered their trailer.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.Completed) }},
-	{name: "xpqd_streams_aborted_total", typ: counter, help: "NDJSON streams cut short by the client, by failed write.", label: "cause", byLabel: func(ss *ShardStats) map[string]uint64 {
+	{name: "xpqd_streams_completed_total", typ: counter, help: "NDJSON streams that delivered their trailer.", stat: func(st *Stats) float64 { return float64(st.Queries.Streaming.Completed) }},
+	{name: "xpqd_streams_aborted_total", typ: counter, help: "NDJSON streams cut short by the client, by failed write.", label: "cause", byLabel: func(st *Stats) map[string]uint64 {
 		return map[string]uint64{
-			abortHeaderWrite.String(): ss.Queries.Streaming.AbortedHeaderWrite,
-			abortChunkWrite.String():  ss.Queries.Streaming.AbortedChunkWrite,
+			abortHeaderWrite.String(): st.Queries.Streaming.AbortedHeaderWrite,
+			abortChunkWrite.String():  st.Queries.Streaming.AbortedChunkWrite,
 		}
 	}},
-	{name: "xpqd_stream_chunks_total", typ: counter, help: "NDJSON chunk lines written (completed and aborted streams).", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.Chunks) }},
-	{name: "xpqd_stream_nodes_total", typ: counter, help: "Answer nodes delivered over streams.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.Nodes) }},
-	{name: "xpqd_stream_first_byte_seconds_total", typ: counter, help: "Summed time to first byte, completed streams only.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.FirstByteSumUS) / 1e6 }},
-	{name: "xpqd_stream_first_byte_max_seconds", typ: gauge, help: "Worst time to first byte.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.FirstByteMaxUS) / 1e6 }},
-	{name: "xpqd_stream_chunk_write_seconds_total", typ: counter, help: "Summed chunk encode+write+flush time, completed streams only.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.ChunkWriteSumUS) / 1e6 }},
-	{name: "xpqd_stream_chunk_write_max_seconds", typ: gauge, help: "Worst single chunk write.", shard: func(ss *ShardStats) float64 { return float64(ss.Queries.Streaming.ChunkWriteMaxUS) / 1e6 }},
+	{name: "xpqd_stream_chunks_total", typ: counter, help: "NDJSON chunk lines written (completed and aborted streams).", stat: func(st *Stats) float64 { return float64(st.Queries.Streaming.Chunks) }},
+	{name: "xpqd_stream_nodes_total", typ: counter, help: "Answer nodes delivered over streams.", stat: func(st *Stats) float64 { return float64(st.Queries.Streaming.Nodes) }},
+	{name: "xpqd_stream_first_byte_seconds_total", typ: counter, help: "Summed time to first byte, completed streams only.", stat: func(st *Stats) float64 { return float64(st.Queries.Streaming.FirstByteSumUS) / 1e6 }},
+	{name: "xpqd_stream_first_byte_max_seconds", typ: gauge, help: "Worst time to first byte.", stat: func(st *Stats) float64 { return float64(st.Queries.Streaming.FirstByteMaxUS) / 1e6 }},
+	{name: "xpqd_stream_chunk_write_seconds_total", typ: counter, help: "Summed chunk encode+write+flush time, completed streams only.", stat: func(st *Stats) float64 { return float64(st.Queries.Streaming.ChunkWriteSumUS) / 1e6 }},
+	{name: "xpqd_stream_chunk_write_max_seconds", typ: gauge, help: "Worst single chunk write.", stat: func(st *Stats) float64 { return float64(st.Queries.Streaming.ChunkWriteMaxUS) / 1e6 }},
 
-	// Compiled-query cache, per shard.
-	{name: "xpqd_qcache_entries", typ: gauge, help: "Compiled automata resident in the query cache.", shard: func(ss *ShardStats) float64 { return float64(ss.Cache.Size) }},
-	{name: "xpqd_qcache_capacity", typ: gauge, help: "Query cache entry capacity.", shard: func(ss *ShardStats) float64 { return float64(ss.Cache.Capacity) }},
-	{name: "xpqd_qcache_bytes", typ: gauge, help: "Estimated bytes of cached compiled automata.", shard: func(ss *ShardStats) float64 { return float64(ss.Cache.SizeBytes) }},
-	{name: "xpqd_qcache_hits_total", typ: counter, help: "Query cache hits.", shard: func(ss *ShardStats) float64 { return float64(ss.Cache.Hits) }},
-	{name: "xpqd_qcache_misses_total", typ: counter, help: "Query cache misses (compilations).", shard: func(ss *ShardStats) float64 { return float64(ss.Cache.Misses) }},
-	{name: "xpqd_qcache_evictions_total", typ: counter, help: "Query cache evictions.", shard: func(ss *ShardStats) float64 { return float64(ss.Cache.Evictions) }},
+	// Compiled-query cache.
+	{name: "xpqd_qcache_entries", typ: gauge, help: "Compiled automata resident in the query cache.", stat: func(st *Stats) float64 { return float64(st.Cache.Size) }},
+	{name: "xpqd_qcache_capacity", typ: gauge, help: "Query cache entry capacity.", stat: func(st *Stats) float64 { return float64(st.Cache.Capacity) }},
+	{name: "xpqd_qcache_bytes", typ: gauge, help: "Estimated bytes of cached compiled automata.", stat: func(st *Stats) float64 { return float64(st.Cache.SizeBytes) }},
+	{name: "xpqd_qcache_hits_total", typ: counter, help: "Query cache hits.", stat: func(st *Stats) float64 { return float64(st.Cache.Hits) }},
+	{name: "xpqd_qcache_misses_total", typ: counter, help: "Query cache misses (compilations).", stat: func(st *Stats) float64 { return float64(st.Cache.Misses) }},
+	{name: "xpqd_qcache_evictions_total", typ: counter, help: "Query cache evictions.", stat: func(st *Stats) float64 { return float64(st.Cache.Evictions) }},
 
-	// Evaluation-context pool, per shard.
-	{name: "xpqd_ctx_pool_hits_total", typ: counter, help: "Evaluations served by a warm pooled context.", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.Hits) }},
-	{name: "xpqd_ctx_pool_misses_total", typ: counter, help: "Cold context checkouts (a context was constructed).", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.Misses) }},
-	{name: "xpqd_ctx_pool_guard_trips_total", typ: counter, help: "Cached automata found compiled for another label table than the evaluated document's.", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.GuardTrips) }},
-	{name: "xpqd_ctx_pool_drops_total", typ: counter, help: "Contexts discarded instead of pooled.", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.Drops) }},
-	{name: "xpqd_ctx_pool_resident", typ: gauge, help: "Contexts currently parked in pools.", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.Resident) }},
-	{name: "xpqd_ctx_pool_arena_bytes", typ: gauge, help: "Scratch bytes kept warm by pooled contexts.", shard: func(ss *ShardStats) float64 { return float64(ss.Pool.ArenaBytes) }},
+	// Evaluation-context pool.
+	{name: "xpqd_ctx_pool_hits_total", typ: counter, help: "Evaluations served by a warm pooled context.", stat: func(st *Stats) float64 { return float64(st.Pool.Hits) }},
+	{name: "xpqd_ctx_pool_misses_total", typ: counter, help: "Cold context checkouts (a context was constructed).", stat: func(st *Stats) float64 { return float64(st.Pool.Misses) }},
+	{name: "xpqd_ctx_pool_guard_trips_total", typ: counter, help: "Cached automata found compiled for another label table than the evaluated document's.", stat: func(st *Stats) float64 { return float64(st.Pool.GuardTrips) }},
+	{name: "xpqd_ctx_pool_drops_total", typ: counter, help: "Contexts discarded instead of pooled.", stat: func(st *Stats) float64 { return float64(st.Pool.Drops) }},
+	{name: "xpqd_ctx_pool_resident", typ: gauge, help: "Contexts currently parked in the pool.", stat: func(st *Stats) float64 { return float64(st.Pool.Resident) }},
+	{name: "xpqd_ctx_pool_arena_bytes", typ: gauge, help: "Scratch bytes kept warm by pooled contexts.", stat: func(st *Stats) float64 { return float64(st.Pool.ArenaBytes) }},
 
-	// Observed-latency Auto selector, per shard. Wins carry a strategy
-	// label; the gauges summarize model quality (estimate error) and
-	// behavior (exploration is derivable as explorations/decisions).
-	{name: "xpqd_auto_shapes", typ: gauge, help: "Query shapes tracked by the Auto selector.", shard: func(ss *ShardStats) float64 { return float64(ss.Auto.Shapes) }},
-	{name: "xpqd_auto_decisions_total", typ: counter, help: "Auto routing decisions.", shard: func(ss *ShardStats) float64 { return float64(ss.Auto.Decisions) }},
-	{name: "xpqd_auto_explorations_total", typ: counter, help: "Auto decisions spent re-measuring a non-best candidate.", shard: func(ss *ShardStats) float64 { return float64(ss.Auto.Explorations) }},
-	{name: "xpqd_auto_short_circuits_total", typ: counter, help: "Chain queries answered empty from the index (absent label), no engine run.", shard: func(ss *ShardStats) float64 { return float64(ss.Auto.ShortCircuits) }},
-	{name: "xpqd_auto_observations_total", typ: counter, help: "Completed evaluations fed back into the selector.", shard: func(ss *ShardStats) float64 { return float64(ss.Auto.Observations) }},
-	{name: "xpqd_auto_wins_total", typ: counter, help: "Auto decisions by winning strategy.", label: "strategy", byLabel: func(ss *ShardStats) map[string]uint64 { return ss.Auto.WinsByStrategy }},
-	{name: "xpqd_auto_estimate_error_pct", typ: gauge, help: "Mean |observed-estimated|/observed latency error of the selector's EWMA model, percent.", shard: func(ss *ShardStats) float64 { return ss.Auto.EstimateErrorPct }},
+	// Observed-latency Auto selector. Wins carry a strategy label; the
+	// gauges summarize model quality (estimate error) and behavior
+	// (exploration is derivable as explorations/decisions).
+	{name: "xpqd_auto_shapes", typ: gauge, help: "Query shapes tracked by the Auto selector.", stat: func(st *Stats) float64 { return float64(st.Auto.Shapes) }},
+	{name: "xpqd_auto_decisions_total", typ: counter, help: "Auto routing decisions.", stat: func(st *Stats) float64 { return float64(st.Auto.Decisions) }},
+	{name: "xpqd_auto_explorations_total", typ: counter, help: "Auto decisions spent re-measuring a non-best candidate.", stat: func(st *Stats) float64 { return float64(st.Auto.Explorations) }},
+	{name: "xpqd_auto_short_circuits_total", typ: counter, help: "Chain queries answered empty from the index (absent label), no engine run.", stat: func(st *Stats) float64 { return float64(st.Auto.ShortCircuits) }},
+	{name: "xpqd_auto_observations_total", typ: counter, help: "Completed evaluations fed back into the selector.", stat: func(st *Stats) float64 { return float64(st.Auto.Observations) }},
+	{name: "xpqd_auto_wins_total", typ: counter, help: "Auto decisions by winning strategy.", label: "strategy", byLabel: func(st *Stats) map[string]uint64 { return st.Auto.WinsByStrategy }},
+	{name: "xpqd_auto_estimate_error_pct", typ: gauge, help: "Mean |observed-estimated|/observed latency error of the selector's EWMA model, percent.", stat: func(st *Stats) float64 { return st.Auto.EstimateErrorPct }},
 
-	// MVCC generation chains, per shard.
-	{name: "xpqd_mvcc_generations_live", typ: gauge, help: "Readable document generations resident per shard.", shard: func(ss *ShardStats) float64 { return float64(ss.MVCC.LiveGenerations) }},
-	{name: "xpqd_mvcc_generations_pinned", typ: gauge, help: "Superseded generations kept alive by cursor leases or by queries still running on them (the latest is never counted).", shard: func(ss *ShardStats) float64 { return float64(ss.MVCC.PinnedGenerations) }},
-	{name: "xpqd_mvcc_patches_total", typ: counter, help: "Subtree patches applied.", shard: func(ss *ShardStats) float64 { return float64(ss.MVCC.Patches) }},
-	{name: "xpqd_mvcc_generations_retired_total", typ: counter, help: "Generations garbage-collected after their readers drained.", shard: func(ss *ShardStats) float64 { return float64(ss.MVCC.Retired) }},
+	// MVCC generation chains.
+	{name: "xpqd_mvcc_generations_live", typ: gauge, help: "Readable document generations resident.", stat: func(st *Stats) float64 { return float64(st.MVCC.LiveGenerations) }},
+	{name: "xpqd_mvcc_generations_pinned", typ: gauge, help: "Superseded generations kept alive by cursor leases or by queries still running on them (the latest is never counted).", stat: func(st *Stats) float64 { return float64(st.MVCC.PinnedGenerations) }},
+	{name: "xpqd_mvcc_patches_total", typ: counter, help: "Subtree patches applied.", stat: func(st *Stats) float64 { return float64(st.MVCC.Patches) }},
+	{name: "xpqd_mvcc_generations_retired_total", typ: counter, help: "Generations garbage-collected after their readers drained.", stat: func(st *Stats) float64 { return float64(st.MVCC.Retired) }},
 
-	// Mapped (mmap-backed) documents, per shard.
-	{name: "xpqd_store_mapped_bytes", typ: gauge, help: "Bytes of mmap-backed document files per shard.", shard: func(ss *ShardStats) float64 { return float64(ss.Mapped.MappedBytes) }},
-	{name: "xpqd_store_mapped_charged_bytes", typ: gauge, help: "Mapped bytes counted hot against the resident budget.", shard: func(ss *ShardStats) float64 { return float64(ss.Mapped.ChargedBytes) }},
-	{name: "xpqd_store_map_faults_total", typ: counter, help: "Accesses that re-heated a budget-released mapping.", shard: func(ss *ShardStats) float64 { return float64(ss.Mapped.MapFaults) }},
+	// Mapped (mmap-backed) documents.
+	{name: "xpqd_store_mapped_bytes", typ: gauge, help: "Bytes of mmap-backed document files.", stat: func(st *Stats) float64 { return float64(st.Mapped.MappedBytes) }},
+	{name: "xpqd_store_mapped_charged_bytes", typ: gauge, help: "Mapped bytes counted hot against the resident budget.", stat: func(st *Stats) float64 { return float64(st.Mapped.ChargedBytes) }},
+	{name: "xpqd_store_map_faults_total", typ: counter, help: "Accesses that re-heated a budget-released mapping.", stat: func(st *Stats) float64 { return float64(st.Mapped.MapFaults) }},
 
-	// Residency and contention, per shard.
-	{name: "xpqd_shard_documents", typ: gauge, help: "Documents resident per shard.", shard: func(ss *ShardStats) float64 { return float64(ss.Documents) }},
-	{name: "xpqd_shard_engines", typ: gauge, help: "Engines attached per shard.", shard: func(ss *ShardStats) float64 { return float64(ss.Engines) }},
-	{name: "xpqd_doc_bytes", typ: gauge, help: "Resident bytes of documents plus jumping indexes.", shard: func(ss *ShardStats) float64 { return float64(ss.DocBytes) }},
-	{name: "xpqd_resident_bytes", typ: gauge, help: "Documents, indexes and cached automata resident per shard.", shard: func(ss *ShardStats) float64 { return float64(ss.ResidentBytes) }},
-	{name: "xpqd_lock_wait_seconds_total", typ: counter, help: "Summed wait for the shard engine-table lock.", shard: func(ss *ShardStats) float64 { return float64(ss.LockWaitTotalNS) / 1e9 }},
-	{name: "xpqd_lock_wait_max_seconds", typ: gauge, help: "Worst single wait for the shard engine-table lock.", shard: func(ss *ShardStats) float64 { return float64(ss.LockWaitMaxNS) / 1e9 }},
-	{name: "xpqd_lock_acquires_total", typ: counter, help: "Shard engine-table lock acquisitions.", shard: func(ss *ShardStats) float64 { return float64(ss.LockAcquires) }},
-
-	// Service-wide (no shard label).
-	{name: "xpqd_documents", typ: gauge, help: "Documents resident across all shards.", global: func(_ *Service, st *Stats) (float64, bool) { return float64(len(st.Documents)), true }},
-	{name: "xpqd_shards", typ: gauge, help: "Serving partitions.", global: func(_ *Service, st *Stats) (float64, bool) { return float64(len(st.Shards)), true }},
-	{name: "xpqd_heap_alloc_objects_total", typ: counter, help: "Heap objects allocated process-wide since the service started.", global: func(_ *Service, st *Stats) (float64, bool) { return float64(st.HeapAllocObjects), true }},
+	// Residency and contention.
+	{name: "xpqd_documents", typ: gauge, help: "Documents resident.", stat: func(st *Stats) float64 { return float64(len(st.Documents)) }},
+	{name: "xpqd_engines", typ: gauge, help: "Documents with a live Auto selector.", stat: func(st *Stats) float64 { return float64(st.Engines) }},
+	{name: "xpqd_doc_bytes", typ: gauge, help: "Resident bytes of documents plus jumping indexes.", stat: func(st *Stats) float64 { return float64(st.DocBytes) }},
+	{name: "xpqd_resident_bytes", typ: gauge, help: "Documents, indexes and cached automata resident.", stat: func(st *Stats) float64 { return float64(st.ResidentBytes) }},
+	{name: "xpqd_lock_wait_seconds_total", typ: counter, help: "Summed wait for the engine-table lock.", stat: func(st *Stats) float64 { return float64(st.LockWaitTotalNS) / 1e9 }},
+	{name: "xpqd_lock_wait_max_seconds", typ: gauge, help: "Worst single wait for the engine-table lock.", stat: func(st *Stats) float64 { return float64(st.LockWaitMaxNS) / 1e9 }},
+	{name: "xpqd_lock_acquires_total", typ: counter, help: "Engine-table lock acquisitions.", stat: func(st *Stats) float64 { return float64(st.LockAcquires) }},
+	{name: "xpqd_heap_alloc_objects_total", typ: counter, help: "Heap objects allocated process-wide since the service started.", stat: func(st *Stats) float64 { return float64(st.HeapAllocObjects) }},
 
 	// Flight recorder lifetime counters (ring residency is bounded, so
 	// only the monotonic admissions are exported).
-	{name: "xpqd_flight_queries_total", typ: counter, help: "Queries admitted to the flight recorder.", global: func(s *Service, _ *Stats) (float64, bool) {
+	{name: "xpqd_flight_queries_total", typ: counter, help: "Queries admitted to the flight recorder.", live: func(s *Service) (float64, bool) {
 		total, _, _ := s.flight.Counts()
 		return float64(total), true
 	}},
-	{name: "xpqd_slow_queries_total", typ: counter, help: "Queries at or above the slow-query threshold.", global: func(s *Service, _ *Stats) (float64, bool) {
+	{name: "xpqd_slow_queries_total", typ: counter, help: "Queries at or above the slow-query threshold.", live: func(s *Service) (float64, bool) {
 		_, slow, _ := s.flight.Counts()
 		return float64(slow), true
 	}},
-	{name: "xpqd_aborted_queries_total", typ: counter, help: "Queries whose client went away mid-response.", global: func(s *Service, _ *Stats) (float64, bool) {
+	{name: "xpqd_aborted_queries_total", typ: counter, help: "Queries whose client went away mid-response.", live: func(s *Service) (float64, bool) {
 		_, _, aborted := s.flight.Counts()
 		return float64(aborted), true
 	}},
-	{name: "xpqd_uptime_seconds", typ: gauge, help: "Seconds since the service was constructed.", global: func(s *Service, _ *Stats) (float64, bool) { return time.Since(s.started).Seconds(), true }},
+	{name: "xpqd_uptime_seconds", typ: gauge, help: "Seconds since the service was constructed.", live: func(s *Service) (float64, bool) { return time.Since(s.started).Seconds(), true }},
 
 	// Go runtime, via runtime/metrics (no stop-the-world read).
-	{name: "go_goroutines", typ: gauge, help: "Live goroutines.", global: func(*Service, *Stats) (float64, bool) { return float64(runtime.NumGoroutine()), true }},
-	{name: "go_heap_objects_bytes", typ: gauge, help: "Bytes of live heap objects.", global: func(*Service, *Stats) (float64, bool) {
+	{name: "go_goroutines", typ: gauge, help: "Live goroutines.", live: func(*Service) (float64, bool) { return float64(runtime.NumGoroutine()), true }},
+	{name: "go_heap_objects_bytes", typ: gauge, help: "Bytes of live heap objects.", live: func(*Service) (float64, bool) {
 		v, ok := runtimeUint64("/memory/classes/heap/objects:bytes")
 		return float64(v), ok
 	}},
-	{name: "go_gc_cycles_total", typ: counter, help: "Completed GC cycles.", global: func(*Service, *Stats) (float64, bool) {
+	{name: "go_gc_cycles_total", typ: counter, help: "Completed GC cycles.", live: func(*Service) (float64, bool) {
 		v, ok := runtimeUint64("/gc/cycles/total:gc-cycles")
 		return float64(v), ok
 	}},
@@ -173,7 +167,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 }
 
 // writeFamilies walks the table: each family's header, then the
-// samples its getter yields for st.
+// samples its getter yields.
 func (s *Service) writeFamilies(w io.Writer, st *Stats) error {
 	p := obsv.NewPromWriter(w)
 	// Histogram bounds in seconds, converted once from the service's
@@ -183,38 +177,29 @@ func (s *Service) writeFamilies(w io.Writer, st *Stats) error {
 		bounds[i] = float64(us) / 1e6
 	}
 	for _, f := range families {
-		if f.global != nil {
-			if v, ok := f.global(s, st); ok {
+		switch {
+		case f.live != nil:
+			if v, ok := f.live(s); ok {
 				p.Family(f.name, f.help, f.typ)
 				p.Sample(f.name, v)
 			}
-			continue
-		}
-		p.Family(f.name, f.help, f.typ)
-		for i := range st.Shards {
-			ss := &st.Shards[i]
-			shard := strconv.Itoa(ss.Shard)
-			switch {
-			case f.shard != nil:
-				p.Sample(f.name, f.shard(ss), "shard", shard)
-			case f.byLabel != nil:
-				m := f.byLabel(ss)
-				keys := make([]string, 0, len(m))
-				for k := range m {
-					keys = append(keys, k)
-				}
-				slices.Sort(keys)
-				for _, k := range keys {
-					p.Sample(f.name, float64(m[k]), "shard", shard, f.label, k)
-				}
-			case f.hist != nil:
-				bins, sumUS := f.hist(ss)
-				counts := make([]uint64, len(bins))
-				for j, b := range bins {
-					counts[j] = b.Count
-				}
-				p.Histogram(f.name, bounds, counts, float64(sumUS)/1e6, "shard", shard)
+		case f.stat != nil:
+			p.Family(f.name, f.help, f.typ)
+			p.Sample(f.name, f.stat(st))
+		case f.byLabel != nil:
+			p.Family(f.name, f.help, f.typ)
+			m := f.byLabel(st)
+			for _, k := range slices.Sorted(maps.Keys(m)) {
+				p.Sample(f.name, float64(m[k]), f.label, k)
 			}
+		case f.hist != nil:
+			p.Family(f.name, f.help, f.typ)
+			bins, sumUS := f.hist(st)
+			counts := make([]uint64, len(bins))
+			for j, b := range bins {
+				counts[j] = b.Count
+			}
+			p.Histogram(f.name, bounds, counts, float64(sumUS)/1e6)
 		}
 	}
 	return p.Flush()

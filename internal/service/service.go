@@ -1,15 +1,9 @@
 // Package service is the long-lived query-serving layer over the
-// engine, sharded end to end: the document corpus is partitioned over N
-// goroutine-affine shards by a hash of the document id (shard.Router),
-// and each shard owns its slice of everything the hot path touches — a
-// store partition, a compiled-query LRU, a context pool, a table of
-// per-document Auto selectors, and its own metrics. A query
-// therefore contends only with queries for documents on the same shard;
-// there is no cross-shard lock anywhere on the request path. It is the
-// amortization layer the paper's whole-query optimization assumes —
-// compile once, evaluate many times — extended across many resident
-// documents, concurrent clients, and now many contention-free
-// partitions.
+// engine: one document store, one compiled-query LRU, one context pool,
+// one table of per-document Auto selectors and one set of metrics,
+// shared by every request. It is the amortization layer the paper's
+// whole-query optimization assumes — compile once, evaluate many times
+// — extended across many resident documents and concurrent clients.
 package service
 
 import (
@@ -18,7 +12,6 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,10 +29,16 @@ import (
 // resident in the store; the HTTP layer maps it to 404.
 var ErrNoDocument = errors.New("no such document")
 
+// DefaultCacheSize is the compiled-query LRU's entry bound when Options
+// does not choose one. It is what four 256-entry partitions held
+// between them; one 256-entry LRU let point-lookup's automata churn
+// (DESIGN.md "One partition").
+const DefaultCacheSize = 1024
+
 // Options configures a Service.
 type Options struct {
-	// CacheSize bounds each per-shard compiled-query LRU (entries);
-	// <= 0 means qcache.DefaultCapacity per shard.
+	// CacheSize bounds the compiled-query LRU (entries); <= 0 means
+	// DefaultCacheSize.
 	CacheSize int
 	// Workers sizes the batch worker pool; <= 0 means GOMAXPROCS.
 	Workers int
@@ -62,11 +61,38 @@ type Options struct {
 // generations indefinitely.
 const DefaultCursorTTL = 60 * time.Second
 
-// Service serves queries over the documents resident in its sharded
-// store. All methods are safe for concurrent use.
+// Service serves queries over the documents resident in its store,
+// keeping the warm state of those documents — each piece under what it
+// is a function of, so that no patch, retirement or eviction has to
+// purge any of it. All methods are safe for concurrent use.
 type Service struct {
-	store     *shard.Store
-	shards    []*svcShard
+	store *store.Store
+	// cache holds compiled automata under their label table's id, pool
+	// accounts the warm contexts parked on them (see core.Engine).
+	cache *qcache.Cache
+	pool  *core.Pool
+
+	// engines holds what is kept per resident document, the Auto
+	// selector, by document id and for one load incarnation
+	// (store.Handle.Epoch): it survives every patch and starts over when
+	// the id is evicted and loaded again. An entry references no
+	// document, so one left behind by an eviction that bypassed EvictDoc
+	// pins nothing.
+	mu      sync.Mutex
+	engines map[string]docEngine
+	// retiredAuto holds the counters of selectors dropped from the table
+	// (dropEngine), so no counter derived from them ever decreases. It
+	// starts with the selector's config, which a service without
+	// documents reports from it.
+	retiredAuto core.SelectorStats
+
+	// Lock-wait accounting for mu: how long engine lookups queued behind
+	// other requests, surfaced in /stats.
+	lockWaitNS    atomic.Int64
+	lockWaitMaxNS atomic.Int64
+	lockAcquires  atomic.Uint64
+
+	metrics   metrics
 	workers   int
 	flight    *obsv.Flight
 	logger    *slog.Logger
@@ -85,51 +111,14 @@ func heapAllocObjects() uint64 {
 	return n
 }
 
-// svcShard is one serving partition: the store partition it fronts and
-// the warm state of its documents, each piece kept under what it is a
-// function of, so that no patch, retirement or eviction has to purge
-// any of it. Requests for documents on different shards never touch the
-// same svcShard.
-type svcShard struct {
-	index int
-	part  *store.Store
-	// cache holds compiled automata under their label table's id, pool
-	// accounts the warm contexts parked on them (see core.Engine).
-	cache *qcache.Cache
-	pool  *core.Pool
-
-	// engines holds what is kept per resident document, the Auto
-	// selector, by document id and for one load incarnation
-	// (store.Handle.Epoch): it survives every patch and starts over when
-	// the id is evicted and loaded again. An entry references no
-	// document, so one left behind by an eviction that bypassed EvictDoc
-	// pins nothing.
-	mu      sync.Mutex
-	engines map[string]docEngine
-	// retiredAuto holds the counters of selectors dropped from the table
-	// (dropEngine), so no counter derived from them ever decreases. It
-	// starts with the selector's config, which a shard without documents
-	// reports from it.
-	retiredAuto core.SelectorStats
-
-	// Lock-wait accounting for mu: how long engine lookups queued behind
-	// other requests for this shard — the contention signal sharding
-	// exists to shrink, surfaced per shard in /stats.
-	lockWaitNS    atomic.Int64
-	lockWaitMaxNS atomic.Int64
-	lockAcquires  atomic.Uint64
-
-	metrics metrics
-}
-
 // docEngine is the per-document part of an engine; the rest belongs to
-// the shard or to the generation queried.
+// the service or to the generation queried.
 type docEngine struct {
 	epoch uint64
 	auto  *core.Selector
 }
 
-// New builds a service around a (possibly pre-populated) sharded store.
+// New builds a service around a (possibly pre-populated) store.
 func New(ss *shard.Store, opts Options) *Service {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -143,100 +132,84 @@ func New(ss *shard.Store, opts Options) *Service {
 	if ttl <= 0 {
 		ttl = DefaultCursorTTL
 	}
-	s := &Service{
-		store:     ss,
-		workers:   workers,
-		flight:    obsv.NewFlight(obsv.DefaultFlightRecords, opts.SlowQuery),
-		logger:    logger,
-		started:   time.Now(),
-		cursorTTL: ttl,
-		allocs0:   heapAllocObjects(),
+	size := opts.CacheSize
+	if size <= 0 {
+		size = DefaultCacheSize
 	}
-	for i := 0; i < ss.NumShards(); i++ {
-		s.shards = append(s.shards, &svcShard{
-			index:   i,
-			part:    ss.Part(i),
-			cache:   qcache.New(opts.CacheSize),
-			pool:    new(core.Pool),
-			engines: make(map[string]docEngine),
-
-			retiredAuto: core.SelectorStats{Adaptive: core.DefaultAutoConfig().Adaptive},
-		})
+	return &Service{
+		store:       ss.Store,
+		cache:       qcache.New(size),
+		pool:        new(core.Pool),
+		engines:     make(map[string]docEngine),
+		retiredAuto: core.SelectorStats{Adaptive: core.DefaultAutoConfig().Adaptive},
+		workers:     workers,
+		flight:      obsv.NewFlight(obsv.DefaultFlightRecords, opts.SlowQuery),
+		logger:      logger,
+		started:     time.Now(),
+		cursorTTL:   ttl,
+		allocs0:     heapAllocObjects(),
 	}
-	return s
 }
 
-// Store exposes the underlying sharded document store (loads may bypass
-// the service; engines attach lazily at first query).
-func (s *Service) Store() *shard.Store { return s.store }
+// Store exposes the underlying document store (loads may bypass the
+// service; engines attach lazily at first query).
+func (s *Service) Store() *store.Store { return s.store }
 
 // Flight exposes the always-on query flight recorder (the /debug/queries
 // data source).
 func (s *Service) Flight() *obsv.Flight { return s.flight }
 
-// NumShards reports the serving partition count.
-func (s *Service) NumShards() int { return len(s.shards) }
-
-// shardFor returns the serving shard owning docID — the single routing
-// decision every request makes, shared with the store's router so
-// engines, caches and documents always agree on placement.
-func (s *Service) shardFor(docID string) *svcShard {
-	return s.shards[s.store.ShardFor(docID)]
-}
-
-// lock acquires the shard mutex, accounting the wait.
-func (sh *svcShard) lock() {
+// lock acquires the engine-table mutex, accounting the wait.
+func (s *Service) lock() {
 	start := time.Now()
-	sh.mu.Lock()
+	s.mu.Lock()
 	w := time.Since(start).Nanoseconds()
-	sh.lockAcquires.Add(1)
-	sh.lockWaitNS.Add(w)
+	s.lockAcquires.Add(1)
+	s.lockWaitNS.Add(w)
 	for {
-		cur := sh.lockWaitMaxNS.Load()
-		if w <= cur || sh.lockWaitMaxNS.CompareAndSwap(cur, w) {
+		cur := s.lockWaitMaxNS.Load()
+		if w <= cur || s.lockWaitMaxNS.CompareAndSwap(cur, w) {
 			return
 		}
 	}
 }
 
 // engine returns an engine over one generation of a resident document:
-// the handle's tree and index bound to the shard's cache and pool and
+// the handle's tree and index bound to the service's cache and pool and
 // to the document's selector, which is created at the first query of a
 // load incarnation. (A reader that outlived its document's eviction and
 // reload uses the reload's selector; its one observation is noise.)
-func (sh *svcShard) engine(h *store.Handle) *core.Engine {
-	sh.lock()
-	ent, ok := sh.engines[h.ID]
+func (s *Service) engine(h *store.Handle) *core.Engine {
+	s.lock()
+	ent, ok := s.engines[h.ID]
 	if !ok || ent.epoch < h.Epoch {
-		sh.dropEngine(h.ID)
+		s.dropEngine(h.ID)
 		ent = docEngine{epoch: h.Epoch, auto: core.NewSelector(core.DefaultAutoConfig())}
-		sh.engines[h.ID] = ent
+		s.engines[h.ID] = ent
 	}
-	sh.mu.Unlock()
-	return core.NewShared(h.Doc, h.Index, sh.cache, sh.pool, ent.auto)
+	s.mu.Unlock()
+	return core.NewShared(h.Doc, h.Index, s.cache, s.pool, ent.auto)
 }
 
 // dropEngine removes a document's selector from the table, first
-// folding its counters into the shard's retired totals. The caller
-// holds sh.mu.
-func (sh *svcShard) dropEngine(docID string) {
-	if ent, ok := sh.engines[docID]; ok {
-		ent.auto.Stats().Counters().AddTo(&sh.retiredAuto)
-		delete(sh.engines, docID)
+// folding its counters into the retired totals. The caller holds s.mu.
+func (s *Service) dropEngine(docID string) {
+	if ent, ok := s.engines[docID]; ok {
+		ent.auto.Stats().Counters().AddTo(&s.retiredAuto)
+		delete(s.engines, docID)
 	}
 }
 
-// EvictDoc removes a document from its shard, and its selector with it.
+// EvictDoc removes a document from the store, and its selector with it.
 // Nothing else is swept: its automata and their warm contexts are keyed
 // by its label table, which no later document can share, so they go
 // cold and leave by the LRU. It reports whether the document was
 // resident.
 func (s *Service) EvictDoc(docID string) bool {
-	sh := s.shardFor(docID)
-	ok := sh.part.Evict(docID)
-	sh.lock()
-	sh.dropEngine(docID)
-	sh.mu.Unlock()
+	ok := s.store.Evict(docID)
+	s.lock()
+	s.dropEngine(docID)
+	s.mu.Unlock()
 	return ok
 }
 
@@ -359,7 +332,6 @@ type evalState struct {
 	// resp accumulates the outcome; on failure resp.Err is set and cur
 	// is nil.
 	resp Response
-	sh   *svcShard
 	cur  *core.Cursor
 	// h is the pinned generation the answer is read from.
 	h *store.Handle
@@ -378,14 +350,13 @@ type evalState struct {
 	root int8
 }
 
-// prepare runs the shared front half of Eval and Stream: shard routing,
-// strategy parsing, cursor-token validation (the document must match;
-// the token's generation becomes the target), generation-pinned
-// handle lookup, engine lookup, evaluation, and seeking to the resume
-// position. On failure the returned state's resp.Err is set (and
-// metrics recorded on the owning shard); on success resp carries
-// Gen/Strategy/Count/Visited and the state holds a store pin on
-// resp.Gen, which deliver releases.
+// prepare runs the shared front half of Eval and Stream: strategy
+// parsing, cursor-token validation (the document must match; the
+// token's generation becomes the target), generation-pinned handle
+// lookup, engine lookup, evaluation, and seeking to the resume
+// position. On failure the returned state's resp.Err is set (and the
+// error counted); on success resp carries Gen/Strategy/Count/Visited and
+// the state holds a store pin on resp.Gen, which deliver releases.
 func (s *Service) prepare(req Request) evalState {
 	st := evalState{resp: Response{Doc: req.Doc, Query: req.Query}, timer: startTimer()}
 	if req.Explain {
@@ -394,14 +365,10 @@ func (s *Service) prepare(req Request) evalState {
 		st.tr = obsv.NewTrace(true)
 		st.root = st.tr.Begin(obsv.SpanQuery)
 	}
-	sp := st.tr.Begin(obsv.SpanRoute)
-	sh := s.shardFor(req.Doc)
-	st.tr.End(sp)
-	st.sh = sh
 	// fail is every error exit: spans still open are settled by Profile.
 	fail := func(format string, args ...any) evalState {
 		st.resp.Err = fmt.Sprintf(format, args...)
-		sh.metrics.recordError()
+		s.metrics.recordError()
 		return st
 	}
 	strat, ok := core.ParseStrategy(req.Strategy)
@@ -413,7 +380,7 @@ func (s *Service) prepare(req Request) evalState {
 	tgen := req.AsOf
 	var after tree.NodeID
 	if req.Cursor != "" {
-		sp = st.tr.Begin(obsv.SpanCursor)
+		sp := st.tr.Begin(obsv.SpanCursor)
 		cdoc, cgen, clast, err := decodeCursor(req.Cursor)
 		switch {
 		case err != nil:
@@ -428,11 +395,11 @@ func (s *Service) prepare(req Request) evalState {
 		st.fromCursor = true
 		st.tr.End(sp)
 	}
-	sp = st.tr.Begin(obsv.SpanEngine)
+	sp := st.tr.Begin(obsv.SpanEngine)
 	// The pin is taken with the lookup and held until deliver has placed
 	// the successor token's lease: a PATCH landing while this request
 	// runs cannot retire the generation the token will name.
-	h, err := sh.part.Acquire(req.Doc, tgen)
+	h, err := s.store.Acquire(req.Doc, tgen)
 	if err != nil {
 		st.tr.End(sp)
 		switch {
@@ -446,12 +413,12 @@ func (s *Service) prepare(req Request) evalState {
 		st.resp.staleCursor = true
 		return fail("generation %d of document %q is gone (no live cursor or lease kept it)", tgen, req.Doc)
 	}
-	eng := sh.engine(h)
+	eng := s.engine(h)
 	st.tr.End(sp)
 	st.resp.Gen = h.Gen
 	cur, err := eng.EvalCursorTrace(req.Query, strat, st.tr)
 	if err != nil {
-		sh.part.Release(req.Doc, h.Gen, time.Time{}, false)
+		s.store.Release(req.Doc, h.Gen, time.Time{}, false)
 		st.resp.ElapsedUS = st.timer.elapsedMicros()
 		return fail("%v", err)
 	}
@@ -543,9 +510,6 @@ func (s *Service) finish(st *evalState, req *Request, outcome, errText string) {
 		Visited:   resp.Visited,
 		Streamed:  st.streamed,
 	}
-	if st.sh != nil {
-		rec.Shard = st.sh.index
-	}
 	if cur := st.cur; cur != nil {
 		rec.MemoHits = cur.MemoHits()
 		rec.Jumps = cur.Jumps()
@@ -566,7 +530,6 @@ func (s *Service) finish(st *evalState, req *Request, outcome, errText string) {
 		slog.String("req_id", req.RequestID),
 		slog.String("doc", req.Doc),
 		slog.String("query", req.Query),
-		slog.Int("shard", rec.Shard),
 		slog.String("strategy", resp.Strategy),
 		slog.String("outcome", outcome),
 		slog.String("err", errText),
@@ -607,9 +570,9 @@ func (s *Service) deliver(st *evalState, req *Request, abortErr string) {
 			resp.Next = encodeCursor(req.Doc, resp.Gen, st.last)
 			lease = time.Now().Add(s.cursorTTL)
 		}
-		st.sh.part.Release(req.Doc, resp.Gen, lease, st.fromCursor && abortErr == "")
+		s.store.Release(req.Doc, resp.Gen, lease, st.fromCursor && abortErr == "")
 		resp.ElapsedUS = st.timer.elapsedMicros()
-		st.sh.metrics.record(st.cur.Strategy(), resp.ElapsedUS, resp.Visited, resp.Count)
+		s.metrics.record(st.cur.Strategy(), resp.ElapsedUS, resp.Visited, resp.Count)
 	}
 	if abortErr == "" {
 		resp.Explain = s.explain(st, req)
@@ -693,68 +656,43 @@ func (s *Service) EvalBatch(reqs []Request) []Response {
 	return out
 }
 
-// ShardStats is the point-in-time picture of one serving partition.
-type ShardStats struct {
-	Shard     int `json:"shard"`
-	Documents int `json:"documents"`
-	// DocBytes estimates the resident bytes of the shard's documents
-	// plus their jumping indexes; ResidentBytes adds the shard's share
-	// of the compiled-query cache.
+// Stats is a point-in-time snapshot of the service.
+type Stats struct {
+	Documents []store.Stats `json:"documents"`
+	// DocBytes estimates the resident bytes of the documents plus their
+	// jumping indexes; ResidentBytes adds the compiled-query cache.
 	DocBytes      int64 `json:"doc_bytes"`
 	ResidentBytes int64 `json:"resident_bytes"`
 	// Engines counts the documents with a live Auto selector.
-	Engines int `json:"engines"`
-	// Cache covers this shard's compiled-query LRU only.
+	Engines      int          `json:"engines"`
 	Cache        qcache.Stats `json:"cache"`
 	CacheHitRate float64      `json:"cache_hit_rate"`
-	// Lock-wait tells how long requests queued for this shard's engine
-	// table — the per-shard contention signal. The total is the exact
-	// sum behind the mean (the Prometheus exporter needs it).
+	// Lock-wait tells how long requests queued for the engine table. The
+	// total is the exact sum behind the mean (the Prometheus exporter
+	// needs it).
 	LockWaitTotalNS int64      `json:"lock_wait_total_ns"`
 	LockWaitMeanNS  int64      `json:"lock_wait_mean_ns"`
 	LockWaitMaxNS   int64      `json:"lock_wait_max_ns"`
 	LockAcquires    uint64     `json:"lock_acquires"`
 	Queries         QueryStats `json:"queries"`
-	// Pool is this shard's evaluation-context pool: hit rate is the
-	// fraction of queries served by a warm, allocation-free context,
-	// ArenaBytes the scratch memory the parked contexts keep resident.
+	// Pool is the evaluation-context pool: hit rate is the fraction of
+	// queries served by a warm, allocation-free context, ArenaBytes the
+	// scratch memory the parked contexts keep resident.
 	Pool        core.PoolStats `json:"ctx_pool"`
 	PoolHitRate float64        `json:"ctx_pool_hit_rate"`
-	// Auto aggregates the observed-latency Auto selectors of this
-	// shard's documents: shapes tracked, wins per strategy, exploration
-	// rate, estimate error, and the most-decided shapes with their
+	// Auto aggregates the observed-latency Auto selectors of the
+	// documents: shapes tracked, wins per strategy, exploration rate,
+	// estimate error, and the most-decided shapes with their
 	// per-candidate estimates and winner reasons.
 	Auto core.SelectorStats `json:"auto"`
-	// MVCC reports this shard's generation chains: live and pinned
-	// generations, patches applied, generations retired.
+	// MVCC reports the generation chains: live and pinned generations,
+	// patches applied, generations retired. Taking the snapshot sweeps
+	// expired cursor leases, so stats/metrics scraping doubles as the
+	// lease janitor.
 	MVCC store.MVCCStats `json:"mvcc"`
-	// Mapped reports this shard's mmap-backed documents: total mapped
-	// bytes, the charged (presumed-OS-resident) subset under the
-	// resident budget, and map faults (touches that re-heated a
-	// released mapping).
-	Mapped store.MappedStats `json:"mapped"`
-}
-
-// Stats is a point-in-time snapshot of the whole service plus the
-// per-shard breakdown.
-type Stats struct {
-	Documents []store.Stats `json:"documents"`
-	Shards    []ShardStats  `json:"shards"`
-	// Cache aggregates the per-shard compiled-query LRUs (sizes and
-	// counters summed).
-	Cache        qcache.Stats `json:"cache"`
-	CacheHitRate float64      `json:"cache_hit_rate"`
-	Queries      QueryStats   `json:"queries"`
-	// Pool aggregates the evaluation-context pools across all shards.
-	Pool        core.PoolStats `json:"ctx_pool"`
-	PoolHitRate float64        `json:"ctx_pool_hit_rate"`
-	// Auto aggregates the Auto selector tables across all shards.
-	Auto core.SelectorStats `json:"auto"`
-	// MVCC aggregates the generation chains across all shards. Taking
-	// the snapshot sweeps expired cursor leases, so stats/metrics
-	// scraping doubles as the lease janitor.
-	MVCC store.MVCCStats `json:"mvcc"`
-	// Mapped aggregates mmap-backed document accounting across shards.
+	// Mapped reports the mmap-backed documents: total mapped bytes, the
+	// charged (presumed-OS-resident) subset under the resident budget,
+	// and map faults (touches that re-heated a released mapping).
 	Mapped store.MappedStats `json:"mapped"`
 	// HeapAllocObjects is the process's cumulative heap allocations
 	// since the service started; AllocsPerQuery divides it by the
@@ -763,71 +701,54 @@ type Stats struct {
 	// near the floor set by response assembly rather than evaluation.
 	HeapAllocObjects uint64  `json:"heap_alloc_objects"`
 	AllocsPerQuery   float64 `json:"allocs_per_query_estimate"`
+	// Shards is the store as cmd/xpqbench reads it, from when it was
+	// partitioned: one entry, repeating three of the numbers above.
+	Shards [1]struct {
+		DocBytes        int64  `json:"doc_bytes"`
+		LockWaitTotalNS int64  `json:"lock_wait_total_ns"`
+		LockAcquires    uint64 `json:"lock_acquires"`
+	} `json:"shards"`
 }
 
 // selectorStats is indirect so a test can park a snapshot inside a
 // selector and show that requests do not wait for it.
 var selectorStats = (*core.Selector).Stats
 
-// Stats snapshots the store, caches and query counters, globally and
-// per shard. Every service-wide struct is the AddTo sum of the per-shard
-// ones, so a field added to a stats struct is summed where it is
-// declared and nowhere else.
+// Stats snapshots the store, cache, pool, selectors and query counters.
 func (s *Service) Stats() Stats {
-	out := Stats{Documents: make([]store.Stats, 0, s.store.Len())}
-	for _, sh := range s.shards {
-		ss := ShardStats{
-			Shard:           sh.index,
-			Cache:           sh.cache.Stats(),
-			LockWaitTotalNS: sh.lockWaitNS.Load(),
-			LockWaitMaxNS:   sh.lockWaitMaxNS.Load(),
-			LockAcquires:    sh.lockAcquires.Load(),
-			Queries:         sh.metrics.snapshot(),
-			MVCC:            sh.part.MVCC(),
-			Mapped:          sh.part.Mapped(),
-		}
-		docs := sh.part.List()
-		out.Documents = append(out.Documents, docs...)
-		ss.Documents = len(docs)
-		for _, d := range docs {
-			ss.DocBytes += d.MemBytes
-		}
-		ss.ResidentBytes = ss.DocBytes + ss.Cache.SizeBytes
-		ss.CacheHitRate = ss.Cache.HitRate()
-		if ss.LockAcquires > 0 {
-			ss.LockWaitMeanNS = ss.LockWaitTotalNS / int64(ss.LockAcquires)
-		}
-		// Every request takes sh.mu, so it is held only to copy pointers;
-		// the snapshots (a lock and an allocation per shape) come after.
-		sh.lock()
-		sh.retiredAuto.AddTo(&ss.Auto)
-		autos := make([]*core.Selector, 0, len(sh.engines))
-		for _, ent := range sh.engines {
-			autos = append(autos, ent.auto)
-		}
-		sh.mu.Unlock()
-		ss.Engines = len(autos)
-		for _, auto := range autos {
-			selectorStats(auto).AddTo(&ss.Auto)
-		}
-		ss.Auto.Finalize()
-		ss.Pool = sh.pool.Stats()
-		ss.PoolHitRate = ss.Pool.HitRate()
-
-		ss.Cache.AddTo(&out.Cache)
-		out.Queries.add(&ss.Queries)
-		ss.Pool.AddTo(&out.Pool)
-		ss.Auto.AddTo(&out.Auto)
-		ss.MVCC.AddTo(&out.MVCC)
-		ss.Mapped.AddTo(&out.Mapped)
-		out.Shards = append(out.Shards, ss)
+	out := Stats{
+		Documents:       s.store.List(),
+		Cache:           s.cache.Stats(),
+		LockWaitTotalNS: s.lockWaitNS.Load(),
+		LockWaitMaxNS:   s.lockWaitMaxNS.Load(),
+		LockAcquires:    s.lockAcquires.Load(),
+		Queries:         s.metrics.snapshot(),
+		Pool:            s.pool.Stats(),
+		MVCC:            s.store.MVCC(),
+		Mapped:          s.store.Mapped(),
 	}
-	sort.Slice(out.Documents, func(i, j int) bool {
-		return out.Documents[i].ID < out.Documents[j].ID
-	})
+	for _, d := range out.Documents {
+		out.DocBytes += d.MemBytes
+	}
+	out.ResidentBytes = out.DocBytes + out.Cache.SizeBytes
 	out.CacheHitRate = out.Cache.HitRate()
-	out.Queries.setMeans()
 	out.PoolHitRate = out.Pool.HitRate()
+	if out.LockAcquires > 0 {
+		out.LockWaitMeanNS = out.LockWaitTotalNS / int64(out.LockAcquires)
+	}
+	// Every request takes s.mu, so it is held only to copy pointers; the
+	// snapshots (a lock and an allocation per shape) come after.
+	s.lock()
+	s.retiredAuto.AddTo(&out.Auto)
+	autos := make([]*core.Selector, 0, len(s.engines))
+	for _, ent := range s.engines {
+		autos = append(autos, ent.auto)
+	}
+	s.mu.Unlock()
+	out.Engines = len(autos)
+	for _, auto := range autos {
+		selectorStats(auto).AddTo(&out.Auto)
+	}
 	out.Auto.Finalize()
 	if now := heapAllocObjects(); now > s.allocs0 {
 		out.HeapAllocObjects = now - s.allocs0
@@ -835,5 +756,7 @@ func (s *Service) Stats() Stats {
 			out.AllocsPerQuery = float64(out.HeapAllocObjects) / float64(out.Queries.Total)
 		}
 	}
+	sh := &out.Shards[0]
+	sh.DocBytes, sh.LockWaitTotalNS, sh.LockAcquires = out.DocBytes, out.LockWaitTotalNS, out.LockAcquires
 	return out
 }

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/shard"
@@ -113,7 +115,7 @@ func TestEvictedDocAutomataLeaveByLRU(t *testing.T) {
 	if s.EvictDoc("d1") {
 		t.Error("double evict = true")
 	}
-	if got := s.Stats().Shards[0].Engines; got != 0 {
+	if got := s.Stats().Engines; got != 0 {
 		t.Errorf("engines after evict = %d, want 0 (the document's selector goes with it)", got)
 	}
 
@@ -339,11 +341,6 @@ func TestStatsSelectorTable(t *testing.T) {
 	if st.Auto.WinsByStrategy["empty-chain"] != 1 {
 		t.Errorf("wins_by_strategy[empty-chain] = %d, want 1", st.Auto.WinsByStrategy["empty-chain"])
 	}
-	// The per-shard view carries the same table.
-	if len(st.Shards) != 1 || st.Shards[0].Auto.Decisions != st.Auto.Decisions {
-		t.Errorf("per-shard selector table disagrees with the aggregate")
-	}
-
 	// The flight recorder attributes the short-circuit too.
 	recs := s.Flight().Snapshot(0, false).Records
 	found := false
@@ -357,5 +354,88 @@ func TestStatsSelectorTable(t *testing.T) {
 	}
 	if !found {
 		t.Error("short-circuit query missing from flight recorder")
+	}
+}
+
+// TestOnePartitionServesEveryDocument loads eight documents and checks
+// that queries, the stats snapshot and eviction see all of them in the
+// one store, and that the one-entry shards list repeats the totals.
+func TestOnePartitionServesEveryDocument(t *testing.T) {
+	svc := New(shard.NewStore(8), Options{})
+	ids := make([]string, 8)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("doc-%d", i)
+		xml := fmt.Sprintf("<r><a><b>s%d</b></a><a><b/></a></r>", i)
+		if _, err := svc.Store().LoadXML(ids[i], []byte(xml)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range ids {
+		resp := svc.Eval(Request{Doc: id, Query: "//a/b"})
+		if resp.Err != "" || resp.Count != 2 {
+			t.Fatalf("%s: count=%d err=%q", id, resp.Count, resp.Err)
+		}
+	}
+	st := svc.Stats()
+	if len(st.Documents) != 8 || st.Engines != 8 || st.Queries.Total != 8 {
+		t.Errorf("documents=%d engines=%d queries=%d, want 8/8/8", len(st.Documents), st.Engines, st.Queries.Total)
+	}
+	if st.DocBytes <= 0 || st.ResidentBytes < st.DocBytes || st.LockAcquires == 0 {
+		t.Errorf("doc_bytes=%d resident=%d lock acquisitions=%d", st.DocBytes, st.ResidentBytes, st.LockAcquires)
+	}
+	if st.Cache.Capacity != DefaultCacheSize {
+		t.Errorf("cache capacity = %d, want DefaultCacheSize %d", st.Cache.Capacity, DefaultCacheSize)
+	}
+	if sh := st.Shards[0]; sh.DocBytes != st.DocBytes || sh.LockWaitTotalNS != st.LockWaitTotalNS || sh.LockAcquires != st.LockAcquires {
+		t.Errorf("shards[0] = %+v, want the totals %d/%d/%d", sh, st.DocBytes, st.LockWaitTotalNS, st.LockAcquires)
+	}
+
+	if !svc.EvictDoc(ids[3]) {
+		t.Fatal("evict failed")
+	}
+	st = svc.Stats()
+	if len(st.Documents) != 7 || st.Engines != 7 {
+		t.Errorf("after evict: documents=%d engines=%d, want 7/7", len(st.Documents), st.Engines)
+	}
+	for _, d := range st.Documents {
+		if d.ID == ids[3] {
+			t.Errorf("evicted %s still listed", d.ID)
+		}
+	}
+}
+
+// TestStatsDoesNotStallRequests: every request takes the engine-table
+// mutex to find its document's selector, so a /stats or /metrics scrape
+// may hold it only to copy pointers. With a snapshot parked inside a
+// selector — where a scrape spends its time: a lock and an allocation
+// per shape — a request still completes.
+func TestStatsDoesNotStallRequests(t *testing.T) {
+	s := newTestService(t, Options{})
+	if resp := s.Eval(Request{Doc: "d1", Query: "//a/b"}); resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	snapshot := selectorStats
+	defer func() { selectorStats = snapshot }()
+	parked := 0
+	selectorStats = func(sel *core.Selector) core.SelectorStats {
+		parked++
+		done := make(chan Response, 1)
+		go func() { done <- s.Eval(Request{Doc: "d1", Query: "//a/b"}) }()
+		select {
+		case resp := <-done:
+			if resp.Err != "" {
+				t.Error(resp.Err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Error("a request waited for a stats snapshot parked inside a selector")
+		}
+		return snapshot(sel)
+	}
+	st := s.Stats()
+	if parked != 1 {
+		t.Fatalf("snapshot visited %d selectors, want d1's", parked)
+	}
+	if st.Auto.Decisions != 2 || st.Engines != 1 {
+		t.Errorf("snapshot lost the selector: decisions = %d (want 2), engines = %d (want 1)", st.Auto.Decisions, st.Engines)
 	}
 }

@@ -29,7 +29,7 @@ import (
 //     pool cannot see: hybrid and TDSTA cursors hold no pooled context.
 //     Only the live selectors are exact: one dropped by an eviction
 //     while its cursor was open is observed after its counters were
-//     folded into the shard's totals.
+//     folded into the retired totals.
 func poolUnsettled(s *Service) []string {
 	var out []string
 	ps := s.Stats().Pool
@@ -39,19 +39,17 @@ func poolUnsettled(s *Service) []string {
 	if ps.GuardTrips != 0 {
 		out = append(out, fmt.Sprintf("%d cached automata did not belong to the label table in their key: %+v", ps.GuardTrips, ps))
 	}
-	for _, sh := range s.shards {
-		sh.lock()
-		autos := make(map[string]*core.Selector, len(sh.engines))
-		for id, ent := range sh.engines {
-			autos[id] = ent.auto
-		}
-		sh.mu.Unlock()
-		for id, sel := range autos {
-			a := sel.Stats()
-			if open := int64(a.Decisions) - int64(a.ShortCircuits) - int64(a.Observations); open != 0 {
-				out = append(out, fmt.Sprintf("document %q: %d Auto cursors never closed (%d decisions, %d short-circuited, %d observed)",
-					id, open, a.Decisions, a.ShortCircuits, a.Observations))
-			}
+	s.lock()
+	autos := make(map[string]*core.Selector, len(s.engines))
+	for id, ent := range s.engines {
+		autos[id] = ent.auto
+	}
+	s.mu.Unlock()
+	for id, sel := range autos {
+		a := sel.Stats()
+		if open := int64(a.Decisions) - int64(a.ShortCircuits) - int64(a.Observations); open != 0 {
+			out = append(out, fmt.Sprintf("document %q: %d Auto cursors never closed (%d decisions, %d short-circuited, %d observed)",
+				id, open, a.Decisions, a.ShortCircuits, a.Observations))
 		}
 	}
 	return out
@@ -70,13 +68,12 @@ func assertPoolSettled(t *testing.T, s *Service) {
 // both show, and closing them settles the books.
 func TestPoolSettledBites(t *testing.T) {
 	s := newTestService(t, Options{})
-	sh := s.shardFor("d1")
-	h, err := sh.part.Acquire("d1", 0)
+	h, err := s.store.Acquire("d1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sh.part.Release("d1", h.Gen, time.Time{}, false)
-	eng := sh.engine(h)
+	defer s.store.Release("d1", h.Gen, time.Time{}, false)
+	eng := s.engine(h)
 	pooled, err := eng.EvalCursor("//a/b", core.Optimized)
 	if err != nil {
 		t.Fatal(err)

@@ -111,7 +111,7 @@ func (s *Service) Stream(w io.Writer, req Request, chunkSize int) *Response {
 		// the query counters must see it (deliver), and the stream is
 		// counted — with its abort cause — but kept out of the latency
 		// aggregates, whose means are per-completed-stream.
-		st.sh.metrics.recordStream(abortHeaderWrite, 0, 0, 0, 0, 0)
+		s.metrics.recordStream(abortHeaderWrite, 0, 0, 0, 0, 0)
 		s.deliver(&st, &req, "client gone: header write failed")
 		return nil
 	}
@@ -156,7 +156,7 @@ func (s *Service) Stream(w io.Writer, req Request, chunkSize int) *Response {
 		if !ok {
 			// Client went away mid-stream: account for the chunks that
 			// did go out.
-			st.sh.metrics.recordStream(abortChunkWrite, chunks, st.sent, firstByteUS, chunkSumUS, chunkMaxUS)
+			s.metrics.recordStream(abortChunkWrite, chunks, st.sent, firstByteUS, chunkSumUS, chunkMaxUS)
 			s.deliver(&st, &req, "client gone: chunk write failed")
 			return nil
 		}
@@ -165,7 +165,7 @@ func (s *Service) Stream(w io.Writer, req Request, chunkSize int) *Response {
 		st.last = buf[n-1]
 	}
 	st.tr.End(spStream)
-	st.sh.metrics.recordStream(abortNone, chunks, st.sent, firstByteUS, chunkSumUS, chunkMaxUS)
+	s.metrics.recordStream(abortNone, chunks, st.sent, firstByteUS, chunkSumUS, chunkMaxUS)
 	// deliver settles the request before the trailer goes out: the
 	// trailer carries the token it issued and the profile it closed.
 	s.deliver(&st, &req, "")

@@ -105,9 +105,9 @@ func TestWarmStateSurvivesPatch(t *testing.T) {
 			t.Fatalf("after vocabulary-only patch %d: cache misses %d -> %d, pool misses %d -> %d, want no change",
 				i+1, first.Cache.Misses, st.Cache.Misses, first.Pool.Misses, st.Pool.Misses)
 		}
-		if st.Auto.Shapes != first.Auto.Shapes || st.Shards[0].Engines != 1 {
+		if st.Auto.Shapes != first.Auto.Shapes || st.Engines != 1 {
 			t.Fatalf("after vocabulary-only patch %d: shapes %d -> %d, engines %d, want the one selector kept",
-				i+1, first.Auto.Shapes, st.Auto.Shapes, st.Shards[0].Engines)
+				i+1, first.Auto.Shapes, st.Auto.Shapes, st.Engines)
 		}
 	}
 	if st := svc.Stats(); st.MVCC.Patches != patches || st.Pool.GuardTrips != 0 {
@@ -138,8 +138,8 @@ func TestWarmStateSurvivesPatch(t *testing.T) {
 	if !svc.EvictDoc("xm") {
 		t.Fatal("xm was not resident")
 	}
-	if st := svc.Stats(); st.Shards[0].Engines != 0 || st.Auto.Shapes != 0 {
-		t.Errorf("after evict: engines = %d, shapes = %d, want none", st.Shards[0].Engines, st.Auto.Shapes)
+	if st := svc.Stats(); st.Engines != 0 || st.Auto.Shapes != 0 {
+		t.Errorf("after evict: engines = %d, shapes = %d, want none", st.Engines, st.Auto.Shapes)
 	}
 	if _, err := svc.Store().GenerateXMark("xm", 0.002, 1); err != nil {
 		t.Fatal(err)
@@ -178,13 +178,12 @@ func TestRetiredGenerationCollectedWhileContextsPooled(t *testing.T) {
 	}
 	collected := make(chan struct{})
 	func() {
-		part := svc.Store().Part(0)
-		h, err := part.Acquire("xm", store.NoGen)
+		h, err := svc.Store().Acquire("xm", store.NoGen)
 		if err != nil {
 			t.Fatal(err)
 		}
 		runtime.SetFinalizer(h.Doc, func(*tree.Document) { close(collected) })
-		part.Release("xm", h.Gen, time.Time{}, false)
+		svc.Store().Release("xm", h.Gen, time.Time{}, false)
 	}()
 	// Nothing holds the first generation: the patch retires it. No query
 	// runs on the new one, so the pooled contexts last ran on the old.

@@ -8,86 +8,8 @@ import (
 	"repro/internal/store"
 )
 
-// TestShardedStoreRoutesAndMerges loads documents across a 4-shard
-// store and checks placement agrees with the router, the merged views
-// see everything, and id-addressed operations resolve regardless of
-// which shard owns the id.
-func TestShardedStoreRoutesAndMerges(t *testing.T) {
-	s := NewStore(4)
-	if s.NumShards() != 4 {
-		t.Fatalf("NumShards = %d, want 4", s.NumShards())
-	}
-	ids := make([]string, 12)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("doc-%d", i)
-		xml := fmt.Sprintf("<r><a>d%d</a></r>", i)
-		if _, err := s.LoadXML(ids[i], []byte(xml)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Len() != len(ids) {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(ids))
-	}
-	for _, id := range ids {
-		h, ok := s.Get(id)
-		if !ok || h.ID != id {
-			t.Fatalf("Get(%q) = %v, %v", id, h, ok)
-		}
-		// The document lives on exactly the partition the router names.
-		want := s.ShardFor(id)
-		if _, ok := s.Part(want).Get(id); !ok {
-			t.Errorf("%q missing from its routed partition %d", id, want)
-		}
-		for p := 0; p < s.NumShards(); p++ {
-			if p == want {
-				continue
-			}
-			if _, ok := s.Part(p).Get(id); ok {
-				t.Errorf("%q resident on partition %d, routed to %d", id, p, want)
-			}
-		}
-	}
-	// Placement spans more than one partition for a dozen ids.
-	used := map[int]bool{}
-	for _, id := range ids {
-		used[s.ShardFor(id)] = true
-	}
-	if len(used) < 2 {
-		t.Errorf("12 documents all landed on one shard: %v", used)
-	}
-
-	list := s.List()
-	if len(list) != len(ids) {
-		t.Fatalf("List merged %d docs, want %d", len(list), len(ids))
-	}
-	for i := 1; i < len(list); i++ {
-		if list[i-1].ID >= list[i].ID {
-			t.Fatalf("List not sorted: %q before %q", list[i-1].ID, list[i].ID)
-		}
-	}
-	sharded := s.ListSharded()
-	if len(sharded) != len(ids) {
-		t.Fatalf("ListSharded merged %d docs, want %d", len(sharded), len(ids))
-	}
-	for _, d := range sharded {
-		if d.Shard != s.ShardFor(d.ID) {
-			t.Errorf("ListSharded reports %q on shard %d, router says %d", d.ID, d.Shard, s.ShardFor(d.ID))
-		}
-	}
-
-	if !s.Evict(ids[3]) || s.Evict(ids[3]) {
-		t.Error("evict must succeed once then report absent")
-	}
-	if _, ok := s.Get(ids[3]); ok {
-		t.Error("evicted doc still resolvable")
-	}
-	if s.Len() != len(ids)-1 {
-		t.Errorf("Len after evict = %d, want %d", s.Len(), len(ids)-1)
-	}
-}
-
 // TestShardedStoreDuplicateAcrossCalls checks ErrExists surfaces
-// through the sharded facade exactly as on a flat store.
+// through the facade exactly as on a bare store.
 func TestShardedStoreDuplicateAcrossCalls(t *testing.T) {
 	s := NewStore(8)
 	if _, err := s.LoadXML("dup", []byte("<r/>")); err != nil {
@@ -99,20 +21,29 @@ func TestShardedStoreDuplicateAcrossCalls(t *testing.T) {
 	}
 }
 
-// TestOneShardStoreIsFlat pins the drop-in property the service tests
-// rely on: a 1-shard store behaves as the single registry.
+// TestOneShardStoreIsFlat: whatever count it is given, NewStore builds
+// one registry, and every document lands in it.
 func TestOneShardStoreIsFlat(t *testing.T) {
-	s := NewStore(1)
-	for i := 0; i < 5; i++ {
-		id := fmt.Sprintf("d%d", i)
-		if _, err := s.LoadXML(id, []byte("<r/>")); err != nil {
-			t.Fatal(err)
+	for _, n := range []int{-3, 0, 1, 4} {
+		s := NewStore(n)
+		for i := 0; i < 5; i++ {
+			if _, err := s.LoadXML(fmt.Sprintf("d%d", i), []byte("<r/>")); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if s.ShardFor(id) != 0 {
-			t.Fatalf("1-shard store routed %q to shard %d", id, s.ShardFor(id))
+		if s.Len() != 5 || len(s.List()) != 5 {
+			t.Errorf("NewStore(%d): Len %d, List %d, want 5/5", n, s.Len(), len(s.List()))
 		}
 	}
-	if s.Part(0).Len() != 5 || s.Len() != 5 {
-		t.Errorf("partition holds %d docs, store reports %d, want 5/5", s.Part(0).Len(), s.Len())
+}
+
+// TestRouterEdgeCases: every id, the empty one and a NUL included,
+// routes to partition 0.
+func TestRouterEdgeCases(t *testing.T) {
+	r := NewStore(8).Router()
+	for _, id := range []string{"", "a", "\x00", "doc-0", "tenant-7/corpus/xmark-7.xml"} {
+		if s := r.Shard(id); s != 0 {
+			t.Errorf("Shard(%q) = %d, want 0", id, s)
+		}
 	}
 }

@@ -270,14 +270,6 @@ type MVCCStats struct {
 	Retired uint64 `json:"retired"`
 }
 
-// AddTo accumulates m into dst (for cross-shard aggregation).
-func (m MVCCStats) AddTo(dst *MVCCStats) {
-	dst.LiveGenerations += m.LiveGenerations
-	dst.PinnedGenerations += m.PinnedGenerations
-	dst.Patches += m.Patches
-	dst.Retired += m.Retired
-}
-
 // MVCC reports generation-chain statistics. It sweeps expired leases as
 // a side effect, so periodic stats scraping doubles as the lease
 // janitor — no dedicated background goroutine needed.

@@ -132,6 +132,9 @@ type Store struct {
 	chargedBytes atomic.Int64
 	mapBudget    atomic.Int64
 	mapFaults    atomic.Uint64
+	// useClock orders mapping accesses for the budget's LRU: each
+	// registration and touch takes the next tick.
+	useClock atomic.Int64
 	// verifyResident selects OpenXQO2Verified for LoadMapped (full
 	// element-wise validation for files from outside this process).
 	verifyResident atomic.Bool

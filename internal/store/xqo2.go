@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -176,7 +175,7 @@ func (h *Handle) Discard() { h.mapping.Close() }
 type mappedEntry struct {
 	m        *mmapx.Mapping
 	bytes    int64
-	lastUsed int64 // atomic: unix nanos of last access
+	lastUsed int64 // atomic: the store's use clock at the last access
 	charged  int32 // atomic: 1 while counted against the budget
 }
 
@@ -193,7 +192,7 @@ func (s *Store) SetResidentBudget(b int64) {
 // registerMappedLocked adds a freshly loaded mapping to the accounting.
 // Caller holds s.mu.
 func (s *Store) registerMappedLocked(id string, m *mmapx.Mapping) {
-	e := &mappedEntry{m: m, bytes: int64(m.Len()), lastUsed: time.Now().UnixNano(), charged: 1}
+	e := &mappedEntry{m: m, bytes: int64(m.Len()), lastUsed: s.useClock.Add(1), charged: 1}
 	s.mapped[id] = e
 	s.mappedCount.Add(1)
 	s.chargedBytes.Add(e.bytes)
@@ -224,7 +223,7 @@ func (s *Store) touchMapped(id string) {
 	if e == nil {
 		return
 	}
-	atomic.StoreInt64(&e.lastUsed, time.Now().UnixNano())
+	atomic.StoreInt64(&e.lastUsed, s.useClock.Add(1))
 	if atomic.SwapInt32(&e.charged, 1) == 0 {
 		s.mapFaults.Add(1)
 		s.chargedBytes.Add(e.bytes)
@@ -235,36 +234,30 @@ func (s *Store) touchMapped(id string) {
 // enforceBudget releases least-recently-used charged mappings until the
 // hot set fits the budget. keep (the id just touched) is exempt — it is
 // the hottest by definition — unless it alone exceeds the budget, in
-// which case nothing helps and it stays charged.
+// which case nothing helps and it stays charged. Each release is one
+// pass for the coldest charged mapping, not a sort of them all: a
+// publish or a re-heat over budget releases one like-sized mapping.
 func (s *Store) enforceBudget(keep string) {
 	budget := s.mapBudget.Load()
-	if budget <= 0 || s.chargedBytes.Load() <= budget {
-		return
-	}
-	type cand struct {
-		id   string
-		e    *mappedEntry
-		used int64
-	}
-	s.mu.RLock()
-	cands := make([]cand, 0, len(s.mapped))
-	for id, e := range s.mapped {
-		if id == keep {
-			continue
+	for budget > 0 && s.chargedBytes.Load() > budget {
+		var cold *mappedEntry
+		var coldUsed int64
+		s.mu.RLock()
+		for id, e := range s.mapped {
+			if id == keep || atomic.LoadInt32(&e.charged) == 0 {
+				continue
+			}
+			if used := atomic.LoadInt64(&e.lastUsed); cold == nil || used < coldUsed {
+				cold, coldUsed = e, used
+			}
 		}
-		if atomic.LoadInt32(&e.charged) == 1 {
-			cands = append(cands, cand{id, e, atomic.LoadInt64(&e.lastUsed)})
-		}
-	}
-	s.mu.RUnlock()
-	sort.Slice(cands, func(i, j int) bool { return cands[i].used < cands[j].used })
-	for _, c := range cands {
-		if s.chargedBytes.Load() <= budget {
+		s.mu.RUnlock()
+		if cold == nil {
 			return
 		}
-		if atomic.SwapInt32(&c.e.charged, 0) == 1 {
-			s.chargedBytes.Add(-c.e.bytes)
-			_ = c.e.m.Release()
+		if atomic.SwapInt32(&cold.charged, 0) == 1 {
+			s.chargedBytes.Add(-cold.bytes)
+			_ = cold.m.Release()
 		}
 	}
 }
@@ -276,13 +269,6 @@ type MappedStats struct {
 	MappedBytes  int64  `json:"mapped_bytes"`
 	ChargedBytes int64  `json:"charged_bytes"`
 	MapFaults    uint64 `json:"map_faults"`
-}
-
-// AddTo accumulates m into dst (for cross-shard aggregation).
-func (m MappedStats) AddTo(dst *MappedStats) {
-	dst.MappedBytes += m.MappedBytes
-	dst.ChargedBytes += m.ChargedBytes
-	dst.MapFaults += m.MapFaults
 }
 
 // Mapped returns the store's mapped-document accounting snapshot.

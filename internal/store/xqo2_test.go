@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -730,6 +731,59 @@ func TestLoadMappedAndBudget(t *testing.T) {
 		t.Fatalf("evict did not shrink mapped bytes: %d -> %d", st.MappedBytes, st2.MappedBytes)
 	}
 	_ = paths
+}
+
+// TestBudgetReleasesInLRUOrder pins the budget enforcer on six
+// like-sized mappings: it releases the least recently used first, stops
+// as soon as the hot set fits, never releases the mapping just touched,
+// and leaves that one charged when it alone is over the budget.
+func TestBudgetReleasesInLRUOrder(t *testing.T) {
+	s := New()
+	path := saveXQO2(t, xmark.Generate(xmark.Config{Scale: 0.001, Seed: 1}))
+	var per int64
+	for _, id := range []string{"a", "b", "c", "d", "e", "f"} {
+		h, err := s.LoadMapped(id, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per = h.Stats.MappedBytes
+	}
+	hot := func() string {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		var ids []string
+		for id, e := range s.mapped {
+			if atomic.LoadInt32(&e.charged) == 1 {
+				ids = append(ids, id)
+			}
+		}
+		slices.Sort(ids)
+		return strings.Join(ids, "")
+	}
+	check := func(step, want string) {
+		t.Helper()
+		if got := hot(); got != want || s.Mapped().ChargedBytes != int64(len(want))*per {
+			t.Fatalf("%s: hot set %q (%d bytes charged), want %q", step, got, s.Mapped().ChargedBytes, want)
+		}
+	}
+	check("unbudgeted", "abcdef")
+	// Use order from coldest: c d e f b a.
+	s.Get("b")
+	s.Get("a")
+	s.SetResidentBudget(3 * per)
+	check("budget of three", "abf")
+	// Re-heating c releases the coldest other mapping, f, and only f.
+	s.Get("c")
+	check("c re-heated", "abc")
+	if got := s.Mapped().MapFaults; got != 1 {
+		t.Errorf("%d map faults, want c's one", got)
+	}
+	// Under half a mapping nothing fits: everything is released, and a
+	// touched mapping stays charged because releasing it cannot help.
+	s.SetResidentBudget(per / 2)
+	check("budget under one", "")
+	s.Get("d")
+	check("d re-heated over budget", "d")
 }
 
 // TestMappedPatchCoW patches a mapped document and verifies the new

@@ -105,12 +105,11 @@ func pinGeneration(t *testing.T, svc *service.Service) mutGenSnap {
 	if first.Err != "" || first.Next == "" {
 		t.Fatalf("pinning generation: err=%q next=%q", first.Err, first.Next)
 	}
-	part := svc.Store().Part(svc.Store().ShardFor("xm"))
-	h, err := part.Acquire("xm", first.Gen)
+	h, err := svc.Store().Acquire("xm", first.Gen)
 	if err != nil {
 		t.Fatalf("fetching pinned gen %d: %v", first.Gen, err)
 	}
-	part.Release("xm", first.Gen, time.Time{}, false)
+	svc.Store().Release("xm", first.Gen, time.Time{}, false)
 	doc, err := xmlparse.ParseString(h.Doc.XMLString())
 	if err != nil {
 		t.Fatalf("re-parsing gen %d: %v", first.Gen, err)
@@ -217,7 +216,7 @@ func TestMutationDifferential(t *testing.T) {
 		patches = 3
 	}
 
-	svc := service.New(shard.NewStore(2), service.Options{CursorTTL: time.Hour})
+	svc := service.New(shard.NewStore(1), service.Options{CursorTTL: time.Hour})
 	h, err := svc.Store().GenerateXMark("xm", 0.002, 42)
 	if err != nil {
 		t.Fatal(err)
