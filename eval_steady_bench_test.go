@@ -110,9 +110,7 @@ func BenchmarkEvalSteadyState(b *testing.B) {
 					sp = tr.Begin(obsv.SpanRun)
 					res := aut.EvalCtx(ctx, w.Doc, w.Index, asta.Opt())
 					tr.End(sp)
-					rec.Visited = res.Stats.Visited
-					rec.MemoHits = res.Stats.MemoHits
-					rec.Jumps = res.Stats.Jumps
+					rec.Work = res.Work
 					flight.Add(rec)
 				}
 			})

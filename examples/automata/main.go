@@ -14,6 +14,7 @@ import (
 	"repro/internal/asta"
 	"repro/internal/compile"
 	"repro/internal/index"
+	"repro/internal/sta"
 	"repro/internal/tree"
 	"repro/internal/xmlparse"
 	"repro/internal/xpath"
@@ -57,7 +58,8 @@ func main() {
 	fmt.Println(min.String(doc.Names()))
 
 	full := min.EvalTopDownDet(doc)
-	jump := min.EvalTopDownJump(doc, ix)
+	run := make(sta.Run, doc.NumNodes())
+	jump := min.EvalTopDownJump(doc, ix, run)
 	fmt.Printf("\nfull run visited %d of %d nodes; topdown_jump visited %d\n",
 		full.Visited, doc.NumNodes(), jump.Visited)
 	fmt.Printf("selected: %v (both runs agree: %v)\n",
@@ -65,7 +67,7 @@ func main() {
 	relevant := min.RelevantTopDown(doc, full.Run)
 	fmt.Printf("top-down relevant nodes (Lemma 3.1): %v\n", relevant)
 	for _, v := range relevant {
-		fmt.Printf("  node %-3d %-12s state q%d\n", v, doc.Path(v), full.Run[v])
+		fmt.Printf("  node %-3d %-12s state q%d (jumping run: q%d)\n", v, doc.Path(v), full.Run[v], run[v])
 	}
 }
 

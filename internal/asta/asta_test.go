@@ -236,12 +236,12 @@ func TestJumpVisitsFewer(t *testing.T) {
 	if !sameNodes(naive.Selected, jump.Selected) || len(jump.Selected) != 1 {
 		t.Fatalf("selection mismatch: %v vs %v", naive.Selected, jump.Selected)
 	}
-	if naive.Stats.Visited != d.NumNodes() {
-		t.Errorf("naive should visit all %d nodes, visited %d", d.NumNodes(), naive.Stats.Visited)
+	if naive.Visited != d.NumNodes() {
+		t.Errorf("naive should visit all %d nodes, visited %d", d.NumNodes(), naive.Visited)
 	}
-	if jump.Stats.Visited > 10 {
+	if jump.Visited > 10 {
 		t.Errorf("jumping visited %d nodes, want <= 10 on a %d-node document",
-			jump.Stats.Visited, d.NumNodes())
+			jump.Visited, d.NumNodes())
 	}
 }
 
@@ -261,13 +261,13 @@ func TestMemoAmortizesQ(t *testing.T) {
 		}
 		rs := autS.Eval(small, nil, asta.Options{Memo: true})
 		rb := autB.Eval(big, nil, asta.Options{Memo: true})
-		if rb.Stats.MemoEntries > 4*rs.Stats.MemoEntries+16 {
+		if rb.MemoEntries > 4*rs.MemoEntries+16 {
 			t.Errorf("%q: memo entries grew with document size: %d -> %d",
-				q, rs.Stats.MemoEntries, rb.Stats.MemoEntries)
+				q, rs.MemoEntries, rb.MemoEntries)
 		}
-		if rb.Stats.MemoHits < big.NumNodes()/2 {
+		if rb.MemoHits < big.NumNodes()/2 {
 			t.Errorf("%q: expected most nodes served from memo, hits=%d nodes=%d",
-				q, rb.Stats.MemoHits, big.NumNodes())
+				q, rb.MemoHits, big.NumNodes())
 		}
 	}
 }
@@ -303,8 +303,8 @@ func TestInfoPropReducesWork(t *testing.T) {
 	if !sameNodes(jump.Selected, jumpIP.Selected) {
 		t.Fatalf("info propagation + jump changed the result")
 	}
-	if jumpIP.Stats.Visited > jump.Stats.Visited {
-		t.Errorf("info propagation increased visits: %d > %d", jumpIP.Stats.Visited, jump.Stats.Visited)
+	if jumpIP.Visited > jump.Visited {
+		t.Errorf("info propagation increased visits: %d > %d", jumpIP.Visited, jump.Visited)
 	}
 }
 

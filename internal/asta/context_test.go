@@ -51,11 +51,11 @@ func TestContextWarmReuseMatchesFresh(t *testing.T) {
 					if res.Accepted != want.Accepted {
 						t.Fatalf("%s round %d: Accepted=%v, want %v", q, round, res.Accepted, want.Accepted)
 					}
-					if res.Stats.Visited != want.Stats.Visited {
+					if res.Visited != want.Visited {
 						// Memo warmth must not change the traversal, only
 						// the per-visit cost.
 						t.Fatalf("%s round %d: visited %d, want %d",
-							q, round, res.Stats.Visited, want.Stats.Visited)
+							q, round, res.Visited, want.Visited)
 					}
 				}
 			}
@@ -111,7 +111,7 @@ func TestContextWarmAcrossGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := asta.NewContext()
-	if first := aut.EvalCtx(ctx, d, ix, asta.Opt()); first.Stats.MemoEntries == 0 {
+	if first := aut.EvalCtx(ctx, d, ix, asta.Opt()); first.MemoEntries == 0 {
 		t.Fatal("expected memo entries on a cold run")
 	}
 	// Graft a copy of the document under its own root: existing
@@ -129,8 +129,8 @@ func TestContextWarmAcrossGenerations(t *testing.T) {
 	if got := warm.Selected; !equalNodes(got, want.Selected) {
 		t.Fatalf("warm run on the patched generation diverged: got %d nodes, want %d", len(got), len(want.Selected))
 	}
-	if warm.Stats.MemoEntries != 0 {
-		t.Errorf("run on the patched generation derived %d memo entries, want 0 (memo world is per automaton)", warm.Stats.MemoEntries)
+	if warm.MemoEntries != 0 {
+		t.Errorf("run on the patched generation derived %d memo entries, want 0 (memo world is per automaton)", warm.MemoEntries)
 	}
 	if ctx.MemoEntries() == 0 {
 		t.Error("memo world was discarded")
@@ -191,12 +191,12 @@ func TestWarmEvalFasterPath(t *testing.T) {
 	ctx := asta.NewContext()
 	cold := aut.EvalCtx(ctx, d, ix, asta.Opt())
 	warm := aut.EvalCtx(ctx, d, ix, asta.Opt())
-	if warm.Stats.MemoEntries != 0 {
-		t.Errorf("warm run created %d memo entries", warm.Stats.MemoEntries)
+	if warm.MemoEntries != 0 {
+		t.Errorf("warm run created %d memo entries", warm.MemoEntries)
 	}
-	if warm.Stats.MemoHits <= cold.Stats.MemoHits {
+	if warm.MemoHits <= cold.MemoHits {
 		t.Errorf("warm hits %d not above cold hits %d (memo world not reused?)",
-			warm.Stats.MemoHits, cold.Stats.MemoHits)
+			warm.MemoHits, cold.MemoHits)
 	}
 }
 

@@ -2,6 +2,7 @@ package asta
 
 import (
 	"repro/internal/index"
+	"repro/internal/obsv"
 	"repro/internal/tree"
 )
 
@@ -19,22 +20,6 @@ type Options struct {
 // Opt returns the fully optimized configuration.
 func Opt() Options { return Options{Jump: true, Memo: true, InfoProp: true} }
 
-// Stats reports evaluator effort, the quantities tabulated in Figure 3.
-type Stats struct {
-	// Visited counts the nodes the run function touched (Figure 3,
-	// lines (2)/(3)).
-	Visited int
-	// MemoEntries counts distinct memoized configurations created by
-	// this evaluation (Figure 3, line (4): nodes that paid the |Q|
-	// factor). A warm Context re-evaluation reports ~0 here — the
-	// entries already exist — with the hits showing up in MemoHits.
-	MemoEntries int
-	// MemoHits counts constant-time lookups served by the tables.
-	MemoHits int
-	// Jumps counts index jump operations performed.
-	Jumps int
-}
-
 // Result is the outcome of an ASTA evaluation.
 type Result struct {
 	// Accepted reports whether some run reaches a top state at the root.
@@ -46,8 +31,11 @@ type Result struct {
 	// must outlive it), a Result of Eval indefinitely, because Eval's
 	// Context is its own.
 	Selected []tree.NodeID
-	// Stats reports effort counters.
-	Stats Stats
+	// Work is the run's effort, the quantities tabulated in Figure 3:
+	// Visited is lines (2)/(3), MemoEntries line (4) — the nodes that
+	// paid the |Q| factor; a warm Context re-evaluation derives ~0
+	// entries, its lookups show up in MemoHits.
+	obsv.Work
 }
 
 // Eval runs the automaton over the document with the given options in a
@@ -78,7 +66,7 @@ func (a *ASTA) EvalCtx(c *Context, d *tree.Document, ix *index.Index, opt Option
 	defer e.detach()
 	var g RSet
 	e.evalChild(d.Root(), tree.NodeID(d.NumNodes()-1), a.Top, e.internSet(a.Top), &g)
-	res := Result{Stats: e.stats}
+	res := Result{Work: e.work}
 	acc := g.Sat & a.Top
 	if acc == 0 {
 		return res
@@ -144,7 +132,7 @@ type recipe struct {
 // rows, recipes, jump analyses, pure sets — pure functions of the
 // bound automaton and options) survives across warm evaluations, while
 // per-evaluation state (document, index, cursor positions, result
-// arena, stats) is set at the start of every run.
+// arena, work counts) is set at the start of every run.
 type evaluator struct {
 	// a and opt are the memo world's binding; a is nil until the first
 	// run. d and ix are the tree being navigated, nil between runs.
@@ -176,7 +164,7 @@ type evaluator struct {
 	pure  pureSets
 	arena cellArena
 	cur   *index.Cursors
-	stats Stats
+	work  obsv.Work
 
 	// Non-memo fallback cache of jump analyses (tiny: one per distinct
 	// descent set).
@@ -226,14 +214,14 @@ func (e *evaluator) rebind(a *ASTA, opt Options, numLabels int) {
 	}
 }
 
-// attach starts a run over (d, ix): the result arena rewinds, stats
+// attach starts a run over (d, ix): the result arena rewinds, work
 // restart, and the cursors are pointed at ix, reallocated only when the
 // alphabet size differs — O(touched) for the cursors, O(arena chunks)
 // for the arena, no allocation.
 func (e *evaluator) attach(d *tree.Document, ix *index.Index) {
 	e.d, e.ix = d, ix
 	e.arena.reset()
-	e.stats = Stats{}
+	e.work = obsv.Work{}
 	if !e.opt.Jump {
 		return
 	}
@@ -280,7 +268,7 @@ func (e *evaluator) internSet(r StateSet) int32 {
 // the document per node: the left child's is where v's own subtree ends,
 // the right sibling exists if that is short of end, and shares it.
 func (e *evaluator) eval(v, end tree.NodeID, r StateSet, rID int32, out *RSet) {
-	e.stats.Visited++
+	e.work.Visited++
 	l := e.d.Label(v)
 	ti := e.lookupTrans(r, rID, l)
 	if len(ti.trans) == 0 {
@@ -322,14 +310,14 @@ func (e *evaluator) evalChild(c, end tree.NodeID, r StateSet, rID int32, out *RS
 	case jumpTopMost:
 		e.jumpTopMostRegion(c, end, r, rID, ji, out)
 	case jumpRightPath:
-		e.stats.Jumps++
+		e.work.Jumps++
 		u := e.cur.Rt(c, ji.essential)
 		if u == index.Nil {
 			return
 		}
 		e.eval(u, end, r, rID, out)
 	case jumpLeftPath:
-		e.stats.Jumps++
+		e.work.Jumps++
 		u := e.ix.Lt(c, ji.essential)
 		if u == index.Nil {
 			return
@@ -353,7 +341,7 @@ func (e *evaluator) jumpTopMostRegion(c, end tree.NodeID, r StateSet, rID int32,
 		e.eval(c, end, r, rID, out)
 		return
 	}
-	e.stats.Jumps++
+	e.work.Jumps++
 	after := c
 	for {
 		best := tree.Nil
@@ -410,12 +398,12 @@ func (e *evaluator) lookupTrans(r StateSet, rID int32, l tree.LabelID) *transInf
 		e.rows[rID] = row
 	}
 	if id := row[l]; id >= 0 {
-		e.stats.MemoHits++
+		e.work.MemoHits++
 		return e.tis.at(id)
 	}
 	ti := e.computeTransFor(r, l, true)
 	row[l] = ti.id
-	e.stats.MemoEntries++
+	e.work.MemoEntries++
 	return ti
 }
 
@@ -486,13 +474,13 @@ func (e *evaluator) lookupR2(ti *transInfo, sat1 StateSet) (StateSet, int32) {
 	if ti.id >= 0 {
 		k := r2Key{ti: ti.id, s1: sat1}
 		if ent, ok := e.r2Tab.get(k); ok {
-			e.stats.MemoHits++
+			e.work.MemoHits++
 			return ent.r2, ent.r2ID
 		}
 		r2 := e.computeR2(ti, sat1)
 		ent := r2entry{r2: r2, r2ID: e.internSet(r2)}
 		e.r2Tab.put(k, ent)
-		e.stats.MemoEntries++
+		e.work.MemoEntries++
 		return ent.r2, ent.r2ID
 	}
 	return e.computeR2(ti, sat1), -1
@@ -585,12 +573,12 @@ func (e *evaluator) applyTrans(ti *transInfo, v tree.NodeID, g1, g2, out *RSet) 
 	if ti.id >= 0 {
 		k := recipeKey{ti: ti.id, s1: g1.Sat, s2: g2.Sat}
 		if idx, ok := e.recTab.get(k); ok {
-			e.stats.MemoHits++
+			e.work.MemoHits++
 			rec = &e.recipes[idx]
 		} else {
 			rec = e.computeRecipe(ti, g1.Sat, g2.Sat, true)
 			e.recTab.put(k, int32(len(e.recipes)-1))
-			e.stats.MemoEntries++
+			e.work.MemoEntries++
 		}
 	} else {
 		rec = e.computeRecipe(ti, g1.Sat, g2.Sat, false)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -11,7 +12,7 @@ import (
 // pool-warm) allocs/op of the three engine paths the service keeps
 // hot: the optimized ASTA evaluator, the deterministic TDSTA, and the
 // stepwise baseline. The ceilings carry headroom over measured values
-// (ASTA 12-23, TDSTA 24-44, stepwise 10-26 at this scale) but a future
+// (ASTA 10-20, TDSTA 9-18, stepwise 10-26 at this scale) but a future
 // accidental map rebuild, slice escape, or lost context reuse —
 // thousands of allocations per op — fails here instead of silently
 // regressing serving latency.
@@ -36,9 +37,10 @@ func TestSteadyStateAllocCeilings(t *testing.T) {
 		{"asta-opt/Q05", "//listitem//keyword", core.Optimized, 64},
 		{"asta-opt/Q08", "//listitem[ .//keyword and .//emph]//parlist", core.Optimized, 64},
 		{"asta-opt/Q11", "/site//keyword", core.Optimized, 64},
-		// TDSTA: compiled automaton cached; run state is per-eval.
-		{"tdsta/Q01", "/site/regions", core.TopDownDet, 128},
-		{"tdsta/Q04", "/site/regions/*/item", core.TopDownDet, 128},
+		// TDSTA: compiled automaton cached, jump analysis made once per
+		// automaton; what remains is the answer and the jumps' results.
+		{"tdsta/Q01", "/site/regions", core.TopDownDet, 16},
+		{"tdsta/Q04", "/site/regions/*/item", core.TopDownDet, 32},
 		// Stepwise baseline: per-step node sets are inherent, but the
 		// count must stay bounded per op.
 		{"stepwise/Q01", "/site/regions", core.Stepwise, 128},
@@ -64,4 +66,47 @@ func TestSteadyStateAllocCeilings(t *testing.T) {
 			t.Logf("%s: %.1f allocs/op (ceiling %.0f)", tc.name, got, tc.ceiling)
 		})
 	}
+}
+
+// TestTDSTACostIsWhatItVisits: a warm topdown_jump run costs what it
+// visits, not the document's size — Algorithm B.1 records states only
+// at visited nodes, and the query path records none. Q01 visits three
+// nodes at every scale, so its bytes per query are the same on a
+// 22k-node and a 218k-node document, and few.
+func TestTDSTACostIsWhatItVisits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc pinning is not meaningful under -short")
+	}
+	const query, ceiling = "/site/regions", 4 << 10
+	var perScale []uint64
+	for _, scale := range []float64{0.01, 0.1} {
+		e := core.New(xmark.Generate(xmark.Config{Scale: scale, Seed: 1}))
+		got := bytesPerRun(50, func() {
+			if _, err := e.QueryWith(query, core.TopDownDet); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("XMark %g: %d B/op", scale, got)
+		if got > ceiling {
+			t.Errorf("XMark %g: %d B/op, ceiling %d", scale, got, ceiling)
+		}
+		perScale = append(perScale, got)
+	}
+	if perScale[0] != perScale[1] {
+		t.Errorf("B/op grows with the document: %d at XMark 0.01, %d at 0.1", perScale[0], perScale[1])
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes f
+// allocates per call, after one warm-up call, on one processor.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

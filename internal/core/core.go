@@ -10,9 +10,10 @@
 //   - the alternating-automaton evaluator with jumping + memoization +
 //     information propagation (§4, "Opt. Eval.") for everything else —
 //
-// and executes it, reporting which strategy ran and how many nodes it
-// touched. Explicit strategies are available for experiments and
-// ablations.
+// and executes it, reporting which strategy ran and the work it did —
+// one obsv.Work from every engine: nodes visited, index jumps, memo
+// entries and hits. Explicit strategies are available for experiments
+// and ablations.
 package core
 
 import (
@@ -21,6 +22,7 @@ import (
 
 	"repro/internal/asta"
 	"repro/internal/index"
+	"repro/internal/obsv"
 	"repro/internal/qcache"
 	"repro/internal/tree"
 	"repro/internal/xpath"
@@ -207,10 +209,8 @@ type Answer struct {
 	Nodes []tree.NodeID
 	// Strategy is the engine that actually ran (never Auto).
 	Strategy Strategy
-	// Visited counts the nodes the run touched.
-	Visited int
-	// MemoEntries counts memoized configurations (ASTA engines only).
-	MemoEntries int
+	// Work is what the run did (Visited, Jumps, MemoEntries, MemoHits).
+	obsv.Work
 }
 
 // Query evaluates with the Auto strategy.

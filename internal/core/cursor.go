@@ -31,14 +31,11 @@ import (
 // that may abandon a cursor mid-answer (paging) should Close it so the
 // warm context is recycled instead of garbage-collected.
 type Cursor struct {
-	strategy    Strategy
-	visited     int
-	memoEntries int
-	// Observability counters lifted from the run (ASTA engines; zero
-	// for the baselines) and from the serving caches: how the answer
-	// was produced, for explain profiles and the flight recorder.
-	memoHits  int
-	jumps     int
+	strategy Strategy
+	// What the run did and whether the serving caches were warm: how
+	// the answer was produced, for explain profiles and the flight
+	// recorder.
+	work      obsv.Work
 	poolHit   bool
 	qcacheHit bool
 
@@ -70,9 +67,8 @@ type Cursor struct {
 // newCursor wraps an answer that is strictly increasing by
 // construction. A non-nil release marks it arena-owned; an empty answer
 // has nothing to keep the context for and hands it back at once.
-func newCursor(nodes []tree.NodeID, release func(), s Strategy, visited, memo int) *Cursor {
-	c := &Cursor{strategy: s, visited: visited, memoEntries: memo,
-		nodes: nodes, total: len(nodes), release: release}
+func newCursor(nodes []tree.NodeID, release func(), s Strategy, w obsv.Work) *Cursor {
+	c := &Cursor{strategy: s, work: w, nodes: nodes, total: len(nodes), release: release}
 	if len(nodes) == 0 {
 		c.Close()
 	}
@@ -81,8 +77,8 @@ func newCursor(nodes []tree.NodeID, release func(), s Strategy, visited, memo in
 
 // newSliceCursor wraps the heap-owned answer of the step-wise, hybrid
 // or TDSTA engine, checked rather than trusted.
-func newSliceCursor(nodes []tree.NodeID, s Strategy, visited, memo int) *Cursor {
-	return newCursor(ensureSortedDedup(nodes), nil, s, visited, memo)
+func newSliceCursor(nodes []tree.NodeID, s Strategy, w obsv.Work) *Cursor {
+	return newCursor(ensureSortedDedup(nodes), nil, s, w)
 }
 
 // ensureSortedDedup enforces the invariant every cursor depends on —
@@ -139,24 +135,28 @@ func (c *Cursor) finishObs() {
 	}
 	sel := c.sel
 	c.sel = nil
-	sel.observe(c.shapeRef, int(c.obsSlot), time.Since(c.obsStart), c.visited)
+	sel.observe(c.shapeRef, int(c.obsSlot), time.Since(c.obsStart), c.work.Visited)
 }
 
 // Strategy is the strategy that actually ran (never Auto).
 func (c *Cursor) Strategy() Strategy { return c.strategy }
 
+// Work is what the run did: visited nodes, index jumps, memo entries
+// and hits (obsv.Work), whichever engine ran.
+func (c *Cursor) Work() obsv.Work { return c.work }
+
 // Visited counts the nodes the run touched.
-func (c *Cursor) Visited() int { return c.visited }
+func (c *Cursor) Visited() int { return c.work.Visited }
 
 // MemoEntries counts memoized configurations (ASTA engines only).
-func (c *Cursor) MemoEntries() int { return c.memoEntries }
+func (c *Cursor) MemoEntries() int { return c.work.MemoEntries }
 
 // MemoHits counts constant-time memo-table lookups served during the
 // run (ASTA engines only).
-func (c *Cursor) MemoHits() int { return c.memoHits }
+func (c *Cursor) MemoHits() int { return c.work.MemoHits }
 
-// Jumps counts index jump operations performed (ASTA engines only).
-func (c *Cursor) Jumps() int { return c.jumps }
+// Jumps counts index jumps (every engine but the step-wise baseline).
+func (c *Cursor) Jumps() int { return c.work.Jumps }
 
 // CtxPoolHit reports whether the evaluation ran in a warm pooled
 // context (allocation-free steady state) rather than a fresh one.
@@ -223,12 +223,7 @@ func (c *Cursor) materialize() *Answer {
 		nodes = slices.Clone(nodes)
 	}
 	c.Close()
-	return &Answer{
-		Nodes:       nodes,
-		Strategy:    c.strategy,
-		Visited:     c.visited,
-		MemoEntries: c.memoEntries,
-	}
+	return &Answer{Nodes: nodes, Strategy: c.strategy, Work: c.work}
 }
 
 // EvalCursor evaluates a query and returns a cursor over the
@@ -282,19 +277,27 @@ func (e *Engine) evalCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Tr
 	return nil, fmt.Errorf("core: unknown strategy %v", s)
 }
 
+// ran is the tail every engine path shares: it ends the run span sp,
+// annotates it with the strategy that ran, and hands back c, the
+// cursor over the run's answer and work.
+func ran(tr *obsv.Trace, sp int8, c *Cursor) *Cursor {
+	tr.End(sp)
+	tr.Annotate(sp, runSpanOK[c.strategy])
+	return c
+}
+
 // hybridCursor runs the start-anywhere engine; a query outside its chain
 // fragment is refused (hybrid.ErrUnsupported), which only a forced
 // Hybrid can ask for.
 func (e *Engine) hybridCursor(p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
 	sp := tr.Begin(obsv.SpanRun)
 	res, err := hybrid.Eval(e.doc, e.ix, p)
-	tr.End(sp)
 	if err != nil {
+		tr.End(sp)
 		tr.Annotate(sp, "strategy=hybrid outcome=failed")
 		return nil, err
 	}
-	tr.Annotate(sp, runSpanOK[Hybrid])
-	return newSliceCursor(res.Selected, Hybrid, res.Stats.Visited, 0), nil
+	return ran(tr, sp, newSliceCursor(res.Selected, Hybrid, res.Work)), nil
 }
 
 // stepwiseCursor runs the step-wise baseline (it cannot fail: the
@@ -302,13 +305,11 @@ func (e *Engine) hybridCursor(p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
 func (e *Engine) stepwiseCursor(p *xpath.Path, tr *obsv.Trace) *Cursor {
 	sp := tr.Begin(obsv.SpanRun)
 	res := stepwise.Eval(e.doc, p, stepwise.Default())
-	tr.Annotate(sp, runSpanOK[Stepwise])
-	tr.End(sp)
-	return newSliceCursor(res.Selected, Stepwise, res.Stats.Visited, 0)
+	return ran(tr, sp, newSliceCursor(res.Selected, Stepwise, res.Work))
 }
 
 // tdstaCursor compiles (through the query cache) and runs the
-// minimized deterministic TDSTA with topdown_jump.
+// minimized deterministic TDSTA with topdown_jump, recording no run.
 func (e *Engine) tdstaCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
 	sp := tr.Begin(obsv.SpanCompile)
 	v, hit, err := e.cache.GetOrCompile(e.cacheKey("tdsta", query), func() (any, error) {
@@ -323,10 +324,8 @@ func (e *Engine) tdstaCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Curs
 		return nil, err
 	}
 	sp = tr.Begin(obsv.SpanRun)
-	res := v.(*sta.STA).EvalTopDownJump(e.doc, e.ix)
-	tr.Annotate(sp, runSpanOK[TopDownDet])
-	tr.End(sp)
-	c := newSliceCursor(res.Selected, TopDownDet, res.Visited, 0)
+	res := v.(*sta.STA).EvalTopDownJump(e.doc, e.ix, nil)
+	c := ran(tr, sp, newSliceCursor(res.Selected, TopDownDet, res.Work))
 	c.qcacheHit = hit
 	return c, nil
 }
@@ -368,14 +367,8 @@ func (e *Engine) astaCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Tr
 	ctx, warm := cv.checkout(opt)
 	sp = tr.Begin(obsv.SpanRun)
 	res := cv.aut.EvalCtx(ctx, e.doc, e.ix, opt)
-	tr.Annotate(sp, runSpanOK[s])
-	tr.End(sp)
-	c := newCursor(res.Selected, func() { cv.release(opt, ctx) },
-		s, res.Stats.Visited, res.Stats.MemoEntries)
-	c.memoHits = res.Stats.MemoHits
-	c.jumps = res.Stats.Jumps
-	c.poolHit = warm
-	c.qcacheHit = hit
+	c := ran(tr, sp, newCursor(res.Selected, func() { cv.release(opt, ctx) }, s, res.Work))
+	c.poolHit, c.qcacheHit = warm, hit
 	return c, nil
 }
 
@@ -410,7 +403,7 @@ func (e *Engine) autoCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Curso
 		// Proven empty from the index alone: no engine, no visited
 		// nodes, no feedback (a zero-cost non-run must not pollute any
 		// candidate's estimate).
-		c := newSliceCursor(nil, EmptyChain, 0, 0)
+		c := newSliceCursor(nil, EmptyChain, obsv.Work{})
 		c.autoShape, c.autoReason = st.shape, d.reason
 		return c, nil
 	}

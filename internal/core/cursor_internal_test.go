@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/compile"
+	"repro/internal/obsv"
 	"repro/internal/tree"
 	"repro/internal/xmark"
 )
@@ -32,7 +33,7 @@ func TestSliceCursorEnforcesInvariant(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newSliceCursor(append([]tree.NodeID(nil), tc.in...), Stepwise, 0, 0)
+			c := newSliceCursor(append([]tree.NodeID(nil), tc.in...), Stepwise, obsv.Work{})
 			if got := c.Count(); got != len(tc.want) {
 				t.Errorf("Count() = %d, want %d", got, len(tc.want))
 			}
@@ -55,7 +56,7 @@ func TestSliceCursorEnforcesInvariant(t *testing.T) {
 			// Resume past the first surviving node: must deliver exactly
 			// the rest, regardless of how broken the input order was.
 			if len(tc.want) > 1 {
-				r := newSliceCursor(append([]tree.NodeID(nil), tc.in...), Stepwise, 0, 0)
+				r := newSliceCursor(append([]tree.NodeID(nil), tc.in...), Stepwise, obsv.Work{})
 				r.SeekPast(tc.want[0])
 				v, ok := r.Next()
 				if !ok || v != tc.want[1] {
@@ -106,7 +107,7 @@ func TestSeekPastProperty(t *testing.T) {
 			if arena {
 				release = func() { releases++ }
 			}
-			c := newCursor(append([]tree.NodeID(nil), oracle...), release, Optimized, 0, 0)
+			c := newCursor(append([]tree.NodeID(nil), oracle...), release, Optimized, obsv.Work{})
 			c.SeekPast(p)
 			if c.Count() != n {
 				t.Fatalf("SeekPast(%d) changed Count to %d, want %d", p, c.Count(), n)
@@ -140,7 +141,7 @@ func TestSeekPastProperty(t *testing.T) {
 	}
 	// The empty answer: nothing to hold a context for.
 	releases := 0
-	c := newCursor(nil, func() { releases++ }, Optimized, 0, 0)
+	c := newCursor(nil, func() { releases++ }, Optimized, obsv.Work{})
 	c.SeekPast(5)
 	if _, ok := c.Next(); ok || c.Count() != 0 || releases != 1 {
 		t.Fatalf("empty arena-owned answer: ok=%v count=%d releases=%d, want exhausted, 0, 1", ok, c.Count(), releases)

@@ -77,9 +77,9 @@ func Figure3(w *Workload) ([]Fig3Row, error) {
 		row := Fig3Row{
 			ID:            q.ID,
 			Selected:      len(jump.Selected),
-			VisitedJump:   jump.Stats.Visited,
-			VisitedNoJump: plain.Stats.Visited,
-			MemoEntries:   memo.Stats.MemoEntries,
+			VisitedJump:   jump.Visited,
+			VisitedNoJump: plain.Visited,
+			MemoEntries:   memo.MemoEntries,
 		}
 		if row.VisitedJump > 0 {
 			row.Ratio = 100 * float64(row.Selected) / float64(row.VisitedJump)
@@ -227,8 +227,8 @@ func Figure5(scale float64, repeats int) ([]Fig5Row, error) {
 		rows = append(rows, Fig5Row{
 			Config:         cfg.Name,
 			Selected:       len(hRes.Selected),
-			HybridVisited:  hRes.Stats.Visited,
-			RegularVisited: rRes.Stats.Visited,
+			HybridVisited:  hRes.Visited,
+			RegularVisited: rRes.Visited,
 			HybridTime:     hTime,
 			RegularTime:    rTime,
 			TotalNodes:     d.NumNodes(),

@@ -49,8 +49,8 @@ func Scaling(query string, scales []float64, seed int64) ([]ScalingRow, error) {
 			Scale:        sc,
 			Nodes:        d.NumNodes(),
 			Selected:     len(jump.Selected),
-			NaiveVisited: naive.Stats.Visited,
-			JumpVisited:  jump.Stats.Visited,
+			NaiveVisited: naive.Visited,
+			JumpVisited:  jump.Visited,
 			NaiveTime:    naiveTime,
 			JumpTime:     jumpTime,
 		})

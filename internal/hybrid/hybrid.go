@@ -20,6 +20,7 @@ import (
 	"slices"
 
 	"repro/internal/index"
+	"repro/internal/obsv"
 	"repro/internal/tree"
 	"repro/internal/xpath"
 )
@@ -27,19 +28,15 @@ import (
 // ErrUnsupported reports a query outside the hybrid fragment.
 var ErrUnsupported = errors.New("hybrid: query outside the chain fragment")
 
-// Stats counts evaluator effort.
-type Stats struct {
-	// Visited counts nodes inspected: pivot occurrences, ancestor-walk
-	// steps and downward candidates.
-	Visited int
-	// Pivot is the step index evaluation started from.
-	Pivot int
-}
-
 // Result is the evaluation outcome.
 type Result struct {
 	Selected []tree.NodeID
-	Stats    Stats
+	// Pivot is the step index evaluation started from.
+	Pivot int
+	// Work counts the nodes inspected (pivot occurrences, ancestor-walk
+	// steps and downward candidates) and the index jumps: each
+	// occurrence row taken and each search in one.
+	obsv.Work
 }
 
 // chainStep is a normalized step of the supported fragment.
@@ -104,13 +101,12 @@ func Eval(d *tree.Document, ix *index.Index, p *xpath.Path) (Result, error) {
 		}
 	}
 	e := &evaluator{d: d, ix: ix, steps: steps}
-	e.stats.Pivot = pivot
-
 	last := len(steps) - 1
 	occ := ix.Occurrences(steps[last].label)
+	e.work.Jumps += 2 // the final label's row, and the pivot's below
 	for o := range ix.Occurrences(steps[pivot].label).From(0) {
 		v := tree.NodeID(o)
-		e.stats.Visited++
+		e.work.Visited++
 		if !e.matchUpTo(v, pivot) {
 			continue
 		}
@@ -121,13 +117,14 @@ func Eval(d *tree.Document, ix *index.Index, p *xpath.Path) (Result, error) {
 		// Downward part: candidates are the indexed occurrences of the
 		// final label inside v's subtree; each verifies the
 		// intermediate chain by walking ancestors back toward v.
+		e.work.Jumps++
 		from, _ := occ.Search(uint32(v + 1))
 		end := uint32(e.d.LastDesc(v))
 		for c := range occ.From(from) {
 			if c > end {
 				break
 			}
-			e.stats.Visited++
+			e.work.Visited++
 			if u := tree.NodeID(c); e.matchBetween(u, last, v, pivot) {
 				e.add(u)
 			}
@@ -137,7 +134,7 @@ func Eval(d *tree.Document, ix *index.Index, p *xpath.Path) (Result, error) {
 		slices.Sort(e.out)
 		e.out = slices.Compact(e.out)
 	}
-	return Result{Selected: e.out, Stats: e.stats}, nil
+	return Result{Selected: e.out, Pivot: pivot, Work: e.work}, nil
 }
 
 // EvalString parses and evaluates.
@@ -153,7 +150,7 @@ type evaluator struct {
 	d     *tree.Document
 	ix    *index.Index
 	steps []chainStep
-	stats Stats
+	work  obsv.Work
 	// out is the answer in the order it is found, which is document order
 	// unless pivot occurrences nest: then the candidates under an inner
 	// pivot were already found under the outer one. unsorted says a node
@@ -183,12 +180,12 @@ func (e *evaluator) matchUpTo(u tree.NodeID, i int) bool {
 	}
 	want := e.steps[i-1].label
 	if !e.steps[i].desc {
-		e.stats.Visited++
+		e.work.Visited++
 		a := e.d.Parent(u)
 		return a != tree.Nil && e.d.Label(a) == want && e.matchUpTo(a, i-1)
 	}
 	for a := e.d.Parent(u); a != tree.Nil; a = e.d.Parent(a) {
-		e.stats.Visited++
+		e.work.Visited++
 		if e.d.Label(a) == want && e.matchUpTo(a, i-1) {
 			return true
 		}
@@ -209,12 +206,12 @@ func (e *evaluator) matchBetween(u tree.NodeID, k int, v tree.NodeID, pivot int)
 	}
 	want := e.steps[k-1].label
 	if !e.steps[k].desc {
-		e.stats.Visited++
+		e.work.Visited++
 		a := e.d.Parent(u)
 		return a != tree.Nil && a != v && e.d.Label(a) == want && e.matchBetween(a, k-1, v, pivot)
 	}
 	for a := e.d.Parent(u); a != tree.Nil && a != v; a = e.d.Parent(a) {
-		e.stats.Visited++
+		e.work.Visited++
 		if e.d.Label(a) == want && e.matchBetween(a, k-1, v, pivot) {
 			return true
 		}

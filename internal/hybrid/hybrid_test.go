@@ -81,15 +81,15 @@ func TestHybridPicksCheapestPivot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Pivot != 1 {
-		t.Errorf("pivot = %d, want 1 (keyword)", res.Stats.Pivot)
+	if res.Pivot != 1 {
+		t.Errorf("pivot = %d, want 1 (keyword)", res.Pivot)
 	}
 	if len(res.Selected) != 4 {
 		t.Errorf("selected %d, want 4", len(res.Selected))
 	}
 	// The hybrid run should touch a tiny fraction of the document.
-	if res.Stats.Visited > d.NumNodes()/10 {
-		t.Errorf("hybrid visited %d of %d nodes", res.Stats.Visited, d.NumNodes())
+	if res.Visited > d.NumNodes()/10 {
+		t.Errorf("hybrid visited %d of %d nodes", res.Visited, d.NumNodes())
 	}
 }
 
@@ -100,14 +100,14 @@ func TestHybridConfigBPivotIsEmph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Pivot != 2 {
-		t.Errorf("pivot = %d, want 2 (emph: count 4)", res.Stats.Pivot)
+	if res.Pivot != 2 {
+		t.Errorf("pivot = %d, want 2 (emph: count 4)", res.Pivot)
 	}
 	if len(res.Selected) != 4 {
 		t.Errorf("selected %d, want 4", len(res.Selected))
 	}
-	if res.Stats.Visited > 100 {
-		t.Errorf("pure bottom-up run should touch ~a dozen nodes, visited %d", res.Stats.Visited)
+	if res.Visited > 100 {
+		t.Errorf("pure bottom-up run should touch ~a dozen nodes, visited %d", res.Visited)
 	}
 }
 
@@ -199,8 +199,8 @@ func TestHybridNestedPivots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.Pivot != tc.pivot || !sameNodes(res.Selected, tc.want) {
-			t.Errorf("%s: pivot %d selects %v, want pivot %d selecting %v", tc.query, res.Stats.Pivot, res.Selected, tc.pivot, tc.want)
+		if res.Pivot != tc.pivot || !sameNodes(res.Selected, tc.want) {
+			t.Errorf("%s: pivot %d selects %v, want pivot %d selecting %v", tc.query, res.Pivot, res.Selected, tc.pivot, tc.want)
 		}
 	}
 }

@@ -36,14 +36,12 @@ type Record struct {
 	ElapsedUS int64     `json:"elapsed_us"`
 	// Count is the full answer cardinality, Sent how many nodes were
 	// actually delivered (paging and aborts make them differ).
-	Sent    int `json:"sent"`
-	Count   int `json:"count"`
-	Visited int `json:"visited"`
+	Sent  int `json:"sent"`
+	Count int `json:"count"`
 	// Engine counters for the slow-query post-mortem: a slow query
 	// with CtxPoolHit=false rebuilt its scratch world; one with low
 	// MemoHits ran cold automaton-wise.
-	MemoHits   int  `json:"memo_hits"`
-	Jumps      int  `json:"jumps"`
+	Work
 	QCacheHit  bool `json:"qcache_hit"`
 	CtxPoolHit bool `json:"ctx_pool_hit"`
 	// AutoReason is why the Auto selector routed the query to Strategy

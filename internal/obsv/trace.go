@@ -60,20 +60,34 @@ type span struct {
 	dur    time.Duration
 }
 
+// Work is what one engine run did, in the units every engine counts:
+// the one record the evaluators fill and the cursor, the explain
+// profile and the flight record carry. It lives here, in the leaf
+// package, so the evaluators can fill it without importing the layers
+// that read it.
+type Work struct {
+	// Visited counts the nodes the run touched.
+	Visited int `json:"visited"`
+	// Jumps counts index jumps: the TDSTA's TopMost, Lt and Rt calls,
+	// the ASTA's top-most region scans and Lt/Rt moves, the hybrid
+	// run's occurrence rows and searches in them. The step-wise baseline
+	// never jumps.
+	Jumps int `json:"jumps"`
+	// MemoEntries counts configurations newly memoized and MemoHits the
+	// constant-time memo lookups served (ASTA only: a warm context
+	// derives ~0 entries and serves hits).
+	MemoEntries int `json:"memo_entries"`
+	MemoHits    int `json:"memo_hits"`
+}
+
 // Counters are the engine-effort numbers lifted into a trace: what the
 // evaluation did, as opposed to how long its phases took. They ride on
 // the Trace so the explain profile and the flight record read one
 // place.
 type Counters struct {
 	Strategy string `json:"strategy,omitempty"`
-	Visited  int    `json:"visited"`
-	Selected int    `json:"selected"`
-	// MemoEntries/MemoHits/Jumps are ASTA evaluator counters (zero for
-	// the baselines): configurations newly memoized, constant-time
-	// memo lookups served, and index jump operations.
-	MemoEntries int `json:"memo_entries"`
-	MemoHits    int `json:"memo_hits"`
-	Jumps       int `json:"jumps"`
+	Work
+	Selected int `json:"selected"`
 	// QCacheHit: the compiled automaton came from the query cache.
 	// CtxPoolHit: the evaluation ran in a warm pooled context.
 	QCacheHit  bool `json:"qcache_hit"`

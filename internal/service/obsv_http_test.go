@@ -58,6 +58,16 @@ func TestExplainAllStrategies(t *testing.T) {
 			t.Errorf("strategy %q: counters %+v vs response count=%d visited=%d",
 				strat, p.Counters, resp.Count, resp.Visited)
 		}
+		// Every engine reports its jumps, the TDSTA its TopMost/Lt/Rt
+		// calls and the hybrid run its occurrence rows and searches. The
+		// flight record carries the same Work as the profile.
+		rec := s.Flight().Snapshot(1, false).Records[0]
+		if rec.RequestID != "rid-"+strat || rec.Work != p.Counters.Work {
+			t.Errorf("strategy %q: flight record %q work %+v, profile work %+v", strat, rec.RequestID, rec.Work, p.Counters.Work)
+		}
+		if (strat == "topdown-det" || strat == "hybrid") && p.Counters.Jumps == 0 {
+			t.Errorf("strategy %q: no jumps in %+v", strat, p.Counters)
+		}
 		if len(p.Spans) != 1 || p.Spans[0].Name != obsv.SpanQuery {
 			t.Fatalf("strategy %q: want a single %q root span, got %+v", strat, obsv.SpanQuery, p.Spans)
 		}

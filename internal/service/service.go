@@ -458,12 +458,9 @@ func (s *Service) explain(st *evalState, req *Request) *obsv.Profile {
 	resp := &st.resp
 	c := &st.tr.C
 	c.Strategy = resp.Strategy
-	c.Visited = resp.Visited
 	c.Selected = resp.Count
 	if cur := st.cur; cur != nil {
-		c.MemoEntries = cur.MemoEntries()
-		c.MemoHits = cur.MemoHits()
-		c.Jumps = cur.Jumps()
+		c.Work = cur.Work()
 		c.QCacheHit = cur.QCacheHit()
 		c.CtxPoolHit = cur.CtxPoolHit()
 		c.AutoShape = cur.AutoShape()
@@ -507,12 +504,10 @@ func (s *Service) finish(st *evalState, req *Request, outcome, errText string) {
 		ElapsedUS: elapsed,
 		Sent:      st.sent,
 		Count:     resp.Count,
-		Visited:   resp.Visited,
 		Streamed:  st.streamed,
 	}
 	if cur := st.cur; cur != nil {
-		rec.MemoHits = cur.MemoHits()
-		rec.Jumps = cur.Jumps()
+		rec.Work = cur.Work()
 		rec.QCacheHit = cur.QCacheHit()
 		rec.CtxPoolHit = cur.CtxPoolHit()
 		rec.AutoReason = cur.AutoReason()

@@ -3,6 +3,7 @@ package sta
 import (
 	"repro/internal/index"
 	"repro/internal/labels"
+	"repro/internal/obsv"
 	"repro/internal/tree"
 )
 
@@ -15,7 +16,7 @@ import (
 func (a *STA) EvalBottomUpDet(d *tree.Document) Result {
 	n := d.NumNodes()
 	run := make(Run, n)
-	res := Result{Run: run, Visited: n}
+	res := Result{Run: run, Work: obsv.Work{Visited: n}}
 	if len(a.Bottom) != 1 {
 		return Result{Run: run}
 	}
@@ -31,12 +32,12 @@ func (a *STA) EvalBottomUpDet(d *tree.Document) Result {
 		}
 		q, ok := a.SourceDet(ql, qr, d.Label(node))
 		if !ok {
-			return Result{Run: make(Run, 0), Visited: n - v}
+			return Result{Run: make(Run, 0), Work: obsv.Work{Visited: n - v}}
 		}
 		run[v] = q
 	}
 	if !a.inTop[run[0]] {
-		return Result{Run: run, Visited: n}
+		return Result{Run: run, Work: res.Work}
 	}
 	res.Accepted = true
 	for v := tree.NodeID(0); int(v) < n; v++ {
@@ -282,7 +283,7 @@ func (a *STA) EvalBottomUpJump(d *tree.Document, ix *index.Index) Result {
 		stack = stack[:len(stack)-1]
 		q, ok := a.SourceDet(state(d.BinaryLeft(v)), state(d.BinaryRight(v)), d.Label(v))
 		if !ok {
-			return Result{Run: make(Run, 0), Visited: res.Visited}
+			return Result{Run: make(Run, 0), Work: res.Work}
 		}
 		run[v] = q
 		res.Visited++
@@ -295,7 +296,7 @@ func (a *STA) EvalBottomUpJump(d *tree.Document, ix *index.Index) Result {
 		root = q0
 	}
 	if !a.inTop[root] {
-		return Result{Run: run, Visited: res.Visited}
+		return Result{Run: run, Work: res.Work}
 	}
 	res.Accepted = true
 	sortNodes(res.Selected)

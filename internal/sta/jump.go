@@ -1,7 +1,7 @@
 package sta
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/index"
 	"repro/internal/labels"
@@ -126,121 +126,100 @@ func (a *STA) RelevantTopDown(d *tree.Document, run Run) []tree.NodeID {
 // EvalTopDownJump is Algorithm B.1 (topdown_jump): it evaluates a minimal
 // top-down deterministic complete STA visiting only (a superset of) the
 // top-down relevant nodes, jumping with the index's dt/ft/lt/rt
-// functions. The returned run is partial: states are recorded exactly at
-// the visited nodes (Theorem 3.1).
-func (a *STA) EvalTopDownJump(d *tree.Document, ix *index.Index) Result {
-	n := d.NumNodes()
-	run := make(Run, n)
+// functions. Its cost is that of what it visits, never O(n): the jump
+// analysis of every state was made once, by Finalize.
+//
+// A non-nil run, of d.NumNodes() entries, records the partial run:
+// states exactly at the visited nodes, NoState elsewhere (Theorem 3.1).
+// The query path passes nil and reads only the answer and the work.
+func (a *STA) EvalTopDownJump(d *tree.Document, ix *index.Index, run Run) Result {
 	for i := range run {
 		run[i] = NoState
 	}
-	res := Result{Run: run}
+	n := d.NumNodes()
+	var res Result
 	if n == 0 {
 		res.Accepted = len(a.Top) == 1 && a.inBot[a.Top[0]]
 		return res
 	}
-	info := make([]JumpInfo, a.NumStates)
-	for q := 0; q < a.NumStates; q++ {
-		info[q] = a.AnalyzeState(State(q))
-	}
 
-	// A frame carries the end of its node's binary subtree
-	// (tree.Document.BinEnd), so that the loop asks the document for one
-	// number per visited node, where its subtree ends: the left child's
-	// binary subtree ends there too, and the right sibling exists if that
-	// is short of the node's own end, which it shares. Only a jump that
-	// lands below the node it started from asks for a BinEnd.
+	// A frame is the binary subtree rooted at v, entered in state q. It
+	// carries where that subtree ends (tree.Document.BinEnd), so that
+	// the loop asks the document for one number per visited node, where
+	// its subtree ends: the left child's binary subtree ends there too,
+	// and the right sibling exists if that is short of the node's own
+	// end, which it shares. Only a jump that lands below the node it
+	// started from asks for a BinEnd.
 	type frame struct {
 		v, end tree.NodeID
 		q      State
 	}
-	var stack []frame
-	fail := false
-
-	// push schedules the relevant nodes of the binary subtree rooted at
-	// v, which ends at end, entered in state q (relevant_nodes of
-	// Algorithm B.1).
-	push := func(v, end tree.NodeID, q State) {
-		ji := info[q]
-		switch ji.Kind {
-		case JumpFail:
-			fail = true
-		case JumpNone:
-			stack = append(stack, frame{v, end, q})
-		case JumpTopMost:
-			if ji.Essential.Contains(d.Label(v)) {
-				stack = append(stack, frame{v, end, q})
-				return
-			}
-			tops, _ := ix.TopMost(v, ji.Essential)
-			for i := len(tops) - 1; i >= 0; i-- {
-				stack = append(stack, frame{tops[i], d.BinEnd(tops[i]), q})
-			}
-		case JumpLeftPath:
-			if ji.Essential.Contains(d.Label(v)) {
-				stack = append(stack, frame{v, end, q})
-				return
-			}
-			if u := ix.Lt(v, ji.Essential); u != index.Nil {
-				stack = append(stack, frame{u, d.BinEnd(u), q})
-			}
-		case JumpRightPath:
-			if ji.Essential.Contains(d.Label(v)) {
-				stack = append(stack, frame{v, end, q})
-				return
-			}
-			if u := ix.Rt(v, ji.Essential); u != index.Nil {
-				stack = append(stack, frame{u, end, q}) // a sibling of v
-			}
-		}
-	}
-
-	push(0, tree.NodeID(n-1), a.Top[0])
-	// Collect selected nodes; the stack is LIFO over right-pushed
-	// reversed sibling lists, so pops come in document order already for
-	// TopMost fan-out, but interleaved subtree recursion can reorder —
-	// sort at the end via insertion into a slice then final sort.
-	for len(stack) > 0 && !fail {
+	var few [32]frame
+	stack := append(few[:0], frame{0, tree.NodeID(n - 1), a.Top[0]})
+	// Each pop either jumps (relevant_nodes of Algorithm B.1: the frame
+	// is replaced by the relevant nodes of its subtree, whose labels are
+	// essential, so they are visited when popped) or visits v. Frames are
+	// pushed right sibling first, so nodes are visited in document order.
+	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		q, v := f.q, f.v
 		l := d.Label(v)
-		run[v] = q
+		ji := &a.jump[q]
+		if ji.Kind == JumpFail {
+			return Result{Work: res.Work}
+		}
+		if ji.Kind != JumpNone && !ji.Essential.Contains(l) {
+			res.Jumps++
+			switch ji.Kind {
+			case JumpTopMost:
+				tops, _ := ix.TopMost(v, ji.Essential)
+				for i := len(tops) - 1; i >= 0; i-- {
+					stack = append(stack, frame{tops[i], d.BinEnd(tops[i]), q})
+				}
+			case JumpLeftPath:
+				if u := ix.Lt(v, ji.Essential); u != index.Nil {
+					stack = append(stack, frame{u, d.BinEnd(u), q})
+				}
+			case JumpRightPath:
+				if u := ix.Rt(v, ji.Essential); u != index.Nil {
+					stack = append(stack, frame{u, f.end, q}) // a sibling of v
+				}
+			}
+			continue
+		}
+		if run != nil {
+			run[v] = q
+		}
 		res.Visited++
 		dest, ok := a.DestDet(q, l)
 		if !ok {
-			fail = true
-			break
+			return Result{Work: res.Work}
 		}
 		if a.IsSelecting(q, l) {
 			res.Selected = append(res.Selected, v)
 		}
+		// A state that cannot accept fails the run where it is assigned,
+		// before the subtrees already pushed are visited.
 		last := d.LastDesc(v)
 		if last == f.end { // no right sibling
 			if !a.inBot[dest.Right] {
-				fail = true
-				break
+				return Result{Work: res.Work}
 			}
-		} else if info[dest.Right].Kind == JumpFail {
-			fail = true
-			break
+		} else if a.jump[dest.Right].Kind == JumpFail {
+			return Result{Work: res.Work}
 		} else {
-			push(last+1, f.end, dest.Right)
+			stack = append(stack, frame{last + 1, f.end, dest.Right})
 		}
 		if last == v { // no child
 			if !a.inBot[dest.Left] {
-				fail = true
-				break
+				return Result{Work: res.Work}
 			}
-		} else if info[dest.Left].Kind == JumpFail {
-			fail = true
-			break
+		} else if a.jump[dest.Left].Kind == JumpFail {
+			return Result{Work: res.Work}
 		} else {
-			push(v+1, last, dest.Left)
+			stack = append(stack, frame{v + 1, last, dest.Left})
 		}
-	}
-	if fail {
-		return Result{Run: make(Run, 0), Visited: res.Visited}
 	}
 	res.Accepted = true
 	sortNodes(res.Selected)
@@ -250,10 +229,7 @@ func (a *STA) EvalTopDownJump(d *tree.Document, ix *index.Index) Result {
 func sortNodes(ns []tree.NodeID) {
 	// The DFS visits nodes in document order, so results are almost
 	// always already sorted; verify cheaply and only sort on violation.
-	for i := 1; i < len(ns); i++ {
-		if ns[i-1] > ns[i] {
-			sort.Slice(ns, func(a, b int) bool { return ns[a] < ns[b] })
-			return
-		}
+	if !slices.IsSorted(ns) {
+		slices.Sort(ns)
 	}
 }

@@ -119,7 +119,8 @@ func TestJumpOnRandomMinimalTDSTA(t *testing.T) {
 		min := randomTDSTA(rng, 2+rng.Intn(5), a, b, c).MinimizeTopDown()
 		for i, d := range docs {
 			full := min.EvalTopDownDet(d)
-			jump := min.EvalTopDownJump(d, indexes[i])
+			run := make(Run, d.NumNodes())
+			jump := min.EvalTopDownJump(d, indexes[i], run)
 			if full.Accepted != jump.Accepted {
 				t.Logf("seed=%d doc=%d acceptance: full=%v jump=%v\n%s",
 					seed, i, full.Accepted, jump.Accepted, min.String(lt))
@@ -140,6 +141,13 @@ func TestJumpOnRandomMinimalTDSTA(t *testing.T) {
 			}
 			if jump.Visited > full.Visited {
 				return false
+			}
+			// The recorded run is the full run's, where it records.
+			for v, q := range run {
+				if q != NoState && q != full.Run[v] {
+					t.Logf("seed=%d doc=%d node %d: state %d, full run %d", seed, i, v, q, full.Run[v])
+					return false
+				}
 			}
 		}
 		return true

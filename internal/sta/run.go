@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"repro/internal/obsv"
 	"repro/internal/tree"
 )
 
@@ -13,13 +14,15 @@ type Run []State
 type Result struct {
 	// Accepted reports whether an accepting run exists.
 	Accepted bool
-	// Run is the state assignment (complete for full evaluations,
-	// partial — NoState elsewhere — for jumping evaluations).
+	// Run is the state assignment: complete for full evaluations,
+	// partial — NoState elsewhere — for EvalBottomUpJump. EvalTopDownJump
+	// records its partial run into one its caller passes instead.
 	Run Run
 	// Selected lists the selected nodes in document order.
 	Selected []tree.NodeID
-	// Visited counts the nodes the evaluator touched.
-	Visited int
+	// Work counts the nodes the evaluator touched (Visited) and, for
+	// topdown_jump, its index jumps.
+	obsv.Work
 }
 
 // EvalTopDownDet runs a top-down deterministic, top-down complete STA over
@@ -70,7 +73,7 @@ func (a *STA) EvalTopDownDet(d *tree.Document) Result {
 		}
 	}
 	if !accepted {
-		return Result{Run: run, Visited: res.Visited}
+		return Result{Run: run, Work: res.Work}
 	}
 	res.Accepted = true
 	return res
@@ -126,7 +129,7 @@ func (a *STA) Possible(d *tree.Document) stateSets {
 // accepting run (Definition 2.3). Runs in O(|δ| · |D|).
 func (a *STA) Eval(d *tree.Document) Result {
 	n := d.NumNodes()
-	res := Result{Visited: n}
+	res := Result{Work: obsv.Work{Visited: n}}
 	poss := a.Possible(d)
 	// acc[v][q]: q is assumed at v by at least one accepting run.
 	acc := newStateSets(n, a.NumStates)

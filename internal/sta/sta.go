@@ -52,13 +52,15 @@ type STA struct {
 	inTop   []bool
 	inBot   []bool
 	selOf   []labels.Set // per-state selecting labels, derived from Trans
+	jump    []JumpInfo   // per-state AnalyzeState, for EvalTopDownJump
 	alpha   []tree.LabelID
 	isFinal bool
 }
 
-// Finalize builds lookup structures; it must be called after the exported
-// fields are set and before any query. It returns the automaton for
-// chaining.
+// Finalize builds lookup structures, the jump analysis of every state
+// among them; it must be called after the exported fields are set and
+// before any query, so a finalized automaton is read-only and safe to
+// share. It returns the automaton for chaining.
 func (a *STA) Finalize() *STA {
 	a.byFrom = make([][]int32, a.NumStates)
 	a.selOf = make([]labels.Set, a.NumStates)
@@ -78,6 +80,10 @@ func (a *STA) Finalize() *STA {
 	a.inBot = make([]bool, a.NumStates)
 	for _, q := range a.Bottom {
 		a.inBot[q] = true
+	}
+	a.jump = make([]JumpInfo, a.NumStates)
+	for q := range a.jump {
+		a.jump[q] = a.AnalyzeState(State(q))
 	}
 	a.alpha = a.mentionedLabels()
 	a.isFinal = true
@@ -101,6 +107,9 @@ func (a *STA) SizeBytes() int64 {
 	b += int64(len(a.inTop) + len(a.inBot))
 	for _, s := range a.selOf {
 		b += s.SizeBytes()
+	}
+	for _, j := range a.jump {
+		b += 8 + j.Essential.SizeBytes()
 	}
 	b += 4 * int64(len(a.alpha))
 	return b

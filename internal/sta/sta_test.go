@@ -277,7 +277,8 @@ func TestTopDownJumpTheorem(t *testing.T) {
 		aut := ExampleDescADescB(a, b) // already minimal
 		ix := index.New(d)
 		full := aut.EvalTopDownDet(d)
-		jump := aut.EvalTopDownJump(d, ix)
+		run := make(Run, d.NumNodes())
+		jump := aut.EvalTopDownJump(d, ix, run)
 		if jump.Accepted != full.Accepted {
 			return false
 		}
@@ -293,10 +294,10 @@ func TestTopDownJumpTheorem(t *testing.T) {
 		// assign NoState elsewhere but never a wrong state.
 		for v := tree.NodeID(0); int(v) < d.NumNodes(); v++ {
 			if relSet[v] {
-				if jump.Run[v] != full.Run[v] {
+				if run[v] != full.Run[v] {
 					return false
 				}
-			} else if jump.Run[v] != NoState && jump.Run[v] != full.Run[v] {
+			} else if run[v] != NoState && run[v] != full.Run[v] {
 				return false
 			}
 		}
@@ -312,7 +313,7 @@ func TestJumpVisitsOnlyRelevantForRootRecognizer(t *testing.T) {
 	d := abcDoc(5, 300)
 	ix := index.New(d)
 	aut := ExampleRootA(tree.LabelDoc)
-	res := aut.EvalTopDownJump(d, ix)
+	res := aut.EvalTopDownJump(d, ix, nil)
 	if !res.Accepted {
 		t.Fatal("should accept")
 	}
@@ -346,7 +347,7 @@ func TestJumpVisitCountsOnChain(t *testing.T) {
 	bID, _ := d.Names().Lookup("b")
 	aut := ExampleDescADescB(aID, bID)
 	ix := index.New(d)
-	res := aut.EvalTopDownJump(d, ix)
+	res := aut.EvalTopDownJump(d, ix, nil)
 	if !res.Accepted || len(res.Selected) != 1 {
 		t.Fatalf("selected %v", res.Selected)
 	}
@@ -578,6 +579,6 @@ func BenchmarkEvalTopDownJump(b *testing.B) {
 	ix := index.New(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = aut.EvalTopDownJump(d, ix)
+		_ = aut.EvalTopDownJump(d, ix, nil)
 	}
 }

@@ -15,16 +15,10 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/obsv"
 	"repro/internal/tree"
 	"repro/internal/xpath"
 )
-
-// Stats counts evaluator effort.
-type Stats struct {
-	// Visited counts node inspections (context nodes and scanned
-	// candidates).
-	Visited int
-}
 
 // Options configures the evaluator.
 type Options struct {
@@ -39,7 +33,10 @@ func Default() Options { return Options{Staircase: true} }
 // Result is the evaluation outcome.
 type Result struct {
 	Selected []tree.NodeID
-	Stats    Stats
+	// Work counts node inspections (context nodes and scanned
+	// candidates) in Visited; the baseline has no index to jump with
+	// and no memo tables.
+	obsv.Work
 }
 
 // Eval evaluates a parsed query over the document.
@@ -47,7 +44,7 @@ func Eval(d *tree.Document, p *xpath.Path, opt Options) Result {
 	e := &evaluator{d: d, opt: opt}
 	ctx := []tree.NodeID{d.Root()}
 	out := e.path(ctx, p.Steps)
-	return Result{Selected: out, Stats: e.stats}
+	return Result{Selected: out, Work: e.work}
 }
 
 // EvalString parses and evaluates a query.
@@ -60,9 +57,9 @@ func EvalString(d *tree.Document, query string, opt Options) (Result, error) {
 }
 
 type evaluator struct {
-	d     *tree.Document
-	opt   Options
-	stats Stats
+	d    *tree.Document
+	opt  Options
+	work obsv.Work
 }
 
 // path maps a context set through all steps.
@@ -83,7 +80,7 @@ func (e *evaluator) step(ctx []tree.NodeID, st xpath.Step) []tree.NodeID {
 	case xpath.Child, xpath.Attribute:
 		for _, v := range ctx {
 			for c, end := v+1, e.d.LastDesc(v); c <= end; c = e.d.LastDesc(c) + 1 {
-				e.stats.Visited++
+				e.work.Visited++
 				if e.match(c, st.Test) {
 					out = append(out, c)
 				}
@@ -100,7 +97,7 @@ func (e *evaluator) step(ctx []tree.NodeID, st xpath.Step) []tree.NodeID {
 			}
 			end := e.d.LastDesc(v)
 			for c := v + 1; c <= end; c++ {
-				e.stats.Visited++
+				e.work.Visited++
 				if e.match(c, st.Test) {
 					out = append(out, c)
 				}
@@ -112,7 +109,7 @@ func (e *evaluator) step(ctx []tree.NodeID, st xpath.Step) []tree.NodeID {
 	case xpath.FollowingSibling:
 		for _, v := range ctx {
 			for c, end := e.d.LastDesc(v)+1, e.d.BinEnd(v); c <= end; c = e.d.LastDesc(c) + 1 {
-				e.stats.Visited++
+				e.work.Visited++
 				if e.match(c, st.Test) {
 					out = append(out, c)
 				}
@@ -120,7 +117,7 @@ func (e *evaluator) step(ctx []tree.NodeID, st xpath.Step) []tree.NodeID {
 		}
 	case xpath.Self:
 		for _, v := range ctx {
-			e.stats.Visited++
+			e.work.Visited++
 			if e.match(v, st.Test) {
 				out = append(out, v)
 			}
@@ -128,7 +125,7 @@ func (e *evaluator) step(ctx []tree.NodeID, st xpath.Step) []tree.NodeID {
 	case xpath.Parent:
 		for _, v := range ctx {
 			if p := e.d.Parent(v); p != tree.Nil {
-				e.stats.Visited++
+				e.work.Visited++
 				if e.match(p, st.Test) {
 					out = append(out, p)
 				}
@@ -141,7 +138,7 @@ func (e *evaluator) step(ctx []tree.NodeID, st xpath.Step) []tree.NodeID {
 				u = e.d.Parent(v)
 			}
 			for ; u != tree.Nil; u = e.d.Parent(u) {
-				e.stats.Visited++
+				e.work.Visited++
 				if e.match(u, st.Test) {
 					out = append(out, u)
 				}
