@@ -1,21 +1,17 @@
-// BenchmarkAutoSelector pins the cost contract of the observed-latency
-// Auto selector (PR 7): the full paper-query matrix over three XMark
-// sizes, each query evaluated through the Auto cursor path under two
-// regimes —
+// BenchmarkAutoSelector pins what Auto's route is worth: the full
+// paper-query matrix over three XMark sizes, each query evaluated
+// through the cursor path under two arms —
 //
-//	static:   the paper's §5 count heuristic decides every time (the
-//	          reference arm, core.AutoConfig{Adaptive: false}; no
-//	          daemon mode runs it); the selector still measures so the
-//	          bookkeeping cost is identical;
-//	adaptive: the per-shape EWMA model decides, with the default
-//	          epsilon-greedy exploration floor.
+//	optimized: the ASTA evaluator forced, the engine Auto would run
+//	           everywhere if it did not route;
+//	auto:      Auto, which sends label chains to the hybrid run, the
+//	           rest of the child/descendant fragment to the TDSTA and
+//	           everything else to the optimized ASTA.
 //
-// Both variants are warmed past the probe phase before the timer
-// starts, so the adaptive rows measure the steady state: a learned
-// table lookup plus the same observe() both modes pay. BENCH_auto.json
-// is seeded from this benchmark and CI gates the paired geomean of
-// adaptive/static ns/op at ≤ 1.00 — learning from observed latency
-// must pay for itself on the paper's own workload.
+// Both arms are warmed before the timer starts. BENCH_auto.json is
+// seeded from this benchmark and CI gates the paired geomean of
+// auto/optimized ns/op at ≤ 1.00 — the route must pay for itself on
+// the paper's own workload.
 package repro_test
 
 import (
@@ -27,24 +23,22 @@ import (
 	"repro/internal/xmark"
 )
 
-// autoWarmup runs enough Auto evaluations to exhaust the probe phase of
-// every eligible candidate and settle the EWMA estimates.
-const autoWarmup = 12
+// autoWarmup fills the query cache and the context pool before timing.
+const autoWarmup = 3
 
 func BenchmarkAutoSelector(b *testing.B) {
 	for _, scale := range steadyScales {
 		w := steadyWorkload(b, scale)
 		for _, q := range xmark.Queries() {
 			name := fmt.Sprintf("s=%g/%s", scale, q.ID)
-			for _, mode := range []struct {
+			for _, arm := range []struct {
 				name     string
-				adaptive bool
-			}{{"static", false}, {"adaptive", true}} {
-				b.Run(name+"/"+mode.name, func(b *testing.B) {
+				strategy core.Strategy
+			}{{"optimized", core.Optimized}, {"auto", core.Auto}} {
+				b.Run(name+"/"+arm.name, func(b *testing.B) {
 					eng := core.NewWithIndex(w.Doc, w.Index, qcache.New(qcache.DefaultCapacity), "")
-					eng.ConfigureAuto(core.AutoConfig{Adaptive: mode.adaptive})
 					for i := 0; i < autoWarmup; i++ {
-						cur, err := eng.EvalCursor(q.XPath, core.Auto)
+						cur, err := eng.EvalCursor(q.XPath, arm.strategy)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -54,7 +48,7 @@ func BenchmarkAutoSelector(b *testing.B) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						cur, err := eng.EvalCursor(q.XPath, core.Auto)
+						cur, err := eng.EvalCursor(q.XPath, arm.strategy)
 						if err != nil {
 							b.Fatal(err)
 						}

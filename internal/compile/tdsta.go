@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/asta"
@@ -78,9 +79,14 @@ func ToTDSTA(p *xpath.Path, names *tree.LabelTable) (*sta.STA, error) {
 	return aut.Finalize(), nil
 }
 
+// errTDSTAPredicates is CheckTDSTA's answer to every query with a
+// predicate, most of what Auto asks it about: built once, so routing such
+// a query allocates nothing here.
+var errTDSTAPredicates = errors.New("compile: TDSTA fragment does not support predicates")
+
 // CheckTDSTA reports why p is outside the fragment ToTDSTA compiles, or
-// nil when it is inside. The Auto selector asks it before any
-// compilation, so the candidate set and the compiler cannot disagree.
+// nil when it is inside. Auto routes by it before any compilation, so
+// the route and the compiler cannot disagree.
 // A path of n steps compiles to n+3 states, and the fragment stops
 // below asta.MaxStates steps, so a cached TDSTA is bounded like a
 // cached ASTA.
@@ -100,7 +106,7 @@ func CheckTDSTA(p *xpath.Path) error {
 			return fmt.Errorf("compile: TDSTA fragment supports name and * tests, got %s", st.Test)
 		}
 		if len(st.Preds) > 0 {
-			return fmt.Errorf("compile: TDSTA fragment does not support predicates")
+			return errTDSTAPredicates
 		}
 		if st.Axis == xpath.Descendant {
 			seenDesc = true

@@ -1,14 +1,17 @@
 // Package core is the whole-query optimizer: the paper's primary
 // contribution assembled into an engine. Given a document it builds the
-// jumping index once; given a query it chooses an execution strategy —
+// jumping index once; given a query it routes it, by the fragment of
+// XPath the parsed query falls in and by nothing else, to an execution
+// strategy —
 //
+//   - the hybrid start-anywhere run (§4.4) for label chains, absolute
+//     child/descendant paths of name tests, started at the occurrences
+//     of the rarest label (the index answers counts in O(1), §5),
 //   - the minimized deterministic TDSTA with topdown_jump (§3.1) for the
-//     restricted child/descendant fragment,
-//   - the hybrid start-anywhere run (§4.4) for label chains where some
-//     label's global count is very low (the index answers counts in
-//     O(1), §5),
+//     rest of the restricted child/descendant fragment (`*` tests),
 //   - the alternating-automaton evaluator with jumping + memoization +
-//     information propagation (§4, "Opt. Eval.") for everything else —
+//     information propagation (§4, "Opt. Eval.") for everything else,
+//     and the step-wise baseline for what no automaton expresses —
 //
 // and executes it, reporting which strategy ran and the work it did —
 // one obsv.Work from every engine: nodes visited, index jumps, memo
@@ -53,11 +56,6 @@ const (
 	// Stepwise is the Koch/Gottlob-style baseline (the MonetDB stand-in
 	// of Appendix D).
 	Stepwise
-	// EmptyChain is an outcome, not a forceable strategy: Auto proved
-	// from the index that a chain label does not occur in the document,
-	// so the answer is empty and no engine ran at all. ParseStrategy
-	// rejects it.
-	EmptyChain
 )
 
 func (s Strategy) String() string {
@@ -78,8 +76,6 @@ func (s Strategy) String() string {
 		return "topdown-det"
 	case Stepwise:
 		return "stepwise"
-	case EmptyChain:
-		return "empty-chain"
 	}
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
@@ -109,13 +105,6 @@ func ParseStrategy(name string) (Strategy, bool) {
 	return Auto, false
 }
 
-// hybridCountFraction: the §5 condition — use the hybrid run when the
-// cheapest chain label's count is below this fraction of the most
-// frequent one ("one of the labels in the query has a low count").
-// The selector uses it only for cold shapes; warm shapes route on
-// observed latency (see selector.go).
-const hybridCountFraction = 0.05
-
 // Engine evaluates queries over one document. It is safe for concurrent
 // use: the document and index are immutable and the compiled-query cache
 // is a concurrency-safe LRU (each evaluation carries its own run state).
@@ -138,10 +127,6 @@ type Engine struct {
 	// pool accounts the warm evaluation contexts parked on the cached
 	// automata (ctxpool.go).
 	pool *Pool
-
-	// auto is the observed-latency Auto selector (selector.go): its
-	// estimates are measurements of the document, whichever generation.
-	auto *Selector
 }
 
 // New builds the engine, its index, and a private bounded query cache.
@@ -157,32 +142,19 @@ func NewWithCache(d *tree.Document, c *qcache.Cache, keyPrefix string) *Engine {
 
 // NewWithIndex is NewWithCache for a document whose index is already
 // built (the document store builds the index once at load time). The
-// engine gets a context pool and an Auto selector of its own.
+// engine gets a context pool of its own.
 func NewWithIndex(d *tree.Document, ix *index.Index, c *qcache.Cache, keyPrefix string) *Engine {
-	e := NewShared(d, ix, c, new(Pool), NewSelector(DefaultAutoConfig()))
+	e := NewShared(d, ix, c, new(Pool))
 	e.keyPrefix = keyPrefix
 	return e
 }
 
 // NewShared builds an engine over one generation of a document around
-// warm state its caller owns: the service's cache and pool, the
-// document's selector. It allocates nothing else; the service makes one
-// per request.
-func NewShared(d *tree.Document, ix *index.Index, c *qcache.Cache, pool *Pool, auto *Selector) *Engine {
-	return &Engine{doc: d, ix: ix, cache: c, pool: pool, auto: auto}
+// warm state its caller owns: the service's cache and pool. It allocates
+// nothing else; the service makes one per request.
+func NewShared(d *tree.Document, ix *index.Index, c *qcache.Cache, pool *Pool) *Engine {
+	return &Engine{doc: d, ix: ix, cache: c, pool: pool}
 }
-
-// ConfigureAuto replaces the Auto selector configuration, resetting
-// its learned state. Call before serving traffic (the selector swap is
-// not synchronized against in-flight Auto evaluations).
-func (e *Engine) ConfigureAuto(cfg AutoConfig) {
-	e.auto = NewSelector(cfg)
-}
-
-// SelectorStats snapshots the Auto selector: shapes tracked, wins per
-// strategy, exploration rate, estimate error, and the per-shape
-// candidate tables.
-func (e *Engine) SelectorStats() SelectorStats { return e.auto.Stats() }
 
 // PoolStats reports the engine's evaluation-context pool counters: the
 // steady-state signal for whether repeated queries are hitting warm
@@ -248,26 +220,4 @@ func astaOptions(s Strategy) asta.Options {
 	default:
 		return asta.Opt()
 	}
-}
-
-// chainCounts returns the min and max global label counts of a chain
-// query in the engine's generation of the document: the §5 probe, k
-// Lookup + Count calls, made at every decision because a patch can
-// change them. Whether p is a chain at all is a function of the query
-// alone, settled once per shape by hybrid.CheckChain (shapeFor).
-func (e *Engine) chainCounts(p *xpath.Path) (min, max int) {
-	min = int(^uint(0) >> 1)
-	for _, st := range p.Steps {
-		n := 0
-		if id, found := e.doc.Names().Lookup(st.Test.Name); found {
-			n = e.ix.Count(id)
-		}
-		if n < min {
-			min = n
-		}
-		if n > max {
-			max = n
-		}
-	}
-	return min, max
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"repro/internal/compile"
 	"repro/internal/hybrid"
@@ -39,16 +38,9 @@ type Cursor struct {
 	poolHit   bool
 	qcacheHit bool
 
-	// Auto-selector feedback (Auto evaluations only): the decision is
-	// credited with the cursor's full lifetime cost at the first of
-	// Close/materialize/exhaustion — paged and streamed evaluations
-	// report end-to-end cost, not just the eval call. sel doubles as
-	// the once-guard (nilled after observing). autoShape/autoReason
-	// attribute the decision for explain profiles and flight records.
-	sel        *Selector
-	shapeRef   *shapeStats
-	obsSlot    int8
-	obsStart   time.Time
+	// autoReason says why Auto took this cursor's route (a Reason*
+	// constant), for explain profiles and flight records; autoShape is
+	// the query's canonical shape, explained evaluations only.
 	autoShape  string
 	autoReason string
 
@@ -110,32 +102,17 @@ func ensureSortedDedup(nodes []tree.NodeID) []tree.NodeID {
 }
 
 // Close returns the cursor's evaluation context to the engine's pool
-// without consuming the rest of the answer, and — for Auto
-// evaluations — reports the observed cost back to the selector. It is
-// idempotent, runs implicitly on exhaustion and materialization, and
-// leaves a cursor over an arena-owned answer in the exhausted state
-// (Count stays valid; Next reports done): once the context is handed
-// back the block must never be read again, its arena may be serving
-// another evaluation. A heap-owned answer stays readable.
+// without consuming the rest of the answer. It is idempotent, runs
+// implicitly on exhaustion and materialization, and leaves a cursor
+// over an arena-owned answer in the exhausted state (Count stays valid;
+// Next reports done): once the context is handed back the block must
+// never be read again, its arena may be serving another evaluation. A
+// heap-owned answer stays readable.
 func (c *Cursor) Close() {
-	c.finishObs()
 	if r := c.release; r != nil {
 		c.release, c.nodes, c.pos = nil, nil, 0
 		r()
 	}
-}
-
-// finishObs reports the completed evaluation to the Auto selector
-// exactly once: elapsed wall time since the decision plus the visited
-// count, credited to the candidate the decision picked. No-op for
-// forced strategies (sel is nil) and after the first report.
-func (c *Cursor) finishObs() {
-	if c.sel == nil {
-		return
-	}
-	sel := c.sel
-	c.sel = nil
-	sel.observe(c.shapeRef, int(c.obsSlot), time.Since(c.obsStart), c.work.Visited)
 }
 
 // Strategy is the strategy that actually ran (never Auto).
@@ -167,11 +144,11 @@ func (c *Cursor) CtxPoolHit() bool { return c.poolHit }
 // false for strategies that compile nothing (stepwise, hybrid).
 func (c *Cursor) QCacheHit() bool { return c.qcacheHit }
 
-// AutoShape is the canonical query shape the Auto selector keyed this
-// evaluation by; empty for forced strategies.
+// AutoShape is the canonical shape of an explained Auto evaluation's
+// query; empty for forced strategies and unexplained evaluations.
 func (c *Cursor) AutoShape() string { return c.autoShape }
 
-// AutoReason is why the Auto selector picked this cursor's strategy
+// AutoReason is why Auto routed the query to this cursor's strategy
 // (one of the Reason* constants); empty for forced strategies.
 func (c *Cursor) AutoReason() string { return c.autoReason }
 
@@ -372,71 +349,73 @@ func (e *Engine) astaCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Tr
 	return c, nil
 }
 
+// Auto's reasons, one per route. The select span, the explain profile
+// and the flight record carry them; constants, so attaching one
+// allocates nothing.
+const (
+	// ReasonChain: hybrid.CheckChain accepts the query, an absolute
+	// chain of child and descendant name tests. It runs on Hybrid.
+	ReasonChain = "label-chain"
+	// ReasonTDSTA: compile.CheckTDSTA accepts it (a `*` test, say). It
+	// runs on TopDownDet.
+	ReasonTDSTA = "tdsta-fragment"
+	// ReasonASTA: neither does. It runs on Optimized.
+	ReasonASTA = "asta"
+	// ReasonOutside: the ASTA compiler refused it (compile.ErrUnsupported:
+	// backward axes, text functions, more than 64 states). It runs on
+	// Stepwise.
+	ReasonOutside = "outside-automata"
+)
+
+// route is Auto: the first engine, in this order, whose own fragment
+// test accepts the parsed query. It reads the query and nothing else —
+// no clock, no label count, no shared state — so a query takes the same
+// route on every document, generation and run. The order is measured
+// (DESIGN.md "Auto routes by fragment"): hybrid was the fastest engine
+// on every chain tried, and the TDSTA on every other shape it accepts
+// but Q06, a tie with the ASTA.
+func route(p *xpath.Path) (Strategy, string) {
+	switch {
+	case hybrid.CheckChain(p) == nil:
+		return Hybrid, ReasonChain
+	case compile.CheckTDSTA(p) == nil:
+		return TopDownDet, ReasonTDSTA
+	}
+	return Optimized, ReasonASTA
+}
+
 // autoCursor implements the Auto strategy (QueryWith's Auto is this
-// same code path): the observed-latency selector (selector.go) routes
-// each canonical query shape to Hybrid, TopDownDet or Optimized —
-// cold shapes fall back to the paper's §5 count heuristic — and the
-// step-wise engine runs only for queries the automata fragment cannot
-// express (compile.ErrUnsupported — backward axes, text functions,
-// §6's black-box handling). A chain whose rarest label is absent from
-// the document short-circuits to an empty answer without running any
-// engine. The selector offers Hybrid and TopDownDet only to shapes
-// their engines' own fragment tests accept, so an error from the engine
-// it picked is a genuine failure and surfaces as it is. The cursor
-// reports the decision's observed cost back to the selector when it
-// closes.
+// same code path): it runs the engine route picks. route offers Hybrid
+// and TopDownDet only queries their engines' own fragment tests accept,
+// so an error from either is a genuine failure and surfaces as it is.
+// The optimized ASTA hands a query it cannot express
+// (compile.ErrUnsupported) to the step-wise engine, like the paper's
+// black-box handling of XPath 1.0 functions (§6); its other failures
+// surface.
 func (e *Engine) autoCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
-	sel := e.auto
 	sp := tr.Begin(obsv.SpanSelect)
-	st := sel.shapeFor(query, p)
-	var min, max int
-	if st.chain {
-		min, max = e.chainCounts(p)
-	}
-	d := sel.decide(st, min, max)
-	if tr.Detail() {
-		tr.Annotate(sp, sel.explain(st, d, min, max))
-	}
+	s, reason := route(p)
 	tr.End(sp)
-
-	if d.strategy == EmptyChain {
-		// Proven empty from the index alone: no engine, no visited
-		// nodes, no feedback (a zero-cost non-run must not pollute any
-		// candidate's estimate).
-		c := newSliceCursor(nil, EmptyChain, obsv.Work{})
-		c.autoShape, c.autoReason = st.shape, d.reason
-		return c, nil
-	}
-
-	start := time.Now()
 	var c *Cursor
 	var err error
-	switch d.strategy {
+	switch s {
 	case Hybrid:
 		c, err = e.hybridCursor(p, tr)
 	case TopDownDet:
 		c, err = e.tdstaCursor(query, p, tr)
 	default:
-		c, err = e.astaOrStepwise(query, p, tr)
+		c, err = e.astaCursor(query, p, Optimized, tr)
+		if errors.Is(err, compile.ErrUnsupported) {
+			c, err, reason = e.stepwiseCursor(p, tr), nil, ReasonOutside
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	c.sel, c.shapeRef, c.obsSlot, c.obsStart = sel, st, int8(d.slot), start
-	c.autoShape, c.autoReason = st.shape, d.reason
+	c.autoReason = reason
+	if tr.Detail() {
+		c.autoShape = p.String()
+		tr.Annotate(sp, "auto shape="+c.autoShape+" route="+c.strategy.String()+" reason="+reason)
+	}
 	return c, nil
-}
-
-// astaOrStepwise is Auto's default engine: the optimized ASTA
-// evaluator, with the step-wise baseline only for queries outside the
-// automata fragment (compile.ErrUnsupported). Other failures surface.
-func (e *Engine) astaOrStepwise(query string, p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
-	c, err := e.astaCursor(query, p, Optimized, tr)
-	if err == nil {
-		return c, nil
-	}
-	if !errors.Is(err, compile.ErrUnsupported) {
-		return nil, err
-	}
-	return e.stepwiseCursor(p, tr), nil
 }

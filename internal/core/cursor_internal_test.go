@@ -169,13 +169,6 @@ func collect(t *testing.T, c *Cursor) []tree.NodeID {
 func TestAutoParityWithQueryWith(t *testing.T) {
 	doc := xmark.Generate(xmark.Config{Scale: 0.002, Seed: 7})
 	eng := New(doc)
-	// Static mode: the adaptive selector intentionally varies decisions
-	// across successive calls on one shape (probing unmeasured
-	// candidates), and this test pins that the two *code paths* decide
-	// identically, not that the online model is stationary. Adaptive
-	// answer-parity is covered by the decision-table and differential
-	// tests.
-	eng.ConfigureAuto(AutoConfig{Adaptive: false})
 
 	queries := make([]string, 0, 16)
 	for _, q := range xmark.Queries() {

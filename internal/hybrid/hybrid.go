@@ -8,10 +8,10 @@
 // Figure 5 are the cases where this wins by orders of magnitude.
 //
 // The strategy applies to the fragment the paper demonstrates it on:
-// absolute chains of child/descendant steps with name tests and no
-// predicates. Eval reports ErrUnsupported otherwise; CheckChain asks the
-// same question without evaluating, which is how Auto decides whether
-// to offer this engine at all.
+// absolute chains of at most 64 child/descendant steps with name tests
+// and no predicates. Eval reports ErrUnsupported otherwise; CheckChain
+// asks the same question without evaluating, which is how Auto routes
+// every such chain here.
 package hybrid
 
 import (
@@ -27,6 +27,14 @@ import (
 
 // ErrUnsupported reports a query outside the hybrid fragment.
 var ErrUnsupported = errors.New("hybrid: query outside the chain fragment")
+
+// errPredicates is CheckChain's answer to every query with a predicate,
+// most of what Auto asks it about: built once, so routing such a query
+// allocates nothing here.
+var errPredicates = fmt.Errorf("%w: predicates", ErrUnsupported)
+
+// maxSteps bounds a chain: the upward check keeps one bit a step.
+const maxSteps = 64
 
 // Result is the evaluation outcome.
 type Result struct {
@@ -46,11 +54,14 @@ type chainStep struct {
 }
 
 // CheckChain reports why p is outside the chain fragment (wrapping
-// ErrUnsupported), or nil when Eval accepts it. Auto's chain probe asks
-// it, so a query the selector routes here is one Eval runs.
+// ErrUnsupported), or nil when Eval accepts it. Auto routes by it, so a
+// query Auto sends here is one Eval runs.
 func CheckChain(p *xpath.Path) error {
 	if !p.Absolute || len(p.Steps) == 0 {
 		return fmt.Errorf("%w: path must be absolute", ErrUnsupported)
+	}
+	if len(p.Steps) > maxSteps {
+		return fmt.Errorf("%w: at most %d steps, got %d", ErrUnsupported, maxSteps, len(p.Steps))
 	}
 	for _, st := range p.Steps {
 		if st.Axis != xpath.Child && st.Axis != xpath.Descendant {
@@ -60,7 +71,7 @@ func CheckChain(p *xpath.Path) error {
 			return fmt.Errorf("%w: node test %s", ErrUnsupported, st.Test)
 		}
 		if len(st.Preds) > 0 {
-			return fmt.Errorf("%w: predicates", ErrUnsupported)
+			return errPredicates
 		}
 	}
 	return nil
@@ -94,20 +105,25 @@ func Eval(d *tree.Document, ix *index.Index, p *xpath.Path) (Result, error) {
 	if !ok {
 		return Result{}, nil
 	}
+	// The pivot is the deepest of the rarest steps: below it there is
+	// less left to scan than below an equally rare step higher up.
 	pivot := 0
 	for i, st := range steps {
-		if ix.Count(st.label) < ix.Count(steps[pivot].label) {
+		if ix.Count(st.label) <= ix.Count(steps[pivot].label) {
 			pivot = i
 		}
 	}
-	e := &evaluator{d: d, ix: ix, steps: steps}
+	e := &evaluator{d: d, labels: make([]labelSteps, 0, len(steps))}
+	for i, st := range steps {
+		e.addStep(i, st)
+	}
 	last := len(steps) - 1
 	occ := ix.Occurrences(steps[last].label)
 	e.work.Jumps += 2 // the final label's row, and the pivot's below
 	for o := range ix.Occurrences(steps[pivot].label).From(0) {
 		v := tree.NodeID(o)
 		e.work.Visited++
-		if !e.matchUpTo(v, pivot) {
+		if !e.matchUp(v, pivot, d.Root(), -1) {
 			continue
 		}
 		if pivot == last {
@@ -125,7 +141,7 @@ func Eval(d *tree.Document, ix *index.Index, p *xpath.Path) (Result, error) {
 				break
 			}
 			e.work.Visited++
-			if u := tree.NodeID(c); e.matchBetween(u, last, v, pivot) {
+			if u := tree.NodeID(c); e.matchUp(u, last, v, pivot) {
 				e.add(u)
 			}
 		}
@@ -147,10 +163,12 @@ func EvalString(d *tree.Document, ix *index.Index, query string) (Result, error)
 }
 
 type evaluator struct {
-	d     *tree.Document
-	ix    *index.Index
-	steps []chainStep
-	work  obsv.Work
+	d *tree.Document
+	// labels maps each label of the chain to its steps, a bit a step;
+	// desc has the bits of the descendant steps.
+	labels []labelSteps
+	desc   uint64
+	work   obsv.Work
 	// out is the answer in the order it is found, which is document order
 	// unless pivot occurrences nest: then the candidates under an inner
 	// pivot were already found under the outer one. unsorted says a node
@@ -160,61 +178,66 @@ type evaluator struct {
 	unsorted bool
 }
 
+type labelSteps struct {
+	label tree.LabelID
+	steps uint64
+}
+
+// addStep enters step i of the chain into the evaluator's bitmasks.
+func (e *evaluator) addStep(i int, st chainStep) {
+	if st.desc {
+		e.desc |= 1 << i
+	}
+	for k := range e.labels {
+		if e.labels[k].label == st.label {
+			e.labels[k].steps |= 1 << i
+			return
+		}
+	}
+	e.labels = append(e.labels, labelSteps{label: st.label, steps: 1 << i})
+}
+
+// stepsOf returns the steps whose name test label l passes.
+func (e *evaluator) stepsOf(l tree.LabelID) uint64 {
+	for _, ls := range e.labels {
+		if ls.label == l {
+			return ls.steps
+		}
+	}
+	return 0
+}
+
 func (e *evaluator) add(u tree.NodeID) {
 	e.unsorted = e.unsorted || len(e.out) > 0 && e.out[len(e.out)-1] >= u
 	e.out = append(e.out, u)
 }
 
-// matchUpTo reports whether u, a node that carries the label of step i —
-// an occurrence from that label's row, or an ancestor found to — can
-// serve as the step-i node of the chain, with steps[0..i-1] realized by
-// ancestors (a backtracking match; chains and document depths are small).
-// The label of a candidate ancestor is tested where it is found, so a
-// climb past nodes of other labels is one loop, not a call a node.
-func (e *evaluator) matchUpTo(u tree.NodeID, i int) bool {
-	if i == 0 {
-		if e.steps[0].desc {
+// matchUp reports whether u, a node that carries the label of step k,
+// can serve as the step-k node with steps j+1..k-1 realized on the path
+// strictly between u and s, the step-j node (the document root for
+// j = -1). It is one walk up that path, O(depth) whatever the chain:
+// placed holds the steps the current node can serve as, need the steps
+// that must sit at the next ancestor (a child step is placed below
+// them) and open the steps that may sit at any ancestor further up (a
+// descendant step is placed below them). Step j+1 placed where its axis
+// reaches s completes the chain.
+func (e *evaluator) matchUp(u tree.NodeID, k int, s tree.NodeID, j int) bool {
+	first := uint64(1) << (j + 1)
+	between := (uint64(1)<<k - 1) &^ (first - 1) // steps j+1..k-1
+	placed, open := uint64(1)<<k, uint64(0)
+	for a := u; ; {
+		if placed&first != 0 && (e.desc&first != 0 || e.d.Parent(a) == s) {
 			return true
 		}
-		return e.d.Parent(u) == e.d.Root()
-	}
-	want := e.steps[i-1].label
-	if !e.steps[i].desc {
-		e.work.Visited++
-		a := e.d.Parent(u)
-		return a != tree.Nil && e.d.Label(a) == want && e.matchUpTo(a, i-1)
-	}
-	for a := e.d.Parent(u); a != tree.Nil; a = e.d.Parent(a) {
-		e.work.Visited++
-		if e.d.Label(a) == want && e.matchUpTo(a, i-1) {
-			return true
+		need := ((placed &^ e.desc) >> 1) & between
+		open = (open | (placed&e.desc)>>1) & between
+		if need|open == 0 {
+			return false
 		}
-	}
-	return false
-}
-
-// matchBetween reports whether u, a node below the pivot node v that
-// carries the label of step k, can serve as the step-k node with
-// steps[pivot+1..k-1] realized strictly between v and u.
-func (e *evaluator) matchBetween(u tree.NodeID, k int, v tree.NodeID, pivot int) bool {
-	if k == pivot+1 {
-		if e.steps[k].desc {
-			// u is inside v's subtree by construction.
-			return true
+		if a = e.d.Parent(a); a == s || a == tree.Nil {
+			return false
 		}
-		return e.d.Parent(u) == v
-	}
-	want := e.steps[k-1].label
-	if !e.steps[k].desc {
 		e.work.Visited++
-		a := e.d.Parent(u)
-		return a != tree.Nil && a != v && e.d.Label(a) == want && e.matchBetween(a, k-1, v, pivot)
+		placed = (need | open) & e.stepsOf(e.d.Label(a))
 	}
-	for a := e.d.Parent(u); a != tree.Nil && a != v; a = e.d.Parent(a) {
-		e.work.Visited++
-		if e.d.Label(a) == want && e.matchBetween(a, k-1, v, pivot) {
-			return true
-		}
-	}
-	return false
 }

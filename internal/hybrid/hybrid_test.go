@@ -2,6 +2,7 @@ package hybrid_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -28,6 +29,18 @@ var chainBattery = []string{
 	"//b//a//c",
 }
 
+// deepBattery repeats labels and mixes axes, so that many ancestors can
+// serve a step: the chains an upward check that backtracks blows up on,
+// run over deep trees of two or three labels.
+var deepBattery = []string{
+	"//a//a//b",
+	"/a/a//b/a",
+	"//a/b//a/b",
+	"//a//b//a//b//a//b",
+	"//b/a/a//b/a",
+	"/a//a/a//c//a",
+}
+
 func sameNodes(a, b []tree.NodeID) bool {
 	if len(a) != len(b) {
 		return false
@@ -41,34 +54,123 @@ func sameNodes(a, b []tree.NodeID) bool {
 }
 
 // TestHybridAgainstStepwise: the hybrid strategy computes the same node
-// sets as the oracle on random documents for every chain query.
+// sets as the oracle on random documents for every chain query — bushy
+// ones over three labels, and deep ones (nesting up to 48) over two or
+// three, where chains with repeated labels find many ancestors to match.
 func TestHybridAgainstStepwise(t *testing.T) {
-	paths := make([]*xpath.Path, len(chainBattery))
-	for i, q := range chainBattery {
-		paths[i] = xpath.MustParse(q)
-	}
-	f := func(seed int64) bool {
-		d := tgen.Random(seed, tgen.Config{
-			Labels:   []string{"a", "b", "c"},
-			MaxNodes: 150,
-		})
+	check := func(seed int64, d *tree.Document, queries []string) bool {
 		ix := index.New(d)
-		for qi, p := range paths {
+		for _, q := range queries {
+			p := xpath.MustParse(q)
 			want := stepwise.Eval(d, p, stepwise.Default()).Selected
 			got, err := hybrid.Eval(d, ix, p)
 			if err != nil {
-				t.Logf("%q: %v", chainBattery[qi], err)
+				t.Logf("%q: %v", q, err)
 				return false
 			}
 			if !sameNodes(got.Selected, want) {
-				t.Logf("seed=%d %q: got %v want %v", seed, chainBattery[qi], got.Selected, want)
+				t.Logf("seed=%d %q: got %v want %v", seed, q, got.Selected, want)
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
+	bushy := func(seed int64) bool {
+		return check(seed, tgen.Random(seed, tgen.Config{
+			Labels:   []string{"a", "b", "c"},
+			MaxNodes: 150,
+		}), chainBattery)
+	}
+	deepest := 0
+	deep := func(seed int64) bool {
+		labels := []string{"a", "b"}
+		if seed%2 == 0 {
+			labels = append(labels, "c")
+		}
+		d := tgen.Random(seed, tgen.Config{
+			Labels:      labels,
+			MaxNodes:    400,
+			MaxChildren: 2,
+			MaxDepth:    48,
+		})
+		for v := tree.NodeID(1); int(v) < d.NumNodes(); v++ {
+			depth := 0
+			for a := v; a != d.Root(); a = d.Parent(a) {
+				depth++
+			}
+			deepest = max(deepest, depth)
+		}
+		return check(seed, d, append(deepBattery, chainBattery...))
+	}
+	for _, f := range []func(int64) bool{bushy, deep} {
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Error(err)
+		}
+	}
+	if deepest < 40 {
+		t.Errorf("the deepest generated document nests %d levels, want at least 40", deepest)
+	}
+}
+
+// TestHybridUpwardCheckIsOnePass: on <r><c/><c/> then d nested <a>
+// around a <b/>, //c//a//a//a//a//a//b selects nothing, and an upward
+// check that backtracks tries every way of placing the five a steps on
+// the d ancestors before it finds that out (six million visits at
+// d = 40). One walk up the path visits each ancestor once.
+func TestHybridUpwardCheckIsOnePass(t *testing.T) {
+	const depth = 250
+	b := tree.NewBuilder()
+	b.Open("r")
+	for i := 0; i < 2; i++ {
+		b.Open("c")
+		b.Close()
+	}
+	for i := 0; i < depth; i++ {
+		b.Open("a")
+	}
+	b.Open("b")
+	b.Close()
+	for i := 0; i < depth; i++ {
+		b.Close()
+	}
+	b.Close()
+	d := b.MustFinish()
+	ix := index.New(d)
+	for _, tc := range []struct {
+		query    string
+		selected int
+	}{
+		{"//c//a//a//a//a//a//b", 0},
+		{"//r//a//a//a//a//a//b", 1},
+		{"/r/a/a//a//a/a//b", 1},
+	} {
+		res, err := hybrid.EvalString(d, ix, tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Selected) != tc.selected || res.Visited > depth+10 {
+			t.Errorf("%s: selected %d visiting %d nodes, want %d visiting at most %d", tc.query, len(res.Selected), res.Visited, tc.selected, depth+10)
+		}
+	}
+}
+
+// TestHybridRefusesLongChains: the upward check keeps a bit per step,
+// so a chain has at most 64.
+func TestHybridRefusesLongChains(t *testing.T) {
+	d := tgen.Chain("a", 70)
+	ix := index.New(d)
+	for _, tc := range []struct {
+		steps int
+		ok    bool
+	}{{64, true}, {65, false}} {
+		q := strings.Repeat("/a", tc.steps)
+		res, err := hybrid.EvalString(d, ix, q)
+		if tc.ok && (err != nil || len(res.Selected) != 1) {
+			t.Errorf("%d steps: %v selected, error %v, want the 64th a", tc.steps, res.Selected, err)
+		}
+		if !tc.ok && !errors.Is(err, hybrid.ErrUnsupported) {
+			t.Errorf("%d steps: error %v, want ErrUnsupported", tc.steps, err)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package lockhold encodes the lock discipline of the serving path:
-// the mutexes guarding store chains, the service's selector table, the
-// compiled query cache and service metrics are all short-hold spinners
-// on the hot path, so nothing slow or re-entrant may happen under one. While
+// the mutexes guarding store chains, the compiled query cache, the
+// context pool and service metrics are all short-hold spinners on the
+// hot path, so nothing slow or re-entrant may happen under one. While
 // such a mutex is held the analyzer forbids
 //
 //   - channel operations (send, receive, select, range-over-channel)
@@ -17,8 +17,9 @@
 // The walk is a path-sensitive abstract interpretation of each
 // function body: branches fork the held-set, a deferred Unlock keeps
 // the lock held to function end (by design — code after it is still
-// under the lock), and lowercase lock()/unlock() wrappers (the service's
-// lock-wait accounting) count as acquire/release of their receiver.
+// under the lock), and lowercase lock()/unlock() wrappers (a type that
+// accounts its own lock waits) count as acquire/release of their
+// receiver.
 package lockhold
 
 import (

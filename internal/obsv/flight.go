@@ -44,9 +44,9 @@ type Record struct {
 	Work
 	QCacheHit  bool `json:"qcache_hit"`
 	CtxPoolHit bool `json:"ctx_pool_hit"`
-	// AutoReason is why the Auto selector routed the query to Strategy
-	// (cold-heuristic, probe, explore, min EWMA latency, short-circuit);
-	// empty for forced strategies.
+	// AutoReason is why Auto routed the query to Strategy (label-chain,
+	// tdsta-fragment, asta, outside-automata); empty for forced
+	// strategies.
 	AutoReason string `json:"auto_reason,omitempty"`
 	Streamed   bool   `json:"streamed,omitempty"`
 	Slow       bool   `json:"slow,omitempty"`

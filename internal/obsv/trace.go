@@ -32,10 +32,10 @@ import (
 // explain output stable for tools.
 const (
 	SpanQuery   = "query"   // whole request, root span
-	SpanEngine  = "engine"  // generation pin, document-selector lookup, engine binding
+	SpanEngine  = "engine"  // generation pin, engine binding
 	SpanCursor  = "cursor"  // continuation-token decode + validation
 	SpanParse   = "parse"   // XPath text -> AST
-	SpanSelect  = "select"  // Auto strategy selection (chain-count probe)
+	SpanSelect  = "select"  // Auto's route (the query's fragment)
 	SpanCompile = "compile" // qcache lookup / automaton compilation
 	SpanRun     = "run"     // automaton / baseline evaluation proper
 	SpanSeek    = "seek"    // SeekPast to the resume position
@@ -51,7 +51,7 @@ const maxSpans = 16
 // span is one recorded phase. start is relative to the trace origin.
 // detail is an optional annotation (Annotate): run spans carry the
 // strategy that ran and whether it succeeded, the select span carries
-// the Auto decision.
+// Auto's route.
 type span struct {
 	name   string
 	detail string
@@ -92,10 +92,10 @@ type Counters struct {
 	// CtxPoolHit: the evaluation ran in a warm pooled context.
 	QCacheHit  bool `json:"qcache_hit"`
 	CtxPoolHit bool `json:"ctx_pool_hit"`
-	// AutoShape/AutoReason attribute an Auto-routed query to the
-	// selector's canonical query shape and the reason its strategy won
-	// (cold-heuristic, probe, explore, min EWMA latency, ...). Empty for
-	// forced strategies.
+	// AutoShape/AutoReason attribute an Auto-routed query: its
+	// canonical shape and why it took its route (label-chain,
+	// tdsta-fragment, asta, outside-automata). Empty for forced
+	// strategies.
 	AutoShape  string `json:"auto_shape,omitempty"`
 	AutoReason string `json:"auto_reason,omitempty"`
 }
@@ -202,8 +202,8 @@ func (tr *Trace) End(id int8) {
 type Span struct {
 	Name string `json:"name"`
 	// Detail disambiguates same-named spans: run spans carry
-	// "strategy=<name> outcome=ok|failed", the select span carries the
-	// Auto decision with its candidate estimates.
+	// "strategy=<name> outcome=ok|failed", the select span carries
+	// Auto's shape, route and reason.
 	Detail   string `json:"detail,omitempty"`
 	StartUS  int64  `json:"start_us"`
 	DurUS    int64  `json:"dur_us"`

@@ -70,8 +70,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 	// A 10-query batch with repeats, so the LRU sees the same compiled
 	// automata again. Strategy is forced: this test pins the LRU, and
-	// adaptive Auto's probing would legitimately route repeats to
-	// engines that compile nothing (hybrid), starving the cache.
+	// Auto routes the chains among the queries to hybrid, which
+	// compiles nothing.
 	qs := xmark.Queries()
 	var batch BatchRequest
 	for i := 0; i < 10; i++ {

@@ -135,9 +135,8 @@ var noTwin = map[string]string{
 	"Queries.Streaming.Streams": "completed + aborted, both exported",
 	"Queries.Streaming.Aborted": "sum of xpqd_streams_aborted_total over the cause label",
 	"Queries.Latency.LEMicros":  "the bin's bound: the le label renders the same latencyBuckets",
-	"Auto.TopShapes":            "per-shape detail: a shape label would be unbounded",
 	"Documents":                 "per-document detail: xpqd_documents and xpqd_doc_bytes carry the totals",
-	"Shards":                    "cmd/xpqbench's copy of DocBytes, LockWaitTotalNS and LockAcquires",
+	"Shards":                    "cmd/xpqbench's copy of DocBytes, and lock fields that are always 0",
 }
 
 // TestStatsFieldsHavePrometheusTwin perturbs every exported numeric
@@ -234,16 +233,15 @@ func TestStatsFieldsHavePrometheusTwin(t *testing.T) {
 			t.Errorf("noTwin lists %s, which is not a /stats field", path)
 		}
 	}
-	if leaves < 70 {
-		t.Errorf("walked %d numeric fields, want the whole of Stats (over 70): reflection walk regressed?", leaves)
+	if leaves < 55 {
+		t.Errorf("walked %d numeric fields, want the whole of Stats (over 55): reflection walk regressed?", leaves)
 	}
 }
 
 // TestCountersNeverDecrease scrapes /metrics after each step of a
 // document's life — queries, a PATCH that retires a generation, an
 // evict and reload — and requires every counter series to still be
-// there and to be at least what it was. The pool and selector counters
-// live in engines that are dropped at every one of those steps.
+// there and to be at least what it was.
 func TestCountersNeverDecrease(t *testing.T) {
 	s := newTestService(t, Options{})
 	prev := map[string]float64{}
@@ -291,8 +289,8 @@ func TestCountersNeverDecrease(t *testing.T) {
 	scrape("start")
 	queries()
 	scrape("queries")
-	if st := s.Stats(); st.Pool.Hits == 0 || st.Auto.Decisions == 0 {
-		t.Fatalf("traffic left pool hits %d, auto decisions %d: nothing to lose", st.Pool.Hits, st.Auto.Decisions)
+	if st := s.Stats(); st.Pool.Hits == 0 {
+		t.Fatalf("traffic left pool hits %d: nothing to lose", st.Pool.Hits)
 	}
 	for i := 0; s.Stats().MVCC.Retired == 0; i++ {
 		if i == 8 {

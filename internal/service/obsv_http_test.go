@@ -204,19 +204,8 @@ var promFamilies = map[string]string{
 	"xpqd_ctx_pool_drops_total":             "counter",
 	"xpqd_ctx_pool_resident":                "gauge",
 	"xpqd_ctx_pool_arena_bytes":             "gauge",
-	"xpqd_engines":                          "gauge",
 	"xpqd_doc_bytes":                        "gauge",
 	"xpqd_resident_bytes":                   "gauge",
-	"xpqd_lock_wait_seconds_total":          "counter",
-	"xpqd_lock_wait_max_seconds":            "gauge",
-	"xpqd_lock_acquires_total":              "counter",
-	"xpqd_auto_shapes":                      "gauge",
-	"xpqd_auto_decisions_total":             "counter",
-	"xpqd_auto_explorations_total":          "counter",
-	"xpqd_auto_short_circuits_total":        "counter",
-	"xpqd_auto_observations_total":          "counter",
-	"xpqd_auto_wins_total":                  "counter",
-	"xpqd_auto_estimate_error_pct":          "gauge",
 	"xpqd_mvcc_generations_live":            "gauge",
 	"xpqd_mvcc_generations_pinned":          "gauge",
 	"xpqd_mvcc_patches_total":               "counter",

@@ -25,7 +25,7 @@ import (
 func TestPoolSafetyHammer(t *testing.T) {
 	const id = "hot"
 	// The optimized ASTA path is the pooled one; force it explicitly so
-	// Auto's hybrid shortcut can't bypass the pool.
+	// Auto's route to hybrid for chains can't bypass the pool.
 	const strat = "optimized"
 	queries := []string{"//keyword", "//listitem//keyword", "/site//keyword"}
 	seeds := []int64{1, 2}

@@ -21,7 +21,7 @@ import (
 // The contract tests beside the promFamilies golden hold the two
 // together (DESIGN.md "Observability").
 //
-// Exact sums (latency, first-byte, chunk-write, lock-wait) back every
+// Exact sums (latency, first-byte, chunk-write) back every
 // mean /stats reports, and durations are seconds per Prometheus
 // convention (the JSON API keeps its microseconds).
 
@@ -88,17 +88,6 @@ var families = []family{
 	{name: "xpqd_ctx_pool_resident", typ: gauge, help: "Contexts currently parked in the pool.", stat: func(st *Stats) float64 { return float64(st.Pool.Resident) }},
 	{name: "xpqd_ctx_pool_arena_bytes", typ: gauge, help: "Scratch bytes kept warm by pooled contexts.", stat: func(st *Stats) float64 { return float64(st.Pool.ArenaBytes) }},
 
-	// Observed-latency Auto selector. Wins carry a strategy label; the
-	// gauges summarize model quality (estimate error) and behavior
-	// (exploration is derivable as explorations/decisions).
-	{name: "xpqd_auto_shapes", typ: gauge, help: "Query shapes tracked by the Auto selector.", stat: func(st *Stats) float64 { return float64(st.Auto.Shapes) }},
-	{name: "xpqd_auto_decisions_total", typ: counter, help: "Auto routing decisions.", stat: func(st *Stats) float64 { return float64(st.Auto.Decisions) }},
-	{name: "xpqd_auto_explorations_total", typ: counter, help: "Auto decisions spent re-measuring a non-best candidate.", stat: func(st *Stats) float64 { return float64(st.Auto.Explorations) }},
-	{name: "xpqd_auto_short_circuits_total", typ: counter, help: "Chain queries answered empty from the index (absent label), no engine run.", stat: func(st *Stats) float64 { return float64(st.Auto.ShortCircuits) }},
-	{name: "xpqd_auto_observations_total", typ: counter, help: "Completed evaluations fed back into the selector.", stat: func(st *Stats) float64 { return float64(st.Auto.Observations) }},
-	{name: "xpqd_auto_wins_total", typ: counter, help: "Auto decisions by winning strategy.", label: "strategy", byLabel: func(st *Stats) map[string]uint64 { return st.Auto.WinsByStrategy }},
-	{name: "xpqd_auto_estimate_error_pct", typ: gauge, help: "Mean |observed-estimated|/observed latency error of the selector's EWMA model, percent.", stat: func(st *Stats) float64 { return st.Auto.EstimateErrorPct }},
-
 	// MVCC generation chains.
 	{name: "xpqd_mvcc_generations_live", typ: gauge, help: "Readable document generations resident.", stat: func(st *Stats) float64 { return float64(st.MVCC.LiveGenerations) }},
 	{name: "xpqd_mvcc_generations_pinned", typ: gauge, help: "Superseded generations kept alive by cursor leases or by queries still running on them (the latest is never counted).", stat: func(st *Stats) float64 { return float64(st.MVCC.PinnedGenerations) }},
@@ -110,14 +99,10 @@ var families = []family{
 	{name: "xpqd_store_mapped_charged_bytes", typ: gauge, help: "Mapped bytes counted hot against the resident budget.", stat: func(st *Stats) float64 { return float64(st.Mapped.ChargedBytes) }},
 	{name: "xpqd_store_map_faults_total", typ: counter, help: "Accesses that re-heated a budget-released mapping.", stat: func(st *Stats) float64 { return float64(st.Mapped.MapFaults) }},
 
-	// Residency and contention.
+	// Residency.
 	{name: "xpqd_documents", typ: gauge, help: "Documents resident.", stat: func(st *Stats) float64 { return float64(len(st.Documents)) }},
-	{name: "xpqd_engines", typ: gauge, help: "Documents with a live Auto selector.", stat: func(st *Stats) float64 { return float64(st.Engines) }},
 	{name: "xpqd_doc_bytes", typ: gauge, help: "Resident bytes of documents plus jumping indexes.", stat: func(st *Stats) float64 { return float64(st.DocBytes) }},
 	{name: "xpqd_resident_bytes", typ: gauge, help: "Documents, indexes and cached automata resident.", stat: func(st *Stats) float64 { return float64(st.ResidentBytes) }},
-	{name: "xpqd_lock_wait_seconds_total", typ: counter, help: "Summed wait for the engine-table lock.", stat: func(st *Stats) float64 { return float64(st.LockWaitTotalNS) / 1e9 }},
-	{name: "xpqd_lock_wait_max_seconds", typ: gauge, help: "Worst single wait for the engine-table lock.", stat: func(st *Stats) float64 { return float64(st.LockWaitMaxNS) / 1e9 }},
-	{name: "xpqd_lock_acquires_total", typ: counter, help: "Engine-table lock acquisitions.", stat: func(st *Stats) float64 { return float64(st.LockAcquires) }},
 	{name: "xpqd_heap_alloc_objects_total", typ: counter, help: "Heap objects allocated process-wide since the service started.", stat: func(st *Stats) float64 { return float64(st.HeapAllocObjects) }},
 
 	// Flight recorder lifetime counters (ring residency is bounded, so

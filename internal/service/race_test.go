@@ -78,12 +78,12 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 				docID := stable[(g+i)%len(stable)]
 				q := queries[(g*7+i)%len(queries)]
 				switch i % 4 {
-				case 0: // single query through the adaptive Auto selector
+				case 0: // single query through Auto
 					check(s.Eval(Request{Doc: docID, Query: q}))
-				case 1: // single query, forced engine (the adaptive
-					// selector may settle on hybrid, which compiles no
-					// automaton — the cache-hit assertion below needs
-					// traffic that deterministically uses the LRU)
+				case 1: // single query, forced engine (Auto routes chains
+					// to hybrid, which compiles no automaton — the
+					// cache-hit assertion below needs traffic that uses
+					// the LRU)
 					check(s.Eval(Request{Doc: docID, Query: q, Strategy: "optimized"}))
 				case 2: // batch across stable docs
 					reqs := make([]Request, 0, len(stable))

@@ -1,7 +1,7 @@
 // Package service is the long-lived query-serving layer over the
-// engine: one document store, one compiled-query LRU, one context pool,
-// one table of per-document Auto selectors and one set of metrics,
-// shared by every request. It is the amortization layer the paper's
+// engine: one document store, one compiled-query LRU, one context pool
+// and one set of metrics, shared by every request. It is the
+// amortization layer the paper's
 // whole-query optimization assumes — compile once, evaluate many times
 // — extended across many resident documents and concurrent clients.
 package service
@@ -13,7 +13,6 @@ import (
 	"log/slog"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -72,26 +71,6 @@ type Service struct {
 	cache *qcache.Cache
 	pool  *core.Pool
 
-	// engines holds what is kept per resident document, the Auto
-	// selector, by document id and for one load incarnation
-	// (store.Handle.Epoch): it survives every patch and starts over when
-	// the id is evicted and loaded again. An entry references no
-	// document, so one left behind by an eviction that bypassed EvictDoc
-	// pins nothing.
-	mu      sync.Mutex
-	engines map[string]docEngine
-	// retiredAuto holds the counters of selectors dropped from the table
-	// (dropEngine), so no counter derived from them ever decreases. It
-	// starts with the selector's config, which a service without
-	// documents reports from it.
-	retiredAuto core.SelectorStats
-
-	// Lock-wait accounting for mu: how long engine lookups queued behind
-	// other requests, surfaced in /stats.
-	lockWaitNS    atomic.Int64
-	lockWaitMaxNS atomic.Int64
-	lockAcquires  atomic.Uint64
-
 	metrics   metrics
 	workers   int
 	flight    *obsv.Flight
@@ -109,13 +88,6 @@ type Service struct {
 func heapAllocObjects() uint64 {
 	n, _ := runtimeUint64("/gc/heap/allocs:objects")
 	return n
-}
-
-// docEngine is the per-document part of an engine; the rest belongs to
-// the service or to the generation queried.
-type docEngine struct {
-	epoch uint64
-	auto  *core.Selector
 }
 
 // New builds a service around a (possibly pre-populated) store.
@@ -137,17 +109,15 @@ func New(ss *shard.Store, opts Options) *Service {
 		size = DefaultCacheSize
 	}
 	return &Service{
-		store:       ss.Store,
-		cache:       qcache.New(size),
-		pool:        new(core.Pool),
-		engines:     make(map[string]docEngine),
-		retiredAuto: core.SelectorStats{Adaptive: core.DefaultAutoConfig().Adaptive},
-		workers:     workers,
-		flight:      obsv.NewFlight(obsv.DefaultFlightRecords, opts.SlowQuery),
-		logger:      logger,
-		started:     time.Now(),
-		cursorTTL:   ttl,
-		allocs0:     heapAllocObjects(),
+		store:     ss.Store,
+		cache:     qcache.New(size),
+		pool:      new(core.Pool),
+		workers:   workers,
+		flight:    obsv.NewFlight(obsv.DefaultFlightRecords, opts.SlowQuery),
+		logger:    logger,
+		started:   time.Now(),
+		cursorTTL: ttl,
+		allocs0:   heapAllocObjects(),
 	}
 }
 
@@ -159,58 +129,18 @@ func (s *Service) Store() *store.Store { return s.store }
 // data source).
 func (s *Service) Flight() *obsv.Flight { return s.flight }
 
-// lock acquires the engine-table mutex, accounting the wait.
-func (s *Service) lock() {
-	start := time.Now()
-	s.mu.Lock()
-	w := time.Since(start).Nanoseconds()
-	s.lockAcquires.Add(1)
-	s.lockWaitNS.Add(w)
-	for {
-		cur := s.lockWaitMaxNS.Load()
-		if w <= cur || s.lockWaitMaxNS.CompareAndSwap(cur, w) {
-			return
-		}
-	}
-}
-
 // engine returns an engine over one generation of a resident document:
-// the handle's tree and index bound to the service's cache and pool and
-// to the document's selector, which is created at the first query of a
-// load incarnation. (A reader that outlived its document's eviction and
-// reload uses the reload's selector; its one observation is noise.)
+// the handle's tree and index bound to the service's cache and pool.
 func (s *Service) engine(h *store.Handle) *core.Engine {
-	s.lock()
-	ent, ok := s.engines[h.ID]
-	if !ok || ent.epoch < h.Epoch {
-		s.dropEngine(h.ID)
-		ent = docEngine{epoch: h.Epoch, auto: core.NewSelector(core.DefaultAutoConfig())}
-		s.engines[h.ID] = ent
-	}
-	s.mu.Unlock()
-	return core.NewShared(h.Doc, h.Index, s.cache, s.pool, ent.auto)
+	return core.NewShared(h.Doc, h.Index, s.cache, s.pool)
 }
 
-// dropEngine removes a document's selector from the table, first
-// folding its counters into the retired totals. The caller holds s.mu.
-func (s *Service) dropEngine(docID string) {
-	if ent, ok := s.engines[docID]; ok {
-		ent.auto.Stats().Counters().AddTo(&s.retiredAuto)
-		delete(s.engines, docID)
-	}
-}
-
-// EvictDoc removes a document from the store, and its selector with it.
-// Nothing else is swept: its automata and their warm contexts are keyed
-// by its label table, which no later document can share, so they go
-// cold and leave by the LRU. It reports whether the document was
-// resident.
+// EvictDoc removes a document from the store. Nothing else is swept: its
+// automata and their warm contexts are keyed by its label table, which
+// no later document can share, so they go cold and leave by the LRU. It
+// reports whether the document was resident.
 func (s *Service) EvictDoc(docID string) bool {
-	ok := s.store.Evict(docID)
-	s.lock()
-	s.dropEngine(docID)
-	s.mu.Unlock()
-	return ok
+	return s.store.Evict(docID)
 }
 
 // PatchDocRequest is one subtree mutation of a resident document (the
@@ -656,30 +586,22 @@ type Stats struct {
 	Documents []store.Stats `json:"documents"`
 	// DocBytes estimates the resident bytes of the documents plus their
 	// jumping indexes; ResidentBytes adds the compiled-query cache.
-	DocBytes      int64 `json:"doc_bytes"`
-	ResidentBytes int64 `json:"resident_bytes"`
-	// Engines counts the documents with a live Auto selector.
-	Engines      int          `json:"engines"`
-	Cache        qcache.Stats `json:"cache"`
-	CacheHitRate float64      `json:"cache_hit_rate"`
-	// Lock-wait tells how long requests queued for the engine table. The
-	// total is the exact sum behind the mean (the Prometheus exporter
-	// needs it).
-	LockWaitTotalNS int64      `json:"lock_wait_total_ns"`
-	LockWaitMeanNS  int64      `json:"lock_wait_mean_ns"`
-	LockWaitMaxNS   int64      `json:"lock_wait_max_ns"`
-	LockAcquires    uint64     `json:"lock_acquires"`
-	Queries         QueryStats `json:"queries"`
+	DocBytes      int64        `json:"doc_bytes"`
+	ResidentBytes int64        `json:"resident_bytes"`
+	Cache         qcache.Stats `json:"cache"`
+	CacheHitRate  float64      `json:"cache_hit_rate"`
+	Queries       QueryStats   `json:"queries"`
 	// Pool is the evaluation-context pool: hit rate is the fraction of
 	// queries served by a warm, allocation-free context, ArenaBytes the
 	// scratch memory the parked contexts keep resident.
 	Pool        core.PoolStats `json:"ctx_pool"`
 	PoolHitRate float64        `json:"ctx_pool_hit_rate"`
-	// Auto aggregates the observed-latency Auto selectors of the
-	// documents: shapes tracked, wins per strategy, exploration rate,
-	// estimate error, and the most-decided shapes with their
-	// per-candidate estimates and winner reasons.
-	Auto core.SelectorStats `json:"auto"`
+	// Auto is what cmd/xpqbench reads from when Auto re-measured engines
+	// at run time. It routes by the query alone now and explores
+	// nothing, so the rate is 0.
+	Auto struct {
+		ExplorationRate float64 `json:"exploration_rate"`
+	} `json:"auto"`
 	// MVCC reports the generation chains: live and pinned generations,
 	// patches applied, generations retired. Taking the snapshot sweeps
 	// expired cursor leases, so stats/metrics scraping doubles as the
@@ -697,7 +619,8 @@ type Stats struct {
 	HeapAllocObjects uint64  `json:"heap_alloc_objects"`
 	AllocsPerQuery   float64 `json:"allocs_per_query_estimate"`
 	// Shards is the store as cmd/xpqbench reads it, from when it was
-	// partitioned: one entry, repeating three of the numbers above.
+	// partitioned and requests took an engine-table lock: one entry,
+	// repeating DocBytes, and lock fields that are 0 — nothing waits.
 	Shards [1]struct {
 		DocBytes        int64  `json:"doc_bytes"`
 		LockWaitTotalNS int64  `json:"lock_wait_total_ns"`
@@ -705,22 +628,15 @@ type Stats struct {
 	} `json:"shards"`
 }
 
-// selectorStats is indirect so a test can park a snapshot inside a
-// selector and show that requests do not wait for it.
-var selectorStats = (*core.Selector).Stats
-
-// Stats snapshots the store, cache, pool, selectors and query counters.
+// Stats snapshots the store, cache, pool and query counters.
 func (s *Service) Stats() Stats {
 	out := Stats{
-		Documents:       s.store.List(),
-		Cache:           s.cache.Stats(),
-		LockWaitTotalNS: s.lockWaitNS.Load(),
-		LockWaitMaxNS:   s.lockWaitMaxNS.Load(),
-		LockAcquires:    s.lockAcquires.Load(),
-		Queries:         s.metrics.snapshot(),
-		Pool:            s.pool.Stats(),
-		MVCC:            s.store.MVCC(),
-		Mapped:          s.store.Mapped(),
+		Documents: s.store.List(),
+		Cache:     s.cache.Stats(),
+		Queries:   s.metrics.snapshot(),
+		Pool:      s.pool.Stats(),
+		MVCC:      s.store.MVCC(),
+		Mapped:    s.store.Mapped(),
 	}
 	for _, d := range out.Documents {
 		out.DocBytes += d.MemBytes
@@ -728,30 +644,12 @@ func (s *Service) Stats() Stats {
 	out.ResidentBytes = out.DocBytes + out.Cache.SizeBytes
 	out.CacheHitRate = out.Cache.HitRate()
 	out.PoolHitRate = out.Pool.HitRate()
-	if out.LockAcquires > 0 {
-		out.LockWaitMeanNS = out.LockWaitTotalNS / int64(out.LockAcquires)
-	}
-	// Every request takes s.mu, so it is held only to copy pointers; the
-	// snapshots (a lock and an allocation per shape) come after.
-	s.lock()
-	s.retiredAuto.AddTo(&out.Auto)
-	autos := make([]*core.Selector, 0, len(s.engines))
-	for _, ent := range s.engines {
-		autos = append(autos, ent.auto)
-	}
-	s.mu.Unlock()
-	out.Engines = len(autos)
-	for _, auto := range autos {
-		selectorStats(auto).AddTo(&out.Auto)
-	}
-	out.Auto.Finalize()
 	if now := heapAllocObjects(); now > s.allocs0 {
 		out.HeapAllocObjects = now - s.allocs0
 		if out.Queries.Total > 0 {
 			out.AllocsPerQuery = float64(out.HeapAllocObjects) / float64(out.Queries.Total)
 		}
 	}
-	sh := &out.Shards[0]
-	sh.DocBytes, sh.LockWaitTotalNS, sh.LockAcquires = out.DocBytes, out.LockWaitTotalNS, out.LockAcquires
+	out.Shards[0].DocBytes = out.DocBytes
 	return out
 }

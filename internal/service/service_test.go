@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/shard"
@@ -115,9 +114,6 @@ func TestEvictedDocAutomataLeaveByLRU(t *testing.T) {
 	if s.EvictDoc("d1") {
 		t.Error("double evict = true")
 	}
-	if got := s.Stats().Engines; got != 0 {
-		t.Errorf("engines after evict = %d, want 0 (the document's selector goes with it)", got)
-	}
 
 	// The same id, reloaded, compiles its queries afresh and pushes the
 	// dead table's entries out.
@@ -170,8 +166,7 @@ func TestReloadedDocGetsFreshCacheNamespace(t *testing.T) {
 func TestStoreBypassReloadRebuildsEngine(t *testing.T) {
 	// Evict/reload done directly on the exposed Store() (bypassing
 	// Service.EvictDoc) must not leave anything serving the old tree: an
-	// engine is built from the handle of every request, and the selector
-	// kept per document is revalidated against the handle's load epoch.
+	// engine is built from the handle of every request.
 	s := New(shard.NewStore(1), Options{})
 	if _, err := s.Store().LoadXML("d", []byte("<r><a><b/></a></r>")); err != nil {
 		t.Fatal(err)
@@ -268,92 +263,29 @@ func TestStatsHistogramAndStrategies(t *testing.T) {
 
 func TestStatsSelectorTable(t *testing.T) {
 	s := newTestService(t, Options{})
-	// Warm one multi-candidate shape so the table has a learned entry.
-	for i := 0; i < 6; i++ {
-		if resp := s.Eval(Request{Doc: "d1", Query: "//a/b"}); resp.Err != "" {
+	// Auto's route and its reason reach the response, the explain
+	// profile and the flight recorder; /stats keeps only the zero
+	// exploration rate cmd/xpqbench reads.
+	for _, tc := range []struct{ query, strategy, reason string }{
+		{"//a/b", "hybrid", core.ReasonChain},
+		{"/r/nosuch/x", "hybrid", core.ReasonChain},
+		{"/r/*/b", "topdown-det", core.ReasonTDSTA},
+		{"//a[b]", "optimized", core.ReasonASTA},
+		{"//b/parent::a", "stepwise", core.ReasonOutside},
+	} {
+		resp := s.Eval(Request{Doc: "d1", Query: tc.query, Explain: true})
+		if resp.Err != "" {
 			t.Fatal(resp.Err)
 		}
-	}
-	// An absent chain label short-circuits without running any engine;
-	// /stats must report it as its own outcome, and explain + the flight
-	// recorder must carry the selector's attribution.
-	resp := s.Eval(Request{Doc: "d1", Query: "/r/nosuch/x", Explain: true})
-	if resp.Err != "" {
-		t.Fatal(resp.Err)
-	}
-	if resp.Count != 0 {
-		t.Errorf("absent label count = %d, want 0", resp.Count)
-	}
-	if resp.Strategy != "empty-chain" {
-		t.Errorf("strategy = %q, want empty-chain", resp.Strategy)
-	}
-	if resp.Explain == nil {
-		t.Fatal("no explain profile")
-	}
-	if got := resp.Explain.Counters.AutoReason; got != "absent-chain-label" {
-		t.Errorf("explain auto_reason = %q, want absent-chain-label", got)
-	}
-	if got := resp.Explain.Counters.AutoShape; got == "" {
-		t.Error("explain auto_shape is empty")
-	}
-
-	st := s.Stats()
-	if !st.Auto.Adaptive {
-		t.Error("default service must run the adaptive selector")
-	}
-	if st.Auto.Shapes < 2 || st.Auto.Decisions < 7 {
-		t.Errorf("selector table: shapes=%d decisions=%d, want >=2/>=7",
-			st.Auto.Shapes, st.Auto.Decisions)
-	}
-	if st.Auto.ShortCircuits != 1 {
-		t.Errorf("short circuits = %d, want 1", st.Auto.ShortCircuits)
-	}
-	if st.Auto.Observations == 0 {
-		t.Error("no feedback observations flowed to /stats")
-	}
-	var warm, absent *core.AutoShape
-	for i := range st.Auto.TopShapes {
-		sh := &st.Auto.TopShapes[i]
-		switch sh.Shape {
-		case "/descendant::a/child::b":
-			warm = sh
-		case "/child::r/child::nosuch/child::x":
-			absent = sh
+		if resp.Strategy != tc.strategy || resp.Explain == nil || resp.Explain.Counters.AutoReason != tc.reason || resp.Explain.Counters.AutoShape == "" {
+			t.Errorf("%s: strategy %q, explain %+v, want %s for reason %s with a shape", tc.query, resp.Strategy, resp.Explain, tc.strategy, tc.reason)
+		}
+		if rec := s.Flight().Snapshot(1, false).Records[0]; rec.Query != tc.query || rec.AutoReason != tc.reason {
+			t.Errorf("%s: flight record %q with reason %q, want reason %q", tc.query, rec.Query, rec.AutoReason, tc.reason)
 		}
 	}
-	if warm == nil {
-		t.Fatalf("warm shape missing from top_shapes: %+v", st.Auto.TopShapes)
-	}
-	// Per-shape winner + reason: the acceptance criterion.
-	if warm.LastStrategy == "" || warm.LastReason == "" {
-		t.Errorf("warm shape lacks winner/reason: %+v", warm)
-	}
-	if len(warm.Candidates) == 0 || warm.Candidates[0].Observations == 0 {
-		t.Errorf("warm shape has no measured candidates: %+v", warm.Candidates)
-	}
-	if absent == nil {
-		t.Fatalf("absent shape missing from top_shapes: %+v", st.Auto.TopShapes)
-	}
-	if absent.LastStrategy != "empty-chain" || absent.LastReason != "absent-chain-label" {
-		t.Errorf("absent shape = %s/%s, want empty-chain/absent-chain-label",
-			absent.LastStrategy, absent.LastReason)
-	}
-	if st.Auto.WinsByStrategy["empty-chain"] != 1 {
-		t.Errorf("wins_by_strategy[empty-chain] = %d, want 1", st.Auto.WinsByStrategy["empty-chain"])
-	}
-	// The flight recorder attributes the short-circuit too.
-	recs := s.Flight().Snapshot(0, false).Records
-	found := false
-	for _, r := range recs {
-		if r.Query == "/r/nosuch/x" {
-			found = true
-			if r.AutoReason != "absent-chain-label" {
-				t.Errorf("flight auto_reason = %q, want absent-chain-label", r.AutoReason)
-			}
-		}
-	}
-	if !found {
-		t.Error("short-circuit query missing from flight recorder")
+	if st := s.Stats(); st.Auto.ExplorationRate != 0 {
+		t.Errorf("exploration rate %v, want 0", st.Auto.ExplorationRate)
 	}
 }
 
@@ -377,65 +309,29 @@ func TestOnePartitionServesEveryDocument(t *testing.T) {
 		}
 	}
 	st := svc.Stats()
-	if len(st.Documents) != 8 || st.Engines != 8 || st.Queries.Total != 8 {
-		t.Errorf("documents=%d engines=%d queries=%d, want 8/8/8", len(st.Documents), st.Engines, st.Queries.Total)
+	if len(st.Documents) != 8 || st.Queries.Total != 8 {
+		t.Errorf("documents=%d queries=%d, want 8/8", len(st.Documents), st.Queries.Total)
 	}
-	if st.DocBytes <= 0 || st.ResidentBytes < st.DocBytes || st.LockAcquires == 0 {
-		t.Errorf("doc_bytes=%d resident=%d lock acquisitions=%d", st.DocBytes, st.ResidentBytes, st.LockAcquires)
+	if st.DocBytes <= 0 || st.ResidentBytes < st.DocBytes {
+		t.Errorf("doc_bytes=%d resident=%d", st.DocBytes, st.ResidentBytes)
 	}
 	if st.Cache.Capacity != DefaultCacheSize {
 		t.Errorf("cache capacity = %d, want DefaultCacheSize %d", st.Cache.Capacity, DefaultCacheSize)
 	}
-	if sh := st.Shards[0]; sh.DocBytes != st.DocBytes || sh.LockWaitTotalNS != st.LockWaitTotalNS || sh.LockAcquires != st.LockAcquires {
-		t.Errorf("shards[0] = %+v, want the totals %d/%d/%d", sh, st.DocBytes, st.LockWaitTotalNS, st.LockAcquires)
+	if sh := st.Shards[0]; sh.DocBytes != st.DocBytes || sh.LockWaitTotalNS != 0 || sh.LockAcquires != 0 {
+		t.Errorf("shards[0] = %+v, want doc_bytes %d and no lock wait", sh, st.DocBytes)
 	}
 
 	if !svc.EvictDoc(ids[3]) {
 		t.Fatal("evict failed")
 	}
 	st = svc.Stats()
-	if len(st.Documents) != 7 || st.Engines != 7 {
-		t.Errorf("after evict: documents=%d engines=%d, want 7/7", len(st.Documents), st.Engines)
+	if len(st.Documents) != 7 {
+		t.Errorf("after evict: documents=%d, want 7", len(st.Documents))
 	}
 	for _, d := range st.Documents {
 		if d.ID == ids[3] {
 			t.Errorf("evicted %s still listed", d.ID)
 		}
-	}
-}
-
-// TestStatsDoesNotStallRequests: every request takes the engine-table
-// mutex to find its document's selector, so a /stats or /metrics scrape
-// may hold it only to copy pointers. With a snapshot parked inside a
-// selector — where a scrape spends its time: a lock and an allocation
-// per shape — a request still completes.
-func TestStatsDoesNotStallRequests(t *testing.T) {
-	s := newTestService(t, Options{})
-	if resp := s.Eval(Request{Doc: "d1", Query: "//a/b"}); resp.Err != "" {
-		t.Fatal(resp.Err)
-	}
-	snapshot := selectorStats
-	defer func() { selectorStats = snapshot }()
-	parked := 0
-	selectorStats = func(sel *core.Selector) core.SelectorStats {
-		parked++
-		done := make(chan Response, 1)
-		go func() { done <- s.Eval(Request{Doc: "d1", Query: "//a/b"}) }()
-		select {
-		case resp := <-done:
-			if resp.Err != "" {
-				t.Error(resp.Err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Error("a request waited for a stats snapshot parked inside a selector")
-		}
-		return snapshot(sel)
-	}
-	st := s.Stats()
-	if parked != 1 {
-		t.Fatalf("snapshot visited %d selectors, want d1's", parked)
-	}
-	if st.Auto.Decisions != 2 || st.Engines != 1 {
-		t.Errorf("snapshot lost the selector: decisions = %d (want 2), engines = %d (want 1)", st.Auto.Decisions, st.Engines)
 	}
 }

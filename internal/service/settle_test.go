@@ -20,16 +20,6 @@ import (
 //     else would show a lost one.
 //   - The guard counts cached automata found to be compiled for another
 //     label table than their key says.
-//   - Every Auto decision that does not short-circuit produces a cursor,
-//     whose Close is the selector's observation: the selector offers an
-//     engine only the shapes that engine's own fragment test accepts, so
-//     the engine it picks answers (a query whose automaton cannot be
-//     built is answered step-wise). Decisions - ShortCircuits -
-//     Observations is the number of Auto cursors still open, which the
-//     pool cannot see: hybrid and TDSTA cursors hold no pooled context.
-//     Only the live selectors are exact: one dropped by an eviction
-//     while its cursor was open is observed after its counters were
-//     folded into the retired totals.
 func poolUnsettled(s *Service) []string {
 	var out []string
 	ps := s.Stats().Pool
@@ -38,19 +28,6 @@ func poolUnsettled(s *Service) []string {
 	}
 	if ps.GuardTrips != 0 {
 		out = append(out, fmt.Sprintf("%d cached automata did not belong to the label table in their key: %+v", ps.GuardTrips, ps))
-	}
-	s.lock()
-	autos := make(map[string]*core.Selector, len(s.engines))
-	for id, ent := range s.engines {
-		autos[id] = ent.auto
-	}
-	s.mu.Unlock()
-	for id, sel := range autos {
-		a := sel.Stats()
-		if open := int64(a.Decisions) - int64(a.ShortCircuits) - int64(a.Observations); open != 0 {
-			out = append(out, fmt.Sprintf("document %q: %d Auto cursors never closed (%d decisions, %d short-circuited, %d observed)",
-				id, open, a.Decisions, a.ShortCircuits, a.Observations))
-		}
 	}
 	return out
 }
@@ -63,9 +40,9 @@ func assertPoolSettled(t *testing.T, s *Service) {
 	}
 }
 
-// TestPoolSettledBites proves the checks on deliberate leaks before
-// their silence is trusted: a pooled cursor and an Auto cursor left open
-// both show, and closing them settles the books.
+// TestPoolSettledBites proves the check on a deliberate leak before its
+// silence is trusted: a pooled cursor left open shows, and closing it
+// settles the books.
 func TestPoolSettledBites(t *testing.T) {
 	s := newTestService(t, Options{})
 	h, err := s.store.Acquire("d1", 0)
@@ -78,18 +55,10 @@ func TestPoolSettledBites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := eng.EvalCursor("//a/b", core.Auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	open := strings.Join(poolUnsettled(s), "\n")
-	for _, want := range []string{"checked out and never released", "1 Auto cursors never closed"} {
-		if !strings.Contains(open, want) {
-			t.Errorf("open cursors not reported as %q: %q", want, open)
-		}
+	if open := strings.Join(poolUnsettled(s), "\n"); !strings.Contains(open, "checked out and never released") {
+		t.Errorf("an open cursor not reported: %q", open)
 	}
 	pooled.Close()
-	auto.Close()
 	assertPoolSettled(t, s)
 }
 
@@ -103,10 +72,9 @@ func TestPoolSettledBites(t *testing.T) {
 // request's trace was settled, not dropped.
 func TestGuardTripsZeroOnErrorPaths(t *testing.T) {
 	s := newTestService(t, Options{})
-	// Only the ASTA engines evaluate in pooled contexts; Auto may route
-	// this tiny document to the hybrid run and check none out. Both are
-	// driven: the pooled engine for the pool's books, Auto for the
-	// selector's.
+	// Only the ASTA engines evaluate in pooled contexts; Auto routes
+	// this chain to the hybrid run, which checks none out. Both are
+	// driven.
 	const pooled = "optimized"
 	strategies := []string{pooled, "auto"}
 
@@ -209,9 +177,6 @@ func TestGuardTripsZeroOnErrorPaths(t *testing.T) {
 	st := s.Stats()
 	if st.Pool.Hits == 0 {
 		t.Fatal("no checkout was warm: the books balance trivially")
-	}
-	if st.Auto.Observations == 0 {
-		t.Fatal("no Auto cursor closed: the selector's books balance trivially")
 	}
 	if st.Queries.Errors == 0 {
 		t.Fatal("test exercised no error paths")

@@ -8,8 +8,8 @@ import (
 )
 
 // statsKeys flattens the /stats JSON of s into its set of key paths:
-// objects recurse with ".", arrays with "[]". The two maps keyed by
-// strategy name depend on what ran, so they stop at "{}".
+// objects recurse with ".", arrays with "[]". The map keyed by strategy
+// name depends on what ran, so it stops at "{}".
 func statsKeys(t *testing.T, s *Service) map[string]bool {
 	t.Helper()
 	raw, err := json.Marshal(s.Stats())
@@ -27,7 +27,7 @@ func statsKeys(t *testing.T, s *Service) map[string]bool {
 		case map[string]any:
 			for k, child := range v {
 				p := strings.TrimPrefix(path+"."+k, ".")
-				if k == "by_strategy" || k == "wins_by_strategy" {
+				if k == "by_strategy" {
 					set[p+"{}"] = true
 					continue
 				}

@@ -74,8 +74,7 @@ func TestStreamEndToEnd(t *testing.T) {
 	srv := newTestHTTP(t, svc, HandlerOptions{StreamChunk: 16})
 
 	// Strategy forced: the point is chunked delivery parity with the
-	// one-shot path; adaptive Auto would probe a different engine on
-	// the second evaluation and fail the header strategy comparison.
+	// one-shot path through the pooled ASTA engine.
 	const query = "//listitem//keyword"
 	one := svc.Eval(Request{Doc: "xm", Query: query, Strategy: "optimized"})
 	if one.Err != "" {

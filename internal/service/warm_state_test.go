@@ -10,37 +10,28 @@ import (
 	"repro/internal/tree"
 )
 
-// warmAdaptive and warmExact are the traffic of
-// TestWarmStateSurvivesPatch. The first group is routed by the adaptive
-// selector between several candidates, so which automaton kinds it
-// compiles depends on the clock — but only while a shape is being
-// probed; the second group compiles the same (kind, query) pairs on
-// every run: forced strategies, an Auto shape with one candidate, and a
-// chain over a label no XMark document has.
-var (
-	warmAdaptive = []Request{
-		{Query: "//listitem//keyword"},
-		{Query: "/site/regions/*/item"},
-		{Query: "/site/people/person"},
-	}
-	warmExact = []Request{
-		{Query: "/site//keyword", Strategy: "optimized"},
-		{Query: "/site//keyword", Strategy: "memoized"},
-		{Query: "/site//keyword", Strategy: "topdown-det"},
-		{Query: "//listitem[.//keyword]//emph"},
-		{Query: "//keyword", Strategy: "optimized", Limit: 5},
-		{Query: "//zzz"},
-	}
-)
+// warmTraffic is the traffic of TestWarmStateSurvivesPatch: Auto,
+// which routes the chains to the hybrid run (it compiles nothing) and
+// the `*` and predicate queries to the automata, and forced strategies.
+var warmTraffic = []Request{
+	{Query: "//listitem//keyword"},
+	{Query: "/site/regions/*/item"},
+	{Query: "/site/people/person"},
+	{Query: "/site//keyword", Strategy: "optimized"},
+	{Query: "/site//keyword", Strategy: "memoized"},
+	{Query: "/site//keyword", Strategy: "topdown-det"},
+	{Query: "//listitem[.//keyword]//emph"},
+	{Query: "//keyword", Strategy: "optimized", Limit: 5},
+	{Query: "//zzz"},
+}
 
-// Distinct (kind, query) pairs warmExact compiles, and distinct
-// (automaton, options) pairs it evaluates in a pooled context, on a
-// document that has the label zzz: /site//keyword as ASTA (run under
-// two option sets) and as TDSTA, and three more ASTAs. Where zzz is
-// absent the last request runs no engine: one pair fewer of each.
+// Distinct (kind, query) pairs warmTraffic compiles, and distinct
+// (automaton, options) pairs it evaluates in a pooled context:
+// /site/regions/*/item as TDSTA, /site//keyword as ASTA (run under two
+// option sets) and as TDSTA, and two more ASTAs.
 const (
-	warmExactCompiles = 5
-	warmExactContexts = 5
+	warmCompiles = 5
+	warmContexts = 4
 )
 
 // vocabularyFragments graft XMark vocabulary only, like xpqbench's
@@ -51,13 +42,12 @@ var vocabularyFragments = []string{
 	"<person><name>n</name></person>",
 }
 
-// TestWarmStateSurvivesPatch holds the three keying rules to exact
-// counts, on a single-threaded driver. Compiled automata are keyed by
-// label table and memo worlds by automaton, so a patch that interns no
-// label costs neither a compile nor a context; the selector is kept per
-// resident document, so its shapes carry over; a patch that does intern
-// a label moves the document to a new table and recompiles exactly what
-// is run again; and an evicted id, reloaded, starts cold.
+// TestWarmStateSurvivesPatch holds the keying rules to exact counts, on
+// one goroutine. Compiled automata are keyed by label table
+// and memo worlds by automaton, so a patch that interns no label costs
+// neither a compile nor a context; a patch that does intern a label
+// moves the document to a new table and recompiles exactly what is run
+// again; and an evicted id, reloaded, starts cold.
 func TestWarmStateSurvivesPatch(t *testing.T) {
 	svc := New(shard.NewStore(1), Options{})
 	if _, err := svc.Store().GenerateXMark("xm", 0.002, 1); err != nil {
@@ -72,15 +62,10 @@ func TestWarmStateSurvivesPatch(t *testing.T) {
 			}
 		}
 	}
-	all := append(append([]Request{}, warmAdaptive...), warmExact...)
-	// Four rounds: a shape is probed once per candidate (at most three)
-	// before the clock decides anything.
-	for i := 0; i < 4; i++ {
-		run(all)
-	}
+	run(warmTraffic)
 	first := svc.Stats()
-	if first.Cache.Misses == 0 || first.Pool.Misses == 0 || first.Auto.Shapes == 0 {
-		t.Fatalf("first round left nothing warm: %+v %+v shapes=%d", first.Cache, first.Pool, first.Auto.Shapes)
+	if first.Cache.Misses != warmCompiles || first.Pool.Misses != warmContexts {
+		t.Fatalf("first round: %+v %+v, want %d compiles and %d contexts", first.Cache, first.Pool, warmCompiles, warmContexts)
 	}
 
 	const patches = 24
@@ -99,15 +84,11 @@ func TestWarmStateSurvivesPatch(t *testing.T) {
 		if _, err := svc.PatchDoc("xm", req); err != nil {
 			t.Fatalf("patch %d: %v", i, err)
 		}
-		run(all)
+		run(warmTraffic)
 		st := svc.Stats()
 		if st.Cache.Misses != first.Cache.Misses || st.Pool.Misses != first.Pool.Misses {
 			t.Fatalf("after vocabulary-only patch %d: cache misses %d -> %d, pool misses %d -> %d, want no change",
 				i+1, first.Cache.Misses, st.Cache.Misses, first.Pool.Misses, st.Pool.Misses)
-		}
-		if st.Auto.Shapes != first.Auto.Shapes || st.Engines != 1 {
-			t.Fatalf("after vocabulary-only patch %d: shapes %d -> %d, engines %d, want the one selector kept",
-				i+1, first.Auto.Shapes, st.Auto.Shapes, st.Engines)
 		}
 	}
 	if st := svc.Stats(); st.MVCC.Patches != patches || st.Pool.GuardTrips != 0 {
@@ -120,42 +101,32 @@ func TestWarmStateSurvivesPatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := svc.Stats()
-	run(warmExact)
-	run(warmExact)
+	run(warmTraffic)
+	run(warmTraffic)
 	after := svc.Stats()
-	if got := after.Cache.Misses - before.Cache.Misses; got != warmExactCompiles {
-		t.Errorf("cache misses after the fresh-label patch grew by %d, want %d (the distinct (kind, query) pairs re-run)", got, warmExactCompiles)
+	if got := after.Cache.Misses - before.Cache.Misses; got != warmCompiles {
+		t.Errorf("cache misses after the fresh-label patch grew by %d, want %d (the distinct (kind, query) pairs re-run)", got, warmCompiles)
 	}
-	if got := after.Pool.Misses - before.Pool.Misses; got != warmExactContexts {
-		t.Errorf("pool misses after the fresh-label patch grew by %d, want %d (the distinct (automaton, options) pairs re-run)", got, warmExactContexts)
-	}
-	if after.Auto.Shapes != first.Auto.Shapes {
-		t.Errorf("shapes %d -> %d across the fresh-label patch, want the selector kept", first.Auto.Shapes, after.Auto.Shapes)
+	if got := after.Pool.Misses - before.Pool.Misses; got != warmContexts {
+		t.Errorf("pool misses after the fresh-label patch grew by %d, want %d (the distinct (automaton, options) pairs re-run)", got, warmContexts)
 	}
 
 	// Evict and reload under the same id: another load, another label
-	// table, another selector. zzz is gone again, so //zzz runs no engine.
+	// table.
 	if !svc.EvictDoc("xm") {
 		t.Fatal("xm was not resident")
-	}
-	if st := svc.Stats(); st.Engines != 0 || st.Auto.Shapes != 0 {
-		t.Errorf("after evict: engines = %d, shapes = %d, want none", st.Engines, st.Auto.Shapes)
 	}
 	if _, err := svc.Store().GenerateXMark("xm", 0.002, 1); err != nil {
 		t.Fatal(err)
 	}
 	before = svc.Stats()
-	run(warmExact)
+	run(warmTraffic)
 	after = svc.Stats()
-	if got := after.Cache.Misses - before.Cache.Misses; got != warmExactCompiles-1 {
-		t.Errorf("cache misses after reload grew by %d, want %d: every pair compiles again", got, warmExactCompiles-1)
+	if got := after.Cache.Misses - before.Cache.Misses; got != warmCompiles {
+		t.Errorf("cache misses after reload grew by %d, want %d: every pair compiles again", got, warmCompiles)
 	}
-	if got := after.Pool.Misses - before.Pool.Misses; got != warmExactContexts-1 {
-		t.Errorf("pool misses after reload grew by %d, want %d", got, warmExactContexts-1)
-	}
-	if after.Auto.Shapes != 2 || after.Auto.Decisions < before.Auto.Decisions {
-		t.Errorf("after reload: shapes = %d (want the 2 Auto shapes just run), decisions %d -> %d (must not decrease)",
-			after.Auto.Shapes, before.Auto.Decisions, after.Auto.Decisions)
+	if got := after.Pool.Misses - before.Pool.Misses; got != warmContexts {
+		t.Errorf("pool misses after reload grew by %d, want %d", got, warmContexts)
 	}
 	assertPoolSettled(t, svc)
 }

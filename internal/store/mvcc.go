@@ -121,7 +121,6 @@ func (ch *chain) patch(id string, base Gen, pt tree.Patch) (*Handle, uint64, err
 	h := &Handle{
 		ID:    id,
 		Gen:   gen,
-		Epoch: cur.Epoch,
 		Doc:   newDoc,
 		Index: index.Apply(cur.Index, newDoc, dl),
 	}

@@ -92,11 +92,7 @@ type Stats struct {
 type Handle struct {
 	ID string
 	// Gen is this generation's id within the document's chain.
-	Gen Gen
-	// Epoch is the load incarnation this generation belongs to: patches
-	// keep it, evicting the id and loading it again changes it. State kept
-	// per resident document (the service's selectors) is validated by it.
-	Epoch uint64
+	Gen   Gen
 	Doc   *tree.Document
 	Index *index.Index
 	Stats Stats

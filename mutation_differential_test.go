@@ -57,14 +57,15 @@ var freshLabelQueries = []xmark.Query{
 }
 
 // expectEmptyChain asserts that Auto answers the two zzz chains at gen
-// (zero: latest) from the index alone: the label is absent there.
+// (zero: latest) from the label table alone: the label is absent there,
+// so the hybrid run visits nothing.
 func expectEmptyChain(t *testing.T, svc *service.Service, gen store.Gen) {
 	t.Helper()
 	for _, q := range freshLabelQueries[:2] {
 		resp := svc.Eval(service.Request{Doc: "xm", Query: q.XPath, AsOf: gen})
-		if resp.Err != "" || resp.Count != 0 || resp.Strategy != core.EmptyChain.String() {
-			t.Fatalf("%s at gen %d, where zzz does not occur: strategy=%q count=%d err=%q, want the absent-label short circuit",
-				q.XPath, gen, resp.Strategy, resp.Count, resp.Err)
+		if resp.Err != "" || resp.Count != 0 || resp.Strategy != core.Hybrid.String() || resp.Visited != 0 {
+			t.Fatalf("%s at gen %d, where zzz does not occur: strategy=%q count=%d visited=%d err=%q, want hybrid answering empty with no work",
+				q.XPath, gen, resp.Strategy, resp.Count, resp.Visited, resp.Err)
 		}
 	}
 }

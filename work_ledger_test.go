@@ -17,11 +17,12 @@ var updateLedger = flag.Bool("update", false, "rewrite testdata/work.txt from th
 
 const ledgerPath = "testdata/work.txt"
 
-// ledgerStrategies are the forced engines whose work the ledger pins.
-// Auto is left out: its routing reads the clock.
+// ledgerStrategies are the engines whose work the ledger pins: every
+// forced one, then Auto, whose row names the route it took
+// ("auto=hybrid").
 var ledgerStrategies = []core.Strategy{
 	core.Naive, core.Jumping, core.Memoized, core.Optimized,
-	core.Hybrid, core.TopDownDet, core.Stepwise,
+	core.Hybrid, core.TopDownDet, core.Stepwise, core.Auto,
 }
 
 // ledgerQueries are the fifteen paper queries plus the bulk-stream
@@ -62,8 +63,11 @@ func TestWorkLedger(t *testing.T) {
 					}
 					t.Fatalf("%s %v: %v", q[0], s, err)
 				}
-				w := cur.Work()
-				fmt.Fprintf(&b, "%g %s %s %d %d %d %d %d\n", scale, q[0], s,
+				w, name := cur.Work(), s.String()
+				if s == core.Auto {
+					name += "=" + cur.Strategy().String()
+				}
+				fmt.Fprintf(&b, "%g %s %s %d %d %d %d %d\n", scale, q[0], name,
 					w.Visited, w.Jumps, w.MemoEntries, w.MemoHits, cur.Count())
 				cur.Close()
 			}
