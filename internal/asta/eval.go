@@ -135,11 +135,11 @@ type recipe struct {
 // arena, work counts) is set at the start of every run.
 type evaluator struct {
 	// a and opt are the memo world's binding; a is nil until the first
-	// run. d and ix are the tree being navigated, nil between runs.
+	// run. d is the tree being navigated, nil between runs; cur jumps
+	// over its index (§4.3) and holds none between runs.
 	a   *ASTA
 	opt Options
 	d   *tree.Document
-	ix  *index.Index
 
 	// Memo structures: state sets are interned to dense ids via an
 	// open-addressed table; per-set rows are label-indexed slices of
@@ -216,10 +216,10 @@ func (e *evaluator) rebind(a *ASTA, opt Options, numLabels int) {
 
 // attach starts a run over (d, ix): the result arena rewinds, work
 // restart, and the cursors are pointed at ix, reallocated only when the
-// alphabet size differs — O(touched) for the cursors, O(arena chunks)
+// alphabet outgrows them — O(touched) for the cursors, O(arena chunks)
 // for the arena, no allocation.
 func (e *evaluator) attach(d *tree.Document, ix *index.Index) {
-	e.d, e.ix = d, ix
+	e.d = d
 	e.arena.reset()
 	e.work = obsv.Work{}
 	if !e.opt.Jump {
@@ -236,7 +236,7 @@ func (e *evaluator) attach(d *tree.Document, ix *index.Index) {
 // (the answer holds node ids only), so a Context kept warm between
 // evaluations keeps no generation of any document alive.
 func (e *evaluator) detach() {
-	e.d, e.ix = nil, nil
+	e.d = nil
 	if e.cur != nil {
 		e.cur.Retarget(nil)
 	}
@@ -318,7 +318,7 @@ func (e *evaluator) evalChild(c, end tree.NodeID, r StateSet, rID int32, out *RS
 		e.eval(u, end, r, rID, out)
 	case jumpLeftPath:
 		e.work.Jumps++
-		u := e.ix.Lt(c, ji.essential)
+		u := e.cur.Lt(c, ji.essential)
 		if u == index.Nil {
 			return
 		}
@@ -336,27 +336,16 @@ func (e *evaluator) evalChild(c, end tree.NodeID, r StateSet, rID int32, out *RS
 // dropped for the remaining enumeration — the "only one witness" effect
 // that makes the Q13-Q15 predicates of Figure 3 nearly free.
 func (e *evaluator) jumpTopMostRegion(c, end tree.NodeID, r StateSet, rID int32, ji jumpInfo, out *RSet) {
-	ids, ok := ji.essential.Finite()
-	if !ok {
-		e.eval(c, end, r, rID, out)
-		return
-	}
+	ids, _ := ji.essential.Finite() // analyzeSet picks top-most for finite sets only
 	e.work.Jumps++
-	after := c
-	for {
-		best := tree.Nil
-		for _, l := range ids {
-			if u := e.cur.NextAfter(l, after); u != tree.Nil && u <= end &&
-				(best == tree.Nil || u < best) {
-				best = u
-			}
-		}
-		if best == tree.Nil {
+	for after := c; ; {
+		u := e.cur.First(ids, after, end)
+		if u == tree.Nil {
 			return
 		}
 		var g RSet
-		after = e.d.BinEnd(best)
-		e.eval(best, after, r, rID, &g)
+		after = e.d.BinEnd(u)
+		e.eval(u, after, r, rID, &g)
 		out.union(&g, &e.arena)
 		if !e.opt.InfoProp {
 			continue

@@ -74,7 +74,7 @@ func TestTDSTAAgainstStepwise(t *testing.T) {
 				return false
 			}
 			min := aut.MinimizeTopDown()
-			jump := min.EvalTopDownJump(d, ix, nil)
+			jump := min.EvalTopDownJump(d, ix.NewCursors(), nil)
 			if !sameNodes(jump.Selected, want) {
 				t.Logf("seed=%d %q jump: got %v want %v", seed, tdstaBattery[qi], jump.Selected, want)
 				return false
@@ -123,7 +123,7 @@ func TestTDSTAJumpSkipsIrrelevant(t *testing.T) {
 	d := b.MustFinish()
 	ix := index.New(d)
 	aut := compile.MustToTDSTA(xpath.MustParse("/site//keyword"), d.Names()).MinimizeTopDown()
-	res := aut.EvalTopDownJump(d, ix, nil)
+	res := aut.EvalTopDownJump(d, ix.NewCursors(), nil)
 	if len(res.Selected) != 5 {
 		t.Fatalf("selected %d", len(res.Selected))
 	}

@@ -12,7 +12,7 @@ import (
 // pool-warm) allocs/op of the three engine paths the service keeps
 // hot: the optimized ASTA evaluator, the deterministic TDSTA, and the
 // stepwise baseline. The ceilings carry headroom over measured values
-// (ASTA 10-20, TDSTA 9-18, stepwise 10-26 at this scale) but a future
+// (ASTA 10-20, TDSTA 9-21, stepwise 10-26 at this scale) but a future
 // accidental map rebuild, slice escape, or lost context reuse —
 // thousands of allocations per op — fails here instead of silently
 // regressing serving latency.
@@ -38,9 +38,11 @@ func TestSteadyStateAllocCeilings(t *testing.T) {
 		{"asta-opt/Q08", "//listitem[ .//keyword and .//emph]//parlist", core.Optimized, 64},
 		{"asta-opt/Q11", "/site//keyword", core.Optimized, 64},
 		// TDSTA: compiled automaton cached, jump analysis made once per
-		// automaton; what remains is the answer and the jumps' results.
+		// automaton, jump cursors lent by the pool; what remains is the
+		// answer. Q06 jumps to the top-most keywords of every item.
 		{"tdsta/Q01", "/site/regions", core.TopDownDet, 16},
 		{"tdsta/Q04", "/site/regions/*/item", core.TopDownDet, 32},
+		{"tdsta/Q06", "/site/regions/*/item//keyword", core.TopDownDet, 32},
 		// Stepwise baseline: per-step node sets are inherent, but the
 		// count must stay bounded per op.
 		{"stepwise/Q01", "/site/regions", core.Stepwise, 128},

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/asta"
+	"repro/internal/index"
 	"repro/internal/tree"
 )
 
@@ -76,6 +77,8 @@ func (p PoolStats) HitRate() float64 {
 // compiled: the counters behind PoolStats and the byte budget releases
 // are admitted against. The service has one, an engine built without
 // one its own. The zero Pool is ready to use.
+// It also keeps the TDSTA's jump cursors, which depend on no automaton,
+// on one free list.
 type Pool struct {
 	hits       atomic.Uint64
 	misses     atomic.Uint64
@@ -83,6 +86,36 @@ type Pool struct {
 	drops      atomic.Uint64
 	resident   atomic.Int64
 	arenaBytes atomic.Int64
+
+	mu      sync.Mutex
+	cursors []*index.Cursors // parked: rewound, holding no index
+}
+
+// takeCursors returns a cursor set over ix, a parked one when there is
+// one, for the caller to hand back through parkCursors.
+func (p *Pool) takeCursors(ix *index.Index) *index.Cursors {
+	var c *index.Cursors
+	p.mu.Lock()
+	if n := len(p.cursors); n > 0 {
+		c, p.cursors = p.cursors[n-1], p.cursors[:n-1]
+	}
+	p.mu.Unlock()
+	if c == nil {
+		return ix.NewCursors()
+	}
+	c.Retarget(ix)
+	return c
+}
+
+// parkCursors rewinds c and lets go of its index, then parks it unless
+// maxPerKey sets are parked already.
+func (p *Pool) parkCursors(c *index.Cursors) {
+	c.Retarget(nil)
+	p.mu.Lock()
+	if len(p.cursors) < maxPerKey() {
+		p.cursors = append(p.cursors, c)
+	}
+	p.mu.Unlock()
 }
 
 // Stats snapshots the pool counters.

@@ -286,7 +286,8 @@ func (e *Engine) stepwiseCursor(p *xpath.Path, tr *obsv.Trace) *Cursor {
 }
 
 // tdstaCursor compiles (through the query cache) and runs the
-// minimized deterministic TDSTA with topdown_jump, recording no run.
+// minimized deterministic TDSTA with topdown_jump, recording no run,
+// over jump cursors lent by the pool.
 func (e *Engine) tdstaCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
 	sp := tr.Begin(obsv.SpanCompile)
 	v, hit, err := e.cache.GetOrCompile(e.cacheKey("tdsta", query), func() (any, error) {
@@ -301,7 +302,9 @@ func (e *Engine) tdstaCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Curs
 		return nil, err
 	}
 	sp = tr.Begin(obsv.SpanRun)
-	res := v.(*sta.STA).EvalTopDownJump(e.doc, e.ix, nil)
+	cur := e.pool.takeCursors(e.ix)
+	res := v.(*sta.STA).EvalTopDownJump(e.doc, cur, nil)
+	e.pool.parkCursors(cur)
 	c := ran(tr, sp, newSliceCursor(res.Selected, TopDownDet, res.Work))
 	c.qcacheHit = hit
 	return c, nil

@@ -8,12 +8,14 @@ import (
 )
 
 // Cursors provides forward-only positions into the per-label occurrence
-// rows. An evaluator that queries positions in non-decreasing document
-// order (which the jumping traversal of §4.3 does: binary preorder only
-// moves right) gets amortized O(1) successor lookups instead of a search
-// per jump: each cursor sweeps its row at most once per evaluation,
-// entering a later chunk through the directory and searching inside
-// chunks only over large skips.
+// rows, and the jumps of Definition 3.2 over them: the one navigation
+// type of the ASTA, the TDSTA and the bottom-up evaluator. An evaluator
+// that queries positions in non-decreasing document order (which all
+// three jumping traversals do: binary preorder only moves right) gets
+// amortized O(1) successor lookups instead of a search per jump: each
+// cursor sweeps its row at most once per evaluation, entering a later
+// chunk through the directory and searching inside chunks only over
+// large skips.
 //
 // Correctness requires monotone use: NextAfter(l, x) assumes x is at
 // least as large as any previous bound passed for label l.
@@ -44,16 +46,22 @@ func (ix *Index) NewCursors() *Cursors {
 
 // Retarget rewinds the cursors and points them at another index — the
 // one the next evaluation runs over, or nil to hold none in between —
-// keeping the cursor arrays unless the alphabet size differs.
+// keeping the cursor arrays unless the index has more labels than they
+// hold; the cursors past its alphabet stay fresh, as Reset rewinds every
+// cursor that moved.
 func (c *Cursors) Retarget(ix *Index) {
 	c.Reset()
 	c.ix = ix
-	if ix != nil && ix.sigma != len(c.val) {
-		c.at, c.val, c.n = make([]tree.Cursor, ix.sigma), make([]tree.NodeID, ix.sigma), tree.LabelID(ix.sigma)
+	if ix == nil {
+		return
+	}
+	if ix.sigma > cap(c.val) {
+		c.at, c.val = make([]tree.Cursor, ix.sigma), make([]tree.NodeID, ix.sigma)
 		for l := range c.val {
 			c.val[l] = Nil
 		}
 	}
+	c.at, c.val, c.n = c.at[:ix.sigma], c.val[:ix.sigma], tree.LabelID(ix.sigma)
 }
 
 // Reset rewinds the cursors for reuse in O(touched): only cursors a
@@ -108,38 +116,66 @@ func (c *Cursors) advance(l tree.LabelID, x tree.NodeID) tree.NodeID {
 	return c.val[l]
 }
 
-// Rt is the cursor-driven r_t(π, L): the first node on the rightmost
-// binary path (following-sibling chain) of π whose label is in L, or
-// Nil.
+// First returns the first node in the preorder interval (after, end]
+// whose label is one of ids, or Nil: dt(π, L) when the interval is π's
+// binary subtree past π, ft when it starts past the previous answer's.
+// Stepping from one answer u to the next with after = BinEnd(u)
+// enumerates the top-most L-labeled nodes of a region in document order.
+func (c *Cursors) First(ids []tree.LabelID, after, end tree.NodeID) tree.NodeID {
+	best := Nil
+	for _, l := range ids {
+		if u := c.NextAfter(l, after); u != Nil && u <= end && (best == Nil || u < best) {
+			best = u
+		}
+	}
+	return best
+}
+
+// Lt is l_t(π, L): the first node on the leftmost binary path strictly
+// below π (π·1, π·1·1, ...; in XML terms the chain of first children)
+// whose label is in L, or Nil. Paths are short (tree depth), so this
+// walks the chain and moves no cursor.
+func (c *Cursors) Lt(v tree.NodeID, L labels.Set) tree.NodeID {
+	d := c.ix.doc
+	for u := d.FirstChild(v); u != tree.Nil; u = d.FirstChild(u) {
+		if L.Contains(d.Label(u)) {
+			return u
+		}
+	}
+	return Nil
+}
+
+// Rt is r_t(π, L): the first node on the rightmost binary path strictly
+// below π (π·2, π·2·2, ...; in XML terms the chain of following siblings)
+// whose label is in L, or Nil. Sibling chains can be very long (that is
+// precisely when jumping pays off), so for a finite L this asks First
+// instead of walking the chain: each answer either is a sibling or lies
+// inside one, whose subtree the next question skips. A co-finite L has
+// no rows to sweep, and walks the chain.
 func (c *Cursors) Rt(v tree.NodeID, L labels.Set) tree.NodeID {
 	d := c.ix.doc
 	p := d.Parent(v)
 	if p == tree.Nil {
-		return Nil
-	}
-	ids, finite := L.Finite()
-	if !finite {
-		return c.ix.Rt(v, L) // a sibling walk: no occurrence row to sweep
+		return Nil // the root has no siblings
 	}
 	end := d.LastDesc(p)
-	after := d.LastDesc(v)
-	for {
-		best := Nil
-		for _, l := range ids {
-			if u := c.NextAfter(l, after); u != Nil && u <= end && (best == Nil || u < best) {
-				best = u
+	ids, finite := L.Finite()
+	if !finite {
+		for u := d.LastDesc(v) + 1; u <= end; u = d.LastDesc(u) + 1 {
+			if L.Contains(d.Label(u)) {
+				return u
 			}
 		}
-		if best == Nil {
-			return Nil
+		return Nil
+	}
+	for after := d.LastDesc(v); ; {
+		u := c.First(ids, after, end)
+		if u == Nil || d.Parent(u) == p {
+			return u
 		}
-		if d.Parent(best) == p {
-			return best
+		for d.Parent(u) != p { // the sibling u lies in
+			u = d.Parent(u)
 		}
-		s := best
-		for d.Parent(s) != p {
-			s = d.Parent(s)
-		}
-		after = d.LastDesc(s)
+		after = d.LastDesc(u)
 	}
 }

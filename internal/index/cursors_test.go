@@ -47,7 +47,8 @@ func TestCursorsNextAfterMonotone(t *testing.T) {
 	}
 }
 
-// TestCursorsRtMatchesIndex: cursor Rt equals Index.Rt under monotone use.
+// TestCursorsRtMatchesIndex: cursor Rt equals the naive sibling walk
+// under monotone use.
 func TestCursorsRtMatchesIndex(t *testing.T) {
 	f := func(seed int64) bool {
 		d := tgen.Random(seed, tgen.Config{MaxNodes: 250, Labels: []string{"a", "b", "c"}})
@@ -66,7 +67,7 @@ func TestCursorsRtMatchesIndex(t *testing.T) {
 				continue
 			}
 			prevBound = d.LastDesc(v)
-			if got, want := cur.Rt(v, L), ix.Rt(v, L); got != want {
+			if got, want := cur.Rt(v, L), naiveRt(d, v, L); got != want {
 				t.Logf("seed=%d Rt(%d) = %d, want %d", seed, v, got, want)
 				return false
 			}
@@ -86,7 +87,7 @@ func TestCursorsRtCofinite(t *testing.T) {
 	// Co-finite sets take the chain-walk fallback, which is stateless,
 	// so monotonicity is not required.
 	for v := tree.NodeID(1); int(v) < d.NumNodes(); v++ {
-		if got, want := cur.Rt(v, labels.Not(aID)), ix.Rt(v, labels.Not(aID)); got != want {
+		if got, want := cur.Rt(v, labels.Not(aID)), naiveRt(d, v, labels.Not(aID)); got != want {
 			t.Fatalf("Rt(%d, Σ\\{a}) = %d, want %d", v, got, want)
 		}
 	}

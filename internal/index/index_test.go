@@ -60,6 +60,18 @@ func naiveRt(d *tree.Document, v tree.NodeID, L labels.Set) tree.NodeID {
 	return tree.Nil
 }
 
+// topMost enumerates the top-most nodes labeled in L of v's binary
+// subtree through fresh cursors: dt(v, L), then ft past each answer.
+func topMost(ix *index.Index, v tree.NodeID, L labels.Set) []tree.NodeID {
+	ids, _ := L.Finite()
+	d, cur := ix.Doc(), ix.NewCursors()
+	var out []tree.NodeID
+	for u := cur.First(ids, v, d.BinEnd(v)); u != index.Nil; u = cur.First(ids, d.BinEnd(u), d.BinEnd(v)) {
+		out = append(out, u)
+	}
+	return out
+}
+
 func randomLabelSet(rng *rand.Rand, d *tree.Document) labels.Set {
 	sigma := d.Names().Size()
 	n := 1 + rng.Intn(2)
@@ -78,13 +90,14 @@ func TestJumpFunctionsAgainstOracle(t *testing.T) {
 		for trial := 0; trial < 30; trial++ {
 			v := tree.NodeID(rng.Intn(d.NumNodes()))
 			L := randomLabelSet(rng, d)
-			if got, ok := ix.Dt(v, L); !ok || got != naiveDt(d, v, L) {
+			ids, _ := L.Finite()
+			if got := ix.NewCursors().First(ids, v, d.BinEnd(v)); got != naiveDt(d, v, L) {
 				return false
 			}
-			if got := ix.Lt(v, L); got != naiveLt(d, v, L) {
+			if got := ix.NewCursors().Lt(v, L); got != naiveLt(d, v, L) {
 				return false
 			}
-			if got := ix.Rt(v, L); got != naiveRt(d, v, L) {
+			if got := ix.NewCursors().Rt(v, L); got != naiveRt(d, v, L) {
 				return false
 			}
 		}
@@ -103,7 +116,7 @@ func TestRtCofiniteFallback(t *testing.T) {
 	L := labels.Not(aID)
 	for trial := 0; trial < 50; trial++ {
 		v := tree.NodeID(rng.Intn(d.NumNodes()))
-		if got := ix.Rt(v, L); got != naiveRt(d, v, L) {
+		if got := ix.NewCursors().Rt(v, L); got != naiveRt(d, v, L) {
 			t.Fatalf("Rt(%d, Σ\\{a}) = %d, want %d", v, got, naiveRt(d, v, L))
 		}
 	}
@@ -116,12 +129,6 @@ func TestCount(t *testing.T) {
 	r, _ := d.Names().Lookup("r")
 	if ix.Count(c) != 9 || ix.Count(r) != 1 {
 		t.Errorf("Count wrong: c=%d r=%d", ix.Count(c), ix.Count(r))
-	}
-	if n, ok := ix.CountSet(labels.Of(c, r)); !ok || n != 10 {
-		t.Errorf("CountSet = %d,%v", n, ok)
-	}
-	if _, ok := ix.CountSet(labels.Not(c)); ok {
-		t.Errorf("CountSet of co-finite set should fail")
 	}
 	if ix.Count(tree.LabelID(999)) != 0 {
 		t.Errorf("Count of unknown label should be 0")
@@ -205,9 +212,9 @@ func TestTopMost(t *testing.T) {
 	// Binary-subtree semantics: the first a-child of r has the c-subtree
 	// in its *binary* subtree (siblings are binary descendants), so it is
 	// the single top-most a.
-	tm, ok := ix.TopMost(r, labels.Of(a))
-	if !ok || len(tm) != 1 {
-		t.Fatalf("TopMost(r) = %v, %v; want exactly the first a", tm, ok)
+	tm := topMost(ix, r, labels.Of(a))
+	if len(tm) != 1 {
+		t.Fatalf("top-most a's under r = %v; want exactly the first a", tm)
 	}
 	if d.Parent(tm[0]) != r || d.LabelName(tm[0]) != "a" {
 		t.Errorf("top-most a should be the a-child of r")
@@ -215,9 +222,9 @@ func TestTopMost(t *testing.T) {
 	// From that a, the binary subtree spans its own XML subtree plus its
 	// following sibling c's subtree: top-most a's are the nested a and
 	// the a under c.
-	tm2, _ := ix.TopMost(tm[0], labels.Of(a))
+	tm2 := topMost(ix, tm[0], labels.Of(a))
 	if len(tm2) != 2 {
-		t.Fatalf("TopMost(a) = %v, want 2 nodes", tm2)
+		t.Fatalf("top-most a's under a = %v, want 2 nodes", tm2)
 	}
 	if d.Parent(tm2[0]) != tm[0] {
 		t.Errorf("first should be the nested a")
@@ -227,7 +234,7 @@ func TestTopMost(t *testing.T) {
 	}
 }
 
-// Property: TopMost returns exactly the L-labeled binary descendants with
+// Property: the top-most enumeration returns exactly the L-labeled binary descendants with
 // no L-labeled proper binary ancestor below the scope root.
 func TestTopMostProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -240,7 +247,7 @@ func TestTopMostProperty(t *testing.T) {
 			return true
 		}
 		L := labels.Of(aID)
-		got, _ := ix.TopMost(v, L)
+		got := topMost(ix, v, L)
 		// Oracle: walk binary tree from v, stop descending at matches.
 		var want []tree.NodeID
 		var walk func(u tree.NodeID)
@@ -274,7 +281,6 @@ func TestTopMostProperty(t *testing.T) {
 
 func TestBinEnd(t *testing.T) {
 	d := tgen.Random(21, tgen.Config{MaxNodes: 80})
-	ix := index.New(d)
 	for v := tree.NodeID(0); int(v) < d.NumNodes(); v++ {
 		ds := binDescendants(d, v)
 		want := v
@@ -283,7 +289,7 @@ func TestBinEnd(t *testing.T) {
 				want = u
 			}
 		}
-		if got := ix.BinEnd(v); got != want {
+		if got := d.BinEnd(v); got != want {
 			t.Fatalf("BinEnd(%d) = %d, want %d", v, got, want)
 		}
 	}
@@ -293,10 +299,14 @@ func BenchmarkDt(b *testing.B) {
 	d := tgen.Random(1, tgen.Config{MaxNodes: 100000, Labels: []string{"a", "b", "c", "d", "e"}})
 	ix := index.New(d)
 	aID, _ := d.Names().Lookup("a")
-	L := labels.Of(aID)
+	ids, cur := []tree.LabelID{aID}, ix.NewCursors()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = ix.Dt(tree.NodeID(i%d.NumNodes()), L)
+		v := tree.NodeID(i % d.NumNodes())
+		if v == 0 {
+			cur.Reset() // the bounds start over: so must the cursors
+		}
+		_ = cur.First(ids, v, d.BinEnd(v))
 	}
 }
 
@@ -317,10 +327,11 @@ func BenchmarkRtSkipping(b *testing.B) {
 	d := bu.MustFinish()
 	ix := index.New(d)
 	g, _ := d.Names().Lookup("goal")
-	first := d.FirstChild(d.DocumentElement())
+	first, L, cur := d.FirstChild(d.DocumentElement()), labels.Of(g), ix.NewCursors()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := ix.Rt(first, labels.Of(g)); got == tree.Nil {
+		cur.Reset() // every iteration skips the whole list again
+		if got := cur.Rt(first, L); got == tree.Nil {
 			b.Fatal("goal not found")
 		}
 	}

@@ -68,8 +68,8 @@ type span struct {
 type Work struct {
 	// Visited counts the nodes the run touched.
 	Visited int `json:"visited"`
-	// Jumps counts index jumps: the TDSTA's TopMost, Lt and Rt calls,
-	// the ASTA's top-most region scans and Lt/Rt moves, the hybrid
+	// Jumps counts index jumps: the TDSTA's and the ASTA's skip
+	// decisions (each a top-most region, an Lt or an Rt) and the hybrid
 	// run's occurrence rows and searches in them. The step-wise baseline
 	// never jumps.
 	Jumps int `json:"jumps"`

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -33,8 +34,8 @@ import (
 // body) to attach an EXPLAIN-ANALYZE span-tree profile to the response
 // (for streams, to the trailer), and ?asof=<gen> (or "asof" in the
 // body) to pin the query to one MVCC generation of the document. Every query request is tagged with a
-// request id — X-Request-Id when the client sent one, generated
-// otherwise — echoed in the response headers, the explain profile, the
+// request id — X-Request-Id when the client sent one of at most 128
+// bytes of visible ASCII, generated otherwise — echoed in the response headers, the explain profile, the
 // flight records and the logs. The bodies of /query, /query/stream and
 // /batch are capped at maxQueryBody, PATCH bodies at maxPatchBody; a
 // longer one is answered 413.
@@ -90,11 +91,17 @@ var reqSeq atomic.Uint64
 // across process lifetimes in one log stream.
 var ridEpoch = uint64(time.Now().UnixNano())
 
-// ensureRequestID returns the client's X-Request-Id or generates one,
-// and echoes it on the response.
+// maxRequestID is the longest client X-Request-Id kept. The id is
+// echoed, logged on every line and held by each flight record, and
+// net/http admits a header of up to 1 MiB.
+const maxRequestID = 128
+
+// ensureRequestID returns the client's X-Request-Id, or a generated one
+// in place of none, of one over maxRequestID bytes or of one holding a
+// byte outside visible ASCII, and echoes it on the response.
 func ensureRequestID(w http.ResponseWriter, r *http.Request) string {
 	rid := r.Header.Get("X-Request-Id")
-	if rid == "" {
+	if rid == "" || len(rid) > maxRequestID || strings.ContainsFunc(rid, func(c rune) bool { return c < 0x21 || c > 0x7e }) {
 		rid = "q-" + strconv.FormatUint(ridEpoch&0xffffff, 16) + "-" + strconv.FormatUint(reqSeq.Add(1), 16)
 	}
 	w.Header().Set("X-Request-Id", rid)

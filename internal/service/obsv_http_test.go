@@ -58,8 +58,8 @@ func TestExplainAllStrategies(t *testing.T) {
 			t.Errorf("strategy %q: counters %+v vs response count=%d visited=%d",
 				strat, p.Counters, resp.Count, resp.Visited)
 		}
-		// Every engine reports its jumps, the TDSTA its TopMost/Lt/Rt
-		// calls and the hybrid run its occurrence rows and searches. The
+		// Every engine reports its jumps, the TDSTA its top-most regions,
+		// Lt and Rt and the hybrid run its occurrence rows and searches. The
 		// flight record carries the same Work as the profile.
 		rec := s.Flight().Snapshot(1, false).Records[0]
 		if rec.RequestID != "rid-"+strat || rec.Work != p.Counters.Work {
@@ -422,6 +422,41 @@ func TestDebugQueriesHTTP(t *testing.T) {
 	}
 	if fs.Records[0].RequestID == "" {
 		t.Error("HTTP query got no generated request id in its flight record")
+	}
+}
+
+// TestRequestIDBounded: a client id too long to keep (64 KiB here; the
+// header limit is 1 MiB) is replaced by a generated one, in the echo and
+// in the flight record, while a short visible-ASCII id is kept.
+func TestRequestIDBounded(t *testing.T) {
+	srv := newTestServer(t)
+	mustLoad(t, srv.URL, "d1")
+	for _, tc := range []struct{ sent, want string }{
+		{strings.Repeat("x", 64<<10), ""},
+		{"bad id", ""},
+		{"test-42", "test-42"},
+	} {
+		req, err := http.NewRequest("POST", srv.URL+"/query", strings.NewReader(`{"doc":"d1","query":"//a/b"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Request-Id", tc.sent)
+		hr, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Body.Close()
+		got := hr.Header.Get("X-Request-Id")
+		if tc.want != "" && got != tc.want || tc.want == "" && !strings.HasPrefix(got, "q-") {
+			t.Errorf("sent a %d-byte id, echoed %.40q", len(tc.sent), got)
+		}
+		var fs obsv.FlightStats
+		if code := doJSON(t, "GET", srv.URL+"/debug/queries?n=1", nil, &fs); code != http.StatusOK || len(fs.Records) != 1 {
+			t.Fatalf("flight: status %d, %d records", code, len(fs.Records))
+		}
+		if rid := fs.Records[0].RequestID; rid != got || len(rid) > maxRequestID {
+			t.Errorf("sent a %d-byte id, echoed %.40q, recorded %d bytes: %.40q", len(tc.sent), got, len(rid), rid)
+		}
 	}
 }
 

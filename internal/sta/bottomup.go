@@ -197,9 +197,9 @@ func (a *STA) RelevantBottomUp(d *tree.Document, run Run) []tree.NodeID {
 // bottomUpEssential computes the labels on which a region of q0-states
 // can change: δ(q0, q0, l) ≠ q0 or (q0, l) selecting. A binary subtree
 // containing no such label evaluates to q0 without being visited.
-func (a *STA) bottomUpEssential() (labels.Set, bool) {
+func (a *STA) bottomUpEssential() labels.Set {
 	if len(a.Bottom) != 1 {
-		return labels.Any, false
+		return labels.Any
 	}
 	q0 := a.Bottom[0]
 	loop := labels.None
@@ -210,9 +210,7 @@ func (a *STA) bottomUpEssential() (labels.Set, bool) {
 	}
 	// A label is skippable iff the (q0, q0) pair maps back to q0 on it
 	// and it is not a selecting configuration of q0.
-	essential := loop.Minus(a.selOf[q0]).Complement()
-	_, fin := essential.Finite()
-	return essential, fin
+	return loop.Minus(a.selOf[q0]).Complement()
 }
 
 // EvalBottomUpJump is the bottomup_jump evaluator sketched in §3.2: a
@@ -220,8 +218,10 @@ func (a *STA) bottomUpEssential() (labels.Set, bool) {
 // essential label — such regions reduce to q0 unobserved. It is the
 // skipping counterpart of EvalBottomUpDet; ancestor hops are performed
 // with parent moves, as in the paper's implementation ("the tree indexes
-// that we use do not implement the ancestor jumps efficiently").
-func (a *STA) EvalBottomUpJump(d *tree.Document, ix *index.Index) Result {
+// that we use do not implement the ancestor jumps efficiently"). The dt
+// jumps are cur's, a cursor set over d's index: the regions are entered
+// in document order, so each question is past the one before.
+func (a *STA) EvalBottomUpJump(d *tree.Document, cur *index.Cursors) Result {
 	n := d.NumNodes()
 	run := make(Run, n)
 	for i := range run {
@@ -231,7 +231,8 @@ func (a *STA) EvalBottomUpJump(d *tree.Document, ix *index.Index) Result {
 		return Result{Run: run}
 	}
 	q0 := a.Bottom[0]
-	essential, finite := a.bottomUpEssential()
+	essential := a.bottomUpEssential()
+	ids, finite := essential.Finite()
 	if !finite {
 		// No skipping possible; fall back to the full sweep.
 		return a.EvalBottomUpDet(d)
@@ -244,8 +245,7 @@ func (a *STA) EvalBottomUpJump(d *tree.Document, ix *index.Index) Result {
 		if essential.Contains(d.Label(v)) {
 			return true
 		}
-		u, _ := ix.Dt(v, essential)
-		return u != index.Nil
+		return cur.First(ids, v, d.BinEnd(v)) != index.Nil
 	}
 
 	// Iterative postorder over the binary tree, skipping dead regions.

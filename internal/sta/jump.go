@@ -125,14 +125,15 @@ func (a *STA) RelevantTopDown(d *tree.Document, run Run) []tree.NodeID {
 
 // EvalTopDownJump is Algorithm B.1 (topdown_jump): it evaluates a minimal
 // top-down deterministic complete STA visiting only (a superset of) the
-// top-down relevant nodes, jumping with the index's dt/ft/lt/rt
-// functions. Its cost is that of what it visits, never O(n): the jump
-// analysis of every state was made once, by Finalize.
+// top-down relevant nodes, jumping with the dt/ft/lt/rt functions of
+// cur, a cursor set over d's index that no other run moves meanwhile.
+// Its cost is that of what it visits, never O(n): the jump analysis of
+// every state was made once, by Finalize.
 //
 // A non-nil run, of d.NumNodes() entries, records the partial run:
 // states exactly at the visited nodes, NoState elsewhere (Theorem 3.1).
 // The query path passes nil and reads only the answer and the work.
-func (a *STA) EvalTopDownJump(d *tree.Document, ix *index.Index, run Run) Result {
+func (a *STA) EvalTopDownJump(d *tree.Document, cur *index.Cursors, run Run) Result {
 	for i := range run {
 		run[i] = NoState
 	}
@@ -150,22 +151,36 @@ func (a *STA) EvalTopDownJump(d *tree.Document, ix *index.Index, run Run) Result
 	// and the right sibling exists if that is short of the node's own
 	// end, which it shares. Only a jump that lands below the node it
 	// started from asks for a BinEnd.
+	//
+	// A region frame is what is left of a top-most jump in q: the
+	// interval (v, end], whose top-most essential nodes the cursors
+	// name one at a time, as the frame is popped.
 	type frame struct {
 		v, end tree.NodeID
 		q      State
+		region bool
 	}
 	var few [32]frame
-	stack := append(few[:0], frame{0, tree.NodeID(n - 1), a.Top[0]})
+	stack := append(few[:0], frame{0, tree.NodeID(n - 1), a.Top[0], false})
 	// Each pop either jumps (relevant_nodes of Algorithm B.1: the frame
 	// is replaced by the relevant nodes of its subtree, whose labels are
 	// essential, so they are visited when popped) or visits v. Frames are
-	// pushed right sibling first, so nodes are visited in document order.
+	// pushed right sibling first, so nodes are visited in document order
+	// and every question to the cursors is past the one before.
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		q, v := f.q, f.v
-		l := d.Label(v)
 		ji := &a.jump[q]
+		if f.region { // ft: the next top-most node u, then the rest past u's subtree
+			ids, _ := ji.Essential.Finite()
+			if u := cur.First(ids, v, f.end); u != index.Nil {
+				end := d.BinEnd(u)
+				stack = append(stack, frame{end, f.end, q, true}, frame{u, end, q, false})
+			}
+			continue
+		}
+		l := d.Label(v)
 		if ji.Kind == JumpFail {
 			return Result{Work: res.Work}
 		}
@@ -173,17 +188,14 @@ func (a *STA) EvalTopDownJump(d *tree.Document, ix *index.Index, run Run) Result
 			res.Jumps++
 			switch ji.Kind {
 			case JumpTopMost:
-				tops, _ := ix.TopMost(v, ji.Essential)
-				for i := len(tops) - 1; i >= 0; i-- {
-					stack = append(stack, frame{tops[i], d.BinEnd(tops[i]), q})
-				}
+				stack = append(stack, frame{v, f.end, q, true})
 			case JumpLeftPath:
-				if u := ix.Lt(v, ji.Essential); u != index.Nil {
-					stack = append(stack, frame{u, d.BinEnd(u), q})
+				if u := cur.Lt(v, ji.Essential); u != index.Nil {
+					stack = append(stack, frame{u, d.BinEnd(u), q, false})
 				}
 			case JumpRightPath:
-				if u := ix.Rt(v, ji.Essential); u != index.Nil {
-					stack = append(stack, frame{u, f.end, q}) // a sibling of v
+				if u := cur.Rt(v, ji.Essential); u != index.Nil {
+					stack = append(stack, frame{u, f.end, q, false}) // a sibling of v
 				}
 			}
 			continue
@@ -209,7 +221,7 @@ func (a *STA) EvalTopDownJump(d *tree.Document, ix *index.Index, run Run) Result
 		} else if a.jump[dest.Right].Kind == JumpFail {
 			return Result{Work: res.Work}
 		} else {
-			stack = append(stack, frame{last + 1, f.end, dest.Right})
+			stack = append(stack, frame{last + 1, f.end, dest.Right, false})
 		}
 		if last == v { // no child
 			if !a.inBot[dest.Left] {
@@ -218,7 +230,7 @@ func (a *STA) EvalTopDownJump(d *tree.Document, ix *index.Index, run Run) Result
 		} else if a.jump[dest.Left].Kind == JumpFail {
 			return Result{Work: res.Work}
 		} else {
-			stack = append(stack, frame{v + 1, last, dest.Left})
+			stack = append(stack, frame{v + 1, last, dest.Left, false})
 		}
 	}
 	res.Accepted = true

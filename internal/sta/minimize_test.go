@@ -120,7 +120,7 @@ func TestJumpOnRandomMinimalTDSTA(t *testing.T) {
 		for i, d := range docs {
 			full := min.EvalTopDownDet(d)
 			run := make(Run, d.NumNodes())
-			jump := min.EvalTopDownJump(d, indexes[i], run)
+			jump := min.EvalTopDownJump(d, indexes[i].NewCursors(), run)
 			if full.Accepted != jump.Accepted {
 				t.Logf("seed=%d doc=%d acceptance: full=%v jump=%v\n%s",
 					seed, i, full.Accepted, jump.Accepted, min.String(lt))
@@ -170,7 +170,7 @@ func TestBottomUpJumpOnRandomBDSTA(t *testing.T) {
 	aut := ExampleAWithDescB(a, b)
 	for i, d := range docs {
 		full := aut.EvalBottomUpDet(d)
-		jump := aut.EvalBottomUpJump(d, indexes[i])
+		jump := aut.EvalBottomUpJump(d, indexes[i].NewCursors())
 		if full.Accepted != jump.Accepted || len(full.Selected) != len(jump.Selected) {
 			t.Fatalf("doc %d: full=%v/%d jump=%v/%d", i,
 				full.Accepted, len(full.Selected), jump.Accepted, len(jump.Selected))

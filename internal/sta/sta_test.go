@@ -278,7 +278,7 @@ func TestTopDownJumpTheorem(t *testing.T) {
 		ix := index.New(d)
 		full := aut.EvalTopDownDet(d)
 		run := make(Run, d.NumNodes())
-		jump := aut.EvalTopDownJump(d, ix, run)
+		jump := aut.EvalTopDownJump(d, ix.NewCursors(), run)
 		if jump.Accepted != full.Accepted {
 			return false
 		}
@@ -313,7 +313,7 @@ func TestJumpVisitsOnlyRelevantForRootRecognizer(t *testing.T) {
 	d := abcDoc(5, 300)
 	ix := index.New(d)
 	aut := ExampleRootA(tree.LabelDoc)
-	res := aut.EvalTopDownJump(d, ix, nil)
+	res := aut.EvalTopDownJump(d, ix.NewCursors(), nil)
 	if !res.Accepted {
 		t.Fatal("should accept")
 	}
@@ -347,7 +347,7 @@ func TestJumpVisitCountsOnChain(t *testing.T) {
 	bID, _ := d.Names().Lookup("b")
 	aut := ExampleDescADescB(aID, bID)
 	ix := index.New(d)
-	res := aut.EvalTopDownJump(d, ix, nil)
+	res := aut.EvalTopDownJump(d, ix.NewCursors(), nil)
 	if !res.Accepted || len(res.Selected) != 1 {
 		t.Fatalf("selected %v", res.Selected)
 	}
@@ -430,7 +430,7 @@ func TestBottomUpJumpMatchesFull(t *testing.T) {
 		aut := ExampleAWithDescB(a, b)
 		ix := index.New(d)
 		full := aut.EvalBottomUpDet(d)
-		jump := aut.EvalBottomUpJump(d, ix)
+		jump := aut.EvalBottomUpJump(d, ix.NewCursors())
 		if jump.Accepted != full.Accepted {
 			return false
 		}
@@ -466,7 +466,7 @@ func TestBottomUpJumpSkipsDeadRegions(t *testing.T) {
 	a, b := abIDs(d)
 	aut := ExampleAWithDescB(a, b)
 	ix := index.New(d)
-	res := aut.EvalBottomUpJump(d, ix)
+	res := aut.EvalBottomUpJump(d, ix.NewCursors())
 	if !res.Accepted || len(res.Selected) != 1 {
 		t.Fatalf("selected %v", res.Selected)
 	}
@@ -576,9 +576,10 @@ func BenchmarkEvalTopDownJump(b *testing.B) {
 	d := abcDoc(1, 50000)
 	a, bb := abIDs(d)
 	aut := ExampleDescADescB(a, bb)
-	ix := index.New(d)
+	cur := index.New(d).NewCursors()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = aut.EvalTopDownJump(d, ix, nil)
+		cur.Reset() // warm: the cursor set of the run before, rewound
+		_ = aut.EvalTopDownJump(d, cur, nil)
 	}
 }

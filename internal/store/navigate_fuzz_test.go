@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/index"
+	"repro/internal/labels"
 	"repro/internal/tree"
 )
 
@@ -248,5 +249,51 @@ func requireRefusedOrNavigable(t *testing.T, l *tree.Layout) {
 	}
 	if found != 0 {
 		t.Fatalf("verified, yet the rows hold %d occurrences more than there are nodes", -found)
+	}
+	// The jumps every evaluator takes, from the labels alone: for every
+	// label, First stepping past each hit's binary subtree names the
+	// top-most nodes under the root — the occurrences no earlier one's
+	// binary subtree holds — and Rt from each node's first child names
+	// the first later sibling so labelled.
+	sigma := d.Names().Size()
+	tops := make([][]tree.NodeID, sigma)
+	for v := tree.NodeID(1); v < n; v++ {
+		lab := d.Label(v)
+		if k := len(tops[lab]); k == 0 || d.BinEnd(tops[lab][k-1]) < v {
+			tops[lab] = append(tops[lab], v)
+		}
+	}
+	sets := make([]labels.Set, sigma)
+	for lab := range tree.LabelID(sigma) {
+		ids, cur, end := []tree.LabelID{lab}, ix.NewCursors(), d.BinEnd(d.Root())
+		var got []tree.NodeID
+		for u := cur.First(ids, d.Root(), end); u != tree.Nil; u = cur.First(ids, d.BinEnd(u), end) {
+			got = append(got, u)
+		}
+		if !slices.Equal(got, tops[lab]) {
+			t.Fatalf("verified, yet First names %d top-most %s under the root, the labels %d", len(got), d.Names().Name(lab), len(tops[lab]))
+		}
+		sets[lab] = labels.Of(lab)
+	}
+	later := make([]tree.NodeID, sigma) // by label: the first sibling after the first child
+	for v := tree.NodeID(0); v < n; v++ {
+		c := d.FirstChild(v)
+		if c == tree.Nil {
+			continue
+		}
+		for lab := range later {
+			later[lab] = tree.Nil
+		}
+		for u := d.NextSibling(c); u != tree.Nil; u = d.NextSibling(u) {
+			if later[d.Label(u)] == tree.Nil {
+				later[d.Label(u)] = u
+			}
+		}
+		for lab, L := range sets {
+			cur.Reset()
+			if got := cur.Rt(c, L); got != later[lab] {
+				t.Fatalf("verified, yet Rt(%d, %s) = %d, the sibling walk %d", c, d.Names().Name(tree.LabelID(lab)), got, later[lab])
+			}
+		}
 	}
 }

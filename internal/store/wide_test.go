@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/labels"
 	"repro/internal/qcache"
 	"repro/internal/store"
 	"repro/internal/tgen"
@@ -205,7 +204,11 @@ func requireRowsInvertLabels(t *testing.T, what string, h *store.Handle) {
 				tops = append(tops, v)
 			}
 		}
-		if got, _ := ix.TopMost(doc.Root(), labels.Of(tree.LabelID(l))); !slices.Equal(got, tops) {
+		ids, cur, got := []tree.LabelID{tree.LabelID(l)}, ix.NewCursors(), []tree.NodeID(nil)
+		for u := cur.First(ids, doc.Root(), n-1); u != tree.Nil; u = cur.First(ids, doc.BinEnd(u), n-1) {
+			got = append(got, u)
+		}
+		if !slices.Equal(got, tops) {
 			t.Fatalf("%s: %d top-most nodes under the root, want %d", what, len(got), len(tops))
 		}
 	}

@@ -19,10 +19,9 @@ import (
 // table: their halves in one Lo, row after row, and their directories
 // laid end to end in one Start, so that row r of a table of rows with
 // chunks chunks each is the chunks+1 entries from r*chunks on, the
-// closing entry of one row being the first of the next. SearchRow and
-// Next take a row that way; a row cut out as a Seq of its own (Start
-// sub-sliced, its entries still indices into the shared Lo) serves the
-// other methods. The encoding is canonical — two Seq holding the same
+// closing entry of one row being the first of the next. Next takes a
+// row that way; a row cut out as a Seq of its own (Start sub-sliced, its
+// entries still indices into the shared Lo) serves the other methods. The encoding is canonical — two Seq holding the same
 // values over the same number of chunks are equal array for array — and
 // a Seq is immutable once built; the zero Seq is empty.
 //
@@ -89,28 +88,23 @@ func searchHalves(lo []uint16, h uint16) int {
 
 // Search returns the position and the value of the first element that is
 // x or more, or Len and None.
-func (s *Seq) Search(x uint32) (int, uint32) { return s.SearchRow(0, len(s.Start)-1, x) }
-
-// SearchRow is Search in the row of a table whose directory is the
-// chunks+1 entries of Start from base on; positions count from the row's
-// first element.
-func (s *Seq) SearchRow(base, chunks int, x uint32) (int, uint32) {
-	start := s.Start[base : base+chunks+1]
+func (s *Seq) Search(x uint32) (int, uint32) {
+	chunks := len(s.Start) - 1
 	c := int(x >> 16)
 	if c >= chunks {
-		if chunks < 0 { // the zero Seq, searched whole
+		if chunks < 0 { // the zero Seq
 			return 0, None
 		}
-		return int(start[chunks] - start[0]), None
+		return s.Len(), None
 	}
-	a, b := start[c], start[c+1]
+	a, b := s.Start[c], s.Start[c+1]
 	k := a + uint32(searchHalves(s.Lo[a:b], uint16(x)))
 	if k == b { // nothing that large in x's chunk: the head of the next chunk that has an element
-		if c = chunkOf(start, k, c+1); c == chunks {
-			return int(k - start[0]), None
+		if c = chunkOf(s.Start, k, c+1); c == chunks {
+			return int(k - s.Start[0]), None
 		}
 	}
-	return int(k - start[0]), uint32(c)<<16 | uint32(s.Lo[k])
+	return int(k - s.Start[0]), uint32(c)<<16 | uint32(s.Lo[k])
 }
 
 // Cursor is a place in a Seq, or in a row of one, that only moves

@@ -148,9 +148,9 @@ func TestSeqWriterAgainstPlainSlices(t *testing.T) {
 }
 
 // TestSeqTableRows: three rows written into one table — a dense one, an
-// empty one, one living in the last chunk only — are each what SearchRow
-// and Next find in place and what the row cut out as a Seq of its own
-// holds.
+// empty one, one living in the last chunk only — are each what Next
+// finds in place and what the row cut out as a Seq of its own holds and
+// searches.
 func TestSeqTableRows(t *testing.T) {
 	const chunks = 3
 	rows := [][]uint32{{1, 2, 70000, 70001, 140000}, nil, {3<<16 - 2, 3<<16 - 1}, {0}}
@@ -167,7 +167,8 @@ func TestSeqTableRows(t *testing.T) {
 	table := w.Done()
 	for r, row := range rows {
 		base := r * chunks
-		requireSeq(t, fmt.Sprint("row ", r), Seq{Lo: table.Lo, Start: table.Start[base : base+chunks+1]}, row, chunks)
+		cut := Seq{Lo: table.Lo, Start: table.Start[base : base+chunks+1]}
+		requireSeq(t, fmt.Sprint("row ", r), cut, row, chunks)
 		for _, x := range []uint32{0, 1, 3, 65536, 70000, 70002, 3<<16 - 1, 3 << 16, None} {
 			i := sort.Search(len(row), func(i int) bool { return row[i] >= x })
 			want := None
@@ -175,8 +176,8 @@ func TestSeqTableRows(t *testing.T) {
 				want = row[i]
 			}
 			var cu Cursor
-			if pos, val := table.SearchRow(base, chunks, x); pos != i || val != want {
-				t.Errorf("row %d: SearchRow(%d) = element %d, %d; want element %d, %d", r, x, pos, val, i, want)
+			if pos, val := cut.Search(x); pos != i || val != want {
+				t.Errorf("row %d: Search(%d) = element %d, %d; want element %d, %d", r, x, pos, val, i, want)
 			}
 			if val := table.Next(&cu, base, chunks, None, x); val != want {
 				t.Errorf("row %d: a fresh cursor's first element at or above %d is %d, want %d", r, x, val, want)
