@@ -30,8 +30,10 @@ race:
 lint:
 	$(GO) run ./cmd/xpqlint ./...
 
+# gofmt -l exits 0 even when it lists files: fail on a non-empty list,
+# as CI's gofmt step does.
 fmt:
-	gofmt -l .
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 
 vet:
 	$(GO) vet ./...

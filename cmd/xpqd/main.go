@@ -4,14 +4,15 @@
 //
 //	xpqd [-addr localhost:8714] [-cache-size 1024] [-workers N]
 //	     [-stream-chunk 512] [-allow-file-loads] [-log-level info]
-//	     [-slow-query-ms N] [-pprof] [-cursor-ttl 60s] [-resident-budget N]
+//	     [-slow-query-ms N] [-pprof] [-cursor-ttl 60s]
 //	     [-verify-resident] [-load id=file.xml ...]
 //	     [-mmap id=file.xqo2 | -mmap corpusdir ...] [-xmark id=scale[:seed] ...]
 //
 // Every document lives in one store and shares one compiled-query LRU
-// of -cache-size entries; no compiled query exceeds 64 states. -shards
-// is still accepted and ignored. GET /stats reports cache, lock-wait
-// and latency metrics.
+// of -cache-size entries; no compiled query exceeds 64 states. The
+// kernel pages -mmap documents like any mapped file. -shards and
+// -resident-budget are still accepted and ignored. GET /stats reports
+// cache, lock-wait and latency metrics.
 //
 // Endpoints:
 //
@@ -136,13 +137,13 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		slowQueryMS = fs.Int64("slow-query-ms", 100, "flag queries at or above this many milliseconds as slow (0 disables)")
 		pprofFlag   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		cursorTTL   = fs.Duration("cursor-ttl", service.DefaultCursorTTL, "how long an unconsumed page/stream cursor keeps its MVCC generation alive")
-		residentMax = fs.Int64("resident-budget", 0, "total bytes of mmap'd documents kept hot; colder mappings are released to the OS (0 = unlimited)")
 		verifyRes   = fs.Bool("verify-resident", false, "structurally validate every value in -mmap files at open (for files not written by this server; checksums are always verified)")
 		loads       multiFlag
 		mmaps       multiFlag
 		xmarks      multiFlag
 	)
 	fs.Int("shards", 1, "ignored: the store has one partition")
+	fs.Int64("resident-budget", 0, "ignored: the kernel pages mmap'd documents")
 	fs.Var(&loads, "load", "preload an XML document, id=path (repeatable)")
 	fs.Var(&mmaps, "mmap", "open an XQO2 resident file zero-copy, id=path, or a directory of .xqo2 files (repeatable)")
 	fs.Var(&xmarks, "xmark", "pregenerate an XMark document, id=scale[:seed] (repeatable)")
@@ -160,7 +161,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	logger := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level}))
 
 	st := shard.NewStore(1)
-	st.SetResidentBudget(*residentMax)
 	st.SetVerifyResident(*verifyRes)
 	if err := preload(ctx, st.Store, logger, loads, mmaps, xmarks); err != nil {
 		if ctx.Err() != nil {
@@ -220,11 +220,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 type preloadJob struct {
 	flag, spec string // as given, for error messages
 	id         string
-	// load runs on a worker. A -load or -xmark job builds and publishes
-	// its document there; a -mmap job (mapped) only opens its file, and
-	// preload publishes the handle.
-	load   func(*store.Store) (*store.Handle, error)
-	mapped bool
+	// load runs on a worker: it builds, generates or opens the document
+	// and publishes it.
+	load func(*store.Store) (*store.Handle, error)
 	// Set by the worker that ran the job, read after done is closed.
 	h    *store.Handle
 	err  error
@@ -237,19 +235,19 @@ type preloadJob struct {
 // here, before any document is touched.
 func planPreload(loads, mmaps, xmarks []string) ([]*preloadJob, error) {
 	var jobs []*preloadJob
-	add := func(flag, spec, id string, mapped bool, load func(*store.Store) (*store.Handle, error)) {
-		jobs = append(jobs, &preloadJob{flag: flag, spec: spec, id: id, mapped: mapped, load: load})
+	add := func(flag, spec, id string, load func(*store.Store) (*store.Handle, error)) {
+		jobs = append(jobs, &preloadJob{flag: flag, spec: spec, id: id, load: load})
 	}
 	for _, spec := range loads {
 		id, path, err := splitSpec(spec, "-load")
 		if err != nil {
 			return nil, err
 		}
-		add("-load", spec, id, false, func(st *store.Store) (*store.Handle, error) { return st.LoadXMLFile(id, path) })
+		add("-load", spec, id, func(st *store.Store) (*store.Handle, error) { return st.LoadXMLFile(id, path) })
 	}
 	for _, spec := range mmaps {
 		addMapped := func(id, path string) {
-			add("-mmap", spec, id, true, func(st *store.Store) (*store.Handle, error) { return st.OpenMapped(id, path) })
+			add("-mmap", spec, id, func(st *store.Store) (*store.Handle, error) { return st.LoadMapped(id, path) })
 		}
 		if fi, err := os.Stat(spec); err == nil && fi.IsDir() {
 			entries, err := os.ReadDir(spec)
@@ -285,7 +283,7 @@ func planPreload(loads, mmaps, xmarks []string) ([]*preloadJob, error) {
 				return nil, fmt.Errorf("-xmark %q: bad seed: %w", spec, err)
 			}
 		}
-		add("-xmark", spec, id, false, func(st *store.Store) (*store.Handle, error) { return st.GenerateXMark(id, scale, seed) })
+		add("-xmark", spec, id, func(st *store.Store) (*store.Handle, error) { return st.GenerateXMark(id, scale, seed) })
 	}
 	first := map[string]*preloadJob{}
 	for _, j := range jobs {
@@ -301,15 +299,12 @@ func planPreload(loads, mmaps, xmarks []string) ([]*preloadJob, error) {
 // first queries never pay parse, index or checksum latency. The jobs run
 // on up to GOMAXPROCS workers, handed out in flag order, and are
 // reported — logged, or failed — in flag order whatever order they
-// finish in. A worker parses, generates or opens; a mapped document is
-// published here, in flag order, so that order is still the resident
-// budget's first LRU order and the hot set after preload does not depend
-// on which worker finished first. Preloading a whole corpus directory is
-// how the daemon serves more documents than fit in RAM, with the OS
-// paging each document's working set on demand. Once ctx is cancelled no
-// further document is started or published; preload returns when the
-// ones under way are done, so no worker outlives it, and unmaps every
-// file it opened and did not publish.
+// finish in. A worker parses, generates or opens a document and
+// publishes it. Preloading a whole corpus directory is how the daemon
+// serves more documents than fit in RAM, with the kernel paging each
+// document's working set on demand. Once ctx is cancelled no further
+// document is started; preload returns when the ones under way are done,
+// so no worker outlives it.
 func preload(ctx context.Context, st *store.Store, logger *slog.Logger, loads, mmaps, xmarks []string) error {
 	jobs, err := planPreload(loads, mmaps, xmarks)
 	if err != nil {
@@ -328,8 +323,7 @@ func preload(ctx context.Context, st *store.Store, logger *slog.Logger, loads, m
 		// out are left alone. Every job before a failed one has been
 		// handed out already, so the first failure in flag order is
 		// always one that ran.
-		stop      atomic.Bool
-		published int // jobs[:published] are resident and logged
+		stop atomic.Bool
 	)
 	for w := min(runtime.GOMAXPROCS(0), len(jobs)); w > 0; w-- {
 		wg.Add(1)
@@ -351,11 +345,6 @@ func preload(ctx context.Context, st *store.Store, logger *slog.Logger, loads, m
 	defer func() {
 		stop.Store(true)
 		wg.Wait()
-		for _, j := range jobs[published:] {
-			if j.mapped && j.h != nil {
-				j.h.Discard()
-			}
-		}
 	}()
 	for _, j := range jobs {
 		select {
@@ -365,13 +354,9 @@ func preload(ctx context.Context, st *store.Store, logger *slog.Logger, loads, m
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if j.mapped && j.err == nil {
-			j.h, j.err = st.PublishMapped(j.h)
-		}
 		if j.err != nil {
 			return j.err
 		}
-		published++
 		logLoaded(logger, j.h)
 	}
 	return nil

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -19,6 +21,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/service"
+	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/xmark"
 )
@@ -83,29 +87,53 @@ func TestRunCancelBeforeListen(t *testing.T) {
 	}
 }
 
-// TestRunCancelAfterListen: a serving daemon drains and returns nil
-// when its context is cancelled.
-func TestRunCancelAfterListen(t *testing.T) {
+var listeningRE = regexp.MustCompile(`msg=listening addr=(\S+) documents=(\d+)`)
+
+// serve runs the daemon with args on a free local port until it logs
+// its listening line, and returns the address, the number of documents
+// it preloaded, and a stop function that cancels it and fails the test
+// unless it drains cleanly.
+func serve(t *testing.T, args ...string) (addr, documents string, stop func()) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	var log logBuf
 	done := make(chan error, 1)
-	go func() { done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-xmark", "a=0.001"}, &log) }()
-
-	addrRE := regexp.MustCompile(`msg=listening addr=(\S+)`)
-	var addr string
+	go func() { done <- run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), &log) }()
 	for deadline := time.Now().Add(10 * time.Second); addr == ""; time.Sleep(5 * time.Millisecond) {
-		if m := addrRE.FindStringSubmatch(log.String()); m != nil {
-			addr = m[1]
+		if m := listeningRE.FindStringSubmatch(log.String()); m != nil {
+			addr, documents = m[1], m[2]
 		} else if time.Now().After(deadline) {
+			cancel()
 			t.Fatalf("daemon never listened:\n%s", log.String())
 		}
 		select {
 		case err := <-done:
+			cancel()
 			t.Fatalf("daemon exited before listening: %v\n%s", err, log.String())
 		default:
 		}
 	}
+	return addr, documents, func() {
+		t.Helper()
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("daemon did not drain:\n%s", log.String())
+		}
+		if !strings.Contains(log.String(), "bye") {
+			t.Errorf("no clean-drain log line:\n%s", log.String())
+		}
+	}
+}
+
+// TestRunCancelAfterListen: a serving daemon drains and returns nil
+// when its context is cancelled.
+func TestRunCancelAfterListen(t *testing.T) {
+	addr, _, stop := serve(t, "-xmark", "a=0.001")
 	resp, err := http.Get("http://" + addr + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -114,18 +142,29 @@ func TestRunCancelAfterListen(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/healthz: status %d", resp.StatusCode)
 	}
+	stop()
+}
 
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("drain: %v", err)
+// TestHarnessFlagsParse: the argument shapes cmd/xpqbench hands the
+// daemon still parse, preload and listen — the mapped corpus beside the
+// ignored -resident-budget and a -cursor-ttl, the -load documents, and
+// the ignored -shards.
+func TestHarnessFlagsParse(t *testing.T) {
+	mdir := mappedCorpus(t, 3, 0.001)
+	loads := preloadFiles(t, 2)
+	for _, tc := range []struct {
+		args      []string
+		documents string
+	}{
+		{[]string{"-mmap", mdir, "-resident-budget", "12345", "-cursor-ttl", "2s"}, "3"},
+		{[]string{"-load", loads[0], "-load", loads[1]}, "2"},
+		{[]string{"-shards", "4", "-load", loads[0]}, "1"},
+	} {
+		_, documents, stop := serve(t, tc.args...)
+		stop()
+		if documents != tc.documents {
+			t.Errorf("%v: listening with %s documents, want %s", tc.args, documents, tc.documents)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatalf("daemon did not drain:\n%s", log.String())
-	}
-	if !strings.Contains(log.String(), "bye") {
-		t.Errorf("no clean-drain log line:\n%s", log.String())
 	}
 }
 
@@ -261,6 +300,63 @@ func TestPreloadOrder(t *testing.T) {
 	}
 }
 
+// TestPreloadMappedBytes pins /stats mapped.mapped_bytes: after preload
+// it is the sum of the -mmap files' sizes (a -load document adds
+// nothing), and once every mapped document is evicted it reads 0.
+func TestPreloadMappedBytes(t *testing.T) {
+	mdir := mappedCorpus(t, 4, 0.001)
+	other := filepath.Join(t.TempDir(), "other.xqo2")
+	if err := store.SaveXQO2File(other, xmark.Generate(xmark.Config{Scale: 0.002, Seed: 2})); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(mdir, "*.xqo2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mapped []string // ids: the files' base names
+	var want int64
+	for _, path := range append(paths, other) {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped = append(mapped, strings.TrimSuffix(fi.Name(), ".xqo2"))
+		want += fi.Size()
+	}
+	st := store.New()
+	if err := preload(context.Background(), st, testLogger(io.Discard), preloadFiles(t, 1), []string{mdir, "other=" + other}, nil); err != nil {
+		t.Fatal(err)
+	}
+	h := service.NewHandler(service.New(&shard.Store{Store: st}, service.Options{}), service.HandlerOptions{})
+	mappedBytes := func() int64 {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+		var stats struct {
+			Mapped struct {
+				MappedBytes *int64 `json:"mapped_bytes"`
+			} `json:"mapped"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil || stats.Mapped.MappedBytes == nil {
+			t.Fatalf("/stats has no mapped.mapped_bytes (%v): %s", err, rec.Body)
+		}
+		return *stats.Mapped.MappedBytes
+	}
+	if got := mappedBytes(); got != want {
+		t.Fatalf("after preload mapped_bytes = %d, want the files' %d", got, want)
+	}
+	for _, id := range mapped {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("DELETE", "/docs/"+id, nil))
+		if rec.Code != http.StatusNoContent {
+			t.Fatalf("DELETE /docs/%s: status %d", id, rec.Code)
+		}
+	}
+	if got := mappedBytes(); got != 0 || st.Len() != 1 {
+		t.Fatalf("with every mapped document evicted mapped_bytes = %d over %d documents, want 0 over the -load one", got, st.Len())
+	}
+}
+
 // flipPayloadByte corrupts the first payload byte of an XQO2 file, which
 // its open reports as a checksum mismatch.
 func flipPayloadByte(t *testing.T, path string) {
@@ -322,21 +418,20 @@ func TestPreloadFirstFailureInFlagOrder(t *testing.T) {
 // cancellation guarantees is counted from the instant of the cancel: no
 // worker takes a job after it, so each can only finish the one it holds.
 // (How far the workers had run ahead of the in-order logger by then is
-// timing, and is not asserted.) A mapped document is published by
-// preload itself, which checks for cancellation before each one, so for
-// -mmap jobs no document at all is published after the cancel.
+// timing, and is not asserted.) -mmap jobs publish on their worker as
+// -xmark jobs do, so both may publish one document a worker after it.
 func TestPreloadCancel(t *testing.T) {
 	var xmarks []string
 	for i := 0; i < 200; i++ {
 		xmarks = append(xmarks, fmt.Sprintf("x%03d=0.01", i))
 	}
+	slack := runtime.GOMAXPROCS(0) // documents the workers may still publish after the cancel
 	for _, tc := range []struct {
 		name          string
 		mmaps, xmarks []string
-		slack         int // documents a worker may still publish after the cancel
 	}{
-		{"xmark", nil, xmarks, runtime.GOMAXPROCS(0)},
-		{"mmap", []string{mappedCorpus(t, 200, 0.001)}, nil, 0},
+		{"xmark", nil, xmarks},
+		{"mmap", []string{mappedCorpus(t, 200, 0.001)}, nil},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -353,9 +448,9 @@ func TestPreloadCancel(t *testing.T) {
 			t.Errorf("%s: cancelled preload took %v", tc.name, took)
 		}
 		loaded := st.Len()
-		if loaded == 0 || loaded >= 200 || loaded > log.atCancel+tc.slack {
+		if loaded == 0 || loaded >= 200 || loaded > log.atCancel+slack {
 			t.Errorf("%s: %d of 200 documents loaded, %d of them by the cancellation: %d more may be published after it",
-				tc.name, loaded, log.atCancel, tc.slack)
+				tc.name, loaded, log.atCancel, slack)
 		}
 		// A worker's wg.Done runs before the goroutine is gone: give the
 		// scheduler a moment to retire what preload already waited for.
@@ -381,71 +476,26 @@ type cancelOnWrite struct {
 	cancel    context.CancelFunc
 	published func() int
 	atCancel  int
-	first     func() // if set, runs before the cancel
 }
 
 func (c *cancelOnWrite) Write(p []byte) (int, error) {
 	c.once.Do(func() {
-		if c.first != nil {
-			c.first()
-		}
 		c.cancel()
 		c.atCancel = c.published()
 	})
 	return len(p), nil
 }
 
-// TestPreloadHotSet pins what is hot after preloading a corpus larger
-// than the resident budget: exactly the last k files in flag order, on
-// every run, whichever worker opened which file first — DESIGN
-// "Preload": the flag order is the budget's first LRU order. A charged
-// mapping is read without a map fault.
-func TestPreloadHotSet(t *testing.T) {
-	const n, k = 24, 8
-	mdir := mappedCorpus(t, n, 0.001)
-	fi, err := os.Stat(filepath.Join(mdir, "m000.xqo2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hot []string
-	for i := n - k; i < n; i++ {
-		hot = append(hot, fmt.Sprintf("m%03d", i))
-	}
-	for round := 0; round < 20; round++ {
-		st := store.New()
-		st.SetResidentBudget(k * fi.Size())
-		if err := preload(context.Background(), st, testLogger(io.Discard), nil, []string{mdir}, nil); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := st.Mapped().ChargedBytes, int64(k)*fi.Size(); got != want {
-			t.Fatalf("round %d: %d bytes charged, want %d (%v)", round, got, want, hot)
-		}
-		for _, id := range hot {
-			faults := st.Mapped().MapFaults
-			if _, ok := st.Get(id); !ok || st.Mapped().MapFaults != faults {
-				t.Fatalf("round %d: %s is not hot; the hot set should be %v", round, id, hot)
-			}
-		}
-	}
-}
-
 // BenchmarkPreloadMapped is point-lookup's set-up in process: 256 XMark
-// 0.002 files preloaded from one -mmap directory under a resident budget
-// of a quarter of the corpus, logging at warn as the benchmark's daemon
-// does.
+// 0.002 files preloaded from one -mmap directory, logging at warn as the
+// benchmark's daemon does.
 func BenchmarkPreloadMapped(b *testing.B) {
 	const n = 256
 	mdir := mappedCorpus(b, n, 0.002)
-	fi, err := os.Stat(filepath.Join(mdir, "m000.xqo2"))
-	if err != nil {
-		b.Fatal(err)
-	}
 	logger := slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := store.New()
-		st.SetResidentBudget(n * fi.Size() / 4)
-		if err := preload(context.Background(), st, logger, nil, []string{mdir}, nil); err != nil {
+		if err := preload(context.Background(), store.New(), logger, nil, []string{mdir}, nil); err != nil {
 			b.Fatal(err)
 		}
 		// The last round's mappings are unmapped by their finalizers,

@@ -3,19 +3,17 @@
 // file's pages; the tree/index layers reinterpret slices of it in place,
 // so opening a corpus costs page-table setup instead of parsing.
 //
-// Lifetime rules (see DESIGN.md "Resident format & paging"):
-//
-//   - Release is advisory: it tells the OS the pages are cold
-//     (madvise(DONTNEED) on Unix). The mapping stays valid — outstanding
-//     readers simply refault the pages from the file — so the store can
-//     shed resident memory for evicted documents without tracking readers.
-//   - The mapping is unmapped only by a finalizer once nothing references
-//     the Mapping anymore. Every structure aliasing the data keeps a
-//     pointer to its Mapping, so slices never outlive their pages.
+// Lifetime rule (see DESIGN.md "Resident format & paging"): the mapping
+// is unmapped by a finalizer once nothing references the Mapping
+// anymore. Every structure aliasing the data keeps a pointer to its
+// Mapping, so slices never outlive their pages. Paging is the kernel's:
+// the mapping is read-only and shared, so its pages are clean page-cache
+// pages, reclaimed under memory pressure and refaulted from the file on
+// the next read.
 //
 // On platforms without mmap the package falls back to reading the file
-// into the heap; all APIs keep working, Release becomes a no-op and
-// Mapped reports false so callers can account the bytes as heap.
+// into the heap; all APIs keep working, and Mapped reports false so
+// callers can account the bytes as heap.
 package mmapx
 
 // Mapping is a read-only view of a file's contents.

@@ -15,10 +15,6 @@ func Open(path string) (*Mapping, error) {
 	return &Mapping{data: data, mapped: false}, nil
 }
 
-// Release is a no-op for heap-backed fallbacks: the garbage collector,
-// not the OS, owns these bytes.
-func (m *Mapping) Release() error { return nil }
-
 // Close drops the heap-backed bytes; the garbage collector reclaims them.
 func (m *Mapping) Close() {
 	m.data = nil

@@ -48,25 +48,9 @@ func (m *Mapping) unmap() {
 // Close unmaps immediately instead of waiting for the finalizer. It is
 // only safe when no slice derived from Data is still in use — every
 // aliased structure must already be dead. Callers that cannot prove that
-// (the store, with MVCC readers possibly holding old generations) must
-// use Release and let the finalizer unmap.
+// (the store, with MVCC readers possibly holding old generations) leave
+// the unmap to the finalizer.
 func (m *Mapping) Close() {
 	runtime.SetFinalizer(m, nil)
 	m.unmap()
-}
-
-// Release tells the OS the mapping's pages are cold and may be dropped
-// (madvise(DONTNEED) for a file-backed read-only mapping discards the
-// page-cache references; the next access refaults from the file). The
-// mapping itself stays valid, so concurrent readers are safe — they just
-// get slower. Errors are reported but harmless: the pages simply stay
-// resident.
-func (m *Mapping) Release() error {
-	if len(m.data) == 0 {
-		return nil
-	}
-	if err := syscall.Madvise(m.data, syscall.MADV_DONTNEED); err != nil {
-		return fmt.Errorf("mmapx: madvise: %w", err)
-	}
-	return nil
 }

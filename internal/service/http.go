@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -338,12 +339,27 @@ func decodeQuery(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return decodeJSON(w, r, dst)
 }
 
+// errTrailingData refuses a body with a second JSON value, which would
+// otherwise be silently dropped.
+var errTrailingData = errors.New("trailing data after the JSON value")
+
 // decodeJSON decodes the request body into dst, answering 400 for a
-// malformed body and 413 for one past its cap.
+// malformed body or anything but whitespace after its one value, and
+// 413 for one past its cap.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	err := dec.Decode(dst)
+	if err == nil {
+		// A second token, or bytes that cannot start one, is an error;
+		// the end of the body is not.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errTrailingData
+		}
+	}
+	if err != nil {
 		code := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

@@ -151,6 +151,43 @@ func TestPatchBodyCap(t *testing.T) {
 	}
 }
 
+// TestTrailingDataRefused: a body is one JSON value. Anything but
+// whitespace after it — a second request, stray bytes, a closing brace
+// — is a 400 that applies nothing: two PATCH objects in one body leave
+// the document at its generation, instead of the first being applied
+// and the second dropped. Trailing whitespace is served.
+func TestTrailingDataRefused(t *testing.T) {
+	s := newTestService(t, Options{})
+	h := NewHandler(s, HandlerOptions{})
+	do := func(method, path, body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Code
+	}
+	for _, tc := range []struct{ method, path, body string }{
+		{"PATCH", "/docs/d1", `{"op":"insert","node":1,"xml":"<c/>"} {"op":"delete","node":1}`},
+		{"PATCH", "/docs/d1", `{"op":"insert","node":1,"xml":"<c/>"}x`},
+		{"POST", "/query", `{"doc":"d1","query":"//a/b"} {"doc":"d1","query":"//c"}`},
+		{"POST", "/query", `{"doc":"d1","query":"//a/b"}}`},
+		{"POST", "/query/stream", `{"doc":"d1","query":"//a/b"}]`},
+		{"POST", "/batch", `{"requests":[{"doc":"d1","query":"//a/b"}]} []`},
+		{"POST", "/docs", `{"id":"d2","xml":"<r/>"} {"id":"d3","xml":"<r/>"}`},
+	} {
+		if code := do(tc.method, tc.path, tc.body); code != http.StatusBadRequest {
+			t.Errorf("%s %s %s: status %d, want 400", tc.method, tc.path, tc.body, code)
+		}
+	}
+	if st := s.Stats(); st.MVCC.Patches != 0 || len(st.Documents) != 1 {
+		t.Fatalf("refused bodies applied %d patches and left %d documents, want 0 and 1", st.MVCC.Patches, len(st.Documents))
+	}
+	if code := do("PATCH", "/docs/d1", "{\"op\":\"insert\",\"node\":1,\"xml\":\"<c/>\"} \n\t\r\n"); code != http.StatusOK {
+		t.Errorf("PATCH with trailing whitespace: status %d, want 200", code)
+	}
+	if code := do("POST", "/query", `{"doc":"d1","query":"//a/b"}`+"\n"); code != http.StatusOK {
+		t.Errorf("query with a trailing newline: status %d, want 200", code)
+	}
+}
+
 // deepQuery nests a million parentheses, in a body under the cap.
 var deepQuery = "a[" + strings.Repeat("(", 1_048_000)
 
@@ -193,6 +230,7 @@ func FuzzQueryBody(f *testing.F) {
 		`{"requests":[{"doc":"d1","query":"//b","strategy":"hybrid"},{"doc":"nope","query":"//a"},{"doc":"d1","query":"///"}]}`,
 		string(padded(`{"doc":"d1","query":"//a/b"`, maxQueryBody+1)),
 		`{"doc":"d1","query":"` + deepQuery + `"}`,
+		`{"doc":"d1","query":"//a/b"} {"doc":"d1","query":"//c"}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -236,6 +274,7 @@ func FuzzPatchBody(f *testing.F) {
 		`{"op":"insert","node":1,"xml":"` + strings.Repeat("<a>", 1000) + `"}`,
 		`{"op":"insert","node":1,"xml":"<b/>","extra":1}`,
 		`[]`,
+		`{"op":"insert","node":1,"xml":"<c/>"} {"op":"delete","node":1}`,
 	} {
 		f.Add([]byte(seed))
 	}

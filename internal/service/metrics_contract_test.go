@@ -137,6 +137,7 @@ var noTwin = map[string]string{
 	"Queries.Latency.LEMicros":  "the bin's bound: the le label renders the same latencyBuckets",
 	"Documents":                 "per-document detail: xpqd_documents and xpqd_doc_bytes carry the totals",
 	"Shards":                    "cmd/xpqbench's copy of DocBytes, and lock fields that are always 0",
+	"Mapped.MapFaults":          "always 0 since the store stopped releasing mappings; cmd/xpqbench reads it",
 }
 
 // TestStatsFieldsHavePrometheusTwin perturbs every exported numeric

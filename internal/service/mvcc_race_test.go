@@ -32,11 +32,9 @@ func TestMVCCChurnHammer(t *testing.T) {
 	const readersN = 4
 	svc := New(shard.NewStore(1), Options{CursorTTL: 50 * time.Millisecond})
 	// Half the corpus is heap-backed (parsed XML), half mmap-backed
-	// (XQO2 save + zero-copy open) under a deliberately tight resident
-	// budget, so the paging enforcer's releases and re-charges race the
-	// patchers and readers below.
+	// (XQO2 save + zero-copy open), so patches copy mapped generations
+	// into the heap while readers below still read the mapping.
 	const seedXML = "<r><a><b/><b/></a><a><b/><b/></a></r>"
-	var mappedBytes int64
 	for i := 0; i < docsN; i++ {
 		id := fmt.Sprintf("d%d", i)
 		if i%2 == 0 {
@@ -53,15 +51,10 @@ func TestMVCCChurnHammer(t *testing.T) {
 		if err := store.SaveXQO2File(path, d); err != nil {
 			t.Fatal(err)
 		}
-		h, err := svc.Store().LoadMapped(id, path)
-		if err != nil {
+		if _, err := svc.Store().LoadMapped(id, path); err != nil {
 			t.Fatal(err)
 		}
-		mappedBytes = h.Stats.MappedBytes
 	}
-	// Budget for about one and a half mapped documents across the whole
-	// store: cold mappings are continuously released and re-heated.
-	svc.Store().SetResidentBudget(mappedBytes + mappedBytes/2)
 	docID := func(i int) string { return fmt.Sprintf("d%d", i%docsN) }
 
 	iters := 120

@@ -211,8 +211,6 @@ var promFamilies = map[string]string{
 	"xpqd_mvcc_patches_total":               "counter",
 	"xpqd_mvcc_generations_retired_total":   "counter",
 	"xpqd_store_mapped_bytes":               "gauge",
-	"xpqd_store_mapped_charged_bytes":       "gauge",
-	"xpqd_store_map_faults_total":           "counter",
 	"xpqd_documents":                        "gauge",
 	"xpqd_heap_alloc_objects_total":         "counter",
 	"xpqd_flight_queries_total":             "counter",

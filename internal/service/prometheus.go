@@ -96,8 +96,6 @@ var families = []family{
 
 	// Mapped (mmap-backed) documents.
 	{name: "xpqd_store_mapped_bytes", typ: gauge, help: "Bytes of mmap-backed document files.", stat: func(st *Stats) float64 { return float64(st.Mapped.MappedBytes) }},
-	{name: "xpqd_store_mapped_charged_bytes", typ: gauge, help: "Mapped bytes counted hot against the resident budget.", stat: func(st *Stats) float64 { return float64(st.Mapped.ChargedBytes) }},
-	{name: "xpqd_store_map_faults_total", typ: counter, help: "Accesses that re-heated a budget-released mapping.", stat: func(st *Stats) float64 { return float64(st.Mapped.MapFaults) }},
 
 	// Residency.
 	{name: "xpqd_documents", typ: gauge, help: "Documents resident.", stat: func(st *Stats) float64 { return float64(len(st.Documents)) }},

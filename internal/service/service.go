@@ -607,9 +607,9 @@ type Stats struct {
 	// expired cursor leases, so stats/metrics scraping doubles as the
 	// lease janitor.
 	MVCC store.MVCCStats `json:"mvcc"`
-	// Mapped reports the mmap-backed documents: total mapped bytes, the
-	// charged (presumed-OS-resident) subset under the resident budget,
-	// and map faults (touches that re-heated a released mapping).
+	// Mapped reports the mmap-backed documents: the bytes of the files
+	// behind the generations the store holds, and a map-fault count
+	// that reads 0 (kept for cmd/xpqbench).
 	Mapped store.MappedStats `json:"mapped"`
 	// HeapAllocObjects is the process's cumulative heap allocations
 	// since the service started; AllocsPerQuery divides it by the

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/index"
-	"repro/internal/tree"
 	"repro/internal/xmark"
 	"repro/internal/xmlparse"
 )
@@ -81,59 +80,4 @@ func BenchmarkMmapOpenVsParse(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkMappedMemoryPressure drives a mapped corpus roughly 4× the
-// resident budget through round-robin reads: every access to a released
-// document re-charges it and forces the enforcer to shed the
-// least-recently-used mapping, so the steady state is continuous
-// release/refault churn — the "corpus beyond RAM" serving regime. The
-// per-op faults metric comes from the store's own accounting.
-func BenchmarkMappedMemoryPressure(b *testing.B) {
-	const docsN = 8
-	s := New()
-	dir := b.TempDir()
-	ids := make([]string, docsN)
-	var total int64
-	for i := 0; i < docsN; i++ {
-		ids[i] = string(rune('a' + i))
-		d := xmark.Generate(xmark.Config{Scale: 0.01, Seed: int64(i + 1)})
-		path := filepath.Join(dir, ids[i]+".xqo2")
-		if err := SaveXQO2File(path, d); err != nil {
-			b.Fatal(err)
-		}
-		h, err := s.LoadMapped(ids[i], path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += h.Stats.MappedBytes
-	}
-	s.SetResidentBudget(total / 4)
-
-	before := s.Mapped()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h, ok := s.Get(ids[i%docsN])
-		if !ok {
-			b.Fatal("document vanished")
-		}
-		// Touch the document's arrays across the file: label reads fault
-		// the label section, text reads fault the text blob.
-		d := h.Doc
-		n := tree.NodeID(0)
-		for hops := 0; hops < 64; hops++ {
-			step := tree.NodeID(1 + (i+hops)%7)
-			n = (n + step*997) % tree.NodeID(d.NumNodes())
-			_ = d.Label(n)
-			_ = d.Text(n)
-		}
-	}
-	b.StopTimer()
-	after := s.Mapped()
-	if b.N > 0 {
-		b.ReportMetric(float64(after.MapFaults-before.MapFaults)/float64(b.N), "faults/op")
-	}
-	if after.ChargedBytes > total/4 {
-		b.Fatalf("budget not enforced: %d charged for budget %d", after.ChargedBytes, total/4)
-	}
 }

@@ -172,7 +172,6 @@ func (s *Store) Acquire(id string, gen Gen) (*Handle, error) {
 	ch.mu.Unlock()
 	switch {
 	case e != nil:
-		s.touchMapped(id)
 		return e.h, nil
 	case gen == NoGen:
 		// Evicted between chainFor and the lock.
@@ -273,15 +272,9 @@ type MVCCStats struct {
 // a side effect, so periodic stats scraping doubles as the lease
 // janitor — no dedicated background goroutine needed.
 func (s *Store) MVCC() MVCCStats {
-	s.mu.RLock()
-	chains := make([]*chain, 0, len(s.docs))
-	for _, ch := range s.docs {
-		chains = append(chains, ch)
-	}
-	s.mu.RUnlock()
 	st := MVCCStats{Patches: s.patches.Load()}
 	now := time.Now().UnixNano()
-	for _, ch := range chains {
+	for _, ch := range s.chains() {
 		ch.mu.Lock()
 		s.retired.Add(ch.sweepLocked(now))
 		latest := ch.latest.Load()

@@ -96,10 +96,6 @@ type Handle struct {
 	Doc   *tree.Document
 	Index *index.Index
 	Stats Stats
-	// mapping is the XQO2 mapping the generation aliases; nil for
-	// heap-backed documents. The store uses it for resident-budget
-	// release; the Document's own reference keeps it alive.
-	mapping *mmapx.Mapping
 }
 
 // Succinct builds the generation's balanced-parentheses view, afresh on
@@ -120,17 +116,6 @@ type Store struct {
 	loading map[loadKey]*loadCall
 	patches atomic.Uint64
 	retired atomic.Uint64
-	// Mapped-document paging state (see xqo2.go): mapped tracks each
-	// resident mapping (guarded by mu); the counters keep the Get fast
-	// path free of locks when no mappings exist.
-	mapped       map[string]*mappedEntry
-	mappedCount  atomic.Int32
-	chargedBytes atomic.Int64
-	mapBudget    atomic.Int64
-	mapFaults    atomic.Uint64
-	// useClock orders mapping accesses for the budget's LRU: each
-	// registration and touch takes the next tick.
-	useClock atomic.Int64
 	// verifyResident selects OpenXQO2Verified for LoadMapped (full
 	// element-wise validation for files from outside this process).
 	verifyResident atomic.Bool
@@ -158,7 +143,6 @@ func New() *Store {
 		docs:    make(map[string]*chain),
 		epochs:  make(map[string]uint64),
 		loading: make(map[loadKey]*loadCall),
-		mapped:  make(map[string]*mappedEntry),
 	}
 }
 
@@ -243,12 +227,6 @@ func (s *Store) runBuild(id string, build func() (*Handle, error), c *loadCall, 
 				h, err = nil, errSuperseded
 			} else {
 				s.docs[id] = newChain(h)
-				if h.mapping != nil {
-					// Register the mapping for budget accounting in the
-					// same critical section as the publish, so an Evict
-					// can never observe the chain without the mapping.
-					s.registerMappedLocked(id, h.mapping)
-				}
 			}
 		}
 		s.mu.Unlock()
@@ -320,6 +298,18 @@ func (s *Store) GenerateXMark(id string, scale float64, seed int64) (*Handle, er
 	})
 }
 
+// chains snapshots the generation chains, for walks that must not hold
+// the store lock.
+func (s *Store) chains() []*chain {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]*chain, 0, len(s.docs))
+	for _, ch := range s.docs {
+		out = append(out, ch)
+	}
+	return out
+}
+
 // chainFor returns the generation chain for id, or nil.
 func (s *Store) chainFor(id string) *chain {
 	s.mu.RLock()
@@ -335,16 +325,14 @@ func (s *Store) Get(id string) (*Handle, bool) {
 		return nil, false
 	}
 	h := ch.latest.Load()
-	if h != nil {
-		s.touchMapped(id)
-	}
 	return h, h != nil
 }
 
 // Evict removes id from the store, retiring every generation of its
 // chain (pins and leases included — eviction is administrative and
 // overrides them: later resumes answer 410). Handles already obtained
-// stay usable; the memory is reclaimed once they are dropped. The
+// stay usable; the memory is reclaimed once they are dropped (a
+// mapping is unmapped by its finalizer once the last one drops). The
 // id's eviction epoch bumps, so an in-flight load that started before
 // the evict can no longer publish.
 func (s *Store) Evict(id string) bool {
@@ -352,17 +340,7 @@ func (s *Store) Evict(id string) bool {
 	ch, ok := s.docs[id]
 	delete(s.docs, id)
 	s.epochs[id]++
-	me := s.mapped[id]
-	if me != nil {
-		s.dropMappedLocked(id, me)
-	}
 	s.mu.Unlock()
-	if me != nil {
-		// Outside the lock: tell the OS the evicted document's pages are
-		// cold. The mapping stays valid for handles still in flight; it
-		// is unmapped by its finalizer once the last one drops.
-		_ = me.m.Release()
-	}
 	if !ok {
 		return false
 	}
@@ -378,12 +356,7 @@ func (s *Store) Evict(id string) bool {
 // List returns a snapshot of latest-generation stats sorted by id, each
 // annotated with its chain's live generation count.
 func (s *Store) List() []Stats {
-	s.mu.RLock()
-	chains := make([]*chain, 0, len(s.docs))
-	for _, ch := range s.docs {
-		chains = append(chains, ch)
-	}
-	s.mu.RUnlock()
+	chains := s.chains()
 	out := make([]Stats, 0, len(chains))
 	for _, ch := range chains {
 		h := ch.latest.Load()

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -32,8 +31,7 @@ func saveXQO2(t *testing.T, d *tree.Document) string {
 // TestXQO2RoundTrip checks that a mapped open reproduces the document
 // and index exactly, that the file holds no balanced-parentheses view
 // (kinds 12–15, retired in version 8) while the view built over the
-// mapped document still agrees with its arrays, and that the document
-// survives a release (pages refault from the file).
+// mapped document still agrees with its arrays.
 func TestXQO2RoundTrip(t *testing.T) {
 	d := xmark.Generate(xmark.Config{Scale: 0.002, Seed: 7})
 	path := saveXQO2(t, d)
@@ -46,7 +44,7 @@ func TestXQO2RoundTrip(t *testing.T) {
 			t.Errorf("section %d is kind %d, retired", i, kind)
 		}
 	}
-	d2, _, ix, m, err := OpenXQO2(path)
+	d2, _, ix, _, err := OpenXQO2(path)
 	if err != nil {
 		t.Fatalf("OpenXQO2: %v", err)
 	}
@@ -74,13 +72,6 @@ func TestXQO2RoundTrip(t *testing.T) {
 		if got := ix.Count(tree.LabelID(l)); got != want {
 			t.Fatalf("count(label %d) = %d, want %d", l, got, want)
 		}
-	}
-	// A release drops the pages but not the mapping: reads still work.
-	if err := m.Release(); err != nil {
-		t.Fatalf("Release: %v", err)
-	}
-	if d2.XMLString() != d.XMLString() {
-		t.Fatal("XML mismatch after release")
 	}
 }
 
@@ -676,114 +667,43 @@ func TestXQO2Truncation(t *testing.T) {
 }
 
 // TestLoadMappedAndBudget exercises the store integration: mapped load,
-// stats accounting, budget-driven release of cold documents, and fault
-// counting when a released document is touched again.
+// stats accounting, reads of every document with no budget to page them
+// (no map fault, ever), and eviction dropping a document's mapped bytes.
 func TestLoadMappedAndBudget(t *testing.T) {
 	s := New()
-	var paths []string
 	ids := []string{"a", "b", "c", "d"}
-	var per int64
+	var total int64
 	for i, id := range ids {
-		d := xmark.Generate(xmark.Config{Scale: 0.001, Seed: int64(i)})
-		p := saveXQO2(t, d)
-		paths = append(paths, p)
+		p := saveXQO2(t, xmark.Generate(xmark.Config{Scale: 0.001, Seed: int64(i)}))
 		h, err := s.LoadMapped(id, p)
 		if err != nil {
 			t.Fatalf("LoadMapped(%s): %v", id, err)
 		}
-		if h.Stats.Source != SourceMapped || h.Stats.MappedBytes <= 0 {
-			t.Fatalf("bad mapped stats: %+v", h.Stats)
-		}
-		per = h.Stats.MappedBytes
-	}
-	st := s.Mapped()
-	if st.MappedBytes < 4*per/2 || st.ChargedBytes != st.MappedBytes || st.MapFaults != 0 {
-		t.Fatalf("accounting after load: %+v", st)
-	}
-	// Budget for roughly one document: the corpus is ~4x the budget, so
-	// the enforcer must shed the cold ones.
-	s.SetResidentBudget(per + per/2)
-	st = s.Mapped()
-	if st.ChargedBytes > per+per/2 {
-		t.Fatalf("charged %d over budget %d", st.ChargedBytes, per+per/2)
-	}
-	// Touch a shed document: it re-heats (a fault) and something colder
-	// is released to make room.
-	if _, ok := s.Get(ids[0]); !ok {
-		t.Fatal("document a gone")
-	}
-	st = s.Mapped()
-	if st.MapFaults == 0 {
-		t.Fatal("expected a map fault after touching a released document")
-	}
-	if st.ChargedBytes > per+per/2 {
-		t.Fatalf("charged %d over budget after touch", st.ChargedBytes)
-	}
-	// Queries against released documents still answer.
-	h, _ := s.Get(ids[1])
-	if h == nil || h.Doc.NumNodes() == 0 {
-		t.Fatal("released document unreadable")
-	}
-	// Evict drops the mapping from the accounting entirely.
-	s.Evict(ids[2])
-	st2 := s.Mapped()
-	if st2.MappedBytes >= st.MappedBytes {
-		t.Fatalf("evict did not shrink mapped bytes: %d -> %d", st.MappedBytes, st2.MappedBytes)
-	}
-	_ = paths
-}
-
-// TestBudgetReleasesInLRUOrder pins the budget enforcer on six
-// like-sized mappings: it releases the least recently used first, stops
-// as soon as the hot set fits, never releases the mapping just touched,
-// and leaves that one charged when it alone is over the budget.
-func TestBudgetReleasesInLRUOrder(t *testing.T) {
-	s := New()
-	path := saveXQO2(t, xmark.Generate(xmark.Config{Scale: 0.001, Seed: 1}))
-	var per int64
-	for _, id := range []string{"a", "b", "c", "d", "e", "f"} {
-		h, err := s.LoadMapped(id, path)
+		fi, err := os.Stat(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		per = h.Stats.MappedBytes
-	}
-	hot := func() string {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		var ids []string
-		for id, e := range s.mapped {
-			if atomic.LoadInt32(&e.charged) == 1 {
-				ids = append(ids, id)
-			}
+		if h.Stats.Source != SourceMapped || h.Stats.MappedBytes != fi.Size() {
+			t.Fatalf("bad mapped stats for a %d-byte file: %+v", fi.Size(), h.Stats)
 		}
-		slices.Sort(ids)
-		return strings.Join(ids, "")
+		total += fi.Size()
 	}
-	check := func(step, want string) {
-		t.Helper()
-		if got := hot(); got != want || s.Mapped().ChargedBytes != int64(len(want))*per {
-			t.Fatalf("%s: hot set %q (%d bytes charged), want %q", step, got, s.Mapped().ChargedBytes, want)
+	for _, id := range ids {
+		if h, ok := s.Get(id); !ok || h.Doc.NumNodes() == 0 {
+			t.Fatalf("document %s unreadable", id)
 		}
 	}
-	check("unbudgeted", "abcdef")
-	// Use order from coldest: c d e f b a.
-	s.Get("b")
-	s.Get("a")
-	s.SetResidentBudget(3 * per)
-	check("budget of three", "abf")
-	// Re-heating c releases the coldest other mapping, f, and only f.
-	s.Get("c")
-	check("c re-heated", "abc")
-	if got := s.Mapped().MapFaults; got != 1 {
-		t.Errorf("%d map faults, want c's one", got)
+	if st := s.Mapped(); st.MappedBytes != total || st.MapFaults != 0 {
+		t.Fatalf("accounting after load and reads: %+v, want %d mapped bytes and no fault", st, total)
 	}
-	// Under half a mapping nothing fits: everything is released, and a
-	// touched mapping stays charged because releasing it cannot help.
-	s.SetResidentBudget(per / 2)
-	check("budget under one", "")
-	s.Get("d")
-	check("d re-heated over budget", "d")
+	for i, id := range ids {
+		h, _ := s.Get(id)
+		s.Evict(id)
+		total -= h.Stats.MappedBytes
+		if got := s.Mapped().MappedBytes; got != total {
+			t.Fatalf("after %d evictions: %d mapped bytes, want %d", i+1, got, total)
+		}
+	}
 }
 
 // TestMappedPatchCoW patches a mapped document and verifies the new
