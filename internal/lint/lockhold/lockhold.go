@@ -6,11 +6,10 @@
 //
 //   - channel operations (send, receive, select, range-over-channel)
 //   - time.Sleep and any call into net or net/http
-//   - acquiring another tracked lock (single-flight waits run after
-//     unlocking, and the -race churn hammers only probe this
-//     probabilistically — here it is structural). The one sanctioned
-//     order, a store chain's writer queue before its generation table
-//     in Patch's publish, carries an ignore directive. (The walk is
+//   - acquiring another tracked lock (the -race churn hammers only
+//     probe this probabilistically — here it is structural). The one
+//     sanctioned order, a store chain's writer queue before its
+//     generation table in Patch's publish, carries an ignore directive. (The walk is
 //     per function: it does not see the query cache calling
 //     qcache.Evictee under its lock, whose contract covers it.)
 //

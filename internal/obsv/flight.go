@@ -16,6 +16,9 @@ const (
 	// OutcomeAborted: the client went away mid-stream; Err says during
 	// which write (header or chunk).
 	OutcomeAborted = "aborted"
+	// OutcomePanic: evaluation or delivery panicked; the service
+	// contained it at the request (the log line has the stack).
+	OutcomePanic = "panic"
 )
 
 // Record is one flight-recorder entry: everything needed to answer

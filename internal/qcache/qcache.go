@@ -1,10 +1,10 @@
 // Package qcache is the compiled-query cache shared by core.Engine and
 // the multi-document query service: a size-bounded LRU of compiled (and
-// minimized) automata with single-flight compilation, so that N
-// concurrent requests for the same uncached query trigger exactly one
-// compilation and the automaton is amortized across every later
-// evaluation — the regime where the paper's whole-query optimization
-// pays for itself.
+// minimized) automata, so that a query is compiled once and the
+// automaton is amortized across every later evaluation — the regime
+// where the paper's whole-query optimization pays for itself. A miss
+// compiles without waiting on anyone; when concurrent misses of one key
+// race, the first value published wins and the others are dropped.
 //
 // Values are opaque (any): the same cache holds ASTA and minimized
 // TDSTA artifacts side by side. A key names what its value is a
@@ -17,7 +17,6 @@ package qcache
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 )
 
@@ -29,7 +28,6 @@ type Cache struct {
 	curBytes int64
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
-	inflight map[string]*call
 
 	hits      uint64
 	misses    uint64
@@ -56,7 +54,8 @@ const DefaultEntryBytes = 2048
 // Evictee is implemented by values that keep state outside the cache's
 // accounting (core parks an automaton's warm contexts on its entry).
 // Evicted is called once when the value leaves the cache — evicted,
-// removed or replaced — under the cache's lock: it
+// removed or replaced — or, for a duplicate compile that lost the race
+// to publish, never enters it. It is called under the cache's lock: it
 // must be brief and must not call back into the cache.
 type Evictee interface {
 	Evicted()
@@ -69,13 +68,6 @@ func entrySize(val any) int64 {
 		}
 	}
 	return DefaultEntryBytes
-}
-
-// call is an in-flight compilation other goroutines wait on.
-type call struct {
-	done chan struct{}
-	val  any
-	err  error
 }
 
 // DefaultCapacity bounds caches whose creator did not choose a size.
@@ -94,7 +86,6 @@ func New(capacity int) *Cache {
 		capacity: capacity,
 		ll:       list.New(),
 		items:    make(map[string]*list.Element),
-		inflight: make(map[string]*call),
 	}
 }
 
@@ -112,54 +103,28 @@ func (c *Cache) Get(key string) (any, bool) {
 }
 
 // GetOrCompile returns the cached value for key, or runs compile to
-// produce it. Concurrent callers with the same key share one compile
-// call (single-flight); errors are returned to every waiter and nothing
-// is cached. hit reports whether the value came from the cache without
-// this caller waiting on a compilation.
+// produce it. A miss compiles at once, without waiting on a concurrent
+// compile of the same key; the first value published wins, and a later
+// duplicate returns that value and drops its own through Evicted.
+// Errors are returned and nothing is cached; a panic in compile reaches
+// the caller with nothing held. hit reports whether the value came from
+// the cache without this caller compiling.
 func (c *Cache) GetOrCompile(key string, compile func() (any, error)) (val any, hit bool, err error) {
+	if val, ok := c.Get(key); ok {
+		return val, true, nil
+	}
+	if val, err = compile(); err != nil {
+		return nil, false, err
+	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		c.hits++
-		c.mu.Unlock()
-		return el.Value.(*entry).val, true, nil
+		evicted(val)
+		return el.Value.(*entry).val, false, nil
 	}
-	c.misses++
-	if cl, ok := c.inflight[key]; ok {
-		// Another goroutine is compiling this key; wait for it.
-		c.mu.Unlock()
-		<-cl.done
-		return cl.val, false, cl.err
-	}
-	cl := &call{done: make(chan struct{})}
-	c.inflight[key] = cl
-	c.mu.Unlock()
-
-	// A panicking compile must still release the in-flight entry and
-	// wake waiters (with an error), or the key wedges forever; the
-	// panic is re-raised for the caller after cleanup.
-	var panicked any
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				panicked = r
-				cl.err = fmt.Errorf("qcache: compile panicked: %v", r)
-			}
-		}()
-		cl.val, cl.err = compile()
-	}()
-	close(cl.done)
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if cl.err == nil {
-		c.add(key, cl.val)
-	}
-	c.mu.Unlock()
-	if panicked != nil {
-		panic(panicked)
-	}
-	return cl.val, false, cl.err
+	c.add(key, val)
+	return val, false, nil
 }
 
 // Put inserts or replaces a value.

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestLRUEviction(t *testing.T) {
@@ -70,33 +68,54 @@ func TestGetOrCompileErrorNotCached(t *testing.T) {
 	}
 }
 
-func TestSingleFlight(t *testing.T) {
+// TestConcurrentCompilesShareOneValue: concurrent misses of one key
+// compile without waiting on each other, and every caller gets the one
+// value published first; each duplicate is dropped through Evicted and
+// never enters the cache.
+func TestConcurrentCompilesShareOneValue(t *testing.T) {
 	c := New(8)
-	var compiles atomic.Int64
-	gate := make(chan struct{})
 	const workers = 32
+	vals := make([]*parked, workers)
+	got := make([]any, workers)
+	gate := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for i := range vals {
+		vals[i] = &parked{size: 10}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			<-gate
-			v, _, err := c.GetOrCompile("k", func() (any, error) {
-				compiles.Add(1)
-				return "shared", nil
-			})
-			if err != nil || v != "shared" {
-				t.Errorf("v=%v err=%v", v, err)
+			v, _, err := c.GetOrCompile("k", func() (any, error) { return vals[i], nil })
+			if err != nil {
+				t.Error(err)
 			}
+			got[i] = v
 		}()
 	}
 	close(gate)
 	wg.Wait()
-	if n := compiles.Load(); n != 1 {
-		t.Errorf("compiles = %d, want 1 (single-flight)", n)
+	published, ok := c.Get("k")
+	if !ok {
+		t.Fatal("nothing published")
+	}
+	dropped := 0
+	for i, v := range got {
+		if v != published {
+			t.Errorf("caller %d got %p, want the published value %p", i, v, published)
+		}
+		if vals[i] != published {
+			dropped += vals[i].evicted
+		} else if vals[i].evicted != 0 {
+			t.Error("the published value was told it is gone")
+		}
+	}
+	if st := c.Stats(); dropped != int(st.Misses)-1 || st.Size != 1 || st.SizeBytes != 10 {
+		t.Errorf("%d duplicates dropped, stats %+v: want misses-1 dropped and one resident entry", dropped, st)
 	}
 }
 
+// TestGetOrCompilePanicReleasesKey: a panicking compile reaches its
+// caller and holds nothing, so the next call of the key compiles.
 func TestGetOrCompilePanicReleasesKey(t *testing.T) {
 	c := New(8)
 	func() {
@@ -107,28 +126,22 @@ func TestGetOrCompilePanicReleasesKey(t *testing.T) {
 		}()
 		c.GetOrCompile("k", func() (any, error) { panic("compile exploded") })
 	}()
-	// The key must not be wedged: a later call compiles normally.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		v, _, err := c.GetOrCompile("k", func() (any, error) { return "ok", nil })
-		if err != nil || v != "ok" {
-			t.Errorf("after panic: v=%v err=%v", v, err)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("key wedged after compile panic")
+	v, _, err := c.GetOrCompile("k", func() (any, error) { return "ok", nil })
+	if err != nil || v != "ok" {
+		t.Errorf("after panic: v=%v err=%v", v, err)
 	}
 }
 
-func TestWaiterGetsErrorWhenCompilePanics(t *testing.T) {
+// TestCompilePanicLeavesOthersCompiling: a caller that misses while
+// another caller's compile of the key is running (and about to panic)
+// does not wait for it: it compiles and publishes its own value.
+func TestCompilePanicLeavesOthersCompiling(t *testing.T) {
 	c := New(8)
 	started := make(chan struct{})
 	release := make(chan struct{})
+	panicked := make(chan any, 1)
 	go func() {
-		defer func() { recover() }()
+		defer func() { panicked <- recover() }()
 		c.GetOrCompile("k", func() (any, error) {
 			close(started)
 			<-release
@@ -136,25 +149,16 @@ func TestWaiterGetsErrorWhenCompilePanics(t *testing.T) {
 		})
 	}()
 	<-started
-	errc := make(chan error, 1)
-	go func() {
-		// Joins the in-flight compile (or, if it loses the race with
-		// cleanup, runs its own — which also errors, so err is non-nil
-		// on both paths and the assertion below is deterministic).
-		_, _, err := c.GetOrCompile("k", func() (any, error) {
-			return nil, errors.New("fallback compile")
-		})
-		errc <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the waiter reach the in-flight wait
+	v, hit, err := c.GetOrCompile("k", func() (any, error) { return "mine", nil })
+	if err != nil || hit || v != "mine" {
+		t.Fatalf("concurrent caller: v=%v hit=%v err=%v, want its own value", v, hit, err)
+	}
 	close(release)
-	select {
-	case err := <-errc:
-		if err == nil {
-			t.Error("waiter must receive an error when the compile panics")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiter hung after compile panic")
+	if <-panicked == nil {
+		t.Error("the panicking compile's caller did not see its panic")
+	}
+	if v, ok := c.Get("k"); !ok || v != "mine" {
+		t.Errorf("cached %v, want the concurrent caller's value", v)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,16 +14,17 @@ import (
 	"repro/internal/tree"
 )
 
-// TestShardedChurnHammer is the load/evict concurrency hammer: on eight
+// TestChurnHammer is the load/evict concurrency hammer: on eight
 // documents of one service at once — loads (XML and XMark, with a
-// racing duplicate loader exercising the store's single-flight),
+// racing duplicate loader exercising the store's id reservation),
 // evictions, one-shot and paged Evals, and NDJSON streams, including
 // evict-while-streaming. Every observation must be one of exactly two
 // things: a clean error (document missing, stale cursor, or ErrExists
 // on the racing load) or a complete answer equal to one single load's
 // ground truth. Run under -race (CI does) this is the serving layer's
 // thread-safety proof under document churn.
-func TestShardedChurnHammer(t *testing.T) {
+func TestChurnHammer(t *testing.T) {
+	defer assertGoroutinesSettle(t, runtime.NumGoroutine())
 	const query = "//keyword"
 	const smallXML = "<r><keyword/><a><keyword/><b><keyword/></b></a></r>"
 	const readerIters = 30
@@ -100,7 +102,7 @@ func TestShardedChurnHammer(t *testing.T) {
 				} else {
 					_, err = ss.GenerateXMark(id, 0.002, xmarkSeeds[i%2])
 				}
-				// The duplicate loader below may have won the slot.
+				// The duplicate loader below may have reserved the id.
 				if err != nil && !errors.Is(err, store.ErrExists) {
 					t.Errorf("churn reload %s: %v", id, err)
 					return
@@ -109,7 +111,7 @@ func TestShardedChurnHammer(t *testing.T) {
 		}()
 
 		// Duplicate loader: races the churner for the same id, so the
-		// single-flight load path runs under contention on every document.
+		// reservation runs under contention on every document.
 		churnWG.Add(1)
 		go func() {
 			defer churnWG.Done()

@@ -310,12 +310,15 @@ func loadDoc(s *Service, req LoadRequest) (*store.Handle, error) {
 }
 
 // statusFor maps an Eval outcome to an HTTP status: unknown documents
-// are 404, stale cursors (document reloaded under the token) are 410,
-// everything else (parse errors, fragment violations) is 400.
+// are 404, stale cursors (document reloaded under the token) are 410, a
+// contained panic is 500, everything else (parse errors, fragment
+// violations) is 400.
 func statusFor(resp Response) int {
 	switch {
 	case resp.Err == "":
 		return http.StatusOK
+	case resp.panicked:
+		return http.StatusInternalServerError
 	case resp.notFound:
 		return http.StatusNotFound
 	case resp.staleCursor:

@@ -273,8 +273,8 @@ func TestTokenIssuedAcrossPatchResumes(t *testing.T) {
 		// Eval, opened up at its one interleaving point: prepare has
 		// evaluated against the latest generation and pinned it.
 		req := Request{Doc: "d1", Query: "//b", Limit: 2}
-		st := svc.prepare(req)
-		if st.cur == nil {
+		var st evalState
+		if !svc.prepare(&st, req) {
 			t.Fatalf("prepare: %s", st.resp.Err)
 		}
 		defer st.cur.Close()

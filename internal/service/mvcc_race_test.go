@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -26,6 +27,7 @@ import (
 // outlive the generations churning underneath them, and every one
 // checked out must come back (assertPoolSettled).
 func TestMVCCChurnHammer(t *testing.T) {
+	defer assertGoroutinesSettle(t, runtime.NumGoroutine())
 	const docsN = 8
 	// readersN stream readers and readersN asof readers run beside one
 	// patcher and one paged reader per document.

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -23,6 +24,7 @@ import (
 // the fresh-context oracle of exactly one variant, bit for bit. Run
 // under -race (CI does).
 func TestPoolSafetyHammer(t *testing.T) {
+	defer assertGoroutinesSettle(t, runtime.NumGoroutine())
 	const id = "hot"
 	// The optimized ASTA path is the pooled one; force it explicitly so
 	// Auto's route to hybrid for chains can't bypass the pool.

@@ -3,8 +3,10 @@ package service
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/shard"
 )
@@ -15,6 +17,7 @@ import (
 // evaluation. Run under -race (CI does) this is the service's
 // thread-safety proof.
 func TestConcurrentMixedWorkload(t *testing.T) {
+	defer assertGoroutinesSettle(t, runtime.NumGoroutine())
 	docXML := func(i int) []byte {
 		return []byte(fmt.Sprintf(
 			"<r><a><b>t%d</b></a><a><b/><b/></a><c><b/></c></r>", i))
@@ -124,5 +127,21 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	}
 	if len(st.Documents) != len(stable) {
 		t.Errorf("resident docs = %d, want %d (churn docs evicted)", len(st.Documents), len(stable))
+	}
+}
+
+// assertGoroutinesSettle fails t unless the goroutine count is back to
+// before within a second: a hammer must leave no goroutine behind. A
+// finished goroutine may still be on its way out when its WaitGroup
+// releases the test, hence the wait. Hammers defer it first, so it
+// runs after everything else they defer.
+func assertGoroutinesSettle(t *testing.T, before int) {
+	t.Helper()
+	after := runtime.NumGoroutine()
+	for wait := time.Now().Add(time.Second); after > before && time.Now().Before(wait); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
+		t.Errorf("%d goroutines before the hammer, %d after", before, after)
 	}
 }

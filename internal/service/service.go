@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -250,10 +251,11 @@ type Response struct {
 	// Explain is the span-tree profile, present when the request asked
 	// for one.
 	Explain *obsv.Profile `json:"explain,omitempty"`
-	// notFound / staleCursor distinguish error classes for the HTTP
-	// status mapping (404 / 410) without parsing Err text.
+	// notFound / staleCursor / panicked distinguish error classes for
+	// the HTTP status mapping (404 / 410 / 500) without parsing Err text.
 	notFound    bool
 	staleCursor bool
+	panicked    bool
 }
 
 // evalState is one request in flight: prepare fills it, Eval or Stream
@@ -263,7 +265,8 @@ type evalState struct {
 	// is nil.
 	resp Response
 	cur  *core.Cursor
-	// h is the pinned generation the answer is read from.
+	// h is the pinned generation the answer is read from; nil once
+	// unpin has dropped the pin (or before prepare took it).
 	h *store.Handle
 	// fromCursor marks a resumed request: on successful consumption the
 	// incoming token's lease on resp.Gen is redeemed.
@@ -280,15 +283,18 @@ type evalState struct {
 	root int8
 }
 
-// prepare runs the shared front half of Eval and Stream: strategy
-// parsing, cursor-token validation (the document must match; the
-// token's generation becomes the target), generation-pinned handle
+// prepare runs the shared front half of Eval and Stream into st:
+// strategy parsing, cursor-token validation (the document must match;
+// the token's generation becomes the target), generation-pinned handle
 // lookup, engine lookup, evaluation, and seeking to the resume
-// position. On failure the returned state's resp.Err is set (and the
-// error counted); on success resp carries Gen/Strategy/Count/Visited and
-// the state holds a store pin on resp.Gen, which deliver releases.
-func (s *Service) prepare(req Request) evalState {
-	st := evalState{resp: Response{Doc: req.Doc, Query: req.Query}, timer: startTimer()}
+// position. On failure it reports false, st.resp.Err is set (and the
+// error counted) and nothing is pinned; on success resp carries
+// Gen/Strategy/Count/Visited and st holds a store pin on resp.Gen,
+// which deliver releases. The pin is recorded in st.h as soon as it is
+// taken, so a panic past that point still finds it (contain).
+func (s *Service) prepare(st *evalState, req Request) bool {
+	st.resp = Response{Doc: req.Doc, Query: req.Query}
+	st.timer = startTimer()
 	if req.Explain {
 		// The trace is pooled and its methods are nil-safe, so the
 		// non-explain path pays one nil check per phase.
@@ -296,10 +302,10 @@ func (s *Service) prepare(req Request) evalState {
 		st.root = st.tr.Begin(obsv.SpanQuery)
 	}
 	// fail is every error exit: spans still open are settled by Profile.
-	fail := func(format string, args ...any) evalState {
+	fail := func(format string, args ...any) bool {
 		st.resp.Err = fmt.Sprintf(format, args...)
 		s.metrics.recordError()
-		return st
+		return false
 	}
 	strat, ok := core.ParseStrategy(req.Strategy)
 	if !ok {
@@ -343,15 +349,17 @@ func (s *Service) prepare(req Request) evalState {
 		st.resp.staleCursor = true
 		return fail("generation %d of document %q is gone (no live cursor or lease kept it)", tgen, req.Doc)
 	}
+	st.h = h
 	eng := s.engine(h)
 	st.tr.End(sp)
 	st.resp.Gen = h.Gen
 	cur, err := eng.EvalCursorTrace(req.Query, strat, st.tr)
 	if err != nil {
-		s.store.Release(req.Doc, h.Gen, time.Time{}, false)
+		s.unpin(st, time.Time{}, false)
 		st.resp.ElapsedUS = st.timer.elapsedMicros()
 		return fail("%v", err)
 	}
+	st.cur = cur
 	if st.fromCursor {
 		sp = st.tr.Begin(obsv.SpanSeek)
 		cur.SeekPast(after)
@@ -360,13 +368,49 @@ func (s *Service) prepare(req Request) evalState {
 	st.resp.Strategy = cur.Strategy().String()
 	st.resp.Count = cur.Count()
 	st.resp.Visited = cur.Visited()
-	st.cur, st.h = cur, h
-	return st
+	return true
+}
+
+// unpin drops the pin prepare took, if it is still held, settling the
+// request's cursor leases with it (store.Release).
+func (s *Service) unpin(st *evalState, lease time.Time, redeem bool) {
+	if st.h != nil {
+		s.store.Release(st.h.ID, st.h.Gen, lease, redeem)
+		st.h = nil
+	}
+}
+
+// contain is where a panic in one request stops, so that it costs that
+// request and nothing else: not the process, not the other members of
+// a /batch, not the generation the request pinned. Eval and Stream
+// defer it. It closes the cursor, drops the pin, logs the panic value
+// and stack at Error under the request id, turns the response into a
+// generic failure (HTTP 500) and writes the one flight record, with
+// outcome panic; finish also releases the pooled trace. A context the
+// evaluator had checked out when it panicked is not parked again: the
+// GC takes it.
+func (s *Service) contain(st *evalState, req *Request, v any) {
+	if st.cur != nil {
+		st.cur.Close()
+	}
+	s.unpin(st, time.Time{}, false)
+	s.logger.LogAttrs(context.Background(), slog.LevelError, "query panicked",
+		slog.String("req_id", req.RequestID),
+		slog.String("doc", req.Doc),
+		slog.String("query", req.Query),
+		slog.String("panic", fmt.Sprint(v)),
+		slog.String("stack", string(debug.Stack())),
+	)
+	st.resp = Response{Doc: req.Doc, Query: req.Query, Err: "internal error", panicked: true}
+	s.metrics.recordError()
+	s.finish(st, req, obsv.OutcomePanic, fmt.Sprintf("panic: %v", v))
 }
 
 // outcomeOf classifies a finished response for the flight recorder.
 func outcomeOf(resp *Response) string {
 	switch {
+	case resp.panicked:
+		return obsv.OutcomePanic
 	case resp.notFound:
 		return obsv.OutcomeNotFound
 	case resp.staleCursor:
@@ -495,7 +539,7 @@ func (s *Service) deliver(st *evalState, req *Request, abortErr string) {
 			resp.Next = encodeCursor(req.Doc, resp.Gen, st.last)
 			lease = time.Now().Add(s.cursorTTL)
 		}
-		s.store.Release(req.Doc, resp.Gen, lease, st.fromCursor && abortErr == "")
+		s.unpin(st, lease, st.fromCursor && abortErr == "")
 		resp.ElapsedUS = st.timer.elapsedMicros()
 		s.metrics.record(st.cur.Strategy(), resp.ElapsedUS, resp.Visited, resp.Count)
 	}
@@ -507,10 +551,17 @@ func (s *Service) deliver(st *evalState, req *Request, abortErr string) {
 
 // Eval evaluates one request, returning at most Limit nodes (all
 // remaining when Limit <= 0) from the resume position, plus a Next
-// token when the answer has more pages.
-func (s *Service) Eval(req Request) Response {
-	st := s.prepare(req)
-	if st.cur == nil {
+// token when the answer has more pages. A panic while it runs is
+// contained: the response is a generic 500-class failure.
+func (s *Service) Eval(req Request) (out Response) {
+	var st evalState
+	defer func() {
+		if v := recover(); v != nil {
+			s.contain(&st, &req, v)
+			out = st.resp
+		}
+	}()
+	if !s.prepare(&st, req) {
 		s.deliver(&st, &req, "")
 		return st.resp
 	}
@@ -546,7 +597,8 @@ func (s *Service) Eval(req Request) Response {
 
 // EvalBatch fans the requests across the worker pool and returns the
 // responses in request order. Individual failures land in the matching
-// Response.Err; the batch itself never fails.
+// Response.Err, panics included (Eval contains them); the batch itself
+// never fails.
 func (s *Service) EvalBatch(reqs []Request) []Response {
 	out := make([]Response, len(reqs))
 	if len(reqs) == 0 {

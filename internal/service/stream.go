@@ -69,14 +69,24 @@ type StreamTrailer struct {
 // document, stale cursor, parse error) nothing is written and the
 // failed Response is returned for the caller to deliver; once the
 // header line is out the return is nil, and a write failure (client
-// gone) truncates the stream — the missing trailer is the signal.
-func (s *Service) Stream(w io.Writer, req Request, chunkSize int) *Response {
+// gone) truncates the stream — the missing trailer is the signal. A
+// panic is contained like Eval's: before the header it returns the
+// failed Response (HTTP 500), after it the stream is truncated.
+func (s *Service) Stream(w io.Writer, req Request, chunkSize int) (pre *Response) {
 	if chunkSize <= 0 {
 		chunkSize = DefaultStreamChunk
 	}
-	st := s.prepare(req)
-	st.streamed = true
-	if st.cur == nil {
+	st := evalState{streamed: true}
+	headerOut := false
+	defer func() {
+		if v := recover(); v != nil {
+			s.contain(&st, &req, v)
+			if !headerOut {
+				pre = &st.resp
+			}
+		}
+	}()
+	if !s.prepare(&st, req) {
 		s.deliver(&st, &req, "")
 		return &st.resp
 	}
@@ -106,6 +116,7 @@ func (s *Service) Stream(w io.Writer, req Request, chunkSize int) *Response {
 		Count:    st.resp.Count,
 		Visited:  st.resp.Visited,
 	}
+	headerOut = true
 	if !writeLine(header) {
 		// Client gone before the header. The evaluation still ran, so
 		// the query counters must see it (deliver), and the stream is

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -23,6 +24,7 @@ import (
 // fails the test. Run under -race (CI does) this also proves the
 // streaming path data-race-free.
 func TestStreamEvictReloadRace(t *testing.T) {
+	defer assertGoroutinesSettle(t, runtime.NumGoroutine())
 	const query = "//keyword"
 	seeds := []int64{1, 2, 3}
 

@@ -118,21 +118,8 @@ func (ch *chain) patch(id string, base Gen, pt tree.Patch) (*Handle, uint64, err
 		return nil, 0, err
 	}
 	gen := ch.nextGen
-	h := &Handle{
-		ID:    id,
-		Gen:   gen,
-		Doc:   newDoc,
-		Index: index.Apply(cur.Index, newDoc, dl),
-	}
-	h.Stats = Stats{
-		ID:       id,
-		Gen:      gen,
-		Nodes:    newDoc.NumNodes(),
-		Labels:   newDoc.Names().Size(),
-		MemBytes: h.memBytes(),
-		Source:   SourcePatch,
-		LoadedAt: time.Now(),
-	}
+	h := newHandle(id, newDoc, index.Apply(cur.Index, newDoc, dl), SourcePatch)
+	h.Gen, h.Stats.Gen = gen, gen
 	// xpqlint:ignore lockhold wmu→mu is the chain's one lock order: wmu is the writer queue, never taken by readers nor under mu
 	ch.mu.Lock()
 	defer ch.mu.Unlock()

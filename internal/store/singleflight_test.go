@@ -3,6 +3,8 @@ package store
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,112 +24,100 @@ func parsed(t *testing.T, xml string) *tree.Document {
 
 // TestConcurrentLoadSingleFlight is the duplicate-index-build
 // regression test: two concurrent loads of the same id must run exactly
-// one build (parse + index). The loser waits on the winner's in-flight
-// load and returns ErrExists without ever invoking its own build —
-// before single-flighting, both sides paid the full build and one
-// discarded it on ErrExists.
+// one build (parse + index). The id is reserved before the first build
+// runs, so the second load answers ErrExists at once — while the first
+// is still building — without ever invoking its own build.
 func TestConcurrentLoadSingleFlight(t *testing.T) {
 	s := New()
 	doc := parsed(t, "<r><a/><b/></r>")
 	var builds atomic.Int32
-	winnerBuilding := make(chan struct{})
+	building := make(chan struct{})
 	release := make(chan struct{})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var winHandle *Handle
-	var winErr error
-	go func() {
-		defer wg.Done()
-		winHandle, winErr = s.load("d", SourceXML, func() (*tree.Document, error) {
-			builds.Add(1)
-			close(winnerBuilding)
-			<-release // hold the load slot until the loser has committed to waiting
-			return doc, nil
-		})
-	}()
-
-	<-winnerBuilding // the winner holds the load slot from here on
-	wg.Add(1)
-	var loseErr error
-	go func() {
-		defer wg.Done()
-		_, loseErr = s.load("d", SourceXML, func() (*tree.Document, error) {
-			builds.Add(1)
-			return doc, nil
-		})
-	}()
-	// The loser is now either blocked on the in-flight call or about to
-	// be; releasing the winner lets both finish in either interleaving.
-	close(release)
-	wg.Wait()
-
-	if winErr != nil || winHandle == nil {
-		t.Fatalf("winner: %v", winErr)
+	type result struct {
+		h   *Handle
+		err error
 	}
-	if !errors.Is(loseErr, ErrExists) {
-		t.Fatalf("loser error = %v, want ErrExists", loseErr)
+	first := make(chan result, 1)
+	go func() {
+		h, err := s.load("d", SourceXML, func() (*tree.Document, error) {
+			builds.Add(1)
+			close(building)
+			<-release
+			return doc, nil
+		})
+		first <- result{h, err}
+	}()
+
+	<-building // the id is reserved from here on
+	_, err := s.load("d", SourceXML, func() (*tree.Document, error) {
+		builds.Add(1)
+		return doc, nil
+	})
+	if !errors.Is(err, ErrExists) {
+		t.Fatalf("second load during the build: err = %v, want ErrExists", err)
+	}
+	if _, ok := s.Get("d"); ok {
+		t.Fatal("the id is resident before its build published")
+	}
+	close(release)
+	r := <-first
+	if r.err != nil || r.h == nil {
+		t.Fatalf("first load: %v", r.err)
 	}
 	if n := builds.Load(); n != 1 {
-		t.Errorf("builds = %d, want 1 (loser must not parse or index)", n)
+		t.Errorf("builds = %d, want 1 (the second load must not parse or index)", n)
 	}
-	if h, ok := s.Get("d"); !ok || h != winHandle {
-		t.Error("winner's handle not resident")
+	if h, ok := s.Get("d"); !ok || h != r.h {
+		t.Error("the first load's handle is not resident")
 	}
 }
 
-// TestSingleFlightLoserRetriesAfterWinnerFails: when the in-flight load
-// fails (e.g. a parse error), a concurrent loader of the same id must
-// not be poisoned with ErrExists — it takes over the slot and runs its
-// own build.
-func TestSingleFlightLoserRetriesAfterWinnerFails(t *testing.T) {
+// TestFailedBuildLeavesIDLoadable: a load that fails (e.g. a parse
+// error) drops its reservation. A load racing it was told ErrExists,
+// and the next load of the id builds and publishes.
+func TestFailedBuildLeavesIDLoadable(t *testing.T) {
 	s := New()
 	doc := parsed(t, "<r/>")
-	winnerBuilding := make(chan struct{})
+	building := make(chan struct{})
 	release := make(chan struct{})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var winErr error
+	failed := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		_, winErr = s.load("d", SourceXML, func() (*tree.Document, error) {
-			close(winnerBuilding)
+		_, err := s.load("d", SourceXML, func() (*tree.Document, error) {
+			close(building)
 			<-release
 			return nil, fmt.Errorf("synthetic parse failure")
 		})
+		failed <- err
 	}()
 
-	<-winnerBuilding
-	wg.Add(1)
-	var h2 *Handle
-	var err2 error
-	go func() {
-		defer wg.Done()
-		h2, err2 = s.load("d", SourceXML, func() (*tree.Document, error) { return doc, nil })
-	}()
-	close(release)
-	wg.Wait()
-
-	if winErr == nil {
-		t.Fatal("winner must surface its build error")
+	<-building
+	if _, err := s.load("d", SourceXML, func() (*tree.Document, error) { return doc, nil }); !errors.Is(err, ErrExists) {
+		t.Fatalf("load during the failing build: err = %v, want ErrExists", err)
 	}
-	if err2 != nil || h2 == nil {
-		t.Fatalf("second loader after failed winner: %v", err2)
+	close(release)
+	if err := <-failed; err == nil {
+		t.Fatal("the failing load must surface its build error")
+	}
+	if h, err := s.load("d", SourceXML, func() (*tree.Document, error) { return doc, nil }); err != nil || h == nil {
+		t.Fatalf("load after the failed build: %v", err)
 	}
 	if _, ok := s.Get("d"); !ok {
-		t.Error("second loader's document not resident")
+		t.Error("the document is not resident")
 	}
 }
 
-// TestSingleFlightBuildPanicReleasesSlot: a panicking build must not
-// wedge every later load of the id, and waiters must get an error, not
-// a hang.
+// TestSingleFlightBuildPanicReleasesSlot: a panicking build reaches
+// its caller and drops the id's reservation, so the next load of the id
+// builds and publishes.
 func TestSingleFlightBuildPanicReleasesSlot(t *testing.T) {
 	s := New()
 	doc := parsed(t, "<r/>")
 	func() {
-		defer func() { recover() }()
+		defer func() {
+			if recover() == nil {
+				t.Error("the build's panic must reach the loader")
+			}
+		}()
 		_, _ = s.load("d", SourceXML, func() (*tree.Document, error) { panic("boom") })
 	}()
 	h, err := s.load("d", SourceXML, func() (*tree.Document, error) { return doc, nil })
@@ -169,91 +159,60 @@ func TestConcurrentGenerateXMarkSingleFlight(t *testing.T) {
 	}
 }
 
-// TestSingleFlightEpochFencedByEvict pins the (id, epoch) load-slot
-// keying: an Evict racing an in-flight load must fence that load out.
-// Two regressions hide here. First, a build that finishes after the
-// evict must not publish its pre-evict state — it retries under the
-// current epoch instead. Second, a load that starts after the evict
-// must not wait on (or be answered by) the fenced slot: with id-only
-// keying it would have joined the stale build's slot and returned
-// ErrExists against state that was evicted, leaving the stale tree
-// resident.
-func TestSingleFlightEpochFencedByEvict(t *testing.T) {
-	// blockedLoad starts a load of "d" whose first build blocks until
-	// release is closed; it reports how many times build ran.
-	blockedLoad := func(s *Store, doc *tree.Document, builds *atomic.Int32) (building, release chan struct{}, done func() error) {
-		building = make(chan struct{})
-		release = make(chan struct{})
-		errc := make(chan error, 1)
-		go func() {
-			_, err := s.load("d", SourceDirect, func() (*tree.Document, error) {
-				if builds.Add(1) == 1 {
-					close(building)
-					<-release
-				}
-				return doc, nil
-			})
-			errc <- err
-		}()
-		return building, release, func() error { return <-errc }
+// TestEvictDuringLoadPublishesOnce: an Evict of an id whose build is
+// running finds nothing resident and leaves the load alone, which
+// publishes its one build when it ends.
+func TestEvictDuringLoadPublishesOnce(t *testing.T) {
+	s := New()
+	doc := parsed(t, "<r><a/></r>")
+	var builds atomic.Int32
+	building := make(chan struct{})
+	release := make(chan struct{})
+	loaded := make(chan error, 1)
+	go func() {
+		_, err := s.load("d", SourceDirect, func() (*tree.Document, error) {
+			builds.Add(1)
+			close(building)
+			<-release
+			return doc, nil
+		})
+		loaded <- err
+	}()
+
+	<-building
+	if s.Evict("d") {
+		t.Error("Evict reported a document that was still being built")
 	}
+	close(release)
+	if err := <-loaded; err != nil {
+		t.Fatalf("load across the evict: %v", err)
+	}
+	if n := builds.Load(); n != 1 {
+		t.Errorf("builds = %d, want 1", n)
+	}
+	h, ok := s.Get("d")
+	if !ok || h.Doc != doc {
+		t.Fatal("the load did not publish its build")
+	}
+}
 
-	t.Run("retry-under-new-epoch", func(t *testing.T) {
-		s := New()
-		doc := parsed(t, "<r><old/></r>")
-		var builds atomic.Int32
-		building, release, done := blockedLoad(s, doc, &builds)
-		<-building
-		// The evict lands mid-build: nothing resident yet, but the epoch
-		// fence must still advance so the in-flight build cannot publish
-		// under the retired epoch.
-		s.Evict("d")
-		close(release)
-		// The fenced build's publish is discarded (errSuperseded); with
-		// nothing resident, the loader retries under the new epoch and
-		// the second build publishes.
-		if err := done(); err != nil {
-			t.Fatalf("fenced loader: %v", err)
+// TestEvictOfAbsentIDsKeepsNothing: evicting ids that were never loaded
+// leaves no trace in the store. 100 000 of them must not grow the live
+// heap by a MiB.
+func TestEvictOfAbsentIDsKeepsNothing(t *testing.T) {
+	s := New()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100_000; i++ {
+		if s.Evict("absent-" + strconv.Itoa(i)) {
+			t.Fatal("evicted a document that was never loaded")
 		}
-		if n := builds.Load(); n != 2 {
-			t.Fatalf("loader built %d times, want 2 (fenced original + post-evict retry)", n)
-		}
-		if _, ok := s.Get("d"); !ok {
-			t.Fatal("document missing after retried load")
-		}
-	})
-
-	t.Run("post-evict-loader-wins", func(t *testing.T) {
-		s := New()
-		stale := parsed(t, "<r><old/></r>")
-		fresh := parsed(t, "<r><new/></r>")
-		var builds atomic.Int32
-		building, release, done := blockedLoad(s, stale, &builds)
-		<-building
-		s.Evict("d")
-		// A post-evict loader must get its own (id, epoch=1) slot — not
-		// join the fenced build — and win immediately. With id-only slot
-		// keying this load would have blocked on the stale build and the
-		// pre-evict tree would end up resident.
-		if _, err := s.load("d", SourceDirect, func() (*tree.Document, error) { return fresh, nil }); err != nil {
-			t.Fatalf("post-evict load: %v", err)
-		}
-		close(release)
-		// The fenced loader's publish is discarded; its retry finds the
-		// fresh document resident and reports ErrExists without a second
-		// build.
-		if err := done(); !errors.Is(err, ErrExists) {
-			t.Fatalf("fenced loader: err = %v, want ErrExists", err)
-		}
-		h, ok := s.Get("d")
-		if !ok {
-			t.Fatal("document missing")
-		}
-		if got := h.Doc.XMLString(); got != "<r><new></new></r>" {
-			t.Fatalf("resident document = %q: the fenced pre-evict build leaked through", got)
-		}
-		if n := builds.Load(); n != 1 {
-			t.Fatalf("fenced loader built %d times, want 1 (retry short-circuits on ErrExists)", n)
-		}
-	})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Errorf("live heap grew %d bytes over 100 000 evictions of absent ids, want < 1 MiB", grew)
+	}
 }

@@ -5,9 +5,10 @@
 // file (xqo2.go, which carries its index) — and the store builds the
 // index.Index exactly once per generation: at load time for generation
 // one, and incrementally (array splice + index splice, see Patch in
-// mvcc.go) for every patched generation after it. Each generation is
-// immutable; readers pin the one they started on and are never
-// invalidated by later patches.
+// mvcc.go) for every patched generation after it. A load reserves its
+// id before it builds, so a second load of the id answers ErrExists
+// without building anything. Each generation is immutable; readers pin
+// the one they started on and are never invalidated by later patches.
 package store
 
 import (
@@ -26,19 +27,15 @@ import (
 	"repro/internal/xmlparse"
 )
 
-// ErrExists is wrapped by Add when the document id is already taken;
-// callers branch on it with errors.Is (the HTTP layer maps it to 409).
+// ErrExists is wrapped by every load when the document id is resident
+// or reserved by a load still building; callers branch on it with
+// errors.Is (the HTTP layer maps it to 409).
 var ErrExists = errors.New("already loaded")
 
 // ErrNotFound is wrapped by generation-chain operations (Patch,
 // Acquire) against ids not resident in the store; the HTTP
 // layer maps it to 404.
 var ErrNotFound = errors.New("no such document")
-
-// errSuperseded is the internal signal that a build finished under an
-// epoch an Evict has since retired: the load loop discards the build
-// and retries under the current epoch instead of publishing stale state.
-var errSuperseded = errors.New("load superseded by evict")
 
 // Source identifies how a document entered the store.
 type Source string
@@ -107,13 +104,10 @@ func (h *Handle) Succinct() *tree.Succinct { return tree.NewSuccinct(h.Doc) }
 type Store struct {
 	mu   sync.RWMutex
 	docs map[string]*chain
-	// epochs fences the single-flight load slots against eviction: the
-	// per-id epoch bumps on every Evict, load slots are keyed (id,
-	// epoch), and a build may only publish into the epoch it started
-	// under. Keying on the id alone let a patch/evict racing a reload
-	// hand a waiting loser a stale build.
-	epochs  map[string]uint64
-	loading map[loadKey]*loadCall
+	// loading holds the ids whose first generation is being built: an
+	// id is reserved here before its build runs and leaves when the
+	// build publishes or fails, so no two builds of one id ever run.
+	loading map[string]struct{}
 	patches atomic.Uint64
 	retired atomic.Uint64
 	// verifyResident selects OpenXQO2Verified for LoadMapped (full
@@ -121,52 +115,35 @@ type Store struct {
 	verifyResident atomic.Bool
 }
 
-// loadKey identifies one single-flight load slot: the document id plus
-// the eviction epoch the load started under.
-type loadKey struct {
-	id    string
-	epoch uint64
-}
-
-// loadCall is one in-flight load other loaders of the same id wait on:
-// parse + index build are the expensive parts of a load, and two
-// concurrent loads of the same id must not both pay them when only one
-// can win the slot. The loser observes the winner's outcome through err.
-type loadCall struct {
-	done chan struct{}
-	err  error
-}
-
 // New returns an empty store.
 func New() *Store {
 	return &Store{
 		docs:    make(map[string]*chain),
-		epochs:  make(map[string]uint64),
-		loading: make(map[loadKey]*loadCall),
+		loading: make(map[string]struct{}),
 	}
 }
 
-// load is the single-flight core of every registration path. build runs
-// outside the lock (concurrent loads of distinct ids overlap), but at
-// most one build per (id, epoch) is ever in flight: a concurrent load
-// of the same id waits, and when the winner succeeds the loser returns
-// ErrExists without having parsed or indexed anything. If the winner
-// fails — or its epoch was retired by an Evict mid-build — the waiter
-// (or the winner itself) retries for the current epoch's load slot.
+// load is loadHandle for builders that produce a document: the index is
+// built over it here.
 func (s *Store) load(id string, src Source, build func() (*tree.Document, error)) (*Handle, error) {
 	return s.loadHandle(id, func() (*Handle, error) {
 		d, err := build()
 		if err != nil {
 			return nil, err
 		}
-		return buildHandle(id, d, src), nil
+		return newHandle(id, d, index.New(d), src), nil
 	})
 }
 
-// loadHandle is load for builders that produce a complete Handle — the
-// mapped-open path arrives with its index already aliased from the file,
-// so the document-only builder shape doesn't fit.
-func (s *Store) loadHandle(id string, build func() (*Handle, error)) (*Handle, error) {
+// loadHandle is the one registration path: reserve or duplicate. The id
+// is reserved under the lock before build runs, so a load of an id that
+// is resident or already being built answers ErrExists at once, without
+// building. build runs outside the lock (loads of distinct ids
+// overlap); one deferred critical section then publishes its handle or
+// drops the reservation, also when build panics, so a failed build
+// leaves the id loadable. An Evict never sees a reserved id: it removes
+// resident documents only, and the build publishes after it.
+func (s *Store) loadHandle(id string, build func() (*Handle, error)) (h *Handle, err error) {
 	if id == "" {
 		return nil, fmt.Errorf("store: empty document id")
 	}
@@ -175,74 +152,33 @@ func (s *Store) loadHandle(id string, build func() (*Handle, error)) (*Handle, e
 	if strings.ContainsRune(id, 0) {
 		return nil, fmt.Errorf("store: document id must not contain NUL")
 	}
-	for {
-		s.mu.Lock()
-		if _, exists := s.docs[id]; exists {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("store: document %q %w", id, ErrExists)
-		}
-		ep := s.epochs[id]
-		key := loadKey{id, ep}
-		if c, inflight := s.loading[key]; inflight {
-			s.mu.Unlock()
-			<-c.done
-			if c.err == nil {
-				return nil, fmt.Errorf("store: document %q %w", id, ErrExists)
-			}
-			// The winner failed (e.g. a parse error) or was superseded
-			// by an evict; this source may still be loadable — retry
-			// for the current load slot.
-			continue
-		}
-		c := &loadCall{done: make(chan struct{})}
-		s.loading[key] = c
+	s.mu.Lock()
+	_, resident := s.docs[id]
+	_, building := s.loading[id]
+	if resident || building {
 		s.mu.Unlock()
-
-		h, err := s.runBuild(id, build, c, ep)
-		if errors.Is(err, errSuperseded) {
-			continue
-		}
-		return h, err
+		return nil, fmt.Errorf("store: document %q %w", id, ErrExists)
 	}
-}
-
-// runBuild executes one build while holding the load slot for (id,
-// epoch), publishing the generation chain and waking waiters. A
-// panicking build (or parser) must still release the slot and wake
-// waiters with an error, or every later load of the id would wedge; the
-// panic is re-raised.
-func (s *Store) runBuild(id string, build func() (*Handle, error), c *loadCall, ep uint64) (h *Handle, err error) {
-	finished := false
+	s.loading[id] = struct{}{}
+	s.mu.Unlock()
 	defer func() {
-		if !finished {
-			err = fmt.Errorf("store: loading %q panicked", id)
-		}
 		s.mu.Lock()
-		delete(s.loading, loadKey{id, ep})
-		if err == nil {
-			if s.epochs[id] != ep {
-				// An Evict landed while this build ran: the slot's epoch
-				// is dead, and publishing would clobber newer state with
-				// a stale build. Discard; the load loop retries.
-				h, err = nil, errSuperseded
-			} else {
-				s.docs[id] = newChain(h)
-			}
+		delete(s.loading, id)
+		// h is nil when build failed or panicked.
+		if h != nil {
+			s.docs[id] = newChain(h)
 		}
 		s.mu.Unlock()
-		c.err = err
-		close(c.done)
 	}()
-	h, err = build()
-	finished = true
-	return h, err
+	return build()
 }
 
-// buildHandle constructs the immutable handle, building the index —
-// the expensive step the single-flight protocol exists to deduplicate.
-// The generation is stamped at publish time (newChain).
-func buildHandle(id string, d *tree.Document, src Source) *Handle {
-	h := &Handle{ID: id, Doc: d, Index: index.New(d)}
+// newHandle constructs the immutable handle of one generation over its
+// document and index, its Stats read from them. The caller adds what
+// only it knows: a mapped document's MappedBytes, a patch's Gen (a
+// load's generation is stamped at publish, by newChain).
+func newHandle(id string, d *tree.Document, ix *index.Index, src Source) *Handle {
+	h := &Handle{ID: id, Doc: d, Index: ix}
 	h.Stats = Stats{
 		ID:       id,
 		Nodes:    d.NumNodes(),
@@ -260,31 +196,36 @@ func (s *Store) Add(id string, d *tree.Document, src Source) (*Handle, error) {
 	return s.load(id, src, func() (*tree.Document, error) { return d, nil })
 }
 
-// LoadXML parses XML bytes and registers the document. Parsing is
-// single-flighted per id: a concurrent load of an id already being
-// loaded waits instead of parsing and indexing a document it can only
-// lose to ErrExists.
+// LoadXML parses XML bytes and registers the document. A load of an
+// id that is resident or being loaded answers ErrExists without
+// parsing.
 func (s *Store) LoadXML(id string, src []byte) (*Handle, error) {
-	return s.load(id, SourceXML, func() (*tree.Document, error) {
-		d, err := xmlparse.Parse(src)
-		if err != nil {
-			return nil, fmt.Errorf("store: parsing %q: %w", id, err)
-		}
-		return d, nil
-	})
+	return s.load(id, SourceXML, func() (*tree.Document, error) { return parseXML(id, src) })
 }
 
-// LoadXMLFile parses an XML file and registers the document. The file
-// is parsed out of a read-only mapping — the page cache's own pages, no
-// copy into fresh heap memory — which is unmapped before returning: the
-// document copies its names and text and keeps nothing of the source.
-func (s *Store) LoadXMLFile(id, path string) (*Handle, error) {
-	m, err := mmapx.Open(path)
+func parseXML(id string, src []byte) (*tree.Document, error) {
+	d, err := xmlparse.Parse(src)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: parsing %q: %w", id, err)
 	}
-	defer m.Close()
-	return s.LoadXML(id, m.Data())
+	return d, nil
+}
+
+// LoadXMLFile parses an XML file and registers the document. The id is
+// reserved before the file is opened, so a taken id answers ErrExists
+// whatever the path holds. The file is parsed out of a read-only
+// mapping — the page cache's own pages, no copy into fresh heap memory
+// — which is unmapped before returning: the document copies its names
+// and text and keeps nothing of the source.
+func (s *Store) LoadXMLFile(id, path string) (*Handle, error) {
+	return s.load(id, SourceXML, func() (*tree.Document, error) {
+		m, err := mmapx.Open(path)
+		if err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+		defer m.Close()
+		return parseXML(id, m.Data())
+	})
 }
 
 // GenerateXMark generates a deterministic XMark document at the given
@@ -332,14 +273,13 @@ func (s *Store) Get(id string) (*Handle, bool) {
 // chain (pins and leases included — eviction is administrative and
 // overrides them: later resumes answer 410). Handles already obtained
 // stay usable; the memory is reclaimed once they are dropped (a
-// mapping is unmapped by its finalizer once the last one drops). The
-// id's eviction epoch bumps, so an in-flight load that started before
-// the evict can no longer publish.
+// mapping is unmapped by its finalizer once the last one drops). A
+// load still building id is not resident and is left alone: it
+// publishes when its build ends.
 func (s *Store) Evict(id string) bool {
 	s.mu.Lock()
 	ch, ok := s.docs[id]
 	delete(s.docs, id)
-	s.epochs[id]++
 	s.mu.Unlock()
 	if !ok {
 		return false

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -42,6 +44,23 @@ func TestDuplicateIDRejected(t *testing.T) {
 	}
 	if _, err := s.LoadXML("", []byte("<r/>")); err == nil {
 		t.Error("empty id must be rejected")
+	}
+}
+
+// TestLoadXMLFileTakenIDIsErrExists: the id is checked before the file
+// is opened, so loading a resident id answers ErrExists (409 over HTTP)
+// even from a path that does not exist.
+func TestLoadXMLFileTakenIDIsErrExists(t *testing.T) {
+	s := New()
+	if _, err := s.LoadXML("d", []byte("<r/>")); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(t.TempDir(), "missing.xml")
+	if _, err := s.LoadXMLFile("d", missing); !errors.Is(err, ErrExists) {
+		t.Fatalf("LoadXMLFile of a resident id from a missing path: err = %v, want ErrExists", err)
+	}
+	if _, err := s.LoadXMLFile("fresh", missing); err == nil || errors.Is(err, ErrExists) {
+		t.Fatalf("LoadXMLFile of a free id from a missing path: err = %v, want the file error", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/index"
 	"repro/internal/mmapx"
@@ -113,8 +112,8 @@ func (s *Store) SetVerifyResident(v bool) { s.verifyResident.Store(v) }
 // LoadMapped opens an XQO2 file and registers it under id. The open is
 // zero-copy — no parse, no index build — so registration cost is the
 // section-table walk plus checksum verification, and the kernel pages
-// the document's working set like any other file mapping. A handle that
-// loses the id to another load is left to its mapping's finalizer.
+// the document's working set like any other file mapping. The file is
+// mapped only once the id is reserved.
 func (s *Store) LoadMapped(id, path string) (*Handle, error) {
 	return s.loadHandle(id, func() (*Handle, error) {
 		open := OpenXQO2
@@ -125,16 +124,8 @@ func (s *Store) LoadMapped(id, path string) (*Handle, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: opening %q: %w", id, err)
 		}
-		h := &Handle{ID: id, Doc: d, Index: ix}
-		h.Stats = Stats{
-			ID:          id,
-			Nodes:       d.NumNodes(),
-			Labels:      d.Names().Size(),
-			MemBytes:    h.memBytes(),
-			MappedBytes: int64(m.Len()),
-			Source:      SourceMapped,
-			LoadedAt:    time.Now(),
-		}
+		h := newHandle(id, d, ix, SourceMapped)
+		h.Stats.MappedBytes = int64(m.Len())
 		return h, nil
 	})
 }
