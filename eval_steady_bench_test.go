@@ -93,12 +93,10 @@ func BenchmarkEvalSteadyState(b *testing.B) {
 				flight := obsv.NewFlight(obsv.DefaultFlightRecords, 100*time.Millisecond)
 				var tr *obsv.Trace
 				rec := obsv.Record{
-					Doc:        "xm",
-					Query:      q.XPath,
-					Strategy:   "optimized",
-					Outcome:    obsv.OutcomeOK,
-					QCacheHit:  true,
-					CtxPoolHit: true,
+					Doc:     "xm",
+					Query:   q.XPath,
+					Outcome: obsv.OutcomeOK,
+					Run:     obsv.Run{Strategy: "optimized", QCacheHit: true, CtxPoolHit: true},
 				}
 				b.ReportAllocs()
 				b.ResetTimer()

@@ -31,18 +31,14 @@ import (
 // warm context is recycled instead of garbage-collected.
 type Cursor struct {
 	strategy Strategy
-	// What the run did and whether the serving caches were warm: how
-	// the answer was produced, for explain profiles and the flight
-	// recorder.
-	work      obsv.Work
-	poolHit   bool
-	qcacheHit bool
-
-	// autoReason says why Auto took this cursor's route (a Reason*
-	// constant), for explain profiles and flight records; autoShape is
-	// the query's canonical shape, explained evaluations only.
-	autoShape  string
-	autoReason string
+	// run is how the answer was produced, for explain profiles and the
+	// flight recorder: the strategy's name, what the run did, whether
+	// the serving caches were warm and why Auto took its route (a
+	// Reason* constant).
+	run obsv.Run
+	// autoShape is an Auto query's canonical shape, explained
+	// evaluations only.
+	autoShape string
 
 	// release returns the evaluation context whose arena holds nodes to
 	// its pool; nil when nodes are heap-owned and after the first
@@ -60,7 +56,7 @@ type Cursor struct {
 // construction. A non-nil release marks it arena-owned; an empty answer
 // has nothing to keep the context for and hands it back at once.
 func newCursor(nodes []tree.NodeID, release func(), s Strategy, w obsv.Work) *Cursor {
-	c := &Cursor{strategy: s, work: w, nodes: nodes, total: len(nodes), release: release}
+	c := &Cursor{strategy: s, run: obsv.Run{Strategy: s.String(), Work: w}, nodes: nodes, total: len(nodes), release: release}
 	if len(nodes) == 0 {
 		c.Close()
 	}
@@ -118,39 +114,33 @@ func (c *Cursor) Close() {
 // Strategy is the strategy that actually ran (never Auto).
 func (c *Cursor) Strategy() Strategy { return c.strategy }
 
+// Run is how the answer was produced: the strategy that ran, what the
+// run did (obsv.Work), whether the compiled automaton came from the
+// query cache (never for stepwise and hybrid, which compile nothing)
+// and the context from the pool warm, and why Auto took its route
+// (empty for forced strategies).
+func (c *Cursor) Run() obsv.Run { return c.run }
+
 // Work is what the run did: visited nodes, index jumps, memo entries
-// and hits (obsv.Work), whichever engine ran.
-func (c *Cursor) Work() obsv.Work { return c.work }
+// and hits, whichever engine ran.
+func (c *Cursor) Work() obsv.Work { return c.run.Work }
 
 // Visited counts the nodes the run touched.
-func (c *Cursor) Visited() int { return c.work.Visited }
+func (c *Cursor) Visited() int { return c.run.Visited }
 
 // MemoEntries counts memoized configurations (ASTA engines only).
-func (c *Cursor) MemoEntries() int { return c.work.MemoEntries }
+func (c *Cursor) MemoEntries() int { return c.run.MemoEntries }
 
 // MemoHits counts constant-time memo-table lookups served during the
 // run (ASTA engines only).
-func (c *Cursor) MemoHits() int { return c.work.MemoHits }
+func (c *Cursor) MemoHits() int { return c.run.MemoHits }
 
 // Jumps counts index jumps (every engine but the step-wise baseline).
-func (c *Cursor) Jumps() int { return c.work.Jumps }
-
-// CtxPoolHit reports whether the evaluation ran in a warm pooled
-// context (allocation-free steady state) rather than a fresh one.
-func (c *Cursor) CtxPoolHit() bool { return c.poolHit }
-
-// QCacheHit reports whether the compiled automaton came from the
-// compiled-query cache rather than being compiled for this run. It is
-// false for strategies that compile nothing (stepwise, hybrid).
-func (c *Cursor) QCacheHit() bool { return c.qcacheHit }
+func (c *Cursor) Jumps() int { return c.run.Jumps }
 
 // AutoShape is the canonical shape of an explained Auto evaluation's
 // query; empty for forced strategies and unexplained evaluations.
 func (c *Cursor) AutoShape() string { return c.autoShape }
-
-// AutoReason is why Auto routed the query to this cursor's strategy
-// (one of the Reason* constants); empty for forced strategies.
-func (c *Cursor) AutoReason() string { return c.autoReason }
 
 // Count returns the full answer cardinality, independent of the read
 // position and of Close.
@@ -200,7 +190,7 @@ func (c *Cursor) materialize() *Answer {
 		nodes = slices.Clone(nodes)
 	}
 	c.Close()
-	return &Answer{Nodes: nodes, Strategy: c.strategy, Work: c.work}
+	return &Answer{Nodes: nodes, Strategy: c.strategy, Work: c.run.Work}
 }
 
 // EvalCursor evaluates a query and returns a cursor over the
@@ -306,7 +296,7 @@ func (e *Engine) tdstaCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Curs
 	res := v.(*sta.STA).EvalTopDownJump(e.doc, cur, nil)
 	e.pool.parkCursors(cur)
 	c := ran(tr, sp, newSliceCursor(res.Selected, TopDownDet, res.Work))
-	c.qcacheHit = hit
+	c.run.QCacheHit = hit
 	return c, nil
 }
 
@@ -348,7 +338,7 @@ func (e *Engine) astaCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Tr
 	sp = tr.Begin(obsv.SpanRun)
 	res := cv.aut.EvalCtx(ctx, e.doc, e.ix, opt)
 	c := ran(tr, sp, newCursor(res.Selected, func() { cv.release(opt, ctx) }, s, res.Work))
-	c.poolHit, c.qcacheHit = warm, hit
+	c.run.CtxPoolHit, c.run.QCacheHit = warm, hit
 	return c, nil
 }
 
@@ -415,8 +405,8 @@ func (e *Engine) autoCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Curso
 	if err != nil {
 		return nil, err
 	}
-	c.autoReason = reason
-	if tr.Detail() {
+	c.run.AutoReason = reason
+	if tr != nil {
 		c.autoShape = p.String()
 		tr.Annotate(sp, "auto shape="+c.autoShape+" route="+c.strategy.String()+" reason="+reason)
 	}

@@ -92,8 +92,8 @@ func TestAutoDecisionTable(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.query, err)
 			}
-			if cur.Strategy() != tc.route || cur.AutoReason() != tc.reason {
-				t.Errorf("%s run %d: routed to %v (%s), want %v (%s)", tc.query, run, cur.Strategy(), cur.AutoReason(), tc.route, tc.reason)
+			if cur.Strategy() != tc.route || cur.Run().AutoReason != tc.reason {
+				t.Errorf("%s run %d: routed to %v (%s), want %v (%s)", tc.query, run, cur.Strategy(), cur.Run().AutoReason, tc.route, tc.reason)
 			}
 			if got := collect(t, cur); len(got) != len(want.Nodes) {
 				t.Errorf("%s: %d nodes, oracle %d", tc.query, len(got), len(want.Nodes))
@@ -160,7 +160,7 @@ func collectSpans(spans []obsv.Span, into *[]obsv.Span) {
 // shape, the route and the reason.
 func TestExplainRunSpanAnnotations(t *testing.T) {
 	eng := New(selDoc(t))
-	tr := obsv.NewTrace(true)
+	tr := obsv.NewTrace()
 	defer obsv.ReleaseTrace(tr)
 	root := tr.Begin(obsv.SpanQuery)
 	cur, err := eng.EvalCursorTrace("/r/a/b", Auto, tr)
@@ -169,7 +169,7 @@ func TestExplainRunSpanAnnotations(t *testing.T) {
 	}
 	cur.Close()
 	tr.End(root)
-	p := tr.Profile("rid")
+	p := tr.Profile("rid", obsv.Counters{})
 
 	var flat []obsv.Span
 	collectSpans(p.Spans, &flat)
@@ -203,7 +203,7 @@ func TestExplainRunSpanAnnotations(t *testing.T) {
 
 	// Forced strategies annotate their run spans too, a refused one
 	// included.
-	tr1 := obsv.NewTrace(true)
+	tr1 := obsv.NewTrace()
 	defer obsv.ReleaseTrace(tr1)
 	root = tr1.Begin(obsv.SpanQuery)
 	if _, err := eng.EvalCursorTrace("/r/a[b]", Hybrid, tr1); !errors.Is(err, hybrid.ErrUnsupported) {
@@ -211,12 +211,12 @@ func TestExplainRunSpanAnnotations(t *testing.T) {
 	}
 	tr1.End(root)
 	flat = flat[:0]
-	collectSpans(tr1.Profile("rid1").Spans, &flat)
+	collectSpans(tr1.Profile("rid1", obsv.Counters{}).Spans, &flat)
 	if len(flat) != 3 || flat[2].Name != obsv.SpanRun || flat[2].Detail != "strategy=hybrid outcome=failed" {
 		t.Fatalf("refused Hybrid run span not annotated: %+v", flat)
 	}
 
-	tr2 := obsv.NewTrace(true)
+	tr2 := obsv.NewTrace()
 	defer obsv.ReleaseTrace(tr2)
 	root = tr2.Begin(obsv.SpanQuery)
 	cur, err = eng.EvalCursorTrace("/r/a/b", TopDownDet, tr2)
@@ -226,7 +226,7 @@ func TestExplainRunSpanAnnotations(t *testing.T) {
 	cur.Close()
 	tr2.End(root)
 	flat = flat[:0]
-	collectSpans(tr2.Profile("rid2").Spans, &flat)
+	collectSpans(tr2.Profile("rid2", obsv.Counters{}).Spans, &flat)
 	found := false
 	for _, s := range flat {
 		if s.Name == obsv.SpanRun && s.Detail == "strategy=topdown-det outcome=ok" {

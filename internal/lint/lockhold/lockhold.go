@@ -14,11 +14,9 @@
 //     qcache.Evictee under its lock, whose contract covers it.)
 //
 // The walk is a path-sensitive abstract interpretation of each
-// function body: branches fork the held-set, a deferred Unlock keeps
-// the lock held to function end (by design — code after it is still
-// under the lock), and lowercase lock()/unlock() wrappers (a type that
-// accounts its own lock waits) count as acquire/release of their
-// receiver.
+// function body: branches fork the held-set, and a deferred Unlock
+// keeps the lock held to function end (by design — code after it is
+// still under the lock).
 package lockhold
 
 import (
@@ -72,8 +70,8 @@ type walker struct {
 	pass *lint.Pass
 }
 
-// held maps a lock key (the printed receiver expression, e.g. "s.mu"
-// or "sh" for a lock() wrapper) to its acquisition position.
+// held maps a lock key (the printed mutex expression, e.g. "s.mu") to
+// its acquisition position.
 type held map[string]token.Pos
 
 func (h held) clone() held {
@@ -293,24 +291,9 @@ func (w *walker) checkCall(call *ast.CallExpr, h held) {
 		case "Lock", "RLock":
 			w.acquire(call.Pos(), key, h)
 		case "Unlock", "RUnlock":
-			w.release(key, h)
+			delete(h, key)
 		}
 		return
-	}
-
-	// lock()/unlock() wrappers on tracked types (the service's lock-wait
-	// accounting): the receiver itself is the key, and a later
-	// receiver.mu.Unlock() releases it by prefix.
-	if name == "lock" || name == "unlock" {
-		if t := w.pass.TypeOf(sel.X); t != nil && ownerTracked(t) {
-			key := exprString(w.pass.Fset, sel.X)
-			if name == "lock" {
-				w.acquire(call.Pos(), key, h)
-			} else {
-				w.release(key, h)
-			}
-			return
-		}
 	}
 
 	// Blocking calls.
@@ -342,14 +325,6 @@ func (w *walker) acquire(at token.Pos, key string, h held) {
 	h[key] = at
 }
 
-func (w *walker) release(key string, h held) {
-	for k := range h {
-		if k == key || len(key) > len(k)+1 && key[:len(k)] == k && key[len(k)] == '.' {
-			delete(h, k)
-		}
-	}
-}
-
 func (w *walker) report(at token.Pos, what, lock string, acquired token.Pos) {
 	w.pass.Reportf(at, "%s while %s is held (acquired at %s)",
 		what, lock, w.pass.Fset.Position(acquired))
@@ -369,20 +344,6 @@ func isMutex(t types.Type) bool {
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
 		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
-}
-
-// ownerTracked reports whether t is a named type declared in a
-// tracked package.
-func ownerTracked(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && trackedPkg(obj.Pkg().Path())
 }
 
 func exprString(fset *token.FileSet, e ast.Expr) string {

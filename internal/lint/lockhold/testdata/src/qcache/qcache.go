@@ -71,16 +71,6 @@ func (s *Shard) Twice() {
 	s.mu.Unlock()
 }
 
-// lock is the wrapper pattern the service uses for lock-wait
-// accounting: acquiring it counts as holding the receiver.
-func (s *Shard) lock() { s.mu.Lock() }
-
-func (s *Shard) WrapperBlocked() {
-	s.lock()
-	time.Sleep(time.Millisecond) // want "time.Sleep while s is held"
-	s.mu.Unlock()
-}
-
 // Negative cases below: all clean, no diagnostics.
 
 func (c *Cache) UnlockThenBlock() {
@@ -105,10 +95,4 @@ func (c *Cache) AsyncUnderLock() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	go func() { c.ch <- 1 }() // runs after release: fine
-}
-
-func (s *Shard) WrapperBalanced() {
-	s.lock()
-	s.mu.Unlock()
-	time.Sleep(time.Millisecond)
 }

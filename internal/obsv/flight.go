@@ -6,8 +6,9 @@ import (
 	"time"
 )
 
-// Outcome classifies how a query ended; the flight recorder and the
-// abort-cause metrics share the vocabulary.
+// Outcome classifies how a query ended: the service sets one per
+// request, and the HTTP status, the metrics, the flight record and the
+// log line all read it.
 const (
 	OutcomeOK          = "ok"
 	OutcomeError       = "error"
@@ -33,7 +34,6 @@ type Record struct {
 	RequestID string    `json:"request_id,omitempty"`
 	Doc       string    `json:"doc"`
 	Query     string    `json:"query"`
-	Strategy  string    `json:"strategy,omitempty"`
 	Outcome   string    `json:"outcome"`
 	Err       string    `json:"error,omitempty"`
 	ElapsedUS int64     `json:"elapsed_us"`
@@ -41,18 +41,12 @@ type Record struct {
 	// actually delivered (paging and aborts make them differ).
 	Sent  int `json:"sent"`
 	Count int `json:"count"`
-	// Engine counters for the slow-query post-mortem: a slow query
-	// with CtxPoolHit=false rebuilt its scratch world; one with low
-	// MemoHits ran cold automaton-wise.
-	Work
-	QCacheHit  bool `json:"qcache_hit"`
-	CtxPoolHit bool `json:"ctx_pool_hit"`
-	// AutoReason is why Auto routed the query to Strategy (label-chain,
-	// tdsta-fragment, asta, outside-automata); empty for forced
-	// strategies.
-	AutoReason string `json:"auto_reason,omitempty"`
-	Streamed   bool   `json:"streamed,omitempty"`
-	Slow       bool   `json:"slow,omitempty"`
+	// Run is the evaluation, for the slow-query post-mortem: a slow
+	// query with CtxPoolHit=false rebuilt its scratch world; one with
+	// low MemoHits ran cold automaton-wise. Empty when no engine ran.
+	Run
+	Streamed bool `json:"streamed,omitempty"`
+	Slow     bool `json:"slow,omitempty"`
 }
 
 // Flight is the always-on flight recorder: a fixed ring of the last N

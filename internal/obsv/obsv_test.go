@@ -7,7 +7,7 @@ import (
 )
 
 func TestTraceSpanTree(t *testing.T) {
-	tr := NewTrace(true)
+	tr := NewTrace()
 	defer ReleaseTrace(tr)
 	root := tr.Begin(SpanQuery)
 	a := tr.Begin(SpanEngine)
@@ -19,12 +19,13 @@ func TestTraceSpanTree(t *testing.T) {
 	tr.End(c)
 	tr.End(b)
 	tr.End(root)
-	tr.C.Strategy = "optimized"
-	tr.C.Visited = 42
+	var cs Counters
+	cs.Strategy = "optimized"
+	cs.Visited = 42
 
-	prof := tr.Profile("req-1")
+	prof := tr.Profile("req-1", cs)
 	if prof == nil {
-		t.Fatal("detail trace must produce a profile")
+		t.Fatal("trace must produce a profile")
 	}
 	if prof.RequestID != "req-1" || prof.Counters.Visited != 42 {
 		t.Errorf("profile head wrong: %+v", prof)
@@ -47,12 +48,12 @@ func TestTraceSpanTree(t *testing.T) {
 }
 
 func TestTraceEndOutOfOrderClosesInner(t *testing.T) {
-	tr := NewTrace(true)
+	tr := NewTrace()
 	defer ReleaseTrace(tr)
 	outer := tr.Begin("outer")
 	tr.Begin("inner") // never explicitly ended
 	tr.End(outer)
-	prof := tr.Profile("")
+	prof := tr.Profile("", Counters{})
 	if len(prof.Spans) != 1 || len(prof.Spans[0].Children) != 1 {
 		t.Fatalf("spans = %+v", prof.Spans)
 	}
@@ -61,35 +62,26 @@ func TestTraceEndOutOfOrderClosesInner(t *testing.T) {
 	}
 }
 
-func TestTraceNilAndNonDetailSafe(t *testing.T) {
+func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
-	tr.Reset(true)
+	tr.Reset()
 	id := tr.Begin("x")
+	tr.Annotate(id, "d")
 	tr.End(id)
-	if tr.Profile("r") != nil || tr.Detail() {
+	if id != -1 || tr.Profile("r", Counters{}) != nil {
 		t.Error("nil trace must be inert")
-	}
-
-	nd := NewTrace(false)
-	defer ReleaseTrace(nd)
-	if id := nd.Begin("x"); id != -1 {
-		t.Errorf("non-detail Begin = %d, want -1", id)
-	}
-	nd.C.Visited = 7 // counters still usable without detail
-	if nd.Profile("r") != nil {
-		t.Error("non-detail trace must not build a profile")
 	}
 }
 
 func TestTraceOverflowDropsSpans(t *testing.T) {
-	tr := NewTrace(true)
+	tr := NewTrace()
 	defer ReleaseTrace(tr)
 	root := tr.Begin("root")
 	for i := 0; i < 3*maxSpans; i++ {
 		tr.End(tr.Begin("leaf"))
 	}
 	tr.End(root)
-	prof := tr.Profile("")
+	prof := tr.Profile("", Counters{})
 	if len(prof.Spans) != 1 {
 		t.Fatalf("root count = %d", len(prof.Spans))
 	}
@@ -104,9 +96,8 @@ func TestTracePoolSteadyStateAllocFree(t *testing.T) {
 	// mid-measurement can add the odd refill, hence the small ceiling
 	// rather than zero.
 	got := testing.AllocsPerRun(200, func() {
-		tr := NewTrace(true)
+		tr := NewTrace()
 		id := tr.Begin(SpanRun)
-		tr.C.Visited = 10
 		tr.End(id)
 		ReleaseTrace(tr)
 	})

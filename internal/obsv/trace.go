@@ -11,15 +11,15 @@
 // back. Three rules enforce it:
 //
 //   - a Trace is a fixed-size value reused through a sync.Pool; starting
-//     a span is two stores and (only in detail mode) one clock read;
+//     a span is two stores and one clock read;
 //   - every Trace method is nil-safe, so the engine call paths carry a
 //     possibly-nil *Trace instead of branching at every site;
 //   - the flight recorder writes one fixed-size record into a
 //     preallocated ring slot under a mutex whose critical section is a
 //     struct copy.
 //
-// Only the explain path (detail mode) reads the clock per span and
-// only Profile — built once per explained request — allocates.
+// Only explained requests carry a Trace, so only they read the clock per
+// span, and only Profile — built once per explained request — allocates.
 package obsv
 
 import (
@@ -80,36 +80,39 @@ type Work struct {
 	MemoHits    int `json:"memo_hits"`
 }
 
-// Counters are the engine-effort numbers lifted into a trace: what the
-// evaluation did, as opposed to how long its phases took. They ride on
-// the Trace so the explain profile and the flight record read one
-// place.
-type Counters struct {
+// Run is what one request's evaluation did and how it was served: the
+// one record the cursor fills, the explain profile's counters extend and
+// the flight record embeds.
+type Run struct {
+	// Strategy is the engine that ran (never auto).
 	Strategy string `json:"strategy,omitempty"`
 	Work
-	Selected int `json:"selected"`
 	// QCacheHit: the compiled automaton came from the query cache.
 	// CtxPoolHit: the evaluation ran in a warm pooled context.
 	QCacheHit  bool `json:"qcache_hit"`
 	CtxPoolHit bool `json:"ctx_pool_hit"`
-	// AutoShape/AutoReason attribute an Auto-routed query: its
-	// canonical shape and why it took its route (label-chain,
-	// tdsta-fragment, asta, outside-automata). Empty for forced
+	// AutoReason is why Auto took its route (label-chain,
+	// tdsta-fragment, asta, outside-automata); empty for forced
 	// strategies.
-	AutoShape  string `json:"auto_shape,omitempty"`
 	AutoReason string `json:"auto_reason,omitempty"`
 }
 
-// Trace records one request's span tree and counters. The zero value
-// is ready; Reset recycles it. Not safe for concurrent use (one trace
-// belongs to one request). All methods are nil-safe no-ops so call
-// sites thread a possibly-nil *Trace unconditionally.
-type Trace struct {
-	// C is filled by the layers as they learn things; exported so
-	// lifting a counter is a store, not a call.
-	C Counters
+// Counters are the engine-effort numbers of an explain profile: what the
+// evaluation did, as opposed to how long its phases took.
+type Counters struct {
+	Run
+	Selected int `json:"selected"`
+	// AutoShape is an Auto-routed query's canonical shape; empty for
+	// forced strategies.
+	AutoShape string `json:"auto_shape,omitempty"`
+}
 
-	detail bool
+// Trace records one explained request's span tree. The zero value is
+// ready; Reset recycles it. Not safe for concurrent use (one trace
+// belongs to one request). All methods are nil-safe no-ops, so call
+// sites thread a possibly-nil *Trace unconditionally and an unexplained
+// request records nothing.
+type Trace struct {
 	origin time.Time
 	n      int8
 	open   int8 // innermost open span, -1 at top level
@@ -118,13 +121,11 @@ type Trace struct {
 
 var tracePool = sync.Pool{New: func() any { return new(Trace) }}
 
-// NewTrace checks a reset Trace out of the package pool. detail
-// enables per-span clock reads (the explain path); without it spans
-// record structure only and Begin/End never touch the clock. Return
-// the trace with ReleaseTrace once nothing references it.
-func NewTrace(detail bool) *Trace {
+// NewTrace checks a reset Trace out of the package pool. Return it
+// with ReleaseTrace once nothing references it.
+func NewTrace() *Trace {
 	tr := tracePool.Get().(*Trace)
-	tr.Reset(detail)
+	tr.Reset()
 	return tr
 }
 
@@ -136,30 +137,20 @@ func ReleaseTrace(tr *Trace) {
 }
 
 // Reset clears the trace in place and stamps a new origin.
-func (tr *Trace) Reset(detail bool) {
+func (tr *Trace) Reset() {
 	if tr == nil {
 		return
 	}
-	tr.C = Counters{}
-	tr.detail = detail
 	tr.n = 0
 	tr.open = -1
-	if detail {
-		tr.origin = time.Now()
-	} else {
-		tr.origin = time.Time{}
-	}
+	tr.origin = time.Now()
 }
 
-// Detail reports whether the trace records span timings (explain
-// mode).
-func (tr *Trace) Detail() bool { return tr != nil && tr.detail }
-
 // Begin opens a span nested under the innermost open span and returns
-// its id for End. On a nil trace, a non-detail trace, or span
-// overflow it returns -1 (End ignores it) without reading the clock.
+// its id for End. On a nil trace or span overflow it returns -1 (End
+// ignores it) without reading the clock.
 func (tr *Trace) Begin(name string) int8 {
-	if tr == nil || !tr.detail || int(tr.n) >= maxSpans {
+	if tr == nil || int(tr.n) >= maxSpans {
 		return -1
 	}
 	id := tr.n
@@ -218,15 +209,16 @@ type Profile struct {
 	Counters  Counters `json:"counters"`
 }
 
-// Profile materializes the trace into its JSON form. It allocates (the
-// only method here that does) and is meant to run once per explained
-// request, after every span has ended. Safe on nil (returns nil).
-func (tr *Trace) Profile(requestID string) *Profile {
-	if tr == nil || !tr.detail {
+// Profile materializes the trace and the request's counters into its
+// JSON form. It allocates (the only method here that does) and is meant
+// to run once per explained request, after every span has ended. Safe
+// on nil (returns nil).
+func (tr *Trace) Profile(requestID string, c Counters) *Profile {
+	if tr == nil {
 		return nil
 	}
 	tr.End(0) // settle any span left open by an error path
-	p := &Profile{RequestID: requestID, Counters: tr.C}
+	p := &Profile{RequestID: requestID, Counters: c}
 	p.Spans = tr.children(-1)
 	return p
 }

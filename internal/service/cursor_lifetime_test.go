@@ -44,7 +44,7 @@ func TestPageOutlivesItsArena(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !cur.CtxPoolHit() {
+			if !cur.Run().CtxPoolHit {
 				t.Fatal("page 1 did not park its context")
 			}
 			total := cur.Count()

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obsv"
 	"repro/internal/store"
 )
 
@@ -109,10 +110,10 @@ func ensureRequestID(w http.ResponseWriter, r *http.Request) string {
 	return rid
 }
 
-// wantExplain merges the ?explain=1 query parameter into the decoded
-// request body's Explain field.
-func wantExplain(r *http.Request) bool {
-	switch r.URL.Query().Get("explain") {
+// queryBool reads a boolean query parameter (?explain=, ?slow=): 1,
+// true and yes are true, anything else false.
+func queryBool(r *http.Request, name string) bool {
+	switch r.URL.Query().Get(name) {
 	case "1", "true", "yes":
 		return true
 	}
@@ -167,7 +168,7 @@ func NewHandler(s *Service, opts HandlerOptions) http.Handler {
 			return
 		}
 		req.RequestID = ensureRequestID(w, r)
-		req.Explain = req.Explain || wantExplain(r)
+		req.Explain = req.Explain || queryBool(r, "explain")
 		if !asOf(w, r, &req) {
 			return
 		}
@@ -180,7 +181,7 @@ func NewHandler(s *Service, opts HandlerOptions) http.Handler {
 			return
 		}
 		req.RequestID = ensureRequestID(w, r)
-		req.Explain = req.Explain || wantExplain(r)
+		req.Explain = req.Explain || queryBool(r, "explain")
 		if !asOf(w, r, &req) {
 			return
 		}
@@ -270,10 +271,8 @@ func NewHandler(s *Service, opts HandlerOptions) http.Handler {
 		_ = s.WriteMetrics(w)
 	})
 	mux.HandleFunc("GET /debug/queries", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		limit, _ := strconv.Atoi(q.Get("n"))
-		slowOnly := q.Get("slow") == "1" || q.Get("slow") == "true"
-		writeJSON(w, http.StatusOK, s.Flight().Snapshot(limit, slowOnly))
+		limit, _ := strconv.Atoi(r.URL.Query().Get("n"))
+		writeJSON(w, http.StatusOK, s.Flight().Snapshot(limit, queryBool(r, "slow")))
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -311,21 +310,20 @@ func loadDoc(s *Service, req LoadRequest) (*store.Handle, error) {
 
 // statusFor maps an Eval outcome to an HTTP status: unknown documents
 // are 404, stale cursors (document reloaded under the token) are 410, a
-// contained panic is 500, everything else (parse errors, fragment
+// contained panic is 500, every other error (parse errors, fragment
 // violations) is 400.
 func statusFor(resp Response) int {
-	switch {
-	case resp.Err == "":
-		return http.StatusOK
-	case resp.panicked:
+	switch resp.outcome {
+	case obsv.OutcomePanic:
 		return http.StatusInternalServerError
-	case resp.notFound:
+	case obsv.OutcomeNotFound:
 		return http.StatusNotFound
-	case resp.staleCursor:
+	case obsv.OutcomeStaleCursor:
 		return http.StatusGone
-	default:
+	case obsv.OutcomeError:
 		return http.StatusBadRequest
 	}
+	return http.StatusOK
 }
 
 // maxQueryBody caps the bodies of /query, /query/stream and /batch. A

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"sync"
 	"time"
-
-	"repro/internal/core"
 )
 
 // latencyBuckets are the histogram upper bounds in microseconds
@@ -44,7 +42,8 @@ func (c abortCause) String() string {
 	return "none"
 }
 
-func (m *metrics) record(strat core.Strategy, elapsedUS int64, visited, selected int) {
+// record counts one query whose engine ran: strategy names it.
+func (m *metrics) record(strategy string, elapsedUS int64, visited, selected int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	q := &m.qs
@@ -55,7 +54,7 @@ func (m *metrics) record(strat core.Strategy, elapsedUS int64, visited, selected
 	q.Total++
 	q.VisitedNodes += uint64(visited)
 	q.SelectedNodes += uint64(selected)
-	q.ByStrategy[strat.String()]++
+	q.ByStrategy[strategy]++
 	i := 0
 	for i < len(latencyBuckets) && elapsedUS > latencyBuckets[i] {
 		i++
@@ -65,20 +64,29 @@ func (m *metrics) record(strat core.Strategy, elapsedUS int64, visited, selected
 	q.LatencyMaxUS = max(q.LatencyMaxUS, elapsedUS)
 }
 
-// recordStream counts one stream whose header went out, by how it
-// ended. Completed and aborted streams both count their chunks and
-// nodes, but only completed streams feed the first-byte/chunk-write
-// latency aggregates: a broken pipe's stalled final write measures the
-// client's death, not the server's latency. Chunk latencies cover
-// encode+write+flush.
-func (m *metrics) recordStream(cause abortCause, chunks, nodes int, firstByteUS, chunkSumUS, chunkMaxUS int64) {
+// streamTally is what one stream's body delivered: which write, if
+// any, the client abandoned, the chunk lines that went out, and the
+// latencies of the first byte and of the chunk writes
+// (encode+write+flush).
+type streamTally struct {
+	abort                               abortCause
+	chunks                              int
+	firstByteUS, chunkSumUS, chunkMaxUS int64
+}
+
+// recordStream counts one stream whose header was written, by how it
+// ended, with the nodes it delivered. Completed and aborted streams both
+// count their chunks and nodes, but only completed streams feed the
+// first-byte/chunk-write latency aggregates: a broken pipe's stalled
+// final write measures the client's death, not the server's latency.
+func (m *metrics) recordStream(t streamTally, nodes int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := &m.qs.Streaming
 	st.Streams++
-	st.Chunks += uint64(chunks)
+	st.Chunks += uint64(t.chunks)
 	st.Nodes += uint64(nodes)
-	switch cause {
+	switch t.abort {
 	case abortHeaderWrite:
 		st.Aborted++
 		st.AbortedHeaderWrite++
@@ -87,11 +95,11 @@ func (m *metrics) recordStream(cause abortCause, chunks, nodes int, firstByteUS,
 		st.AbortedChunkWrite++
 	default:
 		st.Completed++
-		st.completedChunks += uint64(chunks)
-		st.FirstByteSumUS += firstByteUS
-		st.FirstByteMaxUS = max(st.FirstByteMaxUS, firstByteUS)
-		st.ChunkWriteSumUS += chunkSumUS
-		st.ChunkWriteMaxUS = max(st.ChunkWriteMaxUS, chunkMaxUS)
+		st.completedChunks += uint64(t.chunks)
+		st.FirstByteSumUS += t.firstByteUS
+		st.FirstByteMaxUS = max(st.FirstByteMaxUS, t.firstByteUS)
+		st.ChunkWriteSumUS += t.chunkSumUS
+		st.ChunkWriteMaxUS = max(st.ChunkWriteMaxUS, t.chunkMaxUS)
 	}
 }
 

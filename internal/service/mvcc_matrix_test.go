@@ -286,7 +286,7 @@ func TestTokenIssuedAcrossPatchResumes(t *testing.T) {
 			}
 			st.sent, st.last = st.sent+1, v
 		}
-		svc.deliver(&st, &req, "")
+		svc.deliver(&st, &req)
 		if st.resp.Next == "" {
 			t.Fatal("cut page issued no token")
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obsv"
 	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/xmlparse"
@@ -136,7 +137,7 @@ func TestMVCCChurnHammer(t *testing.T) {
 				gen, count, cursor := first.Gen, first.Count, first.Next
 				for hops := 0; cursor != "" && hops < 4; hops++ {
 					page := svc.Eval(Request{Doc: id, Query: "//b", Limit: 2, Cursor: cursor})
-					if page.staleCursor {
+					if page.outcome == obsv.OutcomeStaleCursor {
 						break // lease expired mid-loop: legitimate 410
 					}
 					if page.Err != "" {
@@ -189,7 +190,7 @@ func TestMVCCChurnHammer(t *testing.T) {
 				}
 				for r := 0; r < 3; r++ {
 					again := svc.Eval(Request{Doc: id, Query: "//b", AsOf: pin.Gen})
-					if again.staleCursor {
+					if again.outcome == obsv.OutcomeStaleCursor {
 						break // generation retired underneath: legitimate
 					}
 					if again.Err != "" {

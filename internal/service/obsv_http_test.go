@@ -161,10 +161,17 @@ func mustLoad(t *testing.T, base, id string) {
 	}
 }
 
-// failAfter fails every write past the first n.
-type failAfter struct{ n int }
+// failAfter fails every write past the first n. A non-zero stall is
+// slept through at every write, so that the request outlasts any slow
+// threshold below it (a sub-microsecond request records 0 µs and is
+// never slow).
+type failAfter struct {
+	n     int
+	stall time.Duration
+}
 
 func (f *failAfter) Write(p []byte) (int, error) {
+	time.Sleep(f.stall)
 	if f.n <= 0 {
 		return 0, errors.New("client gone")
 	}
@@ -360,19 +367,68 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// panicAfter panics at every write past the first n.
+type panicAfter struct{ n int }
+
+func (p *panicAfter) Write(b []byte) (int, error) {
+	if p.n <= 0 {
+		panic("writer broke")
+	}
+	p.n--
+	return len(b), nil
+}
+
+// TestFlightRecorderService drives a request to every ending and checks
+// that the HTTP status and the flight record's outcome agree, and that
+// a record carries the run even when delivery panicked after it.
 func TestFlightRecorderService(t *testing.T) {
-	s := newTestService(t, Options{})
-	s.Eval(Request{Doc: "d1", Query: "//a/b", RequestID: "ok-1"})
-	s.Eval(Request{Doc: "nope", Query: "//a"})
-	s.Eval(Request{Doc: "d1", Query: "///"})
-	s.Stream(&failAfter{n: 1}, Request{Doc: "d1", Query: "//a/b"}, 1)
+	s := newTestService(t, Options{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	// A value of the wrong type cached under the key core looks up for
+	// the optimized //c panics that one request (TestPanicStopsAtTheRequest).
+	h, ok := s.Store().Get("d1")
+	if !ok {
+		t.Fatal("d1 missing")
+	}
+	s.cache.Put(strconv.FormatUint(h.Doc.Names().ID(), 10)+"\x00asta\x00//c", "not an automaton")
+	gen := h.Gen.String()
+
+	// w nil means Eval; a Stream that got its header out answers 200.
+	endings := []struct {
+		req     Request
+		w       io.Writer
+		status  int
+		outcome string
+	}{
+		{Request{RequestID: "ok-1", Doc: "d1", Query: "//a/b"}, nil, http.StatusOK, obsv.OutcomeOK},
+		{Request{RequestID: "no-doc", Doc: "nope", Query: "//a"}, nil, http.StatusNotFound, obsv.OutcomeNotFound},
+		{Request{RequestID: "bad-query", Doc: "d1", Query: "///"}, nil, http.StatusBadRequest, obsv.OutcomeError},
+		{Request{RequestID: "stale", Doc: "d1", Query: "//b", Cursor: rawToken("c3", "d1", "1", "0")}, nil,
+			http.StatusGone, obsv.OutcomeStaleCursor},
+		{Request{RequestID: "c2", Doc: "d1", Query: "//b", Cursor: rawToken("c2", "0", "d1", gen, "0")}, nil,
+			http.StatusGone, obsv.OutcomeStaleCursor},
+		{Request{RequestID: "panic", Doc: "d1", Query: "//c", Strategy: "optimized"}, nil,
+			http.StatusInternalServerError, obsv.OutcomePanic},
+		{Request{RequestID: "aborted", Doc: "d1", Query: "//a/b"}, &failAfter{n: 1}, http.StatusOK, obsv.OutcomeAborted},
+		{Request{RequestID: "stream-panic", Doc: "d1", Query: "//b"}, &panicAfter{n: 1}, http.StatusOK, obsv.OutcomePanic},
+	}
+	for _, e := range endings {
+		status := http.StatusOK
+		if e.w == nil {
+			status = statusFor(s.Eval(e.req))
+		} else if pre := s.Stream(e.w, e.req, 1); pre != nil {
+			status = statusFor(*pre)
+		}
+		rec := s.Flight().Snapshot(1, false).Records[0]
+		if status != e.status || rec.RequestID != e.req.RequestID || rec.Outcome != e.outcome {
+			t.Errorf("%s: status %d, record %q outcome %q; want %d and %q",
+				e.req.RequestID, status, rec.RequestID, rec.Outcome, e.status, e.outcome)
+		}
+	}
 
 	fs := s.Flight().Snapshot(0, false)
-	if fs.Total != 4 || fs.Aborted != 1 {
-		t.Fatalf("flight totals = %+v, want 4 total / 1 aborted", fs)
-	}
-	if len(fs.Records) != 4 {
-		t.Fatalf("resident records = %d, want 4", len(fs.Records))
+	if n := uint64(len(endings)); fs.Total != n || fs.Aborted != 1 || len(fs.Records) != len(endings) {
+		t.Fatalf("flight totals = %d total / %d aborted / %d resident, want %d / 1 / %d",
+			fs.Total, fs.Aborted, len(fs.Records), n, n)
 	}
 	// Newest first.
 	for i := 1; i < len(fs.Records); i++ {
@@ -380,16 +436,10 @@ func TestFlightRecorderService(t *testing.T) {
 			t.Fatalf("records not newest-first: %d then %d", fs.Records[i-1].Seq, fs.Records[i].Seq)
 		}
 	}
-	byOutcome := map[string]int{}
-	for _, r := range fs.Records {
-		byOutcome[r.Outcome]++
-	}
-	if byOutcome[obsv.OutcomeOK] != 1 || byOutcome[obsv.OutcomeNotFound] != 1 ||
-		byOutcome[obsv.OutcomeError] != 1 || byOutcome[obsv.OutcomeAborted] != 1 {
-		t.Errorf("outcomes = %v", byOutcome)
-	}
-	if fs.Records[3].RequestID != "ok-1" || !fs.Records[0].Streamed {
-		t.Errorf("record detail wrong: oldest=%+v newest=%+v", fs.Records[3], fs.Records[0])
+	// The stream's writer panicked at its first chunk, after the run:
+	// its record names the engine that ran and the answer's size.
+	if rec := fs.Records[0]; !rec.Streamed || rec.Strategy != "hybrid" || rec.Count != 3 || rec.Sent != 0 {
+		t.Errorf("panicked stream's record = %+v, want streamed, strategy hybrid, count 3, sent 0", rec)
 	}
 	if got := s.Flight().Snapshot(2, false); len(got.Records) != 2 {
 		t.Errorf("limit 2 returned %d records", len(got.Records))
@@ -397,7 +447,7 @@ func TestFlightRecorderService(t *testing.T) {
 
 	// Dropping the threshold to ~0 marks subsequent queries slow.
 	s.Flight().SetSlowThreshold(time.Nanosecond)
-	s.Eval(Request{Doc: "d1", Query: "//c"})
+	s.Stream(&failAfter{n: 3, stall: time.Millisecond}, Request{Doc: "d1", Query: "//c"}, 1)
 	slow := s.Flight().Snapshot(0, true)
 	if len(slow.Records) == 0 || slow.Records[0].Query != "//c" {
 		t.Errorf("slow filter: %+v", slow.Records)
@@ -405,14 +455,15 @@ func TestFlightRecorderService(t *testing.T) {
 }
 
 func TestDebugQueriesHTTP(t *testing.T) {
-	srv := newTestServer(t)
-	mustLoad(t, srv.URL, "d1")
+	s := New(shard.NewStore(1), Options{})
+	base := newTestHTTP(t, s, HandlerOptions{})
+	mustLoad(t, base, "d1")
 	for i := 0; i < 3; i++ {
 		var resp Response
-		doJSON(t, "POST", srv.URL+"/query", Request{Doc: "d1", Query: "//a/b"}, &resp)
+		doJSON(t, "POST", base+"/query", Request{Doc: "d1", Query: "//a/b"}, &resp)
 	}
 	var fs obsv.FlightStats
-	if code := doJSON(t, "GET", srv.URL+"/debug/queries?n=2", nil, &fs); code != http.StatusOK {
+	if code := doJSON(t, "GET", base+"/debug/queries?n=2", nil, &fs); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if fs.Total != 3 || len(fs.Records) != 2 {
@@ -420,6 +471,18 @@ func TestDebugQueriesHTTP(t *testing.T) {
 	}
 	if fs.Records[0].RequestID == "" {
 		t.Error("HTTP query got no generated request id in its flight record")
+	}
+
+	// ?slow= takes every spelling ?explain= does: only the one slow
+	// record comes back.
+	s.Flight().SetSlowThreshold(time.Nanosecond)
+	s.Stream(&failAfter{n: 3, stall: time.Millisecond}, Request{Doc: "d1", Query: "//c"}, 1)
+	for _, v := range []string{"1", "true", "yes"} {
+		var slow obsv.FlightStats
+		doJSON(t, "GET", base+"/debug/queries?slow="+v, nil, &slow)
+		if len(slow.Records) != 1 || slow.Records[0].Query != "//c" {
+			t.Errorf("?slow=%s: %d records, want the one slow //c", v, len(slow.Records))
+		}
 	}
 }
 

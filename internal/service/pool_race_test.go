@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obsv"
 	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/tree"
@@ -57,7 +58,7 @@ func TestPoolSafetyHammer(t *testing.T) {
 		return ok
 	}
 	cleanErr := func(resp *Response) bool {
-		return resp.notFound || resp.staleCursor ||
+		return resp.outcome == obsv.OutcomeNotFound || resp.outcome == obsv.OutcomeStaleCursor ||
 			strings.Contains(resp.Err, "no such document")
 	}
 

@@ -251,11 +251,10 @@ type Response struct {
 	// Explain is the span-tree profile, present when the request asked
 	// for one.
 	Explain *obsv.Profile `json:"explain,omitempty"`
-	// notFound / staleCursor / panicked distinguish error classes for
-	// the HTTP status mapping (404 / 410 / 500) without parsing Err text.
-	notFound    bool
-	staleCursor bool
-	panicked    bool
+	// outcome is how the request ended, an obsv.Outcome* value set where
+	// the ending is classified. statusFor, the metrics, the flight
+	// record and the log line all read it.
+	outcome string
 }
 
 // evalState is one request in flight: prepare fills it, Eval or Stream
@@ -273,9 +272,12 @@ type evalState struct {
 	fromCursor bool
 	// sent and last are the nodes delivered so far and the final one of
 	// them — where a successor token resumes.
-	sent     int
-	last     tree.NodeID
+	sent int
+	last tree.NodeID
+	// streamed marks a Stream request, and tally is what its body
+	// delivered; finish counts it.
 	streamed bool
+	tally    streamTally
 	timer    timer
 	// tr is non-nil for explained requests; root is its open
 	// whole-request span.
@@ -287,29 +289,28 @@ type evalState struct {
 // strategy parsing, cursor-token validation (the document must match;
 // the token's generation becomes the target), generation-pinned handle
 // lookup, engine lookup, evaluation, and seeking to the resume
-// position. On failure it reports false, st.resp.Err is set (and the
-// error counted) and nothing is pinned; on success resp carries
+// position. On failure it reports false, st.resp.Err and its outcome
+// are set and nothing is pinned; on success resp carries
 // Gen/Strategy/Count/Visited and st holds a store pin on resp.Gen,
 // which deliver releases. The pin is recorded in st.h as soon as it is
 // taken, so a panic past that point still finds it (contain).
 func (s *Service) prepare(st *evalState, req Request) bool {
-	st.resp = Response{Doc: req.Doc, Query: req.Query}
+	st.resp = Response{Doc: req.Doc, Query: req.Query, outcome: obsv.OutcomeOK}
 	st.timer = startTimer()
 	if req.Explain {
 		// The trace is pooled and its methods are nil-safe, so the
 		// non-explain path pays one nil check per phase.
-		st.tr = obsv.NewTrace(true)
+		st.tr = obsv.NewTrace()
 		st.root = st.tr.Begin(obsv.SpanQuery)
 	}
 	// fail is every error exit: spans still open are settled by Profile.
-	fail := func(format string, args ...any) bool {
-		st.resp.Err = fmt.Sprintf(format, args...)
-		s.metrics.recordError()
+	fail := func(outcome, format string, args ...any) bool {
+		st.resp.outcome, st.resp.Err = outcome, fmt.Sprintf(format, args...)
 		return false
 	}
 	strat, ok := core.ParseStrategy(req.Strategy)
 	if !ok {
-		return fail("unknown strategy %q", req.Strategy)
+		return fail(obsv.OutcomeError, "unknown strategy %q", req.Strategy)
 	}
 	// The target generation: the cursor token's, an explicit asof, or
 	// zero for latest.
@@ -319,13 +320,14 @@ func (s *Service) prepare(st *evalState, req Request) bool {
 		sp := st.tr.Begin(obsv.SpanCursor)
 		cdoc, cgen, clast, err := decodeCursor(req.Cursor)
 		switch {
+		case errors.Is(err, errEarlierCursor):
+			return fail(obsv.OutcomeStaleCursor, "%v", err)
 		case err != nil:
-			st.resp.staleCursor = errors.Is(err, errEarlierCursor)
-			return fail("%v", err)
+			return fail(obsv.OutcomeError, "%v", err)
 		case cdoc != req.Doc:
-			return fail("cursor is for document %q, not %q", cdoc, req.Doc)
+			return fail(obsv.OutcomeError, "cursor is for document %q, not %q", cdoc, req.Doc)
 		case req.AsOf != 0 && req.AsOf != cgen:
-			return fail("cursor pins generation %d but the request asks asof %d", cgen, req.AsOf)
+			return fail(obsv.OutcomeError, "cursor pins generation %d but the request asks asof %d", cgen, req.AsOf)
 		}
 		tgen, after = cgen, clast
 		st.fromCursor = true
@@ -340,14 +342,11 @@ func (s *Service) prepare(st *evalState, req Request) bool {
 		st.tr.End(sp)
 		switch {
 		case errors.Is(err, store.ErrNotFound):
-			st.resp.notFound = true
-			return fail("service: %v: %q", ErrNoDocument, req.Doc)
+			return fail(obsv.OutcomeNotFound, "service: %v: %q", ErrNoDocument, req.Doc)
 		case st.fromCursor:
-			st.resp.staleCursor = true
-			return fail("stale cursor: generation %d of document %q is gone (patched away, evicted, or the cursor lease expired)", tgen, req.Doc)
+			return fail(obsv.OutcomeStaleCursor, "stale cursor: generation %d of document %q is gone (patched away, evicted, or the cursor lease expired)", tgen, req.Doc)
 		}
-		st.resp.staleCursor = true
-		return fail("generation %d of document %q is gone (no live cursor or lease kept it)", tgen, req.Doc)
+		return fail(obsv.OutcomeStaleCursor, "generation %d of document %q is gone (no live cursor or lease kept it)", tgen, req.Doc)
 	}
 	st.h = h
 	eng := s.engine(h)
@@ -357,7 +356,7 @@ func (s *Service) prepare(st *evalState, req Request) bool {
 	if err != nil {
 		s.unpin(st, time.Time{}, false)
 		st.resp.ElapsedUS = st.timer.elapsedMicros()
-		return fail("%v", err)
+		return fail(obsv.OutcomeError, "%v", err)
 	}
 	st.cur = cur
 	if st.fromCursor {
@@ -365,7 +364,7 @@ func (s *Service) prepare(st *evalState, req Request) bool {
 		cur.SeekPast(after)
 		st.tr.End(sp)
 	}
-	st.resp.Strategy = cur.Strategy().String()
+	st.resp.Strategy = cur.Run().Strategy
 	st.resp.Count = cur.Count()
 	st.resp.Visited = cur.Visited()
 	return true
@@ -384,11 +383,11 @@ func (s *Service) unpin(st *evalState, lease time.Time, redeem bool) {
 // request and nothing else: not the process, not the other members of
 // a /batch, not the generation the request pinned. Eval and Stream
 // defer it. It closes the cursor, drops the pin, logs the panic value
-// and stack at Error under the request id, turns the response into a
-// generic failure (HTTP 500) and writes the one flight record, with
-// outcome panic; finish also releases the pooled trace. A context the
-// evaluator had checked out when it panicked is not parked again: the
-// GC takes it.
+// and stack at Error under the request id, writes the one flight
+// record, with outcome panic and the run the request got as far as,
+// and only then turns the response into a generic failure (HTTP 500);
+// finish also releases the pooled trace. A context the evaluator had
+// checked out when it panicked is not parked again: the GC takes it.
 func (s *Service) contain(st *evalState, req *Request, v any) {
 	if st.cur != nil {
 		st.cur.Close()
@@ -401,24 +400,9 @@ func (s *Service) contain(st *evalState, req *Request, v any) {
 		slog.String("panic", fmt.Sprint(v)),
 		slog.String("stack", string(debug.Stack())),
 	)
-	st.resp = Response{Doc: req.Doc, Query: req.Query, Err: "internal error", panicked: true}
-	s.metrics.recordError()
-	s.finish(st, req, obsv.OutcomePanic, fmt.Sprintf("panic: %v", v))
-}
-
-// outcomeOf classifies a finished response for the flight recorder.
-func outcomeOf(resp *Response) string {
-	switch {
-	case resp.panicked:
-		return obsv.OutcomePanic
-	case resp.notFound:
-		return obsv.OutcomeNotFound
-	case resp.staleCursor:
-		return obsv.OutcomeStaleCursor
-	case resp.Err != "":
-		return obsv.OutcomeError
-	}
-	return obsv.OutcomeOK
+	st.resp.outcome, st.resp.Err = obsv.OutcomePanic, fmt.Sprintf("panic: %v", v)
+	s.finish(st, req)
+	st.resp = Response{Doc: req.Doc, Query: req.Query, Err: "internal error", outcome: obsv.OutcomePanic}
 }
 
 // explain settles the request trace into its Profile and releases the
@@ -429,30 +413,23 @@ func (s *Service) explain(st *evalState, req *Request) *obsv.Profile {
 	if st.tr == nil {
 		return nil
 	}
-	resp := &st.resp
-	c := &st.tr.C
-	c.Strategy = resp.Strategy
-	c.Selected = resp.Count
+	c := obsv.Counters{Selected: st.resp.Count}
 	if cur := st.cur; cur != nil {
-		c.Work = cur.Work()
-		c.QCacheHit = cur.QCacheHit()
-		c.CtxPoolHit = cur.CtxPoolHit()
-		c.AutoShape = cur.AutoShape()
-		c.AutoReason = cur.AutoReason()
+		c.Run, c.AutoShape = cur.Run(), cur.AutoShape()
 	}
 	st.tr.End(st.root)
-	p := st.tr.Profile(req.RequestID)
+	p := st.tr.Profile(req.RequestID, c)
 	obsv.ReleaseTrace(st.tr)
 	st.tr = nil
 	return p
 }
 
-// finish closes out one request's observability: a flight-recorder
-// entry on every exit path (success, client error, stream abort) and a
-// structured log line — slow queries at Warn, everything else at Debug.
-// outcome/errText may override the response classification (stream
-// aborts: the evaluation succeeded but the client went away).
-func (s *Service) finish(st *evalState, req *Request, outcome, errText string) {
+// finish closes out one request, whatever its outcome: the query
+// metrics, a flight-recorder entry and a structured log line — slow
+// queries at Warn, everything else at Debug. A request whose engine ran
+// and whose answer went out, whole or until the client left, counts as
+// a query; any other ending as an error.
+func (s *Service) finish(st *evalState, req *Request) {
 	resp := &st.resp
 	if st.tr != nil {
 		// The profile was never delivered (e.g. the stream aborted
@@ -464,27 +441,29 @@ func (s *Service) finish(st *evalState, req *Request, outcome, errText string) {
 	if elapsed == 0 {
 		elapsed = st.timer.elapsedMicros()
 	}
-	if errText == "" {
-		errText = resp.Err
-	}
 	rec := obsv.Record{
 		Time:      st.timer.start,
 		RequestID: req.RequestID,
 		Doc:       req.Doc,
 		Query:     req.Query,
-		Strategy:  resp.Strategy,
-		Outcome:   outcome,
-		Err:       errText,
+		Outcome:   resp.outcome,
+		Err:       resp.Err,
 		ElapsedUS: elapsed,
 		Sent:      st.sent,
 		Count:     resp.Count,
 		Streamed:  st.streamed,
 	}
-	if cur := st.cur; cur != nil {
-		rec.Work = cur.Work()
-		rec.QCacheHit = cur.QCacheHit()
-		rec.CtxPoolHit = cur.CtxPoolHit()
-		rec.AutoReason = cur.AutoReason()
+	if st.cur != nil {
+		rec.Run = st.cur.Run()
+	}
+	switch resp.outcome {
+	case obsv.OutcomeOK, obsv.OutcomeAborted:
+		s.metrics.record(rec.Strategy, elapsed, rec.Visited, rec.Count)
+		if st.streamed {
+			s.metrics.recordStream(st.tally, st.sent)
+		}
+	default:
+		s.metrics.recordError()
 	}
 	slow := s.flight.Add(rec)
 	level := slog.LevelDebug
@@ -499,13 +478,13 @@ func (s *Service) finish(st *evalState, req *Request, outcome, errText string) {
 		slog.String("req_id", req.RequestID),
 		slog.String("doc", req.Doc),
 		slog.String("query", req.Query),
-		slog.String("strategy", resp.Strategy),
-		slog.String("outcome", outcome),
-		slog.String("err", errText),
+		slog.String("strategy", rec.Strategy),
+		slog.String("outcome", rec.Outcome),
+		slog.String("err", rec.Err),
 		slog.Int64("elapsed_us", elapsed),
 		slog.Int("sent", st.sent),
-		slog.Int("count", resp.Count),
-		slog.Int("visited", resp.Visited),
+		slog.Int("count", rec.Count),
+		slog.Int("visited", rec.Visited),
 		slog.Bool("qcache_hit", rec.QCacheHit),
 		slog.Bool("ctx_pool_hit", rec.CtxPoolHit),
 		slog.Bool("streamed", st.streamed),
@@ -514,39 +493,37 @@ func (s *Service) finish(st *evalState, req *Request, outcome, errText string) {
 
 // deliver is the one back half of Eval and Stream, run once the page or
 // stream body is out (or could not be): page cut → successor token and
-// its lease → redeem the incoming token → drop the pin → query metrics →
-// explain profile → flight record and log. Three endings share it:
+// its lease → redeem the incoming token → drop the pin → explain
+// profile → finish. Three endings share it:
 //
-//   - prepare failed (st.cur is nil): nothing is pinned or counted as
-//     a query; the outcome is the response's error class.
-//   - the stream lost its client (abortErr set): the evaluation ran, so
-//     it counts as a query, but no token is issued and the incoming one
-//     is not redeemed — the client may retry it until its lease expires.
+//   - prepare failed (st.cur is nil): nothing is pinned; the outcome is
+//     the error's class.
+//   - the stream lost its client (outcome aborted): the evaluation ran,
+//     so it counts as a query, but no token is issued and the incoming
+//     one is not redeemed — the client may retry it until its lease
+//     expires.
 //   - delivered: a non-empty remainder means the answer was cut short,
 //     so a resumption token pinned to the generation goes out. Its
 //     lease is placed, the consumed token's lease is redeemed and the
 //     pin dropped in one store critical section (store.Release) — the
 //     pin held since prepare's lookup is what guarantees the generation
 //     is still there to lease.
-func (s *Service) deliver(st *evalState, req *Request, abortErr string) {
+func (s *Service) deliver(st *evalState, req *Request) {
 	resp := &st.resp
-	outcome := outcomeOf(resp)
+	aborted := resp.outcome == obsv.OutcomeAborted
 	if st.cur != nil {
 		var lease time.Time
-		if abortErr != "" {
-			outcome = obsv.OutcomeAborted
-		} else if _, more := st.cur.Next(); more && st.sent > 0 {
+		if _, more := st.cur.Next(); more && st.sent > 0 && !aborted {
 			resp.Next = encodeCursor(req.Doc, resp.Gen, st.last)
 			lease = time.Now().Add(s.cursorTTL)
 		}
-		s.unpin(st, lease, st.fromCursor && abortErr == "")
+		s.unpin(st, lease, st.fromCursor && !aborted)
 		resp.ElapsedUS = st.timer.elapsedMicros()
-		s.metrics.record(st.cur.Strategy(), resp.ElapsedUS, resp.Visited, resp.Count)
 	}
-	if abortErr == "" {
+	if !aborted {
 		resp.Explain = s.explain(st, req)
 	}
-	s.finish(st, req, outcome, abortErr)
+	s.finish(st, req)
 }
 
 // Eval evaluates one request, returning at most Limit nodes (all
@@ -562,7 +539,7 @@ func (s *Service) Eval(req Request) (out Response) {
 		}
 	}()
 	if !s.prepare(&st, req) {
-		s.deliver(&st, &req, "")
+		s.deliver(&st, &req)
 		return st.resp
 	}
 	// Return the evaluation context to its pool even when the page
@@ -591,7 +568,7 @@ func (s *Service) Eval(req Request) (out Response) {
 		}
 	}
 	st.tr.End(sp)
-	s.deliver(&st, &req, "")
+	s.deliver(&st, &req)
 	return st.resp
 }
 

@@ -46,16 +46,14 @@ type StreamChunk struct {
 // StreamTrailer is the last NDJSON line. A stream that ends without a
 // trailer was truncated (the connection failed mid-stream); clients
 // must treat the trailer, not EOF, as the completion signal. Cursor
-// resumes a stream that a Limit cut short. Err is reserved for future
-// in-band failures — today evaluation completes before the header is
-// written, so nothing can fail in-band.
+// resumes a stream that a Limit cut short. Evaluation completes before
+// the header is written, so nothing fails in-band.
 type StreamTrailer struct {
 	Done      bool   `json:"done"`
 	Chunks    int    `json:"chunks"`
 	Nodes     int    `json:"nodes"`
 	Cursor    string `json:"cursor,omitempty"`
 	ElapsedUS int64  `json:"elapsed_us"`
-	Err       string `json:"error,omitempty"`
 	// Explain carries the span-tree profile when the request asked for
 	// one; in a stream it rides the trailer (the header is written
 	// before the stream phase has happened).
@@ -87,7 +85,7 @@ func (s *Service) Stream(w io.Writer, req Request, chunkSize int) (pre *Response
 		}
 	}()
 	if !s.prepare(&st, req) {
-		s.deliver(&st, &req, "")
+		s.deliver(&st, &req)
 		return &st.resp
 	}
 	// Recycle the evaluation context on every exit path, including
@@ -117,31 +115,24 @@ func (s *Service) Stream(w io.Writer, req Request, chunkSize int) (pre *Response
 		Visited:  st.resp.Visited,
 	}
 	headerOut = true
-	if !writeLine(header) {
+	ok := writeLine(header)
+	if !ok {
 		// Client gone before the header. The evaluation still ran, so
-		// the query counters must see it (deliver), and the stream is
-		// counted — with its abort cause — but kept out of the latency
-		// aggregates, whose means are per-completed-stream.
-		s.metrics.recordStream(abortHeaderWrite, 0, 0, 0, 0, 0)
-		s.deliver(&st, &req, "client gone: header write failed")
-		return nil
+		// it counts as a query, and the stream is counted with its abort
+		// cause (finish).
+		st.abort(abortHeaderWrite, "client gone: header write failed")
 	}
 	// First byte is measured after the header's encode+write+flush: it
 	// is the time until the client actually has data, not until the
 	// server was ready to produce it.
-	firstByteUS := st.timer.elapsedMicros()
+	st.tally.firstByteUS = st.timer.elapsedMicros()
 
 	limit := req.Limit
 	if limit <= 0 {
 		limit = st.resp.Count
 	}
-	var (
-		buf        = make([]tree.NodeID, chunkSize)
-		chunks     int
-		chunkSumUS int64
-		chunkMaxUS int64
-	)
-	for st.sent < limit {
+	buf := make([]tree.NodeID, chunkSize)
+	for ok && st.sent < limit {
 		want := len(buf)
 		if rem := limit - st.sent; rem < want {
 			want = rem
@@ -158,35 +149,40 @@ func (s *Service) Stream(w io.Writer, req Request, chunkSize int) (pre *Response
 			}
 		}
 		t := startTimer()
-		ok := writeLine(chunk)
+		ok = writeLine(chunk)
 		us := t.elapsedMicros()
-		chunkSumUS += us
-		if us > chunkMaxUS {
-			chunkMaxUS = us
-		}
+		st.tally.chunkSumUS += us
+		st.tally.chunkMaxUS = max(st.tally.chunkMaxUS, us)
 		if !ok {
-			// Client went away mid-stream: account for the chunks that
-			// did go out.
-			s.metrics.recordStream(abortChunkWrite, chunks, st.sent, firstByteUS, chunkSumUS, chunkMaxUS)
-			s.deliver(&st, &req, "client gone: chunk write failed")
-			return nil
+			// Client went away mid-stream: the chunks that did go out
+			// are counted.
+			st.abort(abortChunkWrite, "client gone: chunk write failed")
+			break
 		}
 		st.sent += n
-		chunks++
+		st.tally.chunks++
 		st.last = buf[n-1]
 	}
 	st.tr.End(spStream)
-	s.metrics.recordStream(abortNone, chunks, st.sent, firstByteUS, chunkSumUS, chunkMaxUS)
 	// deliver settles the request before the trailer goes out: the
 	// trailer carries the token it issued and the profile it closed.
-	s.deliver(&st, &req, "")
-	writeLine(StreamTrailer{
-		Done:      true,
-		Chunks:    chunks,
-		Nodes:     st.sent,
-		Cursor:    st.resp.Next,
-		ElapsedUS: st.resp.ElapsedUS,
-		Explain:   st.resp.Explain,
-	})
+	s.deliver(&st, &req)
+	if ok {
+		writeLine(StreamTrailer{
+			Done:      true,
+			Chunks:    st.tally.chunks,
+			Nodes:     st.sent,
+			Cursor:    st.resp.Next,
+			ElapsedUS: st.resp.ElapsedUS,
+			Explain:   st.resp.Explain,
+		})
+	}
 	return nil
+}
+
+// abort ends a stream whose client went away during the write cause
+// names: the request's outcome is aborted and err says which write.
+func (st *evalState) abort(cause abortCause, err string) {
+	st.tally.abort = cause
+	st.resp.outcome, st.resp.Err = obsv.OutcomeAborted, err
 }

