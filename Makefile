@@ -59,7 +59,8 @@ GATE = awk -f scripts/benchgate.awk
 # Each gate times something the daemon runs. The word-level BP/rank/select
 # kernels left the list with XQO2 version 8: no load, save, open, patch
 # or query reaches them, and a microbench win on a structure no query
-# executes is not a win (their fuzzers and tests still run).
+# executes is not a win (the kernels, their fuzzers and their tests have
+# since left the module).
 gates: gate-obsv gate-auto gate-mvcc gate-mmap
 
 # The observability layer must not tax the warm path: warm-traced/warm

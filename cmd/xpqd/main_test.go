@@ -413,79 +413,6 @@ func TestPreloadFirstFailureInFlagOrder(t *testing.T) {
 	}
 }
 
-// TestPreloadCancel: cancelling mid-preload returns without starting the
-// remaining documents, and no worker outlives the call. What
-// cancellation guarantees is counted from the instant of the cancel: no
-// worker takes a job after it, so each can only finish the one it holds.
-// (How far the workers had run ahead of the in-order logger by then is
-// timing, and is not asserted.) -mmap jobs publish on their worker as
-// -xmark jobs do, so both may publish one document a worker after it.
-func TestPreloadCancel(t *testing.T) {
-	var xmarks []string
-	for i := 0; i < 200; i++ {
-		xmarks = append(xmarks, fmt.Sprintf("x%03d=0.01", i))
-	}
-	slack := runtime.GOMAXPROCS(0) // documents the workers may still publish after the cancel
-	for _, tc := range []struct {
-		name          string
-		mmaps, xmarks []string
-	}{
-		{"xmark", nil, xmarks},
-		{"mmap", []string{mappedCorpus(t, 200, 0.001)}, nil},
-	} {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		// Cancel from inside the first "loaded document" log line.
-		st := store.New()
-		log := &cancelOnWrite{cancel: cancel, published: st.Len}
-		before := runtime.NumGoroutine()
-		start := time.Now()
-		err := preload(ctx, st, testLogger(log), nil, tc.mmaps, tc.xmarks)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: err = %v, want context.Canceled", tc.name, err)
-		}
-		if took := time.Since(start); took > 5*time.Second {
-			t.Errorf("%s: cancelled preload took %v", tc.name, took)
-		}
-		loaded := st.Len()
-		if loaded == 0 || loaded >= 200 || loaded > log.atCancel+slack {
-			t.Errorf("%s: %d of 200 documents loaded, %d of them by the cancellation: %d more may be published after it",
-				tc.name, loaded, log.atCancel, slack)
-		}
-		// A worker's wg.Done runs before the goroutine is gone: give the
-		// scheduler a moment to retire what preload already waited for.
-		after := runtime.NumGoroutine()
-		for wait := time.Now().Add(time.Second); after > before && time.Now().Before(wait); after = runtime.NumGoroutine() {
-			time.Sleep(time.Millisecond)
-		}
-		if after > before {
-			t.Errorf("%s: %d goroutines before preload, %d after", tc.name, before, after)
-		}
-		if st.Len() != loaded {
-			t.Errorf("%s: a document was published after preload returned", tc.name)
-		}
-	}
-}
-
-// cancelOnWrite cancels at its first write and records how many
-// documents were published by then — counted after the cancel, so a
-// worker that published between the two is counted here, not against
-// the one-more-each bound.
-type cancelOnWrite struct {
-	once      sync.Once
-	cancel    context.CancelFunc
-	published func() int
-	atCancel  int
-}
-
-func (c *cancelOnWrite) Write(p []byte) (int, error) {
-	c.once.Do(func() {
-		c.cancel()
-		c.atCancel = c.published()
-	})
-	return len(p), nil
-}
-
 // BenchmarkPreloadMapped is point-lookup's set-up in process: 256 XMark
 // 0.002 files preloaded from one -mmap directory, logging at warn as the
 // benchmark's daemon does.

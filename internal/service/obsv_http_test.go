@@ -379,8 +379,10 @@ func (p *panicAfter) Write(b []byte) (int, error) {
 }
 
 // TestFlightRecorderService drives a request to every ending and checks
-// that the HTTP status and the flight record's outcome agree, and that
-// a record carries the run even when delivery panicked after it.
+// that the HTTP status and the flight record's outcome agree, that each
+// request is recorded and counted once — also a stream whose trailer
+// write panics after the request settled — and that a record carries
+// the run even when delivery panicked after it.
 func TestFlightRecorderService(t *testing.T) {
 	s := newTestService(t, Options{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	// A value of the wrong type cached under the key core looks up for
@@ -409,6 +411,8 @@ func TestFlightRecorderService(t *testing.T) {
 		{Request{RequestID: "panic", Doc: "d1", Query: "//c", Strategy: "optimized"}, nil,
 			http.StatusInternalServerError, obsv.OutcomePanic},
 		{Request{RequestID: "aborted", Doc: "d1", Query: "//a/b"}, &failAfter{n: 1}, http.StatusOK, obsv.OutcomeAborted},
+		// Header and three chunks of one node go out; the trailer panics.
+		{Request{RequestID: "trailer-panic", Doc: "d1", Query: "//b"}, &panicAfter{n: 4}, http.StatusOK, obsv.OutcomePanic},
 		{Request{RequestID: "stream-panic", Doc: "d1", Query: "//b"}, &panicAfter{n: 1}, http.StatusOK, obsv.OutcomePanic},
 	}
 	for _, e := range endings {
@@ -429,6 +433,10 @@ func TestFlightRecorderService(t *testing.T) {
 	if n := uint64(len(endings)); fs.Total != n || fs.Aborted != 1 || len(fs.Records) != len(endings) {
 		t.Fatalf("flight totals = %d total / %d aborted / %d resident, want %d / 1 / %d",
 			fs.Total, fs.Aborted, len(fs.Records), n, n)
+	}
+	// ok-1 and aborted ran to delivery; every other ending is an error.
+	if q := s.Stats().Queries; q.Total != uint64(len(endings)) || q.Errors != uint64(len(endings)-2) {
+		t.Fatalf("queries = %d total / %d errors, want %d / %d", q.Total, q.Errors, len(endings), len(endings)-2)
 	}
 	// Newest first.
 	for i := 1; i < len(fs.Records); i++ {

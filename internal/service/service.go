@@ -492,9 +492,17 @@ func (s *Service) finish(st *evalState, req *Request) {
 }
 
 // deliver is the one back half of Eval and Stream, run once the page or
-// stream body is out (or could not be): page cut → successor token and
-// its lease → redeem the incoming token → drop the pin → explain
-// profile → finish. Three endings share it:
+// stream body is out (or could not be): settle, then finish.
+func (s *Service) deliver(st *evalState, req *Request) {
+	s.settle(st, req)
+	s.finish(st, req)
+}
+
+// settle is deliver's first half: page cut → successor token and its
+// lease → redeem the incoming token → drop the pin → explain profile.
+// Stream runs it before its trailer, which carries the token and the
+// profile, and finishes only once the trailer is out, so a panic in that
+// write is the request's one record. Three endings share it:
 //
 //   - prepare failed (st.cur is nil): nothing is pinned; the outcome is
 //     the error's class.
@@ -508,7 +516,7 @@ func (s *Service) finish(st *evalState, req *Request) {
 //     pin dropped in one store critical section (store.Release) — the
 //     pin held since prepare's lookup is what guarantees the generation
 //     is still there to lease.
-func (s *Service) deliver(st *evalState, req *Request) {
+func (s *Service) settle(st *evalState, req *Request) {
 	resp := &st.resp
 	aborted := resp.outcome == obsv.OutcomeAborted
 	if st.cur != nil {
@@ -523,7 +531,6 @@ func (s *Service) deliver(st *evalState, req *Request) {
 	if !aborted {
 		resp.Explain = s.explain(st, req)
 	}
-	s.finish(st, req)
 }
 
 // Eval evaluates one request, returning at most Limit nodes (all

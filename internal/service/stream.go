@@ -164,9 +164,10 @@ func (s *Service) Stream(w io.Writer, req Request, chunkSize int) (pre *Response
 		st.last = buf[n-1]
 	}
 	st.tr.End(spStream)
-	// deliver settles the request before the trailer goes out: the
-	// trailer carries the token it issued and the profile it closed.
-	s.deliver(&st, &req)
+	// The request settles before the trailer goes out, which carries the
+	// token it issued and the profile it closed, and finishes after: a
+	// panic in the trailer write is then contained and recorded once.
+	s.settle(&st, &req)
 	if ok {
 		writeLine(StreamTrailer{
 			Done:      true,
@@ -177,6 +178,7 @@ func (s *Service) Stream(w io.Writer, req Request, chunkSize int) (pre *Response
 			Explain:   st.resp.Explain,
 		})
 	}
+	s.finish(&st, &req)
 	return nil
 }
 

@@ -55,7 +55,7 @@ func BenchmarkMmapOpenVsParse(b *testing.B) {
 	b.Run("verified-open", func(b *testing.B) {
 		b.SetBytes(fi.Size())
 		for i := 0; i < b.N; i++ {
-			_, _, _, m, err := OpenXQO2Verified(xqo2)
+			_, _, m, err := OpenXQO2Verified(xqo2)
 			if err != nil {
 				b.Fatal(err)
 			}

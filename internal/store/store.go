@@ -95,9 +95,8 @@ type Handle struct {
 	Stats Stats
 }
 
-// Succinct builds the generation's balanced-parentheses view, afresh on
-// every call: no query reads it, so no handle keeps one. Only
-// cmd/xpqbench's probes and the tests call it.
+// Succinct returns tree.NewSuccinct's empty view. It exists only for
+// cmd/xpqbench, which calls it.
 func (h *Handle) Succinct() *tree.Succinct { return tree.NewSuccinct(h.Doc) }
 
 // Store is a concurrency-safe registry of loaded documents.

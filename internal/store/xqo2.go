@@ -55,14 +55,17 @@ func SaveXQO2File(path string, d *tree.Document) error {
 // OpenXQO2 maps path and reassembles the document and its jumping index
 // zero-copy from the mapping. The returned mapping is also retained by
 // the document itself; callers only need it for its size or to Close
-// a document nothing else reads. The second result is always nil: the format stores no
-// balanced-parentheses view since version 8 (Handle.Succinct builds one
-// on demand), and the result stays only for cmd/xpqbench's format probe,
-// which reads five.
+// a document nothing else reads. The second result is always nil: it
+// exists only for cmd/xpqbench's format probe, which reads five.
 func OpenXQO2(path string) (*tree.Document, *tree.Succinct, *index.Index, *mmapx.Mapping, error) {
+	d, ix, m, err := openXQO2(path)
+	return d, nil, ix, m, err
+}
+
+func openXQO2(path string) (*tree.Document, *index.Index, *mmapx.Mapping, error) {
 	m, err := mmapx.Open(path)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	var d *tree.Document
 	var ix *index.Index
@@ -75,9 +78,9 @@ func OpenXQO2(path string) (*tree.Document, *tree.Succinct, *index.Index, *mmapx
 	}
 	if err != nil {
 		m.Close() // nothing built over the mapping outlives a failed open
-		return nil, nil, nil, nil, fmt.Errorf("%s: %w", path, err)
+		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return d, nil, ix, m, nil
+	return d, ix, m, nil
 }
 
 // OpenXQO2Verified is OpenXQO2 plus the element-wise structural
@@ -86,21 +89,20 @@ func OpenXQO2(path string) (*tree.Document, *tree.Succinct, *index.Index, *mmapx
 // inverse of the labels). Use it for files
 // that did not originate from this process: the default open only
 // verifies checksums, which catch corruption but not a crafted file
-// whose values would panic a later query or send it round a cycle. Its
-// second result is always nil, as OpenXQO2's is.
-func OpenXQO2Verified(path string) (*tree.Document, *tree.Succinct, *index.Index, *mmapx.Mapping, error) {
-	d, _, ix, m, err := OpenXQO2(path)
+// whose values would panic a later query or send it round a cycle.
+func OpenXQO2Verified(path string) (*tree.Document, *index.Index, *mmapx.Mapping, error) {
+	d, ix, m, err := openXQO2(path)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	if err = d.VerifyStructure(); err == nil {
 		err = ix.VerifyStructure()
 	}
 	if err != nil {
 		m.Close()
-		return nil, nil, nil, nil, fmt.Errorf("%s: %w", path, err)
+		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return d, nil, ix, m, nil
+	return d, ix, m, nil
 }
 
 // SetVerifyResident makes every subsequent LoadMapped run the full
@@ -116,11 +118,11 @@ func (s *Store) SetVerifyResident(v bool) { s.verifyResident.Store(v) }
 // mapped only once the id is reserved.
 func (s *Store) LoadMapped(id, path string) (*Handle, error) {
 	return s.loadHandle(id, func() (*Handle, error) {
-		open := OpenXQO2
+		open := openXQO2
 		if s.verifyResident.Load() {
 			open = OpenXQO2Verified
 		}
-		d, _, ix, m, err := open(path)
+		d, ix, m, err := open(path)
 		if err != nil {
 			return nil, fmt.Errorf("store: opening %q: %w", id, err)
 		}

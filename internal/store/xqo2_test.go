@@ -29,9 +29,9 @@ func saveXQO2(t *testing.T, d *tree.Document) string {
 }
 
 // TestXQO2RoundTrip checks that a mapped open reproduces the document
-// and index exactly, that the file holds no balanced-parentheses view
-// (kinds 12–15, retired in version 8) while the view built over the
-// mapped document still agrees with its arrays.
+// and index exactly — every node's parent, last descendant, first child,
+// next sibling and text — and that the file holds no balanced-parentheses
+// view (kinds 12–15, retired in version 8).
 func TestXQO2RoundTrip(t *testing.T) {
 	d := xmark.Generate(xmark.Config{Scale: 0.002, Seed: 7})
 	path := saveXQO2(t, d)
@@ -54,14 +54,12 @@ func TestXQO2RoundTrip(t *testing.T) {
 	if d2.XMLString() != d.XMLString() {
 		t.Fatal("XML round-trip mismatch")
 	}
-	succ := tree.NewSuccinct(d2)
 	for v := tree.NodeID(0); int(v) < d2.NumNodes(); v++ {
-		if got, want := d2.Parent(v), d.Parent(v); got != want {
-			t.Fatalf("parent(%d) = %d, want %d", v, got, want)
-		}
-		if succ.Parent(v) != d2.Parent(v) || succ.LastDesc(v) != d2.LastDesc(v) ||
-			succ.FirstChild(v) != d2.FirstChild(v) || succ.NextSibling(v) != d2.NextSibling(v) {
-			t.Fatalf("node %d: the succinct view over the mapped document disagrees with its arrays", v)
+		if d2.Parent(v) != d.Parent(v) || d2.LastDesc(v) != d.LastDesc(v) ||
+			d2.FirstChild(v) != d.FirstChild(v) || d2.NextSibling(v) != d.NextSibling(v) {
+			t.Fatalf("node %d: mapped (p=%d ld=%d fc=%d ns=%d), source (p=%d ld=%d fc=%d ns=%d)", v,
+				d2.Parent(v), d2.LastDesc(v), d2.FirstChild(v), d2.NextSibling(v),
+				d.Parent(v), d.LastDesc(v), d.FirstChild(v), d.NextSibling(v))
 		}
 		if got, want := d2.Text(v), d.Text(v); got != want {
 			t.Fatalf("text(%d) mismatch", v)
@@ -397,7 +395,7 @@ func TestXQO2VerifyStructure(t *testing.T) {
 	}
 
 	// The pristine file passes full verification.
-	if _, _, _, _, err := OpenXQO2Verified(path); err != nil {
+	if _, _, _, err := OpenXQO2Verified(path); err != nil {
 		t.Fatalf("verified open of pristine file: %v", err)
 	}
 
@@ -513,7 +511,7 @@ func TestXQO2VerifyStructure(t *testing.T) {
 		if _, _, _, _, err := OpenXQO2(mut); err != nil {
 			t.Errorf("%s: default open rejected a CRC-valid file: %v", name, err)
 		}
-		if _, _, _, _, err := OpenXQO2Verified(mut); err == nil {
+		if _, _, _, err := OpenXQO2Verified(mut); err == nil {
 			t.Errorf("%s: verified open accepted structurally invalid content", name)
 		}
 		s := New()

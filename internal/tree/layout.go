@@ -319,8 +319,7 @@ func layoutSlice[T any](l *Layout, kind uint32, wantLen int) ([]T, error) {
 
 // AddDocumentSections serializes d into w. The sections alias d's live
 // arrays — nothing is copied until WriteTo. The third argument is ignored:
-// the format stores no balanced-parentheses view since version 8, and the
-// parameter stays only for cmd/xpqbench's format probe, which passes one.
+// it exists only for cmd/xpqbench's format probe, which passes one.
 func AddDocumentSections(w *LayoutWriter, d *Document, _ *Succinct) {
 	meta := make([]byte, 16)
 	binary.LittleEndian.PutUint64(meta[0:], uint64(d.NumNodes()))

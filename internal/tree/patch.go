@@ -82,9 +82,8 @@ type Patch struct {
 // Delta describes the preorder splice a patch performed, in terms both
 // the old and new documents understand: old nodes < At keep their ids,
 // old nodes >= At+Removed shift by Inserted-Removed, and the interval
-// [At, At+Removed) of the old document is gone. Incremental maintainers
-// (the jumping index; the tests' BP splice) consume this instead of
-// rediffing the trees.
+// [At, At+Removed) of the old document is gone. The jumping index
+// consumes this to update incrementally instead of rediffing the trees.
 type Delta struct {
 	// At is the preorder rank where the splice happens.
 	At NodeID
@@ -94,9 +93,6 @@ type Delta struct {
 	// Parent is the parent of the spliced subtree (an old id < At,
 	// stable across the patch).
 	Parent NodeID
-	// Before is the old-id sibling an insert displaced; Nil for appends
-	// and for delete/replace.
-	Before NodeID
 	// Frag is the grafted fragment document (nil for deletes); grafted
 	// node f of Frag (f >= 1, skipping its #doc root) has new id
 	// At+f-1.
@@ -219,7 +215,7 @@ func (d *Document) Apply(pt Patch) (*Document, *Delta, error) {
 		return nil, nil, fmt.Errorf("tree: unknown patch op %v", pt.Op)
 	}
 
-	dl := &Delta{At: q, Removed: k, Inserted: m, Parent: parent, Before: before, Frag: frag}
+	dl := &Delta{At: q, Removed: k, Inserted: m, Parent: parent, Frag: frag}
 	nd, err := d.splice(dl)
 	if err != nil {
 		return nil, nil, err

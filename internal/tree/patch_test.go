@@ -256,36 +256,10 @@ func requireEqualDocs(t *testing.T, step int, got, want *Document) {
 	}
 }
 
-// requireEqualSuccinct compares the spliced BP view against a
-// from-scratch build: every excess value (hence every bit) plus the
-// derived navigation at each node.
-func requireEqualSuccinct(t *testing.T, step int, got, want *Succinct) {
-	t.Helper()
-	if got.NumNodes() != want.NumNodes() {
-		t.Fatalf("step %d: BP nodes = %d, want %d", step, got.NumNodes(), want.NumNodes())
-	}
-	for i := 0; i < 2*want.NumNodes(); i++ {
-		if got.Excess(i) != want.Excess(i) {
-			t.Fatalf("step %d: BP excess(%d) = %d, want %d", step, i, got.Excess(i), want.Excess(i))
-		}
-	}
-	for v := NodeID(0); int(v) < want.NumNodes(); v++ {
-		if got.OpenPos(v) != want.OpenPos(v) {
-			t.Fatalf("step %d: BP select/open(%d) = %d, want %d", step, v, got.OpenPos(v), want.OpenPos(v))
-		}
-		if got.Parent(v) != want.Parent(v) || got.FirstChild(v) != want.FirstChild(v) ||
-			got.NextSibling(v) != want.NextSibling(v) || got.LastDesc(v) != want.LastDesc(v) ||
-			got.Depth(v) != want.Depth(v) {
-			t.Fatalf("step %d: BP navigation differs at node %d", step, v)
-		}
-	}
-}
-
 // TestPatchPropertyVsRebuild drives random patch sequences against the
 // parse-from-scratch oracle: the incrementally spliced document arrays
-// and the incrementally spliced BP view must match a full rebuild after
-// every step. Every other seed runs under a label table long enough that
-// most of the labels are rare.
+// must match a full rebuild after every step. Every other seed runs
+// under a label table long enough that most of the labels are rare.
 func TestPatchPropertyVsRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
@@ -304,7 +278,6 @@ func TestPatchPropertyVsRebuild(t *testing.T) {
 				doc = relink(pad, doc)
 			}
 			roots := []*mnode{oracle}
-			succ := NewSuccinct(doc)
 			for step := 0; step < 60; step++ {
 				pt, fragOracle := randomPatch(rng, doc)
 				next, dl, err := doc.Apply(pt)
@@ -317,8 +290,6 @@ func TestPatchPropertyVsRebuild(t *testing.T) {
 				roots = applyOracle(roots, pt, fragOracle)
 				want := buildMutable(roots)
 				requireEqualDocs(t, step, next, want)
-				succ = SpliceSuccinct(succ, next, dl)
-				requireEqualSuccinct(t, step, succ, NewSuccinct(want))
 				doc = next
 			}
 		})
@@ -478,9 +449,8 @@ func TestApplyRefusesElementAheadOfAttribute(t *testing.T) {
 // with a fragment whose own children are that far from it; after every
 // step the spliced document, and what it opens as from its sections, hold
 // the arrays Join builds for the same tree — up, size and wide element
-// for element, so no stale escape and no orphan entry survives — and the
-// spliced BP view the bits of a rebuild. (The line size crosses is 255:
-// TestPatchAcrossTheSizeLine.)
+// for element, so no stale escape and no orphan entry survives. (The
+// line size crosses is 255: TestPatchAcrossTheSizeLine.)
 func TestPatchAcrossTheWideLine(t *testing.T) {
 	// 0=#doc 1=a 2=b, k leaves under b at 3..k+2, then item at k+3: b spans
 	// k ranks, item is k+2 from a, which spans k+2, and #doc k+3.
@@ -555,10 +525,9 @@ func TestPatchAcrossTheWideLine(t *testing.T) {
 		}, nil, 0},
 	}
 	roots := []*mnode{toMutable(doc, doc.DocumentElement())}
-	succ := NewSuccinct(doc)
 	for i, step := range steps {
 		pt := step.pt(doc)
-		next, dl, err := doc.Apply(pt)
+		next, _, err := doc.Apply(pt)
 		if err != nil {
 			t.Fatalf("step %d (%s): %v", i, step.what, err)
 		}
@@ -570,8 +539,6 @@ func TestPatchAcrossTheWideLine(t *testing.T) {
 		want := buildMutable(roots)
 		requireEqualDocs(t, i, next, want)
 		requireEqualDocs(t, i, atRest(t, next), want)
-		succ = SpliceSuccinct(succ, next, dl)
-		requireEqualSuccinct(t, i, succ, NewSuccinct(want))
 		if got := next.WideNodes(); !slices.Equal(got, step.wide) {
 			t.Errorf("step %d (%s): wide nodes %v, want %v", i, step.what, got, step.wide)
 		}
@@ -781,7 +748,6 @@ func TestPatchAcrossTheSizeLine(t *testing.T) {
 		{"#doc", "r", "q", "large"}, {"#doc", "r", "q"}, {"#doc", "r"},
 	}
 	roots := []*mnode{toMutable(doc, doc.DocumentElement())}
-	succ := NewSuccinct(doc)
 	for i, step := range append(under("p"), under("q")...) {
 		pt := step.pt(doc)
 		var fragOracle *mnode
@@ -792,7 +758,7 @@ func TestPatchAcrossTheSizeLine(t *testing.T) {
 		want := buildMutable(roots)
 		var next *Document
 		for origin, base := range map[string]*Document{"heap": doc, "mapped": atRest(t, doc)} {
-			got, dl, err := base.Apply(pt)
+			got, _, err := base.Apply(pt)
 			if err != nil {
 				t.Fatalf("step %d (%s), %s base: %v", i, step.what, origin, err)
 			}
@@ -807,8 +773,6 @@ func TestPatchAcrossTheSizeLine(t *testing.T) {
 			}
 			if origin == "heap" {
 				next = got
-				succ = SpliceSuccinct(succ, got, dl)
-				requireEqualSuccinct(t, i, succ, NewSuccinct(want))
 			}
 		}
 		doc = next

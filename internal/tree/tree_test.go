@@ -1,7 +1,7 @@
 package tree_test
 
 import (
-	"math/rand"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -171,54 +171,14 @@ func TestSubtreeIntervalProperty(t *testing.T) {
 	}
 }
 
-// Property: the succinct (balanced-parentheses) view agrees with the
-// pointer arrays on every navigation operation.
-func TestSuccinctAgreesWithArrays(t *testing.T) {
-	f := func(seed int64) bool {
+// TestRandomTreesMatchReference: on random trees with text, every move
+// the arrays derive — parent, last descendant, first child, next
+// sibling, depth, binary subtree end — and every label and text are
+// those the pointer-chasing reference builder writes down.
+func TestRandomTreesMatchReference(t *testing.T) {
+	for seed := int64(1); seed <= 15; seed++ {
 		d := tgen.Random(seed, tgen.Config{MaxNodes: 300, TextProb: 0.15})
-		s := tree.NewSuccinct(d)
-		if s.NumNodes() != d.NumNodes() {
-			return false
-		}
-		for v := tree.NodeID(0); int(v) < d.NumNodes(); v++ {
-			if s.Parent(v) != d.Parent(v) ||
-				s.FirstChild(v) != d.FirstChild(v) ||
-				s.NextSibling(v) != d.NextSibling(v) ||
-				s.LastDesc(v) != d.LastDesc(v) ||
-				s.Depth(v) != d.Depth(v) ||
-				s.Label(v) != d.Label(v) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSuccinctLCA(t *testing.T) {
-	d := tgen.Random(77, tgen.Config{MaxNodes: 200})
-	s := tree.NewSuccinct(d)
-	rng := rand.New(rand.NewSource(5))
-	naiveLCA := func(u, v tree.NodeID) tree.NodeID {
-		anc := make(map[tree.NodeID]bool)
-		for x := u; x != tree.Nil; x = d.Parent(x) {
-			anc[x] = true
-		}
-		for x := v; x != tree.Nil; x = d.Parent(x) {
-			if anc[x] {
-				return x
-			}
-		}
-		return tree.Nil
-	}
-	for i := 0; i < 500; i++ {
-		u := tree.NodeID(rng.Intn(d.NumNodes()))
-		v := tree.NodeID(rng.Intn(d.NumNodes()))
-		if got, want := s.LCA(u, v), naiveLCA(u, v); got != want {
-			t.Fatalf("LCA(%d,%d) = %d, want %d", u, v, got, want)
-		}
+		tree.RequireMatchesReference(t, fmt.Sprint("seed ", seed), d)
 	}
 }
 
