@@ -22,51 +22,101 @@ import (
 	"repro/internal/xpath"
 )
 
-// ErrUnsupported marks queries outside the automata fragment — the
-// compile failures an Auto strategy may legitimately route to the
-// step-wise engine (backward axes, text functions, §6's black-box
-// handling). Errors that do not match it are real failures and must
-// surface. Match with errors.Is.
+// ErrUnsupported marks queries outside the automata fragment (backward
+// axes, text functions: §6's black boxes): CheckASTA's refusals, which
+// ToASTA returns and by which Auto routes a query to the step-wise
+// engine before anything compiles. Match with errors.Is.
 var ErrUnsupported = errors.New("query outside the automata fragment")
 
-// unsupportedf builds a fragment-violation error: errors.Is matches it
-// against ErrUnsupported without altering the message text.
-func unsupportedf(format string, args ...any) error {
-	return &unsupportedError{msg: fmt.Sprintf(format, args...)}
+// CheckASTA reports why p is outside the fragment ToASTA compiles
+// (wrapping ErrUnsupported), or nil when it is inside. Auto routes by
+// it before anything compiles, so the route and the compiler cannot
+// disagree.
+func CheckASTA(p *xpath.Path) error {
+	if !p.Absolute || len(p.Steps) == 0 {
+		return fmt.Errorf("%w: top-level path must be absolute and non-empty, got %q", ErrUnsupported, p.String())
+	}
+	// The synthetic initial state reads #doc; every step but `.`, of
+	// the main path and of every predicate, takes one more.
+	states := 1
+	if err := checkSteps(p.Steps, &states); err != nil {
+		return err
+	}
+	if states > asta.MaxStates {
+		return fmt.Errorf("%w: query needs %d states, more than the %d of one automaton", ErrUnsupported, states, asta.MaxStates)
+	}
+	return nil
 }
 
-type unsupportedError struct{ msg string }
+// checkSteps is CheckASTA for a path's steps, counting their states.
+func checkSteps(steps []xpath.Step, states *int) error {
+	for _, st := range steps {
+		switch st.Axis {
+		case xpath.Self:
+			if st.Test.Kind != xpath.TestNode {
+				return fmt.Errorf("%w: self axis supports only node(), got %s", ErrUnsupported, st.Test)
+			}
+		case xpath.Child, xpath.Attribute, xpath.Descendant, xpath.FollowingSibling:
+			*states++
+		default:
+			// Up-moves are outside the forward fragment's theory (§6).
+			return fmt.Errorf("%w: axis %v", ErrUnsupported, st.Axis)
+		}
+		for _, pr := range st.Preds {
+			if err := checkPred(pr, states); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
-func (e *unsupportedError) Error() string { return e.msg }
-
-func (e *unsupportedError) Is(target error) bool { return target == ErrUnsupported }
+// checkPred is checkSteps for a predicate.
+func checkPred(p xpath.Pred, states *int) error {
+	switch q := p.(type) {
+	case *xpath.And:
+		if err := checkPred(q.Left, states); err != nil {
+			return err
+		}
+		return checkPred(q.Right, states)
+	case *xpath.Or:
+		if err := checkPred(q.Left, states); err != nil {
+			return err
+		}
+		return checkPred(q.Right, states)
+	case *xpath.Not:
+		return checkPred(q.Inner, states)
+	case *xpath.PathPred:
+		if q.Path.Absolute {
+			return fmt.Errorf("%w: absolute path in a predicate: %s", ErrUnsupported, q.Path)
+		}
+		return checkSteps(q.Path.Steps, states)
+	}
+	// contains() and other text predicates are black-box functions to
+	// the automaton (§6).
+	return fmt.Errorf("%w: predicate %s", ErrUnsupported, p)
+}
 
 // ToASTA compiles a parsed query against a label table (normally the
 // document's, so that guards refer to its label ids). Names absent from
 // the table yield never-firing guards rather than errors: the query is
-// legal, it just selects nothing.
+// legal, it just selects nothing. A query CheckASTA refuses is refused
+// with its error.
 func ToASTA(p *xpath.Path, names *tree.LabelTable) (*asta.ASTA, error) {
-	c := &compiler{names: names}
-	if !p.Absolute {
-		return nil, unsupportedf("compile: top-level query must be absolute, got %q", p.String())
-	}
-	if len(p.Steps) == 0 {
-		return nil, unsupportedf("compile: empty path")
-	}
-	// The synthetic initial state reads the #doc root and launches the
-	// first step at its children.
-	qI := c.newState()
-	phi, err := c.anchor(p.Steps, true)
-	if err != nil {
+	if err := CheckASTA(p); err != nil {
 		return nil, err
 	}
-	if int(c.next) > asta.MaxStates {
-		return nil, unsupportedf("compile: query needs %d states, more than the %d of one automaton", c.next, asta.MaxStates)
-	}
+	c := &compiler{names: names}
+	// The synthetic initial state reads the #doc root and launches the
+	// first step at its children; it selects the root itself when every
+	// step is a `.`.
+	qI := c.newState()
+	phi := c.anchor(p.Steps, true)
 	c.trans = append(c.trans, asta.Transition{
-		From:  qI,
-		Guard: labels.Of(tree.LabelDoc),
-		Phi:   phi,
+		From:      qI,
+		Guard:     labels.Of(tree.LabelDoc),
+		Phi:       phi,
+		Selecting: selfOnly(p.Steps),
 	})
 	out := &asta.ASTA{
 		NumStates: int(c.next),
@@ -76,24 +126,14 @@ func ToASTA(p *xpath.Path, names *tree.LabelTable) (*asta.ASTA, error) {
 	return out.Finalize()
 }
 
-// MustToASTA panics on error; for fixed query tables in tests and
-// benchmarks.
-func MustToASTA(p *xpath.Path, names *tree.LabelTable) *asta.ASTA {
-	a, err := ToASTA(p, names)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 type compiler struct {
 	names *tree.LabelTable
 	next  asta.State
 	trans []asta.Transition
 }
 
-// newState allocates the next state. ToASTA refuses the query once the
-// whole of it is compiled, if it needed more than asta.MaxStates.
+// newState allocates the next state; CheckASTA has already bounded
+// their number by asta.MaxStates.
 func (c *compiler) newState() asta.State {
 	q := c.next
 	c.next++
@@ -166,107 +206,64 @@ func (c *compiler) searchState(kind searchKind, g labels.Set, cont *asta.Formula
 
 // anchor compiles "steps match starting from the context node" into a
 // formula evaluated at the context node. selecting marks the main
-// selection path: its final step's match transition is the ⇒ form.
-func (c *compiler) anchor(steps []xpath.Step, selecting bool) (*asta.Formula, error) {
+// selection path: its last step other than `.` has the ⇒ form of match
+// transition.
+func (c *compiler) anchor(steps []xpath.Step, selecting bool) *asta.Formula {
 	if len(steps) == 0 {
-		return asta.True(), nil
+		return asta.True()
 	}
 	st := steps[0]
+	cont := c.conjoinPreds(st.Preds, c.anchor(steps[1:], selecting))
 	if st.Axis == xpath.Self {
-		if st.Test.Kind != xpath.TestNode {
-			return nil, unsupportedf("compile: self axis supports only node(), got %s", st.Test)
-		}
 		// "." — the context itself; predicates and the rest of the
 		// path apply here directly.
-		rest, err := c.anchor(steps[1:], selecting)
-		if err != nil {
-			return nil, err
-		}
-		return c.conjoinPreds(st.Preds, rest)
-	}
-	last := len(steps) == 1
-	cont, err := c.anchor(steps[1:], selecting)
-	if err != nil {
-		return nil, err
-	}
-	cont, err = c.conjoinPreds(st.Preds, cont)
-	if err != nil {
-		return nil, err
+		return cont
 	}
 	g := c.guard(st.Test)
-	sel := selecting && last
+	sel := selecting && selfOnly(steps[1:])
 	switch st.Axis {
-	case xpath.Child, xpath.Attribute:
-		q := c.searchState(sibSearch, g, cont, sel)
-		return asta.Down1(q), nil
 	case xpath.Descendant:
-		q := c.searchState(descSearch, g, cont, sel)
-		return asta.Down1(q), nil
+		return asta.Down1(c.searchState(descSearch, g, cont, sel))
 	case xpath.FollowingSibling:
-		q := c.searchState(sibSearch, g, cont, sel)
-		return asta.Down2(q), nil
-	case xpath.Parent, xpath.Ancestor, xpath.AncestorOrSelf:
-		// Up-moves are outside the forward fragment's theory (§6); the
-		// engine evaluates such queries with the step-wise fallback.
-		return nil, unsupportedf("compile: backward axis %v not supported by the automata pipeline", st.Axis)
+		return asta.Down2(c.searchState(sibSearch, g, cont, sel))
 	}
-	return nil, unsupportedf("compile: unsupported axis %v", st.Axis)
+	// Child and attribute steps.
+	return asta.Down1(c.searchState(sibSearch, g, cont, sel))
+}
+
+// selfOnly reports whether every one of steps is a `.` step.
+func selfOnly(steps []xpath.Step) bool {
+	for _, st := range steps {
+		if st.Axis != xpath.Self {
+			return false
+		}
+	}
+	return true
 }
 
 // conjoinPreds conjoins the step's predicate formulas with the
 // continuation.
-func (c *compiler) conjoinPreds(preds []xpath.Pred, cont *asta.Formula) (*asta.Formula, error) {
+func (c *compiler) conjoinPreds(preds []xpath.Pred, cont *asta.Formula) *asta.Formula {
 	out := cont
 	for i := len(preds) - 1; i >= 0; i-- {
-		pf, err := c.pred(preds[i])
-		if err != nil {
-			return nil, err
-		}
-		out = asta.And(pf, out)
+		out = asta.And(c.pred(preds[i]), out)
 	}
-	return out, nil
+	return out
 }
 
-// pred compiles a predicate to a formula evaluated at the candidate node.
-func (c *compiler) pred(p xpath.Pred) (*asta.Formula, error) {
+// pred compiles a predicate to a formula evaluated at the candidate
+// node. CheckASTA has admitted only these four kinds, and relative
+// paths.
+func (c *compiler) pred(p xpath.Pred) *asta.Formula {
 	switch q := p.(type) {
 	case *xpath.And:
-		l, err := c.pred(q.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.pred(q.Right)
-		if err != nil {
-			return nil, err
-		}
-		return asta.And(l, r), nil
+		return asta.And(c.pred(q.Left), c.pred(q.Right))
 	case *xpath.Or:
-		l, err := c.pred(q.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.pred(q.Right)
-		if err != nil {
-			return nil, err
-		}
-		return asta.Or(l, r), nil
+		return asta.Or(c.pred(q.Left), c.pred(q.Right))
 	case *xpath.Not:
-		inner, err := c.pred(q.Inner)
-		if err != nil {
-			return nil, err
-		}
-		return asta.Not(inner), nil
-	case *xpath.PathPred:
-		if q.Path.Absolute {
-			return nil, unsupportedf("compile: absolute paths in predicates are not supported: %s", q.Path)
-		}
-		return c.anchor(q.Path.Steps, false)
-	case *xpath.Contains:
-		// Text predicates are black-box functions to the automaton
-		// (§6); the engine evaluates such queries step-wise.
-		return nil, unsupportedf("compile: contains() not supported by the automata pipeline")
+		return asta.Not(c.pred(q.Inner))
 	}
-	return nil, unsupportedf("compile: unknown predicate %T", p)
+	return c.anchor(p.(*xpath.PathPred).Path.Steps, false)
 }
 
 // Compile parses and compiles in one call.

@@ -72,3 +72,26 @@ func TestEnginesShareCache(t *testing.T) {
 		t.Errorf("shared cache stats = %+v, want two independent entries", st)
 	}
 }
+
+// TestAutoOutsideCompilesNothing: a query no automaton expresses is
+// routed to the step-wise engine before anything compiles, so it
+// neither misses nor fills the query cache.
+func TestAutoOutsideCompilesNothing(t *testing.T) {
+	d, err := xmlparse.ParseString("<r><b><a/></b><a/></r>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(d)
+	for i := 0; i < 3; i++ {
+		ans, err := e.QueryWith("//a/parent::b", Auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.Strategy != Stepwise || len(ans.Nodes) != 1 {
+			t.Fatalf("run %d: %v selected %v, want stepwise selecting one node", i, ans.Strategy, ans.Nodes)
+		}
+	}
+	if cs := e.CacheStats(); cs.Hits != 0 || cs.Misses != 0 || cs.Size != 0 {
+		t.Errorf("cache after three Auto runs: %+v, want untouched", cs)
+	}
+}

@@ -58,49 +58,48 @@ const (
 	Stepwise
 )
 
+// strategies declares each strategy once, indexed by Strategy: its
+// wire name (String, ParseStrategy), the annotation of the run span
+// that times it (a constant, so annotating on the hot path allocates
+// nothing) and, for the four series of Figure 4, the ASTA evaluator's
+// options. Information propagation is always on in the paper's engine
+// (§4.4's one-witness rule); the series vary jumping and memoization.
+var strategies = [...]struct {
+	name, runSpan string
+	asta          asta.Options
+}{
+	Auto:       {name: "auto"},
+	Naive:      {"naive", "strategy=naive outcome=ok", asta.Options{}},
+	Jumping:    {"jumping", "strategy=jumping outcome=ok", asta.Options{Jump: true, InfoProp: true}},
+	Memoized:   {"memoized", "strategy=memoized outcome=ok", asta.Options{Memo: true, InfoProp: true}},
+	Optimized:  {"optimized", "strategy=optimized outcome=ok", asta.Opt()},
+	Hybrid:     {name: "hybrid", runSpan: "strategy=hybrid outcome=ok"},
+	TopDownDet: {name: "topdown-det", runSpan: "strategy=topdown-det outcome=ok"},
+	Stepwise:   {name: "stepwise", runSpan: "strategy=stepwise outcome=ok"},
+}
+
 func (s Strategy) String() string {
-	switch s {
-	case Auto:
-		return "auto"
-	case Naive:
-		return "naive"
-	case Jumping:
-		return "jumping"
-	case Memoized:
-		return "memoized"
-	case Optimized:
-		return "optimized"
-	case Hybrid:
-		return "hybrid"
-	case TopDownDet:
-		return "topdown-det"
-	case Stepwise:
-		return "stepwise"
+	if s >= 0 && int(s) < len(strategies) {
+		return strategies[s].name
 	}
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
+
+// ASTAOptions is the ASTA evaluator configuration of Naive, Jumping,
+// Memoized and Optimized, the series of Figure 4; zero for the others.
+func (s Strategy) ASTAOptions() asta.Options { return strategies[s].asta }
 
 // ParseStrategy maps a strategy name (as printed by String) back to the
 // constant; ok is false for unknown names. The empty string is Auto, so
 // wire formats can omit the field.
 func ParseStrategy(name string) (Strategy, bool) {
-	switch name {
-	case "", "auto":
+	if name == "" {
 		return Auto, true
-	case "naive":
-		return Naive, true
-	case "jumping":
-		return Jumping, true
-	case "memoized":
-		return Memoized, true
-	case "optimized":
-		return Optimized, true
-	case "hybrid":
-		return Hybrid, true
-	case "topdown-det":
-		return TopDownDet, true
-	case "stepwise":
-		return Stepwise, true
+	}
+	for s, st := range strategies {
+		if st.name == name {
+			return Strategy(s), true
+		}
 	}
 	return Auto, false
 }
@@ -190,13 +189,14 @@ func (e *Engine) Query(query string) (*Answer, error) {
 	return e.QueryWith(query, Auto)
 }
 
-// QueryWith evaluates with an explicit strategy. Forcing Hybrid or
-// TopDownDet on a query outside their fragments returns an error; Auto
-// never fails on fragment grounds. (Auto falls back to the step-wise
-// engine for features outside the automata fragment — backward axes,
-// text functions — like the paper's black-box handling of XPath 1.0
-// functions, §6.) It is the materializing counterpart of EvalCursor and
-// shares its evaluation path.
+// QueryWith evaluates with an explicit strategy. A forced engine
+// refuses a query outside its fragment with its own ErrUnsupported;
+// Auto never fails on fragment grounds, since it routes what no
+// automaton expresses — backward axes, text functions — to the
+// step-wise engine before anything compiles, like the paper's
+// black-box handling of XPath 1.0 functions (§6). It is the
+// materializing counterpart of EvalCursor and shares its evaluation
+// path.
 func (e *Engine) QueryWith(query string, s Strategy) (*Answer, error) {
 	p, err := xpath.Parse(query)
 	if err != nil {
@@ -207,17 +207,4 @@ func (e *Engine) QueryWith(query string, s Strategy) (*Answer, error) {
 		return nil, err
 	}
 	return c.materialize(), nil
-}
-
-func astaOptions(s Strategy) asta.Options {
-	switch s {
-	case Naive:
-		return asta.Options{}
-	case Jumping:
-		return asta.Options{Jump: true}
-	case Memoized:
-		return asta.Options{Memo: true}
-	default:
-		return asta.Opt()
-	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -116,9 +115,10 @@ func (c *Cursor) Strategy() Strategy { return c.strategy }
 
 // Run is how the answer was produced: the strategy that ran, what the
 // run did (obsv.Work), whether the compiled automaton came from the
-// query cache (never for stepwise and hybrid, which compile nothing)
-// and the context from the pool warm, and why Auto took its route
-// (empty for forced strategies).
+// query cache (never for stepwise and hybrid, which compile nothing,
+// nor for an Auto query routed to either) and the context from the
+// pool warm, and why Auto took its route (empty for forced
+// strategies).
 func (c *Cursor) Run() obsv.Run { return c.run }
 
 // Work is what the run did: visited nodes, index jumps, memo entries
@@ -216,18 +216,6 @@ func (e *Engine) EvalCursorTrace(query string, s Strategy, tr *obsv.Trace) (*Cur
 	return e.evalCursor(query, p, s, tr)
 }
 
-// runSpanOK annotates a `run` span with the engine it timed: constants
-// indexed by strategy, so annotating on the hot path allocates nothing.
-var runSpanOK = [...]string{
-	Naive:      "strategy=naive outcome=ok",
-	Jumping:    "strategy=jumping outcome=ok",
-	Memoized:   "strategy=memoized outcome=ok",
-	Optimized:  "strategy=optimized outcome=ok",
-	Hybrid:     "strategy=hybrid outcome=ok",
-	TopDownDet: "strategy=topdown-det outcome=ok",
-	Stepwise:   "strategy=stepwise outcome=ok",
-}
-
 func (e *Engine) evalCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Trace) (*Cursor, error) {
 	switch s {
 	case Stepwise:
@@ -249,7 +237,7 @@ func (e *Engine) evalCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Tr
 // cursor over the run's answer and work.
 func ran(tr *obsv.Trace, sp int8, c *Cursor) *Cursor {
 	tr.End(sp)
-	tr.Annotate(sp, runSpanOK[c.strategy])
+	tr.Annotate(sp, strategies[c.strategy].runSpan)
 	return c
 }
 
@@ -333,7 +321,7 @@ func (e *Engine) astaCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Tr
 	if err != nil {
 		return nil, err
 	}
-	cv, opt := v.(*compiled), astaOptions(s)
+	cv, opt := v.(*compiled), s.ASTAOptions()
 	ctx, warm := cv.checkout(opt)
 	sp = tr.Begin(obsv.SpanRun)
 	res := cv.aut.EvalCtx(ctx, e.doc, e.ix, opt)
@@ -352,56 +340,43 @@ const (
 	// ReasonTDSTA: compile.CheckTDSTA accepts it (a `*` test, say). It
 	// runs on TopDownDet.
 	ReasonTDSTA = "tdsta-fragment"
-	// ReasonASTA: neither does. It runs on Optimized.
+	// ReasonASTA: compile.CheckASTA accepts it (a predicate, say). It
+	// runs on Optimized.
 	ReasonASTA = "asta"
-	// ReasonOutside: the ASTA compiler refused it (compile.ErrUnsupported:
-	// backward axes, text functions, more than 64 states). It runs on
-	// Stepwise.
+	// ReasonOutside: no automaton expresses it (backward axes, text
+	// functions, more than 64 states). It runs on Stepwise.
 	ReasonOutside = "outside-automata"
 )
 
 // route is Auto: the first engine, in this order, whose own fragment
-// test accepts the parsed query. It reads the query and nothing else —
-// no clock, no label count, no shared state — so a query takes the same
-// route on every document, generation and run. The order is measured
-// (DESIGN.md "Auto routes by fragment"): hybrid was the fastest engine
-// on every chain tried, and the TDSTA on every other shape it accepts
-// but Q06, a tie with the ASTA.
+// test accepts the parsed query, and the step-wise engine when none
+// does. It reads the query and nothing else — no clock, no label count,
+// no shared state — so a query takes the same route on every document,
+// generation and run. The order is measured (DESIGN.md "Auto routes by
+// fragment"): hybrid was the fastest engine on every chain tried, and
+// the TDSTA on every other shape it accepts but Q06, a tie with the
+// ASTA.
 func route(p *xpath.Path) (Strategy, string) {
 	switch {
 	case hybrid.CheckChain(p) == nil:
 		return Hybrid, ReasonChain
 	case compile.CheckTDSTA(p) == nil:
 		return TopDownDet, ReasonTDSTA
+	case compile.CheckASTA(p) == nil:
+		return Optimized, ReasonASTA
 	}
-	return Optimized, ReasonASTA
+	return Stepwise, ReasonOutside
 }
 
 // autoCursor implements the Auto strategy (QueryWith's Auto is this
-// same code path): it runs the engine route picks. route offers Hybrid
-// and TopDownDet only queries their engines' own fragment tests accept,
-// so an error from either is a genuine failure and surfaces as it is.
-// The optimized ASTA hands a query it cannot express
-// (compile.ErrUnsupported) to the step-wise engine, like the paper's
-// black-box handling of XPath 1.0 functions (§6); its other failures
-// surface.
+// same code path): it runs the engine route picks. route offers an
+// engine only a query that engine's own fragment test accepts, so an
+// error from it is a genuine failure and surfaces as it is.
 func (e *Engine) autoCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
 	sp := tr.Begin(obsv.SpanSelect)
 	s, reason := route(p)
 	tr.End(sp)
-	var c *Cursor
-	var err error
-	switch s {
-	case Hybrid:
-		c, err = e.hybridCursor(p, tr)
-	case TopDownDet:
-		c, err = e.tdstaCursor(query, p, tr)
-	default:
-		c, err = e.astaCursor(query, p, Optimized, tr)
-		if errors.Is(err, compile.ErrUnsupported) {
-			c, err, reason = e.stepwiseCursor(p, tr), nil, ReasonOutside
-		}
-	}
+	c, err := e.evalCursor(query, p, s, tr)
 	if err != nil {
 		return nil, err
 	}

@@ -220,10 +220,10 @@ func TestAutoParityWithQueryWith(t *testing.T) {
 	}
 }
 
-// TestAutoSurfacesNonFragmentErrors pins the error classification the
-// Auto fallback relies on: every ToASTA failure mode that step-wise can
-// evaluate matches compile.ErrUnsupported, and Auto's astaOrStepwise
-// hands a query to step-wise only on that match.
+// TestAutoSurfacesNonFragmentErrors pins the ASTA's refusals: every
+// query outside its fragment that step-wise can evaluate is refused by
+// a forced Optimized with an error matching compile.ErrUnsupported, and
+// Auto's route, asking compile.CheckASTA, sends it to step-wise.
 func TestAutoSurfacesNonFragmentErrors(t *testing.T) {
 	doc := xmark.Generate(xmark.Config{Scale: 0.002, Seed: 7})
 	eng := New(doc)

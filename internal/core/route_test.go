@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/asta"
 	"repro/internal/hybrid"
 	"repro/internal/obsv"
 	"repro/internal/tree"
@@ -259,6 +260,28 @@ func TestTDSTAEligibleMirrorsCompiler(t *testing.T) {
 			if ans.Strategy == s && err != nil {
 				t.Errorf("%s: Auto routes to %v, but the engine answers with error %v", q, s, err)
 			}
+		}
+	}
+}
+
+// TestRouteIsACheck: Auto asks each engine's fragment test before
+// anything runs, the ASTA's included, so what no automaton expresses
+// goes to Stepwise without a compile being tried.
+func TestRouteIsACheck(t *testing.T) {
+	fits := "/a" + strings.Repeat("//b[.//b]", (asta.MaxStates-2)/2) // 64 states
+	for q, want := range map[string]Strategy{
+		"//a/parent::b":                         Stepwise,
+		`//item[contains(description, "gold")]`: Stepwise,
+		fits + "/b":                             Stepwise, // 65 states
+		fits:                                    Optimized,
+	} {
+		s, reason := route(mustPath(t, q))
+		wantReason := ReasonASTA
+		if want == Stepwise {
+			wantReason = ReasonOutside
+		}
+		if s != want || reason != wantReason {
+			t.Errorf("%.40s: routed to %v (%s), want %v (%s)", q, s, reason, want, wantReason)
 		}
 	}
 }

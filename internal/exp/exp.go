@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/asta"
 	"repro/internal/compile"
+	"repro/internal/core"
 	"repro/internal/hybrid"
 	"repro/internal/index"
 	"repro/internal/stepwise"
@@ -70,9 +71,10 @@ func Figure3(w *Workload) ([]Fig3Row, error) {
 		// The paper's jumping evaluator always applies the existential
 		// semantics of §4.4 ("only one witness is checked"), which is
 		// what lets Q13–Q15 prune their predicate states after the
-		// first witness; InfoProp is that technique.
-		jump := aut.Eval(w.Doc, w.Index, asta.Options{Jump: true, InfoProp: true})
-		plain := aut.Eval(w.Doc, nil, asta.Options{})
+		// first witness; InfoProp is that technique, and the Jumping
+		// series carries it.
+		jump := aut.Eval(w.Doc, w.Index, core.Jumping.ASTAOptions())
+		plain := aut.Eval(w.Doc, nil, core.Naive.ASTAOptions())
 		memo := aut.Eval(w.Doc, nil, asta.Options{Memo: true})
 		row := Fig3Row{
 			ID:            q.ID,
@@ -116,15 +118,9 @@ func Figure4(w *Workload, repeats int) ([]Fig4Row, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
-	// Information propagation is an always-on implementation technique
-	// in the paper's engine; the figure's series vary jumping and
-	// memoization ("Naive" is the bare Algorithm 4.1).
-	modes := []asta.Options{
-		{},
-		{Jump: true, InfoProp: true},
-		{Memo: true, InfoProp: true},
-		{Jump: true, Memo: true, InfoProp: true},
-	}
+	// The figure's series are the four ASTA strategies ("Naive" is the
+	// bare Algorithm 4.1).
+	modes := []core.Strategy{core.Naive, core.Jumping, core.Memoized, core.Optimized}
 	var rows []Fig4Row
 	for _, q := range xmark.Queries() {
 		aut, err := compile.Compile(q.XPath, w.Doc.Names())
@@ -132,11 +128,11 @@ func Figure4(w *Workload, repeats int) ([]Fig4Row, error) {
 			return nil, fmt.Errorf("%s: %w", q.ID, err)
 		}
 		var ts [4]time.Duration
-		for mi, opt := range modes {
+		for mi, s := range modes {
 			best := time.Duration(0)
 			for rep := 0; rep < repeats; rep++ {
 				start := time.Now()
-				_ = aut.Eval(w.Doc, w.Index, opt)
+				_ = aut.Eval(w.Doc, w.Index, s.ASTAOptions())
 				el := time.Since(start)
 				if rep == 0 || el < best {
 					best = el
@@ -214,7 +210,7 @@ func Figure5(scale float64, repeats int) ([]Fig5Row, error) {
 		var rTime time.Duration
 		for rep := 0; rep < repeats; rep++ {
 			start := time.Now()
-			rRes = aut.Eval(d, ix, asta.Options{Jump: true, Memo: true, InfoProp: true})
+			rRes = aut.Eval(d, ix, core.Optimized.ASTAOptions())
 			el := time.Since(start)
 			if rep == 0 || el < rTime {
 				rTime = el
@@ -283,7 +279,7 @@ func Figure8(w *Workload, repeats int) ([]Fig8Row, error) {
 		var sel int
 		for rep := 0; rep < repeats; rep++ {
 			start := time.Now()
-			res := aut.Eval(w.Doc, w.Index, asta.Opt())
+			res := aut.Eval(w.Doc, w.Index, core.Optimized.ASTAOptions())
 			el := time.Since(start)
 			if rep == 0 || el < eng {
 				eng = el

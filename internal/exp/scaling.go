@@ -5,8 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/asta"
 	"repro/internal/compile"
+	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/xmark"
 )
@@ -37,10 +37,10 @@ func Scaling(query string, scales []float64, seed int64) ([]ScalingRow, error) {
 			return nil, err
 		}
 		start := time.Now()
-		naive := aut.Eval(d, nil, asta.Options{})
+		naive := aut.Eval(d, nil, core.Naive.ASTAOptions())
 		naiveTime := time.Since(start)
 		start = time.Now()
-		jump := aut.Eval(d, ix, asta.Options{Jump: true, InfoProp: true})
+		jump := aut.Eval(d, ix, core.Jumping.ASTAOptions())
 		jumpTime := time.Since(start)
 		if len(naive.Selected) != len(jump.Selected) {
 			return nil, fmt.Errorf("scaling: engines disagree at scale %g", sc)

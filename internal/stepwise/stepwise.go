@@ -118,7 +118,9 @@ func (e *evaluator) step(ctx []tree.NodeID, st xpath.Step) []tree.NodeID {
 	case xpath.Self:
 		for _, v := range ctx {
 			e.work.Visited++
-			if e.match(v, st.Test) {
+			// XPath 1.0's node() keeps every context node, the root
+			// included; match's node() excludes it for the other axes.
+			if st.Test.Kind == xpath.TestNode || e.match(v, st.Test) {
 				out = append(out, v)
 			}
 		}
