@@ -181,6 +181,10 @@ type Transition struct {
 	down1, down2 StateSet
 }
 
+// Downs returns the states under Phi's ↓1 and ↓2 atoms, as Finalize
+// derived them.
+func (t *Transition) Downs() (down1, down2 StateSet) { return t.down1, t.down2 }
+
 // ASTA is an alternating selecting tree automaton (Definition 4.1).
 type ASTA struct {
 	NumStates int

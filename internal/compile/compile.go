@@ -1,8 +1,10 @@
 // Package compile translates Core XPath ASTs into automata: the full
 // forward fragment into alternating selecting tree automata (§4.2,
-// Example 4.1), and the restricted child/descendant name-path fragment
-// into deterministic top-down STAs (the "extreme |Q|-optimization" of
-// §1).
+// Example 4.1). XPath is translated once, by ToASTA; the deterministic
+// top-down STA of the restricted child/descendant name-path fragment
+// (the "extreme |Q|-optimization" of §1) is that ASTA determinized
+// top-down (ToTDSTA), and Eliminate removes alternation from any
+// negation-free ASTA (Example C.1). Both work over one label partition.
 //
 // The ASTA compilation follows the paper's scheme: one state per query
 // step, at most two transitions per state — a "progress" transition
@@ -169,7 +171,7 @@ func (c *compiler) nonElements(excludeText bool) []tree.LabelID {
 		out = append(out, tree.LabelText)
 	}
 	for i, name := range c.names.Names() {
-		if len(name) > 0 && name[0] == '@' {
+		if tree.IsAttributeName(name) {
 			out = append(out, tree.LabelID(i))
 		}
 	}

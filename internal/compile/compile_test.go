@@ -27,7 +27,9 @@ func sameNodes(a, b []tree.NodeID) bool {
 	return true
 }
 
-// TDSTA-eligible queries: child steps then descendant steps, name/* tests.
+// TDSTA-eligible queries: child steps then descendant steps, name/*
+// tests; e is in no document, and the last is the longest path
+// CheckTDSTA accepts.
 var tdstaBattery = []string{
 	"/a",
 	"/a/b",
@@ -41,11 +43,18 @@ var tdstaBattery = []string{
 	"/*",
 	"/a/*//b",
 	"//*",
+	"/a/*/b//c",
+	"/*//*",
+	"/a/b//c//d",
+	"/a//e//b",
+	strings.Repeat("/a", asta.MaxStates-1),
 }
 
 // TestTDSTAAgainstStepwise: the deterministic compilation selects the
 // same nodes as the oracle, via the full run, and via topdown_jump on the
-// minimized automaton (Theorem 3.1 end to end).
+// minimized automaton (Theorem 3.1 end to end). The determinized ASTA is
+// deterministic, complete, and within CheckTDSTA's bound of n+2 states
+// for n steps.
 func TestTDSTAAgainstStepwise(t *testing.T) {
 	paths := make([]*xpath.Path, len(tdstaBattery))
 	for i, q := range tdstaBattery {
@@ -53,7 +62,7 @@ func TestTDSTAAgainstStepwise(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		d := tgen.Random(seed, tgen.Config{
-			Labels:   []string{"a", "b", "c"},
+			Labels:   []string{"a", "b", "c", "d"},
 			MaxNodes: 150,
 		})
 		ix := index.New(d)
@@ -66,6 +75,10 @@ func TestTDSTAAgainstStepwise(t *testing.T) {
 			}
 			if !aut.IsTopDownDeterministic() || !aut.IsTopDownComplete() {
 				t.Logf("%q: not deterministic/complete", tdstaBattery[qi])
+				return false
+			}
+			if aut.NumStates > len(p.Steps)+2 {
+				t.Logf("%q: %d states for %d steps", tdstaBattery[qi], aut.NumStates, len(p.Steps))
 				return false
 			}
 			full := aut.EvalTopDownDet(d)
@@ -122,8 +135,11 @@ func TestTDSTAJumpSkipsIrrelevant(t *testing.T) {
 	b.Close()
 	d := b.MustFinish()
 	ix := index.New(d)
-	aut := compile.MustToTDSTA(xpath.MustParse("/site//keyword"), d.Names()).MinimizeTopDown()
-	res := aut.EvalTopDownJump(d, ix.NewCursors(), nil)
+	aut, err := compile.ToTDSTA(xpath.MustParse("/site//keyword"), d.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := aut.MinimizeTopDown().EvalTopDownJump(d, ix.NewCursors(), nil)
 	if len(res.Selected) != 5 {
 		t.Fatalf("selected %d", len(res.Selected))
 	}
@@ -145,16 +161,6 @@ func TestCompileStarGuards(t *testing.T) {
 	if aut.NumStates != 2 {
 		t.Errorf("states = %d", aut.NumStates)
 	}
-}
-
-func TestMustHelpersPanic(t *testing.T) {
-	lt := tree.NewLabelTable()
-	defer func() {
-		if recover() == nil {
-			t.Error("MustToTDSTA should panic on bad input")
-		}
-	}()
-	compile.MustToTDSTA(xpath.MustParse("//a[b]"), lt)
 }
 
 // TestStateCapIsUnsupported: a query needing more than asta.MaxStates

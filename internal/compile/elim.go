@@ -2,6 +2,8 @@ package compile
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/asta"
@@ -31,7 +33,7 @@ import (
 // complementation) returns an error.
 func Eliminate(a *asta.ASTA, maxStates int) (*sta.STA, error) {
 	elim := &eliminator{ids: make(map[string]sta.State)}
-	mentioned := mentionedLabels(a)
+	classes := partition(a)
 
 	// canSelect[q]: q has at least one selecting transition; dest states
 	// (S, true) are only worth materializing when some member can select.
@@ -64,14 +66,6 @@ func Eliminate(a *asta.ASTA, maxStates int) (*sta.STA, error) {
 		}
 	})
 
-	guards := make([]labels.Set, 0, len(mentioned)+1)
-	rest := labels.Any
-	for _, l := range mentioned {
-		guards = append(guards, labels.Of(l))
-		rest = rest.Minus(labels.Of(l))
-	}
-	guards = append(guards, rest)
-
 	anySelects := func(s []asta.State) bool {
 		for _, q := range s {
 			if canSelect[q] {
@@ -85,18 +79,14 @@ func Eliminate(a *asta.ASTA, maxStates int) (*sta.STA, error) {
 		cur := queue[0]
 		queue = queue[1:]
 		from, _ := elim.lookup(cur.states, cur.marked)
-		for _, g := range guards {
-			l, haveWitness := guardWitness(g, mentioned)
-			if !haveWitness {
-				continue
-			}
+		for _, c := range classes {
 			choices := make([][]conjunct, len(cur.states))
 			dead := false
 			for i, q := range cur.states {
 				var opts []conjunct
 				for _, ti := range a.TransOf(q) {
 					t := &a.Trans[ti]
-					if !t.Guard.Contains(l) {
+					if !t.Guard.Contains(c.witness) {
 						continue
 					}
 					cs, err := dnf(t.Phi)
@@ -154,7 +144,7 @@ func Eliminate(a *asta.ASTA, maxStates int) (*sta.STA, error) {
 						}
 						seenDest[k] = true
 						out.Trans = append(out.Trans, sta.Transition{
-							From: from, Guard: g,
+							From: from, Guard: c.guard,
 							Dest:      sta.Pair{Left: d1, Right: d2},
 							Selecting: cur.marked,
 						})
@@ -318,44 +308,34 @@ func keyContainsTop(a *asta.ASTA, key string) bool {
 	return false
 }
 
-// mentionedLabels collects the labels appearing in any guard.
-func mentionedLabels(a *asta.ASTA) []tree.LabelID {
-	seen := make(map[tree.LabelID]bool)
-	for _, t := range a.Trans {
-		if ids, ok := t.Guard.Finite(); ok {
-			for _, l := range ids {
-				seen[l] = true
-			}
-		} else if ids, ok := t.Guard.Negated(); ok {
-			for _, l := range ids {
-				seen[l] = true
-			}
-		}
-	}
-	out := make([]tree.LabelID, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// labelClass is one class of the label partition an ASTA's guards
+// induce: one label some guard mentions, or every label none mentions.
+// No guard tells a class's members apart, so witness stands for all of
+// them.
+type labelClass struct {
+	guard   labels.Set
+	witness tree.LabelID
 }
 
-// guardWitness picks a representative label from a guard for transition
-// activation checks: the finite member, or any label outside the
-// mentioned set for the co-finite remainder.
-func guardWitness(g labels.Set, mentioned []tree.LabelID) (tree.LabelID, bool) {
-	if ids, ok := g.Finite(); ok {
-		if len(ids) == 0 {
-			return 0, false
+// partition splits the labels into a's classes: one per label a guard
+// mentions, in increasing order, then the rest.
+func partition(a *asta.ASTA) []labelClass {
+	seen := make(map[tree.LabelID]bool)
+	for _, t := range a.Trans {
+		ids, ok := t.Guard.Finite()
+		if !ok {
+			ids, _ = t.Guard.Negated()
 		}
-		return ids[0], true
+		for _, l := range ids {
+			seen[l] = true
+		}
 	}
+	mentioned := slices.Sorted(maps.Keys(seen))
+	out := make([]labelClass, 0, len(mentioned)+1)
 	fresh := tree.LabelID(0)
-	if len(mentioned) > 0 {
-		fresh = mentioned[len(mentioned)-1] + 1
+	for _, l := range mentioned {
+		out = append(out, labelClass{labels.Of(l), l})
+		fresh = l + 1
 	}
-	for !g.Contains(fresh) {
-		fresh++
-	}
-	return fresh, true
+	return append(out, labelClass{labels.Not(mentioned...), fresh})
 }

@@ -11,72 +11,83 @@ import (
 	"repro/internal/xpath"
 )
 
-// ToTDSTA compiles the restricted fragment — absolute paths of child and
-// descendant steps with name or * tests and no predicates — into a
-// top-down deterministic selecting tree automaton: the "extreme
-// |Q|-optimization" of §1, evaluated with a single lookup per node (or,
-// minimized, with topdown_jump visiting only relevant nodes).
+// ToTDSTA compiles the restricted fragment CheckTDSTA admits — absolute
+// paths of child and descendant steps with name or * tests and no
+// predicates — into a top-down deterministic selecting tree automaton:
+// the "extreme |Q|-optimization" of §1, evaluated with a single lookup
+// per node (or, minimized, with topdown_jump visiting only relevant
+// nodes).
 //
-// The compilation allocates one state per step:
-//
-//	child step i      q_i, {name} → (q_{i+1}, q_i)    siblings keep scanning
-//	                  q_i, other  → (q⊤,     q_i)     subtree irrelevant
-//	descendant step i q_i, {name} → (q_{i+1}, q_i)    plus the subtree keeps
-//	                  q_i, other  → (q_i,    q_i)     searching below
-//
-// with the final step's match transition selecting (continuing in q⊤ on
-// the left for a child step, or recursively for a descendant step).
+// It is the query's ASTA (ToASTA) determinized top-down: the
+// removal of alternation and non-determinism the ASTA evaluator does on
+// the fly (§4.3, Definition 4.2), done ahead of time. A state is the set
+// of ASTA states live at a node, starting from the ASTA's top states.
+// Without predicates every formula is a disjunction of moves, so the
+// construction is exact: on each class of the label partition, a set
+// sends the union of its active transitions' ↓1 states left and of
+// their ↓2 states right, and selects iff one of them selects. Every
+// state accepts a leaf.
 func ToTDSTA(p *xpath.Path, names *tree.LabelTable) (*sta.STA, error) {
 	if err := CheckTDSTA(p); err != nil {
 		return nil, err
 	}
-	n := len(p.Steps)
-	// States: 0 = initial (at #doc), 1..n = step states, n+1 = q⊤,
-	// n+2 = q⊥ (only initial can fail: non-#doc root).
-	qInit := sta.State(0)
-	qStep := func(i int) sta.State { return sta.State(1 + i) }
-	qTop := sta.State(n + 1)
-	qBot := sta.State(n + 2)
-	aut := &sta.STA{
-		NumStates: n + 3,
-		Top:       []sta.State{qInit},
+	a, err := ToASTA(p, names)
+	if err != nil {
+		return nil, err
 	}
-	// Every state except q⊥ may label a # leaf.
-	for q := sta.State(0); q <= qTop; q++ {
-		aut.Bottom = append(aut.Bottom, q)
-	}
-	aut.Trans = append(aut.Trans,
-		sta.Transition{From: qInit, Guard: labels.Of(tree.LabelDoc), Dest: sta.Pair{Left: qStep(0), Right: qTop}},
-		sta.Transition{From: qInit, Guard: labels.Not(tree.LabelDoc), Dest: sta.Pair{Left: qBot, Right: qBot}},
-		sta.Transition{From: qTop, Guard: labels.Any, Dest: sta.Pair{Left: qTop, Right: qTop}},
-		sta.Transition{From: qBot, Guard: labels.Any, Dest: sta.Pair{Left: qBot, Right: qBot}},
-	)
-	c := &compiler{names: names}
-	for i, st := range p.Steps {
-		q := qStep(i)
-		last := i == n-1
-		var matchLeft sta.State
-		switch {
-		case last && st.Axis == xpath.Descendant:
-			matchLeft = q // keep searching below a match
-		case last:
-			matchLeft = qTop
-		default:
-			matchLeft = qStep(i + 1)
+	classes := partition(a)
+	ids := make(map[asta.StateSet]sta.State)
+	var sets []asta.StateSet
+	intern := func(s asta.StateSet) sta.State {
+		id, ok := ids[s]
+		if !ok {
+			id = sta.State(len(sets))
+			ids[s] = id
+			sets = append(sets, s)
 		}
-		g := c.guard(st.Test)
-		var miss sta.Pair
-		if st.Axis == xpath.Descendant {
-			miss = sta.Pair{Left: q, Right: q}
-		} else {
-			miss = sta.Pair{Left: qTop, Right: q}
-		}
-		aut.Trans = append(aut.Trans,
-			sta.Transition{From: q, Guard: g, Dest: sta.Pair{Left: matchLeft, Right: q}, Selecting: last},
-			sta.Transition{From: q, Guard: g.Complement(), Dest: miss},
-		)
+		return id
 	}
-	return aut.Finalize(), nil
+	out := &sta.STA{Top: []sta.State{intern(a.Top)}}
+	type edge struct {
+		dest sta.Pair
+		sel  bool
+	}
+	for from := 0; from < len(sets); from++ {
+		// Classes with one destination and selecting flag share one guard.
+		guards := make(map[edge]labels.Set)
+		var order []edge
+		for _, c := range classes {
+			var d1, d2 asta.StateSet
+			sel := false
+			sets[from].Each(func(q asta.State) {
+				for _, ti := range a.TransOf(q) {
+					t := &a.Trans[ti]
+					if t.Guard.Contains(c.witness) {
+						t1, t2 := t.Downs()
+						d1, d2 = d1|t1, d2|t2
+						sel = sel || t.Selecting
+					}
+				}
+			})
+			e := edge{sta.Pair{Left: intern(d1), Right: intern(d2)}, sel}
+			if g, ok := guards[e]; ok {
+				guards[e] = g.Union(c.guard)
+			} else {
+				guards[e] = c.guard
+				order = append(order, e)
+			}
+		}
+		for _, e := range order {
+			out.Trans = append(out.Trans, sta.Transition{
+				From: sta.State(from), Guard: guards[e], Dest: e.dest, Selecting: e.sel,
+			})
+		}
+	}
+	out.NumStates = len(sets)
+	for q := range sets {
+		out.Bottom = append(out.Bottom, sta.State(q))
+	}
+	return out.Finalize(), nil
 }
 
 // errTDSTAPredicates is CheckTDSTA's answer to every query with a
@@ -87,16 +98,15 @@ var errTDSTAPredicates = errors.New("compile: TDSTA fragment does not support pr
 // CheckTDSTA reports why p is outside the fragment ToTDSTA compiles, or
 // nil when it is inside. Auto routes by it before any compilation, so
 // the route and the compiler cannot disagree.
-// A path of n steps compiles to n+3 states, and the fragment stops
-// below asta.MaxStates steps, so a cached TDSTA is bounded like a
-// cached ASTA.
+//
+// Child steps must precede descendant steps. That is the construction's
+// linear state bound: a live set is then one child step's state, or the
+// states of the first descendant step through some later one, so n
+// steps determinize to at most n+2 states (with the #doc state and the
+// empty set). A child step after a descendant step lets matches at
+// several depths be live at once, and the subsets multiply. CheckASTA
+// bounds the steps, so a cached TDSTA is bounded like a cached ASTA.
 func CheckTDSTA(p *xpath.Path) error {
-	if !p.Absolute || len(p.Steps) == 0 {
-		return fmt.Errorf("compile: TDSTA fragment requires an absolute non-empty path")
-	}
-	if len(p.Steps) >= asta.MaxStates {
-		return fmt.Errorf("compile: TDSTA fragment allows at most %d steps, got %d", asta.MaxStates-1, len(p.Steps))
-	}
 	seenDesc := false
 	for _, st := range p.Steps {
 		if st.Axis != xpath.Child && st.Axis != xpath.Descendant {
@@ -111,20 +121,8 @@ func CheckTDSTA(p *xpath.Path) error {
 		if st.Axis == xpath.Descendant {
 			seenDesc = true
 		} else if seenDesc {
-			// A child step after a descendant step needs a subset
-			// construction (matches at several depths are live at
-			// once); that is what the ASTA pipeline is for.
 			return fmt.Errorf("compile: TDSTA fragment requires child steps to precede descendant steps")
 		}
 	}
-	return nil
-}
-
-// MustToTDSTA panics on error.
-func MustToTDSTA(p *xpath.Path, names *tree.LabelTable) *sta.STA {
-	a, err := ToTDSTA(p, names)
-	if err != nil {
-		panic(err)
-	}
-	return a
+	return CheckASTA(p)
 }

@@ -98,9 +98,10 @@ func TestSelfSteps(t *testing.T) {
 	}
 }
 
-// FuzzStrategiesAgree: over three random documents, Auto answers every
-// query that parses as the step-wise oracle does, and each forced
-// engine does too or refuses exactly what its fragment test refuses.
+// FuzzStrategiesAgree: over three random documents with text and
+// attributes, Auto answers every query that parses as the step-wise
+// oracle does, and each forced engine does too or refuses exactly what
+// its fragment test refuses.
 func FuzzStrategiesAgree(f *testing.F) {
 	for _, q := range xmark.Queries() {
 		f.Add(q.XPath)
@@ -108,12 +109,16 @@ func FuzzStrategiesAgree(f *testing.F) {
 	for _, q := range []string{
 		"//b/.", "//b/self::node()", "/r/a/b/self::node()[c]", "/./r", "/.//b",
 		"/a/descendant::b/self::node()[c]",
+		// Over the documents' labels, one or more for each of Auto's
+		// four routes, and attribute steps.
+		"/a//b/c", "/a/*//b", `//a[@b and c]//d`, "//b/parent::a",
+		`//a[contains(., "v")]`, "//a/@b", "//*[@c]",
 	} {
 		f.Add(q)
 	}
 	var engines []*core.Engine
 	for seed := int64(1); seed <= 3; seed++ {
-		engines = append(engines, core.New(tgen.Random(seed, tgen.Config{MaxNodes: 80, TextProb: 0.2})))
+		engines = append(engines, core.New(tgen.Random(seed, tgen.Config{MaxNodes: 80, TextProb: 0.2, AttrProb: 0.2})))
 	}
 	f.Fuzz(func(t *testing.T, q string) {
 		if len(q) > 200 {

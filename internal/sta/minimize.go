@@ -2,6 +2,7 @@ package sta
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/labels"
@@ -83,6 +84,7 @@ func (a *STA) MinimizeTopDown() *STA {
 		class[q] = id
 	}
 
+	var sig []byte // one state's signature, reused across states
 	for {
 		next := make([]int, a.NumStates)
 		sigs := make(map[string]int)
@@ -91,21 +93,22 @@ func (a *STA) MinimizeTopDown() *STA {
 				next[q] = -1
 				continue
 			}
-			var sb strings.Builder
-			fmt.Fprintf(&sb, "c%d", class[q])
+			sig = strconv.AppendInt(sig[:0], int64(class[q]), 10)
 			for _, l := range alpha {
 				dest, ok := a.DestDet(State(q), l)
 				if !ok {
-					sb.WriteString("|∅")
+					sig = append(sig, "|∅"...)
 					continue
 				}
-				fmt.Fprintf(&sb, "|%d,%d", class[dest.Left], class[dest.Right])
+				sig = append(sig, '|')
+				sig = strconv.AppendInt(sig, int64(class[dest.Left]), 10)
+				sig = append(sig, ',')
+				sig = strconv.AppendInt(sig, int64(class[dest.Right]), 10)
 			}
-			sig := sb.String()
-			id, ok := sigs[sig]
+			id, ok := sigs[string(sig)]
 			if !ok {
 				id = len(sigs)
-				sigs[sig] = id
+				sigs[string(sig)] = id
 			}
 			next[q] = id
 		}

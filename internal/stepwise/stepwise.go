@@ -175,17 +175,13 @@ func (e *evaluator) match(v tree.NodeID, t xpath.NodeTest) bool {
 	case xpath.TestName:
 		return e.d.LabelName(v) == t.Name
 	case xpath.TestStar:
-		return l != tree.LabelDoc && l != tree.LabelText && !isAttr(e.d, v)
+		return l != tree.LabelDoc && l != tree.LabelText && !tree.IsAttributeName(e.d.LabelName(v))
 	case xpath.TestNode:
-		return l != tree.LabelDoc && !isAttr(e.d, v)
+		return l != tree.LabelDoc && !tree.IsAttributeName(e.d.LabelName(v))
 	case xpath.TestText:
 		return l == tree.LabelText
 	}
 	return false
-}
-
-func isAttr(d *tree.Document, v tree.NodeID) bool {
-	return strings.HasPrefix(d.LabelName(v), "@")
 }
 
 // pred evaluates a predicate at one candidate node.

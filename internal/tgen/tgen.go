@@ -22,6 +22,12 @@ type Config struct {
 	// TextProb is the per-child probability of emitting a text node
 	// instead of an element, in [0,1).
 	TextProb float64
+	// AttrProb is, for each label, the probability that an element
+	// carries an attribute of that name, in [0,1]: an "@label" child
+	// ahead of the element's other children, holding one text node
+	// "v", the encoding xmlparse writes. Zero draws nothing, so it
+	// changes no document.
+	AttrProb float64
 }
 
 func (c *Config) defaults() {
@@ -52,6 +58,13 @@ func Random(seed int64, cfg Config) *tree.Document {
 		}
 		budget--
 		b.Open(cfg.Labels[rng.Intn(len(cfg.Labels))])
+		for _, l := range cfg.Labels {
+			if cfg.AttrProb > 0 && rng.Float64() < cfg.AttrProb {
+				b.Open("@" + l)
+				b.Text("v")
+				b.Close()
+			}
+		}
 		if depth < cfg.MaxDepth {
 			// Full fan-out at the root so the branching process cannot
 			// die immediately; random below.

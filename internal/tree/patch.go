@@ -1,9 +1,6 @@
 package tree
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Subtree-level document mutation. A Document is immutable; Apply
 // produces the *next generation* — a new Document sharing nothing
@@ -126,15 +123,10 @@ func fragRoot(frag *Document) (NodeID, error) {
 	if frag.LastDesc(r) != frag.LastDesc(0) {
 		return Nil, fmt.Errorf("tree: patch fragment must have exactly one root element")
 	}
-	if frag.Label(r) == LabelText || frag.isAttribute(r) {
+	if frag.Label(r) == LabelText || IsAttributeName(frag.LabelName(r)) {
 		return Nil, fmt.Errorf("tree: patch fragment root must be an element, not text or an attribute")
 	}
 	return r, nil
-}
-
-// isAttribute reports whether v is an "@name" node.
-func (d *Document) isAttribute(v NodeID) bool {
-	return strings.HasPrefix(d.LabelName(v), "@")
 }
 
 // checkAttributes refuses to graft an element where it would break the
@@ -142,7 +134,7 @@ func (d *Document) isAttribute(v NodeID) bool {
 // attribute, or ahead of one (next is the node the graft lands in front
 // of, Nil at the end of parent's children). Deletes cannot break it.
 func (d *Document) checkAttributes(op PatchOp, parent, next NodeID) error {
-	if d.isAttribute(parent) || next != Nil && d.isAttribute(next) {
+	if IsAttributeName(d.LabelName(parent)) || next != Nil && IsAttributeName(d.LabelName(next)) {
 		return fmt.Errorf("tree: %s under %s would break the attribute encoding: attributes are the leading @name children of an element, each holding at most one text child", op, d.Path(parent))
 	}
 	return nil

@@ -49,6 +49,11 @@ const (
 // ReservedLabels is the number of pre-interned labels.
 const ReservedLabels = 2
 
+// IsAttributeName reports whether a label names an attribute node:
+// xmlparse and the xpath parser write attribute x as an "@x" child of
+// its element, which makes the attribute axis a child step.
+func IsAttributeName(name string) bool { return strings.HasPrefix(name, "@") }
+
 // MaxLabels is the largest label table a document can have: the label of
 // a node whose id does not fit its byte is kept in 16 bits (see
 // Document). Join and Document.Apply refuse a table that has outgrown it.
@@ -494,7 +499,7 @@ func (d *Document) WriteXML(sb *strings.Builder, v NodeID) {
 	if !synthetic {
 		sb.WriteByte('<')
 		sb.WriteString(d.LabelName(v))
-		for ; c <= end && d.isAttribute(c); c = d.LastDesc(c) + 1 {
+		for ; c <= end && IsAttributeName(d.LabelName(c)); c = d.LastDesc(c) + 1 {
 			sb.WriteByte(' ')
 			sb.WriteString(d.LabelName(c)[1:])
 			sb.WriteString(`="`)
