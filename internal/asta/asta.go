@@ -284,9 +284,6 @@ func (a *ASTA) SizeBytes() int64 {
 	return b
 }
 
-// SelectingLabels returns the labels on which q selects.
-func (a *ASTA) SelectingLabels(q State) labels.Set { return a.selOf[q] }
-
 // Marking reports whether q's sub-automaton can mark nodes.
 func (a *ASTA) Marking(q State) bool { return a.marking.Has(q) }
 

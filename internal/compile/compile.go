@@ -3,8 +3,10 @@
 // Example 4.1). XPath is translated once, by ToASTA; the deterministic
 // top-down STA of the restricted child/descendant name-path fragment
 // (the "extreme |Q|-optimization" of §1) is that ASTA determinized
-// top-down (ToTDSTA), and Eliminate removes alternation from any
-// negation-free ASTA (Example C.1). Both work over one label partition.
+// top-down (ToTDSTA) over the label partition its guards induce.
+// Alternation is never removed from an ASTA with predicates: Example
+// C.1's exponential blow-up is reproduced by counting DNF terms
+// (internal/exp), not by building the automaton.
 //
 // The ASTA compilation follows the paper's scheme: one state per query
 // step, at most two transitions per state — a "progress" transition

@@ -3,6 +3,8 @@ package compile
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/asta"
 	"repro/internal/labels"
@@ -88,6 +90,38 @@ func ToTDSTA(p *xpath.Path, names *tree.LabelTable) (*sta.STA, error) {
 		out.Bottom = append(out.Bottom, sta.State(q))
 	}
 	return out.Finalize(), nil
+}
+
+// labelClass is one class of the label partition an ASTA's guards
+// induce: one label some guard mentions, or every label none mentions.
+// No guard tells a class's members apart, so witness stands for all of
+// them.
+type labelClass struct {
+	guard   labels.Set
+	witness tree.LabelID
+}
+
+// partition splits the labels into a's classes: one per label a guard
+// mentions, in increasing order, then the rest.
+func partition(a *asta.ASTA) []labelClass {
+	seen := make(map[tree.LabelID]bool)
+	for _, t := range a.Trans {
+		ids, ok := t.Guard.Finite()
+		if !ok {
+			ids, _ = t.Guard.Negated()
+		}
+		for _, l := range ids {
+			seen[l] = true
+		}
+	}
+	mentioned := slices.Sorted(maps.Keys(seen))
+	out := make([]labelClass, 0, len(mentioned)+1)
+	fresh := tree.LabelID(0)
+	for _, l := range mentioned {
+		out = append(out, labelClass{labels.Of(l), l})
+		fresh = l + 1
+	}
+	return append(out, labelClass{labels.Not(mentioned...), fresh})
 }
 
 // errTDSTAPredicates is CheckTDSTA's answer to every query with a

@@ -157,31 +157,29 @@ func TestFigure8Shape(t *testing.T) {
 	}
 }
 
+// TestExampleC1 pins Example C.1 exactly, the one place it is
+// reproduced: the ASTA is linear in n (states, transitions and |δ|),
+// while the DNF an alternation-free STA needs has 2^n terms.
 func TestExampleC1(t *testing.T) {
-	rows, err := exp.ExampleC1([]int{1, 2, 4, 8, 16})
+	rows, err := exp.ExampleC1([]int{1, 2, 4, 8, 12, 16, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if r.States != 2*r.N+2 { // paper counts 2n+1; +1 for the #doc init state
-			t.Errorf("n=%d: states = %d, want %d", r.N, r.States, 2*r.N+2)
+		// The paper counts 2n+1 states and 4n+2 transitions; the #doc
+		// init state adds one of each.
+		if r.States != 2*r.N+2 {
+			t.Errorf("n=%d: states = %d, want 2n+2 = %d", r.N, r.States, 2*r.N+2)
 		}
-		want := 1
-		for i := 0; i < r.N; i++ {
-			want *= 2
+		if r.Transitions != 4*r.N+3 {
+			t.Errorf("n=%d: transitions = %d, want 4n+3 = %d", r.N, r.Transitions, 4*r.N+3)
 		}
-		if r.DNFTerms != want {
-			t.Errorf("n=%d: DNF terms = %d, want 2^n = %d", r.N, r.DNFTerms, want)
+		if r.FormulaSize != 12*r.N+8 {
+			t.Errorf("n=%d: |δ| = %d, want 12n+8 = %d", r.N, r.FormulaSize, 12*r.N+8)
 		}
-	}
-	// Linear vs exponential: at n=16 the ASTA must be tiny compared to
-	// the DNF.
-	last := rows[len(rows)-1]
-	if last.FormulaSize > 400 {
-		t.Errorf("ASTA formula size %d not linear-ish at n=16", last.FormulaSize)
-	}
-	if last.DNFTerms != 65536 {
-		t.Errorf("DNF terms = %d", last.DNFTerms)
+		if r.DNFTerms != 1<<r.N {
+			t.Errorf("n=%d: DNF terms = %d, want 2^n = %d", r.N, r.DNFTerms, 1<<r.N)
+		}
 	}
 	if s := exp.FormatExampleC1(rows); !strings.Contains(s, "blow-up") {
 		t.Error("format broken")

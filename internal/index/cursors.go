@@ -9,9 +9,10 @@ import (
 
 // Cursors provides forward-only positions into the per-label occurrence
 // rows, and the jumps of Definition 3.2 over them: the one navigation
-// type of the ASTA, the TDSTA and the bottom-up evaluator. An evaluator
-// that queries positions in non-decreasing document order (which all
-// three jumping traversals do: binary preorder only moves right) gets
+// type of the ASTA, the TDSTA and the bottom-up evaluator (test code in
+// internal/sta, which no query runs). An evaluator that queries
+// positions in non-decreasing document order (which all three jumping
+// traversals do: binary preorder only moves right) gets
 // amortized O(1) successor lookups instead of a search per jump: each
 // cursor sweeps its row at most once per evaluation, entering a later
 // chunk through the directory and searching inside chunks only over

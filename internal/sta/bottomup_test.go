@@ -1,11 +1,20 @@
 package sta
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/index"
 	"repro/internal/labels"
 	"repro/internal/obsv"
 	"repro/internal/tree"
 )
+
+// This file holds the bottom-up half of §3: the bottom-up deterministic
+// runs (§3.2, Algorithm B.2), the bottom-up relevant nodes (Lemma 3.2)
+// and bottom-up minimization. No query runs bottom-up, so it is test
+// code, exercised by the bottom-up tests of sta_test.go and
+// minimize_test.go.
 
 // EvalBottomUpDet runs a bottom-up deterministic, bottom-up complete STA
 // over the full binary tree: the "pure bottom-up" evaluation of §3.2.
@@ -301,4 +310,147 @@ func (a *STA) EvalBottomUpJump(d *tree.Document, cur *index.Cursors) Result {
 	res.Accepted = true
 	sortNodes(res.Selected)
 	return res
+}
+
+// Sources returns δ(q1, q2, l): all states q with a transition
+// q, L -> (q1, q2) and l ∈ L.
+func (a *STA) Sources(q1, q2 State, l tree.LabelID) []State {
+	var out []State
+	for _, t := range a.Trans {
+		if t.Dest.Left == q1 && t.Dest.Right == q2 && t.Guard.Contains(l) {
+			out = append(out, t.From)
+		}
+	}
+	return out
+}
+
+// SourceDet returns the unique source state of a bottom-up deterministic
+// automaton for (q1, q2, l), or ok=false.
+func (a *STA) SourceDet(q1, q2 State, l tree.LabelID) (State, bool) {
+	for _, t := range a.Trans {
+		if t.Dest.Left == q1 && t.Dest.Right == q2 && t.Guard.Contains(l) {
+			return t.From, true
+		}
+	}
+	return NoState, false
+}
+
+// IsBottomUpDeterministic reports whether |B| == 1 and δ(q1, q2, l) has at
+// most one element for all q1, q2, l.
+func (a *STA) IsBottomUpDeterministic() bool {
+	if len(a.Bottom) != 1 {
+		return false
+	}
+	for i := 0; i < len(a.Trans); i++ {
+		for j := i + 1; j < len(a.Trans); j++ {
+			ti, tj := a.Trans[i], a.Trans[j]
+			if ti.Dest == tj.Dest && ti.From != tj.From && ti.Guard.Overlaps(tj.Guard) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// IsBottomUpComplete reports whether δ(q1, q2, l) is non-empty for every
+// pair of states and every label of the effective alphabet.
+func (a *STA) IsBottomUpComplete() bool {
+	alpha := a.EffectiveAlphabet()
+	for q1 := State(0); int(q1) < a.NumStates; q1++ {
+		for q2 := State(0); int(q2) < a.NumStates; q2++ {
+			for _, l := range alpha {
+				if _, ok := a.SourceDet(q1, q2, l); !ok {
+					// Non-deterministic automata may have several
+					// sources; any is fine for completeness.
+					if len(a.Sources(q1, q2, l)) == 0 {
+						return false
+					}
+				}
+			}
+		}
+	}
+	return true
+}
+
+// MinimizeBottomUp returns the minimal BDSTA equivalent to a. The
+// automaton must be bottom-up deterministic and bottom-up complete.
+func (a *STA) MinimizeBottomUp() *STA {
+	gen := a.generable()
+	alpha := a.EffectiveAlphabet()
+	class := make([]int, a.NumStates)
+	keys := make(map[string]int)
+	for q := 0; q < a.NumStates; q++ {
+		if !gen[q] {
+			class[q] = -1
+			continue
+		}
+		k := fmt.Sprintf("%v|%s", a.inTop[q], a.selOf[q].String(nil))
+		id, ok := keys[k]
+		if !ok {
+			id = len(keys)
+			keys[k] = id
+		}
+		class[q] = id
+	}
+	// Precompute source lookups once per (q1, q2, l).
+	for {
+		next := make([]int, a.NumStates)
+		sigs := make(map[string]int)
+		for q := 0; q < a.NumStates; q++ {
+			if !gen[q] {
+				next[q] = -1
+				continue
+			}
+			var sb strings.Builder
+			fmt.Fprintf(&sb, "c%d", class[q])
+			for other := 0; other < a.NumStates; other++ {
+				if !gen[other] {
+					continue
+				}
+				for _, l := range alpha {
+					if s, ok := a.SourceDet(State(q), State(other), l); ok {
+						fmt.Fprintf(&sb, "|L%d", class[s])
+					} else {
+						sb.WriteString("|L∅")
+					}
+					if s, ok := a.SourceDet(State(other), State(q), l); ok {
+						fmt.Fprintf(&sb, "|R%d", class[s])
+					} else {
+						sb.WriteString("|R∅")
+					}
+				}
+			}
+			sig := sb.String()
+			id, ok := sigs[sig]
+			if !ok {
+				id = len(sigs)
+				sigs[sig] = id
+			}
+			next[q] = id
+		}
+		if len(sigs) == countClasses(class) {
+			break
+		}
+		class = next
+	}
+	return a.quotient(class)
+}
+
+// generable returns the states reachable bottom-up: B at the leaves,
+// closed under δ upward.
+func (a *STA) generable() []bool {
+	gen := make([]bool, a.NumStates)
+	for _, q := range a.Bottom {
+		gen[q] = true
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, t := range a.Trans {
+			if !gen[t.From] && gen[t.Dest.Left] && gen[t.Dest.Right] {
+				gen[t.From] = true
+				changed = true
+			}
+		}
+	}
+	return gen
 }

@@ -6,16 +6,17 @@ import (
 )
 
 // This file provides the automata used as running examples in the paper;
-// they anchor the test suite to the text.
+// they anchor the test suite to the text. Their names start in lower
+// case: go test would take an Example function for a testable example.
 
-// ExampleDescADescB builds A_//a//b of Example 2.1: the top-down
+// exampleDescADescB builds A_//a//b of Example 2.1: the top-down
 // deterministic STA selecting all b-descendants of a-nodes.
 //
 //	q0, {a}    -> (q1, q0)
 //	q0, Σ\{a}  -> (q0, q0)
 //	q1, {b}    => (q1, q1)
 //	q1, Σ\{b}  -> (q1, q1)
-func ExampleDescADescB(a, b tree.LabelID) *STA {
+func exampleDescADescB(a, b tree.LabelID) *STA {
 	const q0, q1 = 0, 1
 	return (&STA{
 		NumStates: 2,
@@ -30,7 +31,7 @@ func ExampleDescADescB(a, b tree.LabelID) *STA {
 	}).Finalize()
 }
 
-// ExampleRootA builds the recognizer of §3 for the DTD
+// exampleRootA builds the recognizer of §3 for the DTD
 // "<!ELEMENT a ANY>": accepts exactly the trees whose root is labeled a.
 // Only the root is relevant; everything else is skipped via q⊤.
 //
@@ -38,7 +39,7 @@ func ExampleDescADescB(a, b tree.LabelID) *STA {
 //	q0, Σ\{a} -> (q⊥, q⊥)
 //	q⊤, Σ     -> (q⊤, q⊤)
 //	q⊥, Σ     -> (q⊥, q⊥)
-func ExampleRootA(a tree.LabelID) *STA {
+func exampleRootA(a tree.LabelID) *STA {
 	const q0, qTop, qBot = 0, 1, 2
 	return (&STA{
 		NumStates: 3,
@@ -53,7 +54,7 @@ func ExampleRootA(a tree.LabelID) *STA {
 	}).Finalize()
 }
 
-// ExampleAWithDescB builds the bottom-up deterministic STA for //a[.//b]
+// exampleAWithDescB builds the bottom-up deterministic STA for //a[.//b]
 // (Example A.1 / B.1 of the paper): it selects all a-nodes with a
 // b-labeled node among their proper XML descendants — their *left*
 // subtree under the fcns encoding.
@@ -70,7 +71,7 @@ func ExampleRootA(a tree.LabelID) *STA {
 //
 // q0 is the bottom state; all states are top (the automaton accepts
 // every tree and is bottom-up complete).
-func ExampleAWithDescB(a, b tree.LabelID) *STA {
+func exampleAWithDescB(a, b tree.LabelID) *STA {
 	const q0, qR, qL = 0, 1, 2
 	sta := &STA{
 		NumStates: 3,

@@ -167,7 +167,7 @@ func TestBottomUpJumpOnRandomBDSTA(t *testing.T) {
 	for i, d := range docs {
 		indexes[i] = index.New(d)
 	}
-	aut := ExampleAWithDescB(a, b)
+	aut := exampleAWithDescB(a, b)
 	for i, d := range docs {
 		full := aut.EvalBottomUpDet(d)
 		jump := aut.EvalBottomUpJump(d, indexes[i].NewCursors())

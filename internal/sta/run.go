@@ -14,9 +14,9 @@ type Run []State
 type Result struct {
 	// Accepted reports whether an accepting run exists.
 	Accepted bool
-	// Run is the state assignment: complete for full evaluations,
-	// partial — NoState elsewhere — for EvalBottomUpJump. EvalTopDownJump
-	// records its partial run into one its caller passes instead.
+	// Run is the state assignment of a full evaluation, EvalTopDownDet.
+	// EvalTopDownJump records its partial run — NoState where it did not
+	// visit — into one its caller passes instead.
 	Run Run
 	// Selected lists the selected nodes in document order.
 	Selected []tree.NodeID
@@ -77,115 +77,4 @@ func (a *STA) EvalTopDownDet(d *tree.Document) Result {
 	}
 	res.Accepted = true
 	return res
-}
-
-// stateSets is a per-node array of state sets, as bool matrices.
-type stateSets [][]bool
-
-func newStateSets(n, states int) stateSets {
-	flat := make([]bool, n*states)
-	out := make(stateSets, n)
-	for i := range out {
-		out[i] = flat[i*states : (i+1)*states]
-	}
-	return out
-}
-
-// Possible computes, for every node, the set of states q such that the
-// subtree below that binary position admits a run from q (the bottom-up
-// reachability DP). It is the reference nondeterministic semantics and
-// the oracle all optimized evaluators are tested against.
-func (a *STA) Possible(d *tree.Document) stateSets {
-	n := d.NumNodes()
-	poss := newStateSets(n, a.NumStates)
-	// Reverse preorder: binary children (first child, next sibling) have
-	// larger preorder ids, so they are done before their binary parent.
-	for v := n - 1; v >= 0; v-- {
-		node := tree.NodeID(v)
-		l := d.Label(node)
-		left := d.BinaryLeft(node)
-		right := d.BinaryRight(node)
-		for _, t := range a.Trans {
-			if poss[v][t.From] || !t.Guard.Contains(l) {
-				continue
-			}
-			okL := left == tree.Nil && a.inBot[t.Dest.Left] ||
-				left != tree.Nil && poss[left][t.Dest.Left]
-			if !okL {
-				continue
-			}
-			okR := right == tree.Nil && a.inBot[t.Dest.Right] ||
-				right != tree.Nil && poss[right][t.Dest.Right]
-			if okR {
-				poss[v][t.From] = true
-			}
-		}
-	}
-	return poss
-}
-
-// Eval computes the exact semantics of a (possibly nondeterministic) STA
-// on a document: acceptance, and the set A(t) of nodes selected by *some*
-// accepting run (Definition 2.3). Runs in O(|δ| · |D|).
-func (a *STA) Eval(d *tree.Document) Result {
-	n := d.NumNodes()
-	res := Result{Work: obsv.Work{Visited: n}}
-	poss := a.Possible(d)
-	// acc[v][q]: q is assumed at v by at least one accepting run.
-	acc := newStateSets(n, a.NumStates)
-	any := false
-	for _, q := range a.Top {
-		if poss[0][q] {
-			acc[0][q] = true
-			any = true
-		}
-	}
-	if !any {
-		return res
-	}
-	res.Accepted = true
-	for v := 0; v < n; v++ {
-		node := tree.NodeID(v)
-		l := d.Label(node)
-		left := d.BinaryLeft(node)
-		right := d.BinaryRight(node)
-		selected := false
-		for _, t := range a.Trans {
-			if !acc[v][t.From] || !t.Guard.Contains(l) {
-				continue
-			}
-			okL := left == tree.Nil && a.inBot[t.Dest.Left] ||
-				left != tree.Nil && poss[left][t.Dest.Left]
-			okR := right == tree.Nil && a.inBot[t.Dest.Right] ||
-				right != tree.Nil && poss[right][t.Dest.Right]
-			if !okL || !okR {
-				continue
-			}
-			// Transition usable by an accepting run.
-			if left != tree.Nil {
-				acc[left][t.Dest.Left] = true
-			}
-			if right != tree.Nil {
-				acc[right][t.Dest.Right] = true
-			}
-			if !selected && a.IsSelecting(t.From, l) {
-				selected = true
-			}
-		}
-		if selected {
-			res.Selected = append(res.Selected, node)
-		}
-	}
-	return res
-}
-
-// Accepts reports whether t ∈ L(A).
-func (a *STA) Accepts(d *tree.Document) bool {
-	poss := a.Possible(d)
-	for _, q := range a.Top {
-		if poss[0][q] {
-			return true
-		}
-	}
-	return false
 }

@@ -1,10 +1,14 @@
 // Package sta implements the selecting tree automata of §2 and §3 of the
-// paper: the STA model over binary (first-child/next-sibling) trees,
-// top-down and bottom-up deterministic subclasses, reference run
-// semantics, minimization (Appendix A), the relevant-node
-// characterizations (Lemma 3.1 and 3.2) and the jumping evaluation
-// algorithms topdown_jump (Appendix B.1) and a bottom-up skipping
-// evaluator (§3.2 / Appendix B.2).
+// paper that a query runs: the STA model over binary
+// (first-child/next-sibling) trees, the top-down deterministic subclass,
+// its minimization (Theorem A.1), the top-down relevant nodes (Lemma 3.1)
+// and the jumping evaluation topdown_jump (Algorithm B.1).
+//
+// The rest of §3 serves no query, so it lives beside the tests that
+// reproduce it, in this package's _test.go files: the bottom-up runs
+// (Algorithm B.2, Lemma 3.2) and bottom-up minimization, the
+// nondeterministic reference semantics every run is tested against, and
+// the paper's example automata.
 package sta
 
 import (
@@ -48,13 +52,12 @@ type STA struct {
 	// Trans is δ.
 	Trans []Transition
 
-	byFrom  [][]int32
-	inTop   []bool
-	inBot   []bool
-	selOf   []labels.Set // per-state selecting labels, derived from Trans
-	jump    []JumpInfo   // per-state AnalyzeState, for EvalTopDownJump
-	alpha   []tree.LabelID
-	isFinal bool
+	byFrom [][]int32
+	inTop  []bool
+	inBot  []bool
+	selOf  []labels.Set // per-state selecting labels, derived from Trans
+	jump   []JumpInfo   // per-state AnalyzeState, for EvalTopDownJump
+	alpha  []tree.LabelID
 }
 
 // Finalize builds lookup structures, the jump analysis of every state
@@ -86,7 +89,6 @@ func (a *STA) Finalize() *STA {
 		a.jump[q] = a.AnalyzeState(State(q))
 	}
 	a.alpha = a.mentionedLabels()
-	a.isFinal = true
 	return a
 }
 
@@ -150,9 +152,6 @@ func (a *STA) EffectiveAlphabet() []tree.LabelID {
 	return append(out, fresh)
 }
 
-// SelectingLabels returns the labels l with (q, l) ∈ S.
-func (a *STA) SelectingLabels(q State) labels.Set { return a.selOf[q] }
-
 // IsSelecting reports whether (q, l) is a selecting configuration.
 func (a *STA) IsSelecting(q State, l tree.LabelID) bool {
 	return a.selOf[q].Contains(l)
@@ -160,20 +159,6 @@ func (a *STA) IsSelecting(q State, l tree.LabelID) bool {
 
 // IsMarking reports whether state q selects on any label.
 func (a *STA) IsMarking(q State) bool { return !a.selOf[q].IsEmpty() }
-
-// TransOf returns the indices into Trans of q's transitions.
-func (a *STA) TransOf(q State) []int32 { return a.byFrom[q] }
-
-// Dest returns δ(q, l): all destination pairs reachable from q reading l.
-func (a *STA) Dest(q State, l tree.LabelID) []Pair {
-	var out []Pair
-	for _, ti := range a.byFrom[q] {
-		if a.Trans[ti].Guard.Contains(l) {
-			out = append(out, a.Trans[ti].Dest)
-		}
-	}
-	return out
-}
 
 // DestDet returns the unique destination pair of a deterministic
 // automaton, or ok=false if there is none (the automaton is then not
@@ -185,29 +170,6 @@ func (a *STA) DestDet(q State, l tree.LabelID) (Pair, bool) {
 		}
 	}
 	return Pair{}, false
-}
-
-// Sources returns δ(q1, q2, l): all states q with a transition
-// q, L -> (q1, q2) and l ∈ L.
-func (a *STA) Sources(q1, q2 State, l tree.LabelID) []State {
-	var out []State
-	for _, t := range a.Trans {
-		if t.Dest.Left == q1 && t.Dest.Right == q2 && t.Guard.Contains(l) {
-			out = append(out, t.From)
-		}
-	}
-	return out
-}
-
-// SourceDet returns the unique source state of a bottom-up deterministic
-// automaton for (q1, q2, l), or ok=false.
-func (a *STA) SourceDet(q1, q2 State, l tree.LabelID) (State, bool) {
-	for _, t := range a.Trans {
-		if t.Dest.Left == q1 && t.Dest.Right == q2 && t.Guard.Contains(l) {
-			return t.From, true
-		}
-	}
-	return NoState, false
 }
 
 // IsTopDownDeterministic reports whether |T| == 1 and δ(q, l) has at most
@@ -240,43 +202,6 @@ func (a *STA) IsTopDownComplete() bool {
 		}
 		if !cover.IsAny() {
 			return false
-		}
-	}
-	return true
-}
-
-// IsBottomUpDeterministic reports whether |B| == 1 and δ(q1, q2, l) has at
-// most one element for all q1, q2, l.
-func (a *STA) IsBottomUpDeterministic() bool {
-	if len(a.Bottom) != 1 {
-		return false
-	}
-	for i := 0; i < len(a.Trans); i++ {
-		for j := i + 1; j < len(a.Trans); j++ {
-			ti, tj := a.Trans[i], a.Trans[j]
-			if ti.Dest == tj.Dest && ti.From != tj.From && ti.Guard.Overlaps(tj.Guard) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// IsBottomUpComplete reports whether δ(q1, q2, l) is non-empty for every
-// pair of states and every label of the effective alphabet.
-func (a *STA) IsBottomUpComplete() bool {
-	alpha := a.EffectiveAlphabet()
-	for q1 := State(0); int(q1) < a.NumStates; q1++ {
-		for q2 := State(0); int(q2) < a.NumStates; q2++ {
-			for _, l := range alpha {
-				if _, ok := a.SourceDet(q1, q2, l); !ok {
-					// Non-deterministic automata may have several
-					// sources; any is fine for completeness.
-					if len(a.Sources(q1, q2, l)) == 0 {
-						return false
-					}
-				}
-			}
 		}
 	}
 	return true
@@ -332,26 +257,6 @@ func (a *STA) Reachable(roots []State) []bool {
 		}
 	}
 	return seen
-}
-
-// Restrict returns A[q1..qn] (Definition A.2): the automaton with T
-// replaced by the given states and everything unreachable dropped.
-// State numbering is preserved (unreachable states keep their ids but
-// lose transitions), which keeps comparisons simple.
-func (a *STA) Restrict(roots ...State) *STA {
-	seen := a.Reachable(roots)
-	out := &STA{NumStates: a.NumStates, Top: append([]State(nil), roots...)}
-	for _, q := range a.Bottom {
-		if seen[q] {
-			out.Bottom = append(out.Bottom, q)
-		}
-	}
-	for _, t := range a.Trans {
-		if seen[t.From] {
-			out.Trans = append(out.Trans, t)
-		}
-	}
-	return out.Finalize()
 }
 
 // String renders the automaton for debugging; lt may be nil.

@@ -75,7 +75,7 @@ func sameNodes(a, b []tree.NodeID) bool {
 func TestDescADescBTopDownDet(t *testing.T) {
 	d := abcDoc(1, 200)
 	a, b := abIDs(d)
-	aut := ExampleDescADescB(a, b)
+	aut := exampleDescADescB(a, b)
 	if !aut.IsTopDownDeterministic() {
 		t.Fatal("A_//a//b should be top-down deterministic")
 	}
@@ -103,7 +103,7 @@ func TestDetAgreesWithReference(t *testing.T) {
 	f := func(seed int64) bool {
 		d := abcDoc(seed, 150)
 		a, b := abIDs(d)
-		aut := ExampleDescADescB(a, b)
+		aut := exampleDescADescB(a, b)
 		det := aut.EvalTopDownDet(d)
 		ref := aut.Eval(d)
 		return det.Accepted == ref.Accepted && sameNodes(det.Selected, ref.Selected)
@@ -115,7 +115,7 @@ func TestDetAgreesWithReference(t *testing.T) {
 
 func TestRootARecognizer(t *testing.T) {
 	d := abcDoc(3, 80)
-	aut := ExampleRootA(tree.LabelDoc)
+	aut := exampleRootA(tree.LabelDoc)
 	if !aut.Accepts(d) {
 		t.Error("recognizer for root=#doc should accept any built document")
 	}
@@ -124,7 +124,7 @@ func TestRootARecognizer(t *testing.T) {
 		t.Errorf("recognizer selected %v", res.Selected)
 	}
 	aID, _ := d.Names().Lookup("a")
-	rej := ExampleRootA(aID)
+	rej := exampleRootA(aID)
 	if rej.Accepts(d) {
 		t.Error("recognizer for root=a should reject a #doc-rooted document")
 	}
@@ -134,7 +134,7 @@ func TestRootARecognizer(t *testing.T) {
 }
 
 func TestUniversalAndSinkDetection(t *testing.T) {
-	aut := ExampleRootA(tree.LabelDoc)
+	aut := exampleRootA(tree.LabelDoc)
 	if !aut.IsTopDownUniversal(1) {
 		t.Error("q⊤ not detected as universal")
 	}
@@ -190,7 +190,7 @@ func TestMinimizeTopDown(t *testing.T) {
 	if !Equivalent(bloated, min, docs) {
 		t.Error("minimized automaton not equivalent to original")
 	}
-	if !Equivalent(min, ExampleDescADescB(a, b), docs) {
+	if !Equivalent(min, exampleDescADescB(a, b), docs) {
 		t.Error("minimized automaton differs from the canonical A_//a//b")
 	}
 	// Idempotence.
@@ -235,46 +235,13 @@ func TestMinimalHasAtMostOneSinkAndUniversal(t *testing.T) {
 	}
 }
 
-func TestMakeTopDownComplete(t *testing.T) {
-	lt := tree.NewLabelTable()
-	a := lt.Intern("a")
-	partial := (&STA{
-		NumStates: 1,
-		Top:       []State{0},
-		Bottom:    []State{0},
-		Trans: []Transition{
-			{From: 0, Guard: labels.Of(a), Dest: Pair{0, 0}},
-		},
-	}).Finalize()
-	if partial.IsTopDownComplete() {
-		t.Fatal("partial automaton should not be complete")
-	}
-	full := partial.MakeTopDownComplete()
-	if !full.IsTopDownComplete() {
-		t.Fatal("completion failed")
-	}
-	if full.NumStates != 2 {
-		t.Errorf("expected one added sink, got %d states", full.NumStates)
-	}
-	// Completing an already complete automaton is the identity.
-	if again := full.MakeTopDownComplete(); again != full {
-		t.Errorf("completing a complete automaton should return it unchanged")
-	}
-	// a-chains accepted, anything else rejected.
-	aChain := tgen.Chain("a", 5)
-	if full.EvalTopDownDet(aChain).Accepted {
-		// Chain includes the #doc root whose label is not a; reject.
-		t.Log("note: #doc root rejects as expected")
-	}
-}
-
 // Theorem 3.1: topdown_jump computes exactly the states of the full run
 // at exactly the top-down relevant nodes.
 func TestTopDownJumpTheorem(t *testing.T) {
 	f := func(seed int64) bool {
 		d := abcDoc(seed, 200)
 		a, b := abIDs(d)
-		aut := ExampleDescADescB(a, b) // already minimal
+		aut := exampleDescADescB(a, b) // already minimal
 		ix := index.New(d)
 		full := aut.EvalTopDownDet(d)
 		run := make(Run, d.NumNodes())
@@ -312,7 +279,7 @@ func TestTopDownJumpTheorem(t *testing.T) {
 func TestJumpVisitsOnlyRelevantForRootRecognizer(t *testing.T) {
 	d := abcDoc(5, 300)
 	ix := index.New(d)
-	aut := ExampleRootA(tree.LabelDoc)
+	aut := exampleRootA(tree.LabelDoc)
 	res := aut.EvalTopDownJump(d, ix.NewCursors(), nil)
 	if !res.Accepted {
 		t.Fatal("should accept")
@@ -345,7 +312,7 @@ func TestJumpVisitCountsOnChain(t *testing.T) {
 	d := b.MustFinish()
 	aID, _ := d.Names().Lookup("a")
 	bID, _ := d.Names().Lookup("b")
-	aut := ExampleDescADescB(aID, bID)
+	aut := exampleDescADescB(aID, bID)
 	ix := index.New(d)
 	res := aut.EvalTopDownJump(d, ix.NewCursors(), nil)
 	if !res.Accepted || len(res.Selected) != 1 {
@@ -359,7 +326,7 @@ func TestJumpVisitCountsOnChain(t *testing.T) {
 func TestAnalyzeStateKinds(t *testing.T) {
 	lt := tree.NewLabelTable()
 	a, b := lt.Intern("a"), lt.Intern("b")
-	aut := ExampleDescADescB(a, b)
+	aut := exampleDescADescB(a, b)
 	ji := aut.AnalyzeState(0)
 	if ji.Kind != JumpTopMost {
 		t.Errorf("q0 kind = %v, want JumpTopMost", ji.Kind)
@@ -374,7 +341,7 @@ func TestAnalyzeStateKinds(t *testing.T) {
 	if ids, _ := ji.Essential.Finite(); len(ids) != 1 || ids[0] != b {
 		t.Errorf("q1 essential = %v, want {b} (selection makes b essential)", ji.Essential.String(lt))
 	}
-	rec := ExampleRootA(a)
+	rec := exampleRootA(a)
 	if rec.AnalyzeState(2).Kind != JumpFail {
 		t.Errorf("sink should analyze as JumpFail")
 	}
@@ -386,7 +353,7 @@ func TestBottomUpDetSelectsAWithDescB(t *testing.T) {
 	f := func(seed int64) bool {
 		d := abcDoc(seed, 150)
 		a, b := abIDs(d)
-		aut := ExampleAWithDescB(a, b)
+		aut := exampleAWithDescB(a, b)
 		if !aut.IsBottomUpDeterministic() {
 			return false
 		}
@@ -405,7 +372,7 @@ func TestLeafReductionMatchesSweep(t *testing.T) {
 	f := func(seed int64) bool {
 		d := abcDoc(seed, 120)
 		a, b := abIDs(d)
-		aut := ExampleAWithDescB(a, b)
+		aut := exampleAWithDescB(a, b)
 		sweep := aut.EvalBottomUpDet(d)
 		run, accepted := aut.LeafReduction(d)
 		if accepted != sweep.Accepted {
@@ -427,7 +394,7 @@ func TestBottomUpJumpMatchesFull(t *testing.T) {
 	f := func(seed int64) bool {
 		d := abcDoc(seed, 200)
 		a, b := abIDs(d)
-		aut := ExampleAWithDescB(a, b)
+		aut := exampleAWithDescB(a, b)
 		ix := index.New(d)
 		full := aut.EvalBottomUpDet(d)
 		jump := aut.EvalBottomUpJump(d, ix.NewCursors())
@@ -464,7 +431,7 @@ func TestBottomUpJumpSkipsDeadRegions(t *testing.T) {
 	bld.Close()
 	d := bld.MustFinish()
 	a, b := abIDs(d)
-	aut := ExampleAWithDescB(a, b)
+	aut := exampleAWithDescB(a, b)
 	ix := index.New(d)
 	res := aut.EvalBottomUpJump(d, ix.NewCursors())
 	if !res.Accepted || len(res.Selected) != 1 {
@@ -481,7 +448,7 @@ func TestBottomUpJumpSkipsDeadRegions(t *testing.T) {
 func TestRelevantBottomUpIncludesSelected(t *testing.T) {
 	d := abcDoc(9, 150)
 	a, b := abIDs(d)
-	aut := ExampleAWithDescB(a, b)
+	aut := exampleAWithDescB(a, b)
 	res := aut.EvalBottomUpDet(d)
 	rel := aut.RelevantBottomUp(d, res.Run)
 	relSet := make(map[tree.NodeID]bool, len(rel))
@@ -501,7 +468,7 @@ func TestRelevantBottomUpIncludesSelected(t *testing.T) {
 func TestMinimizeBottomUp(t *testing.T) {
 	lt := tree.NewLabelTable()
 	a, b := lt.Intern("a"), lt.Intern("b")
-	aut := ExampleAWithDescB(a, b)
+	aut := exampleAWithDescB(a, b)
 	min := aut.MinimizeBottomUp()
 	if min.NumStates != 3 {
 		t.Fatalf("minimal BDSTA has %d states, want 3:\n%s", min.NumStates, min.String(lt))
@@ -518,27 +485,18 @@ func TestMinimizeBottomUp(t *testing.T) {
 func TestRestrictAndReachable(t *testing.T) {
 	lt := tree.NewLabelTable()
 	a, b := lt.Intern("a"), lt.Intern("b")
-	aut := ExampleDescADescB(a, b)
+	aut := exampleDescADescB(a, b)
 	// From q1, only q1 is reachable.
-	sub := aut.Restrict(1)
 	seen := aut.Reachable([]State{1})
 	if seen[0] {
 		t.Error("q0 should not be reachable from q1")
-	}
-	if len(sub.Top) != 1 || sub.Top[0] != 1 {
-		t.Errorf("Restrict top = %v", sub.Top)
-	}
-	for _, tr := range sub.Trans {
-		if tr.From == 0 {
-			t.Error("Restrict kept transition of unreachable state")
-		}
 	}
 }
 
 func TestStringRendering(t *testing.T) {
 	lt := tree.NewLabelTable()
 	a, b := lt.Intern("a"), lt.Intern("b")
-	s := ExampleDescADescB(a, b).String(lt)
+	s := exampleDescADescB(a, b).String(lt)
 	if len(s) == 0 {
 		t.Error("empty rendering")
 	}
@@ -547,7 +505,7 @@ func TestStringRendering(t *testing.T) {
 func TestEffectiveAlphabet(t *testing.T) {
 	lt := tree.NewLabelTable()
 	a, b := lt.Intern("a"), lt.Intern("b")
-	aut := ExampleDescADescB(a, b)
+	aut := exampleDescADescB(a, b)
 	alpha := aut.EffectiveAlphabet()
 	if len(alpha) != 3 { // a, b, fresh
 		t.Errorf("effective alphabet = %v, want 3 labels", alpha)
@@ -565,7 +523,7 @@ func TestEffectiveAlphabet(t *testing.T) {
 func BenchmarkEvalTopDownDet(b *testing.B) {
 	d := abcDoc(1, 50000)
 	a, bb := abIDs(d)
-	aut := ExampleDescADescB(a, bb)
+	aut := exampleDescADescB(a, bb)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = aut.EvalTopDownDet(d)
@@ -575,7 +533,7 @@ func BenchmarkEvalTopDownDet(b *testing.B) {
 func BenchmarkEvalTopDownJump(b *testing.B) {
 	d := abcDoc(1, 50000)
 	a, bb := abIDs(d)
-	aut := ExampleDescADescB(a, bb)
+	aut := exampleDescADescB(a, bb)
 	cur := index.New(d).NewCursors()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
