@@ -192,8 +192,6 @@ type ASTA struct {
 	Trans     []Transition
 
 	byFrom [][]int32
-	// selOf[q] is the union of guards of q's selecting transitions.
-	selOf []labels.Set
 	// marking[q]: q's sub-automaton can mark nodes (q reaches a
 	// selecting transition); used by information propagation to decide
 	// which satisfied disjuncts may still carry results.
@@ -207,18 +205,11 @@ func (a *ASTA) Finalize() (*ASTA, error) {
 		return nil, fmt.Errorf("asta: %d states exceeds the maximum of %d", a.NumStates, MaxStates)
 	}
 	a.byFrom = make([][]int32, a.NumStates)
-	a.selOf = make([]labels.Set, a.NumStates)
-	for i := range a.selOf {
-		a.selOf[i] = labels.None
-	}
 	for i := range a.Trans {
 		t := &a.Trans[i]
 		t.down1, t.down2 = 0, 0
 		t.Phi.downs(&t.down1, &t.down2)
 		a.byFrom[t.From] = append(a.byFrom[t.From], int32(i))
-		if t.Selecting {
-			a.selOf[t.From] = a.selOf[t.From].Union(t.Guard)
-		}
 	}
 	a.marking = a.computeMarking()
 	return a, nil
@@ -259,9 +250,9 @@ func (a *ASTA) computeMarking() StateSet {
 
 // SizeBytes estimates the resident size of the compiled automaton:
 // transitions with their guard sets and formula trees, plus the lookup
-// structures built by Finalize. The byte-weighted compiled-query LRU
-// weighs cache entries with it, so the estimate only needs to be
-// proportionally honest, not exact.
+// structures built by Finalize. The compiled-query cache sums it into
+// the resident bytes /stats reports (it evicts by count, not by bytes),
+// so the estimate only needs to be proportionally honest, not exact.
 func (a *ASTA) SizeBytes() int64 {
 	const (
 		formulaNode = 40 // Kind + two pointers + Child + Q, padded
@@ -277,9 +268,6 @@ func (a *ASTA) SizeBytes() int64 {
 	}
 	for _, row := range a.byFrom {
 		b += 24 + 4*int64(len(row))
-	}
-	for _, s := range a.selOf {
-		b += s.SizeBytes()
 	}
 	return b
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // fuzzFanout is how many children the fuzzed document's element has:
-// enough that it and the root are wide and its last few thousand
-// children are far from it.
+// enough that it and the root are wide, all but its first 254 children
+// are far from it, and the ranks cross a chunk line of the sequences.
 const fuzzFanout = 70000
 
 // fuzzRareNames is how many of the fuzzed document's leaves have a name
@@ -58,7 +58,7 @@ var fuzzSections = []struct {
 	kind uint32
 	word int
 }{
-	{tree.SecUp, 2}, {tree.SecSize, 1}, {tree.SecLabels, 1}, {tree.SecTextNodes, 2}, {tree.SecTextOff, 2}, {tree.SecWide, 4},
+	{tree.SecUp, 1}, {tree.SecSize, 1}, {tree.SecLabels, 1}, {tree.SecTextNodes, 2}, {tree.SecTextOff, 2}, {tree.SecWide, 4},
 	{tree.SecTextDir, 4}, {tree.SecTextOffDir, 4}, {index.SecOccAll, 2}, {index.SecOccOff, 4},
 	{tree.SecRare, 2}, {tree.SecRareDir, 4}, {tree.SecRareIDs, 2},
 }
@@ -79,16 +79,16 @@ func FuzzNavigateVerified(f *testing.F) {
 		e = binary.LittleEndian.AppendUint32(e, word)
 		return binary.LittleEndian.AppendUint32(e, value)
 	}
-	const n, far, big = fuzzFanout + 2 + fuzzFanout/5000, 0xFFFF, 0xFF // nodes; the escapes of up and of size and labels
-	const texts = fuzzFanout / 5000                                    // all of them below rank 65 536
-	const names = 4 + fuzzRareNames                                    // #doc, #text, fan, leaf and the named leaves
-	const rares = names - big                                          // the first of them node 50 313, a leaf's rank being 2 + i + ⌈i/5000⌉
+	const n, big = fuzzFanout + 2 + fuzzFanout/5000, 0xFF // nodes; the escape of up, size and labels
+	const texts = fuzzFanout / 5000                       // all of them below rank 65 536
+	const names = 4 + fuzzRareNames                       // #doc, #text, fan, leaf and the named leaves
+	const rares = names - big                             // the first of them node 50 313, a leaf's rank being 2 + i + ⌈i/5000⌉
 	f.Add([]byte{})
 	f.Add(edit(0, 9, 0))                           // up = 0 off the root: a node its own parent
 	f.Add(edit(0, 9, 2))                           // a parent that is not the enclosing node
 	f.Add(edit(0, 9, 12))                          // a parent before the root
 	f.Add(edit(0, 0, 0))                           // root its own parent
-	f.Add(edit(0, 9, far))                         // a near parent stored as an escape
+	f.Add(edit(0, 9, big))                         // a near parent stored as an escape
 	f.Add(edit(0, n-1, 1))                         // a far parent stored as a distance
 	f.Add(edit(1, 3, 200))                         // interval past the parent's end
 	f.Add(edit(1, 0, 10))                          // root interval short, its entry orphaned
@@ -126,8 +126,9 @@ func FuzzNavigateVerified(f *testing.F) {
 	f.Add(edit(9, 3, 2))                           // an entry in the #text row, which is the document's to keep
 	f.Add(edit(9, 2*names, n))                     // the closing entry past the halves
 	f.Add(edit(8, 5, 3))                           // halves out of order inside a chunk
-	f.Add(edit(8, n-texts-1, far))                 // a rank past n in the last chunk
+	f.Add(edit(8, n-texts-1, 0xFFFF))              // a rank past n in the last chunk
 	f.Add(edit(8, 1, 2))                           // an occurrence filed under the wrong label
+	f.Add(edit(0, 0, big))                         // an up escape under no wide span, the root's: Parent answers Nil
 	f.Fuzz(func(t *testing.T, edits []byte) {
 		data := bytes.Clone(fuzzContainer())
 		for ; len(edits) >= 9; edits = edits[9:] {

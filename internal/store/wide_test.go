@@ -14,13 +14,14 @@ import (
 	"repro/internal/tree"
 )
 
-// TestWideDocumentsMappedAndQueried: the fan of 70 000 leaves (far
-// parents, two wide nodes) and the chain 70 000 deep (69 746 wide nodes,
-// each inside the one before, no far parent), added to a store and opened from a mapped file with
-// verification on. The mapped document makes every move the built one
-// makes — internal/tree holds the built one to its reference builder —
-// and on both, every strategy answers //*, a child chain and a predicate
-// query as stepwise does.
+// TestWideDocumentsMappedAndQueried: the fan of 70 000 leaves (69 746
+// far from their parent, two wide nodes) and the chain 70 000 deep
+// (69 746 wide nodes, each inside the one before, no far parent), added
+// to a store and opened from a mapped file with verification on. The
+// mapped document makes every move the built one makes — internal/tree
+// holds the built one to its reference builder — and on both, every
+// strategy answers //*, a child chain and a predicate query as stepwise
+// does.
 func TestWideDocumentsMappedAndQueried(t *testing.T) {
 	for name, tc := range map[string]struct {
 		doc     *tree.Document

@@ -123,7 +123,7 @@ var malformed = map[string]struct {
 }{
 	"bad magic":        {func(b []byte) { copy(b[0:4], "YYYY") }, "bad magic"},
 	"bad version":      {func(b []byte) { b[4] = 99 }, resave},
-	"previous version": {func(b []byte) { b[4] = 7 }, resave},
+	"previous version": {func(b []byte) { b[4] = 8 }, resave},
 	"corrupt payload": {func(b []byte) {
 		// First payload starts at the 64-byte-aligned end of the
 		// section table (header 24 bytes + count entries of 24).
@@ -402,7 +402,7 @@ func TestXQO2VerifyStructure(t *testing.T) {
 	mutants := map[string]func([]byte){
 		"parent before the root": func(b []byte) {
 			rewriteSection(t, b, tree.SecUp, func(p []byte) {
-				binary.LittleEndian.PutUint16(p[2*1:], 9)
+				p[1] = 9
 			})
 		},
 		"subtree past the document's end": func(b []byte) {
@@ -414,7 +414,7 @@ func TestXQO2VerifyStructure(t *testing.T) {
 		// through node 5 (hybrid's upward match, Path) would never end.
 		"node its own parent": func(b []byte) {
 			rewriteSection(t, b, tree.SecUp, func(p []byte) {
-				binary.LittleEndian.PutUint16(p[2*5:], 0)
+				p[5] = 0
 			})
 		},
 		// The first child of the first node with a short subtree claims as
@@ -598,13 +598,12 @@ func TestXQO2WideTable(t *testing.T) {
 			func(d *tree.Document) bool { return d.LastDesc(5) == 5 && d.FirstChild(5) == 6 }},
 		"an entry with no escape": {word(tree.SecSize, 1, 1, 7),
 			func(d *tree.Document) bool { return d.LastDesc(1) == 8 && d.Parent(last) == 1 }},
-		"a near parent stored as an escape": {word(tree.SecUp, 2, 9, 0xFFFF),
+		"a near parent stored as an escape": {word(tree.SecUp, 1, 9, 0xFF),
 			func(d *tree.Document) bool { return d.Parent(9) == 1 }},
-		"a far parent stored as a distance": {word(tree.SecUp, 2, int(last), 1),
+		"a far parent stored as a distance": {word(tree.SecUp, 1, int(last), 1),
 			func(d *tree.Document) bool { return d.Parent(last) == last-1 }},
-		"an escape under no wide node": {func(b []byte) {
-			word(tree.SecUp, 2, 0, 0xFFFF)(b)
-		}, func(d *tree.Document) bool { return d.Parent(0) == tree.Nil }},
+		"an escape under no wide node": {word(tree.SecUp, 1, 0, 0xFF),
+			func(d *tree.Document) bool { return d.Parent(0) == tree.Nil }},
 		"a label escape with no entry": {word(tree.SecLabels, 1, 9, 0xFF),
 			func(d *tree.Document) bool { return d.Label(9) == tree.LabelDoc && d.Text(9) == "" }},
 		"a rare entry with no escape": {word(tree.SecLabels, 1, firstRare, 3),

@@ -8,8 +8,8 @@ import (
 // SpareCapacity reports how many bytes d's arrays and text blob hold
 // beyond their lengths.
 func (d *Document) SpareCapacity() int {
-	return cap(d.labels) - len(d.labels) + cap(d.size) - len(d.size) +
-		2*(cap(d.up)-len(d.up)+cap(d.rareIDs)-len(d.rareIDs)) +
+	return cap(d.labels) - len(d.labels) + cap(d.up) - len(d.up) + cap(d.size) - len(d.size) +
+		2*(cap(d.rareIDs)-len(d.rareIDs)) +
 		12*(cap(d.wide)-len(d.wide)) +
 		d.rare.spare() + d.textNodes.spare() + d.textOff.spare() +
 		cap(d.textBlob) - len(d.textBlob)
@@ -19,12 +19,9 @@ func (s Seq) spare() int {
 	return 2*(cap(s.Lo)-len(s.Lo)) + 4*(cap(s.Start)-len(s.Start))
 }
 
-// Far is the distance from which up holds an escape, Big the length from
-// which size does.
-const (
-	Far = far
-	Big = big
-)
+// Big is the distance from which up holds an escape, and the length
+// from which size does.
+const Big = big
 
 // WideParentHops answers Parent(v) from the wide table, whatever up
 // holds, and reports how many entries the lookup climbed over after its
@@ -50,7 +47,7 @@ func (d *Document) WideNodes() []NodeID {
 func (d *Document) FarParents() int {
 	far := 0
 	for _, u := range d.up {
-		if u == Far {
+		if u == Big {
 			far++
 		}
 	}

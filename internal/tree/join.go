@@ -26,7 +26,7 @@ type Piece struct {
 	names *LabelTable // the piece's label ids, in order of first occurrence
 
 	labels []uint16 // per node, by its rank in the piece
-	up     []uint16
+	up     []uint8
 	size   []uint8
 	n      NodeID // nodes written
 	wide   []span // the subtrees closed in the piece that span big ranks or more
@@ -53,7 +53,7 @@ func NewPiece(names *LabelTable, nodes, texts, blob int) *Piece {
 	return &Piece{
 		names:   names,
 		labels:  make([]uint16, nodes),
-		up:      make([]uint16, nodes),
+		up:      make([]uint8, nodes),
 		size:    make([]uint8, nodes),
 		texts:   make([]uint32, texts),
 		textOff: make([]uint32, texts),
@@ -125,7 +125,7 @@ func (p *Piece) Close() {
 	if last-u >= big {
 		p.wide = append(p.wide, span{node: u, last: last})
 	}
-	p.size[u] = uint8(min(last-u, big))
+	p.size[u] = narrow(last - u)
 	p.open = p.open[:top]
 }
 
@@ -188,7 +188,7 @@ func Join(pieces []*Piece) (*Document, error) {
 	n := int(end.node)
 	d := &Document{
 		labels:    make([]uint8, n),
-		up:        make([]uint16, n),
+		up:        make([]uint8, n),
 		size:      make([]uint8, n),
 		textNodes: Seq{Lo: make([]uint16, end.text), Start: make([]uint32, Chunks(n)+1)},
 		textOff:   Seq{Lo: make([]uint16, end.text+1), Start: make([]uint32, Chunks(end.blob+1)+1)},

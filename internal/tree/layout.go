@@ -56,8 +56,10 @@ import (
 // the entry around it. Version 8 drops the balanced-parentheses view
 // (kinds 12–15), which no evaluator, index or service path reads, and
 // its two scalars from the meta section (1), which shrinks from four
-// words to two. A file of another version is refused with the command
-// that re-saves it.
+// words to two. Version 9 stores up (kind 17) in one byte a node where it
+// took two, its escape 0xFF where it was 0xFFFF; the wide table (19)
+// holds the same entries. A file of another version is refused with the
+// command that re-saves it.
 //
 // This file owns the container plus the document's sections;
 // internal/index adds its sections in its own layout file (the index
@@ -66,7 +68,7 @@ import (
 
 const (
 	xqo2Magic      = "XQO2"
-	xqo2Version    = 8
+	xqo2Version    = 9
 	xqo2Align      = 64
 	xqo2EndianMark = 0x0102030405060708
 	xqo2HeaderLen  = 24
@@ -80,7 +82,7 @@ const (
 // view, up to version 7) are retired and stay reserved; kinds 2 and 8
 // kept their meaning and changed their shape in version 4, kinds 8 and
 // 16 again in version 6, kinds 2, 18 and 19 in version 7, kind 1 in
-// version 8.
+// version 8, kind 17 in version 9.
 const (
 	SecDocMeta    uint32 = 1  // scalars: numNodes, numNames
 	SecLabels     uint32 = 2  // []uint8, len numNodes: the LabelID, or 0xFF
@@ -89,7 +91,7 @@ const (
 	SecNameOff    uint32 = 10 // []uint32, len numNames+1
 	SecNameBlob   uint32 = 11 // raw bytes
 	SecTextNodes  uint32 = 16 // []uint16: the halves of the #text nodes' ranks, ascending — also the index's occurrence row of LabelText
-	SecUp         uint32 = 17 // []uint16, len numNodes: v - parent, or 0xFFFF
+	SecUp         uint32 = 17 // []uint8, len numNodes: v - parent, or 0xFF
 	SecSize       uint32 = 18 // []uint8, len numNodes: lastDesc - v, or 0xFF
 	SecWide       uint32 = 19 // []{node, last NodeID; outer int32}: the nodes whose size is 0xFF, ascending, each with the index of the entry around it
 	SecTextDir    uint32 = 20 // []uint32, one per 65 536 ranks and one more: where each chunk of SecTextNodes starts
@@ -374,7 +376,7 @@ func DocumentFromLayout(l *Layout) (*Document, error) {
 	if d.labels, err = layoutSlice[uint8](l, SecLabels, n); err != nil {
 		return nil, err
 	}
-	if d.up, err = layoutSlice[uint16](l, SecUp, n); err != nil {
+	if d.up, err = layoutSlice[uint8](l, SecUp, n); err != nil {
 		return nil, err
 	}
 	if d.size, err = layoutSlice[uint8](l, SecSize, n); err != nil {
@@ -586,16 +588,16 @@ func (d *Document) verifyText() error {
 // verifyTree proves that up, size and wide are the canonical encoding of
 // one preorder tree: the root's interval is the whole document, every
 // other node's parent is the innermost interval still open at its rank,
-// with its own interval inside that one, every distance under far and
-// every length under big is stored as itself and every other as far or
-// big, and wide lists exactly the nodes whose size is big, in order, with
-// their ends and the entries around them (checkWide). One pass with the
+// with its own interval inside that one, every distance and every length
+// under big is stored as itself and every other as big, and wide lists
+// exactly the nodes whose size is big, in order, with their ends and the
+// entries around them (checkWide). One pass with the
 // stack of open intervals and one cursor into wide; values are only
 // compared, never used as an index, so no content can make the check
 // itself fault. What passes is navigable: every parent is a lower rank
 // (parent walks reach the root), the intervals nest
 // (FirstChild/NextSibling visit each node once), and an up escape finds
-// its parent — the innermost open interval, which is that far away and
+// its parent — the innermost open interval, which is big ranks away and
 // therefore listed.
 func (d *Document) verifyTree() error {
 	if err := d.checkWide(); err != nil {

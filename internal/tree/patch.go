@@ -268,7 +268,7 @@ func (d *Document) splice(dl *Delta) (*Document, error) {
 	)
 	nd := &Document{
 		labels:   make([]uint8, nn),
-		up:       make([]uint16, nn),
+		up:       make([]uint8, nn),
 		size:     make([]uint8, nn),
 		textBlob: make([]byte, 0, blobLen),
 		names:    names,

@@ -445,16 +445,19 @@ func TestApplyRefusesElementAheadOfAttribute(t *testing.T) {
 }
 
 // TestPatchAcrossTheWideLine walks one child's distance to its parent
-// over 65 535 and back, by insert, delete and replace ahead of it, once
+// over 255 and back, by insert, delete and replace ahead of it, once
 // with a fragment whose own children are that far from it; after every
 // step the spliced document, and what it opens as from its sections, hold
 // the arrays Join builds for the same tree — up, size and wide element
-// for element, so no stale escape and no orphan entry survives. (The
-// line size crosses is 255: TestPatchAcrossTheSizeLine.)
+// for element, so no stale escape and no orphan entry survives. up and
+// size escape at the same line, so a parent enters wide with its first
+// child that far, and leaves it with its last (the line crossed by size
+// alone, under parents too short for any child to escape:
+// TestPatchAcrossTheSizeLine).
 func TestPatchAcrossTheWideLine(t *testing.T) {
 	// 0=#doc 1=a 2=b, k leaves under b at 3..k+2, then item at k+3: b spans
 	// k ranks, item is k+2 from a, which spans k+2, and #doc k+3.
-	const k = far - 3
+	const k = big - 3
 	b := NewBuilder()
 	b.Open("a")
 	b.Open("b")
@@ -467,14 +470,14 @@ func TestPatchAcrossTheWideLine(t *testing.T) {
 	b.Close()
 	b.Close()
 	doc := b.MustFinish()
-	big := NewBuilder()
-	big.Open("b")
-	for i := 0; i < far+100; i++ {
-		big.Open("name")
-		big.Close()
+	large := NewBuilder()
+	large.Open("b")
+	for i := 0; i < big+100; i++ {
+		large.Open("name")
+		large.Close()
 	}
-	big.Close()
-	one, two, wideFrag := docOf("c", "/"), docOf("c", "name", "/", "/"), big.MustFinish()
+	large.Close()
+	one, two, wideFrag := docOf("c", "/"), docOf("c", "name", "/", "/"), large.MustFinish()
 	const bNode = NodeID(2)
 	steps := []struct {
 		what string
@@ -482,41 +485,41 @@ func TestPatchAcrossTheWideLine(t *testing.T) {
 		wide []NodeID // the wide nodes afterwards
 		far  int      // the nodes far from their parent afterwards
 	}{
-		// b spans k = 65 532, item is 65 534 from a; #doc, a and b are wide
-		// throughout.
+		// b spans k = 252, item is 254 from a, which spans 254; only #doc is
+		// wide.
 		{"two nodes ahead of b's children", func(d *Document) Patch {
 			return Patch{Op: OpInsert, Node: bNode, Before: d.FirstChild(bNode), Frag: two}
-		}, []NodeID{0, 1, 2}, 1}, // b 65 534, item 65 536 away
+		}, []NodeID{0, 1}, 1}, // b 254, item 256 away: a wide
 		{"one more at the end of b", func(d *Document) Patch {
 			return Patch{Op: OpInsert, Node: bNode, Before: Nil, Frag: one}
-		}, []NodeID{0, 1, 2}, 2}, // b 65 535: its last child far
+		}, []NodeID{0, 1, 2}, 2}, // b 255: its last child far, b wide
 		{"a leaf of b replaced by two nodes", func(d *Document) Patch {
 			return Patch{Op: OpReplace, Node: d.LastDesc(bNode), Before: Nil, Frag: two}
-		}, []NodeID{0, 1, 2}, 2}, // b 65 536
+		}, []NodeID{0, 1, 2}, 2}, // b 256
 		{"the two nodes ahead deleted", func(d *Document) Patch {
 			return Patch{Op: OpDelete, Node: d.FirstChild(bNode), Before: Nil}
-		}, []NodeID{0, 1, 2}, 1}, // b 65 534 again
+		}, []NodeID{0, 1}, 1}, // b 254 again: its last child 253 away
 		{"b's first leaf replaced by one node", func(d *Document) Patch {
 			return Patch{Op: OpReplace, Node: d.FirstChild(bNode), Before: Nil, Frag: one}
-		}, []NodeID{0, 1, 2}, 1},
+		}, []NodeID{0, 1}, 1},
 		{"two leaves of b deleted, one by one", func(d *Document) Patch {
 			return Patch{Op: OpDelete, Node: d.FirstChild(bNode), Before: Nil}
-		}, []NodeID{0, 1, 2}, 1}, // item 65 535 away: still far
+		}, []NodeID{0, 1}, 1}, // item 255 away: still far
 		{"", func(d *Document) Patch {
 			return Patch{Op: OpDelete, Node: d.FirstChild(bNode), Before: Nil}
-		}, []NodeID{0, 1, 2}, 0}, // item 65 534 away
+		}, []NodeID{0}, 0}, // item 254 away: a no longer wide
 		{"b replaced by a wide fragment", func(d *Document) Patch {
 			return Patch{Op: OpReplace, Node: bNode, Before: Nil, Frag: wideFrag}
 		}, []NodeID{0, 1, 2}, 100 + 1 + 1}, // the fragment's last 101 leaves, and item
 		{"a wide fragment inserted ahead of it", func(d *Document) Patch {
 			return Patch{Op: OpInsert, Node: 1, Before: bNode, Frag: wideFrag}
-		}, []NodeID{0, 1, 2, 2 + far + 101}, 2*101 + 1 + 1}, // the second b is far from a too
+		}, []NodeID{0, 1, 2, 2 + big + 101}, 2*101 + 1 + 1}, // the second b is far from a too
 		{"a wide fragment under item", func(d *Document) Patch {
 			return Patch{Op: OpInsert, Node: d.LastDesc(1), Before: Nil, Frag: wideFrag}
-		}, []NodeID{0, 1, 2, 2 + far + 101, 2 + 2*(far+101), 3 + 2*(far+101)}, 3*101 + 1 + 1}, // item enters wide after two entries that are no ancestors
+		}, []NodeID{0, 1, 2, 2 + big + 101, 2 + 2*(big+101), 3 + 2*(big+101)}, 3*101 + 1 + 1}, // item enters wide after two entries that are no ancestors
 		{"and deleted", func(d *Document) Patch {
-			return Patch{Op: OpDelete, Node: 3 + 2*(far+101), Before: Nil}
-		}, []NodeID{0, 1, 2, 2 + far + 101}, 2*101 + 1 + 1},
+			return Patch{Op: OpDelete, Node: 3 + 2*(big+101), Before: Nil}
+		}, []NodeID{0, 1, 2, 2 + big + 101}, 2*101 + 1 + 1},
 		{"the first deleted", func(d *Document) Patch {
 			return Patch{Op: OpDelete, Node: bNode, Before: Nil}
 		}, []NodeID{0, 1, 2}, 100 + 1 + 1},

@@ -11,8 +11,7 @@
 // interval is longer than itself, its next sibling is the rank after its
 // interval if that still lies in the parent's, and its binary subtree
 // ends where its parent's interval does. Both numbers are small for
-// almost every node: the length is stored in 8 bits, the distance in 16
-// (see Document).
+// almost every node, and each is stored in 8 bits (see Document).
 //
 // Node 0 is always a synthetic document root labeled "#doc" whose single
 // element child is the document element; this mirrors the XPath data model
@@ -24,7 +23,6 @@ package tree
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"unsafe"
@@ -139,23 +137,21 @@ func (lt *LabelTable) Names() []string {
 
 // Document is an immutable XML document tree.
 //
-// Topology is stored relative and narrow: Parent(v) = v - up[v] in 16
-// bits and LastDesc(v) = v + size[v] in 8. A value that does not fit is
-// stored as the array's largest — far (65 535) in up, big (255) in size —
-// which means "look in wide": the table, sorted by rank, of exactly the
-// nodes whose subtree spans big ranks or more, each with its true last
-// descendant and the index of the entry around it. One table serves both
-// arrays. A size escape finds its own entry by binary search. An up
-// escape is answered by the innermost wide span strictly containing v — a
-// parent that far away necessarily has a subtree that large — found from
-// the entry before v's place in the table by climbing outer, so no
-// per-node exception is stored. A depth level holds at most n/255
-// disjoint subtrees that large, so the table has at most n/255 × depth
-// entries (fourteen on a million-node XMark document; a chain n deep
-// makes every node but its last 255 wide). The two widths differ because
-// the two distributions do: a subtree of 255 nodes is rare, a 255th child
-// is not (see DESIGN.md). The root has up = 1, so the subtraction itself
-// yields Nil.
+// Topology is stored relative and narrow, a byte a node each:
+// Parent(v) = v - up[v] and LastDesc(v) = v + size[v]. A value that does
+// not fit is stored as the byte's largest, big (255), which means "look
+// in wide": the table, sorted by rank, of exactly the nodes whose subtree
+// spans big ranks or more, each with its true last descendant and the
+// index of the entry around it. One table serves both arrays. A size
+// escape finds its own entry by binary search. An up escape is answered
+// by the innermost wide span strictly containing v — a parent big ranks
+// away necessarily has a subtree that large — found from the entry
+// before v's place in the table by climbing outer, so no per-node
+// exception is stored. A depth level holds at most n/255 disjoint
+// subtrees that large, so the table has at most n/255 × depth entries
+// (fourteen on a million-node XMark document; a chain n deep makes every
+// node but its last 255 wide). The root has up = 1, so the subtraction
+// itself yields Nil.
 //
 // A node's label is its LabelID in 8 bits, and RareLabel (255) for every
 // id that large or larger, which means "look in rare": the ranks of those
@@ -172,7 +168,7 @@ func (lt *LabelTable) Names() []string {
 // (TextNodes).
 type Document struct {
 	labels    []uint8  // per preorder rank: the node's LabelID, or RareLabel
-	up        []uint16 // v - Parent(v), or far
+	up        []uint8  // v - Parent(v), or big
 	size      []uint8  // LastDesc(v) - v, or big
 	wide      []span   // the nodes whose size is big, ascending
 	rare      Seq      // the nodes whose label is RareLabel, ascending
@@ -187,18 +183,17 @@ type Document struct {
 	mapping any
 }
 
-// far, big and RareLabel are the values of up, size and labels that stand
-// for themselves and for everything larger: the answer is in wide, or in
-// rare. RareLabel is exported for the jumping index, which reads the
-// label bytes as they lie (Labels, Rare).
+// big and RareLabel are the values of up and size, and of labels, that
+// stand for themselves and for everything larger: the answer is in wide,
+// or in rare. RareLabel is exported for the jumping index, which reads
+// the label bytes as they lie (Labels, Rare).
 const (
-	far       = 0xFFFF
 	big       = 0xFF
 	RareLabel = 0xFF
 )
 
-// narrow is a distance as up stores it.
-func narrow(dist NodeID) uint16 { return uint16(min(dist, far)) }
+// narrow is a distance or a length as up and size store it.
+func narrow(dist NodeID) uint8 { return uint8(min(dist, big)) }
 
 // span is one entry of wide: a node, the last node of its subtree, at
 // least big ranks later, and the index in wide of the innermost entry
@@ -326,7 +321,7 @@ func (d *Document) Names() *LabelTable { return d.names }
 // LastDesc's are kept within the compiler's inlining budget, the escapes
 // out of line (CI checks that both still inline).
 func (d *Document) Parent(v NodeID) NodeID {
-	if u := d.up[v]; u != far {
+	if u := d.up[v]; u != big {
 		return v - NodeID(u)
 	}
 	return d.wideParent(v)
@@ -358,8 +353,17 @@ func (d *Document) wideAround(v NodeID) (i, hops int) {
 }
 
 // wideAt returns v's place in wide: the first entry at rank v or later.
+// A plain loop, not sort.Search's closure: every up escape comes here.
 func (d *Document) wideAt(v NodeID) int {
-	return sort.Search(len(d.wide), func(i int) bool { return d.wide[i].node >= v })
+	lo, hi := 0, len(d.wide)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); d.wide[m].node < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // FirstChild returns v's first child, or Nil: in preorder a node with
@@ -459,7 +463,7 @@ func (d *Document) Text(v NodeID) string {
 // internal/store holds it to the struct's slice fields, so an added
 // array cannot go uncounted in the store's bytes-per-node figure.
 func (d *Document) MemBytes() int64 {
-	b := int64(len(d.labels)+len(d.size)) + 2*int64(len(d.up)+len(d.rareIDs)) +
+	b := int64(len(d.labels)+len(d.up)+len(d.size)) + 2*int64(len(d.rareIDs)) +
 		int64(len(d.wide))*int64(unsafe.Sizeof(span{})) +
 		d.rare.MemBytes() + d.textNodes.MemBytes() + d.textOff.MemBytes() +
 		int64(len(d.textBlob))

@@ -10,11 +10,11 @@ import (
 )
 
 // TestBothSidesOfTheLine: the two shapes that put nodes past what up's
-// 16 bits and size's 8 hold, built and opened from their sections. A fan
-// of 70 000 leaves has two wide nodes (the root and the element) and its
-// last 4 466 leaves far from their parent; a chain 70 000 deep has every
-// node above the last 255 wide, each entry inside the one before it, and
-// no parent further than the rank before.
+// and size's 8 bits hold, built and opened from their sections. A fan of
+// 70 000 leaves has two wide nodes (the root and the element) and all
+// but its first 254 leaves far from their parent; a chain 70 000 deep has
+// every node above the last 255 wide, each entry inside the one before
+// it, and no parent further than the rank before.
 // Each is the document the reference builder makes of the same events,
 // array for array and move for move (BinEnd and every node's parent
 // included), is walked in preorder by FirstChild and NextSibling alone,
@@ -25,7 +25,7 @@ func TestBothSidesOfTheLine(t *testing.T) {
 		doc       *tree.Document
 		wide, far int
 	}{
-		"fan":   {tgen.Star("r", "e", fanout), 2, fanout + 2 - (tree.Far + 1)},
+		"fan":   {tgen.Star("r", "e", fanout), 2, fanout + 2 - (tree.Big + 1)},
 		"chain": {tgen.Chain("a", fanout), fanout + 1 - tree.Big, 0},
 	} {
 		for origin, d := range map[string]*tree.Document{"built": tc.doc, "at rest": tree.AtRest(t, tc.doc)} {
@@ -77,15 +77,15 @@ func requirePreorderWalk(t *testing.T, what string, d *tree.Document) {
 	}
 }
 
-// TestParentUnderManyWideSiblings: 5 000 sibling subtrees of 303 nodes
+// TestParentUnderManyWideSiblings: 300 sibling subtrees of 303 nodes
 // under one parent, each three wide nodes deep (s over t over u over 300
-// leaves), so that the table holds 15 002 entries and every s from the
-// 217th on is far from the parent. Its up escape is answered by one
+// leaves), so that the table holds 902 entries and every s from the
+// second on is far from the parent, as are the last 46 leaves of every u. Its up escape is answered by one
 // binary search and a climb out of the sibling before it — u, t, s, then
 // the parent: three hops, the depth of the nesting — not by a walk back
 // over the entries of all the siblings before; counted, not timed.
 func TestParentUnderManyWideSiblings(t *testing.T) {
-	const siblings, leaves = 5000, 300
+	const siblings, leaves = 300, 300
 	b := tree.NewBuilder()
 	b.Open("r")
 	for i := 0; i < siblings; i++ {
@@ -108,7 +108,7 @@ func TestParentUnderManyWideSiblings(t *testing.T) {
 		}
 		r, far := d.DocumentElement(), 0
 		for s := d.FirstChild(r); s != tree.Nil; s = d.NextSibling(s) {
-			if s-r >= tree.Far {
+			if s-r >= tree.Big {
 				far++
 			}
 			p, hops := d.WideParentHops(s)
@@ -120,8 +120,9 @@ func TestParentUnderManyWideSiblings(t *testing.T) {
 				t.Fatalf("%s: the table puts node %d under %d after %d hops, want %d after none", origin, s+1, p, hops, s)
 			}
 		}
-		if got := d.FarParents(); got != far || far == 0 {
-			t.Fatalf("%s: %d nodes hold an up escape, %d children are that far from node %d", origin, got, far, r)
+		// The leaves of each u from the 255th on are that far from it too.
+		if got, want := d.FarParents(), far+siblings*(leaves-(tree.Big-1)); got != want || far == 0 {
+			t.Fatalf("%s: %d nodes hold an up escape, want %d: %d children that far from node %d, and u's last leaves", origin, got, want, far, r)
 		}
 	}
 }
