@@ -10,7 +10,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test race lint fmt vet check loc gates gate-obsv gate-auto gate-mvcc gate-mmap
+.PHONY: build test race fmt vet check loc gates gate-obsv gate-auto gate-mvcc gate-mmap
 
 build:
 	$(GO) build ./...
@@ -21,15 +21,6 @@ test:
 race:
 	$(GO) test -race ./...
 
-# lint runs the repo's custom analyzer suite (see DESIGN.md "Enforced
-# invariants"): lockhold and nakedgen, the two invariants no run-time
-# test can see. Released contexts and arena lifetimes are held by types
-# and tier-1 tests instead. Exit 1 on any finding. Suppress a single
-# accepted finding with `// xpqlint:ignore <analyzer> <reason>` on the
-# flagged line.
-lint:
-	$(GO) run ./cmd/xpqlint ./...
-
 # gofmt -l exits 0 even when it lists files: fail on a non-empty list,
 # as CI's gofmt step does.
 fmt:
@@ -38,7 +29,7 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-check: fmt vet build lint test
+check: fmt vet build test
 
 # loc prints the module's size the way ROADMAP counts it: lines of Go
 # per package that are not tests, not fixtures (testdata) and not the

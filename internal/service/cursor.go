@@ -44,18 +44,18 @@ func encodeCursor(doc string, gen store.Gen, last tree.NodeID) string {
 func decodeCursor(tok string) (doc string, gen store.Gen, last tree.NodeID, err error) {
 	raw, derr := base64.RawURLEncoding.DecodeString(tok)
 	if derr != nil {
-		return "", 0, 0, fmt.Errorf("bad cursor: %v", derr)
+		return "", store.NoGen, 0, fmt.Errorf("bad cursor: %v", derr)
 	}
 	parts := strings.Split(string(raw), "\x00")
 	if len(parts) == 5 && parts[0] == "c2" {
-		return "", 0, 0, errEarlierCursor
+		return "", store.NoGen, 0, errEarlierCursor
 	}
 	if len(parts) != 4 || parts[0] != cursorVersion {
-		return "", 0, 0, fmt.Errorf("bad cursor: malformed token")
+		return "", store.NoGen, 0, fmt.Errorf("bad cursor: malformed token")
 	}
 	gen, gerr := store.ParseGen(parts[2])
 	if gerr != nil {
-		return "", 0, 0, fmt.Errorf("bad cursor: malformed generation")
+		return "", store.NoGen, 0, fmt.Errorf("bad cursor: malformed generation")
 	}
 	// The last-node field is validated explicitly rather than trusting
 	// the ParseInt bit size: a negative id is not out-of-range for a
@@ -66,7 +66,7 @@ func decodeCursor(tok string) (doc string, gen store.Gen, last tree.NodeID, err 
 	// is gone is a cursor-expiry condition (410).
 	n, nerr := strconv.ParseInt(parts[3], 10, 64)
 	if nerr != nil || n < 0 || n > math.MaxInt32 {
-		return "", 0, 0, fmt.Errorf("bad cursor: node out of range")
+		return "", store.NoGen, 0, fmt.Errorf("bad cursor: node out of range")
 	}
 	return parts[1], gen, tree.NodeID(n), nil
 }

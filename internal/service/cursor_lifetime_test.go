@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/shard"
+	"repro/internal/store"
 	"repro/internal/tree"
 )
 
@@ -36,7 +37,7 @@ func TestPageOutlivesItsArena(t *testing.T) {
 
 			// A cursor of our own over the same generation, in the context
 			// page 1 parked; read a batch and close it mid-answer.
-			h, err := svc.store.Acquire("xm", 0)
+			h, err := svc.store.Acquire("xm", store.NoGen)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -64,7 +64,7 @@ func TestCursorTokenMatrix(t *testing.T) {
 		// The previous format carried a shard index; even naming the live
 		// generation, it is stale.
 		{"earlier-process", rawToken("c2", "0", cdoc, genS, lastS), 410},
-		{"stale-generation", rawToken("c3", cdoc, (cgen + 1).String(), lastS), 410},
+		{"stale-generation", rawToken("c3", cdoc, genAfter(t, cgen, 1).String(), lastS), 410},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -121,13 +121,13 @@ func TestCursorTokenMatrix(t *testing.T) {
 // round trip unchanged, including the extremes of the NodeID domain.
 func TestNodeIDRoundTrip(t *testing.T) {
 	for _, last := range []tree.NodeID{0, 1, 1 << 20, 2147483647} {
-		tok := encodeCursor("doc-α", 42, last)
+		tok := encodeCursor("doc-α", genOf(t, 42), last)
 		doc, gen, got, err := decodeCursor(tok)
 		if err != nil {
 			t.Fatalf("last=%d: %v", last, err)
 		}
-		if doc != "doc-α" || gen != 42 || got != last {
-			t.Fatalf("round trip (doc-α,42,%d) -> (%s,%d,%d)", last, doc, gen, got)
+		if doc != "doc-α" || gen != genOf(t, 42) || got != last {
+			t.Fatalf("round trip (doc-α,42,%d) -> (%s,%s,%d)", last, doc, gen, got)
 		}
 	}
 }
@@ -138,7 +138,7 @@ func TestNodeIDRoundTrip(t *testing.T) {
 // re-encoding decodes to the same (doc, gen, last), with last inside a
 // NodeID's domain.
 func FuzzDecodeCursor(f *testing.F) {
-	f.Add(encodeCursor("xm", 7, 41))
+	f.Add(rawToken(cursorVersion, "xm", "7", "41"))
 	f.Add(rawToken(cursorVersion, "xm", "1", "2147483647"))
 	f.Add(rawToken(cursorVersion, "xm", "1", "-1"))
 	f.Add(rawToken(cursorVersion, "xm", "1", "2147483648"))
@@ -152,11 +152,11 @@ func FuzzDecodeCursor(f *testing.F) {
 			return
 		}
 		if last < 0 || strings.ContainsRune(doc, 0) {
-			t.Fatalf("decoded (%q, %d, %d) from %q: outside what a token can name", doc, gen, last, tok)
+			t.Fatalf("decoded (%q, %s, %d) from %q: outside what a token can name", doc, gen, last, tok)
 		}
 		doc2, gen2, last2, err := decodeCursor(encodeCursor(doc, gen, last))
 		if err != nil || doc2 != doc || gen2 != gen || last2 != last {
-			t.Fatalf("(%q, %d, %d) re-encoded decodes to (%q, %d, %d), err %v",
+			t.Fatalf("(%q, %s, %d) re-encoded decodes to (%q, %s, %d), err %v",
 				doc, gen, last, doc2, gen2, last2, err)
 		}
 	})

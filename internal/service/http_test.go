@@ -289,12 +289,12 @@ func TestPatchBreakingTheAttributeEncodingIsABadRequest(t *testing.T) {
 	}
 	var patched store.Stats
 	for i, node := range []tree.NodeID{3, 2} {
-		if code := doJSON(t, "PATCH", srv.URL+"/docs/d", PatchDocRequest{Op: "delete", Node: node, BaseGen: loaded.Gen + store.Gen(i)}, &patched); code != http.StatusOK {
+		if code := doJSON(t, "PATCH", srv.URL+"/docs/d", PatchDocRequest{Op: "delete", Node: node, BaseGen: genAfter(t, loaded.Gen, uint64(i))}, &patched); code != http.StatusOK {
 			t.Fatalf("delete node %d on the generation the refused patches left: status %d", node, code)
 		}
 	}
-	if patched.Gen != loaded.Gen+2 || patched.Nodes != 3 {
-		t.Errorf("after three refused patches and two applied: gen %d (loaded %d), %d nodes", patched.Gen, loaded.Gen, patched.Nodes)
+	if patched.Gen != genAfter(t, loaded.Gen, 2) || patched.Nodes != 3 {
+		t.Errorf("after three refused patches and two applied: gen %s (loaded %s), %d nodes", patched.Gen, loaded.Gen, patched.Nodes)
 	}
 }
 
@@ -328,8 +328,8 @@ func TestLabelLimitIsAClientError(t *testing.T) {
 	if code := doJSON(t, "PATCH", srv.URL+"/docs/full", PatchDocRequest{Op: "insert", Node: 1, XML: "<n65535/>", BaseGen: loaded.Gen}, &patched); code != http.StatusOK {
 		t.Fatalf("PATCH within the table, on the generation the refused one left: status %d", code)
 	}
-	if patched.Gen != loaded.Gen+1 || patched.Labels != tree.MaxLabels || patched.Nodes != loaded.Nodes+1 {
-		t.Errorf("after the refused PATCH and one applied: gen %d (loaded %d), %d labels, %d nodes (loaded %d)",
+	if patched.Gen != genAfter(t, loaded.Gen, 1) || patched.Labels != tree.MaxLabels || patched.Nodes != loaded.Nodes+1 {
+		t.Errorf("after the refused PATCH and one applied: gen %s (loaded %s), %d labels, %d nodes (loaded %d)",
 			patched.Gen, loaded.Gen, patched.Labels, patched.Nodes, loaded.Nodes)
 	}
 }

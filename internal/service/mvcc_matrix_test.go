@@ -233,12 +233,12 @@ func TestAsOfTimeTravel(t *testing.T) {
 		t.Fatalf("cursor/asof disagreement: status=%d err=%q, want 400", statusFor(conflict), conflict.Err)
 	}
 	// A never-existing generation is gone (410), with asof phrasing.
-	gone := svc.Eval(Request{Doc: "d1", Query: "//b", AsOf: first.Gen + 1000})
+	gone := svc.Eval(Request{Doc: "d1", Query: "//b", AsOf: genAfter(t, first.Gen, 1000)})
 	if statusFor(gone) != 410 {
 		t.Fatalf("asof unknown gen: status=%d err=%q, want 410", statusFor(gone), gone.Err)
 	}
 	// Unknown document: 404 regardless of asof.
-	if miss := svc.Eval(Request{Doc: "nope", Query: "//b", AsOf: 3}); statusFor(miss) != 404 {
+	if miss := svc.Eval(Request{Doc: "nope", Query: "//b", AsOf: genOf(t, 3)}); statusFor(miss) != 404 {
 		t.Fatalf("asof missing doc: status=%d", statusFor(miss))
 	}
 }

@@ -160,7 +160,7 @@ type PatchDocRequest struct {
 	// BaseGen, when non-zero, makes the patch conditional: it applies
 	// only while BaseGen is still the latest generation (optimistic
 	// concurrency; HTTP 409 on conflict).
-	BaseGen store.Gen `json:"base_gen,omitempty"`
+	BaseGen store.Gen `json:"base_gen,omitzero"`
 }
 
 // PatchDoc applies one subtree mutation, publishing a new MVCC
@@ -216,7 +216,7 @@ type Request struct {
 	// from an earlier response) instead of the latest — time travel
 	// across patches, for as long as that generation stays live. Zero
 	// means latest. The HTTP layer also sets it from ?asof=.
-	AsOf store.Gen `json:"asof,omitempty"`
+	AsOf store.Gen `json:"asof,omitzero"`
 	// Explain asks for an EXPLAIN-ANALYZE-style profile of this query:
 	// the Response (or stream trailer) carries a span tree with
 	// per-phase timings and engine counters. The HTTP layer also sets
@@ -235,7 +235,7 @@ type Response struct {
 	Strategy string `json:"strategy,omitempty"`
 	// Gen is the MVCC generation the answer was computed against; pass
 	// it back as AsOf to keep reading this exact tree across patches.
-	Gen store.Gen `json:"gen,omitempty"`
+	Gen store.Gen `json:"gen,omitzero"`
 	// Count is the full answer cardinality, even when Nodes is truncated.
 	Count int           `json:"count"`
 	Nodes []tree.NodeID `json:"nodes"`
@@ -326,8 +326,8 @@ func (s *Service) prepare(st *evalState, req Request) bool {
 			return fail(obsv.OutcomeError, "%v", err)
 		case cdoc != req.Doc:
 			return fail(obsv.OutcomeError, "cursor is for document %q, not %q", cdoc, req.Doc)
-		case req.AsOf != 0 && req.AsOf != cgen:
-			return fail(obsv.OutcomeError, "cursor pins generation %d but the request asks asof %d", cgen, req.AsOf)
+		case req.AsOf != store.NoGen && req.AsOf != cgen:
+			return fail(obsv.OutcomeError, "cursor pins generation %s but the request asks asof %s", cgen, req.AsOf)
 		}
 		tgen, after = cgen, clast
 		st.fromCursor = true
@@ -344,9 +344,9 @@ func (s *Service) prepare(st *evalState, req Request) bool {
 		case errors.Is(err, store.ErrNotFound):
 			return fail(obsv.OutcomeNotFound, "service: %v: %q", ErrNoDocument, req.Doc)
 		case st.fromCursor:
-			return fail(obsv.OutcomeStaleCursor, "stale cursor: generation %d of document %q is gone (patched away, evicted, or the cursor lease expired)", tgen, req.Doc)
+			return fail(obsv.OutcomeStaleCursor, "stale cursor: generation %s of document %q is gone (patched away, evicted, or the cursor lease expired)", tgen, req.Doc)
 		}
-		return fail(obsv.OutcomeStaleCursor, "generation %d of document %q is gone (no live cursor or lease kept it)", tgen, req.Doc)
+		return fail(obsv.OutcomeStaleCursor, "generation %s of document %q is gone (no live cursor or lease kept it)", tgen, req.Doc)
 	}
 	st.h = h
 	eng := s.engine(h)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/store"
 	"repro/internal/tree"
 )
 
@@ -45,7 +46,7 @@ func assertPoolSettled(t *testing.T, s *Service) {
 // settles the books.
 func TestPoolSettledBites(t *testing.T) {
 	s := newTestService(t, Options{})
-	h, err := s.store.Acquire("d1", 0)
+	h, err := s.store.Acquire("d1", store.NoGen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestGuardTripsZeroOnErrorPaths(t *testing.T) {
 		refuse("malformed cursor", Request{Doc: "d1", Query: "//a/b", Strategy: strat, Cursor: "not-a-token"})
 		refuse("earlier-process cursor", Request{Doc: "d1", Query: "//a/b", Strategy: strat,
 			Cursor: rawToken("c2", "0", "d1", page.Gen.String(), "0")})
-		refuse("asof/cursor generation mismatch", Request{Doc: "d1", Query: "//a/b", Strategy: strat, Cursor: page.Next, AsOf: page.Gen + 1})
+		refuse("asof/cursor generation mismatch", Request{Doc: "d1", Query: "//a/b", Strategy: strat, Cursor: page.Next, AsOf: genAfter(t, page.Gen, 1)})
 	}
 	if _, err := s.Store().LoadXML("d2", []byte("<r><a><b/></a></r>")); err != nil {
 		t.Fatal(err)
@@ -126,7 +127,7 @@ func TestGuardTripsZeroOnErrorPaths(t *testing.T) {
 
 	// Patch twice so the paged cursor's pinned generation retires once
 	// its lease lapses; a rejected patch exercises that error path too.
-	if _, err := s.PatchDoc("d1", PatchDocRequest{Op: "replace", Node: tree.NodeID(1), XML: "<a><b>y</b></a>", BaseGen: page.Gen + 1}); err == nil {
+	if _, err := s.PatchDoc("d1", PatchDocRequest{Op: "replace", Node: tree.NodeID(1), XML: "<a><b>y</b></a>", BaseGen: genAfter(t, page.Gen, 1)}); err == nil {
 		t.Fatal("patch against a wrong base generation accepted")
 	}
 	if _, err := s.PatchDoc("d1", PatchDocRequest{Op: "replace", Node: tree.NodeID(1), XML: "<a><b>y</b></a>"}); err != nil {

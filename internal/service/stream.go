@@ -29,7 +29,7 @@ type StreamHeader struct {
 	Strategy string `json:"strategy"`
 	// Gen is the MVCC generation the stream reads; pass it back as AsOf
 	// to keep reading this exact tree across patches.
-	Gen store.Gen `json:"gen,omitempty"`
+	Gen store.Gen `json:"gen,omitzero"`
 	// Count is the full answer cardinality (the length of the answer:
 	// every engine delivers one sorted slice).
 	Count   int `json:"count"`

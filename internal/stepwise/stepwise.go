@@ -205,28 +205,13 @@ func (e *evaluator) pred(v tree.NodeID, p xpath.Pred) bool {
 			start = e.d.Root()
 		}
 		for _, u := range e.path([]tree.NodeID{start}, q.Path.Steps) {
-			if strings.Contains(e.textContent(u), q.Needle) {
+			if strings.Contains(e.d.StringValue(u), q.Needle) {
 				return true
 			}
 		}
 		return false
 	}
 	return false
-}
-
-// textContent concatenates the text of u's #text descendants (or u's own
-// text for a text node), the string value of the XPath data model.
-func (e *evaluator) textContent(u tree.NodeID) string {
-	if e.d.Label(u) == tree.LabelText {
-		return e.d.Text(u)
-	}
-	var sb strings.Builder
-	for v := u; v <= e.d.LastDesc(u); v++ {
-		if e.d.Label(v) == tree.LabelText {
-			sb.WriteString(e.d.Text(v))
-		}
-	}
-	return sb.String()
 }
 
 func sortDedup(ns []tree.NodeID) []tree.NodeID {

@@ -25,20 +25,15 @@ var ErrConflict = errors.New("base generation is not latest")
 // immutable generations. gens holds every generation still readable
 // (latest, plus older ones kept alive by pins or leases).
 //
-// Two locks, so readers never wait for a patch to be applied: wmu
-// serializes writers and is held across the whole apply (tree and index
-// splice); mu guards the generation table and is only ever held for
-// map-sized critical sections — a query's Acquire and
-// Release, and a patch's publish. Lock order is wmu before mu. latest
-// is stored only under mu; writers and the stats paths read it without.
+// One lock, held only for map-sized critical sections: a query's
+// Acquire and Release, a stats walk, and a patch's publish. A patch
+// splices with no lock held, so readers never wait for one to be
+// applied. latest is stored only under mu, and only by publish and
+// Evict; patch, Get, List and the stats paths read it without.
 type chain struct {
-	wmu     sync.Mutex
-	nextGen Gen // guarded by wmu
-
-	mu      sync.Mutex
-	latest  atomic.Pointer[Handle]
-	gens    map[Gen]*genEntry
-	evicted bool
+	mu     sync.Mutex
+	latest atomic.Pointer[Handle]
+	gens   map[Gen]*genEntry
 }
 
 // genEntry tracks what keeps one generation alive: explicit pins
@@ -62,16 +57,13 @@ const genSeedMask = 1<<52 - 1
 // different incarnation of the same document id — across evict+reload
 // and across daemon restarts.
 func newChain(h *Handle) *chain {
-	seed := Gen(uint64(time.Now().UnixNano())*0x9E3779B97F4A7C15) & genSeedMask
-	if seed == 0 {
-		seed = 1
+	seed := Gen{uint64(time.Now().UnixNano()) * 0x9E3779B97F4A7C15 & genSeedMask}
+	if seed == NoGen {
+		seed = seed.next()
 	}
 	h.Gen = seed
 	h.Stats.Gen = seed
-	ch := &chain{
-		gens:    map[Gen]*genEntry{seed: {h: h}},
-		nextGen: seed + 1,
-	}
+	ch := &chain{gens: map[Gen]*genEntry{seed: {h: h}}}
 	ch.latest.Store(h)
 	return ch
 }
@@ -79,9 +71,9 @@ func newChain(h *Handle) *chain {
 // Patch applies a subtree patch to the latest generation of id and
 // publishes the result as a new generation, maintaining the index
 // incrementally from the parent generation instead of rebuilding. If
-// base is non-zero the patch only applies when base is still the latest
-// generation (optimistic concurrency); base zero means "latest, whatever
-// it is".
+// base is not NoGen the patch only applies when base is still the latest
+// generation (optimistic concurrency); NoGen means "latest, whatever it
+// is".
 // Existing readers are untouched: they keep the generation they pinned.
 func (s *Store) Patch(id string, base Gen, pt tree.Patch) (*Handle, error) {
 	ch := s.chainFor(id)
@@ -97,39 +89,47 @@ func (s *Store) Patch(id string, base Gen, pt tree.Patch) (*Handle, error) {
 	return h, nil
 }
 
-// patch builds the next generation under the writer lock and publishes
-// it under mu, returning how many generations the publish retired. Only
-// writers replace latest, and wmu admits one at a time, so the base
-// validated up front is still the latest at publish — unless the chain
-// is evicted meanwhile, which publish re-checks under mu.
+// patch splices pt onto the latest generation with no lock held, then
+// publishes the result, returning how many generations the publish
+// retired. A writer that lost the race to another publish finds a new
+// latest: with an explicit base that is ErrConflict, as if it had
+// arrived second; a NoGen patch splices again on the new latest. An
+// evicted chain has no latest, which is ErrNotFound.
 func (ch *chain) patch(id string, base Gen, pt tree.Patch) (*Handle, uint64, error) {
-	ch.wmu.Lock()
-	defer ch.wmu.Unlock()
-	cur := ch.latest.Load()
-	if cur == nil {
-		return nil, 0, fmt.Errorf("store: document %q: %w", id, ErrNotFound)
+	for {
+		cur := ch.latest.Load()
+		if cur == nil {
+			return nil, 0, fmt.Errorf("store: document %q: %w", id, ErrNotFound)
+		}
+		if base != NoGen && cur.Gen != base {
+			return nil, 0, fmt.Errorf("store: document %q: patch base gen %s, latest is %s: %w",
+				id, base, cur.Gen, ErrConflict)
+		}
+		newDoc, dl, err := cur.Doc.Apply(pt)
+		if err != nil {
+			return nil, 0, err
+		}
+		h := newHandle(id, newDoc, index.Apply(cur.Index, newDoc, dl), SourcePatch)
+		if retired, ok := ch.publish(cur, h); ok {
+			return h, retired, nil
+		}
 	}
-	if base != NoGen && cur.Gen != base {
-		return nil, 0, fmt.Errorf("store: document %q: patch base gen %d, latest is %d: %w",
-			id, base, cur.Gen, ErrConflict)
-	}
-	newDoc, dl, err := cur.Doc.Apply(pt)
-	if err != nil {
-		return nil, 0, err
-	}
-	gen := ch.nextGen
-	h := newHandle(id, newDoc, index.Apply(cur.Index, newDoc, dl), SourcePatch)
-	h.Gen, h.Stats.Gen = gen, gen
-	// xpqlint:ignore lockhold wmu→mu is the chain's one lock order: wmu is the writer queue, never taken by readers nor under mu
+}
+
+// publish makes h, spliced from cur, the latest generation, numbered
+// after cur, if cur is still the latest; otherwise it changes nothing
+// and reports false.
+func (ch *chain) publish(cur, h *Handle) (uint64, bool) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	if ch.evicted {
-		return nil, 0, fmt.Errorf("store: document %q: %w", id, ErrNotFound)
+	if ch.latest.Load() != cur {
+		return 0, false
 	}
-	ch.nextGen++
+	gen := cur.Gen.next()
+	h.Gen, h.Stats.Gen = gen, gen
 	ch.gens[gen] = &genEntry{h: h}
 	ch.latest.Store(h)
-	return h, ch.sweepLocked(time.Now().UnixNano()), nil
+	return ch.sweepLocked(time.Now().UnixNano()), true
 }
 
 // Acquire returns generation gen of id — NoGen means the latest — with
@@ -164,7 +164,7 @@ func (s *Store) Acquire(id string, gen Gen) (*Handle, error) {
 		// Evicted between chainFor and the lock.
 		return nil, fmt.Errorf("store: document %q: %w", id, ErrNotFound)
 	}
-	return nil, fmt.Errorf("store: document %q generation %d: %w", id, gen, ErrGone)
+	return nil, fmt.Errorf("store: document %q generation %s: %w", id, gen, ErrGone)
 }
 
 // Release drops an Acquire pin on (id, gen) and settles the cursor
@@ -227,7 +227,7 @@ func (ch *chain) sweepLocked(nowNS int64) uint64 {
 			}
 		}
 		e.leases = kept
-		if latest != nil && e.h == latest && !ch.evicted {
+		if e.h == latest {
 			continue
 		}
 		if e.pins == 0 && len(e.leases) == 0 {

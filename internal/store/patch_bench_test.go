@@ -46,7 +46,7 @@ func BenchmarkPatchVsReload(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Patch("d", 0, pt); err != nil {
+			if _, err := s.Patch("d", store.NoGen, pt); err != nil {
 				b.Fatal(err)
 			}
 		}

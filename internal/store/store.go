@@ -284,7 +284,6 @@ func (s *Store) Evict(id string) bool {
 		return false
 	}
 	ch.mu.Lock()
-	ch.evicted = true
 	ch.latest.Store(nil)
 	s.retired.Add(uint64(len(ch.gens)))
 	clear(ch.gens)

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -112,43 +113,56 @@ func mustLoad(t *testing.T, s *Store, id string) *Handle {
 	return h
 }
 
-// TestReadersDoNotWaitForWriters pins the chain's two-lock split: while
-// a writer holds the chain (a patch mid-apply), every read-path
-// operation still completes, and the queued writer proceeds afterwards.
+// TestReadersDoNotWaitForWriters pins what keeps readers from waiting
+// for a patch: the splice holds no lock that a reader takes. With the
+// chain's one lock held, as an Acquire, Release, List or stats walk
+// holds it, a patch still gets through its whole splice and waits only
+// in publish; released, it publishes the generation after the one it
+// spliced.
 func TestReadersDoNotWaitForWriters(t *testing.T) {
 	s := New()
 	h1, err := s.LoadXML("d", []byte("<r><a/><b/></r>"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := s.chainFor("d")
-	ch.wmu.Lock()
-	reads := make(chan error, 1)
-	go func() {
-		h, err := s.Acquire("d", NoGen)
-		if err == nil {
-			s.Release("d", h.Gen, time.Now().Add(time.Minute), false)
-			s.Get("d")
-			s.List()
-			s.MVCC()
-		}
-		reads <- err
-	}()
-	select {
-	case err := <-reads:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("a reader waited for the writer lock")
-	}
-	ch.wmu.Unlock()
-	h2, err := s.Patch("d", h1.Gen, tree.Patch{Op: tree.OpDelete, Node: h1.Doc.FirstChild(h1.Doc.DocumentElement()), Before: tree.Nil})
-	if err != nil {
+	// A lease keeps the superseded generation readable below.
+	if _, err := s.Acquire("d", NoGen); err != nil {
 		t.Fatal(err)
 	}
-	// The lease placed above keeps the superseded generation readable.
-	if _, err := s.Acquire("d", h1.Gen); err != nil || h2.Gen == h1.Gen {
-		t.Fatalf("leased generation after patch: err=%v gens %d→%d", err, h1.Gen, h2.Gen)
+	s.Release("d", h1.Gen, time.Now().Add(time.Minute), false)
+	ch := s.chainFor("d")
+	ch.mu.Lock()
+	type result struct {
+		h   *Handle
+		err error
 	}
+	patched := make(chan result, 1)
+	go func() {
+		h, err := s.Patch("d", h1.Gen, tree.Patch{Op: tree.OpDelete, Node: h1.Doc.FirstChild(h1.Doc.DocumentElement()), Before: tree.Nil})
+		patched <- result{h, err}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); !inPublish(); {
+		if time.Now().After(deadline) {
+			ch.mu.Unlock()
+			t.Fatal("with the chain lock held, the patch never reached its publish: the splice waits for a reader's lock")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ch.mu.Unlock()
+	r := <-patched
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.h.Gen != h1.Gen.next() {
+		t.Fatalf("patch of generation %s published %s", h1.Gen, r.h.Gen)
+	}
+	if h, err := s.Acquire("d", h1.Gen); err != nil || h != h1 {
+		t.Fatalf("leased generation after patch: %v", err)
+	}
+}
+
+// inPublish reports whether some goroutine is inside chain.publish.
+func inPublish() bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "store.(*chain).publish(")
 }

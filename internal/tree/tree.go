@@ -457,6 +457,26 @@ func (d *Document) Text(v NodeID) string {
 	return unsafe.String(unsafe.SliceData(text), len(text))
 }
 
+// StringValue returns v's string value in the XPath data model: the
+// texts of the #text nodes in v's subtree, in document order, end to end
+// (for a text node, its own text). It copies nothing: the texts of
+// consecutive text ranks lie end to end in textBlob, so the value is the
+// one slice from the first text rank at or after v to the first past
+// v's last descendant.
+func (d *Document) StringValue(v NodeID) string {
+	if v < 0 || int(v) >= len(d.labels) {
+		return ""
+	}
+	lo, _ := d.textNodes.Search(uint32(v))
+	hi, _ := d.textNodes.Search(uint32(d.LastDesc(v)) + 1)
+	from, to := d.textOff.At(lo), d.textOff.At(hi)
+	if from > to || int(to) > len(d.textBlob) {
+		return "" // only in a file that was not verified
+	}
+	text := d.textBlob[from:to]
+	return unsafe.String(unsafe.SliceData(text), len(text))
+}
+
 // MemBytes reports the bytes the document holds: its per-node arrays,
 // the wide table, the rare labels, the two text sequences, the text blob
 // and the label names, by their live lengths. A reflect-based test in
