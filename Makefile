@@ -55,16 +55,25 @@ GATE = awk -f scripts/benchgate.awk
 gates: gate-obsv gate-auto gate-mvcc gate-mmap
 
 # The observability layer must not tax the warm path: warm-traced/warm
-# at 1.05 over the full query matrix, 100 iterations a row, and warm
-# re-evaluation, traced or not, must stay near allocation-free
-# (BENCH_eval.json pins 0 allocs/op; 5 leaves margin for runtime noise,
-# checked on every row of every run). Many rows are sub-µs queries, and
-# one 100-iteration reading of each put the geomean of two runs of the
-# same binary anywhere in 0.97-1.09: like gate-mmap, take the min of
-# three runs per row, which a scheduler hiccup cannot lower.
+# at 1.05 over the full query matrix, and warm re-evaluation, traced or
+# not, must stay near allocation-free (BENCH_eval.json pins 0 allocs/op;
+# 5 leaves margin for runtime noise, checked on every row of every
+# run). On a shared 2-core machine the speed of the same code moves by
+# 15 % and more from one second to the next, and the six sub-µs rows
+# (Q01 and Q10) jump between two speeds a factor 2 apart: the min of
+# three 100-iteration readings a row put the geomean of an unchanged
+# tree anywhere in 0.96-1.07, over the limit in 3 of 33 runs. So both
+# variants of a row evaluate over one shared context, each is read
+# fifteen times at 10 iterations, short enough that the two variants'
+# readings lie close in time, and each keeps its median, which one
+# fast or slow reading cannot move: 0.998-1.045 over 22 runs of the
+# same tree, none over the limit (CHANGES has the runs). What is left
+# of the width is mostly real: a flight-recorder admission costs
+# 15-50 % of a sub-µs evaluation, so those six rows alone lift the
+# geomean by 2-3 %.
 gate-obsv:
-	$(GO) test -run '^$$' -bench 'BenchmarkEvalSteadyState/.*/.*/warm' -benchtime 100x -count 3 -benchmem . \
-		| $(GATE) -v num=warm-traced -v den=warm -v limit=1.05 -v allocs=5 -v fold=min
+	$(GO) test -run '^$$' -bench 'BenchmarkEvalSteadyState/.*/.*/warm' -benchtime 10x -count 15 -benchmem . \
+		| $(GATE) -v num=warm-traced -v den=warm -v limit=1.05 -v allocs=5 -v fold=median
 
 # Auto's route (label chains to the hybrid run, the rest of the
 # child/descendant fragment to the TDSTA, everything else to the ASTA)

@@ -320,9 +320,10 @@ func preload(ctx context.Context, st *store.Store, logger *slog.Logger, loads, m
 		wg   sync.WaitGroup
 		next atomic.Int64
 		// stop is set once preload is going to fail: jobs not yet handed
-		// out are left alone. Every job before a failed one has been
-		// handed out already, so the first failure in flag order is
-		// always one that ran.
+		// out are left alone. A job handed out always runs, and every
+		// job before a failed one has been handed out already, so the
+		// first failure in flag order is always one that ran and every
+		// job the loop below waits for closes its done.
 		stop atomic.Bool
 	)
 	for w := min(runtime.GOMAXPROCS(0), len(jobs)); w > 0; w-- {
@@ -330,8 +331,11 @@ func preload(ctx context.Context, st *store.Store, logger *slog.Logger, loads, m
 		go func() {
 			defer wg.Done()
 			for {
+				if stop.Load() || ctx.Err() != nil {
+					return
+				}
 				i := int(next.Add(1)) - 1
-				if i >= len(jobs) || stop.Load() || ctx.Err() != nil {
+				if i >= len(jobs) {
 					return
 				}
 				j := jobs[i]

@@ -1,10 +1,6 @@
 package asta
 
-import (
-	"slices"
-
-	"repro/internal/tree"
-)
+import "repro/internal/tree"
 
 // NodeList is the evaluator's private accumulation chain — the "simple
 // lists with constant time concatenation" of §4.4. Leaves hold up to
@@ -12,13 +8,11 @@ import (
 // O(1) concatenation (rawConcat) and always has both children.
 // Evaluation left-accumulates, so chains are as tall as they are long;
 // nothing ever descends one except collect, with an explicit stack.
-// Every cell caches its subtree metadata (element count,
-// adjacent-duplicate count, first/last element, sortedness), combined in
-// O(1) per concatenation, so that collect knows the size of the answer
-// block before it copies and whether the block needs sorting at all.
-// Cells are shared freely between the lists of different states and are
-// not mutated while evaluation runs. No NodeList leaves the package: an
-// answer is the one sorted block collect makes of the final chain.
+// Every cell carries its subtree's element count, so that collect knows
+// the size of the answer block before it copies. Cells are shared
+// freely between the lists of different states and are not mutated
+// while evaluation runs. No NodeList leaves the package: an answer is
+// the one block collect makes of the final chain.
 type NodeList struct {
 	// l, r are the interior children; both nil on leaves, both non-nil
 	// on interior cells.
@@ -27,45 +21,21 @@ type NodeList struct {
 	elems []tree.NodeID
 	// count is the subtree element count, duplicates included.
 	count int32
-	// dups counts adjacent-equal pairs in concatenation order; zero on a
-	// sorted chain means strictly increasing.
-	dups int32
-	// first, last are the subtree's first and last elements in
-	// concatenation order.
-	first, last tree.NodeID
-	// sorted reports the subtree is non-decreasing in concatenation
-	// order, maintained incrementally at construction.
-	sorted bool
 }
 
 // leafMax is the chunk size: the largest element count a single leaf
 // holds. 128 ids = 512 bytes, a few cache lines per leaf.
 const leafMax = 128
 
-// newLeaf wraps elems (len >= 1, ownership transferred) in a leaf,
-// computing the chunk metadata in one scan.
+// newLeaf wraps elems (len >= 1, ownership transferred) in a leaf.
 func newLeaf(elems []tree.NodeID, ar *cellArena) *NodeList {
 	n := ar.alloc()
-	*n = NodeList{
-		elems:  elems,
-		count:  int32(len(elems)),
-		first:  elems[0],
-		last:   elems[len(elems)-1],
-		sorted: true,
-	}
-	for i := 1; i < len(elems); i++ {
-		switch {
-		case elems[i] < elems[i-1]:
-			n.sorted = false
-		case elems[i] == elems[i-1]:
-			n.dups++
-		}
-	}
+	*n = NodeList{elems: elems, count: int32(len(elems))}
 	return n
 }
 
 // rawConcat is the evaluator's O(1) concatenation, with nil the empty
-// list: one interior cell over a and b, the cached metadata combined.
+// list: one interior cell over a and b.
 func rawConcat(a, b *NodeList, ar *cellArena) *NodeList {
 	if a == nil {
 		return b
@@ -74,30 +44,18 @@ func rawConcat(a, b *NodeList, ar *cellArena) *NodeList {
 		return a
 	}
 	n := ar.alloc()
-	*n = NodeList{
-		l:      a,
-		r:      b,
-		count:  a.count + b.count,
-		dups:   a.dups + b.dups,
-		first:  a.first,
-		last:   b.last,
-		sorted: a.sorted && b.sorted && a.last <= b.first,
-	}
-	if a.last == b.first {
-		n.dups++
-	}
+	*n = NodeList{l: a, r: b, count: a.count + b.count}
 	return n
 }
 
 // collect turns the final chain into the answer: its elements copied in
 // concatenation order into one arena block sized by the root's count,
-// which is then — only when the root's metadata says it is not already
-// strictly increasing — sorted and compacted where it lies. Evaluation
-// emits in preorder, so the common case is the copy alone; out-of-order
+// made a set where it lies by tree.SortedSet. Evaluation emits in
+// preorder, so the common case is the copy and one scan; out-of-order
 // chains come from unions over jumped regions. A single leaf is already
 // one block and is used as it is (evaluation is over: nothing reads the
-// chain again). The stack is caller-owned scratch and the sort takes no
-// closure, so a warm run allocates nothing on the heap.
+// chain again). The stack is caller-owned scratch, so a warm run
+// allocates nothing on the heap.
 func collect(nl *NodeList, ar *cellArena, stackp *[]*NodeList) []tree.NodeID {
 	if nl == nil {
 		return nil
@@ -117,13 +75,7 @@ func collect(nl *NodeList, ar *cellArena, stackp *[]*NodeList) []tree.NodeID {
 		}
 		*stackp = stack
 	}
-	if !nl.sorted {
-		slices.Sort(block)
-	}
-	if !nl.sorted || nl.dups > 0 {
-		block = slices.Compact(block)
-	}
-	return block
+	return tree.SortedSet(block)
 }
 
 // cellArena chunk-allocates chain cells and id storage (leaf blocks,
@@ -171,7 +123,7 @@ func (a *cellArena) reset() {
 
 // memBytes estimates the arena's resident bytes (capacity, not use).
 func (a *cellArena) memBytes() int64 {
-	const cellSize = 64 // NodeList struct, padded
+	const cellSize = 48 // NodeList struct
 	return a.cells.memBytes(cellSize) + a.ids.memBytes(8)
 }
 
@@ -339,7 +291,7 @@ func (r *RSet) union(o *RSet, ar *cellArena) {
 // (small leaves absorbed, like add), and the source's still-buffered
 // tail appends element-wise — flushing it into an intermediate leaf
 // just to absorb it back out again would waste an arena block and a
-// metadata scan per region merge.
+// chain cell per region merge.
 func (r *RSet) merge(src *rentry, ar *cellArena) {
 	if src.nl == nil && len(src.tail) == 0 {
 		return

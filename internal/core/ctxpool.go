@@ -138,8 +138,9 @@ type compiled struct {
 	names *tree.LabelTable
 	pool  *Pool
 
-	// mu guards free and gone: a map lookup and a slice push or pop. It
-	// is taken under the cache's lock by Evicted, never the other way.
+	// mu guards free and gone: a map lookup and a slice push or pop.
+	// Nothing else is locked while it is held, and the cache calls
+	// Evicted after releasing its own lock.
 	mu   sync.Mutex
 	free map[asta.Options][]parkedCtx
 	// gone: the value left (or never entered) the cache, so nothing will

@@ -51,49 +51,17 @@ type Cursor struct {
 	total int
 }
 
-// newCursor wraps an answer that is strictly increasing by
-// construction. A non-nil release marks it arena-owned; an empty answer
-// has nothing to keep the context for and hands it back at once.
+// newCursor wraps an answer, strictly increasing because every engine
+// makes it so: the automaton engines with tree.SortedSet, the step-wise
+// baseline with its own sort. A non-nil release marks it arena-owned;
+// an empty answer has nothing to keep the context for and hands it
+// back at once.
 func newCursor(nodes []tree.NodeID, release func(), s Strategy, w obsv.Work) *Cursor {
 	c := &Cursor{strategy: s, run: obsv.Run{Strategy: s.String(), Work: w}, nodes: nodes, total: len(nodes), release: release}
 	if len(nodes) == 0 {
 		c.Close()
 	}
 	return c
-}
-
-// newSliceCursor wraps the heap-owned answer of the step-wise, hybrid
-// or TDSTA engine, checked rather than trusted.
-func newSliceCursor(nodes []tree.NodeID, s Strategy, w obsv.Work) *Cursor {
-	return newCursor(ensureSortedDedup(nodes), nil, s, w)
-}
-
-// ensureSortedDedup enforces the invariant every cursor depends on —
-// strictly increasing preorder — rather than trusting the producing
-// engine: SeekPast binary-searches and resumed pages silently skip or
-// repeat nodes if a slice ever arrives unsorted or with duplicates. The
-// engines do emit sorted duplicate-free answers, so the common case is
-// one O(n) verification scan; only a violation pays the sort/compact.
-// (The ASTA evaluator needs no such scan: its chain metadata already
-// says whether the block is in order, and collect acts on it.)
-func ensureSortedDedup(nodes []tree.NodeID) []tree.NodeID {
-	sorted, unique := true, true
-	for i := 1; i < len(nodes); i++ {
-		if nodes[i] < nodes[i-1] {
-			sorted = false
-			break
-		}
-		if nodes[i] == nodes[i-1] {
-			unique = false
-		}
-	}
-	if sorted && unique {
-		return nodes
-	}
-	if !sorted {
-		slices.Sort(nodes)
-	}
-	return slices.Compact(nodes)
 }
 
 // Close returns the cursor's evaluation context to the engine's pool
@@ -252,7 +220,7 @@ func (e *Engine) hybridCursor(p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
 		tr.Annotate(sp, "strategy=hybrid outcome=failed")
 		return nil, err
 	}
-	return ran(tr, sp, newSliceCursor(res.Selected, Hybrid, res.Work)), nil
+	return ran(tr, sp, newCursor(res.Selected, nil, Hybrid, res.Work)), nil
 }
 
 // stepwiseCursor runs the step-wise baseline (it cannot fail: the
@@ -260,7 +228,7 @@ func (e *Engine) hybridCursor(p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
 func (e *Engine) stepwiseCursor(p *xpath.Path, tr *obsv.Trace) *Cursor {
 	sp := tr.Begin(obsv.SpanRun)
 	res := stepwise.Eval(e.doc, p, stepwise.Default())
-	return ran(tr, sp, newSliceCursor(res.Selected, Stepwise, res.Work))
+	return ran(tr, sp, newCursor(res.Selected, nil, Stepwise, res.Work))
 }
 
 // tdstaCursor compiles (through the query cache) and runs the
@@ -283,7 +251,7 @@ func (e *Engine) tdstaCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Curs
 	cur := e.pool.takeCursors(e.ix)
 	res := v.(*sta.STA).EvalTopDownJump(e.doc, cur, nil)
 	e.pool.parkCursors(cur)
-	c := ran(tr, sp, newSliceCursor(res.Selected, TopDownDet, res.Work))
+	c := ran(tr, sp, newCursor(res.Selected, nil, TopDownDet, res.Work))
 	c.run.QCacheHit = hit
 	return c, nil
 }

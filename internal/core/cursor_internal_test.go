@@ -14,59 +14,6 @@ import (
 	"repro/internal/xmark"
 )
 
-// newSliceCursor must enforce the preorder invariant itself: stepwise,
-// hybrid and TDSTA hand over slices they promise are sorted and
-// duplicate-free, but SeekPast binary-searches and a violated promise
-// would make resumed pages silently skip or repeat nodes. The cursor
-// verifies (O(n)) and repairs only on violation.
-func TestSliceCursorEnforcesInvariant(t *testing.T) {
-	cases := []struct {
-		name string
-		in   []tree.NodeID
-		want []tree.NodeID
-	}{
-		{"sorted-unique", []tree.NodeID{1, 3, 5}, []tree.NodeID{1, 3, 5}},
-		{"unsorted", []tree.NodeID{5, 1, 3}, []tree.NodeID{1, 3, 5}},
-		{"dups", []tree.NodeID{1, 1, 3, 3, 5}, []tree.NodeID{1, 3, 5}},
-		{"unsorted-dups", []tree.NodeID{5, 1, 5, 3, 1}, []tree.NodeID{1, 3, 5}},
-		{"empty", nil, nil},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := newSliceCursor(append([]tree.NodeID(nil), tc.in...), Stepwise, obsv.Work{})
-			if got := c.Count(); got != len(tc.want) {
-				t.Errorf("Count() = %d, want %d", got, len(tc.want))
-			}
-			var got []tree.NodeID
-			for {
-				v, ok := c.Next()
-				if !ok {
-					break
-				}
-				got = append(got, v)
-			}
-			if len(got) != len(tc.want) {
-				t.Fatalf("drained %v, want %v", got, tc.want)
-			}
-			for i := range tc.want {
-				if got[i] != tc.want[i] {
-					t.Fatalf("drained %v, want %v", got, tc.want)
-				}
-			}
-			// Resume past the first surviving node: must deliver exactly
-			// the rest, regardless of how broken the input order was.
-			if len(tc.want) > 1 {
-				r := newSliceCursor(append([]tree.NodeID(nil), tc.in...), Stepwise, obsv.Work{})
-				r.SeekPast(tc.want[0])
-				v, ok := r.Next()
-				if !ok || v != tc.want[1] {
-					t.Errorf("resume after %d: got (%d,%v), want %d", tc.want[0], v, ok, tc.want[1])
-				}
-			}
-		})
-	}
-}
-
 // TestSeekPastProperty: on random strictly increasing answers, heap-
 // and arena-owned alike, SeekPast(v) leaves the cursor at the oracle's
 // first element > v — for v below the first element, equal to one,

@@ -17,7 +17,6 @@ package hybrid
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/index"
 	"repro/internal/obsv"
@@ -127,7 +126,7 @@ func Eval(d *tree.Document, ix *index.Index, p *xpath.Path) (Result, error) {
 			continue
 		}
 		if pivot == last {
-			e.add(v)
+			e.out = append(e.out, v)
 			continue
 		}
 		// Downward part: candidates are the indexed occurrences of the
@@ -142,15 +141,11 @@ func Eval(d *tree.Document, ix *index.Index, p *xpath.Path) (Result, error) {
 			}
 			e.work.Visited++
 			if u := tree.NodeID(c); e.matchUp(u, last, v, pivot) {
-				e.add(u)
+				e.out = append(e.out, u)
 			}
 		}
 	}
-	if e.unsorted {
-		slices.Sort(e.out)
-		e.out = slices.Compact(e.out)
-	}
-	return Result{Selected: e.out, Pivot: pivot, Work: e.work}, nil
+	return Result{Selected: tree.SortedSet(e.out), Pivot: pivot, Work: e.work}, nil
 }
 
 // EvalString parses and evaluates.
@@ -171,11 +166,9 @@ type evaluator struct {
 	work   obsv.Work
 	// out is the answer in the order it is found, which is document order
 	// unless pivot occurrences nest: then the candidates under an inner
-	// pivot were already found under the outer one. unsorted says a node
-	// was added that is not above the one before it; only such an answer
-	// pays for the sort and the removal of duplicates.
-	out      []tree.NodeID
-	unsorted bool
+	// pivot were already found under the outer one, and tree.SortedSet
+	// removes them.
+	out []tree.NodeID
 }
 
 type labelSteps struct {
@@ -205,11 +198,6 @@ func (e *evaluator) stepsOf(l tree.LabelID) uint64 {
 		}
 	}
 	return 0
-}
-
-func (e *evaluator) add(u tree.NodeID) {
-	e.unsorted = e.unsorted || len(e.out) > 0 && e.out[len(e.out)-1] >= u
-	e.out = append(e.out, u)
 }
 
 // matchUp reports whether u, a node that carries the label of step k,

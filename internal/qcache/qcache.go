@@ -55,8 +55,9 @@ const DefaultEntryBytes = 2048
 // accounting (core parks an automaton's warm contexts on its entry).
 // Evicted is called once when the value leaves the cache — evicted,
 // removed or replaced — or, for a duplicate compile that lost the race
-// to publish, never enters it. It is called under the cache's lock: it
-// must be brief and must not call back into the cache.
+// to publish, never enters it. It is called after the cache's lock is
+// released, so it may take its own locks and call back into the cache;
+// no lock of the cache is ever held around another one.
 type Evictee interface {
 	Evicted()
 }
@@ -116,49 +117,55 @@ func (c *Cache) GetOrCompile(key string, compile func() (any, error)) (val any, 
 	if val, err = compile(); err != nil {
 		return nil, false, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		evicted(val)
-		return el.Value.(*entry).val, false, nil
-	}
-	c.add(key, val)
+	val, gone := c.insert(key, val, false)
+	evicted(gone)
 	return val, false, nil
 }
 
 // Put inserts or replaces a value.
 func (c *Cache) Put(key string, val any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.add(key, val)
+	_, gone := c.insert(key, val, true)
+	evicted(gone)
 }
 
-// add inserts under c.mu, evicting from the LRU tail while the entry
-// bound is exceeded.
-func (c *Cache) add(key string, val any) {
+// insert publishes val under key, unless key is resident and replace is
+// false, evicting the LRU tail past the entry bound. It returns the
+// value now resident under key and the one value that left (the one
+// replaced, the evicted tail, or val itself when it lost to a resident
+// value; one insert displaces at most one) or nil, for the caller to
+// tell once the lock is released.
+func (c *Cache) insert(key string, val any, replace bool) (resident, gone any) {
+	c.mu.Lock()
+	defer c.mu.Unlock() // entrySize runs the value's own SizeBytes
 	if el, ok := c.items[key]; ok {
-		c.drop(el)
+		if !replace {
+			c.ll.MoveToFront(el)
+			return el.Value.(*entry).val, val
+		}
+		gone = c.drop(el)
 	}
 	size := entrySize(val)
 	c.items[key] = c.ll.PushFront(&entry{key: key, val: val, size: size})
 	c.curBytes += size
-	for c.ll.Len() > c.capacity {
-		c.drop(c.ll.Back())
+	if c.ll.Len() > c.capacity {
+		gone = c.drop(c.ll.Back())
 		c.evictions++
 	}
+	return val, gone
 }
 
-// drop unlinks one entry under c.mu, gives its bytes back and tells an
-// Evictee value it is gone.
-func (c *Cache) drop(el *list.Element) {
+// drop unlinks one entry under c.mu, gives its bytes back and returns
+// its value.
+func (c *Cache) drop(el *list.Element) any {
 	e := el.Value.(*entry)
 	c.ll.Remove(el)
 	delete(c.items, e.key)
 	c.curBytes -= e.size
-	evicted(e.val)
+	return e.val
 }
 
+// evicted tells an Evictee value it left the cache; the caller holds no
+// lock.
 func evicted(val any) {
 	if ev, ok := val.(Evictee); ok {
 		ev.Evicted()
@@ -168,11 +175,13 @@ func evicted(val any) {
 // Remove drops one key; it reports whether the key was present.
 func (c *Cache) Remove(key string) bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.items[key]
+	var gone any
 	if ok {
-		c.drop(el)
+		gone = c.drop(el)
 	}
+	c.mu.Unlock()
+	evicted(gone)
 	return ok
 }
 

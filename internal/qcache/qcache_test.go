@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestLRUEviction(t *testing.T) {
@@ -193,6 +194,55 @@ func TestEvicteeToldOnEveryDeparture(t *testing.T) {
 	}
 	if got := c.Stats().SizeBytes; got != 10 {
 		t.Errorf("SizeBytes = %d, want 10 (the one resident value)", got)
+	}
+}
+
+// caller is an Evictee that calls back into its cache as it leaves.
+type caller struct {
+	c    *Cache
+	lens []int // what Len said, one entry a call of Evicted
+}
+
+func (v *caller) Evicted() { v.lens = append(v.lens, v.c.Len()) }
+
+// TestEvicteeMayCallBack: Evicted runs after the cache's lock is
+// released, so a value may call back into the cache as it leaves —
+// pushed off the LRU tail by Put or by GetOrCompile, replaced, removed,
+// or beaten to publication by a concurrent compile — and sees the cache
+// as it is once the value is gone. Holding the lock across Evicted
+// deadlocks here, which the timeout turns into a failure.
+func TestEvicteeMayCallBack(t *testing.T) {
+	c := New(1)
+	v := func() *caller { return &caller{c: c} }
+	tail, replaced, removed, compiled, lost := v(), v(), v(), v(), v()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Put("a", tail)
+		c.Put("b", replaced) // capacity 1: "a" falls off
+		c.Put("b", removed)
+		c.Remove("b")
+		c.GetOrCompile("c", func() (any, error) { return compiled, nil })
+		c.GetOrCompile("d", func() (any, error) {
+			c.Put("d", v()) // a concurrent compile publishes first; "c" falls off
+			return lost, nil
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("an Evictee calling back into the cache deadlocked: Evicted runs under the cache's lock")
+	}
+	for name, x := range map[string]*caller{"tail": tail, "replaced": replaced, "removed": removed, "compiled": compiled, "lost": lost} {
+		if len(x.lens) != 1 {
+			t.Errorf("%s: Evicted called %d times, want 1", name, len(x.lens))
+		}
+	}
+	if got := removed.lens; len(got) == 1 && got[0] != 0 {
+		t.Errorf("removed value saw Len = %d, want 0 (nothing left)", got[0])
+	}
+	if c.Len() != 1 {
+		t.Errorf("Len = %d, want 1", c.Len())
 	}
 }
 

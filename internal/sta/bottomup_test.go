@@ -2,6 +2,7 @@ package sta
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/index"
@@ -45,7 +46,7 @@ func (a *STA) EvalBottomUpDet(d *tree.Document) Result {
 		}
 		run[v] = q
 	}
-	if !a.inTop[run[0]] {
+	if !slices.Contains(a.Top, run[0]) {
 		return Result{Run: run, Work: res.Work}
 	}
 	res.Accepted = true
@@ -152,14 +153,14 @@ func (a *STA) LeafReduction(d *tree.Document) (Run, bool) {
 	if len(stack) != 1 {
 		return nil, false
 	}
-	return run, a.inTop[stack[0].state]
+	return run, slices.Contains(a.Top, stack[0].state)
 }
 
 // BottomUpUniversal returns the bottom-up universal state q⊤ (non-changing
 // and in T, Definition 2.4) if the automaton has one.
 func (a *STA) BottomUpUniversal() (State, bool) {
 	for q := State(0); int(q) < a.NumStates; q++ {
-		if a.NonChanging(q) && a.inTop[q] && !a.IsMarking(q) {
+		if a.NonChanging(q) && slices.Contains(a.Top, q) && !a.IsMarking(q) {
 			return q, true
 		}
 	}
@@ -304,11 +305,11 @@ func (a *STA) EvalBottomUpJump(d *tree.Document, cur *index.Cursors) Result {
 	if root == NoState {
 		root = q0
 	}
-	if !a.inTop[root] {
+	if !slices.Contains(a.Top, root) {
 		return Result{Run: run, Work: res.Work}
 	}
 	res.Accepted = true
-	sortNodes(res.Selected)
+	res.Selected = tree.SortedSet(res.Selected)
 	return res
 }
 
@@ -384,7 +385,7 @@ func (a *STA) MinimizeBottomUp() *STA {
 			class[q] = -1
 			continue
 		}
-		k := fmt.Sprintf("%v|%s", a.inTop[q], a.selOf[q].String(nil))
+		k := fmt.Sprintf("%v|%s", slices.Contains(a.Top, State(q)), a.selOf[q].String(nil))
 		id, ok := keys[k]
 		if !ok {
 			id = len(keys)

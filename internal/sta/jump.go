@@ -1,8 +1,6 @@
 package sta
 
 import (
-	"slices"
-
 	"repro/internal/index"
 	"repro/internal/labels"
 	"repro/internal/tree"
@@ -234,14 +232,6 @@ func (a *STA) EvalTopDownJump(d *tree.Document, cur *index.Cursors, run Run) Res
 		}
 	}
 	res.Accepted = true
-	sortNodes(res.Selected)
+	res.Selected = tree.SortedSet(res.Selected)
 	return res
-}
-
-func sortNodes(ns []tree.NodeID) {
-	// The DFS visits nodes in document order, so results are almost
-	// always already sorted; verify cheaply and only sort on violation.
-	if !slices.IsSorted(ns) {
-		slices.Sort(ns)
-	}
 }

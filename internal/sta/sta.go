@@ -53,7 +53,6 @@ type STA struct {
 	Trans []Transition
 
 	byFrom [][]int32
-	inTop  []bool
 	inBot  []bool
 	selOf  []labels.Set // per-state selecting labels, derived from Trans
 	jump   []JumpInfo   // per-state AnalyzeState, for EvalTopDownJump
@@ -75,10 +74,6 @@ func (a *STA) Finalize() *STA {
 		if t.Selecting {
 			a.selOf[t.From] = a.selOf[t.From].Union(t.Guard)
 		}
-	}
-	a.inTop = make([]bool, a.NumStates)
-	for _, q := range a.Top {
-		a.inTop[q] = true
 	}
 	a.inBot = make([]bool, a.NumStates)
 	for _, q := range a.Bottom {
@@ -106,7 +101,7 @@ func (a *STA) SizeBytes() int64 {
 	for _, row := range a.byFrom {
 		b += 24 + 4*int64(len(row))
 	}
-	b += int64(len(a.inTop) + len(a.inBot))
+	b += int64(len(a.inBot))
 	for _, s := range a.selOf {
 		b += s.SizeBytes()
 	}

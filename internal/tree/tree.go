@@ -23,6 +23,7 @@ package tree
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"unsafe"
@@ -34,6 +35,22 @@ type NodeID int32
 // Nil is the absent node; it plays the role of the binary-tree leaf symbol
 // "#" in the paper.
 const Nil NodeID = -1
+
+// SortedSet makes ns an answer: strictly increasing, the one form every
+// engine hands over and every cursor reads (a cursor binary-searches it
+// to resume, and a page would skip or repeat nodes otherwise). It works
+// in place and allocates nothing. Engines emit in document order almost
+// always, so the common case is one scan; only a slice that the scan
+// finds out of order or repeating pays for the sort and the compaction.
+func SortedSet(ns []NodeID) []NodeID {
+	for i := 1; i < len(ns); i++ {
+		if ns[i] <= ns[i-1] {
+			slices.Sort(ns)
+			return slices.Compact(ns)
+		}
+	}
+	return ns
+}
 
 // LabelID is an interned label.
 type LabelID int32

@@ -2,6 +2,8 @@ package tree_test
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,6 +11,65 @@ import (
 	"repro/internal/tgen"
 	"repro/internal/tree"
 )
+
+// TestSortedSet: SortedSet turns any slice of node ids into the
+// strictly increasing answer a cursor resumes over by binary search —
+// on the table's cases and on random slices (strictly increasing, with
+// repeats, shuffled) against a sort-and-compact oracle — in the slice's
+// own memory and without allocating, whichever path it takes.
+func TestSortedSet(t *testing.T) {
+	cases := []struct {
+		name string
+		in   []tree.NodeID
+		want []tree.NodeID
+	}{
+		{"sorted-unique", []tree.NodeID{1, 3, 5}, []tree.NodeID{1, 3, 5}},
+		{"unsorted", []tree.NodeID{5, 1, 3}, []tree.NodeID{1, 3, 5}},
+		{"dups", []tree.NodeID{1, 1, 3, 3, 5}, []tree.NodeID{1, 3, 5}},
+		{"unsorted-dups", []tree.NodeID{5, 1, 5, 3, 1}, []tree.NodeID{1, 3, 5}},
+		{"empty", nil, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tree.SortedSet(slices.Clone(tc.in)); !slices.Equal(got, tc.want) {
+				t.Errorf("SortedSet(%v) = %v, want %v", tc.in, got, tc.want)
+			}
+		})
+	}
+
+	rng := rand.New(rand.NewSource(47))
+	for round := 0; round < 600; round++ {
+		in := make([]tree.NodeID, rng.Intn(300))
+		v := tree.NodeID(rng.Intn(3))
+		for i := range in {
+			in[i] = v
+			if round%3 != 1 || rng.Intn(3) > 0 { // shape 1 repeats ids
+				v += tree.NodeID(1 + rng.Intn(4))
+			}
+		}
+		if round%3 == 2 {
+			rng.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+		}
+		want := slices.Clone(in)
+		slices.Sort(want)
+		want = slices.Compact(want)
+		buf := slices.Clone(in)
+		got := tree.SortedSet(buf)
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: SortedSet(%v) = %v, want %v", round, in, got, want)
+		}
+		if len(got) > 0 && &got[0] != &buf[0] {
+			t.Fatalf("round %d: the set is not in the input's memory", round)
+		}
+		work := make([]tree.NodeID, len(in))
+		if allocs := testing.AllocsPerRun(5, func() {
+			copy(work, in)
+			tree.SortedSet(work)
+		}); allocs != 0 {
+			t.Fatalf("round %d: SortedSet allocates %.1f/op, want 0", round, allocs)
+		}
+	}
+}
 
 func TestEmptyDocument(t *testing.T) {
 	d := tree.NewBuilder().MustFinish()

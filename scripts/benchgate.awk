@@ -6,12 +6,12 @@
 # geomean a plain ratio.
 #
 #   go test -run '^$' -bench B ... | awk -f scripts/benchgate.awk \
-#       -v num=VARIANT -v den=VARIANT -v limit=R [-v fold=min] [-v allocs=N]
+#       -v num=VARIANT -v den=VARIANT -v limit=R [-v fold=min|median] [-v allocs=N]
 #
 #   num, den  variant names (last "/" element, GOMAXPROCS suffix stripped)
 #   limit     largest passing geomean of num/den
-#   fold      "min" keeps the fastest of repeated rows (-count N); the
-#             default keeps the last
+#   fold      "min" keeps the fastest of repeated rows (-count N),
+#             "median" their median; the default keeps the last
 #   allocs    optional allocs/op ceiling on every matched row (needs
 #             -benchmem)
 #
@@ -26,7 +26,8 @@ $4 == "ns/op" && $1 ~ /^Benchmark/ {
 	else next
 	sub(/\/[^\/]*$/, "", name)
 	ns = $3 + 0
-	if (fold != "min" || !((arm, name) in best) || ns < best[arm, name]) best[arm, name] = ns
+	if (fold == "median") seen[arm, name, ++reads[arm, name]] = ns
+	else if (fold != "min" || !((arm, name) in best) || ns < best[arm, name]) best[arm, name] = ns
 	names[name]
 	if (allocs != "" && $NF == "allocs/op") {
 		checked++
@@ -35,6 +36,15 @@ $4 == "ns/op" && $1 ~ /^Benchmark/ {
 }
 
 END {
+	if (fold == "median")
+		for (key in reads) {
+			n = reads[key]
+			for (i = 2; i <= n; i++)
+				for (j = i; j > 1 && seen[key, j - 1] > seen[key, j]; j--) {
+					t = seen[key, j]; seen[key, j] = seen[key, j - 1]; seen[key, j - 1] = t
+				}
+			best[key] = n % 2 ? seen[key, (n + 1) / 2] : (seen[key, n / 2] + seen[key, n / 2 + 1]) / 2
+		}
 	for (name in names)
 		if (("num", name) in best && ("den", name) in best && best["num", name] > 0 && best["den", name] > 0) {
 			pairs++
