@@ -1,12 +1,16 @@
 package repro_test
 
 import (
+	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/shard"
 	"repro/internal/store"
+	"repro/internal/tgen"
 	"repro/internal/tree"
 	"repro/internal/xmark"
 )
@@ -294,5 +298,137 @@ func TestAdaptiveAutoDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// textStepQueries reach the #text nodes, which the jumping cursors find
+// by scanning label bytes rather than in an occurrence row: text() and
+// node() steps on the child and the descendant axis, after a name and
+// after *, and inside predicates. E stands for an element name the
+// document has.
+var textStepQueries = []string{
+	"//text()",
+	"/*/text()",
+	"//E/text()",
+	"//E//text()",
+	"//*/text()",
+	"//*//text()",
+	"/*/node()",
+	"//E/node()",
+	"//*//node()",
+	"//*[text()]",
+	"//E[.//text()]",
+	"//*[not(text())]//E",
+	"//*[text() and *]/node()",
+	"//E[node()]//text()",
+}
+
+// TestTextStepsDifferential holds every strategy's answer to
+// textStepQueries — materialized, paged through continuation tokens and
+// streamed — to the step-wise engine's over the same tree, on an XMark
+// document and on a random one with texts and attributes among its
+// elements, each held three ways: built on the heap, opened from a
+// mapped XQO2 file, and patched (a grafted fragment with texts ahead of
+// the document element's second child, a subtree deleted and one
+// replaced, so the text nodes after each splice move across the lines
+// of 1 024 ranks the text ranks are counted in).
+func TestTextStepsDifferential(t *testing.T) {
+	docs := []struct {
+		name, el string
+		doc      *tree.Document
+	}{
+		{"xmark", "keyword", xmark.Generate(xmark.Config{Scale: 0.002, Seed: 42})},
+		{"tgen", "a", tgen.Random(5, tgen.Config{MaxNodes: 1000, MaxChildren: 12, MaxDepth: 12, Labels: []string{"a", "b", "c"}, TextProb: 0.4, AttrProb: 0.2})},
+	}
+	for _, dc := range docs {
+		for _, origin := range []string{"heap", "mapped", "patched"} {
+			t.Run(dc.name+"/"+origin, func(t *testing.T) {
+				t.Parallel()
+				svc := service.New(shard.NewStore(1), service.Options{CursorTTL: time.Hour})
+				var err error
+				if origin == "mapped" {
+					path := filepath.Join(t.TempDir(), "doc.xqo2")
+					if err = store.SaveXQO2File(path, dc.doc); err == nil {
+						_, err = svc.Store().LoadMapped("xm", path)
+					}
+				} else {
+					_, err = svc.Store().Add("xm", dc.doc, store.SourceDirect)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if origin == "patched" {
+					patchAcrossTextBlocks(t, svc, dc.doc, dc.el)
+				}
+				h, _ := svc.Store().Get("xm")
+				oracle := core.New(h.Doc)
+				for _, q := range textStepQueries {
+					q = strings.ReplaceAll(q, "E", dc.el)
+					want, err := oracle.QueryWith(q, core.Stepwise)
+					if err != nil {
+						t.Fatalf("%s: stepwise oracle: %v", q, err)
+					}
+					for _, strategy := range mutationStrategies {
+						resp := svc.Eval(service.Request{Doc: "xm", Query: q, Strategy: strategy, AsOf: h.Gen})
+						if fragmentErr(strategy, resp.Err) {
+							continue
+						}
+						if resp.Err != "" || resp.Count != len(want.Nodes) || !equalNodes(resp.Nodes, want.Nodes) {
+							t.Fatalf("%s under %s: %d nodes (err %q), stepwise %d", q, strategy, len(resp.Nodes), resp.Err, len(want.Nodes))
+						}
+						paged, errText := pagedNodes(t, svc, q, strategy, h.Gen)
+						if errText != "" || !equalNodes(paged, want.Nodes) {
+							t.Fatalf("%s under %s: paged %d nodes (err %q), stepwise %d", q, strategy, len(paged), errText, len(want.Nodes))
+						}
+						streamed, errText := streamedNodes(t, svc, q, strategy, h.Gen)
+						if errText != "" || !equalNodes(streamed, want.Nodes) {
+							t.Fatalf("%s under %s: streamed %d nodes (err %q), stepwise %d", q, strategy, len(streamed), errText, len(want.Nodes))
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// patchAcrossTextBlocks patches document xm, a copy of d: a fragment
+// with three texts grafted ahead of the document element's second
+// child, then the first el element from a third of the way on and past
+// that child replaced by one with a text, and the first from half way on
+// and past that one deleted.
+func patchAcrossTextBlocks(t *testing.T, svc *service.Service, d *tree.Document, el string) {
+	t.Helper()
+	root := d.DocumentElement()
+	second := d.NextSibling(d.FirstChild(root))
+	if second == tree.Nil {
+		t.Fatal("the document element has one child")
+	}
+	l, ok := d.Names().Lookup(el)
+	if !ok {
+		t.Fatalf("no %s in the document", el)
+	}
+	firstFrom := func(v tree.NodeID) tree.NodeID {
+		for ; int(v) < d.NumNodes(); v++ {
+			if d.Label(v) == l {
+				return v
+			}
+		}
+		t.Fatalf("no %s from node %d on", el, v)
+		return tree.Nil
+	}
+	// Both targets are found in d and lie after the graft, which moves
+	// them on by the fragment's six nodes; the replacement, two nodes in
+	// place of the replaced subtree, moves the deletion's target again.
+	n := tree.NodeID(d.NumNodes())
+	replaced := firstFrom(max(n/3, second))
+	deleted := firstFrom(max(n/2, d.LastDesc(replaced)+1))
+	for _, req := range []service.PatchDocRequest{
+		{Op: "insert", Node: root, Before: &second, XML: "<x>one<y>two</y>three<z/></x>"},
+		{Op: "replace", Node: replaced + 6, XML: "<" + el + ">four</" + el + ">"},
+		{Op: "delete", Node: deleted + 6 + 2 - tree.NodeID(d.SubtreeSize(replaced))},
+	} {
+		if _, err := svc.PatchDoc("xm", req); err != nil {
+			t.Fatalf("%s of node %d: %v", req.Op, req.Node, err)
+		}
 	}
 }

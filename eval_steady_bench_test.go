@@ -109,7 +109,7 @@ func BenchmarkEvalSteadyState(b *testing.B) {
 					res := aut.EvalCtx(ctx, w.Doc, w.Index, asta.Opt())
 					tr.End(sp)
 					rec.Work = res.Work
-					flight.Add(rec)
+					flight.Add(&rec)
 				}
 			})
 		}

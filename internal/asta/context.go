@@ -32,7 +32,7 @@ func NewContext() *Context { return &Context{} }
 // the serving layer surfaces the pooled total in /stats.
 func (c *Context) MemBytes() int64 {
 	e := &c.e
-	b := e.arena.memBytes() + e.i32s.memBytes(4) + e.opsA.memBytes(12) + e.tis.memBytes()
+	b := e.arena.memBytes() + e.i32s.memBytes() + e.opsA.memBytes() + e.tis.memBytes()
 	b += int64(cap(e.sets))*8 + int64(cap(e.rows))*24
 	b += int64(cap(e.jumps))*24 + int64(cap(e.jumpsDone))
 	b += e.setTab.memBytes(12) + e.recTab.memBytes(28) + e.r2Tab.memBytes(28)

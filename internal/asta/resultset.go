@@ -122,10 +122,7 @@ func (a *cellArena) reset() {
 }
 
 // memBytes estimates the arena's resident bytes (capacity, not use).
-func (a *cellArena) memBytes() int64 {
-	const cellSize = 48 // NodeList struct
-	return a.cells.memBytes(cellSize) + a.ids.memBytes(8)
-}
+func (a *cellArena) memBytes() int64 { return a.cells.memBytes() + a.ids.memBytes() }
 
 // RSet is a result set Γ (Definition C.2): the mapping from states to the
 // nodes selected under them, plus its domain — the set of states

@@ -1,5 +1,7 @@
 package asta
 
+import "unsafe"
+
 // Open-addressed hash tables over flat slices for the evaluator's three
 // hot-path lookups (set interning, eval_trans recipes, information-
 // propagation r2 restrictions). The paper's cost model assumes these
@@ -243,10 +245,13 @@ func (a *sliceArena[T]) reset() {
 	a.ci = 0
 }
 
-func (a *sliceArena[T]) memBytes(elemSize int64) int64 {
+// memBytes reports the bytes the arena's chunks hold: their capacity,
+// not their use, at the element's own size.
+func (a *sliceArena[T]) memBytes() int64 {
+	var zero T
 	var b int64
 	for _, ch := range a.chunks {
-		b += elemSize * int64(cap(ch))
+		b += int64(cap(ch))
 	}
-	return b
+	return b * int64(unsafe.Sizeof(zero))
 }

@@ -113,6 +113,11 @@ func FuzzStrategiesAgree(f *testing.F) {
 		// four routes, and attribute steps.
 		"/a//b/c", "/a/*//b", `//a[@b and c]//d`, "//b/parent::a",
 		`//a[contains(., "v")]`, "//a/@b", "//*[@c]",
+		// text() and node() steps, whose #text nodes the jumping
+		// cursors find by scanning label bytes: both axes, after a name
+		// and after *, in predicates, and the text of attributes.
+		"//text()", "/a/text()", "//b//text()", "//*/text()", "/a//node()", "//*/node()",
+		"//a[text()]", "//*[.//text()]/b", "//b[not(text())]//c", "//a/@b/text()", "//*[node() and text()]",
 	} {
 		f.Add(q)
 	}

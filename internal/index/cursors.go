@@ -16,7 +16,8 @@ import (
 // amortized O(1) successor lookups instead of a search per jump: each
 // cursor sweeps its row at most once per evaluation, entering a later
 // chunk through the directory and searching inside chunks only over
-// large skips.
+// large skips. #text has no row: its cursor scans the document's label
+// bytes (tree.Document.NextText), each at most once an evaluation too.
 //
 // Correctness requires monotone use: NextAfter(l, x) assumes x is at
 // least as large as any previous bound passed for label l.
@@ -36,6 +37,9 @@ type Cursors struct {
 	val     []tree.NodeID
 	n       tree.LabelID // len(val), in the type NextAfter compares with
 	touched []tree.LabelID
+	// textEnd is set once #text's scan has read to the end of the labels
+	// and found none after val, as a cursor that ran off its row.
+	textEnd bool
 }
 
 // NewCursors returns fresh cursors for one evaluation pass.
@@ -72,7 +76,7 @@ func (c *Cursors) Reset() {
 	for _, l := range c.touched {
 		c.at[l], c.val[l] = tree.Cursor{}, Nil
 	}
-	c.touched = c.touched[:0]
+	c.touched, c.textEnd = c.touched[:0], false
 }
 
 // MemBytes estimates the resident bytes of the cursor set: a place and a
@@ -98,7 +102,10 @@ func (c *Cursors) advance(l tree.LabelID, x tree.NodeID) tree.NodeID {
 	if l >= c.n {
 		return Nil
 	}
-	s, base := c.ix.table(l)
+	if l == tree.LabelText {
+		return c.nextText(x)
+	}
+	s, base := &c.ix.occ, int(l)*c.ix.chunks
 	at, val, after := &c.at[l], uint32(c.val[l]), uint32(x+1)
 	if u := at.Step(s.Lo, val, after); u != tree.None {
 		c.val[l] = tree.NodeID(u)
@@ -115,6 +122,21 @@ func (c *Cursors) advance(l tree.LabelID, x tree.NodeID) tree.NodeID {
 		c.touched = append(c.touched, l)
 	}
 	return c.val[l]
+}
+
+// nextText is advance for #text: the scan reads on from x, which is at
+// least the last answer, so the bytes it reads are past every byte it
+// read before.
+func (c *Cursors) nextText(x tree.NodeID) tree.NodeID {
+	if c.textEnd {
+		return Nil
+	}
+	if c.val[tree.LabelText] == Nil { // fresh
+		c.touched = append(c.touched, tree.LabelText)
+	}
+	v := c.ix.doc.NextText(x)
+	c.val[tree.LabelText], c.textEnd = v, v == Nil
+	return v
 }
 
 // First returns the first node in the preorder interval (after, end]

@@ -21,7 +21,8 @@
 // rows are the inverse of the document's label array in two bytes a node:
 // one tree.Seq table, its directory indexed directly by (label, rank>>16),
 // so a jump is one directory read and a search of 16-bit halves inside one
-// chunk (see DESIGN.md).
+// chunk (see DESIGN.md). #text has no row: its nodes are the label bytes
+// that say so, which its cursor scans (tree.Document.NextText).
 package index
 
 import (
@@ -45,10 +46,8 @@ type Index struct {
 	// directory, label-major — entry l*chunks+c is where the occurrences
 	// of l at ranks c<<16 and up start — so the empty chunks of a rare
 	// label are adjacent words and no row has a header. The row of
-	// tree.LabelText is empty here: it is the document's own
-	// (tree.Document.TextNodes), borrowed as text.
+	// tree.LabelText is empty: the label bytes list those nodes.
 	occ    tree.Seq
-	text   tree.Seq
 	sigma  int // rows: the labels of doc
 	chunks int // chunks a row: tree.Chunks(doc.NumNodes())
 }
@@ -63,7 +62,7 @@ type Index struct {
 // sweep of the rare labels, which the byte array holds one escape value
 // for: none in a document of 255 names or fewer.
 func New(d *tree.Document) *Index {
-	n, sigma, text := d.NumNodes(), d.Names().Size(), d.TextNodes()
+	n, sigma := d.NumNodes(), d.Names().Size()
 	chunks := tree.Chunks(n)
 	start := make([]uint32, sigma*chunks+1)
 	labels := d.Labels()
@@ -87,7 +86,7 @@ func New(d *tree.Document) *Index {
 	for k := 1; k < len(start); k++ {
 		start[k] += start[k-1]
 	}
-	lo := make([]uint16, n-text.Len())
+	lo := make([]uint16, n-d.TextRank(tree.NodeID(n)))
 	inChunks(chunks, func(c int) {
 		var next [256]uint32
 		for l := range inByte {
@@ -110,7 +109,7 @@ func New(d *tree.Document) *Index {
 			i++
 		}
 	}
-	return &Index{doc: d, occ: tree.Seq{Lo: lo, Start: start}, text: text, sigma: sigma, chunks: chunks}
+	return &Index{doc: d, occ: tree.Seq{Lo: lo, Start: start}, sigma: sigma, chunks: chunks}
 }
 
 // inChunks runs fn on every chunk c in [0, chunks): on up to GOMAXPROCS
@@ -137,8 +136,7 @@ func inChunks(chunks int, fn func(c int)) {
 }
 
 // MemBytes reports the bytes the index holds: the halves and the
-// directory of occ — the text nodes' row is the document's, and counted
-// there.
+// directory of occ.
 func (ix *Index) MemBytes() int64 { return ix.occ.MemBytes() }
 
 // Doc returns the indexed document.
@@ -146,33 +144,23 @@ func (ix *Index) Doc() *tree.Document { return ix.doc }
 
 // Count returns the number of nodes labeled l; O(1) as in the paper's
 // index ("our index provides the global count of a label in constant
-// time", §5): the two ends of its row in the directory.
+// time", §5): the two ends of its row in the directory — and for #text,
+// the document's text rank of the rank past its last node.
 func (ix *Index) Count(l tree.LabelID) int {
-	if l < 0 || int(l) >= ix.sigma {
-		return 0
+	if l == tree.LabelText {
+		return ix.doc.TextRank(tree.NodeID(ix.doc.NumNodes()))
 	}
-	s, base := ix.table(l)
-	return int(s.Start[base+ix.chunks] - s.Start[base])
+	return ix.Occurrences(l).Len()
 }
 
 // Occurrences returns the preorder-sorted ranks of the nodes labeled l
-// (none for a label the document lacks): the row of l, cut out of its
-// table. The sequence is shared; callers must not modify it.
+// (none for a label the document lacks, and none for #text, which has no
+// row): the row of l, cut out of its table. The sequence is shared;
+// callers must not modify it.
 func (ix *Index) Occurrences(l tree.LabelID) tree.Seq {
 	if l < 0 || int(l) >= ix.sigma {
 		return tree.Seq{}
 	}
-	s, base := ix.table(l)
-	return tree.Seq{Lo: s.Lo, Start: s.Start[base : base+ix.chunks+1]}
-}
-
-// table returns where the row of l, a label of the document, lies: the
-// table and the row's first directory entry; every row has ix.chunks
-// chunks. The cursors move in the row in place (tree.Seq.Next) rather
-// than cut it out.
-func (ix *Index) table(l tree.LabelID) (*tree.Seq, int) {
-	if l == tree.LabelText {
-		return &ix.text, 0
-	}
-	return &ix.occ, int(l) * ix.chunks
+	base := int(l) * ix.chunks
+	return tree.Seq{Lo: ix.occ.Lo, Start: ix.occ.Start[base : base+ix.chunks+1]}
 }

@@ -9,12 +9,11 @@ import "repro/internal/tree"
 // copied as they lie; the grafted interval's, gathered from the new
 // document's labels; and those past the removed interval, shifted chunk
 // by chunk (tree.SeqWriter.Append) — a shift moves values across chunk
-// lines, and the rows may have a chunk more or fewer than they had. The
-// text nodes' row is not derived here: the document's splice already made
-// it, and the index borrows it.
+// lines, and the rows may have a chunk more or fewer than they had.
+// #text has no row to derive.
 func Apply(old *Index, newDoc *tree.Document, dl *tree.Delta) *Index {
-	n, text := newDoc.NumNodes(), newDoc.TextNodes()
-	ix := &Index{doc: newDoc, text: text, sigma: newDoc.Names().Size(), chunks: tree.Chunks(n)}
+	n := newDoc.NumNodes()
+	ix := &Index{doc: newDoc, sigma: newDoc.Names().Size(), chunks: tree.Chunks(n)}
 	q, cut, delta := uint32(dl.At), uint32(dl.At)+uint32(dl.Removed), dl.Inserted-dl.Removed
 	// Occurrences of the grafted interval [q, q+Inserted), by label (the
 	// splice already remapped them into the patched label table).
@@ -23,7 +22,7 @@ func Apply(old *Index, newDoc *tree.Document, dl *tree.Delta) *Index {
 		l := newDoc.Label(tree.NodeID(v))
 		inserted[l] = append(inserted[l], v)
 	}
-	w := tree.NewSeqWriter(n-text.Len(), ix.sigma*ix.chunks)
+	w := tree.NewSeqWriter(n-newDoc.TextRank(tree.NodeID(n)), ix.sigma*ix.chunks)
 	for l := 0; l < ix.sigma; l++ {
 		if tree.LabelID(l) == tree.LabelText {
 			continue

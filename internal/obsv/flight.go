@@ -24,8 +24,8 @@ const (
 
 // Record is one flight-recorder entry: everything needed to answer
 // "what was that query and why was it slow" without a debugger. The
-// string fields alias the request's strings (no copies); the struct is
-// copied whole into a preallocated ring slot.
+// string fields alias the request's strings (no copies); Add copies the
+// struct once, into a preallocated ring slot.
 type Record struct {
 	// Seq is the global admission number (monotonic, assigned by Add);
 	// Time is the request start.
@@ -51,19 +51,17 @@ type Record struct {
 
 // Flight is the always-on flight recorder: a fixed ring of the last N
 // query records plus cheap aggregate counters. Add is designed for the
-// hot path — one mutex-guarded struct copy; snapshots pay the copying.
-// All methods are safe for concurrent use and nil-safe, so an
-// unconfigured recorder costs one branch.
+// hot path — one lock, one struct copy, the counters under the same
+// lock; snapshots pay the copying. All methods are safe for concurrent
+// use and nil-safe, so an unconfigured recorder costs one branch.
 type Flight struct {
 	slowNS atomic.Int64
 
-	total   atomic.Uint64
-	slow    atomic.Uint64
-	aborted atomic.Uint64
-
-	mu   sync.Mutex
-	ring []Record
-	next uint64 // ring admission count; next%len(ring) is the slot
+	mu      sync.Mutex
+	ring    []Record
+	next    uint64 // every admission, ever; next%len(ring) is the slot
+	slow    uint64
+	aborted uint64
 }
 
 // DefaultFlightRecords is the ring size when the creator does not
@@ -99,28 +97,28 @@ func (f *Flight) SetSlowThreshold(d time.Duration) {
 	}
 }
 
-// Add admits one record, stamping Seq and the Slow flag, and reports
-// whether the query was slow (the caller decides whether to log it).
-// Safe on nil (reports false).
-func (f *Flight) Add(r Record) bool {
+// Add admits a copy of r, stamping the copy's Seq and Slow flag, and
+// reports whether the query was slow (the caller decides whether to log
+// it); r itself is not written. Safe on nil (reports false).
+func (f *Flight) Add(r *Record) bool {
 	if f == nil {
 		return false
 	}
 	slowNS := f.slowNS.Load()
-	r.Slow = slowNS > 0 && r.ElapsedUS*1000 >= slowNS
-	f.total.Add(1)
-	if r.Slow {
-		f.slow.Add(1)
+	slow := slowNS > 0 && r.ElapsedUS*1000 >= slowNS
+	f.mu.Lock()
+	slot := &f.ring[f.next%uint64(len(f.ring))]
+	*slot = *r
+	slot.Seq, slot.Slow = f.next, slow
+	f.next++
+	if slow {
+		f.slow++
 	}
 	if r.Outcome == OutcomeAborted {
-		f.aborted.Add(1)
+		f.aborted++
 	}
-	f.mu.Lock()
-	r.Seq = f.next
-	f.ring[f.next%uint64(len(f.ring))] = r
-	f.next++
 	f.mu.Unlock()
-	return r.Slow
+	return slow
 }
 
 // FlightStats is the snapshot form served at /debug/queries.
@@ -143,15 +141,10 @@ func (f *Flight) Snapshot(limit int, slowOnly bool) FlightStats {
 	if f == nil {
 		return FlightStats{}
 	}
-	out := FlightStats{
-		Total:           f.total.Load(),
-		Slow:            f.slow.Load(),
-		Aborted:         f.aborted.Load(),
-		SlowThresholdMS: f.SlowThreshold().Milliseconds(),
-	}
+	out := FlightStats{SlowThresholdMS: f.SlowThreshold().Milliseconds()}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out.Capacity = len(f.ring)
+	out.Total, out.Slow, out.Aborted, out.Capacity = f.next, f.slow, f.aborted, len(f.ring)
 	n := f.next
 	resident := n
 	if resident > uint64(len(f.ring)) {
@@ -172,11 +165,13 @@ func (f *Flight) Snapshot(limit int, slowOnly bool) FlightStats {
 }
 
 // Counts returns the lifetime admission counters (total, slow,
-// aborted) without touching the ring; the /metrics exporter reads
-// these. Safe on nil.
+// aborted), read under the ring's lock without copying a record; the
+// /metrics exporter reads these. Safe on nil.
 func (f *Flight) Counts() (total, slow, aborted uint64) {
 	if f == nil {
 		return 0, 0, 0
 	}
-	return f.total.Load(), f.slow.Load(), f.aborted.Load()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.next, f.slow, f.aborted
 }

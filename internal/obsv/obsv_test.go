@@ -109,7 +109,7 @@ func TestTracePoolSteadyStateAllocFree(t *testing.T) {
 func TestFlightRingWrapAndOrder(t *testing.T) {
 	f := NewFlight(4, 0)
 	for i := 0; i < 10; i++ {
-		f.Add(Record{Doc: "d", Query: "q", ElapsedUS: int64(i)})
+		f.Add(&Record{Doc: "d", Query: "q", ElapsedUS: int64(i)})
 	}
 	snap := f.Snapshot(0, false)
 	if snap.Total != 10 || snap.Capacity != 4 || len(snap.Records) != 4 {
@@ -127,13 +127,13 @@ func TestFlightRingWrapAndOrder(t *testing.T) {
 
 func TestFlightSlowThreshold(t *testing.T) {
 	f := NewFlight(8, 5*time.Millisecond)
-	if f.Add(Record{ElapsedUS: 1000}) {
+	if f.Add(&Record{ElapsedUS: 1000}) {
 		t.Error("1ms flagged slow at a 5ms threshold")
 	}
-	if !f.Add(Record{ElapsedUS: 5000}) {
+	if !f.Add(&Record{ElapsedUS: 5000}) {
 		t.Error("5ms not flagged slow at a 5ms threshold")
 	}
-	if !f.Add(Record{ElapsedUS: 90000, Outcome: OutcomeAborted}) {
+	if !f.Add(&Record{ElapsedUS: 90000, Outcome: OutcomeAborted}) {
 		t.Error("90ms not flagged slow")
 	}
 	total, slow, aborted := f.Counts()
@@ -150,14 +150,14 @@ func TestFlightSlowThreshold(t *testing.T) {
 		}
 	}
 	f.SetSlowThreshold(0)
-	if f.Add(Record{ElapsedUS: 1 << 40}) {
+	if f.Add(&Record{ElapsedUS: 1 << 40}) {
 		t.Error("threshold 0 must disable the flag")
 	}
 }
 
 func TestFlightNilSafe(t *testing.T) {
 	var f *Flight
-	if f.Add(Record{ElapsedUS: 1}) {
+	if f.Add(&Record{ElapsedUS: 1}) {
 		t.Error("nil recorder flagged slow")
 	}
 	if s := f.Snapshot(0, false); s.Total != 0 || len(s.Records) != 0 {

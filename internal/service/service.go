@@ -465,7 +465,7 @@ func (s *Service) finish(st *evalState, req *Request) {
 	default:
 		s.metrics.recordError()
 	}
-	slow := s.flight.Add(rec)
+	slow := s.flight.Add(&rec)
 	level := slog.LevelDebug
 	msg := "query"
 	if slow {

@@ -173,7 +173,7 @@ func checkText(d, ref *tree.Document) error {
 	if d.NumNodes() != ref.NumNodes() {
 		return fmt.Errorf("%d nodes, reference has %d", d.NumNodes(), ref.NumNodes())
 	}
-	n, texts := tree.NodeID(d.NumNodes()), slices.Collect(d.TextNodes().From(0))
+	n, texts := tree.NodeID(d.NumNodes()), 0
 	for v := tree.NodeID(0); v < n; v++ {
 		if d.LabelName(v) != ref.LabelName(v) || d.Text(v) != ref.Text(v) {
 			return fmt.Errorf("node %d is %s %q, reference %s %q", v, d.LabelName(v), d.Text(v), ref.LabelName(v), ref.Text(v))
@@ -183,14 +183,14 @@ func checkText(d, ref *tree.Document) error {
 			if d.Text(v) != "" {
 				return fmt.Errorf("node %d, a %s, has text %q", v, d.LabelName(v), d.Text(v))
 			}
-		case len(texts) == 0 || tree.NodeID(texts[0]) != v:
-			return fmt.Errorf("text node %d is not the next one listed (%d left)", v, len(texts))
+		case d.TextRank(v) != texts:
+			return fmt.Errorf("text node %d has text rank %d, and %d text nodes lie before it", v, d.TextRank(v), texts)
 		default:
-			texts = texts[1:]
+			texts++
 		}
 	}
-	if len(texts) != 0 {
-		return fmt.Errorf("%d nodes listed as text are not", len(texts))
+	if d.TextRank(n) != texts {
+		return fmt.Errorf("%d text nodes counted, %d labelled so", d.TextRank(n), texts)
 	}
 	if d.Text(tree.Nil) != "" || d.Text(n) != "" {
 		return fmt.Errorf("Text(Nil) = %q, Text(%d) = %q on %d nodes", d.Text(tree.Nil), n, d.Text(n), n)
@@ -200,8 +200,8 @@ func checkText(d, ref *tree.Document) error {
 	}
 	// Every array is the reference's byte for byte, at rest as in memory —
 	// the label bytes, the rare labels and their ids, up, size, the wide
-	// table with the entry around each entry, the two text sequences,
-	// halves and chunk starts — once the reference's tree is linked under
+	// table with the entry around each entry, the text offsets, halves and
+	// chunk starts — once the reference's tree is linked under
 	// d's label table, which may number the names otherwise: so no escape,
 	// table entry or chunk boundary of an earlier generation survived a
 	// splice.
@@ -215,7 +215,7 @@ func checkText(d, ref *tree.Document) error {
 	}
 	for _, kind := range []uint32{
 		tree.SecLabels, tree.SecRare, tree.SecRareDir, tree.SecRareIDs, tree.SecUp, tree.SecSize, tree.SecWide,
-		tree.SecTextNodes, tree.SecTextDir, tree.SecTextOff, tree.SecTextOffDir,
+		tree.SecTextOff, tree.SecTextOffDir,
 	} {
 		if !bytes.Equal(got.Section(kind), want.Section(kind)) {
 			return fmt.Errorf("section %d differs from the reference's", kind)

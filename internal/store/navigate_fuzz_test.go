@@ -58,8 +58,8 @@ var fuzzSections = []struct {
 	kind uint32
 	word int
 }{
-	{tree.SecUp, 1}, {tree.SecSize, 1}, {tree.SecLabels, 1}, {tree.SecTextNodes, 2}, {tree.SecTextOff, 2}, {tree.SecWide, 4},
-	{tree.SecTextDir, 4}, {tree.SecTextOffDir, 4}, {index.SecOccAll, 2}, {index.SecOccOff, 4},
+	{tree.SecUp, 1}, {tree.SecSize, 1}, {tree.SecLabels, 1}, {tree.SecTextOff, 2}, {tree.SecWide, 4},
+	{tree.SecTextOffDir, 4}, {index.SecOccAll, 2}, {index.SecOccOff, 4},
 	{tree.SecRare, 2}, {tree.SecRareDir, 4}, {tree.SecRareIDs, 2},
 }
 
@@ -80,55 +80,56 @@ func FuzzNavigateVerified(f *testing.F) {
 		return binary.LittleEndian.AppendUint32(e, value)
 	}
 	const n, big = fuzzFanout + 2 + fuzzFanout/5000, 0xFF // nodes; the escape of up, size and labels
-	const texts = fuzzFanout / 5000                       // all of them below rank 65 536
+	const texts = fuzzFanout / 5000                       // all of them below rank 65 536, the last at 65 016
+	const leaf = 3                                        // the label of the unnamed leaves, after #doc, #text and fan
 	const names = 4 + fuzzRareNames                       // #doc, #text, fan, leaf and the named leaves
 	const rares = names - big                             // the first of them node 50 313, a leaf's rank being 2 + i + ⌈i/5000⌉
 	f.Add([]byte{})
-	f.Add(edit(0, 9, 0))                           // up = 0 off the root: a node its own parent
-	f.Add(edit(0, 9, 2))                           // a parent that is not the enclosing node
-	f.Add(edit(0, 9, 12))                          // a parent before the root
-	f.Add(edit(0, 0, 0))                           // root its own parent
-	f.Add(edit(0, 9, big))                         // a near parent stored as an escape
-	f.Add(edit(0, n-1, 1))                         // a far parent stored as a distance
-	f.Add(edit(1, 3, 200))                         // interval past the parent's end
-	f.Add(edit(1, 0, 10))                          // root interval short, its entry orphaned
-	f.Add(edit(1, 5, big))                         // a size byte of 255 with no entry
-	f.Add(edit(1, 1, 7))                           // an entry with no escape
-	f.Add(append(edit(5, 0, 1), edit(5, 3, 0)...)) // entries out of order
-	f.Add(edit(5, 4, 100))                         // an entry shorter than 255
-	f.Add(edit(5, 1, n-2))                         // a span past its parent's
-	f.Add(edit(5, 4, n+6))                         // a span past the document's end
-	f.Add(edit(5, 4, 1<<31))                       // a span ending below zero, its length wrapping
-	f.Add(edit(5, 2, 1))                           // outer pointing forward
-	f.Add(edit(5, 5, 1<<32-1))                     // an entry inside another that names none around it
-	f.Add(edit(2, 4, 1))                           // an element relabelled #text, and not listed
-	f.Add(edit(2, 4, big))                         // an element given the label escape, and not listed
-	f.Add(edit(2, 50313, 3))                       // a listed node whose label byte is not the escape
-	f.Add(edit(10, 0, 9))                          // a rare rank whose byte is not 255
-	f.Add(edit(10, 1, 0))                          // the rare ranks stepping back inside a chunk
-	f.Add(edit(11, 1, rares+1))                    // the rare directory decreasing
-	f.Add(edit(11, 2, rares-1))                    // the rare directory ending short of the list
-	f.Add(edit(12, 0, 3))                          // a rare id that fits a byte
-	f.Add(edit(12, rares-1, names))                // a rare id past the name table
-	f.Add(edit(12, 0, names-1))                    // a rare id that is another name's: the node in the wrong row of the index
-	f.Add(edit(3, 2, 3))                           // the text nodes' halves stepping back inside a chunk
-	f.Add(edit(3, 1, 9))                           // a listed text node that is an element
-	f.Add(edit(4, 2, 60000))                       // a text offset past the blob
-	f.Add(edit(4, 3, 0))                           // text offsets stepping back
-	f.Add(edit(4, texts, 60000))                   // offsets ending past the blob
-	f.Add(edit(3, texts-1, 65017))                 // the last text rank moved onto an element: a text node missing from the #text row
-	f.Add(edit(6, 1, texts+6))                     // a directory that decreases
-	f.Add(edit(6, 2, texts-1))                     // a directory whose last entry is not the element count
-	f.Add(edit(6, 1, 3))                           // a chunk line moved: eleven text ranks decoded 65 536 too high, mostly past n
-	f.Add(edit(7, 1, texts))                       // the offsets' directory one short of their count
-	f.Add(edit(9, 5, 1))                           // a row boundary off by one: the fan element filed in its row's second chunk
-	f.Add(edit(9, 2, 0))                           // the directory stepping back at a row's start
-	f.Add(edit(9, 3, 2))                           // an entry in the #text row, which is the document's to keep
-	f.Add(edit(9, 2*names, n))                     // the closing entry past the halves
-	f.Add(edit(8, 5, 3))                           // halves out of order inside a chunk
-	f.Add(edit(8, n-texts-1, 0xFFFF))              // a rank past n in the last chunk
-	f.Add(edit(8, 1, 2))                           // an occurrence filed under the wrong label
-	f.Add(edit(0, 0, big))                         // an up escape under no wide span, the root's: Parent answers Nil
+	f.Add(edit(0, 9, 0))                                    // up = 0 off the root: a node its own parent
+	f.Add(edit(0, 9, 2))                                    // a parent that is not the enclosing node
+	f.Add(edit(0, 9, 12))                                   // a parent before the root
+	f.Add(edit(0, 0, 0))                                    // root its own parent
+	f.Add(edit(0, 9, big))                                  // a near parent stored as an escape
+	f.Add(edit(0, n-1, 1))                                  // a far parent stored as a distance
+	f.Add(edit(1, 3, 200))                                  // interval past the parent's end
+	f.Add(edit(1, 0, 10))                                   // root interval short, its entry orphaned
+	f.Add(edit(1, 5, big))                                  // a size byte of 255 with no entry
+	f.Add(edit(1, 1, 7))                                    // an entry with no escape
+	f.Add(append(edit(4, 0, 1), edit(4, 3, 0)...))          // entries out of order
+	f.Add(edit(4, 4, 100))                                  // an entry shorter than 255
+	f.Add(edit(4, 1, n-2))                                  // a span past its parent's
+	f.Add(edit(4, 4, n+6))                                  // a span past the document's end
+	f.Add(edit(4, 4, 1<<31))                                // a span ending below zero, its length wrapping
+	f.Add(edit(4, 2, 1))                                    // outer pointing forward
+	f.Add(edit(4, 5, 1<<32-1))                              // an entry inside another that names none around it
+	f.Add(edit(2, 4, 1))                                    // an element relabelled #text: one offset short
+	f.Add(edit(2, 4, big))                                  // an element given the label escape, and not listed
+	f.Add(edit(2, 50313, 3))                                // a listed node whose label byte is not the escape
+	f.Add(edit(8, 0, 9))                                    // a rare rank whose byte is not 255
+	f.Add(edit(8, 1, 0))                                    // the rare ranks stepping back inside a chunk
+	f.Add(edit(9, 1, rares+1))                              // the rare directory decreasing
+	f.Add(edit(9, 2, rares-1))                              // the rare directory ending short of the list
+	f.Add(edit(10, 0, 3))                                   // a rare id that fits a byte
+	f.Add(edit(10, rares-1, names))                         // a rare id past the name table
+	f.Add(edit(10, 0, names-1))                             // a rare id that is another name's: the node in the wrong row of the index
+	f.Add(append(edit(2, 3, leaf), edit(2, 4, 1)...))       // a text and the leaf after it trade labels: a tree still
+	f.Add(append(edit(2, 1, 1), edit(2, 3, leaf)...))       // the fan relabelled #text, a text node with children
+	f.Add(edit(3, 2, 60000))                                // a text offset past the blob
+	f.Add(edit(3, 3, 0))                                    // text offsets stepping back
+	f.Add(edit(3, texts, 60000))                            // offsets ending past the blob
+	f.Add(append(edit(2, 65016, leaf), edit(2, n-1, 1)...)) // the last text's label moved past the chunk line, onto the last leaf
+	f.Add(append(edit(2, 3, leaf), edit(2, 1030, 1)...))    // the first text's label moved across the first block line of 1 024 ranks
+	f.Add(append(edit(2, 3, leaf), edit(2, 1024, 1)...))    // onto the first rank of the second block
+	f.Add(edit(2, 3, leaf))                                 // a text relabelled an element: one offset too many
+	f.Add(edit(5, 1, texts))                                // the offsets' directory one short of their count
+	f.Add(edit(7, 5, 1))                                    // a row boundary off by one: the fan element filed in its row's second chunk
+	f.Add(edit(7, 2, 0))                                    // the directory stepping back at a row's start
+	f.Add(edit(7, 3, 2))                                    // an entry in the #text row, which has none
+	f.Add(edit(7, 2*names, n))                              // the closing entry past the halves
+	f.Add(edit(6, 5, 3))                                    // halves out of order inside a chunk
+	f.Add(edit(6, n-texts-1, 0xFFFF))                       // a rank past n in the last chunk
+	f.Add(edit(6, 1, 2))                                    // an occurrence filed under the wrong label
+	f.Add(edit(0, 0, big))                                  // an up escape under no wide span, the root's: Parent answers Nil
 	f.Fuzz(func(t *testing.T, edits []byte) {
 		data := bytes.Clone(fuzzContainer())
 		for ; len(edits) >= 9; edits = edits[9:] {
@@ -152,11 +153,11 @@ func FuzzNavigateVerified(f *testing.F) {
 // and a search and a sweep of every occurrence row return; and either
 // verification refuses the document or its index, or a preorder walk by
 // FirstChild/NextSibling from the root visits each of the n nodes once,
-// in rank order, every parent walk ends at the root, the listed text
-// nodes are exactly the nodes labelled #text, in order, Text is empty on
-// every other node and on those reads the blob from end to end, and the
-// index is the inverse of the labels: the row of each label lists the
-// nodes carrying it, all of them, in order.
+// in rank order, every parent walk ends at the root, the nodes labelled
+// #text are counted in order by TextRank and swept by NextText, Text is
+// empty on every other node and on those reads the blob from end to end,
+// and the index is the inverse of the labels: the row of each label but
+// #text lists the nodes carrying it, all of them, in order.
 func requireRefusedOrNavigable(t *testing.T, l *tree.Layout) {
 	t.Helper()
 	d, err := tree.DocumentFromLayout(l)
@@ -214,10 +215,11 @@ func requireRefusedOrNavigable(t *testing.T, l *tree.Layout) {
 	if visited != n {
 		t.Fatalf("verified, yet the preorder walk visits %d of %d nodes", visited, n)
 	}
-	// Text, from the labels alone: the i-th node labelled #text is the
-	// i-th listed, and the texts in that order are the blob.
+	// Text, from the labels alone: the i-th node labelled #text has text
+	// rank i and is the i-th the scan finds, and the texts in that order
+	// are the blob.
 	var blob []byte
-	texts := slices.Collect(d.TextNodes().From(0))
+	texts, next := 0, d.NextText(tree.Nil)
 	for v := tree.NodeID(0); v < n; v++ {
 		text := d.Text(v)
 		if d.Label(v) != tree.LabelText {
@@ -226,15 +228,15 @@ func requireRefusedOrNavigable(t *testing.T, l *tree.Layout) {
 			}
 			continue
 		}
-		if len(texts) == 0 || tree.NodeID(texts[0]) != v {
-			t.Fatalf("verified, yet text node %d is not the next one listed (%d left)", v, len(texts))
+		if d.TextRank(v) != texts || next != v {
+			t.Fatalf("verified, yet text node %d has text rank %d after %d text nodes, and the scan names %d", v, d.TextRank(v), texts, next)
 		}
-		texts = texts[1:]
+		texts, next = texts+1, d.NextText(v)
 		blob = append(blob, text...)
 	}
-	if len(texts) != 0 || !bytes.Equal(blob, l.Section(tree.SecTextBlob)) {
-		t.Fatalf("verified, yet %d listed text nodes are not labelled so, or the texts (%d bytes) are not the blob (%d bytes)",
-			len(texts), len(blob), len(l.Section(tree.SecTextBlob)))
+	if next != tree.Nil || d.TextRank(n) != texts || !bytes.Equal(blob, l.Section(tree.SecTextBlob)) {
+		t.Fatalf("verified, yet the scan names %d past the last text node, %d text nodes are counted of %d, or the texts (%d bytes) are not the blob (%d bytes)",
+			next, d.TextRank(n), texts, len(blob), len(l.Section(tree.SecTextBlob)))
 	}
 	// The index, from the labels alone: each node is the next
 	// occurrence of its label, and no row holds more.

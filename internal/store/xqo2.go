@@ -84,9 +84,9 @@ func openXQO2(path string) (*tree.Document, *index.Index, *mmapx.Mapping, error)
 }
 
 // OpenXQO2Verified is OpenXQO2 plus the element-wise structural
-// validation pass (up, size and wide proven to describe one tree, the
-// text sequences the text nodes and their texts, the index the exact
-// inverse of the labels). Use it for files
+// validation pass (up, size and wide proven to describe one tree whose
+// text nodes are leaves, the text offsets their texts, the index the
+// exact inverse of the labels). Use it for files
 // that did not originate from this process: the default open only
 // verifies checksums, which catch corruption but not a crafted file
 // whose values would panic a later query or send it round a cycle.

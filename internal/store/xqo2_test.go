@@ -222,7 +222,7 @@ func TestMappedLabelNamesOutliveTheMapping(t *testing.T) {
 }
 
 // openContainer is the small valid XQO2 container FuzzOpenXQO2 edits: a
-// few elements with texts, 17 sections in under 2 KB.
+// few elements with texts, 15 sections in under 2 KB.
 var openContainer = sync.OnceValue(func() []byte {
 	b := tree.NewBuilder()
 	b.Open("site")
@@ -450,16 +450,13 @@ func TestXQO2VerifyStructure(t *testing.T) {
 				p[repeatedElement(p)] = 0xFF
 			})
 		},
-		// An element relabelled #text: Text would find no place for it in
-		// the list of text nodes.
-		"text node not listed": func(b []byte) {
+		// The first element with children and the first text node trade
+		// labels: as many #text labels as offsets, every text read in
+		// order, but a #text node with nodes under it.
+		"text node with children": func(b []byte) {
 			rewriteSection(t, b, tree.SecLabels, func(p []byte) {
-				p[repeatedElement(p)] = byte(tree.LabelText)
-			})
-		},
-		"text node listed twice": func(b []byte) {
-			rewriteSection(t, b, tree.SecTextNodes, func(p []byte) {
-				copy(p[2:4], p[0:2])
+				v, text := withChildren(t, b), bytes.IndexByte(p, byte(tree.LabelText))
+				p[v], p[text] = p[text], p[v]
 			})
 		},
 		// The second text would end before it starts.
@@ -520,6 +517,40 @@ func TestXQO2VerifyStructure(t *testing.T) {
 			t.Errorf("%s: verifying store accepted structurally invalid content", name)
 		}
 	}
+
+	// An element relabelled #text, or a text node relabelled an element:
+	// the texts are counted from the labels, so the offsets no longer
+	// number one more than the #text nodes, and the default open refuses.
+	for name, l := range map[string]byte{"an element relabelled #text": byte(tree.LabelText), "a text node relabelled an element": 2} {
+		data := bytes.Clone(orig)
+		rewriteSection(t, data, tree.SecLabels, func(p []byte) {
+			if l == byte(tree.LabelText) {
+				p[repeatedElement(p)] = l
+			} else {
+				p[bytes.IndexByte(p, byte(tree.LabelText))] = l
+			}
+		})
+		mut := filepath.Join(t.TempDir(), "mut.xqo2")
+		if err := os.WriteFile(mut, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, _, err := OpenXQO2(mut); err == nil || !strings.Contains(err.Error(), "labelled #text") {
+			t.Errorf("%s: the default open says %v, want a refusal naming the #text labels", name, err)
+		}
+	}
+}
+
+// withChildren returns the rank of the first node after the root, in a
+// container's size section, that has nodes under it.
+func withChildren(t *testing.T, data []byte) int {
+	_, size := findSection(t, data, tree.SecSize)
+	for v := 1; v < len(size); v++ {
+		if size[v] != 0 {
+			return v
+		}
+	}
+	t.Fatal("no node after the root has children")
+	return 0
 }
 
 // TestXQO2WideTable splits the checks of the two tables an escape is

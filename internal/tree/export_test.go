@@ -11,7 +11,7 @@ func (d *Document) SpareCapacity() int {
 	return cap(d.labels) - len(d.labels) + cap(d.up) - len(d.up) + cap(d.size) - len(d.size) +
 		2*(cap(d.rareIDs)-len(d.rareIDs)) +
 		12*(cap(d.wide)-len(d.wide)) +
-		d.rare.spare() + d.textNodes.spare() + d.textOff.spare() +
+		4*(cap(d.textBefore)-len(d.textBefore)) + d.rare.spare() + d.textOff.spare() +
 		cap(d.textBlob) - len(d.textBlob)
 }
 

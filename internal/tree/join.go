@@ -31,8 +31,7 @@ type Piece struct {
 	n      NodeID // nodes written
 	wide   []span // the subtrees closed in the piece that span big ranks or more
 
-	texts   []uint32 // per text node: its rank in the piece
-	textOff []uint32 // and where its text starts in Blob
+	textOff []uint32 // per text node: where its text starts in Blob
 	t       int      // text nodes written
 
 	// Blob is the text of the piece's text nodes, in order: the content of
@@ -55,7 +54,6 @@ func NewPiece(names *LabelTable, nodes, texts, blob int) *Piece {
 		labels:  make([]uint16, nodes),
 		up:      make([]uint8, nodes),
 		size:    make([]uint8, nodes),
-		texts:   make([]uint32, texts),
 		textOff: make([]uint32, texts),
 		Blob:    make([]byte, 0, blob),
 		open:    append(make([]NodeID, 0, 32), -1),
@@ -66,7 +64,7 @@ func NewPiece(names *LabelTable, nodes, texts, blob int) *Piece {
 // Text write by position into room made before: growing the arrays
 // themselves would keep them from being inlined.
 func (p *Piece) Reserve(k int) {
-	if int(p.n)+k > len(p.labels) || p.t+k > len(p.texts) {
+	if int(p.n)+k > len(p.labels) || p.t+k > len(p.textOff) {
 		p.grow(k)
 	}
 }
@@ -75,7 +73,7 @@ func (p *Piece) Reserve(k int) {
 func (p *Piece) grow(k int) {
 	n, t := 2*int(p.n)+k+64, 2*p.t+k+16
 	p.labels, p.up, p.size = resize(p.labels, n), resize(p.up, n), resize(p.size, n)
-	p.texts, p.textOff = resize(p.texts, t), resize(p.textOff, t)
+	p.textOff = resize(p.textOff, t)
 }
 
 // resize returns s lengthened to at least n, its contents kept.
@@ -95,7 +93,8 @@ func (p *Piece) Open(l LabelID) {
 // Text appends a text node, a leaf. Its content is what the caller
 // appends to Blob before the next node.
 func (p *Piece) Text() {
-	p.texts[p.t], p.textOff[p.t] = uint32(p.add(LabelText)), uint32(len(p.Blob))
+	p.add(LabelText)
+	p.textOff[p.t] = uint32(len(p.Blob))
 	p.t++
 }
 
@@ -161,9 +160,9 @@ func (p *Piece) Len() int { return int(p.n) }
 //
 // One worker per piece copies what the piece holds of the document:
 // up, size and the text, the labels through a table from the piece's
-// ids, and its text nodes' entries of the two text sequences. What
-// crosses pieces is linked after, serially: it is a few entries for
-// every cut (see link).
+// ids, and its text nodes' offsets. What crosses pieces is linked after,
+// serially: it is a few entries for every cut (see link). The text
+// ranks' directory is counted from the finished labels.
 func Join(pieces []*Piece) (*Document, error) {
 	names := pieces[0].names
 	at := make([]place, len(pieces)+1) // the last one past the end: the totals
@@ -187,13 +186,12 @@ func Join(pieces []*Piece) (*Document, error) {
 	}
 	n := int(end.node)
 	d := &Document{
-		labels:    make([]uint8, n),
-		up:        make([]uint8, n),
-		size:      make([]uint8, n),
-		textNodes: Seq{Lo: make([]uint16, end.text), Start: make([]uint32, Chunks(n)+1)},
-		textOff:   Seq{Lo: make([]uint16, end.text+1), Start: make([]uint32, Chunks(end.blob+1)+1)},
-		textBlob:  make([]byte, end.blob),
-		names:     names,
+		labels:   make([]uint8, n),
+		up:       make([]uint8, n),
+		size:     make([]uint8, n),
+		textOff:  Seq{Lo: make([]uint16, end.text+1), Start: make([]uint32, Chunks(end.blob+1)+1)},
+		textBlob: make([]byte, end.blob),
+		names:    names,
 	}
 	var wg sync.WaitGroup
 	for i := 1; i < len(pieces); i++ {
@@ -209,15 +207,14 @@ func Join(pieces []*Piece) (*Document, error) {
 	if err := d.link(pieces, at); err != nil {
 		return nil, err
 	}
-	textNodes, textOff := make([]run, len(pieces)), make([]run, len(pieces)+1)
+	textOff := make([]run, len(pieces)+1)
 	for i, p := range pieces {
-		textNodes[i] = run{p.texts[:p.t], uint32(at[i].node), at[i].text}
 		textOff[i] = run{p.textOff[:p.t], uint32(at[i].blob), at[i].text}
 	}
 	textOff[len(pieces)] = run{[]uint32{0}, uint32(end.blob), end.text} // the blob's end
 	d.textOff.Lo[end.text] = uint16(end.blob)
-	directory(d.textNodes.Start, textNodes)
 	directory(d.textOff.Start, textOff)
+	d.textBefore = textDirectory(d.labels)
 	d.rareList(at)
 	return d, nil
 }
@@ -235,7 +232,7 @@ type place struct {
 
 // fill writes into d what piece p, placed at pl, holds of it: up, size,
 // labels through remap, its text, and the halves of its text nodes'
-// ranks and offsets. It lists the piece's rarely labelled nodes in pl:
+// offsets. It lists the piece's rarely labelled nodes in pl:
 // none unless the document has more than 255 names.
 func (d *Document) fill(p *Piece, pl *place) {
 	b := pl.node
@@ -259,9 +256,6 @@ func (d *Document) fill(p *Piece, pl *place) {
 		for v, l := range p.labels[:p.n] {
 			labels[v] = to[l]
 		}
-	}
-	for j, v := range p.texts[:p.t] {
-		d.textNodes.Lo[pl.text+j] = uint16(uint32(b) + v)
 	}
 	for j, o := range p.textOff[:p.t] {
 		d.textOff.Lo[pl.text+j] = uint16(uint32(pl.blob) + o)

@@ -12,12 +12,13 @@ import (
 
 // XQO2 resident layout — the only binary document format. It stores
 // every array of the in-memory representation (labels, up, size, wide,
-// the rare labels, the text nodes' ranks and offsets as halves +
-// directory each, the blob, the label table, the index's occurrence
-// table) verbatim in 64-byte-aligned, CRC-checksummed sections, so an
-// mmap'd file can be aliased into live structures without copying or
-// rebuilding anything, and nothing else: a section no query reads would
-// be written, checksummed and paged for nothing.
+// the rare labels, the text offsets as halves + directory, the blob, the
+// label table, the index's occurrence table) verbatim in 64-byte-aligned,
+// CRC-checksummed sections, so an mmap'd file can be aliased into live
+// structures without copying anything, and nothing else: a section no
+// query reads would be written, checksummed and paged for nothing. The
+// one thing an open builds is the text ranks' directory, one word per
+// 1 024 nodes, counted from the checksummed labels.
 // Opening a corpus is page-table setup; the OS pages cold documents.
 //
 //	offset 0   magic "XQO2"
@@ -58,8 +59,10 @@ import (
 // its two scalars from the meta section (1), which shrinks from four
 // words to two. Version 9 stores up (kind 17) in one byte a node where it
 // took two, its escape 0xFF where it was 0xFFFF; the wide table (19)
-// holds the same entries. A file of another version is refused with the
-// command that re-saves it.
+// holds the same entries. Version 10 drops the text nodes' ranks (kinds
+// 16 and 20): the label bytes say which nodes are #text, and a text
+// rank is counted from them. A file of another version is refused with
+// the command that re-saves it.
 //
 // This file owns the container plus the document's sections;
 // internal/index adds its sections in its own layout file (the index
@@ -68,7 +71,7 @@ import (
 
 const (
 	xqo2Magic      = "XQO2"
-	xqo2Version    = 9
+	xqo2Version    = 10
 	xqo2Align      = 64
 	xqo2EndianMark = 0x0102030405060708
 	xqo2HeaderLen  = 24
@@ -78,23 +81,22 @@ const (
 // Section kinds. The tree package owns kinds below 32; other packages
 // layer their sections on top (internal/index uses 32+). Kinds 4, 5 and
 // 7 (version 2's firstChild, nextSibling and depth), 3 and 6 (parent
-// and lastDesc, up to version 4) and 12–15 (the balanced-parentheses
-// view, up to version 7) are retired and stay reserved; kinds 2 and 8
-// kept their meaning and changed their shape in version 4, kinds 8 and
-// 16 again in version 6, kinds 2, 18 and 19 in version 7, kind 1 in
-// version 8, kind 17 in version 9.
+// and lastDesc, up to version 4), 12–15 (the balanced-parentheses view,
+// up to version 7) and 16 and 20 (the text nodes' ranks and their
+// directory, up to version 9) are retired and stay reserved; kinds 2 and
+// 8 kept their meaning and changed their shape in version 4, kind 8
+// again in version 6, kinds 2, 18 and 19 in version 7, kind 1 in version
+// 8, kind 17 in version 9.
 const (
 	SecDocMeta    uint32 = 1  // scalars: numNodes, numNames
 	SecLabels     uint32 = 2  // []uint8, len numNodes: the LabelID, or 0xFF
-	SecTextOff    uint32 = 8  // []uint16, len(SecTextNodes)+1: the halves of each text node's start in the blob, then of its end
+	SecTextOff    uint32 = 8  // []uint16, one per node labelled #text and one more: the halves of each one's start in the blob, in preorder, then of its end
 	SecTextBlob   uint32 = 9  // raw bytes
 	SecNameOff    uint32 = 10 // []uint32, len numNames+1
 	SecNameBlob   uint32 = 11 // raw bytes
-	SecTextNodes  uint32 = 16 // []uint16: the halves of the #text nodes' ranks, ascending — also the index's occurrence row of LabelText
 	SecUp         uint32 = 17 // []uint8, len numNodes: v - parent, or 0xFF
 	SecSize       uint32 = 18 // []uint8, len numNodes: lastDesc - v, or 0xFF
 	SecWide       uint32 = 19 // []{node, last NodeID; outer int32}: the nodes whose size is 0xFF, ascending, each with the index of the entry around it
-	SecTextDir    uint32 = 20 // []uint32, one per 65 536 ranks and one more: where each chunk of SecTextNodes starts
 	SecTextOffDir uint32 = 21 // []uint32, one per 65 536 blob bytes and one more: where each chunk of SecTextOff starts
 	SecRare       uint32 = 22 // []uint16: the halves of the ranks of the nodes whose label is 0xFF, ascending
 	SecRareDir    uint32 = 23 // []uint32, one per 65 536 ranks and one more: where each chunk of SecRare starts
@@ -334,8 +336,6 @@ func AddDocumentSections(w *LayoutWriter, d *Document, _ *Succinct) {
 	w.Add(SecRare, SliceBytes(d.rare.Lo))
 	w.Add(SecRareDir, SliceBytes(d.rare.Start))
 	w.Add(SecRareIDs, SliceBytes(d.rareIDs))
-	w.Add(SecTextNodes, SliceBytes(d.textNodes.Lo))
-	w.Add(SecTextDir, SliceBytes(d.textNodes.Start))
 	w.Add(SecTextOff, SliceBytes(d.textOff.Lo))
 	w.Add(SecTextOffDir, SliceBytes(d.textOff.Start))
 	w.Add(SecTextBlob, d.textBlob)
@@ -392,32 +392,28 @@ func DocumentFromLayout(l *Layout) (*Document, error) {
 		return nil, err
 	}
 	d.textBlob = l.Section(SecTextBlob)
-	if d.textNodes, err = SeqFromLayout(l, SecTextNodes, SecTextDir, -1, Chunks(n)); err != nil {
-		return nil, err
-	}
-	texts := d.textNodes.Len()
-	if texts > n {
-		return nil, fmt.Errorf("tree: xqo2: %d text nodes listed among %d nodes", texts, n)
-	}
+	d.textBefore = textDirectory(d.labels)
+	texts := d.TextRank(NodeID(n))
 	if d.textOff, err = SeqFromLayout(l, SecTextOff, SecTextOffDir, texts+1, Chunks(len(d.textBlob)+1)); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tree: xqo2: offsets of the %d nodes labelled #text: %w", texts, err)
 	}
 
-	// Shape checks here cost nothing per node: section lengths against the
-	// node, text-node and rare-label counts, the three directories
-	// (SeqFromLayout), the text offsets' two ends against the blob, and the
-	// two tables an escape is answered from — the wide one, a dozen entries
-	// on a million nodes, and the rare labels' ids, none for a document of
-	// 255 names or fewer — being ones a lookup can trust.
+	// Shape checks here cost nothing per node but the count of the #text
+	// labels the text ranks' directory is built from: section lengths
+	// against the node, text-node and rare-label counts, the two
+	// directories (SeqFromLayout), the text offsets' two ends against the
+	// blob, and the two tables an escape is answered from — the wide one, a
+	// dozen entries on a million nodes, and the rare labels' ids, none for
+	// a document of 255 names or fewer — being ones a lookup can trust.
 	// Element-wise structural validation — up and size describing a tree,
-	// their escapes matching the table, the nodes listed as rare or as text
-	// being the nodes labelled so, the offsets monotone — is the opt-in
-	// VerifyStructure pass: the default open trusts checksummed content (the
-	// CRCs catch corruption; the format is a cache artifact written by this
-	// process), because re-scanning every array on every open would cost
-	// more than the rest of the zero-copy open combined. Untrusted files
-	// go through VerifyStructure, which errors instead of letting a
-	// crafted value panic a later query.
+	// their escapes matching the table, the nodes listed as rare being the
+	// nodes labelled so, #text nodes being leaves, the offsets monotone — is
+	// the opt-in VerifyStructure pass: the default open trusts checksummed
+	// content (the CRCs catch corruption; the format is a cache artifact
+	// written by this process), because re-proving every array on every
+	// open would cost more than the rest of the zero-copy open combined.
+	// Untrusted files go through VerifyStructure, which errors instead of
+	// letting a crafted value panic a later query.
 	if first, last := d.textOff.At(0), d.textOff.At(texts); first != 0 || int(last) != len(d.textBlob) {
 		return nil, fmt.Errorf("tree: xqo2: text offsets span [%d, %d) of a %d-byte blob", first, last, len(d.textBlob))
 	}
@@ -490,14 +486,14 @@ func (d *Document) checkRareIDs(sigma int) error {
 
 // VerifyStructure runs the element-wise structural validation that the
 // zero-copy open skips by default: up, size and wide describing one
-// tree in preorder, labels within the name table, the nodes listed as
-// rare being exactly the nodes holding the label escape, the listed text
-// nodes exactly the nodes labelled #text, and their offsets monotone
-// across the blob. It is the defense for files from outside this
-// process — a crafted value that passes the checksums (which only catch
-// corruption) would otherwise surface as a bounds panic, or a parent
-// walk that never ends, on whatever query first touches it. The three
-// checks run in parallel; they only read.
+// tree in preorder whose #text nodes are leaves, labels within the name
+// table, the nodes listed as rare being exactly the nodes holding the
+// label escape, and the text offsets monotone across the blob. It is
+// the defense for files from outside this process — a crafted value
+// that passes the checksums (which only catch corruption) would
+// otherwise surface as a bounds panic, or a parent walk that never
+// ends, on whatever query first touches it. The three checks run in
+// parallel; they only read.
 func (d *Document) VerifyStructure() error {
 	checks := []func() error{d.verifyLabels, d.verifyTree, d.verifyText}
 	return inParallel(len(checks), func(i int) error { return checks[i]() })
@@ -539,41 +535,13 @@ func (d *Document) verifyLabels() error {
 	return nil
 }
 
-// verifyText proves the text directory: textNodes strictly increasing
-// within [0, n) and exactly the nodes labelled #text (each listed node
-// is one, and there are as many as listed), textOff non-decreasing from
-// 0 to the blob's length. What passes makes Text right on every node,
-// and the texts in list order concatenate to the blob. The directories
-// were proven when the sequences were made; decoded values ascending is
-// the halves ascending inside every chunk.
+// verifyText proves the text offsets non-decreasing; the open proved
+// that there is one for every node labelled #text and one more, from 0
+// to the blob's length. What passes makes Text right on every node, and
+// the texts in preorder concatenate to the blob. The directory was
+// proven when the sequence was made; decoded values ascending is the
+// halves ascending inside every chunk.
 func (d *Document) verifyText() error {
-	n, prev, listed := len(d.labels), -1, 0
-	for u := range d.textNodes.From(0) {
-		v := int(u)
-		if v <= prev || v >= n {
-			return fmt.Errorf("tree: xqo2: text node list entry %d is node %d, after node %d of %d", listed, v, prev, n)
-		}
-		if d.labels[v] != uint8(LabelText) {
-			return fmt.Errorf("tree: xqo2: node %d is listed as text but carries label %d", v, d.labels[v])
-		}
-		prev = v
-		listed++
-	}
-	labelled := 0
-	for _, l := range d.labels {
-		if LabelID(l) == LabelText {
-			labelled++
-		}
-	}
-	if labelled != listed {
-		return fmt.Errorf("tree: xqo2: %d nodes are labelled #text, %d are listed", labelled, listed)
-	}
-	if d.textOff.Len() != listed+1 {
-		return fmt.Errorf("tree: xqo2: %d text offsets for %d text nodes", d.textOff.Len(), listed)
-	}
-	if first, last := d.textOff.At(0), d.textOff.At(listed); first != 0 || int(last) != len(d.textBlob) {
-		return fmt.Errorf("tree: xqo2: text offsets span [%d, %d) of a %d-byte blob", first, last, len(d.textBlob))
-	}
 	before, i := uint32(0), 0
 	for o := range d.textOff.From(0) {
 		if o < before {
@@ -591,7 +559,9 @@ func (d *Document) verifyText() error {
 // with its own interval inside that one, every distance and every length
 // under big is stored as itself and every other as big, and wide lists
 // exactly the nodes whose size is big, in order, with their ends and the
-// entries around them (checkWide). One pass with the
+// entries around them (checkWide); and no #text node has any node under
+// it, as the data model has it (Apply refuses to graft under one). One
+// pass with the
 // stack of open intervals and one cursor into wide; values are only
 // compared, never used as an index, so no content can make the check
 // itself fault. What passes is navigable: every parent is a lower rank
@@ -627,6 +597,9 @@ func (d *Document) verifyTree() error {
 			return fmt.Errorf("tree: xqo2: node %d spans %d ranks of the %d left to its parent", v, span, reach)
 		}
 		if span > 0 {
+			if d.labels[v] == byte(LabelText) {
+				return fmt.Errorf("tree: xqo2: node %d, a #text node, has %d nodes under it", v, span)
+			}
 			open = append(open, interval{v, v + span})
 		}
 	}

@@ -14,7 +14,8 @@ import "fmt"
 // ancestor, the only later nodes whose parent lies before it, end up
 // that much further from their parent — and in wide, whose entries after
 // the splice shift and whose ancestors may cross the line either way, and
-// in rare, whose entries after the splice shift likewise.
+// in rare, whose entries after the splice shift likewise, and in the
+// text offsets.
 // Nothing is re-linked, because sibling order is implied by the
 // intervals: O(n) memcpy instead of an O(n) re-parse plus index rebuild.
 // The Delta describing the splice is what lets internal/index update
@@ -220,12 +221,9 @@ func (d *Document) Apply(pt Patch) (*Document, *Delta, error) {
 // label table past MaxLabels.
 func (d *Document) splice(dl *Delta) (*Document, error) {
 	var (
-		q     = dl.At
-		k     = dl.Removed
-		m     = dl.Inserted
-		delta = NodeID(m - k)
-		cut   = q + NodeID(k) // first old preorder rank after the removed interval
-		nn    = d.NumNodes() + m - k
+		q   = dl.At
+		cut = q + NodeID(dl.Removed) // first old preorder rank after the removed interval
+		nn  = d.NumNodes() + dl.Inserted - dl.Removed
 	)
 	frag := dl.Frag
 	if frag == nil {
@@ -247,24 +245,21 @@ func (d *Document) splice(dl *Delta) (*Document, error) {
 	}
 
 	// Text: the removed interval's text nodes are one run [lo, hi) of the
-	// sorted ranks, and the fragment's (all of them lie under its element)
-	// take that run's place, among the ranks, the offsets and in the blob.
-	// Entries before the run keep their values and are copied as they are;
-	// the fragment's are rebased one by one, the later ones chunk by chunk
+	// text ranks, and the fragment's (all of them lie under its element)
+	// take that run's place, among the offsets and in the blob. Entries
+	// before the run keep their values and are copied as they are; the
+	// fragment's are rebased one by one, the later ones chunk by chunk
 	// (SeqWriter.Append), since a shift moves values across chunk lines.
 	// Everything is copied into fresh heap memory — a patched generation
 	// shares nothing with its parent, so a parent aliasing a read-only
 	// mapping can be released independently.
-	lo, _ := d.textNodes.Search(uint32(q))
-	hi, _ := d.textNodes.Search(uint32(cut))
+	lo, hi := d.TextRank(q), d.TextRank(cut)
 	var (
 		prefixLen  = d.textOff.At(lo)
 		suffixBase = d.textOff.At(hi)
 		blobLen    = int(prefixLen) + len(frag.textBlob) + len(d.textBlob) - int(suffixBase)
-		fragTexts  = frag.textNodes.Len()
-		texts      = lo + fragTexts + d.textNodes.Len() - hi
-		textNodes  = NewSeqWriter(texts, Chunks(nn))
-		textOff    = NewSeqWriter(texts+1, Chunks(blobLen+1))
+		fragTexts  = max(frag.textOff.Len()-1, 0) // a delete's empty fragment has no offsets at all
+		textOff    = NewSeqWriter(lo+fragTexts+d.textOff.Len()-hi, Chunks(blobLen+1))
 	)
 	nd := &Document{
 		labels:   make([]uint8, nn),
@@ -276,18 +271,16 @@ func (d *Document) splice(dl *Delta) (*Document, error) {
 	nd.textBlob = append(nd.textBlob, d.textBlob[:prefixLen]...)
 	nd.textBlob = append(nd.textBlob, frag.textBlob...)
 	nd.textBlob = append(nd.textBlob, d.textBlob[suffixBase:]...)
-	textNodes.Append(0, d.textNodes, 0, lo, 0)
 	textOff.Append(0, d.textOff, 0, lo, 0)
 	for i := 0; i < fragTexts; i++ {
-		textNodes.Put(0, uint32(q)+frag.textNodes.At(i)-1)
 		textOff.Put(0, prefixLen+frag.textOff.At(i))
 	}
-	textNodes.Append(0, d.textNodes, hi, d.textNodes.Len(), int(delta))
-	// One more of the offsets than of the nodes: the blob's end.
+	// One more of the offsets than of the text nodes: the blob's end.
 	textOff.Append(0, d.textOff, hi, d.textOff.Len(), int(prefixLen)+len(frag.textBlob)-int(suffixBase))
-	nd.textNodes, nd.textOff = textNodes.Done(), textOff.Done()
+	nd.textOff = textOff.Done()
 
 	d.spliceLabels(nd, dl, labelMap)
+	nd.textBefore = textDirectory(nd.labels)
 	d.spliceTopology(nd, dl)
 	return nd, nil
 }
@@ -296,8 +289,7 @@ func (d *Document) splice(dl *Delta) (*Document, error) {
 // they are, the fragment's labels translated into the generation's table
 // by labelMap. Fragment node f (f >= 1, skipping the fragment's #doc
 // root) gets id q+f-1. The rare ones among them take the place of the
-// removed interval's run in rare, as the fragment's text nodes do in
-// textNodes.
+// removed interval's run in rare.
 func (d *Document) spliceLabels(nd *Document, dl *Delta, labelMap []LabelID) {
 	var (
 		q     = dl.At

@@ -208,8 +208,9 @@ func relink(table *LabelTable, d *Document) *Document {
 
 // requireEqualDocs compares every array of the two documents, and the
 // navigation each derives from them. The topology — wide with the entry
-// around each entry — and the three sequences are compared as they are
-// stored, halves and chunk starts, and so are the label bytes and the
+// around each entry — the two sequences and the text ranks' directory
+// are compared as they are stored, halves and chunk starts, and so are
+// the label bytes and the
 // rare labels, against want's tree linked again under got's label table
 // (want's own may number the names otherwise): against a document Join
 // built, that proves a spliced or opened one canonical — no chunk line,
@@ -227,7 +228,10 @@ func requireEqualDocs(t *testing.T, step int, got, want *Document) {
 	if !slices.Equal(got.rareIDs, fresh.rareIDs) {
 		t.Fatalf("step %d: the rare labels' ids are %v, the built document's %v", step, got.rareIDs, fresh.rareIDs)
 	}
-	for name, seq := range map[string][2]Seq{"text nodes": {got.textNodes, want.textNodes}, "text offsets": {got.textOff, want.textOff}, "rare labels": {got.rare, fresh.rare}} {
+	if !slices.Equal(got.textBefore, want.textBefore) {
+		t.Fatalf("step %d: the text ranks' directory is %v, the built document's %v", step, got.textBefore, want.textBefore)
+	}
+	for name, seq := range map[string][2]Seq{"text offsets": {got.textOff, want.textOff}, "rare labels": {got.rare, fresh.rare}} {
 		if !slices.Equal(seq[0].Start, seq[1].Start) {
 			t.Fatalf("step %d: the %s' chunks start at %v, want %v", step, name, seq[0].Start, seq[1].Start)
 		}
@@ -650,7 +654,7 @@ func TestPatchAcrossTheChunkLine(t *testing.T) {
 		if tail != step.rank || next.Text(tail) != "tail" {
 			t.Fatalf("step %d (%s): the last node is %d reading %q, want the tail text at %d", i, step.what, tail, next.Text(tail), step.rank)
 		}
-		if got := int(next.textOff.At(next.textNodes.Len() - 1)); got != step.offset {
+		if got := int(next.textOff.At(next.TextRank(tail))); got != step.offset {
 			t.Fatalf("step %d (%s): the tail text starts at byte %d, want %d", i, step.what, got, step.offset)
 		}
 		doc = next

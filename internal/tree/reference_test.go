@@ -143,11 +143,19 @@ func requireEqualsReference(t *testing.T, what string, got *Document, want *refD
 		labels[v] = got.Label(NodeID(v))
 		parent[v], lastDesc[v] = got.Parent(NodeID(v)), got.LastDesc(NodeID(v))
 	}
-	var textNodes, textOff []uint32
+	// Every rank's text rank, the rank past the last included: the #text
+	// nodes before it.
+	var textOff []uint32
+	textRank, gotRank := make([]int, n+1), make([]int, n+1)
 	for v, l := range want.labels {
+		textRank[v+1] = textRank[v]
 		if l == LabelText {
-			textNodes, textOff = append(textNodes, uint32(v)), append(textOff, want.textOff[v])
+			textOff = append(textOff, want.textOff[v])
+			textRank[v+1]++
 		}
+	}
+	for v := range gotRank {
+		gotRank[v] = got.TextRank(NodeID(v))
 	}
 	textOff = append(textOff, uint32(len(want.textBlob)))
 	for _, f := range []struct {
@@ -156,7 +164,7 @@ func requireEqualsReference(t *testing.T, what string, got *Document, want *refD
 	}{
 		{"labels", labels, want.labels}, {"parent", parent, want.parent},
 		{"lastDesc", lastDesc, want.lastDesc},
-		{"textNodes", slices.Collect(got.textNodes.From(0)), textNodes}, {"textOff", slices.Collect(got.textOff.From(0)), textOff},
+		{"textRank", gotRank, textRank}, {"textOff", slices.Collect(got.textOff.From(0)), textOff},
 		{"textBlob", string(got.textBlob), string(want.textBlob)},
 		{"names", got.names.names, want.names.names},
 	} {

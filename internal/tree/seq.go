@@ -13,8 +13,9 @@ import (
 // above x is found by indexing the directory with x>>16 and searching
 // 16-bit halves inside that one chunk; the length is a subtraction.
 //
-// Every sorted sequence a document and its index keep is one: the ranks
-// of the text nodes, the text offsets, the occurrences of each label.
+// Every sorted sequence a document and its index keep is one: the text
+// offsets, the ranks of the rarely labelled nodes, the occurrences of
+// each label.
 // Sequences over the same value range can share one Seq as the rows of a
 // table: their halves in one Lo, row after row, and their directories
 // laid end to end in one Start, so that row r of a table of rows with

@@ -191,8 +191,8 @@ func TestSeqTableRows(t *testing.T) {
 // chunk, the first of the second, and the one after — with as many bytes
 // of text before its own, so its offset crosses the line with its rank,
 // and empty texts among the others (equal neighbours among the offsets),
-// built by Join and opened from their sections, hold the text nodes'
-// ranks and offsets the events say, and read every text back.
+// built by Join and opened from their sections, find the text nodes and
+// hold the offsets the events say, and read every text back.
 func TestTextSequencesOnBothSidesOfTheChunkLine(t *testing.T) {
 	const line = 1 << 16
 	for _, n := range []int{line - 1, line, line + 1} {
@@ -225,12 +225,34 @@ func TestTextSequencesOnBothSidesOfTheChunkLine(t *testing.T) {
 		offsets = append(offsets, uint32(blob))
 		for origin, d := range map[string]*Document{"built": built, "at rest": atRest(t, built)} {
 			what := fmt.Sprintf("%d nodes, %s", n+1, origin)
-			requireSeq(t, what+", text nodes", d.textNodes, ranks, Chunks(n+1))
+			requireTextNodes(t, what, d, ranks)
 			requireSeq(t, what+", text offsets", d.textOff, offsets, Chunks(blob+1))
 			requireMatchesReference(t, what, d)
 			if got := d.Text(NodeID(n)); got != "end" {
 				t.Errorf("%s: the last text reads %q", what, got)
 			}
 		}
+	}
+}
+
+// requireTextNodes holds d's text ranks and its #text scan to the ranks
+// of its text nodes: a sweep of NextText names exactly them, and the
+// i-th has text rank i.
+func requireTextNodes(t *testing.T, what string, d *Document, ranks []uint32) {
+	t.Helper()
+	var swept []uint32
+	for v := d.NextText(Nil); v != Nil; v = d.NextText(v) {
+		swept = append(swept, uint32(v))
+	}
+	if !slices.Equal(swept, ranks) {
+		t.Fatalf("%s: a sweep of NextText yields %d text nodes that are not the %d built (first difference at %d)", what, len(swept), len(ranks), firstDiff(swept, ranks))
+	}
+	for i, v := range ranks {
+		if got := d.TextRank(NodeID(v)); got != i {
+			t.Fatalf("%s: text node %d has text rank %d, want %d", what, v, got, i)
+		}
+	}
+	if got := d.TextRank(NodeID(d.NumNodes())); got != len(ranks) {
+		t.Fatalf("%s: %d text nodes counted, want %d", what, got, len(ranks))
 	}
 }

@@ -21,6 +21,7 @@
 package tree
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -175,30 +176,35 @@ func (lt *LabelTable) Names() []string {
 // nodes in preorder, with their ids beside them in rareIDs. Both are
 // empty for a document of 255 names or fewer (see MaxLabels). Text
 // content lives in one contiguous blob with a directory over the #text
-// nodes, the only ones that have any: textNodes holds their ranks in
-// preorder, and the text of its i-th is
-// textBlob[textOff[i]:textOff[i+1]]. All three lists are kept as a Seq,
-// two bytes an entry. This shape — rather than a []string — is what lets
-// the XQO2 resident format alias a document's text directly out of an
-// mmap'd file, and keeps Text zero-copy either way. textNodes is also the
-// jumping index's occurrence row of LabelText, which borrows it
-// (TextNodes).
+// nodes, the only ones that have any: the text of the i-th of them in
+// preorder is textBlob[textOff[i]:textOff[i+1]], and a #text node's i,
+// its text rank, is what its label byte says of the nodes before it —
+// the count textBefore keeps for every 1 024 ranks, plus the #text bytes
+// from there to the node (TextRank). textOff is a Seq, two bytes an
+// entry; textBefore is rebuilt from the labels wherever a document is
+// made or opened and never stored. This shape — rather than a []string —
+// is what lets the XQO2 resident format alias a document's text directly
+// out of an mmap'd file, and keeps Text zero-copy either way.
 type Document struct {
-	labels    []uint8  // per preorder rank: the node's LabelID, or RareLabel
-	up        []uint8  // v - Parent(v), or big
-	size      []uint8  // LastDesc(v) - v, or big
-	wide      []span   // the nodes whose size is big, ascending
-	rare      Seq      // the nodes whose label is RareLabel, ascending
-	rareIDs   []uint16 // their LabelIDs, in that order
-	textNodes Seq      // the #text nodes, ascending
-	textOff   Seq      // one entry more: where each one's text starts in textBlob, then the blob's end
-	textBlob  []byte
-	names     *LabelTable
+	labels     []uint8  // per preorder rank: the node's LabelID, or RareLabel
+	up         []uint8  // v - Parent(v), or big
+	size       []uint8  // LastDesc(v) - v, or big
+	wide       []span   // the nodes whose size is big, ascending
+	rare       Seq      // the nodes whose label is RareLabel, ascending
+	rareIDs    []uint16 // their LabelIDs, in that order
+	textBefore []uint32 // per textBlock ranks and one more: the #text nodes before them
+	textOff    Seq      // per #text node and one more: where its text starts in textBlob, then the blob's end
+	textBlob   []byte
+	names      *LabelTable
 	// mapping pins the mmap owner for documents aliasing a mapped file,
 	// so the mapping outlives every slice derived from it (the owner's
 	// finalizer unmaps). nil for heap-backed documents.
 	mapping any
 }
+
+// textBlock is how many ranks one entry of textBefore stands for: a
+// text rank counts at most that many label bytes.
+const textBlock = 1024
 
 // big and RareLabel are the values of up and size, and of labels, that
 // stand for themselves and for everything larger: the answer is in wide,
@@ -446,47 +452,69 @@ func (d *Document) Depth(v NodeID) int {
 	return depth
 }
 
-// TextNodes returns the ranks of the #text nodes in preorder. The
-// sequence is shared — the jumping index holds it as its occurrence row
-// of LabelText — and callers must not modify it.
-func (d *Document) TextNodes() Seq { return d.textNodes }
+// textDirectory returns textBefore for a document with these labels:
+// for every textBlock ranks, and for the rank past the last, how many
+// #text nodes lie before them.
+func textDirectory(labels []uint8) []uint32 {
+	before := make([]uint32, len(labels)/textBlock+1)
+	for b := 1; b < len(before); b++ {
+		before[b] = before[b-1] + uint32(bytes.Count(labels[(b-1)*textBlock:b*textBlock], []byte{byte(LabelText)}))
+	}
+	return before
+}
+
+// TextRank returns how many #text nodes lie before rank v, for v from 0
+// to NumNodes (the count of them all): the number kept for v's block of
+// 1 024 ranks, and the #text bytes between the block's start and v. A
+// #text node's own rank is its place in the text directory.
+func (d *Document) TextRank(v NodeID) int {
+	return int(d.textBefore[v/textBlock]) + bytes.Count(d.labels[v&^(textBlock-1):v], []byte{byte(LabelText)})
+}
+
+// NextText returns the first #text node after x, or Nil. It reads the
+// label bytes forward from x: the next few one by one, since in a
+// document with text the next #text node is seldom further, and the
+// rest with one bytes.IndexByte. The jumping cursors take #text nodes
+// from it; a sweep that only moves forward reads each byte at most once.
+func (d *Document) NextText(x NodeID) NodeID {
+	from := max(int(x)+1, 0)
+	rest := d.labels[min(from, len(d.labels)):]
+	near := min(len(rest), 8)
+	for i, l := range rest[:near] {
+		if l == byte(LabelText) {
+			return NodeID(from + i)
+		}
+	}
+	if i := bytes.IndexByte(rest[near:], byte(LabelText)); i >= 0 {
+		return NodeID(from + near + i)
+	}
+	return Nil
+}
 
 // Text returns the text content of a #text node (empty for others,
-// including Nil and out-of-range ids): a label test, a search of one
-// chunk of the text nodes for v's place in the offset directory, and
-// there two reads by position, each a search of that directory's chunk
-// starts. The string aliases the document's text blob — zero-copy, valid
+// including Nil and out-of-range ids): a label test, then its string
+// value. The string aliases the document's text blob — zero-copy, valid
 // for the document's lifetime, and never written to (the blob is
 // immutable, possibly a read-only mapping).
 func (d *Document) Text(v NodeID) string {
-	if v < 0 || int(v) >= len(d.labels) || d.Label(v) != LabelText {
+	if v < 0 || int(v) >= len(d.labels) || d.labels[v] != byte(LabelText) {
 		return ""
 	}
-	i, u := d.textNodes.Search(uint32(v))
-	if NodeID(u) != v {
-		return "" // only in a file that was not verified
-	}
-	from, to := d.textOff.At(i), d.textOff.At(i+1)
-	if from > to || int(to) > len(d.textBlob) {
-		return "" // likewise
-	}
-	text := d.textBlob[from:to]
-	return unsafe.String(unsafe.SliceData(text), len(text))
+	return d.StringValue(v)
 }
 
 // StringValue returns v's string value in the XPath data model: the
 // texts of the #text nodes in v's subtree, in document order, end to end
 // (for a text node, its own text). It copies nothing: the texts of
 // consecutive text ranks lie end to end in textBlob, so the value is the
-// one slice from the first text rank at or after v to the first past
-// v's last descendant.
+// one slice from the text rank of v to that of the rank past v's last
+// descendant, each offset read by a search of the offsets' chunk starts.
 func (d *Document) StringValue(v NodeID) string {
 	if v < 0 || int(v) >= len(d.labels) {
 		return ""
 	}
-	lo, _ := d.textNodes.Search(uint32(v))
-	hi, _ := d.textNodes.Search(uint32(d.LastDesc(v)) + 1)
-	from, to := d.textOff.At(lo), d.textOff.At(hi)
+	end := min(d.LastDesc(v)+1, NodeID(len(d.labels))) // a file that was not verified may claim more
+	from, to := d.textOff.At(d.TextRank(v)), d.textOff.At(d.TextRank(end))
 	if from > to || int(to) > len(d.textBlob) {
 		return "" // only in a file that was not verified
 	}
@@ -495,14 +523,14 @@ func (d *Document) StringValue(v NodeID) string {
 }
 
 // MemBytes reports the bytes the document holds: its per-node arrays,
-// the wide table, the rare labels, the two text sequences, the text blob
-// and the label names, by their live lengths. A reflect-based test in
+// the wide table, the rare labels, the text ranks' directory, the text
+// offsets, the text blob and the label names, by their live lengths. A reflect-based test in
 // internal/store holds it to the struct's slice fields, so an added
 // array cannot go uncounted in the store's bytes-per-node figure.
 func (d *Document) MemBytes() int64 {
 	b := int64(len(d.labels)+len(d.up)+len(d.size)) + 2*int64(len(d.rareIDs)) +
 		int64(len(d.wide))*int64(unsafe.Sizeof(span{})) +
-		d.rare.MemBytes() + d.textNodes.MemBytes() + d.textOff.MemBytes() +
+		4*int64(len(d.textBefore)) + d.rare.MemBytes() + d.textOff.MemBytes() +
 		int64(len(d.textBlob))
 	for _, name := range d.names.names {
 		b += int64(unsafe.Sizeof(name)) + int64(len(name))
