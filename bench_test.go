@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/asta"
 	"repro/internal/compile"
+	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/hybrid"
 	"repro/internal/index"
@@ -67,27 +68,19 @@ func BenchmarkFigure3Counts(b *testing.B) {
 }
 
 // BenchmarkFigure4 runs every query under every strategy series of the
-// figure.
+// figure, with the options core and exp.Figure4 give each series.
 func BenchmarkFigure4(b *testing.B) {
 	w := benchWorkload(b)
-	modes := []struct {
-		name string
-		opt  asta.Options
-	}{
-		{"Naive", asta.Options{}},
-		{"Jumping", asta.Options{Jump: true}},
-		{"Memo", asta.Options{Memo: true}},
-		{"Opt", asta.Opt()},
-	}
-	for _, m := range modes {
+	for _, s := range []core.Strategy{core.Naive, core.Jumping, core.Memoized, core.Optimized} {
+		opt := s.ASTAOptions()
 		for _, q := range xmark.Queries() {
 			aut, err := compile.Compile(q.XPath, w.Doc.Names())
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("%s/%s", m.name, q.ID), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%s", s, q.ID), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					_ = aut.Eval(w.Doc, w.Index, m.opt)
+					_ = aut.Eval(w.Doc, w.Index, opt)
 				}
 			})
 		}

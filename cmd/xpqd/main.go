@@ -3,7 +3,7 @@
 // + batch evaluation + metrics).
 //
 //	xpqd [-addr localhost:8714] [-cache-size 1024] [-workers N]
-//	     [-stream-chunk 512] [-allow-file-loads] [-log-level info]
+//	     [-allow-file-loads] [-log-level info]
 //	     [-slow-query-ms N] [-pprof] [-cursor-ttl 60s]
 //	     [-verify-resident] [-load id=file.xml ...]
 //	     [-mmap id=file.xqo2 | -mmap corpusdir ...] [-xmark id=scale[:seed] ...]
@@ -22,7 +22,8 @@
 //	                   pinned (410 once that generation is garbage-collected);
 //	                   "asof"/?asof=<gen> time-travels to an older generation;
 //	                   ?explain=1 attaches a span-tree profile
-//	POST   /query/stream  same body; NDJSON header/chunk/trailer lines,
+//	POST   /query/stream  same body; an NDJSON header line, chunk lines of up
+//	                   to 512 nodes (service.DefaultStreamChunk) and a trailer,
 //	                   flushed per chunk so large answers stream in bounded memory
 //	POST   /batch      {"requests":[{...},{...}]}
 //	GET    /docs       list resident documents with stats
@@ -131,7 +132,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		addr        = fs.String("addr", "localhost:8714", "listen address")
 		cacheSize   = fs.Int("cache-size", service.DefaultCacheSize, "compiled-query LRU capacity (entries)")
 		workers     = fs.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-		streamChunk = fs.Int("stream-chunk", service.DefaultStreamChunk, "nodes per /query/stream NDJSON chunk")
 		allowFiles  = fs.Bool("allow-file-loads", false, "let POST /docs read server-side file paths")
 		logLevel    = fs.String("log-level", "info", "log verbosity: debug, info, warn, error (debug logs every query)")
 		slowQueryMS = fs.Int64("slow-query-ms", 100, "flag queries at or above this many milliseconds as slow (0 disables)")
@@ -181,7 +181,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	srv := &http.Server{
 		Handler: service.NewHandler(svc, service.HandlerOptions{
 			AllowFileLoads: *allowFiles,
-			StreamChunk:    *streamChunk,
 			EnablePprof:    *pprofFlag,
 		}),
 		ReadHeaderTimeout: 10 * time.Second,

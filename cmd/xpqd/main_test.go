@@ -41,7 +41,7 @@ func TestFlagList(t *testing.T) {
 	want := []string{
 		"addr", "allow-file-loads", "cache-size", "cursor-ttl", "load",
 		"log-level", "mmap", "pprof", "resident-budget", "shards",
-		"slow-query-ms", "stream-chunk", "verify-resident", "workers", "xmark",
+		"slow-query-ms", "verify-resident", "workers", "xmark",
 	}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("xpqd -h lists %d flags:\n  %v\nwant %d:\n  %v", len(got), got, len(want), want)

@@ -90,17 +90,11 @@ type Formula struct {
 	Q           State    // for FDown
 }
 
-// Formula constructors.
-var (
-	fTrue  = &Formula{Kind: FTrue}
-	fFalse = &Formula{Kind: FFalse}
-)
+// fTrue is the one ⊤ formula.
+var fTrue = &Formula{Kind: FTrue}
 
 // True returns ⊤.
 func True() *Formula { return fTrue }
-
-// False returns ⊥.
-func False() *Formula { return fFalse }
 
 // And returns l ∧ r.
 func And(l, r *Formula) *Formula { return &Formula{Kind: FAnd, Left: l, Right: r} }
@@ -213,15 +207,6 @@ func (a *ASTA) Finalize() (*ASTA, error) {
 	}
 	a.marking = a.computeMarking()
 	return a, nil
-}
-
-// MustFinalize is Finalize that panics on error.
-func (a *ASTA) MustFinalize() *ASTA {
-	out, err := a.Finalize()
-	if err != nil {
-		panic(err)
-	}
-	return out
 }
 
 // computeMarking returns the states from which a selecting transition is

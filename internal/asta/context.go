@@ -43,8 +43,3 @@ func (c *Context) MemBytes() int64 {
 	}
 	return b
 }
-
-// MemoEntries reports the number of live memoized transition rows —
-// how much of the memo world the binding has derived so far. Warm
-// evaluations keep this stable; it is exposed for tests and stats.
-func (c *Context) MemoEntries() int { return int(c.e.tis.n) }

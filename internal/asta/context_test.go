@@ -132,7 +132,7 @@ func TestContextWarmAcrossGenerations(t *testing.T) {
 	if warm.MemoEntries != 0 {
 		t.Errorf("run on the patched generation derived %d memo entries, want 0 (memo world is per automaton)", warm.MemoEntries)
 	}
-	if ctx.MemoEntries() == 0 {
+	if warm.MemoHits == 0 {
 		t.Error("memo world was discarded")
 	}
 }

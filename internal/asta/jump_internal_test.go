@@ -55,7 +55,11 @@ func exampleASTA(t *testing.T, a, b, c tree.LabelID) *ASTA {
 			{From: 2, Guard: labels.Any, Phi: Down2(2)},
 		},
 	}
-	return aut.MustFinalize()
+	out, err := aut.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestAnalyzeSetFigure1(t *testing.T) {
@@ -110,7 +114,7 @@ func randomFormula(rng *rand.Rand, depth, states int) *Formula {
 		case 0:
 			return True()
 		case 1:
-			return False()
+			return &Formula{Kind: FFalse}
 		case 2:
 			return Down1(State(rng.Intn(states)))
 		default:

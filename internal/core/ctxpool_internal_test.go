@@ -287,7 +287,9 @@ func TestGuardCountsWrongTableAutomaton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.cache.Put(e.cacheKey("asta", q), &compiled{aut: wrong, names: other.Names(), pool: e.pool})
+	e.cache.GetOrCompile(e.cacheKey("asta", q), func() (any, error) {
+		return &compiled{aut: wrong, names: other.Names(), pool: e.pool}, nil
+	})
 
 	for i, s := range []Strategy{Optimized, Memoized} {
 		got, err := e.QueryWith(q, s)

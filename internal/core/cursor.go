@@ -114,6 +114,10 @@ func (c *Cursor) AutoShape() string { return c.autoShape }
 // position and of Close.
 func (c *Cursor) Count() int { return c.total }
 
+// Remaining returns how many answer nodes are left to read: 0 once the
+// cursor is exhausted or closed.
+func (c *Cursor) Remaining() int { return len(c.nodes) - c.pos }
+
 // SeekPast positions the cursor just after node v in preorder, so the
 // next read returns the first answer node > v; it is how a continuation
 // token resumes a paged answer. A binary search: resuming page p of an

@@ -75,6 +75,12 @@ func Figure3(w *Workload) ([]Fig3Row, error) {
 		// series carries it.
 		jump := aut.Eval(w.Doc, w.Index, core.Jumping.ASTAOptions())
 		plain := aut.Eval(w.Doc, nil, core.Naive.ASTAOptions())
+		// Line (4) is the size of the transition memo alone, not of
+		// the Memoized series: information propagation memoizes its
+		// own restrictions (keyed by a transition row and the first
+		// child's outcome) and hands second children other state
+		// sets, so core.Memoized counts more entries for the same run
+		// (Q08: 296 → 476 at XMark 0.05).
 		memo := aut.Eval(w.Doc, nil, asta.Options{Memo: true})
 		row := Fig3Row{
 			ID:            q.ID,

@@ -148,15 +148,6 @@ func Eval(d *tree.Document, ix *index.Index, p *xpath.Path) (Result, error) {
 	return Result{Selected: tree.SortedSet(e.out), Pivot: pivot, Work: e.work}, nil
 }
 
-// EvalString parses and evaluates.
-func EvalString(d *tree.Document, ix *index.Index, query string) (Result, error) {
-	p, err := xpath.Parse(query)
-	if err != nil {
-		return Result{}, err
-	}
-	return Eval(d, ix, p)
-}
-
 type evaluator struct {
 	d *tree.Document
 	// labels maps each label of the chain to its steps, a bit a step;

@@ -15,6 +15,15 @@ import (
 	"repro/internal/xpath"
 )
 
+// evalString parses query and runs the hybrid evaluator on it.
+func evalString(d *tree.Document, ix *index.Index, query string) (hybrid.Result, error) {
+	p, err := xpath.Parse(query)
+	if err != nil {
+		return hybrid.Result{}, err
+	}
+	return hybrid.Eval(d, ix, p)
+}
+
 var chainBattery = []string{
 	"//a",
 	"/a",
@@ -144,7 +153,7 @@ func TestHybridUpwardCheckIsOnePass(t *testing.T) {
 		{"//r//a//a//a//a//a//b", 1},
 		{"/r/a/a//a//a/a//b", 1},
 	} {
-		res, err := hybrid.EvalString(d, ix, tc.query)
+		res, err := evalString(d, ix, tc.query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +173,7 @@ func TestHybridRefusesLongChains(t *testing.T) {
 		ok    bool
 	}{{64, true}, {65, false}} {
 		q := strings.Repeat("/a", tc.steps)
-		res, err := hybrid.EvalString(d, ix, q)
+		res, err := evalString(d, ix, q)
 		if tc.ok && (err != nil || len(res.Selected) != 1) {
 			t.Errorf("%d steps: %v selected, error %v, want the 64th a", tc.steps, res.Selected, err)
 		}
@@ -179,7 +188,7 @@ func TestHybridPicksCheapestPivot(t *testing.T) {
 	// keyword step (index 1).
 	d := xmark.Fig5Configs()[0].Build(0.01)
 	ix := index.New(d)
-	res, err := hybrid.EvalString(d, ix, xmark.HybridQuery)
+	res, err := evalString(d, ix, xmark.HybridQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +207,7 @@ func TestHybridPicksCheapestPivot(t *testing.T) {
 func TestHybridConfigBPivotIsEmph(t *testing.T) {
 	d := xmark.Fig5Configs()[1].Build(0.01)
 	ix := index.New(d)
-	res, err := hybrid.EvalString(d, ix, xmark.HybridQuery)
+	res, err := evalString(d, ix, xmark.HybridQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,20 +231,17 @@ func TestHybridUnsupported(t *testing.T) {
 		"//*",
 		"//a/following-sibling::b",
 	} {
-		_, err := hybrid.EvalString(d, ix, q)
+		_, err := evalString(d, ix, q)
 		if !errors.Is(err, hybrid.ErrUnsupported) {
-			t.Errorf("EvalString(%q) err = %v, want ErrUnsupported", q, err)
+			t.Errorf("Eval(%q) err = %v, want ErrUnsupported", q, err)
 		}
-	}
-	if _, err := hybrid.EvalString(d, ix, "//a["); err == nil {
-		t.Error("parse error not propagated")
 	}
 }
 
 func TestHybridMissingLabel(t *testing.T) {
 	d := tgen.Star("r", "c", 3)
 	ix := index.New(d)
-	res, err := hybrid.EvalString(d, ix, "//zzz//c")
+	res, err := evalString(d, ix, "//zzz//c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +258,7 @@ func TestHybridOnXMark(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := hybrid.EvalString(d, ix, q)
+		got, err := evalString(d, ix, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +303,7 @@ func TestHybridNestedPivots(t *testing.T) {
 		{"//r//listitem", 0, []tree.NodeID{2, 4}},
 		{"//keyword", 0, []tree.NodeID{3, 5, 6, 7, 8}},
 	} {
-		res, err := hybrid.EvalString(d, ix, tc.query)
+		res, err := evalString(d, ix, tc.query)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -139,9 +139,6 @@ func inChunks(chunks int, fn func(c int)) {
 // directory of occ.
 func (ix *Index) MemBytes() int64 { return ix.occ.MemBytes() }
 
-// Doc returns the indexed document.
-func (ix *Index) Doc() *tree.Document { return ix.doc }
-
 // Count returns the number of nodes labeled l; O(1) as in the paper's
 // index ("our index provides the global count of a label in constant
 // time", §5): the two ends of its row in the directory — and for #text,

@@ -62,9 +62,9 @@ func naiveRt(d *tree.Document, v tree.NodeID, L labels.Set) tree.NodeID {
 
 // topMost enumerates the top-most nodes labeled in L of v's binary
 // subtree through fresh cursors: dt(v, L), then ft past each answer.
-func topMost(ix *index.Index, v tree.NodeID, L labels.Set) []tree.NodeID {
+func topMost(d *tree.Document, ix *index.Index, v tree.NodeID, L labels.Set) []tree.NodeID {
 	ids, _ := L.Finite()
-	d, cur := ix.Doc(), ix.NewCursors()
+	cur := ix.NewCursors()
 	var out []tree.NodeID
 	for u := cur.First(ids, v, d.BinEnd(v)); u != index.Nil; u = cur.First(ids, d.BinEnd(u), d.BinEnd(v)) {
 		out = append(out, u)
@@ -217,7 +217,7 @@ func TestTopMost(t *testing.T) {
 	// Binary-subtree semantics: the first a-child of r has the c-subtree
 	// in its *binary* subtree (siblings are binary descendants), so it is
 	// the single top-most a.
-	tm := topMost(ix, r, labels.Of(a))
+	tm := topMost(d, ix, r, labels.Of(a))
 	if len(tm) != 1 {
 		t.Fatalf("top-most a's under r = %v; want exactly the first a", tm)
 	}
@@ -227,7 +227,7 @@ func TestTopMost(t *testing.T) {
 	// From that a, the binary subtree spans its own XML subtree plus its
 	// following sibling c's subtree: top-most a's are the nested a and
 	// the a under c.
-	tm2 := topMost(ix, tm[0], labels.Of(a))
+	tm2 := topMost(d, ix, tm[0], labels.Of(a))
 	if len(tm2) != 2 {
 		t.Fatalf("top-most a's under a = %v, want 2 nodes", tm2)
 	}
@@ -252,7 +252,7 @@ func TestTopMostProperty(t *testing.T) {
 			return true
 		}
 		L := labels.Of(aID)
-		got := topMost(ix, v, L)
+		got := topMost(d, ix, v, L)
 		// Oracle: walk binary tree from v, stop descending at matches.
 		var want []tree.NodeID
 		var walk func(u tree.NodeID)

@@ -7,7 +7,8 @@
 package labels
 
 import (
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/tree"
@@ -36,27 +37,15 @@ func Not(ids ...tree.LabelID) Set {
 	return Set{neg: true, ids: normalize(ids)}
 }
 
+// normalize returns ids sorted and unique, in a slice of its own (nil
+// for none).
 func normalize(ids []tree.LabelID) []tree.LabelID {
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]tree.LabelID, len(ids))
-	copy(out, ids)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[w-1] {
-			out[w] = out[i]
-			w++
-		}
-	}
-	return out[:w]
+	return slices.Compact(slices.Sorted(slices.Values(ids)))
 }
 
 // Contains reports whether l is in the set.
 func (s Set) Contains(l tree.LabelID) bool {
-	i := sort.Search(len(s.ids), func(i int) bool { return s.ids[i] >= l })
-	found := i < len(s.ids) && s.ids[i] == l
+	_, found := slices.BinarySearch(s.ids, l)
 	return found != s.neg
 }
 
@@ -131,15 +120,7 @@ func (s Set) Minus(t Set) Set { return s.Intersect(t.Complement()) }
 // Equal reports set equality (as symbolic sets; a finite set never equals
 // a co-finite one).
 func (s Set) Equal(t Set) bool {
-	if s.neg != t.neg || len(s.ids) != len(t.ids) {
-		return false
-	}
-	for i := range s.ids {
-		if s.ids[i] != t.ids[i] {
-			return false
-		}
-	}
-	return true
+	return s.neg == t.neg && slices.Equal(s.ids, t.ids)
 }
 
 // Overlaps reports whether s ∩ t is non-empty as a symbolic set (two
@@ -166,33 +147,11 @@ func (s Set) String(lt *tree.LabelTable) string {
 		if lt != nil {
 			sb.WriteString(lt.Name(id))
 		} else {
-			sb.WriteString(itoa(int(id)))
+			sb.WriteString(strconv.Itoa(int(id)))
 		}
 	}
 	sb.WriteByte('}')
 	return sb.String()
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 func mergeUnion(a, b []tree.LabelID) []tree.LabelID {

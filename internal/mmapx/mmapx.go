@@ -12,16 +12,12 @@
 // the next read.
 //
 // On platforms without mmap the package falls back to reading the file
-// into the heap; all APIs keep working, and Mapped reports false so
-// callers can account the bytes as heap.
+// into the heap; all APIs keep working.
 package mmapx
 
 // Mapping is a read-only view of a file's contents.
 type Mapping struct {
 	data []byte
-	// mapped is true when data aliases file pages, false when the
-	// fallback loaded it into the heap.
-	mapped bool
 }
 
 // Data returns the mapped bytes. The slice aliases the mapping; callers
@@ -31,7 +27,3 @@ func (m *Mapping) Data() []byte { return m.data }
 
 // Len reports the mapping's size in bytes.
 func (m *Mapping) Len() int { return len(m.data) }
-
-// Mapped reports whether the bytes alias file pages (true) or were read
-// into the heap by the fallback path (false).
-func (m *Mapping) Mapped() bool { return m.mapped }

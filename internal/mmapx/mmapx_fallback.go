@@ -5,14 +5,13 @@ package mmapx
 import "os"
 
 // Open falls back to reading the whole file into the heap on platforms
-// without mmap. The Mapping API keeps working; Mapped reports false so
-// the store accounts the bytes as heap-resident.
+// without mmap. The Mapping API keeps working.
 func Open(path string) (*Mapping, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Mapping{data: data, mapped: false}, nil
+	return &Mapping{data: data}, nil
 }
 
 // Close drops the heap-backed bytes; the garbage collector reclaims them.

@@ -24,7 +24,7 @@ func Open(path string) (*Mapping, error) {
 	}
 	size := st.Size()
 	if size == 0 {
-		return &Mapping{mapped: true}, nil
+		return &Mapping{}, nil
 	}
 	if size != int64(int(size)) {
 		return nil, fmt.Errorf("mmapx: %s: file too large to map (%d bytes)", path, size)
@@ -33,7 +33,7 @@ func Open(path string) (*Mapping, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mmapx: mmap %s: %w", path, err)
 	}
-	m := &Mapping{data: data, mapped: true}
+	m := &Mapping{data: data}
 	runtime.SetFinalizer(m, (*Mapping).unmap)
 	return m, nil
 }

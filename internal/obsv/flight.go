@@ -2,7 +2,6 @@ package obsv
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -55,7 +54,7 @@ type Record struct {
 // lock; snapshots pay the copying. All methods are safe for concurrent
 // use and nil-safe, so an unconfigured recorder costs one branch.
 type Flight struct {
-	slowNS atomic.Int64
+	threshold time.Duration // slow-query threshold, fixed by NewFlight
 
 	mu      sync.Mutex
 	ring    []Record
@@ -75,26 +74,15 @@ func NewFlight(n int, slow time.Duration) *Flight {
 	if n <= 0 {
 		n = DefaultFlightRecords
 	}
-	f := &Flight{ring: make([]Record, n)}
-	f.slowNS.Store(int64(slow))
-	return f
+	return &Flight{threshold: slow, ring: make([]Record, n)}
 }
 
-// SlowThreshold returns the current slow-query threshold (0 =
-// disabled).
+// SlowThreshold returns the slow-query threshold (0 = disabled).
 func (f *Flight) SlowThreshold() time.Duration {
 	if f == nil {
 		return 0
 	}
-	return time.Duration(f.slowNS.Load())
-}
-
-// SetSlowThreshold adjusts the threshold at runtime (tests, admin
-// endpoints).
-func (f *Flight) SetSlowThreshold(d time.Duration) {
-	if f != nil {
-		f.slowNS.Store(int64(d))
-	}
+	return f.threshold
 }
 
 // Add admits a copy of r, stamping the copy's Seq and Slow flag, and
@@ -104,8 +92,7 @@ func (f *Flight) Add(r *Record) bool {
 	if f == nil {
 		return false
 	}
-	slowNS := f.slowNS.Load()
-	slow := slowNS > 0 && r.ElapsedUS*1000 >= slowNS
+	slow := f.threshold > 0 && r.ElapsedUS*1000 >= int64(f.threshold)
 	f.mu.Lock()
 	slot := &f.ring[f.next%uint64(len(f.ring))]
 	*slot = *r

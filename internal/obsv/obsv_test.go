@@ -149,8 +149,7 @@ func TestFlightSlowThreshold(t *testing.T) {
 			t.Errorf("non-slow record in slow snapshot: %+v", r)
 		}
 	}
-	f.SetSlowThreshold(0)
-	if f.Add(&Record{ElapsedUS: 1 << 40}) {
+	if NewFlight(8, 0).Add(&Record{ElapsedUS: 1 << 40}) {
 		t.Error("threshold 0 must disable the flag")
 	}
 }

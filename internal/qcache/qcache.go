@@ -5,6 +5,8 @@
 // where the paper's whole-query optimization pays for itself. A miss
 // compiles without waiting on anyone; when concurrent misses of one key
 // race, the first value published wins and the others are dropped.
+// GetOrCompile is the one way a value enters, and eviction off the LRU
+// tail the one way it leaves.
 //
 // Values are opaque (any): the same cache holds ASTA and minimized
 // TDSTA artifacts side by side. A key names what its value is a
@@ -53,11 +55,11 @@ const DefaultEntryBytes = 2048
 
 // Evictee is implemented by values that keep state outside the cache's
 // accounting (core parks an automaton's warm contexts on its entry).
-// Evicted is called once when the value leaves the cache — evicted,
-// removed or replaced — or, for a duplicate compile that lost the race
-// to publish, never enters it. It is called after the cache's lock is
-// released, so it may take its own locks and call back into the cache;
-// no lock of the cache is ever held around another one.
+// Evicted is called once when the value leaves the cache, which only
+// eviction off the LRU tail does, or, for a duplicate compile that lost
+// the race to publish, never enters it. It is called after the cache's
+// lock is released, so it may take its own locks and call back into the
+// cache; no lock of the cache is ever held around another one.
 type Evictee interface {
 	Evicted()
 }
@@ -117,79 +119,36 @@ func (c *Cache) GetOrCompile(key string, compile func() (any, error)) (val any, 
 	if val, err = compile(); err != nil {
 		return nil, false, err
 	}
-	val, gone := c.insert(key, val, false)
-	evicted(gone)
+	val, gone := c.insert(key, val)
+	if ev, ok := gone.(Evictee); ok {
+		ev.Evicted() // the cache's lock is released
+	}
 	return val, false, nil
 }
 
-// Put inserts or replaces a value.
-func (c *Cache) Put(key string, val any) {
-	_, gone := c.insert(key, val, true)
-	evicted(gone)
-}
-
-// insert publishes val under key, unless key is resident and replace is
-// false, evicting the LRU tail past the entry bound. It returns the
-// value now resident under key and the one value that left (the one
-// replaced, the evicted tail, or val itself when it lost to a resident
-// value; one insert displaces at most one) or nil, for the caller to
-// tell once the lock is released.
-func (c *Cache) insert(key string, val any, replace bool) (resident, gone any) {
+// insert publishes val under key, unless key is resident, evicting the
+// LRU tail past the entry bound. It returns the value now resident
+// under key and the one value that left (the evicted tail, or val
+// itself when it lost to a resident value; one insert displaces at most
+// one) or nil, for the caller to tell once the lock is released.
+func (c *Cache) insert(key string, val any) (resident, gone any) {
 	c.mu.Lock()
 	defer c.mu.Unlock() // entrySize runs the value's own SizeBytes
 	if el, ok := c.items[key]; ok {
-		if !replace {
-			c.ll.MoveToFront(el)
-			return el.Value.(*entry).val, val
-		}
-		gone = c.drop(el)
+		c.ll.MoveToFront(el)
+		return el.Value.(*entry).val, val
 	}
 	size := entrySize(val)
 	c.items[key] = c.ll.PushFront(&entry{key: key, val: val, size: size})
 	c.curBytes += size
 	if c.ll.Len() > c.capacity {
-		gone = c.drop(c.ll.Back())
+		e := c.ll.Remove(c.ll.Back()).(*entry)
+		delete(c.items, e.key)
+		c.curBytes -= e.size
 		c.evictions++
+		gone = e.val
 	}
 	return val, gone
-}
-
-// drop unlinks one entry under c.mu, gives its bytes back and returns
-// its value.
-func (c *Cache) drop(el *list.Element) any {
-	e := el.Value.(*entry)
-	c.ll.Remove(el)
-	delete(c.items, e.key)
-	c.curBytes -= e.size
-	return e.val
-}
-
-// evicted tells an Evictee value it left the cache; the caller holds no
-// lock.
-func evicted(val any) {
-	if ev, ok := val.(Evictee); ok {
-		ev.Evicted()
-	}
-}
-
-// Remove drops one key; it reports whether the key was present.
-func (c *Cache) Remove(key string) bool {
-	c.mu.Lock()
-	el, ok := c.items[key]
-	var gone any
-	if ok {
-		gone = c.drop(el)
-	}
-	c.mu.Unlock()
-	evicted(gone)
-	return ok
-}
-
-// Len reports the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness.

@@ -8,14 +8,20 @@ import (
 	"time"
 )
 
+// put publishes v under key the one way a value enters the cache: a
+// compile that returns it.
+func put(c *Cache, key string, v any) {
+	c.GetOrCompile(key, func() (any, error) { return v, nil })
+}
+
 func TestLRUEviction(t *testing.T) {
 	c := New(2)
-	c.Put("a", 1)
-	c.Put("b", 2)
+	put(c, "a", 1)
+	put(c, "b", 2)
 	if _, ok := c.Get("a"); !ok { // touch a: b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.Put("c", 3)
+	put(c, "c", 3)
 	if _, ok := c.Get("b"); ok {
 		t.Error("b should have been evicted")
 	}
@@ -61,7 +67,7 @@ func TestGetOrCompileErrorNotCached(t *testing.T) {
 	if _, _, err := c.GetOrCompile("k", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Size != 0 {
 		t.Error("failed compile must not be cached")
 	}
 	if v, _, err := c.GetOrCompile("k", func() (any, error) { return 7, nil }); err != nil || v != 7 {
@@ -174,57 +180,57 @@ func (p *parked) Evicted()         { p.evicted++ }
 
 // TestEvicteeToldOnEveryDeparture: a value that implements Evictee
 // hears exactly once that it left the cache, whichever way it left —
-// pushed off the LRU tail, removed, or replaced under its key — and
-// never while it is still resident.
+// pushed off the LRU tail, or beaten to publication by a concurrent
+// compile — and never while it is still resident.
 func TestEvicteeToldOnEveryDeparture(t *testing.T) {
 	c := New(2)
-	tail, removed, replaced, kept := &parked{size: 10}, &parked{size: 10}, &parked{size: 10}, &parked{size: 10}
-	c.Put("tail", tail)
-	c.Put("removed", removed)
-	c.Put("replaced", replaced) // capacity 2: "tail" falls off
-	c.Remove("removed")
-	c.Put("replaced", kept)
-	for name, p := range map[string]*parked{"tail": tail, "removed": removed, "replaced": replaced} {
+	tail, lost, a, b := &parked{size: 10}, &parked{size: 10}, &parked{size: 10}, &parked{size: 10}
+	put(c, "tail", tail)
+	put(c, "a", a)
+	c.GetOrCompile("b", func() (any, error) {
+		put(c, "b", b) // a concurrent compile publishes first; "tail" falls off
+		return lost, nil
+	})
+	for name, p := range map[string]*parked{"tail": tail, "lost": lost} {
 		if p.evicted != 1 {
 			t.Errorf("%s: Evicted called %d times, want 1", name, p.evicted)
 		}
 	}
-	if kept.evicted != 0 {
-		t.Errorf("resident value was told it is gone (%d calls)", kept.evicted)
+	for name, p := range map[string]*parked{"a": a, "b": b} {
+		if p.evicted != 0 {
+			t.Errorf("resident value %s was told it is gone (%d calls)", name, p.evicted)
+		}
 	}
-	if got := c.Stats().SizeBytes; got != 10 {
-		t.Errorf("SizeBytes = %d, want 10 (the one resident value)", got)
+	if got := c.Stats().SizeBytes; got != 20 {
+		t.Errorf("SizeBytes = %d, want 20 (the two resident values)", got)
 	}
 }
 
 // caller is an Evictee that calls back into its cache as it leaves.
 type caller struct {
-	c    *Cache
-	lens []int // what Len said, one entry a call of Evicted
+	c     *Cache
+	sizes []int // what Stats said, one entry a call of Evicted
 }
 
-func (v *caller) Evicted() { v.lens = append(v.lens, v.c.Len()) }
+func (v *caller) Evicted() { v.sizes = append(v.sizes, v.c.Stats().Size) }
 
 // TestEvicteeMayCallBack: Evicted runs after the cache's lock is
 // released, so a value may call back into the cache as it leaves —
-// pushed off the LRU tail by Put or by GetOrCompile, replaced, removed,
-// or beaten to publication by a concurrent compile — and sees the cache
-// as it is once the value is gone. Holding the lock across Evicted
-// deadlocks here, which the timeout turns into a failure.
+// pushed off the LRU tail, or beaten to publication by a concurrent
+// compile — and sees the cache as it is once the value is gone.
+// Holding the lock across Evicted deadlocks here, which the timeout
+// turns into a failure.
 func TestEvicteeMayCallBack(t *testing.T) {
 	c := New(1)
 	v := func() *caller { return &caller{c: c} }
-	tail, replaced, removed, compiled, lost := v(), v(), v(), v(), v()
+	tail, compiled, lost := v(), v(), v()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c.Put("a", tail)
-		c.Put("b", replaced) // capacity 1: "a" falls off
-		c.Put("b", removed)
-		c.Remove("b")
-		c.GetOrCompile("c", func() (any, error) { return compiled, nil })
+		put(c, "a", tail)
+		put(c, "c", compiled) // capacity 1: "a" falls off
 		c.GetOrCompile("d", func() (any, error) {
-			c.Put("d", v()) // a concurrent compile publishes first; "c" falls off
+			put(c, "d", v()) // a concurrent compile publishes first; "c" falls off
 			return lost, nil
 		})
 	}()
@@ -233,16 +239,15 @@ func TestEvicteeMayCallBack(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("an Evictee calling back into the cache deadlocked: Evicted runs under the cache's lock")
 	}
-	for name, x := range map[string]*caller{"tail": tail, "replaced": replaced, "removed": removed, "compiled": compiled, "lost": lost} {
-		if len(x.lens) != 1 {
-			t.Errorf("%s: Evicted called %d times, want 1", name, len(x.lens))
+	for name, x := range map[string]*caller{"tail": tail, "compiled": compiled, "lost": lost} {
+		if len(x.sizes) != 1 {
+			t.Errorf("%s: Evicted called %d times, want 1", name, len(x.sizes))
+		} else if x.sizes[0] != 1 {
+			t.Errorf("%s saw Size = %d, want 1 (the value that displaced it)", name, x.sizes[0])
 		}
 	}
-	if got := removed.lens; len(got) == 1 && got[0] != 0 {
-		t.Errorf("removed value saw Len = %d, want 0 (nothing left)", got[0])
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
+	if got := c.Stats().Size; got != 1 {
+		t.Errorf("Size = %d, want 1", got)
 	}
 }
 
@@ -257,9 +262,9 @@ func (s sized) SizeBytes() int64 { return int64(s) }
 func TestNilBudgetIsUnbounded(t *testing.T) {
 	c := New(4)
 	for i := 0; i < 10; i++ {
-		c.Put(fmt.Sprintf("k%d", i), sized(1<<20))
-		if want := min(i+1, 4); c.Len() != want {
-			t.Fatalf("after %d puts: Len = %d, want %d", i+1, c.Len(), want)
+		put(c, fmt.Sprintf("k%d", i), sized(1<<20))
+		if want := min(i+1, 4); c.Stats().Size != want {
+			t.Fatalf("after %d puts: Size = %d, want %d", i+1, c.Stats().Size, want)
 		}
 	}
 	if st := c.Stats(); st.Evictions != 6 || st.SizeBytes != 4<<20 {
@@ -271,9 +276,9 @@ func TestNilBudgetIsUnbounded(t *testing.T) {
 // the entry bound evicts the LRU tail whatever it weighs.
 func TestOversizeEntryAdmitted(t *testing.T) {
 	c := New(2)
-	c.Put("a", sized(30))
-	c.Put("b", sized(30))
-	c.Put("huge", sized(1<<30))
+	put(c, "a", sized(30))
+	put(c, "b", sized(30))
+	put(c, "huge", sized(1<<30))
 	if _, ok := c.Get("huge"); !ok {
 		t.Error("oversize entry must be admitted")
 	}
@@ -285,19 +290,22 @@ func TestOversizeEntryAdmitted(t *testing.T) {
 	}
 }
 
-// TestByteAccountingOnReplaceAndRemove: replacement adjusts the resident
-// weight by the delta; Remove gives the entry's bytes back.
-func TestByteAccountingOnReplaceAndRemove(t *testing.T) {
-	c := New(100)
-	c.Put("k", sized(100))
-	c.Put("k", sized(40)) // replace shrinks
-	c.Put("other", sized(50))
-	if got := c.Stats().SizeBytes; got != 90 {
-		t.Fatalf("after replace SizeBytes = %d, want 90", got)
+// TestByteAccountingOnEvictionAndLostRace: eviction gives the entry's
+// bytes back, and a duplicate that lost the race to publish is never
+// counted.
+func TestByteAccountingOnEvictionAndLostRace(t *testing.T) {
+	c := New(2)
+	put(c, "k", sized(100))
+	put(c, "other", sized(50))
+	if got := c.Stats().SizeBytes; got != 150 {
+		t.Fatalf("SizeBytes = %d, want 150", got)
 	}
-	c.Remove("k")
-	if got := c.Stats().SizeBytes; got != 50 {
-		t.Fatalf("after Remove SizeBytes = %d, want 50", got)
+	c.GetOrCompile("late", func() (any, error) {
+		put(c, "late", sized(40)) // publishes first; "k" falls off
+		return sized(1000), nil
+	})
+	if got := c.Stats().SizeBytes; got != 90 {
+		t.Fatalf("after eviction and a lost race SizeBytes = %d, want 90", got)
 	}
 }
 
@@ -306,7 +314,7 @@ func TestByteAccountingOnReplaceAndRemove(t *testing.T) {
 func TestDefaultWeightForOpaqueValues(t *testing.T) {
 	c := New(100)
 	for i := 0; i < 12; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i)
+		put(c, fmt.Sprintf("k%d", i), i)
 	}
 	if st := c.Stats(); st.Size != 12 || st.SizeBytes != 12*DefaultEntryBytes {
 		t.Errorf("size = %d, bytes = %d, want 12 and %d", st.Size, st.SizeBytes, 12*DefaultEntryBytes)

@@ -81,3 +81,33 @@ func TestPageOutlivesItsArena(t *testing.T) {
 		})
 	}
 }
+
+// TestResumedPageSizedByWhatRemains: a page holds exactly the nodes it
+// delivers, whether it is the first or a resumed one, cut by a limit or
+// running to the end (limit 0): every page of a paged answer has
+// cap(Nodes) == len(Nodes), and the pages together are the answer.
+func TestResumedPageSizedByWhatRemains(t *testing.T) {
+	s := newTestService(t, Options{})
+	whole := s.Eval(Request{Doc: "d1", Query: "//b"})
+	if whole.Err != "" || len(whole.Nodes) != 3 {
+		t.Fatalf("whole answer: %d nodes, err=%q; want 3", len(whole.Nodes), whole.Err)
+	}
+	for _, limits := range [][]int{{2, 2}, {1, 0}, {1, 1, 1}} {
+		var got []tree.NodeID
+		cursor := ""
+		for i, limit := range limits {
+			page := s.Eval(Request{Doc: "d1", Query: "//b", Limit: limit, Cursor: cursor})
+			if page.Err != "" {
+				t.Fatalf("limits %v page %d: %s", limits, i, page.Err)
+			}
+			if cap(page.Nodes) != len(page.Nodes) {
+				t.Errorf("limits %v page %d: %d nodes in %d slots", limits, i, len(page.Nodes), cap(page.Nodes))
+			}
+			got = append(got, page.Nodes...)
+			cursor = page.Next
+		}
+		if cursor != "" || !slices.Equal(got, whole.Nodes) {
+			t.Errorf("limits %v: pages %v, next %q; want %v and no token", limits, got, cursor, whole.Nodes)
+		}
+	}
+}

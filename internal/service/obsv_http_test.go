@@ -384,14 +384,15 @@ func (p *panicAfter) Write(b []byte) (int, error) {
 // write panics after the request settled — and that a record carries
 // the run even when delivery panicked after it.
 func TestFlightRecorderService(t *testing.T) {
-	s := newTestService(t, Options{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	// A 1ns threshold flags every query that takes a microsecond.
+	s := newTestService(t, Options{SlowQuery: time.Nanosecond, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	// A value of the wrong type cached under the key core looks up for
 	// the optimized //c panics that one request (TestPanicStopsAtTheRequest).
 	h, ok := s.Store().Get("d1")
 	if !ok {
 		t.Fatal("d1 missing")
 	}
-	s.cache.Put(strconv.FormatUint(h.Doc.Names().ID(), 10)+"\x00asta\x00//c", "not an automaton")
+	plant(s, strconv.FormatUint(h.Doc.Names().ID(), 10)+"\x00asta\x00//c", "not an automaton")
 	gen := h.Gen.String()
 
 	// w nil means Eval; a Stream that got its header out answers 200.
@@ -453,8 +454,7 @@ func TestFlightRecorderService(t *testing.T) {
 		t.Errorf("limit 2 returned %d records", len(got.Records))
 	}
 
-	// Dropping the threshold to ~0 marks subsequent queries slow.
-	s.Flight().SetSlowThreshold(time.Nanosecond)
+	// A stream that stalls is past the threshold.
 	s.Stream(&failAfter{n: 3, stall: time.Millisecond}, Request{Doc: "d1", Query: "//c"}, 1)
 	slow := s.Flight().Snapshot(0, true)
 	if len(slow.Records) == 0 || slow.Records[0].Query != "//c" {
@@ -481,13 +481,20 @@ func TestDebugQueriesHTTP(t *testing.T) {
 		t.Error("HTTP query got no generated request id in its flight record")
 	}
 
-	// ?slow= takes every spelling ?explain= does: only the one slow
-	// record comes back.
-	s.Flight().SetSlowThreshold(time.Nanosecond)
-	s.Stream(&failAfter{n: 3, stall: time.Millisecond}, Request{Doc: "d1", Query: "//c"}, 1)
+	// ?slow= takes every spelling ?explain= does: only slow records come
+	// back, none of this service's three and the one of a service whose
+	// threshold a stalled stream passes.
+	slowS := New(shard.NewStore(1), Options{SlowQuery: time.Nanosecond})
+	slowBase := newTestHTTP(t, slowS, HandlerOptions{})
+	mustLoad(t, slowBase, "d1")
+	slowS.Stream(&failAfter{n: 3, stall: time.Millisecond}, Request{Doc: "d1", Query: "//c"}, 1)
 	for _, v := range []string{"1", "true", "yes"} {
-		var slow obsv.FlightStats
-		doJSON(t, "GET", base+"/debug/queries?slow="+v, nil, &slow)
+		var none, slow obsv.FlightStats
+		doJSON(t, "GET", base+"/debug/queries?slow="+v, nil, &none)
+		doJSON(t, "GET", slowBase+"/debug/queries?slow="+v, nil, &slow)
+		if len(none.Records) != 0 {
+			t.Errorf("?slow=%s: %d records of a service with no slow query", v, len(none.Records))
+		}
 		if len(slow.Records) != 1 || slow.Records[0].Query != "//c" {
 			t.Errorf("?slow=%s: %d records, want the one slow //c", v, len(slow.Records))
 		}

@@ -33,6 +33,12 @@ func (l *lockedBuffer) String() string {
 	return l.b.String()
 }
 
+// plant caches val under key the one way a value enters the cache: a
+// compile that returns it.
+func plant(s *Service, key string, val any) {
+	s.cache.GetOrCompile(key, func() (any, error) { return val, nil })
+}
+
 // TestPanicStopsAtTheRequest forces a deterministic panic — a value of
 // the wrong type cached under the key core looks up for an ASTA query —
 // and checks that it costs the panicking request and nothing else: a
@@ -49,7 +55,7 @@ func TestPanicStopsAtTheRequest(t *testing.T) {
 	if !ok {
 		t.Fatal("d1 missing")
 	}
-	s.cache.Put(strconv.FormatUint(h.Doc.Names().ID(), 10)+"\x00asta\x00"+query, "not an automaton")
+	plant(s, strconv.FormatUint(h.Doc.Names().ID(), 10)+"\x00asta\x00"+query, "not an automaton")
 	poisoned := Request{Doc: "d1", Query: query, Strategy: "optimized"}
 	healthy := Request{Doc: "d1", Query: "//c", Strategy: "optimized"}
 	srv := httptest.NewServer(NewHandler(s, HandlerOptions{}))

@@ -555,13 +555,14 @@ func (s *Service) Eval(req Request) (out Response) {
 	defer st.cur.Close()
 	resp := &st.resp
 	sp := st.tr.Begin(obsv.SpanPage)
-	limit := req.Limit
-	if limit <= 0 {
-		limit = resp.Count
+	// The page is a copy, sized by what the cursor has left past the
+	// resume position: the cursor's answer lives in an evaluation arena
+	// that serves another run as soon as the cursor is closed.
+	n := st.cur.Remaining()
+	if req.Limit > 0 {
+		n = min(req.Limit, n)
 	}
-	// The page is a copy: the cursor's answer lives in an evaluation
-	// arena that serves another run as soon as the cursor is closed.
-	nodes := make([]tree.NodeID, min(limit, resp.Count))
+	nodes := make([]tree.NodeID, n)
 	nodes = nodes[:st.cur.NextBatch(nodes)]
 	if len(nodes) > 0 {
 		st.last = nodes[len(nodes)-1]

@@ -73,7 +73,7 @@ func TestStatsKeySet(t *testing.T) {
 // shape and a reason, and the record is of a stream that lost its
 // client past the slow threshold under a request id.
 func TestExplainAndFlightKeySets(t *testing.T) {
-	s := newTestService(t, Options{})
+	s := newTestService(t, Options{SlowQuery: time.Nanosecond})
 	h := NewHandler(s, HandlerOptions{})
 	get := func(method, url, body string) []byte {
 		t.Helper()
@@ -96,7 +96,6 @@ func TestExplainAndFlightKeySets(t *testing.T) {
 	_, want := readKeys(t, "testdata/explain_counters_keys.txt")
 	diffKeys(t, "explain.counters", jsonKeys(t, explained.Explain.Counters), want)
 
-	s.Flight().SetSlowThreshold(time.Nanosecond)
 	s.Stream(&failAfter{n: 1, stall: time.Millisecond}, Request{Doc: "d1", Query: "//a/b", RequestID: "keys"}, 1)
 	var flight struct {
 		Records []json.RawMessage `json:"records"`
