@@ -165,9 +165,10 @@ func (e *Engine) PoolStats() PoolStats { return e.pool.Stats() }
 func (e *Engine) CacheStats() qcache.Stats { return e.cache.Stats() }
 
 // cacheKey names a compiled automaton by what it is a function of: the
-// label table (by id), the automaton kind and the query text. A
-// generation with a new label, or a reloaded document, has another
-// table and can neither hit nor overwrite the entry.
+// label table (by id), the automaton kind and the query text. Every
+// document with the same names shares the table, and so the entry; a
+// generation with a new label, or a document with other names, has
+// another table and can neither hit nor overwrite it.
 func (e *Engine) cacheKey(kind, query string) string {
 	var buf [20]byte
 	table := strconv.AppendUint(buf[:0], e.doc.Names().ID(), 10)

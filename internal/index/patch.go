@@ -16,11 +16,26 @@ func Apply(old *Index, newDoc *tree.Document, dl *tree.Delta) *Index {
 	ix := &Index{doc: newDoc, sigma: newDoc.Names().Size(), chunks: tree.Chunks(n)}
 	q, cut, delta := uint32(dl.At), uint32(dl.At)+uint32(dl.Removed), dl.Inserted-dl.Removed
 	// Occurrences of the grafted interval [q, q+Inserted), by label (the
-	// splice already remapped them into the patched label table).
+	// splice already translated them into the patched label table).
 	inserted := make(map[tree.LabelID][]uint32)
 	for v := q; v < q+uint32(dl.Inserted); v++ {
 		l := newDoc.Label(tree.NodeID(v))
 		inserted[l] = append(inserted[l], v)
+	}
+	// A label's old row is the row of its name: the ids are the same
+	// unless the fragment brought names, which take ids among the old
+	// ones in the patched table (and have no old row: -1).
+	names, oldNames := newDoc.Names(), old.doc.Names()
+	oldID := make([]tree.LabelID, ix.sigma)
+	for l := range oldID {
+		oldID[l] = tree.LabelID(l)
+		if names != oldNames {
+			if id, ok := oldNames.Lookup(names.Name(tree.LabelID(l))); ok {
+				oldID[l] = id
+			} else {
+				oldID[l] = -1
+			}
+		}
 	}
 	w := tree.NewSeqWriter(n-newDoc.TextRank(tree.NodeID(n)), ix.sigma*ix.chunks)
 	for l := 0; l < ix.sigma; l++ {
@@ -29,7 +44,7 @@ func Apply(old *Index, newDoc *tree.Document, dl *tree.Delta) *Index {
 		}
 		// The removed interval [q, cut) occupies one contiguous run of
 		// the row (which is empty for a label the fragment brought).
-		base, row := l*ix.chunks, old.Occurrences(tree.LabelID(l))
+		base, row := l*ix.chunks, old.Occurrences(oldID[l])
 		lo, _ := row.Search(q)
 		hi, _ := row.Search(cut)
 		w.Append(base, row, 0, lo, 0)

@@ -31,8 +31,10 @@ var ErrNoDocument = errors.New("no such document")
 
 // DefaultCacheSize is the compiled-query LRU's entry bound when Options
 // does not choose one. It is what four 256-entry partitions held
-// between them; one 256-entry LRU let point-lookup's automata churn
-// (DESIGN.md "One partition").
+// between them. One 256-entry LRU let point-lookup's automata churn
+// while each of its 256 documents had a label table of its own; they
+// now share one, and compile each query once (DESIGN.md "One
+// partition").
 const DefaultCacheSize = 1024
 
 // Options configures a Service.
@@ -138,8 +140,9 @@ func (s *Service) engine(h *store.Handle) *core.Engine {
 
 // EvictDoc removes a document from the store. Nothing else is swept: its
 // automata and their warm contexts are keyed by its label table, which
-// no later document can share, so they go cold and leave by the LRU. It
-// reports whether the document was resident.
+// every document with the same names shares. They stay warm for those,
+// or go cold and leave by the LRU. It reports whether the document was
+// resident.
 func (s *Service) EvictDoc(docID string) bool {
 	return s.store.Evict(docID)
 }
@@ -622,7 +625,9 @@ func (s *Service) EvalBatch(reqs []Request) []Response {
 type Stats struct {
 	Documents []store.Stats `json:"documents"`
 	// DocBytes estimates the resident bytes of the documents plus their
-	// jumping indexes; ResidentBytes adds the compiled-query cache.
+	// jumping indexes and their label tables, each table once however
+	// many documents share it; ResidentBytes adds the compiled-query
+	// cache.
 	DocBytes      int64        `json:"doc_bytes"`
 	ResidentBytes int64        `json:"resident_bytes"`
 	Cache         qcache.Stats `json:"cache"`
@@ -675,9 +680,7 @@ func (s *Service) Stats() Stats {
 		MVCC:      s.store.MVCC(),
 		Mapped:    s.store.Mapped(),
 	}
-	for _, d := range out.Documents {
-		out.DocBytes += d.MemBytes
-	}
+	out.DocBytes = store.DocBytes(out.Documents)
 	out.ResidentBytes = out.DocBytes + out.Cache.SizeBytes
 	out.CacheHitRate = out.Cache.HitRate()
 	out.PoolHitRate = out.Pool.HitRate()

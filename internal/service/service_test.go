@@ -81,6 +81,8 @@ func TestRepeatedQuerySkipsRecompilation(t *testing.T) {
 	}
 }
 
+// TestCacheKeyedPerDocument: d2 lacks d1's c, so it has a label table
+// of its own, and the query compiles once for each.
 func TestCacheKeyedPerDocument(t *testing.T) {
 	s := newTestService(t, Options{})
 	if _, err := s.Store().LoadXML("d2", []byte("<r><a><b/></a></r>")); err != nil {
@@ -95,8 +97,8 @@ func TestCacheKeyedPerDocument(t *testing.T) {
 
 // TestEvictedDocAutomataLeaveByLRU: evicting a document sweeps nothing
 // out of the compiled-query cache. Its automata are keyed by its label
-// table, which no later document can share, so they can never be hit
-// again; they go cold and the LRU pushes them out — warm contexts
+// table, which only a document with the same names can share; when none
+// comes they go cold, and the LRU pushes them out — warm contexts
 // included — as soon as live queries need the room.
 func TestEvictedDocAutomataLeaveByLRU(t *testing.T) {
 	s := newTestService(t, Options{CacheSize: 2})
@@ -115,9 +117,9 @@ func TestEvictedDocAutomataLeaveByLRU(t *testing.T) {
 		t.Error("double evict = true")
 	}
 
-	// The same id, reloaded, compiles its queries afresh and pushes the
-	// dead table's entries out.
-	if _, err := s.Store().LoadXML("d1", []byte("<r><a><b/></a><c/></r>")); err != nil {
+	// The same id, reloaded with a name more, compiles its queries afresh
+	// and pushes the dead table's entries out.
+	if _, err := s.Store().LoadXML("d1", []byte("<r><a><b/></a><c/><d/></r>")); err != nil {
 		t.Fatal(err)
 	}
 	s.Eval(Request{Doc: "d1", Query: "//a/b", Strategy: "optimized"})
@@ -133,33 +135,45 @@ func TestEvictedDocAutomataLeaveByLRU(t *testing.T) {
 
 func TestReloadedDocGetsFreshCacheNamespace(t *testing.T) {
 	// An id evicted and reloaded with different content must never be
-	// answered from automata compiled against the old document: the
-	// reload has a label table of its own, and the table's id is in the
-	// cache key, so the old entries cannot be hit — nor overwritten by a
-	// compile that was in flight across the eviction.
+	// answered from automata compiled for other names: a reload with
+	// other names has a label table of its own, and the table's id is in
+	// the cache key, so the old entries cannot be hit — nor overwritten by
+	// a compile that was in flight across the eviction. A reload with the
+	// names of a resident document shares that document's table, and the
+	// automata compiled under it, which are a function of the names and
+	// the query, not of the tree: it is answered warm, and right.
 	s := New(shard.NewStore(1), Options{})
-	if _, err := s.Store().LoadXML("d", []byte("<r><a><b/></a></r>")); err != nil {
-		t.Fatal(err)
+	for _, id := range []string{"keep", "d"} {
+		if _, err := s.Store().LoadXML(id, []byte("<r><a><b/></a></r>")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if resp := s.Eval(Request{Doc: "d", Query: "//b", Strategy: "optimized"}); resp.Count != 1 {
 		t.Fatalf("old doc count = %d, want 1", resp.Count)
 	}
-	if !s.EvictDoc("d") {
-		t.Fatal("evict failed")
-	}
-	if _, err := s.Store().LoadXML("d", []byte("<r><a><b/><b/><b/></a></r>")); err != nil {
-		t.Fatal(err)
-	}
-	resp := s.Eval(Request{Doc: "d", Query: "//b", Strategy: "optimized"})
-	if resp.Err != "" {
-		t.Fatal(resp.Err)
-	}
-	if resp.Count != 3 {
-		t.Errorf("reloaded doc count = %d, want 3 (stale automaton served?)", resp.Count)
-	}
-	// The reload compiled fresh: the second eval is a miss, not a hit.
-	if cs := s.Stats().Cache; cs.Misses != 2 {
-		t.Errorf("misses = %d, want 2 (one per label table)", cs.Misses)
+	for _, reload := range []struct {
+		xml           string
+		count, misses int
+	}{
+		{"<r><a><b/><b/><b/></a></r>", 3, 1}, // keep's names: its table
+		{"<r><a><b/><b/></a><x/></r>", 2, 2}, // a name more: a table of its own
+	} {
+		if !s.EvictDoc("d") {
+			t.Fatal("evict failed")
+		}
+		if _, err := s.Store().LoadXML("d", []byte(reload.xml)); err != nil {
+			t.Fatal(err)
+		}
+		resp := s.Eval(Request{Doc: "d", Query: "//b", Strategy: "optimized"})
+		if resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		if resp.Count != reload.count {
+			t.Errorf("%s: reloaded doc count = %d, want %d (stale automaton served?)", reload.xml, resp.Count, reload.count)
+		}
+		if cs := s.Stats().Cache; cs.Misses != uint64(reload.misses) {
+			t.Errorf("%s: misses = %d, want %d (one per label table)", reload.xml, cs.Misses, reload.misses)
+		}
 	}
 }
 

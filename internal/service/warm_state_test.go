@@ -1,7 +1,9 @@
 package service
 
 import (
+	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -47,11 +49,16 @@ var vocabularyFragments = []string{
 // and memo worlds by automaton, so a patch that interns no label costs
 // neither a compile nor a context; a patch that does intern a label
 // moves the document to a new table and recompiles exactly what is run
-// again; and an evicted id, reloaded, starts cold.
+// again; and an evicted id, reloaded with the names of a resident
+// document, starts warm: it shares that document's table. The other
+// document, generated from another seed, holds XMark's names throughout
+// and is never queried.
 func TestWarmStateSurvivesPatch(t *testing.T) {
 	svc := New(shard.NewStore(1), Options{})
-	if _, err := svc.Store().GenerateXMark("xm", 0.002, 1); err != nil {
-		t.Fatal(err)
+	for seed, id := range []string{"other", "xm"} {
+		if _, err := svc.Store().GenerateXMark(id, 0.002, int64(2-seed)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	run := func(reqs []Request) {
 		t.Helper()
@@ -111,22 +118,27 @@ func TestWarmStateSurvivesPatch(t *testing.T) {
 		t.Errorf("pool misses after the fresh-label patch grew by %d, want %d (the distinct (automaton, options) pairs re-run)", got, warmContexts)
 	}
 
-	// Evict and reload under the same id: another load, another label
-	// table.
+	// Evict and reload under the same id: another load, with the names of
+	// the other document, and so its label table — under which the first
+	// round compiled everything.
 	if !svc.EvictDoc("xm") {
 		t.Fatal("xm was not resident")
 	}
 	if _, err := svc.Store().GenerateXMark("xm", 0.002, 1); err != nil {
 		t.Fatal(err)
 	}
+	other, _ := svc.Store().Get("other")
+	if h, _ := svc.Store().Get("xm"); h.Doc.Names() != other.Doc.Names() {
+		t.Fatal("the reloaded document does not share the other document's label table")
+	}
 	before = svc.Stats()
 	run(warmTraffic)
 	after = svc.Stats()
-	if got := after.Cache.Misses - before.Cache.Misses; got != warmCompiles {
-		t.Errorf("cache misses after reload grew by %d, want %d: every pair compiles again", got, warmCompiles)
+	if got := after.Cache.Misses - before.Cache.Misses; got != 0 {
+		t.Errorf("cache misses after reload grew by %d, want 0: every pair is compiled under the shared table", got)
 	}
-	if got := after.Pool.Misses - before.Pool.Misses; got != warmContexts {
-		t.Errorf("pool misses after reload grew by %d, want %d", got, warmContexts)
+	if got := after.Pool.Misses - before.Pool.Misses; got != 0 {
+		t.Errorf("pool misses after reload grew by %d, want 0", got)
 	}
 	assertPoolSettled(t, svc)
 }
@@ -178,5 +190,68 @@ func TestRetiredGenerationCollectedWhileContextsPooled(t *testing.T) {
 	}
 	if st.Pool.Resident < 3 {
 		t.Errorf("pool holds %d contexts, want the 3 that last ran on the collected generation", st.Pool.Resident)
+	}
+}
+
+// firstOccurrence lists d's names in the order they first occur in
+// preorder: the ids a table of its own would have given them.
+func firstOccurrence(d *tree.Document) []string {
+	var names []string
+	for v := tree.NodeID(0); int(v) < d.NumNodes(); v++ {
+		if name := d.LabelName(v); !slices.Contains(names, name) {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// TestSameNamesShareOneTable: documents with the same names share one
+// label table however each was made — XMark generated from two seeds,
+// whose names first occur in other orders, the XML of one parsed, the
+// XQO2 file of the other opened, and the first patched with names its
+// table has — and so a query compiles once for all of them: a TDSTA
+// evaluated on each is one cache miss and one cache entry.
+func TestSameNamesShareOneTable(t *testing.T) {
+	svc := New(shard.NewStore(1), Options{})
+	st := svc.Store()
+	x1, err := st.GenerateXMark("x1", 0.002, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x2, err := st.GenerateXMark("x2", 0.002, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(firstOccurrence(x1.Doc), firstOccurrence(x2.Doc)) {
+		t.Fatal("the two seeds' names first occur in one order")
+	}
+	parsed, err := st.LoadXML("parsed", []byte(x1.Doc.XMLString()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "x2.xqo2")
+	if err := store.SaveXQO2File(path, x2.Doc); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := st.LoadMapped("mapped", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.PatchDoc("x1", PatchDocRequest{Op: "insert", Node: 1, XML: vocabularyFragments[0]}); err != nil {
+		t.Fatal(err)
+	}
+	patched, _ := st.Get("x1")
+	for name, h := range map[string]*store.Handle{"seed 2": x2, "parsed": parsed, "mapped": mapped, "patched": patched} {
+		if h.Doc.Names() != x1.Doc.Names() {
+			t.Errorf("%s: a label table of its own", name)
+		}
+	}
+	for _, id := range []string{"x1", "x2", "parsed", "mapped"} {
+		if resp := svc.Eval(Request{Doc: id, Query: "/site/regions/*/item", Strategy: "topdown-det"}); resp.Err != "" || resp.Count == 0 {
+			t.Fatalf("%s: %d nodes, %s", id, resp.Count, resp.Err)
+		}
+	}
+	if cs := svc.Stats().Cache; cs.Misses != 1 || cs.Size != 1 {
+		t.Errorf("cache %+v, want 1 miss and 1 entry", cs)
 	}
 }

@@ -18,10 +18,19 @@ func abcDoc(seed int64, maxNodes int) *tree.Document {
 	})
 }
 
-// ids returns the label ids of a and b, interning them so the automata
-// are well-defined even if the random doc lacks one of them.
+// abIDs returns the label ids of a and b. A name the random doc lacks
+// gets an id past its label table, which no node carries, so the
+// automata are well-defined either way; the table itself, which other
+// documents with its names share, is not touched.
 func abIDs(d *tree.Document) (tree.LabelID, tree.LabelID) {
-	return d.Names().Intern("a"), d.Names().Intern("b")
+	id := func(name string, spare tree.LabelID) tree.LabelID {
+		if l, ok := d.Names().Lookup(name); ok {
+			return l
+		}
+		return spare
+	}
+	past := tree.LabelID(d.Names().Size())
+	return id("a", past), id("b", past+1)
 }
 
 // oracleDescADescB selects all b-nodes with a proper a-labeled XML

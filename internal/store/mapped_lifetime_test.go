@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/qcache"
 	"repro/internal/store"
+	"repro/internal/tree"
 	"repro/internal/xmark"
 	"repro/internal/xmlparse"
 )
@@ -58,4 +59,47 @@ func TestMappedHandleKeepsItsMapping(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(h)
+}
+
+// TestLabelTableOutlivesItsMapping: a mapped document whose names no
+// other document has registers its label table, and the table outlives
+// the mapping — unmapped here by Close at once, as it would be by the
+// finalizer once an evicted document's last reader drops it: its names
+// are a copy on the heap, so the table still answers Name, and a
+// document parsed later with the same names is given it.
+func TestLabelTableOutlivesItsMapping(t *testing.T) {
+	const src = "<mapped-lifetime><only-in-this-test a='1'>t</only-in-this-test></mapped-lifetime>"
+	path := filepath.Join(t.TempDir(), "names.xqo2")
+	want := func() []string {
+		built, err := xmlparse.ParseString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.SaveXQO2File(path, built); err != nil {
+			t.Fatal(err)
+		}
+		return built.Names().Names()
+	}()
+	runtime.GC() // the built document, and with it its table, is gone
+	names := func() *tree.LabelTable {
+		d, _, _, m, err := store.OpenXQO2(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		return d.Names()
+	}()
+	runtime.GC()
+	for i, name := range want {
+		if got := names.Name(tree.LabelID(i)); got != name {
+			t.Fatalf("name %d of the table is %q after the unmap, want %q", i, got, name)
+		}
+	}
+	again, err := xmlparse.ParseString(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Names() != names {
+		t.Error("a document parsed with the same names has another label table")
+	}
 }

@@ -20,13 +20,14 @@ const fuzzFanout = 70000
 
 // fuzzRareNames is how many of the fuzzed document's leaves have a name
 // of their own, every 200th from the 100th on: with #doc, #text, fan and
-// leaf, 354 names, of which the last 99 do not fit a label byte.
+// leaf, 354 names, of which the last 99 in byte order ("leaf55100" to
+// "leaf9900") do not fit a label byte.
 const fuzzRareNames = fuzzFanout / 200
 
 // fuzzContainer is the valid XQO2 container FuzzNavigateVerified mutates,
 // written once: a fan of leaves, every 5000th holding a text and every
 // 200th named like no other, so that wide has entries (nodes 0 and 1),
-// rare has (the last 99 of the named leaves) and every edited section
+// rare has (the 99 named leaves whose names sort last) and every edited section
 // words. Under 1 MB.
 var fuzzContainer = sync.OnceValue(func() []byte {
 	b := tree.NewBuilder()
@@ -83,7 +84,7 @@ func FuzzNavigateVerified(f *testing.F) {
 	const texts = fuzzFanout / 5000                       // all of them below rank 65 536, the last at 65 016
 	const leaf = 3                                        // the label of the unnamed leaves, after #doc, #text and fan
 	const names = 4 + fuzzRareNames                       // #doc, #text, fan, leaf and the named leaves
-	const rares = names - big                             // the first of them node 50 313, a leaf's rank being 2 + i + ⌈i/5000⌉
+	const rares = names - big                             // the first of them node 703 (leaf700), a leaf's rank being 2 + i + ⌈i/5000⌉
 	f.Add([]byte{})
 	f.Add(edit(0, 9, 0))                                    // up = 0 off the root: a node its own parent
 	f.Add(edit(0, 9, 2))                                    // a parent that is not the enclosing node

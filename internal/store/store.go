@@ -67,8 +67,10 @@ type Stats struct {
 	// two reserved labels).
 	Labels int `json:"labels"`
 	// MemBytes estimates the resident size of the document plus its
-	// index (flat arrays, occurrence rows, text and label tables). For
-	// mapped documents this working set is file-backed, not heap.
+	// index (flat arrays, occurrence rows, text). Its label table is not
+	// in it: documents with the same names share one, and DocBytes
+	// counts it once. For mapped documents this working set is
+	// file-backed, not heap.
 	MemBytes int64 `json:"mem_bytes"`
 	// MappedBytes is the size of the XQO2 mapping backing this document
 	// (zero for heap-backed documents and patched generations, which
@@ -80,6 +82,24 @@ type Stats struct {
 	// (latest plus everything pinned by cursors or leases); filled by
 	// List, not meaningful on a Handle's own Stats.
 	LiveGens int `json:"live_gens,omitempty"`
+	// names is the generation's label table, for DocBytes.
+	names *tree.LabelTable
+}
+
+// DocBytes is what the documents listed — as List returns them — hold
+// between them: each one's MemBytes, and every label table among them
+// once, however many of them share it.
+func DocBytes(docs []Stats) int64 {
+	var b int64
+	seen := make(map[*tree.LabelTable]bool)
+	for _, st := range docs {
+		b += st.MemBytes
+		if !seen[st.names] {
+			seen[st.names] = true
+			b += st.names.MemBytes()
+		}
+	}
+	return b
 }
 
 // Handle is an immutable view of one generation of one resident
@@ -184,6 +204,7 @@ func newHandle(id string, d *tree.Document, ix *index.Index, src Source) *Handle
 		Labels:   d.Names().Size(),
 		MemBytes: h.memBytes(),
 		Source:   src,
+		names:    d.Names(),
 		LoadedAt: time.Now(),
 	}
 	return h

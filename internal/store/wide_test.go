@@ -220,15 +220,16 @@ func requireRowsInvertLabels(t *testing.T, what string, h *store.Handle) {
 }
 
 // rareDoc is a document of the given number of names: #doc, #text, r,
-// item, name and n0, n1, …, three rounds of item elements over one n
-// element each, every n over a name holding a text.
+// item, name and x000, x001, …, three rounds of item elements over one x
+// element each, every x over a name holding a text. The names sort in
+// that order, so x250 and the x-names after it are the rare ones.
 func rareDoc(names int) *tree.Document {
 	b := tree.NewBuilder()
 	b.Open("r")
 	for round := 0; round < 3; round++ {
 		for i := 0; i < names-5; i++ {
 			b.Open("item")
-			b.Open(fmt.Sprint("n", i))
+			b.Open(fmt.Sprintf("x%03d", i))
 			b.Open("name")
 			b.Text(fmt.Sprint(round, ".", i))
 			b.Close()
@@ -245,7 +246,8 @@ func rareDoc(names int) *tree.Document {
 // a mapped file with verification on — and a document of 255 names, which
 // lists no rare label until a PATCH brings name number 256, from a heap
 // base and from a mapped one, then a second node of that name and a third
-// name, then loses the first again. On every one of them the index is the
+// name, then loses the first again. The new names sort after the old, so
+// they are the rare ones. On every one of them the index is the
 // inverse of the labels, the rare rows included (counts, searches, cursor
 // sweeps, top-most nodes); every strategy answers queries naming rare
 // labels, common ones and both as stepwise does; and every patched
@@ -254,14 +256,14 @@ func rareDoc(names int) *tree.Document {
 func TestRareLabelsMappedPatchedAndQueried(t *testing.T) {
 	const byteful = 255
 	many := rareDoc(300)
-	queries := []string{"//n10", "//n280", "//item/n294/name", "//item[n280]//name", "//r/item/n10/name", "//name", "//*"}
-	for _, name := range []string{"n280", "n294"} {
+	queries := []string{"//x010", "//x280", "//item/x294/name", "//item[x280]//name", "//r/item/x010/name", "//name", "//*"}
+	for _, name := range []string{"x280", "x294"} {
 		if l, _ := many.Names().Lookup(name); l < byteful {
 			t.Fatalf("%s has id %d: not rare", name, l)
 		}
 	}
-	if l, _ := many.Names().Lookup("n10"); l >= byteful {
-		t.Fatalf("n10 has id %d: rare", l)
+	if l, _ := many.Names().Lookup("x010"); l >= byteful {
+		t.Fatalf("x010 has id %d: rare", l)
 	}
 	s := store.New()
 	s.SetVerifyResident(true)
@@ -300,18 +302,18 @@ func TestRareLabelsMappedPatchedAndQueried(t *testing.T) {
 		queries []string
 	}{
 		// Name number 256, in the middle of the document.
-		{tree.Patch{Op: tree.OpInsert, Node: r, Before: middle, Frag: docOf("item", "fresh", "name", "#new", "/", "/", "/")},
-			1, []string{"//fresh", "//item/fresh/name", "//item[fresh]", "//n10", "//name"}},
+		{tree.Patch{Op: tree.OpInsert, Node: r, Before: middle, Frag: docOf("item", "zfresh", "name", "#new", "/", "/", "/")},
+			1, []string{"//zfresh", "//item/zfresh/name", "//item[zfresh]", "//x010", "//name"}},
 		// A second node of it and name number 257, six nodes at the head of
 		// the document, a common one between the two.
-		{tree.Patch{Op: tree.OpInsert, Node: r, Before: 2, Frag: docOf("item", "fresh", "n10", "/", "fresher", "name", "#newer", "/", "/", "/", "/")},
-			3, []string{"//fresh", "//fresh//name", "//fresher/name", "//item[fresh/fresher]", "//fresh/n10", "//n10"}},
+		{tree.Patch{Op: tree.OpInsert, Node: r, Before: 2, Frag: docOf("item", "zfresh", "x010", "/", "zfresher", "name", "#newer", "/", "/", "/", "/")},
+			3, []string{"//zfresh", "//zfresh//name", "//zfresher/name", "//item[zfresh/zfresher]", "//zfresh/x010", "//x010"}},
 		// The first goes: the two rare nodes left are nodes 3 and 5.
 		{tree.Patch{Op: tree.OpDelete, Node: middle + 6, Before: tree.Nil},
-			2, []string{"//fresh", "//fresher/name", "//n10"}},
+			2, []string{"//zfresh", "//zfresher/name", "//x010"}},
 		// And one of them is replaced by a common one.
-		{tree.Patch{Op: tree.OpReplace, Node: 5, Before: tree.Nil, Frag: docOf("n10", "/")},
-			1, []string{"//fresh/n10", "//item[fresh]", "//name"}},
+		{tree.Patch{Op: tree.OpReplace, Node: 5, Before: tree.Nil, Frag: docOf("x010", "/")},
+			1, []string{"//zfresh/x010", "//item[zfresh]", "//name"}},
 	}
 	for _, mappedBase := range []bool{false, true} {
 		what := fmt.Sprint(byteful, " names, mapped base ", mappedBase)

@@ -23,7 +23,7 @@ import (
 // makes ahead: so Open, Text and Close, which grow nothing, are small
 // enough to be inlined into a tokenizer's loop (CI checks).
 type Piece struct {
-	names *LabelTable // the piece's label ids, in order of first occurrence
+	names *LabelTable // the piece's own label ids, which Join translates into the document's
 
 	labels []uint16 // per node, by its rank in the piece
 	up     []uint8
@@ -149,14 +149,15 @@ func (p *Piece) Unclosed() []string {
 func (p *Piece) Len() int { return int(p.n) }
 
 // Join assembles a document from its pieces, in order, under the
-// synthetic root. The first piece's label table becomes the document's,
-// and the later pieces' labels are interned into it in order, each in
-// its own order of first occurrence: the ids a single piece would have
-// given. Every array is allocated once at its final length. The pieces
-// must be balanced together apart from the root, which Join opens
-// before the first and closes after the last; a close with no element
-// open, or an element left open, is an error, and so is a label table
-// past MaxLabels.
+// synthetic root. Its label table is the registered one of the names
+// the pieces' tables hold between them, sorted (sortedTable): whatever
+// order the names first occur in, and however the source was cut into
+// pieces, a document with these names gets this table, and each piece's
+// ids translate into it. Every array is allocated once at its final
+// length. The pieces must be balanced together apart from the root,
+// which Join opens before the first and closes after the last; a close
+// with no element open, or an element left open, is an error, and so is
+// a label table past MaxLabels.
 //
 // One worker per piece copies what the piece holds of the document:
 // up, size and the text, the labels through a table from the piece's
@@ -164,21 +165,25 @@ func (p *Piece) Len() int { return int(p.n) }
 // serially: it is a few entries for every cut (see link). The text
 // ranks' directory is counted from the finished labels.
 func Join(pieces []*Piece) (*Document, error) {
-	names := pieces[0].names
+	var rest []string
+	for _, p := range pieces {
+		rest = append(rest, p.names.names[ReservedLabels:]...)
+	}
+	names, err := sortedTable(rest)
+	if err != nil {
+		return nil, err
+	}
 	at := make([]place, len(pieces)+1) // the last one past the end: the totals
 	at[0].node = 1
 	for i, p := range pieces {
 		at[i].remap = make([]LabelID, p.names.Size())
-		for l := range at[i].remap {
-			at[i].remap[l] = names.Intern(p.names.Name(LabelID(l)))
+		for l, name := range p.names.names {
+			at[i].remap[l] = names.ids[name]
 		}
 		if int(at[i].node)+int(p.n) > math.MaxInt32 {
 			return nil, fmt.Errorf("tree: more than 2^31 nodes exceed the node-id space")
 		}
 		at[i+1] = place{node: at[i].node + p.n, text: at[i].text + p.t, blob: at[i].blob + len(p.Blob)}
-	}
-	if err := checkLabelCount(names.Size()); err != nil {
-		return nil, err
 	}
 	end := at[len(pieces)]
 	if end.blob > math.MaxUint32 {

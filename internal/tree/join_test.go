@@ -206,9 +206,11 @@ func TestLinkRefusesLabelsPastTheLimit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%d labels: %v", tree.MaxLabels, err)
 	}
-	last := d.LastDesc(d.Root())
-	if d.Names().Size() != tree.MaxLabels || d.Label(last) != tree.MaxLabels-1 || d.LabelName(last) != "n65535" {
-		t.Fatalf("%d labels, the last node carrying %d (%s)", d.Names().Size(), d.Label(last), d.LabelName(last))
+	// The names sort "n10" to "n99999" and then "r": the document
+	// element carries the largest id, and the last node its own name.
+	r, last := d.DocumentElement(), d.LastDesc(d.Root())
+	if d.Names().Size() != tree.MaxLabels || d.Label(r) != tree.MaxLabels-1 || d.LabelName(r) != "r" || d.LabelName(last) != "n65535" {
+		t.Fatalf("%d labels, the document element carrying %d (%s), the last node %s", d.Names().Size(), d.Label(r), d.LabelName(r), d.LabelName(last))
 	}
 	if _, err := wideDoc(tree.MaxLabels + 1); err == nil || !strings.Contains(err.Error(), "limit of 65536") {
 		t.Fatalf("%d labels: err = %v, want the limit of 65536 named", tree.MaxLabels+1, err)

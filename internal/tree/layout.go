@@ -352,8 +352,8 @@ func AddDocumentSections(w *LayoutWriter, d *Document, _ *Succinct) {
 
 // DocumentFromLayout reassembles a Document from an opened container.
 // The big arrays alias the container's buffer; only the label table (a
-// handful of interned names) is materialized on the heap, so a patched
-// generation's cloned table never dangles into an unmapped file. The
+// handful of names) is on the heap, and shared with the documents that
+// have the same names (see LabelTable). The
 // document retains the layout's owner, keeping the mapping
 // alive as long as the document (or any generation sharing its arrays)
 // is reachable.
@@ -424,23 +424,24 @@ func DocumentFromLayout(l *Layout) (*Document, error) {
 		return nil, err
 	}
 
-	// Label table: the name bytes are copied to the heap once, and every
-	// name is a substring of that copy (the table is tiny and generation
-	// clones must not alias the mapping).
+	// Label table: the registered one with these names in this order,
+	// made from a copy of the name bytes if no live document has it, so
+	// neither it nor a patched generation's table aliases the mapping. A
+	// file Join wrote lists its names sorted, and shares its table with
+	// every document of the same names; one in another order opens too.
 	nameOff, err := layoutSlice[uint32](l, SecNameOff, numNames+1)
 	if err != nil {
 		return nil, err
 	}
-	nameBlob := string(l.Section(SecNameBlob))
-	lt := newLabelTable(numNames)
-	lt.names = make([]string, numNames)
-	for i := range lt.names {
+	nameBlob := l.Section(SecNameBlob)
+	key := make([]byte, 0, len(nameBlob)+2*numNames)
+	for i := range numNames {
 		if nameOff[i] > nameOff[i+1] || int(nameOff[i+1]) > len(nameBlob) {
 			return nil, fmt.Errorf("tree: xqo2: label name %d offsets invalid", i)
 		}
-		lt.names[i] = nameBlob[nameOff[i]:nameOff[i+1]]
-		lt.ids[lt.names[i]] = LabelID(i)
+		key = appendKey(key, nameBlob[nameOff[i]:nameOff[i+1]])
 	}
+	lt := registered(key, numNames)
 	if lt.names[LabelDoc] != "#doc" || lt.names[LabelText] != "#text" {
 		return nil, fmt.Errorf("tree: xqo2: reserved labels missing (%q, %q)", lt.names[LabelDoc], lt.names[LabelText])
 	}

@@ -101,19 +101,6 @@ type Delta struct {
 // count.
 func (dl *Delta) NewIDs(oldN int) int { return oldN + dl.Inserted - dl.Removed }
 
-// clone copies the label table, under a fresh id, so a patched
-// generation can intern a fragment's new labels without mutating the
-// parent generation's table (which concurrent readers of the old
-// document, and automata compiled against it, still use).
-func (lt *LabelTable) clone() *LabelTable {
-	c := newLabelTable(len(lt.ids) + 1)
-	c.names = append([]string(nil), lt.names...)
-	for k, v := range lt.ids {
-		c.ids[k] = v
-	}
-	return c
-}
-
 // fragRoot validates a patch fragment and returns its single element
 // child (always node 1: the first child of the #doc root in preorder).
 func fragRoot(frag *Document) (NodeID, error) {
@@ -230,18 +217,29 @@ func (d *Document) splice(dl *Delta) (*Document, error) {
 		frag = &Document{names: &LabelTable{}} // a delete grafts nothing
 	}
 	// The generation shares its parent's label table unless the fragment
-	// brings a name the table lacks; only then is the table cloned, under
-	// a new id.
-	names := d.names
-	labelMap := make([]LabelID, len(frag.names.names)) // fragment label -> label in names
-	for i, name := range frag.names.names {
-		if _, ok := names.Lookup(name); !ok && names == d.names {
-			names = d.names.clone()
+	// brings a name the table lacks. Only then does it take the sorted
+	// table of the names of both, and remap translates the parent's ids
+	// into it.
+	names, remap := d.names, []LabelID(nil)
+	var added []string
+	for _, name := range frag.names.names {
+		if _, ok := names.Lookup(name); !ok {
+			added = append(added, name)
 		}
-		labelMap[i] = names.Intern(name)
 	}
-	if err := checkLabelCount(names.Size()); err != nil {
-		return nil, err
+	if len(added) > 0 {
+		var err error
+		if names, err = sortedTable(append(added, d.names.names[ReservedLabels:]...)); err != nil {
+			return nil, err
+		}
+		remap = make([]LabelID, d.names.Size())
+		for l, name := range d.names.names {
+			remap[l] = names.ids[name]
+		}
+	}
+	labelMap := make([]LabelID, frag.names.Size()) // fragment label -> label in names
+	for i, name := range frag.names.names {
+		labelMap[i] = names.ids[name]
 	}
 
 	// Text: the removed interval's text nodes are one run [lo, hi) of the
@@ -279,7 +277,11 @@ func (d *Document) splice(dl *Delta) (*Document, error) {
 	textOff.Append(0, d.textOff, hi, d.textOff.Len(), int(prefixLen)+len(frag.textBlob)-int(suffixBase))
 	nd.textOff = textOff.Done()
 
-	d.spliceLabels(nd, dl, labelMap)
+	if remap == nil {
+		d.spliceLabels(nd, dl, labelMap)
+	} else {
+		d.relabel(nd, dl, labelMap, remap)
+	}
 	nd.textBefore = textDirectory(nd.labels)
 	d.spliceTopology(nd, dl)
 	return nd, nil
@@ -318,6 +320,78 @@ func (d *Document) spliceLabels(nd *Document, dl *Delta, labelMap []LabelID) {
 	rare.Append(0, d.rare, hi, d.rare.Len(), int(delta))
 	nd.rare = rare.Done()
 	nd.rareIDs = append(append(append(make([]uint16, 0, n), d.rareIDs[:lo]...), graftedIDs...), d.rareIDs[hi:]...)
+}
+
+// relabel is spliceLabels for a generation whose table is not its
+// parent's: prefix and suffix are copied through remap, the parent's ids
+// translated into the generation's table, and the fragment's through
+// labelMap. New names take ids among the old, so a node can cross the
+// escape: rare is listed again, from every node, when the table has
+// more than RareLabel names.
+func (d *Document) relabel(nd *Document, dl *Delta, labelMap, remap []LabelID) {
+	var (
+		q   = dl.At
+		cut = q + NodeID(dl.Removed)
+		at  = cut + NodeID(dl.Inserted-dl.Removed) // where the suffix lands
+	)
+	if nd.names.Size() <= RareLabel { // no label escapes, before or after
+		var to [256]uint8
+		for l, g := range remap {
+			to[l] = uint8(g)
+		}
+		for v, l := range d.labels[:q] {
+			nd.labels[v] = to[l]
+		}
+		for v, l := range d.labels[cut:] {
+			nd.labels[at+NodeID(v)] = to[l]
+		}
+		for f := NodeID(1); int(f) <= dl.Inserted; f++ {
+			nd.labels[q+f-1] = uint8(labelMap[dl.Frag.Label(f)])
+		}
+		nd.rare, nd.rareIDs = NewSeqWriter(0, Chunks(len(nd.labels))).Done(), []uint16{}
+		return
+	}
+	var rare []uint32
+	var rareIDs []uint16
+	put := func(v NodeID, l LabelID) {
+		nd.labels[v] = uint8(min(l, RareLabel))
+		if l >= RareLabel {
+			rare, rareIDs = append(rare, uint32(v)), append(rareIDs, uint16(l))
+		}
+	}
+	// moved is the new id of old node v. The old escapes are met in rank
+	// order, as rare lists them; k walks that list alongside. A label a
+	// file that was not verified got wrong reads as #doc, as Label and
+	// the fast path above read it.
+	k := 0
+	moved := func(v NodeID) LabelID {
+		l := LabelID(d.labels[v])
+		if l == RareLabel {
+			l, k = LabelDoc, k+1
+			if k <= len(d.rareIDs) {
+				l = LabelID(d.rareIDs[k-1])
+			}
+		}
+		if int(l) >= len(remap) {
+			l = LabelDoc
+		}
+		return remap[l]
+	}
+	for v := range q {
+		put(v, moved(v))
+	}
+	for f := NodeID(1); int(f) <= dl.Inserted; f++ {
+		put(q+f-1, labelMap[dl.Frag.Label(f)])
+	}
+	k, _ = d.rare.Search(uint32(cut))
+	for v := cut; int(v) < len(d.labels); v++ {
+		put(at+v-cut, moved(v))
+	}
+	w := NewSeqWriter(len(rare), Chunks(len(nd.labels)))
+	for _, v := range rare {
+		w.Put(0, v)
+	}
+	nd.rare, nd.rareIDs = w.Done(), append(make([]uint16, 0, len(rareIDs)), rareIDs...)
 }
 
 // spliceTopology fills nd's up, size and wide. Relative values do not

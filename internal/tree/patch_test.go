@@ -272,12 +272,12 @@ func TestPatchPropertyVsRebuild(t *testing.T) {
 			frag, oracle := randomFragment(rng)
 			doc := frag
 			if seed%2 == 0 {
-				// 251 names ahead of the document's own: of the five labels the
-				// patches draw from, the first two met fit a byte and the
-				// others are rare.
+				// 251 names that sort ahead of the document's own: of the five
+				// labels the patches draw from, the first two fit a byte and
+				// the others are rare.
 				pad := NewLabelTable()
 				for i := 0; i < RareLabel-4; i++ {
-					pad.Intern(fmt.Sprint("pad", i))
+					pad.Intern(fmt.Sprint("Pad", i))
 				}
 				doc = relink(pad, doc)
 			}

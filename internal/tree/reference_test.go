@@ -92,6 +92,20 @@ func (b *refBuilder) finish() *refDoc {
 	return b.doc
 }
 
+// sorted renumbers the reference's labels as Join numbers a document's:
+// the reserved two, then the other names in byte order.
+func (d *refDoc) sorted() *refDoc {
+	names := NewLabelTable()
+	for _, name := range slices.Sorted(slices.Values(d.names.names[ReservedLabels:])) {
+		names.Intern(name)
+	}
+	for v, l := range d.labels {
+		d.labels[v], _ = names.Lookup(d.names.Name(l))
+	}
+	d.names = names
+	return d
+}
+
 // replay feeds d's event stream to the reference builder. The stream is
 // read off labels, Parent and the text alone — a node's open elements
 // close until its parent is the innermost — so nothing else the reference
@@ -208,7 +222,8 @@ func requireEqualsReference(t *testing.T, what string, got *Document, want *refD
 // TestLinkMatchesReferenceBuilder drives random open/text/close
 // sequences into the Builder (a piece, then Join) and into the reference
 // builder, and compares every array, the blob, the label table and the
-// derived navigation.
+// derived navigation. The reference numbers labels as they first occur;
+// its ids are sorted before the comparison, as Join sorts them.
 func TestLinkMatchesReferenceBuilder(t *testing.T) {
 	labels := []string{"a", "b", "c", "@x", "long-name.with:chars"}
 	for seed := int64(0); seed < 200; seed++ {
@@ -240,7 +255,7 @@ func TestLinkMatchesReferenceBuilder(t *testing.T) {
 		for ; depth > 0; depth-- {
 			b.Close()
 		}
-		got, want := b.MustFinish(), ref.finish()
+		got, want := b.MustFinish(), ref.finish().sorted()
 		requireEqualsReference(t, fmt.Sprint("seed ", seed), got, want)
 		requireMatchesReference(t, fmt.Sprint("seed ", seed, " replayed"), got)
 	}
@@ -268,6 +283,51 @@ func atRest(t *testing.T, d *Document) *Document {
 		t.Fatal(err)
 	}
 	return opened
+}
+
+// TestFileInAnyNameOrderOpens: a file whose label table is not sorted —
+// its ids in another order than Join gives them — opens with a table of
+// its own, in the file's order, and reads every label as written; a
+// patch that brings a name moves it to the sorted table, as a document
+// Join built would be.
+func TestFileInAnyNameOrderOpens(t *testing.T) {
+	b := NewBuilder()
+	b.Open("r")
+	for _, name := range []string{"a", "b", "c", "a"} {
+		b.Open(name)
+		b.Text(name)
+		b.Close()
+	}
+	b.Close()
+	d := b.MustFinish()
+	// The names reversed after the reserved two: "r", "c", "b", "a".
+	reversed := &Document{}
+	*reversed = *d
+	reversed.names = NewLabelTable()
+	for _, name := range slices.Backward(d.names.names[ReservedLabels:]) {
+		reversed.names.Intern(name)
+	}
+	reversed.labels = slices.Clone(d.labels)
+	for v, l := range reversed.labels {
+		reversed.labels[v] = uint8(reversed.names.Intern(d.names.Name(LabelID(l))))
+	}
+	opened := atRest(t, reversed)
+	if opened.Names() == d.Names() || !slices.Equal(opened.Names().Names(), []string{"#doc", "#text", "r", "c", "b", "a"}) {
+		t.Fatalf("opened with the table %v (shared with the sorted one: %v)", opened.Names().Names(), opened.Names() == d.Names())
+	}
+	if opened.XMLString() != d.XMLString() {
+		t.Fatalf("opened as %s, want %s", opened.XMLString(), d.XMLString())
+	}
+	frag := NewBuilder()
+	frag.Open("z")
+	frag.Close()
+	next, _, err := opened.Apply(Patch{Op: OpInsert, Node: 1, Before: Nil, Frag: frag.MustFinish()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := relink(next.names, next); next.Names() != want.Names() || !slices.Equal(next.labels, want.labels) {
+		t.Fatalf("patched: names %v, labels %v; built: %v, %v", next.Names().Names(), next.labels, want.Names().Names(), want.labels)
+	}
 }
 
 // TestTextAcrossOriginsAndPatches: a built document, the same document

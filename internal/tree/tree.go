@@ -26,7 +26,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -81,76 +80,6 @@ func checkLabelCount(n int) error {
 		return fmt.Errorf("tree: %d distinct labels exceed the limit of %d a document can hold", n, MaxLabels)
 	}
 	return nil
-}
-
-// LabelTable interns element names to dense integer ids. Once its
-// document is built a table is immutable, and generations of a document
-// that add no label share one table (see Document.splice).
-type LabelTable struct {
-	id    uint64
-	names []string
-	ids   map[string]LabelID
-}
-
-// labelTables hands out process-unique table ids.
-var labelTables atomic.Uint64
-
-// newLabelTable returns an empty table with a fresh id and room for n names.
-func newLabelTable(n int) *LabelTable {
-	return &LabelTable{id: labelTables.Add(1), ids: make(map[string]LabelID, n)}
-}
-
-// NewLabelTable returns a table seeded with the reserved labels.
-func NewLabelTable() *LabelTable {
-	lt := newLabelTable(0)
-	lt.Intern("#doc")
-	lt.Intern("#text")
-	return lt
-}
-
-// ID is the table's process-unique identity. A compiled automaton is a
-// function of the query and the table, never of the tree, so it is
-// cached under this.
-func (lt *LabelTable) ID() uint64 { return lt.id }
-
-// Intern returns the id for name, creating it if needed.
-func (lt *LabelTable) Intern(name string) LabelID {
-	if id, ok := lt.ids[name]; ok {
-		return id
-	}
-	id := LabelID(len(lt.names))
-	lt.names = append(lt.names, name)
-	lt.ids[name] = id
-	return id
-}
-
-// InternBytes is Intern for a name still in a byte buffer: it allocates
-// the string only when the name is new to the table.
-func (lt *LabelTable) InternBytes(name []byte) LabelID {
-	if id, ok := lt.ids[string(name)]; ok {
-		return id
-	}
-	return lt.Intern(string(name))
-}
-
-// Lookup returns the id for name without interning; ok is false if the
-// label does not occur in the table.
-func (lt *LabelTable) Lookup(name string) (LabelID, bool) {
-	id, ok := lt.ids[name]
-	return id, ok
-}
-
-// Name returns the string for a label id.
-func (lt *LabelTable) Name(id LabelID) string { return lt.names[id] }
-
-// Size reports the number of distinct labels (the alphabet size |Σ|).
-func (lt *LabelTable) Size() int { return len(lt.names) }
-
-// Names returns a copy of all label names in id order.
-func (lt *LabelTable) Names() []string {
-	out := make([]string, len(lt.names))
-	copy(out, lt.names)
-	return out
 }
 
 // Document is an immutable XML document tree.
@@ -524,18 +453,16 @@ func (d *Document) StringValue(v NodeID) string {
 
 // MemBytes reports the bytes the document holds: its per-node arrays,
 // the wide table, the rare labels, the text ranks' directory, the text
-// offsets, the text blob and the label names, by their live lengths. A reflect-based test in
-// internal/store holds it to the struct's slice fields, so an added
-// array cannot go uncounted in the store's bytes-per-node figure.
+// offsets and the text blob, by their live lengths. Not its label table,
+// which the documents with its names share (LabelTable.MemBytes). A
+// reflect-based test in internal/store holds it to the struct's slice
+// fields, so an added array cannot go uncounted in the store's
+// bytes-per-node figure.
 func (d *Document) MemBytes() int64 {
-	b := int64(len(d.labels)+len(d.up)+len(d.size)) + 2*int64(len(d.rareIDs)) +
+	return int64(len(d.labels)+len(d.up)+len(d.size)) + 2*int64(len(d.rareIDs)) +
 		int64(len(d.wide))*int64(unsafe.Sizeof(span{})) +
 		4*int64(len(d.textBefore)) + d.rare.MemBytes() + d.textOff.MemBytes() +
 		int64(len(d.textBlob))
-	for _, name := range d.names.names {
-		b += int64(unsafe.Sizeof(name)) + int64(len(name))
-	}
-	return b
 }
 
 // SubtreeSize returns the number of nodes in v's subtree.

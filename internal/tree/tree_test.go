@@ -3,8 +3,10 @@ package tree_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -198,6 +200,102 @@ func TestLabelTable(t *testing.T) {
 	if names[int(a)] != "a" {
 		t.Errorf("Names() wrong: %v", names)
 	}
+}
+
+// docWithNames is <r> over one empty element of each name, in order.
+func docWithNames(names ...string) *tree.Document {
+	b := tree.NewBuilder()
+	b.Open("r")
+	for _, name := range names {
+		b.Open(name)
+		b.Close()
+	}
+	b.Close()
+	return b.MustFinish()
+}
+
+// TestDocumentTableIsFrozen: a document's label table is shared by every
+// document with its names, so interning a name it has answers its id,
+// and one it lacks panics instead of changing the other documents'.
+func TestDocumentTableIsFrozen(t *testing.T) {
+	d := docWithNames("a", "b")
+	if a, ok := d.Names().Lookup("a"); !ok || d.Names().Intern("a") != a {
+		t.Fatalf("interning a name the table has: %d, want %d", d.Names().Intern("a"), a)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("interning a new name into a document's table did not panic")
+		}
+		if d.Names().Size() != 5 {
+			t.Errorf("the table has %d names after the refusal, want 5", d.Names().Size())
+		}
+	}()
+	d.Names().Intern("c")
+}
+
+// TestTablesKeepNameListsApart: two lists of names whose concatenations
+// are equal — "ab", "c" and "a", "bc" — are two tables, each with its
+// own names; two lists of the same names in other orders are one.
+func TestTablesKeepNameListsApart(t *testing.T) {
+	abc, aBC := docWithNames("ab", "c"), docWithNames("a", "bc")
+	if abc.Names() == aBC.Names() {
+		t.Fatal(`"ab", "c" and "a", "bc" share a label table`)
+	}
+	for _, c := range []struct {
+		d    *tree.Document
+		want []string
+	}{
+		{abc, []string{"#doc", "#text", "ab", "c", "r"}},
+		{aBC, []string{"#doc", "#text", "a", "bc", "r"}},
+		{docWithNames("c", "ab"), []string{"#doc", "#text", "ab", "c", "r"}},
+	} {
+		if got := c.d.Names().Names(); !slices.Equal(got, c.want) {
+			t.Errorf("names %v, want %v", got, c.want)
+		}
+	}
+	if docWithNames("c", "ab").Names() != abc.Names() {
+		t.Error(`"c", "ab" and "ab", "c" have two label tables`)
+	}
+}
+
+// TestTablesSharedAcrossGoroutines: documents built at once on several
+// goroutines, from a few name sets in shuffled orders, get one table per
+// name set while any document holds it, and the right names whenever a
+// collection has dropped a table and its entry in the registry meanwhile.
+func TestTablesSharedAcrossGoroutines(t *testing.T) {
+	sets := [][]string{{"a", "b", "c"}, {"a", "b"}, {"x", "@y", "z", "a"}}
+	held := make([]*tree.Document, len(sets)) // one document per set, held throughout
+	for i, set := range sets {
+		held[i] = docWithNames(set...)
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := range 200 {
+				k := rng.Intn(len(sets))
+				names := slices.Clone(sets[k])
+				rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+				fresh := append(slices.Clone(names), fmt.Sprint("g", g, "-", i%3)) // a set only this goroutine builds
+				if d := docWithNames(names...); d.Names() != held[k].Names() {
+					t.Errorf("goroutine %d: %v has a table of its own", g, names)
+					return
+				}
+				want := append([]string{"#doc", "#text", "r"}, fresh...)
+				slices.Sort(want[2:])
+				if got := docWithNames(fresh...).Names().Names(); !slices.Equal(got, want) {
+					t.Errorf("goroutine %d: names %v, want %v", g, got, want)
+					return
+				}
+				if i%50 == 0 {
+					runtime.GC()
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Property: preorder interval [v, LastDesc(v)] contains exactly the nodes

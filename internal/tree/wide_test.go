@@ -129,8 +129,9 @@ func TestParentUnderManyWideSiblings(t *testing.T) {
 
 // TestLabelsOnBothSidesOfTheByte: a document of 300 names, three nodes of
 // each and a text under every other, built and opened from its sections.
-// The nodes whose id is 255 or more — from the 253rd name on, after #doc,
-// #text and the document element — and no others are listed as rare, in
+// The nodes whose id is 255 or more — the three of each of the last 44
+// n-names in byte order, and the document element, whose "r" sorts after
+// them all — and no others are listed as rare, in
 // order, with their ids; Label, CountLabel and the serialized form read
 // through the list; the arrays hold no spare capacity; and everything is
 // what the reference builder makes of the same events. A document of 255
@@ -151,7 +152,7 @@ func TestLabelsOnBothSidesOfTheByte(t *testing.T) {
 		b.Close()
 		return b.MustFinish()
 	}
-	for names, rares := range map[int]int{tree.RareLabel: 0, 300: 3 * (300 - tree.RareLabel)} {
+	for names, rares := range map[int]int{tree.RareLabel: 0, 300: 3*(300-tree.RareLabel-1) + 1} {
 		built := build(names)
 		if built.Names().Size() != names {
 			t.Fatalf("%d names, want %d", built.Names().Size(), names)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -201,4 +202,55 @@ func ExampleSyntaxError() {
 	_, err := ParseString("<a></b>")
 	fmt.Println(err)
 	// Output: xmlparse: offset 6: mismatched end tag </b>, open element is <a>
+}
+
+// TestSameNamesShareOneTable: documents with the same names share one
+// label table, whatever order the names first occur in and however the
+// source is cut: two sources whose names come in other orders, each
+// parsed in one, two and four chunks, and a document tree.Builder makes
+// with the names in a third order, all have the one table, which lists
+// the names sorted.
+func TestSameNamesShareOneTable(t *testing.T) {
+	source := func(names ...string) []byte {
+		var b strings.Builder
+		b.WriteString("<r>")
+		for i := range 200 {
+			for j := range names {
+				name := names[(i+j)%len(names)]
+				fmt.Fprintf(&b, "<%s k='%d'>t</%s>", name, i, name)
+			}
+		}
+		b.WriteString("</r>")
+		return []byte(b.String())
+	}
+	var docs []*tree.Document
+	for _, src := range [][]byte{source("c", "b", "a"), source("a", "c", "b")} {
+		for _, k := range []int{1, 2, 4} {
+			if n := len(tokenizeChunks(src, k)); n != k {
+				t.Fatalf("%d chunks, want %d", n, k)
+			}
+			d, err := parse(src, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs = append(docs, d)
+		}
+	}
+	b := tree.NewBuilder()
+	b.Open("r")
+	for _, name := range []string{"b", "@k", "a", "c"} {
+		b.Open(name)
+		b.Close()
+	}
+	b.Close()
+	docs = append(docs, b.MustFinish())
+	want := []string{"#doc", "#text", "@k", "a", "b", "c", "r"}
+	for i, d := range docs {
+		if got := d.Names().Names(); !slices.Equal(got, want) {
+			t.Fatalf("document %d: names %v, want %v", i, got, want)
+		}
+		if d.Names() != docs[0].Names() {
+			t.Errorf("document %d has a label table of its own", i)
+		}
+	}
 }

@@ -19,7 +19,7 @@ type chunk struct {
 	start int
 	first bool
 
-	piece *tree.Piece // labelled in order of first occurrence in the chunk
+	piece *tree.Piece // labelled in the chunk's own ids, which tree.Join maps to the document's
 
 	// end is where tokenizing stopped: the first '<' in content at or
 	// past the limit, or len(src).
@@ -154,7 +154,9 @@ func blank(text []byte) bool {
 // hashes the whole name. An entry is keyed by the name's length and its
 // first and last bytes; a name that finds another in its slot goes to the
 // table and takes the slot: one lookup in twenty on an XMark document.
-// Ids come from the table either way, in order of first occurrence.
+// Ids come from the table either way: the chunk's own, in order of first
+// occurrence in it, which tree.Join translates into the document's
+// sorted table.
 type internCache [128]struct {
 	name string // as the table holds it; never empty once set
 	id   tree.LabelID

@@ -126,8 +126,9 @@ func tokenizeChunks(src []byte, k int) []*chunk {
 var errFit = errors.New("xmlparse: chunks do not fit together")
 
 // assemble checks that tokenized chunks fit together and joins their
-// pieces into the document (tree.Join, which also gives the later
-// chunks' labels the ids a sequential run would).
+// pieces into the document (tree.Join, which also gives every chunk's
+// labels their ids in the document's sorted table, the ids a sequential
+// run gives them).
 func assemble(src []byte, chunks []*chunk) (*tree.Document, error) {
 	for _, c := range chunks {
 		if c.err != nil {
