@@ -326,31 +326,13 @@ func (d *Document) spliceLabels(nd *Document, dl *Delta, labelMap []LabelID) {
 // parent's: prefix and suffix are copied through remap, the parent's ids
 // translated into the generation's table, and the fragment's through
 // labelMap. New names take ids among the old, so a node can cross the
-// escape: rare is listed again, from every node, when the table has
-// more than RareLabel names.
+// escape either way: rare is listed again from every node's full id.
 func (d *Document) relabel(nd *Document, dl *Delta, labelMap, remap []LabelID) {
 	var (
 		q   = dl.At
 		cut = q + NodeID(dl.Removed)
 		at  = cut + NodeID(dl.Inserted-dl.Removed) // where the suffix lands
 	)
-	if nd.names.Size() <= RareLabel { // no label escapes, before or after
-		var to [256]uint8
-		for l, g := range remap {
-			to[l] = uint8(g)
-		}
-		for v, l := range d.labels[:q] {
-			nd.labels[v] = to[l]
-		}
-		for v, l := range d.labels[cut:] {
-			nd.labels[at+NodeID(v)] = to[l]
-		}
-		for f := NodeID(1); int(f) <= dl.Inserted; f++ {
-			nd.labels[q+f-1] = uint8(labelMap[dl.Frag.Label(f)])
-		}
-		nd.rare, nd.rareIDs = NewSeqWriter(0, Chunks(len(nd.labels))).Done(), []uint16{}
-		return
-	}
 	var rare []uint32
 	var rareIDs []uint16
 	put := func(v NodeID, l LabelID) {
@@ -361,8 +343,7 @@ func (d *Document) relabel(nd *Document, dl *Delta, labelMap, remap []LabelID) {
 	}
 	// moved is the new id of old node v. The old escapes are met in rank
 	// order, as rare lists them; k walks that list alongside. A label a
-	// file that was not verified got wrong reads as #doc, as Label and
-	// the fast path above read it.
+	// file that was not verified got wrong reads as #doc.
 	k := 0
 	moved := func(v NodeID) LabelID {
 		l := LabelID(d.labels[v])

@@ -127,6 +127,71 @@ func TestParentUnderManyWideSiblings(t *testing.T) {
 	}
 }
 
+// threeOfEach is a document of the given number of names (#doc, #text, r
+// and n0, n1, ...): three nodes of each n-name under r, and a text under
+// every other.
+func threeOfEach(names int) *tree.Document {
+	b := tree.NewBuilder()
+	b.Open("r")
+	for round := 0; round < 3; round++ {
+		for i := 0; i < names-3; i++ {
+			b.Open(fmt.Sprint("n", i))
+			if i%2 == round%2 {
+				b.Text(fmt.Sprint(round, ".", i))
+			}
+			b.Close()
+		}
+	}
+	b.Close()
+	return b.MustFinish()
+}
+
+// rareNodes lists d's nodes as rare lists them.
+func rareNodes(d *tree.Document) []tree.NodeID {
+	rare, _ := d.Rare()
+	var got []tree.NodeID
+	for u := range rare.From(0) {
+		got = append(got, tree.NodeID(u))
+	}
+	return got
+}
+
+// TestPatchPushesAnOldNamePastTheByte pins what canonical ids cost a
+// wide document: a patch that brings one name sorting before the others
+// ("a" before every n-name) moves every later name's id up by one, so the
+// name that held id 254 now holds 255 and its three nodes join rare —
+// 4 bytes each and a search per Label — though no node of it changed.
+// The patched generation's rare list is exactly its nodes of id 255 or
+// more, as a rebuild from the same events would list them.
+func TestPatchPushesAnOldNamePastTheByte(t *testing.T) {
+	d := threeOfEach(300)
+	pushed := d.Names().Name(tree.RareLabel - 1)
+	b := tree.NewBuilder()
+	b.Open("a")
+	b.Close()
+	next, _, err := d.Apply(tree.Patch{Op: tree.OpInsert, Node: d.DocumentElement(), Before: tree.Nil, Frag: b.MustFinish()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, _ := next.Names().Lookup(pushed); id != tree.RareLabel {
+		t.Fatalf("%s holds id %d after the patch, want %d", pushed, id, tree.RareLabel)
+	}
+	before, after := len(rareNodes(d)), len(rareNodes(next))
+	if before != 3*(300-tree.RareLabel-1)+1 || after != before+3 {
+		t.Fatalf("%d nodes rare before the patch and %d after, want %d and %d", before, after, 3*(300-tree.RareLabel-1)+1, 3*(300-tree.RareLabel-1)+4)
+	}
+	var want []tree.NodeID
+	for v := tree.NodeID(0); int(v) < next.NumNodes(); v++ {
+		if next.Label(v) >= tree.RareLabel {
+			want = append(want, v)
+		}
+	}
+	if got := rareNodes(next); !slices.Equal(got, want) {
+		t.Fatalf("rare lists %v, want %v", got, want)
+	}
+	tree.RequireMatchesReference(t, "patched", next)
+}
+
 // TestLabelsOnBothSidesOfTheByte: a document of 300 names, three nodes of
 // each and a text under every other, built and opened from its sections.
 // The nodes whose id is 255 or more — the three of each of the last 44
@@ -137,23 +202,8 @@ func TestParentUnderManyWideSiblings(t *testing.T) {
 // what the reference builder makes of the same events. A document of 255
 // names lists none.
 func TestLabelsOnBothSidesOfTheByte(t *testing.T) {
-	build := func(names int) *tree.Document {
-		b := tree.NewBuilder()
-		b.Open("r")
-		for round := 0; round < 3; round++ {
-			for i := 0; i < names-3; i++ {
-				b.Open(fmt.Sprint("n", i))
-				if i%2 == round%2 {
-					b.Text(fmt.Sprint(round, ".", i))
-				}
-				b.Close()
-			}
-		}
-		b.Close()
-		return b.MustFinish()
-	}
 	for names, rares := range map[int]int{tree.RareLabel: 0, 300: 3*(300-tree.RareLabel-1) + 1} {
-		built := build(names)
+		built := threeOfEach(names)
 		if built.Names().Size() != names {
 			t.Fatalf("%d names, want %d", built.Names().Size(), names)
 		}
@@ -170,11 +220,8 @@ func TestLabelsOnBothSidesOfTheByte(t *testing.T) {
 					want, wantIDs = append(want, v), append(wantIDs, uint16(id))
 				}
 			}
-			rare, gotIDs := d.Rare()
-			var got []tree.NodeID
-			for u := range rare.From(0) {
-				got = append(got, tree.NodeID(u))
-			}
+			_, gotIDs := d.Rare()
+			got := rareNodes(d)
 			if len(got) != rares || !slices.Equal(got, want) || !slices.Equal(gotIDs, wantIDs) {
 				t.Fatalf("%s: %d nodes listed as rare, want %d:\n%v %v\n%v %v", what, len(got), rares, got, gotIDs, want, wantIDs)
 			}
