@@ -59,18 +59,19 @@ gates: gate-obsv gate-auto gate-mvcc gate-mmap
 # not, must stay near allocation-free (BENCH_eval.json pins 0 allocs/op;
 # 5 leaves margin for runtime noise, checked on every row of every
 # run). On a shared 2-core machine the speed of the same code moves by
-# 15 % and more from one second to the next, and the six sub-µs rows
-# (Q01 and Q10) jump between two speeds a factor 2 apart: the min of
-# three 100-iteration readings a row put the geomean of an unchanged
-# tree anywhere in 0.96-1.07, over the limit in 3 of 33 runs. So both
-# variants of a row evaluate over one shared context, each is read
-# fifteen times at 10 iterations, short enough that the two variants'
-# readings lie close in time, and each keeps its median, which one
-# fast or slow reading cannot move: 0.998-1.045 over 22 runs of the
-# same tree, none over the limit (CHANGES has the runs). What is left
-# of the width is mostly real: a flight-recorder admission costs
-# 15-50 % of a sub-µs evaluation, so those six rows alone lift the
-# geomean by 2-3 %.
+# 15 % and more from one second to the next. So both variants of a row
+# evaluate over one shared context, each is read fifteen times at 10
+# iterations, and each keeps its median, which one fast or slow reading
+# cannot move. An iteration evaluates the row as many times as it takes
+# to last 10 us (counted once at setup, the same for both variants), so
+# a reading of a sub-us row (Q01, Q10) is no longer ten single
+# evaluations: those six rows read warm-traced/warm 1.05-1.20 where
+# they read 1.20-1.38. ns/op is per evaluation; the allocs ceiling holds
+# for the whole iteration, so it is stricter. Over 30 and 39 runs the
+# geomean's median moved 1.029 -> 1.008 but its spread did not (sd 0.020
+# and 0.023; 2 runs over the limit on each side): a variant's fifteen
+# readings are taken back to back, so the two variants of a large row
+# are read about half a second apart (CHANGES has every run).
 gate-obsv:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvalSteadyState/.*/.*/warm' -benchtime 10x -count 15 -benchmem . \
 		| $(GATE) -v num=warm-traced -v den=warm -v limit=1.05 -v allocs=5 -v fold=median

@@ -8,12 +8,12 @@ import (
 	"repro/internal/xpath"
 )
 
-// BenchmarkCompile times the two compilations a query cache miss runs,
-// over the work ledger's queries against XMark's label table (scale
-// 0.002; the bulk-stream shapes /site//<label> are named by label):
-// asta/<query> is ToASTA, what the ASTA strategies cache, and
-// tdsta/<query> is ToTDSTA then MinimizeTopDown, what the TDSTA
-// strategy caches, for the queries CheckTDSTA accepts.
+// BenchmarkCompile times what a query cache miss compiles, over the
+// work ledger's queries against XMark's label table (scale 0.002; the
+// bulk-stream shapes /site//<label> are named by label): asta/<query>
+// is ToASTA, and tdsta/<query> is ToTDSTA then MinimizeTopDown, the
+// whole miss of a query CheckTDSTA accepts, whose entry holds both
+// automata.
 func BenchmarkCompile(b *testing.B) {
 	names := xmark.Generate(xmark.Config{Scale: 0.002, Seed: 1}).Names()
 	queries := xmark.Queries()

@@ -18,17 +18,7 @@ import (
 // predicates — into a top-down deterministic selecting tree automaton:
 // the "extreme |Q|-optimization" of §1, evaluated with a single lookup
 // per node (or, minimized, with topdown_jump visiting only relevant
-// nodes).
-//
-// It is the query's ASTA (ToASTA) determinized top-down: the
-// removal of alternation and non-determinism the ASTA evaluator does on
-// the fly (§4.3, Definition 4.2), done ahead of time. A state is the set
-// of ASTA states live at a node, starting from the ASTA's top states.
-// Without predicates every formula is a disjunction of moves, so the
-// construction is exact: on each class of the label partition, a set
-// sends the union of its active transitions' ↓1 states left and of
-// their ↓2 states right, and selects iff one of them selects. Every
-// state accepts a leaf.
+// nodes). It is ToASTA followed by DeterminizeTopDown.
 func ToTDSTA(p *xpath.Path, names *tree.LabelTable) (*sta.STA, error) {
 	if err := CheckTDSTA(p); err != nil {
 		return nil, err
@@ -37,6 +27,20 @@ func ToTDSTA(p *xpath.Path, names *tree.LabelTable) (*sta.STA, error) {
 	if err != nil {
 		return nil, err
 	}
+	return DeterminizeTopDown(a), nil
+}
+
+// DeterminizeTopDown is the TDSTA of a query CheckTDSTA accepts, built
+// from a, that query's ASTA: the removal of alternation and
+// non-determinism the ASTA evaluator does on the fly (§4.3, Definition
+// 4.2), done ahead of time. A state is the set of ASTA states live at a
+// node, starting from the ASTA's top states. Without predicates every
+// formula is a disjunction of moves, so the construction is exact: on
+// each class of the label partition, a set sends the union of its
+// active transitions' ↓1 states left and of their ↓2 states right, and
+// selects iff one of them selects. Every state accepts a leaf. On the
+// ASTA of a query with predicates the result is meaningless.
+func DeterminizeTopDown(a *asta.ASTA) *sta.STA {
 	classes := partition(a)
 	ids := make(map[asta.StateSet]sta.State)
 	var sets []asta.StateSet
@@ -89,7 +93,7 @@ func ToTDSTA(p *xpath.Path, names *tree.LabelTable) (*sta.STA, error) {
 	for q := range sets {
 		out.Bottom = append(out.Bottom, sta.State(q))
 	}
-	return out.Finalize(), nil
+	return out.Finalize()
 }
 
 // labelClass is one class of the label partition an ASTA's guards

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/qcache"
 	"repro/internal/xmlparse"
 )
@@ -21,7 +22,7 @@ func TestEngineCacheSkipsRecompilation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cs := e.CacheStats()
+	cs := e.cache.Stats()
 	if cs.Misses != 1 || cs.Hits != 3 {
 		t.Errorf("ASTA hits/misses = %d/%d, want 3/1", cs.Hits, cs.Misses)
 	}
@@ -31,20 +32,21 @@ func TestEngineCacheSkipsRecompilation(t *testing.T) {
 	if _, err := e.QueryWith("//a/b", Naive); err != nil {
 		t.Fatal(err)
 	}
-	if cs = e.CacheStats(); cs.Hits != 4 {
+	if cs = e.cache.Stats(); cs.Hits != 4 {
 		t.Errorf("hits after naive rerun = %d, want 4 (shared entry)", cs.Hits)
 	}
 
-	// TopDownDet caches its minimized automaton under a separate kind
-	// (its fragment wants child steps before descendant steps).
-	for i := 0; i < 2; i++ {
-		if _, err := e.QueryWith("/r/a//b", TopDownDet); err != nil {
+	// A query in the TDSTA's fragment (child steps before descendant
+	// steps) compiles once for every strategy: its entry holds the ASTA
+	// and the minimized TDSTA.
+	for _, s := range []Strategy{TopDownDet, TopDownDet, Optimized} {
+		if _, err := e.QueryWith("/r/a//b", s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cs = e.CacheStats()
-	if cs.Misses != 2 || cs.Hits != 5 {
-		t.Errorf("after tdsta hits/misses = %d/%d, want 5/2", cs.Hits, cs.Misses)
+	cs = e.cache.Stats()
+	if cs.Misses != 2 || cs.Hits != 6 || cs.Size != 2 {
+		t.Errorf("after tdsta hits/misses/size = %d/%d/%d, want 6/2/2", cs.Hits, cs.Misses, cs.Size)
 	}
 }
 
@@ -55,8 +57,8 @@ func TestEnginesShareCache(t *testing.T) {
 	d1, _ := xmlparse.ParseString("<r><a><b/></a></r>")
 	d2, _ := xmlparse.ParseString("<r><a><b/><b/></a></r>")
 	shared := qcache.New(8)
-	e1 := NewWithCache(d1, shared, "one\x00")
-	e2 := NewWithCache(d2, shared, "two\x00")
+	e1 := NewWithIndex(d1, index.New(d1), shared, "one\x00")
+	e2 := NewWithIndex(d2, index.New(d2), shared, "two\x00")
 	a1, err := e1.QueryWith("//b", Optimized)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +93,7 @@ func TestAutoOutsideCompilesNothing(t *testing.T) {
 			t.Fatalf("run %d: %v selected %v, want stepwise selecting one node", i, ans.Strategy, ans.Nodes)
 		}
 	}
-	if cs := e.CacheStats(); cs.Hits != 0 || cs.Misses != 0 || cs.Size != 0 {
+	if cs := e.cache.Stats(); cs.Hits != 0 || cs.Misses != 0 || cs.Size != 0 {
 		t.Errorf("cache after three Auto runs: %+v, want untouched", cs)
 	}
 }

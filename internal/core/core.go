@@ -116,9 +116,9 @@ type Engine struct {
 	doc *tree.Document
 	ix  *index.Index
 
-	// cache holds compiled automata (*compiled under kind "asta",
-	// minimized *sta.STA under kind "tdsta"), keyed
-	// keyPrefix+tableID+kind+query. It may be shared across engines;
+	// cache holds one *compiled per (label table, query), keyed
+	// keyPrefix+tableID+query: the query's ASTA and, in the TDSTA's
+	// fragment, its minimal TDSTA. It may be shared across engines;
 	// engines over one label table then share its entries.
 	cache     *qcache.Cache
 	keyPrefix string
@@ -130,22 +130,15 @@ type Engine struct {
 
 // New builds the engine, its index, and a private bounded query cache.
 func New(d *tree.Document) *Engine {
-	return NewWithCache(d, qcache.New(qcache.DefaultCapacity), "")
+	return NewWithIndex(d, index.New(d), qcache.New(qcache.DefaultCapacity), "")
 }
 
-// NewWithCache builds an engine that stores compiled automata in the
-// given (possibly shared) cache, namespacing its keys with keyPrefix.
-func NewWithCache(d *tree.Document, c *qcache.Cache, keyPrefix string) *Engine {
-	return NewWithIndex(d, index.New(d), c, keyPrefix)
-}
-
-// NewWithIndex is NewWithCache for a document whose index is already
-// built (the document store builds the index once at load time). The
-// engine gets a context pool of its own.
+// NewWithIndex builds an engine over a document whose index is already
+// built, storing compiled queries in the given (possibly shared) cache
+// under keys namespaced with keyPrefix. The engine gets a context pool
+// of its own.
 func NewWithIndex(d *tree.Document, ix *index.Index, c *qcache.Cache, keyPrefix string) *Engine {
-	e := NewShared(d, ix, c, new(Pool))
-	e.keyPrefix = keyPrefix
-	return e
+	return &Engine{doc: d, ix: ix, cache: c, keyPrefix: keyPrefix, pool: new(Pool)}
 }
 
 // NewShared builds an engine over one generation of a document around
@@ -155,24 +148,15 @@ func NewShared(d *tree.Document, ix *index.Index, c *qcache.Cache, pool *Pool) *
 	return &Engine{doc: d, ix: ix, cache: c, pool: pool}
 }
 
-// PoolStats reports the engine's evaluation-context pool counters: the
-// steady-state signal for whether repeated queries are hitting warm
-// contexts (near-zero allocation) or rebuilding their scratch.
-func (e *Engine) PoolStats() PoolStats { return e.pool.Stats() }
-
-// CacheStats reports the compiled-query cache counters. For engines
-// built by NewWithCache the numbers cover every engine sharing the LRU.
-func (e *Engine) CacheStats() qcache.Stats { return e.cache.Stats() }
-
-// cacheKey names a compiled automaton by what it is a function of: the
-// label table (by id), the automaton kind and the query text. Every
-// document with the same names shares the table, and so the entry; a
-// generation with a new label, or a document with other names, has
-// another table and can neither hit nor overwrite it.
-func (e *Engine) cacheKey(kind, query string) string {
+// cacheKey names a compiled query by what it is a function of: the
+// label table (by id) and the query text. Every document with the same
+// names shares the table, and so the entry; a generation with a new
+// label, or a document with other names, has another table and can
+// neither hit nor overwrite it.
+func (e *Engine) cacheKey(query string) string {
 	var buf [20]byte
 	table := strconv.AppendUint(buf[:0], e.doc.Names().ID(), 10)
-	return e.keyPrefix + string(table) + "\x00" + kind + "\x00" + query
+	return e.keyPrefix + string(table) + "\x00" + query
 }
 
 // Answer is a query outcome.

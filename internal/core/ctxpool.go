@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/asta"
 	"repro/internal/index"
+	"repro/internal/sta"
 	"repro/internal/tree"
 )
 
@@ -130,11 +131,14 @@ func (p *Pool) Stats() PoolStats {
 	}
 }
 
-// compiled is the query cache's value for an ASTA: the automaton, the
-// label table it was compiled against, and the warm contexts parked on
-// it between runs, accounted to the pool of the engine that compiled it.
+// compiled is the query cache's value, one query compiled against one
+// label table: its ASTA, its minimal TDSTA (nil outside the TDSTA's
+// fragment), the table both were compiled against, and the warm
+// contexts parked on the ASTA between runs, accounted to the pool of
+// the engine that compiled it.
 type compiled struct {
 	aut   *asta.ASTA
+	det   *sta.STA
 	names *tree.LabelTable
 	pool  *Pool
 
@@ -155,8 +159,8 @@ type parkedCtx struct {
 	bytes int64
 }
 
-// SizeBytes weighs the cache entry by its automaton (qcache.Sizer).
-func (cv *compiled) SizeBytes() int64 { return cv.aut.SizeBytes() }
+// SizeBytes weighs the cache entry by its automata (qcache.Sizer).
+func (cv *compiled) SizeBytes() int64 { return cv.aut.SizeBytes() + cv.det.SizeBytes() }
 
 // Evicted drops the parked contexts with the automaton (qcache.Evictee):
 // cache eviction is pool eviction.

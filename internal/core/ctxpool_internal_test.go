@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/asta"
 	"repro/internal/compile"
+	"repro/internal/index"
 	"repro/internal/qcache"
 	"repro/internal/tree"
 	"repro/internal/xmark"
@@ -30,7 +31,7 @@ func TestPoolCheckoutReusesContext(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ps := e.PoolStats()
+	ps := e.pool.Stats()
 	if ps.Misses != 1 {
 		t.Errorf("misses = %d, want 1 (one cold construction)", ps.Misses)
 	}
@@ -68,7 +69,7 @@ func TestPoolCursorHeldContextReturnsOnExhaustionAndClose(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := e.PoolStats().Resident; got != 0 {
+			if got := e.pool.Stats().Resident; got != 0 {
 				t.Fatalf("context returned before the cursor finished (resident=%d)", got)
 			}
 			if cur.Count() != len(want.Nodes) || cur.Count() == 0 {
@@ -82,7 +83,7 @@ func TestPoolCursorHeldContextReturnsOnExhaustionAndClose(t *testing.T) {
 			if _, ok := cur.Next(); ok {
 				t.Fatal("cursor yields nodes past the oracle's end")
 			}
-			if got := e.PoolStats().Resident; got != 1 {
+			if got := e.pool.Stats().Resident; got != 1 {
 				t.Errorf("exhaustion did not return the context (resident=%d)", got)
 			}
 
@@ -95,14 +96,14 @@ func TestPoolCursorHeldContextReturnsOnExhaustionAndClose(t *testing.T) {
 				t.Fatal("expected a non-empty answer")
 			}
 			cur.Close() // abandon mid-answer, like a paged request
-			if got := e.PoolStats().Resident; got != 1 {
+			if got := e.pool.Stats().Resident; got != 1 {
 				t.Errorf("Close did not return the context (resident=%d)", got)
 			}
 			if cur.Count() != total {
 				t.Errorf("Count changed across Close: %d vs %d", cur.Count(), total)
 			}
 			cur.Close() // idempotent
-			if ps := e.PoolStats(); ps.Resident != 1 || ps.GuardTrips != 0 || outstanding(ps) != 0 {
+			if ps := e.pool.Stats(); ps.Resident != 1 || ps.GuardTrips != 0 || outstanding(ps) != 0 {
 				t.Errorf("double Close corrupted the pool: %+v", ps)
 			}
 		})
@@ -127,11 +128,11 @@ func TestPoolCloseStopsRopeCursor(t *testing.T) {
 	if _, ok := cur.Next(); !ok {
 		t.Fatal("first read failed")
 	}
-	if got := e.PoolStats().Resident; got != 0 {
+	if got := e.pool.Stats().Resident; got != 0 {
 		t.Fatalf("cursor does not hold its context mid-answer (resident=%d)", got)
 	}
 	cur.Close()
-	if got := e.PoolStats().Resident; got != 1 {
+	if got := e.pool.Stats().Resident; got != 1 {
 		t.Errorf("Close did not return the context (resident=%d)", got)
 	}
 	if _, ok := cur.Next(); ok {
@@ -158,7 +159,7 @@ func TestPoolKeysByOptions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ps := e.PoolStats()
+	ps := e.pool.Stats()
 	if ps.Misses != 2 {
 		t.Errorf("misses = %d, want 2 (one cold context per strategy)", ps.Misses)
 	}
@@ -181,7 +182,7 @@ func outstanding(ps PoolStats) int64 {
 func TestPoolEvictsStaleKeysUnderPressure(t *testing.T) {
 	const capacity = 4
 	d := xmark.Generate(xmark.Config{Scale: 0.002, Seed: 1})
-	e := NewWithCache(d, qcache.New(capacity), "")
+	e := NewWithIndex(d, index.New(d), qcache.New(capacity), "")
 	queries := make([]string, 0, 3*capacity)
 	for i := 0; i < 3*capacity; i++ {
 		queries = append(queries, fmt.Sprintf("//listitem//label%03d", i))
@@ -192,11 +193,11 @@ func TestPoolEvictsStaleKeysUnderPressure(t *testing.T) {
 		}
 	}
 	last := queries[len(queries)-1]
-	hits0 := e.PoolStats().Hits
+	hits0 := e.pool.Stats().Hits
 	if _, err := e.QueryWith(last, Optimized); err != nil {
 		t.Fatal(err)
 	}
-	ps := e.PoolStats()
+	ps := e.pool.Stats()
 	if ps.Hits != hits0+1 {
 		t.Errorf("newest automaton did not stay pooled under cache pressure (hits %d -> %d)", hits0, ps.Hits)
 	}
@@ -224,9 +225,9 @@ func TestPoolEvictsStaleKeysUnderPressure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := e.PoolStats()
+	before := e.pool.Stats()
 	cur.Close()
-	after := e.PoolStats()
+	after := e.pool.Stats()
 	if after.Drops != before.Drops+1 || after.Resident != before.Resident {
 		t.Errorf("context of an evicted automaton was parked: %+v -> %+v", before, after)
 	}
@@ -248,9 +249,9 @@ func TestPoolResidentByteBudget(t *testing.T) {
 	old := maxPoolResidentBytes
 	maxPoolResidentBytes = 1
 	defer func() { maxPoolResidentBytes = old }()
-	drops0 := e.PoolStats().Drops
+	drops0 := e.pool.Stats().Drops
 	cv.release(asta.Opt(), ctx)
-	ps := e.PoolStats()
+	ps := e.pool.Stats()
 	if ps.Drops != drops0+1 || ps.Resident != 0 {
 		t.Errorf("budget-exceeding release not dropped: %+v", ps)
 	}
@@ -261,13 +262,13 @@ func TestPoolResidentByteBudget(t *testing.T) {
 // ids than the XMark document's.
 const wrongTableDoc = "<keyword><listitem><site/></listitem></keyword>"
 
-// TestGuardCountsWrongTableAutomaton: a cached automaton depends on the
+// TestGuardCountsWrongTableAutomaton: a compiled query depends on the
 // label table it was compiled against and on nothing else, so that is
-// what a lookup checks. An automaton of another table planted under the
-// right key must be counted (GuardTrips) and not used: the answer still
-// equals the step-wise oracle's. This simulates the one failure the
-// guard exists for — a key that does not carry what its value depends
-// on.
+// what a lookup checks. An entry of another table planted under the
+// right key must be counted (GuardTrips) and not used, by the ASTA
+// strategies and the TDSTA alike: every answer still equals the
+// step-wise oracle's. This simulates the one failure the guard exists
+// for — a key that does not carry what its value depends on.
 func TestGuardCountsWrongTableAutomaton(t *testing.T) {
 	e, _ := poolTestEngine(t)
 	other, err := xmlparse.ParseString(wrongTableDoc)
@@ -287,11 +288,12 @@ func TestGuardCountsWrongTableAutomaton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.cache.GetOrCompile(e.cacheKey("asta", q), func() (any, error) {
-		return &compiled{aut: wrong, names: other.Names(), pool: e.pool}, nil
+	e.cache.GetOrCompile(e.cacheKey(q), func() (any, error) {
+		det := compile.DeterminizeTopDown(wrong).MinimizeTopDown()
+		return &compiled{aut: wrong, det: det, names: other.Names(), pool: e.pool}, nil
 	})
 
-	for i, s := range []Strategy{Optimized, Memoized} {
+	for i, s := range []Strategy{Optimized, Memoized, TopDownDet} {
 		got, err := e.QueryWith(q, s)
 		if err != nil {
 			t.Fatal(err)
@@ -304,13 +306,13 @@ func TestGuardCountsWrongTableAutomaton(t *testing.T) {
 				t.Fatalf("%v: guarded evaluation diverged at %d", s, j)
 			}
 		}
-		if trips := e.PoolStats().GuardTrips; trips != uint64(i+1) {
+		if trips := e.pool.Stats().GuardTrips; trips != uint64(i+1) {
 			t.Errorf("after %v: guard trips = %d, want %d", s, trips, i+1)
 		}
 	}
 	// The planted entry was neither used nor replaced, and the automata
 	// compiled in its stead parked nothing.
-	if ps := e.PoolStats(); ps.Resident != 0 || outstanding(ps) != 0 {
+	if ps := e.pool.Stats(); ps.Resident != 0 || outstanding(ps) != 0 {
 		t.Errorf("guarded runs left contexts behind: %+v", ps)
 	}
 }
@@ -318,7 +320,7 @@ func TestGuardCountsWrongTableAutomaton(t *testing.T) {
 // stealPooled checks out the parked Optimized context of query q.
 func stealPooled(t *testing.T, e *Engine, q string) (*compiled, *asta.Context) {
 	t.Helper()
-	v, ok := e.cache.Get(e.cacheKey("asta", q))
+	v, ok := e.cache.Get(e.cacheKey(q))
 	if !ok {
 		t.Fatalf("%s is not cached", q)
 	}
@@ -364,7 +366,7 @@ func TestPoolConcurrentCheckouts(t *testing.T) {
 	for msg := range errs {
 		t.Fatal(msg)
 	}
-	if got := e.PoolStats().Resident; got > maxPerKey() {
+	if got := e.pool.Stats().Resident; got > maxPerKey() {
 		t.Errorf("resident %d exceeds per-key cap %d", got, maxPerKey())
 	}
 }
@@ -381,9 +383,9 @@ func TestPoolOversizedContextDropped(t *testing.T) {
 	old := maxPooledCtxBytes
 	maxPooledCtxBytes = 1 // every real context exceeds this
 	defer func() { maxPooledCtxBytes = old }()
-	drops0 := e.PoolStats().Drops
+	drops0 := e.pool.Stats().Drops
 	cv.release(asta.Opt(), ctx)
-	ps := e.PoolStats()
+	ps := e.pool.Stats()
 	if ps.Drops != drops0+1 {
 		t.Errorf("drops = %d, want %d", ps.Drops, drops0+1)
 	}

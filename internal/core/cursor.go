@@ -8,7 +8,6 @@ import (
 	"repro/internal/compile"
 	"repro/internal/hybrid"
 	"repro/internal/obsv"
-	"repro/internal/sta"
 	"repro/internal/stepwise"
 	"repro/internal/tree"
 	"repro/internal/xpath"
@@ -235,25 +234,53 @@ func (e *Engine) stepwiseCursor(p *xpath.Path, tr *obsv.Trace) *Cursor {
 	return ran(tr, sp, newCursor(res.Selected, nil, Stepwise, res.Work))
 }
 
-// tdstaCursor compiles (through the query cache) and runs the
-// minimized deterministic TDSTA with topdown_jump, recording no run,
-// over jump cursors lent by the pool.
-func (e *Engine) tdstaCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
+// lookup returns the query's compiled entry and whether the cache held
+// it; a miss builds and keeps the ASTA and, in the TDSTA's fragment, the
+// minimal TDSTA. An entry of another label table (PoolStats.GuardTrips)
+// is answered with one compiled for this table, left out of the cache.
+func (e *Engine) lookup(query string, p *xpath.Path, tr *obsv.Trace) (*compiled, bool, error) {
 	sp := tr.Begin(obsv.SpanCompile)
-	v, hit, err := e.cache.GetOrCompile(e.cacheKey("tdsta", query), func() (any, error) {
-		aut, err := compile.ToTDSTA(p, e.doc.Names())
+	names := e.doc.Names()
+	build := func() (any, error) {
+		aut, err := compile.ToASTA(p, names)
 		if err != nil {
 			return nil, err
 		}
-		return aut.MinimizeTopDown(), nil
-	})
+		cv := &compiled{aut: aut, names: names, pool: e.pool}
+		if compile.CheckTDSTA(p) == nil {
+			cv.det = compile.DeterminizeTopDown(aut).MinimizeTopDown()
+		}
+		return cv, nil
+	}
+	v, hit, err := e.cache.GetOrCompile(e.cacheKey(query), build)
+	if err == nil && v.(*compiled).names != names {
+		e.pool.guardTrips.Add(1)
+		hit = false
+		if v, err = build(); err == nil {
+			v.(*compiled).Evicted()
+		}
+	}
 	tr.End(sp)
+	if err != nil {
+		return nil, false, err
+	}
+	return v.(*compiled), hit, nil
+}
+
+// tdstaCursor runs the query's minimal TDSTA with topdown_jump,
+// recording no run, over jump cursors lent by the pool. A query outside
+// its fragment is refused before anything compiles.
+func (e *Engine) tdstaCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
+	if err := compile.CheckTDSTA(p); err != nil {
+		return nil, err
+	}
+	cv, hit, err := e.lookup(query, p, tr)
 	if err != nil {
 		return nil, err
 	}
-	sp = tr.Begin(obsv.SpanRun)
+	sp := tr.Begin(obsv.SpanRun)
 	cur := e.pool.takeCursors(e.ix)
-	res := v.(*sta.STA).EvalTopDownJump(e.doc, cur, nil)
+	res := cv.det.EvalTopDownJump(e.doc, cur, nil)
 	e.pool.parkCursors(cur)
 	c := ran(tr, sp, newCursor(res.Selected, nil, TopDownDet, res.Work))
 	c.run.QCacheHit = hit
@@ -265,37 +292,14 @@ func (e *Engine) tdstaCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Curs
 // automaton — over this generation of the document or an earlier one —
 // and the context rides with the cursor (its arena holds the answer)
 // until exhaustion or Close.
-//
-// The cached automaton is checked against the one thing it depends on,
-// the label table, in one pointer comparison. The key carries the
-// table's id, so a mismatch means the keying broke somewhere: it is
-// counted (PoolStats.GuardTrips) and answered with an automaton
-// compiled for this table and left out of the cache.
 func (e *Engine) astaCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Trace) (*Cursor, error) {
-	sp := tr.Begin(obsv.SpanCompile)
-	names := e.doc.Names()
-	build := func() (any, error) {
-		aut, err := compile.ToASTA(p, names)
-		if err != nil {
-			return nil, err
-		}
-		return &compiled{aut: aut, names: names, pool: e.pool}, nil
-	}
-	v, hit, err := e.cache.GetOrCompile(e.cacheKey("asta", query), build)
-	if err == nil && v.(*compiled).names != names {
-		e.pool.guardTrips.Add(1)
-		hit = false
-		if v, err = build(); err == nil {
-			v.(*compiled).Evicted()
-		}
-	}
-	tr.End(sp)
+	cv, hit, err := e.lookup(query, p, tr)
 	if err != nil {
 		return nil, err
 	}
-	cv, opt := v.(*compiled), s.ASTAOptions()
+	opt := s.ASTAOptions()
 	ctx, warm := cv.checkout(opt)
-	sp = tr.Begin(obsv.SpanRun)
+	sp := tr.Begin(obsv.SpanRun)
 	res := cv.aut.EvalCtx(ctx, e.doc, e.ix, opt)
 	c := ran(tr, sp, newCursor(res.Selected, func() { cv.release(opt, ctx) }, s, res.Work))
 	c.run.CtxPoolHit, c.run.QCacheHit = warm, hit

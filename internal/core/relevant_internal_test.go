@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/sta"
 	"repro/internal/tgen"
 	"repro/internal/xmark"
 )
@@ -20,11 +19,11 @@ func visitedAndRelevant(t *testing.T, e *Engine, query string) (visited, relevan
 	}
 	visited = cur.Visited()
 	cur.Close()
-	v, ok := e.cache.Get(e.cacheKey("tdsta", query))
+	v, ok := e.cache.Get(e.cacheKey(query))
 	if !ok {
-		t.Fatalf("%s: no TDSTA cached", query)
+		t.Fatalf("%s: not cached", query)
 	}
-	aut := v.(*sta.STA)
+	aut := v.(*compiled).det
 	return visited, len(aut.RelevantTopDown(e.doc, aut.EvalTopDownDet(e.doc).Run))
 }
 

@@ -8,13 +8,13 @@
 // GetOrCompile is the one way a value enters, and eviction off the LRU
 // tail the one way it leaves.
 //
-// Values are opaque (any): the same cache holds ASTA and minimized
-// TDSTA artifacts side by side. A key names what its value is a
-// function of — core uses labelTableID\x00kind\x00query — so no entry
-// ever has to be invalidated: a document whose alphabet changed, or
-// that was reloaded, looks its queries up under another table id, and
-// the entries of tables no document uses any more go cold and leave by
-// the LRU like anything else.
+// Values are opaque (any): core's is one compiled query, its ASTA and,
+// in the TDSTA's fragment, its minimized TDSTA. A key names what its
+// value is a function of — core uses labelTableID\x00query — so no
+// entry ever has to be invalidated: a document whose alphabet changed,
+// or that was reloaded, looks its queries up under another table id,
+// and the entries of tables no document uses any more go cold and
+// leave by the LRU like anything else.
 package qcache
 
 import (

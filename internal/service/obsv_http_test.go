@@ -392,7 +392,7 @@ func TestFlightRecorderService(t *testing.T) {
 	if !ok {
 		t.Fatal("d1 missing")
 	}
-	plant(s, strconv.FormatUint(h.Doc.Names().ID(), 10)+"\x00asta\x00//c", "not an automaton")
+	plant(s, strconv.FormatUint(h.Doc.Names().ID(), 10)+"\x00//c", "not an automaton")
 	gen := h.Gen.String()
 
 	// w nil means Eval; a Stream that got its header out answers 200.

@@ -40,7 +40,7 @@ func plant(s *Service, key string, val any) {
 }
 
 // TestPanicStopsAtTheRequest forces a deterministic panic — a value of
-// the wrong type cached under the key core looks up for an ASTA query —
+// the wrong type cached under the key core looks up for a query —
 // and checks that it costs the panicking request and nothing else: a
 // generic 500 from /query, a failed response before the header of
 // /query/stream, an Err on that one /batch member while the other is
@@ -55,7 +55,7 @@ func TestPanicStopsAtTheRequest(t *testing.T) {
 	if !ok {
 		t.Fatal("d1 missing")
 	}
-	plant(s, strconv.FormatUint(h.Doc.Names().ID(), 10)+"\x00asta\x00"+query, "not an automaton")
+	plant(s, strconv.FormatUint(h.Doc.Names().ID(), 10)+"\x00"+query, "not an automaton")
 	poisoned := Request{Doc: "d1", Query: query, Strategy: "optimized"}
 	healthy := Request{Doc: "d1", Query: "//c", Strategy: "optimized"}
 	srv := httptest.NewServer(NewHandler(s, HandlerOptions{}))

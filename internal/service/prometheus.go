@@ -73,7 +73,7 @@ var families = []family{
 	{name: "xpqd_stream_chunk_write_max_seconds", typ: gauge, help: "Worst single chunk write.", stat: func(st *Stats) float64 { return float64(st.Queries.Streaming.ChunkWriteMaxUS) / 1e6 }},
 
 	// Compiled-query cache.
-	{name: "xpqd_qcache_entries", typ: gauge, help: "Compiled automata resident in the query cache.", stat: func(st *Stats) float64 { return float64(st.Cache.Size) }},
+	{name: "xpqd_qcache_entries", typ: gauge, help: "Compiled queries resident in the query cache.", stat: func(st *Stats) float64 { return float64(st.Cache.Size) }},
 	{name: "xpqd_qcache_capacity", typ: gauge, help: "Query cache entry capacity.", stat: func(st *Stats) float64 { return float64(st.Cache.Capacity) }},
 	{name: "xpqd_qcache_bytes", typ: gauge, help: "Estimated bytes of cached compiled automata.", stat: func(st *Stats) float64 { return float64(st.Cache.SizeBytes) }},
 	{name: "xpqd_qcache_hits_total", typ: counter, help: "Query cache hits.", stat: func(st *Stats) float64 { return float64(st.Cache.Hits) }},
@@ -121,8 +121,8 @@ var families = []family{
 
 	// Go runtime, via runtime/metrics (no stop-the-world read).
 	{name: "go_goroutines", typ: gauge, help: "Live goroutines.", live: func(*Service) (float64, bool) { return float64(runtime.NumGoroutine()), true }},
-	{name: "go_heap_objects_bytes", typ: gauge, help: "Bytes of live heap objects.", live: func(*Service) (float64, bool) {
-		v, ok := runtimeUint64("/memory/classes/heap/objects:bytes")
+	{name: "go_heap_objects_bytes", typ: gauge, help: "Bytes of heap objects marked live by the last GC.", live: func(*Service) (float64, bool) {
+		v, ok := runtimeUint64("/gc/heap/live:bytes")
 		return float64(v), ok
 	}},
 	{name: "go_gc_cycles_total", typ: counter, help: "Completed GC cycles.", live: func(*Service) (float64, bool) {

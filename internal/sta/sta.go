@@ -92,6 +92,9 @@ func (a *STA) Finalize() *STA {
 // Finalize. The byte-weighted compiled-query LRU weighs cache entries
 // with it, so the estimate only needs to be proportionally honest.
 func (a *STA) SizeBytes() int64 {
+	if a == nil {
+		return 0
+	}
 	const transFixed = 48 // Transition struct less the guard's backing
 	b := int64(128)       // STA header and slice headers
 	b += 4 * int64(len(a.Top)+len(a.Bottom))
