@@ -58,22 +58,19 @@ gates: gate-obsv gate-auto gate-mvcc gate-mmap
 # at 1.05 over the full query matrix, and warm re-evaluation, traced or
 # not, must stay near allocation-free (BENCH_eval.json pins 0 allocs/op;
 # 5 leaves margin for runtime noise, checked on every row of every
-# run). On a shared 2-core machine the speed of the same code moves by
-# 15 % and more from one second to the next. So both variants of a row
-# evaluate over one shared context, each is read fifteen times at 10
-# iterations, and each keeps its median, which one fast or slow reading
-# cannot move. An iteration evaluates the row as many times as it takes
-# to last 10 us (counted once at setup, the same for both variants), so
-# a reading of a sub-us row (Q01, Q10) is no longer ten single
-# evaluations: those six rows read warm-traced/warm 1.05-1.20 where
-# they read 1.20-1.38. ns/op is per evaluation; the allocs ceiling holds
-# for the whole iteration, so it is stricter. Over 30 and 39 runs the
-# geomean's median moved 1.029 -> 1.008 but its spread did not (sd 0.020
-# and 0.023; 2 runs over the limit on each side): a variant's fifteen
-# readings are taken back to back, so the two variants of a large row
-# are read about half a second apart (CHANGES has every run).
+# reading). On a shared 2-core machine the speed of the same code moves
+# by 15 % and more from one second to the next. So both variants of a
+# row evaluate over one shared context, are read in turn fifteen times
+# each at 10 iterations (the benchmark repeats them, hence -count 1),
+# and each keeps its median: a variant's readings taken back to back
+# would put the two variants of a large row half a second apart, in
+# different weather. An iteration evaluates the row as many times as it
+# takes to last 10 us (counted once at setup, the same for both
+# variants), so a reading of a sub-us row (Q01, Q10) is not ten single
+# evaluations. ns/op is per evaluation; the allocs ceiling holds for
+# the whole iteration, so it is stricter.
 gate-obsv:
-	$(GO) test -run '^$$' -bench 'BenchmarkEvalSteadyState/.*/.*/warm' -benchtime 10x -count 15 -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkEvalSteadyState/.*/.*/warm' -benchtime 10x -count 1 -benchmem . \
 		| $(GATE) -v num=warm-traced -v den=warm -v limit=1.05 -v allocs=5 -v fold=median
 
 # Auto's route (label chains to the hybrid run, the rest of the

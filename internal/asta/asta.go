@@ -35,9 +35,6 @@ func (s StateSet) Has(q State) bool { return s&(1<<uint(q)) != 0 }
 // With returns s ∪ {q}.
 func (s StateSet) With(q State) StateSet { return s | 1<<uint(q) }
 
-// Without returns s \ {q}.
-func (s StateSet) Without(q State) StateSet { return s &^ (1 << uint(q)) }
-
 // IsEmpty reports whether the set is empty.
 func (s StateSet) IsEmpty() bool { return s == 0 }
 

@@ -314,9 +314,6 @@ func TestStateSetOps(t *testing.T) {
 	if !s.Has(3) || !s.Has(5) || s.Has(4) {
 		t.Errorf("membership wrong")
 	}
-	if s.Without(3).Has(3) {
-		t.Errorf("Without failed")
-	}
 	var got []asta.State
 	s.Each(func(q asta.State) { got = append(got, q) })
 	if len(got) != 2 || got[0] != 3 || got[1] != 5 {

@@ -191,5 +191,5 @@ func (e *Engine) QueryWith(query string, s Strategy) (*Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.materialize(), nil
+	return &Answer{Nodes: c.nodes, Strategy: c.strategy, Work: c.run.Work}, nil
 }

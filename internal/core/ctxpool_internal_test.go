@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -50,12 +51,16 @@ func TestPoolCheckoutReusesContext(t *testing.T) {
 }
 
 // TestPoolCursorHeldContextReturnsOnExhaustionAndClose: an ASTA cursor
-// reads its answer out of its context's arena and so holds the context
-// until fully read (auto-release) or Closed early; both must return
-// exactly one context to the pool. That goes for a chain that arrives
-// in document order (the child-axis query) and for one that does not
-// (descendant steps under jumped regions union out of order, and are
-// sorted where they lie): either drains to the step-wise answer.
+// owns a copy of its answer, so the context that ran the query is back
+// in the pool before EvalCursor returns — before the cursor is read,
+// at its exhaustion and after Close alike, exactly one context is
+// parked and none is outstanding. A second cursor of the same query,
+// made while the first is unread, is served warm. Both drain to the
+// step-wise answer, for a chain that arrives in document order (the
+// child-axis query) and for one that does not (descendant steps under
+// jumped regions union out of order, and are sorted where they lie).
+// Close ends a read, keeps Count, hands nothing back and may be
+// repeated.
 func TestPoolCursorHeldContextReturnsOnExhaustionAndClose(t *testing.T) {
 	for _, q := range []string{"/site/regions/*/item", "//listitem//keyword"} {
 		t.Run(q, func(t *testing.T) {
@@ -65,56 +70,54 @@ func TestPoolCursorHeldContextReturnsOnExhaustionAndClose(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			first, err := e.EvalCursor(q, Optimized)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ps := e.pool.Stats(); ps.Resident != 1 || outstanding(ps) != 0 {
+				t.Fatalf("context not parked before the cursor was read: %+v", ps)
+			}
+			second, err := e.EvalCursor(q, Optimized)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !second.Run().CtxPoolHit {
+				t.Error("a second cursor made while the first is unread was not served warm")
+			}
+			for _, cur := range []*Cursor{first, second} {
+				if got := collect(t, cur); !slices.Equal(got, want.Nodes) || len(got) == 0 {
+					t.Fatalf("cursor drained %d nodes, oracle %d", len(got), len(want.Nodes))
+				}
+			}
+			if ps := e.pool.Stats(); ps.Resident != 1 || outstanding(ps) != 0 {
+				t.Errorf("pool after exhaustion: %+v, want one context parked", ps)
+			}
+
 			cur, err := e.EvalCursor(q, Optimized)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := e.pool.Stats().Resident; got != 0 {
-				t.Fatalf("context returned before the cursor finished (resident=%d)", got)
-			}
-			if cur.Count() != len(want.Nodes) || cur.Count() == 0 {
-				t.Fatalf("count = %d, oracle %d", cur.Count(), len(want.Nodes))
-			}
-			for i, w := range want.Nodes {
-				if v, ok := cur.Next(); !ok || v != w {
-					t.Fatalf("node %d = %d (ok=%v), oracle %d", i, v, ok, w)
-				}
-			}
-			if _, ok := cur.Next(); ok {
-				t.Fatal("cursor yields nodes past the oracle's end")
-			}
-			if got := e.pool.Stats().Resident; got != 1 {
-				t.Errorf("exhaustion did not return the context (resident=%d)", got)
-			}
-
-			cur, err = e.EvalCursor(q, Optimized)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total := cur.Count()
+			before := e.pool.Stats()
 			if _, ok := cur.Next(); !ok {
 				t.Fatal("expected a non-empty answer")
 			}
 			cur.Close() // abandon mid-answer, like a paged request
-			if got := e.pool.Stats().Resident; got != 1 {
-				t.Errorf("Close did not return the context (resident=%d)", got)
-			}
-			if cur.Count() != total {
-				t.Errorf("Count changed across Close: %d vs %d", cur.Count(), total)
+			if _, ok := cur.Next(); ok || cur.Count() != len(want.Nodes) {
+				t.Errorf("closed cursor: ok=%v count=%d, want exhausted and %d", ok, cur.Count(), len(want.Nodes))
 			}
 			cur.Close() // idempotent
-			if ps := e.pool.Stats(); ps.Resident != 1 || ps.GuardTrips != 0 || outstanding(ps) != 0 {
-				t.Errorf("double Close corrupted the pool: %+v", ps)
+			if after := e.pool.Stats(); after != before || outstanding(after) != 0 || after.GuardTrips != 0 {
+				t.Errorf("Close moved the pool: %+v -> %+v", before, after)
 			}
 		})
 	}
 }
 
-// TestPoolCloseStopsRopeCursor: Close on an ASTA cursor must both
-// return the context and leave the cursor exhausted — the answer lives
-// in the recycled arena and must never be read again. Only arena-owned
-// answers have this property; the other engines' cursors own their
-// slice and stay readable.
+// TestPoolCloseStopsRopeCursor: Close on an ASTA cursor read part way
+// leaves it exhausted — Next and NextBatch yield nothing more, Take
+// returns an empty window — while Count keeps the full cardinality and
+// the pool, which got its context back when the cursor was made, is
+// not touched.
 func TestPoolCloseStopsRopeCursor(t *testing.T) {
 	e, _ := poolTestEngine(t)
 	const q = "/site/regions/*/item"
@@ -122,24 +125,32 @@ func TestPoolCloseStopsRopeCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cur.Count() < 2 {
+	total := cur.Count()
+	if total < 2 {
 		t.Fatal("expected an answer of several nodes")
 	}
 	if _, ok := cur.Next(); !ok {
 		t.Fatal("first read failed")
 	}
-	if got := e.pool.Stats().Resident; got != 0 {
-		t.Fatalf("cursor does not hold its context mid-answer (resident=%d)", got)
+	before := e.pool.Stats()
+	if before.Resident != 1 {
+		t.Fatalf("context not parked mid-answer (resident=%d)", before.Resident)
 	}
 	cur.Close()
-	if got := e.pool.Stats().Resident; got != 1 {
-		t.Errorf("Close did not return the context (resident=%d)", got)
-	}
 	if _, ok := cur.Next(); ok {
-		t.Error("closed cursor still yields nodes (would read a recycled arena)")
+		t.Error("closed cursor still yields nodes")
 	}
 	if n := cur.NextBatch(make([]tree.NodeID, 4)); n != 0 {
 		t.Errorf("closed cursor still fills batches (%d nodes)", n)
+	}
+	if w := cur.Take(4); len(w) != 0 {
+		t.Errorf("closed cursor still hands out windows (%d nodes)", len(w))
+	}
+	if cur.Remaining() != 0 || cur.Count() != total {
+		t.Errorf("closed cursor: remaining=%d count=%d, want 0 and %d", cur.Remaining(), cur.Count(), total)
+	}
+	if after := e.pool.Stats(); after != before {
+		t.Errorf("Close moved the pool: %+v -> %+v", before, after)
 	}
 }
 
@@ -211,22 +222,16 @@ func TestPoolEvictsStaleKeysUnderPressure(t *testing.T) {
 		t.Errorf("%d contexts unaccounted for: %+v", n, ps)
 	}
 
-	// A cursor still reading when its automaton is evicted hands its
-	// context to an entry nothing will look up again: dropped, not parked.
-	cur, err := e.EvalCursor("/site/regions/*/item", Optimized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cur.release == nil {
-		t.Fatal("a non-empty ASTA answer must hold its context")
-	}
+	// A context checked out when its automaton is evicted is handed to
+	// an entry nothing will look up again: dropped, not parked.
+	cv, ctx := stealPooled(t, e, last)
 	for _, q := range queries[:capacity] {
 		if _, err := e.QueryWith(q, Optimized); err != nil {
 			t.Fatal(err)
 		}
 	}
 	before := e.pool.Stats()
-	cur.Close()
+	cv.release(asta.Opt(), ctx)
 	after := e.pool.Stats()
 	if after.Drops != before.Drops+1 || after.Resident != before.Resident {
 		t.Errorf("context of an evicted automaton was parked: %+v -> %+v", before, after)

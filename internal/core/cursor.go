@@ -14,19 +14,14 @@ import (
 )
 
 // Cursor is a resumable view of one evaluation's answer: a strictly
-// increasing slice of node ids (preorder, duplicate-free) and a read
-// position. Every engine hands over that one form — the ASTA evaluator
-// as a block in its context's arena, the others as a heap slice — so
-// counting is a length, seeking a binary search and reading a copy. A
+// increasing slice of node ids (preorder, duplicate-free) that the
+// cursor owns, and a read position. Every engine hands over that one
+// form — the ASTA evaluator's answer is copied out of its context's
+// arena once, before the context is parked again — so counting is a
+// length, seeking a binary search and a page a window of the answer. A
 // Cursor is single-use and not safe for concurrent use; resumption
 // across requests re-evaluates (hitting the compiled-automaton cache)
 // and seeks with SeekPast.
-//
-// A Cursor over an arena-owned answer holds the pooled evaluation
-// context whose arena it reads. The context returns to the engine's
-// pool when the cursor is exhausted, materialized, or Closed — callers
-// that may abandon a cursor mid-answer (paging) should Close it so the
-// warm context is recycled instead of garbage-collected.
 type Cursor struct {
 	strategy Strategy
 	// run is how the answer was produced, for explain profiles and the
@@ -38,44 +33,21 @@ type Cursor struct {
 	// evaluations only.
 	autoShape string
 
-	// release returns the evaluation context whose arena holds nodes to
-	// its pool; nil when nodes are heap-owned and after the first
-	// release.
-	release func()
-
-	// nodes is the answer, pos the read position in it and total its
-	// length — which outlives nodes: Close drops an arena-owned answer.
+	// nodes is the answer and pos the read position in it.
 	nodes []tree.NodeID
 	pos   int
-	total int
 }
 
 // newCursor wraps an answer, strictly increasing because every engine
 // makes it so: the automaton engines with tree.SortedSet, the step-wise
-// baseline with its own sort. A non-nil release marks it arena-owned;
-// an empty answer has nothing to keep the context for and hands it
-// back at once.
-func newCursor(nodes []tree.NodeID, release func(), s Strategy, w obsv.Work) *Cursor {
-	c := &Cursor{strategy: s, run: obsv.Run{Strategy: s.String(), Work: w}, nodes: nodes, total: len(nodes), release: release}
-	if len(nodes) == 0 {
-		c.Close()
-	}
-	return c
+// baseline with its own sort.
+func newCursor(nodes []tree.NodeID, s Strategy, w obsv.Work) *Cursor {
+	return &Cursor{strategy: s, run: obsv.Run{Strategy: s.String(), Work: w}, nodes: nodes}
 }
 
-// Close returns the cursor's evaluation context to the engine's pool
-// without consuming the rest of the answer. It is idempotent, runs
-// implicitly on exhaustion and materialization, and leaves a cursor
-// over an arena-owned answer in the exhausted state (Count stays valid;
-// Next reports done): once the context is handed back the block must
-// never be read again, its arena may be serving another evaluation. A
-// heap-owned answer stays readable.
-func (c *Cursor) Close() {
-	if r := c.release; r != nil {
-		c.release, c.nodes, c.pos = nil, nil, 0
-		r()
-	}
-}
+// Close ends the read: the cursor reports exhaustion from then on, and
+// Count stays valid.
+func (c *Cursor) Close() { c.pos = len(c.nodes) }
 
 // Strategy is the strategy that actually ran (never Auto).
 func (c *Cursor) Strategy() Strategy { return c.strategy }
@@ -111,7 +83,7 @@ func (c *Cursor) AutoShape() string { return c.autoShape }
 
 // Count returns the full answer cardinality, independent of the read
 // position and of Close.
-func (c *Cursor) Count() int { return c.total }
+func (c *Cursor) Count() int { return len(c.nodes) }
 
 // Remaining returns how many answer nodes are left to read: 0 once the
 // cursor is exhausted or closed.
@@ -127,12 +99,9 @@ func (c *Cursor) SeekPast(v tree.NodeID) {
 }
 
 // Next returns the next answer node in preorder, with ok=false once the
-// answer is exhausted. The read that finds the end closes the cursor:
-// the answer will never be read again, so its evaluation context can go
-// back to work for the next query.
+// answer is exhausted.
 func (c *Cursor) Next() (tree.NodeID, bool) {
 	if c.pos >= len(c.nodes) {
-		c.Close()
 		return tree.Nil, false
 	}
 	v := c.nodes[c.pos]
@@ -140,34 +109,28 @@ func (c *Cursor) Next() (tree.NodeID, bool) {
 	return v, true
 }
 
-// NextBatch fills dst with the next nodes in preorder and returns how
-// many were written; 0 means the answer is exhausted. dst receives a
-// copy, never a window of the answer, so it outlives the cursor.
+// NextBatch copies the next nodes in preorder into dst and returns how
+// many were written; 0 means the answer is exhausted.
 func (c *Cursor) NextBatch(dst []tree.NodeID) int {
 	n := copy(dst, c.nodes[c.pos:])
 	c.pos += n
-	if n < len(dst) {
-		c.Close()
-	}
 	return n
 }
 
-// materialize converts a freshly created (unread) cursor into the
-// classic Answer. An arena-owned answer is cloned — the Answer outlives
-// the evaluation context, which goes back to its pool here.
-func (c *Cursor) materialize() *Answer {
-	nodes := c.nodes
-	if c.release != nil {
-		nodes = slices.Clone(nodes)
-	}
-	c.Close()
-	return &Answer{Nodes: nodes, Strategy: c.strategy, Work: c.run.Work}
+// Take reads the next n >= 0 nodes (fewer when fewer remain) and
+// returns them as a window of the answer, its capacity cut to its
+// length so an append to it cannot write over the rest of the answer.
+// The window shares the cursor's slice, which nothing writes once it is
+// built.
+func (c *Cursor) Take(n int) []tree.NodeID {
+	end := c.pos + min(n, c.Remaining())
+	w := c.nodes[c.pos:end:end]
+	c.pos = end
+	return w
 }
 
 // EvalCursor evaluates a query and returns a cursor over the
-// preorder-sorted answer, without copying it out of the evaluator's
-// arena when that is where the strategy leaves it (the ASTA engines).
-// The strategy semantics match QueryWith.
+// preorder-sorted answer. The strategy semantics match QueryWith.
 func (e *Engine) EvalCursor(query string, s Strategy) (*Cursor, error) {
 	return e.EvalCursorTrace(query, s, nil)
 }
@@ -223,7 +186,7 @@ func (e *Engine) hybridCursor(p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
 		tr.Annotate(sp, "strategy=hybrid outcome=failed")
 		return nil, err
 	}
-	return ran(tr, sp, newCursor(res.Selected, nil, Hybrid, res.Work)), nil
+	return ran(tr, sp, newCursor(res.Selected, Hybrid, res.Work)), nil
 }
 
 // stepwiseCursor runs the step-wise baseline (it cannot fail: the
@@ -231,7 +194,7 @@ func (e *Engine) hybridCursor(p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
 func (e *Engine) stepwiseCursor(p *xpath.Path, tr *obsv.Trace) *Cursor {
 	sp := tr.Begin(obsv.SpanRun)
 	res := stepwise.Eval(e.doc, p, stepwise.Default())
-	return ran(tr, sp, newCursor(res.Selected, nil, Stepwise, res.Work))
+	return ran(tr, sp, newCursor(res.Selected, Stepwise, res.Work))
 }
 
 // lookup returns the query's compiled entry and whether the cache held
@@ -282,16 +245,16 @@ func (e *Engine) tdstaCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Curs
 	cur := e.pool.takeCursors(e.ix)
 	res := cv.det.EvalTopDownJump(e.doc, cur, nil)
 	e.pool.parkCursors(cur)
-	c := ran(tr, sp, newCursor(res.Selected, nil, TopDownDet, res.Work))
+	c := ran(tr, sp, newCursor(res.Selected, TopDownDet, res.Work))
 	c.run.QCacheHit = hit
 	return c, nil
 }
 
 // astaCursor runs the ASTA evaluator in a pooled context: warm checkouts
 // reuse the memo world and arenas of previous runs of the same
-// automaton — over this generation of the document or an earlier one —
-// and the context rides with the cursor (its arena holds the answer)
-// until exhaustion or Close.
+// automaton — over this generation of the document or an earlier one.
+// The answer is a block in the context's arena, so it is copied out
+// once and the context parked again before the cursor is built.
 func (e *Engine) astaCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Trace) (*Cursor, error) {
 	cv, hit, err := e.lookup(query, p, tr)
 	if err != nil {
@@ -301,7 +264,9 @@ func (e *Engine) astaCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Tr
 	ctx, warm := cv.checkout(opt)
 	sp := tr.Begin(obsv.SpanRun)
 	res := cv.aut.EvalCtx(ctx, e.doc, e.ix, opt)
-	c := ran(tr, sp, newCursor(res.Selected, func() { cv.release(opt, ctx) }, s, res.Work))
+	nodes := slices.Clone(res.Selected)
+	cv.release(opt, ctx)
+	c := ran(tr, sp, newCursor(nodes, s, res.Work))
 	c.run.CtxPoolHit, c.run.QCacheHit = warm, hit
 	return c, nil
 }

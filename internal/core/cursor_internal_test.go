@@ -14,14 +14,14 @@ import (
 	"repro/internal/xmark"
 )
 
-// TestSeekPastProperty: on random strictly increasing answers, heap-
-// and arena-owned alike, SeekPast(v) leaves the cursor at the oracle's
-// first element > v — for v below the first element, equal to one,
-// between two, equal to the last, above it, 0 and the largest NodeID a
-// token can carry (where searching for v+1 would wrap around and replay
-// the whole answer) — and leaves Count alone. The answer then drains to
-// the oracle's suffix, by Next and by NextBatch, and an arena-owned
-// cursor hands its context back exactly once.
+// TestSeekPastProperty: on random strictly increasing answers,
+// SeekPast(v) leaves the cursor at the oracle's first element > v — for
+// v below the first element, equal to one, between two, equal to the
+// last, above it, 0 and the largest NodeID a token can carry (where
+// searching for v+1 would wrap around and replay the whole answer) —
+// and leaves Count alone. The answer then drains to the oracle's
+// suffix, by Next, by NextBatch and by Take, whose windows hold exactly
+// what they deliver; Close ends the read and leaves Count alone.
 func TestSeekPastProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for round := 0; round < 200; round++ {
@@ -48,22 +48,17 @@ func TestSeekPastProperty(t *testing.T) {
 			probes = append(probes, oracle[rng.Intn(n)]+tree.NodeID(rng.Intn(3)-1))
 		}
 		for pi, p := range probes {
-			arena := (round+pi)%2 == 0
-			releases := 0
-			var release func()
-			if arena {
-				release = func() { releases++ }
-			}
-			c := newCursor(append([]tree.NodeID(nil), oracle...), release, Optimized, obsv.Work{})
+			c := newCursor(append([]tree.NodeID(nil), oracle...), Optimized, obsv.Work{})
 			c.SeekPast(p)
 			if c.Count() != n {
 				t.Fatalf("SeekPast(%d) changed Count to %d, want %d", p, c.Count(), n)
 			}
 			want := oracle[sort.Search(n, func(i int) bool { return oracle[i] > p }):]
 			var got []tree.NodeID
-			if pi%2 == 0 {
+			switch pi % 3 {
+			case 0:
 				got = collect(t, c)
-			} else {
+			case 1:
 				buf := make([]tree.NodeID, 1+rng.Intn(64))
 				for {
 					k := c.NextBatch(buf)
@@ -72,26 +67,35 @@ func TestSeekPastProperty(t *testing.T) {
 					}
 					got = append(got, buf[:k]...)
 				}
+			case 2:
+				size := 1 + rng.Intn(64)
+				for {
+					w := c.Take(size)
+					if len(w) == 0 {
+						break
+					}
+					if cap(w) != len(w) || len(w) > size {
+						t.Fatalf("Take(%d) = %d nodes in %d slots", size, len(w), cap(w))
+					}
+					got = append(got, w...)
+				}
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("round %d: after SeekPast(%d) drained %d nodes %v, oracle %d %v (answer %d..%d)",
 					round, p, len(got), got, len(want), want, first, last)
 			}
+			c.SeekPast(tree.Nil)
 			c.Close()
-			if arena && releases != 1 {
-				t.Fatalf("round %d: context released %d times, want 1", round, releases)
-			}
-			if c.Count() != n {
-				t.Fatalf("Count = %d after exhaustion and Close, want %d", c.Count(), n)
+			if _, ok := c.Next(); ok || c.Remaining() != 0 || c.Count() != n {
+				t.Fatalf("closed cursor: ok=%v remaining=%d count=%d, want exhausted and %d", ok, c.Remaining(), c.Count(), n)
 			}
 		}
 	}
-	// The empty answer: nothing to hold a context for.
-	releases := 0
-	c := newCursor(nil, func() { releases++ }, Optimized, obsv.Work{})
+	// The empty answer.
+	c := newCursor(nil, Optimized, obsv.Work{})
 	c.SeekPast(5)
-	if _, ok := c.Next(); ok || c.Count() != 0 || releases != 1 {
-		t.Fatalf("empty arena-owned answer: ok=%v count=%d releases=%d, want exhausted, 0, 1", ok, c.Count(), releases)
+	if _, ok := c.Next(); ok || c.Count() != 0 || len(c.Take(3)) != 0 {
+		t.Fatalf("empty answer: ok=%v count=%d, want exhausted and 0", ok, c.Count())
 	}
 }
 
@@ -199,7 +203,7 @@ func TestAutoSurfacesNonFragmentErrors(t *testing.T) {
 }
 
 // TestSliceStrategiesResumeMidAnswer is the regression test for the
-// slice-cursor paging bug: every heap-slice strategy, resumed
+// slice-cursor paging bug: every engine, resumed
 // mid-answer via fresh cursors and SeekPast (the stateless continuation
 // model), must deliver exactly the full answer across pages.
 func TestSliceStrategiesResumeMidAnswer(t *testing.T) {
@@ -212,7 +216,7 @@ func TestSliceStrategiesResumeMidAnswer(t *testing.T) {
 		{Stepwise, "/site/regions//item"},
 		{Hybrid, "/site/regions//item/location"},
 		{TopDownDet, "/site/regions//item"},
-		{Optimized, "/site//item//keyword"}, // arena-owned, for contrast
+		{Optimized, "/site//item//keyword"},
 	}
 	for _, tc := range cases {
 		full, err := eng.QueryWith(tc.query, tc.strategy)

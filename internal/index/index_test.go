@@ -25,11 +25,11 @@ func binDescendants(d *tree.Document, v tree.NodeID) []tree.NodeID {
 			return
 		}
 		out = append(out, u)
-		walk(d.BinaryLeft(u))
-		walk(d.BinaryRight(u))
+		walk(d.FirstChild(u))
+		walk(d.NextSibling(u))
 	}
-	walk(d.BinaryLeft(v))
-	walk(d.BinaryRight(v))
+	walk(d.FirstChild(v))
+	walk(d.NextSibling(v))
 	return out
 }
 
@@ -43,7 +43,7 @@ func naiveDt(d *tree.Document, v tree.NodeID, L labels.Set) tree.NodeID {
 }
 
 func naiveLt(d *tree.Document, v tree.NodeID, L labels.Set) tree.NodeID {
-	for u := d.BinaryLeft(v); u != tree.Nil; u = d.BinaryLeft(u) {
+	for u := d.FirstChild(v); u != tree.Nil; u = d.FirstChild(u) {
 		if L.Contains(d.Label(u)) {
 			return u
 		}
@@ -52,7 +52,7 @@ func naiveLt(d *tree.Document, v tree.NodeID, L labels.Set) tree.NodeID {
 }
 
 func naiveRt(d *tree.Document, v tree.NodeID, L labels.Set) tree.NodeID {
-	for u := d.BinaryRight(v); u != tree.Nil; u = d.BinaryRight(u) {
+	for u := d.NextSibling(v); u != tree.Nil; u = d.NextSibling(u) {
 		if L.Contains(d.Label(u)) {
 			return u
 		}
@@ -264,11 +264,11 @@ func TestTopMostProperty(t *testing.T) {
 				want = append(want, u)
 				return
 			}
-			walk(d.BinaryLeft(u))
-			walk(d.BinaryRight(u))
+			walk(d.FirstChild(u))
+			walk(d.NextSibling(u))
 		}
-		walk(d.BinaryLeft(v))
-		walk(d.BinaryRight(v))
+		walk(d.FirstChild(v))
+		walk(d.NextSibling(v))
 		if len(got) != len(want) {
 			return false
 		}

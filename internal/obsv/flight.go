@@ -52,7 +52,7 @@ type Record struct {
 // query records plus cheap aggregate counters. Add is designed for the
 // hot path — one lock, one struct copy, the counters under the same
 // lock; snapshots pay the copying. All methods are safe for concurrent
-// use and nil-safe, so an unconfigured recorder costs one branch.
+// use.
 type Flight struct {
 	threshold time.Duration // slow-query threshold, fixed by NewFlight
 
@@ -77,21 +77,10 @@ func NewFlight(n int, slow time.Duration) *Flight {
 	return &Flight{threshold: slow, ring: make([]Record, n)}
 }
 
-// SlowThreshold returns the slow-query threshold (0 = disabled).
-func (f *Flight) SlowThreshold() time.Duration {
-	if f == nil {
-		return 0
-	}
-	return f.threshold
-}
-
 // Add admits a copy of r, stamping the copy's Seq and Slow flag, and
 // reports whether the query was slow (the caller decides whether to log
-// it); r itself is not written. Safe on nil (reports false).
+// it); r itself is not written.
 func (f *Flight) Add(r *Record) bool {
-	if f == nil {
-		return false
-	}
 	slow := f.threshold > 0 && r.ElapsedUS*1000 >= int64(f.threshold)
 	f.mu.Lock()
 	slot := &f.ring[f.next%uint64(len(f.ring))]
@@ -123,12 +112,9 @@ type FlightStats struct {
 
 // Snapshot copies out the most recent records (newest first), at most
 // limit of them (limit <= 0 means all resident). slowOnly filters to
-// flagged records. Safe on nil (returns an empty snapshot).
+// flagged records.
 func (f *Flight) Snapshot(limit int, slowOnly bool) FlightStats {
-	if f == nil {
-		return FlightStats{}
-	}
-	out := FlightStats{SlowThresholdMS: f.SlowThreshold().Milliseconds()}
+	out := FlightStats{SlowThresholdMS: f.threshold.Milliseconds()}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out.Total, out.Slow, out.Aborted, out.Capacity = f.next, f.slow, f.aborted, len(f.ring)
@@ -153,11 +139,8 @@ func (f *Flight) Snapshot(limit int, slowOnly bool) FlightStats {
 
 // Counts returns the lifetime admission counters (total, slow,
 // aborted), read under the ring's lock without copying a record; the
-// /metrics exporter reads these. Safe on nil.
+// /metrics exporter reads these.
 func (f *Flight) Counts() (total, slow, aborted uint64) {
-	if f == nil {
-		return 0, 0, 0
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.next, f.slow, f.aborted

@@ -154,19 +154,6 @@ func TestFlightSlowThreshold(t *testing.T) {
 	}
 }
 
-func TestFlightNilSafe(t *testing.T) {
-	var f *Flight
-	if f.Add(&Record{ElapsedUS: 1}) {
-		t.Error("nil recorder flagged slow")
-	}
-	if s := f.Snapshot(0, false); s.Total != 0 || len(s.Records) != 0 {
-		t.Errorf("nil snapshot = %+v", s)
-	}
-	if tot, _, _ := f.Counts(); tot != 0 {
-		t.Error("nil counts nonzero")
-	}
-}
-
 func TestPromWriterFormat(t *testing.T) {
 	var sb strings.Builder
 	p := NewPromWriter(&sb)

@@ -13,14 +13,14 @@ import (
 
 // TestPageOutlivesItsArena is the run-time proof of the lifetime rule on
 // asta.Result.Selected: an answer is a block in its evaluation context's
-// arena, the context is parked when the cursor closes, and the next
+// arena, the context is parked before EvalCursor returns, and the next
 // evaluation of the same automaton rewinds that arena and writes another
-// answer over it. What a request hands out must therefore be a copy. A
-// page is taken, then the document is patched at its front — a
+// answer over it. What a request hands out must therefore not alias the
+// arena. A page is taken, then the document is patched at its front — a
 // vocabulary-only graft, so the automaton and its parked context are
 // reused, while every id of the answer moves — and the query runs again:
-// the first page must still read what it read, and the cursor that was
-// closed over the old block must report exhaustion, not the new bytes.
+// the first page must still read what it read, and a closed cursor must
+// report exhaustion, not the new bytes.
 func TestPageOutlivesItsArena(t *testing.T) {
 	for _, q := range []string{"/site//keyword", "//listitem//keyword"} {
 		t.Run(q, func(t *testing.T) {
@@ -110,4 +110,49 @@ func TestResumedPageSizedByWhatRemains(t *testing.T) {
 			t.Errorf("limits %v: pages %v, next %q; want %v and no token", limits, got, cursor, whole.Nodes)
 		}
 	}
+}
+
+// blockAfterHeader lets the stream header through and blocks the first
+// chunk write until release is closed, closing blocked as it does.
+type blockAfterHeader struct {
+	writes           int
+	blocked, release chan struct{}
+}
+
+func (w *blockAfterHeader) Write(p []byte) (int, error) {
+	if w.writes++; w.writes == 2 {
+		close(w.blocked)
+		<-w.release
+	}
+	return len(p), nil
+}
+
+// TestStalledStreamHoldsNoContext: a stream's cursor owns its answer, so
+// a reader stalled in the first chunk write holds no evaluation context
+// — an Eval of the same query made meanwhile is served warm from the
+// pool, not by a cold context.
+func TestStalledStreamHoldsNoContext(t *testing.T) {
+	s := newTestService(t, Options{})
+	req := Request{Doc: "d1", Query: "//a/b", Strategy: "optimized"}
+	if resp := s.Eval(req); resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	w := &blockAfterHeader{blocked: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan *Response)
+	go func() { done <- s.Stream(w, req, 1) }()
+	<-w.blocked
+	before := s.Stats().Pool
+	resp := s.Eval(req)
+	after := s.Stats().Pool
+	close(w.release)
+	if pre := <-done; pre != nil {
+		t.Fatalf("stream refused: %+v", pre)
+	}
+	if resp.Err != "" || resp.Count != 3 {
+		t.Fatalf("eval beside the stream: count %d, err %q", resp.Count, resp.Err)
+	}
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Errorf("eval beside a stalled stream: pool %+v -> %+v, want one warm checkout", before, after)
+	}
+	assertPoolSettled(t, s)
 }

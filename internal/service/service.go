@@ -385,16 +385,13 @@ func (s *Service) unpin(st *evalState, lease time.Time, redeem bool) {
 // contain is where a panic in one request stops, so that it costs that
 // request and nothing else: not the process, not the other members of
 // a /batch, not the generation the request pinned. Eval and Stream
-// defer it. It closes the cursor, drops the pin, logs the panic value
-// and stack at Error under the request id, writes the one flight
-// record, with outcome panic and the run the request got as far as,
-// and only then turns the response into a generic failure (HTTP 500);
-// finish also releases the pooled trace. A context the evaluator had
-// checked out when it panicked is not parked again: the GC takes it.
+// defer it. It drops the pin, logs the panic value and stack at Error
+// under the request id, writes the one flight record, with outcome
+// panic and the run the request got as far as, and only then turns the
+// response into a generic failure (HTTP 500); finish also releases the
+// pooled trace. A context the evaluator had checked out when it
+// panicked is not parked again: the GC takes it.
 func (s *Service) contain(st *evalState, req *Request, v any) {
-	if st.cur != nil {
-		st.cur.Close()
-	}
 	s.unpin(st, time.Time{}, false)
 	s.logger.LogAttrs(context.Background(), slog.LevelError, "query panicked",
 		slog.String("req_id", req.RequestID),
@@ -524,7 +521,7 @@ func (s *Service) settle(st *evalState, req *Request) {
 	aborted := resp.outcome == obsv.OutcomeAborted
 	if st.cur != nil {
 		var lease time.Time
-		if _, more := st.cur.Next(); more && st.sent > 0 && !aborted {
+		if st.cur.Remaining() > 0 && st.sent > 0 && !aborted {
 			resp.Next = encodeCursor(req.Doc, resp.Gen, st.last)
 			lease = time.Now().Add(s.cursorTTL)
 		}
@@ -552,21 +549,17 @@ func (s *Service) Eval(req Request) (out Response) {
 		s.deliver(&st, &req)
 		return st.resp
 	}
-	// Return the evaluation context to its pool even when the page
-	// limit leaves the cursor unexhausted — the next request for this
-	// query wants the warm context, not the GC.
-	defer st.cur.Close()
 	resp := &st.resp
 	sp := st.tr.Begin(obsv.SpanPage)
-	// The page is a copy, sized by what the cursor has left past the
-	// resume position: the cursor's answer lives in an evaluation arena
-	// that serves another run as soon as the cursor is closed.
-	n := st.cur.Remaining()
-	if req.Limit > 0 {
-		n = min(req.Limit, n)
+	// The page is a window of the cursor's answer, which the cursor owns.
+	n := req.Limit
+	if n <= 0 {
+		n = st.cur.Remaining()
 	}
-	nodes := make([]tree.NodeID, n)
-	nodes = nodes[:st.cur.NextBatch(nodes)]
+	nodes := st.cur.Take(n)
+	if nodes == nil {
+		nodes = []tree.NodeID{} // an empty page encodes as [], not null
+	}
 	if len(nodes) > 0 {
 		st.last = nodes[len(nodes)-1]
 	}

@@ -14,9 +14,11 @@ import (
 // node set, the answer is written as NDJSON — a header line, then
 // fixed-size chunk lines, then a trailer — with a flush after every
 // line so the first chunk reaches the client while the rest of the
-// answer is still being walked. Writes go straight to the connection,
+// answer is still being encoded. Writes go straight to the connection,
 // so a slow reader throttles the producer (backpressure) instead of
-// growing a buffer; peak memory is one chunk, not one answer.
+// growing a buffer. A chunk is a window of the answer the cursor owns,
+// so a slow reader holds that answer and nothing else: no chunk buffer,
+// no evaluation context.
 
 // DefaultStreamChunk is the nodes-per-chunk default for streams whose
 // creator did not choose a size.
@@ -88,9 +90,6 @@ func (s *Service) Stream(w io.Writer, req Request, chunkSize int) (pre *Response
 		s.deliver(&st, &req)
 		return &st.resp
 	}
-	// Recycle the evaluation context on every exit path, including
-	// client-gone truncations and limit-cut pages.
-	defer st.cur.Close()
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
@@ -131,20 +130,16 @@ func (s *Service) Stream(w io.Writer, req Request, chunkSize int) (pre *Response
 	if limit <= 0 {
 		limit = st.resp.Count
 	}
-	buf := make([]tree.NodeID, chunkSize)
 	for ok && st.sent < limit {
-		want := len(buf)
-		if rem := limit - st.sent; rem < want {
-			want = rem
-		}
-		n := st.cur.NextBatch(buf[:want])
+		nodes := st.cur.Take(min(chunkSize, limit-st.sent))
+		n := len(nodes)
 		if n == 0 {
 			break
 		}
-		chunk := StreamChunk{Nodes: buf[:n]}
+		chunk := StreamChunk{Nodes: nodes}
 		if req.Paths {
 			chunk.Paths = make([]string, n)
-			for i, v := range buf[:n] {
+			for i, v := range nodes {
 				chunk.Paths[i] = st.h.Doc.Path(v)
 			}
 		}
@@ -161,7 +156,7 @@ func (s *Service) Stream(w io.Writer, req Request, chunkSize int) (pre *Response
 		}
 		st.sent += n
 		st.tally.chunks++
-		st.last = buf[n-1]
+		st.last = nodes[n-1]
 	}
 	st.tr.End(spStream)
 	// The request settles before the trailer goes out, which carries the

@@ -34,10 +34,10 @@ func (a *STA) EvalBottomUpDet(d *tree.Document) Result {
 	for v := n - 1; v >= 0; v-- {
 		node := tree.NodeID(v)
 		ql, qr := q0, q0
-		if c := d.BinaryLeft(node); c != tree.Nil {
+		if c := d.FirstChild(node); c != tree.Nil {
 			ql = run[c]
 		}
-		if c := d.BinaryRight(node); c != tree.Nil {
+		if c := d.NextSibling(node); c != tree.Nil {
 			qr = run[c]
 		}
 		q, ok := a.SourceDet(ql, qr, d.Label(node))
@@ -88,11 +88,11 @@ func (a *STA) LeafReduction(d *tree.Document) (Run, bool) {
 	binSide := make([]int8, n)
 	binParent[0] = tree.Nil
 	for v := tree.NodeID(0); int(v) < n; v++ {
-		if c := d.BinaryLeft(v); c != tree.Nil {
+		if c := d.FirstChild(v); c != tree.Nil {
 			binParent[c] = v
 			binSide[c] = 1
 		}
-		if c := d.BinaryRight(v); c != tree.Nil {
+		if c := d.NextSibling(v); c != tree.Nil {
 			binParent[c] = v
 			binSide[c] = 2
 		}
@@ -125,7 +125,7 @@ func (a *STA) LeafReduction(d *tree.Document) (Run, bool) {
 	// Emit the # leaves in binary preorder, reducing eagerly after each.
 	var walk func(v tree.NodeID) bool
 	walk = func(v tree.NodeID) bool {
-		if l := d.BinaryLeft(v); l != tree.Nil {
+		if l := d.FirstChild(v); l != tree.Nil {
 			if !walk(l) {
 				return false
 			}
@@ -135,7 +135,7 @@ func (a *STA) LeafReduction(d *tree.Document) (Run, bool) {
 				return false
 			}
 		}
-		if r := d.BinaryRight(v); r != tree.Nil {
+		if r := d.NextSibling(v); r != tree.Nil {
 			if !walk(r) {
 				return false
 			}
@@ -187,10 +187,10 @@ func (a *STA) RelevantBottomUp(d *tree.Document, run Run) []tree.NodeID {
 			continue
 		}
 		ql, qr := q0, q0
-		if c := d.BinaryLeft(v); c != tree.Nil {
+		if c := d.FirstChild(v); c != tree.Nil {
 			ql = run[c]
 		}
-		if c := d.BinaryRight(v); c != tree.Nil {
+		if c := d.NextSibling(v); c != tree.Nil {
 			qr = run[c]
 		}
 		switch {
@@ -282,7 +282,7 @@ func (a *STA) EvalBottomUpJump(d *tree.Document, cur *index.Cursors) Result {
 				stack = stack[:len(stack)-1]
 				continue
 			}
-			for _, c := range []tree.NodeID{d.BinaryRight(f.v), d.BinaryLeft(f.v)} {
+			for _, c := range []tree.NodeID{d.NextSibling(f.v), d.FirstChild(f.v)} {
 				if c != tree.Nil {
 					stack = append(stack, frame{v: c})
 				}
@@ -291,7 +291,7 @@ func (a *STA) EvalBottomUpJump(d *tree.Document, cur *index.Cursors) Result {
 		}
 		v := f.v
 		stack = stack[:len(stack)-1]
-		q, ok := a.SourceDet(state(d.BinaryLeft(v)), state(d.BinaryRight(v)), d.Label(v))
+		q, ok := a.SourceDet(state(d.FirstChild(v)), state(d.NextSibling(v)), d.Label(v))
 		if !ok {
 			return Result{Run: make(Run, 0), Work: res.Work}
 		}

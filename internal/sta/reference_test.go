@@ -33,8 +33,8 @@ func (a *STA) Possible(d *tree.Document) stateSets {
 	for v := n - 1; v >= 0; v-- {
 		node := tree.NodeID(v)
 		l := d.Label(node)
-		left := d.BinaryLeft(node)
-		right := d.BinaryRight(node)
+		left := d.FirstChild(node)
+		right := d.NextSibling(node)
 		for _, t := range a.Trans {
 			if poss[v][t.From] || !t.Guard.Contains(l) {
 				continue
@@ -77,8 +77,8 @@ func (a *STA) Eval(d *tree.Document) Result {
 	for v := 0; v < n; v++ {
 		node := tree.NodeID(v)
 		l := d.Label(node)
-		left := d.BinaryLeft(node)
-		right := d.BinaryRight(node)
+		left := d.FirstChild(node)
+		right := d.NextSibling(node)
 		selected := false
 		for _, t := range a.Trans {
 			if !acc[v][t.From] || !t.Guard.Contains(l) {

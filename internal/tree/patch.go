@@ -97,10 +97,6 @@ type Delta struct {
 	Frag *Document
 }
 
-// NewIDs reports the node-count of the patched document given the old
-// count.
-func (dl *Delta) NewIDs(oldN int) int { return oldN + dl.Inserted - dl.Removed }
-
 // fragRoot validates a patch fragment and returns its single element
 // child (always node 1: the first child of the #doc root in preorder).
 func fragRoot(frag *Document) (NodeID, error) {

@@ -288,8 +288,8 @@ func TestPatchPropertyVsRebuild(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: %v (patch %+v)", step, err, pt)
 				}
-				if got := dl.NewIDs(doc.NumNodes()); got != next.NumNodes() {
-					t.Fatalf("step %d: delta NewIDs = %d, want %d", step, got, next.NumNodes())
+				if got := doc.NumNodes() + dl.Inserted - dl.Removed; got != next.NumNodes() {
+					t.Fatalf("step %d: delta says %d nodes, want %d", step, got, next.NumNodes())
 				}
 				roots = applyOracle(roots, pt, fragOracle)
 				want := buildMutable(roots)

@@ -201,8 +201,7 @@ func requireEqualsReference(t *testing.T, what string, got *Document, want *refD
 		if depth < 1024 || v%64 == 0 {
 			depth = got.Depth(v)
 		}
-		if got.FirstChild(v) != want.firstChild[v] || got.BinaryLeft(v) != want.firstChild[v] ||
-			got.NextSibling(v) != want.nextSibling[v] || got.BinaryRight(v) != want.nextSibling[v] ||
+		if got.FirstChild(v) != want.firstChild[v] || got.NextSibling(v) != want.nextSibling[v] ||
 			depth != int(want.depth[v]) || got.BinEnd(v) != binEnd {
 			t.Fatalf("%s node %d: derived (fc=%d ns=%d depth=%d binEnd=%d), reference (fc=%d ns=%d depth=%d binEnd=%d)",
 				what, v, got.FirstChild(v), got.NextSibling(v), depth, got.BinEnd(v),

@@ -470,17 +470,6 @@ func (d *Document) SubtreeSize(v NodeID) int {
 	return int(d.LastDesc(v)-v) + 1
 }
 
-// --- Binary-tree (first-child/next-sibling) view, §2 of the paper. ---
-// Left child of v is FirstChild(v); right child is NextSibling(v); the
-// binary leaf "#" is Nil. The binary tree of a document rooted at node 0
-// has exactly the document's nodes as internal binary nodes.
-
-// BinaryLeft returns the left child of v in the fcns encoding.
-func (d *Document) BinaryLeft(v NodeID) NodeID { return d.FirstChild(v) }
-
-// BinaryRight returns the right child of v in the fcns encoding.
-func (d *Document) BinaryRight(v NodeID) NodeID { return d.NextSibling(v) }
-
 // WriteXML serializes the subtree rooted at v (or the whole document if v
 // is the synthetic root) back to XML-ish text; used for round-trip tests
 // and debugging. Text is emitted raw with minimal escaping; the leading

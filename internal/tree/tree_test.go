@@ -341,8 +341,8 @@ func TestRandomTreesMatchReference(t *testing.T) {
 	}
 }
 
-// Property: binary-tree view is the fcns encoding: BinaryLeft==FirstChild,
-// BinaryRight==NextSibling, and the binary tree spans all nodes.
+// Property: the binary-tree view of §2 — FirstChild as the left child,
+// NextSibling as the right — spans all nodes, each once.
 func TestBinaryViewSpansAllNodes(t *testing.T) {
 	d := tgen.Random(13, tgen.Config{MaxNodes: 400, TextProb: 0.1})
 	seen := make(map[tree.NodeID]bool)
@@ -355,8 +355,8 @@ func TestBinaryViewSpansAllNodes(t *testing.T) {
 			t.Fatalf("node %d visited twice in binary walk", v)
 		}
 		seen[v] = true
-		walk(d.BinaryLeft(v))
-		walk(d.BinaryRight(v))
+		walk(d.FirstChild(v))
+		walk(d.NextSibling(v))
 	}
 	walk(d.Root())
 	if len(seen) != d.NumNodes() {

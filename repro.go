@@ -48,8 +48,8 @@ type Engine = core.Engine
 type Answer = core.Answer
 
 // Cursor is a resumable, preorder-sorted view of one answer, returned
-// by Engine.EvalCursor; large answers can be consumed in bounded
-// memory with Next/NextBatch instead of materializing Answer.Nodes.
+// by Engine.EvalCursor; an answer can be read page by page with
+// Next, NextBatch or Take, and resumed with SeekPast.
 type Cursor = core.Cursor
 
 // Strategy selects how a query is executed; see the constants.

@@ -3,12 +3,14 @@
 # that differ only in their last name element (the variant), folds
 # repeated rows of one variant, and fails when the geomean over pairs of
 # numerator/denominator ns/op exceeds the limit. One pair makes the
-# geomean a plain ratio.
+# geomean a plain ratio. After the geomean it prints the five pairs with
+# the largest ratio, so a failing run names the rows that tripped it.
 #
 #   go test -run '^$' -bench B ... | awk -f scripts/benchgate.awk \
 #       -v num=VARIANT -v den=VARIANT -v limit=R [-v fold=min|median] [-v allocs=N]
 #
-#   num, den  variant names (last "/" element, GOMAXPROCS suffix stripped)
+#   num, den  variant names (last "/" element, GOMAXPROCS suffix and the
+#             #NN Go gives a repeated sub-benchmark name stripped)
 #   limit     largest passing geomean of num/den
 #   fold      "min" keeps the fastest of repeated rows (-count N),
 #             "median" their median; the default keeps the last
@@ -21,6 +23,7 @@
 $4 == "ns/op" && $1 ~ /^Benchmark/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)
+	sub(/#[0-9]+$/, "", name)
 	if (name ~ ("/" num "$")) arm = "num"
 	else if (name ~ ("/" den "$")) arm = "den"
 	else next
@@ -47,8 +50,9 @@ END {
 		}
 	for (name in names)
 		if (("num", name) in best && ("den", name) in best && best["num", name] > 0 && best["den", name] > 0) {
-			pairs++
-			sum += log(best["num", name] / best["den", name])
+			ratio[++pairs] = best["num", name] / best["den", name]
+			row[pairs] = name
+			sum += log(ratio[pairs])
 		}
 	if (pairs == 0) { print "no " num "/" den " pairs matched — gate is vacuous"; exit 1 }
 	if (allocs != "" && checked == 0) { print "no allocs/op columns (run with -benchmem) — alloc ceiling is vacuous"; exit 1 }
@@ -56,6 +60,13 @@ END {
 	printf "geomean %s/%s ns/op over %d pair(s): %.4f (limit %s)\n", num, den, pairs, g, limit
 	# A NaN or infinite geomean (a row read at +Inf ns/op) compares as
 	# within the limit in mawk: it fails by its printed form.
+	for (k = 1; k <= 5 && k <= pairs; k++) {
+		top = k
+		for (i = k + 1; i <= pairs; i++) if (ratio[i] > ratio[top]) top = i
+		t = ratio[k]; ratio[k] = ratio[top]; ratio[top] = t
+		t = row[k]; row[k] = row[top]; row[top] = t
+		printf "  %.4f %s\n", ratio[k], row[k]
+	}
 	if (g > limit + 0 || tolower(g "") ~ /nan|inf/) { print "gate exceeded"; bad = 1 }
 	exit bad + 0
 }
