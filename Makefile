@@ -85,19 +85,8 @@ gate-auto:
 # publish) must beat rebuilding the document from XML. The limit bounds
 # the patch's absolute cost, with the reload as the yardstick: it was
 # 0.25 when a reload took 23.9 ms; the byte-level XML kernel brought the
-# reload to 9.0 ms with the patch path untouched (2.4 -> 2.7 ms, noise),
-# so the same bound is 0.25 x 23.9 / 9.0 = 0.67. The two-array document
-# made both sides cheaper, the patch by more (1.4 ms against 7-8 ms), and
-# the 16-bit labels and per-text-node offsets the patch again (1.3 ms,
-# 0.48 MB less to copy), and the 16-bit relative up and size arrays once
-# more (0.9 ms: 0.43 MB less, and the suffix is copied, not rewritten),
-# and the 16-bit halves of occurrences, text ranks and text offsets once
-# more (0.64 ms against 0.81 in pairs: 0.3 MB less, one array per index
-# instead of one per label, suffixes shifted chunk by chunk), and labels
-# and size in a byte each once more (0.45 ms against 0.63: 0.2 MB less),
-# and dropping the balanced-parentheses splice once more (0.36 ms
-# against 0.48, both arms no longer building the view);
-# the limit stayed where it was. BENCH_mvcc.json pins ~0.06; tripping the
+# reload to 9.0 ms with the patch path untouched, so the same bound is
+# 0.25 x 23.9 / 9.0 = 0.67. BENCH_mvcc.json pins ~0.06; tripping the
 # limit means an accidental O(doc) rebuild in the patch path, not noise.
 gate-mvcc:
 	$(GO) test -run '^$$' -bench 'BenchmarkPatchVsReload' -benchtime 20x -benchmem ./internal/store/ \
@@ -107,14 +96,10 @@ gate-mvcc:
 # and indexing the same document — the entire value of the resident
 # format. The limit bounds the open's absolute cost, with the parse as
 # the yardstick: it was 0.05 when parse + index took 17.3 ms; the
-# byte-level XML kernel brought that to 6.9 ms with the open untouched
-# (0.33 -> 0.39 ms, noise), so the same bound is 0.05 x 17.3 / 6.9 =
-# 0.13. BENCH_mmap.json pins ~0.016 (0.11 ms with the checksums inline
-# and the label names in one heap copy: 0.13 -> 0.11 ms medians over six
-# alternating runs; XQO2 version 8 took 0.14 to 0.12, checksumming four
-# sections fewer than version 7 and reassembling no balanced-parentheses
-# view; version 7 took 0.17 to 0.16, version 6 0.22 to 0.19);
-# min of three runs filters one-off page-cache or scheduler hiccups.
+# byte-level XML kernel brought that to 6.9 ms with the open untouched,
+# so the same bound is 0.05 x 17.3 / 6.9 = 0.13. BENCH_mmap.json pins
+# ~0.016; min of three runs filters one-off page-cache or scheduler
+# hiccups.
 gate-mmap:
 	$(GO) test -run '^$$' -bench 'BenchmarkMmapOpenVsParse' -benchtime 20x -count 3 ./internal/store/ \
 		| $(GATE) -v num=mmap-open -v den=parse -v limit=0.13 -v fold=min

@@ -60,6 +60,8 @@ var allModes = []struct {
 	{"memo", asta.Options{Memo: true}},
 	{"opt", asta.Options{Jump: true, Memo: true}},
 	{"naive+ip", asta.Options{InfoProp: true}},
+	{"jump+ip", asta.Options{Jump: true, InfoProp: true}},
+	{"memo+ip", asta.Options{Memo: true, InfoProp: true}},
 	{"opt+ip", asta.Options{Jump: true, Memo: true, InfoProp: true}},
 }
 

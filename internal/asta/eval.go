@@ -86,10 +86,10 @@ func (a *ASTA) EvalCtx(c *Context, d *tree.Document, ix *index.Index, opt Option
 
 // transInfo is the memoized outcome of Line 3 of Algorithm 4.1: the
 // active transitions for (r, label) and the child state sets r1, r2
-// (their interned ids when memoizing). In memo mode rows live in the
-// Context's tiStore under dense ids; the eval_trans recipes and r2
-// restrictions are keyed by that id in the Context-level open tables,
-// so a transInfo itself carries no per-row maps.
+// (their interned ids when memoizing or jumping). In memo mode rows
+// live in the Context's tiStore under dense ids; the eval_trans recipes
+// and r2 restrictions are keyed by that id in the Context-level open
+// tables, so a transInfo itself carries no per-row maps.
 type transInfo struct {
 	trans      []int32
 	r1, r2     StateSet
@@ -142,8 +142,9 @@ type evaluator struct {
 	d   *tree.Document
 
 	// Memo structures: state sets are interned to dense ids via an
-	// open-addressed table; per-set rows are label-indexed slices of
-	// transInfo ids for constant-time transition lookup.
+	// open-addressed table (when memoizing or jumping); per-set rows are
+	// label-indexed slices of transInfo ids for constant-time transition
+	// lookup (memoizing), and jumps the per-set jump analyses (jumping).
 	setTab    openTable[StateSet, int32]
 	sets      []StateSet
 	rows      [][]int32
@@ -165,10 +166,6 @@ type evaluator struct {
 	arena cellArena
 	cur   *index.Cursors
 	work  obsv.Work
-
-	// Non-memo fallback cache of jump analyses (tiny: one per distinct
-	// descent set).
-	jumpCache map[StateSet]jumpInfo
 
 	// Reusable scratch buffers (valid only within one call frame).
 	transBuf  []int32
@@ -197,10 +194,11 @@ func (e *evaluator) rebind(a *ASTA, opt Options, numLabels int) {
 	e.opsA.reset()
 	e.opsA.chunkSize = opChunk
 	e.recipes = e.recipes[:0]
-	e.jumpCache = nil
 	e.numLabels = 0
-	if opt.Memo {
+	if opt.Memo || opt.Jump {
 		e.setTab.clear()
+	}
+	if opt.Memo {
 		e.recTab.clear()
 		if opt.InfoProp {
 			e.r2Tab.clear()
@@ -243,9 +241,9 @@ func (e *evaluator) detach() {
 }
 
 // internSet returns the dense id of a state set, registering it on first
-// sight. Only used in memo mode; returns -1 otherwise.
+// sight, when memoizing or jumping; -1 otherwise.
 func (e *evaluator) internSet(r StateSet) int32 {
-	if !e.opt.Memo {
+	if !e.opt.Memo && !e.opt.Jump {
 		return -1
 	}
 	if id, ok := e.setTab.get(r); ok {
@@ -261,12 +259,13 @@ func (e *evaluator) internSet(r StateSet) int32 {
 }
 
 // eval is Algorithm 4.1 proper: evaluate node v under the incoming state
-// set r (with interned id rID in memo mode, else -1), filling out —
-// passed down instead of returned so the (large) result sets are not
-// copied through every stack frame. end is the end of v's binary subtree
-// (tree.Document.BinEnd), which the recursion carries instead of asking
-// the document per node: the left child's is where v's own subtree ends,
-// the right sibling exists if that is short of end, and shares it.
+// set r (with interned id rID when memoizing or jumping, else -1),
+// filling out — passed down instead of returned so the (large) result
+// sets are not copied through every stack frame. end is the end of v's
+// binary subtree (tree.Document.BinEnd), which the recursion carries
+// instead of asking the document per node: the left child's is where
+// v's own subtree ends, the right sibling exists if that is short of
+// end, and shares it.
 func (e *evaluator) eval(v, end tree.NodeID, r StateSet, rID int32, out *RSet) {
 	e.work.Visited++
 	l := e.d.Label(v)
@@ -419,9 +418,9 @@ func (e *evaluator) newRow(n int) []int32 {
 
 // computeTransFor evaluates Line 3 from scratch for one label, paying
 // the |Q| factor — the naive cost model. With memo set the row is
-// stored in the tiStore with its trans slice in the arena and the child
-// sets interned; without it the row is transient (heap, GC'd with the
-// evaluation).
+// stored in the tiStore with its trans slice in the arena; without it
+// the row is transient (heap, GC'd with the evaluation). Either way the
+// child sets are interned (internSet).
 func (e *evaluator) computeTransFor(r StateSet, l tree.LabelID, memo bool) *transInfo {
 	var ti *transInfo
 	if memo {
@@ -447,11 +446,11 @@ func (e *evaluator) computeTransFor(r StateSet, l tree.LabelID, memo bool) *tran
 	e.transBuf = buf
 	if memo {
 		ti.trans = e.i32s.copyOf(buf)
-		ti.r1ID = e.internSet(ti.r1)
-		ti.r2ID = e.internSet(ti.r2)
 	} else {
 		ti.trans = append([]int32(nil), buf...)
 	}
+	ti.r1ID = e.internSet(ti.r1)
+	ti.r2ID = e.internSet(ti.r2)
 	return ti
 }
 
@@ -472,7 +471,8 @@ func (e *evaluator) lookupR2(ti *transInfo, sat1 StateSet) (StateSet, int32) {
 		e.work.MemoEntries++
 		return ent.r2, ent.r2ID
 	}
-	return e.computeR2(ti, sat1), -1
+	r2 := e.computeR2(ti, sat1)
+	return r2, e.internSet(r2)
 }
 
 func (e *evaluator) computeR2(ti *transInfo, sat1 StateSet) StateSet {

@@ -100,27 +100,14 @@ func (e *evaluator) initPureSets() {
 	}
 }
 
-// lookupJump returns the cached set-level analysis for the tda state r:
-// dense by interned id in memo mode, a small map otherwise.
+// lookupJump returns the set-level analysis for the tda state r, cached
+// dense by its interned id rID: every jumping mode interns sets.
 func (e *evaluator) lookupJump(r StateSet, rID int32) jumpInfo {
-	if rID >= 0 {
-		if e.jumpsDone[rID] {
-			return e.jumps[rID]
-		}
-		ji := e.analyzeSet(r)
-		e.jumps[rID] = ji
+	if !e.jumpsDone[rID] {
+		e.jumps[rID] = e.analyzeSet(r)
 		e.jumpsDone[rID] = true
-		return ji
 	}
-	if e.jumpCache == nil {
-		e.jumpCache = make(map[StateSet]jumpInfo, 8)
-	}
-	if ji, ok := e.jumpCache[r]; ok {
-		return ji
-	}
-	ji := e.analyzeSet(r)
-	e.jumpCache[r] = ji
-	return ji
+	return e.jumps[rID]
 }
 
 // analyzeSet intersects the per-state pure label sets over S and picks a

@@ -68,11 +68,10 @@ func TestAnalyzeSetFigure1(t *testing.T) {
 	aut := exampleASTA(t, a, b, c)
 	e := &evaluator{a: aut}
 	e.initPureSets()
-	e.jumpCache = make(map[StateSet]jumpInfo)
 
 	// {q0}: jump to top-most a's (Figure 1: "if the destination state
 	// for a subtree is {q0} the automaton can jump to the top-most a").
-	ji := e.lookupJump(StateSet(0).With(0), -1)
+	ji := e.analyzeSet(StateSet(0).With(0))
 	if ji.kind != jumpTopMost {
 		t.Fatalf("{q0} kind = %v", ji.kind)
 	}
@@ -81,7 +80,7 @@ func TestAnalyzeSetFigure1(t *testing.T) {
 	}
 
 	// {q0,q1}: jump to top-most a's and b's.
-	ji = e.lookupJump(StateSet(0).With(0).With(1), -1)
+	ji = e.analyzeSet(StateSet(0).With(0).With(1))
 	if ji.kind != jumpTopMost {
 		t.Fatalf("{q0,q1} kind = %v", ji.kind)
 	}
@@ -90,7 +89,7 @@ func TestAnalyzeSetFigure1(t *testing.T) {
 	}
 
 	// {q2} alone: a following-sibling scan for c (rt jump).
-	ji = e.lookupJump(StateSet(0).With(2), -1)
+	ji = e.analyzeSet(StateSet(0).With(2))
 	if ji.kind != jumpRightPath {
 		t.Fatalf("{q2} kind = %v", ji.kind)
 	}
@@ -100,7 +99,7 @@ func TestAnalyzeSetFigure1(t *testing.T) {
 
 	// {q0,q1,q2}: mixed loop shapes — no jump ("no jump is possible,
 	// the automaton must perform a firstChild or nextSibling move").
-	ji = e.lookupJump(StateSet(0).With(0).With(1).With(2), -1)
+	ji = e.analyzeSet(StateSet(0).With(0).With(1).With(2))
 	if ji.kind != jumpNone {
 		t.Errorf("{q0,q1,q2} kind = %v, want none", ji.kind)
 	}

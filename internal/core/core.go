@@ -59,23 +59,22 @@ const (
 )
 
 // strategies declares each strategy once, indexed by Strategy: its
-// wire name (String, ParseStrategy), the annotation of the run span
-// that times it (a constant, so annotating on the hot path allocates
-// nothing) and, for the four series of Figure 4, the ASTA evaluator's
-// options. Information propagation is always on in the paper's engine
-// (§4.4's one-witness rule); the series vary jumping and memoization.
+// wire name (String, ParseStrategy) and, for the four series of Figure
+// 4, the ASTA evaluator's options. Information propagation is always on
+// in the paper's engine (§4.4's one-witness rule); the series vary
+// jumping and memoization.
 var strategies = [...]struct {
-	name, runSpan string
-	asta          asta.Options
+	name string
+	asta asta.Options
 }{
 	Auto:       {name: "auto"},
-	Naive:      {"naive", "strategy=naive outcome=ok", asta.Options{}},
-	Jumping:    {"jumping", "strategy=jumping outcome=ok", asta.Options{Jump: true, InfoProp: true}},
-	Memoized:   {"memoized", "strategy=memoized outcome=ok", asta.Options{Memo: true, InfoProp: true}},
-	Optimized:  {"optimized", "strategy=optimized outcome=ok", asta.Opt()},
-	Hybrid:     {name: "hybrid", runSpan: "strategy=hybrid outcome=ok"},
-	TopDownDet: {name: "topdown-det", runSpan: "strategy=topdown-det outcome=ok"},
-	Stepwise:   {name: "stepwise", runSpan: "strategy=stepwise outcome=ok"},
+	Naive:      {"naive", asta.Options{}},
+	Jumping:    {"jumping", asta.Options{Jump: true, InfoProp: true}},
+	Memoized:   {"memoized", asta.Options{Memo: true, InfoProp: true}},
+	Optimized:  {"optimized", asta.Opt()},
+	Hybrid:     {name: "hybrid"},
+	TopDownDet: {name: "topdown-det"},
+	Stepwise:   {name: "stepwise"},
 }
 
 func (s Strategy) String() string {

@@ -166,27 +166,17 @@ func (e *Engine) evalCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Tr
 	return nil, fmt.Errorf("core: unknown strategy %v", s)
 }
 
-// ran is the tail every engine path shares: it ends the run span sp,
-// annotates it with the strategy that ran, and hands back c, the
-// cursor over the run's answer and work.
-func ran(tr *obsv.Trace, sp int8, c *Cursor) *Cursor {
-	tr.End(sp)
-	tr.Annotate(sp, strategies[c.strategy].runSpan)
-	return c
-}
-
 // hybridCursor runs the start-anywhere engine; a query outside its chain
 // fragment is refused (hybrid.ErrUnsupported), which only a forced
 // Hybrid can ask for.
 func (e *Engine) hybridCursor(p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
 	sp := tr.Begin(obsv.SpanRun)
 	res, err := hybrid.Eval(e.doc, e.ix, p)
+	tr.End(sp)
 	if err != nil {
-		tr.End(sp)
-		tr.Annotate(sp, "strategy=hybrid outcome=failed")
 		return nil, err
 	}
-	return ran(tr, sp, newCursor(res.Selected, Hybrid, res.Work)), nil
+	return newCursor(res.Selected, Hybrid, res.Work), nil
 }
 
 // stepwiseCursor runs the step-wise baseline (it cannot fail: the
@@ -194,7 +184,8 @@ func (e *Engine) hybridCursor(p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
 func (e *Engine) stepwiseCursor(p *xpath.Path, tr *obsv.Trace) *Cursor {
 	sp := tr.Begin(obsv.SpanRun)
 	res := stepwise.Eval(e.doc, p, stepwise.Default())
-	return ran(tr, sp, newCursor(res.Selected, Stepwise, res.Work))
+	tr.End(sp)
+	return newCursor(res.Selected, Stepwise, res.Work)
 }
 
 // lookup returns the query's compiled entry and whether the cache held
@@ -245,7 +236,8 @@ func (e *Engine) tdstaCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Curs
 	cur := e.pool.takeCursors(e.ix)
 	res := cv.det.EvalTopDownJump(e.doc, cur, nil)
 	e.pool.parkCursors(cur)
-	c := ran(tr, sp, newCursor(res.Selected, TopDownDet, res.Work))
+	tr.End(sp)
+	c := newCursor(res.Selected, TopDownDet, res.Work)
 	c.run.QCacheHit = hit
 	return c, nil
 }
@@ -266,14 +258,15 @@ func (e *Engine) astaCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Tr
 	res := cv.aut.EvalCtx(ctx, e.doc, e.ix, opt)
 	nodes := slices.Clone(res.Selected)
 	cv.release(opt, ctx)
-	c := ran(tr, sp, newCursor(nodes, s, res.Work))
+	tr.End(sp)
+	c := newCursor(nodes, s, res.Work)
 	c.run.CtxPoolHit, c.run.QCacheHit = warm, hit
 	return c, nil
 }
 
-// Auto's reasons, one per route. The select span, the explain profile
-// and the flight record carry them; constants, so attaching one
-// allocates nothing.
+// Auto's reasons, one per route. The explain profile's counters and the
+// flight record carry them; constants, so attaching one allocates
+// nothing.
 const (
 	// ReasonChain: hybrid.CheckChain accepts the query, an absolute
 	// chain of child and descendant name tests. It runs on Hybrid.
@@ -324,7 +317,6 @@ func (e *Engine) autoCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Curso
 	c.run.AutoReason = reason
 	if tr != nil {
 		c.autoShape = p.String()
-		tr.Annotate(sp, "auto shape="+c.autoShape+" route="+c.strategy.String()+" reason="+reason)
 	}
 	return c, nil
 }

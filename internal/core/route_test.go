@@ -155,87 +155,62 @@ func collectSpans(spans []obsv.Span, into *[]obsv.Span) {
 	}
 }
 
-// TestExplainRunSpanAnnotations is the anonymous-run-span golden test:
-// the profile of an Auto evaluation carries exactly one run span, naming
-// the engine Auto routed to and its outcome, plus a select span with the
-// shape, the route and the reason.
-func TestExplainRunSpanAnnotations(t *testing.T) {
+// TestExplainRunSpanAndCounters: the profile of an evaluation carries
+// exactly one run span, and an Auto one a select span before it; spans
+// carry a name and a time, and what ran and why is the cursor's Run —
+// the profile's counters. A refused forced engine still times its run
+// span, and its error says why.
+func TestExplainRunSpanAndCounters(t *testing.T) {
 	eng := New(selDoc(t))
-	tr := obsv.NewTrace()
-	defer obsv.ReleaseTrace(tr)
-	root := tr.Begin(obsv.SpanQuery)
-	cur, err := eng.EvalCursorTrace("/r/a/b", Auto, tr)
+	spans := func(q string, s Strategy) ([]obsv.Span, *Cursor, error) {
+		t.Helper()
+		tr := obsv.NewTrace()
+		defer obsv.ReleaseTrace(tr)
+		root := tr.Begin(obsv.SpanQuery)
+		cur, err := eng.EvalCursorTrace(q, s, tr)
+		tr.End(root)
+		var flat []obsv.Span
+		collectSpans(tr.Profile("rid", obsv.Counters{}).Spans, &flat)
+		return flat, cur, err
+	}
+	names := func(flat []obsv.Span) string {
+		var out []string
+		for _, s := range flat {
+			out = append(out, s.Name)
+		}
+		return strings.Join(out, " ")
+	}
+
+	flat, cur, err := spans("/r/a/b", Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur.Close()
-	tr.End(root)
-	p := tr.Profile("rid", obsv.Counters{})
-
-	var flat []obsv.Span
-	collectSpans(p.Spans, &flat)
-	var details []string
-	var selectDetail string
-	for _, s := range flat {
-		if s.Name == obsv.SpanRun {
-			details = append(details, s.Detail)
-		}
-		if s.Name == obsv.SpanSelect {
-			selectDetail = s.Detail
-		}
-	}
-	want := []string{"strategy=hybrid outcome=ok"}
-	if len(details) != len(want) {
-		t.Fatalf("run spans %q, want %q", details, want)
-	}
-	for i := range want {
-		if details[i] != want[i] {
-			t.Fatalf("run span %d detail = %q, want %q", i, details[i], want[i])
-		}
+	if got, want := names(flat), "query parse select run"; got != want {
+		t.Fatalf("auto spans %q, want %q", got, want)
 	}
 	// The shape is the canonical (axis-explicit) skeleton, not the raw
 	// query spelling.
-	if want := "auto shape=/child::r/child::a/child::b route=hybrid reason=" + ReasonChain; selectDetail != want {
-		t.Fatalf("select span detail %q, want %q", selectDetail, want)
-	}
-	if cur.AutoShape() != "/child::r/child::a/child::b" {
-		t.Fatalf("cursor shape %q", cur.AutoShape())
+	if run := cur.Run(); run.Strategy != "hybrid" || run.AutoReason != ReasonChain || cur.AutoShape() != "/child::r/child::a/child::b" {
+		t.Fatalf("auto run %+v shape %q", run, cur.AutoShape())
 	}
 
-	// Forced strategies annotate their run spans too, a refused one
-	// included.
-	tr1 := obsv.NewTrace()
-	defer obsv.ReleaseTrace(tr1)
-	root = tr1.Begin(obsv.SpanQuery)
-	if _, err := eng.EvalCursorTrace("/r/a[b]", Hybrid, tr1); !errors.Is(err, hybrid.ErrUnsupported) {
+	flat, _, err = spans("/r/a[b]", Hybrid)
+	if !errors.Is(err, hybrid.ErrUnsupported) {
 		t.Fatalf("forced Hybrid on a predicate: %v, want hybrid.ErrUnsupported", err)
 	}
-	tr1.End(root)
-	flat = flat[:0]
-	collectSpans(tr1.Profile("rid1", obsv.Counters{}).Spans, &flat)
-	if len(flat) != 3 || flat[2].Name != obsv.SpanRun || flat[2].Detail != "strategy=hybrid outcome=failed" {
-		t.Fatalf("refused Hybrid run span not annotated: %+v", flat)
+	if got, want := names(flat), "query parse run"; got != want {
+		t.Fatalf("refused Hybrid spans %q, want %q", got, want)
 	}
 
-	tr2 := obsv.NewTrace()
-	defer obsv.ReleaseTrace(tr2)
-	root = tr2.Begin(obsv.SpanQuery)
-	cur, err = eng.EvalCursorTrace("/r/a/b", TopDownDet, tr2)
+	flat, cur, err = spans("/r/a/b", TopDownDet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur.Close()
-	tr2.End(root)
-	flat = flat[:0]
-	collectSpans(tr2.Profile("rid2", obsv.Counters{}).Spans, &flat)
-	found := false
-	for _, s := range flat {
-		if s.Name == obsv.SpanRun && s.Detail == "strategy=topdown-det outcome=ok" {
-			found = true
-		}
+	if got, want := names(flat), "query parse compile run"; got != want {
+		t.Fatalf("forced TDSTA spans %q, want %q", got, want)
 	}
-	if !found {
-		t.Fatalf("forced TDSTA run span not annotated: %+v", flat)
+	if run := cur.Run(); run.Strategy != "topdown-det" || run.AutoReason != "" || cur.AutoShape() != "" {
+		t.Fatalf("forced TDSTA run %+v shape %q", run, cur.AutoShape())
 	}
 }
 

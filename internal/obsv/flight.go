@@ -49,18 +49,17 @@ type Record struct {
 }
 
 // Flight is the always-on flight recorder: a fixed ring of the last N
-// query records plus cheap aggregate counters. Add is designed for the
-// hot path — one lock, one struct copy, the counters under the same
-// lock; snapshots pay the copying. All methods are safe for concurrent
-// use.
+// query records. It keeps records, not counts: how many queries were
+// slow or aborted is counted where every other query number is, in the
+// service's /stats. Add is designed for the hot path — one lock, one
+// struct copy; snapshots pay the copying. All methods are safe for
+// concurrent use.
 type Flight struct {
 	threshold time.Duration // slow-query threshold, fixed by NewFlight
 
-	mu      sync.Mutex
-	ring    []Record
-	next    uint64 // every admission, ever; next%len(ring) is the slot
-	slow    uint64
-	aborted uint64
+	mu   sync.Mutex
+	ring []Record
+	next uint64 // every admission, ever; next%len(ring) is the slot
 }
 
 // DefaultFlightRecords is the ring size when the creator does not
@@ -78,8 +77,8 @@ func NewFlight(n int, slow time.Duration) *Flight {
 }
 
 // Add admits a copy of r, stamping the copy's Seq and Slow flag, and
-// reports whether the query was slow (the caller decides whether to log
-// it); r itself is not written.
+// reports whether the query was slow (the caller counts and logs it);
+// r itself is not written.
 func (f *Flight) Add(r *Record) bool {
 	slow := f.threshold > 0 && r.ElapsedUS*1000 >= int64(f.threshold)
 	f.mu.Lock()
@@ -87,23 +86,15 @@ func (f *Flight) Add(r *Record) bool {
 	*slot = *r
 	slot.Seq, slot.Slow = f.next, slow
 	f.next++
-	if slow {
-		f.slow++
-	}
-	if r.Outcome == OutcomeAborted {
-		f.aborted++
-	}
 	f.mu.Unlock()
 	return slow
 }
 
 // FlightStats is the snapshot form served at /debug/queries.
 type FlightStats struct {
-	// Total/Slow/Aborted count every record ever admitted, not just
-	// those still resident in the ring.
+	// Total counts every record ever admitted, not just those still
+	// resident in the ring: the newest record's Seq plus one.
 	Total           uint64 `json:"total"`
-	Slow            uint64 `json:"slow"`
-	Aborted         uint64 `json:"aborted"`
 	SlowThresholdMS int64  `json:"slow_threshold_ms"`
 	Capacity        int    `json:"capacity"`
 	// Records is newest-first.
@@ -117,7 +108,7 @@ func (f *Flight) Snapshot(limit int, slowOnly bool) FlightStats {
 	out := FlightStats{SlowThresholdMS: f.threshold.Milliseconds()}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out.Total, out.Slow, out.Aborted, out.Capacity = f.next, f.slow, f.aborted, len(f.ring)
+	out.Total, out.Capacity = f.next, len(f.ring)
 	n := f.next
 	resident := n
 	if resident > uint64(len(f.ring)) {
@@ -135,13 +126,4 @@ func (f *Flight) Snapshot(limit int, slowOnly bool) FlightStats {
 		out.Records = append(out.Records, r)
 	}
 	return out
-}
-
-// Counts returns the lifetime admission counters (total, slow,
-// aborted), read under the ring's lock without copying a record; the
-// /metrics exporter reads these.
-func (f *Flight) Counts() (total, slow, aborted uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.next, f.slow, f.aborted
 }

@@ -66,7 +66,6 @@ func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
 	tr.Reset()
 	id := tr.Begin("x")
-	tr.Annotate(id, "d")
 	tr.End(id)
 	if id != -1 || tr.Profile("r", Counters{}) != nil {
 		t.Error("nil trace must be inert")
@@ -133,16 +132,12 @@ func TestFlightSlowThreshold(t *testing.T) {
 	if !f.Add(&Record{ElapsedUS: 5000}) {
 		t.Error("5ms not flagged slow at a 5ms threshold")
 	}
-	if !f.Add(&Record{ElapsedUS: 90000, Outcome: OutcomeAborted}) {
+	if !f.Add(&Record{ElapsedUS: 90000}) {
 		t.Error("90ms not flagged slow")
 	}
-	total, slow, aborted := f.Counts()
-	if total != 3 || slow != 2 || aborted != 1 {
-		t.Errorf("counts = %d/%d/%d, want 3/2/1", total, slow, aborted)
-	}
 	onlySlow := f.Snapshot(0, true)
-	if len(onlySlow.Records) != 2 {
-		t.Fatalf("slowOnly returned %d records", len(onlySlow.Records))
+	if onlySlow.Total != 3 || len(onlySlow.Records) != 2 {
+		t.Fatalf("slowOnly returned %d of %d records, want 2 of 3", len(onlySlow.Records), onlySlow.Total)
 	}
 	for _, r := range onlySlow.Records {
 		if !r.Slow {

@@ -48,13 +48,11 @@ const (
 // stays truncated-but-valid) rather than allocated.
 const maxSpans = 16
 
-// span is one recorded phase. start is relative to the trace origin.
-// detail is an optional annotation (Annotate): run spans carry the
-// strategy that ran and whether it succeeded, the select span carries
-// Auto's route.
+// span is one recorded phase: a name and a time. start is relative to
+// the trace origin. What ran, and why Auto chose it, is the profile's
+// Counters, not span text.
 type span struct {
 	name   string
-	detail string
 	parent int8
 	start  time.Duration
 	dur    time.Duration
@@ -160,17 +158,6 @@ func (tr *Trace) Begin(name string) int8 {
 	return id
 }
 
-// Annotate attaches a detail string to the span returned by Begin
-// (before or after End). The engine passes precomputed constants on the
-// hot path, so annotating allocates nothing; nil traces and overflowed
-// span ids are no-ops.
-func (tr *Trace) Annotate(id int8, detail string) {
-	if tr == nil || id < 0 || id >= tr.n {
-		return
-	}
-	tr.spans[id].detail = detail
-}
-
 // End closes the span returned by Begin. Ending out of order closes
 // the inner spans too (their durations stop with the outer one).
 func (tr *Trace) End(id int8) {
@@ -191,11 +178,7 @@ func (tr *Trace) End(id int8) {
 // microseconds (matching the service's elapsed_us convention); StartUS
 // is relative to the trace origin.
 type Span struct {
-	Name string `json:"name"`
-	// Detail disambiguates same-named spans: run spans carry
-	// "strategy=<name> outcome=ok|failed", the select span carries
-	// Auto's shape, route and reason.
-	Detail   string `json:"detail,omitempty"`
+	Name     string `json:"name"`
 	StartUS  int64  `json:"start_us"`
 	DurUS    int64  `json:"dur_us"`
 	Children []Span `json:"children,omitempty"`
@@ -233,7 +216,6 @@ func (tr *Trace) children(id int8) []Span {
 		}
 		out = append(out, Span{
 			Name:     s.name,
-			Detail:   s.detail,
 			StartUS:  s.start.Microseconds(),
 			DurUS:    s.dur.Microseconds(),
 			Children: tr.children(i),

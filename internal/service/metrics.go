@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"repro/internal/obsv"
 )
 
 // latencyBuckets are the histogram upper bounds in microseconds
@@ -42,28 +44,6 @@ func (c abortCause) String() string {
 	return "none"
 }
 
-// record counts one query whose engine ran: strategy names it.
-func (m *metrics) record(strategy string, elapsedUS int64, visited, selected int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	q := &m.qs
-	if q.ByStrategy == nil {
-		q.ByStrategy = make(map[string]uint64)
-		q.Latency = newLatencyHistogram()
-	}
-	q.Total++
-	q.VisitedNodes += uint64(visited)
-	q.SelectedNodes += uint64(selected)
-	q.ByStrategy[strategy]++
-	i := 0
-	for i < len(latencyBuckets) && elapsedUS > latencyBuckets[i] {
-		i++
-	}
-	q.Latency[i].Count++
-	q.LatencySumUS += elapsedUS
-	q.LatencyMaxUS = max(q.LatencyMaxUS, elapsedUS)
-}
-
 // streamTally is what one stream's body delivered: which write, if
 // any, the client abandoned, the chunk lines that went out, and the
 // latencies of the first byte and of the chunk writes
@@ -74,18 +54,48 @@ type streamTally struct {
 	firstByteUS, chunkSumUS, chunkMaxUS int64
 }
 
-// recordStream counts one stream whose header was written, by how it
-// ended, with the nodes it delivered. Completed and aborted streams both
-// count their chunks and nodes, but only completed streams feed the
-// first-byte/chunk-write latency aggregates: a broken pipe's stalled
-// final write measures the client's death, not the server's latency.
-func (m *metrics) recordStream(t streamTally, nodes int) {
+// record counts one finished request from its flight record r, the one
+// value the ring and the log line also read. A request whose engine ran
+// and whose answer went out, whole or until the client left, counts as
+// a query of its strategy; any other ending as an error. A streamed
+// query also counts its stream, t being what the body delivered:
+// completed and aborted streams both count their chunks and nodes, but
+// only completed streams feed the first-byte/chunk-write latency
+// aggregates — a broken pipe's stalled final write measures the
+// client's death, not the server's latency.
+func (m *metrics) record(r *obsv.Record, t *streamTally) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := &m.qs.Streaming
+	q := &m.qs
+	q.Total++
+	if r.Slow {
+		q.Slow++
+	}
+	if r.Outcome != obsv.OutcomeOK && r.Outcome != obsv.OutcomeAborted {
+		q.Errors++
+		return
+	}
+	if q.ByStrategy == nil {
+		q.ByStrategy = make(map[string]uint64)
+		q.Latency = newLatencyHistogram()
+	}
+	q.VisitedNodes += uint64(r.Visited)
+	q.SelectedNodes += uint64(r.Count)
+	q.ByStrategy[r.Strategy]++
+	i := 0
+	for i < len(latencyBuckets) && r.ElapsedUS > latencyBuckets[i] {
+		i++
+	}
+	q.Latency[i].Count++
+	q.LatencySumUS += r.ElapsedUS
+	q.LatencyMaxUS = max(q.LatencyMaxUS, r.ElapsedUS)
+	if !r.Streamed {
+		return
+	}
+	st := &q.Streaming
 	st.Streams++
 	st.Chunks += uint64(t.chunks)
-	st.Nodes += uint64(nodes)
+	st.Nodes += uint64(r.Sent)
 	switch t.abort {
 	case abortHeaderWrite:
 		st.Aborted++
@@ -103,13 +113,6 @@ func (m *metrics) recordStream(t streamTally, nodes int) {
 	}
 }
 
-func (m *metrics) recordError() {
-	m.mu.Lock()
-	m.qs.Errors++
-	m.qs.Total++
-	m.mu.Unlock()
-}
-
 // LatencyBucket is one histogram bin: count of queries with latency
 // <= LEMicros (the last bucket has LEMicros == 0, meaning +Inf).
 type LatencyBucket struct {
@@ -121,6 +124,9 @@ type LatencyBucket struct {
 type QueryStats struct {
 	Total  uint64 `json:"total"`
 	Errors uint64 `json:"errors"`
+	// Slow counts the requests, whatever their ending, at or above the
+	// slow-query threshold: the records the flight recorder flags.
+	Slow uint64 `json:"slow"`
 	// VisitedNodes sums the nodes touched across all successful runs.
 	VisitedNodes  uint64            `json:"visited_nodes"`
 	SelectedNodes uint64            `json:"selected_nodes"`

@@ -22,7 +22,9 @@ var familyNameRx = regexp.MustCompile(`^(xpqd|go)_[a-z0-9_]+$`)
 // names match familyNameRx (go_* is reserved for the runtime gauges)
 // and carry help text; counters end in _total and nothing else does;
 // a family is declared once; a row has exactly the one getter its type
-// and label call for.
+// and label call for; an xpqd_* family reads Stats — a live getter is a
+// second count beside /stats — except the uptime, which no Stats field
+// holds.
 func checkFamilies(fams []family) []error {
 	var errs []error
 	seen := map[string]bool{}
@@ -63,6 +65,9 @@ func checkFamilies(fams []family) []error {
 		if (f.hist != nil) != (f.typ == obsv.TypeHistogram) {
 			bad("must set hist exactly when it is a histogram")
 		}
+		if f.live != nil && strings.HasPrefix(f.name, "xpqd_") && f.name != "xpqd_uptime_seconds" {
+			bad("reads the service live; an xpqd_ family must read a Stats field")
+		}
 	}
 	return errs
 }
@@ -87,6 +92,7 @@ func TestCheckFamiliesBites(t *testing.T) {
 		{family{name: "xpqd_odd", typ: "summary", help: "Unknown type.", stat: one}, []string{"has unknown type"}},
 		{family{name: "xpqd_unlabelled_total", typ: counter, help: "Map without a label.", byLabel: func(*Stats) map[string]uint64 { return nil }}, []string{"must set label and byLabel together"}},
 		{family{name: "xpqd_flat_seconds", typ: obsv.TypeHistogram, help: "Histogram without bins.", stat: one}, []string{"must set hist exactly when"}},
+		{family{name: "xpqd_side_total", typ: counter, help: "Counted beside /stats.", live: func(*Service) (float64, bool) { return 1, true }}, []string{"must read a Stats field"}},
 	} {
 		errs := checkFamilies([]family{good, tc.row})
 		if len(errs) != len(tc.want) {

@@ -220,9 +220,7 @@ var promFamilies = map[string]string{
 	"xpqd_store_mapped_bytes":               "gauge",
 	"xpqd_documents":                        "gauge",
 	"xpqd_heap_alloc_objects_total":         "counter",
-	"xpqd_flight_queries_total":             "counter",
 	"xpqd_slow_queries_total":               "counter",
-	"xpqd_aborted_queries_total":            "counter",
 	"xpqd_uptime_seconds":                   "gauge",
 	"go_goroutines":                         "gauge",
 	"go_heap_objects_bytes":                 "gauge",
@@ -431,13 +429,24 @@ func TestFlightRecorderService(t *testing.T) {
 	}
 
 	fs := s.Flight().Snapshot(0, false)
-	if n := uint64(len(endings)); fs.Total != n || fs.Aborted != 1 || len(fs.Records) != len(endings) {
-		t.Fatalf("flight totals = %d total / %d aborted / %d resident, want %d / 1 / %d",
-			fs.Total, fs.Aborted, len(fs.Records), n, n)
+	if n := uint64(len(endings)); fs.Total != n || len(fs.Records) != len(endings) {
+		t.Fatalf("flight totals = %d total / %d resident, want %d / %d", fs.Total, len(fs.Records), n, n)
 	}
 	// ok-1 and aborted ran to delivery; every other ending is an error.
-	if q := s.Stats().Queries; q.Total != uint64(len(endings)) || q.Errors != uint64(len(endings)-2) {
-		t.Fatalf("queries = %d total / %d errors, want %d / %d", q.Total, q.Errors, len(endings), len(endings)-2)
+	// /stats counts as slow exactly the records the ring flags.
+	q := s.Stats().Queries
+	if q.Total != uint64(len(endings)) || q.Errors != uint64(len(endings)-2) || q.Streaming.Aborted != 1 {
+		t.Fatalf("queries = %d total / %d errors / %d aborted streams, want %d / %d / 1",
+			q.Total, q.Errors, q.Streaming.Aborted, len(endings), len(endings)-2)
+	}
+	flagged := uint64(0)
+	for _, r := range fs.Records {
+		if r.Slow {
+			flagged++
+		}
+	}
+	if q.Slow != flagged {
+		t.Fatalf("queries.slow = %d, the ring flags %d", q.Slow, flagged)
 	}
 	// Newest first.
 	for i := 1; i < len(fs.Records); i++ {

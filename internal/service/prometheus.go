@@ -37,7 +37,8 @@ type family struct {
 	// hist yields the histogram: the bins over latencyBuckets and their
 	// exact sum in microseconds.
 	hist func(*Stats) ([]LatencyBucket, int64)
-	// live reads a number /stats does not serve; false omits the family.
+	// live reads a number no Stats field holds — the uptime and the Go
+	// runtime's — so nothing else counts it; false omits the family.
 	live func(*Service) (float64, bool)
 }
 
@@ -49,6 +50,7 @@ const (
 var families = []family{
 	{name: "xpqd_queries_total", typ: counter, help: "Queries handled, including errors.", stat: func(st *Stats) float64 { return float64(st.Queries.Total) }},
 	{name: "xpqd_query_errors_total", typ: counter, help: "Queries that failed (parse errors, unknown documents, stale cursors).", stat: func(st *Stats) float64 { return float64(st.Queries.Errors) }},
+	{name: "xpqd_slow_queries_total", typ: counter, help: "Queries at or above the slow-query threshold.", stat: func(st *Stats) float64 { return float64(st.Queries.Slow) }},
 	{name: "xpqd_visited_nodes_total", typ: counter, help: "Nodes touched by successful evaluations.", stat: func(st *Stats) float64 { return float64(st.Queries.VisitedNodes) }},
 	{name: "xpqd_selected_nodes_total", typ: counter, help: "Nodes selected by successful evaluations.", stat: func(st *Stats) float64 { return float64(st.Queries.SelectedNodes) }},
 	{name: "xpqd_queries_by_strategy_total", typ: counter, help: "Successful queries by execution strategy.", label: "strategy", byLabel: func(st *Stats) map[string]uint64 { return st.Queries.ByStrategy }},
@@ -103,20 +105,6 @@ var families = []family{
 	{name: "xpqd_resident_bytes", typ: gauge, help: "Documents, indexes and cached automata resident.", stat: func(st *Stats) float64 { return float64(st.ResidentBytes) }},
 	{name: "xpqd_heap_alloc_objects_total", typ: counter, help: "Heap objects allocated process-wide since the service started.", stat: func(st *Stats) float64 { return float64(st.HeapAllocObjects) }},
 
-	// Flight recorder lifetime counters (ring residency is bounded, so
-	// only the monotonic admissions are exported).
-	{name: "xpqd_flight_queries_total", typ: counter, help: "Queries admitted to the flight recorder.", live: func(s *Service) (float64, bool) {
-		total, _, _ := s.flight.Counts()
-		return float64(total), true
-	}},
-	{name: "xpqd_slow_queries_total", typ: counter, help: "Queries at or above the slow-query threshold.", live: func(s *Service) (float64, bool) {
-		_, slow, _ := s.flight.Counts()
-		return float64(slow), true
-	}},
-	{name: "xpqd_aborted_queries_total", typ: counter, help: "Queries whose client went away mid-response.", live: func(s *Service) (float64, bool) {
-		_, _, aborted := s.flight.Counts()
-		return float64(aborted), true
-	}},
 	{name: "xpqd_uptime_seconds", typ: gauge, help: "Seconds since the service was constructed.", live: func(s *Service) (float64, bool) { return time.Since(s.started).Seconds(), true }},
 
 	// Go runtime, via runtime/metrics (no stop-the-world read).

@@ -424,11 +424,9 @@ func (s *Service) explain(st *evalState, req *Request) *obsv.Profile {
 	return p
 }
 
-// finish closes out one request, whatever its outcome: the query
-// metrics, a flight-recorder entry and a structured log line — slow
-// queries at Warn, everything else at Debug. A request whose engine ran
-// and whose answer went out, whole or until the client left, counts as
-// a query; any other ending as an error.
+// finish closes out one request, whatever its outcome, from one
+// obsv.Record: a flight-recorder entry, the query metrics and a
+// structured log line — slow queries at Warn, everything else at Debug.
 func (s *Service) finish(st *evalState, req *Request) {
 	resp := &st.resp
 	if st.tr != nil {
@@ -456,38 +454,30 @@ func (s *Service) finish(st *evalState, req *Request) {
 	if st.cur != nil {
 		rec.Run = st.cur.Run()
 	}
-	switch resp.outcome {
-	case obsv.OutcomeOK, obsv.OutcomeAborted:
-		s.metrics.record(rec.Strategy, elapsed, rec.Visited, rec.Count)
-		if st.streamed {
-			s.metrics.recordStream(st.tally, st.sent)
-		}
-	default:
-		s.metrics.recordError()
-	}
-	slow := s.flight.Add(&rec)
+	rec.Slow = s.flight.Add(&rec)
+	s.metrics.record(&rec, &st.tally)
 	level := slog.LevelDebug
 	msg := "query"
-	if slow {
+	if rec.Slow {
 		level, msg = slog.LevelWarn, "slow query"
 	}
 	if !s.logger.Enabled(context.Background(), level) {
 		return
 	}
 	s.logger.LogAttrs(context.Background(), level, msg,
-		slog.String("req_id", req.RequestID),
-		slog.String("doc", req.Doc),
-		slog.String("query", req.Query),
+		slog.String("req_id", rec.RequestID),
+		slog.String("doc", rec.Doc),
+		slog.String("query", rec.Query),
 		slog.String("strategy", rec.Strategy),
 		slog.String("outcome", rec.Outcome),
 		slog.String("err", rec.Err),
-		slog.Int64("elapsed_us", elapsed),
-		slog.Int("sent", st.sent),
+		slog.Int64("elapsed_us", rec.ElapsedUS),
+		slog.Int("sent", rec.Sent),
 		slog.Int("count", rec.Count),
 		slog.Int("visited", rec.Visited),
 		slog.Bool("qcache_hit", rec.QCacheHit),
 		slog.Bool("ctx_pool_hit", rec.CtxPoolHit),
-		slog.Bool("streamed", st.streamed),
+		slog.Bool("streamed", rec.Streamed),
 	)
 }
 
