@@ -88,13 +88,13 @@ func BenchmarkEvalSteadyState(b *testing.B) {
 			// them: bound and sized here, outside the measurement, so even
 			// -benchtime 1x sees the steady state, and the two variants
 			// evaluate over the same arenas at the same addresses.
-			ctx := asta.NewContext()
-			_ = aut.EvalCtx(ctx, w.Doc, w.Index, asta.Opt())
+			ctx := aut.NewContext(asta.Opt())
+			_ = ctx.Eval(w.Doc, w.Index)
 			// An iteration is reps evaluations, the same count for both
 			// variants; ns/op is per evaluation, allocs/op per iteration.
 			reps := 0
 			for start := time.Now(); reps == 0 || time.Since(start) < steadyIteration; reps++ {
-				_ = aut.EvalCtx(ctx, w.Doc, w.Index, asta.Opt())
+				_ = ctx.Eval(w.Doc, w.Index)
 			}
 			perEval := func(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*reps), "ns/op")
@@ -104,7 +104,7 @@ func BenchmarkEvalSteadyState(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for range reps {
-						_ = aut.EvalCtx(ctx, w.Doc, w.Index, asta.Opt())
+						_ = ctx.Eval(w.Doc, w.Index)
 					}
 				}
 				perEval(b)
@@ -131,7 +131,7 @@ func BenchmarkEvalSteadyState(b *testing.B) {
 						sp = tr.Begin(obsv.SpanCompile)
 						tr.End(sp)
 						sp = tr.Begin(obsv.SpanRun)
-						res := aut.EvalCtx(ctx, w.Doc, w.Index, asta.Opt())
+						res := ctx.Eval(w.Doc, w.Index)
 						tr.End(sp)
 						rec.Work = res.Work
 						flight.Add(&rec)

@@ -11,20 +11,25 @@ package asta
 //
 // The memo world is a pure function of (automaton, options) — the
 // tables of §4 are derived from the automaton alone; the tree is only
-// navigated — so EvalCtx rebuilds it only when one of the two
-// changes, and runs the same automaton warm over any document that
-// shares its label table. The document and index belong to one run: a
+// navigated — so a Context is made for one such pair and runs nothing
+// else: it runs its automaton warm over any document that shares the
+// automaton's label table. The document and index belong to one run: a
 // Context references neither between evaluations, so a pooled Context
 // pins no document. A Context must not be used concurrently, and the
-// answer block EvalCtx returns is valid only until the Context's next
+// answer block Eval returns is valid only until the Context's next
 // evaluation — copy the answer, or keep the Context out of use, for as
 // long as it is read.
 type Context struct {
 	e evaluator
 }
 
-// NewContext returns an empty, unbound Context.
-func NewContext() *Context { return &Context{} }
+// NewContext returns a Context that runs a under opt, with an empty
+// memo world; its first Eval builds it.
+func (a *ASTA) NewContext(opt Options) *Context {
+	c := &Context{}
+	c.e.bind(a, opt)
+	return c
+}
 
 // MemBytes estimates the Context's resident scratch bytes: the arenas
 // and tables it would keep alive if pooled. Pools use it to decide

@@ -19,8 +19,8 @@ func TestContextMemBytesCountsArenasAtTheirSize(t *testing.T) {
 	a, _ := d.Names().Lookup("a")
 	b, _ := d.Names().Lookup("b")
 	c, _ := d.Names().Lookup("c")
-	ctx := NewContext()
-	if res := exampleASTA(t, a, b, c).EvalCtx(ctx, d, ix, Opt()); len(res.Selected) == 0 {
+	ctx := exampleASTA(t, a, b, c).NewContext(Opt())
+	if res := ctx.Eval(d, ix); len(res.Selected) == 0 {
 		t.Fatal("the query selects nothing: the arena would stay empty")
 	}
 	arena := ctx.e.arena

@@ -40,9 +40,9 @@ func TestContextWarmReuseMatchesFresh(t *testing.T) {
 					continue // outside the fragment
 				}
 				want := aut.Eval(d, ix, mode.opt)
-				ctx := asta.NewContext()
+				ctx := aut.NewContext(mode.opt)
 				for round := 0; round < 4; round++ {
-					res := aut.EvalCtx(ctx, d, ix, mode.opt)
+					res := ctx.Eval(d, ix)
 					got := res.Selected
 					if !equalNodes(got, want.Selected) {
 						t.Fatalf("%s round %d: warm answer diverged: got %d nodes, want %d",
@@ -63,41 +63,6 @@ func TestContextWarmReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestContextRebindAcrossBindings drives one Context through
-// interleaved automata, documents and option sets: every switch of
-// automaton or options must rebind (discarding the previous memo
-// world) and still produce the fresh-evaluation answer.
-func TestContextRebindAcrossBindings(t *testing.T) {
-	docA := tgen.Random(11, tgen.Config{MaxNodes: 400, Labels: []string{"a", "b", "c"}})
-	docB := tgen.Random(13, tgen.Config{MaxNodes: 500, Labels: []string{"a", "b", "c"}})
-	ixA, ixB := index.New(docA), index.New(docB)
-	queries := []string{"//a/b", "//a[.//b]//c", "//a[b and c]", "//*[b]//c"}
-	ctx := asta.NewContext()
-	for round := 0; round < 3; round++ {
-		for qi, q := range queries {
-			for di, dix := range []struct {
-				d  *tree.Document
-				ix *index.Index
-			}{{docA, ixA}, {docB, ixB}} {
-				aut, err := compile.Compile(q, dix.d.Names())
-				if err != nil {
-					t.Fatalf("compile %s: %v", q, err)
-				}
-				opt := asta.Opt()
-				if (qi+di+round)%2 == 0 {
-					opt = asta.Options{Memo: true} // alternate options too
-				}
-				want := aut.Eval(dix.d, dix.ix, opt)
-				got := aut.EvalCtx(ctx, dix.d, dix.ix, opt).Selected
-				if !equalNodes(got, want.Selected) {
-					t.Fatalf("round %d q=%s doc=%d: rebind diverged (got %d, want %d nodes)",
-						round, q, di, len(got), len(want.Selected))
-				}
-			}
-		}
-	}
-}
-
 // TestContextWarmAcrossGenerations: the memo world is bound to
 // (automaton, options), not to the tree. A patched generation that
 // shares its parent's label table — and so its compiled automaton —
@@ -110,8 +75,8 @@ func TestContextWarmAcrossGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := asta.NewContext()
-	if first := aut.EvalCtx(ctx, d, ix, asta.Opt()); first.MemoEntries == 0 {
+	ctx := aut.NewContext(asta.Opt())
+	if first := ctx.Eval(d, ix); first.MemoEntries == 0 {
 		t.Fatal("expected memo entries on a cold run")
 	}
 	// Graft a copy of the document under its own root: existing
@@ -125,7 +90,7 @@ func TestContextWarmAcrossGenerations(t *testing.T) {
 	}
 	nix := index.Apply(ix, next, dl)
 	want := aut.Eval(next, nix, asta.Opt())
-	warm := aut.EvalCtx(ctx, next, nix, asta.Opt())
+	warm := ctx.Eval(next, nix)
 	if got := warm.Selected; !equalNodes(got, want.Selected) {
 		t.Fatalf("warm run on the patched generation diverged: got %d nodes, want %d", len(got), len(want.Selected))
 	}
@@ -138,9 +103,9 @@ func TestContextWarmAcrossGenerations(t *testing.T) {
 }
 
 // TestWarmEvalAllocs pins the steady-state allocation count of a warm
-// re-evaluation: after the first (binding) run, EvalCtx must not
-// allocate on the heap beyond the pinned ceiling — the whole point of
-// the pooled memory model. A future accidental map rebuild or slice
+// re-evaluation: after the first run, Eval must not allocate on the
+// heap beyond the pinned ceiling — the whole point of the pooled
+// memory model. A future accidental map rebuild or slice
 // escape fails here instead of silently regressing latency.
 func TestWarmEvalAllocs(t *testing.T) {
 	d := tgen.Random(17, tgen.Config{MaxNodes: 2000, Labels: []string{"a", "b", "c", "d"}})
@@ -163,14 +128,14 @@ func TestWarmEvalAllocs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ctx := asta.NewContext()
-				aut.EvalCtx(ctx, d, ix, tc.opt) // bind + warm the arenas
-				aut.EvalCtx(ctx, d, ix, tc.opt)
+				ctx := aut.NewContext(tc.opt)
+				ctx.Eval(d, ix) // build the memo world + warm the arenas
+				ctx.Eval(d, ix)
 				got := testing.AllocsPerRun(50, func() {
-					aut.EvalCtx(ctx, d, ix, tc.opt)
+					ctx.Eval(d, ix)
 				})
 				if got > tc.ceiling {
-					t.Errorf("%s %s: warm EvalCtx allocates %.1f/op, ceiling %.0f",
+					t.Errorf("%s %s: warm Eval allocates %.1f/op, ceiling %.0f",
 						tc.mode, q, got, tc.ceiling)
 				}
 			}
@@ -188,9 +153,9 @@ func TestWarmEvalFasterPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := asta.NewContext()
-	cold := aut.EvalCtx(ctx, d, ix, asta.Opt())
-	warm := aut.EvalCtx(ctx, d, ix, asta.Opt())
+	ctx := aut.NewContext(asta.Opt())
+	cold := ctx.Eval(d, ix)
+	warm := ctx.Eval(d, ix)
 	if warm.MemoEntries != 0 {
 		t.Errorf("warm run created %d memo entries", warm.MemoEntries)
 	}
@@ -214,22 +179,22 @@ func TestContextTableGrowthCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := aut.Eval(d, ix, asta.Opt())
-	ctx := asta.NewContext()
+	ctx := aut.NewContext(asta.Opt())
 	for i := 0; i < 3; i++ {
-		got := aut.EvalCtx(ctx, d, ix, asta.Opt()).Selected
+		got := ctx.Eval(d, ix).Selected
 		if !equalNodes(got, want.Selected) {
 			t.Fatalf("round %d: answer diverged (%d vs %d nodes)", i, len(got), len(want.Selected))
 		}
 	}
 }
 
-func ExampleASTA_EvalCtx() {
+func ExampleContext_Eval() {
 	d := tgen.Star("root", "leaf", 3)
 	aut, _ := compile.Compile("//leaf", d.Names())
-	ctx := asta.NewContext()
+	ctx := aut.NewContext(asta.Opt())
 	ix := index.New(d)
 	for i := 0; i < 2; i++ {
-		res := aut.EvalCtx(ctx, d, ix, asta.Opt())
+		res := ctx.Eval(d, ix)
 		fmt.Println(len(res.Selected))
 	}
 	// Output:

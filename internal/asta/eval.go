@@ -27,9 +27,9 @@ type Result struct {
 	// Selected is A(t): strictly increasing node ids — document order,
 	// no duplicates — nil when nothing was selected. It is one block in
 	// the Context's arena, which the Context's next evaluation rewinds
-	// and refills: a Result of EvalCtx is valid until then (copy what
-	// must outlive it), a Result of Eval indefinitely, because Eval's
-	// Context is its own.
+	// and refills: a Result of Context.Eval is valid until then (copy
+	// what must outlive it), a Result of ASTA.Eval indefinitely, because
+	// that Context is its own.
 	Selected []tree.NodeID
 	// Work is the run's effort, the quantities tabulated in Figure 3:
 	// Visited is lines (2)/(3), MemoEntries line (4) — the nodes that
@@ -40,28 +40,26 @@ type Result struct {
 
 // Eval runs the automaton over the document with the given options in a
 // fresh Context. The index may be nil when Options.Jump is false.
-// Repeated evaluations of the same automaton should use EvalCtx with a
-// reused Context instead.
+// Repeated evaluations of the same automaton should run one Context
+// made by NewContext instead.
 func (a *ASTA) Eval(d *tree.Document, ix *index.Index, opt Options) Result {
-	return a.EvalCtx(NewContext(), d, ix, opt)
+	return a.NewContext(opt).Eval(d, ix)
 }
 
-// EvalCtx is Eval against a reusable Context. The first call binds the
-// Context to (automaton, options) and builds the memo world; later
-// calls with the same pair reuse it, over any document with the
-// automaton's label table — the interned-set table, transition rows,
-// recipes and jump analyses persist (pure functions of the pair), while
-// the result arena rewinds in place and the index cursors are pointed
-// at this run's index. A warm call is therefore allocation-free in
-// steady state and skips all memo derivation.
+// Eval runs the Context's automaton over (d, ix). The first run sizes
+// the label rows and builds the memo world; later runs reuse it, over
+// any document with the automaton's label table — the interned-set
+// table, transition rows, recipes and jump analyses persist (pure
+// functions of the automaton and options), while the result arena
+// rewinds in place and the index cursors are pointed at this run's
+// index. A warm run is therefore allocation-free in steady state and
+// skips all memo derivation.
 //
 // Result.Selected lives in the Context's arena: it is valid only until
-// the next EvalCtx on the same Context.
-func (a *ASTA) EvalCtx(c *Context, d *tree.Document, ix *index.Index, opt Options) Result {
+// the Context's next Eval.
+func (c *Context) Eval(d *tree.Document, ix *index.Index) Result {
 	e := &c.e
-	if e.a != a || e.opt != opt {
-		e.rebind(a, opt, d.Names().Size())
-	}
+	a := e.a
 	e.attach(d, ix)
 	defer e.detach()
 	var g RSet
@@ -134,8 +132,8 @@ type recipe struct {
 // per-evaluation state (document, index, cursor positions, result
 // arena, work counts) is set at the start of every run.
 type evaluator struct {
-	// a and opt are the memo world's binding; a is nil until the first
-	// run. d is the tree being navigated, nil between runs; cur jumps
+	// a and opt are the memo world's binding, fixed when the Context is
+	// made. d is the tree being navigated, nil between runs; cur jumps
 	// over its index (§4.3) and holds none between runs.
 	a   *ASTA
 	opt Options
@@ -154,7 +152,7 @@ type evaluator struct {
 
 	// Flat storage behind the memo structures: transInfo rows, their
 	// trans slices and label rows, recipes and their op lists. All of
-	// it is retained across warm evaluations and rewound on rebind.
+	// it is retained across warm evaluations.
 	tis     tiStore
 	i32s    sliceArena[int32]
 	opsA    sliceArena[op]
@@ -178,37 +176,15 @@ type evaluator struct {
 	scratchRec recipe
 }
 
-// rebind points the evaluator at a new (automaton, options) binding:
-// all memo state is cleared in place (backing storage is kept) and the
-// per-binding analyses are rebuilt. numLabels sizes the label rows: the
-// alphabet of the table the automaton was compiled against.
-func (e *evaluator) rebind(a *ASTA, opt Options, numLabels int) {
+// bind makes the evaluator the memo world of (a, opt): the chunk
+// sizes of its arenas and, when jumping, the automaton's pure label
+// sets. It runs once, when the Context is made.
+func (e *evaluator) bind(a *ASTA, opt Options) {
 	e.a, e.opt = a, opt
-	e.sets = e.sets[:0]
-	e.rows = e.rows[:0]
-	e.jumps = e.jumps[:0]
-	e.jumpsDone = e.jumpsDone[:0]
-	e.tis.reset()
-	e.i32s.reset()
 	e.i32s.chunkSize = i32Chunk
-	e.opsA.reset()
 	e.opsA.chunkSize = opChunk
-	e.recipes = e.recipes[:0]
-	e.numLabels = 0
-	if opt.Memo || opt.Jump {
-		e.setTab.clear()
-	}
-	if opt.Memo {
-		e.recTab.clear()
-		if opt.InfoProp {
-			e.r2Tab.clear()
-		}
-		e.numLabels = numLabels
-	}
 	if opt.Jump {
 		e.initPureSets()
-	} else {
-		e.cur = nil
 	}
 }
 
@@ -218,6 +194,9 @@ func (e *evaluator) rebind(a *ASTA, opt Options, numLabels int) {
 // for the arena, no allocation.
 func (e *evaluator) attach(d *tree.Document, ix *index.Index) {
 	e.d = d
+	if e.opt.Memo && e.numLabels == 0 {
+		e.numLabels = d.Names().Size()
+	}
 	e.arena.reset()
 	e.work = obsv.Work{}
 	if !e.opt.Jump {

@@ -9,8 +9,9 @@ import "unsafe"
 // slower: backed by maps, warm re-evaluations of the paper queries ran
 // 1.07-1.92x slower (geomean 1.34 at XMark 0.05, 1.30 at 0.1; six
 // alternating runs of 100 iterations, 2-core Xeon VM). Linear probing
-// over power-of-two capacities, entries inline, cleared in O(capacity)
-// only on a full Context reset: a warm run touches them read-mostly.
+// over power-of-two capacities, entries inline, never cleared: a
+// Context's tables belong to its one automaton, and a warm run touches
+// them read-mostly.
 
 // hash64 is the splitmix64 finalizer: a full-avalanche mix for machine
 // words, which is exactly what StateSets are.
@@ -80,14 +81,6 @@ func (t *openTable[K, V]) init(capacity int) {
 	t.n = 0
 }
 
-// clear empties the table in place, keeping the backing arrays.
-func (t *openTable[K, V]) clear() {
-	for i := range t.used {
-		t.used[i] = false
-	}
-	t.n = 0
-}
-
 func (t *openTable[K, V]) get(k K) (V, bool) {
 	var zero V
 	if len(t.used) == 0 {
@@ -152,8 +145,7 @@ func (t *openTable[K, V]) memBytes(slotSize int64) int64 {
 // tiStore holds transInfo rows in fixed-size chunks: dense int32 ids
 // for table keys, stable addresses (a chunk is never reallocated) so a
 // *transInfo held across the recursive child evaluations stays valid,
-// and no per-row allocation in steady state — chunks are retained
-// across Context resets.
+// and no per-row allocation in steady state.
 type tiStore struct {
 	chunks [][]transInfo
 	n      int32
@@ -175,9 +167,6 @@ func (s *tiStore) new() *transInfo {
 func (s *tiStore) at(id int32) *transInfo {
 	return &s.chunks[id/tiChunk][id%tiChunk]
 }
-
-// reset forgets all rows but keeps the chunks for reuse.
-func (s *tiStore) reset() { s.n = 0 }
 
 func (s *tiStore) memBytes() int64 {
 	const tiSize = 64 // transInfo struct, padded

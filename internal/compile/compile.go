@@ -29,7 +29,8 @@ import (
 // ErrUnsupported marks queries outside the automata fragment (backward
 // axes, text functions: §6's black boxes): CheckASTA's refusals, which
 // ToASTA returns and by which Auto routes a query to the step-wise
-// engine before anything compiles. Match with errors.Is.
+// engine before anything compiles, and CheckTDSTA's, which ToTDSTA
+// returns. Match with errors.Is.
 var ErrUnsupported = errors.New("query outside the automata fragment")
 
 // CheckASTA reports why p is outside the fragment ToASTA compiles

@@ -1,7 +1,6 @@
 package compile
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -128,14 +127,20 @@ func partition(a *asta.ASTA) []labelClass {
 	return append(out, labelClass{labels.Not(mentioned...), fresh})
 }
 
-// errTDSTAPredicates is CheckTDSTA's answer to every query with a
-// predicate, most of what Auto asks it about: built once, so routing such
-// a query allocates nothing here.
-var errTDSTAPredicates = errors.New("compile: TDSTA fragment does not support predicates")
+// CheckTDSTA's own refusals, one per rule, built once: Auto asks about
+// every query the hybrid run refuses, so a refusal allocates nothing.
+// It names the rule the query breaks, not the query's text.
+var (
+	errTDSTAAxis       = fmt.Errorf("%w: the TDSTA takes child and descendant axes only", ErrUnsupported)
+	errTDSTATest       = fmt.Errorf("%w: the TDSTA takes name and * tests only", ErrUnsupported)
+	errTDSTAPredicates = fmt.Errorf("%w: the TDSTA takes no predicates", ErrUnsupported)
+	errTDSTAOrder      = fmt.Errorf("%w: the TDSTA takes child steps before descendant steps only", ErrUnsupported)
+)
 
-// CheckTDSTA reports why p is outside the fragment ToTDSTA compiles, or
-// nil when it is inside. Auto routes by it before any compilation, so
-// the route and the compiler cannot disagree.
+// CheckTDSTA reports why p is outside the fragment ToTDSTA compiles
+// (wrapping ErrUnsupported), or nil when it is inside. Auto routes by
+// it before any compilation, so the route and the compiler cannot
+// disagree.
 //
 // Child steps must precede descendant steps. That is the construction's
 // linear state bound: a live set is then one child step's state, or the
@@ -148,10 +153,10 @@ func CheckTDSTA(p *xpath.Path) error {
 	seenDesc := false
 	for _, st := range p.Steps {
 		if st.Axis != xpath.Child && st.Axis != xpath.Descendant {
-			return fmt.Errorf("compile: TDSTA fragment supports child and descendant only, got %v", st.Axis)
+			return errTDSTAAxis
 		}
 		if st.Test.Kind != xpath.TestName && st.Test.Kind != xpath.TestStar {
-			return fmt.Errorf("compile: TDSTA fragment supports name and * tests, got %s", st.Test)
+			return errTDSTATest
 		}
 		if len(st.Preds) > 0 {
 			return errTDSTAPredicates
@@ -159,7 +164,7 @@ func CheckTDSTA(p *xpath.Path) error {
 		if st.Axis == xpath.Descendant {
 			seenDesc = true
 		} else if seenDesc {
-			return fmt.Errorf("compile: TDSTA fragment requires child steps to precede descendant steps")
+			return errTDSTAOrder
 		}
 	}
 	return CheckASTA(p)

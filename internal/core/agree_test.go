@@ -26,7 +26,7 @@ var forced = []struct {
 	{core.Jumping, compile.CheckASTA, compile.ErrUnsupported},
 	{core.Memoized, compile.CheckASTA, compile.ErrUnsupported},
 	{core.Optimized, compile.CheckASTA, compile.ErrUnsupported},
-	{core.TopDownDet, compile.CheckTDSTA, nil},
+	{core.TopDownDet, compile.CheckTDSTA, compile.ErrUnsupported},
 	{core.Hybrid, hybrid.CheckChain, hybrid.ErrUnsupported},
 }
 
@@ -57,7 +57,7 @@ func agree(e *core.Engine, q string) error {
 			return fmt.Errorf("%v refused a query its check accepts: %v", f.s, err)
 		case err == nil && cerr != nil:
 			return fmt.Errorf("%v answered a query its check refuses (%v)", f.s, cerr)
-		case err != nil && (f.err != nil && !errors.Is(err, f.err) || err.Error() != cerr.Error()):
+		case err != nil && (!errors.Is(err, f.err) || err.Error() != cerr.Error()):
 			return fmt.Errorf("%v refused with %v, its check with %v", f.s, err, cerr)
 		case err == nil && !sameNodes(got.Nodes, want.Nodes):
 			return fmt.Errorf("%v %v, stepwise %v", f.s, got.Nodes, want.Nodes)

@@ -14,13 +14,14 @@ import (
 // Warm evaluation contexts are kept on what they depend on. An
 // asta.Context's memo world is a function of (automaton, options), so
 // the contexts of an automaton are parked on its query-cache entry, one
-// free list per option set. The steady state of the serving layers —
-// the same query over the same document, or over any later generation
-// that added no label — checks out a context whose memo world is
-// already derived and whose arenas are already sized, evaluates
-// allocation-free, and parks it again. Nothing is ever invalidated: a
-// parked context references no document, and when the LRU evicts an
-// automaton its contexts go with it — one recency policy covers both.
+// free list per ASTA strategy, each context made for its pair. The
+// steady state of the serving layers — the same query over the same
+// document, or over any later generation that added no label — checks
+// out a context whose memo world is already derived and whose arenas
+// are already sized, evaluates allocation-free, and parks it again.
+// Nothing is ever invalidated: a parked context references no
+// document, and when the LRU evicts an automaton its contexts go with
+// it — one recency policy covers both.
 
 // maxPooledCtxBytes drops contexts whose arenas grew past this on
 // release: a context that served one huge answer should not pin its
@@ -33,7 +34,7 @@ var (
 	maxPoolResidentBytes = int64(128 << 20)
 )
 
-// maxPerKey bounds the contexts parked per (automaton, options): enough
+// maxPerKey bounds the contexts parked per (automaton, strategy): enough
 // for every P to run the same hot query concurrently, small enough to
 // bound resident scratch.
 func maxPerKey() int {
@@ -142,11 +143,11 @@ type compiled struct {
 	names *tree.LabelTable
 	pool  *Pool
 
-	// mu guards free and gone: a map lookup and a slice push or pop.
-	// Nothing else is locked while it is held, and the cache calls
-	// Evicted after releasing its own lock.
+	// mu guards free, the parked contexts of ASTA strategy s at s-Naive,
+	// and gone: a slice push or pop. Nothing else is locked while it is
+	// held, and the cache calls Evicted after releasing its own lock.
 	mu   sync.Mutex
-	free map[asta.Options][]parkedCtx
+	free [Optimized - Naive + 1][]parkedCtx
 	// gone: the value left (or never entered) the cache, so nothing will
 	// look it up again and releases drop instead of parking.
 	gone bool
@@ -174,27 +175,25 @@ func (cv *compiled) Evicted() {
 			cv.pool.drops.Add(1)
 		}
 	}
-	cv.free = nil
+	clear(cv.free[:])
 	cv.mu.Unlock()
 }
 
-// checkout returns a context for running the automaton under opt — a
-// parked one when available, a fresh one otherwise — and whether it was
-// warm (the observability layer lifts this into per-query records). A
-// context is a hit only for the (automaton, options) pair it last ran:
-// pooling mixed-strategy traffic together would count full rebinds as
-// warm hits and thrash the memo world. The caller must hand the result
+// checkout returns a context that runs the automaton under strategy s,
+// one of Naive through Optimized — a parked one when available, a fresh
+// one otherwise — and whether it was warm (the observability layer
+// lifts this into per-query records). The caller must hand the result
 // back via release exactly once.
-func (cv *compiled) checkout(opt asta.Options) (*asta.Context, bool) {
+func (cv *compiled) checkout(s Strategy) (*asta.Context, bool) {
 	cv.mu.Lock()
-	list := cv.free[opt]
+	list := cv.free[s-Naive]
 	if len(list) == 0 {
 		cv.mu.Unlock()
 		cv.pool.misses.Add(1)
-		return asta.NewContext(), false
+		return cv.aut.NewContext(s.ASTAOptions()), false
 	}
 	pc := list[len(list)-1]
-	cv.free[opt] = list[:len(list)-1]
+	cv.free[s-Naive] = list[:len(list)-1]
 	cv.pool.resident.Add(-1)
 	cv.pool.arenaBytes.Add(-pc.bytes)
 	cv.mu.Unlock()
@@ -202,23 +201,21 @@ func (cv *compiled) checkout(opt asta.Options) (*asta.Context, bool) {
 	return pc.ctx, true
 }
 
-// release parks a checked-out context for reuse, unless its automaton
-// has left the cache, the free list for opt is full, the context's
-// arenas outgrew the retention cap or the pool's byte budget is spent.
-func (cv *compiled) release(opt asta.Options, ctx *asta.Context) {
+// release parks a context checked out for s for reuse, unless its
+// automaton has left the cache, the free list of s is full, the
+// context's arenas outgrew the retention cap or the pool's byte budget
+// is spent.
+func (cv *compiled) release(s Strategy, ctx *asta.Context) {
 	bytes := ctx.MemBytes()
 	cv.mu.Lock()
-	list := cv.free[opt]
+	list := cv.free[s-Naive]
 	if cv.gone || len(list) >= maxPerKey() || bytes > maxPooledCtxBytes ||
 		cv.pool.arenaBytes.Load()+bytes > maxPoolResidentBytes {
 		cv.mu.Unlock()
 		cv.pool.drops.Add(1)
 		return
 	}
-	if cv.free == nil {
-		cv.free = make(map[asta.Options][]parkedCtx)
-	}
-	cv.free[opt] = append(list, parkedCtx{ctx: ctx, bytes: bytes})
+	cv.free[s-Naive] = append(list, parkedCtx{ctx: ctx, bytes: bytes})
 	cv.pool.resident.Add(1)
 	cv.pool.arenaBytes.Add(bytes)
 	cv.mu.Unlock()

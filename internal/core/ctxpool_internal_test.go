@@ -154,28 +154,41 @@ func TestPoolCloseStopsRopeCursor(t *testing.T) {
 	}
 }
 
-// TestPoolKeysByOptions: mixed-strategy traffic on one query pools
-// separately per options — each strategy reaches steady-state hits on
-// its own warm context instead of thrashing full rebinds that would be
-// miscounted as hits.
+// TestPoolKeysByOptions: a context is made for one (automaton,
+// options) pair, so mixed-strategy traffic on one query parks on one
+// free list per strategy. Interleaving the four ASTA strategies, each
+// makes one context cold and is served warm on every later run, and
+// every answer is a fresh evaluation's.
 func TestPoolKeysByOptions(t *testing.T) {
-	e, _ := poolTestEngine(t)
+	e, d := poolTestEngine(t)
 	const q = "//listitem//keyword"
-	for i := 0; i < 6; i++ {
-		s := Optimized
-		if i%2 == 1 {
-			s = Memoized
-		}
-		if _, err := e.QueryWith(q, s); err != nil {
-			t.Fatal(err)
+	strategies := []Strategy{Naive, Jumping, Memoized, Optimized}
+	const rounds = 3
+	for i := 0; i < rounds; i++ {
+		for _, s := range strategies {
+			cur, err := e.EvalCursor(q, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm := cur.Run().CtxPoolHit; warm != (i > 0) {
+				t.Errorf("round %d %v: warm = %v, want %v", i, s, warm, i > 0)
+			}
+			v, ok := e.cache.Get(e.cacheKey(q))
+			if !ok {
+				t.Fatalf("%s is not cached", q)
+			}
+			want := v.(*compiled).aut.Eval(d, e.ix, s.ASTAOptions())
+			if got := collect(t, cur); !slices.Equal(got, want.Selected) || len(got) == 0 {
+				t.Fatalf("round %d %v: %d nodes, a fresh asta.Eval %d", i, s, len(got), len(want.Selected))
+			}
 		}
 	}
 	ps := e.pool.Stats()
-	if ps.Misses != 2 {
-		t.Errorf("misses = %d, want 2 (one cold context per strategy)", ps.Misses)
+	if want := uint64(len(strategies)); ps.Misses != want {
+		t.Errorf("misses = %d, want %d (one cold context per strategy)", ps.Misses, want)
 	}
-	if ps.Hits != 4 {
-		t.Errorf("hits = %d, want 4", ps.Hits)
+	if want := uint64((rounds - 1) * len(strategies)); ps.Hits != want {
+		t.Errorf("hits = %d, want %d", ps.Hits, want)
 	}
 }
 
@@ -231,7 +244,7 @@ func TestPoolEvictsStaleKeysUnderPressure(t *testing.T) {
 		}
 	}
 	before := e.pool.Stats()
-	cv.release(asta.Opt(), ctx)
+	cv.release(Optimized, ctx)
 	after := e.pool.Stats()
 	if after.Drops != before.Drops+1 || after.Resident != before.Resident {
 		t.Errorf("context of an evicted automaton was parked: %+v -> %+v", before, after)
@@ -255,7 +268,7 @@ func TestPoolResidentByteBudget(t *testing.T) {
 	maxPoolResidentBytes = 1
 	defer func() { maxPoolResidentBytes = old }()
 	drops0 := e.pool.Stats().Drops
-	cv.release(asta.Opt(), ctx)
+	cv.release(Optimized, ctx)
 	ps := e.pool.Stats()
 	if ps.Drops != drops0+1 || ps.Resident != 0 {
 		t.Errorf("budget-exceeding release not dropped: %+v", ps)
@@ -330,7 +343,7 @@ func stealPooled(t *testing.T, e *Engine, q string) (*compiled, *asta.Context) {
 		t.Fatalf("%s is not cached", q)
 	}
 	cv := v.(*compiled)
-	ctx, warm := cv.checkout(asta.Opt())
+	ctx, warm := cv.checkout(Optimized)
 	if !warm {
 		t.Fatal("no pooled context to steal")
 	}
@@ -389,7 +402,7 @@ func TestPoolOversizedContextDropped(t *testing.T) {
 	maxPooledCtxBytes = 1 // every real context exceeds this
 	defer func() { maxPooledCtxBytes = old }()
 	drops0 := e.pool.Stats().Drops
-	cv.release(asta.Opt(), ctx)
+	cv.release(Optimized, ctx)
 	ps := e.pool.Stats()
 	if ps.Drops != drops0+1 {
 		t.Errorf("drops = %d, want %d", ps.Drops, drops0+1)

@@ -252,12 +252,11 @@ func (e *Engine) astaCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Tr
 	if err != nil {
 		return nil, err
 	}
-	opt := s.ASTAOptions()
-	ctx, warm := cv.checkout(opt)
+	ctx, warm := cv.checkout(s)
 	sp := tr.Begin(obsv.SpanRun)
-	res := cv.aut.EvalCtx(ctx, e.doc, e.ix, opt)
+	res := ctx.Eval(e.doc, e.ix)
 	nodes := slices.Clone(res.Selected)
-	cv.release(opt, ctx)
+	cv.release(s, ctx)
 	tr.End(sp)
 	c := newCursor(nodes, s, res.Work)
 	c.run.CtxPoolHit, c.run.QCacheHit = warm, hit

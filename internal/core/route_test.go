@@ -165,7 +165,6 @@ func TestExplainRunSpanAndCounters(t *testing.T) {
 	spans := func(q string, s Strategy) ([]obsv.Span, *Cursor, error) {
 		t.Helper()
 		tr := obsv.NewTrace()
-		defer obsv.ReleaseTrace(tr)
 		root := tr.Begin(obsv.SpanQuery)
 		cur, err := eng.EvalCursorTrace(q, s, tr)
 		tr.End(root)
@@ -257,6 +256,24 @@ func TestRouteIsACheck(t *testing.T) {
 		}
 		if s != want || reason != wantReason {
 			t.Errorf("%.40s: routed to %v (%s), want %v (%s)", q, s, reason, want, wantReason)
+		}
+	}
+}
+
+// TestRouteAllocatesNothing: every fragment test Auto asks answers from
+// the parsed query alone, and the refusals of the hybrid run and the
+// TDSTA are built once, so routing the paper's queries, the bulk
+// shapes and the `*` shapes the ASTA takes allocates nothing.
+func TestRouteAllocatesNothing(t *testing.T) {
+	queries := []string{"/site//text", "/site//listitem", "/site//emph", "/site//*/keyword", "//item/*/mail"}
+	for _, q := range xmark.Queries() {
+		queries = append(queries, q.XPath)
+	}
+	for _, q := range queries {
+		p := mustPath(t, q)
+		if got := testing.AllocsPerRun(100, func() { route(p) }); got != 0 {
+			s, reason := route(p)
+			t.Errorf("%s: routing to %v (%s) allocates %.1f/op, want 0", q, s, reason, got)
 		}
 	}
 }

@@ -27,13 +27,19 @@ import (
 // ErrUnsupported reports a query outside the hybrid fragment.
 var ErrUnsupported = errors.New("hybrid: query outside the chain fragment")
 
-// errPredicates is CheckChain's answer to every query with a predicate,
-// most of what Auto asks it about: built once, so routing such a query
-// allocates nothing here.
-var errPredicates = fmt.Errorf("%w: predicates", ErrUnsupported)
-
 // maxSteps bounds a chain: the upward check keeps one bit a step.
 const maxSteps = 64
+
+// CheckChain's refusals, one per rule, built once: Auto asks about
+// every query, so a refusal allocates nothing. It names the rule the
+// query breaks, not the query's text.
+var (
+	errRelative   = fmt.Errorf("%w: path must be absolute and non-empty", ErrUnsupported)
+	errTooLong    = fmt.Errorf("%w: at most %d steps", ErrUnsupported, maxSteps)
+	errAxis       = fmt.Errorf("%w: child and descendant axes only", ErrUnsupported)
+	errNodeTest   = fmt.Errorf("%w: name tests only", ErrUnsupported)
+	errPredicates = fmt.Errorf("%w: predicates", ErrUnsupported)
+)
 
 // Result is the evaluation outcome.
 type Result struct {
@@ -57,17 +63,17 @@ type chainStep struct {
 // query Auto sends here is one Eval runs.
 func CheckChain(p *xpath.Path) error {
 	if !p.Absolute || len(p.Steps) == 0 {
-		return fmt.Errorf("%w: path must be absolute", ErrUnsupported)
+		return errRelative
 	}
 	if len(p.Steps) > maxSteps {
-		return fmt.Errorf("%w: at most %d steps, got %d", ErrUnsupported, maxSteps, len(p.Steps))
+		return errTooLong
 	}
 	for _, st := range p.Steps {
 		if st.Axis != xpath.Child && st.Axis != xpath.Descendant {
-			return fmt.Errorf("%w: axis %v", ErrUnsupported, st.Axis)
+			return errAxis
 		}
 		if st.Test.Kind != xpath.TestName {
-			return fmt.Errorf("%w: node test %s", ErrUnsupported, st.Test)
+			return errNodeTest
 		}
 		if len(st.Preds) > 0 {
 			return errPredicates

@@ -1,14 +1,15 @@
 package obsv
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
 func TestTraceSpanTree(t *testing.T) {
 	tr := NewTrace()
-	defer ReleaseTrace(tr)
 	root := tr.Begin(SpanQuery)
 	a := tr.Begin(SpanEngine)
 	tr.End(a)
@@ -49,7 +50,6 @@ func TestTraceSpanTree(t *testing.T) {
 
 func TestTraceEndOutOfOrderClosesInner(t *testing.T) {
 	tr := NewTrace()
-	defer ReleaseTrace(tr)
 	outer := tr.Begin("outer")
 	tr.Begin("inner") // never explicitly ended
 	tr.End(outer)
@@ -64,7 +64,6 @@ func TestTraceEndOutOfOrderClosesInner(t *testing.T) {
 
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
-	tr.Reset()
 	id := tr.Begin("x")
 	tr.End(id)
 	if id != -1 || tr.Profile("r", Counters{}) != nil {
@@ -74,7 +73,6 @@ func TestTraceNilSafe(t *testing.T) {
 
 func TestTraceOverflowDropsSpans(t *testing.T) {
 	tr := NewTrace()
-	defer ReleaseTrace(tr)
 	root := tr.Begin("root")
 	for i := 0; i < 3*maxSpans; i++ {
 		tr.End(tr.Begin("leaf"))
@@ -86,22 +84,6 @@ func TestTraceOverflowDropsSpans(t *testing.T) {
 	}
 	if got := len(prof.Spans[0].Children); got != maxSpans-1 {
 		t.Errorf("kept %d children, want %d (truncated, not grown)", got, maxSpans-1)
-	}
-}
-
-func TestTracePoolSteadyStateAllocFree(t *testing.T) {
-	// Steady state: checkout, record, release. The fixed span array and
-	// the pool make this allocation-free; a GC clearing the pool
-	// mid-measurement can add the odd refill, hence the small ceiling
-	// rather than zero.
-	got := testing.AllocsPerRun(200, func() {
-		tr := NewTrace()
-		id := tr.Begin(SpanRun)
-		tr.End(id)
-		ReleaseTrace(tr)
-	})
-	if got > 1 {
-		t.Errorf("trace checkout/record/release = %.1f allocs/op, want <= 1", got)
 	}
 }
 
@@ -146,6 +128,37 @@ func TestFlightSlowThreshold(t *testing.T) {
 	}
 	if NewFlight(8, 0).Add(&Record{ElapsedUS: 1 << 40}) {
 		t.Error("threshold 0 must disable the flag")
+	}
+}
+
+// BenchmarkFlightAdd times one admission into the flight ring, the
+// critical section every finished request passes through: with one
+// writer, and with two writers sharing the ring and b.N (ns/op is per
+// admission either way). Each writer adds its own record, as each
+// request does.
+func BenchmarkFlightAdd(b *testing.B) {
+	for _, writers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			f := NewFlight(DefaultFlightRecords, 100*time.Millisecond)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for w := range writers {
+				n := b.N / writers
+				if w == 0 {
+					n += b.N % writers
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rec := Record{Doc: "xm", Query: "/site/regions", Outcome: OutcomeOK, Run: Run{Strategy: "optimized"}}
+					for range n {
+						f.Add(&rec)
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }
 

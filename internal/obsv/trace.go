@@ -1,31 +1,30 @@
 // Package obsv is the observability substrate of the serving layers:
-// a pooled, allocation-free span recorder (per-query EXPLAIN-ANALYZE
-// profiles), a ring-buffer flight recorder of recent queries with a
-// slow-query threshold, and a dependency-free Prometheus text
-// exposition writer. It is a leaf package — nothing here imports the
-// engine — so every layer from the evaluator to the HTTP front end can
-// record into it without import cycles.
+// a span recorder (per-query EXPLAIN-ANALYZE profiles), a ring-buffer
+// flight recorder of recent queries with a slow-query threshold, and a
+// dependency-free Prometheus text exposition writer. It is a leaf
+// package — nothing here imports the engine — so every layer from the
+// evaluator to the HTTP front end can record into it without import
+// cycles.
 //
-// The design constraint is the warm path: PR 5 made repeated
-// evaluation allocation-free, and instrumentation must not give that
-// back. Three rules enforce it:
+// The design constraint is the warm path: repeated evaluation is
+// allocation-free, and instrumentation must not give that back. Three
+// rules enforce it:
 //
-//   - a Trace is a fixed-size value reused through a sync.Pool; starting
-//     a span is two stores and one clock read;
+//   - only an explained request has a Trace, a fixed-size value made
+//     for that request alone; starting a span is two stores and one
+//     clock read;
 //   - every Trace method is nil-safe, so the engine call paths carry a
 //     possibly-nil *Trace instead of branching at every site;
 //   - the flight recorder writes one fixed-size record into a
 //     preallocated ring slot under a mutex whose critical section is a
 //     struct copy.
 //
-// Only explained requests carry a Trace, so only they read the clock per
-// span, and only Profile — built once per explained request — allocates.
+// So an unexplained request reads no clock per span and allocates
+// nothing here; an explained one allocates its Trace and, once, its
+// Profile.
 package obsv
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Span names used across the serving layers. Constants rather than an
 // enum so profiles are self-describing JSON; the fixed set keeps the
@@ -105,11 +104,11 @@ type Counters struct {
 	AutoShape string `json:"auto_shape,omitempty"`
 }
 
-// Trace records one explained request's span tree. The zero value is
-// ready; Reset recycles it. Not safe for concurrent use (one trace
-// belongs to one request). All methods are nil-safe no-ops, so call
-// sites thread a possibly-nil *Trace unconditionally and an unexplained
-// request records nothing.
+// Trace records one explained request's span tree; NewTrace makes one
+// per request. Not safe for concurrent use (one trace belongs to one
+// request). All methods are nil-safe no-ops, so call sites thread a
+// possibly-nil *Trace unconditionally and an unexplained request
+// records nothing.
 type Trace struct {
 	origin time.Time
 	n      int8
@@ -117,31 +116,9 @@ type Trace struct {
 	spans  [maxSpans]span
 }
 
-var tracePool = sync.Pool{New: func() any { return new(Trace) }}
-
-// NewTrace checks a reset Trace out of the package pool. Return it
-// with ReleaseTrace once nothing references it.
+// NewTrace returns an empty trace whose origin is now.
 func NewTrace() *Trace {
-	tr := tracePool.Get().(*Trace)
-	tr.Reset()
-	return tr
-}
-
-// ReleaseTrace parks a trace for reuse. Safe on nil.
-func ReleaseTrace(tr *Trace) {
-	if tr != nil {
-		tracePool.Put(tr)
-	}
-}
-
-// Reset clears the trace in place and stamps a new origin.
-func (tr *Trace) Reset() {
-	if tr == nil {
-		return
-	}
-	tr.n = 0
-	tr.open = -1
-	tr.origin = time.Now()
+	return &Trace{origin: time.Now(), open: -1}
 }
 
 // Begin opens a span nested under the innermost open span and returns

@@ -301,8 +301,8 @@ func (s *Service) prepare(st *evalState, req Request) bool {
 	st.resp = Response{Doc: req.Doc, Query: req.Query, outcome: obsv.OutcomeOK}
 	st.timer = startTimer()
 	if req.Explain {
-		// The trace is pooled and its methods are nil-safe, so the
-		// non-explain path pays one nil check per phase.
+		// The trace's methods are nil-safe, so the non-explain path
+		// pays one nil check per phase.
 		st.tr = obsv.NewTrace()
 		st.root = st.tr.Begin(obsv.SpanQuery)
 	}
@@ -388,9 +388,9 @@ func (s *Service) unpin(st *evalState, lease time.Time, redeem bool) {
 // defer it. It drops the pin, logs the panic value and stack at Error
 // under the request id, writes the one flight record, with outcome
 // panic and the run the request got as far as, and only then turns the
-// response into a generic failure (HTTP 500); finish also releases the
-// pooled trace. A context the evaluator had checked out when it
-// panicked is not parked again: the GC takes it.
+// response into a generic failure (HTTP 500). A context the evaluator
+// had checked out when it panicked is not parked again: the GC takes
+// it.
 func (s *Service) contain(st *evalState, req *Request, v any) {
 	s.unpin(st, time.Time{}, false)
 	s.logger.LogAttrs(context.Background(), slog.LevelError, "query panicked",
@@ -405,10 +405,10 @@ func (s *Service) contain(st *evalState, req *Request, v any) {
 	st.resp = Response{Doc: req.Doc, Query: req.Query, Err: "internal error", outcome: obsv.OutcomePanic}
 }
 
-// explain settles the request trace into its Profile and releases the
-// trace; nil for non-explained requests. Runs once, after every phase
-// span has ended (the stream path calls it before the trailer write so
-// the profile travels in-band).
+// explain settles the request trace into its Profile; nil for
+// non-explained requests. Runs once, after every phase span has ended
+// (the stream path calls it before the trailer write so the profile
+// travels in-band).
 func (s *Service) explain(st *evalState, req *Request) *obsv.Profile {
 	if st.tr == nil {
 		return nil
@@ -418,10 +418,7 @@ func (s *Service) explain(st *evalState, req *Request) *obsv.Profile {
 		c.Run, c.AutoShape = cur.Run(), cur.AutoShape()
 	}
 	st.tr.End(st.root)
-	p := st.tr.Profile(req.RequestID, c)
-	obsv.ReleaseTrace(st.tr)
-	st.tr = nil
-	return p
+	return st.tr.Profile(req.RequestID, c)
 }
 
 // finish closes out one request, whatever its outcome, from one
@@ -429,12 +426,6 @@ func (s *Service) explain(st *evalState, req *Request) *obsv.Profile {
 // structured log line — slow queries at Warn, everything else at Debug.
 func (s *Service) finish(st *evalState, req *Request) {
 	resp := &st.resp
-	if st.tr != nil {
-		// The profile was never delivered (e.g. the stream aborted
-		// before the trailer); don't leak the pooled trace.
-		obsv.ReleaseTrace(st.tr)
-		st.tr = nil
-	}
 	elapsed := resp.ElapsedUS
 	if elapsed == 0 {
 		elapsed = st.timer.elapsedMicros()
