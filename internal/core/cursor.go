@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/asta"
 	"repro/internal/compile"
 	"repro/internal/hybrid"
 	"repro/internal/obsv"
@@ -20,7 +21,7 @@ import (
 // arena once, before the context is parked again — so counting is a
 // length, seeking a binary search and a page a window of the answer. A
 // Cursor is single-use and not safe for concurrent use; resumption
-// across requests re-evaluates (hitting the compiled-automaton cache)
+// across requests re-evaluates (hitting the compiled-query cache)
 // and seeks with SeekPast.
 type Cursor struct {
 	strategy Strategy
@@ -53,16 +54,10 @@ func (c *Cursor) Close() { c.pos = len(c.nodes) }
 func (c *Cursor) Strategy() Strategy { return c.strategy }
 
 // Run is how the answer was produced: the strategy that ran, what the
-// run did (obsv.Work), whether the compiled automaton came from the
-// query cache (never for stepwise and hybrid, which compile nothing,
-// nor for an Auto query routed to either) and the context from the
-// pool warm, and why Auto took its route (empty for forced
-// strategies).
+// run did (obsv.Work), whether the compiled query came from the query
+// cache (for every strategy) and the context from the pool warm, and
+// why Auto took its route (empty for forced strategies).
 func (c *Cursor) Run() obsv.Run { return c.run }
-
-// Work is what the run did: visited nodes, index jumps, memo entries
-// and hits, whichever engine ran.
-func (c *Cursor) Work() obsv.Work { return c.run.Work }
 
 // Visited counts the nodes the run touched.
 func (c *Cursor) Visited() int { return c.run.Visited }
@@ -135,77 +130,76 @@ func (e *Engine) EvalCursor(query string, s Strategy) (*Cursor, error) {
 	return e.EvalCursorTrace(query, s, nil)
 }
 
-// EvalCursorTrace is EvalCursor recording phase spans (parse, strategy
-// selection, qcache lookup/compile, automaton run) into tr, which may
-// be nil (every trace operation is a nil-safe no-op — this is the same
-// code path EvalCursor runs). Engine-effort counters land on the
-// returned Cursor either way.
+// EvalCursorTrace is EvalCursor recording phase spans (the compiled
+// query's lookup, with the parse and Auto's route inside it on a miss,
+// and the engine run) into tr, which may be nil (every trace operation
+// is a nil-safe no-op — this is the same code path EvalCursor runs).
+// Engine-effort counters land on the returned Cursor either way.
+//
+// A request is one lookup and one run: Auto runs the engine the entry
+// was routed to, which never refuses it, and a forced engine runs from
+// the entry or returns the refusal the entry kept for it.
 func (e *Engine) EvalCursorTrace(query string, s Strategy, tr *obsv.Trace) (*Cursor, error) {
-	sp := tr.Begin(obsv.SpanParse)
-	p, err := xpath.Parse(query)
-	tr.End(sp)
+	cv, hit, err := e.lookup(query, tr)
 	if err != nil {
 		return nil, err
 	}
-	return e.evalCursor(query, p, s, tr)
-}
-
-func (e *Engine) evalCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Trace) (*Cursor, error) {
+	reason := ""
+	if s == Auto {
+		s, reason = cv.route, cv.reason
+	}
+	if s < Naive || s > Stepwise {
+		return nil, fmt.Errorf("core: unknown strategy %v", s)
+	}
+	if err := cv.refused[s]; err != nil {
+		return nil, err
+	}
+	var (
+		nodes []tree.NodeID
+		work  obsv.Work
+		warm  bool
+	)
+	sp := tr.Begin(obsv.SpanRun)
 	switch s {
 	case Stepwise:
-		return e.stepwiseCursor(p, tr), nil
+		res := stepwise.Eval(e.doc, cv.path, stepwise.Default())
+		nodes, work = res.Selected, res.Work
 	case Hybrid:
-		return e.hybridCursor(p, tr)
+		res := cv.chain.Eval(e.doc, e.ix)
+		nodes, work = res.Selected, res.Work
 	case TopDownDet:
-		return e.tdstaCursor(query, p, tr)
-	case Naive, Jumping, Memoized, Optimized:
-		return e.astaCursor(query, p, s, tr)
-	case Auto:
-		return e.autoCursor(query, p, tr)
+		// topdown_jump over jump cursors lent by the pool.
+		cur := e.pool.takeCursors(e.ix)
+		res := cv.det.EvalTopDownJump(e.doc, cur, nil)
+		e.pool.parkCursors(cur)
+		nodes, work = res.Selected, res.Work
+	default:
+		// Naive through Optimized, in a pooled context (warm: the memo
+		// world and arenas of earlier runs). The answer is a block in
+		// its arena: copied out once, and the context parked again.
+		var ctx *asta.Context
+		ctx, warm = cv.checkout(s)
+		res := ctx.Eval(e.doc, e.ix)
+		nodes, work = slices.Clone(res.Selected), res.Work
+		cv.release(s, ctx)
 	}
-	return nil, fmt.Errorf("core: unknown strategy %v", s)
-}
-
-// hybridCursor runs the start-anywhere engine; a query outside its chain
-// fragment is refused (hybrid.ErrUnsupported), which only a forced
-// Hybrid can ask for.
-func (e *Engine) hybridCursor(p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
-	sp := tr.Begin(obsv.SpanRun)
-	res, err := hybrid.Eval(e.doc, e.ix, p)
 	tr.End(sp)
-	if err != nil {
-		return nil, err
+	c := newCursor(nodes, s, work)
+	c.run.QCacheHit, c.run.CtxPoolHit, c.run.AutoReason = hit, warm, reason
+	if tr != nil && reason != "" {
+		c.autoShape = cv.path.String()
 	}
-	return newCursor(res.Selected, Hybrid, res.Work), nil
-}
-
-// stepwiseCursor runs the step-wise baseline (it cannot fail: the
-// full XPath subset of the parser is supported).
-func (e *Engine) stepwiseCursor(p *xpath.Path, tr *obsv.Trace) *Cursor {
-	sp := tr.Begin(obsv.SpanRun)
-	res := stepwise.Eval(e.doc, p, stepwise.Default())
-	tr.End(sp)
-	return newCursor(res.Selected, Stepwise, res.Work)
+	return c, nil
 }
 
 // lookup returns the query's compiled entry and whether the cache held
-// it; a miss builds and keeps the ASTA and, in the TDSTA's fragment, the
-// minimal TDSTA. An entry of another label table (PoolStats.GuardTrips)
-// is answered with one compiled for this table, left out of the cache.
-func (e *Engine) lookup(query string, p *xpath.Path, tr *obsv.Trace) (*compiled, bool, error) {
+// it; a miss builds it (compileQuery). An entry of another label table
+// (PoolStats.GuardTrips) is answered with one compiled for this table,
+// left out of the cache.
+func (e *Engine) lookup(query string, tr *obsv.Trace) (*compiled, bool, error) {
 	sp := tr.Begin(obsv.SpanCompile)
 	names := e.doc.Names()
-	build := func() (any, error) {
-		aut, err := compile.ToASTA(p, names)
-		if err != nil {
-			return nil, err
-		}
-		cv := &compiled{aut: aut, names: names, pool: e.pool}
-		if compile.CheckTDSTA(p) == nil {
-			cv.det = compile.DeterminizeTopDown(aut).MinimizeTopDown()
-		}
-		return cv, nil
-	}
+	build := func() (any, error) { return compileQuery(query, names, e.pool, tr) }
 	v, hit, err := e.cache.GetOrCompile(e.cacheKey(query), build)
 	if err == nil && v.(*compiled).names != names {
 		e.pool.guardTrips.Add(1)
@@ -221,48 +215,6 @@ func (e *Engine) lookup(query string, p *xpath.Path, tr *obsv.Trace) (*compiled,
 	return v.(*compiled), hit, nil
 }
 
-// tdstaCursor runs the query's minimal TDSTA with topdown_jump,
-// recording no run, over jump cursors lent by the pool. A query outside
-// its fragment is refused before anything compiles.
-func (e *Engine) tdstaCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
-	if err := compile.CheckTDSTA(p); err != nil {
-		return nil, err
-	}
-	cv, hit, err := e.lookup(query, p, tr)
-	if err != nil {
-		return nil, err
-	}
-	sp := tr.Begin(obsv.SpanRun)
-	cur := e.pool.takeCursors(e.ix)
-	res := cv.det.EvalTopDownJump(e.doc, cur, nil)
-	e.pool.parkCursors(cur)
-	tr.End(sp)
-	c := newCursor(res.Selected, TopDownDet, res.Work)
-	c.run.QCacheHit = hit
-	return c, nil
-}
-
-// astaCursor runs the ASTA evaluator in a pooled context: warm checkouts
-// reuse the memo world and arenas of previous runs of the same
-// automaton — over this generation of the document or an earlier one.
-// The answer is a block in the context's arena, so it is copied out
-// once and the context parked again before the cursor is built.
-func (e *Engine) astaCursor(query string, p *xpath.Path, s Strategy, tr *obsv.Trace) (*Cursor, error) {
-	cv, hit, err := e.lookup(query, p, tr)
-	if err != nil {
-		return nil, err
-	}
-	ctx, warm := cv.checkout(s)
-	sp := tr.Begin(obsv.SpanRun)
-	res := ctx.Eval(e.doc, e.ix)
-	nodes := slices.Clone(res.Selected)
-	cv.release(s, ctx)
-	tr.End(sp)
-	c := newCursor(nodes, s, res.Work)
-	c.run.CtxPoolHit, c.run.QCacheHit = warm, hit
-	return c, nil
-}
-
 // Auto's reasons, one per route. The explain profile's counters and the
 // flight record carry them; constants, so attaching one allocates
 // nothing.
@@ -273,8 +225,9 @@ const (
 	// ReasonTDSTA: compile.CheckTDSTA accepts it (a `*` test, say). It
 	// runs on TopDownDet.
 	ReasonTDSTA = "tdsta-fragment"
-	// ReasonASTA: compile.CheckASTA accepts it (a predicate, say). It
-	// runs on Optimized.
+	// ReasonASTA: compile.CheckASTA accepts it (a predicate, say), as
+	// compile.InASTA says without formatting a refusal. It runs on
+	// Optimized.
 	ReasonASTA = "asta"
 	// ReasonOutside: no automaton expresses it (backward axes, text
 	// functions, more than 64 states). It runs on Stepwise.
@@ -283,9 +236,10 @@ const (
 
 // route is Auto: the first engine, in this order, whose own fragment
 // test accepts the parsed query, and the step-wise engine when none
-// does. It reads the query and nothing else — no clock, no label count,
-// no shared state — so a query takes the same route on every document,
-// generation and run. The order is measured (DESIGN.md "Auto routes by
+// does, formatting no refusal and so allocating nothing. A query's
+// entry runs it once, when it is built. It reads the query and nothing
+// else — no clock, no label count, no shared state — so a query takes
+// the same route on every document, generation and run. The order is measured (DESIGN.md "Auto routes by
 // fragment"): hybrid was the fastest engine on every chain tried, and
 // the TDSTA on every other shape it accepts but Q06, a tie with the
 // ASTA.
@@ -295,27 +249,8 @@ func route(p *xpath.Path) (Strategy, string) {
 		return Hybrid, ReasonChain
 	case compile.CheckTDSTA(p) == nil:
 		return TopDownDet, ReasonTDSTA
-	case compile.CheckASTA(p) == nil:
+	case compile.InASTA(p):
 		return Optimized, ReasonASTA
 	}
 	return Stepwise, ReasonOutside
-}
-
-// autoCursor implements the Auto strategy (QueryWith's Auto is this
-// same code path): it runs the engine route picks. route offers an
-// engine only a query that engine's own fragment test accepts, so an
-// error from it is a genuine failure and surfaces as it is.
-func (e *Engine) autoCursor(query string, p *xpath.Path, tr *obsv.Trace) (*Cursor, error) {
-	sp := tr.Begin(obsv.SpanSelect)
-	s, reason := route(p)
-	tr.End(sp)
-	c, err := e.evalCursor(query, p, s, tr)
-	if err != nil {
-		return nil, err
-	}
-	c.run.AutoReason = reason
-	if tr != nil {
-		c.autoShape = p.String()
-	}
-	return c, nil
 }

@@ -156,10 +156,11 @@ func collectSpans(spans []obsv.Span, into *[]obsv.Span) {
 }
 
 // TestExplainRunSpanAndCounters: the profile of an evaluation carries
-// exactly one run span, and an Auto one a select span before it; spans
-// carry a name and a time, and what ran and why is the cursor's Run —
-// the profile's counters. A refused forced engine still times its run
-// span, and its error says why.
+// one compile span, with the parse and Auto's route inside it when the
+// query's entry was built (a miss) and nothing inside it on a hit, and
+// one run span; spans carry a name and a time, and what ran and why is
+// the cursor's Run — the profile's counters. A refused forced engine
+// runs nothing: its entry kept the refusal, and its error says why.
 func TestExplainRunSpanAndCounters(t *testing.T) {
 	eng := New(selDoc(t))
 	spans := func(q string, s Strategy) ([]obsv.Span, *Cursor, error) {
@@ -180,32 +181,34 @@ func TestExplainRunSpanAndCounters(t *testing.T) {
 		return strings.Join(out, " ")
 	}
 
-	flat, cur, err := spans("/r/a/b", Auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := names(flat), "query parse select run"; got != want {
-		t.Fatalf("auto spans %q, want %q", got, want)
-	}
-	// The shape is the canonical (axis-explicit) skeleton, not the raw
-	// query spelling.
-	if run := cur.Run(); run.Strategy != "hybrid" || run.AutoReason != ReasonChain || cur.AutoShape() != "/child::r/child::a/child::b" {
-		t.Fatalf("auto run %+v shape %q", run, cur.AutoShape())
+	for run, want := range []string{"query compile parse select run", "query compile run"} {
+		flat, cur, err := spans("/r/a/b", Auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := names(flat); got != want {
+			t.Fatalf("auto run %d spans %q, want %q", run, got, want)
+		}
+		// The shape is the canonical (axis-explicit) skeleton, not the
+		// raw query spelling.
+		if r := cur.Run(); r.Strategy != "hybrid" || r.AutoReason != ReasonChain || r.QCacheHit != (run == 1) || cur.AutoShape() != "/child::r/child::a/child::b" {
+			t.Fatalf("auto run %d: %+v shape %q", run, r, cur.AutoShape())
+		}
 	}
 
-	flat, _, err = spans("/r/a[b]", Hybrid)
+	flat, _, err := spans("/r/a[b]", Hybrid)
 	if !errors.Is(err, hybrid.ErrUnsupported) {
 		t.Fatalf("forced Hybrid on a predicate: %v, want hybrid.ErrUnsupported", err)
 	}
-	if got, want := names(flat), "query parse run"; got != want {
+	if got, want := names(flat), "query compile parse select"; got != want {
 		t.Fatalf("refused Hybrid spans %q, want %q", got, want)
 	}
 
-	flat, cur, err = spans("/r/a/b", TopDownDet)
+	flat, cur, err := spans("/r/a/b", TopDownDet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := names(flat), "query parse compile run"; got != want {
+	if got, want := names(flat), "query compile run"; got != want {
 		t.Fatalf("forced TDSTA spans %q, want %q", got, want)
 	}
 	if run := cur.Run(); run.Strategy != "topdown-det" || run.AutoReason != "" || cur.AutoShape() != "" {
@@ -261,11 +264,17 @@ func TestRouteIsACheck(t *testing.T) {
 }
 
 // TestRouteAllocatesNothing: every fragment test Auto asks answers from
-// the parsed query alone, and the refusals of the hybrid run and the
-// TDSTA are built once, so routing the paper's queries, the bulk
-// shapes and the `*` shapes the ASTA takes allocates nothing.
+// the parsed query alone, the refusals of the hybrid run and the TDSTA
+// are built once and the ASTA's is not formatted, so routing the
+// paper's queries, the bulk shapes, the `*` shapes the ASTA takes and
+// queries no automaton takes allocates nothing.
 func TestRouteAllocatesNothing(t *testing.T) {
-	queries := []string{"/site//text", "/site//listitem", "/site//emph", "/site//*/keyword", "//item/*/mail"}
+	queries := []string{
+		"/site//text", "/site//listitem", "/site//emph", "/site//*/keyword", "//item/*/mail",
+		// A relative path, a backward axis and a text function: no
+		// automaton takes them, and the ASTA's refusal is not formatted.
+		"item/name", "//item/parent::*", `//keyword[contains(., "a")]`,
+	}
 	for _, q := range xmark.Queries() {
 		queries = append(queries, q.XPath)
 	}

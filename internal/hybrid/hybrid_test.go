@@ -15,13 +15,22 @@ import (
 	"repro/internal/xpath"
 )
 
+// eval compiles p against d's label table and runs it over d.
+func eval(d *tree.Document, ix *index.Index, p *xpath.Path) (hybrid.Result, error) {
+	c, err := hybrid.Compile(p, d.Names())
+	if err != nil {
+		return hybrid.Result{}, err
+	}
+	return c.Eval(d, ix), nil
+}
+
 // evalString parses query and runs the hybrid evaluator on it.
 func evalString(d *tree.Document, ix *index.Index, query string) (hybrid.Result, error) {
 	p, err := xpath.Parse(query)
 	if err != nil {
 		return hybrid.Result{}, err
 	}
-	return hybrid.Eval(d, ix, p)
+	return eval(d, ix, p)
 }
 
 var chainBattery = []string{
@@ -72,7 +81,7 @@ func TestHybridAgainstStepwise(t *testing.T) {
 		for _, q := range queries {
 			p := xpath.MustParse(q)
 			want := stepwise.Eval(d, p, stepwise.Default()).Selected
-			got, err := hybrid.Eval(d, ix, p)
+			got, err := eval(d, ix, p)
 			if err != nil {
 				t.Logf("%q: %v", q, err)
 				return false
@@ -316,11 +325,12 @@ func TestHybridNestedPivots(t *testing.T) {
 func BenchmarkHybridConfigA(b *testing.B) {
 	d := xmark.Fig5Configs()[0].Build(0.05)
 	ix := index.New(d)
-	p := xpath.MustParse(xmark.HybridQuery)
+	c, err := hybrid.Compile(xpath.MustParse(xmark.HybridQuery), d.Names())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hybrid.Eval(d, ix, p); err != nil {
-			b.Fatal(err)
-		}
+		c.Eval(d, ix)
 	}
 }

@@ -33,9 +33,9 @@ const (
 	SpanQuery   = "query"   // whole request, root span
 	SpanEngine  = "engine"  // generation pin, engine binding
 	SpanCursor  = "cursor"  // continuation-token decode + validation
-	SpanParse   = "parse"   // XPath text -> AST
-	SpanSelect  = "select"  // Auto's route (the query's fragment)
-	SpanCompile = "compile" // qcache lookup / automaton compilation
+	SpanParse   = "parse"   // XPath text -> AST (in compile, on a miss)
+	SpanSelect  = "select"  // Auto's route (in compile, on a miss)
+	SpanCompile = "compile" // qcache lookup / the query's compilation
 	SpanRun     = "run"     // automaton / baseline evaluation proper
 	SpanSeek    = "seek"    // SeekPast to the resume position
 	SpanPage    = "page"    // materializing one page (Eval)
@@ -84,7 +84,7 @@ type Run struct {
 	// Strategy is the engine that ran (never auto).
 	Strategy string `json:"strategy,omitempty"`
 	Work
-	// QCacheHit: the compiled automaton came from the query cache.
+	// QCacheHit: the compiled query came from the query cache.
 	// CtxPoolHit: the evaluation ran in a warm pooled context.
 	QCacheHit  bool `json:"qcache_hit"`
 	CtxPoolHit bool `json:"ctx_pool_hit"`

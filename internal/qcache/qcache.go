@@ -8,8 +8,8 @@
 // GetOrCompile is the one way a value enters, and eviction off the LRU
 // tail the one way it leaves.
 //
-// Values are opaque (any): core's is one compiled query, its ASTA and,
-// in the TDSTA's fragment, its minimized TDSTA. A key names what its
+// Values are opaque (any): core's is one query compiled for every
+// strategy (path, route, chain and automata). A key names what its
 // value is a function of — core uses labelTableID\x00query — so no
 // entry ever has to be invalidated: a document whose alphabet changed,
 // or that was reloaded, looks its queries up under another table id,

@@ -69,9 +69,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// A 10-query batch with repeats, so the LRU sees the same compiled
-	// automata again. Strategy is forced: this test pins the LRU, and
-	// Auto routes the chains among the queries to hybrid, which
-	// compiles nothing.
+	// queries again.
 	qs := xmark.Queries()
 	var batch BatchRequest
 	for i := 0; i < 10; i++ {

@@ -73,10 +73,15 @@ func TestExplainAllStrategies(t *testing.T) {
 		}
 		names := map[string]bool{}
 		spanNames(p.Spans, names)
-		for _, want := range []string{obsv.SpanEngine, obsv.SpanParse, obsv.SpanRun, obsv.SpanPage} {
+		for _, want := range []string{obsv.SpanEngine, obsv.SpanCompile, obsv.SpanRun, obsv.SpanPage} {
 			if !names[want] {
 				t.Errorf("strategy %q: missing span %q in %v", strat, want, names)
 			}
+		}
+		// The query is parsed and routed when its entry is built: on a
+		// miss, and on a hit not at all.
+		if miss := !p.Counters.QCacheHit; names[obsv.SpanParse] != miss || names[obsv.SpanSelect] != miss {
+			t.Errorf("strategy %q: qcache hit %v, spans %v: want parse and select on a miss only", strat, p.Counters.QCacheHit, names)
 		}
 	}
 	// Explain costs nothing when not asked for.

@@ -71,7 +71,7 @@ func TestWorkLedger(t *testing.T) {
 					}
 					t.Fatalf("%s %v: %v", q[0], s, err)
 				}
-				w, name := cur.Work(), s.String()
+				w, name := cur.Run().Work, s.String()
 				if s == core.Auto {
 					name += "=" + cur.Strategy().String()
 				}
