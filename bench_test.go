@@ -104,7 +104,7 @@ func BenchmarkFigure5(b *testing.B) {
 		}
 		b.Run(cfg.Name+"/Hybrid", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				chain.Eval(d, ix)
+				chain.Eval(d, ix, nil)
 			}
 		})
 		b.Run(cfg.Name+"/Regular", func(b *testing.B) {

@@ -59,7 +59,7 @@ func main() {
 
 	full := min.EvalTopDownDet(doc)
 	run := make(sta.Run, doc.NumNodes())
-	jump := min.EvalTopDownJump(doc, ix.NewCursors(), run)
+	jump := min.EvalTopDownJump(doc, ix.NewCursors(), run, nil)
 	fmt.Printf("\nfull run visited %d of %d nodes; topdown_jump visited %d\n",
 		full.Visited, doc.NumNodes(), jump.Visited)
 	fmt.Printf("selected: %v (both runs agree: %v)\n",

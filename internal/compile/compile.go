@@ -28,9 +28,8 @@ import (
 
 // ErrUnsupported marks queries outside the automata fragment (backward
 // axes, text functions: §6's black boxes): CheckASTA's refusals, which
-// ToASTA returns (Auto asks the same question with InASTA, and routes
-// such a query to the step-wise engine), and CheckTDSTA's, which
-// ToTDSTA returns. Match with errors.Is.
+// ToASTA returns (Auto routes such a query to the step-wise engine), and
+// CheckTDSTA's, which ToTDSTA returns. Match with errors.Is.
 var ErrUnsupported = errors.New("query outside the automata fragment")
 
 // CheckASTA reports why p is outside the fragment ToASTA compiles
@@ -44,14 +43,6 @@ func CheckASTA(p *xpath.Path) error {
 		return fmt.Errorf("%w: query needs %d states, more than the %d of one automaton", ErrUnsupported, states, asta.MaxStates)
 	}
 	return nil
-}
-
-// InASTA reports whether CheckASTA accepts p. It formats nothing, so it
-// allocates nothing: Auto routes by it, and so the route and the
-// compiler cannot disagree.
-func InASTA(p *xpath.Path) bool {
-	states, _, rule := astaStates(p)
-	return rule == "" && states <= asta.MaxStates
 }
 
 // astaStates counts the states of p's ASTA, or names the rule of its
@@ -126,6 +117,12 @@ func ToASTA(p *xpath.Path, names *tree.LabelTable) (*asta.ASTA, error) {
 	if err := CheckASTA(p); err != nil {
 		return nil, err
 	}
+	return BuildASTA(p, names), nil
+}
+
+// BuildASTA is ToASTA for a query CheckASTA has accepted, which it does
+// not ask again: the compiled-query cache runs each fragment test once.
+func BuildASTA(p *xpath.Path, names *tree.LabelTable) *asta.ASTA {
 	c := &compiler{names: names}
 	// The synthetic initial state reads the #doc root and launches the
 	// first step at its children; it selects the root itself when every
@@ -138,12 +135,15 @@ func ToASTA(p *xpath.Path, names *tree.LabelTable) (*asta.ASTA, error) {
 		Phi:       phi,
 		Selecting: selfOnly(p.Steps),
 	})
-	out := &asta.ASTA{
+	out, err := (&asta.ASTA{
 		NumStates: int(c.next),
 		Top:       asta.StateSet(0).With(qI),
 		Trans:     c.trans,
+	}).Finalize()
+	if err != nil {
+		panic(err) // CheckASTA bounds the states; nothing else fails
 	}
-	return out.Finalize()
+	return out
 }
 
 type compiler struct {

@@ -9,6 +9,8 @@ import (
 	"repro/internal/asta"
 	"repro/internal/compile"
 	"repro/internal/index"
+	"repro/internal/labels"
+	"repro/internal/sta"
 	"repro/internal/stepwise"
 	"repro/internal/tgen"
 	"repro/internal/tree"
@@ -21,6 +23,31 @@ func sameNodes(a, b []tree.NodeID) bool {
 	}
 	for i := range a {
 		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// deterministicComplete reports whether a is top-down deterministic
+// and complete (Definition 2.1): one top state, and the guards of each
+// state's transitions pairwise disjoint and covering every label.
+func deterministicComplete(a *sta.STA) bool {
+	if len(a.Top) != 1 {
+		return false
+	}
+	for q := sta.State(0); int(q) < a.NumStates; q++ {
+		cover := labels.None
+		for _, t := range a.Trans {
+			if t.From != q {
+				continue
+			}
+			if cover.Overlaps(t.Guard) {
+				return false
+			}
+			cover = cover.Union(t.Guard)
+		}
+		if !cover.IsAny() {
 			return false
 		}
 	}
@@ -73,7 +100,7 @@ func TestTDSTAAgainstStepwise(t *testing.T) {
 				t.Logf("compile %q: %v", tdstaBattery[qi], err)
 				return false
 			}
-			if !aut.IsTopDownDeterministic() || !aut.IsTopDownComplete() {
+			if !deterministicComplete(aut) {
 				t.Logf("%q: not deterministic/complete", tdstaBattery[qi])
 				return false
 			}
@@ -87,7 +114,7 @@ func TestTDSTAAgainstStepwise(t *testing.T) {
 				return false
 			}
 			min := aut.MinimizeTopDown()
-			jump := min.EvalTopDownJump(d, ix.NewCursors(), nil)
+			jump := min.EvalTopDownJump(d, ix.NewCursors(), nil, nil)
 			if !sameNodes(jump.Selected, want) {
 				t.Logf("seed=%d %q jump: got %v want %v", seed, tdstaBattery[qi], jump.Selected, want)
 				return false
@@ -139,7 +166,7 @@ func TestTDSTAJumpSkipsIrrelevant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := aut.MinimizeTopDown().EvalTopDownJump(d, ix.NewCursors(), nil)
+	res := aut.MinimizeTopDown().EvalTopDownJump(d, ix.NewCursors(), nil, nil)
 	if len(res.Selected) != 5 {
 		t.Fatalf("selected %d", len(res.Selected))
 	}

@@ -17,16 +17,12 @@ import (
 // predicates — into a top-down deterministic selecting tree automaton:
 // the "extreme |Q|-optimization" of §1, evaluated with a single lookup
 // per node (or, minimized, with topdown_jump visiting only relevant
-// nodes). It is ToASTA followed by DeterminizeTopDown.
+// nodes). It is BuildASTA followed by DeterminizeTopDown.
 func ToTDSTA(p *xpath.Path, names *tree.LabelTable) (*sta.STA, error) {
 	if err := CheckTDSTA(p); err != nil {
 		return nil, err
 	}
-	a, err := ToASTA(p, names)
-	if err != nil {
-		return nil, err
-	}
-	return DeterminizeTopDown(a), nil
+	return DeterminizeTopDown(BuildASTA(p, names)), nil
 }
 
 // DeterminizeTopDown is the TDSTA of a query CheckTDSTA accepts, built
@@ -127,9 +123,9 @@ func partition(a *asta.ASTA) []labelClass {
 	return append(out, labelClass{labels.Not(mentioned...), fresh})
 }
 
-// CheckTDSTA's own refusals, one per rule, built once: Auto asks about
-// every query the hybrid run refuses, so a refusal allocates nothing.
-// It names the rule the query breaks, not the query's text.
+// CheckTDSTA's own refusals, one per rule, built once, so a refusal
+// allocates nothing. It names the rule the query breaks, not the
+// query's text.
 var (
 	errTDSTAAxis       = fmt.Errorf("%w: the TDSTA takes child and descendant axes only", ErrUnsupported)
 	errTDSTATest       = fmt.Errorf("%w: the TDSTA takes name and * tests only", ErrUnsupported)
@@ -139,8 +135,9 @@ var (
 )
 
 // CheckTDSTA reports why p is outside the fragment ToTDSTA compiles
-// (wrapping ErrUnsupported), or nil when it is inside. Auto routes by
-// it before any compilation, so the route and the compiler cannot
+// (wrapping ErrUnsupported), or nil when it is inside. A query's cache
+// entry asks it once, beside the other fragment tests, and Auto's route
+// is read off their answers, so the route and the compiler cannot
 // disagree.
 //
 // Child steps must precede descendant steps. That is the construction's

@@ -6,10 +6,12 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/asta"
 	"repro/internal/compile"
 	"repro/internal/hybrid"
 	"repro/internal/index"
 	"repro/internal/qcache"
+	"repro/internal/sta"
 	"repro/internal/stepwise"
 	"repro/internal/tree"
 	"repro/internal/xmark"
@@ -119,8 +121,8 @@ func TestAutoOutsideBuildsNoAutomaton(t *testing.T) {
 		t.Errorf("cache after three Auto runs: %+v, want 1 miss, 2 hits and 1 entry", cs)
 	}
 	v, _ := e.cache.Get(e.cacheKey(q))
-	if cv := v.(*compiled); cv.aut != nil || cv.det != nil || cv.chain != nil || cv.route != Stepwise {
-		t.Errorf("entry holds ASTA %v, TDSTA %v, chain %v and routes to %v; want no automaton and stepwise", cv.aut != nil, cv.det != nil, cv.chain != nil, cv.route)
+	if cv := v.(*compiled); cv.aut.Load() != nil || cv.det.Load() != nil || cv.chain != nil || cv.route != Stepwise {
+		t.Errorf("entry holds ASTA %v, TDSTA %v, chain %v and routes to %v; want no automaton and stepwise", cv.aut.Load() != nil, cv.det.Load() != nil, cv.chain != nil, cv.route)
 	}
 }
 
@@ -208,5 +210,77 @@ func TestCompiledEntrySharedAcrossGoroutines(t *testing.T) {
 	}
 	if ps := pool.Stats(); ps.GuardTrips != 0 {
 		t.Errorf("guard trips %d, want 0: the documents share one table", ps.GuardTrips)
+	}
+}
+
+// TestChainAutomataBuiltOnFirstForcedUse: a chain's entry is built
+// with its hybrid form only. Goroutines that force optimized and
+// topdown-det on one fresh such entry, while others run Auto on it,
+// build its ASTA and minimal TDSTA once between them: every one of them
+// gets the same two automata, every answer equals the step-wise
+// oracle's, and the cache weighs the automata from then on. Run it
+// under -race.
+func TestChainAutomataBuiltOnFirstForcedUse(t *testing.T) {
+	d := xmark.Generate(xmark.Config{Scale: 0.002, Seed: 1})
+	e := New(d)
+	const q = "//listitem//keyword"
+	want := stepwise.Eval(d, mustPath(t, q), stepwise.Default()).Selected
+	if _, err := e.QueryWith(q, Auto); err != nil {
+		t.Fatal(err)
+	}
+	v, _ := e.cache.Get(e.cacheKey(q))
+	cv := v.(*compiled)
+	if cv.route != Hybrid || cv.aut.Load() != nil || cv.det.Load() != nil {
+		t.Fatalf("fresh entry routes to %v with ASTA %v and TDSTA %v; want hybrid and neither", cv.route, cv.aut.Load() != nil, cv.det.Load() != nil)
+	}
+	before := e.cache.Stats().SizeBytes
+
+	strategies := []Strategy{Optimized, TopDownDet, Auto}
+	const goroutines, rounds = 6, 5
+	type forms struct {
+		aut *asta.ASTA
+		det *sta.STA
+	}
+	seen := make([]forms, goroutines)
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		s := strategies[g%len(strategies)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				ans, err := e.QueryWith(q, s)
+				if err != nil {
+					errs <- fmt.Errorf("%v: %w", s, err)
+					return
+				}
+				if (s != Auto && ans.Strategy != s) || !slices.Equal(ans.Nodes, want) {
+					errs <- fmt.Errorf("%v ran %v: %d nodes, the oracle %d", s, ans.Strategy, len(ans.Nodes), len(want))
+					return
+				}
+			}
+			if s != Auto {
+				aut, det := cv.automata()
+				seen[g] = forms{aut, det}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	aut, det := cv.aut.Load(), cv.det.Load()
+	if aut == nil || det == nil {
+		t.Fatalf("after forced runs: ASTA %v, TDSTA %v; want both built", aut != nil, det != nil)
+	}
+	for g, f := range seen {
+		if strategies[g%len(strategies)] != Auto && (f.aut != aut || f.det != det) {
+			t.Errorf("goroutine %d got other automata than the entry publishes", g)
+		}
+	}
+	if got, want := e.cache.Stats().SizeBytes, before+aut.SizeBytes()+det.SizeBytes(); got != want {
+		t.Errorf("cache weighs %d B after the build, want %d (%d before, plus the automata)", got, want, before)
 	}
 }

@@ -27,27 +27,24 @@ import (
 // document, and when the LRU evicts an automaton its contexts go with
 // it — one recency policy covers both.
 
-// maxPooledCtxBytes drops contexts whose arenas grew past this on
-// release: a context that served one huge answer should not pin its
-// peak forever. maxPoolResidentBytes caps the summed scratch parked
-// under one Pool — everything else resident in the system is
-// byte-budgeted, and so is this. Variables only so tests can exercise
-// the drop paths.
+// maxPooledCtxBytes drops contexts whose arenas, and maxPooledNodes
+// scratches whose buffers (4 MiB), grew past it: what served one huge
+// answer should not pin its peak forever. maxPoolResidentBytes caps
+// the summed scratch parked under one Pool — everything else resident
+// in the system is byte-budgeted, and so is this. Variables only so
+// tests can exercise the drop paths.
 var (
 	maxPooledCtxBytes    = int64(32 << 20)
+	maxPooledNodes       = 1 << 20
 	maxPoolResidentBytes = int64(128 << 20)
 )
 
-// maxPerKey bounds the contexts parked per (automaton, strategy): enough
-// for every P to run the same hot query concurrently, small enough to
-// bound resident scratch.
-func maxPerKey() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	return n
-}
+// maxPerKey bounds the contexts parked per (automaton, strategy), and
+// a Pool's scratches: enough for every P to run the same hot query
+// concurrently, small enough to bound resident scratch.
+func maxPerKey() int { return min(runtime.GOMAXPROCS(0), maxParked) }
+
+const maxParked = 8
 
 // PoolStats is a point-in-time picture of a context pool.
 type PoolStats struct {
@@ -83,8 +80,7 @@ func (p PoolStats) HitRate() float64 {
 // compiled: the counters behind PoolStats and the byte budget releases
 // are admitted against. The service has one, an engine built without
 // one its own. The zero Pool is ready to use.
-// It also keeps the TDSTA's jump cursors, which depend on no automaton,
-// on one free list.
+// It also lends the hybrid and TDSTA runs their scratch.
 type Pool struct {
 	hits       atomic.Uint64
 	misses     atomic.Uint64
@@ -93,35 +89,59 @@ type Pool struct {
 	resident   atomic.Int64
 	arenaBytes atomic.Int64
 
-	mu      sync.Mutex
-	cursors []*index.Cursors // parked: rewound, holding no index
+	mu     sync.Mutex
+	n      int
+	parked [maxParked]*scratch // an array: parking allocates nothing
 }
 
-// takeCursors returns a cursor set over ix, a parked one when there is
-// one, for the caller to hand back through parkCursors.
-func (p *Pool) takeCursors(ix *index.Index) *index.Cursors {
-	var c *index.Cursors
-	p.mu.Lock()
-	if n := len(p.cursors); n > 0 {
-		c, p.cursors = p.cursors[n-1], p.cursors[:n-1]
-	}
-	p.mu.Unlock()
-	if c == nil {
-		return ix.NewCursors()
-	}
-	c.Retarget(ix)
-	return c
+// scratch is what a hybrid or TDSTA run borrows: the TDSTA's jump
+// cursors and the buffer a run appends its answer to.
+type scratch struct {
+	cur   index.Cursors
+	nodes []tree.NodeID
 }
 
-// parkCursors rewinds c and lets go of its index, then parks it unless
-// maxPerKey sets are parked already.
-func (p *Pool) parkCursors(c *index.Cursors) {
-	c.Retarget(nil)
+// borrow returns a scratch over ix, a parked one when there is one,
+// for the caller to hand back through answer.
+func (p *Pool) borrow(ix *index.Index) *scratch {
+	var sc *scratch
 	p.mu.Lock()
-	if len(p.cursors) < maxPerKey() {
-		p.cursors = append(p.cursors, c)
+	if p.n > 0 {
+		p.n--
+		sc, p.parked[p.n] = p.parked[p.n], nil
 	}
 	p.mu.Unlock()
+	if sc == nil {
+		sc = new(scratch)
+	}
+	sc.cur.Retarget(ix)
+	return sc
+}
+
+// answer copies a run's answer out of sc's buffer and parks sc, holding
+// no index, unless the buffer grew past maxPooledNodes.
+func (p *Pool) answer(sc *scratch, nodes []tree.NodeID) []tree.NodeID {
+	out := copyOut(nodes)
+	if cap(nodes) > maxPooledNodes {
+		return out
+	}
+	sc.cur.Retarget(nil)
+	sc.nodes = nodes[:0]
+	p.mu.Lock()
+	if p.n < maxPerKey() {
+		p.parked[p.n] = sc
+		p.n++
+	}
+	p.mu.Unlock()
+	return out
+}
+
+// copyOut is how every automaton engine hands over its answer: one
+// exactly-sized copy out of its scratch buffer or arena.
+func copyOut(nodes []tree.NodeID) []tree.NodeID {
+	out := make([]tree.NodeID, len(nodes))
+	copy(out, nodes)
+	return out
 }
 
 // Stats snapshots the pool counters.
@@ -138,23 +158,28 @@ func (p *Pool) Stats() PoolStats {
 
 // compiled is the query cache's value: one query compiled against one
 // label table for every strategy, read-only once built (compileQuery)
-// but for the contexts parked on its ASTA between runs, accounted to
-// the pool of the engine that compiled it.
+// but for its automata, built once on first use, and the contexts
+// parked on its ASTA between runs, accounted to the pool of the engine
+// that compiled it.
 type compiled struct {
 	// path is the parsed query; route and reason are Auto's choice.
 	path   *xpath.Path
 	route  Strategy
 	reason string
-	// The hybrid chain, ASTA and minimal TDSTA, each nil outside its
-	// engine's fragment, and the label table they were compiled against.
+	// chain is the hybrid run's form, nil outside its fragment, and
+	// names the label table the entry is compiled against.
 	chain *hybrid.Chain
-	aut   *asta.ASTA
-	det   *sta.STA
 	names *tree.LabelTable
 	// refused is, by strategy, the error its fragment test gave: what a
 	// request forcing an engine the entry has no form for gets.
 	refused [Stepwise + 1]error
 	pool    *Pool
+
+	// aut and det are the ASTA and minimal TDSTA, stored once automata
+	// has built them under once: SizeBytes reads them without building.
+	aut  atomic.Pointer[asta.ASTA]
+	det  atomic.Pointer[sta.STA]
+	once sync.Once
 
 	// mu guards free, the parked contexts of ASTA strategy s at s-Naive,
 	// and gone: a slice push or pop. Nothing else is locked while it is
@@ -167,8 +192,17 @@ type compiled struct {
 }
 
 // compileQuery builds query's entry over label table names, the one
-// place a query is parsed and routed: every form an engine's fragment
-// test admits, and the others' refusals. A parse error is returned.
+// place a query is parsed and routed. It runs each engine's fragment
+// test once, keeps the refusals, and builds the form Auto's route runs
+// (a chain's automata wait for a request that forces them). A parse
+// error is returned.
+//
+// Auto's route is the first engine, in this order, whose fragment test
+// accepts the query, and the step-wise engine when none does. It reads
+// the query alone, so a query takes the same route on every document,
+// generation and run. The order is measured (DESIGN.md "Auto routes by
+// fragment"): hybrid was the fastest engine on every chain tried, and
+// the TDSTA on every other shape it accepts but Q06, a tie.
 func compileQuery(query string, names *tree.LabelTable, pool *Pool, tr *obsv.Trace) (*compiled, error) {
 	sp := tr.Begin(obsv.SpanParse)
 	p, err := xpath.Parse(query)
@@ -177,19 +211,41 @@ func compileQuery(query string, names *tree.LabelTable, pool *Pool, tr *obsv.Tra
 		return nil, err
 	}
 	sp = tr.Begin(obsv.SpanSelect)
-	s, reason := route(p)
+	chain, chainErr := hybrid.Compile(p, names)
+	detErr, autErr := compile.CheckTDSTA(p), compile.CheckASTA(p)
+	cv := &compiled{path: p, chain: chain, names: names, pool: pool, refused: [Stepwise + 1]error{
+		Hybrid: chainErr, TopDownDet: detErr,
+		Naive: autErr, Jumping: autErr, Memoized: autErr, Optimized: autErr}}
+	switch {
+	case chainErr == nil:
+		cv.route, cv.reason = Hybrid, ReasonChain
+	case detErr == nil:
+		cv.route, cv.reason = TopDownDet, ReasonTDSTA
+	case autErr == nil:
+		cv.route, cv.reason = Optimized, ReasonASTA
+	default:
+		cv.route, cv.reason = Stepwise, ReasonOutside
+	}
 	tr.End(sp)
-	cv := &compiled{path: p, route: s, reason: reason, names: names, pool: pool}
-	var chainErr, autErr error
-	cv.chain, chainErr = hybrid.Compile(p, names)
-	cv.aut, autErr = compile.ToASTA(p, names)
-	cv.refused = [Stepwise + 1]error{Hybrid: chainErr, TopDownDet: compile.CheckTDSTA(p),
-		Naive: autErr, Jumping: autErr, Memoized: autErr, Optimized: autErr}
-	if cv.refused[TopDownDet] == nil {
-		// The TDSTA's fragment lies inside the ASTA's: aut is built.
-		cv.det = compile.DeterminizeTopDown(cv.aut).MinimizeTopDown()
+	if cv.route == TopDownDet || cv.route == Optimized {
+		cv.automata()
 	}
 	return cv, nil
+}
+
+// automata returns the ASTA of a query CheckASTA accepted and its
+// minimal TDSTA (nil outside the TDSTA's fragment), built on the first
+// call, once, however many goroutines make it.
+func (cv *compiled) automata() (*asta.ASTA, *sta.STA) {
+	cv.once.Do(func() {
+		aut := compile.BuildASTA(cv.path, cv.names)
+		if cv.refused[TopDownDet] == nil {
+			// The TDSTA's fragment lies inside the ASTA's.
+			cv.det.Store(compile.DeterminizeTopDown(aut).MinimizeTopDown())
+		}
+		cv.aut.Store(aut)
+	})
+	return cv.aut.Load(), cv.det.Load()
 }
 
 // parkedCtx is a parked context and the MemBytes it was parked with
@@ -203,8 +259,10 @@ type parkedCtx struct {
 // half a kilobyte for a query of a few steps.
 const entryBytes = 512
 
-// SizeBytes weighs the cache entry (qcache.Sizer).
-func (cv *compiled) SizeBytes() int64 { return entryBytes + cv.aut.SizeBytes() + cv.det.SizeBytes() }
+// SizeBytes weighs the entry and the automata built so far (qcache.Sizer).
+func (cv *compiled) SizeBytes() int64 {
+	return entryBytes + cv.aut.Load().SizeBytes() + cv.det.Load().SizeBytes()
+}
 
 // Evicted drops the parked contexts with the automaton (qcache.Evictee):
 // cache eviction is pool eviction.
@@ -233,7 +291,8 @@ func (cv *compiled) checkout(s Strategy) (*asta.Context, bool) {
 	if len(list) == 0 {
 		cv.mu.Unlock()
 		cv.pool.misses.Add(1)
-		return cv.aut.NewContext(s.ASTAOptions()), false
+		aut, _ := cv.automata()
+		return aut.NewContext(s.ASTAOptions()), false
 	}
 	pc := list[len(list)-1]
 	cv.free[s-Naive] = list[:len(list)-1]

@@ -177,7 +177,7 @@ func TestPoolKeysByOptions(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s is not cached", q)
 			}
-			want := v.(*compiled).aut.Eval(d, e.ix, s.ASTAOptions())
+			want := v.(*compiled).aut.Load().Eval(d, e.ix, s.ASTAOptions())
 			if got := collect(t, cur); !slices.Equal(got, want.Selected) || len(got) == 0 {
 				t.Fatalf("round %d %v: %d nodes, a fresh asta.Eval %d", i, s, len(got), len(want.Selected))
 			}
@@ -309,8 +309,10 @@ func TestGuardCountsWrongTableAutomaton(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.cache.GetOrCompile(e.cacheKey(q), func() (any, error) {
-		det := compile.DeterminizeTopDown(wrong).MinimizeTopDown()
-		return &compiled{aut: wrong, det: det, names: other.Names(), pool: e.pool}, nil
+		cv := &compiled{names: other.Names(), pool: e.pool}
+		cv.aut.Store(wrong)
+		cv.det.Store(compile.DeterminizeTopDown(wrong).MinimizeTopDown())
+		return cv, nil
 	})
 
 	for i, s := range []Strategy{Optimized, Memoized, TopDownDet, Hybrid, Stepwise, Auto} {
@@ -411,5 +413,40 @@ func TestPoolOversizedContextDropped(t *testing.T) {
 	}
 	if ps.Resident != 0 {
 		t.Errorf("oversized context was parked (resident=%d)", ps.Resident)
+	}
+}
+
+// TestPoolLendsAnswerBuffers: the hybrid and TDSTA runs append their
+// answers to a buffer the pool lends and hand the cursor its own copy,
+// so a later run over the parked buffer leaves an earlier answer as it
+// was; a buffer that grew past maxPooledNodes is dropped, not parked.
+func TestPoolLendsAnswerBuffers(t *testing.T) {
+	e, _ := poolTestEngine(t)
+	for _, s := range []Strategy{Hybrid, TopDownDet} {
+		first, err := e.QueryWith("/site//keyword", s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := slices.Clone(first.Nodes)
+		if e.pool.n != 1 {
+			t.Fatalf("%v: %d buffers parked after one run, want 1", s, e.pool.n)
+		}
+		if _, err := e.QueryWith("/site/regions/africa/item", s); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(first.Nodes, kept) || cap(first.Nodes) != len(first.Nodes) {
+			t.Errorf("%v: an answer changed under a later run, or is not sized exactly (len %d, cap %d)", s, len(first.Nodes), cap(first.Nodes))
+		}
+		e.pool.borrow(nil) // empty the pool again
+	}
+
+	old := maxPooledNodes
+	maxPooledNodes = 1 // every answer below grows past this
+	defer func() { maxPooledNodes = old }()
+	if _, err := e.QueryWith("/site//keyword", Hybrid); err != nil {
+		t.Fatal(err)
+	}
+	if e.pool.n != 0 {
+		t.Errorf("an oversized buffer was parked (%d parked)", e.pool.n)
 	}
 }

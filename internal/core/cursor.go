@@ -2,24 +2,21 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/asta"
-	"repro/internal/compile"
-	"repro/internal/hybrid"
 	"repro/internal/obsv"
 	"repro/internal/stepwise"
 	"repro/internal/tree"
-	"repro/internal/xpath"
 )
 
 // Cursor is a resumable view of one evaluation's answer: a strictly
 // increasing slice of node ids (preorder, duplicate-free) that the
 // cursor owns, and a read position. Every engine hands over that one
-// form — the ASTA evaluator's answer is copied out of its context's
-// arena once, before the context is parked again — so counting is a
-// length, seeking a binary search and a page a window of the answer. A
+// form — an automaton engine's answer is copied once (copyOut) out of
+// the scratch it was built in, a buffer the pool lends or an ASTA
+// context's arena, before the scratch is parked again — so counting is
+// a length, seeking a binary search and a page a window of the answer. A
 // Cursor is single-use and not safe for concurrent use; resumption
 // across requests re-evaluates (hitting the compiled-query cache)
 // and seeks with SeekPast.
@@ -165,14 +162,18 @@ func (e *Engine) EvalCursorTrace(query string, s Strategy, tr *obsv.Trace) (*Cur
 		res := stepwise.Eval(e.doc, cv.path, stepwise.Default())
 		nodes, work = res.Selected, res.Work
 	case Hybrid:
-		res := cv.chain.Eval(e.doc, e.ix)
-		nodes, work = res.Selected, res.Work
+		// The hybrid and TDSTA runs append their answers to a buffer
+		// the pool lends, copied out once, as the ASTA's is below.
+		sc := e.pool.borrow(e.ix)
+		res := cv.chain.Eval(e.doc, e.ix, sc.nodes)
+		nodes, work = e.pool.answer(sc, res.Selected), res.Work
 	case TopDownDet:
-		// topdown_jump over jump cursors lent by the pool.
-		cur := e.pool.takeCursors(e.ix)
-		res := cv.det.EvalTopDownJump(e.doc, cur, nil)
-		e.pool.parkCursors(cur)
-		nodes, work = res.Selected, res.Work
+		// topdown_jump over jump cursors lent by the pool. A chain's
+		// entry builds its automata here, on the first forced run.
+		_, det := cv.automata()
+		sc := e.pool.borrow(e.ix)
+		res := det.EvalTopDownJump(e.doc, &sc.cur, nil, sc.nodes)
+		nodes, work = e.pool.answer(sc, res.Selected), res.Work
 	default:
 		// Naive through Optimized, in a pooled context (warm: the memo
 		// world and arenas of earlier runs). The answer is a block in
@@ -180,7 +181,7 @@ func (e *Engine) EvalCursorTrace(query string, s Strategy, tr *obsv.Trace) (*Cur
 		var ctx *asta.Context
 		ctx, warm = cv.checkout(s)
 		res := ctx.Eval(e.doc, e.ix)
-		nodes, work = slices.Clone(res.Selected), res.Work
+		nodes, work = copyOut(res.Selected), res.Work
 		cv.release(s, ctx)
 	}
 	tr.End(sp)
@@ -225,32 +226,10 @@ const (
 	// ReasonTDSTA: compile.CheckTDSTA accepts it (a `*` test, say). It
 	// runs on TopDownDet.
 	ReasonTDSTA = "tdsta-fragment"
-	// ReasonASTA: compile.CheckASTA accepts it (a predicate, say), as
-	// compile.InASTA says without formatting a refusal. It runs on
-	// Optimized.
+	// ReasonASTA: compile.CheckASTA accepts it (a predicate, say). It
+	// runs on Optimized.
 	ReasonASTA = "asta"
 	// ReasonOutside: no automaton expresses it (backward axes, text
 	// functions, more than 64 states). It runs on Stepwise.
 	ReasonOutside = "outside-automata"
 )
-
-// route is Auto: the first engine, in this order, whose own fragment
-// test accepts the parsed query, and the step-wise engine when none
-// does, formatting no refusal and so allocating nothing. A query's
-// entry runs it once, when it is built. It reads the query and nothing
-// else — no clock, no label count, no shared state — so a query takes
-// the same route on every document, generation and run. The order is measured (DESIGN.md "Auto routes by
-// fragment"): hybrid was the fastest engine on every chain tried, and
-// the TDSTA on every other shape it accepts but Q06, a tie with the
-// ASTA.
-func route(p *xpath.Path) (Strategy, string) {
-	switch {
-	case hybrid.CheckChain(p) == nil:
-		return Hybrid, ReasonChain
-	case compile.CheckTDSTA(p) == nil:
-		return TopDownDet, ReasonTDSTA
-	case compile.InASTA(p):
-		return Optimized, ReasonASTA
-	}
-	return Stepwise, ReasonOutside
-}

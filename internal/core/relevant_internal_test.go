@@ -23,7 +23,7 @@ func visitedAndRelevant(t *testing.T, e *Engine, query string) (visited, relevan
 	if !ok {
 		t.Fatalf("%s: not cached", query)
 	}
-	aut := v.(*compiled).det
+	aut := v.(*compiled).det.Load()
 	return visited, len(aut.RelevantTopDown(e.doc, aut.EvalTopDownDet(e.doc).Run))
 }
 

@@ -241,9 +241,9 @@ func TestTDSTAEligibleMirrorsCompiler(t *testing.T) {
 	}
 }
 
-// TestRouteIsACheck: Auto asks each engine's fragment test before
-// anything runs, the ASTA's included, so what no automaton expresses
-// goes to Stepwise without a compile being tried.
+// TestRouteIsACheck: a query's entry asks each engine's fragment test
+// once, the ASTA's included, and reads Auto's route off the answers, so
+// what no automaton expresses goes to Stepwise with no automaton built.
 func TestRouteIsACheck(t *testing.T) {
 	fits := "/a" + strings.Repeat("//b[.//b]", (asta.MaxStates-2)/2) // 64 states
 	for q, want := range map[string]Strategy{
@@ -252,37 +252,19 @@ func TestRouteIsACheck(t *testing.T) {
 		fits + "/b":                             Stepwise, // 65 states
 		fits:                                    Optimized,
 	} {
-		s, reason := route(mustPath(t, q))
+		cv, err := compileQuery(q, tree.NewLabelTable(), new(Pool), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		wantReason := ReasonASTA
 		if want == Stepwise {
 			wantReason = ReasonOutside
 		}
-		if s != want || reason != wantReason {
-			t.Errorf("%.40s: routed to %v (%s), want %v (%s)", q, s, reason, want, wantReason)
+		if cv.route != want || cv.reason != wantReason {
+			t.Errorf("%.40s: routed to %v (%s), want %v (%s)", q, cv.route, cv.reason, want, wantReason)
 		}
-	}
-}
-
-// TestRouteAllocatesNothing: every fragment test Auto asks answers from
-// the parsed query alone, the refusals of the hybrid run and the TDSTA
-// are built once and the ASTA's is not formatted, so routing the
-// paper's queries, the bulk shapes, the `*` shapes the ASTA takes and
-// queries no automaton takes allocates nothing.
-func TestRouteAllocatesNothing(t *testing.T) {
-	queries := []string{
-		"/site//text", "/site//listitem", "/site//emph", "/site//*/keyword", "//item/*/mail",
-		// A relative path, a backward axis and a text function: no
-		// automaton takes them, and the ASTA's refusal is not formatted.
-		"item/name", "//item/parent::*", `//keyword[contains(., "a")]`,
-	}
-	for _, q := range xmark.Queries() {
-		queries = append(queries, q.XPath)
-	}
-	for _, q := range queries {
-		p := mustPath(t, q)
-		if got := testing.AllocsPerRun(100, func() { route(p) }); got != 0 {
-			s, reason := route(p)
-			t.Errorf("%s: routing to %v (%s) allocates %.1f/op, want 0", q, s, reason, got)
+		if built := cv.aut.Load() != nil; built != (want == Optimized) {
+			t.Errorf("%.40s: automata built = %v on the miss, route %v", q, built, want)
 		}
 	}
 }

@@ -207,7 +207,7 @@ func Figure5(scale float64, repeats int) ([]Fig5Row, error) {
 		var hTime time.Duration
 		for rep := 0; rep < repeats; rep++ {
 			start := time.Now()
-			hRes = chain.Eval(d, ix)
+			hRes = chain.Eval(d, ix, nil)
 			el := time.Since(start)
 			if rep == 0 || el < hTime {
 				hTime = el

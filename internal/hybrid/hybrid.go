@@ -12,7 +12,7 @@
 // and no predicates. Compile refuses others with ErrUnsupported and
 // resolves a chain's labels once per label table, for Chain.Eval to run
 // on any document with that table; CheckChain asks the same question
-// without compiling, which is how Auto routes every such chain here.
+// without compiling.
 package hybrid
 
 import (
@@ -31,9 +31,9 @@ var ErrUnsupported = errors.New("hybrid: query outside the chain fragment")
 // maxSteps bounds a chain: the upward check keeps one bit a step.
 const maxSteps = 64
 
-// CheckChain's refusals, one per rule, built once: Auto asks about
-// every query, so a refusal allocates nothing. It names the rule the
-// query breaks, not the query's text.
+// CheckChain's refusals, one per rule, built once, so a refusal
+// allocates nothing. It names the rule the query breaks, not the
+// query's text.
 var (
 	errRelative   = fmt.Errorf("%w: path must be absolute and non-empty", ErrUnsupported)
 	errTooLong    = fmt.Errorf("%w: at most %d steps", ErrUnsupported, maxSteps)
@@ -54,8 +54,7 @@ type Result struct {
 }
 
 // CheckChain reports why p is outside the chain fragment (wrapping
-// ErrUnsupported), or nil when Compile accepts it. Auto routes by it,
-// so a query Auto sends here is one Compile accepts.
+// ErrUnsupported), or nil when Compile accepts it.
 func CheckChain(p *xpath.Path) error {
 	if !p.Absolute || len(p.Steps) == 0 {
 		return errRelative
@@ -134,10 +133,11 @@ func (c *Chain) stepsOf(l tree.LabelID) uint64 {
 }
 
 // Eval evaluates the chain over d, which must use the label table it
-// was compiled against, starting from its cheapest step.
-func (c *Chain) Eval(d *tree.Document, ix *index.Index) Result {
+// was compiled against, starting from its cheapest step. The answer is
+// appended to dst[:0], a buffer the caller lends.
+func (c *Chain) Eval(d *tree.Document, ix *index.Index, dst []tree.NodeID) Result {
 	if c.steps == nil {
-		return Result{}
+		return Result{Selected: dst[:0]}
 	}
 	// The pivot is the deepest of the rarest steps: below it there is
 	// less left to scan than below an equally rare step higher up.
@@ -147,7 +147,7 @@ func (c *Chain) Eval(d *tree.Document, ix *index.Index) Result {
 			pivot = i
 		}
 	}
-	e := &evaluator{Chain: c, d: d}
+	e := &evaluator{Chain: c, d: d, out: dst[:0]}
 	last := len(c.steps) - 1
 	occ := ix.Occurrences(c.steps[last])
 	e.work.Jumps += 2 // the final label's row, and the pivot's below

@@ -21,7 +21,7 @@ func eval(d *tree.Document, ix *index.Index, p *xpath.Path) (hybrid.Result, erro
 	if err != nil {
 		return hybrid.Result{}, err
 	}
-	return c.Eval(d, ix), nil
+	return c.Eval(d, ix, nil), nil
 }
 
 // evalString parses query and runs the hybrid evaluator on it.
@@ -331,6 +331,6 @@ func BenchmarkHybridConfigA(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Eval(d, ix)
+		c.Eval(d, ix, nil)
 	}
 }

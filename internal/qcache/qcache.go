@@ -27,7 +27,6 @@ import (
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
-	curBytes int64
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
 
@@ -37,14 +36,15 @@ type Cache struct {
 }
 
 type entry struct {
-	key  string
-	val  any
-	size int64
+	key string
+	val any
 }
 
 // Sizer lets cached values report their heap footprint, which Stats sums
-// as SizeBytes (the service reports it as the cache's resident bytes).
-// Values without it are charged DefaultEntryBytes.
+// as SizeBytes when it is read, so a value that grew after it entered
+// is weighed as it is now. SizeBytes runs under the cache's lock: it
+// must not block or call the cache. Values without it are charged
+// DefaultEntryBytes.
 type Sizer interface {
 	SizeBytes() int64
 }
@@ -62,15 +62,6 @@ const DefaultEntryBytes = 2048
 // cache; no lock of the cache is ever held around another one.
 type Evictee interface {
 	Evicted()
-}
-
-func entrySize(val any) int64 {
-	if s, ok := val.(Sizer); ok {
-		if n := s.SizeBytes(); n > 0 {
-			return n
-		}
-	}
-	return DefaultEntryBytes
 }
 
 // DefaultCapacity bounds caches whose creator did not choose a size.
@@ -133,18 +124,15 @@ func (c *Cache) GetOrCompile(key string, compile func() (any, error)) (val any, 
 // one) or nil, for the caller to tell once the lock is released.
 func (c *Cache) insert(key string, val any) (resident, gone any) {
 	c.mu.Lock()
-	defer c.mu.Unlock() // entrySize runs the value's own SizeBytes
+	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		return el.Value.(*entry).val, val
 	}
-	size := entrySize(val)
-	c.items[key] = c.ll.PushFront(&entry{key: key, val: val, size: size})
-	c.curBytes += size
+	c.items[key] = c.ll.PushFront(&entry{key: key, val: val})
 	if c.ll.Len() > c.capacity {
 		e := c.ll.Remove(c.ll.Back()).(*entry)
 		delete(c.items, e.key)
-		c.curBytes -= e.size
 		c.evictions++
 		gone = e.val
 	}
@@ -155,7 +143,8 @@ func (c *Cache) insert(key string, val any) (resident, gone any) {
 type Stats struct {
 	Size     int `json:"size"`
 	Capacity int `json:"capacity"`
-	// SizeBytes is the summed weight of resident entries.
+	// SizeBytes is the summed weight of resident entries, weighed when
+	// the snapshot is taken.
 	SizeBytes int64  `json:"size_bytes"`
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
@@ -171,14 +160,23 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters, and weighs every resident
+// value.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	var bytes int64
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		if s, ok := el.Value.(*entry).val.(Sizer); ok {
+			bytes += s.SizeBytes()
+		} else {
+			bytes += DefaultEntryBytes
+		}
+	}
 	return Stats{
 		Size:      c.ll.Len(),
 		Capacity:  c.capacity,
-		SizeBytes: c.curBytes,
+		SizeBytes: bytes,
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,

@@ -131,12 +131,14 @@ func (a *STA) RelevantTopDown(d *tree.Document, run Run) []tree.NodeID {
 // A non-nil run, of d.NumNodes() entries, records the partial run:
 // states exactly at the visited nodes, NoState elsewhere (Theorem 3.1).
 // The query path passes nil and reads only the answer and the work.
-func (a *STA) EvalTopDownJump(d *tree.Document, cur *index.Cursors, run Run) Result {
+// The answer is appended to dst[:0], a buffer the caller lends; a
+// rejected run answers it empty.
+func (a *STA) EvalTopDownJump(d *tree.Document, cur *index.Cursors, run Run, dst []tree.NodeID) Result {
 	for i := range run {
 		run[i] = NoState
 	}
 	n := d.NumNodes()
-	var res Result
+	res := Result{Selected: dst[:0]}
 	if n == 0 {
 		res.Accepted = len(a.Top) == 1 && a.inBot[a.Top[0]]
 		return res
@@ -180,7 +182,7 @@ func (a *STA) EvalTopDownJump(d *tree.Document, cur *index.Cursors, run Run) Res
 		}
 		l := d.Label(v)
 		if ji.Kind == JumpFail {
-			return Result{Work: res.Work}
+			return Result{Selected: res.Selected[:0], Work: res.Work}
 		}
 		if ji.Kind != JumpNone && !ji.Essential.Contains(l) {
 			res.Jumps++
@@ -204,7 +206,7 @@ func (a *STA) EvalTopDownJump(d *tree.Document, cur *index.Cursors, run Run) Res
 		res.Visited++
 		dest, ok := a.DestDet(q, l)
 		if !ok {
-			return Result{Work: res.Work}
+			return Result{Selected: res.Selected[:0], Work: res.Work}
 		}
 		if a.IsSelecting(q, l) {
 			res.Selected = append(res.Selected, v)
@@ -214,19 +216,19 @@ func (a *STA) EvalTopDownJump(d *tree.Document, cur *index.Cursors, run Run) Res
 		last := d.LastDesc(v)
 		if last == f.end { // no right sibling
 			if !a.inBot[dest.Right] {
-				return Result{Work: res.Work}
+				return Result{Selected: res.Selected[:0], Work: res.Work}
 			}
 		} else if a.jump[dest.Right].Kind == JumpFail {
-			return Result{Work: res.Work}
+			return Result{Selected: res.Selected[:0], Work: res.Work}
 		} else {
 			stack = append(stack, frame{last + 1, f.end, dest.Right, false})
 		}
 		if last == v { // no child
 			if !a.inBot[dest.Left] {
-				return Result{Work: res.Work}
+				return Result{Selected: res.Selected[:0], Work: res.Work}
 			}
 		} else if a.jump[dest.Left].Kind == JumpFail {
-			return Result{Work: res.Work}
+			return Result{Selected: res.Selected[:0], Work: res.Work}
 		} else {
 			stack = append(stack, frame{v + 1, last, dest.Left, false})
 		}

@@ -120,7 +120,7 @@ func TestJumpOnRandomMinimalTDSTA(t *testing.T) {
 		for i, d := range docs {
 			full := min.EvalTopDownDet(d)
 			run := make(Run, d.NumNodes())
-			jump := min.EvalTopDownJump(d, indexes[i].NewCursors(), run)
+			jump := min.EvalTopDownJump(d, indexes[i].NewCursors(), run, nil)
 			if full.Accepted != jump.Accepted {
 				t.Logf("seed=%d doc=%d acceptance: full=%v jump=%v\n%s",
 					seed, i, full.Accepted, jump.Accepted, min.String(lt))

@@ -170,41 +170,6 @@ func (a *STA) DestDet(q State, l tree.LabelID) (Pair, bool) {
 	return Pair{}, false
 }
 
-// IsTopDownDeterministic reports whether |T| == 1 and δ(q, l) has at most
-// one element for all q, l (Definition after 2.1; completeness is checked
-// separately).
-func (a *STA) IsTopDownDeterministic() bool {
-	if len(a.Top) != 1 {
-		return false
-	}
-	for q := 0; q < a.NumStates; q++ {
-		ts := a.byFrom[q]
-		for i := 0; i < len(ts); i++ {
-			for j := i + 1; j < len(ts); j++ {
-				if a.Trans[ts[i]].Guard.Overlaps(a.Trans[ts[j]].Guard) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// IsTopDownComplete reports whether δ(q, l) is non-empty for every q and
-// every label of the effective alphabet.
-func (a *STA) IsTopDownComplete() bool {
-	for q := State(0); int(q) < a.NumStates; q++ {
-		cover := labels.None
-		for _, ti := range a.byFrom[q] {
-			cover = cover.Union(a.Trans[ti].Guard)
-		}
-		if !cover.IsAny() {
-			return false
-		}
-	}
-	return true
-}
-
 // NonChanging reports whether q is non-changing (Definition 2.4):
 // δ(q, l) = {(q, q)} for every label.
 func (a *STA) NonChanging(q State) bool {

@@ -254,7 +254,7 @@ func TestTopDownJumpTheorem(t *testing.T) {
 		ix := index.New(d)
 		full := aut.EvalTopDownDet(d)
 		run := make(Run, d.NumNodes())
-		jump := aut.EvalTopDownJump(d, ix.NewCursors(), run)
+		jump := aut.EvalTopDownJump(d, ix.NewCursors(), run, nil)
 		if jump.Accepted != full.Accepted {
 			return false
 		}
@@ -289,7 +289,7 @@ func TestJumpVisitsOnlyRelevantForRootRecognizer(t *testing.T) {
 	d := abcDoc(5, 300)
 	ix := index.New(d)
 	aut := exampleRootA(tree.LabelDoc)
-	res := aut.EvalTopDownJump(d, ix.NewCursors(), nil)
+	res := aut.EvalTopDownJump(d, ix.NewCursors(), nil, nil)
 	if !res.Accepted {
 		t.Fatal("should accept")
 	}
@@ -323,7 +323,7 @@ func TestJumpVisitCountsOnChain(t *testing.T) {
 	bID, _ := d.Names().Lookup("b")
 	aut := exampleDescADescB(aID, bID)
 	ix := index.New(d)
-	res := aut.EvalTopDownJump(d, ix.NewCursors(), nil)
+	res := aut.EvalTopDownJump(d, ix.NewCursors(), nil, nil)
 	if !res.Accepted || len(res.Selected) != 1 {
 		t.Fatalf("selected %v", res.Selected)
 	}
@@ -547,6 +547,45 @@ func BenchmarkEvalTopDownJump(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cur.Reset() // warm: the cursor set of the run before, rewound
-		_ = aut.EvalTopDownJump(d, cur, nil)
+		_ = aut.EvalTopDownJump(d, cur, nil, nil)
 	}
+}
+
+// The two properties Definition 2.1 names, checked by the tests of
+// this package: no query asks them, since the TDSTA construction makes
+// them so.
+
+// IsTopDownDeterministic reports whether |T| == 1 and δ(q, l) has at most
+// one element for all q, l (Definition after 2.1; completeness is checked
+// separately).
+func (a *STA) IsTopDownDeterministic() bool {
+	if len(a.Top) != 1 {
+		return false
+	}
+	for q := 0; q < a.NumStates; q++ {
+		ts := a.byFrom[q]
+		for i := 0; i < len(ts); i++ {
+			for j := i + 1; j < len(ts); j++ {
+				if a.Trans[ts[i]].Guard.Overlaps(a.Trans[ts[j]].Guard) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// IsTopDownComplete reports whether δ(q, l) is non-empty for every q and
+// every label of the effective alphabet.
+func (a *STA) IsTopDownComplete() bool {
+	for q := State(0); int(q) < a.NumStates; q++ {
+		cover := labels.None
+		for _, ti := range a.byFrom[q] {
+			cover = cover.Union(a.Trans[ti].Guard)
+		}
+		if !cover.IsAny() {
+			return false
+		}
+	}
+	return true
 }
