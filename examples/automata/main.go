@@ -1,8 +1,8 @@
 // Automata inspection: compiles queries to the paper's automata and
 // prints them — the ASTA of Example 4.1, its state-set jump analysis,
-// and a minimized deterministic TDSTA with its relevant-node run. This
-// example imports internal packages (it lives inside the module) to
-// expose the machinery the public API wraps.
+// and the minimal deterministic TDSTA of a path with its relevant-node
+// run. This example imports internal packages (it lives inside the
+// module) to expose the machinery the public API wraps.
 //
 //	go run ./examples/automata
 package main
@@ -45,16 +45,15 @@ func main() {
 		fmt.Printf("  q%d: %s\n", q, role)
 	}
 
-	// 2. The minimized TDSTA for a restricted query, with its jumping
-	// run (Theorem 3.1: only relevant nodes are touched).
+	// 2. The TDSTA for a restricted query, minimal as determinized, with
+	// its jumping run (Theorem 3.1: only relevant nodes are touched).
 	fmt.Println("\n=== minimal TDSTA for //a//b ===")
 	p := xpath.MustParse("//a//b")
-	tdsta, err := compile.ToTDSTA(p, doc.Names())
+	min, err := compile.ToTDSTA(p, doc.Names())
 	if err != nil {
 		log.Fatal(err)
 	}
-	min := tdsta.MinimizeTopDown()
-	fmt.Printf("states before/after minimization: %d -> %d\n", tdsta.NumStates, min.NumStates)
+	fmt.Printf("states: %d for %d steps\n", min.NumStates, len(p.Steps))
 	fmt.Println(min.String(doc.Names()))
 
 	full := min.EvalTopDownDet(doc)

@@ -187,6 +187,9 @@ type ASTA struct {
 	// selecting transition); used by information propagation to decide
 	// which satisfied disjuncts may still carry results.
 	marking StateSet
+	// pure holds the labels on which each state only loops, which the
+	// jump analysis of §4.3 intersects over a state set.
+	pure pureSets
 }
 
 // Finalize validates and builds lookup structures; call once after the
@@ -203,6 +206,7 @@ func (a *ASTA) Finalize() (*ASTA, error) {
 		a.byFrom[t.From] = append(a.byFrom[t.From], int32(i))
 	}
 	a.marking = a.computeMarking()
+	a.pure = a.computePure()
 	return a, nil
 }
 
@@ -232,9 +236,10 @@ func (a *ASTA) computeMarking() StateSet {
 
 // SizeBytes estimates the resident size of the compiled automaton:
 // transitions with their guard sets and formula trees, plus the lookup
-// structures built by Finalize. The compiled-query cache sums it into
-// the resident bytes /stats reports (it evicts by count, not by bytes),
-// so the estimate only needs to be proportionally honest, not exact.
+// structures and pure label sets built by Finalize. The compiled-query
+// cache sums it into the resident bytes /stats reports (it evicts by
+// count, not by bytes), so the estimate only needs to be proportionally
+// honest, not exact.
 func (a *ASTA) SizeBytes() int64 {
 	if a == nil {
 		return 0
@@ -254,7 +259,7 @@ func (a *ASTA) SizeBytes() int64 {
 	for _, row := range a.byFrom {
 		b += 24 + 4*int64(len(row))
 	}
-	return b
+	return b + a.pure.sizeBytes()
 }
 
 // Marking reports whether q's sub-automaton can mark nodes.

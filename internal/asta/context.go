@@ -2,11 +2,11 @@ package asta
 
 // Context is the reusable memory behind an evaluation: every piece of
 // scratch Eval would rebuild per call — interned-set tables,
-// transition rows and their recipes, jump analyses, pure label sets,
-// the result arena, index cursors, append buffers — owned by one value
-// that repeated evaluations recycle. The serving layers run the same
-// compiled automaton thousands of times; with a warm Context those runs
-// are allocation-free and map-free, and the memo world is derived once
+// transition rows and their recipes, jump analyses, the result arena,
+// index cursors, append buffers — owned by one value that repeated
+// evaluations recycle. The serving layers run the same compiled
+// automaton thousands of times; with a warm Context those runs are
+// allocation-free and map-free, and the memo world is derived once
 // instead of per call.
 //
 // The memo world is a pure function of (automaton, options) — the

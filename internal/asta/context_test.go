@@ -201,3 +201,29 @@ func ExampleContext_Eval() {
 	// 3
 	// 3
 }
+
+// TestNewContextAllocs: a jumping Context reads the pure label sets its
+// automaton's Finalize built, so making another one for a warm
+// automaton is one allocation, the Context, however many states the
+// automaton has.
+func TestNewContextAllocs(t *testing.T) {
+	lt := tree.NewLabelTable()
+	for _, n := range []string{"site", "regions", "item", "keyword", "listitem", "emph"} {
+		lt.Intern(n)
+	}
+	for _, q := range []string{"/site/regions/*/item//keyword", "//listitem[ .//keyword and .//emph]//listitem"} {
+		aut, err := compile.Compile(q, lt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []struct {
+			name string
+			opt  asta.Options
+		}{{"jumping", asta.Options{Jump: true}}, {"optimized", asta.Opt()}} {
+			aut.NewContext(mode.opt)
+			if got := testing.AllocsPerRun(20, func() { aut.NewContext(mode.opt) }); got > 1 {
+				t.Errorf("%s %s: NewContext allocates %.0f times, want 1", mode.name, q, got)
+			}
+		}
+	}
+}

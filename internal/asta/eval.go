@@ -127,10 +127,10 @@ type recipe struct {
 
 // evaluator is the complete evaluation state. It lives inside a Context
 // and splits into two lifetimes: memo state (interned sets, transition
-// rows, recipes, jump analyses, pure sets — pure functions of the
-// bound automaton and options) survives across warm evaluations, while
-// per-evaluation state (document, index, cursor positions, result
-// arena, work counts) is set at the start of every run.
+// rows, recipes, jump analyses — pure functions of the bound automaton
+// and options) survives across warm evaluations, while per-evaluation
+// state (document, index, cursor positions, result arena, work counts)
+// is set at the start of every run.
 type evaluator struct {
 	// a and opt are the memo world's binding, fixed when the Context is
 	// made. d is the tree being navigated, nil between runs; cur jumps
@@ -160,7 +160,6 @@ type evaluator struct {
 	recTab  openTable[recipeKey, int32]
 	r2Tab   openTable[r2Key, r2entry]
 
-	pure  pureSets
 	arena cellArena
 	cur   *index.Cursors
 	work  obsv.Work
@@ -177,15 +176,11 @@ type evaluator struct {
 }
 
 // bind makes the evaluator the memo world of (a, opt): the chunk
-// sizes of its arenas and, when jumping, the automaton's pure label
-// sets. It runs once, when the Context is made.
+// sizes of its arenas. It runs once, when the Context is made.
 func (e *evaluator) bind(a *ASTA, opt Options) {
 	e.a, e.opt = a, opt
 	e.i32s.chunkSize = i32Chunk
 	e.opsA.chunkSize = opChunk
-	if opt.Jump {
-		e.initPureSets()
-	}
 }
 
 // attach starts a run over (d, ix): the result arena rewinds, work

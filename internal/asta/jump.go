@@ -69,18 +69,17 @@ func loopForm(t *Transition) int {
 	return -1
 }
 
-func (e *evaluator) initPureSets() {
-	n := e.a.NumStates
-	e.pure = pureSets{
-		union: make([]labels.Set, n),
-		left:  make([]labels.Set, n),
-		right: make([]labels.Set, n),
-	}
+// computePure returns a's pure label sets; Finalize builds them once,
+// and every jumping Context of a reads them.
+func (a *ASTA) computePure() pureSets {
+	n := a.NumStates
+	sets := make([]labels.Set, 3*n)
+	pure := pureSets{union: sets[:n:n], left: sets[n : 2*n : 2*n], right: sets[2*n:]}
 	for q := 0; q < n; q++ {
 		forms := [3]labels.Set{labels.None, labels.None, labels.None}
 		other := labels.None
-		for _, idx := range e.a.byFrom[q] {
-			t := &e.a.Trans[idx]
+		for _, idx := range a.byFrom[q] {
+			t := &a.Trans[idx]
 			switch loopForm(t) {
 			case 0:
 				forms[0] = forms[0].Union(t.Guard)
@@ -94,10 +93,19 @@ func (e *evaluator) initPureSets() {
 		}
 		// A label is pure for a form only if no other transition (of any
 		// other form) also fires on it.
-		e.pure.union[q] = forms[0].Minus(other).Minus(forms[1]).Minus(forms[2])
-		e.pure.left[q] = forms[1].Minus(other).Minus(forms[0]).Minus(forms[2])
-		e.pure.right[q] = forms[2].Minus(other).Minus(forms[0]).Minus(forms[1])
+		pure.union[q] = forms[0].Minus(other).Minus(forms[1]).Minus(forms[2])
+		pure.left[q] = forms[1].Minus(other).Minus(forms[0]).Minus(forms[2])
+		pure.right[q] = forms[2].Minus(other).Minus(forms[0]).Minus(forms[1])
 	}
+	return pure
+}
+
+// sizeBytes weighs the sets for ASTA.SizeBytes: three slice headers
+// and a set header per state and form. A compiled state's one loop is
+// guarded by Σ, so its pure set is the complement of its other guard
+// and shares that guard's labels, which SizeBytes has counted.
+func (p *pureSets) sizeBytes() int64 {
+	return 72 + 3*32*int64(len(p.union))
 }
 
 // lookupJump returns the set-level analysis for the tda state r, cached
@@ -116,10 +124,11 @@ func (e *evaluator) lookupJump(r StateSet, rID int32) jumpInfo {
 // top-most (skips whole regions) before path jumps.
 func (e *evaluator) analyzeSet(r StateSet) jumpInfo {
 	pu, pl, pr := labels.Any, labels.Any, labels.Any
+	pure := &e.a.pure
 	r.Each(func(q State) {
-		pu = pu.Intersect(e.pure.union[q])
-		pl = pl.Intersect(e.pure.left[q])
-		pr = pr.Intersect(e.pure.right[q])
+		pu = pu.Intersect(pure.union[q])
+		pl = pl.Intersect(pure.left[q])
+		pr = pr.Intersect(pure.right[q])
 	})
 	if ess := pu.Complement(); !ess.IsAny() {
 		if _, ok := ess.Finite(); ok {

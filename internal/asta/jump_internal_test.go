@@ -67,7 +67,6 @@ func TestAnalyzeSetFigure1(t *testing.T) {
 	a, b, c := lt.Intern("a"), lt.Intern("b"), lt.Intern("c")
 	aut := exampleASTA(t, a, b, c)
 	e := &evaluator{a: aut}
-	e.initPureSets()
 
 	// {q0}: jump to top-most a's (Figure 1: "if the destination state
 	// for a subtree is {q0} the automaton can jump to the top-most a").

@@ -11,9 +11,8 @@ import (
 // BenchmarkCompile times what a query cache miss compiles, over the
 // work ledger's queries against XMark's label table (scale 0.002; the
 // bulk-stream shapes /site//<label> are named by label): asta/<query>
-// is ToASTA, and tdsta/<query> is ToTDSTA then MinimizeTopDown, the
-// whole miss of a query CheckTDSTA accepts, whose entry holds both
-// automata.
+// is ToASTA, and tdsta/<query> is ToTDSTA, the whole miss of a query
+// CheckTDSTA accepts, whose entry holds both automata.
 func BenchmarkCompile(b *testing.B) {
 	names := xmark.Generate(xmark.Config{Scale: 0.002, Seed: 1}).Names()
 	queries := xmark.Queries()
@@ -34,11 +33,9 @@ func BenchmarkCompile(b *testing.B) {
 		if compile.CheckTDSTA(p) == nil {
 			b.Run("tdsta/"+q.ID, func(b *testing.B) {
 				for b.Loop() {
-					aut, err := compile.ToTDSTA(p, names)
-					if err != nil {
+					if _, err := compile.ToTDSTA(p, names); err != nil {
 						b.Fatal(err)
 					}
-					aut.MinimizeTopDown()
 				}
 			})
 		}

@@ -16,8 +16,8 @@ import (
 // paths of child and descendant steps with name or * tests and no
 // predicates — into a top-down deterministic selecting tree automaton:
 // the "extreme |Q|-optimization" of §1, evaluated with a single lookup
-// per node (or, minimized, with topdown_jump visiting only relevant
-// nodes). It is BuildASTA followed by DeterminizeTopDown.
+// per node (or, minimal as built, with topdown_jump visiting only
+// relevant nodes). It is BuildASTA followed by DeterminizeTopDown.
 func ToTDSTA(p *xpath.Path, names *tree.LabelTable) (*sta.STA, error) {
 	if err := CheckTDSTA(p); err != nil {
 		return nil, err
@@ -35,8 +35,26 @@ func ToTDSTA(p *xpath.Path, names *tree.LabelTable) (*sta.STA, error) {
 // active transitions' ↓1 states left and of their ↓2 states right, and
 // selects iff one of them selects. Every state accepts a leaf. On the
 // ASTA of a query with predicates the result is meaningless.
+//
+// Every set is cut to the ASTA states that can still select, so a query
+// naming a label the table lacks determinizes to the one empty set, and
+// the result is the minimal TDSTA (Theorem A.1) as built: the sta
+// package's tests minimize it as the reference and merge nothing.
 func DeterminizeTopDown(a *asta.ASTA) *sta.STA {
 	classes := partition(a)
+	// live: the states with a transition on some label that selects or
+	// moves to a live state.
+	var live asta.StateSet
+	for grown := true; grown; {
+		grown = false
+		for i := range a.Trans {
+			t := &a.Trans[i]
+			d1, d2 := t.Downs()
+			if !live.Has(t.From) && !t.Guard.IsEmpty() && (t.Selecting || (d1|d2)&live != 0) {
+				live, grown = live.With(t.From), true
+			}
+		}
+	}
 	ids := make(map[asta.StateSet]sta.State)
 	var sets []asta.StateSet
 	intern := func(s asta.StateSet) sta.State {
@@ -48,7 +66,7 @@ func DeterminizeTopDown(a *asta.ASTA) *sta.STA {
 		}
 		return id
 	}
-	out := &sta.STA{Top: []sta.State{intern(a.Top)}}
+	out := &sta.STA{Top: []sta.State{intern(a.Top & live)}}
 	type edge struct {
 		dest sta.Pair
 		sel  bool
@@ -70,7 +88,7 @@ func DeterminizeTopDown(a *asta.ASTA) *sta.STA {
 					}
 				}
 			})
-			e := edge{sta.Pair{Left: intern(d1), Right: intern(d2)}, sel}
+			e := edge{sta.Pair{Left: intern(d1 & live), Right: intern(d2 & live)}, sel}
 			if g, ok := guards[e]; ok {
 				guards[e] = g.Union(c.guard)
 			} else {

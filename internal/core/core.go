@@ -7,8 +7,9 @@
 //   - the hybrid start-anywhere run (§4.4) for label chains, absolute
 //     child/descendant paths of name tests, started at the occurrences
 //     of the rarest label (the index answers counts in O(1), §5),
-//   - the minimized deterministic TDSTA with topdown_jump (§3.1) for the
-//     rest of the restricted child/descendant fragment (`*` tests),
+//   - the minimal deterministic TDSTA with topdown_jump (§3.1), built
+//     in one determinization of the query's ASTA, for the rest of the
+//     restricted child/descendant fragment (`*` tests),
 //   - the alternating-automaton evaluator with jumping + memoization +
 //     information propagation (§4, "Opt. Eval.") for everything else,
 //     and the step-wise baseline for what no automaton expresses —
@@ -49,8 +50,9 @@ const (
 	Optimized
 	// Hybrid is the start-anywhere run; only chain queries support it.
 	Hybrid
-	// TopDownDet compiles to a minimized deterministic TDSTA and runs
-	// topdown_jump; only the restricted fragment supports it.
+	// TopDownDet determinizes the query's ASTA into a TDSTA, minimal as
+	// built, and runs topdown_jump; only the restricted fragment
+	// supports it.
 	TopDownDet
 	// Stepwise is the Koch/Gottlob-style baseline (the MonetDB stand-in
 	// of Appendix D).

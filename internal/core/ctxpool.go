@@ -241,7 +241,7 @@ func (cv *compiled) automata() (*asta.ASTA, *sta.STA) {
 		aut := compile.BuildASTA(cv.path, cv.names)
 		if cv.refused[TopDownDet] == nil {
 			// The TDSTA's fragment lies inside the ASTA's.
-			cv.det.Store(compile.DeterminizeTopDown(aut).MinimizeTopDown())
+			cv.det.Store(compile.DeterminizeTopDown(aut))
 		}
 		cv.aut.Store(aut)
 	})

@@ -311,7 +311,7 @@ func TestGuardCountsWrongTableAutomaton(t *testing.T) {
 	e.cache.GetOrCompile(e.cacheKey(q), func() (any, error) {
 		cv := &compiled{names: other.Names(), pool: e.pool}
 		cv.aut.Store(wrong)
-		cv.det.Store(compile.DeterminizeTopDown(wrong).MinimizeTopDown())
+		cv.det.Store(compile.DeterminizeTopDown(wrong))
 		return cv, nil
 	})
 

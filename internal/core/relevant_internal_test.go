@@ -73,3 +73,25 @@ func TestTDSTAVisitsAtLeastTheRelevantNodes(t *testing.T) {
 		t.Logf("%s: visited > relevant on %d of %d documents, %d nodes over in all", q, over, seeds, gap)
 	}
 }
+
+// TestTDSTAAbsentLabelVisitsNothing: a path naming a label the document
+// lacks can select nothing, and its TDSTA is built as the one state
+// that never selects, so topdown_jump answers it without visiting a
+// node. Left to the states of the steps before the absent label, the
+// run would search the document's regions for it (4 939 nodes here).
+func TestTDSTAAbsentLabelVisitsNothing(t *testing.T) {
+	const query = "/site/*/*/zzz//keyword"
+	e := New(xmark.Generate(xmark.Config{Scale: 0.1, Seed: 1}))
+	cur, err := e.EvalCursor(query, TopDownDet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	if cur.Count() != 0 || cur.Visited() != 0 {
+		t.Errorf("%s: %d selected, %d visited; want 0 and 0", query, cur.Count(), cur.Visited())
+	}
+	v, _ := e.cache.Get(e.cacheKey(query))
+	if n := v.(*compiled).det.Load().NumStates; n != 1 {
+		t.Errorf("%s: TDSTA of %d states, want 1", query, n)
+	}
+}

@@ -86,9 +86,14 @@ func (s Set) Complement() Set {
 	return Set{neg: !s.neg, ids: s.ids}
 }
 
-// Union returns s ∪ t.
+// Union returns s ∪ t. With ∅ or Σ on either side the answer is one of
+// the operands, shared rather than copied.
 func (s Set) Union(t Set) Set {
 	switch {
+	case s.IsEmpty() || t.IsAny():
+		return t
+	case t.IsEmpty() || s.IsAny():
+		return s
 	case !s.neg && !t.neg:
 		return Set{ids: mergeUnion(s.ids, t.ids)}
 	case s.neg && t.neg:
@@ -100,9 +105,13 @@ func (s Set) Union(t Set) Set {
 	}
 }
 
-// Intersect returns s ∩ t.
+// Intersect returns s ∩ t, sharing an operand as Union does.
 func (s Set) Intersect(t Set) Set {
 	switch {
+	case s.IsAny() || t.IsEmpty():
+		return t
+	case t.IsAny() || s.IsEmpty():
+		return s
 	case !s.neg && !t.neg:
 		return Set{ids: mergeIntersect(s.ids, t.ids)}
 	case s.neg && t.neg:

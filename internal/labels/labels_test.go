@@ -157,3 +157,22 @@ func TestDeMorgan(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestUnitOperandsShare: ∪ and ∩ with ∅ or Σ on either side answer
+// with an operand, allocating nothing, so a fold that starts from ∅ or
+// Σ pays only for the sets it really merges.
+func TestUnitOperandsShare(t *testing.T) {
+	a, b := Of(1, 2), Not(3)
+	var sink Set
+	got := testing.AllocsPerRun(10, func() {
+		sink = None.Union(a).Union(None).Intersect(Any)
+		sink = Any.Intersect(b).Union(None).Intersect(sink.Union(Any))
+		sink = sink.Union(a.Intersect(None)).Intersect(Any.Union(b))
+	})
+	if got != 0 {
+		t.Errorf("%.0f allocations, want 0", got)
+	}
+	if !sink.Equal(b) {
+		t.Errorf("got %s, want %s", sink.String(nil), b.String(nil))
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -112,19 +113,26 @@ func ensureRequestID(w http.ResponseWriter, r *http.Request) string {
 
 // queryBool reads a boolean query parameter (?explain=, ?slow=): 1,
 // true and yes are true, anything else false.
-func queryBool(r *http.Request, name string) bool {
-	switch r.URL.Query().Get(name) {
+func queryBool(params url.Values, name string) bool {
+	switch params.Get(name) {
 	case "1", "true", "yes":
 		return true
 	}
 	return false
 }
 
-// asOf merges the ?asof=<gen> query parameter into the decoded request
-// body's AsOf field (the parameter wins when both are set). A malformed
-// value reports false and the caller answers 400.
-func asOf(w http.ResponseWriter, r *http.Request, req *Request) bool {
-	raw := r.URL.Query().Get("asof")
+// queryParams merges the query string of /query and /query/stream into
+// the decoded request body, parsing it once and, when it is empty, as on
+// nearly every request, not at all: ?explain= sets Explain, and
+// ?asof=<gen> sets AsOf (the parameter wins when both are set). A
+// malformed generation reports false, and the caller has answered 400.
+func queryParams(w http.ResponseWriter, r *http.Request, req *Request) bool {
+	var params url.Values
+	if r.URL.RawQuery != "" {
+		params = r.URL.Query()
+	}
+	req.Explain = req.Explain || queryBool(params, "explain")
+	raw := params.Get("asof")
 	if raw == "" {
 		return true
 	}
@@ -168,8 +176,7 @@ func NewHandler(s *Service, opts HandlerOptions) http.Handler {
 			return
 		}
 		req.RequestID = ensureRequestID(w, r)
-		req.Explain = req.Explain || queryBool(r, "explain")
-		if !asOf(w, r, &req) {
+		if !queryParams(w, r, &req) {
 			return
 		}
 		resp := s.Eval(req)
@@ -181,8 +188,7 @@ func NewHandler(s *Service, opts HandlerOptions) http.Handler {
 			return
 		}
 		req.RequestID = ensureRequestID(w, r)
-		req.Explain = req.Explain || queryBool(r, "explain")
-		if !asOf(w, r, &req) {
+		if !queryParams(w, r, &req) {
 			return
 		}
 		// The content type goes out with the first flush; from then on
@@ -271,8 +277,9 @@ func NewHandler(s *Service, opts HandlerOptions) http.Handler {
 		_ = s.WriteMetrics(w)
 	})
 	mux.HandleFunc("GET /debug/queries", func(w http.ResponseWriter, r *http.Request) {
-		limit, _ := strconv.Atoi(r.URL.Query().Get("n"))
-		writeJSON(w, http.StatusOK, s.Flight().Snapshot(limit, queryBool(r, "slow")))
+		params := r.URL.Query()
+		limit, _ := strconv.Atoi(params.Get("n"))
+		writeJSON(w, http.StatusOK, s.Flight().Snapshot(limit, queryBool(params, "slow")))
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -331,3 +331,39 @@ func TestLabelLimitIsAClientError(t *testing.T) {
 			patched.Gen, loaded.Gen, patched.Labels, patched.Nodes, loaded.Nodes)
 	}
 }
+
+// TestQueryParamsAllocs: a /query request's query string is parsed at
+// most once, and not at all when it is empty, as on nearly every
+// request.
+func TestQueryParamsAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		target  string
+		explain bool
+		asOf    string
+		ceiling float64
+	}{
+		{"/query", false, "", 0},
+		{"/query?explain=1", true, "", 3},
+		{"/query?explain=yes&asof=7", true, "7", 4},
+	} {
+		r := httptest.NewRequest("POST", tc.target, nil)
+		var req Request
+		got := testing.AllocsPerRun(20, func() {
+			req = Request{}
+			if !queryParams(nil, r, &req) {
+				t.Fatalf("%s: refused", tc.target)
+			}
+		})
+		want := store.NoGen
+		if tc.asOf != "" {
+			want, _ = store.ParseGen(tc.asOf)
+		}
+		if req.Explain != tc.explain || req.AsOf != want {
+			t.Errorf("%s: explain %v, asof %v; want %v, %s", tc.target, req.Explain, req.AsOf, tc.explain, tc.asOf)
+		}
+		t.Logf("%s: %.0f allocs", tc.target, got)
+		if got > tc.ceiling {
+			t.Errorf("%s: %.0f allocs, ceiling %.0f", tc.target, got, tc.ceiling)
+		}
+	}
+}

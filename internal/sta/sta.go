@@ -1,19 +1,21 @@
 // Package sta implements the selecting tree automata of §2 and §3 of the
 // paper that a query runs: the STA model over binary
 // (first-child/next-sibling) trees, the top-down deterministic subclass,
-// its minimization (Theorem A.1), the top-down relevant nodes (Lemma 3.1)
-// and the jumping evaluation topdown_jump (Algorithm B.1).
+// the top-down relevant nodes (Lemma 3.1) and the jumping evaluation
+// topdown_jump (Algorithm B.1), which Theorem 3.1 runs on a minimal
+// automaton. The TDSTA a query compiles to is minimal as it is built
+// (compile.DeterminizeTopDown), so nothing here minimizes one.
 //
 // The rest of §3 serves no query, so it lives beside the tests that
-// reproduce it, in this package's _test.go files: the bottom-up runs
-// (Algorithm B.2, Lemma 3.2) and bottom-up minimization, the
-// nondeterministic reference semantics every run is tested against, and
-// the paper's example automata.
+// reproduce it, in this package's _test.go files: top-down minimization
+// (Theorem A.1), the reference the built automata are checked against,
+// the bottom-up runs (Algorithm B.2, Lemma 3.2) and bottom-up
+// minimization, the nondeterministic reference semantics every run is
+// tested against, and the paper's example automata.
 package sta
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/labels"
@@ -56,7 +58,6 @@ type STA struct {
 	inBot  []bool
 	selOf  []labels.Set // per-state selecting labels, derived from Trans
 	jump   []JumpInfo   // per-state AnalyzeState, for EvalTopDownJump
-	alpha  []tree.LabelID
 }
 
 // Finalize builds lookup structures, the jump analysis of every state
@@ -83,11 +84,10 @@ func (a *STA) Finalize() *STA {
 	for q := range a.jump {
 		a.jump[q] = a.AnalyzeState(State(q))
 	}
-	a.alpha = a.mentionedLabels()
 	return a
 }
 
-// SizeBytes estimates the resident size of the (minimized) automaton:
+// SizeBytes estimates the resident size of the automaton:
 // transitions with their guard sets plus the lookup structures built by
 // Finalize. The byte-weighted compiled-query LRU weighs cache entries
 // with it, so the estimate only needs to be proportionally honest.
@@ -111,43 +111,7 @@ func (a *STA) SizeBytes() int64 {
 	for _, j := range a.jump {
 		b += 8 + j.Essential.SizeBytes()
 	}
-	b += 4 * int64(len(a.alpha))
 	return b
-}
-
-func (a *STA) mentionedLabels() []tree.LabelID {
-	seen := make(map[tree.LabelID]bool)
-	for _, t := range a.Trans {
-		if ids, ok := t.Guard.Finite(); ok {
-			for _, l := range ids {
-				seen[l] = true
-			}
-		} else if ids, ok := t.Guard.Negated(); ok {
-			for _, l := range ids {
-				seen[l] = true
-			}
-		}
-	}
-	out := make([]tree.LabelID, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// EffectiveAlphabet returns the labels mentioned in any guard plus one
-// fresh label standing for "every other symbol"; per-label algorithms
-// (minimization, determinism checks) iterate this set, which is sound
-// because guards cannot distinguish unmentioned labels.
-func (a *STA) EffectiveAlphabet() []tree.LabelID {
-	fresh := tree.LabelID(0)
-	if n := len(a.alpha); n > 0 {
-		fresh = a.alpha[n-1] + 1
-	}
-	out := make([]tree.LabelID, len(a.alpha), len(a.alpha)+1)
-	copy(out, a.alpha)
-	return append(out, fresh)
 }
 
 // IsSelecting reports whether (q, l) is a selecting configuration.
@@ -194,32 +158,6 @@ func (a *STA) IsTopDownUniversal(q State) bool {
 // q⊥ from which nothing accepts.
 func (a *STA) IsTopDownSink(q State) bool {
 	return a.NonChanging(q) && !a.inBot[q]
-}
-
-// Reachable returns the states reachable from the given roots through
-// transition right-hand sides (Definition A.1).
-func (a *STA) Reachable(roots []State) []bool {
-	seen := make([]bool, a.NumStates)
-	var stack []State
-	for _, q := range roots {
-		if !seen[q] {
-			seen[q] = true
-			stack = append(stack, q)
-		}
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ti := range a.byFrom[q] {
-			for _, nq := range []State{a.Trans[ti].Dest.Left, a.Trans[ti].Dest.Right} {
-				if !seen[nq] {
-					seen[nq] = true
-					stack = append(stack, nq)
-				}
-			}
-		}
-	}
-	return seen
 }
 
 // String renders the automaton for debugging; lt may be nil.
