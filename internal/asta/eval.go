@@ -284,18 +284,10 @@ func (e *evaluator) evalChild(c, end tree.NodeID, r StateSet, rID int32, out *RS
 		e.jumpTopMostRegion(c, end, r, rID, ji, out)
 	case jumpRightPath:
 		e.work.Jumps++
-		u := e.cur.Rt(c, ji.essential)
-		if u == index.Nil {
-			return
+		ids, _ := ji.essential.Finite() // analyzeSet picks rt for finite sets only
+		if u := e.cur.Rt(c, ids); u != index.Nil {
+			e.eval(u, end, r, rID, out)
 		}
-		e.eval(u, end, r, rID, out)
-	case jumpLeftPath:
-		e.work.Jumps++
-		u := e.cur.Lt(c, ji.essential)
-		if u == index.Nil {
-			return
-		}
-		e.eval(u, e.d.BinEnd(u), r, rID, out)
 	default:
 		e.eval(c, end, r, rID, out)
 	}

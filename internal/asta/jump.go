@@ -14,6 +14,11 @@ import (
 // to the top-most nodes carrying an essential label, exactly as in
 // Figure 1.
 
+// jumpKind names the loop a state set runs on non-essential labels. Of
+// the four jumps of Definition 3.2 only dt/ft and rt have a kind: the
+// compiler (compile.searchState) emits the recursions ↓1 q ∨ ↓2 q and
+// ↓2 q and no other, so no compiled state loops on its first child
+// alone, and a left-path (lt) jump would have nothing to skip.
 type jumpKind int8
 
 const (
@@ -27,8 +32,6 @@ const (
 	// the region's result is the result at the first essential node on
 	// the rightmost path (rt jump).
 	jumpRightPath
-	// jumpLeftPath: symmetric with ↓1 (lt jump).
-	jumpLeftPath
 )
 
 type jumpInfo struct {
@@ -41,7 +44,7 @@ type jumpInfo struct {
 // state has a non-selecting transition of exactly that form guarding it
 // and no other transition whose guard contains it.
 type pureSets struct {
-	union, left, right []labels.Set
+	union, right []labels.Set
 }
 
 // loopForm classifies a transition as one of the loop shapes, or -1.
@@ -58,13 +61,9 @@ func loopForm(t *Transition) int {
 			return 0 // ↓1 q ∨ ↓2 q
 		}
 	case FDown:
-		if f.Q != t.From {
-			return -1
+		if f.Q == t.From && f.Child == 2 {
+			return 1 // ↓2 q
 		}
-		if f.Child == 1 {
-			return 1 // ↓1 q
-		}
-		return 2 // ↓2 q
 	}
 	return -1
 }
@@ -73,39 +72,33 @@ func loopForm(t *Transition) int {
 // and every jumping Context of a reads them.
 func (a *ASTA) computePure() pureSets {
 	n := a.NumStates
-	sets := make([]labels.Set, 3*n)
-	pure := pureSets{union: sets[:n:n], left: sets[n : 2*n : 2*n], right: sets[2*n:]}
+	sets := make([]labels.Set, 2*n)
+	pure := pureSets{union: sets[:n:n], right: sets[n:]}
 	for q := 0; q < n; q++ {
-		forms := [3]labels.Set{labels.None, labels.None, labels.None}
+		forms := [2]labels.Set{labels.None, labels.None}
 		other := labels.None
 		for _, idx := range a.byFrom[q] {
 			t := &a.Trans[idx]
-			switch loopForm(t) {
-			case 0:
-				forms[0] = forms[0].Union(t.Guard)
-			case 1:
-				forms[1] = forms[1].Union(t.Guard)
-			case 2:
-				forms[2] = forms[2].Union(t.Guard)
-			default:
+			if f := loopForm(t); f >= 0 {
+				forms[f] = forms[f].Union(t.Guard)
+			} else {
 				other = other.Union(t.Guard)
 			}
 		}
 		// A label is pure for a form only if no other transition (of any
 		// other form) also fires on it.
-		pure.union[q] = forms[0].Minus(other).Minus(forms[1]).Minus(forms[2])
-		pure.left[q] = forms[1].Minus(other).Minus(forms[0]).Minus(forms[2])
-		pure.right[q] = forms[2].Minus(other).Minus(forms[0]).Minus(forms[1])
+		pure.union[q] = forms[0].Minus(other).Minus(forms[1])
+		pure.right[q] = forms[1].Minus(other).Minus(forms[0])
 	}
 	return pure
 }
 
-// sizeBytes weighs the sets for ASTA.SizeBytes: three slice headers
+// sizeBytes weighs the sets for ASTA.SizeBytes: two slice headers
 // and a set header per state and form. A compiled state's one loop is
 // guarded by Σ, so its pure set is the complement of its other guard
 // and shares that guard's labels, which SizeBytes has counted.
 func (p *pureSets) sizeBytes() int64 {
-	return 72 + 3*32*int64(len(p.union))
+	return 48 + 2*32*int64(len(p.union))
 }
 
 // lookupJump returns the set-level analysis for the tda state r, cached
@@ -121,29 +114,19 @@ func (e *evaluator) lookupJump(r StateSet, rID int32) jumpInfo {
 // analyzeSet intersects the per-state pure label sets over S and picks a
 // jump form whose essential complement is finite (a jump needs concrete
 // labels to search for). Preference order follows expected payoff:
-// top-most (skips whole regions) before path jumps.
+// top-most (skips whole regions) before the sibling scan.
 func (e *evaluator) analyzeSet(r StateSet) jumpInfo {
-	pu, pl, pr := labels.Any, labels.Any, labels.Any
+	pu, pr := labels.Any, labels.Any
 	pure := &e.a.pure
 	r.Each(func(q State) {
 		pu = pu.Intersect(pure.union[q])
-		pl = pl.Intersect(pure.left[q])
 		pr = pr.Intersect(pure.right[q])
 	})
-	if ess := pu.Complement(); !ess.IsAny() {
-		if _, ok := ess.Finite(); ok {
-			return jumpInfo{kind: jumpTopMost, essential: ess}
-		}
+	if _, ok := pu.Complement().Finite(); ok {
+		return jumpInfo{kind: jumpTopMost, essential: pu.Complement()}
 	}
-	if ess := pr.Complement(); !ess.IsAny() {
-		if _, ok := ess.Finite(); ok {
-			return jumpInfo{kind: jumpRightPath, essential: ess}
-		}
-	}
-	if ess := pl.Complement(); !ess.IsAny() {
-		// Left-path jumps walk the (short) first-child chain, so a
-		// co-finite essential set is still usable.
-		return jumpInfo{kind: jumpLeftPath, essential: ess}
+	if _, ok := pr.Complement().Finite(); ok {
+		return jumpInfo{kind: jumpRightPath, essential: pr.Complement()}
 	}
 	return jumpInfo{kind: jumpNone}
 }

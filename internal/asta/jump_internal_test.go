@@ -21,8 +21,8 @@ func TestLoopForm(t *testing.T) {
 	}{
 		{Or(Down1(q), Down2(q)), false, 0},
 		{Or(Down2(q), Down1(q)), false, 0}, // either order
-		{Down1(q), false, 1},
-		{Down2(q), false, 2},
+		{Down1(q), false, -1},              // no compiled state loops on ↓1 alone
+		{Down2(q), false, 1},
 		{Or(Down1(q), Down2(4)), false, -1},  // mixed states
 		{Or(Down1(4), Down2(4)), false, -1},  // not the source state
 		{Down2(4), false, -1},                // chains another state

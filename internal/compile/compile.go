@@ -150,6 +150,9 @@ type compiler struct {
 	names *tree.LabelTable
 	next  asta.State
 	trans []asta.Transition
+	// star and node are the * and node() guards, built on first use and
+	// shared by every step after: each names all the attribute names.
+	star, node labels.Set
 }
 
 // newState allocates the next state; CheckASTA has already bounded
@@ -171,19 +174,23 @@ func (c *compiler) guard(t xpath.NodeTest) labels.Set {
 	case xpath.TestStar:
 		// * matches elements only: not the synthetic root, not text,
 		// not the encoded attributes.
-		return labels.Not(c.nonElements(true)...)
+		return c.allBut(&c.star, true)
 	case xpath.TestNode:
 		// node() matches anything on the child axis except the encoded
 		// attributes (and never the synthetic root).
-		return labels.Not(c.nonElements(false)...)
+		return c.allBut(&c.node, false)
 	case xpath.TestText:
 		return labels.Of(tree.LabelText)
 	}
 	return labels.None
 }
 
-// nonElements lists #doc, optionally #text, and every attribute label.
-func (c *compiler) nonElements(excludeText bool) []tree.LabelID {
+// allBut returns *g, first setting it, when empty, to every label but
+// #doc, the attribute labels and, when excludeText is set, #text.
+func (c *compiler) allBut(g *labels.Set, excludeText bool) labels.Set {
+	if !g.IsEmpty() {
+		return *g
+	}
 	out := []tree.LabelID{tree.LabelDoc}
 	if excludeText {
 		out = append(out, tree.LabelText)
@@ -193,7 +200,8 @@ func (c *compiler) nonElements(excludeText bool) []tree.LabelID {
 			out = append(out, tree.LabelID(i))
 		}
 	}
-	return out
+	*g = labels.Not(out...)
+	return *g
 }
 
 // searchKind distinguishes the two recursion shapes of §4.2.

@@ -2,9 +2,11 @@ package compile_test
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/asta"
 	"repro/internal/compile"
@@ -187,6 +189,32 @@ func TestCompileStarGuards(t *testing.T) {
 	}
 	if aut.NumStates != 2 {
 		t.Errorf("states = %d", aut.NumStates)
+	}
+}
+
+// TestTDSTAManyAttributeNames: a * guard names every attribute name of
+// the table, and the labels the same guards name make one label class,
+// so //* 63 times over a table of 65 000 attribute names determinizes
+// at once. With a class for each named label it ran for minutes.
+func TestTDSTAManyAttributeNames(t *testing.T) {
+	lt := tree.NewLabelTable()
+	lt.Intern("a")
+	for i := 0; i < 65000; i++ {
+		lt.Intern("@n" + strconv.Itoa(i))
+	}
+	p := xpath.MustParse(strings.Repeat("//*", asta.MaxStates-1))
+	start := time.Now()
+	aut, err := compile.ToTDSTA(p, lt)
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d states, %d transitions in %v", aut.NumStates, len(aut.Trans), took)
+	if took > 2*time.Second {
+		t.Errorf("ToTDSTA took %v, want under 2s", took)
+	}
+	if !deterministicComplete(aut) || aut.NumStates > len(p.Steps)+2 {
+		t.Errorf("%d states for %d steps, deterministic and complete: %v", aut.NumStates, len(p.Steps), deterministicComplete(aut))
 	}
 }
 

@@ -2,8 +2,6 @@ package compile
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"repro/internal/asta"
 	"repro/internal/labels"
@@ -110,7 +108,7 @@ func DeterminizeTopDown(a *asta.ASTA) *sta.STA {
 }
 
 // labelClass is one class of the label partition an ASTA's guards
-// induce: one label some guard mentions, or every label none mentions.
+// induce: the labels the same guards name, or every label none names.
 // No guard tells a class's members apart, so witness stands for all of
 // them.
 type labelClass struct {
@@ -118,27 +116,70 @@ type labelClass struct {
 	witness tree.LabelID
 }
 
-// partition splits the labels into a's classes: one per label a guard
-// mentions, in increasing order, then the rest.
+// partition splits the labels into a's classes: the labels the same
+// guards name share one, in the order of their least labels, then the
+// labels no guard names. Class 0 starts out holding every label, and
+// each guard in turn moves what it names of a class to a class of its
+// own, in arrays sized once: a * guard names every attribute name of
+// the table, and tens of thousands of them make one class.
 func partition(a *asta.ASTA) []labelClass {
-	seen := make(map[tree.LabelID]bool)
-	for _, t := range a.Trans {
-		ids, ok := t.Guard.Finite()
-		if !ok {
-			ids, _ = t.Guard.Negated()
+	top := tree.LabelID(-1)
+	for i := range a.Trans {
+		if ids := a.Trans[i].Guard.Named(); len(ids) > 0 {
+			top = max(top, ids[len(ids)-1])
+		}
+	}
+	// of[l] is label l's class. Class 0 counts top+1 too, which no guard
+	// names, so it is never moved whole and ends as the unnamed labels.
+	// In guard i's round r, count is how many members of a class it
+	// names, and split (from round r+1 on) where they move.
+	of := make([]int32, top+1)
+	type class struct{ size, count, split, round int32 }
+	cl := make([]class, top+3)
+	cl[0].size = int32(top) + 2
+	next := int32(1)
+	for i := range a.Trans {
+		ids, r := a.Trans[i].Guard.Named(), 2*int32(i)+1
+		for _, l := range ids {
+			if k := &cl[of[l]]; k.round != r {
+				k.round, k.count = r, 1
+			} else {
+				k.count++
+			}
 		}
 		for _, l := range ids {
-			seen[l] = true
+			k := &cl[of[l]]
+			if k.round == r {
+				k.round, k.split = r+1, of[l]
+				if k.count < k.size {
+					k.size, k.split, cl[next].size = k.size-k.count, next, k.count
+					next++
+				}
+			}
+			of[l] = k.split
 		}
 	}
-	mentioned := slices.Sorted(maps.Keys(seen))
-	out := make([]labelClass, 0, len(mentioned)+1)
-	fresh := tree.LabelID(0)
-	for _, l := range mentioned {
-		out = append(out, labelClass{labels.Of(l), l})
-		fresh = l + 1
+	// Lay each class's members out as one run, in label order, and the
+	// runs in the order of the classes' least labels; count becomes the
+	// place of a class's next member, and round -1 marks a class placed.
+	out := make([]labelClass, 0, next)
+	members := make([]tree.LabelID, top+1)
+	start := int32(0)
+	for l, c := range of {
+		if k := &cl[c]; c != 0 {
+			if k.round >= 0 {
+				k.round, k.count, start = -1, start, start+k.size
+				out = append(out, labelClass{witness: tree.LabelID(l)})
+			}
+			members[k.count] = tree.LabelID(l)
+			k.count++
+		}
 	}
-	return append(out, labelClass{labels.Not(mentioned...), fresh})
+	for i := range out {
+		k := &cl[of[out[i].witness]]
+		out[i].guard = labels.Of(members[k.count-k.size : k.count]...)
+	}
+	return append(out, labelClass{labels.Not(members[:start]...), top + 1})
 }
 
 // CheckTDSTA's own refusals, one per rule, built once, so a refusal

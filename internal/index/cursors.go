@@ -3,20 +3,21 @@ package index
 import (
 	"unsafe"
 
-	"repro/internal/labels"
 	"repro/internal/tree"
 )
 
 // Cursors provides forward-only positions into the per-label occurrence
-// rows, and the jumps of Definition 3.2 over them: the one navigation
-// type of the ASTA, the TDSTA and the bottom-up evaluator (test code in
-// internal/sta, which no query runs). An evaluator that queries
-// positions in non-decreasing document order (which all three jumping
-// traversals do: binary preorder only moves right) gets
-// amortized O(1) successor lookups instead of a search per jump: each
-// cursor sweeps its row at most once per evaluation, entering a later
-// chunk through the directory and searching inside chunks only over
-// large skips. #text has no row: its cursor scans the document's label
+// rows, and the jumps of Definition 3.2 over them that compiled automata
+// take: dt and ft (First) and rt (Rt). It is the one navigation type of
+// the ASTA, the TDSTA and the bottom-up evaluator (test code in
+// internal/sta, which no query runs). lt has no method: no compiled
+// automaton loops on first children alone, so no run asks for it.
+// An evaluator that queries positions in non-decreasing document order
+// (which all three jumping traversals do: binary preorder only moves
+// right) gets amortized O(1) successor lookups instead of a search per
+// jump: each cursor sweeps its row at most once per evaluation, entering
+// a later chunk through the directory and searching inside chunks only
+// over large skips. #text has no row: its cursor scans the document's label
 // bytes (tree.Document.NextText), each at most once an evaluation too.
 //
 // Correctness requires monotone use: NextAfter(l, x) assumes x is at
@@ -154,43 +155,19 @@ func (c *Cursors) First(ids []tree.LabelID, after, end tree.NodeID) tree.NodeID 
 	return best
 }
 
-// Lt is l_t(π, L): the first node on the leftmost binary path strictly
-// below π (π·1, π·1·1, ...; in XML terms the chain of first children)
-// whose label is in L, or Nil. Paths are short (tree depth), so this
-// walks the chain and moves no cursor.
-func (c *Cursors) Lt(v tree.NodeID, L labels.Set) tree.NodeID {
-	d := c.ix.doc
-	for u := d.FirstChild(v); u != tree.Nil; u = d.FirstChild(u) {
-		if L.Contains(d.Label(u)) {
-			return u
-		}
-	}
-	return Nil
-}
-
 // Rt is r_t(π, L): the first node on the rightmost binary path strictly
 // below π (π·2, π·2·2, ...; in XML terms the chain of following siblings)
-// whose label is in L, or Nil. Sibling chains can be very long (that is
-// precisely when jumping pays off), so for a finite L this asks First
-// instead of walking the chain: each answer either is a sibling or lies
-// inside one, whose subtree the next question skips. A co-finite L has
-// no rows to sweep, and walks the chain.
-func (c *Cursors) Rt(v tree.NodeID, L labels.Set) tree.NodeID {
+// whose label is one of ids, or Nil. Sibling chains can be very long
+// (that is precisely when jumping pays off), so this asks First instead
+// of walking the chain: each answer either is a sibling or lies inside
+// one, whose subtree the next question skips.
+func (c *Cursors) Rt(v tree.NodeID, ids []tree.LabelID) tree.NodeID {
 	d := c.ix.doc
 	p := d.Parent(v)
 	if p == tree.Nil {
 		return Nil // the root has no siblings
 	}
 	end := d.LastDesc(p)
-	ids, finite := L.Finite()
-	if !finite {
-		for u := d.LastDesc(v) + 1; u <= end; u = d.LastDesc(u) + 1 {
-			if L.Contains(d.Label(u)) {
-				return u
-			}
-		}
-		return Nil
-	}
 	for after := d.LastDesc(v); ; {
 		u := c.First(ids, after, end)
 		if u == Nil || d.Parent(u) == p {

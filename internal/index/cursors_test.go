@@ -57,7 +57,7 @@ func TestCursorsRtMatchesIndex(t *testing.T) {
 		if !ok {
 			return true
 		}
-		L := labels.Of(aID)
+		L, ids := labels.Of(aID), []tree.LabelID{aID}
 		cur := ix.NewCursors()
 		prevBound := tree.NodeID(-1)
 		for v := tree.NodeID(1); int(v) < d.NumNodes(); v += tree.NodeID(1 + int(v)%5) {
@@ -67,7 +67,7 @@ func TestCursorsRtMatchesIndex(t *testing.T) {
 				continue
 			}
 			prevBound = d.LastDesc(v)
-			if got, want := cur.Rt(v, L), naiveRt(d, v, L); got != want {
+			if got, want := cur.Rt(v, ids), naiveRt(d, v, L); got != want {
 				t.Logf("seed=%d Rt(%d) = %d, want %d", seed, v, got, want)
 				return false
 			}
@@ -76,20 +76,6 @@ func TestCursorsRtMatchesIndex(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCursorsRtCofinite(t *testing.T) {
-	d := tgen.Random(3, tgen.Config{MaxNodes: 100, Labels: []string{"a", "b"}})
-	ix := index.New(d)
-	aID, _ := d.Names().Lookup("a")
-	cur := ix.NewCursors()
-	// Co-finite sets take the chain-walk fallback, which is stateless,
-	// so monotonicity is not required.
-	for v := tree.NodeID(1); int(v) < d.NumNodes(); v++ {
-		if got, want := cur.Rt(v, labels.Not(aID)), naiveRt(d, v, labels.Not(aID)); got != want {
-			t.Fatalf("Rt(%d, Σ\\{a}) = %d, want %d", v, got, want)
-		}
 	}
 }
 

@@ -3,14 +3,15 @@
 //
 //	dt(π, L)      — first binary-tree descendant of π with label in L,
 //	ft(π, L, π0)  — first following node of π inside π0's binary subtree,
-//	lt(π, L)      — first labeled node on the leftmost binary path below π,
 //	rt(π, L)      — first labeled node on the rightmost binary path below π,
 //
 // plus O(1) global label counts. The jumps are methods of Cursors, the
 // one navigation type of every automaton evaluator: dt and ft are both
 // First, the first labeled node of a preorder interval — dt(π, L) the
 // interval (π, BinEnd(π)], ft(π, L, π0) the interval (BinEnd(π),
-// BinEnd(π0)] — and Lt and Rt are methods of their own.
+// BinEnd(π0)] — and rt is Rt. The paper's fourth jump, lt along the
+// leftmost path, is left out: the compiler never emits a state that
+// loops on the first child alone, so no run would take it.
 //
 // All functions are over the first-child/next-sibling *binary* view of the
 // document, because that is the tree the automata run on: the binary

@@ -42,15 +42,6 @@ func naiveDt(d *tree.Document, v tree.NodeID, L labels.Set) tree.NodeID {
 	return tree.Nil
 }
 
-func naiveLt(d *tree.Document, v tree.NodeID, L labels.Set) tree.NodeID {
-	for u := d.FirstChild(v); u != tree.Nil; u = d.FirstChild(u) {
-		if L.Contains(d.Label(u)) {
-			return u
-		}
-	}
-	return tree.Nil
-}
-
 func naiveRt(d *tree.Document, v tree.NodeID, L labels.Set) tree.NodeID {
 	for u := d.NextSibling(v); u != tree.Nil; u = d.NextSibling(u) {
 		if L.Contains(d.Label(u)) {
@@ -94,10 +85,7 @@ func TestJumpFunctionsAgainstOracle(t *testing.T) {
 			if got := ix.NewCursors().First(ids, v, d.BinEnd(v)); got != naiveDt(d, v, L) {
 				return false
 			}
-			if got := ix.NewCursors().Lt(v, L); got != naiveLt(d, v, L) {
-				return false
-			}
-			if got := ix.NewCursors().Rt(v, L); got != naiveRt(d, v, L) {
+			if got := ix.NewCursors().Rt(v, ids); got != naiveRt(d, v, L) {
 				return false
 			}
 		}
@@ -105,20 +93,6 @@ func TestJumpFunctionsAgainstOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRtCofiniteFallback(t *testing.T) {
-	d := tgen.Random(4, tgen.Config{MaxNodes: 150, Labels: []string{"a", "b", "c"}})
-	ix := index.New(d)
-	rng := rand.New(rand.NewSource(8))
-	aID, _ := d.Names().Lookup("a")
-	L := labels.Not(aID)
-	for trial := 0; trial < 50; trial++ {
-		v := tree.NodeID(rng.Intn(d.NumNodes()))
-		if got := ix.NewCursors().Rt(v, L); got != naiveRt(d, v, L) {
-			t.Fatalf("Rt(%d, Σ\\{a}) = %d, want %d", v, got, naiveRt(d, v, L))
-		}
 	}
 }
 
@@ -332,11 +306,11 @@ func BenchmarkRtSkipping(b *testing.B) {
 	d := bu.MustFinish()
 	ix := index.New(d)
 	g, _ := d.Names().Lookup("goal")
-	first, L, cur := d.FirstChild(d.DocumentElement()), labels.Of(g), ix.NewCursors()
+	first, ids, cur := d.FirstChild(d.DocumentElement()), []tree.LabelID{g}, ix.NewCursors()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cur.Reset() // every iteration skips the whole list again
-		if got := cur.Rt(first, L); got == tree.Nil {
+		if got := cur.Rt(first, ids); got == tree.Nil {
 			b.Fatal("goal not found")
 		}
 	}

@@ -72,14 +72,9 @@ func (s Set) Finite() ([]tree.LabelID, bool) {
 	return s.ids, true
 }
 
-// Negated reports whether the set is represented as a complement, and
-// returns the excluded labels.
-func (s Set) Negated() ([]tree.LabelID, bool) {
-	if !s.neg {
-		return nil, false
-	}
-	return s.ids, true
-}
+// Named returns the labels the set names, in sorted order: its members
+// when it is finite, else the labels it excludes.
+func (s Set) Named() []tree.LabelID { return s.ids }
 
 // Complement returns Σ \ s.
 func (s Set) Complement() Set {

@@ -54,8 +54,8 @@ func TestBasics(t *testing.T) {
 	if _, ok := n.Finite(); ok {
 		t.Errorf("co-finite set claims to be finite")
 	}
-	if ex, ok := n.Negated(); !ok || len(ex) != 1 || ex[0] != 5 {
-		t.Errorf("Negated() wrong")
+	if ex := n.Named(); len(ex) != 1 || ex[0] != 5 {
+		t.Errorf("Named() wrong")
 	}
 }
 

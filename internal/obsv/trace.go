@@ -66,7 +66,7 @@ type Work struct {
 	// Visited counts the nodes the run touched.
 	Visited int `json:"visited"`
 	// Jumps counts index jumps: the TDSTA's and the ASTA's skip
-	// decisions (each a top-most region, an Lt or an Rt) and the hybrid
+	// decisions (each a top-most region or an Rt) and the hybrid
 	// run's occurrence rows and searches in them. The step-wise baseline
 	// never jumps.
 	Jumps int `json:"jumps"`

@@ -58,8 +58,8 @@ func TestExplainAllStrategies(t *testing.T) {
 			t.Errorf("strategy %q: counters %+v vs response count=%d visited=%d",
 				strat, p.Counters, resp.Count, resp.Visited)
 		}
-		// Every engine reports its jumps, the TDSTA its top-most regions,
-		// Lt and Rt and the hybrid run its occurrence rows and searches. The
+		// Every engine reports its jumps, the TDSTA its top-most regions
+		// and Rt and the hybrid run its occurrence rows and searches. The
 		// flight record carries the same Work as the profile.
 		rec := s.Flight().Snapshot(1, false).Records[0]
 		if rec.RequestID != "rid-"+strat || rec.Work != p.Counters.Work {

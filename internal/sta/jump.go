@@ -17,10 +17,8 @@ const (
 	// JumpTopMost: the state loops on both children for non-essential
 	// labels — jump to the top-most essential-labeled nodes (dt/ft).
 	JumpTopMost
-	// JumpLeftPath: the state loops on the left child and ignores the
-	// right (q⊤) — jump along the leftmost path (lt).
-	JumpLeftPath
-	// JumpRightPath: symmetric — jump along the rightmost path (rt).
+	// JumpRightPath: the state loops on the right child and ignores the
+	// left (q⊤) — jump along the rightmost path (rt).
 	JumpRightPath
 	// JumpFail: the state is a sink; no accepting run exists.
 	JumpFail
@@ -50,8 +48,10 @@ func (a *STA) AnalyzeState(q State) JumpInfo {
 		return JumpInfo{Kind: JumpNone}
 	}
 	essential := a.selOf[q] // selected nodes are always relevant
+	// A (q, q⊤) transition is essential: no TDSTA a query builds has
+	// one (the compiler loops on ↓1 only together with ↓2), so the
+	// left-path jump (lt) would serve no query.
 	loopBoth := labels.None
-	loopLeft := labels.None  // (q, q⊤)
 	loopRight := labels.None // (q⊤, q)
 	for _, ti := range a.byFrom[q] {
 		t := a.Trans[ti]
@@ -61,8 +61,6 @@ func (a *STA) AnalyzeState(q State) JumpInfo {
 			essential = essential.Union(t.Guard)
 		case t.Dest.Left == q && t.Dest.Right == q:
 			loopBoth = loopBoth.Union(guard)
-		case t.Dest.Left == q && a.IsTopDownUniversal(t.Dest.Right):
-			loopLeft = loopLeft.Union(guard)
 		case t.Dest.Right == q && a.IsTopDownUniversal(t.Dest.Left):
 			loopRight = loopRight.Union(guard)
 		default:
@@ -70,25 +68,19 @@ func (a *STA) AnalyzeState(q State) JumpInfo {
 		}
 	}
 	loopBoth = loopBoth.Minus(essential)
-	loopLeft = loopLeft.Minus(essential)
 	loopRight = loopRight.Minus(essential)
-	// A pure looping pattern is required; mixtures cannot jump.
-	switch {
-	case loopLeft.IsEmpty() && loopRight.IsEmpty() && essential.Union(loopBoth).IsAny():
-		if _, ok := essential.Finite(); !ok {
-			return JumpInfo{Kind: JumpNone}
-		}
-		return JumpInfo{Kind: JumpTopMost, Essential: essential}
-	case loopBoth.IsEmpty() && loopRight.IsEmpty() && essential.Union(loopLeft).IsAny():
-		return JumpInfo{Kind: JumpLeftPath, Essential: essential}
-	case loopBoth.IsEmpty() && loopLeft.IsEmpty() && essential.Union(loopRight).IsAny():
-		if _, ok := essential.Finite(); !ok {
-			return JumpInfo{Kind: JumpNone}
-		}
-		return JumpInfo{Kind: JumpRightPath, Essential: essential}
-	default:
+	// A pure looping pattern is required, mixtures cannot jump, and a
+	// jump searches for its essential labels, which must be finite.
+	if _, ok := essential.Finite(); !ok {
 		return JumpInfo{Kind: JumpNone}
 	}
+	switch {
+	case loopRight.IsEmpty() && essential.Union(loopBoth).IsAny():
+		return JumpInfo{Kind: JumpTopMost, Essential: essential}
+	case loopBoth.IsEmpty() && essential.Union(loopRight).IsAny():
+		return JumpInfo{Kind: JumpRightPath, Essential: essential}
+	}
+	return JumpInfo{Kind: JumpNone}
 }
 
 // RelevantTopDown computes the top-down relevant nodes of a full run per
@@ -123,7 +115,7 @@ func (a *STA) RelevantTopDown(d *tree.Document, run Run) []tree.NodeID {
 
 // EvalTopDownJump is Algorithm B.1 (topdown_jump): it evaluates a minimal
 // top-down deterministic complete STA visiting only (a superset of) the
-// top-down relevant nodes, jumping with the dt/ft/lt/rt functions of
+// top-down relevant nodes, jumping with the dt/ft and rt functions of
 // cur, a cursor set over d's index that no other run moves meanwhile.
 // Its cost is that of what it visits, never O(n): the jump analysis of
 // every state was made once, by Finalize.
@@ -189,12 +181,9 @@ func (a *STA) EvalTopDownJump(d *tree.Document, cur *index.Cursors, run Run, dst
 			switch ji.Kind {
 			case JumpTopMost:
 				stack = append(stack, frame{v, f.end, q, true})
-			case JumpLeftPath:
-				if u := cur.Lt(v, ji.Essential); u != index.Nil {
-					stack = append(stack, frame{u, d.BinEnd(u), q, false})
-				}
 			case JumpRightPath:
-				if u := cur.Rt(v, ji.Essential); u != index.Nil {
+				ids, _ := ji.Essential.Finite() // AnalyzeState picks rt for finite sets only
+				if u := cur.Rt(v, ids); u != index.Nil {
 					stack = append(stack, frame{u, f.end, q, false}) // a sibling of v
 				}
 			}

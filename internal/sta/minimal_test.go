@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/asta"
 	"repro/internal/compile"
 	"repro/internal/tree"
 	"repro/internal/xmark"
@@ -78,30 +79,128 @@ func TestTDSTAMinimalAsBuilt(t *testing.T) {
 		}
 	}
 
+	queries, tdsta := ledgerQueries(t)
+	xm, shapes := xmarkNames(), 0
+	for _, q := range queries {
+		if tdsta[q] {
+			minimalAsBuilt(t, q, xm)
+			shapes++
+		}
+	}
+	if shapes == 0 {
+		t.Error("no topdown-det row in the work ledger")
+	}
+}
+
+// xmarkNames returns the label table of the work ledger's documents.
+func xmarkNames() *tree.LabelTable {
+	return xmark.Generate(xmark.Config{Scale: 0.01, Seed: 1}).Names()
+}
+
+// ledgerQueries returns the queries of the work ledger's rows, each
+// once, paper queries by their text, and the set of those it runs on
+// the TDSTA.
+func ledgerQueries(t *testing.T) (queries []string, tdsta map[string]bool) {
+	t.Helper()
 	byID := make(map[string]string)
 	for _, q := range xmark.Queries() {
 		byID[q.ID] = q.XPath
 	}
-	xm := xmark.Generate(xmark.Config{Scale: 0.01, Seed: 1}).Names()
 	f, err := os.Open("../../testdata/work.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	shapes := 0
+	tdsta = make(map[string]bool)
+	seen := make(map[string]bool)
 	for sc := bufio.NewScanner(f); sc.Scan(); {
 		fields := strings.Fields(sc.Text())
-		if len(fields) < 3 || fields[2] != "topdown-det" {
+		if len(fields) < 3 || fields[0] == "#" || fields[0] == "http" {
 			continue
 		}
 		query := fields[1]
 		if q, ok := byID[query]; ok {
 			query = q
 		}
-		minimalAsBuilt(t, query, xm)
-		shapes++
+		if !seen[query] {
+			seen[query] = true
+			queries = append(queries, query)
+		}
+		if fields[2] == "topdown-det" {
+			tdsta[query] = true
+		}
 	}
-	if shapes == 0 {
-		t.Error("no topdown-det row in the work ledger")
+	return queries, tdsta
+}
+
+// TestCompiledLoops: the compiler loops a state on ↓1 q ∨ ↓2 q or on
+// ↓2 q (compile.searchState) and on nothing else, so no ASTA state
+// loops on its first child alone and no TDSTA has a non-selecting
+// (q, q⊤) transition: neither run needs the left-path jump (lt) of
+// Definition 3.2, and neither has one. It checks the paper's queries,
+// the work ledger's and the paths TestTDSTAMinimalAsBuilt generates. A
+// query that compiles to another loop fails here, where without the
+// test both runs would visit every node the loop passes.
+func TestCompiledLoops(t *testing.T) {
+	loops, tdstas := 0, 0
+	check := func(query string, names *tree.LabelTable) {
+		p, err := xpath.Parse(query)
+		if err != nil {
+			t.Fatalf("%s: %v", query, err)
+		}
+		if compile.CheckASTA(p) != nil {
+			return
+		}
+		a := compile.BuildASTA(p, names)
+		for i := range a.Trans {
+			tr := &a.Trans[i]
+			if d1, d2 := tr.Downs(); !(d1 | d2).Has(tr.From) {
+				continue
+			}
+			loops++
+			if !compiledLoop(tr.Phi, tr.From) {
+				t.Errorf("%s: q%d loops on %s, neither ↓1 q ∨ ↓2 q nor ↓2 q", query, tr.From, tr.Phi)
+			}
+		}
+		if compile.CheckTDSTA(p) != nil {
+			return
+		}
+		tdstas++
+		aut := compile.DeterminizeTopDown(a)
+		for _, tr := range aut.Trans {
+			if !tr.Selecting && tr.Dest.Left == tr.From && tr.Dest.Right != tr.From && aut.IsTopDownUniversal(tr.Dest.Right) {
+				t.Errorf("%s: q%d, %s -> (q%d, q%d) loops on the first child alone\n%s",
+					query, tr.From, tr.Guard.String(names), tr.Dest.Left, tr.Dest.Right, aut.String(names))
+			}
+		}
 	}
+	xm := xmarkNames()
+	for _, q := range xmark.Queries() {
+		check(q.XPath, xm)
+	}
+	queries, _ := ledgerQueries(t)
+	for _, q := range queries {
+		check(q, xm)
+	}
+	names := tree.NewLabelTable()
+	for _, n := range []string{"a", "b", "c", "@x"} {
+		names.Intern(n)
+	}
+	rng := rand.New(rand.NewSource(57))
+	for i := 0; i < 20000 && !t.Failed(); i++ {
+		check(randomTDSTAPath(rng), names)
+	}
+	if loops == 0 || tdstas == 0 {
+		t.Errorf("checked %d loops and %d TDSTAs", loops, tdstas)
+	}
+}
+
+// compiledLoop reports whether phi, a formula of q's, is one of the two
+// loops the compiler emits: ↓1 q ∨ ↓2 q (either way round) or ↓2 q.
+func compiledLoop(phi *asta.Formula, q asta.State) bool {
+	down := func(f *asta.Formula, child int8) bool {
+		return f.Kind == asta.FDown && f.Q == q && f.Child == child
+	}
+	return down(phi, 2) || phi.Kind == asta.FOr &&
+		(down(phi.Left, 1) && down(phi.Right, 2) || down(phi.Left, 2) && down(phi.Right, 1))
 }

@@ -210,11 +210,7 @@ func (a *STA) Reachable(roots []State) []bool {
 func (a *STA) EffectiveAlphabet() []tree.LabelID {
 	seen := make(map[tree.LabelID]bool)
 	for _, t := range a.Trans {
-		ids, ok := t.Guard.Finite()
-		if !ok {
-			ids, _ = t.Guard.Negated()
-		}
-		for _, l := range ids {
+		for _, l := range t.Guard.Named() {
 			seen[l] = true
 		}
 	}

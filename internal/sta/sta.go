@@ -6,6 +6,13 @@
 // automaton. The TDSTA a query compiles to is minimal as it is built
 // (compile.DeterminizeTopDown), so nothing here minimizes one.
 //
+// The run jumps with dt/ft and rt, not with lt: no TDSTA a query builds
+// has a state that loops on its first child alone, so Theorem 3.1's
+// equality (the run visits exactly the top-down relevant nodes) holds
+// for every one of them. A hand-built automaton with such (q, q⊤) loops
+// is run without that jump, visiting the nodes it could have skipped;
+// RelevantTopDown, Lemma 3.1's oracle, still counts them irrelevant.
+//
 // The rest of §3 serves no query, so it lives beside the tests that
 // reproduce it, in this package's _test.go files: top-down minimization
 // (Theorem A.1), the reference the built automata are checked against,

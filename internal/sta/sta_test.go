@@ -285,6 +285,86 @@ func TestTopDownJumpTheorem(t *testing.T) {
 	}
 }
 
+// rejectAutomata are hand-built top-down deterministic automata whose
+// runs reject on every document holding an a (or, for "incomplete", a
+// b), each at another place of topdown_jump: a sink top state, a
+// label δ has no transition for, and a sink sent to the right or to
+// the left of a visited a. q⊥ is the sink, and the a's an accepting run
+// meets are selected.
+func rejectAutomata(a, b tree.LabelID) map[string]*STA {
+	const q0, q1, qBot = 0, 1, 2
+	sink := Transition{From: qBot, Guard: labels.Any, Dest: Pair{qBot, qBot}}
+	// q0 sends q1 to the document element; q1 jumps to its top-most a's
+	// and treats them as the given transition says.
+	topMostA := func(onA Pair) *STA {
+		return (&STA{
+			NumStates: 3,
+			Top:       []State{q0},
+			Bottom:    []State{q0, q1},
+			Trans: []Transition{
+				{From: q0, Guard: labels.Any, Dest: Pair{q1, q1}},
+				{From: q1, Guard: labels.Of(a), Dest: onA, Selecting: true},
+				{From: q1, Guard: labels.Not(a), Dest: Pair{q1, q1}},
+				sink,
+			},
+		}).Finalize()
+	}
+	return map[string]*STA{
+		"sink top": (&STA{
+			NumStates: 3,
+			Top:       []State{qBot},
+			Bottom:    []State{q0, q1},
+			Trans:     []Transition{sink},
+		}).Finalize(),
+		// q1 selects its a's, loops on c and has no transition on b.
+		"incomplete": (&STA{
+			NumStates: 3,
+			Top:       []State{q0},
+			Bottom:    []State{q0, q1},
+			Trans: []Transition{
+				{From: q0, Guard: labels.Any, Dest: Pair{q1, q1}},
+				{From: q1, Guard: labels.Of(a), Dest: Pair{q1, q1}, Selecting: true},
+				{From: q1, Guard: labels.Not(a, b), Dest: Pair{q1, q1}},
+				sink,
+			},
+		}).Finalize(),
+		"sink right": topMostA(Pair{q1, qBot}),
+		"sink left":  topMostA(Pair{qBot, q1}),
+	}
+}
+
+// TestJumpRejectsAsTheRunDoes: topdown_jump rejects exactly where the
+// full run does, answering empty, whichever way the run fails: a sink
+// at a visited node, an incomplete δ, or a sink as the destination of a
+// visited node's sibling or child. Every automaton both accepts and
+// rejects some of the documents.
+func TestJumpRejectsAsTheRunDoes(t *testing.T) {
+	accepted, rejected := map[string]int{}, map[string]int{}
+	for seed := int64(1); seed <= 200; seed++ {
+		d := abcDoc(seed, 1+int(seed%25))
+		a, b := abIDs(d)
+		ix := index.New(d)
+		for name, aut := range rejectAutomata(a, b) {
+			full := aut.EvalTopDownDet(d)
+			jump := aut.EvalTopDownJump(d, ix.NewCursors(), nil, nil)
+			if jump.Accepted != full.Accepted || !sameNodes(jump.Selected, full.Selected) {
+				t.Fatalf("seed %d, %s: jump accepted %v selecting %v, full run %v selecting %v",
+					seed, name, jump.Accepted, jump.Selected, full.Accepted, full.Selected)
+			}
+			if full.Accepted {
+				accepted[name]++
+			} else {
+				rejected[name]++
+			}
+		}
+	}
+	for _, name := range []string{"sink top", "incomplete", "sink right", "sink left"} {
+		if rejected[name] == 0 || (accepted[name] == 0 && name != "sink top") {
+			t.Errorf("%s: %d documents accepted, %d rejected; want some of each", name, accepted[name], rejected[name])
+		}
+	}
+}
+
 func TestJumpVisitsOnlyRelevantForRootRecognizer(t *testing.T) {
 	d := abcDoc(5, 300)
 	ix := index.New(d)

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/index"
-	"repro/internal/labels"
 	"repro/internal/tree"
 )
 
@@ -267,7 +266,6 @@ func requireRefusedOrNavigable(t *testing.T, l *tree.Layout) {
 			tops[lab] = append(tops[lab], v)
 		}
 	}
-	sets := make([]labels.Set, sigma)
 	for lab := range tree.LabelID(sigma) {
 		ids, cur, end := []tree.LabelID{lab}, ix.NewCursors(), d.BinEnd(d.Root())
 		var got []tree.NodeID
@@ -277,7 +275,6 @@ func requireRefusedOrNavigable(t *testing.T, l *tree.Layout) {
 		if !slices.Equal(got, tops[lab]) {
 			t.Fatalf("verified, yet First names %d top-most %s under the root, the labels %d", len(got), d.Names().Name(lab), len(tops[lab]))
 		}
-		sets[lab] = labels.Of(lab)
 	}
 	later := make([]tree.NodeID, sigma) // by label: the first sibling after the first child
 	for v := tree.NodeID(0); v < n; v++ {
@@ -293,9 +290,9 @@ func requireRefusedOrNavigable(t *testing.T, l *tree.Layout) {
 				later[d.Label(u)] = u
 			}
 		}
-		for lab, L := range sets {
+		for lab := range tree.LabelID(sigma) {
 			cur.Reset()
-			if got := cur.Rt(c, L); got != later[lab] {
+			if got := cur.Rt(c, []tree.LabelID{lab}); got != later[lab] {
 				t.Fatalf("verified, yet Rt(%d, %s) = %d, the sibling walk %d", c, d.Names().Name(tree.LabelID(lab)), got, later[lab])
 			}
 		}
